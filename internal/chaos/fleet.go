@@ -622,6 +622,9 @@ func (f *Fleet) ReplicaShims(r int) []*Proxy {
 // (-1, 0 before the first sync completes).
 func (f *Fleet) ReplicaServed(r int) (int, uint64) { return f.replicas[r].rep.Served() }
 
+// ReplicaStats reports replica r's sync counters.
+func (f *Fleet) ReplicaStats(r int) serve.Stats { return f.replicas[r].rep.Stats() }
+
 // ReplicaAddr returns replica r's lookup address. The checker dials it
 // directly — the lookup link itself is never degraded, only the
 // replica's subscription and store links are.

@@ -275,6 +275,11 @@ func (c *Checker) checkServing(ctx context.Context, committed []Committed) ([]Vi
 		if err != nil {
 			return nil, err
 		}
+		for i := range vio {
+			// What the replica last did says which path produced the bad
+			// rows: a delta onto the standby, a refill, a fallback listing.
+			vio[i].Detail += fmt.Sprintf("; replica stats %+v", c.f.ReplicaStats(r))
+		}
 		out = append(out, vio...)
 	}
 	return out, nil

@@ -463,7 +463,8 @@ func (r *runner) serveWait(ctx context.Context, sr *StepResult) error {
 		select {
 		case <-ctx.Done():
 			id, _ := r.f.ReplicaServed(behind)
-			return fmt.Errorf("replica %d stuck serving composite %d, want %d: %w", behind, id, want, ctx.Err())
+			return fmt.Errorf("replica %d stuck serving composite %d, want %d (stats %+v): %w",
+				behind, id, want, r.f.ReplicaStats(behind), ctx.Err())
 		case <-time.After(20 * time.Millisecond):
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -536,9 +537,37 @@ func (e *Engine) cleanup(ctx context.Context, id int) {
 	if err != nil {
 		return
 	}
+	e.deleteAll(ctx, keys)
+}
+
+// deleteAll removes one checkpoint's objects, best effort. The manifest
+// goes first, so that a crash part-way never leaves a manifest naming
+// deleted chunks; the rest go through as many workers as the engine
+// uploads with, because one Delete is a store round trip and a full
+// checkpoint is hundreds of them, all inside Finalize — where, taken one
+// at a time, they queue behind whatever else the store and the cores
+// are doing (a replica fetching the checkpoint just announced).
+func (e *Engine) deleteAll(ctx context.Context, keys []string) {
+	var rest []string
 	for _, k := range keys {
-		_ = e.cfg.Store.Delete(ctx, k)
+		if strings.HasSuffix(k, "/manifest") {
+			_ = e.cfg.Store.Delete(ctx, k)
+		} else {
+			rest = append(rest, k)
+		}
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(e.cfg.Uploaders, len(rest)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; int(i) < len(rest); i = next.Add(1) - 1 {
+				_ = e.cfg.Store.Delete(ctx, rest[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // gc deletes old checkpoints beyond KeepLast while preserving any
@@ -583,9 +612,7 @@ func (e *Engine) gc(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		for _, k := range keys {
-			_ = e.cfg.Store.Delete(ctx, k)
-		}
+		e.deleteAll(ctx, keys)
 		delete(e.manifests, id)
 	}
 }

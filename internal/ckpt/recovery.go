@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,7 +57,9 @@ func (r *Restorer) SetDecoders(n int) {
 }
 
 // ListManifests returns all valid checkpoint manifests for the job,
-// ordered by ID.
+// ordered by ID. A key that vanishes between the List and its Get — a
+// retention sweep racing the listing — is skipped: the listing is the
+// set of manifests that exist, and that one no longer does.
 func (r *Restorer) ListManifests(ctx context.Context) ([]*wire.Manifest, error) {
 	keys, err := r.store.List(ctx, wire.JobPrefix(r.jobID))
 	if err != nil {
@@ -66,18 +70,42 @@ func (r *Restorer) ListManifests(ctx context.Context) ([]*wire.Manifest, error) 
 		if !strings.HasSuffix(k, "/manifest") {
 			continue
 		}
-		blob, err := r.store.Get(ctx, k)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: get %s: %w", k, err)
+		m, err := r.manifestAt(ctx, k)
+		if errors.Is(err, objstore.ErrNotFound) {
+			continue
 		}
-		m, err := wire.DecodeManifest(blob)
 		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: %w", k, err)
+			return nil, err
 		}
 		out = append(out, m)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out, nil
+}
+
+// ManifestIDs returns the IDs of the job's checkpoint manifests in
+// ascending order from one keys-only List: the IDs are parsed from the
+// keys and no manifest is fetched.
+func (r *Restorer) ManifestIDs(ctx context.Context) ([]int, error) {
+	prefix := wire.JobPrefix(r.jobID)
+	keys, err := r.store.List(ctx, prefix)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: list: %w", err)
+	}
+	var ids []int
+	for _, k := range keys {
+		idStr, ok := strings.CutSuffix(strings.TrimPrefix(k, prefix), "/manifest")
+		if !ok {
+			continue
+		}
+		id, err := strconv.Atoi(idStr)
+		if err != nil || wire.ManifestKey(r.jobID, id) != k {
+			continue // not a key this layout writes
+		}
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids, nil
 }
 
 // Latest returns the most recent valid manifest, or ErrNoCheckpoint.
@@ -95,18 +123,28 @@ func (r *Restorer) Latest(ctx context.Context) (*wire.Manifest, error) {
 // ErrNoCheckpoint indicates the job has no valid checkpoint to restore.
 var ErrNoCheckpoint = fmt.Errorf("ckpt: no valid checkpoint")
 
+// manifestAt loads and decodes the manifest stored under key.
+func (r *Restorer) manifestAt(ctx context.Context, key string) (*wire.Manifest, error) {
+	blob, err := r.store.Get(ctx, key)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: get %s: %w", key, err)
+	}
+	m, err := wire.DecodeManifest(blob)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
+	}
+	return m, nil
+}
+
 // manifest loads checkpoint id's manifest directly by key. A missing
 // manifest wraps objstore.ErrNotFound so callers can distinguish
 // "checkpoint does not exist" from transient store failures.
 func (r *Restorer) manifest(ctx context.Context, id int) (*wire.Manifest, error) {
-	blob, err := r.store.Get(ctx, wire.ManifestKey(r.jobID, id))
+	m, err := r.manifestAt(ctx, wire.ManifestKey(r.jobID, id))
 	if errors.Is(err, objstore.ErrNotFound) {
 		return nil, fmt.Errorf("ckpt: checkpoint %d not found: %w", id, err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: get manifest %d: %w", id, err)
-	}
-	return wire.DecodeManifest(blob)
+	return m, err
 }
 
 // Complete reports whether manifest man is fully restorable at the
@@ -152,12 +190,20 @@ func (r *Restorer) shardRestorer(s int) (*Restorer, error) {
 //   - consecutive incremental: [base, inc_1, ..., inc_n] — every link
 //     from the base forward (§5.1: "this approach would require keeping
 //     all previous incremental checkpoints").
+//
+// It fetches exactly those manifests, by key.
 func (r *Restorer) Chain(ctx context.Context, id int) ([]*wire.Manifest, error) {
-	ms, err := r.ListManifests(ctx)
+	target, err := r.manifest(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	return chainFrom(ms, id)
+	return r.chainSince(ctx, target, -1)
+}
+
+// chainSince returns the links of target's restore chain newer than
+// checkpoint after, oldest first, fetching each ancestor by key.
+func (r *Restorer) chainSince(ctx context.Context, target *wire.Manifest, after int) ([]*wire.Manifest, error) {
+	return walkChain(target, after, func(id int) (*wire.Manifest, error) { return r.manifest(ctx, id) })
 }
 
 // chainFrom resolves the restore chain for id within an already-loaded
@@ -167,50 +213,132 @@ func chainFrom(ms []*wire.Manifest, id int) ([]*wire.Manifest, error) {
 	for _, m := range ms {
 		byID[m.ID] = m
 	}
-	target, ok := byID[id]
-	if !ok {
+	get := func(id int) (*wire.Manifest, error) {
+		if m, ok := byID[id]; ok {
+			return m, nil
+		}
+		return nil, objstore.ErrNotFound
+	}
+	target, err := get(id)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: checkpoint %d not found", id)
 	}
+	return walkChain(target, -1, get)
+}
+
+// walkChain follows target's BaseID/ParentID links back through get
+// and returns, oldest first, the links of its restore chain whose ID is
+// above after. after = -1 yields the whole chain. A holder of checkpoint
+// after on the same chain (a serving replica) gets only what it lacks:
+// the walk stops at the first ancestor it already has, so its cost is
+// the number of new links, not the length of the chain. A since-base
+// target is a superset of every link between its base and itself, so
+// with the base held it is the only link.
+func walkChain(target *wire.Manifest, after int, get func(id int) (*wire.Manifest, error)) ([]*wire.Manifest, error) {
 	if target.Composite() {
-		return nil, fmt.Errorf("ckpt: checkpoint %d is a sharded composite; its chains are per-shard", id)
+		return nil, fmt.Errorf("ckpt: checkpoint %d is a sharded composite; its chains are per-shard", target.ID)
 	}
-	if target.Kind == wire.KindFull.String() {
-		return []*wire.Manifest{target}, nil
+	if target.ID <= after {
+		return nil, nil
 	}
-	base, ok := byID[target.BaseID]
-	if !ok {
-		return nil, fmt.Errorf("ckpt: base %d of checkpoint %d missing", target.BaseID, id)
-	}
-	if target.SinceBase {
-		// One-shot/intermittent: the target holds every row modified
-		// since the base, so [base, target] reconstructs the state.
-		return []*wire.Manifest{base, target}, nil
-	}
-	// Consecutive chain: every incremental between base and target must
-	// be applied in order. Walk parent links back to the base.
-	chain := []*wire.Manifest{target}
-	cur := target
-	for cur.ParentID != base.ID {
-		parent, ok := byID[cur.ParentID]
-		if !ok {
-			return nil, fmt.Errorf("ckpt: chain link %d missing for checkpoint %d", cur.ParentID, id)
+	ancestor := func(id int, what string) (*wire.Manifest, error) {
+		m, err := get(id)
+		if errors.Is(err, objstore.ErrNotFound) {
+			// Not wrapped: a missing link makes the target unrestorable,
+			// which callers must not mistake for "target does not exist".
+			return nil, fmt.Errorf("ckpt: %s %d of checkpoint %d missing", what, id, target.ID)
 		}
-		if parent.Kind != wire.KindIncremental.String() {
-			return nil, fmt.Errorf("ckpt: chain of %d crosses non-incremental %d", id, parent.ID)
-		}
-		if parent.BaseID != base.ID {
-			return nil, fmt.Errorf("ckpt: chain of %d crosses base boundary at %d", id, parent.ID)
-		}
-		chain = append(chain, parent)
-		cur = parent
+		return m, err
 	}
-	// Reverse into oldest-first order and prepend the base.
-	out := make([]*wire.Manifest, 0, len(chain)+1)
-	out = append(out, base)
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i])
+	chain := []*wire.Manifest{target} // newest first until reversed
+	if target.Kind != wire.KindFull.String() {
+		if !target.SinceBase {
+			// Consecutive chain: every incremental between base and
+			// target must be applied in order.
+			for cur := target; cur.ParentID != target.BaseID && cur.ParentID > after; {
+				parent, err := ancestor(cur.ParentID, "chain link")
+				if err != nil {
+					return nil, err
+				}
+				if parent.Kind != wire.KindIncremental.String() {
+					return nil, fmt.Errorf("ckpt: chain of %d crosses non-incremental %d", target.ID, parent.ID)
+				}
+				if parent.BaseID != target.BaseID {
+					return nil, fmt.Errorf("ckpt: chain of %d crosses base boundary at %d", target.ID, parent.ID)
+				}
+				chain = append(chain, parent)
+				cur = parent
+			}
+		}
+		if target.BaseID > after {
+			base, err := ancestor(target.BaseID, "base")
+			if err != nil {
+				return nil, err
+			}
+			chain = append(chain, base)
+		}
 	}
-	return out, nil
+	slices.Reverse(chain)
+	return chain, nil
+}
+
+// ErrIncomplete reports a composite that references a shard manifest
+// the store no longer holds (manual deletion, partial GC): it names a
+// checkpoint but cannot be restored.
+var ErrIncomplete = errors.New("ckpt: composite references a missing shard manifest")
+
+// Plan is one checkpoint resolved for applying: its top-level manifest
+// and, per shard, the chain links to apply.
+type Plan struct {
+	// Top is the composite, or the single-writer manifest itself.
+	Top *wire.Manifest
+	// Links[s] is shard s's chain oldest first, cut to the links newer
+	// than the ID Resolve was given. A single-writer job has one "shard",
+	// whose last link is Top.
+	Links [][]*wire.Manifest
+}
+
+// Resolve loads checkpoint id and the links of its per-shard restore
+// chains newer than after (-1: whole chains), every manifest by a
+// direct Get of its key: the top manifest, each shard manifest it names,
+// then ParentID/BaseID back to after. Nothing is listed, so the cost is
+// the number of links returned whatever the job's history. A missing
+// top manifest wraps objstore.ErrNotFound, a missing shard manifest
+// ErrIncomplete; any other failure is the store's.
+func (r *Restorer) Resolve(ctx context.Context, id, after int) (*Plan, error) {
+	top, err := r.manifest(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	if !top.Composite() {
+		links, err := r.chainSince(ctx, top, after)
+		if err != nil {
+			return nil, err
+		}
+		return &Plan{Top: top, Links: [][]*wire.Manifest{links}}, nil
+	}
+	p := &Plan{Top: top, Links: make([][]*wire.Manifest, top.ShardCount)}
+	err = forEachShard(top.ShardCount, func(s int) error {
+		sub, err := r.shardRestorer(s)
+		if err != nil {
+			return err
+		}
+		sm, err := r.manifestAt(ctx, top.ShardManifestKeys[s])
+		if errors.Is(err, objstore.ErrNotFound) {
+			return fmt.Errorf("ckpt: checkpoint %d shard %d: %w", id, s, ErrIncomplete)
+		}
+		if err != nil {
+			return err
+		}
+		if p.Links[s], err = sub.chainSince(ctx, sm, after); err != nil {
+			return fmt.Errorf("ckpt: shard %d: %w", s, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // RestoreResult reports what a restore applied.
@@ -226,98 +354,91 @@ type RestoreResult struct {
 	RowsApplied int
 	// BytesRead counts payload bytes fetched.
 	BytesRead int64
+	// RowsWritten, when the caller sets it non-nil, collects per table ID
+	// the index of every row ApplyManifest wrote, in no particular order
+	// (a serving replica brings its second table buffer level from it).
+	// Left nil, nothing is recorded.
+	RowsWritten map[int][]uint32
 }
 
 // Restore loads checkpoint id into m. Later chain links overwrite earlier
 // ones row-by-row, reconstructing the exact incremental semantics.
 // Sharded composites fan out across shards in parallel.
 func (r *Restorer) Restore(ctx context.Context, id int, m *model.DLRM) (*RestoreResult, error) {
-	ms, err := r.ListManifests(ctx)
+	plan, err := r.Resolve(ctx, id, -1)
 	if err != nil {
 		return nil, err
 	}
-	for _, man := range ms {
-		if man.ID == id && man.Composite() {
-			return r.restoreComposite(ctx, man, m)
-		}
-	}
-	chain, err := chainFrom(ms, id)
-	if err != nil {
-		return nil, err
-	}
-	res := &RestoreResult{Manifests: chain}
-	for _, man := range chain {
-		if err := r.applyOne(ctx, man, m, res); err != nil {
+	return r.restorePlan(ctx, plan, m)
+}
+
+// restorePlan applies a resolved checkpoint to m. A composite's shard
+// chains apply concurrently (shards own disjoint tables, so the writes
+// never overlap), then the composite-level dense state lands. Chunk
+// keys are absolute, so r applies every shard's links itself.
+func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (*RestoreResult, error) {
+	top := plan.Top
+	var res *RestoreResult
+	if top.Composite() {
+		res = &RestoreResult{Manifests: []*wire.Manifest{top}}
+		shardRes := make([]RestoreResult, top.ShardCount)
+		err := forEachShard(top.ShardCount, func(s int) error {
+			for _, sm := range plan.Links[s] {
+				if err := r.applyOne(ctx, sm, m, &shardRes[s]); err != nil {
+					return fmt.Errorf("ckpt: shard %d: %w", s, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
+		for i := range shardRes {
+			res.RowsApplied += shardRes[i].RowsApplied
+			res.BytesRead += shardRes[i].BytesRead
+		}
+		// The composite's own Tables carry no chunk keys, so applying it
+		// contributes exactly the shape sanity checks and the dense state.
+		if err := r.applyOne(ctx, top, m, res); err != nil {
+			return nil, err
+		}
+	} else {
+		res = &RestoreResult{Manifests: plan.Links[0]}
+		for _, man := range plan.Links[0] {
+			if err := r.applyOne(ctx, man, m, res); err != nil {
+				return nil, err
+			}
+		}
 	}
-	last := chain[len(chain)-1]
-	res.Reader = data.ReaderState{NextSample: last.ReaderNextSample, BatchSize: last.ReaderBatchSize}
-	res.Step = last.Step
+	res.Reader = data.ReaderState{NextSample: top.ReaderNextSample, BatchSize: top.ReaderBatchSize}
+	res.Step = top.Step
 	// The tracker restarts clean: rows restored are not "modified" in
 	// the next interval's sense.
 	m.Tracker.Reset()
 	return res, nil
 }
 
-// restoreComposite restores a sharded checkpoint: each shard's chain is
-// resolved and applied concurrently (shards own disjoint tables, so the
-// writes never overlap), then the composite-level dense state lands.
-func (r *Restorer) restoreComposite(ctx context.Context, man *wire.Manifest, m *model.DLRM) (*RestoreResult, error) {
-	res := &RestoreResult{Manifests: []*wire.Manifest{man}}
-	shardRes := make([]*RestoreResult, man.ShardCount)
-	err := forEachShard(man.ShardCount, func(s int) error {
-		sub, err := r.shardRestorer(s)
-		if err != nil {
-			return err
-		}
-		chain, err := sub.Chain(ctx, man.ID)
-		if err != nil {
-			return fmt.Errorf("ckpt: shard %d: %w", s, err)
-		}
-		sres := &RestoreResult{}
-		for _, sm := range chain {
-			if err := sub.applyOne(ctx, sm, m, sres); err != nil {
-				return fmt.Errorf("ckpt: shard %d: %w", s, err)
-			}
-		}
-		shardRes[s] = sres
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, sres := range shardRes {
-		res.RowsApplied += sres.RowsApplied
-		res.BytesRead += sres.BytesRead
-	}
-	// The composite's own Tables carry no chunk keys, so applying it
-	// contributes exactly the shape sanity checks and the dense state.
-	if err := r.applyOne(ctx, man, m, res); err != nil {
-		return nil, err
-	}
-	res.Reader = data.ReaderState{NextSample: man.ReaderNextSample, BatchSize: man.ReaderBatchSize}
-	res.Step = man.Step
-	m.Tracker.Reset()
-	return res, nil
-}
-
 // RestoreLatest restores the most recent complete checkpoint, falling
 // back past any incomplete (partially garbage-collected or tampered)
-// composite to the newest one that is fully restorable.
+// composite to the newest one that is fully restorable. One keys-only
+// List finds the candidates; a restore is a cold start, so nothing is
+// remembered between calls. Only a definitive missing object demotes a
+// candidate: transient store errors propagate, so a flaky store cannot
+// silently send recovery to an older checkpoint.
 func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreResult, error) {
-	ms, err := r.ListManifests(ctx)
+	ids, err := r.ManifestIDs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	for i := len(ms) - 1; i >= 0; i-- {
-		ok, err := r.Complete(ctx, ms[i])
+	for i := len(ids) - 1; i >= 0; i-- {
+		plan, err := r.Resolve(ctx, ids[i], -1)
+		if errors.Is(err, ErrIncomplete) || errors.Is(err, objstore.ErrNotFound) {
+			continue // incomplete, or swept since the List
+		}
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			return r.Restore(ctx, ms[i].ID, m)
-		}
+		return r.restorePlan(ctx, plan, m)
 	}
 	return nil, ErrNoCheckpoint
 }
@@ -367,8 +488,9 @@ func (r *Restorer) applyOne(ctx context.Context, man *wire.Manifest, m *model.DL
 // races. Dense state is NOT applied — it lives on the model, not the
 // tables; full-restore callers go through Restore, while serving
 // replicas (which hold bare tables) call this directly to land each
-// delta. Chunk keys in manifests are absolute, so a Restorer of any
-// scope can apply any shard's manifest.
+// delta, setting res.RowsWritten to learn which rows it touched. Chunk
+// keys in manifests are absolute, so a Restorer of any scope can apply
+// any shard's manifest.
 func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, res *RestoreResult) error {
 	var work []chunkWork
 	for i := range man.Tables {
@@ -390,6 +512,7 @@ func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs T
 		workers := max(1, min(r.decoders, len(work)))
 		dctx, cancel := context.WithCancel(ctx)
 		var rowsApplied, bytesRead atomic.Int64
+		var writtenMu sync.Mutex // guards res.RowsWritten across workers
 		errCh := make(chan error, workers)
 		jobs := make(chan chunkWork)
 		var wg sync.WaitGroup
@@ -399,7 +522,7 @@ func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs T
 				defer wg.Done()
 				var scratch quant.Scratch
 				for w := range jobs {
-					rows, bytes, err := r.applyChunk(dctx, w, &scratch)
+					rows, bytes, written, err := r.applyChunk(dctx, w, &scratch, res.RowsWritten != nil)
 					if err != nil {
 						select {
 						case errCh <- err:
@@ -410,6 +533,11 @@ func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs T
 					}
 					rowsApplied.Add(int64(rows))
 					bytesRead.Add(bytes)
+					if written != nil {
+						writtenMu.Lock()
+						res.RowsWritten[w.tableID] = append(res.RowsWritten[w.tableID], written...)
+						writtenMu.Unlock()
+					}
 				}
 			}()
 		}
@@ -437,10 +565,11 @@ func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs T
 
 // applyChunk fetches, decodes and applies one chunk, de-quantizing each
 // row directly into the table's storage (no intermediate fp32 vector).
-func (r *Restorer) applyChunk(ctx context.Context, w chunkWork, scratch *quant.Scratch) (rowsApplied int, bytesRead int64, err error) {
+// With record set it also returns the indices of the rows it wrote.
+func (r *Restorer) applyChunk(ctx context.Context, w chunkWork, scratch *quant.Scratch, record bool) (rowsApplied int, bytesRead int64, written []uint32, err error) {
 	blob, err := r.store.Get(ctx, w.key)
 	if err != nil {
-		return 0, 0, fmt.Errorf("ckpt: get %s: %w", w.key, err)
+		return 0, 0, nil, fmt.Errorf("ckpt: get %s: %w", w.key, err)
 	}
 	bytesRead = int64(len(blob))
 	// Alias decode: blob is function-local and the rows are dequantized
@@ -448,25 +577,31 @@ func (r *Restorer) applyChunk(ctx context.Context, w chunkWork, scratch *quant.S
 	// copy is pure overhead.
 	chunk, err := wire.DecodeChunkAlias(blob)
 	if err != nil {
-		return 0, bytesRead, fmt.Errorf("ckpt: %s: %w", w.key, err)
+		return 0, bytesRead, nil, fmt.Errorf("ckpt: %s: %w", w.key, err)
 	}
 	if int(chunk.TableID) != w.tableID {
-		return 0, bytesRead, fmt.Errorf("ckpt: %s holds table %d, want %d", w.key, chunk.TableID, w.tableID)
+		return 0, bytesRead, nil, fmt.Errorf("ckpt: %s holds table %d, want %d", w.key, chunk.TableID, w.tableID)
+	}
+	if record {
+		written = make([]uint32, 0, len(chunk.Rows))
 	}
 	tab := w.tab
 	for i := range chunk.Rows {
 		row := &chunk.Rows[i]
 		if int(row.Index) >= tab.Rows {
-			return rowsApplied, bytesRead, fmt.Errorf("ckpt: %s row %d out of range", w.key, row.Index)
+			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d out of range", w.key, row.Index)
 		}
 		if row.Q.N != tab.Dim {
-			return rowsApplied, bytesRead, fmt.Errorf("ckpt: %s row %d dim %d != %d", w.key, row.Index, row.Q.N, tab.Dim)
+			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d dim %d != %d", w.key, row.Index, row.Q.N, tab.Dim)
 		}
 		if err := quant.DequantizeInto(tab.Lookup(int(row.Index)), row.Q, scratch); err != nil {
-			return rowsApplied, bytesRead, fmt.Errorf("ckpt: %s row %d: %w", w.key, row.Index, err)
+			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d: %w", w.key, row.Index, err)
 		}
 		tab.Accum[row.Index] = row.Accum
 		rowsApplied++
+		if record {
+			written = append(written, row.Index)
+		}
 	}
-	return rowsApplied, bytesRead, nil
+	return rowsApplied, bytesRead, written, nil
 }

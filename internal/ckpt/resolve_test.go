@@ -1,0 +1,229 @@
+package ckpt
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/model"
+	"repro/internal/objstore"
+	"repro/internal/wire"
+)
+
+// opStore counts the read operations a restorer issues and can make
+// chosen keys fail their Get.
+type opStore struct {
+	objstore.Store
+
+	mu           sync.Mutex
+	lists        int
+	manifestGets int
+	// getErr makes Get of a key return the error instead of the object.
+	getErr map[string]error
+}
+
+func (s *opStore) List(ctx context.Context, prefix string) ([]string, error) {
+	s.mu.Lock()
+	s.lists++
+	s.mu.Unlock()
+	return s.Store.List(ctx, prefix)
+}
+
+func (s *opStore) Get(ctx context.Context, key string) ([]byte, error) {
+	s.mu.Lock()
+	if strings.HasSuffix(key, "/manifest") {
+		s.manifestGets++
+	}
+	err := s.getErr[key]
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.Store.Get(ctx, key)
+}
+
+// TestListManifestsSkipsKeyGoneSinceList is the regression test for the
+// retention race: a manifest deleted between the List and its Get (the
+// controller's composite GC racing a reader) used to fail the whole
+// listing. It must be skipped, and only that error.
+func TestListManifestsSkipsKeyGoneSinceList(t *testing.T) {
+	f := newFixture(t, Config{Policy: PolicyFull})
+	for i := 0; i < 3; i++ {
+		if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := wire.ManifestKey("testjob", 0)
+	store := &opStore{Store: f.store, getErr: map[string]error{gone: objstore.ErrNotFound}}
+	rest, err := NewRestorer("testjob", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := rest.ListManifests(f.ctx)
+	if err != nil {
+		t.Fatalf("listing with a key gone since the List: %v", err)
+	}
+	if got := ids(ms); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("listed %v, want [1 2]", got)
+	}
+
+	store.getErr[gone] = errInjected
+	if _, err := rest.ListManifests(f.ctx); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the store's failure propagated", err)
+	}
+}
+
+// TestRestoreResolvesByKey pins what a restore costs the store: one
+// keys-only List to find the newest ID, then each manifest of the chain
+// fetched once by key — not every manifest of the job's history, twice.
+func TestRestoreResolvesByKey(t *testing.T) {
+	const shards, links = 2, 6 // a full baseline and five consecutive increments
+	f := newFixture(t, Config{Policy: PolicyFull})
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Config: Config{JobID: "bykey", Store: f.store, Policy: PolicyConsecutive},
+		Shards: shards,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < links; i++ {
+		if _, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := &opStore{Store: f.store}
+	rest, err := NewRestorer("bykey", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, maxLists int) {
+		t.Helper()
+		m2, _ := model.New(testModelConfig(), 2)
+		var res *RestoreResult
+		var err error
+		if maxLists == 0 {
+			res, err = rest.Restore(f.ctx, links-1, m2)
+		} else {
+			res, err = rest.RestoreLatest(f.ctx, m2)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.Manifests[0].ID != links-1 {
+			t.Fatalf("%s restored checkpoint %d, want %d", what, res.Manifests[0].ID, links-1)
+		}
+		assertBitIdentical(t, f.m, m2)
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		if store.lists > maxLists {
+			t.Errorf("%s issued %d Lists, want at most %d", what, store.lists, maxLists)
+		}
+		if want := 1 + shards*links; store.manifestGets != want {
+			t.Errorf("%s fetched %d manifests, want %d (the composite and each shard's %d chain links, once)",
+				what, store.manifestGets, want, links)
+		}
+		store.lists, store.manifestGets = 0, 0
+	}
+	check("RestoreLatest", 1)
+	// The restorer remembers nothing: a second restore is as cold.
+	check("second RestoreLatest", 1)
+	check("Restore by ID", 0)
+
+	shard0, err := rest.shardRestorer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := shard0.Chain(f.ctx, links-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != links || chain[0].Kind != wire.KindFull.String() || chain[links-1].ID != links-1 {
+		t.Fatalf("shard chain = %v, want %d links from the full baseline", ids(chain), links)
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	if store.lists != 0 || store.manifestGets != links {
+		t.Errorf("Chain issued %d Lists and %d manifest Gets, want 0 and %d", store.lists, store.manifestGets, links)
+	}
+}
+
+// TestResolveCutsChainAtHeldCheckpoint covers what a serving replica
+// asks: only the links newer than the checkpoint it holds, for each
+// chain shape, fetched without walking the history behind it.
+func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		policy PolicyKind
+		after  int
+		want   []int // shard chain for checkpoint 4 cut at after
+	}{
+		{PolicyConsecutive, -1, []int{0, 1, 2, 3, 4}},
+		{PolicyConsecutive, 1, []int{2, 3, 4}},
+		{PolicyConsecutive, 3, []int{4}},
+		{PolicyConsecutive, 4, nil},
+		{PolicyOneShot, -1, []int{0, 4}},
+		{PolicyOneShot, 0, []int{4}},
+		{PolicyOneShot, 3, []int{4}},
+		{PolicyFull, 2, []int{4}},
+	} {
+		f := newFixture(t, Config{Policy: PolicyFull})
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Config: Config{JobID: "cut", Store: f.store, Policy: tc.policy},
+			Shards: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store := &opStore{Store: f.store}
+		rest, _ := NewRestorer("cut", store)
+		plan, err := rest.Resolve(f.ctx, 4, tc.after)
+		if err != nil {
+			t.Fatalf("%v after %d: %v", tc.policy, tc.after, err)
+		}
+		if !plan.Top.Composite() || len(plan.Links) != 2 {
+			t.Fatalf("%v: plan top %+v with %d chains", tc.policy, plan.Top, len(plan.Links))
+		}
+		for s, chain := range plan.Links {
+			got := ids(chain)
+			if len(got) != len(tc.want) {
+				t.Fatalf("%v after %d shard %d: links %v, want %v", tc.policy, tc.after, s, got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("%v after %d shard %d: links %v, want %v", tc.policy, tc.after, s, got, tc.want)
+				}
+			}
+		}
+		// The composite, each shard's manifest, and nothing that is not
+		// returned.
+		if want := 1 + 2*max(1, len(tc.want)); store.lists != 0 || store.manifestGets != want {
+			t.Errorf("%v after %d: %d Lists, %d manifest Gets, want 0 and %d",
+				tc.policy, tc.after, store.lists, store.manifestGets, want)
+		}
+	}
+
+	// A composite naming a shard manifest that is gone is incomplete; one
+	// that does not exist is not found.
+	f := newFixture(t, Config{Policy: PolicyFull})
+	coord, _ := NewCoordinator(CoordinatorConfig{Config: Config{JobID: "torn", Store: f.store, Policy: PolicyFull}, Shards: 2})
+	man, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.store.Delete(f.ctx, man.ShardManifestKeys[1]); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := NewRestorer("torn", f.store)
+	if _, err := rest.Resolve(f.ctx, man.ID, -1); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("err = %v, want ErrIncomplete", err)
+	}
+	if _, err := rest.Resolve(f.ctx, 7, -1); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+}

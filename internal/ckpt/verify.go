@@ -2,10 +2,8 @@ package ckpt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"repro/internal/objstore"
 	"repro/internal/wire"
 )
 
@@ -34,36 +32,22 @@ func (v *VerifyResult) OK() bool { return len(v.Problems) == 0 && v.ChainOK }
 // runs before trusting a checkpoint (the controller "monitors and
 // maintains checkpoints" in Figure 7).
 func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
-	man, merr := r.manifest(ctx, id)
-	if merr == nil && man.Composite() {
-		return r.verifyComposite(ctx, man)
+	target, err := r.manifest(ctx, id)
+	if err != nil {
+		// Missing, or a transient store failure that must not masquerade
+		// as corruption.
+		return nil, err
 	}
-	if merr != nil && !errors.Is(merr, objstore.ErrNotFound) {
-		// A transient store failure must not masquerade as corruption
-		// (or as a single-writer checkpoint).
-		return nil, merr
+	if target.Composite() {
+		return r.verifyComposite(ctx, target)
 	}
-	chain, err := r.Chain(ctx, id)
+	chain, err := r.chainSince(ctx, target, -1)
 	res := &VerifyResult{ID: id, ChainOK: err == nil}
 	if err != nil {
-		// Still try to scrub the target itself if its manifest loads.
-		ms, lerr := r.ListManifests(ctx)
-		if lerr != nil {
-			return nil, lerr
-		}
-		var target *wire.Manifest
-		for _, m := range ms {
-			if m.ID == id {
-				target = m
-			}
-		}
-		if target == nil {
-			return nil, fmt.Errorf("ckpt: checkpoint %d not found", id)
-		}
+		// Still scrub the target itself.
 		res.Problems = append(res.Problems, fmt.Sprintf("chain: %v", err))
 		chain = []*wire.Manifest{target}
 	}
-	target := chain[len(chain)-1]
 	res.Kind = target.Kind
 
 	for _, man := range chain {

@@ -7,10 +7,16 @@
 // dequantized table set that answers embedding lookups over framed TCP.
 //
 // Consistency model: every lookup response is served from exactly one
-// committed checkpoint. Deltas are applied onto cloned copies of only
-// the touched tables, assembled into a fresh immutable table-set
-// version, and published with a single atomic pointer swap — readers
-// never observe a row mixing old and new delta state (no torn reads).
+// committed checkpoint. The replica owns two full table sets. Lookups
+// read the live one; a sync first copies into the standby the rows the
+// previous sync wrote (so both hold the served checkpoint), applies the
+// new chain links onto it in place, and swaps the two with one atomic
+// pointer store. A lookup pins the set it reads — read-lock, re-check
+// that it is still the live one, read the checkpoint ID under the lock
+// — and the writer takes a set's lock exclusively only while that set
+// is the standby, so readers never observe a row mixing old and new
+// delta state (no torn reads), nothing is cloned, and a sync costs what
+// the delta weighs, not what the model does.
 // Staleness is allowed and unbounded: a partitioned replica keeps
 // serving its last version and converges (bit-identically — the apply
 // path is the same alias-decode/dequantize path recovery uses) after
@@ -76,10 +82,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// tableSet is one immutable published version: the replica's tables as
-// of composite checkpoint id. Lookups resolve against exactly one
-// tableSet; apply builds the next one aside and swaps the pointer.
+// tableSet is one of the replica's two table buffers, holding the
+// tables as of composite checkpoint id. At any moment one set is live
+// (published through Replica.cur) and the other is the standby the next
+// sync writes.
 type tableSet struct {
+	// mu pins the set. Lookups hold it shared while they read; the
+	// writer holds it exclusively while it rewrites the set, which it
+	// does only while the set is the standby. id and step change under
+	// the exclusive lock, with the rows.
+	mu     sync.RWMutex
 	id     int
 	step   uint64
 	tables map[int]*embedding.Table
@@ -88,15 +100,103 @@ type tableSet struct {
 // Table satisfies ckpt.TableSet during delta application.
 func (v *tableSet) Table(id int) *embedding.Table { return v.tables[id] }
 
+// newTableSet allocates zeroed tables for every table plan's links
+// name: the bootstrap buffer, which the links then fill completely
+// (every chain starts at a full baseline).
+func newTableSet(plan *ckpt.Plan) *tableSet {
+	ts := &tableSet{id: -1, tables: make(map[int]*embedding.Table)}
+	for _, chain := range plan.Links {
+		for _, m := range chain {
+			for i := range m.Tables {
+				tm := &m.Tables[i]
+				if ts.tables[tm.TableID] == nil {
+					ts.tables[tm.TableID] = &embedding.Table{
+						ID:      tm.TableID,
+						Rows:    tm.Rows,
+						Dim:     tm.Dim,
+						Weights: tensor.NewMatrix(tm.Rows, tm.Dim),
+						Accum:   make([]float32, tm.Rows),
+					}
+				}
+			}
+		}
+	}
+	return ts
+}
+
+// tableDelta names the rows of one table a sync wrote.
+type tableDelta struct {
+	all  bool // a full link rewrote every row
+	rows []uint32
+}
+
+// countingStore counts the read operations the replica issues, for
+// Stats: what one sync costs the store is the number that must not grow
+// with the model or the checkpoint history.
+type countingStore struct {
+	objstore.Store
+	lists, gets, stats atomic.Int64
+}
+
+func (c *countingStore) Get(ctx context.Context, key string) ([]byte, error) {
+	c.gets.Add(1)
+	return c.Store.Get(ctx, key)
+}
+
+func (c *countingStore) List(ctx context.Context, prefix string) ([]string, error) {
+	c.lists.Add(1)
+	return c.Store.List(ctx, prefix)
+}
+
+func (c *countingStore) Stat(ctx context.Context, key string) (int64, error) {
+	c.stats.Add(1)
+	return c.Store.Stat(ctx, key)
+}
+
+// Stats is a snapshot of a replica's sync counters.
+type Stats struct {
+	// ServedID, ServedStep and Epoch are the checkpoint being served
+	// (-1 before the first load) and the highest controller epoch seen.
+	ServedID   int
+	ServedStep uint64
+	Epoch      uint64
+	// Syncs counts sync passes that published a new version; LinksApplied,
+	// RowsApplied and ReconciledRows what they applied from the store and
+	// copied between the two buffers.
+	Syncs          uint64
+	LinksApplied   uint64
+	RowsApplied    uint64
+	ReconciledRows uint64
+	// Rebuilds counts whole-model fills of the second buffer: one after
+	// bootstrap, one after every failed apply.
+	Rebuilds uint64
+	// LastLists, LastGets and LastStats are the store operations of the
+	// most recent publishing sync, LastSync its duration.
+	LastLists, LastGets, LastStats int64
+	LastSync                       time.Duration
+}
+
 // Replica is a serving replica. Start it with Start; it is safe for
 // concurrent lookups while deltas land.
 type Replica struct {
-	cfg  Config
-	logf func(format string, args ...any)
-	rest *ckpt.Restorer
+	cfg   Config
+	logf  func(format string, args ...any)
+	store *countingStore
+	rest  *ckpt.Restorer
 
 	cur   atomic.Pointer[tableSet]
 	epoch atomic.Uint64
+	// hint is the newest announced checkpoint ID the sync loop has not
+	// looked at yet, or -1: which manifest key to Get first, no more.
+	hint atomic.Int64
+
+	// standby and wrote belong to applyLoop, the single writer. standby
+	// is the buffer the next sync rewrites (nil until filled: after
+	// bootstrap and after a failed apply); wrote names the rows the last
+	// sync wrote, which is exactly what standby lacks to equal the live
+	// set.
+	standby *tableSet
+	wrote   map[int]*tableDelta
 
 	srv  *server
 	wake chan struct{}
@@ -106,6 +206,7 @@ type Replica struct {
 	mu     sync.Mutex
 	sub    *ctrl.Subscription
 	closed bool
+	stats  Stats // counters only; Stats() fills in what is served
 }
 
 // Start launches a replica: it begins listening for lookups
@@ -135,7 +236,8 @@ func Start(cfg Config) (*Replica, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	rest, err := ckpt.NewRestorer(cfg.JobID, cfg.Store)
+	store := &countingStore{Store: cfg.Store}
+	rest, err := ckpt.NewRestorer(cfg.JobID, store)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +245,14 @@ func Start(cfg Config) (*Replica, error) {
 		rest.SetDecoders(cfg.Decoders)
 	}
 	r := &Replica{
-		cfg:  cfg,
-		logf: logf,
-		rest: rest,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		cfg:   cfg,
+		logf:  logf,
+		store: store,
+		rest:  rest,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
+	r.hint.Store(-1)
 	r.srv, err = newServer(cfg.ListenAddr, r)
 	if err != nil {
 		return nil, err
@@ -169,11 +273,44 @@ func (r *Replica) Addr() string { return r.srv.Addr() }
 // Served returns the checkpoint currently being served: its composite
 // ID and step, or (-1, 0) before the first load.
 func (r *Replica) Served() (id int, step uint64) {
-	v := r.cur.Load()
+	v := r.pin()
 	if v == nil {
 		return -1, 0
 	}
+	defer v.mu.RUnlock()
 	return v.id, v.step
+}
+
+// Stats returns the replica's sync counters and what it serves.
+func (r *Replica) Stats() Stats {
+	r.mu.Lock()
+	st := r.stats
+	r.mu.Unlock()
+	st.ServedID, st.ServedStep = r.Served()
+	st.Epoch = r.epoch.Load()
+	return st
+}
+
+// pin returns the live table set read-locked, or nil before the first
+// load; the caller releases it with mu.RUnlock. The writer locks a set
+// only while it is the standby, so failing to get the lock, like
+// finding after getting it that the set is no longer the live one,
+// means a swap went by since cur was loaded: load it again. The lock is
+// tried, not waited for, because the writer holds it across store
+// reads.
+func (r *Replica) pin() *tableSet {
+	for {
+		v := r.cur.Load()
+		if v == nil {
+			return nil
+		}
+		if v.mu.TryRLock() {
+			if r.cur.Load() == v {
+				return v
+			}
+			v.mu.RUnlock()
+		}
+	}
 }
 
 // WaitForCheckpoint blocks until the replica serves checkpoint id or
@@ -232,8 +369,9 @@ func (r *Replica) observeEpoch(e uint64) bool {
 	}
 }
 
-// applyLoop is the single writer of r.cur: it wakes on announcements
-// and on the re-sync ticker, and runs one catch-up pass per wake.
+// applyLoop is the single writer of r.cur and of both table sets: it
+// wakes on announcements and on the re-sync ticker, and runs one
+// catch-up pass per wake.
 func (r *Replica) applyLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.cfg.ResyncEvery)
@@ -256,161 +394,196 @@ func (r *Replica) applyLoop() {
 			}
 			r.logf("serve %s: sync: %v", r.cfg.JobID, err)
 		}
+		// After the pass, not in it: the version it published is already
+		// being served while the second buffer is filled.
+		r.fillStandby()
 	}
 }
 
+// fillStandby gives the replica its second buffer, a copy of the live
+// set, when it has none: after bootstrap and after a failed apply.
+func (r *Replica) fillStandby() {
+	live := r.cur.Load()
+	if live == nil || r.standby != nil {
+		return
+	}
+	// No lock: the live set is written by nobody but this goroutine.
+	sb := &tableSet{id: live.id, step: live.step, tables: make(map[int]*embedding.Table, len(live.tables))}
+	for id, t := range live.tables {
+		sb.tables[id] = t.Clone()
+	}
+	r.standby, r.wrote = sb, nil
+	r.mu.Lock()
+	r.stats.Rebuilds++
+	r.mu.Unlock()
+}
+
 // syncOnce advances the served version to the newest complete composite
-// if the replica is behind. Announcement-free progress: it works from
-// the store listing alone, so it also heals replicas whose announce
-// stream died.
+// if the replica is behind.
 func (r *Replica) syncOnce(ctx context.Context) error {
-	mans, err := r.rest.ListManifests(ctx)
-	if err != nil {
+	began := time.Now()
+	lists, gets, stats := r.store.lists.Load(), r.store.gets.Load(), r.store.stats.Load()
+	live := r.cur.Load()
+	served := -1
+	if live != nil {
+		served = live.id
+	}
+	plan, err := r.resolve(ctx, served)
+	if plan == nil || err != nil {
 		return err
 	}
-	var target *wire.Manifest
-	for i := len(mans) - 1; i >= 0; i-- {
-		ok, err := r.rest.Complete(ctx, mans[i])
-		if err != nil {
-			return err
-		}
-		if ok {
-			target = mans[i]
-			break
-		}
+	next := r.standby
+	if live == nil {
+		next = newTableSet(plan)
 	}
-	if target == nil {
-		return nil // nothing committed yet
-	}
-	cur := r.cur.Load()
-	if cur != nil && cur.id >= target.ID {
-		return nil
-	}
-	next, err := r.advance(ctx, target, cur)
-	if err != nil && cur != nil {
-		// The delta path can lose a race with GC (an intermediate link
-		// swept between listing and fetch): fall back to a full rebuild
-		// from the newest complete composite.
-		r.logf("serve %s: delta apply %d -> %d failed (%v); rebuilding from scratch",
-			r.cfg.JobID, cur.id, target.ID, err)
-		next, err = r.advance(ctx, target, nil)
-	}
+	// From here next is being rewritten. If the apply fails it holds rows
+	// of two checkpoints and is dropped; fillStandby makes a new one.
+	r.standby = nil
+	wrote, did, err := r.rewrite(ctx, plan, next, live)
 	if err != nil {
 		return err
 	}
 	r.cur.Store(next)
-	r.logf("serve %s: serving checkpoint %d (step %d, %d tables)",
-		r.cfg.JobID, next.id, next.step, len(next.tables))
+	r.standby, r.wrote = live, wrote
+
+	did.LastLists = r.store.lists.Load() - lists
+	did.LastGets = r.store.gets.Load() - gets
+	did.LastStats = r.store.stats.Load() - stats
+	did.LastSync = time.Since(began)
+	r.mu.Lock()
+	st := &r.stats
+	st.Syncs++
+	st.LinksApplied += did.LinksApplied
+	st.RowsApplied += did.RowsApplied
+	st.ReconciledRows += did.ReconciledRows
+	st.LastLists, st.LastGets, st.LastStats, st.LastSync = did.LastLists, did.LastGets, did.LastStats, did.LastSync
+	r.mu.Unlock()
+	r.logf("serve %s: serving checkpoint %d (step %d, %d tables; %d links, %d rows applied, %d reconciled; store %d gets %d lists %d stats; %v)",
+		r.cfg.JobID, plan.Top.ID, plan.Top.Step, len(next.tables), did.LinksApplied, did.RowsApplied, did.ReconciledRows,
+		did.LastGets, did.LastLists, did.LastStats, did.LastSync.Round(time.Microsecond))
 	return nil
 }
 
-// advance builds the table-set version for target on top of cur (nil
-// means bootstrap from the baseline). Only tables touched by the
-// applied links are cloned; untouched tables are shared with cur —
-// they are immutable once published, so sharing is safe.
+// resolve finds the newest complete checkpoint above served and the
+// chain links that lead to it from served, or nil when there is none.
 //
-// Correctness across delta policies: for each shard the restore chain
-// for target is resolved (ckpt.Restorer.Chain handles full, one-shot
-// SinceBase, and consecutive chains) and every link newer than cur is
-// applied in order. A SinceBase link carries all rows modified since
-// its base — a superset of the rows modified since cur (cur is at or
-// past the base, or it would have been rebuilt) — so skipping links at
-// or before cur never loses writes.
-func (r *Replica) advance(ctx context.Context, target *wire.Manifest, cur *tableSet) (*tableSet, error) {
-	curID := -1
-	if cur != nil {
-		curID = cur.id
+// An announcement's checkpoint ID is a hint for which key to Get: that
+// composite, the shard manifests it names, and their parents back to
+// served are fetched by key, so a replica following the stream issues
+// 1 + shards manifest Gets and no List however long the job's history.
+// State still comes only from the store: a hint whose composite is not
+// there (or is incomplete) is dropped, and that pass, like every pass
+// the re-sync ticker starts, works from one keys-only List instead —
+// which is also what heals a replica whose announce stream died.
+func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
+	unusable := func(err error) bool {
+		return errors.Is(err, objstore.ErrNotFound) || errors.Is(err, ckpt.ErrIncomplete)
 	}
-	type shardChain struct {
-		sub   *ckpt.Restorer
-		links []*wire.Manifest
+	if hint := int(r.hint.Swap(-1)); hint > served {
+		plan, err := r.rest.Resolve(ctx, hint, served)
+		if !unusable(err) {
+			return plan, err
+		}
 	}
-	var chains []shardChain
-	if target.Composite() {
-		for s := 0; s < target.ShardCount; s++ {
-			sub, err := ckpt.NewRestorer(wire.ShardJobID(r.cfg.JobID, s), r.cfg.Store)
-			if err != nil {
-				return nil, err
-			}
-			if r.cfg.Decoders > 0 {
-				sub.SetDecoders(r.cfg.Decoders)
-			}
-			chain, err := sub.Chain(ctx, target.ID)
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d chain: %w", s, err)
-			}
-			sc := shardChain{sub: sub}
-			for _, m := range chain {
-				if m.ID > curID {
-					sc.links = append(sc.links, m)
+	ids, err := r.rest.ManifestIDs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i := len(ids) - 1; i >= 0 && ids[i] > served; i-- {
+		plan, err := r.rest.Resolve(ctx, ids[i], served)
+		if unusable(err) {
+			continue // torn by hand or swept since the List: try the one before
+		}
+		return plan, err
+	}
+	return nil, nil
+}
+
+// rewrite turns next into plan's checkpoint. With a live set, next is
+// the standby: it first receives from live the rows the previous sync
+// wrote (the two then hold the same checkpoint), except in tables whose
+// first new link is a full baseline, which overwrites every row anyway.
+// Then the links are applied in place, oldest first per shard.
+//
+// Correctness across delta policies: Resolve cuts every shard's chain
+// to the links newer than the served checkpoint. A SinceBase link
+// carries all rows modified since its base — a superset of the rows
+// modified since the served checkpoint, which is at or past that base,
+// or the base itself would be among the links — so skipping links at or
+// before the served one never loses writes.
+//
+// It returns the rows it wrote per table and, in did, the links and rows
+// it applied and reconciled.
+func (r *Replica) rewrite(ctx context.Context, plan *ckpt.Plan, next, live *tableSet) (wrote map[int]*tableDelta, did Stats, err error) {
+	full := wire.KindFull.String()
+	// Waits out the lookups that pinned next while it was the live set.
+	next.mu.Lock()
+	defer next.mu.Unlock()
+
+	if live != nil {
+		overwritten := make(map[int]bool)
+		for _, chain := range plan.Links {
+			if len(chain) > 0 && chain[0].Kind == full {
+				for i := range chain[0].Tables {
+					overwritten[chain[0].Tables[i].TableID] = true
 				}
 			}
-			chains = append(chains, sc)
 		}
-	} else {
-		// Single-writer job (no composite): the job-level chain is the
-		// one and only "shard".
-		chain, err := r.rest.Chain(ctx, target.ID)
-		if err != nil {
-			return nil, err
-		}
-		sc := shardChain{sub: r.rest}
-		for _, m := range chain {
-			if m.ID > curID {
-				sc.links = append(sc.links, m)
+		for id, d := range r.wrote {
+			if overwritten[id] {
+				continue
 			}
+			dst, src := next.tables[id], live.tables[id]
+			if d.all {
+				copy(dst.Weights.Data, src.Weights.Data)
+				copy(dst.Accum, src.Accum)
+				did.ReconciledRows += uint64(src.Rows)
+				continue
+			}
+			for _, row := range d.rows {
+				copy(dst.Lookup(int(row)), src.Lookup(int(row)))
+				dst.Accum[row] = src.Accum[row]
+			}
+			did.ReconciledRows += uint64(len(d.rows))
 		}
-		chains = append(chains, sc)
 	}
 
-	// Copy-on-write table set: carry every current table over, clone
-	// the ones the links will write, allocate the ones we do not have.
-	tables := make(map[int]*embedding.Table)
-	if cur != nil {
-		for id, t := range cur.tables {
-			tables[id] = t
-		}
-	}
-	cloned := make(map[int]bool)
-	for _, sc := range chains {
-		for _, m := range sc.links {
+	wrote = make(map[int]*tableDelta)
+	for _, chain := range plan.Links {
+		for _, m := range chain {
+			res := &ckpt.RestoreResult{}
+			if m.Kind != full {
+				res.RowsWritten = make(map[int][]uint32)
+			}
+			if err := r.rest.ApplyManifest(ctx, m, next, res); err != nil {
+				return nil, did, fmt.Errorf("serve: apply %d: %w", m.ID, err)
+			}
 			for i := range m.Tables {
-				tm := &m.Tables[i]
-				if t, ok := tables[tm.TableID]; ok {
-					if !cloned[tm.TableID] {
-						tables[tm.TableID] = t.Clone()
-						cloned[tm.TableID] = true
-					}
-				} else {
-					tables[tm.TableID] = &embedding.Table{
-						ID:      tm.TableID,
-						Rows:    tm.Rows,
-						Dim:     tm.Dim,
-						Weights: tensor.NewMatrix(tm.Rows, tm.Dim),
-						Accum:   make([]float32, tm.Rows),
-					}
-					cloned[tm.TableID] = true
+				id := m.Tables[i].TableID
+				d := wrote[id]
+				if d == nil {
+					d = &tableDelta{}
+					wrote[id] = d
+				}
+				if m.Kind == full {
+					*d = tableDelta{all: true}
+				} else if !d.all {
+					d.rows = append(d.rows, res.RowsWritten[id]...)
 				}
 			}
+			did.LinksApplied++
+			did.RowsApplied += uint64(res.RowsApplied)
 		}
 	}
-	next := &tableSet{id: target.ID, step: target.Step, tables: tables}
-	for _, sc := range chains {
-		for _, m := range sc.links {
-			res := &ckpt.RestoreResult{}
-			if err := sc.sub.ApplyManifest(ctx, m, next, res); err != nil {
-				return nil, fmt.Errorf("serve: apply %d: %w", m.ID, err)
-			}
-		}
-	}
-	if target.Composite() {
+	if plan.Top.Composite() {
 		// The composite's own table entries carry no chunks; applying it
 		// is the cross-shard shape sanity check recovery also runs.
-		if err := r.rest.ApplyManifest(ctx, target, next, &ckpt.RestoreResult{}); err != nil {
-			return nil, err
+		if err := r.rest.ApplyManifest(ctx, plan.Top, next, &ckpt.RestoreResult{}); err != nil {
+			return nil, did, err
 		}
 	}
-	return next, nil
+	next.id, next.step = plan.Top.ID, plan.Top.Step
+	return wrote, did, nil
 }
 
 // subscribeLoop keeps one announce subscription alive, re-dialing with
@@ -461,6 +634,9 @@ func (r *Replica) subscribeLoop() {
 					r.cfg.JobID, ev.CkptID, epoch, r.epoch.Load())
 				continue
 			}
+			// One stream delivers announcements in commit order, so the
+			// latest is the newest.
+			r.hint.Store(int64(ev.CkptID))
 			r.kick()
 		}
 		sub.Close()
@@ -475,12 +651,14 @@ func (r *Replica) subscribeLoop() {
 	}
 }
 
-// lookup answers one batch lookup from the current version.
+// lookup answers one batch lookup from the live version, pinned for
+// the duration of the read.
 func (r *Replica) lookup(req *wire.LookupRequest) (*wire.LookupResponse, error) {
-	v := r.cur.Load()
+	v := r.pin()
 	if v == nil {
 		return nil, ErrNotReady
 	}
+	defer v.mu.RUnlock()
 	tab := v.tables[int(req.TableID)]
 	if tab == nil {
 		return nil, fmt.Errorf("serve: no table %d", req.TableID)

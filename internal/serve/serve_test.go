@@ -41,6 +41,8 @@ type harness struct {
 	gen   *data.Generator
 	coord *ckpt.Coordinator
 	step  uint64
+	// committed counts successful commits: the next checkpoint's ID.
+	committed int
 
 	mu   sync.Mutex
 	refs map[int]map[int][]float32 // ckptID -> tableID -> flat weights
@@ -48,23 +50,31 @@ type harness struct {
 
 func newHarness(t *testing.T, store objstore.Store, keepLast int) *harness {
 	t.Helper()
-	m, err := model.New(testModelConfig(), 2)
+	return newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyOneShot, KeepLast: keepLast}, nil)
+}
+
+// newHarnessWith builds a harness whose two shard engines run ecfg
+// (JobID and Store are filled in) over tables of the given row counts
+// (nil: the small default model).
+func newHarnessWith(t *testing.T, store objstore.Store, ecfg ckpt.Config, rows []int) *harness {
+	t.Helper()
+	mcfg, spec := testModelConfig(), testDataSpec()
+	if rows != nil {
+		mcfg.Tables, spec.TableRows = nil, rows
+		for _, n := range rows {
+			mcfg.Tables = append(mcfg.Tables, embedding.TableSpec{Rows: n, Dim: 16})
+		}
+	}
+	m, err := model.New(mcfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := data.NewGenerator(testDataSpec())
+	gen, err := data.NewGenerator(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := ckpt.NewCoordinator(ckpt.CoordinatorConfig{
-		Config: ckpt.Config{
-			JobID:    "serve-test",
-			Store:    store,
-			Policy:   ckpt.PolicyOneShot,
-			KeepLast: keepLast,
-		},
-		Shards: 2,
-	})
+	ecfg.JobID, ecfg.Store = "serve-test", store
+	coord, err := ckpt.NewCoordinator(ckpt.CoordinatorConfig{Config: ecfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +85,11 @@ func newHarness(t *testing.T, store objstore.Store, keepLast int) *harness {
 // the reference table state under the resulting checkpoint ID.
 func (h *harness) commit(ctx context.Context) *wire.Manifest {
 	h.m.TrainBatch(h.gen.NextBatch(16))
+	return h.commitTrained(ctx)
+}
+
+// commitTrained commits the model as it stands.
+func (h *harness) commitTrained(ctx context.Context) *wire.Manifest {
 	h.step++
 	snap, err := ckpt.TakeSnapshot(h.m, h.step, data.ReaderState{NextSample: h.gen.Pos(), BatchSize: 16})
 	if err != nil {
@@ -85,14 +100,21 @@ func (h *harness) commit(ctx context.Context) *wire.Manifest {
 	for _, tab := range h.m.Sparse.Tables {
 		ref[tab.ID] = append([]float32(nil), tab.Weights.Data...)
 	}
+	// The reference goes in before the commit: a polling replica can
+	// serve the checkpoint before Write returns. IDs are gapless from 0.
+	id := h.committed
+	h.mu.Lock()
+	h.refs[id] = ref
+	h.mu.Unlock()
 	man, err := h.coord.Write(ctx, snap)
+	if err == nil && man.ID != id {
+		err = fmt.Errorf("committed checkpoint %d, expected %d", man.ID, id)
+	}
 	if err != nil {
 		h.t.Error(err)
 		return nil
 	}
-	h.mu.Lock()
-	h.refs[man.ID] = ref
-	h.mu.Unlock()
+	h.committed++
 	return man
 }
 
@@ -260,14 +282,25 @@ func TestReplicaNotReadyBeforeFirstCheckpoint(t *testing.T) {
 }
 
 // TestReadUnderCommitNoTornReads is the read-under-commit race test:
-// lookup traffic hammers a replica while composites land concurrently,
-// and every single response must bit-match the reference state of
-// exactly the checkpoint it claims to serve — a row mixing old and new
-// delta state (a torn read) fails the comparison. Run under -race this
-// also proves the table-set swap is properly synchronized.
+// lookup traffic on several connections hammers a replica across many
+// consecutive buffer swaps — each of the two table sets is rewritten in
+// place several times under the readers — and every single response
+// must bit-match the reference state of exactly the checkpoint it
+// claims to serve (a row mixing old and new delta state, a torn read,
+// fails the comparison), with checkpoint IDs never going backwards on a
+// connection. It runs once per link shape the writer can be handed:
+// consecutive increments, since-base increments and full baselines. Run
+// under -race this also proves the reader pinning is properly
+// synchronized.
 func TestReadUnderCommitNoTornReads(t *testing.T) {
+	for _, policy := range []ckpt.PolicyKind{ckpt.PolicyConsecutive, ckpt.PolicyOneShot, ckpt.PolicyFull} {
+		t.Run(policy.String(), func(t *testing.T) { readUnderCommit(t, policy) })
+	}
+}
+
+func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	h := newHarness(t, store, 0)
+	h := newHarnessWith(t, store, ckpt.Config{Policy: policy}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -278,7 +311,7 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 	rep, err := Start(Config{
 		JobID:       "serve-test",
 		Store:       store,
-		ResyncEvery: 5 * time.Millisecond, // aggressive: maximize swap frequency
+		ResyncEvery: 2 * time.Millisecond, // every commit gets a swap of its own
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -291,7 +324,7 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 
 	const (
 		readers = 4
-		commits = 6
+		commits = 8
 	)
 	rows := testDataSpec().TableRows
 	stop := make(chan struct{})
@@ -301,9 +334,16 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			fail := func(err error) {
+				select {
+				case errCh <- err:
+				default:
+				}
+			}
 			rng := rand.New(rand.NewSource(seed))
 			cl := NewClient(rep.Addr(), ClientConfig{})
 			defer cl.Close()
+			lastID := -1
 			for {
 				select {
 				case <-stop:
@@ -317,25 +357,24 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 				}
 				resp, err := cl.Lookup(ctx, uint32(tid), indices)
 				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("lookup: %w", err):
-					default:
-					}
+					fail(fmt.Errorf("lookup: %w", err))
 					return
 				}
 				if err := h.verify(resp, tid, indices); err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
+					fail(err)
 					return
 				}
+				if resp.CkptID < lastID {
+					fail(fmt.Errorf("connection served checkpoint %d after %d", resp.CkptID, lastID))
+					return
+				}
+				lastID = resp.CkptID
 			}
 		}(int64(w))
 	}
 
-	// Commit deltas while the readers run; give the replica a moment on
-	// each so reads actually land on multiple versions.
+	// One swap per commit while the readers run, with a moment on each
+	// version so reads land on every one of them.
 	lastID := man0.ID
 	for i := 0; i < commits; i++ {
 		man := h.commit(ctx)
@@ -343,10 +382,11 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 			break
 		}
 		lastID = man.ID
-		time.Sleep(30 * time.Millisecond)
-	}
-	if err := rep.WaitForCheckpoint(ctx, lastID); err != nil {
-		t.Error(err)
+		if err := rep.WaitForCheckpoint(ctx, lastID); err != nil {
+			t.Error(err)
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
@@ -355,8 +395,16 @@ func TestReadUnderCommitNoTornReads(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if id, _ := rep.Served(); id != lastID {
-		t.Fatalf("served id = %d after commits, want %d", id, lastID)
+	st := rep.Stats()
+	if st.ServedID != lastID {
+		t.Fatalf("served id = %d after commits, want %d", st.ServedID, lastID)
+	}
+	if st.Syncs != commits+1 || st.Rebuilds != 1 {
+		t.Fatalf("stats %+v: want %d publishing syncs (bootstrap and one per commit) over one fill of the second buffer",
+			st, commits+1)
+	}
+	if policy == ckpt.PolicyFull && st.ReconciledRows != 0 {
+		t.Fatalf("reconciled %d rows between full baselines, which overwrite every row", st.ReconciledRows)
 	}
 }
 
