@@ -477,7 +477,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 						ent = &rc[r]
 					}
 					if err := quant.QuantizeCachedInto(&qrows[j], tab.Lookup(r), e.cfg.Quant, &scratch, ent); err != nil {
-						fail(err)
+						fail(fmt.Errorf("row %d: %w", r, err))
 						return
 					}
 					chunk.Rows = append(chunk.Rows, wire.Row{

@@ -3,6 +3,8 @@ package ckpt
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -331,5 +333,52 @@ func TestRestoreFailsCleanlyOnMissingBase(t *testing.T) {
 	m2, _ := model.New(testModelConfig(), 2)
 	if _, err := f.rest.Restore(f.ctx, 1, m2); err == nil {
 		t.Fatal("restore with missing base should error")
+	}
+}
+
+// TestWriteRejectsNonFiniteRow: a diverged row (NaN) under a lossy
+// quantizer aborts the checkpoint with an error naming the table and the
+// row, leaves nothing behind, and the previous checkpoint stays the
+// restore target; once the row is repaired the same ID commits.
+func TestWriteRejectsNonFiniteRow(t *testing.T) {
+	f := newFixture(t, Config{Policy: PolicyFull,
+		Quant: quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}})
+	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+		t.Fatal(err)
+	}
+	snap := f.trainAndSnapshot(t, 1, 16)
+	tab := snap.Tables[1]
+	const row = 5
+	saved := tab.Lookup(row)[2]
+	tab.Lookup(row)[2] = float32(math.NaN())
+	_, err := f.eng.Write(f.ctx, snap)
+	if !errors.Is(err, quant.ErrNonFinite) {
+		t.Fatalf("err = %v, want quant.ErrNonFinite", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("table %d", tab.ID)) || !strings.Contains(msg, fmt.Sprintf("row %d", row)) {
+		t.Fatalf("error %q does not name table %d and row %d", msg, tab.ID, row)
+	}
+	keys, err := f.store.List(f.ctx, wire.CheckpointPrefix("testjob", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
+	}
+	m2, _ := model.New(testModelConfig(), 2)
+	res, err := f.rest.RestoreLatest(f.ctx, m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := res.Manifests[len(res.Manifests)-1].ID; last != 0 {
+		t.Fatalf("latest valid checkpoint = %d, want 0", last)
+	}
+	tab.Lookup(row)[2] = saved
+	man, err := f.eng.Write(f.ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.ID != 1 {
+		t.Fatalf("retry committed ID %d, want 1", man.ID)
 	}
 }

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -143,9 +144,9 @@ func TestChunkSampledNeverWorseThanNaive(t *testing.T) {
 			if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
 				t.Fatal(err)
 			}
-			fastErr := uniformL2(x, bits, q.Lo, q.Hi)
+			fastErr := s.uniformL2(x, bits, q.Lo, q.Hi, math.Inf(1))
 			nq := quantizeExact(t, x, naive)
-			naiveErr := uniformL2(x, bits, nq.Lo, nq.Hi)
+			naiveErr := s.uniformL2(x, bits, nq.Lo, nq.Hi, math.Inf(1))
 			if fastErr > naiveErr*(1+1e-12) {
 				t.Fatalf("bits=%d vector %d: sampled path error %v worse than naive %v",
 					bits, i, fastErr, naiveErr)
@@ -184,8 +185,8 @@ func TestChunkSampledDeterministic(t *testing.T) {
 // candidate evaluation relies on.
 func TestCandidateReplayBitExact(t *testing.T) {
 	for i, x := range testVectors(64, 16, 23) {
-		mn, mx := minMax(x)
-		lo, hi, u, d := adaptiveRangeFrom(x, 4, 45, 1, mn, mx)
+		mn, mx, _ := minMax(x)
+		lo, hi, u, d := new(Scratch).adaptiveRangeFrom(x, 4, 45, 1, mn, mx)
 		step := float32(float64(mx-mn) / 45)
 		rLo, rHi := mn, mx
 		for k := 0; k < u; k++ {

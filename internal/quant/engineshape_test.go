@@ -1,0 +1,101 @@
+package quant
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// uniformAdaGradVector is a row early in training: uniform init in
+// [-0.05, 0.05) followed by a few row-wise AdaGrad steps (the update
+// embedding.Table.ApplyGrad performs). Unlike trainedLikeVector it has no
+// outliers, so the greedy walk clips a different share of the row — the
+// population cnrbench's tables are made of.
+func uniformAdaGradVector(rng *rand.Rand, n int) []float32 {
+	const scale, lr = 0.05, 0.05
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = (rng.Float32()*2 - 1) * scale
+	}
+	var accum float32
+	g := make([]float32, n)
+	for step := 0; step < 3; step++ {
+		var sum float64
+		for i := range g {
+			g[i] = float32(rng.NormFloat64() * 0.1)
+			sum += float64(g[i]) * float64(g[i])
+		}
+		accum += float32(sum / float64(n))
+		lrEff := lr / float32(math.Sqrt(float64(accum+1e-8)))
+		for i, v := range g {
+			x[i] -= lrEff * v
+		}
+	}
+	return x
+}
+
+// BenchmarkAdaptiveEngineShape is the quantized commit's inner loop at
+// cnrbench's shape: dim 32, 4 bits, 45 bins, ratio 1, 512-row chunks,
+// cold range cache. "exact" searches every row (quant.ns_per_row's
+// path), "sampled8" is the engine default. Two row populations, because
+// a kernel that branches on the data times differently on them.
+func BenchmarkAdaptiveEngineShape(b *testing.B) {
+	const dim, chunkRows = 32, 512
+	p := Params{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
+	populations := []struct {
+		name string
+		gen  func(*rand.Rand, int) []float32
+	}{
+		{"trained", trainedLikeVector},
+		{"uniform_adagrad", uniformAdaGradVector},
+	}
+	for _, pop := range populations {
+		rng := rand.New(rand.NewSource(1))
+		rows := make([][]float32, chunkRows)
+		for i := range rows {
+			rows[i] = pop.gen(rng, dim)
+		}
+		for _, mode := range []struct {
+			name     string
+			sampling int
+		}{{"exact", 1}, {"sampled8", 8}} {
+			b.Run(pop.name+"/"+mode.name, func(b *testing.B) {
+				var s Scratch
+				var q QVector
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%chunkRows == 0 {
+						s.BeginAdaptiveChunk(mode.sampling)
+					}
+					if err := QuantizeCachedInto(&q, rows[i%chunkRows], p, &s, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDequantizeEngineShape is the restore's per-row decode at the
+// same shape (dim 32, 4-bit uniform), plus the 8-bit and odd-width routes.
+func BenchmarkDequantizeEngineShape(b *testing.B) {
+	x := trainedLikeVector(rand.New(rand.NewSource(1)), 32)
+	dst := make([]float32, len(x))
+	for _, bits := range []int{4, 8, 3} {
+		q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: bits})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("bits%d", bits), func(b *testing.B) {
+			var s Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := DequantizeInto(dst, q, &s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

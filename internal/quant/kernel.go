@@ -1,0 +1,140 @@
+package quant
+
+import "math"
+
+// The adaptive quantizer's inner kernel: score one clip range (or the
+// greedy walk's two neighbour ranges at once) against a row, and turn a
+// row into codes. It is branch-free per element — the walk clips a third
+// of a row, so a clamp written as a branch is a coin flip — and produces
+// bit-identical sums and codes to the round-then-clamp formulation in
+// oracle_test.go. What is load-bearing for the golden bytes:
+//
+//   - the quotient is float64(v-zero) / float64(scale): a float32
+//     subtract, then a float64 divide. A reciprocal multiply rounds
+//     differently and moves codes at ties.
+//   - the error is summed in float64, in element order, one chain per
+//     range.
+//   - every product feeding an add is wrapped in a conversion
+//     (float64(a*b) + c). The spec lets a compiler fuse a*b+c into an FMA
+//     (arm64, ppc64, s390x do) unless the product is explicitly rounded;
+//     unfused is what amd64 computes, and a mixed fleet must agree on
+//     ranges, codes and restored floats.
+//
+// Rounding: code = clamp(round-half-away(c), 0, maxCode) is computed as
+// trunc(clamp(c+0.5, 0, maxCode+0.5)). Below zero both give 0. From
+// zero up, trunc(c+0.5) differs from math.Round(c) only where the add
+// itself rounds up to an integer, which below 2^51 happens for exactly
+// one double, the predecessor of 0.5 — and c is never that: for float32
+// a, b with a/b != 1/2, |a/b - 1/2| = |2a-b| / 2|b| >= 2^-26, because
+// 2a-b is a nonzero multiple of ulp(b)/2 and |b| < 2^24 ulp(b).
+//
+// The clamp is done on the IEEE bit pattern of c+0.5, where order of
+// non-negative doubles is order of their patterns as integers, with
+// shifts and masks (Go emits a jump, not a CMOV, for `if k < 0 { k = 0 }`
+// and for integer min/max). Clamping before the float→int conversion
+// rather than after keeps the conversion in range whatever c is — a
+// degenerate scale can push c past 2^63, where the conversion's result is
+// implementation-defined.
+
+// levels is one clip range's reconstruction table: levels[k] is code k's
+// value, float64(scale)*k + float64(zero) with the product rounded, read
+// per element instead of converted and multiplied per element.
+type levels [256]float64
+
+// fill sets t[k] for every code of the given width and returns the
+// divisor for roundCode. A range with no positive scale (constant row,
+// or a candidate whose ends crossed) reconstructs every element to zero:
+// every level is then zero_point, and which code an element gets no
+// longer matters.
+func (t *levels) fill(bits int, lo, hi float32) (zero float32, scale64 float64) {
+	scale, zero := scaleZero(lo, hi, bits)
+	s, z := float64(scale), float64(zero)
+	n := 1 << uint(bits)
+	if !(scale > 0) {
+		for k := 0; k < n; k++ {
+			t[k] = z
+		}
+		return zero, s
+	}
+	for k := 0; k < n; k++ {
+		t[k] = float64(s*float64(k)) + z
+	}
+	return zero, s
+}
+
+// codeCap returns the bit pattern roundCode clamps against for a code
+// width: maxCode+0.5, which truncates to maxCode.
+func codeCap(bits int) int64 {
+	return int64(math.Float64bits(float64(int(1)<<uint(bits)-1) + 0.5))
+}
+
+// roundCode returns clamp(round-half-away(c), 0, maxCode), branch-free,
+// for any c including ±Inf and NaN (which land on 0 or maxCode).
+func roundCode(c float64, capBits int64) uint8 {
+	b := int64(math.Float64bits(c + 0.5))
+	b &^= b >> 63 // sign bit set (c+0.5 < 0, or -0): pattern of +0
+	over := capBits - b
+	b += over & (over >> 63) // b > cap: cap
+	return uint8(int64(math.Float64frombits(uint64(b))))
+}
+
+// l2 returns the squared reconstruction error of x over the range t was
+// filled for. It stops as soon as the partial sum reaches bound and
+// returns that partial sum: partial sums of squares never decrease, so a
+// caller that only asks "is it below bound" gets the same answer. Pass
+// +Inf for the full sum.
+func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, bound float64) float64 {
+	var sum float64
+	for _, v := range x {
+		d := float64(v) - t[roundCode(float64(v-zero)/scale64, capBits)]
+		sum += float64(d * d)
+		if sum >= bound {
+			break
+		}
+	}
+	return sum
+}
+
+// l2Pair is l2 for two ranges in one pass over the row — the greedy
+// walk's up- and down-neighbour. The two sums are independent chains, so
+// the second range's divide and table read fill the first's latency.
+func l2Pair(x []float32, ta, tb *levels, zeroA, zeroB float32, scaleA, scaleB float64, capBits int64) (sumA, sumB float64) {
+	for _, v := range x {
+		f := float64(v)
+		da := f - ta[roundCode(float64(v-zeroA)/scaleA, capBits)]
+		db := f - tb[roundCode(float64(v-zeroB)/scaleB, capBits)]
+		sumA += float64(da * da)
+		sumB += float64(db * db)
+	}
+	return sumA, sumB
+}
+
+// uniformL2 is the squared error of uniform quantization over [lo, hi],
+// up to bound (see l2).
+func (s *Scratch) uniformL2(x []float32, bits int, lo, hi float32, bound float64) float64 {
+	t := &s.lvl[0]
+	zero, scale64 := t.fill(bits, lo, hi)
+	return t.l2(x, zero, scale64, codeCap(bits), bound)
+}
+
+// uniformL2Pair scores [loA, hiA] and [loB, hiB] in one pass.
+func (s *Scratch) uniformL2Pair(x []float32, bits int, loA, hiA, loB, hiB float32) (float64, float64) {
+	ta, tb := &s.lvl[0], &s.lvl[1]
+	zeroA, scaleA := ta.fill(bits, loA, hiA)
+	zeroB, scaleB := tb.fill(bits, loB, hiB)
+	return l2Pair(x, ta, tb, zeroA, zeroB, scaleA, scaleB, codeCap(bits))
+}
+
+// uniformCodes maps x to [0, 2^bits-1] codes over [lo, hi], clipping
+// out-of-range elements.
+func uniformCodes(codes []uint32, x []float32, bits int, lo, hi float32) {
+	scale, zero := scaleZero(lo, hi, bits)
+	if !(scale > 0) {
+		clear(codes)
+		return
+	}
+	scale64, capBits := float64(scale), codeCap(bits)
+	for i, v := range x {
+		codes[i] = uint32(roundCode(float64(v-zero)/scale64, capBits))
+	}
+}

@@ -1,0 +1,442 @@
+package quant
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Row populations the differential test sweeps. Each stresses a different
+// part of the kernel's contract.
+var diffFamilies = []struct {
+	name string
+	gen  func(rng *rand.Rand, n, bits int) []float32
+}{
+	{"trained", func(rng *rand.Rand, n, _ int) []float32 { return trainedLikeVector(rng, n) }},
+	{"uniform", func(rng *rand.Rand, n, _ int) []float32 { return uniformAdaGradVector(rng, n) }},
+	{"constant", func(rng *rand.Rand, n, _ int) []float32 {
+		x := make([]float32, n)
+		c := float32(rng.NormFloat64())
+		for i := range x {
+			x[i] = c
+		}
+		return x
+	}},
+	// Quarter steps of a unit scale: over the full range every quotient
+	// is a multiple of 1/4, so half of them are exact .5 ties, where
+	// round-half-away and anything else disagree.
+	{"ties", func(rng *rand.Rand, n, bits int) []float32 {
+		x := make([]float32, n)
+		levels := 1<<uint(bits) - 1
+		for i := range x {
+			x[i] = float32(rng.Intn(4*levels+1)) * 0.25
+		}
+		if n >= 2 {
+			x[rng.Intn(n)] = 0
+			x[rng.Intn(n)] = float32(levels)
+		}
+		return x
+	}},
+	// Subnormal rows: scale underflows to zero or to a handful of ulps,
+	// the step lattice collapses, candidate ranges cross.
+	{"subnormal", func(rng *rand.Rand, n, _ int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = math.Float32frombits(uint32(rng.Intn(1<<12))) * float32(1-2*rng.Intn(2))
+		}
+		return x
+	}},
+}
+
+func sameBits32(a, b float32) bool { return f32b(a) == f32b(b) }
+
+// oraclePacked is what the old quantizeUniformInto put in QVector.Codes.
+// One patch: the old loop converted the rounded quotient to int64 before
+// clamping, so beyond ±2^63 (a scale of a few subnormal ulps under a
+// large element) its code was whatever the platform's out-of-range
+// conversion returns — 0 on amd64 for a quotient that is far above the
+// range. The old scorer clamped as a float and had no such hole; those
+// elements are held to the scorer's reading, which is also the kernel's.
+func oraclePacked(x []float32, bits int, lo, hi float32) []byte {
+	codes := oracleCodes(x, bits, lo, hi)
+	if scale, zero := scaleZero(lo, hi, bits); scale > 0 {
+		for i, v := range x {
+			if c := float64(v-zero) / float64(scale); c >= 1<<62 {
+				codes[i] = uint32(1)<<uint(bits) - 1
+			} else if c <= -(1 << 62) {
+				codes[i] = 0
+			}
+		}
+	}
+	out := make([]byte, PackedLen(len(x), bits))
+	PackCodes(out, codes, bits)
+	return out
+}
+
+// checkRowAgainstOracle holds one row to the oracle: the search's range
+// and lattice coordinates, the error sums (single and paired kernels, at
+// the winning range and at the given probe ranges, which may be crossed
+// or empty), and the packed codes of the exact entry point.
+func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, probes [][2]float32) {
+	t.Helper()
+	mn, mx, ok := minMax(x)
+	if !ok {
+		t.Fatalf("generator produced a non-finite row")
+	}
+	wLo, wHi, wU, wD := oracleAdaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
+	gLo, gHi, gU, gD := s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
+	if !sameBits32(gLo, wLo) || !sameBits32(gHi, wHi) || gU != wU || gD != wD {
+		t.Fatalf("search: got [%x,%x] (%d,%d), oracle [%x,%x] (%d,%d); x=%v p=%+v",
+			f32b(gLo), f32b(gHi), gU, gD, f32b(wLo), f32b(wHi), wU, wD, x, p)
+	}
+	probes = append(probes, [2]float32{wLo, wHi}, [2]float32{mn, mx})
+	for i, r := range probes {
+		want := oracleUniformL2(x, p.Bits, r[0], r[1])
+		if got := s.uniformL2(x, p.Bits, r[0], r[1], math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("l2 over [%v,%v]: got %x, oracle %x; x=%v bits=%d", r[0], r[1], math.Float64bits(got), math.Float64bits(want), x, p.Bits)
+		}
+		// A bounded score may stop early but must agree on "below bound".
+		bound := want * 0.75
+		if got := s.uniformL2(x, p.Bits, r[0], r[1], bound); (got < bound) != (want < bound) {
+			t.Fatalf("bounded l2 over [%v,%v]: got %v against bound %v, full sum %v", r[0], r[1], got, bound, want)
+		}
+		o := probes[(i+1)%len(probes)]
+		wantB := oracleUniformL2(x, p.Bits, o[0], o[1])
+		gotA, gotB := s.uniformL2Pair(x, p.Bits, r[0], r[1], o[0], o[1])
+		if math.Float64bits(gotA) != math.Float64bits(want) || math.Float64bits(gotB) != math.Float64bits(wantB) {
+			t.Fatalf("paired l2 over [%v,%v] and [%v,%v]: got %v %v, oracle %v %v; x=%v bits=%d",
+				r[0], r[1], o[0], o[1], gotA, gotB, want, wantB, x, p.Bits)
+		}
+		if !bytes.Equal(packedUniform(s, x, p.Bits, r[0], r[1]), oraclePacked(x, p.Bits, r[0], r[1])) {
+			t.Fatalf("codes over [%v,%v] differ from oracle; x=%v bits=%d", r[0], r[1], x, p.Bits)
+		}
+	}
+	var q QVector
+	s.BeginAdaptiveChunk(1)
+	if err := QuantizeCachedInto(&q, x, p, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
+		t.Fatalf("unsampled QuantizeCachedInto differs from oracle; x=%v p=%+v", x, p)
+	}
+}
+
+func packedUniform(s *Scratch, x []float32, bits int, lo, hi float32) []byte {
+	var q QVector
+	quantizeUniformInto(&q, x, bits, lo, hi, s)
+	return q.Codes
+}
+
+// Every (dim, bits, family) shape gets diffReps draws of (NumBins, Ratio),
+// each a chunk of diffChunkRows rows: 129 × 8 × 5 × 2 × 8 = 82 560 rows,
+// half that in -short. (The kernel was signed off on a one-off sweep at
+// diffReps = 18, 743 040 rows.)
+const (
+	diffReps      = 2
+	diffChunkRows = 8
+)
+
+// TestAdaptiveKernelDifferential holds the branch-free kernel to the
+// round-then-clamp oracle, bit for bit, across every dim in 1..129 (odd
+// tails of every packer), every code width, NumBins 1..50, Ratio in
+// (0, 1], and five row populations — through the exact search, both
+// scoring kernels, the code loop, and QuantizeCachedInto with sampling
+// off and on.
+func TestAdaptiveKernelDifferential(t *testing.T) {
+	reps := diffReps
+	if testing.Short() {
+		reps = 1
+	}
+	rng := rand.New(rand.NewSource(14))
+	var s Scratch
+	cases := 0
+	for dim := 1; dim <= 129; dim++ {
+		for bits := 1; bits <= 8; bits++ {
+			for _, fam := range diffFamilies {
+				for rep := 0; rep < reps; rep++ {
+					p := Params{Method: MethodAdaptive, Bits: bits, NumBins: 1 + rng.Intn(50), Ratio: 1 - rng.Float64()}
+					if rep == 0 {
+						p.Ratio = 1
+					}
+					rows := make([][]float32, diffChunkRows)
+					for i := range rows {
+						rows[i] = fam.gen(rng, dim, bits)
+					}
+					for _, x := range rows {
+						mn, mx, _ := minMax(x)
+						w := mx - mn
+						checkRowAgainstOracle(t, &s, x, p, [][2]float32{
+							{mn + w*rng.Float32(), mx - w*rng.Float32()}, // may cross
+							{mx, mn},
+							{mn, mn},
+						})
+					}
+					// Sampled mode: the chunk's rows in order, exact search on
+					// every 3rd, harvested candidates in between.
+					oc := oracleChunk{sampleEvery: 3}
+					s.BeginAdaptiveChunk(3)
+					for i, x := range rows {
+						wLo, wHi := oc.rangeFor(x, p.Bits, p.NumBins, p.Ratio)
+						var q QVector
+						if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
+							t.Fatal(err)
+						}
+						if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
+							t.Fatalf("%s dim=%d row %d: sampled QuantizeCachedInto [%v,%v], oracle [%v,%v]; p=%+v",
+								fam.name, dim, i, q.Lo, q.Hi, wLo, wHi, p)
+						}
+					}
+					cases += len(rows)
+				}
+			}
+		}
+	}
+	t.Logf("%d rows held to the oracle", cases)
+}
+
+// TestKernelDegenerateScale: quotients far outside int64 (a scale of a
+// few subnormal ulps under a row of 1e30s), where a convert-then-clamp
+// kernel would be at the mercy of the platform's out-of-range conversion.
+func TestKernelDegenerateScale(t *testing.T) {
+	x := []float32{-3e30, -1, 0, 1e-44, 1, 3e30}
+	var s Scratch
+	for bits := 1; bits <= 8; bits++ {
+		for _, r := range [][2]float32{{0, 1e-44}, {-1e-45, 1e-45}, {0, 1e-38}, {-3e30, 3e30}, {1, -1}} {
+			want := oracleUniformL2(x, bits, r[0], r[1])
+			if got := s.uniformL2(x, bits, r[0], r[1], math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("bits=%d [%v,%v]: l2 %v, oracle %v", bits, r[0], r[1], got, want)
+			}
+			if !bytes.Equal(packedUniform(&s, x, bits, r[0], r[1]), oraclePacked(x, bits, r[0], r[1])) {
+				t.Fatalf("bits=%d [%v,%v]: codes differ from oracle", bits, r[0], r[1])
+			}
+		}
+	}
+}
+
+// TestRoundCodeMatchesRound: the rounding rule itself, on the doubles
+// where trunc(c+0.5) and math.Round could part ways, and on everything
+// out of range.
+func TestRoundCodeMatchesRound(t *testing.T) {
+	for bits := 1; bits <= 8; bits++ {
+		maxCode := float64(int(1)<<uint(bits) - 1)
+		capBits := codeCap(bits)
+		cs := []float64{0, math.Copysign(0, -1), 0.25, 0.5, 1.5, 2.5, -0.25, -0.5, -0.75, -1.5, -1e300, 1e300,
+			math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 1 << 62, 1 << 63, -(1 << 63),
+			maxCode - 0.5, maxCode, maxCode + 0.49, maxCode + 0.5, maxCode + 1, 5e-324, -5e-324}
+		for k := 0.0; k <= maxCode+1; k++ {
+			// Nearest float32 quotients around each tie: (2k+1)/2 ± 2^-26 relative.
+			cs = append(cs, k+0.5, math.Nextafter(k+0.5, 0), math.Nextafter(k+0.5, 1e9),
+				(k+0.5)*(1-1.0/(1<<26)), (k+0.5)*(1+1.0/(1<<26)))
+		}
+		for _, c := range cs {
+			if c == math.Nextafter(0.5, 0) {
+				continue // the one double the rule excludes; no float32 quotient equals it
+			}
+			want := math.Max(0, math.Min(maxCode, math.Round(c)))
+			if got := roundCode(c, capBits); float64(got) != want {
+				t.Fatalf("bits=%d roundCode(%v) = %d, want %v", bits, c, got, want)
+			}
+		}
+		// NaN has no defined rounding; it must still land in range.
+		if got := roundCode(math.NaN(), capBits); float64(got) > maxCode {
+			t.Fatalf("bits=%d roundCode(NaN) = %d out of range", bits, got)
+		}
+	}
+}
+
+// TestQuotientNeverJustBelowHalf samples the claim the rounding rule
+// rests on: the double quotient of two float32s is 0.5 or at least 2^-26
+// away from it.
+func TestQuotientNeverJustBelowHalf(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(a, b float32) {
+		c := float64(a) / float64(b)
+		if c != 0.5 && math.Abs(c-0.5) < 1.0/(1<<26) {
+			t.Fatalf("%v/%v = %v is within 2^-26 of 0.5", a, b, c)
+		}
+	}
+	for i := 0; i < 2_000_000; i++ {
+		b := math.Float32frombits(uint32(rng.Int63()) &^ (1 << 31))
+		if b != b || b == 0 || math.IsInf(float64(b), 0) {
+			continue
+		}
+		// a: the float32s adjacent to b/2.
+		h := b / 2
+		check(math.Nextafter32(h, 0), b)
+		check(math.Nextafter32(h, float32(math.Inf(1))), b)
+		check(math.Nextafter32(math.Nextafter32(h, 0), 0), b)
+	}
+}
+
+// FuzzAdaptiveRange holds arbitrary rows (any bit patterns, any shape
+// the parameters allow) to the oracle: finite rows through the same
+// checks as the differential test, non-finite ones to ErrNonFinite.
+func FuzzAdaptiveRange(f *testing.F) {
+	seed := func(x []float32) []byte {
+		b := make([]byte, 4*len(x))
+		rawPutF32(b, x)
+		return b
+	}
+	f.Add(seed([]float32{-1, -0.5, 0, 0.25, 1}), uint8(4), uint8(45), 1.0)
+	f.Add(seed([]float32{0, 0.25, 0.5, 0.75, 1, 1.25, 1.5, 3}), uint8(2), uint8(25), 0.5)
+	f.Add(seed([]float32{1e-45, 3e-45, -2e-45}), uint8(8), uint8(3), 1.0)
+	f.Add(seed([]float32{3e38, -3e38}), uint8(3), uint8(7), 0.3)
+	f.Add(seed([]float32{1, float32(math.NaN())}), uint8(4), uint8(5), 1.0)
+	f.Add(seed(trainedLikeVector(rand.New(rand.NewSource(3)), 32)), uint8(4), uint8(45), 1.0)
+	f.Fuzz(func(t *testing.T, raw []byte, bits, bins uint8, ratio float64) {
+		n := len(raw) / 4
+		if n == 0 || n > 256 || !(ratio > 0 && ratio <= 1) {
+			t.Skip()
+		}
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		p := Params{Method: MethodAdaptive, Bits: 1 + int(bits%8), NumBins: 1 + int(bins%50), Ratio: ratio}
+		var s Scratch
+		finite := true
+		for _, v := range x {
+			finite = finite && !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+		}
+		mn, mx, ok := minMax(x)
+		if finite && ok != !math.IsInf(float64(mx-mn), 0) || !finite && ok {
+			t.Fatalf("minMax(%v) ok = %v", x, ok)
+		}
+		if !ok {
+			if err := QuantizeCachedInto(new(QVector), x, p, &s, nil); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("non-finite row: err = %v, want ErrNonFinite", err)
+			}
+			return
+		}
+		checkRowAgainstOracle(t, &s, x, p, [][2]float32{{x[0], x[n-1]}, {x[n-1], x[0]}})
+	})
+}
+
+// TestQuantizeCachedIntoAllocFree / TestDequantizeIntoAllocFree: the
+// engine's encode and the restore's decode stay at zero allocations per
+// row in steady state, sampled search, cache hit and every decode route.
+func TestQuantizeCachedIntoAllocFree(t *testing.T) {
+	rows := testVectors(16, 32, 29)
+	p := Params{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
+	var s Scratch
+	var q QVector
+	ents := make([]RowRange, len(rows))
+	run := func(ents []RowRange) func() {
+		return func() {
+			s.BeginAdaptiveChunk(8)
+			for i, x := range rows {
+				var ent *RowRange
+				if ents != nil {
+					ent = &ents[i]
+				}
+				if err := QuantizeCachedInto(&q, x, p, &s, ent); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	run(ents)() // warm buffers, fill the cache
+	if n := testing.AllocsPerRun(20, run(nil)); n != 0 {
+		t.Errorf("sampled search: %v allocs per chunk, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, run(ents)); n != 0 {
+		t.Errorf("cache hit: %v allocs per chunk, want 0", n)
+	}
+}
+
+func TestDequantizeIntoAllocFree(t *testing.T) {
+	x := testVectors(1, 33, 31)[0]
+	dst := make([]float32, len(x))
+	var s Scratch
+	for bits := 1; bits <= 8; bits++ {
+		q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: bits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deq := func() {
+			if err := DequantizeInto(dst, q, &s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deq()
+		if n := testing.AllocsPerRun(50, deq); n != 0 {
+			t.Errorf("bits=%d: %v allocs per DequantizeInto, want 0", bits, n)
+		}
+	}
+}
+
+// TestDequantizePackedMatchesStaged: the packed-byte decode of 1/2/4/8-bit
+// rows yields the floats the staged route (unpack, then scale*c+zero)
+// does, for every tail length.
+func TestDequantizePackedMatchesStaged(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, bits := range []int{1, 2, 4, 8} {
+		for n := 1; n <= 67; n++ {
+			x := trainedLikeVector(rng, n)
+			q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: bits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes := make([]uint32, n)
+			UnpackCodes(codes, q.Codes, bits)
+			scale, zero := scaleZero(q.Lo, q.Hi, bits)
+			got := Dequantize(q)
+			for i, c := range codes {
+				if want := scale*float32(c) + zero; !sameBits32(got[i], want) {
+					t.Fatalf("bits=%d n=%d elem %d: got %v, staged %v", bits, n, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestNonFiniteRows: every lossy method refuses a row with NaN or ±Inf
+// anywhere in it, or a span float32 cannot hold; MethodNone keeps the
+// bits.
+func TestNonFiniteRows(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	rows := map[string][]float32{
+		"nan first":    {nan, 1, 2, 3},
+		"nan interior": {0, 1, nan, 3},
+		"nan last":     {0, 1, 2, nan},
+		"+inf":         {0, inf, 2, 3},
+		"-inf":         {0, 1, -inf, 3},
+		"span":         {-3e38, 0, 1, 3e38},
+		"all nan":      {nan, nan},
+	}
+	lossy := []Params{
+		{Method: MethodSymmetric, Bits: 4},
+		{Method: MethodAsymmetric, Bits: 4},
+		{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1},
+		{Method: MethodKMeans, Bits: 2, KMeansIters: 3},
+	}
+	for name, x := range rows {
+		for _, p := range lossy {
+			if _, err := Quantize(x, p); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("%s, %v: err = %v, want ErrNonFinite", name, p.Method, err)
+			}
+		}
+		var s Scratch
+		s.BeginAdaptiveChunk(8)
+		ent := RowRange{Valid: true, MnBits: f32b(0), MxBits: f32b(3), Lo: 0, Hi: 3}
+		if err := QuantizeCachedInto(new(QVector), x, lossy[2], &s, &ent); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s, cached: err = %v, want ErrNonFinite", name, err)
+		}
+		q, err := Quantize(x, Params{Method: MethodNone})
+		if err != nil {
+			t.Fatalf("%s, none: %v", name, err)
+		}
+		for i, v := range Dequantize(q) {
+			if !sameBits32(v, x[i]) {
+				t.Errorf("%s, none: elem %d came back %x, stored %x", name, i, f32b(v), f32b(x[i]))
+			}
+		}
+	}
+	// A wide but representable row is still fine.
+	if _, err := Quantize([]float32{-1.5e38, 1.5e38}, lossy[1]); err != nil {
+		t.Errorf("finite wide row: %v", err)
+	}
+}

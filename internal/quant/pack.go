@@ -206,6 +206,11 @@ func rawGetF32(dst []float32, src []byte) {
 type Scratch struct {
 	codes []uint32
 
+	// lvl holds the reconstruction tables of the clip ranges being
+	// scored: one for a single range, both for the greedy walk's up- and
+	// down-neighbour.
+	lvl [2]levels
+
 	// Adaptive chunk-sampling state, armed by BeginAdaptiveChunk and
 	// consumed by QuantizeCachedInto: cand holds the (u, d) step-lattice
 	// coordinates harvested from sampled rows' exact searches, chunkRow

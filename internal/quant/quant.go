@@ -10,6 +10,7 @@
 package quant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -136,7 +137,8 @@ func Quantize(x []float32, p Params) (*QVector, error) {
 // allocations in steady state for the uniform methods and MethodNone —
 // the chunk-encode hot path. s may be nil, in which case staging buffers
 // are allocated per call. q is fully overwritten; stale fields from a
-// previous use never leak into the result.
+// previous use never leak into the result. A lossy method returns
+// ErrNonFinite for a row it cannot represent.
 func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -147,27 +149,31 @@ func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if s == nil {
 		s = &Scratch{}
 	}
+	var (
+		lo, hi float32
+		ok     bool
+	)
 	switch p.Method {
 	case MethodNone:
 		quantizeNoneInto(q, x)
 		return nil
 	case MethodSymmetric:
-		lo, hi := symmetricRange(x)
-		quantizeUniformInto(q, x, p.Bits, lo, hi, s)
-		return nil
-	case MethodAsymmetric:
-		lo, hi := minMax(x)
-		quantizeUniformInto(q, x, p.Bits, lo, hi, s)
-		return nil
+		lo, hi, ok = symmetricRange(x)
+	case MethodAsymmetric, MethodAdaptive, MethodKMeans:
+		lo, hi, ok = minMax(x)
+	}
+	if !ok {
+		return ErrNonFinite
+	}
+	switch p.Method {
 	case MethodAdaptive:
-		lo, hi := adaptiveRange(x, p.Bits, p.NumBins, p.Ratio)
-		quantizeUniformInto(q, x, p.Bits, lo, hi, s)
-		return nil
+		lo, hi, _, _ = s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, lo, hi)
 	case MethodKMeans:
 		quantizeKMeansInto(q, x, p.Bits, p.KMeansIters)
 		return nil
 	}
-	panic("unreachable")
+	quantizeUniformInto(q, x, p.Bits, lo, hi, s)
+	return nil
 }
 
 // Dequantize reconstructs the fp32 vector from q, allocating the result.
@@ -183,7 +189,8 @@ func Dequantize(q *QVector) []float32 {
 // elements. It performs zero allocations in steady state when given a
 // reusable Scratch — restore workers dequantize straight into the
 // embedding table's row storage. s may be nil (staging is then
-// allocated per call; the fp32 and 8-bit paths never need staging).
+// allocated per call; fp32 rows and uniform 1/2/4/8-bit rows decode
+// straight from the packed bytes and never need staging).
 func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	if len(dst) != q.N {
 		return fmt.Errorf("quant: dequantize into %d elements, vector has %d", len(dst), q.N)
@@ -200,6 +207,10 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	}
 	if len(q.Codes) < PackedLen(q.N, q.Bits) {
 		return fmt.Errorf("quant: codes %d bytes, want %d", len(q.Codes), PackedLen(q.N, q.Bits))
+	}
+	if q.Codebook == nil && q.Bits&(q.Bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
+		dequantizeUniformPacked(dst, q)
+		return nil
 	}
 	if s == nil {
 		s = &Scratch{}
@@ -218,9 +229,57 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	}
 	scale, zero := scaleZero(q.Lo, q.Hi, q.Bits)
 	for i, c := range codes {
-		dst[i] = scale*float32(c) + zero
+		dst[i] = level(scale, zero, c)
 	}
 	return nil
+}
+
+// level is the value a uniform code reconstructs to. The product is
+// rounded to float32 before the add, so no platform fuses the two: a
+// replica must serve the bits a restore produces, whatever either runs
+// on.
+func level(scale, zero float32, c uint32) float32 {
+	return float32(scale*float32(c)) + zero
+}
+
+// dequantizeUniformPacked reconstructs a uniform row whose codes divide a
+// byte (1, 2, 4 or 8 bits) straight from the packed bytes. Below 8 bits
+// each code indexes a table of the row's 2^bits levels; at 8 bits the
+// table would outweigh the row, and the byte is the code.
+func dequantizeUniformPacked(dst []float32, q *QVector) {
+	scale, zero := scaleZero(q.Lo, q.Hi, q.Bits)
+	src := q.Codes
+	if q.Bits == 8 {
+		for i := range dst {
+			dst[i] = level(scale, zero, uint32(src[i]))
+		}
+		return
+	}
+	var tab [16]float32
+	for c := range tab[:1<<uint(q.Bits)] {
+		tab[c] = level(scale, zero, uint32(c))
+	}
+	if q.Bits == 4 { // the production width, unrolled
+		n := len(dst)
+		for i := 0; i+2 <= n; i += 2 {
+			b := src[i>>1]
+			dst[i] = tab[b&0xf]
+			dst[i+1] = tab[b>>4]
+		}
+		if n%2 != 0 {
+			dst[n-1] = tab[src[n>>1]&0xf]
+		}
+		return
+	}
+	bits, mask := uint(q.Bits), byte(1)<<uint(q.Bits)-1
+	i := 0
+	for _, b := range src[:PackedLen(len(dst), q.Bits)] {
+		for left := 8; left > 0 && i < len(dst); left -= q.Bits {
+			dst[i] = tab[b&mask&0xf]
+			b >>= bits
+			i++
+		}
+	}
 }
 
 // quantizeNoneInto stores raw fp32 bits so the round trip is exact,
@@ -234,9 +293,18 @@ func quantizeNoneInto(q *QVector, x []float32) {
 	rawPutF32(q.Codes, x)
 }
 
-// symmetricRange returns [-m, m] where m = max|x|.
-func symmetricRange(x []float32) (lo, hi float32) {
-	var m float32
+// ErrNonFinite is returned by every lossy method for a row that holds NaN
+// or ±Inf, or whose span max-min overflows float32: such a row has no
+// uniform scale, the float→int conversion of its quotients is
+// implementation-defined (its codes would differ by architecture), and a
+// restore would hand back garbage in place of the bits. MethodNone still
+// round-trips it exactly.
+var ErrNonFinite = errors.New("quant: row is not finite (NaN, Inf, or a span float32 cannot hold)")
+
+// symmetricRange returns [-m, m] where m = max|x|; ok is false for a row
+// ErrNonFinite describes.
+func symmetricRange(x []float32) (lo, hi float32, ok bool) {
+	var m, nonFinite float32
 	for _, v := range x {
 		a := v
 		if a < 0 {
@@ -245,22 +313,28 @@ func symmetricRange(x []float32) (lo, hi float32) {
 		if a > m {
 			m = a
 		}
+		nonFinite += v - v
 	}
-	return -m, m
+	return -m, m, nonFinite == 0 && !math.IsInf(float64(m+m), 0)
 }
 
-// minMax returns the actual element range.
-func minMax(x []float32) (lo, hi float32) {
+// minMax returns the actual element range; ok is false for a row
+// ErrNonFinite describes. v-v is 0 for a finite v and NaN for NaN and
+// ±Inf, and NaN is sticky in the sum, so the one pass that finds the
+// range also vets the row without a branch.
+func minMax(x []float32) (lo, hi float32, ok bool) {
 	lo, hi = x[0], x[0]
-	for _, v := range x[1:] {
+	var nonFinite float32
+	for _, v := range x {
 		if v < lo {
 			lo = v
 		}
 		if v > hi {
 			hi = v
 		}
+		nonFinite += v - v
 	}
-	return lo, hi
+	return lo, hi, nonFinite == 0 && !math.IsInf(float64(hi-lo), 0)
 }
 
 // scaleZero computes the uniform quantization parameters of §5.2:
@@ -285,85 +359,36 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *S
 	q.Codebook = nil
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
 	codes := s.codeBuf(len(x))
-	scale, zero := scaleZero(lo, hi, bits)
-	maxCode := uint32(1)<<uint(bits) - 1
-	for i, v := range x {
-		var code uint32
-		if scale > 0 {
-			c := float64(v-zero) / float64(scale)
-			r := int64(math.Round(c))
-			if r < 0 {
-				r = 0
-			}
-			if r > int64(maxCode) {
-				r = int64(maxCode)
-			}
-			code = uint32(r)
-		}
-		codes[i] = code
-	}
+	uniformCodes(codes, x, bits, lo, hi)
 	PackCodes(q.Codes, codes, bits)
 }
 
-// uniformL2 computes the squared reconstruction error of uniform
-// quantization over [lo, hi] without materializing codes — the inner loop
-// of the adaptive greedy search.
-func uniformL2(x []float32, bits int, lo, hi float32) float64 {
-	scale, zero := scaleZero(lo, hi, bits)
-	maxCode := float64(int(1)<<uint(bits) - 1)
-	var sum float64
-	for _, v := range x {
-		var rec float64
-		if scale > 0 {
-			c := math.Round(float64(v-zero) / float64(scale))
-			if c < 0 {
-				c = 0
-			}
-			if c > maxCode {
-				c = maxCode
-			}
-			rec = float64(scale)*c + float64(zero)
-		} else {
-			rec = float64(zero)
-		}
-		d := float64(v) - rec
-		sum += d * d
-	}
-	return sum
-}
-
-// adaptiveRange runs the paper's greedy search (§5.2 Approach 3): with
-// step_size = range/numBins, each iteration tries shrinking either the
-// bottom or the top of the range by one step, keeps whichever yields lower
-// ℓ2 error, and stops once ratio*range has been removed. It returns the
-// best range seen across all iterations.
-func adaptiveRange(x []float32, bits, numBins int, ratio float64) (lo, hi float32) {
-	origLo, origHi := minMax(x)
-	lo, hi, _, _ = adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
-	return lo, hi
-}
-
-// adaptiveRangeFrom is the greedy search with the vector's min/max
-// precomputed by the caller. Alongside the best range it reports how many
-// bottom (u) and top (d) steps the best range sits from the full range —
-// the coordinates QuantizeCachedInto harvests as per-chunk candidates.
-// The best range is always a node of the step lattice reached by u
-// repeated `lo += step` additions and d repeated `hi -= step`
-// subtractions, so replaying those counts reproduces it bit-exactly.
-func adaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32, bestU, bestD int) {
+// adaptiveRangeFrom runs the paper's greedy search (§5.2 Approach 3) with
+// the vector's min/max precomputed by the caller: with step_size =
+// range/numBins, each iteration tries shrinking either the bottom or the
+// top of the range by one step, keeps whichever yields lower ℓ2 error,
+// and stops once ratio*range has been removed. It returns the best range
+// seen across all iterations, and how many bottom (u) and top (d) steps
+// that range sits from the full range — the coordinates
+// QuantizeCachedInto harvests as per-chunk candidates. The best range is
+// always a node of the step lattice reached by u repeated `lo += step`
+// additions and d repeated `hi -= step` subtractions, so replaying those
+// counts reproduces it bit-exactly.
+func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32, bestU, bestD int) {
 	rangeF := float64(origHi - origLo)
 	if rangeF <= 0 || numBins < 1 {
 		return origLo, origHi, 0, 0
 	}
 	step := float32(rangeF / float64(numBins))
 	bestLo, bestHi := origLo, origHi
-	bestErr := uniformL2(x, bits, origLo, origHi)
+	bestErr := s.uniformL2(x, bits, origLo, origHi, math.Inf(1))
 	curLo, curHi := origLo, origHi
 	curU, curD := 0, 0
-	// Iterate while the removed span stays under ratio*range.
-	for float64(origHi-origLo)-float64(curHi-curLo) < ratio*rangeF-1e-12 {
-		upErr := uniformL2(x, bits, curLo+step, curHi)
-		dnErr := uniformL2(x, bits, curLo, curHi-step)
+	// Iterate while the removed span stays under ratio*range. (The
+	// product is rounded before the subtract; see kernel.go on fusing.)
+	limit := float64(ratio*rangeF) - 1e-12
+	for float64(origHi-origLo)-float64(curHi-curLo) < limit {
+		upErr, dnErr := s.uniformL2Pair(x, bits, curLo+step, curHi, curLo, curHi-step)
 		if upErr <= dnErr {
 			curLo += step
 			curU++
@@ -430,12 +455,15 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 	if s == nil {
 		s = &Scratch{}
 	}
-	mn, mx := minMax(x)
+	mn, mx, ok := minMax(x)
+	if !ok {
+		return ErrNonFinite
+	}
 	if ent != nil && ent.Valid && ent.MnBits == f32b(mn) && ent.MxBits == f32b(mx) {
 		quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, s)
 		return nil
 	}
-	lo, hi := adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, s, mn, mx)
+	lo, hi := s.adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
 	if ent != nil {
 		*ent = RowRange{MnBits: f32b(mn), MxBits: f32b(mx), Lo: lo, Hi: hi, Valid: true}
 	}
@@ -449,26 +477,26 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 // its best (u, d) lattice coordinates; the rest evaluate the harvested
 // candidates plus the full range and keep the ℓ2 argmin, first-wins on
 // ties, so the choice is deterministic for a deterministic input order.
-func adaptiveRangeChunk(x []float32, bits, numBins int, ratio float64, s *Scratch, origLo, origHi float32) (lo, hi float32) {
+func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32) {
 	rangeF := float64(origHi - origLo)
 	if rangeF <= 0 || numBins < 1 {
 		return origLo, origHi
 	}
 	if s.sampleEvery <= 1 {
-		lo, hi, _, _ = adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
+		lo, hi, _, _ = s.adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
 		return lo, hi
 	}
 	i := s.chunkRow
 	s.chunkRow++
 	if i%s.sampleEvery == 0 || len(s.cand) == 0 {
 		var u, d int
-		lo, hi, u, d = adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
+		lo, hi, u, d = s.adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
 		s.noteCandidate(u, d)
 		return lo, hi
 	}
 	step := float32(rangeF / float64(numBins))
 	bestLo, bestHi := origLo, origHi
-	bestErr := uniformL2(x, bits, origLo, origHi)
+	bestErr := s.uniformL2(x, bits, origLo, origHi, math.Inf(1))
 	maxSteps := int(ratio * float64(numBins))
 	for _, c := range s.cand {
 		if int(c[0])+int(c[1]) > maxSteps {
@@ -487,7 +515,9 @@ func adaptiveRangeChunk(x []float32, bits, numBins int, ratio float64, s *Scratc
 		if cHi-cLo <= 0 {
 			continue
 		}
-		if e := uniformL2(x, bits, cLo, cHi); e < bestErr {
+		// A candidate only has to beat the best so far, so its scoring
+		// stops at the first partial sum that no longer can.
+		if e := s.uniformL2(x, bits, cLo, cHi, bestErr); e < bestErr {
 			bestErr, bestLo, bestHi = e, cLo, cHi
 		}
 	}
