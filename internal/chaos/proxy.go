@@ -15,12 +15,14 @@
 package chaos
 
 import (
-	"fmt"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // Direction selects which half of a proxied link a LinkConfig applies
@@ -72,7 +74,7 @@ type LinkConfig struct {
 type Proxy struct {
 	name string
 	logf func(format string, args ...any)
-	ln   net.Listener
+	srv  *rpc.Server
 
 	mu          sync.Mutex
 	target      string
@@ -88,27 +90,25 @@ type Proxy struct {
 // NewProxy listens on listenAddr (use "127.0.0.1:0") and forwards to
 // target. name labels log lines; logf may be nil.
 func NewProxy(name, listenAddr, target string, logf func(format string, args ...any)) (*Proxy, error) {
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: proxy %s listen: %w", name, err)
-	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	p := &Proxy{
 		name:   name,
 		logf:   logf,
-		ln:     ln,
 		target: target,
 		conns:  make(map[net.Conn]net.Conn),
 		rng:    rand.New(rand.NewSource(rand.Int63())),
 	}
-	go p.acceptLoop()
+	var err error
+	if p.srv, err = rpc.ListenConns(listenAddr, "chaos: proxy "+name, logf, p.serve); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
 // Addr returns the shim's listen address — what clients dial.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+func (p *Proxy) Addr() string { return p.srv.Addr() }
 
 // Name returns the label the proxy was created with.
 func (p *Proxy) Name() string { return p.name }
@@ -197,72 +197,56 @@ func (p *Proxy) closeConnsLocked() {
 	}
 }
 
-// Close shuts the shim down, closing the listener and all connections.
+// Close shuts the shim down: it closes the listener and all
+// connections and returns once every forwarding goroutine has exited,
+// so nothing logs through logf afterwards (logf is often t.Logf).
 func (p *Proxy) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
 	p.closed = true
 	p.closeConnsLocked()
 	p.mu.Unlock()
-	return p.ln.Close()
+	return p.srv.Close()
 }
 
-func (p *Proxy) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		if p.closed || p.partitioned {
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		target := p.target
-		p.mu.Unlock()
-		go p.serve(conn, target)
+// serve forwards one accepted connection until either direction ends;
+// rpc.Server closes client when it returns.
+func (p *Proxy) serve(client net.Conn) {
+	p.mu.Lock()
+	refuse, target := p.closed || p.partitioned, p.target
+	p.mu.Unlock()
+	if refuse {
+		return
 	}
-}
-
-func (p *Proxy) serve(client net.Conn, target string) {
 	server, err := net.DialTimeout("tcp", target, 5*time.Second)
 	if err != nil {
 		p.logf("chaos: %s: dial %s: %v", p.name, target, err)
-		client.Close()
 		return
 	}
+	defer server.Close()
 	p.mu.Lock()
 	if p.closed || p.partitioned {
 		p.mu.Unlock()
-		client.Close()
-		server.Close()
 		return
 	}
 	p.conns[client] = server
 	p.mu.Unlock()
 
-	done := func() {
-		// Either direction failing kills the pair: half-open proxied
-		// connections would wedge the framed protocols behind them.
+	// Either direction failing kills the pair: half-open proxied
+	// connections would wedge the framed protocols behind them.
+	downDone := make(chan struct{})
+	go func() {
+		defer close(downDone)
+		p.pump(Down, server, client)
 		client.Close()
 		server.Close()
-		p.mu.Lock()
-		delete(p.conns, client)
-		p.mu.Unlock()
-	}
-	var once sync.Once
-	go func() {
-		p.pump(Up, client, server)
-		once.Do(done)
 	}()
-	go func() {
-		p.pump(Down, server, client)
-		once.Do(done)
-	}()
+	p.pump(Up, client, server)
+	client.Close()
+	server.Close()
+	<-downDone
+	p.mu.Lock()
+	delete(p.conns, client)
+	p.mu.Unlock()
 }
 
 // chunkSize is the forwarding granularity: shaping decisions (latency,
@@ -284,7 +268,10 @@ func (p *Proxy) pump(dir Direction, src, dst net.Conn) {
 			}
 		}
 		if err != nil {
-			if err != io.EOF {
+			// net.ErrClosed is a teardown this proxy did itself (Close,
+			// Partition, DropConns, or the other direction ending), not
+			// news about the link.
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				p.logf("chaos: %s: %s read: %v", p.name, dir, err)
 			}
 			return

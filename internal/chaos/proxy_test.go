@@ -3,6 +3,9 @@ package chaos
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,5 +177,64 @@ func TestProxySetTarget(t *testing.T) {
 	}
 	if _, err := backendB.Get(ctx, "k"); err != nil {
 		t.Fatalf("key did not land on retargeted backend: %v", err)
+	}
+}
+
+// TestProxyCloseStopsLogging: logf is usually t.Logf, and a log line
+// after the test returns panics the run. Close (and Partition) tear
+// connections down themselves, so the read errors that follow are not
+// news, and Close must not return while a pump could still log.
+func TestProxyCloseStopsLogging(t *testing.T) {
+	srv, err := objstore.NewServer("127.0.0.1:0", objstore.NewMemStore(objstore.MemConfig{}), objstore.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var closed atomic.Bool
+	var late, teardownReads atomic.Int64
+	px, err := NewProxy("store", "127.0.0.1:0", srv.Addr(), func(format string, args ...any) {
+		if closed.Load() {
+			late.Add(1)
+		}
+		if strings.Contains(format, "read:") {
+			teardownReads.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Several live connections, idle in the pool, each with two pumps
+	// blocked in Read when the teardown comes.
+	cl, err := objstore.Dial(px.Addr(), objstore.ClientConfig{PoolSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cl.Put(ctx, "k", make([]byte, 64<<10)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	px.Partition()
+	px.Heal()
+	if err := cl.Put(ctx, "k", []byte("v")); err != nil {
+		t.Fatalf("Put after heal: %v", err)
+	}
+	px.Close()
+	closed.Store(true)
+	time.Sleep(100 * time.Millisecond) // anything still running gets its chance to log
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d log lines after Close returned", n)
+	}
+	if n := teardownReads.Load(); n != 0 {
+		t.Errorf("%d read errors logged for connections the proxy closed itself", n)
 	}
 }

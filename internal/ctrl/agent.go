@@ -6,13 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/objstore"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -344,15 +343,14 @@ func (a *Agent) Close() {
 }
 
 // AgentServer serves an Agent's control protocol over TCP, one
-// goroutine per connection, mirroring objstore.Server.
+// goroutine per connection. Addr and Close come from the embedded
+// rpc.Server. Close leaves the agent itself (and its in-flight attempt)
+// untouched — a killed server emulates a partitioned agent, and its
+// debris must be handled by the controller's abort and gc, not by a
+// graceful rollback.
 type AgentServer struct {
+	*rpc.Server
 	agent *Agent
-	ln    net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // NewAgentServer starts serving agent on addr (e.g. "127.0.0.1:0").
@@ -360,76 +358,24 @@ func NewAgentServer(addr string, agent *Agent) (*AgentServer, error) {
 	if agent == nil {
 		return nil, fmt.Errorf("ctrl: nil agent")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: listen: %w", err)
+	s := &AgentServer{agent: agent}
+	var err error
+	if s.Server, err = rpc.Listen(addr, fmt.Sprintf("ctrl agent %d", agent.cfg.Shard), agent.logf, s.handle); err != nil {
+		return nil, err
 	}
-	s := &AgentServer{agent: agent, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the bound listener address.
-func (s *AgentServer) Addr() string { return s.ln.Addr().String() }
-
-func (s *AgentServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if !s.isClosed() {
-				s.agent.logf("ctrl agent %d: accept: %v", s.agent.cfg.Shard, err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *AgentServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		req, err := readRequest(br)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !s.isClosed() {
-				s.agent.logf("ctrl agent %d: read: %v", s.agent.cfg.Shard, err)
-			}
-			return
-		}
-		if err := s.handle(bw, req); err != nil {
-			s.agent.logf("ctrl agent %d: write: %v", s.agent.cfg.Shard, err)
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// handle dispatches one request and writes its response. Fencing
+// handle reads and dispatches one request and writes its response. Fencing
 // rejections map to statusFenced so the client can distinguish them
 // from transport and execution errors. Each op runs under the agent's
 // OpTimeout (when configured) so a stalled store surfaces as a failed
 // command instead of wedging the agent's command mutex.
-func (s *AgentServer) handle(w io.Writer, req *request) error {
+func (s *AgentServer) handle(br *bufio.Reader, w *bufio.Writer) error {
+	req, err := readRequest(br)
+	if err != nil {
+		return err
+	}
 	ctx := context.Background()
 	if d := s.agent.cfg.OpTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -442,14 +388,14 @@ func (s *AgentServer) handle(w io.Writer, req *request) error {
 		if errors.Is(err, ErrFenced) {
 			status = statusFenced
 		}
-		return writeResponse(w, status, []byte(err.Error()))
+		return rpc.WriteResponse(w, status, []byte(err.Error()))
 	}
 	respondJSON := func(v any) error {
 		payload, err := json.Marshal(v)
 		if err != nil {
 			return respondErr(fmt.Errorf("ctrl: encode reply: %w", err))
 		}
-		return writeResponse(w, statusOK, payload)
+		return rpc.WriteResponse(w, statusOK, payload)
 	}
 	switch req.op {
 	case opPrepare:
@@ -479,37 +425,10 @@ func (s *AgentServer) handle(w io.Writer, req *request) error {
 		if err != nil {
 			return respondErr(err)
 		}
-		return writeResponse(w, statusOK, nil)
+		return rpc.WriteResponse(w, statusOK, nil)
 	case opStatus:
 		return respondJSON(a.Status())
 	default:
 		return respondErr(fmt.Errorf("ctrl: unknown op %d", req.op))
 	}
-}
-
-func (s *AgentServer) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Close stops accepting, closes live connections, and waits for handler
-// goroutines. The agent itself (and its in-flight attempt) is left
-// untouched — a killed server emulates a partitioned agent, and its
-// debris must be handled by the controller's abort and gc, not by a
-// graceful rollback.
-func (s *AgentServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
 }

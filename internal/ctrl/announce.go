@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -34,7 +35,7 @@ const subQueueLen = 64
 // replicas treat committed manifests in the store as the only truth.
 type Announcer struct {
 	jobID string
-	ln    net.Listener
+	srv   *rpc.Server
 	logf  func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -42,7 +43,6 @@ type Announcer struct {
 	epoch  uint64
 	nextID int
 	closed bool
-	wg     sync.WaitGroup
 }
 
 type subscriber struct {
@@ -63,18 +63,16 @@ func NewAnnouncer(addr, jobID string, logf func(format string, args ...any)) (*A
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ctrl: announce listen: %w", err)
+	a := &Announcer{jobID: jobID, logf: logf, subs: make(map[*subscriber]struct{})}
+	var err error
+	if a.srv, err = rpc.ListenConns(addr, "ctrl announcer", logf, a.serveConn); err != nil {
+		return nil, err
 	}
-	a := &Announcer{jobID: jobID, ln: ln, logf: logf, subs: make(map[*subscriber]struct{})}
-	a.wg.Add(1)
-	go a.acceptLoop()
 	return a, nil
 }
 
 // Addr returns the bound announce address.
-func (a *Announcer) Addr() string { return a.ln.Addr().String() }
+func (a *Announcer) Addr() string { return a.srv.Addr() }
 
 // SetPosition seeds the announcer's view of the job — reported to new
 // subscribers — without announcing anything. A controller calls it
@@ -128,66 +126,25 @@ func (a *Announcer) Subscribers() int {
 	return len(a.subs)
 }
 
-func (a *Announcer) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.ln.Accept()
-		if err != nil {
-			a.mu.Lock()
-			closed := a.closed
-			a.mu.Unlock()
-			if !closed {
-				a.logf("ctrl announcer: accept: %v", err)
-			}
-			return
-		}
-		a.wg.Add(1)
-		go a.serveConn(conn)
-	}
-}
-
+// serveConn runs one subscriber's session: handshake, then push frames
+// until the peer hangs up, wedges, or the announcer closes. The
+// handshake read is bounded so a silent peer cannot hold the goroutine
+// forever — and Close does not wait that long, because rpc.Server
+// tracks the connection from accept and closes it.
 func (a *Announcer) serveConn(conn net.Conn) {
-	defer a.wg.Done()
 	_ = conn.SetReadDeadline(time.Now().Add(announceWriteTimeout))
-	br := bufio.NewReaderSize(conn, 4<<10)
-	req, err := readRequest(br)
+	req, err := readRequest(bufio.NewReaderSize(conn, 4<<10))
 	if err != nil {
-		conn.Close()
 		return
 	}
-	if req.op != opSubscribe {
-		_ = writeResponse(conn, statusError, []byte(fmt.Sprintf("ctrl: announce endpoint got op %d", req.op)))
-		conn.Close()
-		return
-	}
-	var args SubscribeArgs
-	if err := json.Unmarshal(req.body, &args); err != nil {
-		_ = writeResponse(conn, statusError, []byte("ctrl: bad subscribe body"))
-		conn.Close()
-		return
-	}
-	if args.JobID != a.jobID {
-		_ = writeResponse(conn, statusError, []byte(fmt.Sprintf("ctrl: announcer serves job %q, not %q", a.jobID, args.JobID)))
-		conn.Close()
-		return
-	}
-
-	sub := &subscriber{conn: conn, ch: make(chan announceFrame, subQueueLen)}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = writeResponse(conn, statusError, []byte("ctrl: announcer closed"))
-		conn.Close()
-		return
-	}
-	reply, _ := json.Marshal(&SubscribeReply{JobID: a.jobID, Epoch: a.epoch, NextID: a.nextID})
-	a.subs[sub] = struct{}{}
-	a.mu.Unlock()
-
-	_ = conn.SetReadDeadline(time.Time{})
+	sub, reply, err := a.subscribe(conn, req)
 	_ = conn.SetWriteDeadline(time.Now().Add(announceWriteTimeout))
-	if err := writeResponse(conn, statusOK, reply); err != nil {
-		a.drop(sub)
+	if err != nil {
+		_ = rpc.WriteResponse(conn, statusError, []byte(err.Error()))
+		return
+	}
+	defer a.drop(sub)
+	if err := rpc.WriteResponse(conn, statusOK, reply); err != nil {
 		return
 	}
 
@@ -196,32 +153,56 @@ func (a *Announcer) serveConn(conn net.Conn) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		buf := make([]byte, 1)
 		_ = conn.SetReadDeadline(time.Time{})
-		_, _ = conn.Read(buf)
+		_, _ = conn.Read(make([]byte, 1))
 	}()
-
+	defer func() {
+		conn.Close()
+		<-done
+	}()
 	for {
 		select {
 		case frame, ok := <-sub.ch:
 			if !ok {
-				conn.Close()
 				return
 			}
 			_ = conn.SetWriteDeadline(time.Now().Add(announceWriteTimeout))
 			if err := writeRequest(conn, &request{op: opAnnounce, epoch: frame.epoch, body: frame.body}); err != nil {
-				a.drop(sub)
 				return
 			}
 		case <-done:
-			a.drop(sub)
 			return
 		}
 	}
 }
 
-// drop unregisters a subscriber (if still registered) and closes its
-// connection.
+// subscribe validates a handshake request and registers the subscriber,
+// returning the encoded SubscribeReply.
+func (a *Announcer) subscribe(conn net.Conn, req *request) (*subscriber, []byte, error) {
+	var args SubscribeArgs
+	switch {
+	case req.op != opSubscribe:
+		return nil, nil, fmt.Errorf("ctrl: announce endpoint got op %d", req.op)
+	case json.Unmarshal(req.body, &args) != nil:
+		return nil, nil, fmt.Errorf("ctrl: bad subscribe body")
+	case args.JobID != a.jobID:
+		return nil, nil, fmt.Errorf("ctrl: announcer serves job %q, not %q", a.jobID, args.JobID)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return nil, nil, fmt.Errorf("ctrl: announcer closed")
+	}
+	reply, err := json.Marshal(&SubscribeReply{JobID: a.jobID, Epoch: a.epoch, NextID: a.nextID})
+	if err != nil {
+		return nil, nil, err
+	}
+	sub := &subscriber{conn: conn, ch: make(chan announceFrame, subQueueLen)}
+	a.subs[sub] = struct{}{}
+	return sub, reply, nil
+}
+
+// drop unregisters a subscriber, if Announce or Close has not already.
 func (a *Announcer) drop(sub *subscriber) {
 	a.mu.Lock()
 	if _, ok := a.subs[sub]; ok {
@@ -229,29 +210,19 @@ func (a *Announcer) drop(sub *subscriber) {
 		close(sub.ch)
 	}
 	a.mu.Unlock()
-	sub.conn.Close()
 }
 
-// Close stops the announcer and disconnects all subscribers.
+// Close stops the announcer and disconnects all subscribers, and every
+// connection that has not subscribed yet.
 func (a *Announcer) Close() {
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return
-	}
 	a.closed = true
-	subs := make([]*subscriber, 0, len(a.subs))
 	for sub := range a.subs {
-		subs = append(subs, sub)
 		delete(a.subs, sub)
 		close(sub.ch)
 	}
 	a.mu.Unlock()
-	a.ln.Close()
-	for _, sub := range subs {
-		sub.conn.Close()
-	}
-	a.wg.Wait()
+	a.srv.Close()
 }
 
 // Subscription is the reader side of the announce stream: one framed
@@ -289,7 +260,7 @@ func Subscribe(ctx context.Context, addr, jobID string) (*Subscription, error) {
 		return nil, fmt.Errorf("ctrl: subscribe %s: %w", addr, err)
 	}
 	br := bufio.NewReaderSize(conn, 16<<10)
-	status, payload, err := readResponse(br)
+	status, payload, err := rpc.ReadResponse(br, maxBodyLen)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("ctrl: subscribe %s: %w", addr, err)

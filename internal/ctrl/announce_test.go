@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/objstore"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -92,7 +93,7 @@ func TestAnnouncerDropsWedgedSubscriber(t *testing.T) {
 	if err := writeRequest(conn, &request{op: opSubscribe, body: []byte(`{"job_id":"job"}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, err := readResponse(conn); err != nil || status != statusOK {
+	if status, _, err := rpc.ReadResponse(conn, maxBodyLen); err != nil || status != statusOK {
 		t.Fatalf("subscribe handshake: status %d, %v", status, err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
@@ -215,5 +216,26 @@ func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("NewController took %v against a wedged store, want ~the 200ms OpTimeout", elapsed)
+	}
+}
+
+// TestAnnouncerCloseWithSilentConn: a peer that connects and never
+// sends Subscribe sits in the 5 s handshake read; Close must not wait
+// it out.
+func TestAnnouncerCloseWithSilentConn(t *testing.T) {
+	ann, err := NewAnnouncer("127.0.0.1:0", "job", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ann.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the accept loop hand it to a session
+	start := time.Now()
+	ann.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v behind a connection that never subscribed", d)
 	}
 }

@@ -5,24 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"sync"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // Client speaks the control protocol to one shard agent. Control
-// traffic is low-rate and strictly serialized per shard, so a single
-// connection (redialed transparently after transport errors) suffices —
-// unlike the data plane's pooled objstore.Client.
+// traffic is low-rate and the controller drives each shard's phases in
+// order, so a single parked connection (redialed transparently after
+// transport errors) suffices — unlike the data plane's pooled
+// objstore.Client.
 type Client struct {
-	addr    string
-	timeout time.Duration
-
-	mu     sync.Mutex
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	closed bool
+	rpc *rpc.Client
 }
 
 // ClientConfig configures DialAgent.
@@ -37,7 +31,10 @@ func DialAgent(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	c := &Client{addr: addr, timeout: cfg.DialTimeout}
+	// No retry on a stale parked connection (see rpc.NewClient): Prepare
+	// is not idempotent, and the controller's own retry policy decides
+	// what a broken round trip means.
+	c := &Client{rpc: rpc.NewClient(addr, 1, cfg.DialTimeout, false)}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
 	defer cancel()
 	if _, err := c.Status(ctx); err != nil {
@@ -47,55 +44,24 @@ func DialAgent(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // Addr returns the agent address this client dials.
-func (c *Client) Addr() string { return c.addr }
+func (c *Client) Addr() string { return c.rpc.Addr() }
 
 // call performs one request/response round trip. Transport errors drop
 // the connection so the next call redials; protocol-level failures
 // (fenced, error status) keep it.
 func (c *Client) call(ctx context.Context, op uint8, epoch uint64, args any, reply any) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var body []byte
+	req := &request{op: op, epoch: epoch}
 	if args != nil {
 		var err error
-		if body, err = json.Marshal(args); err != nil {
+		if req.body, err = json.Marshal(args); err != nil {
 			return fmt.Errorf("ctrl: encode request: %w", err)
 		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("ctrl: client closed")
-	}
-	if c.conn == nil {
-		conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-		if err != nil {
-			return fmt.Errorf("ctrl: dial %s: %w", c.addr, err)
-		}
-		c.conn = conn
-		c.br = bufio.NewReaderSize(conn, 64<<10)
-		c.bw = bufio.NewWriterSize(conn, 64<<10)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	drop := func(err error) error {
-		c.conn.Close()
-		c.conn = nil
-		return err
-	}
-	if err := writeRequest(c.bw, &request{op: op, epoch: epoch, body: body}); err != nil {
-		return drop(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return drop(err)
-	}
-	status, payload, err := readResponse(c.br)
+	status, payload, err := c.rpc.Do(ctx, maxBodyLen, func(bw *bufio.Writer) error {
+		return writeRequest(bw, req)
+	})
 	if err != nil {
-		return drop(err)
+		return fmt.Errorf("ctrl: %w", err)
 	}
 	switch status {
 	case statusOK:
@@ -106,9 +72,9 @@ func (c *Client) call(ctx context.Context, op uint8, epoch uint64, args any, rep
 		}
 		return nil
 	case statusFenced:
-		return fmt.Errorf("%w: agent %s: %s", ErrFenced, c.addr, payload)
+		return fmt.Errorf("%w: agent %s: %s", ErrFenced, c.Addr(), payload)
 	default:
-		return fmt.Errorf("ctrl: agent %s: %s", c.addr, payload)
+		return fmt.Errorf("ctrl: agent %s: %s", c.Addr(), payload)
 	}
 }
 
@@ -128,7 +94,7 @@ func (c *Client) Prepare(ctx context.Context, epoch uint64, args *PrepareArgs) (
 		return nil, err
 	}
 	if reply.Manifest == nil {
-		return nil, fmt.Errorf("ctrl: agent %s returned no manifest", c.addr)
+		return nil, fmt.Errorf("ctrl: agent %s returned no manifest", c.Addr())
 	}
 	return &reply, nil
 }
@@ -148,17 +114,5 @@ func (c *Client) Abort(ctx context.Context, epoch uint64, jobID string, id int) 
 	return c.call(ctx, opAbort, epoch, &CommitArgs{JobID: jobID, CkptID: id}, nil)
 }
 
-// Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	return nil
-}
+// Close closes the connection. It does not wait for a call in flight.
+func (c *Client) Close() error { return c.rpc.Close() }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/objstore"
+	"repro/internal/rpc"
 )
 
 func TestProtocolRoundTrip(t *testing.T) {
@@ -29,10 +30,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := writeResponse(&buf, statusFenced, []byte("stale")); err != nil {
+	if err := rpc.WriteResponse(&buf, statusFenced, []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
-	status, payload, err := readResponse(&buf)
+	status, payload, err := rpc.ReadResponse(&buf, maxBodyLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,70 @@
+package ctrl
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"testing"
+
+	"repro/internal/rpc"
+	"repro/internal/rpc/rpctest"
+)
+
+// TestFrameGolden pins CNC1's on-wire bytes — frame headers and the
+// JSON field names inside them — one fixture per frame shape (see
+// rpctest.Golden for where the fixtures come from).
+func TestFrameGolden(t *testing.T) {
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	reqFrame := func(name string, want *request) {
+		rpctest.Golden(t, name,
+			func(w io.Writer) error { return writeRequest(w, want) },
+			func(r io.Reader) error {
+				got, err := readRequest(r)
+				if err == nil && (got.op != want.op || got.epoch != want.epoch || !bytes.Equal(got.body, want.body)) {
+					err = fmt.Errorf("decoded %+v, want %+v", got, want)
+				}
+				return err
+			})
+	}
+	respFrame := func(name string, status uint8, payload []byte) {
+		rpctest.Golden(t, name,
+			func(w io.Writer) error { return rpc.WriteResponse(w, status, payload) },
+			func(r io.Reader) error {
+				gotStatus, gotPayload, err := rpc.ReadResponse(r, maxBodyLen)
+				if err == nil && (gotStatus != status || !bytes.Equal(gotPayload, payload)) {
+					err = fmt.Errorf("decoded status %d payload %q, want %d %q", gotStatus, gotPayload, status, payload)
+				}
+				return err
+			})
+	}
+	reqFrame("prepare_request", &request{op: opPrepare, epoch: 3,
+		body: mustJSON(&PrepareArgs{JobID: "job", CkptID: 7, Step: 4200, WantDense: true})})
+	respFrame("fenced_response", statusFenced, []byte(fencedf("epoch %d superseded by %d", 2, 3).Error()))
+	reqFrame("subscribe_request", &request{op: opSubscribe, body: mustJSON(&SubscribeArgs{JobID: "job"})})
+	respFrame("subscribe_reply", statusOK, mustJSON(&SubscribeReply{JobID: "job", Epoch: 3, NextID: 8}))
+	reqFrame("announce_frame", &request{op: opAnnounce, epoch: 3,
+		body: mustJSON(&AnnounceEvent{CkptID: 7, Step: 4200, Kind: "incremental"})})
+}
+
+// FuzzReadRequest: the CNC1 request decoder reads bytes straight off a
+// socket, on agents, the announce endpoint and (announce frames)
+// replicas (see rpctest.FuzzDecoder for the property).
+func FuzzReadRequest(f *testing.F) {
+	for _, seed := range rpctest.Seeds(f, "testdata/*_request.bin", "testdata/announce_frame.bin") {
+		f.Add(seed)
+	}
+	f.Add([]byte("1CNC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04")) // a header claiming maxBodyLen, and nothing after it
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rpctest.FuzzDecoder(t, data, func(r io.Reader) (func(io.Writer) error, error) {
+			req, err := readRequest(r)
+			return func(w io.Writer) error { return writeRequest(w, req) }, err
+		})
+	})
+}

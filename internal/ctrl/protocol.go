@@ -4,13 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/rpc"
 )
 
-// Wire protocol (all integers little-endian), mirroring the object
-// store's framing (internal/objstore/protocol.go):
+// Wire protocol (all integers little-endian). The transport — listener,
+// client round trip, response frame — is internal/rpc; this file is
+// what is CNC1's own: the request header and the codes.
 //
 //	Request:  u32 magic | u8 op | u64 epoch | u32 bodyLen | body (JSON)
-//	Response: u8 status | u32 payloadLen | payload
+//	Response: u8 status | u32 payloadLen | payload   (rpc.WriteResponse)
 //
 // For statusOK the payload is the op's JSON reply (empty when the op
 // has none); for statusFenced and statusError it is the error message.
@@ -62,12 +65,11 @@ func writeRequest(w io.Writer, req *request) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	if len(req.body) > 0 {
-		if _, err := w.Write(req.body); err != nil {
-			return err
-		}
+	if len(req.body) == 0 {
+		return nil
 	}
-	return nil
+	_, err := w.Write(req.body)
+	return err
 }
 
 // readRequest reads one framed request.
@@ -84,50 +86,7 @@ func readRequest(r io.Reader) (*request, error) {
 	if bodyLen > maxBodyLen {
 		return nil, fmt.Errorf("ctrl: body length %d exceeds limit", bodyLen)
 	}
-	if bodyLen > 0 {
-		req.body = make([]byte, bodyLen)
-		if _, err := io.ReadFull(r, req.body); err != nil {
-			return nil, err
-		}
-	}
-	return req, nil
-}
-
-// writeResponse frames and writes a response.
-func writeResponse(w io.Writer, status uint8, payload []byte) error {
-	if len(payload) > maxBodyLen {
-		return fmt.Errorf("ctrl: response too long: %d bytes", len(payload))
-	}
-	hdr := make([]byte, 5)
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readResponse reads one framed response.
-func readResponse(r io.Reader) (status uint8, payload []byte, err error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	status = hdr[0]
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxBodyLen {
-		return 0, nil, fmt.Errorf("ctrl: response length %d exceeds limit", n)
-	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, err
-		}
-	}
-	return status, payload, nil
+	var err error
+	req.body, err = rpc.ReadBody(r, int(bodyLen))
+	return req, err
 }

@@ -6,29 +6,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/rpc"
 )
 
-// Client is a Store backed by a remote Server over TCP. It maintains a
-// small connection pool so the checkpoint writer can pipeline concurrent
-// chunk uploads, and transparently redials broken connections.
+// Client is a Store backed by a remote Server over TCP. It sits on a
+// pooled rpc.Client so the checkpoint writer can pipeline concurrent
+// chunk uploads; broken connections are redialed transparently.
 type Client struct {
-	addr     string
-	poolSize int
-	timeout  time.Duration
-
-	mu     sync.Mutex
-	idle   []*clientConn
-	closed bool
-}
-
-type clientConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	rpc *rpc.Client
 }
 
 // ClientConfig configures Dial.
@@ -48,7 +36,11 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	cl := &Client{addr: addr, poolSize: cfg.PoolSize, timeout: cfg.DialTimeout}
+	// Every CNR1 op is idempotent, so a failure on a parked connection
+	// is retried once on a fresh dial (see rpc.NewClient): "stale pool
+	// after a network blip" becomes a non-event instead of a spurious
+	// ErrStoreUnavailable.
+	cl := &Client{rpc: rpc.NewClient(addr, cfg.PoolSize, cfg.DialTimeout, true)}
 	// Probe, bounded by the dial timeout so an accepting-but-unresponsive
 	// endpoint cannot hang Dial forever.
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
@@ -59,113 +51,23 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	return cl, nil
 }
 
-// acquire returns a connection and whether it came from the idle pool —
-// pooled connections may have been killed by the server or the network
-// while parked, so their first use is allowed one retry.
-func (cl *Client) acquire() (cc *clientConn, pooled bool, err error) {
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, false, ErrClosed
-	}
-	if n := len(cl.idle); n > 0 {
-		cc := cl.idle[n-1]
-		cl.idle = cl.idle[:n-1]
-		cl.mu.Unlock()
-		return cc, true, nil
-	}
-	cl.mu.Unlock()
-	c, err := net.DialTimeout("tcp", cl.addr, cl.timeout)
-	if err != nil {
-		return nil, false, unavailable(cl.addr, "dial", err)
-	}
-	return &clientConn{
-		c:  c,
-		br: bufio.NewReaderSize(c, 64<<10),
-		bw: bufio.NewWriterSize(c, 64<<10),
-	}, false, nil
-}
-
-func (cl *Client) release(cc *clientConn, broken bool) {
-	if broken {
-		cc.c.Close()
-		return
-	}
-	cl.mu.Lock()
-	if cl.closed || len(cl.idle) >= cl.poolSize {
-		cl.mu.Unlock()
-		cc.c.Close()
-		return
-	}
-	cl.idle = append(cl.idle, cc)
-	cl.mu.Unlock()
-}
-
-// roundTrip sends one request and reads its response on a pooled
-// connection, honoring ctx deadlines via the connection deadline. A
-// transport failure on a connection taken from the idle pool is retried
-// once on a fresh dial: a parked connection may have been silently
-// reset while idle, and every protocol op is idempotent, so one retry
-// turns "stale pool after a network blip" into a non-event instead of a
-// spurious ErrStoreUnavailable.
+// roundTrip sends one request and reads its response. Transport
+// failures (*rpc.Error: dial and connection IO) come back as
+// ErrStoreUnavailable; server-reported statuses never do, so a healthy
+// store returning ErrNotFound or a data error is never misread as
+// "store down".
 func (cl *Client) roundTrip(ctx context.Context, req *request) (uint8, []byte, error) {
-	status, payload, pooled, err := cl.roundTripOnce(ctx, req)
-	if err != nil && pooled && errors.Is(err, ErrStoreUnavailable) && ctx.Err() == nil {
-		// The other parked connections died in the same network event;
-		// drop them all so the retry (and every later op) dials fresh.
-		cl.purgeIdle()
-		status, payload, _, err = cl.roundTripOnce(ctx, req)
+	status, payload, err := cl.rpc.Do(ctx, maxValueLen, func(bw *bufio.Writer) error {
+		return writeRequest(bw, req)
+	})
+	var te *rpc.Error
+	switch {
+	case errors.As(err, &te):
+		return 0, nil, fmt.Errorf("%w: %v", ErrStoreUnavailable, te)
+	case errors.Is(err, rpc.ErrClosed):
+		return 0, nil, ErrClosed
 	}
 	return status, payload, err
-}
-
-// purgeIdle closes every parked connection.
-func (cl *Client) purgeIdle() {
-	cl.mu.Lock()
-	idle := cl.idle
-	cl.idle = nil
-	cl.mu.Unlock()
-	for _, cc := range idle {
-		cc.c.Close()
-	}
-}
-
-func (cl *Client) roundTripOnce(ctx context.Context, req *request) (uint8, []byte, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, nil, false, err
-	}
-	cc, pooled, err := cl.acquire()
-	if err != nil {
-		return 0, nil, pooled, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		cc.c.SetDeadline(dl)
-	} else {
-		cc.c.SetDeadline(time.Time{})
-	}
-	if err := writeRequest(cc.bw, req); err != nil {
-		cl.release(cc, true)
-		return 0, nil, pooled, unavailable(cl.addr, "write", err)
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cl.release(cc, true)
-		return 0, nil, pooled, unavailable(cl.addr, "write", err)
-	}
-	status, payload, err := readResponse(cc.br)
-	if err != nil {
-		cl.release(cc, true)
-		return 0, nil, pooled, unavailable(cl.addr, "read", err)
-	}
-	cl.release(cc, false)
-	return status, payload, pooled, nil
-}
-
-// unavailable wraps a transport failure as ErrStoreUnavailable. Only
-// dial and connection IO errors come through here — server-reported
-// statuses (statusErr) never do, so a healthy store returning
-// ErrNotFound or a data error is never misread as "store down".
-func unavailable(addr, op string, err error) error {
-	return fmt.Errorf("%w: %s %s: %v", ErrStoreUnavailable, op, addr, err)
 }
 
 func statusErr(status uint8, payload []byte) error {
@@ -240,16 +142,4 @@ func (cl *Client) Stat(ctx context.Context, key string) (int64, error) {
 }
 
 // Close closes all pooled connections.
-func (cl *Client) Close() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.closed {
-		return nil
-	}
-	cl.closed = true
-	for _, cc := range cl.idle {
-		cc.c.Close()
-	}
-	cl.idle = nil
-	return nil
-}
+func (cl *Client) Close() error { return cl.rpc.Close() }

@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/simclock"
 )
 
@@ -572,7 +573,7 @@ func TestClientDeadlineIsStoreUnavailable(t *testing.T) {
 			defer c.Close() // accept and say nothing
 		}
 	}()
-	cl := &Client{addr: ln.Addr().String(), poolSize: 1, timeout: time.Second}
+	cl := &Client{rpc: rpc.NewClient(ln.Addr().String(), 1, time.Second, true)}
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -4,12 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/rpc"
 )
 
-// Wire protocol (all integers little-endian):
+// Wire protocol (all integers little-endian). The transport — listener,
+// pooled client, response frame — is internal/rpc; this file is what is
+// CNR1's own: the request header and the codes.
 //
 //	Request:  u32 magic | u8 op | u16 keyLen | key | u32 valueLen | value
-//	Response: u8 status | u32 payloadLen | payload
+//	Response: u8 status | u32 payloadLen | payload   (rpc.WriteResponse)
 //
 // For GET the response payload is the value; for LIST it is keys joined
 // with '\n'; for STAT it is the size as 8 bytes; for errors it is the
@@ -28,8 +32,10 @@ const (
 	statusError    = 2
 )
 
-// maxValueLen bounds a single object to guard against corrupt frames
-// allocating unbounded memory. Checkpoint chunks are far smaller.
+// maxValueLen bounds a single object; a frame claiming more is refused
+// before anything is allocated (and rpc.ReadBody commits memory for a
+// claim within the bound only as its bytes arrive). Checkpoint chunks
+// are far smaller.
 const maxValueLen = 1 << 30 // 1 GiB
 
 // maxKeyLen bounds object key length.
@@ -49,27 +55,20 @@ func writeRequest(w io.Writer, req *request) error {
 	if len(req.value) > maxValueLen {
 		return fmt.Errorf("objstore: value too long: %d bytes", len(req.value))
 	}
-	hdr := make([]byte, 4+1+2)
+	hdr := make([]byte, 4+1+2, 4+1+2+len(req.key)+4)
 	binary.LittleEndian.PutUint32(hdr, protoMagic)
 	hdr[4] = req.op
 	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(req.key)))
+	hdr = append(hdr, req.key...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(req.value)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	if _, err := io.WriteString(w, req.key); err != nil {
-		return err
+	if len(req.value) == 0 {
+		return nil
 	}
-	var vl [4]byte
-	binary.LittleEndian.PutUint32(vl[:], uint32(len(req.value)))
-	if _, err := w.Write(vl[:]); err != nil {
-		return err
-	}
-	if len(req.value) > 0 {
-		if _, err := w.Write(req.value); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(req.value)
+	return err
 }
 
 // readRequest reads one framed request.
@@ -86,63 +85,16 @@ func readRequest(r io.Reader) (*request, error) {
 	if keyLen > maxKeyLen {
 		return nil, fmt.Errorf("objstore: key length %d exceeds limit", keyLen)
 	}
-	key := make([]byte, keyLen)
+	key := make([]byte, keyLen+4)
 	if _, err := io.ReadFull(r, key); err != nil {
 		return nil, err
 	}
-	req.key = string(key)
-	var vl [4]byte
-	if _, err := io.ReadFull(r, vl[:]); err != nil {
-		return nil, err
-	}
-	valueLen := binary.LittleEndian.Uint32(vl[:])
+	req.key = string(key[:keyLen])
+	valueLen := binary.LittleEndian.Uint32(key[keyLen:])
 	if valueLen > maxValueLen {
 		return nil, fmt.Errorf("objstore: value length %d exceeds limit", valueLen)
 	}
-	if valueLen > 0 {
-		req.value = make([]byte, valueLen)
-		if _, err := io.ReadFull(r, req.value); err != nil {
-			return nil, err
-		}
-	}
-	return req, nil
-}
-
-// writeResponse frames and writes a response.
-func writeResponse(w io.Writer, status uint8, payload []byte) error {
-	if len(payload) > maxValueLen {
-		return fmt.Errorf("objstore: response too long: %d bytes", len(payload))
-	}
-	hdr := make([]byte, 5)
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readResponse reads one framed response.
-func readResponse(r io.Reader) (status uint8, payload []byte, err error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	status = hdr[0]
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxValueLen {
-		return 0, nil, fmt.Errorf("objstore: response length %d exceeds limit", n)
-	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, err
-		}
-	}
-	return status, payload, nil
+	var err error
+	req.value, err = rpc.ReadBody(r, int(valueLen))
+	return req, err
 }

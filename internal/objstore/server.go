@@ -6,25 +6,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"log"
-	"net"
 	"strings"
-	"sync"
+
+	"repro/internal/rpc"
 )
 
 // Server serves a Store over TCP. One goroutine per connection handles
 // framed requests sequentially; the checkpoint writer opens multiple
-// connections to pipeline chunk uploads.
+// connections to pipeline chunk uploads. Addr, CloseConns (the
+// fault-injection hook: clients transparently redial) and Close come
+// from the embedded rpc.Server; Close does not close the backend.
 type Server struct {
+	*rpc.Server
 	backend Store
-	ln      net.Listener
-	logf    func(format string, args ...any)
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // ServerConfig configures Serve.
@@ -39,158 +34,53 @@ func NewServer(addr string, backend Store, cfg ServerConfig) (*Server, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("objstore: nil backend")
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("objstore: listen: %w", err)
+	s := &Server{backend: backend}
+	var err error
+	if s.Server, err = rpc.Listen(addr, "objstore server", cfg.Logf, s.handle); err != nil {
+		return nil, err
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	s := &Server{backend: backend, ln: ln, logf: logf, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
 	return s, nil
 }
 
-// Addr returns the bound listener address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if !s.isClosed() {
-				s.logf("objstore server: accept: %v", err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
+// handle reads one request, executes it against the backend and writes
+// its response: the op's payload on success, statusNotFound for
+// ErrNotFound, the error text otherwise.
+func (s *Server) handle(br *bufio.Reader, w *bufio.Writer) error {
+	req, err := readRequest(br)
+	if err != nil {
+		return err
 	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		req, err := readRequest(br)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !s.isClosed() {
-				s.logf("objstore server: read: %v", err)
-			}
-			return
-		}
-		if err := s.handle(bw, req); err != nil {
-			s.logf("objstore server: write: %v", err)
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handle(w io.Writer, req *request) error {
 	ctx := context.Background()
+	var payload []byte
 	switch req.op {
 	case opPut:
 		// req.value is this request's freshly decoded frame buffer
 		// (readRequest allocates per request), so ownership can pass to
 		// the backend — no copy-per-Put on the server receive path.
-		if err := PutOwned(ctx, s.backend, req.key, req.value); err != nil {
-			return writeResponse(w, statusError, []byte(err.Error()))
-		}
-		return writeResponse(w, statusOK, nil)
+		err = PutOwned(ctx, s.backend, req.key, req.value)
 	case opGet:
-		v, err := s.backend.Get(ctx, req.key)
-		if errors.Is(err, ErrNotFound) {
-			return writeResponse(w, statusNotFound, nil)
-		}
-		if err != nil {
-			return writeResponse(w, statusError, []byte(err.Error()))
-		}
-		return writeResponse(w, statusOK, v)
+		payload, err = s.backend.Get(ctx, req.key)
 	case opDelete:
-		err := s.backend.Delete(ctx, req.key)
-		if errors.Is(err, ErrNotFound) {
-			return writeResponse(w, statusNotFound, nil)
-		}
-		if err != nil {
-			return writeResponse(w, statusError, []byte(err.Error()))
-		}
-		return writeResponse(w, statusOK, nil)
+		err = s.backend.Delete(ctx, req.key)
 	case opList:
-		keys, err := s.backend.List(ctx, req.key)
-		if err != nil {
-			return writeResponse(w, statusError, []byte(err.Error()))
-		}
-		return writeResponse(w, statusOK, []byte(strings.Join(keys, "\n")))
+		var keys []string
+		keys, err = s.backend.List(ctx, req.key)
+		payload = []byte(strings.Join(keys, "\n"))
 	case opStat:
-		size, err := s.backend.Stat(ctx, req.key)
-		if errors.Is(err, ErrNotFound) {
-			return writeResponse(w, statusNotFound, nil)
-		}
-		if err != nil {
-			return writeResponse(w, statusError, []byte(err.Error()))
-		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(size))
-		return writeResponse(w, statusOK, buf[:])
+		var size int64
+		size, err = s.backend.Stat(ctx, req.key)
+		payload = binary.LittleEndian.AppendUint64(nil, uint64(size))
 	default:
-		return writeResponse(w, statusError, []byte(fmt.Sprintf("unknown op %d", req.op)))
+		err = fmt.Errorf("unknown op %d", req.op)
 	}
-}
-
-// CloseConns closes every live connection without stopping the
-// listener. Clients transparently redial; this is a fault-injection
-// hook for exercising that path under load.
-func (s *Server) CloseConns() {
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
+	switch {
+	case err == nil:
+		return rpc.WriteResponse(w, statusOK, payload)
+	case errors.Is(err, ErrNotFound):
+		return rpc.WriteResponse(w, statusNotFound, nil)
+	default:
+		return rpc.WriteResponse(w, statusError, []byte(err.Error()))
 	}
-	s.mu.Unlock()
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Close stops accepting, closes live connections, and waits for handler
-// goroutines to exit. The backend is not closed.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
 }
 
 // Logger returns a *log.Logger-compatible adapter. Handy for cmd/objstored.

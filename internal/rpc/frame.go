@@ -1,0 +1,95 @@
+// Package rpc is the one framed-TCP transport under the repo's three
+// protocols: CNR1 (objstore, the data plane), CNC1 (ctrl, the control
+// and announce planes) and LKP1 (serve, the read plane). It owns what
+// they share — the listener lifecycle (Server), the pooled
+// dial/deadline/redial round trip (Client) and the response frame with
+// its bounded body reader — and nothing else: request headers differ
+// per protocol (key+value, epoch+body, bare length) and stay with
+// their packages, as do magics, op codes and status codes.
+//
+// There is deliberately no stats hook, middleware chain or codec
+// interface here; the checkpoint-timeline work is the first caller
+// that would need one, and it gets to shape it.
+package rpc
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+)
+
+// bufSize sizes the bufio reader and writer of every connection: one
+// checkpoint chunk (~80 KB) crosses in two syscalls, small control and
+// lookup frames in one.
+const bufSize = 64 << 10
+
+// bodyChunk is the most ReadBody allocates on the strength of a length
+// header alone.
+const bodyChunk = 1 << 20
+
+// ReadBody reads an n-byte frame body. n comes off the wire, so it is
+// a claim, not a fact: memory is committed only as bytes arrive — at
+// most bodyChunk up front, then doubling — and a peer that sends a
+// header and stalls pins 1 MiB, not the protocol's frame limit. Bodies
+// up to bodyChunk (every checkpoint chunk, control message and lookup)
+// take exactly one allocation and one ReadFull. Callers check n against
+// their protocol's limit first, so over-limit claims allocate nothing.
+func ReadBody(r io.Reader, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	buf := make([]byte, min(n, bodyChunk))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, buf[filled:]); err != nil {
+			return nil, err
+		}
+		if len(buf) == n {
+			return buf, nil
+		}
+		filled = len(buf)
+		grown := make([]byte, min(n, 2*filled))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// Response frame, identical on every protocol (integers little-endian):
+//
+//	u8 status | u32 payloadLen | payload
+//
+// Status codes belong to the protocol; by convention 0 is OK and the
+// payload of any other status is the error message.
+
+// WriteResponse frames and writes a response.
+func WriteResponse(w io.Writer, status uint8, payload []byte) error {
+	if uint64(len(payload)) > math.MaxUint32 {
+		return fmt.Errorf("rpc: response too long: %d bytes", len(payload))
+	}
+	hdr := make([]byte, 5)
+	hdr[0] = status
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	if len(payload) == 0 {
+		return nil
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// ReadResponse reads one framed response, refusing payloads longer
+// than max (the calling protocol's frame limit) before allocating.
+func ReadResponse(r io.Reader, max int) (status uint8, payload []byte, err error) {
+	hdr := make([]byte, 5)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[1:])
+	if uint64(n) > uint64(max) {
+		return 0, nil, fmt.Errorf("rpc: response length %d exceeds limit %d", n, max)
+	}
+	payload, err = ReadBody(r, int(n))
+	return hdr[0], payload, err
+}

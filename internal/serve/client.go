@@ -4,10 +4,9 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -18,15 +17,10 @@ type ClientConfig struct {
 }
 
 // Client issues embedding lookups against one serving replica over a
-// single redialing connection, mirroring ctrl.Client: a transport error
-// drops the connection and the next call redials.
+// single parked connection (rpc.Client, pool of one): a transport
+// error drops the connection and the next call redials.
 type Client struct {
-	addr string
-	cfg  ClientConfig
-
-	mu   sync.Mutex
-	conn net.Conn
-	br   *bufio.Reader
+	rpc *rpc.Client
 }
 
 // NewClient returns a client for the replica at addr. No connection is
@@ -35,11 +29,11 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	return &Client{addr: addr, cfg: cfg}
+	return &Client{rpc: rpc.NewClient(addr, 1, cfg.DialTimeout, false)}
 }
 
 // Addr returns the replica address this client targets.
-func (c *Client) Addr() string { return c.addr }
+func (c *Client) Addr() string { return c.rpc.Addr() }
 
 // Lookup fetches the embedding vectors for a batch of indices from one
 // table. Every vector in the response was read from the single
@@ -51,50 +45,21 @@ func (c *Client) Lookup(ctx context.Context, tableID uint32, indices []uint32) (
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		d := net.Dialer{Timeout: c.cfg.DialTimeout}
-		conn, err := d.DialContext(ctx, "tcp", c.addr)
-		if err != nil {
-			return nil, fmt.Errorf("serve: dial %s: %w", c.addr, err)
-		}
-		c.conn = conn
-		c.br = bufio.NewReaderSize(conn, 64<<10)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-	} else {
-		_ = c.conn.SetDeadline(time.Time{})
-	}
-	drop := func(err error) (*wire.LookupResponse, error) {
-		c.conn.Close()
-		c.conn, c.br = nil, nil
-		return nil, err
-	}
-	if err := writeLookupFrame(c.conn, body); err != nil {
-		return drop(fmt.Errorf("serve: lookup %s: %w", c.addr, err))
-	}
-	status, payload, err := readLookupResponse(c.br)
+	status, payload, err := c.rpc.Do(ctx, maxLookupFrame, func(bw *bufio.Writer) error {
+		return writeLookupFrame(bw, body)
+	})
 	if err != nil {
-		return drop(fmt.Errorf("serve: lookup %s: %w", c.addr, err))
+		return nil, fmt.Errorf("serve: lookup: %w", err)
 	}
 	switch status {
 	case lookupStatusOK:
 		return wire.DecodeLookupResponse(payload)
 	case lookupStatusNotReady:
-		return nil, fmt.Errorf("serve: %s: %w", c.addr, ErrNotReady)
+		return nil, fmt.Errorf("serve: %s: %w", c.Addr(), ErrNotReady)
 	default:
-		return nil, fmt.Errorf("serve: %s: %s", c.addr, payload)
+		return nil, fmt.Errorf("serve: %s: %s", c.Addr(), payload)
 	}
 }
 
 // Close closes the connection, if any.
-func (c *Client) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn, c.br = nil, nil
-	}
-}
+func (c *Client) Close() { c.rpc.Close() }

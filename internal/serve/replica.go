@@ -44,6 +44,7 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/embedding"
 	"repro/internal/objstore"
+	"repro/internal/rpc"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -198,7 +199,7 @@ type Replica struct {
 	standby *tableSet
 	wrote   map[int]*tableDelta
 
-	srv  *server
+	srv  *rpc.Server
 	wake chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup

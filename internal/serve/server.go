@@ -6,17 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
 // Lookup connection framing (integers little-endian), one request at a
-// time per connection:
+// time per connection. The transport — listener, client round trip,
+// response frame — is internal/rpc; LKP1's own request header is a bare
+// length:
 //
 //	Request:  u32 bodyLen | body (wire lookup-request encoding)
-//	Response: u8 status | u32 payloadLen | payload
+//	Response: u8 status | u32 payloadLen | payload   (rpc.WriteResponse)
 //
 // statusOK's payload is the wire lookup-response encoding;
 // statusNotReady (replica has no checkpoint yet) and statusError carry
@@ -53,162 +54,38 @@ func readLookupFrame(r io.Reader) ([]byte, error) {
 	if n == 0 || n > maxLookupFrame {
 		return nil, fmt.Errorf("serve: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return rpc.ReadBody(r, int(n))
 }
 
-func writeLookupResponse(w io.Writer, status uint8, payload []byte) error {
-	if len(payload) > maxLookupFrame {
-		return fmt.Errorf("serve: response too long: %d bytes", len(payload))
-	}
-	hdr := make([]byte, 5)
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readLookupResponse(r io.Reader) (status uint8, payload []byte, err error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	status = hdr[0]
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxLookupFrame {
-		return 0, nil, fmt.Errorf("serve: response length %d exceeds limit", n)
-	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return 0, nil, err
-		}
-	}
-	return status, payload, nil
-}
-
-// server accepts lookup connections for one replica, mirroring
-// ctrl.AgentServer's lifecycle.
-type server struct {
-	rep *Replica
-	ln  net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newServer(addr string, rep *Replica) (*server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listen: %w", err)
-	}
-	s := &server{rep: rep, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-func (s *server) Addr() string { return s.ln.Addr().String() }
-
-func (s *server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed {
-				s.rep.logf("serve %s: accept: %v", s.rep.cfg.JobID, err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	for {
+// newServer accepts lookup connections for one replica.
+func newServer(addr string, rep *Replica) (*rpc.Server, error) {
+	return rpc.Listen(addr, "serve "+rep.cfg.JobID, rep.logf, func(br *bufio.Reader, bw *bufio.Writer) error {
 		body, err := readLookupFrame(br)
 		if err != nil {
-			return
+			return err
 		}
-		req, err := wire.DecodeLookupRequest(body)
-		if err != nil {
-			if werr := writeLookupResponse(bw, lookupStatusError, []byte(err.Error())); werr != nil {
-				return
-			}
-			if bw.Flush() != nil {
-				return
-			}
-			continue
-		}
-		resp, err := s.rep.lookup(req)
-		var werr error
+		blob, err := rep.answer(body)
 		switch {
+		case err == nil:
+			return rpc.WriteResponse(bw, lookupStatusOK, blob)
 		case errors.Is(err, ErrNotReady):
-			werr = writeLookupResponse(bw, lookupStatusNotReady, []byte(err.Error()))
-		case err != nil:
-			werr = writeLookupResponse(bw, lookupStatusError, []byte(err.Error()))
+			return rpc.WriteResponse(bw, lookupStatusNotReady, []byte(err.Error()))
 		default:
-			blob, eerr := wire.EncodeLookupResponse(resp)
-			if eerr != nil {
-				werr = writeLookupResponse(bw, lookupStatusError, []byte(eerr.Error()))
-			} else {
-				werr = writeLookupResponse(bw, lookupStatusOK, blob)
-			}
+			return rpc.WriteResponse(bw, lookupStatusError, []byte(err.Error()))
 		}
-		if werr != nil || bw.Flush() != nil {
-			return
-		}
-	}
+	})
 }
 
-func (s *server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// answer decodes one lookup body, runs it against the live version and
+// encodes the response.
+func (r *Replica) answer(body []byte) ([]byte, error) {
+	req, err := wire.DecodeLookupRequest(body)
+	if err != nil {
+		return nil, err
 	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	resp, err := r.lookup(req)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	return wire.EncodeLookupResponse(resp)
 }
