@@ -1,9 +1,10 @@
 // Command chaosctl runs declarative chaos campaigns against a full
 // Check-N-Run fleet: N shard agents, M object stores, and a leased
 // controller, every link behind a programmable network shim. After
-// every scripted step the runner asserts the three durability
-// invariants (no restorable partial composite, bit-identical
-// RestoreLatest, gapless checkpoint-ID convergence).
+// every scripted step the runner asserts the four invariants (no
+// restorable partial composite, bit-identical RestoreLatest, gapless
+// checkpoint-ID convergence, and — with serving replicas — every lookup
+// answered bit-identically from exactly one committed checkpoint).
 //
 // Usage:
 //
@@ -20,14 +21,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"time"
 
@@ -107,7 +106,7 @@ func run(args []string) int {
 		rcfg.Logf = log.Printf
 	}
 	if o.procs {
-		bins, cleanup, err := resolveBins(&o)
+		bins, cleanup, err := chaos.ResolveBins(o.objstored, o.shardd)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -195,51 +194,6 @@ func selectScenarios(o *runOpts, files []string) ([]*chaos.Scenario, error) {
 		return nil, fmt.Errorf("nothing to run: pass -matrix small|full or scenario files")
 	}
 	return out, nil
-}
-
-// resolveBins returns the daemon binaries for process mode, building
-// them from the module with `go build` when not supplied.
-func resolveBins(o *runOpts) (chaos.Bins, func(), error) {
-	bins := chaos.Bins{Objstored: o.objstored, Shardd: o.shardd}
-	cleanup := func() {}
-	if bins.Objstored != "" && bins.Shardd != "" {
-		return bins, cleanup, nil
-	}
-	// Building repro/cmd/... needs the module in scope; when chaosctl
-	// itself is a prebuilt binary run from elsewhere, say so instead of
-	// surfacing a cryptic "not in std" build error.
-	if out, err := exec.Command("go", "env", "GOMOD").Output(); err != nil ||
-		len(bytes.TrimSpace(out)) == 0 || string(bytes.TrimSpace(out)) == os.DevNull {
-		return bins, cleanup, fmt.Errorf("-procs builds objstored/shardd from source: " +
-			"run chaosctl from inside the repository, or pass prebuilt -objstored and -shardd")
-	}
-	dir, err := os.MkdirTemp("", "chaosctl-bins-")
-	if err != nil {
-		return bins, cleanup, err
-	}
-	cleanup = func() { os.RemoveAll(dir) }
-	build := func(name string) (string, error) {
-		path := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", path, "repro/cmd/"+name)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Run(); err != nil {
-			return "", fmt.Errorf("go build %s: %w", name, err)
-		}
-		return path, nil
-	}
-	if bins.Objstored == "" {
-		if bins.Objstored, err = build("objstored"); err != nil {
-			cleanup()
-			return bins, func() {}, err
-		}
-	}
-	if bins.Shardd == "" {
-		if bins.Shardd, err = build("shardd"); err != nil {
-			cleanup()
-			return bins, func() {}, err
-		}
-	}
-	return bins, cleanup, nil
 }
 
 // writeResult persists one campaign result as <out>/<scenario>.json.

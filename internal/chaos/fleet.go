@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,6 +25,45 @@ import (
 type Bins struct {
 	Objstored string
 	Shardd    string
+}
+
+// ResolveBins returns the daemon binaries for a process-mode fleet,
+// building whichever of the two paths is empty from the module with
+// `go build` into a temp directory that cleanup removes.
+func ResolveBins(objstored, shardd string) (bins Bins, cleanup func(), err error) {
+	bins = Bins{Objstored: objstored, Shardd: shardd}
+	cleanup = func() {}
+	if bins.Objstored != "" && bins.Shardd != "" {
+		return bins, cleanup, nil
+	}
+	// Building repro/cmd/... needs the module in scope; when the caller
+	// is a prebuilt binary run from elsewhere, say so instead of
+	// surfacing a cryptic "not in std" build error.
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if mod := string(bytes.TrimSpace(out)); err != nil || mod == "" || mod == os.DevNull {
+		return bins, cleanup, errors.New("chaos: a process-mode fleet builds objstored/shardd from source: " +
+			"run from inside the repository, or pass prebuilt binaries")
+	}
+	dir, err := os.MkdirTemp("", "chaos-bins-")
+	if err != nil {
+		return bins, cleanup, err
+	}
+	for _, bin := range []struct {
+		name string
+		path *string
+	}{{"objstored", &bins.Objstored}, {"shardd", &bins.Shardd}} {
+		if *bin.path != "" {
+			continue
+		}
+		*bin.path = filepath.Join(dir, bin.name)
+		cmd := exec.Command("go", "build", "-o", *bin.path, "repro/cmd/"+bin.name)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			os.RemoveAll(dir)
+			return bins, cleanup, fmt.Errorf("chaos: go build %s: %w", bin.name, err)
+		}
+	}
+	return bins, func() { os.RemoveAll(dir) }, nil
 }
 
 // FleetConfig describes a chaos fleet: N shard agents + M object
@@ -206,9 +246,8 @@ type Fleet struct {
 	announcer *ctrl.Announcer // fleet-owned; survives controller failover
 	replicas  []*replicaNode
 
-	ctl    *ctrl.Controller
-	lease  *ctrl.Lease
-	holder string
+	ctl   *ctrl.Controller
+	lease *ctrl.Lease
 
 	hookMu       sync.Mutex
 	afterPrepare func()
@@ -512,9 +551,6 @@ func (f *Fleet) RestartStore(i int) error {
 	return nil
 }
 
-// StoreAlive reports whether store i is currently running.
-func (f *Fleet) StoreAlive(i int) bool { return f.stores[i].alive }
-
 // AllStoresAlive reports whether every store is up — the gate for
 // store-side invariant checks (a dead store makes observer reads fail
 // by design, not by bug).
@@ -706,7 +742,7 @@ func (f *Fleet) newController(lease *ctrl.Lease, holder string) error {
 	if err != nil {
 		return fmt.Errorf("chaos: controller %q: %w", holder, err)
 	}
-	f.ctl, f.lease, f.holder = c, lease, holder
+	f.ctl, f.lease = c, lease
 	return nil
 }
 
@@ -741,14 +777,6 @@ func (f *Fleet) Failover(ctx context.Context, holder string) error {
 		return fmt.Errorf("chaos: %q takeover: %w", holder, err)
 	}
 	return f.newController(lease, holder)
-}
-
-// Leader returns the current leader's holder name ("" when none).
-func (f *Fleet) Leader() string {
-	if f.ctl == nil {
-		return ""
-	}
-	return f.holder
 }
 
 // Checkpoint drives one composite checkpoint through the current

@@ -143,16 +143,6 @@ func (p *Proxy) SetLink(dir Direction, cfg LinkConfig) {
 	p.logf("chaos: %s: %s link = %+v", p.name, dir, cfg)
 }
 
-// Link returns dir's current shaping state.
-func (p *Proxy) Link(dir Direction) LinkConfig {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if dir == Up {
-		return p.up
-	}
-	return p.down
-}
-
 // Partition hard-partitions the link: every live connection is torn
 // down and new ones are accepted and immediately closed (connection
 // reset, not a silent blackhole — use Stall for that).
@@ -172,13 +162,6 @@ func (p *Proxy) Heal() {
 	p.up, p.down = LinkConfig{}, LinkConfig{}
 	p.mu.Unlock()
 	p.logf("chaos: %s: healed", p.name)
-}
-
-// Partitioned reports whether the link is currently partitioned.
-func (p *Proxy) Partitioned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.partitioned
 }
 
 // DropConns tears down every live connection once, without changing the

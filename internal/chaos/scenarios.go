@@ -34,6 +34,11 @@ func fleetDisk3x3(fsync string, putDelayMs, syncDelayMs int) FleetSpec {
 	return fs
 }
 
+// DemoScenario names the campaign examples/fleet runs over forked
+// daemons: the only builtin that carries a replica across a failover
+// and a store kill-9.
+const DemoScenario = "kill-rejoin-failover-store-crash"
+
 // BuiltinScenarios returns the full campaign matrix.
 func BuiltinScenarios() []*Scenario {
 	return []*Scenario{
@@ -223,6 +228,30 @@ func BuiltinScenarios() []*Scenario {
 				{Op: "serve-wait"},
 				{Op: "checkpoint", Step: 16},
 				{Op: "serve-wait"},
+			},
+		},
+		{
+			Name: DemoScenario,
+			Description: "the examples/fleet tour: a replica follows three commits, a shard is killed and " +
+				"rejoins, a standby takes the lease, the anchor store is killed -9 and restarted from its " +
+				"segment log — the replica keeps serving through all of it and converges after each commit",
+			Fleet: FleetSpec{Shards: 3, Stores: 2, Replicas: 1, StoreBackend: "disk", Fsync: "always",
+				LeaseTTLMs: 500, OpTimeoutMs: 4000},
+			Steps: []Step{
+				{Op: "lead", Holder: "leader-0"},
+				{Op: "checkpoint", Step: 4},
+				{Op: "checkpoint", Step: 8},
+				{Op: "checkpoint", Step: 12},
+				{Op: "serve-wait"},
+				{Op: "kill", Shard: 1},
+				{Op: "restart", Shard: 1},
+				{Op: "failover", Holder: "leader-1"},
+				{Op: "checkpoint", Step: 16},
+				{Op: "serve-wait"},
+				{Op: "kill-store", Target: "store:anchor"},
+				{Op: "restart-store", Target: "store:anchor"},
+				{Op: "checkpoint", Step: 20},
+				{Op: "sweep"},
 			},
 		},
 		{

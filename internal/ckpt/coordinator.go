@@ -2,11 +2,13 @@ package ckpt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/embedding"
+	"repro/internal/objstore"
 	"repro/internal/wire"
 )
 
@@ -252,25 +254,39 @@ func (c *Coordinator) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest
 	// grow one manifest per checkpoint, forever, on a long-running job.
 	if c.cfg.KeepLast > 0 {
 		c.manifests[id] = man
-		c.gc(ctx)
+		RetireComposites(ctx, c.cfg.Store, c.cfg.JobID, c.manifests, id, c.cfg.KeepLast)
 	}
 	return man, nil
 }
 
-// gc deletes composite-level objects (manifest + dense) of checkpoints
-// beyond KeepLast. Shard-level objects are garbage collected by each
-// shard engine, which retains whatever its retained increments depend
-// on — so a restorable composite always finds its shard chains intact,
-// while expired composites stop being listed.
-func (c *Coordinator) gc(ctx context.Context) {
-	for id, m := range c.manifests {
-		if id > c.nextID-1-c.cfg.KeepLast {
+// RetireComposites deletes the composite-level objects (manifest +
+// dense) of every cached checkpoint older than the keepLast newest,
+// newest being the last committed ID. Shard-level objects are garbage
+// collected by each shard engine, which retains whatever its retained
+// increments depend on — so a restorable composite always finds its
+// shard chains intact, while expired composites stop being listed.
+//
+// It runs detached from ctx's cancellation: the commit it follows is
+// already durable. An entry leaves the cache only once its manifest is
+// gone, so a Delete that failed is retried after the next commit; the
+// dense object goes after the manifest, so a composite that is still
+// listed still restores.
+func RetireComposites(ctx context.Context, store objstore.Store, jobID string,
+	cache map[int]*wire.Manifest, newest, keepLast int) {
+	dctx, cancel := DetachedCtx(ctx)
+	defer cancel()
+	for id, m := range cache {
+		if id > newest-keepLast {
 			continue
 		}
-		_ = c.cfg.Store.Delete(ctx, wire.ManifestKey(c.cfg.JobID, id))
-		if m.DenseKey != "" {
-			_ = c.cfg.Store.Delete(ctx, m.DenseKey)
+		err := store.Delete(dctx, wire.ManifestKey(jobID, id))
+		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			continue
 		}
-		delete(c.manifests, id)
+		if m.DenseKey != "" {
+			// Unreferenced from here on: SweepOrphans' job if this fails.
+			_ = store.Delete(dctx, m.DenseKey)
+		}
+		delete(cache, id)
 	}
 }

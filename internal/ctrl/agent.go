@@ -160,7 +160,10 @@ func (a *Agent) admitLocked(epoch uint64) error {
 			// refuses the superseded controller. Best-effort: the
 			// register is a floor, and a missed write only narrows the
 			// window back to in-memory fencing.
-			if err := a.reg.ObserveEpoch(a.opCtxLocked(), epoch); err != nil {
+			ctx, cancel := a.opCtxLocked()
+			err := a.reg.ObserveEpoch(ctx, epoch)
+			cancel()
+			if err != nil {
 				a.logf("ctrl agent %d: persist epoch %d: %v", a.cfg.Shard, epoch, err)
 			}
 		}
@@ -169,15 +172,14 @@ func (a *Agent) admitLocked(epoch uint64) error {
 	return nil
 }
 
-// opCtxLocked returns a context for store I/O issued from under the
-// command mutex outside a request (epoch persistence, rollback).
-func (a *Agent) opCtxLocked() context.Context {
+// opCtxLocked returns a context for one store operation issued from
+// under the command mutex outside a request (epoch persistence,
+// rollback). The caller releases it as soon as the operation returns.
+func (a *Agent) opCtxLocked() (context.Context, context.CancelFunc) {
 	if a.cfg.OpTimeout <= 0 {
-		return context.Background()
+		return context.WithCancel(context.Background())
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.OpTimeout)
-	_ = cancel // bounded by the timeout itself
-	return ctx
+	return context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 }
 
 // abortPendingLocked rolls back the in-flight attempt, if any — unless
@@ -194,16 +196,25 @@ func (a *Agent) abortPendingLocked() {
 	// the Stat alone exhausts a shared context, and the rollback would
 	// then run under cleanup's unbounded fallback deadline instead of
 	// the configured op timeout — all while holding the command mutex.
-	if _, err := a.cfg.Engine.Store.Stat(a.opCtxLocked(), wire.ManifestKey(a.cfg.JobID, a.pendingID)); err == nil {
+	ctx, cancel := a.opCtxLocked()
+	_, err := a.cfg.Engine.Store.Stat(ctx, wire.ManifestKey(a.cfg.JobID, a.pendingID))
+	cancel()
+	if err == nil {
 		a.logf("ctrl agent %d: finalizing checkpoint %d (composite already committed)", a.cfg.Shard, a.pendingID)
-		a.pending.Finalize(a.opCtxLocked())
+		ctx, cancel = a.opCtxLocked()
+		a.pending.Finalize(ctx)
+		cancel()
 		a.pending, a.pendingDense = nil, ""
 		return
 	}
 	a.logf("ctrl agent %d: aborting in-flight checkpoint %d", a.cfg.Shard, a.pendingID)
-	a.pending.Abort(a.opCtxLocked())
+	ctx, cancel = a.opCtxLocked()
+	a.pending.Abort(ctx)
+	cancel()
 	if a.pendingDense != "" {
-		_ = a.cfg.Engine.Store.Delete(a.opCtxLocked(), a.pendingDense)
+		ctx, cancel = a.opCtxLocked()
+		_ = a.cfg.Engine.Store.Delete(ctx, a.pendingDense)
+		cancel()
 	}
 	a.pending, a.pendingDense = nil, ""
 }

@@ -328,7 +328,7 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 	// grow one manifest per checkpoint, forever, on a long-running job.
 	if c.cfg.KeepLast > 0 {
 		c.manifests[id] = man
-		c.gc(ctx)
+		ckpt.RetireComposites(ctx, c.cfg.Store, c.cfg.JobID, c.manifests, id, c.cfg.KeepLast)
 	}
 	return man, nil
 }
@@ -347,25 +347,6 @@ func (c *Controller) Health(ctx context.Context) ([]*StatusReply, error) {
 		out = append(out, st)
 	}
 	return out, nil
-}
-
-// gc deletes composite-level objects (manifest + dense) of checkpoints
-// beyond KeepLast, mirroring Coordinator.gc: shard-level objects are
-// garbage collected by each agent's engine, which retains whatever its
-// retained increments depend on.
-func (c *Controller) gc(ctx context.Context) {
-	cctx, cancel := ckpt.DetachedCtx(ctx)
-	defer cancel()
-	for id, m := range c.manifests {
-		if id > c.nextID-1-c.cfg.KeepLast {
-			continue
-		}
-		_ = c.cfg.Store.Delete(cctx, wire.ManifestKey(c.cfg.JobID, id))
-		if m.DenseKey != "" {
-			_ = c.cfg.Store.Delete(cctx, m.DenseKey)
-		}
-		delete(c.manifests, id)
-	}
 }
 
 // Close closes the agent connections. Agents keep running.

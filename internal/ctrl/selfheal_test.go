@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +128,91 @@ func TestControllerRestartStillSweepsPredecessorComposites(t *testing.T) {
 		if _, err := store.Stat(ctx, wire.ManifestKey(job, id)); err != nil {
 			t.Fatalf("retained composite %d missing: %v", id, err)
 		}
+	}
+}
+
+// failDeleteOnce fails the first Delete of key, then behaves.
+type failDeleteOnce struct {
+	objstore.Store
+	key    string
+	failed atomic.Bool
+}
+
+func (s *failDeleteOnce) Delete(ctx context.Context, key string) error {
+	if key == s.key && s.failed.CompareAndSwap(false, true) {
+		return errors.New("injected delete failure")
+	}
+	return s.Store.Delete(ctx, key)
+}
+
+// TestCompositeGCRetriesFailedDelete is the regression for retention
+// forgetting what it failed to delete: both composite writers dropped a
+// checkpoint from their cache whether or not its manifest Delete
+// succeeded, so one failed Delete left that composite listed past
+// KeepLast (and, its dense object gone, unrestorable) for good.
+func TestCompositeGCRetriesFailedDelete(t *testing.T) {
+	const job = "gcretry"
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		// writer returns a func committing one checkpoint at step.
+		writer func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(step uint64) error
+	}{
+		{"coordinator", func(t *testing.T, store objstore.Store, _ *objstore.MemStore) func(uint64) error {
+			coord, err := ckpt.NewCoordinator(ckpt.CoordinatorConfig{
+				Config: ckpt.Config{JobID: job, Store: store, Policy: ckpt.PolicyOneShot, KeepLast: 1},
+				Shards: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func(step uint64) error {
+				snap, _ := miniSource(0)(ctx, step)
+				_, err := coord.Write(ctx, snap)
+				return err
+			}
+		}},
+		{"controller", func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(uint64) error {
+			fleet := startMiniFleet(t, job, 2, mem, false)
+			c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			return func(step uint64) error {
+				_, err := c.Checkpoint(ctx, step)
+				return err
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := objstore.NewMemStore(objstore.MemConfig{})
+			commit := tc.writer(t, &failDeleteOnce{Store: mem, key: wire.ManifestKey(job, 0)}, mem)
+			// Committing 1 retires 0, whose manifest Delete fails: 0 stays
+			// listed, so it must stay whole.
+			for step := uint64(8); step <= 16; step += 8 {
+				if err := commit(step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := mem.Stat(ctx, wire.DenseKey(job, 0)); err != nil {
+				t.Errorf("composite 0 is still listed but its dense object is gone: %v", err)
+			}
+			// Committing 2 must retry 0 as well as retire 1.
+			if err := commit(24); err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id <= 1; id++ {
+				for _, key := range []string{wire.ManifestKey(job, id), wire.DenseKey(job, id)} {
+					if _, err := mem.Stat(ctx, key); !errors.Is(err, objstore.ErrNotFound) {
+						t.Errorf("%s outlived KeepLast (err %v)", key, err)
+					}
+				}
+			}
+			if _, err := mem.Stat(ctx, wire.ManifestKey(job, 2)); err != nil {
+				t.Errorf("retained composite 2 missing: %v", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -290,5 +291,32 @@ func TestQuantizeIntoAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v: %v allocs per dequantize, want 0", p.Method, allocs)
 		}
+	}
+}
+
+func BenchmarkPackCodes(b *testing.B) {
+	for _, bits := range []int{2, 3, 4, 8} {
+		codes := randCodes(rand.New(rand.NewSource(5)), 1<<16, bits)
+		dst := make([]byte, PackedLen(len(codes), bits))
+		b.Run(fmt.Sprintf("%dbit", bits), func(b *testing.B) {
+			b.SetBytes(int64(len(dst)))
+			for i := 0; i < b.N; i++ {
+				PackCodes(dst, codes, bits)
+			}
+		})
+	}
+}
+
+func BenchmarkUnpackCodes(b *testing.B) {
+	for _, bits := range []int{2, 3, 4, 8} {
+		dst := randCodes(rand.New(rand.NewSource(6)), 1<<16, bits)
+		src := make([]byte, PackedLen(len(dst), bits))
+		PackCodes(src, dst, bits)
+		b.Run(fmt.Sprintf("%dbit", bits), func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				UnpackCodes(dst, src, bits)
+			}
+		})
 	}
 }

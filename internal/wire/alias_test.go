@@ -145,3 +145,17 @@ func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 		t.Fatal("append to aliased row codes scribbled into the next row's bytes")
 	}
 }
+
+func BenchmarkDecodeChunkAlias(b *testing.B) {
+	blob, err := makeUniformChunk(b, 1, 256, 16, 4).EncodeCompact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeChunkAlias(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
