@@ -112,10 +112,6 @@ type Config struct {
 	// use -1 to keep all explicitly).
 	KeepLast int
 
-	// CompactMetadata enables the optimized CKP2 chunk layout (the
-	// paper's future-work metadata optimization); cuts checkpoint size
-	// a further ~25% at small embedding dims.
-	CompactMetadata bool
 	// Encoders is the checkpoint engine's quantize+encode worker count
 	// (the data-plane hot path). Zero means one per core; 1 is the
 	// serial baseline.
@@ -225,7 +221,6 @@ func Open(cfg Config) (*System, error) {
 		ExpectedRestores:   cfg.ExpectedRestores,
 		KeepLast:           cfg.KeepLast,
 		Predictor:          cfg.Predictor,
-		CompactMetadata:    cfg.CompactMetadata,
 		Encoders:           cfg.Encoders,
 	})
 	if err != nil {

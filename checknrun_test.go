@@ -209,40 +209,18 @@ func TestSecondSystemResumesJob(t *testing.T) {
 func TestCompactAndRegressionKnobs(t *testing.T) {
 	sys := newSystem(t, Config{
 		ExpectedRestores: 3,
-		CompactMetadata:  true,
 		Predictor:        PredictorRegression,
 	})
 	ctx := testCtx(t)
 	if err := sys.Run(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	// Compact checkpoints restore correctly.
+	// Quantized checkpoints (the encoder writes CKP2 for them) restore.
 	if _, err := sys.Recover(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.RunInterval(ctx); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCompactMetadataReducesPayload(t *testing.T) {
-	run := func(compact bool) int64 {
-		sys := newSystem(t, Config{
-			JobID:            "compact-cmp",
-			ExpectedRestores: 10, // 4-bit
-			CompactMetadata:  compact,
-			Policy:           PolicyFull,
-		})
-		ctx := testCtx(t)
-		man, err := sys.RunInterval(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return man.PayloadBytes
-	}
-	v1, v2 := run(false), run(true)
-	if v2 >= v1 {
-		t.Fatalf("compact payload %d should be below v1 %d", v2, v1)
 	}
 }
 

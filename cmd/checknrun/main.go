@@ -29,7 +29,6 @@ func main() {
 	nodes := flag.Int("nodes", 2, "simulated trainer nodes")
 	keep := flag.Int("keep", 2, "checkpoints to retain (-1 = all)")
 	doRecover := flag.Bool("recover", false, "restore the latest checkpoint before training")
-	compact := flag.Bool("compact", false, "use the optimized CKP2 chunk metadata layout")
 	encoders := flag.Int("encoders", 0, "quantize+encode workers (0 = one per core, 1 = serial)")
 	predictorName := flag.String("predictor", "history", "intermittent predictor: history|regression")
 	doVerify := flag.Bool("verify", false, "scrub all checkpoints after training")
@@ -70,7 +69,6 @@ func main() {
 		BatchSize:          *batch,
 		BatchesPerInterval: *batchesPerInterval,
 		KeepLast:           *keep,
-		CompactMetadata:    *compact,
 		Encoders:           *encoders,
 		Predictor:          predictor,
 	})

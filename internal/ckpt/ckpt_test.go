@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -735,11 +736,10 @@ func benchWrite(b *testing.B, cfg Config) {
 	}
 }
 
-func TestCompactMetadataRoundTrip(t *testing.T) {
+func TestCompactLayoutRoundTrip(t *testing.T) {
 	f := newFixture(t, Config{
-		Policy:          PolicyOneShot,
-		Quant:           quant.Params{Method: quant.MethodAsymmetric, Bits: 4},
-		CompactMetadata: true,
+		Policy: PolicyOneShot,
+		Quant:  quant.Params{Method: quant.MethodAsymmetric, Bits: 4},
 	})
 	for i := 0; i < 3; i++ {
 		if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 2, 32)); err != nil {
@@ -752,44 +752,55 @@ func TestCompactMetadataRoundTrip(t *testing.T) {
 	}
 	// Restored model must match the live model within 4-bit noise.
 	if !modelsEqual(f.m, m2, f.gen, 0.2) {
-		t.Fatal("compact-metadata restore diverged")
+		t.Fatal("compact-layout restore diverged")
 	}
 }
 
-func TestCompactMetadataShrinksCheckpoint(t *testing.T) {
-	size := func(compact bool) int64 {
-		f := newFixture(t, Config{
-			Policy:          PolicyFull,
-			Quant:           quant.Params{Method: quant.MethodAsymmetric, Bits: 4},
-			CompactMetadata: compact,
+// TestEncoderChoosesChunkLayout reads the magic of every chunk object
+// the engine stored: the layout is the encoder's choice from the rows,
+// not a setting — CKP2 for every uniform quantizer and fp32, CKP1 for
+// k-means codebooks, the one row shape CKP2 cannot hold — and either
+// way the checkpoint restores.
+func TestEncoderChoosesChunkLayout(t *testing.T) {
+	const ckp1, ckp2 = 0x434B5031, 0x434B5032 // "CKP1", "CKP2"
+	for _, tc := range []struct {
+		name  string
+		p     quant.Params
+		magic uint32
+	}{
+		{"fp32", quant.Params{Method: quant.MethodNone}, ckp2},
+		{"asym4", quant.Params{Method: quant.MethodAsymmetric, Bits: 4}, ckp2},
+		{"sym8", quant.Params{Method: quant.MethodSymmetric, Bits: 8}, ckp2},
+		{"adaptive3", quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}, ckp2},
+		{"kmeans", quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, ckp1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, Config{Policy: PolicyFull, Quant: tc.p})
+			man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := 0
+			for _, tm := range man.Tables {
+				for _, key := range tm.ChunkKeys {
+					blob, err := f.store.Get(f.ctx, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := binary.LittleEndian.Uint32(blob); got != tc.magic {
+						t.Fatalf("%s stored with magic 0x%08x, want 0x%08x", key, got, tc.magic)
+					}
+					chunks++
+				}
+			}
+			if chunks == 0 {
+				t.Fatal("checkpoint stored no chunks")
+			}
+			m2, _ := model.New(testModelConfig(), 2)
+			if _, err := f.rest.RestoreLatest(f.ctx, m2); err != nil {
+				t.Fatal(err)
+			}
 		})
-		man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return man.PayloadBytes
-	}
-	v1, v2 := size(false), size(true)
-	if v2 >= v1 {
-		t.Fatalf("compact %d should be smaller than v1 %d", v2, v1)
-	}
-	t.Logf("v1=%dB compact=%dB (%.0f%% smaller)", v1, v2, (1-float64(v2)/float64(v1))*100)
-}
-
-func TestCompactMetadataFallsBackForKMeans(t *testing.T) {
-	// K-means rows cannot use CKP2; the engine must silently fall back to
-	// the v1 layout and restores must still work.
-	f := newFixture(t, Config{
-		Policy:          PolicyFull,
-		Quant:           quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3},
-		CompactMetadata: true,
-	})
-	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
-		t.Fatal(err)
-	}
-	m2, _ := model.New(testModelConfig(), 2)
-	if _, err := f.rest.RestoreLatest(f.ctx, m2); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,0 +1,296 @@
+package ckpt
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/objstore"
+	"repro/internal/wire"
+)
+
+// Committer owns the composite commit: the one place the two-phase
+// sequence over a job's ShardRunners is written, together with the
+// state it advances — the next checkpoint ID and composite retention.
+// Its two callers differ only in what they put in an Attempt: the
+// in-process Coordinator (LocalRunners, carved snapshots, dense bytes)
+// and ctrl.Controller (RemoteRunners, lease fencing, announcements).
+//
+// Like Engine, it is not safe for concurrent use: checkpoints of one job
+// never overlap. The concurrency is inside one Commit.
+type Committer struct {
+	jobID    string
+	store    objstore.Store
+	runners  []ShardRunner
+	keepLast int
+	logf     func(format string, args ...any)
+
+	nextID int
+	// manifests caches committed composite manifests by ID for
+	// retention only: with keepLast == 0 it stays empty, or it would grow
+	// one manifest per checkpoint, forever, on a long-running job.
+	manifests map[int]*wire.Manifest
+}
+
+// NewCommitter returns a Committer storing jobID's composite manifests
+// in store and driving runners, one per shard in shard order. nextID is
+// the first ID it will commit. keepLast bounds retained composites
+// (manifest + dense object; shard-level retention is each shard engine's
+// own KeepLast), zero keeps everything; committed seeds retention with
+// the composites a predecessor left in the store, which a restarted or
+// failed-over controller would otherwise never retire. logf receives
+// diagnostics; nil discards them.
+func NewCommitter(jobID string, store objstore.Store, runners []ShardRunner, nextID, keepLast int,
+	committed []*wire.Manifest, logf func(format string, args ...any)) *Committer {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	c := &Committer{
+		jobID: jobID, store: store, runners: runners, keepLast: keepLast, logf: logf,
+		nextID: nextID, manifests: make(map[int]*wire.Manifest),
+	}
+	if keepLast > 0 {
+		for _, m := range committed {
+			c.manifests[m.ID] = m
+		}
+	}
+	return c
+}
+
+// NextID returns the ID the next composite checkpoint will get.
+func (c *Committer) NextID() int { return c.nextID }
+
+// Attempt is what differs between callers for one composite checkpoint.
+type Attempt struct {
+	// Step is the global training step of the consistent cut.
+	Step uint64
+	// SnapAt supplies shard s's carved snapshot for in-process runners;
+	// nil when every runner snapshots its own hosted state.
+	SnapAt func(shard int) *Snapshot
+	// Dense is the replicated dense (MLP) state for Commit to store once,
+	// at the composite level. Nil when the snapshot carries none or a
+	// runner stores it (then Prepared reports the object).
+	Dense []byte
+	// Prepared, when set, runs once every shard has prepared and before
+	// anything is published, with the shard manifests in shard order. An
+	// error vetoes the attempt. It returns the composite-level dense
+	// object a runner stored on the job's behalf, if any.
+	Prepared func(shardMans []*wire.Manifest) (denseKey string, denseBytes int64, err error)
+	// Fence, when set, is the last call before the commit point; an error
+	// vetoes the attempt (a controller that lost its lease must abort,
+	// not commit).
+	Fence func(ctx context.Context) error
+	// Committed, when set, runs as soon as the composite manifest is
+	// durable, before the shards finalize — the window in which nothing
+	// that fails can invalidate the checkpoint any more.
+	Committed func(man *wire.Manifest)
+}
+
+// Commit drives one composite checkpoint. Phases:
+//
+//  1. prepare — every shard quantizes and uploads its chunks
+//     concurrently; nothing is visible to recovery yet.
+//  2. publish — shard manifests and the composite dense state are
+//     stored; the checkpoint is still not restorable because only the
+//     composite manifest defines validity.
+//  3. commit — the composite manifest is stored, then every shard
+//     finalizes its in-memory state and retention runs.
+//
+// Any failure before step 3's composite Put — a slow shard, a crashed
+// agent, a veto, a cancelled context — aborts every shard, deleting all
+// objects of the attempt (a dead agent's debris is unreferenced and left
+// to SweepOrphans); no state changes, so a retry reuses the same ID.
+// Rollback runs under a cancellation-immune context: if ctx is cancelled
+// mid-commit, every shard is still aborted, and the returned error is
+// ctx.Err() rather than whichever partial-write error the cancellation
+// happened to surface first.
+func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, error) {
+	id := c.nextID
+	fail := func(err error) (*wire.Manifest, error) {
+		// "Store down" means the abort below is best-effort and a retry
+		// after healing is expected to succeed; any other failure is worth
+		// an operator's attention.
+		if errors.Is(err, objstore.ErrStoreUnavailable) {
+			c.logf("ckpt: checkpoint %d aborted, store unavailable (retryable): %v", id, err)
+		}
+		// Rollback is immune to cancellation of ctx — it must proceed
+		// exactly when the parent context died — but bounded, so an
+		// unreachable remote shard is skipped rather than waited on (its
+		// debris is unreferenced and swept by gc). A runner with nothing
+		// prepared treats Abort as a no-op, so all of them are aborted.
+		actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
+		_ = c.forEachRunner(func(_ int, r ShardRunner) error { return r.Abort(actx, id) })
+		// The runner that stored the dense object may be the one that
+		// died after its prepare: best-effort delete directly, too.
+		_ = c.store.Delete(actx, wire.DenseKey(c.jobID, id))
+		cancel()
+		if ce := ctx.Err(); ce != nil {
+			return nil, ce
+		}
+		return nil, err
+	}
+
+	// Phase 1: concurrent per-shard prepare.
+	shardMans := make([]*wire.Manifest, len(c.runners))
+	err := c.forEachRunner(func(s int, r ShardRunner) (err error) {
+		req := PrepareRequest{ID: id, Step: att.Step}
+		if att.SnapAt != nil {
+			req.Snapshot = att.SnapAt(s)
+		}
+		shardMans[s], err = r.Prepare(ctx, req)
+		return err
+	})
+	if err != nil {
+		return fail(err)
+	}
+	var denseKey string
+	var denseBytes int64
+	if att.Prepared != nil {
+		if denseKey, denseBytes, err = att.Prepared(shardMans); err != nil {
+			return fail(err)
+		}
+	}
+
+	// Phase 2: publish shard manifests and the composite dense state.
+	// Still invisible to recovery — validity is the composite manifest.
+	if att.Dense != nil {
+		denseKey, denseBytes = wire.DenseKey(c.jobID, id), int64(len(att.Dense))
+		if err := c.store.Put(ctx, denseKey, att.Dense); err != nil {
+			return fail(fmt.Errorf("ckpt: dense state: %w", err))
+		}
+	}
+	if err := c.forEachRunner(func(_ int, r ShardRunner) error { return r.Publish(ctx, id) }); err != nil {
+		return fail(err)
+	}
+
+	// Phase 3: commit. The composite manifest's presence is the commit
+	// point, and this is the only place it is written.
+	man := buildComposite(c.jobID, id, att.Step, shardMans, denseKey, denseBytes)
+	manBlob, err := wire.EncodeManifest(man)
+	if err != nil {
+		return fail(fmt.Errorf("ckpt: encode composite manifest: %w", err))
+	}
+	if att.Fence != nil {
+		if err := att.Fence(ctx); err != nil {
+			return fail(err)
+		}
+	}
+	if err := c.store.Put(ctx, wire.ManifestKey(c.jobID, id), manBlob); err != nil {
+		return fail(fmt.Errorf("ckpt: store composite manifest: %w", err))
+	}
+	if att.Committed != nil {
+		att.Committed(man)
+	}
+
+	// Post-commit: the checkpoint is valid regardless of what happens
+	// next. A local finalize cannot fail; a remote one can (crashed
+	// agent), which leaves that agent's engine behind — surfaced as a
+	// fencing error on the next round, not silent corruption — so log
+	// rather than roll back.
+	fctx, cancelFinalize := DetachedCtx(ctx)
+	err = c.forEachRunner(func(_ int, r ShardRunner) error { return r.Finalize(fctx, id) })
+	cancelFinalize()
+	if err != nil {
+		c.logf("ckpt: finalize after commit of %d: %v", id, err)
+	}
+	c.nextID++
+	if c.keepLast > 0 {
+		c.manifests[id] = man
+		c.retire(ctx, id)
+	}
+	return man, nil
+}
+
+// abortTimeout bounds best-effort rollback so a partitioned shard agent
+// cannot hang the abort path forever.
+const abortTimeout = 30 * time.Second
+
+// forEachRunner runs fn concurrently for every shard's runner and
+// returns the lowest-indexed shard's error, if any, naming the shard.
+func (c *Committer) forEachRunner(fn func(s int, r ShardRunner) error) error {
+	return forEachShard(len(c.runners), func(s int) error {
+		if err := fn(s, c.runners[s]); err != nil {
+			return fmt.Errorf("ckpt: shard %d: %w", s, err)
+		}
+		return nil
+	})
+}
+
+// retire deletes the composite-level objects (manifest + dense) of
+// every cached checkpoint older than the keepLast newest, newest being
+// the ID just committed. Shard-level objects are garbage collected by
+// each shard engine, which retains whatever its retained increments
+// depend on — so a restorable composite always finds its shard chains
+// intact, while expired composites stop being listed.
+//
+// It runs detached from ctx's cancellation: the commit it follows is
+// already durable. An entry leaves the cache only once its manifest is
+// gone, so a Delete that failed is retried after the next commit; the
+// dense object goes after the manifest, so a composite that is still
+// listed still restores.
+func (c *Committer) retire(ctx context.Context, newest int) {
+	dctx, cancel := DetachedCtx(ctx)
+	defer cancel()
+	for id, m := range c.manifests {
+		if id > newest-c.keepLast {
+			continue
+		}
+		err := c.store.Delete(dctx, wire.ManifestKey(c.jobID, id))
+		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			continue
+		}
+		if m.DenseKey != "" {
+			// Unreferenced from here on: SweepOrphans' job if this fails.
+			_ = c.store.Delete(dctx, m.DenseKey)
+		}
+		delete(c.manifests, id)
+	}
+}
+
+// buildComposite assembles the top-level manifest from prepared shard
+// manifests. Kind is "full" only if every shard wrote a full baseline
+// this round (shards running the intermittent policy may take baselines
+// at different times). Tables aggregates the shard table manifests for
+// inspection — with ChunkKeys left nil, because the restorable chunk
+// references live in the shard manifests — and TableShards records which
+// shard listed each table. Reader state is the same on every shard of a
+// consistent cut; shard 0's is recorded.
+func buildComposite(jobID string, id int, step uint64, shardMans []*wire.Manifest, denseKey string, denseBytes int64) *wire.Manifest {
+	man := &wire.Manifest{
+		FormatVersion:    wire.CurrentFormatVersion,
+		JobID:            jobID,
+		ID:               id,
+		Kind:             wire.KindFull.String(),
+		BaseID:           -1,
+		ParentID:         id - 1,
+		Step:             step,
+		ReaderNextSample: shardMans[0].ReaderNextSample,
+		ReaderBatchSize:  shardMans[0].ReaderBatchSize,
+		DenseKey:         denseKey,
+		PayloadBytes:     denseBytes,
+		ShardCount:       len(shardMans),
+		TableShards:      make(map[int]int),
+	}
+	allFull := true
+	for s, sm := range shardMans {
+		man.Quant = sm.Quant
+		man.PayloadBytes += sm.PayloadBytes
+		man.ShardManifestKeys = append(man.ShardManifestKeys,
+			wire.ManifestKey(wire.ShardJobID(jobID, s), id))
+		if sm.Kind != wire.KindFull.String() {
+			allFull = false
+		}
+		for _, tm := range sm.Tables {
+			man.TableShards[tm.TableID] = s
+			tm.ChunkKeys = nil
+			man.Tables = append(man.Tables, tm)
+		}
+	}
+	if !allFull {
+		man.Kind = wire.KindIncremental.String()
+	}
+	sort.Slice(man.Tables, func(a, b int) bool { return man.Tables[a].TableID < man.Tables[b].TableID })
+	return man
+}

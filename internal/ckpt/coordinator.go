@@ -2,13 +2,11 @@ package ckpt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/embedding"
-	"repro/internal/objstore"
 	"repro/internal/wire"
 )
 
@@ -36,23 +34,20 @@ type CoordinatorConfig struct {
 // shard's objects are durable: a two-phase commit in which a crashed
 // shard can never leave a restorable-looking checkpoint behind.
 //
-// The shards are driven through the ShardRunner interface; this type
-// always builds in-process LocalRunners, while ctrl.Controller drives
-// the identical commit sequence over RemoteRunners talking to shardd
-// agent processes.
+// The commit sequence itself is Committer's; this type builds the
+// in-process LocalRunners it drives and decides which shard owns which
+// table, while ctrl.Controller hands the same Committer RemoteRunners
+// talking to shardd agent processes.
 //
 // Like Engine, methods are not safe for concurrent use — checkpoints of
 // one job never overlap. The concurrency is inside one Write.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	runners []ShardRunner
+	cfg    CoordinatorConfig
+	commit *Committer
 	// assign is the table -> shard ownership map, fixed at first Write
 	// (seeded from cfg.Assignment) so per-shard incremental chains stay
 	// self-contained across the job's lifetime.
 	assign map[int]int
-	nextID int
-	// manifests caches committed composite manifests by ID for GC.
-	manifests map[int]*wire.Manifest
 }
 
 // NewCoordinator validates cfg and builds the per-shard engines.
@@ -66,17 +61,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("ckpt: nil store")
 	}
-	c := &Coordinator{
-		cfg:       cfg,
-		assign:    make(map[int]int),
-		manifests: make(map[int]*wire.Manifest),
-	}
+	c := &Coordinator{cfg: cfg, assign: make(map[int]int)}
 	for id, s := range cfg.Assignment {
 		if s < 0 || s >= cfg.Shards {
 			return nil, fmt.Errorf("ckpt: table %d assigned to shard %d, want [0,%d)", id, s, cfg.Shards)
 		}
 		c.assign[id] = s
 	}
+	var runners []ShardRunner
 	for s := 0; s < cfg.Shards; s++ {
 		ecfg := cfg.Config
 		ecfg.JobID = wire.ShardJobID(cfg.JobID, s)
@@ -84,26 +76,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.runners = append(c.runners, NewLocalRunner(s, eng))
+		runners = append(runners, NewLocalRunner(s, eng))
 	}
+	c.commit = NewCommitter(cfg.JobID, cfg.Store, runners, 0, cfg.KeepLast, nil, nil)
 	return c, nil
-}
-
-// Shards returns the shard count.
-func (c *Coordinator) Shards() int { return c.cfg.Shards }
-
-// NextID returns the ID the next composite checkpoint will get.
-func (c *Coordinator) NextID() int { return c.nextID }
-
-// LatestID returns the ID of the most recent committed composite
-// checkpoint, or -1.
-func (c *Coordinator) LatestID() int { return c.nextID - 1 }
-
-// Manifest returns the committed composite manifest with the given ID,
-// if retained.
-func (c *Coordinator) Manifest(id int) (*wire.Manifest, bool) {
-	m, ok := c.manifests[id]
-	return m, ok
 }
 
 // Assignment returns a copy of the current table -> shard ownership map
@@ -147,15 +123,6 @@ func (c *Coordinator) extendAssignment(snap *Snapshot) {
 	}
 }
 
-// subSnapshot carves shard s's view out of snap. Dense state is nil:
-// the coordinator stores the replicated MLP state once at the composite
-// level.
-func (c *Coordinator) subSnapshot(snap *Snapshot, s int) *Snapshot {
-	sub := SubSnapshot(snap, c.assign, s)
-	sub.Dense = nil
-	return sub
-}
-
 // forEachShard runs fn concurrently for every shard in [0, n) and
 // returns the lowest-indexed shard's error, if any.
 func forEachShard(n int, fn func(s int) error) error {
@@ -178,115 +145,21 @@ func forEachShard(n int, fn func(s int) error) error {
 }
 
 // Write checkpoints snap across all shards and commits the composite
-// manifest. Phases:
-//
-//  1. prepare — every shard quantizes and uploads its chunks
-//     concurrently; nothing is visible to recovery yet.
-//  2. publish — shard manifests and the composite dense state are
-//     stored; the checkpoint is still not restorable because only the
-//     composite manifest defines validity.
-//  3. commit — the composite manifest is stored, then every shard
-//     finalizes its in-memory state.
-//
-// Any failure before step 3's composite put aborts every shard,
-// deleting all objects of the attempt; no engine state changes, so a
-// retry reuses the same ID. Rollback runs under a cancellation-immune
-// context: if ctx is cancelled mid-commit, every shard is still
-// aborted, and the returned error is ctx.Err() rather than whichever
-// partial-write error the cancellation happened to surface first.
+// manifest (Committer.Commit has the phases and the failure contract).
+// The replicated dense state is stored once, at the composite level:
+// the carved shard views carry none.
 func (c *Coordinator) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
 	}
 	c.extendAssignment(snap)
-	id := c.nextID
-
-	fail := func(err error) (*wire.Manifest, error) {
-		AbortShards(ctx, c.runners, id)
-		dctx, cancel := DetachedCtx(ctx)
-		_ = c.cfg.Store.Delete(dctx, wire.DenseKey(c.cfg.JobID, id))
-		cancel()
-		if ce := ctx.Err(); ce != nil {
-			return nil, ce
-		}
-		return nil, err
-	}
-
-	// Phase 1: concurrent per-shard prepare.
-	shardMans, err := PrepareShards(ctx, c.runners, id, snap.Step, func(s int) *Snapshot {
-		return c.subSnapshot(snap, s)
+	return c.commit.Commit(ctx, Attempt{
+		Step: snap.Step,
+		SnapAt: func(s int) *Snapshot {
+			sub := SubSnapshot(snap, c.assign, s)
+			sub.Dense = nil
+			return sub
+		},
+		Dense: snap.Dense,
 	})
-	if err != nil {
-		return fail(err)
-	}
-
-	// Phase 2: publish shard manifests and the composite dense state.
-	// Still invisible to recovery — validity is the composite manifest.
-	// As with Engine.Prepare, a nil Dense means the snapshot carries no
-	// dense state and the manifest records no DenseKey.
-	var denseKey string
-	if snap.Dense != nil {
-		denseKey = wire.DenseKey(c.cfg.JobID, id)
-		if err := c.cfg.Store.Put(ctx, denseKey, snap.Dense); err != nil {
-			return fail(fmt.Errorf("ckpt: dense state: %w", err))
-		}
-	}
-	if err := PublishShards(ctx, c.runners, id); err != nil {
-		return fail(err)
-	}
-
-	// Phase 3: commit. The composite manifest's presence is the commit
-	// point; after it lands, finalizing shard state cannot fail.
-	man := BuildComposite(c.cfg.JobID, id, snap.Step, snap.Reader, shardMans,
-		c.Assignment(), denseKey, int64(len(snap.Dense)))
-	manBlob, err := wire.EncodeManifest(man)
-	if err != nil {
-		return fail(fmt.Errorf("ckpt: encode composite manifest: %w", err))
-	}
-	if err := c.cfg.Store.Put(ctx, wire.ManifestKey(c.cfg.JobID, id), manBlob); err != nil {
-		return fail(fmt.Errorf("ckpt: store composite manifest: %w", err))
-	}
-	fctx, cancelFinalize := DetachedCtx(ctx)
-	_ = FinalizeShards(fctx, c.runners, id)
-	cancelFinalize()
-	c.nextID++
-	// Cache for retention only: with retention disabled the cache would
-	// grow one manifest per checkpoint, forever, on a long-running job.
-	if c.cfg.KeepLast > 0 {
-		c.manifests[id] = man
-		RetireComposites(ctx, c.cfg.Store, c.cfg.JobID, c.manifests, id, c.cfg.KeepLast)
-	}
-	return man, nil
-}
-
-// RetireComposites deletes the composite-level objects (manifest +
-// dense) of every cached checkpoint older than the keepLast newest,
-// newest being the last committed ID. Shard-level objects are garbage
-// collected by each shard engine, which retains whatever its retained
-// increments depend on — so a restorable composite always finds its
-// shard chains intact, while expired composites stop being listed.
-//
-// It runs detached from ctx's cancellation: the commit it follows is
-// already durable. An entry leaves the cache only once its manifest is
-// gone, so a Delete that failed is retried after the next commit; the
-// dense object goes after the manifest, so a composite that is still
-// listed still restores.
-func RetireComposites(ctx context.Context, store objstore.Store, jobID string,
-	cache map[int]*wire.Manifest, newest, keepLast int) {
-	dctx, cancel := DetachedCtx(ctx)
-	defer cancel()
-	for id, m := range cache {
-		if id > newest-keepLast {
-			continue
-		}
-		err := store.Delete(dctx, wire.ManifestKey(jobID, id))
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			continue
-		}
-		if m.DenseKey != "" {
-			// Unreferenced from here on: SweepOrphans' job if this fails.
-			_ = store.Delete(dctx, m.DenseKey)
-		}
-		delete(cache, id)
-	}
 }

@@ -36,11 +36,7 @@ func storeDump(t *testing.T, ctx context.Context, store objstore.Store) map[stri
 // writeWithEncoders trains a fixed workload and writes one full + one
 // incremental checkpoint through an engine with the given encoder count,
 // returning the store contents.
-func writeWithEncoders(t *testing.T, encoders int, p quant.Params, compact bool) map[string][]byte {
-	return writeWithEncodersSampling(t, encoders, p, compact, 0)
-}
-
-func writeWithEncodersSampling(t *testing.T, encoders int, p quant.Params, compact bool, sampling int) map[string][]byte {
+func writeWithEncoders(t *testing.T, encoders int, p quant.Params) map[string][]byte {
 	t.Helper()
 	m, err := model.New(testModelConfig(), 2)
 	if err != nil {
@@ -52,14 +48,12 @@ func writeWithEncodersSampling(t *testing.T, encoders int, p quant.Params, compa
 	}
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	eng, err := NewEngine(Config{
-		JobID:            "det",
-		Store:            store,
-		Policy:           PolicyOneShot,
-		Quant:            p,
-		ChunkRows:        64,
-		Encoders:         encoders,
-		CompactMetadata:  compact,
-		AdaptiveSampling: sampling,
+		JobID:     "det",
+		Store:     store,
+		Policy:    PolicyOneShot,
+		Quant:     p,
+		ChunkRows: 64,
+		Encoders:  encoders,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -92,23 +86,21 @@ func writeWithEncodersSampling(t *testing.T, encoders int, p quant.Params, compa
 // TestParallelEncodeDeterministic proves the encoder pool is an
 // implementation detail: every stored object — chunk bytes, manifests,
 // chunk-key order — is byte-identical between a serial engine and a
-// wide worker pool, for both chunk layouts and quantized + fp32 paths.
+// wide worker pool, for both chunk layouts (named for the one the
+// encoder picks) and quantized + fp32 paths.
 func TestParallelEncodeDeterministic(t *testing.T) {
 	cases := []struct {
-		name    string
-		p       quant.Params
-		compact bool
+		name string
+		p    quant.Params
 	}{
-		{"fp32_v1", quant.Params{Method: quant.MethodNone}, false},
-		{"fp32_ckp2", quant.Params{Method: quant.MethodNone}, true},
-		{"adaptive4_v1", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}, false},
-		{"adaptive4_ckp2", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}, true},
-		{"kmeans3_v1", quant.Params{Method: quant.MethodKMeans, Bits: 3, KMeansIters: 5}, false},
+		{"fp32_ckp2", quant.Params{Method: quant.MethodNone}},
+		{"adaptive4_ckp2", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
+		{"kmeans3_v1", quant.Params{Method: quant.MethodKMeans, Bits: 3, KMeansIters: 5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := writeWithEncoders(t, 1, tc.p, tc.compact)
-			parallel := writeWithEncoders(t, 8, tc.p, tc.compact)
+			serial := writeWithEncoders(t, 1, tc.p)
+			parallel := writeWithEncoders(t, 8, tc.p)
 			if len(serial) != len(parallel) {
 				t.Fatalf("object count %d != %d", len(parallel), len(serial))
 			}
@@ -128,43 +120,6 @@ func TestParallelEncodeDeterministic(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAdaptiveSamplingExactModeMatchesLegacy proves AdaptiveSampling: 1
-// is the legacy per-row search bit-for-bit at the engine level: every
-// stored object matches an engine with the fast path (range cache and
-// chunk sampling) disabled entirely, across a full + incremental pair.
-// The sampled default (8) must in turn stay deterministic across worker
-// counts — TestParallelEncodeDeterministic covers that — and produce the
-// same object keys with restorable contents.
-func TestAdaptiveSamplingExactModeMatchesLegacy(t *testing.T) {
-	p := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}
-	legacy := writeWithEncodersSampling(t, 4, p, false, -1)
-	exact := writeWithEncodersSampling(t, 4, p, false, 1)
-	if len(legacy) != len(exact) {
-		t.Fatalf("object count %d != %d", len(exact), len(legacy))
-	}
-	for k, want := range legacy {
-		got, ok := exact[k]
-		if !ok {
-			t.Fatalf("exact-mode run missing object %s", k)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("object %s differs between legacy and exact-mode engines (%d vs %d bytes)",
-				k, len(want), len(got))
-		}
-	}
-	// The sampled default writes the same object set (keys are derived
-	// from row positions, not contents).
-	sampled := writeWithEncodersSampling(t, 4, p, false, 8)
-	if len(sampled) != len(legacy) {
-		t.Fatalf("sampled run wrote %d objects, legacy %d", len(sampled), len(legacy))
-	}
-	for k := range legacy {
-		if _, ok := sampled[k]; !ok {
-			t.Fatalf("sampled run missing object %s", k)
-		}
 	}
 }
 
@@ -255,13 +210,13 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 		// Warm.
 		encodeOnce(chunk)
 		var err error
-		if buf, err = chunk.AppendCompactTo(buf[:0]); err != nil {
+		if buf, err = chunk.AppendTo(buf[:0]); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			encodeOnce(chunk)
 			var err error
-			buf, err = chunk.AppendCompactTo(buf[:0])
+			buf, err = chunk.AppendTo(buf[:0])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,21 +48,14 @@ type Config struct {
 	// Predictor selects the intermittent policy's full-checkpoint
 	// predictor (default PredictorHistory, the paper's §5.1 rule).
 	Predictor PredictorKind
-	// CompactMetadata enables the CKP2 chunk layout, which hoists the
-	// shared quantization header out of each row — the metadata
-	// optimization the paper lists as future work (§6.3.2). It applies
-	// automatically only to chunks whose rows share a uniform method;
-	// k-means chunks fall back to the v1 layout. Restore handles both.
-	CompactMetadata bool
-	// AdaptiveSampling tunes the adaptive quantizer's per-chunk range
-	// search: the exact greedy search runs on every AdaptiveSampling-th
-	// row of a chunk and the rows between pick from the sampled rows'
-	// harvested candidate ranges, while rows whose min/max didn't move
-	// since their last encode reuse their cached range outright. Zero
-	// means 8; 1 runs the exact search on every row (the legacy
-	// byte-for-byte behavior); negative disables the row cache too.
-	AdaptiveSampling int
 }
+
+// adaptiveSampling is the adaptive quantizer's per-chunk sampling
+// stride: the greedy range search runs on every adaptiveSampling-th row
+// of a chunk and the rows between pick from the sampled rows' harvested
+// candidate ranges, while rows whose min/max didn't move since their
+// last encode reuse their cached range outright (Engine.rangeCache).
+const adaptiveSampling = 8
 
 // Engine builds and stores checkpoints for one training job. Methods are
 // not safe for concurrent use: the paper serializes checkpoints ("two
@@ -116,9 +109,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if !cfg.Predictor.Valid() {
 		return nil, fmt.Errorf("ckpt: invalid predictor %d", cfg.Predictor)
-	}
-	if cfg.AdaptiveSampling == 0 {
-		cfg.AdaptiveSampling = 8
 	}
 	st := newPolicyState(cfg.Policy)
 	st.predictor = cfg.Predictor
@@ -401,7 +391,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 	// Size the table's adaptive range cache before workers spawn; workers
 	// then write disjoint elements (chunks partition rows), never the map.
 	var rc []quant.RowRange
-	if e.cfg.Quant.Method == quant.MethodAdaptive && e.cfg.AdaptiveSampling > 0 {
+	if e.cfg.Quant.Method == quant.MethodAdaptive {
 		rc = e.rangeCache[tab.ID]
 		if len(rc) < tab.Rows {
 			grown := make([]quant.RowRange, tab.Rows)
@@ -469,7 +459,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				}
 				chunk.Rows = chunk.Rows[:0]
 				if rc != nil {
-					scratch.BeginAdaptiveChunk(e.cfg.AdaptiveSampling)
+					scratch.BeginAdaptiveChunk(adaptiveSampling)
 				}
 				for j, r := range rows[start:end] {
 					var ent *quant.RowRange
@@ -488,12 +478,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				}
 				buf := wire.GetChunkBuf()
 				var err error
-				if e.cfg.CompactMetadata && chunk.CompactEncodable() {
-					*buf, err = chunk.AppendCompactTo(*buf)
-				} else {
-					*buf, err = chunk.AppendTo(*buf)
-				}
-				if err != nil {
+				if *buf, err = chunk.AppendTo(*buf); err != nil {
 					wire.PutChunkBuf(buf)
 					fail(err)
 					return
@@ -603,11 +588,10 @@ func (e *Engine) gc(ctx context.Context) {
 			}
 		}
 	}
-	for id, m := range e.manifests {
+	for id := range e.manifests {
 		if retain[id] {
 			continue
 		}
-		_ = m
 		keys, err := e.cfg.Store.List(ctx, wire.CheckpointPrefix(e.cfg.JobID, id))
 		if err != nil {
 			continue
@@ -615,12 +599,6 @@ func (e *Engine) gc(ctx context.Context) {
 		e.deleteAll(ctx, keys)
 		delete(e.manifests, id)
 	}
-}
-
-// Manifest returns the committed manifest with the given ID, if retained.
-func (e *Engine) Manifest(id int) (*wire.Manifest, bool) {
-	m, ok := e.manifests[id]
-	return m, ok
 }
 
 // RecoverOptions tunes RecoverEngine's manifest walk.

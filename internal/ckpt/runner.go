@@ -3,21 +3,17 @@ package ckpt
 import (
 	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/bitvec"
-	"repro/internal/data"
 	"repro/internal/wire"
 )
 
 // ShardRunner drives one shard's side of the composite two-phase commit.
-// The coordinator (or a remote controller) talks to every shard through
-// this interface, so the same orchestration covers both deployment
-// shapes: LocalRunner wraps an in-process Engine (PR 1's N-goroutine
-// coordinator), while ctrl.RemoteRunner speaks the control-plane
-// protocol to a shard-agent daemon that hosts the Engine in its own
-// process.
+// Committer talks to every shard through this interface, so the one
+// commit sequence covers both deployment shapes: LocalRunner wraps an
+// in-process Engine (PR 1's N-goroutine coordinator), while
+// ctrl.RemoteRunner speaks the control-plane protocol to a shard-agent
+// daemon that hosts the Engine in its own process.
 //
 // The phase contract matches Engine.Prepare/Publish/Finalize/Abort:
 // Prepare uploads the shard's payload without making anything visible,
@@ -25,11 +21,9 @@ import (
 // the composite manifest), Finalize commits shard-local state after the
 // composite commit point, and Abort rolls an attempt back completely.
 // Abort must be idempotent and must succeed (as a no-op) when nothing is
-// prepared, because the orchestrator aborts every shard after a partial
+// prepared, because Committer aborts every shard after a partial
 // failure.
 type ShardRunner interface {
-	// Shard returns the runner's shard index within the job.
-	Shard() int
 	Prepare(ctx context.Context, req PrepareRequest) (*wire.Manifest, error)
 	Publish(ctx context.Context, id int) error
 	Finalize(ctx context.Context, id int) error
@@ -64,12 +58,6 @@ type LocalRunner struct {
 func NewLocalRunner(shard int, eng *Engine) *LocalRunner {
 	return &LocalRunner{shard: shard, eng: eng}
 }
-
-// Shard implements ShardRunner.
-func (r *LocalRunner) Shard() int { return r.shard }
-
-// Engine returns the wrapped engine.
-func (r *LocalRunner) Engine() *Engine { return r.eng }
 
 // Prepare implements ShardRunner.
 func (r *LocalRunner) Prepare(ctx context.Context, req PrepareRequest) (*wire.Manifest, error) {
@@ -129,75 +117,6 @@ func (r *LocalRunner) Abort(ctx context.Context, id int) error {
 	return nil
 }
 
-// PrepareShards runs the prepare phase concurrently across runners:
-// every shard quantizes and uploads its chunks; nothing becomes visible
-// to recovery. snapAt supplies shard s's carved snapshot for local
-// runners and may be nil when every runner snapshots its own hosted
-// state (the remote-controller shape). Returns the per-shard manifests
-// in shard order. On error the caller must AbortShards.
-func PrepareShards(ctx context.Context, runners []ShardRunner, id int, step uint64, snapAt func(s int) *Snapshot) ([]*wire.Manifest, error) {
-	mans := make([]*wire.Manifest, len(runners))
-	err := forEachShard(len(runners), func(s int) error {
-		req := PrepareRequest{ID: id, Step: step}
-		if snapAt != nil {
-			req.Snapshot = snapAt(s)
-		}
-		m, err := runners[s].Prepare(ctx, req)
-		if err != nil {
-			return fmt.Errorf("ckpt: shard %d: %w", s, err)
-		}
-		mans[s] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mans, nil
-}
-
-// PublishShards runs the publish phase concurrently: shard manifests are
-// stored, but the checkpoint is still not restorable because only the
-// composite manifest defines validity. On error the caller must
-// AbortShards.
-func PublishShards(ctx context.Context, runners []ShardRunner, id int) error {
-	return forEachShard(len(runners), func(s int) error {
-		if err := runners[s].Publish(ctx, id); err != nil {
-			return fmt.Errorf("ckpt: shard %d: %w", s, err)
-		}
-		return nil
-	})
-}
-
-// FinalizeShards commits shard-local state after the composite manifest
-// — the commit point — is durable. A local finalize cannot fail; a
-// remote one can (crashed agent), but the checkpoint is already valid,
-// so the first error is returned for logging rather than rollback.
-func FinalizeShards(ctx context.Context, runners []ShardRunner, id int) error {
-	return forEachShard(len(runners), func(s int) error {
-		if err := runners[s].Finalize(ctx, id); err != nil {
-			return fmt.Errorf("ckpt: shard %d: %w", s, err)
-		}
-		return nil
-	})
-}
-
-// abortTimeout bounds best-effort rollback so a partitioned shard agent
-// cannot hang the abort path forever.
-const abortTimeout = 30 * time.Second
-
-// AbortShards best-effort aborts the attempt on every runner, deleting
-// all objects the prepared shards stored. It is immune to cancellation
-// of ctx — rollback must proceed exactly when the parent context died —
-// but bounded, so an unreachable remote shard is skipped rather than
-// waited on (its debris is unreferenced and swept by gc).
-func AbortShards(ctx context.Context, runners []ShardRunner, id int) {
-	actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
-	defer cancel()
-	_ = forEachShard(len(runners), func(s int) error {
-		return runners[s].Abort(actx, id)
-	})
-}
-
 // SubSnapshot carves one shard's view out of snap under the table ->
 // shard assignment: the tables it owns and their modified bitmaps.
 // Tables are shared, not copied — the snapshot already owns its memory
@@ -221,48 +140,4 @@ func SubSnapshot(snap *Snapshot, assign map[int]int, shard int) *Snapshot {
 		}
 	}
 	return sub
-}
-
-// BuildComposite assembles the top-level manifest from prepared shard
-// manifests. Kind is "full" only if every shard wrote a full baseline
-// this round (shards running the intermittent policy may take baselines
-// at different times). Tables aggregates the shard table manifests for
-// inspection — with ChunkKeys left nil, because the restorable chunk
-// references live in the shard manifests. Both the in-process
-// Coordinator and the remote ctrl.Controller commit exactly this object.
-func BuildComposite(jobID string, id int, step uint64, reader data.ReaderState, shardMans []*wire.Manifest, assign map[int]int, denseKey string, denseBytes int64) *wire.Manifest {
-	man := &wire.Manifest{
-		FormatVersion:    wire.CurrentFormatVersion,
-		JobID:            jobID,
-		ID:               id,
-		Kind:             wire.KindFull.String(),
-		BaseID:           -1,
-		ParentID:         id - 1,
-		Step:             step,
-		ReaderNextSample: reader.NextSample,
-		ReaderBatchSize:  reader.BatchSize,
-		DenseKey:         denseKey,
-		PayloadBytes:     denseBytes,
-		ShardCount:       len(shardMans),
-		TableShards:      assign,
-	}
-	allFull := true
-	for s, sm := range shardMans {
-		man.Quant = sm.Quant
-		man.PayloadBytes += sm.PayloadBytes
-		man.ShardManifestKeys = append(man.ShardManifestKeys,
-			wire.ManifestKey(wire.ShardJobID(jobID, s), id))
-		if sm.Kind != wire.KindFull.String() {
-			allFull = false
-		}
-		for _, tm := range sm.Tables {
-			tm.ChunkKeys = nil
-			man.Tables = append(man.Tables, tm)
-		}
-	}
-	if !allFull {
-		man.Kind = wire.KindIncremental.String()
-	}
-	sort.Slice(man.Tables, func(a, b int) bool { return man.Tables[a].TableID < man.Tables[b].TableID })
-	return man
 }

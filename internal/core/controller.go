@@ -46,9 +46,6 @@ type Config struct {
 	ChunkRows, Uploaders, Encoders int
 	// Predictor selects the intermittent policy's baseline predictor.
 	Predictor ckpt.PredictorKind
-	// CompactMetadata enables the CKP2 chunk layout (smaller per-row
-	// metadata; see internal/wire).
-	CompactMetadata bool
 }
 
 // Controller wires the reader tier, trainer cluster and checkpoint engine
@@ -110,16 +107,15 @@ func New(cluster *trainer.Cluster, reader *data.Cluster, cfg Config) (*Controlle
 	}
 
 	eng, err := ckpt.NewEngine(ckpt.Config{
-		JobID:           cfg.JobID,
-		Store:           cfg.Store,
-		Policy:          cfg.Policy,
-		Quant:           qp,
-		ChunkRows:       cfg.ChunkRows,
-		Uploaders:       cfg.Uploaders,
-		Encoders:        cfg.Encoders,
-		KeepLast:        cfg.KeepLast,
-		Predictor:       cfg.Predictor,
-		CompactMetadata: cfg.CompactMetadata,
+		JobID:     cfg.JobID,
+		Store:     cfg.Store,
+		Policy:    cfg.Policy,
+		Quant:     qp,
+		ChunkRows: cfg.ChunkRows,
+		Uploaders: cfg.Uploaders,
+		Encoders:  cfg.Encoders,
+		KeepLast:  cfg.KeepLast,
+		Predictor: cfg.Predictor,
 	})
 	if err != nil {
 		return nil, err

@@ -2,13 +2,11 @@ package ctrl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/data"
 	"repro/internal/objstore"
 	"repro/internal/wire"
 )
@@ -68,22 +66,17 @@ type ControllerConfig struct {
 
 // Controller owns the composite commit point for a distributed
 // checkpoint fleet: it discovers shard agents, drives the two-phase
-// commit over the control protocol (through the same ckpt.ShardRunner
-// orchestration the in-process Coordinator uses), and alone stores the
-// composite manifest. A crashed or partitioned agent therefore results
-// in Abort — never a restorable-looking composite.
+// commit over the control protocol (the ckpt.Committer sequence the
+// in-process Coordinator also uses, over RemoteRunners), and alone
+// stores the composite manifest. A crashed or partitioned agent
+// therefore results in Abort — never a restorable-looking composite.
 //
 // Methods are not safe for concurrent use; checkpoints never overlap.
 type Controller struct {
 	cfg     ControllerConfig
-	logf    func(format string, args ...any)
 	epoch   uint64
-	shards  int
 	remotes []*RemoteRunner
-	runners []ckpt.ShardRunner
-	nextID  int
-	// manifests caches committed composite manifests by ID for GC.
-	manifests map[int]*wire.Manifest
+	commit  *ckpt.Committer
 }
 
 // NewController dials and discovers the agent fleet. It validates that
@@ -104,7 +97,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	c := &Controller{cfg: cfg, logf: logf, manifests: make(map[int]*wire.Manifest)}
+	c := &Controller{cfg: cfg}
 
 	type discovered struct {
 		client *Client
@@ -141,7 +134,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	sort.Slice(found, func(a, b int) bool { return found[a].status.Shard < found[b].status.Shard })
 	n := len(found)
-	c.shards = n
 	c.epoch = cfg.Epoch
 	if cfg.Lease != nil {
 		// The register granted this epoch durably and monotonically; it
@@ -159,6 +151,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		// let discovery bump past its predecessor.
 		return fail(fmt.Errorf("ctrl: configured epoch %d not above fleet epoch %d", c.epoch, maxEpoch))
 	}
+	var runners []ckpt.ShardRunner
 	for i, d := range found {
 		st := d.status
 		if st.JobID != cfg.JobID {
@@ -174,13 +167,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 			return fail(fmt.Errorf("ctrl: agents disagree on next checkpoint: shard %d at %d, shard 0 at %d",
 				st.Shard, st.NextID, found[0].status.NextID))
 		}
-		r := NewRemoteRunner(d.client, cfg.JobID, st.Shard, c.epoch, st.Shard == 0)
-		c.remotes = append(c.remotes, r)
-		c.runners = append(c.runners, r)
+		r := NewRemoteRunner(d.client, cfg.JobID, c.epoch, st.Shard == 0)
+		c.remotes, runners = append(c.remotes, r), append(runners, r)
 	}
-	c.nextID = found[0].status.NextID
+	var existing []*wire.Manifest
 	if cfg.KeepLast > 0 {
-		// Seed the GC set from the store so retention covers composites a
+		// Seed retention from the store so it covers composites a
 		// predecessor controller committed — a restarted or failed-over
 		// controller would otherwise never sweep them and KeepLast would
 		// silently leak manifests and dense objects forever.
@@ -188,149 +180,91 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		if err != nil {
 			return fail(err)
 		}
-		existing, err := rest.ListManifests(ctx)
-		if err != nil {
+		if existing, err = rest.ListManifests(ctx); err != nil {
 			return fail(fmt.Errorf("ctrl: list composites: %w", err))
 		}
-		for _, m := range existing {
-			c.manifests[m.ID] = m
-		}
 	}
+	c.commit = ckpt.NewCommitter(cfg.JobID, cfg.Store, runners, found[0].status.NextID, cfg.KeepLast, existing, cfg.Logf)
 	if cfg.Announcer != nil {
 		// Seed the announce endpoint so replicas subscribing between
 		// checkpoints learn the current epoch and how far the chain has
 		// advanced.
-		cfg.Announcer.SetPosition(c.epoch, c.nextID)
+		cfg.Announcer.SetPosition(c.epoch, c.NextID())
 	}
 	logf("ctrl controller: job %s epoch %d, %d shards, next checkpoint %d",
-		cfg.JobID, c.epoch, n, c.nextID)
+		cfg.JobID, c.epoch, n, c.NextID())
 	return c, nil
 }
 
 // Shards returns the discovered shard count.
-func (c *Controller) Shards() int { return c.shards }
+func (c *Controller) Shards() int { return len(c.remotes) }
 
 // Epoch returns the controller's job epoch.
 func (c *Controller) Epoch() uint64 { return c.epoch }
 
 // NextID returns the ID the next composite checkpoint will get.
-func (c *Controller) NextID() int { return c.nextID }
+func (c *Controller) NextID() int { return c.commit.NextID() }
 
 // LatestID returns the newest committed composite's ID, or -1.
-func (c *Controller) LatestID() int { return c.nextID - 1 }
+func (c *Controller) LatestID() int { return c.NextID() - 1 }
 
 // Checkpoint drives one composite checkpoint at the given global step:
 // every agent advances its replica to the step, snapshots, and uploads
 // (prepare); publishes its shard manifest; then the controller commits
-// the composite manifest and the agents finalize. Any failure before
-// the composite put — a slow shard, a crashed agent, a cancelled
-// context — aborts every shard; a dead agent's debris is unreferenced
-// and left to gc. On cancellation ctx.Err() is surfaced.
+// the composite manifest and the agents finalize. The sequence and its
+// failure contract are ckpt.Committer.Commit's; what the controller
+// adds is the consistent-cut check, lease fencing and the announcement.
 func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifest, error) {
-	id := c.nextID
-	if c.cfg.Lease != nil {
-		if err := c.cfg.Lease.Renew(ctx); err != nil {
-			return nil, fmt.Errorf("ctrl: checkpoint %d: %w", id, err)
+	lease := c.cfg.Lease
+	if lease != nil {
+		if err := lease.Renew(ctx); err != nil {
+			return nil, fmt.Errorf("ctrl: checkpoint %d: %w", c.NextID(), err)
 		}
 	}
-	fail := func(err error) (*wire.Manifest, error) {
-		// Classify before aborting: "store down" means the abort below is
-		// best-effort and a retry after healing is expected to succeed,
-		// while any other failure is worth an operator's attention.
-		if errors.Is(err, objstore.ErrStoreUnavailable) {
-			c.logf("ctrl controller: checkpoint %d aborted, store unavailable (retryable): %v", id, err)
-		}
-		ckpt.AbortShards(ctx, c.runners, id)
-		// The dense-designated agent may be the one that died after its
-		// prepare: best-effort delete directly, too.
-		dctx, cancel := ckpt.DetachedCtx(ctx)
-		_ = c.cfg.Store.Delete(dctx, wire.DenseKey(c.cfg.JobID, id))
-		cancel()
-		if ce := ctx.Err(); ce != nil {
-			return nil, ce
-		}
-		return nil, err
-	}
-
-	// Phase 1: prepare. Agents snapshot their own hosted state.
-	shardMans, err := ckpt.PrepareShards(ctx, c.runners, id, step, nil)
-	if err != nil {
-		return fail(err)
-	}
-	// Consistent-cut fencing: every shard must have cut at the same
-	// step. (Agents advance to the requested step; one that cannot —
-	// e.g. a replica already past it — errors in prepare, but a
-	// misconfigured source could silently cut elsewhere.)
-	for s, sm := range shardMans {
-		if sm.Step != step {
-			return fail(fmt.Errorf("ctrl: inconsistent cut: shard %d at step %d, want %d", s, sm.Step, step))
-		}
-	}
-	if c.cfg.AfterPrepare != nil {
-		c.cfg.AfterPrepare()
-	}
-
-	// Phase 2: publish shard manifests. Still invisible to recovery.
-	if err := ckpt.PublishShards(ctx, c.runners, id); err != nil {
-		return fail(err)
-	}
-
-	// Phase 3: commit. The composite manifest's presence is the commit
-	// point; the controller alone writes it.
-	denseKey, denseBytes := c.remotes[0].Dense()
-	assign := make(map[int]int)
-	for s, sm := range shardMans {
-		for _, tm := range sm.Tables {
-			assign[tm.TableID] = s
-		}
-	}
-	reader := data.ReaderState{
-		NextSample: shardMans[0].ReaderNextSample,
-		BatchSize:  shardMans[0].ReaderBatchSize,
-	}
-	man := ckpt.BuildComposite(c.cfg.JobID, id, step, reader, shardMans, assign, denseKey, denseBytes)
-	manBlob, err := wire.EncodeManifest(man)
-	if err != nil {
-		return fail(fmt.Errorf("ctrl: encode composite manifest: %w", err))
-	}
-	if c.cfg.Lease != nil {
-		// Last fencing check before the commit point: a controller whose
-		// lease a standby has taken over must abort, not commit.
-		if err := c.cfg.Lease.Renew(ctx); err != nil {
-			return fail(fmt.Errorf("ctrl: lease lost before commit: %w", err))
-		}
-	}
-	if err := c.cfg.Store.Put(ctx, wire.ManifestKey(c.cfg.JobID, id), manBlob); err != nil {
-		return fail(fmt.Errorf("ctrl: store composite manifest: %w", err))
-	}
-	if c.cfg.AfterCommit != nil {
-		c.cfg.AfterCommit()
-	}
-	if c.cfg.Announcer != nil {
-		// The composite manifest is durable: tell the read plane before
-		// finalize, so replicas start pulling the delta as early as
-		// possible. The announcement carries this controller's epoch;
-		// replicas fence on it.
-		c.cfg.Announcer.Announce(c.epoch, man)
-	}
-
-	// Post-commit: the checkpoint is valid regardless of what happens
-	// next. A finalize RPC lost to a crashed agent leaves that agent's
-	// engine behind — surfaced as a fencing error on the next round,
-	// not silent corruption — so log rather than roll back.
-	fctx, cancelFinalize := ckpt.DetachedCtx(ctx)
-	if err := ckpt.FinalizeShards(fctx, c.runners, id); err != nil {
-		c.logf("ctrl controller: finalize after commit of %d: %v", id, err)
-	}
-	cancelFinalize()
-	c.nextID++
-	// Cache for retention only: with retention disabled the cache would
-	// grow one manifest per checkpoint, forever, on a long-running job.
-	if c.cfg.KeepLast > 0 {
-		c.manifests[id] = man
-		ckpt.RetireComposites(ctx, c.cfg.Store, c.cfg.JobID, c.manifests, id, c.cfg.KeepLast)
-	}
-	return man, nil
+	return c.commit.Commit(ctx, ckpt.Attempt{
+		Step: step,
+		Prepared: func(shardMans []*wire.Manifest) (string, int64, error) {
+			// Consistent-cut fencing: every shard must have cut at the same
+			// step. (Agents advance to the requested step; one that cannot —
+			// e.g. a replica already past it — errors in prepare, but a
+			// misconfigured source could silently cut elsewhere.)
+			for s, sm := range shardMans {
+				if sm.Step != step {
+					return "", 0, fmt.Errorf("ctrl: inconsistent cut: shard %d at step %d, want %d", s, sm.Step, step)
+				}
+			}
+			if c.cfg.AfterPrepare != nil {
+				c.cfg.AfterPrepare()
+			}
+			// Agents snapshot their own hosted state; shard 0's also stored
+			// the replicated dense state.
+			key, bytes := c.remotes[0].Dense()
+			return key, bytes, nil
+		},
+		Fence: func(ctx context.Context) error {
+			if lease == nil {
+				return nil
+			}
+			// Last fencing check before the commit point: a controller whose
+			// lease a standby has taken over must abort, not commit.
+			if err := lease.Renew(ctx); err != nil {
+				return fmt.Errorf("ctrl: lease lost before commit: %w", err)
+			}
+			return nil
+		},
+		Committed: func(man *wire.Manifest) {
+			if c.cfg.AfterCommit != nil {
+				c.cfg.AfterCommit()
+			}
+			if c.cfg.Announcer != nil {
+				// The composite manifest is durable: tell the read plane
+				// before finalize, so replicas start pulling the delta as
+				// early as possible. The announcement carries this
+				// controller's epoch; replicas fence on it.
+				c.cfg.Announcer.Announce(c.epoch, man)
+			}
+		},
+	})
 }
 
 // Health polls every agent's Status — per-shard epoch, next checkpoint
@@ -340,9 +274,9 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 func (c *Controller) Health(ctx context.Context) ([]*StatusReply, error) {
 	out := make([]*StatusReply, 0, len(c.remotes))
 	for _, r := range c.remotes {
-		st, err := r.Client().Status(ctx)
+		st, err := r.client.Status(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("ctrl: status %s: %w", r.Client().Addr(), err)
+			return nil, fmt.Errorf("ctrl: status %s: %w", r.client.Addr(), err)
 		}
 		out = append(out, st)
 	}
@@ -352,6 +286,6 @@ func (c *Controller) Health(ctx context.Context) ([]*StatusReply, error) {
 // Close closes the agent connections. Agents keep running.
 func (c *Controller) Close() {
 	for _, r := range c.remotes {
-		r.Client().Close()
+		r.client.Close()
 	}
 }

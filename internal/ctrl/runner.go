@@ -16,7 +16,6 @@ import (
 type RemoteRunner struct {
 	client *Client
 	jobID  string
-	shard  int
 	epoch  uint64
 	// wantDense marks the one runner (shard 0) whose agent stores the
 	// replicated dense state at the composite level.
@@ -27,17 +26,11 @@ type RemoteRunner struct {
 	denseBytes int64
 }
 
-// NewRemoteRunner wraps client as the runner for shard of jobID, acting
-// under the given controller epoch.
-func NewRemoteRunner(client *Client, jobID string, shard int, epoch uint64, wantDense bool) *RemoteRunner {
-	return &RemoteRunner{client: client, jobID: jobID, shard: shard, epoch: epoch, wantDense: wantDense}
+// NewRemoteRunner wraps client, connected to one shard's agent, as that
+// shard's runner for jobID, acting under the given controller epoch.
+func NewRemoteRunner(client *Client, jobID string, epoch uint64, wantDense bool) *RemoteRunner {
+	return &RemoteRunner{client: client, jobID: jobID, epoch: epoch, wantDense: wantDense}
 }
-
-// Shard implements ckpt.ShardRunner.
-func (r *RemoteRunner) Shard() int { return r.shard }
-
-// Client returns the underlying control client.
-func (r *RemoteRunner) Client() *Client { return r.client }
 
 // Prepare implements ckpt.ShardRunner.
 func (r *RemoteRunner) Prepare(ctx context.Context, req ckpt.PrepareRequest) (*wire.Manifest, error) {

@@ -333,6 +333,40 @@ func TestClusterBatchOrderIsContiguous(t *testing.T) {
 	}
 }
 
+// TestClusterRecvOrderIsGeneratorOrder pins the order Recv delivers in:
+// a worker used to draw its batch under the generator lock but queue it
+// after unlocking, so two workers could swap adjacent batches and a
+// resumed run would train on a different sequence than an uninterrupted
+// one. A depth-1 queue keeps every worker but one waiting to enqueue,
+// which is where the swap happened.
+func TestClusterRecvOrderIsGeneratorOrder(t *testing.T) {
+	const batch, perGrant, grants = 2, 8, 400
+	c, err := NewCluster(mustGen(t, DefaultSpec()), ClusterConfig{BatchSize: batch, Workers: 6, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	next := uint64(0)
+	for g := 0; g < grants; g++ {
+		c.Grant(perGrant)
+		for i := 0; i < perGrant; i++ {
+			b, err := c.Recv(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Seq != next {
+				t.Fatalf("grant %d: received the batch at sample %d, generator order says %d", g, b.Seq, next)
+			}
+			next += batch
+		}
+		if st := c.State(); st.NextSample != next {
+			t.Fatalf("grant %d: reader state at %d after consuming up to %d", g, st.NextSample, next)
+		}
+	}
+}
+
 func TestClusterStateAtQuiescence(t *testing.T) {
 	c := newCluster(t, 8, 2)
 	c.Grant(5)

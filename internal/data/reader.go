@@ -41,6 +41,10 @@ type Cluster struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 	nextMu sync.Mutex // serializes generator access across workers
+	// turn is closed once the most recently drawn batch is queued; each
+	// draw replaces it under nextMu, so batches are queued in the order
+	// they were drawn.
+	turn chan struct{}
 }
 
 // ClusterConfig configures a reader cluster.
@@ -74,7 +78,9 @@ func NewCluster(gen *Generator, cfg ClusterConfig) (*Cluster, error) {
 		queue:     make(chan *Batch, cfg.QueueDepth),
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
+		turn:      make(chan struct{}),
 	}
+	close(c.turn)
 	c.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go c.worker()
@@ -125,14 +131,26 @@ func (c *Cluster) worker() {
 		// state to be a single scalar position.
 		c.nextMu.Lock()
 		b := c.gen.NextBatch(c.batchSize)
+		prev, queued := c.turn, make(chan struct{})
+		c.turn = queued
 		c.nextMu.Unlock()
 
 		c.mu.Lock()
 		c.produced++
 		c.mu.Unlock()
 
+		// The trainer must receive batches in generator order, so wait for
+		// the batch drawn just before this one to be queued. The wait is
+		// outside nextMu: State and Restore must not queue up behind a
+		// worker parked on a full queue.
+		select {
+		case <-prev:
+		case <-c.done:
+			return
+		}
 		select {
 		case c.queue <- b:
+			close(queued)
 			// Re-pulse so sibling workers re-check quota.
 			select {
 			case c.wake <- struct{}{}:

@@ -61,9 +61,9 @@ type contentionJob struct {
 // WriteLatencyResult measures, on a shared bandwidth-shaped virtual
 // link, how long a full fleet checkpoint round takes — i.e. the minimum
 // feasible checkpoint interval — for the fp32 full baseline vs
-// Check-N-Run (intermittent + 4-bit adaptive + compact metadata).
+// Check-N-Run (intermittent + 4-bit adaptive).
 func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
-	run := func(policy ckpt.PolicyKind, qp quant.Params, compact bool) ([]float64, error) {
+	run := func(policy ckpt.PolicyKind, qp quant.Params) ([]float64, error) {
 		clock := simclock.NewSim(time.Time{})
 		store := objstore.NewMemStore(objstore.MemConfig{
 			WriteBandwidth: cfg.Bandwidth,
@@ -92,12 +92,11 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 				return nil, err
 			}
 			eng, err := ckpt.NewEngine(ckpt.Config{
-				JobID:           fmt.Sprintf("job%02d", j),
-				Store:           store,
-				Policy:          policy,
-				Quant:           qp,
-				CompactMetadata: compact,
-				KeepLast:        1,
+				JobID:    fmt.Sprintf("job%02d", j),
+				Store:    store,
+				Policy:   policy,
+				Quant:    qp,
+				KeepLast: 1,
 			})
 			if err != nil {
 				return nil, err
@@ -128,7 +127,7 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 		return roundSeconds, nil
 	}
 
-	baseline, err := run(ckpt.PolicyFull, quant.Params{Method: quant.MethodNone}, false)
+	baseline, err := run(ckpt.PolicyFull, quant.Params{Method: quant.MethodNone})
 	if err != nil {
 		return nil, fmt.Errorf("contention baseline: %w", err)
 	}
@@ -136,7 +135,7 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cnr, err := run(ckpt.PolicyIntermittent, qp, true)
+	cnr, err := run(ckpt.PolicyIntermittent, qp)
 	if err != nil {
 		return nil, fmt.Errorf("contention check-n-run: %w", err)
 	}

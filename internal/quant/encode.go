@@ -84,6 +84,9 @@ func (q *QVector) unmarshalBinary(data []byte, alias bool) error {
 	}
 	q.Bits = int(data[0])
 	flags := data[1]
+	if flags&^flagCodebook != 0 {
+		return fmt.Errorf("quant: unknown flags 0x%02x", flags)
+	}
 	q.N = int(binary.LittleEndian.Uint32(data[2:]))
 	q.Lo = math.Float32frombits(binary.LittleEndian.Uint32(data[6:]))
 	q.Hi = math.Float32frombits(binary.LittleEndian.Uint32(data[10:]))

@@ -1,0 +1,190 @@
+package serve
+
+import (
+	"context"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/ckpt"
+	"repro/internal/data"
+	"repro/internal/model"
+	"repro/internal/objstore"
+	"repro/internal/quant"
+	"repro/internal/wire"
+)
+
+// TestMixedLayoutChain reads one chain whose links are in different
+// chunk layouts — what a fleet upgraded mid-job leaves in the store,
+// its older links CKP1 and its newer ones CKP2. The base is written
+// under k-means (the rows the encoder still writes as CKP1), then the
+// engine switches to the adaptive quantizer and appends increments
+// (CKP2). Every reader of stored chunks — restore, verify, engine
+// recovery and a serving replica — must take the chain as one, and agree
+// bit for bit with a reference built here by decoding the stored chunks
+// link by link with nothing but wire and quant.
+func TestMixedLayoutChain(t *testing.T) {
+	const (
+		job        = "mixed"
+		ckp1, ckp2 = 0x434B5031, 0x434B5032
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	m, err := model.New(testModelConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := data.NewGenerator(testDataSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}
+	cfg := ckpt.Config{
+		JobID: job, Store: store, Policy: ckpt.PolicyConsecutive, ChunkRows: 64,
+		Quant: quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3},
+	}
+	eng, err := ckpt.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: every table zeroed, then each link's stored rows
+	// written over it in chain order.
+	weights, accums := map[int][]float32{}, map[int][]float32{}
+	for _, tab := range m.Sparse.Tables {
+		weights[tab.ID] = make([]float32, tab.Rows*tab.Dim)
+		accums[tab.ID] = make([]float32, tab.Rows)
+	}
+	step := uint64(0)
+	write := func(eng *ckpt.Engine, wantMagic uint32) *wire.Manifest {
+		t.Helper()
+		m.TrainBatch(gen.NextBatch(16))
+		step++
+		snap, err := ckpt.TakeSnapshot(m, step, data.ReaderState{NextSample: gen.Pos(), BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := eng.Write(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tm := range man.Tables {
+			for _, key := range tm.ChunkKeys {
+				blob, err := store.Get(ctx, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := binary.LittleEndian.Uint32(blob); got != wantMagic {
+					t.Fatalf("checkpoint %d: %s stored with magic 0x%08x, want 0x%08x", man.ID, key, got, wantMagic)
+				}
+				chunk, err := wire.DecodeChunk(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range chunk.Rows {
+					copy(weights[tm.TableID][int(row.Index)*tm.Dim:], quant.Dequantize(row.Q))
+					accums[tm.TableID][row.Index] = row.Accum
+				}
+			}
+		}
+		return man
+	}
+	write(eng, ckp1)
+	if err := eng.SetQuant(adaptive); err != nil {
+		t.Fatal(err)
+	}
+	write(eng, ckp2)
+	write(eng, ckp2)
+
+	rest, err := ckpt.NewRestorer(job, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestore := func(wantID int) {
+		t.Helper()
+		got, err := model.New(testModelConfig(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rest.RestoreLatest(ctx, got)
+		if err != nil {
+			t.Fatalf("restore across the layout change: %v", err)
+		}
+		// A consecutive chain restores through every link: CKP1 base first.
+		if len(res.Manifests) != wantID+1 {
+			t.Fatalf("restore applied %d links, want %d", len(res.Manifests), wantID+1)
+		}
+		for _, tab := range got.Sparse.Tables {
+			for i, w := range tab.Weights.Data {
+				if w != weights[tab.ID][i] {
+					t.Fatalf("table %d weight %d: restored %x, stored chunks decode to %x", tab.ID, i, w, weights[tab.ID][i])
+				}
+			}
+			for r, a := range tab.Accum {
+				if a != accums[tab.ID][r] {
+					t.Fatalf("table %d row %d accumulator: restored %x, stored %x", tab.ID, r, a, accums[tab.ID][r])
+				}
+			}
+		}
+	}
+	checkRestore(2)
+
+	results, err := rest.VerifyAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range results {
+		if !v.OK() {
+			t.Fatalf("verify: %+v", v)
+		}
+	}
+	if len(results) != 3 {
+		t.Fatalf("verified %d checkpoints, want 3", len(results))
+	}
+
+	// A restarted writer recovers its position from the mixed chain and
+	// appends to it.
+	cfg.Quant = adaptive
+	rec, err := ckpt.RecoverEngine(ctx, cfg, ckpt.RecoverOptions{})
+	if err != nil {
+		t.Fatalf("recover engine over the mixed chain: %v", err)
+	}
+	if rec.NextID() != eng.NextID() {
+		t.Fatalf("recovered engine at checkpoint %d, the writer was at %d", rec.NextID(), eng.NextID())
+	}
+	man := write(rec, ckp2)
+	if man.ID != 3 || man.ParentID != 2 || man.Kind != wire.KindIncremental.String() {
+		t.Fatalf("recovered engine wrote %+v, want incremental 3 on parent 2", man)
+	}
+	checkRestore(3)
+
+	rep, err := Start(Config{JobID: job, Store: store, ResyncEvery: 25 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if err := rep.WaitForCheckpoint(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewClient(rep.Addr(), ClientConfig{})
+	defer cl.Close()
+	for _, tab := range m.Sparse.Tables {
+		indices := make([]uint32, tab.Rows)
+		for i := range indices {
+			indices[i] = uint32(i)
+		}
+		resp, err := cl.Lookup(ctx, uint32(tab.ID), indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.CkptID != 3 || len(resp.Vectors) != len(weights[tab.ID]) {
+			t.Fatalf("table %d: served checkpoint %d with %d floats", tab.ID, resp.CkptID, len(resp.Vectors))
+		}
+		for i, v := range resp.Vectors {
+			if v != weights[tab.ID][i] {
+				t.Fatalf("table %d weight %d: served %x, stored chunks decode to %x", tab.ID, i, v, weights[tab.ID][i])
+			}
+		}
+	}
+}

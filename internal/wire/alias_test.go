@@ -13,11 +13,11 @@ func aliasTestChunks(t *testing.T) map[string][]byte {
 	t.Helper()
 	p := quant.Params{Method: quant.MethodAsymmetric, Bits: 4}
 	c := goldenChunk(t, 3, 6, 16, p)
-	v1, err := c.Encode()
+	v1, err := c.encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckp2, err := c.EncodeCompact()
+	ckp2, err := c.encodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 }
 
 func BenchmarkDecodeChunkAlias(b *testing.B) {
-	blob, err := makeUniformChunk(b, 1, 256, 16, 4).EncodeCompact()
+	blob, err := makeUniformChunk(b, 1, 256, 16, 4).encodeCompact()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,41 +9,36 @@ import (
 
 // TestAppendToMatchesEncode checks that appending onto a non-empty,
 // reused buffer yields exactly the bytes Encode produces — the CRC must
-// cover only the chunk's own bytes, not the prefix.
+// cover only the chunk's own bytes, not the prefix — on both layouts.
 func TestAppendToMatchesEncode(t *testing.T) {
-	c := goldenChunk(t, 3, 6, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4})
-	want, err := c.Encode()
-	if err != nil {
-		t.Fatal(err)
+	for name, c := range allocTestChunks(t) {
+		want, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("reused-buffer-prefix")
+		got, err := c.AppendTo(append([]byte(nil), prefix...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("%s: AppendTo clobbered the prefix", name)
+		}
+		if !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: AppendTo suffix differs from Encode output", name)
+		}
+		// Exact-size accounting keeps pooled buffers from over-growing.
+		if len(want) != c.EncodedLen() {
+			t.Fatalf("%s: EncodedLen %d != encoded size %d", name, c.EncodedLen(), len(want))
+		}
 	}
-	prefix := []byte("reused-buffer-prefix")
-	got, err := c.AppendTo(append([]byte(nil), prefix...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:len(prefix)], prefix) {
-		t.Fatal("AppendTo clobbered the prefix")
-	}
-	if !bytes.Equal(got[len(prefix):], want) {
-		t.Fatal("AppendTo suffix differs from Encode output")
-	}
-	wantC, err := c.EncodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotC, err := c.AppendCompactTo(append([]byte(nil), prefix...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotC[len(prefix):], wantC) {
-		t.Fatal("AppendCompactTo suffix differs from EncodeCompact output")
-	}
-	// Exact-size accounting keeps pooled buffers from over-growing.
-	if len(want) != c.EncodedLen() {
-		t.Fatalf("EncodedLen %d != encoded size %d", c.EncodedLen(), len(want))
-	}
-	if len(wantC) != c.CompactEncodedLen() {
-		t.Fatalf("CompactEncodedLen %d != encoded size %d", c.CompactEncodedLen(), len(wantC))
+}
+
+// allocTestChunks returns one chunk per layout AppendTo can choose.
+func allocTestChunks(t *testing.T) map[string]*Chunk {
+	return map[string]*Chunk{
+		"ckp2": goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4}),
+		"v1":   goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 5}),
 	}
 }
 
@@ -68,34 +63,23 @@ func TestChunkBufPool(t *testing.T) {
 }
 
 // TestEncodePooledAllocFree confirms encoding into a warm pooled buffer
-// does not allocate.
+// does not allocate, whichever layout AppendTo chooses.
 func TestEncodePooledAllocFree(t *testing.T) {
-	c := goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4})
-	buf := GetChunkBuf()
-	defer PutChunkBuf(buf)
-	var err error
-	if *buf, err = c.AppendCompactTo((*buf)[:0]); err != nil { // warm capacity
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		*buf, err = c.AppendCompactTo((*buf)[:0])
-		if err != nil {
+	for name, c := range allocTestChunks(t) {
+		buf := GetChunkBuf()
+		var err error
+		if *buf, err = c.AppendTo((*buf)[:0]); err != nil { // warm capacity
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("compact encode into warm buffer: %v allocs, want 0", allocs)
-	}
-	if *buf, err = c.AppendTo((*buf)[:0]); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		*buf, err = c.AppendTo((*buf)[:0])
-		if err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(20, func() {
+			*buf, err = c.AppendTo((*buf)[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s encode into warm buffer: %v allocs, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("v1 encode into warm buffer: %v allocs, want 0", allocs)
+		PutChunkBuf(buf)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // leaves as future work (§6.3.2: savings "are not linearly proportional to
 // the chosen quantization bit-width due to the metadata structure").
 //
-// The v1 format stores a full QVector per row (14-byte header + 8-byte
-// range + codes) plus a 12-byte row header. When every row in a chunk
+// The v1 format stores a full QVector per row (14-byte header, range
+// included, + codes) plus a 12-byte row header. When every row in a chunk
 // shares the same uniform method, bit-width and dimension — which is
-// always true for the engine's uniform quantizers — the shared fields can
-// be hoisted into the chunk header:
+// always true for the engine's uniform quantizers — the shared fields are
+// hoisted into the chunk header:
 //
 //	u32 magic "CKP2" | u32 tableID | u32 rowCount | u8 bits | u8 flags |
 //	u16 reserved | u32 dim |
@@ -27,17 +27,18 @@ import (
 //	packed codes, rowCount*dim*bits bits, byte-aligned per row |
 //	u32 CRC32-C
 //
-// Per dim-16 4-bit row this is 20 bytes of metadata + 8 code bytes
-// against v1's 34 + 8 — a 1.5x smaller incremental checkpoint. K-means
-// rows (per-row codebooks) do not fit this layout and must use v1.
+// Per dim-16 4-bit row this is 16 bytes of metadata + 8 code bytes
+// against v1's 26 + 8 — a 1.4x smaller incremental checkpoint. K-means
+// rows (per-row codebooks) do not fit this layout, which is why
+// Chunk.AppendTo still writes v1 for them.
 const compactMagic = 0x434B5032 // "CKP2"
 
 const compactFlagHasRange = 1 << 0
 
-// CompactEncodable reports whether the chunk can use the compact layout:
-// all rows quantized with the same uniform bit-width and dimension, and no
+// compactEncodable reports whether the chunk fits the CKP2 layout: all
+// rows quantized with the same uniform bit-width and dimension, and no
 // codebooks.
-func (c *Chunk) CompactEncodable() bool {
+func (c *Chunk) compactEncodable() bool {
 	if len(c.Rows) == 0 {
 		return true
 	}
@@ -54,14 +55,19 @@ func (c *Chunk) CompactEncodable() bool {
 	return true
 }
 
-// CompactEncodedLen returns the exact CKP2 encoding size of the chunk,
-// assuming it is compact-encodable.
-func (c *Chunk) CompactEncodedLen() int {
-	bits, dim := 32, 0
-	if len(c.Rows) > 0 && c.Rows[0].Q != nil {
-		bits = c.Rows[0].Q.Bits
-		dim = c.Rows[0].Q.N
+// compactShape returns the bit-width and dimension a compact-encodable
+// chunk's header carries; an empty chunk is written as (32, 0).
+func (c *Chunk) compactShape() (bits, dim int) {
+	if len(c.Rows) == 0 {
+		return 32, 0
 	}
+	return c.Rows[0].Q.Bits, c.Rows[0].Q.N
+}
+
+// compactEncodedLen returns the exact CKP2 encoding size of a
+// compact-encodable chunk.
+func (c *Chunk) compactEncodedLen() int {
+	bits, dim := c.compactShape()
 	size := 20 + len(c.Rows)*(4+4+packedCodeLen(dim, bits)) + 4
 	if bits != 32 {
 		size += len(c.Rows) * 8
@@ -69,24 +75,11 @@ func (c *Chunk) CompactEncodedLen() int {
 	return size
 }
 
-// EncodeCompact serializes the chunk in the CKP2 layout. It returns an
-// error if the chunk mixes methods (check CompactEncodable first).
-func (c *Chunk) EncodeCompact() ([]byte, error) {
-	return c.AppendCompactTo(make([]byte, 0, c.CompactEncodedLen()))
-}
-
-// AppendCompactTo appends the chunk's CKP2 encoding to dst and returns
-// the extended slice. Like AppendTo, it allocates nothing when dst has
-// capacity and emits bytes identical to the original EncodeCompact.
-func (c *Chunk) AppendCompactTo(dst []byte) ([]byte, error) {
-	if !c.CompactEncodable() {
-		return dst, fmt.Errorf("wire: chunk not compact-encodable (mixed or codebook rows)")
-	}
-	bits, dim := 32, 0
-	if len(c.Rows) > 0 {
-		bits = c.Rows[0].Q.Bits
-		dim = c.Rows[0].Q.N
-	}
+// appendCompact appends the CKP2 encoding of a compact-encodable chunk
+// (the caller has checked) to dst. The emitted bytes are pinned by the
+// ckp2_* golden fixtures.
+func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
+	bits, dim := c.compactShape()
 	hasRange := bits != 32
 	rowCodes := packedCodeLen(dim, bits)
 	base := len(dst)
@@ -126,30 +119,51 @@ func (c *Chunk) AppendCompactTo(dst []byte) ([]byte, error) {
 // decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked).
 // With alias set, row codes slice straight into body instead of a copied
 // backing array — see DecodeChunkAlias for the lifetime contract.
+//
+// Only what appendCompact writes is accepted: reserved bytes zero, no
+// unknown flag, the range flag set exactly when bits != 32, and an empty
+// chunk in its one spelling. A stored chunk therefore has exactly one
+// byte representation, which is what FuzzDecodeChunk's re-encode check
+// holds the decoder to.
 func decodeCompact(body []byte, alias bool) (*Chunk, error) {
 	if len(body) < 20 {
 		return nil, fmt.Errorf("wire: compact chunk header truncated")
 	}
 	c := &Chunk{TableID: binary.LittleEndian.Uint32(body[4:])}
-	n := int(binary.LittleEndian.Uint32(body[8:]))
 	bits := int(body[12])
-	flags := body[13]
-	dim := int(binary.LittleEndian.Uint32(body[16:]))
-	hasRange := flags&compactFlagHasRange != 0
 	if bits < 1 || (bits > 8 && bits != 32) {
 		return nil, fmt.Errorf("wire: compact chunk invalid bits %d", bits)
 	}
-	if n < 0 || dim < 0 {
-		return nil, fmt.Errorf("wire: compact chunk negative counts")
-	}
-	rowCodes := packedCodeLen(dim, bits)
-	need := 20 + n*4 + n*4 + n*rowCodes
+	hasRange := bits != 32
+	wantFlags := byte(0)
 	if hasRange {
-		need += n * 8
+		wantFlags = compactFlagHasRange
 	}
-	if len(body) != need {
-		return nil, fmt.Errorf("wire: compact chunk %d bytes, want %d", len(body), need)
+	if body[13] != wantFlags || body[14] != 0 || body[15] != 0 {
+		return nil, fmt.Errorf("wire: compact chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
+			bits, body[13], body[14], body[15])
 	}
+	// The two counts are untrusted u32s: they stay int64 until the size
+	// check has tied them to len(body), and that check divides — their
+	// product can wrap to any value, len(body) included.
+	n64 := int64(binary.LittleEndian.Uint32(body[8:]))
+	dim64 := int64(binary.LittleEndian.Uint32(body[16:]))
+	rowBytes := 4 + 4 + (dim64*int64(bits)+7)/8
+	if hasRange {
+		rowBytes += 8
+	}
+	payload := int64(len(body) - 20)
+	if n64 == 0 {
+		if payload != 0 || bits != 32 || dim64 != 0 {
+			return nil, fmt.Errorf("wire: compact chunk without rows is not the canonical empty chunk")
+		}
+		return c, nil
+	}
+	if payload/n64 != rowBytes || payload%n64 != 0 {
+		return nil, fmt.Errorf("wire: compact chunk of %d bytes cannot hold %d rows of %d bytes", len(body), n64, rowBytes)
+	}
+	n, dim := int(n64), int(dim64)
+	rowCodes := packedCodeLen(dim, bits)
 	// The layout is columnar; decode with fixed per-column offsets and
 	// batch the allocations: one Row slice, one QVector slice, and one
 	// contiguous backing array for all row codes.

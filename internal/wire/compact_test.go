@@ -56,7 +56,7 @@ func chunksEqual(t *testing.T, a, b *Chunk) {
 func TestCompactRoundTrip(t *testing.T) {
 	for _, bits := range []int{2, 3, 4, 8, 32} {
 		c := makeUniformChunk(t, int64(bits), 25, 16, bits)
-		blob, err := c.EncodeCompact()
+		blob, err := c.encodeCompact()
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
@@ -70,7 +70,7 @@ func TestCompactRoundTrip(t *testing.T) {
 
 func TestCompactEmptyChunk(t *testing.T) {
 	c := &Chunk{TableID: 7}
-	blob, err := c.EncodeCompact()
+	blob, err := c.encodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +85,17 @@ func TestCompactEmptyChunk(t *testing.T) {
 
 func TestCompactSmallerThanV1(t *testing.T) {
 	c := makeUniformChunk(t, 1, 100, 16, 4)
-	v1, err := c.Encode()
+	v1, err := c.encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.EncodeCompact()
+	v2, err := c.encodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// At dim 16 / 4 bits, v1 carries 34 metadata bytes per row vs v2's
-	// 20; expect at least a 25% chunk-size reduction.
+	// At dim 16 / 4 bits, v1 carries 26 metadata bytes per row vs v2's
+	// 16 (34 vs 24 with the codes); expect at least a 25% chunk-size
+	// reduction.
 	if float64(len(v2)) > float64(len(v1))*0.75 {
 		t.Fatalf("compact %d bytes vs v1 %d: insufficient saving", len(v2), len(v1))
 	}
@@ -112,11 +113,11 @@ func TestCompactRejectsKMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Chunk{Rows: []Row{{Index: 0, Q: q}}}
-	if c.CompactEncodable() {
+	if c.compactEncodable() {
 		t.Fatal("k-means rows should not be compact-encodable")
 	}
-	if _, err := c.EncodeCompact(); err == nil {
-		t.Fatal("EncodeCompact should reject k-means rows")
+	if _, err := c.encodeCompact(); err == nil {
+		t.Fatal("encodeCompact should reject k-means rows")
 	}
 }
 
@@ -124,13 +125,13 @@ func TestCompactRejectsMixedBits(t *testing.T) {
 	a := makeUniformChunk(t, 3, 1, 16, 4)
 	b := makeUniformChunk(t, 4, 1, 16, 8)
 	mixed := &Chunk{Rows: []Row{a.Rows[0], b.Rows[0]}}
-	if mixed.CompactEncodable() {
+	if mixed.compactEncodable() {
 		t.Fatal("mixed bit-widths should not be compact-encodable")
 	}
 }
 
 func TestCompactCRCDetectsCorruption(t *testing.T) {
-	blob, err := makeUniformChunk(t, 5, 20, 16, 4).EncodeCompact()
+	blob, err := makeUniformChunk(t, 5, 20, 16, 4).encodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCompactCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestCompactTruncation(t *testing.T) {
-	blob, err := makeUniformChunk(t, 6, 10, 8, 2).EncodeCompact()
+	blob, err := makeUniformChunk(t, 6, 10, 8, 2).encodeCompact()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestCompactQuickRoundTrip(t *testing.T) {
 		rows := int(rowsRaw) % 40
 		bits := []int{2, 3, 4, 8, 32}[int(bitsIdx)%5]
 		c := makeUniformChunk(t, seed, rows, 8, bits)
-		blob, err := c.EncodeCompact()
+		blob, err := c.encodeCompact()
 		if err != nil {
 			return false
 		}
@@ -191,14 +192,14 @@ func BenchmarkCompactEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.EncodeCompact(); err != nil {
+		if _, err := c.encodeCompact(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkCompactDecode(b *testing.B) {
-	blob, err := makeUniformChunk(b, 1, 256, 16, 4).EncodeCompact()
+	blob, err := makeUniformChunk(b, 1, 256, 16, 4).encodeCompact()
 	if err != nil {
 		b.Fatal(err)
 	}

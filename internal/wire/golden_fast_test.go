@@ -13,8 +13,7 @@ import (
 // fixtures (testdata/*.bin, captured from the original encoder):
 //
 //   - exact mode (sampling disarmed): the refactored search entry point
-//     must still emit the golden bytes, so the engine's AdaptiveSampling=1
-//     escape hatch is the legacy behavior, not merely close to it;
+//     must still emit the golden bytes;
 //   - cache reuse: rows whose bytes didn't change since their range was
 //     last searched hit the RowRange cache, and the resulting chunks must
 //     still be the golden bytes — the steady-state regime the fast path

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,14 +89,29 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", name+".bin")
 }
 
+// encodeV1 and encodeCompact reach the two layouts behind AppendTo by
+// name. The fixtures pin each layout for every row shape, and AppendTo
+// itself writes v1 only for k-means rows, so the v1 fixtures of uniform
+// rows (what older checkpoints hold) are reachable only this way.
+func (c *Chunk) encodeV1() ([]byte, error) {
+	return c.appendV1(nil)
+}
+
+func (c *Chunk) encodeCompact() ([]byte, error) {
+	if !c.compactEncodable() {
+		return nil, fmt.Errorf("wire: chunk not compact-encodable (mixed or codebook rows)")
+	}
+	return c.appendCompact(make([]byte, 0, c.compactEncodedLen()))
+}
+
 func encodeCase(t *testing.T, gc goldenCase, c *Chunk) []byte {
 	t.Helper()
 	var blob []byte
 	var err error
 	if gc.compact {
-		blob, err = c.EncodeCompact()
+		blob, err = c.encodeCompact()
 	} else {
-		blob, err = c.Encode()
+		blob, err = c.encodeV1()
 	}
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -126,6 +143,42 @@ func TestGoldenEncodeBytes(t *testing.T) {
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("%s: encoder output diverged from golden bytes (%d vs %d bytes)",
 					gc.name, len(blob), len(want))
+			}
+		})
+	}
+}
+
+// TestEncodeChoosesLayout pins the one decision AppendTo makes: CKP2 for
+// every uniform row shape in the corpus, byte-identical to the ckp2_*
+// fixtures where one exists, and v1 — byte-identical to its fixture —
+// for k-means rows only.
+func TestEncodeChoosesLayout(t *testing.T) {
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
+			got, err := c.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != c.EncodedLen() {
+				t.Fatalf("EncodedLen %d != encoded size %d", c.EncodedLen(), len(got))
+			}
+			kmeans := gc.params.Method == quant.MethodKMeans
+			wantMagic := uint32(compactMagic)
+			if kmeans {
+				wantMagic = chunkMagic
+			}
+			if m := binary.LittleEndian.Uint32(got); m != wantMagic {
+				t.Fatalf("Encode wrote magic 0x%08x, want 0x%08x", m, wantMagic)
+			}
+			if gc.compact || kmeans {
+				want, err := os.ReadFile(goldenPath(gc.name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: Encode diverged from golden bytes (%d vs %d bytes)", gc.name, len(got), len(want))
+				}
 			}
 		})
 	}

@@ -60,10 +60,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // chunkMagic guards against decoding non-chunk objects.
 const chunkMagic = 0x434B5031 // "CKP1"
 
-// EncodedLen returns the exact v1 encoding size of the chunk, for
-// presizing buffers. Rows with nil vectors contribute only their header;
-// AppendTo rejects them anyway.
+// minV1Row is the smallest v1 row on the wire: a 12-byte row header and
+// the 14-byte fixed part of an empty QVector.
+const minV1Row = 12 + 14
+
+// EncodedLen returns the exact size AppendTo will produce, for
+// presizing buffers. Rows with nil vectors contribute only their
+// header; AppendTo rejects them anyway.
 func (c *Chunk) EncodedLen() int {
+	if c.compactEncodable() {
+		return c.compactEncodedLen()
+	}
 	size := 12 + 4 // header + CRC
 	for i := range c.Rows {
 		size += 12
@@ -74,19 +81,34 @@ func (c *Chunk) EncodedLen() int {
 	return size
 }
 
-// Encode serializes the chunk with a trailing CRC32-C over the body.
+// Encode serializes the chunk into a fresh buffer; see AppendTo.
 func (c *Chunk) Encode() ([]byte, error) {
 	return c.AppendTo(make([]byte, 0, c.EncodedLen()))
 }
 
-// AppendTo appends the chunk's v1 encoding to dst and returns the
-// extended slice. Rows are serialized in place — no per-row blob
-// allocations — so encoding into a pooled buffer with sufficient
-// capacity performs zero allocations. The emitted bytes are identical to
-// Encode's (the golden-bytes tests pin this). On error the returned
-// slice keeps dst's backing array (possibly partially extended), so
-// pooled buffers survive failed encodes.
+// AppendTo appends the chunk's encoding, with a trailing CRC32-C over
+// it, to dst and returns the extended slice. It is the one chunk
+// encoder, and it picks the layout from the rows: CKP2 (compact.go)
+// whenever they share one uniform bit-width and dimension, which is
+// every chunk the engine's uniform quantizers and fp32 produce, and the
+// v1 layout only for what CKP2 cannot hold — per-row k-means codebooks
+// (or rows that differ in shape). DecodeChunk reads both.
+//
+// Rows are serialized in place — no per-row blob allocations — so
+// encoding into a pooled buffer with sufficient capacity performs zero
+// allocations. On error the returned slice keeps dst's backing array
+// (possibly partially extended), so pooled buffers survive failed
+// encodes.
 func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
+	if c.compactEncodable() {
+		return c.appendCompact(dst)
+	}
+	return c.appendV1(dst)
+}
+
+// appendV1 appends the v1 ("CKP1") layout: a full QVector per row. The
+// emitted bytes are pinned by the v1_* golden fixtures.
+func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
 	base := len(dst)
 	// Header: magic u32 | tableID u32 | rowCount u32.
 	dst = binary.LittleEndian.AppendUint32(dst, chunkMagic)
@@ -100,7 +122,7 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint32(dst, r.Index)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Q.EncodedLen()))
 		// Accum as raw fp32 bits.
-		dst = binary.LittleEndian.AppendUint32(dst, f32bits(r.Accum))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Accum))
 		var err error
 		dst, err = r.Q.AppendBinary(dst)
 		if err != nil {
@@ -150,7 +172,9 @@ func decodeChunk(data []byte, alias bool) (*Chunk, error) {
 	}
 	c := &Chunk{TableID: binary.LittleEndian.Uint32(body[4:])}
 	n := int(binary.LittleEndian.Uint32(body[8:]))
-	if n < 0 || n > len(body) {
+	// Checked before anything is sized by n: the row slices below cost
+	// ~88 bytes a row, a row on the wire at least minV1Row.
+	if n < 0 || n > (len(body)-12)/minV1Row {
 		return nil, fmt.Errorf("wire: implausible row count %d in %d-byte chunk", n, len(body))
 	}
 	off := 12
@@ -163,7 +187,7 @@ func decodeChunk(data []byte, alias bool) (*Chunk, error) {
 		}
 		idx := binary.LittleEndian.Uint32(body[off:])
 		blobLen := int(binary.LittleEndian.Uint32(body[off+4:]))
-		accum := f32frombits(binary.LittleEndian.Uint32(body[off+8:]))
+		accum := math.Float32frombits(binary.LittleEndian.Uint32(body[off+8:]))
 		off += 12
 		if blobLen < 0 || off+blobLen > len(body) {
 			return nil, fmt.Errorf("wire: truncated row payload at row %d", i)
@@ -338,6 +362,3 @@ func ShardJobID(jobID string, shard int) string {
 func ShardScopePrefix(jobID string) string {
 	return jobID + "/shard/"
 }
-
-func f32bits(v float32) uint32     { return math.Float32bits(v) }
-func f32frombits(b uint32) float32 { return math.Float32frombits(b) }

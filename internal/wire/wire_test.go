@@ -9,6 +9,9 @@ import (
 	"repro/internal/quant"
 )
 
+// makeChunk builds asymmetric 4-bit rows. The Chunk* tests below encode
+// them with encodeV1: they are the v1 decoder's tests, and Encode would
+// pick CKP2 for these rows (compact_test.go covers that layout).
 func makeChunk(t testing.TB, seed int64, rows int) *Chunk {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Chunk{TableID: 3}
@@ -28,7 +31,7 @@ func makeChunk(t testing.TB, seed int64, rows int) *Chunk {
 
 func TestChunkRoundTrip(t *testing.T) {
 	c := makeChunk(t, 1, 20)
-	blob, err := c.Encode()
+	blob, err := c.encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestChunkRoundTrip(t *testing.T) {
 
 func TestChunkEmptyRoundTrip(t *testing.T) {
 	c := &Chunk{TableID: 9}
-	blob, err := c.Encode()
+	blob, err := c.encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestChunkNilQVectorErrors(t *testing.T) {
 }
 
 func TestChunkCRCDetectsCorruption(t *testing.T) {
-	blob, err := makeChunk(t, 2, 10).Encode()
+	blob, err := makeChunk(t, 2, 10).encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestChunkCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestChunkTruncation(t *testing.T) {
-	blob, err := makeChunk(t, 3, 5).Encode()
+	blob, err := makeChunk(t, 3, 5).encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestChunkQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw) % 30
 		c := makeChunk(t, seed, n)
-		blob, err := c.Encode()
+		blob, err := c.encodeV1()
 		if err != nil {
 			return false
 		}
@@ -208,14 +211,14 @@ func BenchmarkChunkEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(); err != nil {
+		if _, err := c.encodeV1(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkChunkDecode(b *testing.B) {
-	blob, err := makeChunk(b, 1, 256).Encode()
+	blob, err := makeChunk(b, 1, 256).encodeV1()
 	if err != nil {
 		b.Fatal(err)
 	}
