@@ -108,14 +108,10 @@ type Config struct {
 	// Interval optionally derives BatchesPerInterval from a wall-clock
 	// duration using the paper's throughput model (500K QPS).
 	Interval time.Duration
-	// KeepLast bounds retained checkpoints (default 2; 0 keeps all...
-	// use -1 to keep all explicitly).
+	// KeepLast bounds retained checkpoints: zero means the default of 2,
+	// negative keeps every checkpoint.
 	KeepLast int
 
-	// Encoders is the checkpoint engine's quantize+encode worker count
-	// (the data-plane hot path). Zero means one per core; 1 is the
-	// serial baseline.
-	Encoders int
 	// Predictor selects the intermittent policy's full-baseline
 	// predictor: PredictorHistory (the paper's rule, default) or
 	// PredictorRegression (fits the observed growth curve).
@@ -129,7 +125,7 @@ type Config struct {
 }
 
 // System is a running Check-N-Run training job: model, reader tier,
-// trainer cluster, checkpoint engine and controller.
+// trainer cluster, checkpoint coordinator and controller.
 type System struct {
 	cfg       Config
 	ctrl      *core.Controller
@@ -140,6 +136,11 @@ type System struct {
 }
 
 // Open validates cfg, builds the substrate and returns a ready System.
+// A JobID that already has checkpoints in the store is continued, never
+// overwritten: the System's model starts freshly initialised, so Recover
+// must run before RunInterval (which refuses until it has), and the next
+// checkpoint takes the job's next ID and a Step that continues from the
+// restored one.
 func Open(cfg Config) (*System, error) {
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("checknrun: Config.JobID is required")
@@ -211,7 +212,8 @@ func Open(cfg Config) (*System, error) {
 		store = objstore.NewMemStore(objstore.MemConfig{Replication: cfg.Replication})
 	}
 
-	ctrl, err := core.New(clus, reader, core.Config{
+	// Open's signature predates the store I/O a resumed job needs here.
+	ctrl, err := core.New(context.TODO(), clus, reader, core.Config{
 		JobID:              cfg.JobID,
 		Store:              store,
 		Policy:             cfg.Policy,
@@ -221,7 +223,6 @@ func Open(cfg Config) (*System, error) {
 		ExpectedRestores:   cfg.ExpectedRestores,
 		KeepLast:           cfg.KeepLast,
 		Predictor:          cfg.Predictor,
-		Encoders:           cfg.Encoders,
 	})
 	if err != nil {
 		reader.Close()

@@ -2,9 +2,11 @@ package checknrun
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/objstore"
 )
 
@@ -177,8 +179,10 @@ func TestOverTCPStore(t *testing.T) {
 }
 
 func TestSecondSystemResumesJob(t *testing.T) {
-	// A new System (fresh process after a crash) recovers the previous
-	// job from the shared store.
+	// A new System (fresh process after a crash) continues the previous
+	// job from the shared store: it refuses to train before it recovered,
+	// and what it then commits extends the history — next IDs, later
+	// steps — instead of overwriting checkpoints 0.. in place.
 	backend := objstore.NewMemStore(objstore.MemConfig{})
 	srv, err := objstore.NewServer("127.0.0.1:0", backend, objstore.ServerConfig{})
 	if err != nil {
@@ -186,23 +190,83 @@ func TestSecondSystemResumesJob(t *testing.T) {
 	}
 	defer srv.Close()
 	ctx := testCtx(t)
+	cfg := Config{JobID: "shared-job", StoreAddr: srv.Addr(), ExpectedRestores: -1, KeepLast: -1}
 
-	first := newSystem(t, Config{JobID: "shared-job", StoreAddr: srv.Addr(), ExpectedRestores: -1})
-	if err := first.Run(ctx, 2); err != nil {
+	first := newSystem(t, cfg)
+	if err := first.Run(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
 	first.Close() // "crash"
 
-	second := newSystem(t, Config{JobID: "shared-job", StoreAddr: srv.Addr(), ExpectedRestores: -1})
+	second := newSystem(t, cfg)
+	written := backend.Usage().BytesWritten
+	if _, err := second.RunInterval(ctx); err == nil || !strings.Contains(err.Error(), "Recover") {
+		t.Fatalf("RunInterval before Recover over an existing job: err = %v, want one naming Recover", err)
+	}
+	if now := backend.Usage().BytesWritten; now != written {
+		t.Fatalf("refused RunInterval wrote %d bytes", now-written)
+	}
 	res, err := second.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Step != 4 {
-		t.Fatalf("restored step = %d, want 4", res.Step)
+	if res.Step != 6 {
+		t.Fatalf("restored step = %d, want 6", res.Step)
 	}
-	if _, err := second.RunInterval(ctx); err != nil {
+	if err := second.Run(ctx, 2); err != nil {
 		t.Fatal(err)
+	}
+
+	cks, err := second.Checkpoints(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) != 5 {
+		t.Fatalf("job lists %d checkpoints after 3 + 2 intervals, want 5", len(cks))
+	}
+	for i, m := range cks {
+		if m.ID != i {
+			t.Fatalf("checkpoint %d has id %d", i, m.ID)
+		}
+		if i > 0 && m.Step <= cks[i-1].Step {
+			t.Fatalf("step not increasing across the restart: id %d at step %d, id %d at step %d",
+				i-1, cks[i-1].Step, i, m.Step)
+		}
+	}
+	results, err := second.VerifyAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range results {
+		if !v.OK() {
+			t.Fatalf("checkpoint %d flagged: %v", v.ID, v.Problems)
+		}
+	}
+
+	// A third process restores what the second committed last — not a
+	// stale checkpoint of the first — bit for bit (fp32).
+	third := newSystem(t, cfg)
+	res, err = third.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cks[4].Step; res.Step != want {
+		t.Fatalf("third system restored step %d, want %d", res.Step, want)
+	}
+	spec := data.DefaultSpec()
+	spec.TableRows = nil
+	for _, tab := range second.Model().Config().Tables {
+		spec.TableRows = append(spec.TableRows, tab.Rows)
+	}
+	gen, err := data.NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		smp := gen.At(1<<33 + i)
+		if live, got := second.Model().Forward(&smp), third.Model().Forward(&smp); live != got {
+			t.Fatalf("sample %d: second system predicts %v, restored third %v", i, live, got)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 //
 //	checknrun -job demo -intervals 6 -policy intermittent -restores 3
 //	checknrun -job demo -store 127.0.0.1:7070   # against objstored
-//	checknrun -job demo -recover                # resume a crashed job
+//	checknrun -job demo -store 127.0.0.1:7070 -recover   # resume the job
+//
+// A job that already has checkpoints in the store is continued, never
+// overwritten: without -recover the first interval is refused.
 package main
 
 import (
@@ -29,7 +32,6 @@ func main() {
 	nodes := flag.Int("nodes", 2, "simulated trainer nodes")
 	keep := flag.Int("keep", 2, "checkpoints to retain (-1 = all)")
 	doRecover := flag.Bool("recover", false, "restore the latest checkpoint before training")
-	encoders := flag.Int("encoders", 0, "quantize+encode workers (0 = one per core, 1 = serial)")
 	predictorName := flag.String("predictor", "history", "intermittent predictor: history|regression")
 	doVerify := flag.Bool("verify", false, "scrub all checkpoints after training")
 	flag.Parse()
@@ -69,7 +71,6 @@ func main() {
 		BatchSize:          *batch,
 		BatchesPerInterval: *batchesPerInterval,
 		KeepLast:           *keep,
-		Encoders:           *encoders,
 		Predictor:          predictor,
 	})
 	if err != nil {
@@ -90,7 +91,7 @@ func main() {
 	fmt.Printf("job=%s policy=%s bits=%d interval=%d batches x %d samples\n",
 		*job, policy.String(), sys.QuantBits(), *batchesPerInterval, *batch)
 	fmt.Printf("%-4s %-12s %-7s %-10s %-12s %-10s\n",
-		"ivl", "kind", "base", "rows", "payload", "loss")
+		"id", "kind", "shards", "rows", "payload", "loss")
 	for i := 0; i < *intervals; i++ {
 		man, err := sys.RunInterval(ctx)
 		if err != nil {
@@ -101,7 +102,7 @@ func main() {
 			stored += t.StoredRows
 		}
 		fmt.Printf("%-4d %-12s %-7d %-10d %-12d %-10.4f\n",
-			i, man.Kind, man.BaseID, stored, man.PayloadBytes, sys.TrainerStats().LastLoss)
+			man.ID, man.Kind, man.ShardCount, stored, man.PayloadBytes, sys.TrainerStats().LastLoss)
 	}
 	if u, ok := sys.StoreUsage(); ok {
 		fmt.Printf("store: objects=%d capacity=%dB written=%dB\n",

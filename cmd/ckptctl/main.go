@@ -125,7 +125,7 @@ func main() {
 		if *id < 0 {
 			logger.Fatal("delete requires -id")
 		}
-		deps, err := dependents(ctx, rest, *job, store, *id)
+		deps, err := dependents(ctx, rest, *id)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -224,59 +224,36 @@ func main() {
 	}
 }
 
-// dependents returns the IDs of checkpoints whose restore chains pass
-// through checkpoint id — deleting id would brick them. For sharded
-// composites the per-shard chains are walked.
-func dependents(ctx context.Context, rest *ckpt.Restorer, job string, store objstore.Store, id int) ([]int, error) {
-	ms, err := rest.ListManifests(ctx)
+// dependents returns the IDs of checkpoints whose restore chains — every
+// shard's, for a composite — pass through checkpoint id: deleting id
+// would brick them.
+func dependents(ctx context.Context, rest *ckpt.Restorer, id int) ([]int, error) {
+	ids, err := rest.ManifestIDs(ctx)
 	if err != nil {
 		return nil, err
 	}
 	var out []int
-	for _, m := range ms {
-		if m.ID == id {
-			continue
-		}
-		needs, err := chainNeeds(ctx, rest, job, store, m, id)
-		if err != nil {
-			return nil, err
-		}
-		if needs {
-			out = append(out, m.ID)
+	for _, other := range ids {
+		if other != id && chainNeeds(ctx, rest, other, id) {
+			out = append(out, other)
 		}
 	}
 	return out, nil
 }
 
-// chainNeeds reports whether restoring manifest m requires checkpoint id.
-func chainNeeds(ctx context.Context, rest *ckpt.Restorer, job string, store objstore.Store, m *wire.Manifest, id int) (bool, error) {
-	if !m.Composite() {
-		chain, err := rest.Chain(ctx, m.ID)
-		if err != nil {
-			// An already-broken chain is not this deletion's problem.
-			return false, nil
-		}
-		for _, link := range chain {
-			if link.ID == id {
-				return true, nil
-			}
-		}
-		return false, nil
+// chainNeeds reports whether restoring checkpoint of requires checkpoint id.
+func chainNeeds(ctx context.Context, rest *ckpt.Restorer, of, id int) bool {
+	plan, err := rest.Resolve(ctx, of, -1)
+	if err != nil {
+		// An already-broken chain is not this deletion's problem.
+		return false
 	}
-	for s := 0; s < m.ShardCount; s++ {
-		sub, err := ckpt.NewRestorer(wire.ShardJobID(job, s), store)
-		if err != nil {
-			return false, err
-		}
-		chain, err := sub.Chain(ctx, m.ID)
-		if err != nil {
-			continue
-		}
-		for _, link := range chain {
+	for _, links := range plan.Links {
+		for _, link := range links {
 			if link.ID == id {
-				return true, nil
+				return true
 			}
 		}
 	}
-	return false, nil
+	return false
 }

@@ -45,7 +45,6 @@ func main() {
 	opTimeout := flag.Duration("op-timeout", 30*time.Second, "budget for the controller's own store/discovery operations")
 	announce := flag.String("announce", "", "announce endpoint to listen on for serving-replica subscriptions (empty = off)")
 	standby := flag.Bool("standby", false, "wait for the current leader's lease to lapse, then take over")
-	noLease := flag.Bool("no-lease", false, "skip the lease register; legacy flag-or-max+1 epoch mode")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "lease duration between renewals")
 	holder := flag.String("holder", "", "holder identity in the lease register (default host:pid)")
 	statusEvery := flag.Duration("status-every", 0, "fleet health polling period (0 = off)")
@@ -54,9 +53,6 @@ func main() {
 	logger := log.New(os.Stderr, "controller: ", log.LstdFlags)
 	if *agents == "" {
 		logger.Fatal("no -agents given")
-	}
-	if *standby && *noLease {
-		logger.Fatal("-standby requires the lease register (-no-lease given)")
 	}
 
 	storeSpec := *storeAddr
@@ -70,56 +66,54 @@ func main() {
 	defer store.Close()
 
 	ctx := context.Background()
+	who := *holder
+	if who == "" {
+		host, _ := os.Hostname()
+		who = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	reg, err := ctrl.NewRegister(ctrl.RegisterConfig{
+		JobID: *job, Store: store, Holder: who, TTL: *leaseTTL,
+	})
+	if err != nil {
+		logger.Fatalf("lease register: %v", err)
+	}
 	var lease *ctrl.Lease
-	if !*noLease {
-		who := *holder
-		if who == "" {
-			host, _ := os.Hostname()
-			who = fmt.Sprintf("%s:%d", host, os.Getpid())
+	if *standby {
+		logger.Printf("standby: watching lease of job %s as %q", *job, who)
+		lease, err = reg.WaitAcquire(ctx)
+	} else {
+		lease, err = reg.Acquire(ctx, *epoch)
+	}
+	if err != nil {
+		logger.Fatalf("acquire lease: %v", err)
+	}
+	logger.Printf("holding lease for job %s at epoch %d", *job, lease.Epoch())
+	defer func() {
+		rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := lease.Release(rctx); err != nil {
+			logger.Printf("release lease: %v", err)
 		}
-		reg, err := ctrl.NewRegister(ctrl.RegisterConfig{
-			JobID: *job, Store: store, Holder: who, TTL: *leaseTTL,
-		})
-		if err != nil {
-			logger.Fatalf("lease register: %v", err)
-		}
-		if *standby {
-			logger.Printf("standby: watching lease of job %s as %q", *job, who)
-			lease, err = reg.WaitAcquire(ctx)
-		} else {
-			lease, err = reg.Acquire(ctx, *epoch)
-		}
-		if err != nil {
-			logger.Fatalf("acquire lease: %v", err)
-		}
-		logger.Printf("holding lease for job %s at epoch %d", *job, lease.Epoch())
-		defer func() {
-			rctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := lease.Release(rctx); err != nil {
-				logger.Printf("release lease: %v", err)
-			}
-		}()
-		// Renew in the background so the lease survives long training
-		// stretches between commits. Checkpoint re-verifies it inline at
-		// the commit point, so a lost lease still fences correctly.
-		renewCtx, stopRenew := context.WithCancel(ctx)
-		defer stopRenew()
-		go func() {
-			tick := time.NewTicker(*leaseTTL / 3)
-			defer tick.Stop()
-			for {
-				select {
-				case <-renewCtx.Done():
-					return
-				case <-tick.C:
-					if err := lease.Renew(renewCtx); err != nil && renewCtx.Err() == nil {
-						logger.Printf("lease renew: %v", err)
-					}
+	}()
+	// Renew in the background so the lease survives long training
+	// stretches between commits. Checkpoint re-verifies it inline at
+	// the commit point, so a lost lease still fences correctly.
+	renewCtx, stopRenew := context.WithCancel(ctx)
+	defer stopRenew()
+	go func() {
+		tick := time.NewTicker(*leaseTTL / 3)
+		defer tick.Stop()
+		for {
+			select {
+			case <-renewCtx.Done():
+				return
+			case <-tick.C:
+				if err := lease.Renew(renewCtx); err != nil && renewCtx.Err() == nil {
+					logger.Printf("lease renew: %v", err)
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	var announcer *ctrl.Announcer
 	if *announce != "" {
@@ -140,9 +134,6 @@ func main() {
 		OpTimeout: *opTimeout,
 		Announcer: announcer,
 		Logf:      objstore.Logger(logger),
-	}
-	if lease == nil {
-		cfg.Epoch = *epoch
 	}
 	c, err := ctrl.NewController(cfg)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestCoordinatorWriteSurfacesCtxErrAndAbortsAllShards(t *testing.T) {
 	defer cancel()
 	cs := &cancelStore{Store: inner, cancel: cancel, after: 5}
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "cancel", Store: cs, Policy: PolicyOneShot, ChunkRows: 64, Uploaders: 1},
 		Shards: 3,
 	})
@@ -121,7 +121,7 @@ func TestCoordinatorWriteCancelledBeforeCommitKeepsPrevious(t *testing.T) {
 	ctx0, cancel0 := context.WithCancel(context.Background())
 	defer cancel0()
 	cs := &cancelStore{Store: inner, cancel: cancel0, after: 1 << 30}
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "cancel2", Store: cs, Policy: PolicyOneShot, Uploaders: 1},
 		Shards: 2,
 	})

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/embedding"
+	"repro/internal/quant"
 	"repro/internal/wire"
 )
 
@@ -37,49 +38,118 @@ type CoordinatorConfig struct {
 // The commit sequence itself is Committer's; this type builds the
 // in-process LocalRunners it drives and decides which shard owns which
 // table, while ctrl.Controller hands the same Committer RemoteRunners
-// talking to shardd agent processes.
+// talking to shardd agent processes. It is the single-process product
+// path: core.Controller (the checknrun package and CLI) writes every
+// checkpoint through one.
 //
 // Like Engine, methods are not safe for concurrent use — checkpoints of
 // one job never overlap. The concurrency is inside one Write.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	commit *Committer
+	cfg     CoordinatorConfig
+	engines []*Engine
+	commit  *Committer
 	// assign is the table -> shard ownership map, fixed at first Write
-	// (seeded from cfg.Assignment) so per-shard incremental chains stay
+	// (seeded from cfg.Assignment, and from the newest composite when the
+	// job already has one) so per-shard incremental chains stay
 	// self-contained across the job's lifetime.
 	assign map[int]int
 }
 
-// NewCoordinator validates cfg and builds the per-shard engines.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
+// NewCoordinator validates cfg and builds the per-shard engines, resuming
+// the job from whatever the store holds: each shard engine comes from
+// RecoverShardEngine (so debris of an attempt that died between shard
+// publish and the composite Put is rolled back), the next checkpoint ID
+// is the one every shard agrees on, table ownership continues from the
+// newest composite, and retention covers the composites a predecessor
+// committed. Over an empty store that is simply a fresh job. Resuming the
+// chain says nothing about the model: a caller that was not the writer of
+// the newest checkpoint must restore it before the next Write, or the
+// increments it commits are cut against a base its model never held.
+func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("ckpt: coordinator needs >= 1 shard, got %d", cfg.Shards)
 	}
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("ckpt: empty job ID")
 	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("ckpt: nil store")
-	}
-	c := &Coordinator{cfg: cfg, assign: make(map[int]int)}
+	c := &Coordinator{cfg: cfg, engines: make([]*Engine, cfg.Shards), assign: make(map[int]int)}
 	for id, s := range cfg.Assignment {
 		if s < 0 || s >= cfg.Shards {
 			return nil, fmt.Errorf("ckpt: table %d assigned to shard %d, want [0,%d)", id, s, cfg.Shards)
 		}
 		c.assign[id] = s
 	}
-	var runners []ShardRunner
-	for s := 0; s < cfg.Shards; s++ {
-		ecfg := cfg.Config
-		ecfg.JobID = wire.ShardJobID(cfg.JobID, s)
-		eng, err := NewEngine(ecfg)
+	err := forEachShard(cfg.Shards, func(s int) (err error) {
+		c.engines[s], err = RecoverShardEngine(ctx, cfg.Config, s)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	next := c.engines[0].NextID()
+	runners := make([]ShardRunner, cfg.Shards)
+	for s, eng := range c.engines {
+		if eng.NextID() != next {
+			return nil, fmt.Errorf("ckpt: shards of job %q disagree on next checkpoint: shard %d at %d, shard 0 at %d (written with other than %d shards?)",
+				cfg.JobID, s, eng.NextID(), next, cfg.Shards)
+		}
+		runners[s] = NewLocalRunner(s, eng)
+	}
+	var committed []*wire.Manifest
+	if next > 0 {
+		rest, err := NewRestorer(cfg.JobID, cfg.Store)
 		if err != nil {
 			return nil, err
 		}
-		runners = append(runners, NewLocalRunner(s, eng))
+		tip, err := rest.manifest(ctx, next-1)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: resume job %q: %w", cfg.JobID, err)
+		}
+		if err := c.adoptOwnership(tip); err != nil {
+			return nil, err
+		}
+		if cfg.KeepLast > 0 {
+			if committed, err = rest.ListManifests(ctx); err != nil {
+				return nil, err
+			}
+		}
 	}
-	c.commit = NewCommitter(cfg.JobID, cfg.Store, runners, 0, cfg.KeepLast, nil, nil)
+	c.commit = NewCommitter(cfg.JobID, cfg.Store, runners, next, cfg.KeepLast, committed, nil)
 	return c, nil
+}
+
+// adoptOwnership continues the table ownership of tip, the composite the
+// shard engines resumed after: a table that changed shards would leave
+// its new owner writing increments over a base the old owner holds.
+func (c *Coordinator) adoptOwnership(tip *wire.Manifest) error {
+	if tip.ShardCount != c.cfg.Shards {
+		return fmt.Errorf("ckpt: job %q was written with %d shards, coordinator has %d", c.cfg.JobID, tip.ShardCount, c.cfg.Shards)
+	}
+	for id, s := range tip.TableShards {
+		if pinned, ok := c.assign[id]; ok && pinned != s {
+			return fmt.Errorf("ckpt: table %d assigned to shard %d, but job %q stores it on shard %d", id, pinned, c.cfg.JobID, s)
+		}
+		c.assign[id] = s
+	}
+	return nil
+}
+
+// NextID returns the ID the next composite checkpoint will get: 0 for a
+// job with no committed checkpoint.
+func (c *Coordinator) NextID() int { return c.commit.NextID() }
+
+// Quant returns the quantization parameters the shard engines encode with.
+func (c *Coordinator) Quant() quant.Params { return c.engines[0].Quant() }
+
+// SetQuant changes the quantization parameters of every shard engine for
+// subsequent checkpoints (Engine.SetQuant).
+func (c *Coordinator) SetQuant(p quant.Params) error {
+	for _, eng := range c.engines {
+		if err := eng.SetQuant(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Assignment returns a copy of the current table -> shard ownership map

@@ -16,7 +16,7 @@ func writeAndRestore(t *testing.T, ctx context.Context, store objstore.Store, jo
 	t.Helper()
 	cfg.JobID = job
 	cfg.Store = store
-	coord, err := NewCoordinator(CoordinatorConfig{Config: cfg, Shards: shards})
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{Config: cfg, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestShardedQuantizedMatchesSingleWriter(t *testing.T) {
 
 func TestCoordinatorIncrementalRoundTrip(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "inc", Store: f.store, Policy: PolicyOneShot},
 		Shards: 3,
 	})
@@ -140,7 +140,7 @@ func TestCoordinatorIncrementalRoundTrip(t *testing.T) {
 func TestCoordinatorAssignmentPinnedAndStable(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	pin := map[int]int{0: 1, 1: 1, 2: 0}
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config:     Config{JobID: "pin", Store: f.store, Policy: PolicyOneShot},
 		Shards:     2,
 		Assignment: pin,
@@ -163,7 +163,7 @@ func TestCoordinatorAssignmentPinnedAndStable(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{
+	if _, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config:     Config{JobID: "bad", Store: f.store, Policy: PolicyFull},
 		Shards:     2,
 		Assignment: map[int]int{0: 5},
@@ -174,7 +174,7 @@ func TestCoordinatorAssignmentPinnedAndStable(t *testing.T) {
 
 func TestCoordinatorAssignmentBalancesRows(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "bal", Store: f.store, Policy: PolicyFull},
 		Shards: 2,
 	})
@@ -198,7 +198,7 @@ func TestCoordinatorAssignmentBalancesRows(t *testing.T) {
 
 func TestCoordinatorMoreShardsThanTables(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "wide", Store: f.store, Policy: PolicyFull},
 		Shards: 5,
 	})
@@ -219,7 +219,7 @@ func TestCoordinatorMoreShardsThanTables(t *testing.T) {
 
 func TestCoordinatorVerifyComposite(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "scrub", Store: f.store, Policy: PolicyOneShot},
 		Shards: 4,
 	})
@@ -278,7 +278,7 @@ func TestCoordinatorVerifyComposite(t *testing.T) {
 
 func TestCoordinatorKeepLastGC(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "gc", Store: f.store, Policy: PolicyOneShot, KeepLast: 2},
 		Shards: 2,
 	})
@@ -311,22 +311,22 @@ func TestCoordinatorKeepLastGC(t *testing.T) {
 
 func TestCoordinatorValidation(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	if _, err := NewCoordinator(CoordinatorConfig{
+	if _, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "j", Store: store, Policy: PolicyFull},
 	}); err == nil {
 		t.Fatal("zero shards should error")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{
+	if _, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{Store: store, Policy: PolicyFull}, Shards: 2,
 	}); err == nil {
 		t.Fatal("empty job should error")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{
+	if _, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "j", Policy: PolicyFull}, Shards: 2,
 	}); err == nil {
 		t.Fatal("nil store should error")
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "j", Store: store, Policy: PolicyFull}, Shards: 2,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -722,6 +723,27 @@ func RecoverEngine(ctx context.Context, cfg Config, opts RecoverOptions) (*Engin
 		}
 	}
 	return eng, nil
+}
+
+// RecoverShardEngine rebuilds shard's engine of the composite job
+// cfg.JobID from the store: RecoverEngine under the shard's scoped job ID,
+// with the composite manifest as the commit point. A shard manifest
+// published by an attempt whose composite never landed is debris of an
+// aborted two-phase commit and is rolled back rather than adopted, so
+// every shard writer of a job — an in-process Coordinator's or a shardd
+// agent's — comes back agreeing on the next checkpoint ID.
+func RecoverShardEngine(ctx context.Context, cfg Config, shard int) (*Engine, error) {
+	jobID, store := cfg.JobID, cfg.Store
+	cfg.JobID = wire.ShardJobID(jobID, shard)
+	return RecoverEngine(ctx, cfg, RecoverOptions{
+		Committed: func(ctx context.Context, id int) (bool, error) {
+			_, err := store.Stat(ctx, wire.ManifestKey(jobID, id))
+			if errors.Is(err, objstore.ErrNotFound) {
+				return false, nil
+			}
+			return err == nil, err
+		},
+	})
 }
 
 // manifestStoredFraction returns the manifest's stored-row fraction of

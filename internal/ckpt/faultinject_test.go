@@ -173,7 +173,7 @@ func TestShardKillMidCheckpointAbortsComposite(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	killer := &shardKillStore{Store: inner}
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "kill", Store: killer, Policy: PolicyOneShot, ChunkRows: 64},
 		Shards: 4,
 	})
@@ -248,7 +248,7 @@ func TestShardKillOnManifestPublishAbortsComposite(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	killer := &shardKillStore{Store: inner}
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "pubkill", Store: killer, Policy: PolicyFull},
 		Shards: 3,
 	})
@@ -278,7 +278,7 @@ func TestCompositeMissingShardManifestFallsBack(t *testing.T) {
 	// composite loses a shard manifest (tampering, partial GC), restore
 	// must fall back to the newest complete checkpoint instead of failing.
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "tamper", Store: f.store, Policy: PolicyFull},
 		Shards: 2,
 	})

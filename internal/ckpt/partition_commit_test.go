@@ -123,7 +123,7 @@ func newPartitionRig(t *testing.T) *partitionRig {
 		t.Fatal(err)
 	}
 	fix := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: partitionJob, Store: routed, Policy: PolicyOneShot, ChunkRows: 64, Uploaders: 1},
 		Shards: 2,
 	})

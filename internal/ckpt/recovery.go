@@ -108,18 +108,6 @@ func (r *Restorer) ManifestIDs(ctx context.Context) ([]int, error) {
 	return ids, nil
 }
 
-// Latest returns the most recent valid manifest, or ErrNoCheckpoint.
-func (r *Restorer) Latest(ctx context.Context) (*wire.Manifest, error) {
-	ms, err := r.ListManifests(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(ms) == 0 {
-		return nil, ErrNoCheckpoint
-	}
-	return ms[len(ms)-1], nil
-}
-
 // ErrNoCheckpoint indicates the job has no valid checkpoint to restore.
 var ErrNoCheckpoint = fmt.Errorf("ckpt: no valid checkpoint")
 

@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -196,6 +198,140 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 	}
 	if rec.LatestID() != 1 {
 		t.Fatalf("latest = %d after resumed write, want 1", rec.LatestID())
+	}
+}
+
+// TestCoordinatorRejoinsAfterTornCommit is the rejoin guarantee one level
+// up, for the in-process caller of the Committer sequence: a Coordinator
+// built over a store whose previous writer died inside an attempt — every
+// shard, or only one, had published its manifest, and the composite Put
+// never happened — rolls the debris back, has every shard agree on the
+// next ID, and continues the chain with byte-for-byte the objects a
+// Coordinator that never died writes. (ctrl's selfheal tests hold the
+// same property for shardd agents; both go through RecoverShardEngine.)
+func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
+	const job, shards = "testjob", 2
+	for _, pol := range []PolicyKind{PolicyFull, PolicyOneShot, PolicyConsecutive, PolicyIntermittent} {
+		for published := 1; published <= shards; published++ {
+			t.Run(fmt.Sprintf("%v-published-%d", pol, published), func(t *testing.T) {
+				ctx := context.Background()
+				snaps := rejoinSnapshots(t, 3)
+				storeLive := objstore.NewMemStore(objstore.MemConfig{})
+				storeCrash := objstore.NewMemStore(objstore.MemConfig{})
+				open := func(store objstore.Store) *Coordinator {
+					t.Helper()
+					c, err := NewCoordinator(ctx, CoordinatorConfig{
+						Config: Config{JobID: job, Store: store, Policy: pol, KeepLast: 2}, Shards: shards,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c
+				}
+				live, crash := open(storeLive), open(storeCrash)
+				for i := 0; i < 2; i++ {
+					if _, err := live.Write(ctx, snaps[i]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := crash.Write(ctx, snaps[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Attempt 2 gets as far as the dense object and `published`
+				// shard manifests; then the process is gone, rollback included.
+				if err := storeCrash.Put(ctx, wire.DenseKey(job, 2), snaps[2].Dense); err != nil {
+					t.Fatal(err)
+				}
+				for s, eng := range crash.engines {
+					sub := SubSnapshot(snaps[2], crash.assign, s)
+					sub.Dense = nil
+					p, err := eng.Prepare(ctx, sub)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s < published {
+						if err := p.Publish(ctx); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+
+				rec := open(storeCrash)
+				if rec.NextID() != 2 {
+					t.Fatalf("rebuilt coordinator at next ID %d, want 2", rec.NextID())
+				}
+				for s, eng := range rec.engines {
+					if eng.NextID() != 2 {
+						t.Fatalf("shard %d rejoined at next ID %d, want 2", s, eng.NextID())
+					}
+					keys, err := storeCrash.List(ctx, wire.CheckpointPrefix(wire.ShardJobID(job, s), 2))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s < published && len(keys) != 0 {
+						t.Fatalf("shard %d: published debris of the torn attempt survived: %v", s, keys)
+					}
+				}
+				if !reflect.DeepEqual(rec.Assignment(), live.Assignment()) {
+					t.Fatalf("table ownership changed across the rebuild: %v, want %v", rec.Assignment(), live.Assignment())
+				}
+
+				if _, err := live.Write(ctx, snaps[2]); err != nil {
+					t.Fatal(err)
+				}
+				man, err := rec.Write(ctx, snaps[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if man.ID != 2 {
+					t.Fatalf("resumed write committed id %d, want 2", man.ID)
+				}
+				// Same objects, so the same restore — and retention resumed
+				// too: KeepLast 2 retired composite 0 on both sides.
+				storesEqual(t, ctx, storeLive, storeCrash)
+				if _, err := storeCrash.Stat(ctx, wire.ManifestKey(job, 0)); !errors.Is(err, objstore.ErrNotFound) {
+					t.Fatalf("composite 0 not retired by the rebuilt coordinator: %v", err)
+				}
+				var restored [2]*model.DLRM
+				for i, store := range []objstore.Store{storeLive, storeCrash} {
+					m, err := model.New(testModelConfig(), 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rest, err := NewRestorer(job, store)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res, err := rest.RestoreLatest(ctx, m); err != nil || res.Step != snaps[2].Step {
+						t.Fatalf("restore: %+v, %v", res, err)
+					}
+					restored[i] = m
+				}
+				assertBitIdentical(t, restored[0], restored[1])
+			})
+		}
+	}
+}
+
+// TestCoordinatorRefusesOtherShardCount: the shard scopes of a job are
+// its shard count; a Coordinator with a different one must not adopt the
+// job (a table would change owners mid-chain).
+func TestCoordinatorRefusesOtherShardCount(t *testing.T) {
+	ctx := context.Background()
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	cfg := CoordinatorConfig{Config: Config{JobID: "testjob", Store: store, Policy: PolicyOneShot}, Shards: 2}
+	coord, err := NewCoordinator(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Write(ctx, rejoinSnapshots(t, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 3} {
+		cfg.Shards = n
+		if _, err := NewCoordinator(ctx, cfg); err == nil {
+			t.Fatalf("coordinator with %d shards adopted a 2-shard job", n)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func TestListManifestsSkipsKeyGoneSinceList(t *testing.T) {
 func TestRestoreResolvesByKey(t *testing.T) {
 	const shards, links = 2, 6 // a full baseline and five consecutive increments
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "bykey", Store: f.store, Policy: PolicyConsecutive},
 		Shards: shards,
 	})
@@ -168,7 +168,7 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 		{PolicyFull, 2, []int{4}},
 	} {
 		f := newFixture(t, Config{Policy: PolicyFull})
-		coord, err := NewCoordinator(CoordinatorConfig{
+		coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 			Config: Config{JobID: "cut", Store: f.store, Policy: tc.policy},
 			Shards: 2,
 		})
@@ -211,7 +211,7 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 	// A composite naming a shard manifest that is gone is incomplete; one
 	// that does not exist is not found.
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, _ := NewCoordinator(CoordinatorConfig{Config: Config{JobID: "torn", Store: f.store, Policy: PolicyFull}, Shards: 2})
+	coord, _ := NewCoordinator(context.Background(), CoordinatorConfig{Config: Config{JobID: "torn", Store: f.store, Policy: PolicyFull}, Shards: 2})
 	man, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
 	if err != nil {
 		t.Fatal(err)

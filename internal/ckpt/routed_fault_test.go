@@ -83,7 +83,7 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 
 	const job = "routedfault"
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: job, Store: routed, Policy: PolicyOneShot, ChunkRows: 64, Uploaders: 1},
 		Shards: 2,
 	})

@@ -16,7 +16,7 @@ func TestSweepKeepsEverythingReferenced(t *testing.T) {
 	// (a base a surviving incremental depends on) are referenced, not
 	// debris.
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "sweep", Store: f.store, Policy: PolicyOneShot, KeepLast: 2},
 		Shards: 3,
 	})
@@ -52,7 +52,7 @@ func TestSweepDeletesTornAttemptDebris(t *testing.T) {
 	// committed, plus a composite-level dense object — is orphaned and
 	// swept; committed checkpoints are untouched.
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "torn", Store: f.store, Policy: PolicyOneShot},
 		Shards: 2,
 	})
@@ -138,7 +138,7 @@ func TestSweepConservativeOnBrokenChain(t *testing.T) {
 	// has an unresolvable chain: the sweep must keep that shard's scope
 	// untouched rather than guess, and say so.
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "broken", Store: f.store, Policy: PolicyFull},
 		Shards: 2,
 	})

@@ -64,7 +64,7 @@ func TestCoordinatorOverTCPSharded(t *testing.T) {
 	// acquire/release traffic from multiple writer goroutines.
 	client := dialTestServer(t)
 	f := newFixture(t, Config{Policy: PolicyFull})
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "tcp4", Store: client, Policy: PolicyOneShot,
 			ChunkRows: 64, Uploaders: 3},
 		Shards: 4,

@@ -41,33 +41,38 @@ type Config struct {
 
 	// KeepLast bounds retained checkpoints (0 keeps all).
 	KeepLast int
-	// ChunkRows and Uploaders tune the engine's pipelining; Encoders is
-	// the quantize+encode worker count (0 = one per core).
-	ChunkRows, Uploaders, Encoders int
 	// Predictor selects the intermittent policy's baseline predictor.
 	Predictor ckpt.PredictorKind
 }
 
-// Controller wires the reader tier, trainer cluster and checkpoint engine
-// together and runs the §4.4 workflow.
+// Controller wires the reader tier, trainer cluster and checkpoint
+// coordinator together and runs the §4.4 workflow. Every checkpoint is a
+// ckpt.Committer composite with one shard writer per trainer node.
 type Controller struct {
 	cfg     Config
 	cluster *trainer.Cluster
 	reader  *data.Cluster
-	engine  *ckpt.Engine
+	coord   *ckpt.Coordinator
 	rest    *ckpt.Restorer
 
 	batchesPerInterval int
 	restores           int
 	fallback           bool
+	// behind is set while the job has committed checkpoints the live model
+	// neither wrote nor restored: a process restarted over an existing job,
+	// until Recover runs.
+	behind bool
 
 	// manifests of committed checkpoints, in order.
 	manifests []*wire.Manifest
 }
 
 // New builds a Controller. The trainer cluster and reader cluster must
-// share the same job (the reader feeds the cluster's model).
-func New(cluster *trainer.Cluster, reader *data.Cluster, cfg Config) (*Controller, error) {
+// share the same job (the reader feeds the cluster's model). A job that
+// already has checkpoints in the store is continued, not overwritten: the
+// next checkpoint takes the next ID of its history, and RunInterval
+// refuses to run until Recover has brought the model up to that history.
+func New(ctx context.Context, cluster *trainer.Cluster, reader *data.Cluster, cfg Config) (*Controller, error) {
 	if cluster == nil || reader == nil {
 		return nil, fmt.Errorf("core: nil cluster or reader")
 	}
@@ -106,16 +111,17 @@ func New(cluster *trainer.Cluster, reader *data.Cluster, cfg Config) (*Controlle
 		}
 	}
 
-	eng, err := ckpt.NewEngine(ckpt.Config{
-		JobID:     cfg.JobID,
-		Store:     cfg.Store,
-		Policy:    cfg.Policy,
-		Quant:     qp,
-		ChunkRows: cfg.ChunkRows,
-		Uploaders: cfg.Uploaders,
-		Encoders:  cfg.Encoders,
-		KeepLast:  cfg.KeepLast,
-		Predictor: cfg.Predictor,
+	coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{
+		Config: ckpt.Config{
+			JobID:     cfg.JobID,
+			Store:     cfg.Store,
+			Policy:    cfg.Policy,
+			Quant:     qp,
+			KeepLast:  cfg.KeepLast,
+			Predictor: cfg.Predictor,
+		},
+		Shards:     cluster.Model().Sparse.Nodes(),
+		Assignment: cluster.TableAssignment(),
 	})
 	if err != nil {
 		return nil, err
@@ -128,17 +134,18 @@ func New(cluster *trainer.Cluster, reader *data.Cluster, cfg Config) (*Controlle
 		cfg:                cfg,
 		cluster:            cluster,
 		reader:             reader,
-		engine:             eng,
+		coord:              coord,
 		rest:               rest,
 		batchesPerInterval: bpi,
+		behind:             coord.NextID() > 0,
 	}, nil
 }
 
 // BatchesPerInterval reports the interval length in batches.
 func (c *Controller) BatchesPerInterval() int { return c.batchesPerInterval }
 
-// Quant returns the engine's current quantization parameters.
-func (c *Controller) Quant() quant.Params { return c.engine.Quant() }
+// Quant returns the current checkpoint quantization parameters.
+func (c *Controller) Quant() quant.Params { return c.coord.Quant() }
 
 // Restores returns how many times the job has resumed from a checkpoint.
 func (c *Controller) Restores() int { return c.restores }
@@ -156,6 +163,12 @@ func (c *Controller) Manifests() []*wire.Manifest {
 // collect the quiescent reader state, stall-snapshot, and build + store
 // the checkpoint. It returns the committed manifest.
 func (c *Controller) RunInterval(ctx context.Context) (*wire.Manifest, error) {
+	if c.behind {
+		// Training on from a freshly initialised model would commit
+		// increments against a base that model never held.
+		return nil, fmt.Errorf("core: job %q already has checkpoints (next ID %d) this model was not restored from: Recover first (checknrun -recover)",
+			c.cfg.JobID, c.coord.NextID())
+	}
 	c.reader.Grant(c.batchesPerInterval)
 	for i := 0; i < c.batchesPerInterval; i++ {
 		b, err := c.reader.Recv(ctx)
@@ -174,7 +187,7 @@ func (c *Controller) RunInterval(ctx context.Context) (*wire.Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot: %w", err)
 	}
-	man, err := c.engine.Write(ctx, snap)
+	man, err := c.coord.Write(ctx, snap)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint write: %w", err)
 	}
@@ -192,10 +205,12 @@ func (c *Controller) Run(ctx context.Context, n int) error {
 	return nil
 }
 
-// Recover restores the latest valid checkpoint into the trainer's model
-// and the reader tier, implementing the failure-recovery path. If the
-// number of restores exceeds the controller's expectation, it falls back
-// to 8-bit quantization for subsequent checkpoints (§6.2.1).
+// Recover restores the latest valid checkpoint into the trainer's model,
+// the reader tier and the trainer's batch count, implementing the
+// failure-recovery path — in the process that wrote the checkpoint or in
+// a fresh one. If the number of restores exceeds the controller's
+// expectation, it falls back to 8-bit quantization for subsequent
+// checkpoints (§6.2.1).
 func (c *Controller) Recover(ctx context.Context) (*ckpt.RestoreResult, error) {
 	res, err := c.rest.RestoreLatest(ctx, c.cluster.Model())
 	if err != nil {
@@ -204,12 +219,14 @@ func (c *Controller) Recover(ctx context.Context) (*ckpt.RestoreResult, error) {
 	if err := c.reader.Restore(res.Reader); err != nil {
 		return nil, fmt.Errorf("core: reader restore: %w", err)
 	}
+	c.cluster.ResumeAt(res.Step)
+	c.behind = false
 	c.restores++
 	if !c.fallback && c.cfg.ExpectedRestores >= 0 && c.cfg.FixedQuant.Method == quant.MethodNone &&
 		float64(c.restores) > c.cfg.ExpectedRestores {
 		p, perr := ParamsForBits(8)
-		if perr == nil && c.engine.Quant().Method != quant.MethodNone {
-			if c.engine.SetQuant(p) == nil {
+		if perr == nil && c.coord.Quant().Method != quant.MethodNone {
+			if c.coord.SetQuant(p) == nil {
 				c.fallback = true
 			}
 		}
@@ -219,9 +236,6 @@ func (c *Controller) Recover(ctx context.Context) (*ckpt.RestoreResult, error) {
 
 // Restorer exposes the underlying restorer for inspection tooling.
 func (c *Controller) Restorer() *ckpt.Restorer { return c.rest }
-
-// Engine exposes the underlying checkpoint engine.
-func (c *Controller) Engine() *ckpt.Engine { return c.engine }
 
 // Model returns the model being trained.
 func (c *Controller) Model() *model.DLRM { return c.cluster.Model() }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,12 +64,12 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.Store == nil {
 		cfg.Store = store
 	}
-	ctrl, err := New(cluster, reader, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	ctrl, err := New(ctx, cluster, reader, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	t.Cleanup(cancel)
 	return &rig{ctrl: ctrl, cluster: cluster, reader: reader, store: store, ctx: ctx}
 }
 
@@ -119,27 +121,27 @@ func TestControllerValidation(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	base := Config{JobID: "j", Store: store, BatchSize: 8, BatchesPerInterval: 2}
 
-	if _, err := New(nil, reader, base); err == nil {
+	if _, err := New(context.Background(), nil, reader, base); err == nil {
 		t.Fatal("nil cluster should error")
 	}
 	bad := base
 	bad.JobID = ""
-	if _, err := New(cluster, reader, bad); err == nil {
+	if _, err := New(context.Background(), cluster, reader, bad); err == nil {
 		t.Fatal("empty job should error")
 	}
 	bad = base
 	bad.Store = nil
-	if _, err := New(cluster, reader, bad); err == nil {
+	if _, err := New(context.Background(), cluster, reader, bad); err == nil {
 		t.Fatal("nil store should error")
 	}
 	bad = base
 	bad.BatchSize = 0
-	if _, err := New(cluster, reader, bad); err == nil {
+	if _, err := New(context.Background(), cluster, reader, bad); err == nil {
 		t.Fatal("zero batch should error")
 	}
 	bad = base
 	bad.BatchesPerInterval = 0
-	if _, err := New(cluster, reader, bad); err == nil {
+	if _, err := New(context.Background(), cluster, reader, bad); err == nil {
 		t.Fatal("no interval should error")
 	}
 }
@@ -234,6 +236,52 @@ func TestRecoverRoundTrip(t *testing.T) {
 	// Training continues cleanly after recovery.
 	if _, err := r.ctrl.RunInterval(r.ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunIntervalRefusedUntilRecover(t *testing.T) {
+	// A controller built over a job that already has checkpoints holds a
+	// freshly initialised model: training on would commit increments
+	// against a base that model never held. It must refuse, write
+	// nothing, and continue the job's history once Recover has run.
+	cfg := Config{
+		BatchSize:          16,
+		BatchesPerInterval: 2,
+		Policy:             ckpt.PolicyOneShot,
+		ExpectedRestores:   -1,
+	}
+	a := newRig(t, cfg)
+	if err := a.ctrl.Run(a.ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = a.store
+	b := newRig(t, cfg)
+	before, err := a.store.List(a.ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.ctrl.RunInterval(b.ctx); err == nil || !strings.Contains(err.Error(), "Recover") {
+		t.Fatalf("RunInterval before Recover: err = %v, want one naming Recover", err)
+	}
+	if b.cluster.Stats().Batches != 0 {
+		t.Fatal("refused interval trained batches")
+	}
+	after, err := a.store.List(a.ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused interval changed the store: %v -> %v", before, after)
+	}
+	if _, err := b.ctrl.Recover(b.ctx); err != nil {
+		t.Fatal(err)
+	}
+	man, err := b.ctrl.RunInterval(b.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.ID != 2 || man.Step != 6 || man.Kind != "incremental" {
+		t.Fatalf("resumed checkpoint id %d step %d kind %s, want 2, 6, incremental", man.ID, man.Step, man.Kind)
 	}
 }
 

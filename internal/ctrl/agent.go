@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/objstore"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 )
@@ -90,7 +89,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		logf = func(string, ...any) {}
 	}
 	ecfg := cfg.Engine
-	ecfg.JobID = wire.ShardJobID(cfg.JobID, cfg.Shard)
 	a := &Agent{cfg: cfg, logf: logf}
 	if cfg.Recover {
 		ctx := context.Background()
@@ -99,21 +97,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 			ctx, cancel = context.WithTimeout(ctx, cfg.OpTimeout)
 			defer cancel()
 		}
-		// A shard manifest is durable only once the controller's
-		// composite manifest — the job-level commit point — exists; a
-		// published shard manifest with no composite is debris of an
-		// aborted attempt and must not advance this shard's next ID.
-		committed := func(ctx context.Context, id int) (bool, error) {
-			_, err := cfg.Engine.Store.Stat(ctx, wire.ManifestKey(cfg.JobID, id))
-			if errors.Is(err, objstore.ErrNotFound) {
-				return false, nil
-			}
-			if err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-		eng, err := ckpt.RecoverEngine(ctx, ecfg, ckpt.RecoverOptions{Committed: committed})
+		ecfg.JobID = cfg.JobID
+		eng, err := ckpt.RecoverShardEngine(ctx, ecfg, cfg.Shard)
 		if err != nil {
 			return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 		}
@@ -129,6 +114,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, eng.NextID(), rec.Epoch)
 		return a, nil
 	}
+	ecfg.JobID = wire.ShardJobID(cfg.JobID, cfg.Shard)
 	eng, err := ckpt.NewEngine(ecfg)
 	if err != nil {
 		return nil, err
@@ -136,9 +122,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	a.eng = eng
 	return a, nil
 }
-
-// Engine returns the agent's shard engine (tests and hosting glue).
-func (a *Agent) Engine() *ckpt.Engine { return a.eng }
 
 // fencedf formats a fencing rejection.
 func fencedf(format string, args ...any) error {

@@ -159,7 +159,7 @@ func TestCompositeGCRetriesFailedDelete(t *testing.T) {
 		writer func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(step uint64) error
 	}{
 		{"coordinator", func(t *testing.T, store objstore.Store, _ *objstore.MemStore) func(uint64) error {
-			coord, err := ckpt.NewCoordinator(ckpt.CoordinatorConfig{
+			coord, err := ckpt.NewCoordinator(context.Background(), ckpt.CoordinatorConfig{
 				Config: ckpt.Config{JobID: job, Store: store, Policy: ckpt.PolicyOneShot, KeepLast: 1},
 				Shards: 1,
 			})

@@ -161,9 +161,3 @@ func (in *Injector) ShouldFail(batch uint64) bool {
 	}
 	return false
 }
-
-// Remaining returns the number of failures not yet fired.
-func (in *Injector) Remaining() int { return len(in.schedule) - in.next }
-
-// Fired returns the number of failures already fired.
-func (in *Injector) Fired() int { return in.next }

@@ -134,9 +134,6 @@ func TestInjectorFiresEachOnce(t *testing.T) {
 	if fired != 3 {
 		t.Fatalf("fired %d times, want 3", fired)
 	}
-	if in.Remaining() != 0 || in.Fired() != 3 {
-		t.Fatalf("counters: remaining=%d fired=%d", in.Remaining(), in.Fired())
-	}
 }
 
 func TestInjectorSkippedBatchesStillFire(t *testing.T) {

@@ -74,7 +74,7 @@ func newHarnessWith(t *testing.T, store objstore.Store, ecfg ckpt.Config, rows [
 		t.Fatal(err)
 	}
 	ecfg.JobID, ecfg.Store = "serve-test", store
-	coord, err := ckpt.NewCoordinator(ckpt.CoordinatorConfig{Config: ecfg, Shards: 2})
+	coord, err := ckpt.NewCoordinator(context.Background(), ckpt.CoordinatorConfig{Config: ecfg, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

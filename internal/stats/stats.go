@@ -72,31 +72,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs need not be sorted; it is not
-// modified. An empty slice yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // CDF is an empirical cumulative distribution function over observed samples.
 type CDF struct {
 	sorted []float64
@@ -173,34 +148,4 @@ func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 type Series struct {
 	Name   string
 	Points []Point
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + (hi-lo)*float64(i)/float64(n-1)
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

@@ -44,36 +44,6 @@ func TestStddev(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {-1, 1}, {150, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Percentile(xs, 50); !almostEqual(got, 5, 1e-12) {
-		t.Fatalf("interp percentile = %v, want 5", got)
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 3, 4})
 	cases := []struct{ x, want float64 }{
@@ -154,34 +124,6 @@ func TestCDFQuantileInverseOfAt(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if !almostEqual(xs[i], want[i], 1e-12) {
-			t.Fatalf("Linspace = %v, want %v", xs, want)
-		}
-	}
-	if Linspace(1, 2, 0) != nil {
-		t.Fatal("n=0 should be nil")
-	}
-	if one := Linspace(3, 9, 1); len(one) != 1 || one[0] != 3 {
-		t.Fatalf("n=1 = %v", one)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -2})) {
-		t.Fatal("negative input should yield NaN")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty GeoMean should be 0")
 	}
 }
 

@@ -175,10 +175,9 @@ func (c *Cluster) gatherParallel(b *data.Batch) *model.Gathered {
 	return g
 }
 
-// TableAssignment returns the table -> node ownership map. A sharded
-// checkpoint Coordinator configured with it aligns shard writers with
-// the trainer nodes that own each embedding table, so every node
-// checkpoints exactly the rows it trains.
+// TableAssignment returns the table -> node ownership map. core.Controller
+// configures its checkpoint Coordinator with it — one shard writer per
+// trainer node — so every node checkpoints exactly the rows it trains.
 func (c *Cluster) TableAssignment() map[int]int {
 	out := make(map[int]int)
 	for n, set := range c.nodeTables {
@@ -207,6 +206,15 @@ func (c *Cluster) Snapshot(reader data.ReaderState) (*ckpt.Snapshot, error) {
 	c.stats.Snapshots++
 	c.mu.Unlock()
 	return snap, nil
+}
+
+// ResumeAt sets the trained-batch count to step, the count a restored
+// checkpoint was cut at, so the next Snapshot's Step continues from it —
+// in a restarted process the counter would otherwise begin again at 0.
+func (c *Cluster) ResumeAt(step uint64) {
+	c.mu.Lock()
+	c.stats.Batches = step
+	c.mu.Unlock()
 }
 
 // Stats returns a copy of the accumulated statistics.
