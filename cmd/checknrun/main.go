@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/ckpt"
 )
 
 func main() {
@@ -38,18 +39,9 @@ func main() {
 
 	logger := log.New(os.Stderr, "checknrun: ", log.LstdFlags)
 
-	var policy checknrun.Policy
-	switch *policyName {
-	case "full":
-		policy = checknrun.PolicyFull
-	case "one-shot":
-		policy = checknrun.PolicyOneShot
-	case "consecutive":
-		policy = checknrun.PolicyConsecutive
-	case "intermittent":
-		policy = checknrun.PolicyIntermittent
-	default:
-		logger.Fatalf("unknown policy %q", *policyName)
+	policy, err := ckpt.ParsePolicy(*policyName)
+	if err != nil {
+		logger.Fatal(err)
 	}
 
 	var predictor checknrun.Predictor

@@ -37,7 +37,6 @@ func main() {
 	controller := flag.String("controller", "", "controller announce endpoint to subscribe to (empty = poll-only)")
 	addr := flag.String("addr", "127.0.0.1:0", "lookup listen address")
 	resync := flag.Duration("resync", 2*time.Second, "store re-sync polling period")
-	decoders := flag.Int("decoders", 0, "chunk decode parallelism (0 = one per core)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "served: ", log.LstdFlags)
@@ -57,7 +56,6 @@ func main() {
 		Store:        store,
 		AnnounceAddr: *controller,
 		ListenAddr:   *addr,
-		Decoders:     *decoders,
 		ResyncEvery:  *resync,
 		Logf:         objstore.Logger(logger),
 	})

@@ -18,7 +18,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,14 +39,13 @@ func main() {
 	policy := flag.String("policy", "oneshot", "checkpoint policy: full|oneshot|consecutive|intermittent")
 	quantBits := flag.Int("quant-bits", 0, "asymmetric quantization bits (0 = fp32)")
 	keep := flag.Int("keep", 0, "shard-level KeepLast retention (0 keeps everything)")
-	recoverFlag := flag.Bool("recover", true, "rebuild engine state from the store's manifests on startup (fleet rejoin)")
 	opTimeout := flag.Duration("op-timeout", 2*time.Minute, "per-operation deadline, store I/O included (0 = none)")
 	connectWait := flag.Duration("connect-wait", 30*time.Second, "retry window for the initial store connect, jittered backoff (0 = single attempt)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, fmt.Sprintf("shardd[%d]: ", *shard), log.LstdFlags)
 
-	pol, err := parsePolicy(*policy)
+	pol, err := ckpt.ParsePolicy(*policy)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -68,7 +66,6 @@ func main() {
 		Seed:        *seed,
 		BatchSize:   *batch,
 		Engine:      ecfg,
-		Recover:     *recoverFlag,
 		OpTimeout:   *opTimeout,
 		ConnectWait: *connectWait,
 		Logf:        objstore.Logger(logger),
@@ -85,19 +82,4 @@ func main() {
 	<-stop
 	logger.Printf("shutting down")
 	host.Close()
-}
-
-func parsePolicy(s string) (ckpt.PolicyKind, error) {
-	switch strings.ToLower(s) {
-	case "full":
-		return ckpt.PolicyFull, nil
-	case "oneshot", "one-shot":
-		return ckpt.PolicyOneShot, nil
-	case "consecutive":
-		return ckpt.PolicyConsecutive, nil
-	case "intermittent":
-		return ckpt.PolicyIntermittent, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
 }

@@ -313,7 +313,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// Shard agents, each fronted by a control-plane shim.
 	for s := 0; s < c.Shards; s++ {
 		sn := &shardNode{}
-		if err := f.startShard(sn, s, false); err != nil {
+		if err := f.startShard(sn, s); err != nil {
 			return fail(err)
 		}
 		f.shards = append(f.shards, sn)
@@ -563,7 +563,9 @@ func (f *Fleet) AllStoresAlive() bool {
 	return true
 }
 
-func (f *Fleet) startShard(sn *shardNode, s int, rejoin bool) error {
+// startShard starts shard s, the first time and after a kill alike: an
+// agent always resumes from the store, and an empty store is a fresh job.
+func (f *Fleet) startShard(sn *shardNode, s int) error {
 	if f.cfg.Procs {
 		args := []string{
 			"-addr", "127.0.0.1:0",
@@ -573,11 +575,10 @@ func (f *Fleet) startShard(sn *shardNode, s int, rejoin bool) error {
 			"-shards", fmt.Sprint(f.cfg.Shards),
 			"-seed", fmt.Sprint(f.cfg.Seed),
 			"-batch", fmt.Sprint(f.cfg.Batch),
-			"-policy", policyFlag(f.cfg.Policy),
+			"-policy", f.cfg.Policy.String(),
 			"-quant-bits", fmt.Sprint(f.cfg.QuantBits),
 			"-op-timeout", f.cfg.OpTimeout.String(),
 			"-connect-wait", "10s",
-			fmt.Sprintf("-recover=%v", rejoin),
 		}
 		ch, err := startChild(f.logf, fmt.Sprintf("shardd[%d]", s), f.cfg.Bins.Shardd, args...)
 		if err != nil {
@@ -600,7 +601,6 @@ func (f *Fleet) startShard(sn *shardNode, s int, rejoin bool) error {
 		TableRows:   f.cfg.TableRows,
 		Dim:         f.cfg.Dim,
 		Engine:      ecfg,
-		Recover:     rejoin,
 		OpTimeout:   f.cfg.OpTimeout,
 		ConnectWait: 10 * time.Second,
 		Logf:        f.logf,
@@ -693,8 +693,8 @@ func (f *Fleet) KillShard(s int) {
 	f.logf("chaos: killed shard %d", s)
 }
 
-// RestartShard brings a killed shard back with -recover: the replayed
-// engine state comes from the store's manifests, and the agent shim is
+// RestartShard brings a killed shard back: the replayed engine state
+// comes from the store's manifests, and the agent shim is
 // retargeted at the new process's address so the fleet-facing address
 // never changes.
 func (f *Fleet) RestartShard(s int) error {
@@ -702,7 +702,7 @@ func (f *Fleet) RestartShard(s int) error {
 	if sn.alive {
 		return fmt.Errorf("chaos: shard %d is already running", s)
 	}
-	if err := f.startShard(sn, s, true); err != nil {
+	if err := f.startShard(sn, s); err != nil {
 		return err
 	}
 	f.agentShims[s].SetTarget(sn.addr)
@@ -890,20 +890,6 @@ func (f *Fleet) Close() {
 // -quant-bits flag maps to.
 func quantParams(bits int) quant.Params {
 	return quant.Params{Method: quant.MethodAsymmetric, Bits: bits}
-}
-
-// policyFlag maps a policy kind to shardd's -policy flag value.
-func policyFlag(p ckpt.PolicyKind) string {
-	switch p {
-	case ckpt.PolicyFull:
-		return "full"
-	case ckpt.PolicyConsecutive:
-		return "consecutive"
-	case ckpt.PolicyIntermittent:
-		return "intermittent"
-	default:
-		return "oneshot"
-	}
 }
 
 // --- forked children -----------------------------------------------

@@ -150,15 +150,16 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 	// two-phase protocol exists to prevent — it would be indistinguishable
 	// from a valid checkpoint to a reader that trusts manifests.
 	for _, man := range manifests {
-		ok, err := rest.Complete(ctx, man)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: probe composite %d: %w", man.ID, err)
-		}
-		if !ok {
+		// Cut at the checkpoint before: the composite and the shard
+		// manifests it names, no chain behind them.
+		_, err := rest.Resolve(ctx, man.ID, man.ID-1)
+		if errors.Is(err, ckpt.ErrIncomplete) {
 			out = append(out, Violation{
 				Invariant: "complete-composites",
 				Detail:    fmt.Sprintf("composite manifest %d (step %d) references missing shard manifests", man.ID, man.Step),
 			})
+		} else if err != nil {
+			return nil, fmt.Errorf("chaos: probe composite %d: %w", man.ID, err)
 		}
 	}
 

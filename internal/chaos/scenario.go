@@ -79,7 +79,7 @@ type FaultSpec struct {
 //	kill        — crash shard Shard (SIGKILL / Host.Kill). A checkpoint
 //	              step's Kill field also accepts "store:<i>"/"store:anchor"
 //	              to kill a disk-backed store inside the commit window.
-//	restart     — restart shard Shard with -recover.
+//	restart     — restart shard Shard.
 //	kill-store  — kill -9 store Target ("store:<i>" or "store:anchor");
 //	              disk-backed fleets only.
 //	restart-store — restart a killed store from its on-disk log at its
@@ -218,7 +218,7 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		fcfg.StoreBackend = "disk"
 	}
 	if sc.Fleet.Policy != "" {
-		kind, err := parsePolicy(sc.Fleet.Policy)
+		kind, err := ckpt.ParsePolicy(sc.Fleet.Policy)
 		if err != nil {
 			return fail(err)
 		}
@@ -618,20 +618,4 @@ func (r *runner) injectPartial(ctx context.Context, id int) error {
 		return err
 	}
 	return r.f.Observer().Put(ctx, wire.ManifestKey(r.f.cfg.JobID, id), blob)
-}
-
-// parsePolicy mirrors cmd/shardd's flag parsing.
-func parsePolicy(s string) (ckpt.PolicyKind, error) {
-	switch strings.ToLower(s) {
-	case "full":
-		return ckpt.PolicyFull, nil
-	case "oneshot", "one-shot":
-		return ckpt.PolicyOneShot, nil
-	case "consecutive":
-		return ckpt.PolicyConsecutive, nil
-	case "intermittent":
-		return ckpt.PolicyIntermittent, nil
-	default:
-		return 0, fmt.Errorf("chaos: unknown policy %q", s)
-	}
 }

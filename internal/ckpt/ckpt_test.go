@@ -484,27 +484,6 @@ func TestRestoreUnknownID(t *testing.T) {
 	}
 }
 
-func TestRestoreDetectsCorruptChunk(t *testing.T) {
-	f := newFixture(t, Config{Policy: PolicyFull})
-	man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := man.Tables[0].ChunkKeys[0]
-	blob, err := f.store.Get(f.ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := f.store.Put(f.ctx, key, blob); err != nil {
-		t.Fatal(err)
-	}
-	m2, _ := model.New(testModelConfig(), 2)
-	if _, err := f.rest.RestoreLatest(f.ctx, m2); err == nil {
-		t.Fatal("corrupt chunk should fail restore")
-	}
-}
-
 func TestRestoreShapeMismatch(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {

@@ -28,35 +28,43 @@ type Committer struct {
 	logf     func(format string, args ...any)
 
 	nextID int
-	// manifests caches committed composite manifests by ID for
+	// retained is the set of composite IDs still in the store, kept for
 	// retention only: with keepLast == 0 it stays empty, or it would grow
-	// one manifest per checkpoint, forever, on a long-running job.
-	manifests map[int]*wire.Manifest
+	// one entry per checkpoint, forever, on a long-running job.
+	retained map[int]struct{}
 }
 
 // NewCommitter returns a Committer storing jobID's composite manifests
 // in store and driving runners, one per shard in shard order. nextID is
 // the first ID it will commit. keepLast bounds retained composites
 // (manifest + dense object; shard-level retention is each shard engine's
-// own KeepLast), zero keeps everything; committed seeds retention with
-// the composites a predecessor left in the store, which a restarted or
-// failed-over controller would otherwise never retire. logf receives
-// diagnostics; nil discards them.
-func NewCommitter(jobID string, store objstore.Store, runners []ShardRunner, nextID, keepLast int,
-	committed []*wire.Manifest, logf func(format string, args ...any)) *Committer {
+// own KeepLast), zero keeps everything. With retention on, one keys-only
+// List under ctx seeds it with the composites a predecessor left in the
+// store, which a restarted or failed-over writer would otherwise never
+// retire. logf receives diagnostics; nil discards them.
+func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runners []ShardRunner, nextID, keepLast int,
+	logf func(format string, args ...any)) (*Committer, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	c := &Committer{
 		jobID: jobID, store: store, runners: runners, keepLast: keepLast, logf: logf,
-		nextID: nextID, manifests: make(map[int]*wire.Manifest),
+		nextID: nextID, retained: make(map[int]struct{}),
 	}
 	if keepLast > 0 {
-		for _, m := range committed {
-			c.manifests[m.ID] = m
+		rest, err := NewRestorer(jobID, store)
+		if err != nil {
+			return nil, err
+		}
+		ids, err := rest.ManifestIDs(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: list composites: %w", err)
+		}
+		for _, id := range ids {
+			c.retained[id] = struct{}{}
 		}
 	}
-	return c
+	return c, nil
 }
 
 // NextID returns the ID the next composite checkpoint will get.
@@ -197,7 +205,7 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 	}
 	c.nextID++
 	if c.keepLast > 0 {
-		c.manifests[id] = man
+		c.retained[id] = struct{}{}
 		c.retire(ctx, id)
 	}
 	return man, nil
@@ -233,7 +241,7 @@ func (c *Committer) forEachRunner(fn func(s int, r ShardRunner) error) error {
 func (c *Committer) retire(ctx context.Context, newest int) {
 	dctx, cancel := DetachedCtx(ctx)
 	defer cancel()
-	for id, m := range c.manifests {
+	for id := range c.retained {
 		if id > newest-c.keepLast {
 			continue
 		}
@@ -241,11 +249,10 @@ func (c *Committer) retire(ctx context.Context, newest int) {
 		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			continue
 		}
-		if m.DenseKey != "" {
-			// Unreferenced from here on: SweepOrphans' job if this fails.
-			_ = c.store.Delete(dctx, m.DenseKey)
-		}
-		delete(c.manifests, id)
+		// Unreferenced from here on, if the checkpoint had one at all:
+		// SweepOrphans' job if this fails.
+		_ = c.store.Delete(dctx, wire.DenseKey(c.jobID, id))
+		delete(c.retained, id)
 	}
 }
 

@@ -127,7 +127,10 @@ func TestCommitSequence(t *testing.T) {
 				if point == "fence-veto" {
 					att.Fence = func(context.Context) error { return trip() }
 				}
-				c := NewCommitter(job, store, runners, 0, 0, nil, t.Logf)
+				c, err := NewCommitter(ctx, job, store, runners, 0, 0, t.Logf)
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				man, err := c.Commit(ctx, att)
 				if man != nil || err == nil {
@@ -163,10 +166,10 @@ func TestCommitSequence(t *testing.T) {
 				if err != nil || man.ID != 0 || c.NextID() != 1 {
 					t.Fatalf("retry = (%+v, %v), next %d; want checkpoint 0 committed", man, err, c.NextID())
 				}
-				// With retention off nothing may be cached: one manifest per
+				// With retention off nothing may be cached: one entry per
 				// checkpoint, forever, on a long-running job.
-				if len(c.manifests) != 0 {
-					t.Fatalf("manifest cache holds %d entries with retention disabled", len(c.manifests))
+				if len(c.retained) != 0 {
+					t.Fatalf("retention set holds %d entries with retention disabled", len(c.retained))
 				}
 			})
 		}
@@ -178,7 +181,10 @@ func TestCommitSequence(t *testing.T) {
 		fakes, runners := newFakeRunners(shards, func() error { return errInjected })
 		fakes[2].failAt = "finalize"
 		var announced *wire.Manifest
-		c := NewCommitter(job, mem, runners, 0, 0, nil, t.Logf)
+		c, err := NewCommitter(ctx, job, mem, runners, 0, 0, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		man, err := c.Commit(ctx, Attempt{
 			Step: 7,
 			Prepared: func(mans []*wire.Manifest) (string, int64, error) {

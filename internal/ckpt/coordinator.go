@@ -95,7 +95,6 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		}
 		runners[s] = NewLocalRunner(s, eng)
 	}
-	var committed []*wire.Manifest
 	if next > 0 {
 		rest, err := NewRestorer(cfg.JobID, cfg.Store)
 		if err != nil {
@@ -108,13 +107,10 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		if err := c.adoptOwnership(tip); err != nil {
 			return nil, err
 		}
-		if cfg.KeepLast > 0 {
-			if committed, err = rest.ListManifests(ctx); err != nil {
-				return nil, err
-			}
-		}
 	}
-	c.commit = NewCommitter(cfg.JobID, cfg.Store, runners, next, cfg.KeepLast, committed, nil)
+	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, next, cfg.KeepLast, nil); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 

@@ -147,7 +147,7 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest.SetDecoders(decoders)
+		rest.decoders = decoders
 		if _, err := rest.RestoreLatest(f.ctx, m); err != nil {
 			t.Fatal(err)
 		}

@@ -687,39 +687,34 @@ func RecoverEngine(ctx context.Context, cfg Config, opts RecoverOptions) (*Engin
 	eng.nextID = ms[len(ms)-1].ID + 1
 
 	// Rebuild the cumulative modified-since-baseline bitmaps from the
-	// rows the incrementals since the last full stored: decode each
-	// chunk and mark its row indices. (One-shot incrementals make later
+	// rows the incrementals since the last full stored: walk each one's
+	// chunks and mark their row indices. (One-shot incrementals make later
 	// links supersets of earlier ones; unioning every link is correct
 	// for both the one-shot family and consecutive chains.)
+	var mu sync.Mutex // guards the bitmaps across the walk's workers
 	for _, m := range ms {
 		if m.ID <= eng.lastFullID || m.Kind != wire.KindIncremental.String() {
 			continue
 		}
 		for i := range m.Tables {
-			tm := &m.Tables[i]
-			if tm.StoredRows == 0 {
-				continue
+			if tm := &m.Tables[i]; len(tm.ChunkKeys) > 0 && eng.cumulative[tm.TableID] == nil {
+				eng.cumulative[tm.TableID] = bitvec.New(tm.Rows)
 			}
+		}
+		err := rest.walkChunks(ctx, m, func(_ *quant.Scratch, tm *wire.TableManifest, _ string, chunk *wire.Chunk, _ int64, err error) error {
+			if err != nil {
+				return fmt.Errorf("ckpt: recover: %w", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
 			bm := eng.cumulative[tm.TableID]
-			if bm == nil {
-				bm = bitvec.New(tm.Rows)
-				eng.cumulative[tm.TableID] = bm
+			for r := range chunk.Rows {
+				bm.Set(int(chunk.Rows[r].Index))
 			}
-			for _, key := range tm.ChunkKeys {
-				blob, err := cfg.Store.Get(ctx, key)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: recover: get %s: %w", key, err)
-				}
-				// Alias decode: only row indices are read before blob
-				// goes out of scope.
-				chunk, err := wire.DecodeChunkAlias(blob)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: recover: %s: %w", key, err)
-				}
-				for r := range chunk.Rows {
-					bm.Set(int(chunk.Rows[r].Index))
-				}
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return eng, nil

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -42,6 +43,21 @@ func (p PolicyKind) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
+}
+
+// ParsePolicy is String's inverse, as the daemons' -policy flags and
+// chaos campaign files spell a policy; "oneshot" is accepted for
+// "one-shot".
+func ParsePolicy(s string) (PolicyKind, error) {
+	if strings.EqualFold(s, "oneshot") {
+		return PolicyOneShot, nil
+	}
+	for p := PolicyFull; p.Valid(); p++ {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("ckpt: unknown policy %q", s)
 }
 
 // Valid reports whether p is a known policy.

@@ -27,16 +27,13 @@ import (
 type Restorer struct {
 	jobID string
 	store objstore.Store
-	// decoders is the number of concurrent chunk fetch+decode+apply
-	// workers per manifest — the restore-side mirror of the engine's
-	// encoder pool. Chunks within one manifest cover disjoint rows, so
-	// applying them concurrently is safe; ordering across chain links is
-	// preserved because links apply sequentially.
+	// decoders is the number of concurrent chunk fetch+decode workers per
+	// manifest (walkChunks) — the restore-side mirror of the engine's
+	// encoder pool, one per core.
 	decoders int
 }
 
-// NewRestorer returns a Restorer for the given job. Chunk decoding
-// defaults to one worker per core; see SetDecoders.
+// NewRestorer returns a Restorer for the given job.
 func NewRestorer(jobID string, store objstore.Store) (*Restorer, error) {
 	if jobID == "" {
 		return nil, fmt.Errorf("ckpt: empty job ID")
@@ -45,15 +42,6 @@ func NewRestorer(jobID string, store objstore.Store) (*Restorer, error) {
 		return nil, fmt.Errorf("ckpt: nil store")
 	}
 	return &Restorer{jobID: jobID, store: store, decoders: runtime.GOMAXPROCS(0)}, nil
-}
-
-// SetDecoders overrides the per-manifest chunk decode parallelism.
-// n <= 1 restores the serial decode baseline.
-func (r *Restorer) SetDecoders(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.decoders = n
 }
 
 // ListManifests returns all valid checkpoint manifests for the job,
@@ -135,39 +123,11 @@ func (r *Restorer) manifest(ctx context.Context, id int) (*wire.Manifest, error)
 	return m, err
 }
 
-// Complete reports whether manifest man is fully restorable at the
-// manifest level: for a composite, every shard manifest it references
-// must be present. (Two-phase commit makes an incomplete composite
-// impossible in normal operation — the composite manifest is written
-// last — but manual deletion or partial GC can violate it, and restore
-// should then fall back rather than fail.) Only a definitive missing
-// object marks the checkpoint incomplete; transient store errors
-// propagate so a flaky store cannot silently demote recovery to an
-// older checkpoint.
-func (r *Restorer) Complete(ctx context.Context, man *wire.Manifest) (bool, error) {
-	if !man.Composite() {
-		return true, nil
-	}
-	for _, key := range man.ShardManifestKeys {
-		if _, err := r.store.Stat(ctx, key); err != nil {
-			if errors.Is(err, objstore.ErrNotFound) {
-				return false, nil
-			}
-			return false, fmt.Errorf("ckpt: stat %s: %w", key, err)
-		}
-	}
-	return true, nil
-}
-
-// shardRestorer returns a Restorer scoped to shard s of this job,
-// inheriting the decode parallelism setting.
+// shardRestorer returns a Restorer scoped to shard s of this job, for
+// resolving that shard's chain. Chunk keys are absolute, so it is never
+// needed to read one.
 func (r *Restorer) shardRestorer(s int) (*Restorer, error) {
-	sub, err := NewRestorer(wire.ShardJobID(r.jobID, s), r.store)
-	if err != nil {
-		return nil, err
-	}
-	sub.decoders = r.decoders
-	return sub, nil
+	return NewRestorer(wire.ShardJobID(r.jobID, s), r.store)
 }
 
 // Chain returns the manifests that must be applied, oldest first, to
@@ -286,6 +246,37 @@ type Plan struct {
 	Links [][]*wire.Manifest
 }
 
+// chains is the number of restore chains under top: one per shard of a
+// composite, top's own for a single-writer manifest.
+func chains(top *wire.Manifest) int { return max(1, top.ShardCount) }
+
+// links resolves chain s of top, cut to the links newer than after: for
+// a composite, the shard manifest top names by key and its ancestors;
+// for a single-writer manifest, top's own. The chain's target comes back
+// even when the links behind it do not resolve, so a scrub can still
+// read what the target itself names.
+func (r *Restorer) links(ctx context.Context, top *wire.Manifest, s, after int) (target *wire.Manifest, links []*wire.Manifest, err error) {
+	if !top.Composite() {
+		links, err = r.chainSince(ctx, top, after)
+		return top, links, err
+	}
+	target, err = r.manifestAt(ctx, top.ShardManifestKeys[s])
+	if errors.Is(err, objstore.ErrNotFound) {
+		return nil, nil, fmt.Errorf("ckpt: checkpoint %d shard %d: %w", top.ID, s, ErrIncomplete)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := r.shardRestorer(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	if links, err = sub.chainSince(ctx, target, after); err != nil {
+		return target, nil, fmt.Errorf("ckpt: shard %d: %w", s, err)
+	}
+	return target, links, nil
+}
+
 // Resolve loads checkpoint id and the links of its per-shard restore
 // chains newer than after (-1: whole chains), every manifest by a
 // direct Get of its key: the top manifest, each shard manifest it names,
@@ -298,35 +289,38 @@ func (r *Restorer) Resolve(ctx context.Context, id, after int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !top.Composite() {
-		links, err := r.chainSince(ctx, top, after)
-		if err != nil {
-			return nil, err
-		}
-		return &Plan{Top: top, Links: [][]*wire.Manifest{links}}, nil
-	}
-	p := &Plan{Top: top, Links: make([][]*wire.Manifest, top.ShardCount)}
-	err = forEachShard(top.ShardCount, func(s int) error {
-		sub, err := r.shardRestorer(s)
-		if err != nil {
-			return err
-		}
-		sm, err := r.manifestAt(ctx, top.ShardManifestKeys[s])
-		if errors.Is(err, objstore.ErrNotFound) {
-			return fmt.Errorf("ckpt: checkpoint %d shard %d: %w", id, s, ErrIncomplete)
-		}
-		if err != nil {
-			return err
-		}
-		if p.Links[s], err = sub.chainSince(ctx, sm, after); err != nil {
-			return fmt.Errorf("ckpt: shard %d: %w", s, err)
-		}
-		return nil
+	p := &Plan{Top: top, Links: make([][]*wire.Manifest, chains(top))}
+	err = forEachShard(len(p.Links), func(s int) (err error) {
+		_, p.Links[s], err = r.links(ctx, top, s, after)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// ResolveLatest resolves the newest checkpoint above after (-1: any)
+// that is actually restorable, falling back past any incomplete
+// (partially garbage-collected or tampered) composite. One keys-only List
+// finds the candidates, newest first; nothing is remembered between
+// calls. Only a definitive missing object — ErrIncomplete, or a manifest
+// swept since the List — demotes a candidate: transient store errors
+// propagate, so a flaky store cannot silently send recovery, or a serving
+// replica, to an older checkpoint. ErrNoCheckpoint when there is none.
+func (r *Restorer) ResolveLatest(ctx context.Context, after int) (*Plan, error) {
+	ids, err := r.ManifestIDs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for i := len(ids) - 1; i >= 0 && ids[i] > after; i-- {
+		plan, err := r.Resolve(ctx, ids[i], after)
+		if errors.Is(err, ErrIncomplete) || errors.Is(err, objstore.ErrNotFound) {
+			continue
+		}
+		return plan, err
+	}
+	return nil, ErrNoCheckpoint
 }
 
 // RestoreResult reports what a restore applied.
@@ -343,9 +337,10 @@ type RestoreResult struct {
 	// BytesRead counts payload bytes fetched.
 	BytesRead int64
 	// RowsWritten, when the caller sets it non-nil, collects per table ID
-	// the index of every row ApplyManifest wrote, in no particular order
-	// (a serving replica brings its second table buffer level from it).
-	// Left nil, nothing is recorded.
+	// the index of every row ApplyPlan wrote from an incremental link, in
+	// no particular order (a serving replica brings its second table
+	// buffer level from it). A full link rewrites every row of the tables
+	// it lists and is not recorded. Left nil, nothing is recorded.
 	RowsWritten map[int][]uint32
 }
 
@@ -360,42 +355,40 @@ func (r *Restorer) Restore(ctx context.Context, id int, m *model.DLRM) (*Restore
 	return r.restorePlan(ctx, plan, m)
 }
 
-// restorePlan applies a resolved checkpoint to m. A composite's shard
-// chains apply concurrently (shards own disjoint tables, so the writes
-// never overlap), then the composite-level dense state lands. Chunk
-// keys are absolute, so r applies every shard's links itself.
+// RestoreLatest restores the checkpoint ResolveLatest finds: the most
+// recent one that is fully restorable. A restore is a cold start.
+func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreResult, error) {
+	plan, err := r.ResolveLatest(ctx, -1)
+	if err != nil {
+		return nil, err
+	}
+	return r.restorePlan(ctx, plan, m)
+}
+
+// restorePlan applies a resolved checkpoint to m: the embedding rows as
+// ApplyPlan does, but every shard's chain at once, then the dense state
+// of every manifest that carries one — each link of a single-writer
+// chain, the composite of a sharded one (shard manifests have none).
 func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (*RestoreResult, error) {
 	top := plan.Top
-	var res *RestoreResult
+	res := &RestoreResult{Manifests: plan.Links[0]}
 	if top.Composite() {
-		res = &RestoreResult{Manifests: []*wire.Manifest{top}}
-		shardRes := make([]RestoreResult, top.ShardCount)
-		err := forEachShard(top.ShardCount, func(s int) error {
-			for _, sm := range plan.Links[s] {
-				if err := r.applyOne(ctx, sm, m, &shardRes[s]); err != nil {
-					return fmt.Errorf("ckpt: shard %d: %w", s, err)
-				}
-			}
-			return nil
-		})
+		res.Manifests = []*wire.Manifest{top}
+	}
+	if err := r.applyPlan(ctx, plan, m.Sparse, res, forEachShard); err != nil {
+		return nil, err
+	}
+	for _, man := range res.Manifests {
+		if man.DenseKey == "" {
+			continue
+		}
+		dense, err := r.store.Get(ctx, man.DenseKey)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ckpt: dense state: %w", err)
 		}
-		for i := range shardRes {
-			res.RowsApplied += shardRes[i].RowsApplied
-			res.BytesRead += shardRes[i].BytesRead
-		}
-		// The composite's own Tables carry no chunk keys, so applying it
-		// contributes exactly the shape sanity checks and the dense state.
-		if err := r.applyOne(ctx, top, m, res); err != nil {
-			return nil, err
-		}
-	} else {
-		res = &RestoreResult{Manifests: plan.Links[0]}
-		for _, man := range plan.Links[0] {
-			if err := r.applyOne(ctx, man, m, res); err != nil {
-				return nil, err
-			}
+		res.BytesRead += int64(len(dense))
+		if err := m.RestoreDenseState(dense); err != nil {
+			return nil, fmt.Errorf("ckpt: dense state: %w", err)
 		}
 	}
 	res.Reader = data.ReaderState{NextSample: top.ReaderNextSample, BatchSize: top.ReaderBatchSize}
@@ -406,81 +399,82 @@ func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (
 	return res, nil
 }
 
-// RestoreLatest restores the most recent complete checkpoint, falling
-// back past any incomplete (partially garbage-collected or tampered)
-// composite to the newest one that is fully restorable. One keys-only
-// List finds the candidates; a restore is a cold start, so nothing is
-// remembered between calls. Only a definitive missing object demotes a
-// candidate: transient store errors propagate, so a flaky store cannot
-// silently send recovery to an older checkpoint.
-func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreResult, error) {
-	ids, err := r.ManifestIDs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	for i := len(ids) - 1; i >= 0; i-- {
-		plan, err := r.Resolve(ctx, ids[i], -1)
-		if errors.Is(err, ErrIncomplete) || errors.Is(err, objstore.ErrNotFound) {
-			continue // incomplete, or swept since the List
-		}
-		if err != nil {
-			return nil, err
-		}
-		return r.restorePlan(ctx, plan, m)
-	}
-	return nil, ErrNoCheckpoint
-}
-
-// chunkWork names one chunk object to fetch, decode and apply.
-type chunkWork struct {
-	tableID int
-	tab     *embedding.Table
-	key     string
-}
-
-// TableSet resolves table IDs to live embedding tables during a
-// manifest apply. *embedding.ShardedModel satisfies it (via m.Sparse);
-// serving replicas provide their own resolver over the table versions
-// they maintain.
+// TableSet resolves table IDs to live embedding tables during an apply.
+// *embedding.ShardedModel satisfies it (via m.Sparse); serving replicas
+// provide their own resolver over the table versions they maintain.
+// Table is called from several goroutines at once.
 type TableSet interface {
 	// Table returns the table with the given ID, or nil if absent.
 	Table(id int) *embedding.Table
 }
 
-// applyOne applies a single manifest's chunks and dense state to m.
-// Chain-link ordering is the caller's loop, which applies manifests
-// sequentially.
-func (r *Restorer) applyOne(ctx context.Context, man *wire.Manifest, m *model.DLRM, res *RestoreResult) error {
-	if err := r.ApplyManifest(ctx, man, m.Sparse, res); err != nil {
+// ApplyPlan applies a resolved checkpoint's embedding rows onto tabs,
+// de-quantizing in place: each shard's links oldest first, one shard
+// after another, then, for a composite, the cross-shard shape check of
+// its own table entries, which carry no chunks. Rows and bytes are added
+// to res. Dense state is NOT applied — it lives on the model, not the
+// tables; Restore adds it, while serving replicas (which hold bare
+// tables) call this directly to land each delta, setting
+// res.RowsWritten to learn which rows it touched. On failure tabs holds
+// rows of more than one checkpoint and res is untouched.
+//
+// A replica shares its cores with the lookups it serves and, in a small
+// deployment, with the commit whose checkpoint it is fetching, so the
+// shards take turns; a restore is a cold start with nothing beside it
+// and applies them all at once (restorePlan).
+func (r *Restorer) ApplyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult) error {
+	return r.applyPlan(ctx, plan, tabs, res, func(n int, fn func(s int) error) error {
+		for s := 0; s < n; s++ {
+			if err := fn(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// applyPlan is ApplyPlan with the scheduling of the shards left to
+// eachShard: forEachShard runs them concurrently (they own disjoint
+// tables, so the writes never overlap).
+func (r *Restorer) applyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult,
+	eachShard func(n int, fn func(s int) error) error) error {
+	sum := applied{written: res.RowsWritten}
+	err := eachShard(len(plan.Links), func(s int) error {
+		for _, link := range plan.Links[s] {
+			if err := r.applyManifest(ctx, link, tabs, &sum); err != nil {
+				if plan.Top.Composite() {
+					err = fmt.Errorf("ckpt: shard %d: %w", s, err)
+				}
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil && plan.Top.Composite() {
+		err = r.applyManifest(ctx, plan.Top, tabs, &sum)
+	}
+	if err != nil {
 		return err
 	}
-	if man.DenseKey == "" {
-		// Shard manifests carry no dense state; the composite does.
-		return nil
-	}
-	dense, err := r.store.Get(ctx, man.DenseKey)
-	if err != nil {
-		return fmt.Errorf("ckpt: dense state: %w", err)
-	}
-	res.BytesRead += int64(len(dense))
-	if err := m.RestoreDenseState(dense); err != nil {
-		return fmt.Errorf("ckpt: dense state: %w", err)
-	}
+	res.RowsApplied += sum.rows
+	res.BytesRead += sum.bytes
 	return nil
 }
 
-// ApplyManifest fetches, decodes and applies one manifest's chunk
-// payload onto tabs, de-quantizing rows in place. Chunks are fetched,
-// decoded and applied across r.decoders workers: every chunk of one
-// manifest covers a disjoint row set, so concurrent application never
-// races. Dense state is NOT applied — it lives on the model, not the
-// tables; full-restore callers go through Restore, while serving
-// replicas (which hold bare tables) call this directly to land each
-// delta, setting res.RowsWritten to learn which rows it touched. Chunk
-// keys in manifests are absolute, so a Restorer of any scope can apply
-// any shard's manifest.
-func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, res *RestoreResult) error {
-	var work []chunkWork
+// applied accumulates what one ApplyPlan wrote, across the shards and
+// chunk workers that run concurrently under it.
+type applied struct {
+	mu      sync.Mutex
+	rows    int
+	bytes   int64
+	written map[int][]uint32 // RestoreResult.RowsWritten, or nil
+}
+
+// applyManifest lands one manifest's chunks on tabs: the chunk walk,
+// with every row de-quantized directly into its table's storage (no
+// intermediate fp32 vector). Every chunk of one manifest covers a
+// disjoint row set, so the walk's workers never write the same row.
+func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, sum *applied) error {
 	for i := range man.Tables {
 		tm := &man.Tables[i]
 		tab := tabs.Table(tm.TableID)
@@ -491,105 +485,125 @@ func (r *Restorer) ApplyManifest(ctx context.Context, man *wire.Manifest, tabs T
 			return fmt.Errorf("ckpt: table %d shape %dx%d != checkpoint %dx%d",
 				tm.TableID, tab.Rows, tab.Dim, tm.Rows, tm.Dim)
 		}
-		for _, key := range tm.ChunkKeys {
-			work = append(work, chunkWork{tableID: tm.TableID, tab: tab, key: key})
-		}
 	}
-
-	if len(work) > 0 {
-		workers := max(1, min(r.decoders, len(work)))
-		dctx, cancel := context.WithCancel(ctx)
-		var rowsApplied, bytesRead atomic.Int64
-		var writtenMu sync.Mutex // guards res.RowsWritten across workers
-		errCh := make(chan error, workers)
-		jobs := make(chan chunkWork)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch quant.Scratch
-				for w := range jobs {
-					rows, bytes, written, err := r.applyChunk(dctx, w, &scratch, res.RowsWritten != nil)
-					if err != nil {
-						select {
-						case errCh <- err:
-							cancel()
-						default:
-						}
-						return
-					}
-					rowsApplied.Add(int64(rows))
-					bytesRead.Add(bytes)
-					if written != nil {
-						writtenMu.Lock()
-						res.RowsWritten[w.tableID] = append(res.RowsWritten[w.tableID], written...)
-						writtenMu.Unlock()
-					}
-				}
-			}()
+	record := sum.written != nil && man.Kind != wire.KindFull.String()
+	return r.walkChunks(ctx, man, func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error {
+		if err != nil {
+			return fmt.Errorf("ckpt: %w", err)
 		}
-	feed:
-		for _, w := range work {
-			select {
-			case jobs <- w:
-			case <-dctx.Done():
-				break feed
+		// The shape check above made tm's bounds the table's.
+		tab := tabs.Table(tm.TableID)
+		for i := range chunk.Rows {
+			row := &chunk.Rows[i]
+			if err := quant.DequantizeInto(tab.Lookup(int(row.Index)), row.Q, scratch); err != nil {
+				return fmt.Errorf("ckpt: %s row %d: %w", key, row.Index, err)
 			}
+			tab.Accum[row.Index] = row.Accum
 		}
-		close(jobs)
-		wg.Wait()
-		cancel()
-		select {
-		case err := <-errCh:
-			return err
-		default:
+		sum.mu.Lock()
+		defer sum.mu.Unlock()
+		sum.rows += len(chunk.Rows)
+		sum.bytes += size
+		if record {
+			rows := sum.written[tm.TableID]
+			for i := range chunk.Rows {
+				rows = append(rows, chunk.Rows[i].Index)
+			}
+			sum.written[tm.TableID] = rows
 		}
-		res.RowsApplied += int(rowsApplied.Load())
-		res.BytesRead += bytesRead.Load()
-	}
-	return nil
+		return nil
+	})
 }
 
-// applyChunk fetches, decodes and applies one chunk, de-quantizing each
-// row directly into the table's storage (no intermediate fp32 vector).
-// With record set it also returns the indices of the rows it wrote.
-func (r *Restorer) applyChunk(ctx context.Context, w chunkWork, scratch *quant.Scratch, record bool) (rowsApplied int, bytesRead int64, written []uint32, err error) {
-	blob, err := r.store.Get(ctx, w.key)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("ckpt: get %s: %w", w.key, err)
+// walkChunks is the one chunk read loop, under restore, replica sync,
+// verify and engine rejoin alike. It fans man's chunk keys over
+// r.decoders workers; each Gets an object, alias-decodes it (CRC
+// included), checks it against the TableManifest that names it — table
+// ID, every row index below Rows, every row's dim equal to Dim — and
+// hands the outcome to visit: the chunk, or the error that stopped it
+// short of one (size is what was fetched either way). visit decides what
+// an error means: returning non-nil aborts the walk, which then returns
+// that error; returning nil (having recorded it) carries on. A context
+// that ends with chunks still unread, or under a read, is the walk's
+// error and no finding of visit's.
+//
+// visit runs on the worker goroutines, so it must serialise what it
+// shares; scratch is the calling worker's own, for de-quantizing. chunk
+// aliases the fetched object and is dead once visit returns.
+func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
+	visit func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error) error {
+	type work struct {
+		tm  *wire.TableManifest
+		key string
 	}
-	bytesRead = int64(len(blob))
-	// Alias decode: blob is function-local and the rows are dequantized
-	// into the table before it goes out of scope, so the per-row Codes
-	// copy is pure overhead.
+	var todo []work
+	for i := range man.Tables {
+		for _, key := range man.Tables[i].ChunkKeys {
+			todo = append(todo, work{&man.Tables[i], key})
+		}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next  atomic.Int64
+		once  sync.Once
+		first error
+		wg    sync.WaitGroup
+	)
+	fail := func(err error) {
+		once.Do(func() {
+			first = err
+			cancel()
+		})
+	}
+	for w := 0; w < min(r.decoders, len(todo)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch quant.Scratch
+			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
+				chunk, size, err := r.readChunk(ctx, todo[i].tm, todo[i].key)
+				if cerr := ctx.Err(); cerr != nil {
+					fail(cerr) // whatever the read says, it says it of the context
+					return
+				}
+				if err := visit(&scratch, todo[i].tm, todo[i].key, chunk, size, err); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// readChunk fetches and decodes the chunk stored under key and checks it
+// against tm, the table manifest that names it.
+func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string) (*wire.Chunk, int64, error) {
+	blob, err := r.store.Get(ctx, key)
+	if err != nil {
+		return nil, 0, fmt.Errorf("get %s: %w", key, err)
+	}
+	size := int64(len(blob))
+	// Alias decode: blob is function-local and visit consumes the rows
+	// before it goes out of scope, so the per-row Codes copy is pure
+	// overhead.
 	chunk, err := wire.DecodeChunkAlias(blob)
 	if err != nil {
-		return 0, bytesRead, nil, fmt.Errorf("ckpt: %s: %w", w.key, err)
+		return nil, size, fmt.Errorf("%s: %w", key, err)
 	}
-	if int(chunk.TableID) != w.tableID {
-		return 0, bytesRead, nil, fmt.Errorf("ckpt: %s holds table %d, want %d", w.key, chunk.TableID, w.tableID)
+	if int(chunk.TableID) != tm.TableID {
+		return nil, size, fmt.Errorf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID)
 	}
-	if record {
-		written = make([]uint32, 0, len(chunk.Rows))
-	}
-	tab := w.tab
 	for i := range chunk.Rows {
 		row := &chunk.Rows[i]
-		if int(row.Index) >= tab.Rows {
-			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d out of range", w.key, row.Index)
+		if int(row.Index) >= tm.Rows {
+			return nil, size, fmt.Errorf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows)
 		}
-		if row.Q.N != tab.Dim {
-			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d dim %d != %d", w.key, row.Index, row.Q.N, tab.Dim)
-		}
-		if err := quant.DequantizeInto(tab.Lookup(int(row.Index)), row.Q, scratch); err != nil {
-			return rowsApplied, bytesRead, written, fmt.Errorf("ckpt: %s row %d: %w", w.key, row.Index, err)
-		}
-		tab.Accum[row.Index] = row.Accum
-		rowsApplied++
-		if record {
-			written = append(written, row.Index)
+		if row.Q.N != tm.Dim {
+			return nil, size, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
 		}
 	}
-	return rowsApplied, bytesRead, written, nil
+	return chunk, size, nil
 }

@@ -77,7 +77,9 @@ func storesEqual(t *testing.T, ctx context.Context, a, b objstore.Store) {
 // guarantee: an engine rebuilt from the store continues the chain with
 // byte-for-byte the same objects a never-crashed engine writes. Every
 // policy is covered — each reconstructs different state (baselines,
-// cumulative bitmaps, size history).
+// cumulative bitmaps, size history). Eight rows to a chunk make every
+// increment several chunks per table, so the bitmap rebuild's walker runs
+// its workers side by side (under -race: they share the bitmaps).
 func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 	policies := map[string]PolicyKind{
 		"full":         PolicyFull,
@@ -88,29 +90,35 @@ func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 	for name, pol := range policies {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
-			snaps := rejoinSnapshots(t, 3)
+			const written = 3
+			snaps := rejoinSnapshots(t, written+1)
 			storeLive := objstore.NewMemStore(objstore.MemConfig{})
 			storeCrash := objstore.NewMemStore(objstore.MemConfig{})
-			live, err := NewEngine(Config{JobID: "testjob", Store: storeLive, Policy: pol})
+			live, err := NewEngine(Config{JobID: "testjob", Store: storeLive, Policy: pol, ChunkRows: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			crash, err := NewEngine(Config{JobID: "testjob", Store: storeCrash, Policy: pol})
+			crash, err := NewEngine(Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 2; i++ {
+			for i := 0; i < written; i++ {
 				if _, err := live.Write(ctx, snaps[i]); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := crash.Write(ctx, snaps[i]); err != nil {
+				man, err := crash.Write(ctx, snaps[i])
+				if err != nil {
 					t.Fatal(err)
+				}
+				if i > 0 && len(man.Tables[0].ChunkKeys) < 2 {
+					t.Fatalf("checkpoint %d stores table 0 in %d chunks: the fixture no longer makes a multi-chunk chain",
+						i, len(man.Tables[0].ChunkKeys))
 				}
 			}
 
 			// The crashed process is gone; recover a fresh engine from
 			// its store and verify it rebuilt the live engine's state.
-			rec, err := RecoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol}, RecoverOptions{})
+			rec, err := RecoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8}, RecoverOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,10 +146,10 @@ func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 			}
 
 			// Both continue the chain; the stores must end up identical.
-			if _, err := live.Write(ctx, snaps[2]); err != nil {
+			if _, err := live.Write(ctx, snaps[written]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rec.Write(ctx, snaps[2]); err != nil {
+			if _, err := rec.Write(ctx, snaps[written]); err != nil {
 				t.Fatal(err)
 			}
 			storesEqual(t, ctx, storeLive, storeCrash)

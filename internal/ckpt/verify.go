@@ -2,8 +2,12 @@ package ckpt
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
+	"repro/internal/objstore"
+	"repro/internal/quant"
 	"repro/internal/wire"
 )
 
@@ -25,67 +29,56 @@ type VerifyResult struct {
 // OK reports whether the scrub found no problems.
 func (v *VerifyResult) OK() bool { return len(v.Problems) == 0 && v.ChainOK }
 
-// Verify scrubs checkpoint id: it fetches and CRC-validates every chunk,
-// checks row indices against the manifest's table shapes, confirms the
-// dense object exists, and walks the restore chain. It never modifies the
+// Verify scrubs checkpoint id by reading what a restore of it would
+// read: the manifests Resolve follows (a composite's shard manifests by
+// the keys it names, then each chain), every chunk of every link through
+// the same fetch, CRC and shape checks ApplyPlan runs, and the dense
+// objects Restore loads — so a checkpoint verifies clean exactly when it
+// restores. A chain that does not resolve is a problem, and its target
+// is still scrubbed for what it names itself. It never modifies the
 // model or the store — this is the offline integrity check an operator
 // runs before trusting a checkpoint (the controller "monitors and
 // maintains checkpoints" in Figure 7).
 func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
-	target, err := r.manifest(ctx, id)
+	top, err := r.manifest(ctx, id)
 	if err != nil {
 		// Missing, or a transient store failure that must not masquerade
 		// as corruption.
 		return nil, err
 	}
-	if target.Composite() {
-		return r.verifyComposite(ctx, target)
-	}
-	chain, err := r.chainSince(ctx, target, -1)
-	res := &VerifyResult{ID: id, ChainOK: err == nil}
-	if err != nil {
-		// Still scrub the target itself.
-		res.Problems = append(res.Problems, fmt.Sprintf("chain: %v", err))
-		chain = []*wire.Manifest{target}
-	}
-	res.Kind = target.Kind
-
-	for _, man := range chain {
-		for _, tm := range man.Tables {
-			for _, key := range tm.ChunkKeys {
-				blob, err := r.store.Get(ctx, key)
-				if err != nil {
-					res.Problems = append(res.Problems, fmt.Sprintf("%s: %v", key, err))
-					continue
-				}
-				res.Bytes += int64(len(blob))
-				// Alias decode: the chunk is only scanned for row indices
-				// and dims before blob goes out of scope.
-				chunk, err := wire.DecodeChunkAlias(blob)
-				if err != nil {
-					res.Problems = append(res.Problems, fmt.Sprintf("%s: %v", key, err))
-					continue
-				}
-				res.Chunks++
-				if int(chunk.TableID) != tm.TableID {
-					res.Problems = append(res.Problems,
-						fmt.Sprintf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID))
-				}
-				for i := range chunk.Rows {
-					row := &chunk.Rows[i]
-					if int(row.Index) >= tm.Rows {
-						res.Problems = append(res.Problems,
-							fmt.Sprintf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows))
-						break
-					}
-					if row.Q == nil || row.Q.N != tm.Dim {
-						res.Problems = append(res.Problems,
-							fmt.Sprintf("%s: row %d has dim %d, want %d", key, row.Index, qDim(row), tm.Dim))
-						break
-					}
-					res.Rows++
-				}
+	res := &VerifyResult{ID: id, Kind: top.Kind, ChainOK: true}
+	var scrub []*wire.Manifest
+	for s := 0; s < chains(top); s++ {
+		target, links, err := r.links(ctx, top, s, -1)
+		if err != nil {
+			res.ChainOK = false
+			res.Problems = append(res.Problems, fmt.Sprintf("chain: %v", err))
+			if target == nil {
+				continue
 			}
+			links = []*wire.Manifest{target}
+		}
+		scrub = append(scrub, links...)
+	}
+	if top.Composite() {
+		scrub = append(scrub, top) // no chunks of its own: the dense object
+	}
+	var mu sync.Mutex // guards res across the walk's workers
+	for _, man := range scrub {
+		err := r.walkChunks(ctx, man, func(_ *quant.Scratch, _ *wire.TableManifest, _ string, chunk *wire.Chunk, size int64, err error) error {
+			mu.Lock()
+			defer mu.Unlock()
+			res.Bytes += size
+			if err != nil {
+				res.Problems = append(res.Problems, err.Error())
+				return nil
+			}
+			res.Chunks++
+			res.Rows += len(chunk.Rows)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if man.DenseKey != "" {
 			if _, err := r.store.Stat(ctx, man.DenseKey); err != nil {
@@ -96,53 +89,20 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 	return res, nil
 }
 
-// verifyComposite scrubs a sharded checkpoint: every shard's manifest
-// must be present and its restore chain must scrub clean.
-func (r *Restorer) verifyComposite(ctx context.Context, man *wire.Manifest) (*VerifyResult, error) {
-	res := &VerifyResult{ID: man.ID, Kind: man.Kind, ChainOK: true}
-	for s := 0; s < man.ShardCount; s++ {
-		sub, err := r.shardRestorer(s)
-		if err != nil {
-			return nil, err
-		}
-		sv, err := sub.Verify(ctx, man.ID)
-		if err != nil {
-			res.ChainOK = false
-			res.Problems = append(res.Problems, fmt.Sprintf("shard %d: %v", s, err))
-			continue
-		}
-		res.Chunks += sv.Chunks
-		res.Rows += sv.Rows
-		res.Bytes += sv.Bytes
-		res.ChainOK = res.ChainOK && sv.ChainOK
-		for _, p := range sv.Problems {
-			res.Problems = append(res.Problems, fmt.Sprintf("shard %d: %s", s, p))
-		}
-	}
-	if man.DenseKey != "" {
-		if _, err := r.store.Stat(ctx, man.DenseKey); err != nil {
-			res.Problems = append(res.Problems, fmt.Sprintf("dense %s: %v", man.DenseKey, err))
-		}
-	}
-	return res, nil
-}
-
-func qDim(row *wire.Row) int {
-	if row.Q == nil {
-		return -1
-	}
-	return row.Q.N
-}
-
-// VerifyAll scrubs every checkpoint of the job, newest first.
+// VerifyAll scrubs every checkpoint of the job, newest first. One that
+// retention sweeps between the listing and its scrub is skipped: the
+// listing is of the checkpoints that exist, and that one no longer does.
 func (r *Restorer) VerifyAll(ctx context.Context) ([]*VerifyResult, error) {
-	ms, err := r.ListManifests(ctx)
+	ids, err := r.ManifestIDs(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*VerifyResult, 0, len(ms))
-	for i := len(ms) - 1; i >= 0; i-- {
-		v, err := r.Verify(ctx, ms[i].ID)
+	out := make([]*VerifyResult, 0, len(ids))
+	for i := len(ids) - 1; i >= 0; i-- {
+		v, err := r.Verify(ctx, ids[i])
+		if errors.Is(err, objstore.ErrNotFound) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

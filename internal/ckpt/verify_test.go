@@ -29,60 +29,9 @@ func TestVerifyCleanCheckpoint(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsCorruptChunk(t *testing.T) {
-	f := newFixture(t, Config{Policy: PolicyFull})
-	man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := man.Tables[0].ChunkKeys[0]
-	blob, _ := f.store.Get(f.ctx, key)
-	blob[10] ^= 0xFF
-	f.store.Put(f.ctx, key, blob)
-	v, err := f.rest.Verify(f.ctx, man.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.OK() {
-		t.Fatal("corruption not detected")
-	}
-}
-
-func TestVerifyDetectsMissingChunk(t *testing.T) {
-	f := newFixture(t, Config{Policy: PolicyFull})
-	man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.store.Delete(f.ctx, man.Tables[0].ChunkKeys[0]); err != nil {
-		t.Fatal(err)
-	}
-	v, err := f.rest.Verify(f.ctx, man.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.OK() {
-		t.Fatal("missing chunk not detected")
-	}
-}
-
-func TestVerifyDetectsMissingDense(t *testing.T) {
-	f := newFixture(t, Config{Policy: PolicyFull})
-	man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.store.Delete(f.ctx, man.DenseKey); err != nil {
-		t.Fatal(err)
-	}
-	v, err := f.rest.Verify(f.ctx, man.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.OK() {
-		t.Fatal("missing dense state not detected")
-	}
-}
+// Damage to a checkpoint's objects — corrupt, mislabelled, missing — is
+// TestVerifyAgreesWithRestore's table: each row must fail both the scrub
+// and the restore.
 
 func TestVerifyDetectsBrokenChain(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyOneShot})
@@ -102,6 +51,10 @@ func TestVerifyDetectsBrokenChain(t *testing.T) {
 	}
 	if v.ChainOK || v.OK() {
 		t.Fatal("broken chain not detected")
+	}
+	// The target is still scrubbed for what it names itself.
+	if v.Chunks == 0 || v.Rows == 0 || len(v.Problems) != 1 {
+		t.Fatalf("scrub of the target behind a broken chain: %+v", v)
 	}
 }
 

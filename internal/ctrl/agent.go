@@ -33,17 +33,11 @@ type AgentConfig struct {
 	Engine ckpt.Config
 	// Source supplies prepare-time snapshots.
 	Source SnapshotSource
-	// Recover rebuilds the shard engine from the shard scope's manifests
-	// in the store on startup (ckpt.RecoverEngine) and loads the fleet
-	// epoch from the job's lease register, so a restarted agent rejoins
-	// the fleet — passing NextID-consensus discovery and still refusing
-	// superseded controllers — instead of coming back amnesiac.
-	Recover bool
-	// OpTimeout bounds each server-driven control operation, including
-	// the store I/O it performs. Zero means no deadline. Without one, a
-	// hung store Put during Prepare holds the agent's command mutex
-	// forever and no later command — including Abort from a new-epoch
-	// controller — can land.
+	// OpTimeout bounds start-up's store reads and each server-driven
+	// control operation, including the store I/O it performs. Zero means
+	// no deadline. Without one, a hung store Put during Prepare holds the
+	// agent's command mutex forever and no later command — including
+	// Abort from a new-epoch controller — can land.
 	OpTimeout time.Duration
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -56,8 +50,8 @@ type Agent struct {
 	cfg  AgentConfig
 	eng  *ckpt.Engine
 	logf func(format string, args ...any)
-	// reg is the job's epoch/lease register; set when Recover is on so
-	// adopted epochs survive agent restarts. May be nil (legacy mode).
+	// reg is the job's epoch/lease register, through which adopted
+	// epochs survive agent restarts.
 	reg *Register
 
 	mu    sync.Mutex
@@ -70,7 +64,12 @@ type Agent struct {
 	pendingDense string
 }
 
-// NewAgent validates cfg and builds the shard engine.
+// NewAgent validates cfg and resumes the shard from the store: the
+// engine from the shard scope's manifests (ckpt.RecoverShardEngine) and
+// the fleet epoch from the job's lease register, so a restarted agent
+// rejoins the fleet — passing NextID-consensus discovery and still
+// refusing superseded controllers — instead of coming back amnesiac.
+// Over an empty store that is a fresh engine at epoch 0.
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("ctrl: empty job ID")
@@ -88,38 +87,25 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	ecfg := cfg.Engine
 	a := &Agent{cfg: cfg, logf: logf}
-	if cfg.Recover {
-		ctx := context.Background()
-		if cfg.OpTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, cfg.OpTimeout)
-			defer cancel()
-		}
-		ecfg.JobID = cfg.JobID
-		eng, err := ckpt.RecoverShardEngine(ctx, ecfg, cfg.Shard)
-		if err != nil {
-			return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
-		}
-		reg, err := NewRegister(RegisterConfig{JobID: cfg.JobID, Store: cfg.Engine.Store})
-		if err != nil {
-			return nil, err
-		}
-		rec, err := reg.Read(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
-		}
-		a.eng, a.reg, a.epoch = eng, reg, rec.Epoch
-		logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, eng.NextID(), rec.Epoch)
-		return a, nil
+	ctx, cancel := a.opCtxLocked()
+	defer cancel()
+	ecfg := cfg.Engine
+	ecfg.JobID = cfg.JobID
+	eng, err := ckpt.RecoverShardEngine(ctx, ecfg, cfg.Shard)
+	if err != nil {
+		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 	}
-	ecfg.JobID = wire.ShardJobID(cfg.JobID, cfg.Shard)
-	eng, err := ckpt.NewEngine(ecfg)
+	reg, err := NewRegister(RegisterConfig{JobID: cfg.JobID, Store: cfg.Engine.Store})
 	if err != nil {
 		return nil, err
 	}
-	a.eng = eng
+	rec, err := reg.Read(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
+	}
+	a.eng, a.reg, a.epoch = eng, reg, rec.Epoch
+	logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, eng.NextID(), rec.Epoch)
 	return a, nil
 }
 
@@ -138,26 +124,25 @@ func (a *Agent) admitLocked(epoch uint64) error {
 	if epoch > a.epoch {
 		a.logf("ctrl agent %d: adopting epoch %d (was %d)", a.cfg.Shard, epoch, a.epoch)
 		a.epoch = epoch
-		if a.reg != nil {
-			// Make the adoption durable so a restarted agent still
-			// refuses the superseded controller. Best-effort: the
-			// register is a floor, and a missed write only narrows the
-			// window back to in-memory fencing.
-			ctx, cancel := a.opCtxLocked()
-			err := a.reg.ObserveEpoch(ctx, epoch)
-			cancel()
-			if err != nil {
-				a.logf("ctrl agent %d: persist epoch %d: %v", a.cfg.Shard, epoch, err)
-			}
+		// Make the adoption durable so a restarted agent still refuses
+		// the superseded controller. Best-effort: the register is a floor,
+		// and a missed write only narrows the window back to in-memory
+		// fencing.
+		ctx, cancel := a.opCtxLocked()
+		err := a.reg.ObserveEpoch(ctx, epoch)
+		cancel()
+		if err != nil {
+			a.logf("ctrl agent %d: persist epoch %d: %v", a.cfg.Shard, epoch, err)
 		}
 		a.abortPendingLocked()
 	}
 	return nil
 }
 
-// opCtxLocked returns a context for one store operation issued from
-// under the command mutex outside a request (epoch persistence,
-// rollback). The caller releases it as soon as the operation returns.
+// opCtxLocked returns a context for store operations issued outside a
+// request: start-up's reads and, from under the command mutex, epoch
+// persistence and rollback. The caller releases it as soon as the
+// operation returns.
 func (a *Agent) opCtxLocked() (context.Context, context.CancelFunc) {
 	if a.cfg.OpTimeout <= 0 {
 		return context.WithCancel(context.Background())

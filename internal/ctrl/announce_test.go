@@ -181,7 +181,7 @@ func (s *stallingStore) List(ctx context.Context, prefix string) ([]string, erro
 
 func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 	// Regression: NewController used to hardcode a 30s deadline around
-	// discovery and the KeepLast ListManifests seed; a wedged store made
+	// discovery and the KeepLast retention seed; a wedged store made
 	// startup hang the full 30s regardless of configuration. With
 	// OpTimeout plumbed through, the slow store fails fast at the
 	// configured budget.
@@ -207,7 +207,7 @@ func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 		JobID:     "fence",
 		Store:     &stallingStore{Store: objstore.NewMemStore(objstore.MemConfig{})},
 		Agents:    []string{srv.Addr()},
-		KeepLast:  1, // forces the ListManifests GC seed, which stalls
+		KeepLast:  1, // forces the Committer's retention seed (a List), which stalls
 		OpTimeout: 200 * time.Millisecond,
 	})
 	elapsed := time.Since(start)

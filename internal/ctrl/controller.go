@@ -38,8 +38,8 @@ type ControllerConfig struct {
 	// DialTimeout bounds agent connection establishment; zero means 5s.
 	DialTimeout time.Duration
 	// OpTimeout bounds the controller's own store and discovery
-	// operations — agent Status during discovery and the ListManifests
-	// that seeds GC — mirroring the per-op budget agents already have
+	// operations — agent Status during discovery and the List that
+	// seeds retention — mirroring the per-op budget agents already have
 	// (AgentConfig.OpTimeout). Zero means 30s. A hung store therefore
 	// fails controller startup at this budget instead of a hardcoded
 	// deadline.
@@ -170,21 +170,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		r := NewRemoteRunner(d.client, cfg.JobID, c.epoch, st.Shard == 0)
 		c.remotes, runners = append(c.remotes, r), append(runners, r)
 	}
-	var existing []*wire.Manifest
-	if cfg.KeepLast > 0 {
-		// Seed retention from the store so it covers composites a
-		// predecessor controller committed — a restarted or failed-over
-		// controller would otherwise never sweep them and KeepLast would
-		// silently leak manifests and dense objects forever.
-		rest, err := ckpt.NewRestorer(cfg.JobID, cfg.Store)
-		if err != nil {
-			return fail(err)
-		}
-		if existing, err = rest.ListManifests(ctx); err != nil {
-			return fail(fmt.Errorf("ctrl: list composites: %w", err))
-		}
+	// With KeepLast the Committer seeds retention from the store, under
+	// the start-up budget.
+	var err error
+	if c.commit, err = ckpt.NewCommitter(ctx, cfg.JobID, cfg.Store, runners, found[0].status.NextID, cfg.KeepLast, cfg.Logf); err != nil {
+		return fail(err)
 	}
-	c.commit = ckpt.NewCommitter(cfg.JobID, cfg.Store, runners, found[0].status.NextID, cfg.KeepLast, existing, cfg.Logf)
 	if cfg.Announcer != nil {
 		// Seed the announce endpoint so replicas subscribing between
 		// checkpoints learn the current epoch and how far the chain has

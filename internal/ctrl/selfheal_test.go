@@ -45,17 +45,16 @@ type miniFleet struct {
 	addrs   []string
 }
 
-func startMiniFleet(t *testing.T, job string, n int, store *objstore.MemStore, recoverAgents bool) *miniFleet {
+func startMiniFleet(t *testing.T, job string, n int, store *objstore.MemStore) *miniFleet {
 	t.Helper()
 	f := &miniFleet{}
 	for s := 0; s < n; s++ {
 		a, err := NewAgent(AgentConfig{
-			JobID:   job,
-			Shard:   s,
-			Shards:  n,
-			Engine:  ckpt.Config{Store: store, Policy: ckpt.PolicyOneShot},
-			Source:  miniSource(s),
-			Recover: recoverAgents,
+			JobID:  job,
+			Shard:  s,
+			Shards: n,
+			Engine: ckpt.Config{Store: store, Policy: ckpt.PolicyOneShot},
+			Source: miniSource(s),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +86,7 @@ func TestControllerRestartStillSweepsPredecessorComposites(t *testing.T) {
 	const job = "gcjob"
 	ctx := context.Background()
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet := startMiniFleet(t, job, 2, store, false)
+	fleet := startMiniFleet(t, job, 2, store)
 
 	c1, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 2})
 	if err != nil {
@@ -173,7 +172,7 @@ func TestCompositeGCRetriesFailedDelete(t *testing.T) {
 			}
 		}},
 		{"controller", func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(uint64) error {
-			fleet := startMiniFleet(t, job, 2, mem, false)
+			fleet := startMiniFleet(t, job, 2, mem)
 			c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -225,7 +224,7 @@ func TestStaleEpochControllerRefusedAfterFullFleetRestart(t *testing.T) {
 	const job = "fencejob"
 	ctx := context.Background()
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet1 := startMiniFleet(t, job, 2, store, true)
+	fleet1 := startMiniFleet(t, job, 2, store)
 
 	reg, err := NewRegister(RegisterConfig{JobID: job, Store: store, Holder: "primary", Settle: time.Millisecond})
 	if err != nil {
@@ -248,8 +247,10 @@ func TestStaleEpochControllerRefusedAfterFullFleetRestart(t *testing.T) {
 	}
 	fleet1.stop()
 
-	// Full fleet restart: fresh processes, state only in the store.
-	fleet2 := startMiniFleet(t, job, 2, store, true)
+	// Full fleet restart: fresh processes, state only in the store. The
+	// agent config is the one the first fleet started with — there is no
+	// other way to start one.
+	fleet2 := startMiniFleet(t, job, 2, store)
 	if st := fleet2.agents[0].Status(); st.Epoch != lease1.Epoch() || st.NextID != 1 {
 		t.Fatalf("restarted agent at epoch %d next %d, want epoch %d next 1 (durable fencing state)",
 			st.Epoch, st.NextID, lease1.Epoch())
@@ -297,7 +298,7 @@ func TestControllerManifestCacheBoundedWithoutRetention(t *testing.T) {
 	const job = "cachejob"
 	ctx := context.Background()
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet := startMiniFleet(t, job, 1, store, false)
+	fleet := startMiniFleet(t, job, 1, store)
 
 	c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs})
 	if err != nil {

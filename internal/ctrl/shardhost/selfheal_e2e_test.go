@@ -56,14 +56,13 @@ func selfHealHostConfig(job string, shard, shards int, storeAddr string) Config 
 		TableRows: e2eRows,
 		Dim:       e2eDim,
 		Engine:    ckpt.Config{Policy: ckpt.PolicyOneShot, ChunkRows: 64},
-		Recover:   true,
 	}
 }
 
 // TestKilledShardRejoinsAndNextCompositeCommitsBitIdentically is the
 // tentpole's rejoin acceptance test, in-process: a shard host is killed
 // mid-commit (after prepare, before publish), the attempt aborts, and a
-// fresh host started in its place — empty process state, recovery on —
+// fresh host started in its place — empty process state —
 // passes NextID-consensus discovery. The retried composite then commits
 // and restores bit-identically to a never-crashed replica.
 func TestKilledShardRejoinsAndNextCompositeCommitsBitIdentically(t *testing.T) {
@@ -239,7 +238,7 @@ func TestStandbyControllerTakesOverLeaseAndResumesChain(t *testing.T) {
 
 // TestSeparateProcessSharddRejoinAfterSIGKILL runs the rejoin
 // acceptance scenario with real OS processes: a shardd daemon is
-// SIGKILLed mid-commit, a fresh shardd process (default -recover) takes
+// SIGKILLed mid-commit, a fresh shardd process takes
 // its place, discovery succeeds, and the next composite commits and
 // restores bit-identically.
 func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {

@@ -51,11 +51,6 @@ type Config struct {
 	// Engine is the shard engine template (Policy, Quant, ChunkRows,
 	// Uploaders, KeepLast). JobID and Store are filled in by the host.
 	Engine ckpt.Config
-	// Recover rebuilds the shard engine from the store's manifests and
-	// loads the durable fleet epoch on startup, so a restarted host
-	// rejoins the fleet (the replica itself re-trains deterministically
-	// from the seed to whatever step the next sample requests).
-	Recover bool
 	// ConnectWait, if positive, keeps retrying the initial store connect
 	// for up to this long with jittered exponential backoff. A rejoining
 	// fleet typically races the store plane coming back from the same
@@ -144,7 +139,6 @@ func Start(cfg Config) (*Host, error) {
 		Shards:    cfg.Shards,
 		Engine:    ecfg,
 		Source:    h.snapshotAt,
-		Recover:   cfg.Recover,
 		OpTimeout: cfg.OpTimeout,
 		Logf:      cfg.Logf,
 	})

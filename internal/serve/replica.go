@@ -67,9 +67,6 @@ type Config struct {
 	// ListenAddr is the lookup listen address; empty means
 	// "127.0.0.1:0".
 	ListenAddr string
-	// Decoders overrides chunk-decode parallelism (see
-	// ckpt.Restorer.SetDecoders); zero keeps the default.
-	Decoders int
 	// ResyncEvery is the store re-sync polling period — the fallback
 	// that converges a replica whose announce stream is dead or
 	// partitioned. Zero means 2s.
@@ -241,9 +238,6 @@ func Start(cfg Config) (*Replica, error) {
 	rest, err := ckpt.NewRestorer(cfg.JobID, store)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Decoders > 0 {
-		rest.SetDecoders(cfg.Decoders)
 	}
 	r := &Replica{
 		cfg:   cfg,
@@ -474,37 +468,30 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 // 1 + shards manifest Gets and no List however long the job's history.
 // State still comes only from the store: a hint whose composite is not
 // there (or is incomplete) is dropped, and that pass, like every pass
-// the re-sync ticker starts, works from one keys-only List instead —
-// which is also what heals a replica whose announce stream died.
+// the re-sync ticker starts, asks ResolveLatest instead — one keys-only
+// List, the fallback past torn composites recovery uses — which is also
+// what heals a replica whose announce stream died.
 func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
-	unusable := func(err error) bool {
-		return errors.Is(err, objstore.ErrNotFound) || errors.Is(err, ckpt.ErrIncomplete)
-	}
 	if hint := int(r.hint.Swap(-1)); hint > served {
 		plan, err := r.rest.Resolve(ctx, hint, served)
-		if !unusable(err) {
+		if !errors.Is(err, objstore.ErrNotFound) && !errors.Is(err, ckpt.ErrIncomplete) {
 			return plan, err
 		}
 	}
-	ids, err := r.rest.ManifestIDs(ctx)
-	if err != nil {
-		return nil, err
+	plan, err := r.rest.ResolveLatest(ctx, served)
+	if errors.Is(err, ckpt.ErrNoCheckpoint) {
+		return nil, nil
 	}
-	for i := len(ids) - 1; i >= 0 && ids[i] > served; i-- {
-		plan, err := r.rest.Resolve(ctx, ids[i], served)
-		if unusable(err) {
-			continue // torn by hand or swept since the List: try the one before
-		}
-		return plan, err
-	}
-	return nil, nil
+	return plan, err
 }
 
 // rewrite turns next into plan's checkpoint. With a live set, next is
 // the standby: it first receives from live the rows the previous sync
 // wrote (the two then hold the same checkpoint), except in tables whose
 // first new link is a full baseline, which overwrites every row anyway.
-// Then the links are applied in place, oldest first per shard.
+// Then the links are applied in place, oldest first per shard
+// (ckpt.Restorer.ApplyPlan: the apply a restore runs, one shard at a
+// time).
 //
 // Correctness across delta policies: Resolve cuts every shard's chain
 // to the links newer than the served checkpoint. A SinceBase link
@@ -549,40 +536,28 @@ func (r *Replica) rewrite(ctx context.Context, plan *ckpt.Plan, next, live *tabl
 		}
 	}
 
+	res := &ckpt.RestoreResult{RowsWritten: make(map[int][]uint32)}
+	if err := r.rest.ApplyPlan(ctx, plan, next, res); err != nil {
+		return nil, did, fmt.Errorf("serve: apply %d: %w", plan.Top.ID, err)
+	}
+	// A table some link rewrote in full is wholly new; any other holds
+	// exactly the rows the incremental links recorded.
 	wrote = make(map[int]*tableDelta)
 	for _, chain := range plan.Links {
 		for _, m := range chain {
-			res := &ckpt.RestoreResult{}
-			if m.Kind != full {
-				res.RowsWritten = make(map[int][]uint32)
-			}
-			if err := r.rest.ApplyManifest(ctx, m, next, res); err != nil {
-				return nil, did, fmt.Errorf("serve: apply %d: %w", m.ID, err)
-			}
 			for i := range m.Tables {
 				id := m.Tables[i].TableID
-				d := wrote[id]
-				if d == nil {
-					d = &tableDelta{}
-					wrote[id] = d
+				if wrote[id] == nil {
+					wrote[id] = &tableDelta{rows: res.RowsWritten[id]}
 				}
 				if m.Kind == full {
-					*d = tableDelta{all: true}
-				} else if !d.all {
-					d.rows = append(d.rows, res.RowsWritten[id]...)
+					*wrote[id] = tableDelta{all: true}
 				}
 			}
-			did.LinksApplied++
-			did.RowsApplied += uint64(res.RowsApplied)
 		}
+		did.LinksApplied += uint64(len(chain))
 	}
-	if plan.Top.Composite() {
-		// The composite's own table entries carry no chunks; applying it
-		// is the cross-shard shape sanity check recovery also runs.
-		if err := r.rest.ApplyManifest(ctx, plan.Top, next, &ckpt.RestoreResult{}); err != nil {
-			return nil, did, err
-		}
-	}
+	did.RowsApplied = uint64(res.RowsApplied)
 	next.id, next.step = plan.Top.ID, plan.Top.Step
 	return wrote, did, nil
 }

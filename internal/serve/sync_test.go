@@ -262,7 +262,7 @@ func TestFailedApplyKeepsServingAndConverges(t *testing.T) {
 // that missed three of them catches up from the one it gets, by key; a
 // hint naming a checkpoint that is not in the store sends that pass to
 // the listing, which finds what was committed behind the replica's
-// back.
+// back — and past a torn newest composite, the one before it.
 func TestSkippedAndStaleHintsConverge(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil))
@@ -300,6 +300,32 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 		t.Errorf("the fallback pass listed the store %d times, want once", st.LastLists)
 	}
 	f.checkAll(man.ID)
+
+	// The same phantom hint with the newest listed composite torn (a
+	// shard manifest gone): the pass lands on the one before it, through
+	// the fallback a restore uses, for one List and the Gets of the hint,
+	// the torn composite's manifests (each shard's two links since the
+	// served checkpoint, at most) and the good one's sync.
+	landed := f.commit(f.ctx)
+	torn := f.commit(f.ctx)
+	if landed == nil || torn == nil {
+		t.FailNow()
+	}
+	if err := store.Delete(f.ctx, torn.ShardManifestKeys[1]); err != nil {
+		t.Fatal(err)
+	}
+	f.ann.Announce(1, &wire.Manifest{ID: 999, Kind: wire.KindIncremental.String()})
+	if err := f.rep.WaitForCheckpoint(f.ctx, landed.ID); err != nil {
+		t.Fatal(err)
+	}
+	shards := int64(landed.ShardCount)
+	budget := 1 + (1 + 2*shards) + (1 + shards + deltaChunks(t, f.ctx, store, landed))
+	if st := f.rep.Stats(); st.ServedID != landed.ID || st.LastLists != 1 || st.LastGets > budget {
+		t.Errorf("past a torn composite: serving %d with %d Lists and %d Gets, want %d with 1 and at most %d",
+			st.ServedID, st.LastLists, st.LastGets, landed.ID, budget)
+	}
+	f.checkAll(landed.ID)
+	man = landed
 
 	// With nothing new behind it, the same stale hint changes nothing.
 	syncs := f.rep.Stats().Syncs
