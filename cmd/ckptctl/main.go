@@ -29,8 +29,7 @@ import (
 )
 
 func main() {
-	storeAddr := flag.String("store", "127.0.0.1:7070", "TCP object store address")
-	stores := flag.String("stores", "", "comma-separated object store fleet (consistent-hash routed; overrides -store)")
+	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID")
 	id := flag.Int("id", -1, "checkpoint ID (-1 = all where applicable)")
 	force := flag.Bool("force", false, "delete even if other checkpoints depend on the target")
@@ -51,11 +50,7 @@ func main() {
 	}
 	logger := log.New(os.Stderr, "ckptctl: ", 0)
 
-	storeSpec := *storeAddr
-	if *stores != "" {
-		storeSpec = *stores
-	}
-	store, err := objstore.Connect(storeSpec, objstore.ClientConfig{})
+	store, err := objstore.Connect(*storeSpec, objstore.ClientConfig{})
 	if err != nil {
 		logger.Fatalf("dial: %v", err)
 	}

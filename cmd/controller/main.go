@@ -33,8 +33,7 @@ import (
 )
 
 func main() {
-	storeAddr := flag.String("store", "127.0.0.1:7070", "TCP object store address")
-	stores := flag.String("stores", "", "comma-separated object store fleet (consistent-hash routed; overrides -store)")
+	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID")
 	agents := flag.String("agents", "", "comma-separated shard-agent control addresses")
 	epoch := flag.Uint64("epoch", 0, "explicit epoch to demand from the register (0 = next)")
@@ -55,11 +54,7 @@ func main() {
 		logger.Fatal("no -agents given")
 	}
 
-	storeSpec := *storeAddr
-	if *stores != "" {
-		storeSpec = *stores
-	}
-	store, err := objstore.Connect(storeSpec, objstore.ClientConfig{})
+	store, err := objstore.Connect(*storeSpec, objstore.ClientConfig{})
 	if err != nil {
 		logger.Fatalf("dial store: %v", err)
 	}

@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	served -stores 127.0.0.1:7070,127.0.0.1:7071 -job demo \
+//	served -store 127.0.0.1:7070,127.0.0.1:7071 -job demo \
 //	    -controller 127.0.0.1:9900 -addr 127.0.0.1:9800
 package main
 
@@ -31,8 +31,7 @@ import (
 )
 
 func main() {
-	storeAddr := flag.String("store", "127.0.0.1:7070", "TCP object store address")
-	stores := flag.String("stores", "", "comma-separated object store fleet (consistent-hash routed; overrides -store)")
+	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID to serve")
 	controller := flag.String("controller", "", "controller announce endpoint to subscribe to (empty = poll-only)")
 	addr := flag.String("addr", "127.0.0.1:0", "lookup listen address")
@@ -41,11 +40,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "served: ", log.LstdFlags)
 
-	storeSpec := *storeAddr
-	if *stores != "" {
-		storeSpec = *stores
-	}
-	store, err := objstore.Connect(storeSpec, objstore.ClientConfig{})
+	store, err := objstore.Connect(*storeSpec, objstore.ClientConfig{})
 	if err != nil {
 		logger.Fatalf("dial store: %v", err)
 	}

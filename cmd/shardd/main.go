@@ -29,8 +29,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "control-plane listen address")
-	storeAddr := flag.String("store", "127.0.0.1:7070", "TCP object store address")
-	stores := flag.String("stores", "", "comma-separated object store fleet (consistent-hash routed; overrides -store)")
+	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID")
 	shard := flag.Int("shard", 0, "this daemon's shard index")
 	shards := flag.Int("shards", 1, "total shard count of the job")
@@ -49,10 +48,6 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	storeSpec := *storeAddr
-	if *stores != "" {
-		storeSpec = *stores
-	}
 	ecfg := ckpt.Config{Policy: pol, KeepLast: *keep}
 	if *quantBits > 0 {
 		ecfg.Quant = quant.Params{Method: quant.MethodAsymmetric, Bits: *quantBits}
@@ -61,7 +56,7 @@ func main() {
 		JobID:       *job,
 		Shard:       *shard,
 		Shards:      *shards,
-		StoreAddr:   storeSpec,
+		StoreAddr:   *storeSpec,
 		ListenAddr:  *addr,
 		Seed:        *seed,
 		BatchSize:   *batch,
@@ -74,7 +69,7 @@ func main() {
 		logger.Fatalf("start: %v", err)
 	}
 	logger.Printf("serving shard %d/%d of job %s on %s (store %s)",
-		*shard, *shards, *job, host.Addr(), storeSpec)
+		*shard, *shards, *job, host.Addr(), *storeSpec)
 	fmt.Println(host.Addr()) // machine-readable bound address on stdout
 
 	stop := make(chan os.Signal, 1)

@@ -569,7 +569,7 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 	if f.cfg.Procs {
 		args := []string{
 			"-addr", "127.0.0.1:0",
-			"-stores", f.storeSpec(),
+			"-store", f.storeSpec(),
 			"-job", f.cfg.JobID,
 			"-shard", fmt.Sprint(s),
 			"-shards", fmt.Sprint(f.cfg.Shards),

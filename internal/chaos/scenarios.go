@@ -17,6 +17,12 @@ package chaos
 // a 4s op deadline so stalled-store scenarios unstick within a step.
 var fleet3x3 = FleetSpec{Shards: 3, Stores: 3, LeaseTTLMs: 500, OpTimeoutMs: 4000}
 
+// fleetConsecutive3x3 is the standard topology writing consecutive
+// increments — the one policy under which a checkpoint holds only its own
+// interval's rows, so an attempt that fails after its snapshot was cut
+// loses rows for good unless the shard writer carries them to the retry.
+var fleetConsecutive3x3 = FleetSpec{Shards: 3, Stores: 3, Policy: "consecutive", LeaseTTLMs: 500, OpTimeoutMs: 4000}
+
 // fleetServe3x3 adds one serving replica to the standard topology —
 // the shape for read-plane campaigns, with the serve-consistency
 // invariant checked after every step.
@@ -32,6 +38,22 @@ func fleetDisk3x3(fsync string, putDelayMs, syncDelayMs int) FleetSpec {
 	fs.DiskPutDelayMs = putDelayMs
 	fs.DiskSyncDelayMs = syncDelayMs
 	return fs
+}
+
+// leaderPartitionedMidCommit is the script of partition-leader-mid-commit
+// and of its consecutive-policy twin.
+func leaderPartitionedMidCommit() []Step {
+	return []Step{
+		{Op: "lead", Holder: "leader-0"},
+		{Op: "checkpoint", Step: 4},
+		{Op: "checkpoint", Step: 8, At: "after-prepare", Target: "leader",
+			Fault: &FaultSpec{Partition: true}, Expect: "fail"},
+		{Op: "heal"},
+		{Op: "failover", Holder: "leader-1"},
+		{Op: "checkpoint", Step: 8},
+		{Op: "sweep"},
+		{Op: "checkpoint", Step: 12},
+	}
 }
 
 // DemoScenario names the campaign examples/fleet runs over forked
@@ -74,17 +96,15 @@ func BuiltinScenarios() []*Scenario {
 			Description: "leader loses every link between publish and commit; abort can't reach the " +
 				"agents, so a standby must fence the torn attempt away via epoch adoption",
 			Fleet: fleet3x3,
-			Steps: []Step{
-				{Op: "lead", Holder: "leader-0"},
-				{Op: "checkpoint", Step: 4},
-				{Op: "checkpoint", Step: 8, At: "after-prepare", Target: "leader",
-					Fault: &FaultSpec{Partition: true}, Expect: "fail"},
-				{Op: "heal"},
-				{Op: "failover", Holder: "leader-1"},
-				{Op: "checkpoint", Step: 8},
-				{Op: "sweep"},
-				{Op: "checkpoint", Step: 12},
-			},
+			Steps: leaderPartitionedMidCommit(),
+		},
+		{
+			Name: "partition-leader-mid-commit-consecutive",
+			Description: "partition-leader-mid-commit under the consecutive policy: the torn attempt's " +
+				"snapshot already reset the trackers, so the standby's retry of the same cut must still " +
+				"store that interval's rows",
+			Fleet: fleetConsecutive3x3,
+			Steps: leaderPartitionedMidCommit(),
 		},
 		{
 			Name: "partition-anchor-store-fence",
@@ -113,6 +133,25 @@ func BuiltinScenarios() []*Scenario {
 				{Op: "checkpoint", Step: 8, Expect: "fail"},
 				{Op: "heal"},
 				{Op: "checkpoint", Step: 8},
+				{Op: "sweep"},
+			},
+		},
+		{
+			Name: "partition-store-outage-consecutive",
+			Description: "partition-anchor-store-outage under the consecutive policy, with the outage on " +
+				"the agents' store links only, so that the attempt gets past the controller's lease renewal: " +
+				"every shard cuts its snapshot and then fails its first Put (shard 0 the dense object, " +
+				"before its engine saw the snapshot); the retried cut and the increment after it must " +
+				"restore bit-identically",
+			Fleet: fleetConsecutive3x3,
+			Steps: []Step{
+				{Op: "lead", Holder: "leader-0"},
+				{Op: "checkpoint", Step: 4},
+				{Op: "fault", Target: "store:0,store:1,store:2", Fault: &FaultSpec{Partition: true}},
+				{Op: "checkpoint", Step: 8, Expect: "fail"},
+				{Op: "heal"},
+				{Op: "checkpoint", Step: 8},
+				{Op: "checkpoint", Step: 12},
 				{Op: "sweep"},
 			},
 		},
@@ -276,13 +315,17 @@ func BuiltinScenarios() []*Scenario {
 }
 
 // smallMatrix names the per-PR subset: one throttle campaign, one crash
-// campaign, one partition+failover campaign, the disk-backed store-kill
-// campaign, and the read-plane partition campaign — each exercising a
-// different commit window or plane, all fast enough for `-race` in CI.
+// campaign, one partition+failover campaign, the two consecutive-policy
+// campaigns (a failed attempt must not lose its interval's rows), the
+// disk-backed store-kill campaign, and the read-plane partition campaign
+// — each exercising a different commit window, policy or plane, all fast
+// enough for `-race` in CI.
 var smallMatrix = []string{
 	"slow-store-throttle",
 	"kill-during-publish",
 	"partition-leader-mid-commit",
+	"partition-leader-mid-commit-consecutive",
+	"partition-store-outage-consecutive",
 	"kill9-objstored-mid-commit",
 	"partition-replica-across-commits",
 }

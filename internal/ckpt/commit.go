@@ -14,9 +14,10 @@ import (
 // Committer owns the composite commit: the one place the two-phase
 // sequence over a job's ShardRunners is written, together with the
 // state it advances — the next checkpoint ID and composite retention.
-// Its two callers differ only in what they put in an Attempt: the
-// in-process Coordinator (LocalRunners, carved snapshots, dense bytes)
-// and ctrl.Controller (RemoteRunners, lease fencing, announcements).
+// Its two callers differ only in the runners they hand it and in what
+// they put in an Attempt: the in-process Coordinator (ShardWriters) and
+// ctrl.Controller (RemoteRunners to the ShardWriters inside shardd
+// agents, plus lease fencing and announcements).
 //
 // Like Engine, it is not safe for concurrent use: checkpoints of one job
 // never overlap. The concurrency is inside one Commit.
@@ -74,18 +75,10 @@ func (c *Committer) NextID() int { return c.nextID }
 type Attempt struct {
 	// Step is the global training step of the consistent cut.
 	Step uint64
-	// SnapAt supplies shard s's carved snapshot for in-process runners;
-	// nil when every runner snapshots its own hosted state.
-	SnapAt func(shard int) *Snapshot
-	// Dense is the replicated dense (MLP) state for Commit to store once,
-	// at the composite level. Nil when the snapshot carries none or a
-	// runner stores it (then Prepared reports the object).
-	Dense []byte
 	// Prepared, when set, runs once every shard has prepared and before
 	// anything is published, with the shard manifests in shard order. An
-	// error vetoes the attempt. It returns the composite-level dense
-	// object a runner stored on the job's behalf, if any.
-	Prepared func(shardMans []*wire.Manifest) (denseKey string, denseBytes int64, err error)
+	// error vetoes the attempt.
+	Prepared func(shardMans []*wire.Manifest) error
 	// Fence, when set, is the last call before the commit point; an error
 	// vetoes the attempt (a controller that lost its lease must abort,
 	// not commit).
@@ -99,10 +92,10 @@ type Attempt struct {
 // Commit drives one composite checkpoint. Phases:
 //
 //  1. prepare — every shard quantizes and uploads its chunks
-//     concurrently; nothing is visible to recovery yet.
-//  2. publish — shard manifests and the composite dense state are
-//     stored; the checkpoint is still not restorable because only the
-//     composite manifest defines validity.
+//     concurrently, shard 0 the replicated dense state as well; nothing
+//     is visible to recovery yet.
+//  2. publish — shard manifests are stored; the checkpoint is still not
+//     restorable because only the composite manifest defines validity.
 //  3. commit — the composite manifest is stored, then every shard
 //     finalizes its in-memory state and retention runs.
 //
@@ -130,8 +123,9 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 		// prepared treats Abort as a no-op, so all of them are aborted.
 		actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		_ = c.forEachRunner(func(_ int, r ShardRunner) error { return r.Abort(actx, id) })
-		// The runner that stored the dense object may be the one that
-		// died after its prepare: best-effort delete directly, too.
+		// The dense object is its shard-0 writer's to delete, but that
+		// writer may be the one that died after its prepare: best-effort
+		// delete directly, too.
 		_ = c.store.Delete(actx, wire.DenseKey(c.jobID, id))
 		cancel()
 		if ce := ctx.Err(); ce != nil {
@@ -140,35 +134,30 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 		return nil, err
 	}
 
-	// Phase 1: concurrent per-shard prepare.
+	// Phase 1: concurrent per-shard prepare. Shard 0's runner also stores,
+	// and reports, the composite's dense object.
 	shardMans := make([]*wire.Manifest, len(c.runners))
-	err := c.forEachRunner(func(s int, r ShardRunner) (err error) {
-		req := PrepareRequest{ID: id, Step: att.Step}
-		if att.SnapAt != nil {
-			req.Snapshot = att.SnapAt(s)
+	var denseKey string
+	var denseBytes int64
+	err := c.forEachRunner(func(s int, r ShardRunner) error {
+		man, key, n, err := r.Prepare(ctx, id, att.Step)
+		shardMans[s] = man
+		if s == 0 {
+			denseKey, denseBytes = key, n
 		}
-		shardMans[s], err = r.Prepare(ctx, req)
 		return err
 	})
 	if err != nil {
 		return fail(err)
 	}
-	var denseKey string
-	var denseBytes int64
 	if att.Prepared != nil {
-		if denseKey, denseBytes, err = att.Prepared(shardMans); err != nil {
+		if err := att.Prepared(shardMans); err != nil {
 			return fail(err)
 		}
 	}
 
-	// Phase 2: publish shard manifests and the composite dense state.
-	// Still invisible to recovery — validity is the composite manifest.
-	if att.Dense != nil {
-		denseKey, denseBytes = wire.DenseKey(c.jobID, id), int64(len(att.Dense))
-		if err := c.store.Put(ctx, denseKey, att.Dense); err != nil {
-			return fail(fmt.Errorf("ckpt: dense state: %w", err))
-		}
-	}
+	// Phase 2: publish shard manifests. Still invisible to recovery —
+	// validity is the composite manifest.
 	if err := c.forEachRunner(func(_ int, r ShardRunner) error { return r.Publish(ctx, id) }); err != nil {
 		return fail(err)
 	}

@@ -11,11 +11,15 @@ import (
 	"repro/internal/wire"
 )
 
-// fakeRunner is a ShardRunner that stores nothing: it counts the phase
+// fakeRunner is a ShardRunner that stores no tables: it counts the phase
 // calls it receives and fails the one phase named by failAt, through
-// the trip function the test case supplies.
+// the trip function the test case supplies. Shard 0's stores the dense
+// object in prepare, as the shard-0 ShardWriter does, and never deletes
+// it — so what a failed attempt leaves is down to Committer's rollback.
 type fakeRunner struct {
 	shard  int
+	job    string
+	store  objstore.Store
 	failAt string // "prepare", "publish", "finalize" or ""
 	trip   func() error
 
@@ -39,25 +43,36 @@ func (r *fakeRunner) count(name string) int {
 	return r.calls[name]
 }
 
-func (r *fakeRunner) Prepare(_ context.Context, req PrepareRequest) (*wire.Manifest, error) {
+func (r *fakeRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, string, int64, error) {
 	if err := r.phase("prepare"); err != nil {
-		return nil, err
+		return nil, "", 0, err
+	}
+	var denseKey string
+	var denseBytes int64
+	if r.shard == 0 {
+		denseKey, denseBytes = wire.DenseKey(r.job, id), int64(len(fakeDense))
+		if err := r.store.Put(ctx, denseKey, fakeDense); err != nil {
+			return nil, "", 0, err
+		}
 	}
 	return &wire.Manifest{
-		ID: req.ID, Kind: wire.KindFull.String(), Step: req.Step, PayloadBytes: 100,
+		ID: id, Kind: wire.KindFull.String(), Step: step, PayloadBytes: 100,
 		Tables: []wire.TableManifest{{TableID: r.shard, Rows: 8, Dim: 4, StoredRows: 8}},
-	}, nil
+	}, denseKey, denseBytes, nil
 }
+
+var fakeDense = []byte("mlp")
+
 func (r *fakeRunner) Publish(context.Context, int) error  { return r.phase("publish") }
 func (r *fakeRunner) Finalize(context.Context, int) error { return r.phase("finalize") }
 func (r *fakeRunner) Abort(context.Context, int) error    { return r.phase("abort") }
 
 // newFakeRunners returns n fake runners sharing trip, once as
 // themselves and once as the ShardRunners a Committer takes.
-func newFakeRunners(n int, trip func() error) ([]*fakeRunner, []ShardRunner) {
+func newFakeRunners(n int, job string, store objstore.Store, trip func() error) ([]*fakeRunner, []ShardRunner) {
 	fakes, runners := make([]*fakeRunner, n), make([]ShardRunner, n)
 	for s := range fakes {
-		fakes[s] = &fakeRunner{shard: s, trip: trip, calls: make(map[string]int)}
+		fakes[s] = &fakeRunner{shard: s, job: job, store: store, trip: trip, calls: make(map[string]int)}
 		runners[s] = fakes[s]
 	}
 	return fakes, runners
@@ -116,13 +131,13 @@ func TestCommitSequence(t *testing.T) {
 				case "composite-put":
 					store.suffix = "/manifest"
 				}
-				fakes, runners := newFakeRunners(shards, trip)
+				fakes, runners := newFakeRunners(shards, job, store, trip)
 				if point == "prepare" || point == "publish" {
 					fakes[1].failAt = point
 				}
-				att := Attempt{Step: 7, Dense: []byte("mlp")}
+				att := Attempt{Step: 7}
 				if point == "prepared-veto" {
-					att.Prepared = func([]*wire.Manifest) (string, int64, error) { return "", 0, trip() }
+					att.Prepared = func([]*wire.Manifest) error { return trip() }
 				}
 				if point == "fence-veto" {
 					att.Fence = func(context.Context) error { return trip() }
@@ -178,27 +193,21 @@ func TestCommitSequence(t *testing.T) {
 	t.Run("finalize-error", func(t *testing.T) {
 		ctx := context.Background()
 		mem := objstore.NewMemStore(objstore.MemConfig{})
-		fakes, runners := newFakeRunners(shards, func() error { return errInjected })
+		fakes, runners := newFakeRunners(shards, job, mem, func() error { return errInjected })
 		fakes[2].failAt = "finalize"
 		var announced *wire.Manifest
 		c, err := NewCommitter(ctx, job, mem, runners, 0, 0, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		man, err := c.Commit(ctx, Attempt{
-			Step: 7,
-			Prepared: func(mans []*wire.Manifest) (string, int64, error) {
-				return "elsewhere/dense", 3, nil // a runner stored it
-			},
-			Committed: func(m *wire.Manifest) { announced = m },
-		})
+		man, err := c.Commit(ctx, Attempt{Step: 7, Committed: func(m *wire.Manifest) { announced = m }})
 		if err != nil {
 			t.Fatalf("a finalize error after the commit point failed the checkpoint: %v", err)
 		}
 		if man != announced || man.ID != 0 || c.NextID() != 1 {
 			t.Fatalf("committed %+v (announced %+v), next %d", man, announced, c.NextID())
 		}
-		if man.DenseKey != "elsewhere/dense" || man.PayloadBytes != 3+shards*100 || man.ShardCount != shards {
+		if man.DenseKey != wire.DenseKey(job, 0) || man.PayloadBytes != 3+shards*100 || man.ShardCount != shards {
 			t.Fatalf("composite = %+v", man)
 		}
 		for s, f := range fakes {

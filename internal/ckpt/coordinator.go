@@ -35,29 +35,33 @@ type CoordinatorConfig struct {
 // shard's objects are durable: a two-phase commit in which a crashed
 // shard can never leave a restorable-looking checkpoint behind.
 //
-// The commit sequence itself is Committer's; this type builds the
-// in-process LocalRunners it drives and decides which shard owns which
-// table, while ctrl.Controller hands the same Committer RemoteRunners
-// talking to shardd agent processes. It is the single-process product
-// path: core.Controller (the checknrun package and CLI) writes every
-// checkpoint through one.
+// The commit sequence itself is Committer's and the shard side of it
+// ShardWriter's; this type builds the in-process ShardWriters, hands each
+// its shard's view of the snapshot being written, and decides which shard
+// owns which table, while ctrl.Controller hands the same Committer
+// RemoteRunners talking to the ShardWriters inside shardd agent
+// processes. It is the single-process product path: core.Controller (the
+// checknrun package and CLI) writes every checkpoint through one.
 //
 // Like Engine, methods are not safe for concurrent use — checkpoints of
 // one job never overlap. The concurrency is inside one Write.
 type Coordinator struct {
 	cfg     CoordinatorConfig
-	engines []*Engine
+	writers []*ShardWriter
 	commit  *Committer
 	// assign is the table -> shard ownership map, fixed at first Write
 	// (seeded from cfg.Assignment, and from the newest composite when the
 	// job already has one) so per-shard incremental chains stay
 	// self-contained across the job's lifetime.
 	assign map[int]int
+	// snap is the snapshot of the Write in progress, which every writer's
+	// source carves its shard's view out of.
+	snap *Snapshot
 }
 
 // NewCoordinator validates cfg and builds the per-shard engines, resuming
-// the job from whatever the store holds: each shard engine comes from
-// RecoverShardEngine (so debris of an attempt that died between shard
+// the job from whatever the store holds: each shard writer recovers its
+// engine (NewShardWriter: debris of an attempt that died between shard
 // publish and the composite Put is rolled back), the next checkpoint ID
 // is the one every shard agrees on, table ownership continues from the
 // newest composite, and retention covers the composites a predecessor
@@ -72,7 +76,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("ckpt: empty job ID")
 	}
-	c := &Coordinator{cfg: cfg, engines: make([]*Engine, cfg.Shards), assign: make(map[int]int)}
+	c := &Coordinator{cfg: cfg, writers: make([]*ShardWriter, cfg.Shards), assign: make(map[int]int)}
 	for id, s := range cfg.Assignment {
 		if s < 0 || s >= cfg.Shards {
 			return nil, fmt.Errorf("ckpt: table %d assigned to shard %d, want [0,%d)", id, s, cfg.Shards)
@@ -80,20 +84,22 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		c.assign[id] = s
 	}
 	err := forEachShard(cfg.Shards, func(s int) (err error) {
-		c.engines[s], err = RecoverShardEngine(ctx, cfg.Config, s)
+		c.writers[s], err = NewShardWriter(ctx, cfg.Config, s, func(context.Context, uint64) (*Snapshot, error) {
+			return SubSnapshot(c.snap, c.assign, s), nil
+		})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	next := c.engines[0].NextID()
+	next := c.writers[0].NextID()
 	runners := make([]ShardRunner, cfg.Shards)
-	for s, eng := range c.engines {
-		if eng.NextID() != next {
+	for s, w := range c.writers {
+		if w.NextID() != next {
 			return nil, fmt.Errorf("ckpt: shards of job %q disagree on next checkpoint: shard %d at %d, shard 0 at %d (written with other than %d shards?)",
-				cfg.JobID, s, eng.NextID(), next, cfg.Shards)
+				cfg.JobID, s, w.NextID(), next, cfg.Shards)
 		}
-		runners[s] = NewLocalRunner(s, eng)
+		runners[s] = w
 	}
 	if next > 0 {
 		rest, err := NewRestorer(cfg.JobID, cfg.Store)
@@ -135,13 +141,13 @@ func (c *Coordinator) adoptOwnership(tip *wire.Manifest) error {
 func (c *Coordinator) NextID() int { return c.commit.NextID() }
 
 // Quant returns the quantization parameters the shard engines encode with.
-func (c *Coordinator) Quant() quant.Params { return c.engines[0].Quant() }
+func (c *Coordinator) Quant() quant.Params { return c.writers[0].eng.Quant() }
 
 // SetQuant changes the quantization parameters of every shard engine for
 // subsequent checkpoints (Engine.SetQuant).
 func (c *Coordinator) SetQuant(p quant.Params) error {
-	for _, eng := range c.engines {
-		if err := eng.SetQuant(p); err != nil {
+	for _, w := range c.writers {
+		if err := w.eng.SetQuant(p); err != nil {
 			return err
 		}
 	}
@@ -212,20 +218,14 @@ func forEachShard(n int, fn func(s int) error) error {
 
 // Write checkpoints snap across all shards and commits the composite
 // manifest (Committer.Commit has the phases and the failure contract).
-// The replicated dense state is stored once, at the composite level:
-// the carved shard views carry none.
+// The replicated dense state is stored once, at the composite level, by
+// the shard-0 writer.
 func (c *Coordinator) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
 	}
 	c.extendAssignment(snap)
-	return c.commit.Commit(ctx, Attempt{
-		Step: snap.Step,
-		SnapAt: func(s int) *Snapshot {
-			sub := SubSnapshot(snap, c.assign, s)
-			sub.Dense = nil
-			return sub
-		},
-		Dense: snap.Dense,
-	})
+	c.snap = snap
+	defer func() { c.snap = nil }()
+	return c.commit.Commit(ctx, Attempt{Step: snap.Step})
 }

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -70,6 +69,11 @@ type Engine struct {
 	// cumulative tracks rows modified since the last full baseline
 	// (the one-shot/intermittent view).
 	cumulative map[int]*bitvec.Bitmap
+	// uncommitted tracks rows modified since the last committed checkpoint
+	// (the consecutive view). With no failed attempt in between it equals
+	// the snapshot's Modified; after one, it still holds that attempt's
+	// rows, which the tracker has already forgotten.
+	uncommitted map[int]*bitvec.Bitmap
 
 	// manifests caches committed manifests by ID for GC dependency checks.
 	manifests map[int]*wire.Manifest
@@ -114,12 +118,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	st := newPolicyState(cfg.Policy)
 	st.predictor = cfg.Predictor
 	return &Engine{
-		cfg:        cfg,
-		state:      st,
-		lastFullID: -1,
-		cumulative: make(map[int]*bitvec.Bitmap),
-		manifests:  make(map[int]*wire.Manifest),
-		rangeCache: make(map[int][]quant.RowRange),
+		cfg:         cfg,
+		state:       st,
+		lastFullID:  -1,
+		cumulative:  make(map[int]*bitvec.Bitmap),
+		uncommitted: make(map[int]*bitvec.Bitmap),
+		manifests:   make(map[int]*wire.Manifest),
+		rangeCache:  make(map[int][]quant.RowRange),
 	}, nil
 }
 
@@ -163,10 +168,16 @@ func (e *Engine) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, err
 
 // Prepared is a checkpoint whose payload objects (chunks and dense
 // state) are durably stored but whose manifest is not yet published.
-// Until Publish+Finalize run, the engine's in-memory state is untouched
-// and the checkpoint is invisible to recovery, so Abort rolls the whole
-// attempt back without side effects. This is the shard-local "prepared"
-// vote of the coordinator's two-phase commit.
+// Until Publish+Finalize run the checkpoint is invisible to recovery and
+// the engine has committed nothing — sequence number, baseline, policy
+// history and retention are Finalize's — so Abort rolls the whole attempt
+// back and the next Prepare reuses the ID. The one thing Prepare does
+// change is what no retry could get back: the snapshot's Modified view
+// is folded into the engine's modified-row sets (Engine.absorb), because
+// taking the snapshot reset the tracker. That is safe to keep after an
+// Abort — the sets only grow, so the next attempt stores a superset of
+// the rows it must — and only Finalize clears them. This is the
+// shard-local "prepared" vote of the coordinator's two-phase commit.
 type Prepared struct {
 	eng  *Engine
 	man  *wire.Manifest
@@ -181,15 +192,7 @@ func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error)
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
 	}
-	// Merge this interval's modified view into the cumulative-since-base
-	// view used by the one-shot family.
-	for id, bm := range snap.Modified {
-		if cum, ok := e.cumulative[id]; ok {
-			cum.Or(bm)
-		} else {
-			e.cumulative[id] = bm.Clone()
-		}
-	}
+	e.absorb(snap)
 
 	totalRows := snap.TotalRows()
 	prospective := 0.0
@@ -234,7 +237,7 @@ func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error)
 	var payloadBytes int64
 	storedTotal := 0
 	for _, tab := range snap.Tables {
-		rows := e.rowsToStore(tab, dec, snap)
+		rows := e.rowsToStore(tab, dec)
 		tm, bytes, err := e.writeTable(ctx, id, tab, rows)
 		if err != nil {
 			// Abort: best-effort cleanup of partial objects; the manifest
@@ -307,6 +310,9 @@ func (p *Prepared) Finalize(ctx context.Context) *wire.Manifest {
 			bm.Reset()
 		}
 	}
+	for _, bm := range e.uncommitted {
+		bm.Reset()
+	}
 	e.manifests[p.man.ID] = p.man
 	e.nextID++
 
@@ -331,8 +337,9 @@ func DetachedCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 }
 
 // Abort deletes every object the prepared checkpoint stored (including
-// a manifest from a failed Publish round). Engine state was never
-// touched, so the next Prepare reuses the same ID. Cleanup runs under a
+// a manifest from a failed Publish round). Nothing was committed, so the
+// next Prepare reuses the same ID — and, the modified-row sets being
+// kept, stores this attempt's rows again. Cleanup runs under a
 // cancellation-immune but still deadline-bounded context (detachedCtx),
 // so a caller's op timeout keeps bounding the store I/O.
 func (p *Prepared) Abort(ctx context.Context) {
@@ -345,8 +352,26 @@ func (p *Prepared) Abort(ctx context.Context) {
 	p.eng.cleanup(cctx, p.man.ID)
 }
 
+// absorb folds snap's Modified view into the engine's modified-row sets.
+// Rows modified since the last committed checkpoint are never dropped by
+// an attempt that did not commit: taking the snapshot reset the tracker,
+// so from here on these sets are the only record of the interval's rows,
+// and whoever holds a snapshot must hand it over before any store I/O of
+// the attempt can fail. Absorbing the same snapshot twice changes nothing.
+func (e *Engine) absorb(snap *Snapshot) {
+	for id, bm := range snap.Modified {
+		for _, set := range []map[int]*bitvec.Bitmap{e.cumulative, e.uncommitted} {
+			if have, ok := set[id]; ok {
+				have.Or(bm)
+			} else {
+				set[id] = bm.Clone()
+			}
+		}
+	}
+}
+
 // rowsToStore returns the sorted row indices of tab to serialize under dec.
-func (e *Engine) rowsToStore(tab *embedding.Table, dec decision, snap *Snapshot) []int {
+func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 	if dec.kind == wire.KindFull {
 		all := make([]int, tab.Rows)
 		for i := range all {
@@ -354,11 +379,9 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision, snap *Snapshot)
 		}
 		return all
 	}
-	var bm *bitvec.Bitmap
+	bm := e.uncommitted[tab.ID]
 	if dec.sinceBase {
 		bm = e.cumulative[tab.ID]
-	} else {
-		bm = snap.Modified[tab.ID]
 	}
 	if bm == nil {
 		return nil
@@ -718,27 +741,6 @@ func RecoverEngine(ctx context.Context, cfg Config, opts RecoverOptions) (*Engin
 		}
 	}
 	return eng, nil
-}
-
-// RecoverShardEngine rebuilds shard's engine of the composite job
-// cfg.JobID from the store: RecoverEngine under the shard's scoped job ID,
-// with the composite manifest as the commit point. A shard manifest
-// published by an attempt whose composite never landed is debris of an
-// aborted two-phase commit and is rolled back rather than adopted, so
-// every shard writer of a job — an in-process Coordinator's or a shardd
-// agent's — comes back agreeing on the next checkpoint ID.
-func RecoverShardEngine(ctx context.Context, cfg Config, shard int) (*Engine, error) {
-	jobID, store := cfg.JobID, cfg.Store
-	cfg.JobID = wire.ShardJobID(jobID, shard)
-	return RecoverEngine(ctx, cfg, RecoverOptions{
-		Committed: func(ctx context.Context, id int) (bool, error) {
-			_, err := store.Stat(ctx, wire.ManifestKey(jobID, id))
-			if errors.Is(err, objstore.ErrNotFound) {
-				return false, nil
-			}
-			return err == nil, err
-		},
-	})
 }
 
 // manifestStoredFraction returns the manifest's stored-row fraction of

@@ -366,9 +366,8 @@ func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreRe
 }
 
 // restorePlan applies a resolved checkpoint to m: the embedding rows as
-// ApplyPlan does, but every shard's chain at once, then the dense state
-// of every manifest that carries one — each link of a single-writer
-// chain, the composite of a sharded one (shard manifests have none).
+// ApplyPlan does, but every shard's chain at once, then the dense state —
+// one object, the newest the checkpoint names (newestDense).
 func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (*RestoreResult, error) {
 	top := plan.Top
 	res := &RestoreResult{Manifests: plan.Links[0]}
@@ -378,11 +377,8 @@ func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (
 	if err := r.applyPlan(ctx, plan, m.Sparse, res, forEachShard); err != nil {
 		return nil, err
 	}
-	for _, man := range res.Manifests {
-		if man.DenseKey == "" {
-			continue
-		}
-		dense, err := r.store.Get(ctx, man.DenseKey)
+	if key := newestDense(res.Manifests); key != "" {
+		dense, err := r.store.Get(ctx, key)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: dense state: %w", err)
 		}
@@ -397,6 +393,20 @@ func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (
 	// the next interval's sense.
 	m.Tracker.Reset()
 	return res, nil
+}
+
+// newestDense returns the key of the dense object a restore of ms (oldest
+// first) loads: dense state is whole, not a delta, so only the newest
+// manifest carrying one counts — every link of a single-writer chain has
+// its own, a composite has the one (its shard manifests have none). ""
+// when there is none.
+func newestDense(ms []*wire.Manifest) string {
+	for i := len(ms) - 1; i >= 0; i-- {
+		if ms[i].DenseKey != "" {
+			return ms[i].DenseKey
+		}
+	}
+	return ""
 }
 
 // TableSet resolves table IDs to live embedding tables during an apply.

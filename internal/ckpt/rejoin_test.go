@@ -216,7 +216,7 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 // never happened — rolls the debris back, has every shard agree on the
 // next ID, and continues the chain with byte-for-byte the objects a
 // Coordinator that never died writes. (ctrl's selfheal tests hold the
-// same property for shardd agents; both go through RecoverShardEngine.)
+// same property for shardd agents; both go through NewShardWriter.)
 func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 	const job, shards = "testjob", 2
 	for _, pol := range []PolicyKind{PolicyFull, PolicyOneShot, PolicyConsecutive, PolicyIntermittent} {
@@ -245,20 +245,16 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// Attempt 2 gets as far as the dense object and `published`
-				// shard manifests; then the process is gone, rollback included.
-				if err := storeCrash.Put(ctx, wire.DenseKey(job, 2), snaps[2].Dense); err != nil {
-					t.Fatal(err)
-				}
-				for s, eng := range crash.engines {
-					sub := SubSnapshot(snaps[2], crash.assign, s)
-					sub.Dense = nil
-					p, err := eng.Prepare(ctx, sub)
-					if err != nil {
+				// Attempt 2 gets as far as every shard's prepare (the dense
+				// object with shard 0's) and `published` shard manifests; then
+				// the process is gone, rollback included.
+				crash.snap = snaps[2]
+				for s, w := range crash.writers {
+					if _, _, _, err := w.Prepare(ctx, 2, snaps[2].Step); err != nil {
 						t.Fatal(err)
 					}
 					if s < published {
-						if err := p.Publish(ctx); err != nil {
+						if err := w.Publish(ctx, 2); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -268,9 +264,9 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 				if rec.NextID() != 2 {
 					t.Fatalf("rebuilt coordinator at next ID %d, want 2", rec.NextID())
 				}
-				for s, eng := range rec.engines {
-					if eng.NextID() != 2 {
-						t.Fatalf("shard %d rejoined at next ID %d, want 2", s, eng.NextID())
+				for s, w := range rec.writers {
+					if w.NextID() != 2 {
+						t.Fatalf("shard %d rejoined at next ID %d, want 2", s, w.NextID())
 					}
 					keys, err := storeCrash.List(ctx, wire.CheckpointPrefix(wire.ShardJobID(job, s), 2))
 					if err != nil {

@@ -20,6 +20,7 @@ type opStore struct {
 	mu           sync.Mutex
 	lists        int
 	manifestGets int
+	denseGets    int
 	// getErr makes Get of a key return the error instead of the object.
 	getErr map[string]error
 }
@@ -35,6 +36,9 @@ func (s *opStore) Get(ctx context.Context, key string) ([]byte, error) {
 	s.mu.Lock()
 	if strings.HasSuffix(key, "/manifest") {
 		s.manifestGets++
+	}
+	if strings.HasSuffix(key, "/dense") {
+		s.denseGets++
 	}
 	err := s.getErr[key]
 	s.mu.Unlock()
@@ -146,6 +150,65 @@ func TestRestoreResolvesByKey(t *testing.T) {
 	defer store.mu.Unlock()
 	if store.lists != 0 || store.manifestGets != links {
 		t.Errorf("Chain issued %d Lists and %d manifest Gets, want 0 and %d", store.lists, store.manifestGets, links)
+	}
+}
+
+// TestRestoreReadsOneDenseObject: dense state is whole in every link that
+// carries it, so a single-writer chain of n links costs one dense Get —
+// the newest link's that has one — not n with the last one kept.
+func TestRestoreReadsOneDenseObject(t *testing.T) {
+	const links = 5
+	for _, tc := range []struct {
+		name      string
+		bareTip   bool // the newest link carries no dense state
+		wantDense int  // the link whose dense state the restore must hold
+	}{
+		{name: "every-link-has-dense", wantDense: links - 1},
+		{name: "newest-link-has-none", bareTip: true, wantDense: links - 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, Config{Policy: PolicyConsecutive})
+			var want []byte
+			for i := 0; i < links; i++ {
+				snap := f.trainAndSnapshot(t, 1, 16)
+				if i == tc.wantDense {
+					want = snap.Dense
+				}
+				if tc.bareTip && i == links-1 {
+					snap.Dense = nil
+				}
+				if _, err := f.eng.Write(f.ctx, snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			store := &opStore{Store: f.store}
+			rest, err := NewRestorer("testjob", store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, _ := model.New(testModelConfig(), 2)
+			res, err := rest.RestoreLatest(f.ctx, m2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Manifests) != links {
+				t.Fatalf("restored a chain of %d links, want %d", len(res.Manifests), links)
+			}
+			if store.denseGets != 1 {
+				t.Errorf("restore fetched %d dense objects, want 1", store.denseGets)
+			}
+			got, err := m2.DenseState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("restored dense state is not link %d's", tc.wantDense)
+			}
+			v, err := rest.Verify(f.ctx, links-1)
+			if err != nil || !v.OK() {
+				t.Fatalf("Verify = %+v, %v", v, err)
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ func (v *VerifyResult) OK() bool { return len(v.Problems) == 0 && v.ChainOK }
 // read: the manifests Resolve follows (a composite's shard manifests by
 // the keys it names, then each chain), every chunk of every link through
 // the same fetch, CRC and shape checks ApplyPlan runs, and the dense
-// objects Restore loads — so a checkpoint verifies clean exactly when it
+// object Restore loads — so a checkpoint verifies clean exactly when it
 // restores. A chain that does not resolve is a problem, and its target
 // is still scrubbed for what it names itself. It never modifies the
 // model or the store — this is the offline integrity check an operator
@@ -80,10 +80,10 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if man.DenseKey != "" {
-			if _, err := r.store.Stat(ctx, man.DenseKey); err != nil {
-				res.Problems = append(res.Problems, fmt.Sprintf("dense %s: %v", man.DenseKey, err))
-			}
+	}
+	if key := newestDense(scrub); key != "" {
+		if _, err := r.store.Stat(ctx, key); err != nil {
+			res.Problems = append(res.Problems, fmt.Sprintf("dense %s: %v", key, err))
 		}
 	}
 	return res, nil

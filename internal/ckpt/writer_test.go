@@ -1,0 +1,59 @@
+package ckpt
+
+import (
+	"testing"
+
+	"repro/internal/model"
+)
+
+// TestAbortedAttemptKeepsItsRows is the regression for an increment that
+// silently dropped rows. Taking a snapshot resets the tracker, so once an
+// attempt is aborted the rows of its interval exist nowhere but in the
+// engine — and a consecutive increment read only the next snapshot's
+// Modified view, committing a chain that restored 1120 stale weights with
+// no error. Rows modified since the last committed checkpoint must be
+// stored by the next one that commits, whether the retry is cut later or
+// at the same step (where the tracker has nothing left to report).
+func TestAbortedAttemptKeepsItsRows(t *testing.T) {
+	for _, pol := range []PolicyKind{PolicyConsecutive, PolicyOneShot, PolicyIntermittent} {
+		for _, sameStep := range []bool{false, true} {
+			name := pol.String() + "/retry-later"
+			if sameStep {
+				name = pol.String() + "/retry-same-step"
+			}
+			t.Run(name, func(t *testing.T) {
+				f := newFixture(t, Config{Policy: pol})
+				if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 2, 32)); err != nil {
+					t.Fatal(err)
+				}
+				p, err := f.eng.Prepare(f.ctx, f.trainAndSnapshot(t, 2, 32))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lost := stored(p.Manifest())
+				p.Abort(f.ctx)
+
+				batches := 2
+				if sameStep {
+					batches = 0
+				}
+				retry := f.trainAndSnapshot(t, batches, 32)
+				if sameStep && retry.ModifiedRows() != 0 {
+					t.Fatalf("retried cut reports %d modified rows; the tracker was reset", retry.ModifiedRows())
+				}
+				man, err := f.eng.Write(f.ctx, retry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if man.ID != 1 || man.Kind != "incremental" || stored(man) < lost {
+					t.Fatalf("retry committed %s checkpoint %d with %d rows; the aborted attempt held %d", man.Kind, man.ID, stored(man), lost)
+				}
+				m2, _ := model.New(testModelConfig(), 2)
+				if _, err := f.rest.RestoreLatest(f.ctx, m2); err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, f.m, m2)
+			})
+		}
+	}
+}

@@ -11,14 +11,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/rpc"
-	"repro/internal/wire"
 )
-
-// SnapshotSource produces the shard's local snapshot for a prepare: the
-// agent's hosted trainer advances its replica to exactly the named
-// global step and returns an atomic copy of the tables this shard owns
-// (dense state included; the agent decides whether to store it).
-type SnapshotSource func(ctx context.Context, step uint64) (*ckpt.Snapshot, error)
 
 // AgentConfig configures a shard agent.
 type AgentConfig struct {
@@ -31,8 +24,9 @@ type AgentConfig struct {
 	// must be set (the agent's data plane); JobID is rewritten to the
 	// shard scope.
 	Engine ckpt.Config
-	// Source supplies prepare-time snapshots.
-	Source SnapshotSource
+	// Source supplies prepare-time snapshots: the hosted trainer advances
+	// its replica to exactly the named global step and cuts there.
+	Source ckpt.SnapshotSource
 	// OpTimeout bounds start-up's store reads and each server-driven
 	// control operation, including the store I/O it performs. Zero means
 	// no deadline. Without one, a hung store Put during Prepare holds the
@@ -43,12 +37,17 @@ type AgentConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Agent hosts one shard's checkpoint engine and executes control-plane
-// commands against it. All commands serialize on one mutex — checkpoint
-// phases of one shard never overlap, mirroring Engine's contract.
+// Agent hosts one shard's ckpt.ShardWriter and executes control-plane
+// commands against it. The shard side of the commit — the attempt in
+// flight, ID sequencing, the dense object, settling what a dead
+// controller left — is the writer's; the agent adds what only a remote
+// shard needs: epoch fencing (admitted, adopted and persisted here), the
+// job-ID check, the op budget, and ErrFenced for what the writer refuses
+// as out of sequence. All commands serialize on one mutex — checkpoint
+// phases of one shard never overlap, mirroring the writer's contract.
 type Agent struct {
 	cfg  AgentConfig
-	eng  *ckpt.Engine
+	w    *ckpt.ShardWriter
 	logf func(format string, args ...any)
 	// reg is the job's epoch/lease register, through which adopted
 	// epochs survive agent restarts.
@@ -56,16 +55,10 @@ type Agent struct {
 
 	mu    sync.Mutex
 	epoch uint64
-	// pending is the in-flight prepared attempt, nil if none.
-	pending   *ckpt.Prepared
-	pendingID int
-	// pendingDense is the composite-level dense object this attempt
-	// stored (WantDense), deleted again on abort.
-	pendingDense string
 }
 
 // NewAgent validates cfg and resumes the shard from the store: the
-// engine from the shard scope's manifests (ckpt.RecoverShardEngine) and
+// writer from the shard scope's manifests (ckpt.NewShardWriter) and
 // the fleet epoch from the job's lease register, so a restarted agent
 // rejoins the fleet — passing NextID-consensus discovery and still
 // refusing superseded controllers — instead of coming back amnesiac.
@@ -80,9 +73,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Engine.Store == nil {
 		return nil, fmt.Errorf("ctrl: nil store")
 	}
-	if cfg.Source == nil {
-		return nil, fmt.Errorf("ctrl: nil snapshot source")
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -92,7 +82,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	defer cancel()
 	ecfg := cfg.Engine
 	ecfg.JobID = cfg.JobID
-	eng, err := ckpt.RecoverShardEngine(ctx, ecfg, cfg.Shard)
+	w, err := ckpt.NewShardWriter(ctx, ecfg, cfg.Shard, cfg.Source)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 	}
@@ -104,8 +94,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 	}
-	a.eng, a.reg, a.epoch = eng, reg, rec.Epoch
-	logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, eng.NextID(), rec.Epoch)
+	a.w, a.reg, a.epoch = w, reg, rec.Epoch
+	logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, w.NextID(), rec.Epoch)
 	return a, nil
 }
 
@@ -114,10 +104,21 @@ func fencedf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFenced, fmt.Sprintf(format, args...))
 }
 
-// admitLocked applies epoch fencing for a mutating request. Requests
-// from older epochs are rejected; a newer epoch is adopted, and any
-// attempt the superseded controller left in flight is rolled back.
-func (a *Agent) admitLocked(epoch uint64) error {
+// fenced maps what the writer refused as out of sequence onto ErrFenced;
+// any other error (a store failure, a failed snapshot) passes through.
+func fenced(err error) error {
+	if errors.Is(err, ckpt.ErrOutOfSequence) {
+		return fencedf("%v", err)
+	}
+	return err
+}
+
+// admitLocked applies epoch and job fencing for a mutating request.
+// Requests from older epochs are rejected; a newer epoch is adopted, and
+// any attempt the superseded controller left in flight is settled — a
+// request that cannot settle it fails, and the writer retries before the
+// next one.
+func (a *Agent) admitLocked(epoch uint64, jobID string) error {
 	if epoch < a.epoch {
 		return fencedf("epoch %d superseded by %d", epoch, a.epoch)
 	}
@@ -134,14 +135,24 @@ func (a *Agent) admitLocked(epoch uint64) error {
 		if err != nil {
 			a.logf("ctrl agent %d: persist epoch %d: %v", a.cfg.Shard, epoch, err)
 		}
-		a.abortPendingLocked()
+		// Its own op budget, not the request's: against an unresponsive
+		// store the request would otherwise start with none left.
+		ctx, cancel = a.opCtxLocked()
+		err = a.settleLocked(ctx)
+		cancel()
+		if err != nil {
+			return err
+		}
+	}
+	if jobID != a.cfg.JobID {
+		return fmt.Errorf("ctrl: agent hosts job %q, not %q", a.cfg.JobID, jobID)
 	}
 	return nil
 }
 
 // opCtxLocked returns a context for store operations issued outside a
 // request: start-up's reads and, from under the command mutex, epoch
-// persistence and rollback. The caller releases it as soon as the
+// persistence and settling. The caller releases it as soon as the
 // operation returns.
 func (a *Agent) opCtxLocked() (context.Context, context.CancelFunc) {
 	if a.cfg.OpTimeout <= 0 {
@@ -150,116 +161,47 @@ func (a *Agent) opCtxLocked() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 }
 
-// abortPendingLocked rolls back the in-flight attempt, if any — unless
-// its composite manifest already committed. A controller that died
-// between the composite Put (the commit point) and Finalize leaves the
-// attempt pending on every shard; its objects are now referenced by a
-// restorable checkpoint, so the successor's epoch adoption must finalize
-// the attempt, not delete it out from under the composite.
-func (a *Agent) abortPendingLocked() {
-	if a.pending == nil {
-		return
+// settleLocked has the writer settle the attempt in flight, if any, by
+// the store (ckpt.ShardWriter.Abort): afterwards the next ID is past it if
+// it had committed, still at it if it was rolled back or, on an error,
+// kept.
+func (a *Agent) settleLocked(ctx context.Context) error {
+	id := a.w.PreparedID()
+	if id < 0 {
+		return nil
 	}
-	// Each phase gets its own op budget: against an unresponsive store
-	// the Stat alone exhausts a shared context, and the rollback would
-	// then run under cleanup's unbounded fallback deadline instead of
-	// the configured op timeout — all while holding the command mutex.
-	ctx, cancel := a.opCtxLocked()
-	_, err := a.cfg.Engine.Store.Stat(ctx, wire.ManifestKey(a.cfg.JobID, a.pendingID))
-	cancel()
-	if err == nil {
-		a.logf("ctrl agent %d: finalizing checkpoint %d (composite already committed)", a.cfg.Shard, a.pendingID)
-		ctx, cancel = a.opCtxLocked()
-		a.pending.Finalize(ctx)
-		cancel()
-		a.pending, a.pendingDense = nil, ""
-		return
-	}
-	a.logf("ctrl agent %d: aborting in-flight checkpoint %d", a.cfg.Shard, a.pendingID)
-	ctx, cancel = a.opCtxLocked()
-	a.pending.Abort(ctx)
-	cancel()
-	if a.pendingDense != "" {
-		ctx, cancel = a.opCtxLocked()
-		_ = a.cfg.Engine.Store.Delete(ctx, a.pendingDense)
-		cancel()
-	}
-	a.pending, a.pendingDense = nil, ""
+	err := a.w.Abort(ctx, id)
+	a.logf("ctrl agent %d: settled in-flight checkpoint %d: next id %d, err %v", a.cfg.Shard, id, a.w.NextID(), err)
+	return err
 }
 
 // Prepare executes the prepare phase: snapshot the hosted shard state
 // at args.Step and durably upload the checkpoint payload, publishing
 // nothing. Fenced unless args.CkptID is exactly the engine's next ID
-// and no attempt is in flight.
+// and no attempt is in flight. args.WantDense is not consulted: the
+// replicated dense state is the shard-0 writer's to store, and shard 0
+// is the agent every controller designates.
 func (a *Agent) Prepare(ctx context.Context, epoch uint64, args *PrepareArgs) (*PrepareReply, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.admitLocked(epoch); err != nil {
+	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return nil, err
 	}
-	if args.JobID != a.cfg.JobID {
-		return nil, fmt.Errorf("ctrl: agent hosts job %q, not %q", a.cfg.JobID, args.JobID)
-	}
-	if a.pending != nil {
-		return nil, fencedf("checkpoint %d already in flight", a.pendingID)
-	}
-	if next := a.eng.NextID(); args.CkptID != next {
-		return nil, fencedf("prepare id %d, engine at %d", args.CkptID, next)
-	}
-	snap, err := a.cfg.Source(ctx, args.Step)
+	man, denseKey, denseBytes, err := a.w.Prepare(ctx, args.CkptID, args.Step)
 	if err != nil {
-		return nil, fmt.Errorf("ctrl: snapshot at step %d: %w", args.Step, err)
+		return nil, fenced(err)
 	}
-	reply := &PrepareReply{}
-	if args.WantDense && snap.Dense != nil {
-		reply.DenseKey = wire.DenseKey(a.cfg.JobID, args.CkptID)
-		reply.DenseBytes = int64(len(snap.Dense))
-		if err := a.cfg.Engine.Store.Put(ctx, reply.DenseKey, snap.Dense); err != nil {
-			return nil, fmt.Errorf("ctrl: dense state: %w", err)
-		}
-	}
-	// Shard engines never store dense state under the shard scope; the
-	// composite manifest owns the single replicated copy.
-	snap.Dense = nil
-	p, err := a.eng.Prepare(ctx, snap)
-	if err != nil {
-		if reply.DenseKey != "" {
-			dctx, cancel := ckpt.DetachedCtx(ctx)
-			_ = a.cfg.Engine.Store.Delete(dctx, reply.DenseKey)
-			cancel()
-		}
-		return nil, err
-	}
-	a.pending, a.pendingID, a.pendingDense = p, args.CkptID, reply.DenseKey
-	reply.Manifest = p.Manifest()
-	return reply, nil
-}
-
-// checkPendingLocked fences phase commands against the in-flight attempt.
-func (a *Agent) checkPendingLocked(args *CommitArgs) error {
-	if args.JobID != a.cfg.JobID {
-		return fmt.Errorf("ctrl: agent hosts job %q, not %q", a.cfg.JobID, args.JobID)
-	}
-	if a.pending == nil {
-		return fencedf("no prepared checkpoint")
-	}
-	if a.pendingID != args.CkptID {
-		return fencedf("prepared checkpoint is %d, not %d", a.pendingID, args.CkptID)
-	}
-	return nil
+	return &PrepareReply{Manifest: man, DenseKey: denseKey, DenseBytes: denseBytes}, nil
 }
 
 // Publish stores the prepared shard manifest.
 func (a *Agent) Publish(ctx context.Context, epoch uint64, args *CommitArgs) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.admitLocked(epoch); err != nil {
+	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return err
 	}
-	if err := a.checkPendingLocked(args); err != nil {
-		return err
-	}
-	return a.pending.Publish(ctx)
+	return fenced(a.w.Publish(ctx, args.CkptID))
 }
 
 // Finalize commits the shard engine's state. The controller calls this
@@ -267,32 +209,24 @@ func (a *Agent) Publish(ctx context.Context, epoch uint64, args *CommitArgs) err
 func (a *Agent) Finalize(ctx context.Context, epoch uint64, args *CommitArgs) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.admitLocked(epoch); err != nil {
+	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return err
 	}
-	if err := a.checkPendingLocked(args); err != nil {
-		return err
-	}
-	a.pending.Finalize(ctx)
-	a.pending, a.pendingDense = nil, ""
-	return nil
+	return fenced(a.w.Finalize(ctx, args.CkptID))
 }
 
-// Abort rolls back the in-flight attempt. Aborting with nothing
-// prepared (or a different ID than expected) succeeds as a no-op: the
-// controller blanket-aborts every shard after a partial failure, and
-// shards that never prepared must not turn that into an error.
+// Abort settles the in-flight attempt: rolled back, unless its composite
+// manifest is in the store. Aborting with nothing prepared (or a
+// different ID than expected) succeeds as a no-op: the controller
+// blanket-aborts every shard after a partial failure, and shards that
+// never prepared must not turn that into an error.
 func (a *Agent) Abort(ctx context.Context, epoch uint64, args *CommitArgs) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.admitLocked(epoch); err != nil {
+	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return err
 	}
-	if args.JobID != a.cfg.JobID {
-		return fmt.Errorf("ctrl: agent hosts job %q, not %q", a.cfg.JobID, args.JobID)
-	}
-	a.abortPendingLocked()
-	return nil
+	return a.settleLocked(ctx)
 }
 
 // Status reports the agent's identity and engine position. Read-only:
@@ -300,25 +234,24 @@ func (a *Agent) Abort(ctx context.Context, epoch uint64, args *CommitArgs) error
 func (a *Agent) Status() *StatusReply {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	prepared := -1
-	if a.pending != nil {
-		prepared = a.pendingID
-	}
 	return &StatusReply{
 		JobID:      a.cfg.JobID,
 		Shard:      a.cfg.Shard,
 		Shards:     a.cfg.Shards,
 		Epoch:      a.epoch,
-		NextID:     a.eng.NextID(),
-		PreparedID: prepared,
+		NextID:     a.w.NextID(),
+		PreparedID: a.w.PreparedID(),
 	}
 }
 
-// Close rolls back any in-flight attempt.
+// Close settles any in-flight attempt; one the store cannot vouch for
+// either way is left as a kill would leave it, for the restart to settle.
 func (a *Agent) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.abortPendingLocked()
+	ctx, cancel := a.opCtxLocked()
+	defer cancel()
+	_ = a.settleLocked(ctx) // logged there
 }
 
 // AgentServer serves an Agent's control protocol over TCP, one

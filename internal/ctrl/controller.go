@@ -67,7 +67,8 @@ type ControllerConfig struct {
 // Controller owns the composite commit point for a distributed
 // checkpoint fleet: it discovers shard agents, drives the two-phase
 // commit over the control protocol (the ckpt.Committer sequence the
-// in-process Coordinator also uses, over RemoteRunners), and alone
+// in-process Coordinator also uses, over RemoteRunners to the agents'
+// ckpt.ShardWriters), and alone
 // stores the composite manifest. A crashed or partitioned agent
 // therefore results in Abort — never a restorable-looking composite.
 //
@@ -214,23 +215,20 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 	}
 	return c.commit.Commit(ctx, ckpt.Attempt{
 		Step: step,
-		Prepared: func(shardMans []*wire.Manifest) (string, int64, error) {
+		Prepared: func(shardMans []*wire.Manifest) error {
 			// Consistent-cut fencing: every shard must have cut at the same
 			// step. (Agents advance to the requested step; one that cannot —
 			// e.g. a replica already past it — errors in prepare, but a
 			// misconfigured source could silently cut elsewhere.)
 			for s, sm := range shardMans {
 				if sm.Step != step {
-					return "", 0, fmt.Errorf("ctrl: inconsistent cut: shard %d at step %d, want %d", s, sm.Step, step)
+					return fmt.Errorf("ctrl: inconsistent cut: shard %d at step %d, want %d", s, sm.Step, step)
 				}
 			}
 			if c.cfg.AfterPrepare != nil {
 				c.cfg.AfterPrepare()
 			}
-			// Agents snapshot their own hosted state; shard 0's also stored
-			// the replicated dense state.
-			key, bytes := c.remotes[0].Dense()
-			return key, bytes, nil
+			return nil
 		},
 		Fence: func(ctx context.Context) error {
 			if lease == nil {

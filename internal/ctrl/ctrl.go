@@ -14,8 +14,10 @@
 //
 // Fencing: every mutating request carries the controller's job epoch
 // and the checkpoint ID it names. An agent rejects requests from a
-// stale epoch (a superseded controller), adopts higher epochs — rolling
-// back any attempt the dead controller left in flight — and refuses
+// stale epoch (a superseded controller) and adopts higher epochs,
+// settling any attempt the dead controller left in flight by whether its
+// composite manifest is in the store; its ckpt.ShardWriter — the same
+// shard-side state machine an in-process Coordinator drives — refuses
 // Prepare for any ID other than its engine's next, so a controller and
 // agent that disagree about history fail loudly instead of corrupting
 // the chain.
@@ -43,10 +45,13 @@ type PrepareArgs struct {
 	// Step is the global training step of the consistent cut. The agent
 	// advances its replica to exactly this step before snapshotting.
 	Step uint64 `json:"step"`
-	// WantDense asks this agent to also store the replicated MLP state
-	// under the composite dense key. The controller designates exactly
-	// one agent (shard 0) — the paper reads the replicated MLPs "from a
-	// single GPU" — keeping the blob on the data plane.
+	// WantDense marks the one agent that also stores the replicated MLP
+	// state under the composite dense key, keeping the blob on the data
+	// plane — the paper reads the replicated MLPs "from a single GPU".
+	// Controllers set it on shard 0 and nowhere else; agents do not read
+	// it, because storing that object is the shard-0 ckpt.ShardWriter's
+	// job under every transport. It stays in the frame so that frame does
+	// not change.
 	WantDense bool `json:"want_dense,omitempty"`
 }
 

@@ -51,7 +51,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 // testSource returns a fixed two-table snapshot at whatever step is
 // asked, tracking how often it was called.
-func testSource(t *testing.T) (SnapshotSource, *int) {
+func testSource(t *testing.T) (ckpt.SnapshotSource, *int) {
 	t.Helper()
 	calls := new(int)
 	return func(ctx context.Context, step uint64) (*ckpt.Snapshot, error) {

@@ -2,17 +2,15 @@ package ctrl
 
 import (
 	"context"
-	"sync"
 
-	"repro/internal/ckpt"
 	"repro/internal/wire"
 )
 
-// RemoteRunner adapts a control-plane Client to ckpt.ShardRunner, so
-// the exact commit orchestration the in-process Coordinator runs over
-// LocalRunners drives shard-agent daemons instead. The snapshot in a
-// PrepareRequest is ignored: the agent snapshots its own hosted state
-// at the requested step.
+// RemoteRunner adapts a control-plane Client to ckpt.ShardRunner: it
+// carries the four phase calls, under one controller epoch, to the
+// ckpt.ShardWriter inside a shard-agent daemon, so the exact commit
+// orchestration the in-process Coordinator runs over its ShardWriters
+// drives a fleet instead.
 type RemoteRunner struct {
 	client *Client
 	jobID  string
@@ -20,10 +18,6 @@ type RemoteRunner struct {
 	// wantDense marks the one runner (shard 0) whose agent stores the
 	// replicated dense state at the composite level.
 	wantDense bool
-
-	mu         sync.Mutex
-	denseKey   string
-	denseBytes int64
 }
 
 // NewRemoteRunner wraps client, connected to one shard's agent, as that
@@ -33,28 +27,17 @@ func NewRemoteRunner(client *Client, jobID string, epoch uint64, wantDense bool)
 }
 
 // Prepare implements ckpt.ShardRunner.
-func (r *RemoteRunner) Prepare(ctx context.Context, req ckpt.PrepareRequest) (*wire.Manifest, error) {
+func (r *RemoteRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, string, int64, error) {
 	reply, err := r.client.Prepare(ctx, r.epoch, &PrepareArgs{
 		JobID:     r.jobID,
-		CkptID:    req.ID,
-		Step:      req.Step,
+		CkptID:    id,
+		Step:      step,
 		WantDense: r.wantDense,
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", 0, err
 	}
-	r.mu.Lock()
-	r.denseKey, r.denseBytes = reply.DenseKey, reply.DenseBytes
-	r.mu.Unlock()
-	return reply.Manifest, nil
-}
-
-// Dense reports the composite-level dense object the last prepare
-// stored (empty unless this runner is the dense-designated shard).
-func (r *RemoteRunner) Dense() (key string, bytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.denseKey, r.denseBytes
+	return reply.Manifest, reply.DenseKey, reply.DenseBytes, nil
 }
 
 // Publish implements ckpt.ShardRunner.

@@ -20,7 +20,7 @@ import (
 // miniSource is a per-shard snapshot source whose content is a pure
 // function of (shard, step): each shard owns one table, so composites
 // assemble cleanly, and repeated fleets see identical data.
-func miniSource(shard int) SnapshotSource {
+func miniSource(shard int) ckpt.SnapshotSource {
 	return func(ctx context.Context, step uint64) (*ckpt.Snapshot, error) {
 		rng := rand.New(rand.NewSource(int64(shard)<<20 | int64(step)))
 		tab := embedding.NewTable(shard, 32, 4, 0.1, rng)

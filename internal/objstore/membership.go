@@ -102,7 +102,7 @@ func PublishMembership(ctx context.Context, addrs []string, cfg ClientConfig) er
 // over the sorted address list — see RoutedStore).
 //
 //   - Multiple addresses: dial each and return a RoutedStore over them
-//     (static membership, the "-stores host:port,..." flag form).
+//     (static membership, the "-store host:port,..." flag form).
 //   - One address: dial it, then consult the fleet membership record
 //     (MembersKey). If present, expand to the full recorded fleet; if
 //     absent, the single client is the store.
