@@ -24,6 +24,7 @@ package checknrun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -305,11 +306,15 @@ func (s *System) VerifyAll(ctx context.Context) ([]*VerifyResult, error) {
 	return s.ctrl.Restorer().VerifyAll(ctx)
 }
 
-// Close shuts down the reader tier and the store connection.
+// Close shuts down the reader tier, waits for the deletion of the
+// checkpoints retention retired, and closes the store connection.
 func (s *System) Close() error {
 	s.reader.Close()
+	// Close's signature predates anything here that can wait on the store;
+	// each retired checkpoint's deletion is bounded by the sweeper.
+	err := s.ctrl.Close(context.TODO())
 	if s.ownsStore {
-		return s.store.Close()
+		err = errors.Join(err, s.store.Close())
 	}
-	return nil
+	return err
 }

@@ -509,6 +509,9 @@ func TestGCKeepLast(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := f.eng.Close(f.ctx); err != nil {
+		t.Fatal(err)
+	}
 	ms, err := f.rest.ListManifests(f.ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -524,6 +527,9 @@ func TestGCPreservesBaseOfRetainedIncrement(t *testing.T) {
 		if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := f.eng.Close(f.ctx); err != nil {
+		t.Fatal(err)
 	}
 	ms, err := f.rest.ListManifests(f.ctx)
 	if err != nil {
@@ -546,6 +552,9 @@ func TestGCPreservesConsecutiveChain(t *testing.T) {
 		if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := f.eng.Close(f.ctx); err != nil {
+		t.Fatal(err)
 	}
 	ms, err := f.rest.ListManifests(f.ctx)
 	if err != nil {

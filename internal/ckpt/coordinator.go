@@ -216,6 +216,12 @@ func forEachShard(n int, fn func(s int) error) error {
 	return nil
 }
 
+// Close waits for every shard engine's retention sweep (Engine.Close):
+// after it, no checkpoint this coordinator retired is half-deleted.
+func (c *Coordinator) Close(ctx context.Context) error {
+	return forEachShard(len(c.writers), func(s int) error { return c.writers[s].Close(ctx) })
+}
+
 // Write checkpoints snap across all shards and commits the composite
 // manifest (Committer.Commit has the phases and the failure contract).
 // The replicated dense state is stored once, at the composite level, by

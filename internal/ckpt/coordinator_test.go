@@ -290,6 +290,9 @@ func TestCoordinatorKeepLastGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := coord.Close(f.ctx); err != nil {
+		t.Fatal(err)
+	}
 	rest, _ := NewRestorer("gc", f.store)
 	ms, err := rest.ListManifests(f.ctx)
 	if err != nil {

@@ -2,8 +2,11 @@ package ckpt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,7 +62,8 @@ const adaptiveSampling = 8
 
 // Engine builds and stores checkpoints for one training job. Methods are
 // not safe for concurrent use: the paper serializes checkpoints ("two
-// consecutive checkpoints cannot overlap").
+// consecutive checkpoints cannot overlap"). The one goroutine an engine
+// owns is its retention sweeper's; Close waits for it.
 type Engine struct {
 	cfg   Config
 	state *policyState
@@ -76,7 +80,10 @@ type Engine struct {
 	uncommitted map[int]*bitvec.Bitmap
 
 	// manifests caches committed manifests by ID for GC dependency checks.
+	// It is the retention state: an ID leaves it only once the sweeper
+	// has seen its manifest deleted.
 	manifests map[int]*wire.Manifest
+	sweep     *sweeper
 
 	// rangeCache holds, per table, each row's last adaptive quantization
 	// range keyed by the row's min/max bit patterns, so rows untouched
@@ -124,6 +131,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cumulative:  make(map[int]*bitvec.Bitmap),
 		uncommitted: make(map[int]*bitvec.Bitmap),
 		manifests:   make(map[int]*wire.Manifest),
+		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.Uploaders},
 		rangeCache:  make(map[int][]quant.RowRange),
 	}, nil
 }
@@ -294,10 +302,12 @@ func (p *Prepared) Publish(ctx context.Context) error {
 }
 
 // Finalize commits the engine's in-memory state — policy history,
-// baseline tracking, manifest cache, sequence number — and runs GC. It
-// cannot fail; the checkpoint became valid when Publish stored the
-// manifest. Returns the committed manifest.
-func (p *Prepared) Finalize(ctx context.Context) *wire.Manifest {
+// baseline tracking, manifest cache, sequence number — and decides which
+// checkpoints retire. It cannot fail and issues no store operation: the
+// checkpoint became valid when Publish stored the manifest, and deleting
+// what it supersedes is the sweeper's job, off the commit path (hence
+// no use for ctx). Returns the committed manifest.
+func (p *Prepared) Finalize(_ context.Context) *wire.Manifest {
 	if p.done {
 		return p.man
 	}
@@ -317,7 +327,7 @@ func (p *Prepared) Finalize(ctx context.Context) *wire.Manifest {
 	e.nextID++
 
 	if e.cfg.KeepLast > 0 {
-		e.gc(ctx)
+		e.forget(e.sweep.submit(e.retired()))
 	}
 	return p.man
 }
@@ -542,47 +552,48 @@ feed:
 
 // cleanup deletes any objects written for an aborted checkpoint.
 func (e *Engine) cleanup(ctx context.Context, id int) {
-	keys, err := e.cfg.Store.List(ctx, wire.CheckpointPrefix(e.cfg.JobID, id))
-	if err != nil {
-		return
-	}
-	e.deleteAll(ctx, keys)
+	deleteCheckpoint(ctx, e.cfg.Store, e.cfg.JobID, id, e.cfg.Uploaders)
 }
 
-// deleteAll removes one checkpoint's objects, best effort. The manifest
-// goes first, so that a crash part-way never leaves a manifest naming
-// deleted chunks; the rest go through as many workers as the engine
-// uploads with, because one Delete is a store round trip and a full
-// checkpoint is hundreds of them, all inside Finalize — where, taken one
-// at a time, they queue behind whatever else the store and the cores
-// are doing (a replica fetching the checkpoint just announced).
-func (e *Engine) deleteAll(ctx context.Context, keys []string) {
+// deleteCheckpoint removes one checkpoint's objects, best effort, and
+// reports whether its manifest is gone — deleted now, or not there to
+// begin with. The manifest goes first, and nothing else goes unless it
+// did, so that neither a crash part-way nor a failed Delete leaves a
+// manifest naming deleted chunks; the rest go through workers
+// goroutines, because one Delete is a store round trip and a full
+// checkpoint is hundreds of them.
+func deleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, id, workers int) bool {
+	keys, err := store.List(ctx, wire.CheckpointPrefix(jobID, id))
+	if err != nil {
+		return false
+	}
 	var rest []string
 	for _, k := range keys {
-		if strings.HasSuffix(k, "/manifest") {
-			_ = e.cfg.Store.Delete(ctx, k)
-		} else {
+		if !strings.HasSuffix(k, "/manifest") {
 			rest = append(rest, k)
+		} else if err := store.Delete(ctx, k); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			return false
 		}
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(e.cfg.Uploaders, len(rest)); w++ {
+	for w := 0; w < min(workers, len(rest)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; int(i) < len(rest); i = next.Add(1) - 1 {
-				_ = e.cfg.Store.Delete(ctx, rest[i])
+				_ = store.Delete(ctx, rest[i])
 			}
 		}()
 	}
 	wg.Wait()
+	return true
 }
 
-// gc deletes old checkpoints beyond KeepLast while preserving any
-// checkpoint that a retained one depends on (its base, and for
-// consecutive chains every ancestor back to the base).
-func (e *Engine) gc(ctx context.Context) {
+// retired returns, oldest first, the cached checkpoints beyond KeepLast
+// that no retained one depends on (a retained increment keeps its base,
+// and on a consecutive chain every ancestor back to the base).
+func (e *Engine) retired() []int {
 	retain := make(map[int]bool)
 	// Newest KeepLast checkpoints are retained directly.
 	for id := e.nextID - 1; id >= 0 && id > e.nextID-1-e.cfg.KeepLast; id-- {
@@ -612,17 +623,124 @@ func (e *Engine) gc(ctx context.Context) {
 			}
 		}
 	}
+	var ids []int
 	for id := range e.manifests {
-		if retain[id] {
-			continue
+		if !retain[id] {
+			ids = append(ids, id)
 		}
-		keys, err := e.cfg.Store.List(ctx, wire.CheckpointPrefix(e.cfg.JobID, id))
-		if err != nil {
-			continue
-		}
-		e.deleteAll(ctx, keys)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// forget drops swept checkpoints from the retention state.
+func (e *Engine) forget(swept []int) {
+	for _, id := range swept {
 		delete(e.manifests, id)
 	}
+}
+
+// Close waits for the retention sweep in flight, so that a clean exit
+// leaves no checkpoint half-retired; it fails only with ctx's error.
+// The engine stays usable. An engine dropped without Close — a crash —
+// loses nothing but the queue: RecoverEngine re-seeds the retention
+// state from the manifests still in the store, so the next commit
+// retires them again, and chunks whose manifest was already deleted are
+// unreferenced debris for SweepOrphans.
+func (e *Engine) Close(ctx context.Context) error {
+	swept, err := e.sweep.wait(ctx)
+	e.forget(swept)
+	return err
+}
+
+// sweeper deletes retired checkpoints on a goroutine of its own, one
+// checkpoint at a time: declaring a checkpoint valid does not wait for
+// the deletion of the one it supersedes (hundreds of store round trips
+// for a full checkpoint). The goroutine sees the store and the job ID,
+// never the engine.
+type sweeper struct {
+	store   objstore.Store
+	jobID   string
+	workers int
+
+	mu sync.Mutex
+	// queue is what the newest commit retired and no sweep has tried
+	// since, oldest first; sweeping the ID being swept, or -1.
+	queue    []int
+	sweeping int
+	// swept holds the IDs whose manifest is gone, until the engine
+	// collects them. An ID whose sweep failed is simply not reported:
+	// it stays in the engine's retention state and the next commit
+	// submits it again.
+	swept []int
+	// idle is non-nil while the goroutine runs and closed when it exits.
+	idle chan struct{}
+}
+
+// submit replaces the queue with ids, starts the goroutine unless it is
+// running, and returns the IDs swept since the last call. It does not
+// block on the store.
+func (s *sweeper) submit(ids []int) (swept []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	swept, s.swept = s.swept, nil
+	s.queue = s.queue[:0]
+	for _, id := range ids {
+		if !(s.idle != nil && id == s.sweeping) && !slices.Contains(swept, id) {
+			s.queue = append(s.queue, id)
+		}
+	}
+	if s.idle == nil && len(s.queue) > 0 {
+		s.idle = make(chan struct{})
+		go s.run()
+	}
+	return swept
+}
+
+// run sweeps until the queue is empty. Each checkpoint gets its own
+// budget, under a context no commit can cancel.
+func (s *sweeper) run() {
+	for {
+		s.mu.Lock()
+		if len(s.queue) == 0 {
+			close(s.idle)
+			s.idle = nil
+			s.mu.Unlock()
+			return
+		}
+		id := s.queue[0]
+		s.queue = s.queue[1:]
+		s.sweeping = id
+		s.mu.Unlock()
+
+		ctx, cancel := context.WithTimeout(context.Background(), abortTimeout)
+		gone := deleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
+		cancel()
+		if gone {
+			s.mu.Lock()
+			s.swept = append(s.swept, id)
+			s.mu.Unlock()
+		}
+	}
+}
+
+// wait blocks until the goroutine, if any, has emptied the queue, or
+// ctx is done, and returns the IDs swept since the last submit.
+func (s *sweeper) wait(ctx context.Context) (swept []int, err error) {
+	s.mu.Lock()
+	idle := s.idle
+	s.mu.Unlock()
+	if idle != nil {
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	swept, s.swept = s.swept, nil
+	return swept, err
 }
 
 // RecoverOptions tunes RecoverEngine's manifest walk.

@@ -290,6 +290,11 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 				if man.ID != 2 {
 					t.Fatalf("resumed write committed id %d, want 2", man.ID)
 				}
+				for _, c := range []*Coordinator{live, rec} {
+					if err := c.Close(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
 				// Same objects, so the same restore — and retention resumed
 				// too: KeepLast 2 retired composite 0 on both sides.
 				storesEqual(t, ctx, storeLive, storeCrash)

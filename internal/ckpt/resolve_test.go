@@ -12,13 +12,14 @@ import (
 	"repro/internal/wire"
 )
 
-// opStore counts the read operations a restorer issues and can make
-// chosen keys fail their Get.
+// opStore counts the read operations a restorer issues and the Deletes
+// retention does, and can make chosen keys fail their Get.
 type opStore struct {
 	objstore.Store
 
 	mu           sync.Mutex
 	lists        int
+	deletes      int
 	manifestGets int
 	denseGets    int
 	// getErr makes Get of a key return the error instead of the object.
@@ -30,6 +31,13 @@ func (s *opStore) List(ctx context.Context, prefix string) ([]string, error) {
 	s.lists++
 	s.mu.Unlock()
 	return s.Store.List(ctx, prefix)
+}
+
+func (s *opStore) Delete(ctx context.Context, key string) error {
+	s.mu.Lock()
+	s.deletes++
+	s.mu.Unlock()
+	return s.Store.Delete(ctx, key)
 }
 
 func (s *opStore) Get(ctx context.Context, key string) ([]byte, error) {

@@ -1,0 +1,354 @@
+package ckpt
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/objstore"
+	"repro/internal/wire"
+)
+
+// sweepStore stands between an engine and an opStore (which counts what
+// got through) and controls the two operations retention issues: List
+// and Delete wait at gate while there is one, fail once for a key in
+// failOnce, and fail for good once budget of them have been let through
+// (the process "died": died is closed when the last admitted operation
+// has returned). It also checks what the sweeper promises about order:
+// the operations of two checkpoints never overlap.
+type sweepStore struct {
+	objstore.Store // an *opStore
+	gate           chan struct{}
+	failOnce       map[string]bool
+	budget         int // < 0: unlimited
+	died           chan struct{}
+
+	mu       sync.Mutex
+	log      []string // admitted operations, in admission order: "list 3", "delete <key>"
+	inFlight int
+	current  int // checkpoint of the operations in flight
+	overlap  []string
+	dead     bool
+}
+
+var errDied = errors.New("store handle of a dead process")
+
+func newSweepStore(inner objstore.Store) *sweepStore {
+	return &sweepStore{Store: &opStore{Store: inner}, budget: -1, died: make(chan struct{})}
+}
+
+func (s *sweepStore) ops() *opStore { return s.Store.(*opStore) }
+
+func ckptOfKey(key string) int {
+	var id int
+	if _, err := fmt.Sscanf(key[strings.Index(key, "/ckpt/")+len("/ckpt/"):], "%08d", &id); err != nil {
+		return -1
+	}
+	return id
+}
+
+// admit runs op, a List or Delete naming key, under the store's rules.
+func (s *sweepStore) admit(ctx context.Context, what, key string, op func() error) error {
+	if s.gate != nil {
+		select {
+		case <-s.gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	id := ckptOfKey(key)
+	s.mu.Lock()
+	switch {
+	case s.dead:
+		s.mu.Unlock()
+		return errDied
+	case s.budget == 0:
+		s.dead = true
+		if s.inFlight == 0 {
+			close(s.died)
+		}
+		s.mu.Unlock()
+		return errDied
+	case s.failOnce[key]:
+		delete(s.failOnce, key)
+		s.mu.Unlock()
+		return errInjected
+	}
+	s.budget--
+	if s.inFlight > 0 && id != s.current {
+		s.overlap = append(s.overlap, fmt.Sprintf("%s %s while checkpoint %d is being swept", what, key, s.current))
+	}
+	s.inFlight++
+	s.current = id
+	if what == "list" {
+		s.log = append(s.log, fmt.Sprintf("list %d", id))
+	} else {
+		s.log = append(s.log, "delete "+key)
+	}
+	s.mu.Unlock()
+
+	err := op()
+
+	s.mu.Lock()
+	s.inFlight--
+	if s.dead && s.inFlight == 0 {
+		close(s.died)
+	}
+	s.mu.Unlock()
+	return err
+}
+
+func (s *sweepStore) List(ctx context.Context, prefix string) (keys []string, err error) {
+	err = s.admit(ctx, "list", prefix, func() (err error) {
+		keys, err = s.Store.List(ctx, prefix)
+		return err
+	})
+	return keys, err
+}
+
+func (s *sweepStore) Delete(ctx context.Context, key string) error {
+	return s.admit(ctx, "delete", key, func() error { return s.Store.Delete(ctx, key) })
+}
+
+// counts returns the Lists and Deletes that reached the store.
+func (s *sweepStore) counts() (lists, deletes int) {
+	o := s.ops()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.lists, o.deletes
+}
+
+// checkSweepOrder asserts, over everything the store admitted, that
+// sweeps never overlapped and that each checkpoint's sweep is one run of
+// the log: its List, its manifest Delete, then the rest.
+func (s *sweepStore) checkSweepOrder(t *testing.T, job string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, o := range s.overlap {
+		t.Errorf("two sweeps at once: %s", o)
+	}
+	for i := 0; i < len(s.log); {
+		var id int
+		if _, err := fmt.Sscanf(s.log[i], "list %d", &id); err != nil {
+			t.Fatalf("log[%d] = %q, want the List that starts a sweep\n%s", i, s.log[i], strings.Join(s.log, "\n"))
+		}
+		i++
+		if i < len(s.log) && strings.HasPrefix(s.log[i], "delete ") {
+			if want := "delete " + wire.ManifestKey(job, id); s.log[i] != want {
+				t.Errorf("sweep of checkpoint %d began with %q, want %q", id, s.log[i], want)
+			}
+		}
+		for ; i < len(s.log) && strings.HasPrefix(s.log[i], "delete "); i++ {
+			if got := ckptOfKey(s.log[i]); got != id {
+				t.Errorf("%q inside the sweep of checkpoint %d", s.log[i], id)
+			}
+		}
+	}
+}
+
+func writeAll(t *testing.T, ctx context.Context, eng *Engine, snaps []*Snapshot) {
+	t.Helper()
+	for i, snap := range snaps {
+		if _, err := eng.Write(ctx, snap); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+}
+
+func listedIDs(t *testing.T, ctx context.Context, store objstore.Store) []int {
+	t.Helper()
+	rest, err := NewRestorer("testjob", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := rest.ListManifests(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids(ms)
+}
+
+// TestRetentionLeavesTheCommitPath: with the store refusing to answer
+// any List or Delete, commits that retire checkpoints still return, and
+// nothing retention does has reached the store; once it answers, the
+// sweeper retires them one at a time, manifest first.
+func TestRetentionLeavesTheCommitPath(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	mem := objstore.NewMemStore(objstore.MemConfig{})
+	store := newSweepStore(mem)
+	store.gate = make(chan struct{})
+	eng, err := NewEngine(Config{JobID: "testjob", Store: store, Policy: PolicyFull, KeepLast: 2, ChunkRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Commits 2 and 3 retire 0 and 1, back to back, behind a sweep that
+	// cannot move.
+	writeAll(t, ctx, eng, rejoinSnapshots(t, 4))
+	if lists, deletes := store.counts(); lists != 0 || deletes != 0 {
+		t.Fatalf("four commits returned with %d Lists and %d Deletes done, want none", lists, deletes)
+	}
+	if got := listedIDs(t, ctx, mem); len(got) != 4 {
+		t.Fatalf("checkpoints %v in the store before the sweep could run, want all four", got)
+	}
+	if len(eng.manifests) != 4 {
+		t.Fatalf("retention state holds %d checkpoints while none is swept, want 4", len(eng.manifests))
+	}
+	retiring := 0
+	for id := 0; id <= 1; id++ {
+		keys, err := mem.List(ctx, wire.CheckpointPrefix("testjob", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		retiring += len(keys)
+	}
+
+	close(store.gate)
+	if err := eng.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := listedIDs(t, ctx, mem); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("retained %v after Close, want [2 3]", got)
+	}
+	for id := 0; id <= 1; id++ {
+		if keys, _ := mem.List(ctx, wire.CheckpointPrefix("testjob", id)); len(keys) != 0 {
+			t.Errorf("checkpoint %d retired but %d of its objects remain: %v", id, len(keys), keys)
+		}
+	}
+	if len(eng.manifests) != 2 {
+		t.Errorf("retention state holds %d checkpoints after Close, want 2", len(eng.manifests))
+	}
+	if lists, deletes := store.counts(); lists != 2 || deletes != retiring {
+		t.Errorf("sweeping two checkpoints took %d Lists and %d Deletes, want 2 and %d (one per object)", lists, deletes, retiring)
+	}
+	store.checkSweepOrder(t, "testjob")
+}
+
+// TestSweepRetriesFailedManifestDelete: a checkpoint whose manifest
+// could not be deleted keeps all its objects and its place in the
+// retention state, and the next commit's sweep retires it.
+func TestSweepRetriesFailedManifestDelete(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	mem := objstore.NewMemStore(objstore.MemConfig{})
+	store := newSweepStore(mem)
+	store.failOnce = map[string]bool{wire.ManifestKey("testjob", 0): true}
+	eng, err := NewEngine(Config{JobID: "testjob", Store: store, Policy: PolicyFull, KeepLast: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := rejoinSnapshots(t, 3)
+	writeAll(t, ctx, eng, snaps[:1])
+	whole, err := mem.List(ctx, wire.CheckpointPrefix("testjob", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, ctx, eng, snaps[1:2])
+	if err := eng.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := mem.List(ctx, wire.CheckpointPrefix("testjob", 0)); len(keys) != len(whole) {
+		t.Fatalf("checkpoint 0 is still listed but has %d of its %d objects", len(keys), len(whole))
+	}
+	if _, ok := eng.manifests[0]; !ok || len(eng.manifests) != 2 {
+		t.Fatalf("retention state = %d checkpoints (0 present: %v), want 0 and 1", len(eng.manifests), ok)
+	}
+
+	writeAll(t, ctx, eng, snaps[2:])
+	if err := eng.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := listedIDs(t, ctx, mem); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("retained %v, want [2]", got)
+	}
+	if keys, _ := mem.List(ctx, "testjob/"); len(keys) != len(whole) {
+		t.Errorf("%d objects left, want the %d of checkpoint 2: %v", len(keys), len(whole), keys)
+	}
+	if len(eng.manifests) != 1 {
+		t.Errorf("retention state holds %d checkpoints, want 1", len(eng.manifests))
+	}
+	store.checkSweepOrder(t, "testjob")
+}
+
+// TestAbandonedSweepIsCollected: a process that dies inside a sweep —
+// before the manifest Delete, right after it, or some chunks later —
+// loses only its queue. The recovered engine's next commit retires
+// whatever still has a manifest, SweepOrphans collects what does not,
+// and the store ends up holding exactly what an uninterrupted run's does.
+func TestAbandonedSweepIsCollected(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	snaps := rejoinSnapshots(t, 4)
+	cfg := Config{JobID: "testjob", Policy: PolicyFull, KeepLast: 2, ChunkRows: 64}
+
+	cfg.Store = objstore.NewMemStore(objstore.MemConfig{})
+	live, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, ctx, live, snaps)
+	if err := live.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if report, err := SweepOrphans(ctx, "testjob", cfg.Store, false); err != nil || len(report.Orphans) != 0 {
+		t.Fatalf("uninterrupted run left orphans: %+v, %v", report, err)
+	}
+	storeLive := cfg.Store
+
+	// budget counts the List and Deletes the dying sweep of checkpoint 0
+	// gets through: none, the List, the manifest too, then some chunks.
+	for _, budget := range []int{0, 1, 2, 5} {
+		t.Run(fmt.Sprintf("died-after-%d-ops", budget), func(t *testing.T) {
+			mem := objstore.NewMemStore(objstore.MemConfig{})
+			handle := newSweepStore(mem)
+			handle.gate = make(chan struct{})
+			cfg.Store = handle
+			crash, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeAll(t, ctx, crash, snaps[:3]) // commit 2 retires 0
+			handle.mu.Lock()
+			handle.budget = budget
+			handle.mu.Unlock()
+			close(handle.gate)
+			select {
+			case <-handle.died: // and the engine is abandoned, never closed
+			case <-ctx.Done():
+				t.Fatal("the sweep never used up its budget")
+			}
+			_, manifestErr := mem.Stat(ctx, wire.ManifestKey("testjob", 0))
+			if gone := errors.Is(manifestErr, objstore.ErrNotFound); gone != (budget >= 2) {
+				t.Fatalf("after %d sweep operations manifest 0 gone = %v", budget, gone)
+			}
+
+			cfg.Store = mem
+			rec, err := RecoverEngine(ctx, cfg, RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rec.Write(ctx, snaps[3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			report, err := SweepOrphans(ctx, "testjob", mem, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget <= 1 && len(report.Orphans) != 0 {
+				t.Errorf("manifest 0 survived the crash, so the next commit retires it whole; SweepOrphans still found %v", report.Orphans)
+			}
+			if budget >= 2 && len(report.Orphans) == 0 {
+				t.Error("manifest 0 was deleted before the crash: its remaining objects are debris, but SweepOrphans found none")
+			}
+			storesEqual(t, ctx, storeLive, mem)
+		})
+	}
+}

@@ -28,6 +28,9 @@ func TestSweepKeepsEverythingReferenced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := coord.Close(f.ctx); err != nil {
+		t.Fatal(err)
+	}
 	report, err := SweepOrphans(f.ctx, "sweep", f.store, false)
 	if err != nil {
 		t.Fatal(err)

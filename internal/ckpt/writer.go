@@ -242,6 +242,10 @@ func (w *ShardWriter) rollback(ctx context.Context) {
 	w.pending, w.dense, w.unsettled = nil, "", false
 }
 
+// Close waits for the shard engine's retention sweep (Engine.Close). An
+// attempt in flight is not touched: settling it is Abort's job.
+func (w *ShardWriter) Close(ctx context.Context) error { return w.eng.Close(ctx) }
+
 // SubSnapshot carves one shard's view out of snap under the table ->
 // shard assignment: the tables it owns and their modified bitmaps.
 // Tables are shared, not copied — the snapshot already owns its memory

@@ -141,6 +141,10 @@ func New(ctx context.Context, cluster *trainer.Cluster, reader *data.Cluster, cf
 	}, nil
 }
 
+// Close waits for the retention sweeps of the checkpoints this
+// controller committed (ckpt.Coordinator.Close).
+func (c *Controller) Close(ctx context.Context) error { return c.coord.Close(ctx) }
+
 // BatchesPerInterval reports the interval length in batches.
 func (c *Controller) BatchesPerInterval() int { return c.batchesPerInterval }
 

@@ -246,12 +246,17 @@ func (a *Agent) Status() *StatusReply {
 
 // Close settles any in-flight attempt; one the store cannot vouch for
 // either way is left as a kill would leave it, for the restart to settle.
+// It then waits, within the op budget, for the writer's retention sweep,
+// so a clean shutdown leaves no retired checkpoint half-deleted.
 func (a *Agent) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ctx, cancel := a.opCtxLocked()
 	defer cancel()
 	_ = a.settleLocked(ctx) // logged there
+	if err := a.w.Close(ctx); err != nil {
+		a.logf("ctrl agent %d: retention sweep still running at close: %v", a.cfg.Shard, err)
+	}
 }
 
 // AgentServer serves an Agent's control protocol over TCP, one
@@ -283,7 +288,7 @@ func NewAgentServer(addr string, agent *Agent) (*AgentServer, error) {
 // from transport and execution errors. Each op runs under the agent's
 // OpTimeout (when configured) so a stalled store surfaces as a failed
 // command instead of wedging the agent's command mutex.
-func (s *AgentServer) handle(br *bufio.Reader, w *bufio.Writer) error {
+func (s *AgentServer) handle(br *bufio.Reader, w *rpc.FrameWriter) error {
 	req, err := readRequest(br)
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package ctrl
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,8 +56,8 @@ func (c *Client) call(ctx context.Context, op uint8, epoch uint64, args any, rep
 			return fmt.Errorf("ctrl: encode request: %w", err)
 		}
 	}
-	status, payload, err := c.rpc.Do(ctx, maxBodyLen, func(bw *bufio.Writer) error {
-		return writeRequest(bw, req)
+	status, payload, err := c.rpc.Do(ctx, maxBodyLen, func(fw *rpc.FrameWriter) error {
+		return writeRequest(fw, req)
 	})
 	if err != nil {
 		return fmt.Errorf("ctrl: %w", err)

@@ -2,10 +2,12 @@ package ctrl
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 	"repro/internal/rpc/rpctest"
@@ -32,6 +34,12 @@ func TestFrameGolden(t *testing.T) {
 				}
 				return err
 			})
+		rpctest.GoldenOnTheWire(t, name, func(addr string) error {
+			c := rpc.NewClient(addr, 1, time.Second, false)
+			defer c.Close()
+			_, _, err := c.Do(context.Background(), maxBodyLen, func(fw *rpc.FrameWriter) error { return writeRequest(fw, want) })
+			return err
+		})
 	}
 	respFrame := func(name string, status uint8, payload []byte) {
 		rpctest.Golden(t, name,

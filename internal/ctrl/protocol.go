@@ -57,11 +57,11 @@ func writeRequest(w io.Writer, req *request) error {
 	if len(req.body) > maxBodyLen {
 		return fmt.Errorf("ctrl: request body too long: %d bytes", len(req.body))
 	}
-	hdr := make([]byte, 4+1+8+4)
-	binary.LittleEndian.PutUint32(hdr, protoMagic)
-	hdr[4] = req.op
-	binary.LittleEndian.PutUint64(hdr[5:], req.epoch)
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(req.body)))
+	fw, _ := w.(*rpc.FrameWriter) // on a connection the header is built in place
+	hdr := binary.LittleEndian.AppendUint32(fw.HeaderBuf(4+1+8+4), protoMagic)
+	hdr = append(hdr, req.op)
+	hdr = binary.LittleEndian.AppendUint64(hdr, req.epoch)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(req.body)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}

@@ -124,6 +124,11 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 			}
 			roundSeconds = append(roundSeconds, clock.Since(start).Seconds())
 		}
+		for _, job := range jobs {
+			if err := job.eng.Close(ctx); err != nil {
+				return nil, err
+			}
+		}
 		return roundSeconds, nil
 	}
 

@@ -123,6 +123,10 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 		if iv == 0 {
 			fullPayload = man.PayloadBytes
 		}
+		// Capacity is read once retention has caught up with the commit.
+		if err := eng.Close(ctx); err != nil {
+			return nil, err
+		}
 		u := store.Usage()
 		res.CapFrac = append(res.CapFrac, float64(u.CapacityBytes)/float64(fullPayload)*100)
 		res.CapBytes = append(res.CapBytes, float64(u.CapacityBytes))

@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -57,8 +56,8 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 // store returning ErrNotFound or a data error is never misread as
 // "store down".
 func (cl *Client) roundTrip(ctx context.Context, req *request) (uint8, []byte, error) {
-	status, payload, err := cl.rpc.Do(ctx, maxValueLen, func(bw *bufio.Writer) error {
-		return writeRequest(bw, req)
+	status, payload, err := cl.rpc.Do(ctx, maxValueLen, func(fw *rpc.FrameWriter) error {
+		return writeRequest(fw, req)
 	})
 	var te *rpc.Error
 	switch {

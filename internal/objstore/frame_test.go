@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,6 +29,13 @@ func TestFrameGolden(t *testing.T) {
 			}
 			return err
 		})
+
+	rpctest.GoldenOnTheWire(t, "put_request", func(addr string) error {
+		c := rpc.NewClient(addr, 1, time.Second, false)
+		defer c.Close()
+		_, _, err := c.Do(context.Background(), maxValueLen, func(fw *rpc.FrameWriter) error { return writeRequest(fw, put) })
+		return err
+	})
 
 	response := func(name string, status uint8, payload []byte) {
 		rpctest.Golden(t, name,

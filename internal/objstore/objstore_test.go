@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -526,6 +527,42 @@ func TestTCPClientRecoversFromBrokenConn(t *testing.T) {
 	}
 }
 
+// TestStalePoolResendsLargePut: every parked connection died while
+// idle, so the Put of a chunk-sized (or larger) value fails on one of
+// them and is sent again on a fresh dial. The resend gathers the frame
+// afresh from the caller's slice: the store ends up with exactly its
+// bytes, and the caller never sees the blip.
+func TestStalePoolResendsLargePut(t *testing.T) {
+	backend := NewMemStore(MemConfig{})
+	srv, err := NewServer("127.0.0.1:0", backend, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr(), ClientConfig{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := ctxT(t)
+	for i, size := range []int{70 << 10, 1 << 20} {
+		value := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(value)
+		want := bytes.Clone(value)
+		srv.CloseConns() // the connection the Dial probe (or the last Put) parked is now dead
+		key := fmt.Sprintf("chunk/%d", i)
+		if err := cl.Put(ctx, key, value); err != nil {
+			t.Fatalf("%d-byte Put over a stale pool: %v", size, err)
+		}
+		if !bytes.Equal(value, want) {
+			t.Fatalf("%d-byte Put changed the caller's slice", size)
+		}
+		if got, err := backend.Get(ctx, key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte Put over a stale pool stored %d bytes (err %v), want the value", size, len(got), err)
+		}
+	}
+}
+
 func TestClientTransportErrorsAreTyped(t *testing.T) {
 	ctx := ctxT(t)
 
@@ -655,4 +692,48 @@ func BenchmarkMemStorePut64KB(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPutGet70K is the transport under the commit and the restore
+// in one number: four closed-loop callers (the client's pool size) each
+// Put then Get a chunk-sized value against a MemStore behind NewServer
+// on loopback. A 70 KB round trip is byte-bound, so MB/s here moves
+// with every copy the frame path adds or drops.
+func BenchmarkPutGet70K(b *testing.B) {
+	srv, err := NewServer("127.0.0.1:0", NewMemStore(MemConfig{}), ServerConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr(), ClientConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	const callers = 4
+	value := make([]byte, 70<<10)
+	ctx := context.Background()
+	b.SetBytes(2 * int64(len(value)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				key := fmt.Sprintf("c%d/k%d", c, i&15)
+				if err := cl.Put(ctx, key, value); err != nil {
+					b.Error(err)
+					return
+				}
+				if got, err := cl.Get(ctx, key); err != nil || len(got) != len(value) {
+					b.Errorf("get %s: %d bytes, %v", key, len(got), err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -55,10 +55,10 @@ func writeRequest(w io.Writer, req *request) error {
 	if len(req.value) > maxValueLen {
 		return fmt.Errorf("objstore: value too long: %d bytes", len(req.value))
 	}
-	hdr := make([]byte, 4+1+2, 4+1+2+len(req.key)+4)
-	binary.LittleEndian.PutUint32(hdr, protoMagic)
-	hdr[4] = req.op
-	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(req.key)))
+	fw, _ := w.(*rpc.FrameWriter) // on a connection the header is built in place
+	hdr := binary.LittleEndian.AppendUint32(fw.HeaderBuf(4+1+2+len(req.key)+4), protoMagic)
+	hdr = append(hdr, req.op)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(req.key)))
 	hdr = append(hdr, req.key...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(req.value)))
 	if _, err := w.Write(hdr); err != nil {

@@ -45,7 +45,7 @@ func NewServer(addr string, backend Store, cfg ServerConfig) (*Server, error) {
 // handle reads one request, executes it against the backend and writes
 // its response: the op's payload on success, statusNotFound for
 // ErrNotFound, the error text otherwise.
-func (s *Server) handle(br *bufio.Reader, w *bufio.Writer) error {
+func (s *Server) handle(br *bufio.Reader, w *rpc.FrameWriter) error {
 	req, err := readRequest(br)
 	if err != nil {
 		return err

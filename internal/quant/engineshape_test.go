@@ -99,3 +99,38 @@ func BenchmarkDequantizeEngineShape(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNoneEngineShape is MethodNone at the same shape, both ways:
+// what an fp32 commit spends per row in QuantizeInto and what restore
+// and replica apply spend in DequantizeInto — a byte-order conversion
+// of 128 bytes and nothing else.
+func BenchmarkNoneEngineShape(b *testing.B) {
+	x := trainedLikeVector(rand.New(rand.NewSource(1)), 32)
+	p := Params{Method: MethodNone}
+	b.Run("quantize", func(b *testing.B) {
+		var s Scratch
+		var q QVector
+		b.SetBytes(int64(4 * len(x)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := QuantizeInto(&q, x, p, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dequantize", func(b *testing.B) {
+		q, err := Quantize(x, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var s Scratch
+		dst := make([]float32, len(x))
+		b.SetBytes(int64(4 * len(x)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := DequantizeInto(dst, q, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -184,8 +184,24 @@ func unpackAccum(dst []uint32, src []byte, bits uint) {
 }
 
 // rawPutF32 stores fp32 values verbatim, little-endian — the MethodNone
-// fast path. dst must hold 4*len(x) bytes.
+// fast path. dst must hold 4*len(x) bytes. Both conversions run eight
+// values to a bounds check: the reslice to a constant length is the one
+// check, and the compiler turns each fixed-offset store or load under
+// it into a plain 4-byte move.
 func rawPutF32(dst []byte, x []float32) {
+	dst = dst[:4*len(x)]
+	for len(x) >= 8 {
+		d, v := dst[:32], x[:8]
+		binary.LittleEndian.PutUint32(d[0:4], f32b(v[0]))
+		binary.LittleEndian.PutUint32(d[4:8], f32b(v[1]))
+		binary.LittleEndian.PutUint32(d[8:12], f32b(v[2]))
+		binary.LittleEndian.PutUint32(d[12:16], f32b(v[3]))
+		binary.LittleEndian.PutUint32(d[16:20], f32b(v[4]))
+		binary.LittleEndian.PutUint32(d[20:24], f32b(v[5]))
+		binary.LittleEndian.PutUint32(d[24:28], f32b(v[6]))
+		binary.LittleEndian.PutUint32(d[28:32], f32b(v[7]))
+		dst, x = dst[32:], x[8:]
+	}
 	for i, v := range x {
 		binary.LittleEndian.PutUint32(dst[i*4:], f32b(v))
 	}
@@ -194,6 +210,19 @@ func rawPutF32(dst []byte, x []float32) {
 // rawGetF32 loads fp32 values stored by rawPutF32. src must hold
 // 4*len(dst) bytes.
 func rawGetF32(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	for len(dst) >= 8 {
+		d, v := dst[:8], src[:32]
+		d[0] = f32fb(binary.LittleEndian.Uint32(v[0:4]))
+		d[1] = f32fb(binary.LittleEndian.Uint32(v[4:8]))
+		d[2] = f32fb(binary.LittleEndian.Uint32(v[8:12]))
+		d[3] = f32fb(binary.LittleEndian.Uint32(v[12:16]))
+		d[4] = f32fb(binary.LittleEndian.Uint32(v[16:20]))
+		d[5] = f32fb(binary.LittleEndian.Uint32(v[20:24]))
+		d[6] = f32fb(binary.LittleEndian.Uint32(v[24:28]))
+		d[7] = f32fb(binary.LittleEndian.Uint32(v[28:32]))
+		dst, src = dst[8:], src[32:]
+	}
 	for i := range dst {
 		dst[i] = f32fb(binary.LittleEndian.Uint32(src[i*4:]))
 	}

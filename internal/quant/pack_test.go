@@ -2,7 +2,9 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -153,6 +155,38 @@ func FuzzPackRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRawF32EveryLength holds the unrolled fp32 conversions to the
+// one-word-at-a-time layout they replaced — little-endian IEEE bits,
+// NaN payloads included — at every length around the unroll width, and
+// checks neither writes past 4*n bytes or n values.
+func TestRawF32EveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 41; n++ {
+		x := make([]float32, n)
+		want := make([]byte, 4*n)
+		for i := range x {
+			bits := rng.Uint32()
+			x[i] = math.Float32frombits(bits)
+			binary.LittleEndian.PutUint32(want[4*i:], bits)
+		}
+		got := bytes.Repeat([]byte{0xA5}, 4*n+8)
+		rawPutF32(got, x)
+		if !bytes.Equal(got[:4*n], want) || !bytes.Equal(got[4*n:], bytes.Repeat([]byte{0xA5}, 8)) {
+			t.Fatalf("n=%d: rawPutF32 wrote\n%x\nwant\n%x", n, got, want)
+		}
+		back := make([]float32, n+2)
+		rawGetF32(back[:n], append(want, 0xFF, 0xFF, 0xFF, 0xFF))
+		for i, v := range x {
+			if math.Float32bits(back[i]) != math.Float32bits(v) {
+				t.Fatalf("n=%d: value %d came back %08x, want %08x", n, i, math.Float32bits(back[i]), math.Float32bits(v))
+			}
+		}
+		if back[n] != 0 || back[n+1] != 0 {
+			t.Fatalf("n=%d: rawGetF32 wrote past its destination", n)
+		}
+	}
 }
 
 // TestQuantizeIntoReuse runs two different vectors through the same

@@ -43,9 +43,10 @@ type Client struct {
 }
 
 type clientConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c   net.Conn
+	br  *bufio.Reader
+	fw  *FrameWriter
+	hdr [responseHeaderLen]byte // where this connection's response headers are read
 }
 
 // NewClient returns a client for addr that parks up to poolSize idle
@@ -67,13 +68,15 @@ func NewClient(addr string, poolSize int, dialTimeout time.Duration, retryIdle b
 // Addr returns the address this client dials.
 func (c *Client) Addr() string { return c.addr }
 
-// Do performs one round trip: write sends the request into the
-// connection's buffered writer (Do flushes it), and the response frame
-// is read back with ReadResponse(max). The ctx deadline, if any,
+// Do performs one round trip: write assembles the request in the
+// connection's FrameWriter (Do flushes it, so anything write passed by
+// reference is free again when Do returns), and the response frame is
+// read back as ReadResponse(max) would. The ctx deadline, if any,
 // becomes the connection deadline and also bounds the dial. The error
 // is ctx's if ctx is already done, ErrClosed after Close, and otherwise
-// an *Error; under retryIdle, write may run twice.
-func (c *Client) Do(ctx context.Context, max int, write func(*bufio.Writer) error) (status uint8, payload []byte, err error) {
+// an *Error; under retryIdle, write may run twice — each run gathers
+// the frame afresh on the connection it is given.
+func (c *Client) Do(ctx context.Context, max int, write func(*FrameWriter) error) (status uint8, payload []byte, err error) {
 	status, payload, pooled, err := c.do(ctx, max, write)
 	if err != nil && pooled && c.retryIdle && ctx.Err() == nil {
 		c.purgeIdle()
@@ -83,7 +86,7 @@ func (c *Client) Do(ctx context.Context, max int, write func(*bufio.Writer) erro
 }
 
 // do runs one attempt and reports whether it used a parked connection.
-func (c *Client) do(ctx context.Context, max int, write func(*bufio.Writer) error) (status uint8, payload []byte, pooled bool, err error) {
+func (c *Client) do(ctx context.Context, max int, write func(*FrameWriter) error) (status uint8, payload []byte, pooled bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, false, err
 	}
@@ -94,12 +97,12 @@ func (c *Client) do(ctx context.Context, max int, write func(*bufio.Writer) erro
 	dl, _ := ctx.Deadline() // the zero time clears a previous call's deadline
 	_ = cc.c.SetDeadline(dl)
 	op := "write"
-	if err = write(cc.bw); err == nil {
-		err = cc.bw.Flush()
+	if err = write(cc.fw); err == nil {
+		err = cc.fw.Flush()
 	}
 	if err == nil {
 		op = "read"
-		status, payload, err = ReadResponse(cc.br, max)
+		status, payload, err = readResponse(cc.br, cc.hdr[:], max)
 	}
 	if err != nil {
 		cc.c.Close()
@@ -127,11 +130,7 @@ func (c *Client) acquire(ctx context.Context) (cc *clientConn, pooled bool, err 
 	if err != nil {
 		return nil, false, &Error{Op: "dial", Addr: c.addr, Err: err}
 	}
-	return &clientConn{
-		c:  conn,
-		br: bufio.NewReaderSize(conn, bufSize),
-		bw: bufio.NewWriterSize(conn, bufSize),
-	}, false, nil
+	return &clientConn{c: conn, br: bufio.NewReaderSize(conn, readBufSize), fw: newFrameWriter(conn)}, false, nil
 }
 
 // release parks a healthy connection, or closes it if the pool is full

@@ -19,10 +19,14 @@ import (
 	"math"
 )
 
-// bufSize sizes the bufio reader and writer of every connection: one
-// checkpoint chunk (~80 KB) crosses in two syscalls, small control and
-// lookup frames in one.
-const bufSize = 64 << 10
+// readBufSize sizes every connection's bufio.Reader: large enough that
+// a control frame, a Delete, a Stat or a small lookup arrives in one
+// read, small enough that a chunk body does not pass through it — a
+// read longer than the buffer goes from the socket straight into the
+// slice ReadBody allocated. Of a body only what arrived behind its
+// header is copied (and, when the socket delivers it in pieces, a last
+// piece shorter than the buffer).
+const readBufSize = 4 << 10
 
 // bodyChunk is the most ReadBody allocates on the strength of a length
 // header alone.
@@ -61,14 +65,17 @@ func ReadBody(r io.Reader, n int) ([]byte, error) {
 // Status codes belong to the protocol; by convention 0 is OK and the
 // payload of any other status is the error message.
 
+// responseHeaderLen is the response frame's fixed part.
+const responseHeaderLen = 5
+
 // WriteResponse frames and writes a response.
 func WriteResponse(w io.Writer, status uint8, payload []byte) error {
 	if uint64(len(payload)) > math.MaxUint32 {
 		return fmt.Errorf("rpc: response too long: %d bytes", len(payload))
 	}
-	hdr := make([]byte, 5)
-	hdr[0] = status
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	fw, _ := w.(*FrameWriter)
+	hdr := append(fw.HeaderBuf(responseHeaderLen), status)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -82,7 +89,12 @@ func WriteResponse(w io.Writer, status uint8, payload []byte) error {
 // ReadResponse reads one framed response, refusing payloads longer
 // than max (the calling protocol's frame limit) before allocating.
 func ReadResponse(r io.Reader, max int) (status uint8, payload []byte, err error) {
-	hdr := make([]byte, 5)
+	return readResponse(r, make([]byte, responseHeaderLen), max)
+}
+
+// readResponse is ReadResponse with the header read into hdr, which a
+// pooled connection supplies from its own array.
+func readResponse(r io.Reader, hdr []byte, max int) (status uint8, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}

@@ -20,7 +20,7 @@ import (
 // with status 0 — or, for "status N", a bare status N.
 func echoServer(t *testing.T, executed *atomic.Int64) *Server {
 	t.Helper()
-	srv, err := Listen("127.0.0.1:0", "echo", t.Logf, func(br *bufio.Reader, bw *bufio.Writer) error {
+	srv, err := Listen("127.0.0.1:0", "echo", t.Logf, func(br *bufio.Reader, fw *FrameWriter) error {
 		line, err := br.ReadString('\n')
 		if err != nil {
 			return err
@@ -29,9 +29,9 @@ func echoServer(t *testing.T, executed *atomic.Int64) *Server {
 			executed.Add(1)
 		}
 		if line == "status 7\n" {
-			return WriteResponse(bw, 7, nil)
+			return WriteResponse(fw, 7, nil)
 		}
-		return WriteResponse(bw, 0, []byte(line))
+		return WriteResponse(fw, 0, []byte(line))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +41,8 @@ func echoServer(t *testing.T, executed *atomic.Int64) *Server {
 }
 
 func echo(ctx context.Context, c *Client, line string) (uint8, string, error) {
-	status, payload, err := c.Do(ctx, 1<<20, func(bw *bufio.Writer) error {
-		_, err := bw.WriteString(line + "\n")
+	status, payload, err := c.Do(ctx, 1<<20, func(fw *FrameWriter) error {
+		_, err := io.WriteString(fw, line+"\n")
 		return err
 	})
 	return status, string(payload), err

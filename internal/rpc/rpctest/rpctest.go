@@ -6,6 +6,7 @@ package rpctest
 import (
 	"bytes"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -99,5 +100,51 @@ func FuzzDecoder(t *testing.T, data []byte, decode func(io.Reader) (encode func(
 		if consumed := data[start : len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
 			t.Fatalf("accepted frame\n%x\nre-encodes as\n%x", consumed, again.Bytes())
 		}
+	}
+}
+
+// GoldenOnTheWire pins a request frame to testdata/<name>.bin as a
+// peer's socket receives it: send runs one round trip against addr
+// through the transport's client — whose frame writer, not a
+// bytes.Buffer, is what the package's request encoder is handed there —
+// and the bytes that arrive must be the fixture's. The test plays the
+// server by hand: it reads the fixture's length, answers an empty
+// status-0 response and hangs up.
+func GoldenOnTheWire(t *testing.T, name string, send func(addr string) error) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".bin"))
+	if err != nil {
+		t.Fatalf("%s: missing fixture: %v", name, err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type result struct {
+		got []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		defer conn.Close()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			done <- result{err: err}
+			return
+		}
+		_, err = conn.Write([]byte{0, 0, 0, 0, 0})
+		done <- result{got: got, err: err}
+	}()
+	if err := send(ln.Addr().String()); err != nil {
+		t.Fatalf("%s: round trip: %v", name, err)
+	}
+	if r := <-done; r.err != nil || !bytes.Equal(r.got, want) {
+		t.Fatalf("%s: the wire carried\n%x\nfixture is\n%x\n(err %v)", name, r.got, want, r.err)
 	}
 }

@@ -35,22 +35,24 @@ func ListenConns(addr, name string, logf func(format string, args ...any), serve
 
 // Listen serves the request/response session all three protocols run:
 // for each connection, one is called repeatedly to read one request
-// from br and write its response to bw, and the response is flushed
-// after every call. A non-nil error from one ends the connection; it is
-// logged unless it is the peer hanging up between requests (io.EOF) or
-// the server shutting down.
-func Listen(addr, name string, logf func(format string, args ...any), one func(br *bufio.Reader, bw *bufio.Writer) error) (*Server, error) {
+// from br and write its response to fw, and the response is flushed
+// after every call — until then fw may hold the payload by reference,
+// so one must not hand it a slice something else will write to. A
+// non-nil error from one ends the connection; it is logged unless it is
+// the peer hanging up between requests (io.EOF) or the server shutting
+// down.
+func Listen(addr, name string, logf func(format string, args ...any), one func(br *bufio.Reader, fw *FrameWriter) error) (*Server, error) {
 	return listen(addr, name, logf, func(s *Server, conn net.Conn) {
-		br := bufio.NewReaderSize(conn, bufSize)
-		bw := bufio.NewWriterSize(conn, bufSize)
+		br := bufio.NewReaderSize(conn, readBufSize)
+		fw := newFrameWriter(conn)
 		for {
-			if err := one(br, bw); err != nil {
+			if err := one(br, fw); err != nil {
 				if !errors.Is(err, io.EOF) && !s.isClosed() {
 					s.logf("%s: %v", s.name, err)
 				}
 				return
 			}
-			if bw.Flush() != nil {
+			if fw.Flush() != nil {
 				return
 			}
 		}

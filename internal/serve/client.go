@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"time"
@@ -45,8 +44,8 @@ func (c *Client) Lookup(ctx context.Context, tableID uint32, indices []uint32) (
 	if err != nil {
 		return nil, err
 	}
-	status, payload, err := c.rpc.Do(ctx, maxLookupFrame, func(bw *bufio.Writer) error {
-		return writeLookupFrame(bw, body)
+	status, payload, err := c.rpc.Do(ctx, maxLookupFrame, func(fw *rpc.FrameWriter) error {
+		return writeLookupFrame(fw, body)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: lookup: %w", err)

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 	"repro/internal/rpc/rpctest"
@@ -28,6 +30,13 @@ func TestFrameGolden(t *testing.T) {
 			}
 			return err
 		})
+
+	rpctest.GoldenOnTheWire(t, "lookup_request", func(addr string) error {
+		c := rpc.NewClient(addr, 1, time.Second, false)
+		defer c.Close()
+		_, _, err := c.Do(context.Background(), maxLookupFrame, func(fw *rpc.FrameWriter) error { return writeLookupFrame(fw, reqBody) })
+		return err
+	})
 
 	response := func(name string, status uint8, payload []byte) {
 		rpctest.Golden(t, name,

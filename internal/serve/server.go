@@ -36,8 +36,8 @@ func writeLookupFrame(w io.Writer, body []byte) error {
 	if len(body) > maxLookupFrame {
 		return fmt.Errorf("serve: frame too long: %d bytes", len(body))
 	}
-	hdr := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hdr, uint32(len(body)))
+	fw, _ := w.(*rpc.FrameWriter) // on a connection the header is built in place
+	hdr := binary.LittleEndian.AppendUint32(fw.HeaderBuf(4), uint32(len(body)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func readLookupFrame(r io.Reader) ([]byte, error) {
 
 // newServer accepts lookup connections for one replica.
 func newServer(addr string, rep *Replica) (*rpc.Server, error) {
-	return rpc.Listen(addr, "serve "+rep.cfg.JobID, rep.logf, func(br *bufio.Reader, bw *bufio.Writer) error {
+	return rpc.Listen(addr, "serve "+rep.cfg.JobID, rep.logf, func(br *bufio.Reader, fw *rpc.FrameWriter) error {
 		body, err := readLookupFrame(br)
 		if err != nil {
 			return err
@@ -67,11 +67,11 @@ func newServer(addr string, rep *Replica) (*rpc.Server, error) {
 		blob, err := rep.answer(body)
 		switch {
 		case err == nil:
-			return rpc.WriteResponse(bw, lookupStatusOK, blob)
+			return rpc.WriteResponse(fw, lookupStatusOK, blob)
 		case errors.Is(err, ErrNotReady):
-			return rpc.WriteResponse(bw, lookupStatusNotReady, []byte(err.Error()))
+			return rpc.WriteResponse(fw, lookupStatusNotReady, []byte(err.Error()))
 		default:
-			return rpc.WriteResponse(bw, lookupStatusError, []byte(err.Error()))
+			return rpc.WriteResponse(fw, lookupStatusError, []byte(err.Error()))
 		}
 	})
 }
