@@ -107,15 +107,21 @@ func main() {
 		if err != nil {
 			logger.Fatalf("verify: %v", err)
 		}
+		bad := 0
 		for _, v := range results {
 			status := "OK"
 			if !v.OK() {
 				status = "CORRUPT"
+				bad++
 			}
 			fmt.Printf("verify ckpt %d: %s (%d chunks, %d rows)\n", v.ID, status, v.Chunks, v.Rows)
 			for _, p := range v.Problems {
 				fmt.Printf("  problem: %s\n", p)
 			}
+		}
+		if bad > 0 {
+			sys.Close() // os.Exit skips the deferred one
+			os.Exit(1)
 		}
 	}
 }

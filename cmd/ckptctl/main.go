@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,6 +28,10 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/wire"
 )
+
+// deleteWorkers is the number of concurrent Deletes `delete` issues per
+// scope.
+const deleteWorkers = 4
 
 func main() {
 	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
@@ -127,29 +132,36 @@ func main() {
 		if len(deps) > 0 && !*force {
 			logger.Fatalf("checkpoint %d is a chain dependency of checkpoint(s) %v; deleting it would make them unrestorable (use -force to delete anyway)", *id, deps)
 		}
+		// The checkpoint's objects live under the job's own scope and, for
+		// a sharded one, under every shard's (this also reaps debris a torn
+		// shard attempt left without a composite). Each scope loses its
+		// manifest before anything that manifest names, the job's own scope
+		// first: a kill part-way leaves unlisted debris for gc, never a
+		// listed checkpoint whose restore fails.
 		keys, err := store.List(ctx, wire.CheckpointPrefix(*job, *id))
 		if err != nil {
 			logger.Fatal(err)
 		}
-		// Sharded checkpoints keep their per-shard objects outside the
-		// composite prefix; sweep those too (this also reaps debris a
-		// torn shard attempt might have left without a composite).
 		shardKeys, err := store.List(ctx, wire.ShardScopePrefix(*job))
 		if err != nil {
 			logger.Fatal(err)
 		}
+		scopes := []string{*job}
 		idPart := fmt.Sprintf("/ckpt/%08d/", *id)
 		for _, k := range shardKeys {
-			if strings.Contains(k, idPart) {
+			if scope, _, ok := strings.Cut(k, idPart); ok {
 				keys = append(keys, k)
+				if !slices.Contains(scopes, scope) {
+					scopes = append(scopes, scope)
+				}
 			}
 		}
 		if len(keys) == 0 {
 			logger.Fatalf("checkpoint %d not found", *id)
 		}
-		for _, k := range keys {
-			if err := store.Delete(ctx, k); err != nil {
-				logger.Fatalf("delete %s: %v", k, err)
+		for _, scope := range scopes {
+			if !ckpt.DeleteCheckpoint(ctx, store, scope, *id, deleteWorkers) {
+				logger.Fatalf("delete checkpoint %d: manifest under %s not deleted; nothing it names was touched", *id, scope)
 			}
 		}
 		fmt.Printf("deleted checkpoint %d (%d objects)\n", *id, len(keys))

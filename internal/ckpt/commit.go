@@ -29,6 +29,11 @@ type Committer struct {
 	logf     func(format string, args ...any)
 
 	nextID int
+	// tableShards is the table -> shard ownership of the newest committed
+	// composite (empty before the first): the map every later attempt
+	// must agree with, because a table that changed shards would leave
+	// its new owner writing increments over a base the old owner holds.
+	tableShards map[int]int
 	// retained is the set of composite IDs still in the store, kept for
 	// retention only: with keepLast == 0 it stays empty, or it would grow
 	// one entry per checkpoint, forever, on a long-running job.
@@ -36,27 +41,53 @@ type Committer struct {
 }
 
 // NewCommitter returns a Committer storing jobID's composite manifests
-// in store and driving runners, one per shard in shard order. nextID is
-// the first ID it will commit. keepLast bounds retained composites
-// (manifest + dense object; shard-level retention is each shard engine's
-// own KeepLast), zero keeps everything. With retention on, one keys-only
-// List under ctx seeds it with the composites a predecessor left in the
-// store, which a restarted or failed-over writer would otherwise never
-// retire. logf receives diagnostics; nil discards them.
-func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runners []ShardRunner, nextID, keepLast int,
+// in store and driving runners, one per shard in shard order. It is the
+// one resume check of a job, under the Coordinator and ctrl.Controller
+// alike: nextIDs[s] is the ID runner s's writer resumed at, and all of
+// them must agree — that is the first ID it will commit; when the job
+// has a checkpoint already, the newest composite (nextID-1, the commit
+// point every writer resumed after) is fetched and must have been
+// written by as many shards as there are runners, and its table
+// ownership is what Commit holds every later attempt to. keepLast bounds
+// retained composites (manifest + dense object; shard-level retention is
+// each shard engine's own KeepLast), zero keeps everything. With
+// retention on, one keys-only List under ctx seeds it with the
+// composites a predecessor left in the store, which a restarted or
+// failed-over writer would otherwise never retire. logf receives
+// diagnostics; nil discards them.
+func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runners []ShardRunner, nextIDs []int, keepLast int,
 	logf func(format string, args ...any)) (*Committer, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	if len(runners) == 0 || len(nextIDs) != len(runners) {
+		return nil, fmt.Errorf("ckpt: job %q: %d runners, %d next IDs", jobID, len(runners), len(nextIDs))
+	}
+	for s, next := range nextIDs {
+		if next != nextIDs[0] {
+			return nil, fmt.Errorf("ckpt: shards of job %q disagree on next checkpoint: shard %d at %d, shard 0 at %d (resumed with other than the %d shards it was written with?)",
+				jobID, s, next, nextIDs[0], len(runners))
+		}
+	}
 	c := &Committer{
 		jobID: jobID, store: store, runners: runners, keepLast: keepLast, logf: logf,
-		nextID: nextID, retained: make(map[int]struct{}),
+		nextID: nextIDs[0], tableShards: map[int]int{}, retained: make(map[int]struct{}),
+	}
+	rest, err := NewRestorer(jobID, store)
+	if err != nil {
+		return nil, err
+	}
+	if c.nextID > 0 {
+		tip, err := rest.manifest(ctx, c.nextID-1)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: resume job %q: %w", jobID, err)
+		}
+		if tip.ShardCount != len(runners) {
+			return nil, fmt.Errorf("ckpt: job %q was written with %d shards, resumed with %d", jobID, tip.ShardCount, len(runners))
+		}
+		c.tableShards = tip.TableShards
 	}
 	if keepLast > 0 {
-		rest, err := NewRestorer(jobID, store)
-		if err != nil {
-			return nil, err
-		}
 		ids, err := rest.ManifestIDs(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: list composites: %w", err)
@@ -70,6 +101,10 @@ func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runne
 
 // NextID returns the ID the next composite checkpoint will get.
 func (c *Committer) NextID() int { return c.nextID }
+
+// TableShards returns the table -> shard ownership of the newest
+// committed composite, empty before the first. Callers must not modify it.
+func (c *Committer) TableShards() map[int]int { return c.tableShards }
 
 // Attempt is what differs between callers for one composite checkpoint.
 type Attempt struct {
@@ -93,7 +128,8 @@ type Attempt struct {
 //
 //  1. prepare — every shard quantizes and uploads its chunks
 //     concurrently, shard 0 the replicated dense state as well; nothing
-//     is visible to recovery yet.
+//     is visible to recovery yet. A shard manifest listing a table the
+//     newest composite stores on another shard vetoes the attempt here.
 //  2. publish — shard manifests are stored; the checkpoint is still not
 //     restorable because only the composite manifest defines validity.
 //  3. commit — the composite manifest is stored, then every shard
@@ -150,6 +186,14 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 	if err != nil {
 		return fail(err)
 	}
+	for s, sm := range shardMans {
+		for _, tm := range sm.Tables {
+			if owner, ok := c.tableShards[tm.TableID]; ok && owner != s {
+				return fail(fmt.Errorf("ckpt: checkpoint %d: shard %d holds table %d, which job %q stores on shard %d",
+					id, s, tm.TableID, c.jobID, owner))
+			}
+		}
+	}
 	if att.Prepared != nil {
 		if err := att.Prepared(shardMans); err != nil {
 			return fail(err)
@@ -193,6 +237,7 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 		c.logf("ckpt: finalize after commit of %d: %v", id, err)
 	}
 	c.nextID++
+	c.tableShards = man.TableShards
 	if c.keepLast > 0 {
 		c.retained[id] = struct{}{}
 		c.retire(ctx, id)

@@ -22,6 +22,9 @@ type fakeRunner struct {
 	store  objstore.Store
 	failAt string // "prepare", "publish", "finalize" or ""
 	trip   func() error
+	// tables are the table IDs the prepared manifest lists; nil means the
+	// one numbered like the shard.
+	tables []int
 
 	mu    sync.Mutex
 	calls map[string]int
@@ -55,10 +58,15 @@ func (r *fakeRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Ma
 			return nil, "", 0, err
 		}
 	}
-	return &wire.Manifest{
-		ID: id, Kind: wire.KindFull.String(), Step: step, PayloadBytes: 100,
-		Tables: []wire.TableManifest{{TableID: r.shard, Rows: 8, Dim: 4, StoredRows: 8}},
-	}, denseKey, denseBytes, nil
+	man := &wire.Manifest{ID: id, Kind: wire.KindFull.String(), Step: step, PayloadBytes: 100}
+	tables := r.tables
+	if tables == nil {
+		tables = []int{r.shard}
+	}
+	for _, table := range tables {
+		man.Tables = append(man.Tables, wire.TableManifest{TableID: table, Rows: 8, Dim: 4, StoredRows: 8})
+	}
+	return man, denseKey, denseBytes, nil
 }
 
 var fakeDense = []byte("mlp")
@@ -142,7 +150,7 @@ func TestCommitSequence(t *testing.T) {
 				if point == "fence-veto" {
 					att.Fence = func(context.Context) error { return trip() }
 				}
-				c, err := NewCommitter(ctx, job, store, runners, 0, 0, t.Logf)
+				c, err := NewCommitter(ctx, job, store, runners, make([]int, shards), 0, t.Logf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +204,7 @@ func TestCommitSequence(t *testing.T) {
 		fakes, runners := newFakeRunners(shards, job, mem, func() error { return errInjected })
 		fakes[2].failAt = "finalize"
 		var announced *wire.Manifest
-		c, err := NewCommitter(ctx, job, mem, runners, 0, 0, t.Logf)
+		c, err := NewCommitter(ctx, job, mem, runners, make([]int, shards), 0, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,4 +230,91 @@ func TestCommitSequence(t *testing.T) {
 			t.Fatalf("composite manifest missing: %v", err)
 		}
 	})
+}
+
+// TestCommitterContinuesOneJob pins the resume check both orchestrators
+// rely on, and the veto behind it. A Committer handed runners that do not
+// continue the job in the store — at different next IDs, or another
+// number of them than the newest composite has shards — is refused. One
+// that does holds every attempt to the newest composite's table
+// ownership: a prepared shard manifest listing a table another shard
+// owns aborts every runner before anything is published, and the next ID
+// does not move.
+func TestCommitterContinuesOneJob(t *testing.T) {
+	const job = "resume"
+	ctx := context.Background()
+	mem := objstore.NewMemStore(objstore.MemConfig{})
+	never := func() error { return nil }
+	_, runners := newFakeRunners(2, job, mem, never)
+	first, err := NewCommitter(ctx, job, mem, runners, []int{0, 0}, 0, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.TableShards()) != 0 {
+		t.Fatalf("a job with no checkpoint owns tables: %v", first.TableShards())
+	}
+	if _, err := first.Commit(ctx, Attempt{Step: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, tc := range map[string]struct {
+		runners int
+		nextIDs []int
+		want    []string
+	}{
+		"fewer-shards":       {1, []int{1}, []string{"written with 2 shards", "resumed with 1"}},
+		"more-shards":        {3, []int{1, 1, 1}, []string{"written with 2 shards", "resumed with 3"}},
+		"shards-disagree":    {2, []int{1, 0}, []string{"disagree", "shard 1 at 0", "shard 0 at 1"}},
+		"tip-not-in-store":   {2, []int{2, 2}, []string{"resume job", "checkpoint 1 not found"}},
+		"next-ids-per-shard": {2, []int{1}, []string{"2 runners, 1 next IDs"}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, runners := newFakeRunners(tc.runners, job, mem, never)
+			_, err := NewCommitter(ctx, job, mem, runners, tc.nextIDs, 0, t.Logf)
+			if err == nil {
+				t.Fatal("NewCommitter adopted a job these runners do not continue")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not say %q", err, want)
+				}
+			}
+		})
+	}
+
+	fakes, runners := newFakeRunners(2, job, mem, never)
+	c, err := NewCommitter(ctx, job, mem, runners, []int{1, 1}, 0, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.TableShards(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("resumed ownership = %v, want table 0 on shard 0 and table 1 on shard 1", got)
+	}
+	fakes[1].tables = []int{1, 0} // shard 1 now also claims shard 0's table
+	man, err := c.Commit(ctx, Attempt{Step: 2})
+	if man != nil || err == nil || !strings.Contains(err.Error(), "shard 1 holds table 0") {
+		t.Fatalf("Commit = (%v, %v), want the moved table refused", man, err)
+	}
+	for s, f := range fakes {
+		if f.count("prepare") != 1 || f.count("publish") != 0 || f.count("abort") != 1 || f.count("finalize") != 0 {
+			t.Errorf("shard %d: %v, want one prepare and one abort and nothing published", s, f.calls)
+		}
+	}
+	for _, key := range []string{wire.DenseKey(job, 1), wire.ManifestKey(job, 1)} {
+		if _, err := mem.Stat(ctx, key); !errors.Is(err, objstore.ErrNotFound) {
+			t.Errorf("%s survived the vetoed attempt (err %v)", key, err)
+		}
+	}
+	if c.NextID() != 1 {
+		t.Fatalf("vetoed attempt consumed an ID: next %d", c.NextID())
+	}
+	// The same ID commits once the shards hold what they held; a table the
+	// job has not seen may appear on any shard.
+	fakes[1].tables = []int{1, 7}
+	if man, err = c.Commit(ctx, Attempt{Step: 2}); err != nil || man.ID != 1 {
+		t.Fatalf("retry = (%+v, %v), want checkpoint 1", man, err)
+	}
+	if got := c.TableShards(); got[7] != 1 || len(got) != 3 {
+		t.Fatalf("ownership after the commit = %v, want table 7 adopted on shard 1", got)
+	}
 }

@@ -62,13 +62,15 @@ type Coordinator struct {
 // NewCoordinator validates cfg and builds the per-shard engines, resuming
 // the job from whatever the store holds: each shard writer recovers its
 // engine (NewShardWriter: debris of an attempt that died between shard
-// publish and the composite Put is rolled back), the next checkpoint ID
-// is the one every shard agrees on, table ownership continues from the
-// newest composite, and retention covers the composites a predecessor
-// committed. Over an empty store that is simply a fresh job. Resuming the
-// chain says nothing about the model: a caller that was not the writer of
-// the newest checkpoint must restore it before the next Write, or the
-// increments it commits are cut against a base its model never held.
+// publish and the composite Put is rolled back), NewCommitter checks
+// that they resumed one job — the same next checkpoint ID, as many shards
+// as the newest composite was written with — and covers retention of the
+// composites a predecessor committed, and table ownership continues
+// from the newest composite. Over an empty store that is simply a fresh
+// job. Resuming the chain says nothing about the model: a caller that
+// was not the writer of the newest checkpoint must restore it before the
+// next Write, or the increments it commits are cut against a base its
+// model never held.
 func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("ckpt: coordinator needs >= 1 shard, got %d", cfg.Shards)
@@ -92,48 +94,23 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if err != nil {
 		return nil, err
 	}
-	next := c.writers[0].NextID()
-	runners := make([]ShardRunner, cfg.Shards)
+	runners, nextIDs := make([]ShardRunner, cfg.Shards), make([]int, cfg.Shards)
 	for s, w := range c.writers {
-		if w.NextID() != next {
-			return nil, fmt.Errorf("ckpt: shards of job %q disagree on next checkpoint: shard %d at %d, shard 0 at %d (written with other than %d shards?)",
-				cfg.JobID, s, w.NextID(), next, cfg.Shards)
-		}
-		runners[s] = w
+		runners[s], nextIDs[s] = w, w.NextID()
 	}
-	if next > 0 {
-		rest, err := NewRestorer(cfg.JobID, cfg.Store)
-		if err != nil {
-			return nil, err
-		}
-		tip, err := rest.manifest(ctx, next-1)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: resume job %q: %w", cfg.JobID, err)
-		}
-		if err := c.adoptOwnership(tip); err != nil {
-			return nil, err
-		}
-	}
-	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, next, cfg.KeepLast, nil); err != nil {
+	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, cfg.KeepLast, nil); err != nil {
 		return nil, err
 	}
-	return c, nil
-}
-
-// adoptOwnership continues the table ownership of tip, the composite the
-// shard engines resumed after: a table that changed shards would leave
-// its new owner writing increments over a base the old owner holds.
-func (c *Coordinator) adoptOwnership(tip *wire.Manifest) error {
-	if tip.ShardCount != c.cfg.Shards {
-		return fmt.Errorf("ckpt: job %q was written with %d shards, coordinator has %d", c.cfg.JobID, tip.ShardCount, c.cfg.Shards)
-	}
-	for id, s := range tip.TableShards {
+	// Ownership continues from the newest composite: the committer would
+	// veto a moved table at the first Write, a pinned assignment that
+	// moves one is refused here.
+	for id, s := range c.commit.TableShards() {
 		if pinned, ok := c.assign[id]; ok && pinned != s {
-			return fmt.Errorf("ckpt: table %d assigned to shard %d, but job %q stores it on shard %d", id, pinned, c.cfg.JobID, s)
+			return nil, fmt.Errorf("ckpt: table %d assigned to shard %d, but job %q stores it on shard %d", id, pinned, cfg.JobID, s)
 		}
 		c.assign[id] = s
 	}
-	return nil
+	return c, nil
 }
 
 // NextID returns the ID the next composite checkpoint will get: 0 for a

@@ -552,17 +552,19 @@ feed:
 
 // cleanup deletes any objects written for an aborted checkpoint.
 func (e *Engine) cleanup(ctx context.Context, id int) {
-	deleteCheckpoint(ctx, e.cfg.Store, e.cfg.JobID, id, e.cfg.Uploaders)
+	DeleteCheckpoint(ctx, e.cfg.Store, e.cfg.JobID, id, e.cfg.Uploaders)
 }
 
-// deleteCheckpoint removes one checkpoint's objects, best effort, and
-// reports whether its manifest is gone — deleted now, or not there to
+// DeleteCheckpoint removes the objects of checkpoint id under jobID — one
+// scope: the job's own, or one shard's (wire.ShardJobID) — best effort,
+// and reports whether its manifest is gone: deleted now, or not there to
 // begin with. The manifest goes first, and nothing else goes unless it
 // did, so that neither a crash part-way nor a failed Delete leaves a
-// manifest naming deleted chunks; the rest go through workers
+// manifest naming deleted objects; the rest go through workers
 // goroutines, because one Delete is a store round trip and a full
-// checkpoint is hundreds of them.
-func deleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, id, workers int) bool {
+// checkpoint is hundreds of them. Retention's sweeper, an aborted
+// attempt's cleanup and `ckptctl delete` all delete through it.
+func DeleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, id, workers int) bool {
 	keys, err := store.List(ctx, wire.CheckpointPrefix(jobID, id))
 	if err != nil {
 		return false
@@ -590,37 +592,31 @@ func deleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, i
 	return true
 }
 
-// retired returns, oldest first, the cached checkpoints beyond KeepLast
-// that no retained one depends on (a retained increment keeps its base,
-// and on a consecutive chain every ancestor back to the base).
+// retired returns, oldest first, the cached checkpoints that a restore of
+// none of the newest KeepLast reads: everything outside the union of
+// their walkChain chains, resolved over the cache. Retention and restore
+// therefore ask the same function what a checkpoint needs. A retained
+// checkpoint whose chain does not resolve retires nothing: what it would
+// have kept is unknown.
 func (e *Engine) retired() []int {
-	retain := make(map[int]bool)
-	// Newest KeepLast checkpoints are retained directly.
-	for id := e.nextID - 1; id >= 0 && id > e.nextID-1-e.cfg.KeepLast; id-- {
-		retain[id] = true
+	cached := func(id int) (*wire.Manifest, error) {
+		if m, ok := e.manifests[id]; ok {
+			return m, nil
+		}
+		return nil, objstore.ErrNotFound
 	}
-	// Close over dependencies.
-	changed := true
-	for changed {
-		changed = false
-		for id := range retain {
-			m, ok := e.manifests[id]
-			if !ok {
-				continue
-			}
-			if m.Kind == wire.KindIncremental.String() {
-				deps := []int{m.BaseID}
-				if !m.SinceBase {
-					// Consecutive link: its parent is also needed.
-					deps = append(deps, m.ParentID)
-				}
-				for _, d := range deps {
-					if d >= 0 && !retain[d] {
-						retain[d] = true
-						changed = true
-					}
-				}
-			}
+	retain := make(map[int]bool)
+	for id := e.nextID - 1; id >= 0 && id > e.nextID-1-e.cfg.KeepLast; id-- {
+		m, ok := e.manifests[id]
+		if !ok {
+			continue
+		}
+		chain, err := walkChain(m, -1, cached)
+		if err != nil {
+			return nil
+		}
+		for _, link := range chain {
+			retain[link.ID] = true
 		}
 	}
 	var ids []int
@@ -714,7 +710,7 @@ func (s *sweeper) run() {
 		s.mu.Unlock()
 
 		ctx, cancel := context.WithTimeout(context.Background(), abortTimeout)
-		gone := deleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
+		gone := DeleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
 		cancel()
 		if gone {
 			s.mu.Lock()

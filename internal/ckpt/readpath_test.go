@@ -3,6 +3,7 @@ package ckpt
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -26,6 +27,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		// other a table with another ID (from a base link).
 		victim, other *wire.TableManifest
 		base          *wire.Manifest // shard 0's full baseline
+		victimBase    *wire.Manifest // the full baseline of victim's shard
 	}
 	// rewrite replaces victim's first chunk with a re-encoded edit of it:
 	// a well-formed object, CRC and all, that lies about its rows.
@@ -98,6 +100,22 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		{name: "missing-base", damage: func(t *testing.T, d *damaged) {
 			remove(t, d, wire.ManifestKey(wire.ShardJobID(job, 0), d.base.ID))
 		}},
+		// What a fleet restarted with another shard count used to commit: a
+		// shard writing increments of a table its own base never held. Every
+		// object is intact, and the restore it describes is wrong.
+		{name: "base-without-a-table-the-target-stores", damage: func(t *testing.T, d *damaged) {
+			base := *d.victimBase
+			base.Tables = slices.DeleteFunc(slices.Clone(base.Tables), func(tm wire.TableManifest) bool {
+				return tm.TableID == d.victim.TableID
+			})
+			blob, err := wire.EncodeManifest(&base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.store.Put(d.ctx, wire.ManifestKey(base.JobID, base.ID), blob); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, Config{Policy: PolicyFull})
@@ -123,7 +141,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 				last := chain[len(chain)-1]
 				for i := range last.Tables {
 					if d.victim == nil && len(last.Tables[i].ChunkKeys) > 0 {
-						d.victim = &last.Tables[i]
+						d.victim, d.victimBase = &last.Tables[i], chain[0]
 					}
 				}
 			}

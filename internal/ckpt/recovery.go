@@ -123,23 +123,21 @@ func (r *Restorer) manifest(ctx context.Context, id int) (*wire.Manifest, error)
 	return m, err
 }
 
-// shardRestorer returns a Restorer scoped to shard s of this job, for
-// resolving that shard's chain. Chunk keys are absolute, so it is never
-// needed to read one.
-func (r *Restorer) shardRestorer(s int) (*Restorer, error) {
-	return NewRestorer(wire.ShardJobID(r.jobID, s), r.store)
+// chainScope returns the Restorer whose job ID chain s of top is stored
+// under: shard s's scope for a composite, r itself for a single-writer
+// manifest. It is for resolving that chain and naming its manifests'
+// keys; chunk keys are absolute, so it is never needed to read one.
+func (r *Restorer) chainScope(top *wire.Manifest, s int) *Restorer {
+	if !top.Composite() {
+		return r
+	}
+	return &Restorer{jobID: wire.ShardJobID(r.jobID, s), store: r.store, decoders: r.decoders}
 }
 
-// Chain returns the manifests that must be applied, oldest first, to
-// restore the checkpoint with the given ID:
-//
-//   - full: [full]
-//   - one-shot/intermittent incremental: [base, inc]
-//   - consecutive incremental: [base, inc_1, ..., inc_n] — every link
-//     from the base forward (§5.1: "this approach would require keeping
-//     all previous incremental checkpoints").
-//
-// It fetches exactly those manifests, by key.
+// Chain returns checkpoint id's restore chain (walkChain), oldest first,
+// fetching exactly those manifests by key. Resolve is what a restore
+// calls; this is the one chain of a single-writer or shard-scoped job
+// on its own, which cnrbench's traced chain-length row reads.
 func (r *Restorer) Chain(ctx context.Context, id int) ([]*wire.Manifest, error) {
 	target, err := r.manifest(ctx, id)
 	if err != nil {
@@ -154,34 +152,27 @@ func (r *Restorer) chainSince(ctx context.Context, target *wire.Manifest, after 
 	return walkChain(target, after, func(id int) (*wire.Manifest, error) { return r.manifest(ctx, id) })
 }
 
-// chainFrom resolves the restore chain for id within an already-loaded
-// manifest listing.
-func chainFrom(ms []*wire.Manifest, id int) ([]*wire.Manifest, error) {
-	byID := make(map[int]*wire.Manifest, len(ms))
-	for _, m := range ms {
-		byID[m.ID] = m
-	}
-	get := func(id int) (*wire.Manifest, error) {
-		if m, ok := byID[id]; ok {
-			return m, nil
-		}
-		return nil, objstore.ErrNotFound
-	}
-	target, err := get(id)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: checkpoint %d not found", id)
-	}
-	return walkChain(target, -1, get)
-}
-
-// walkChain follows target's BaseID/ParentID links back through get
-// and returns, oldest first, the links of its restore chain whose ID is
-// above after. after = -1 yields the whole chain. A holder of checkpoint
+// walkChain is the one statement of what a checkpoint depends on: the
+// manifests that must be applied, oldest first, to restore target.
+// Restore, verify, replica sync, shard retention (Engine.retired), the
+// orphan sweep and `ckptctl delete`'s guard all ask it, so none of them
+// can delete or skip what another reads.
+//
+//   - full: [full]
+//   - since-base incremental (one-shot, intermittent): [base, inc] — it
+//     holds every row modified since BaseID, so nothing between counts.
+//   - consecutive incremental: [base, inc_1, ..., inc_n], every link back
+//     to the base (§5.1: "this approach would require keeping all
+//     previous incremental checkpoints") — or back to the first
+//     since-base ancestor, which stands for everything before it:
+//     [base, since-base link, the consecutive links after it]. A job
+//     restarted under another policy writes such a chain.
+//
+// It follows BaseID/ParentID back through get and returns only the links
+// whose ID is above after (-1: the whole chain). A holder of checkpoint
 // after on the same chain (a serving replica) gets only what it lacks:
 // the walk stops at the first ancestor it already has, so its cost is
-// the number of new links, not the length of the chain. A since-base
-// target is a superset of every link between its base and itself, so
-// with the base held it is the only link.
+// the number of new links, not the length of the chain.
 func walkChain(target *wire.Manifest, after int, get func(id int) (*wire.Manifest, error)) ([]*wire.Manifest, error) {
 	if target.Composite() {
 		return nil, fmt.Errorf("ckpt: checkpoint %d is a sharded composite; its chains are per-shard", target.ID)
@@ -200,34 +191,46 @@ func walkChain(target *wire.Manifest, after int, get func(id int) (*wire.Manifes
 	}
 	chain := []*wire.Manifest{target} // newest first until reversed
 	if target.Kind != wire.KindFull.String() {
-		if !target.SinceBase {
-			// Consecutive chain: every incremental between base and
-			// target must be applied in order.
-			for cur := target; cur.ParentID != target.BaseID && cur.ParentID > after; {
-				parent, err := ancestor(cur.ParentID, "chain link")
-				if err != nil {
-					return nil, err
-				}
-				if parent.Kind != wire.KindIncremental.String() {
-					return nil, fmt.Errorf("ckpt: chain of %d crosses non-incremental %d", target.ID, parent.ID)
-				}
-				if parent.BaseID != target.BaseID {
-					return nil, fmt.Errorf("ckpt: chain of %d crosses base boundary at %d", target.ID, parent.ID)
-				}
-				chain = append(chain, parent)
-				cur = parent
+		for cur := target; !cur.SinceBase && cur.ParentID != target.BaseID && cur.ParentID > after; {
+			parent, err := ancestor(cur.ParentID, "chain link")
+			if err != nil {
+				return nil, err
 			}
+			if parent.Kind != wire.KindIncremental.String() {
+				return nil, fmt.Errorf("ckpt: chain of %d crosses non-incremental %d", target.ID, parent.ID)
+			}
+			if parent.BaseID != target.BaseID {
+				return nil, fmt.Errorf("ckpt: chain of %d crosses base boundary at %d", target.ID, parent.ID)
+			}
+			chain = append(chain, parent)
+			cur = parent
 		}
 		if target.BaseID > after {
 			base, err := ancestor(target.BaseID, "base")
 			if err != nil {
 				return nil, err
 			}
+			// An increment only makes sense over a base holding the same
+			// tables. A writer that took over another shard's tables
+			// mid-chain (a fleet restarted with another shard count, before
+			// Committer refused that) stored rows no base of this chain
+			// has: restoring it would leave those tables half-initialised.
+			for i := range target.Tables {
+				if tm := &target.Tables[i]; tm.StoredRows > 0 && !listsTable(base, tm.TableID) {
+					return nil, fmt.Errorf("ckpt: checkpoint %d stores rows of table %d, which its base %d does not hold",
+						target.ID, tm.TableID, base.ID)
+				}
+			}
 			chain = append(chain, base)
 		}
 	}
 	slices.Reverse(chain)
 	return chain, nil
+}
+
+// listsTable reports whether m has an entry for table id.
+func listsTable(m *wire.Manifest, id int) bool {
+	return slices.ContainsFunc(m.Tables, func(tm wire.TableManifest) bool { return tm.TableID == id })
 }
 
 // ErrIncomplete reports a composite that references a shard manifest
@@ -267,11 +270,7 @@ func (r *Restorer) links(ctx context.Context, top *wire.Manifest, s, after int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	sub, err := r.shardRestorer(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	if links, err = sub.chainSince(ctx, target, after); err != nil {
+	if links, err = r.chainScope(top, s).chainSince(ctx, target, after); err != nil {
 		return target, nil, fmt.Errorf("ckpt: shard %d: %w", s, err)
 	}
 	return target, links, nil

@@ -143,7 +143,7 @@ func TestRestoreResolvesByKey(t *testing.T) {
 	check("second RestoreLatest", 1)
 	check("Restore by ID", 0)
 
-	shard0, err := rest.shardRestorer(0)
+	shard0, err := NewRestorer(wire.ShardJobID("bykey", 0), store)
 	if err != nil {
 		t.Fatal(err)
 	}

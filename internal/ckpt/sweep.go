@@ -33,12 +33,15 @@ type SweepReport struct {
 // after uploading part of an attempt, and of aborts that never reached
 // a partitioned shard.
 //
-// Reachability is chain closure, not per-ID existence: a shard
-// checkpoint whose composite manifest was retention-expired is still
-// referenced while a surviving incremental's chain passes through it
-// (the coordinator GCs composite manifests independently of the shard
-// engines' dependency-aware retention). A manifest whose chain cannot
-// be resolved marks its scope conservatively kept.
+// Reachability is what a restore reads: for every listed checkpoint,
+// each of its chains resolved through Restorer.links, exactly as restore,
+// verify and the replica resolve them. A shard checkpoint whose composite
+// was retention-expired is therefore still referenced while a surviving
+// incremental's chain passes through it (the coordinator GCs composite
+// manifests independently of the shard engines' retention, which keeps
+// the same chains — Engine.retired). A chain that cannot be resolved
+// marks its scope conservatively kept. The price of asking the read path
+// is its cost: one manifest Get per link per listed checkpoint.
 //
 // The sweep must only run while the job is quiescent — like `ckptctl
 // delete`, it cannot distinguish a dead job's debris from a commit in
@@ -69,56 +72,19 @@ func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRu
 		}
 	}
 
-	// Shard manifest listings are loaded once per shard, not once per
-	// composite x shard: chain resolution works from the cached list.
-	shardLists := make(map[int][]*wire.Manifest)
-	shardListErr := make(map[int]error)
-	shardManifests := func(s int) ([]*wire.Manifest, error) {
-		if ms, ok := shardLists[s]; ok {
-			return ms, shardListErr[s]
-		}
-		sub, err := rest.shardRestorer(s)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := sub.ListManifests(ctx)
-		shardLists[s], shardListErr[s] = ms, err
-		return ms, err
-	}
-
-	for _, man := range tops {
-		refManifest(jobID, man)
-		if !man.Composite() {
-			chain, err := chainFrom(tops, man.ID)
+	for _, top := range tops {
+		refManifest(jobID, top)
+		for s := 0; s < chains(top); s++ {
+			scope := rest.chainScope(top, s).jobID
+			_, links, err := rest.links(ctx, top, s, -1)
 			if err != nil {
+				keepPrefixes = append(keepPrefixes, wire.JobPrefix(scope))
 				report.Notes = append(report.Notes,
-					fmt.Sprintf("checkpoint %d: unresolvable chain (%v); its objects kept", man.ID, err))
+					fmt.Sprintf("checkpoint %d chain %d: unresolvable (%v); everything under %s kept", top.ID, s, err, wire.JobPrefix(scope)))
 				continue
 			}
-			for _, link := range chain {
-				refManifest(jobID, link)
-			}
-			continue
-		}
-		for s := 0; s < man.ShardCount; s++ {
-			shardJob := wire.ShardJobID(jobID, s)
-			keepShard := func(err error) {
-				keepPrefixes = append(keepPrefixes, shardJob+"/")
-				report.Notes = append(report.Notes,
-					fmt.Sprintf("checkpoint %d shard %d: unresolvable chain (%v); shard scope kept", man.ID, s, err))
-			}
-			ms, err := shardManifests(s)
-			if err != nil {
-				keepShard(err)
-				continue
-			}
-			chain, err := chainFrom(ms, man.ID)
-			if err != nil {
-				keepShard(err)
-				continue
-			}
-			for _, link := range chain {
-				refManifest(shardJob, link)
+			for _, link := range links {
+				refManifest(scope, link)
 			}
 		}
 	}

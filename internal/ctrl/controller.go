@@ -81,9 +81,12 @@ type Controller struct {
 }
 
 // NewController dials and discovers the agent fleet. It validates that
-// the agents cover shards [0, n) exactly once, agree on the job, and
-// agree on the next checkpoint ID (an agent that lost or diverged its
-// engine state fails discovery loudly rather than corrupting a chain).
+// the agents cover shards [0, n) exactly once and agree on the job, and
+// hands their next checkpoint IDs to ckpt.NewCommitter, which refuses a
+// fleet that does not continue the job in the store: agents at different
+// IDs (one lost or diverged its engine state), or another number of them
+// than the newest composite has shards. Discovery fails loudly rather
+// than corrupting a chain.
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("ctrl: empty job ID")
@@ -152,7 +155,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		// let discovery bump past its predecessor.
 		return fail(fmt.Errorf("ctrl: configured epoch %d not above fleet epoch %d", c.epoch, maxEpoch))
 	}
-	var runners []ckpt.ShardRunner
+	runners, nextIDs := make([]ckpt.ShardRunner, n), make([]int, n)
 	for i, d := range found {
 		st := d.status
 		if st.JobID != cfg.JobID {
@@ -164,17 +167,15 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		if st.Shard != i {
 			return fail(fmt.Errorf("ctrl: shard indices not [0,%d): got shard %d from %s", n, st.Shard, d.client.Addr()))
 		}
-		if st.NextID != found[0].status.NextID {
-			return fail(fmt.Errorf("ctrl: agents disagree on next checkpoint: shard %d at %d, shard 0 at %d",
-				st.Shard, st.NextID, found[0].status.NextID))
-		}
 		r := NewRemoteRunner(d.client, cfg.JobID, c.epoch, st.Shard == 0)
-		c.remotes, runners = append(c.remotes, r), append(runners, r)
+		c.remotes = append(c.remotes, r)
+		runners[i], nextIDs[i] = r, st.NextID
 	}
-	// With KeepLast the Committer seeds retention from the store, under
-	// the start-up budget.
+	// The Committer checks that the fleet resumes one job — every agent at
+	// the same next ID, as many of them as the newest composite has
+	// shards — and seeds retention, all under the start-up budget.
 	var err error
-	if c.commit, err = ckpt.NewCommitter(ctx, cfg.JobID, cfg.Store, runners, found[0].status.NextID, cfg.KeepLast, cfg.Logf); err != nil {
+	if c.commit, err = ckpt.NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, cfg.KeepLast, cfg.Logf); err != nil {
 		return fail(err)
 	}
 	if cfg.Announcer != nil {

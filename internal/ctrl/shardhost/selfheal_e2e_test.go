@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -340,4 +341,53 @@ func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {
 		t.Fatalf("restored checkpoint %d step %d, want 2 step 12", res.Manifests[0].ID, res.Step)
 	}
 	assertBitIdentical(t, procReference(t, shards, 12), m2)
+}
+
+// TestControllerRefusesFleetOfAnotherShardCount: two hosts commit two
+// checkpoints, then the job is started again as one host. That host's
+// engine resumes shard 0's chain at next ID 2 — alone it is a consistent
+// fleet — but the job in the store has two shards, and its tables 1 and 2
+// live in a scope the lone host never reads. The controller must refuse
+// at discovery, naming both counts. (It used to commit composite 2 with
+// one shard, whose restore succeeded with wrong weights.)
+func TestControllerRefusesFleetOfAnotherShardCount(t *testing.T) {
+	const job = "shrink"
+	hosts, addrs, client, storeAddr := startSelfHealFleet(t, job, 2)
+	ctx := testCtx(t)
+	c, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: addrs, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []uint64{8, 16} {
+		if _, err := c.Checkpoint(ctx, step); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	for _, h := range hosts {
+		h.Kill()
+	}
+
+	solo, err := Start(selfHealHostConfig(job, 0, 1, storeAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(solo.Close)
+	c2, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: []string{solo.Addr()}, Logf: t.Logf})
+	if err == nil {
+		c2.Close()
+		t.Fatalf("a 1-shard fleet was admitted to a 2-shard job at next checkpoint %d", c2.NextID())
+	}
+	for _, want := range []string{"written with 2 shards", "resumed with 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+	// Nothing moved: the job still restores its second checkpoint.
+	m := freshModel(t, 2)
+	res, err := ckptRestoreLatest(ctx, t, job, client, m)
+	if err != nil || res.Step != 16 {
+		t.Fatalf("restore after the refusal: %+v, %v", res, err)
+	}
+	assertBitIdentical(t, reference(t, 2, 16), m)
 }

@@ -1,43 +1,21 @@
 package objstore
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Store-fleet membership: which objstored processes make up the routed
-// keyspace. Mirrors the ctrl package's durable-register pattern (a small
-// record in the store itself is the source of truth), but lives here —
-// ctrl already depends on objstore, and the store plane must be able to
-// bootstrap before any job-level control plane exists.
-//
-// The record is written to *every* member, so a client that knows any
-// one seed address can discover the whole fleet. The copy on the anchor
-// backend is authoritative (MembersKey is a pinned key); the others are
-// bootstrap replicas.
+// Store-plane membership: which objstored processes make up the routed
+// keyspace. There is one way to name it — the comma-separated -store
+// spec every process of a fleet is started with (Connect).
 
-// MembersKey is the object key of the fleet membership record. The
-// leading NUL keeps it outside every job's keyspace (job object keys
-// start with the job ID, which is printable).
-const MembersKey = "\x00cnr/cluster/members"
-
-// EncodeMembers serializes a membership record: sorted, newline-joined
-// backend addresses.
-func EncodeMembers(addrs []string) []byte {
-	sorted := append([]string(nil), addrs...)
-	sort.Strings(sorted)
-	return []byte(strings.Join(sorted, "\n"))
-}
-
-// ErrInvalidMembers marks a membership record or store spec that names
-// the fleet incorrectly: blank or duplicate addresses. Rendezvous
-// hashing scores backends by name, so a duplicated address would
-// silently skew key placement (two identically-named backends split
-// every fleet's view of the keyspace differently depending on which
-// connection wins) — it must be rejected loudly at decode/connect time.
+// ErrInvalidMembers marks a store spec that names the fleet incorrectly:
+// blank or duplicate addresses. Rendezvous hashing scores backends by
+// name, so a duplicated address would silently skew key placement (two
+// identically-named backends split every fleet's view of the keyspace
+// differently depending on which connection wins) — it must be rejected
+// loudly at connect time.
 var ErrInvalidMembers = errors.New("objstore: invalid membership")
 
 // validateMembers rejects blank and duplicate addresses, wrapping
@@ -56,56 +34,11 @@ func validateMembers(addrs []string, what string) error {
 	return nil
 }
 
-// DecodeMembers parses and validates a membership record. A record with
-// blank or duplicate addresses returns an error wrapping
-// ErrInvalidMembers.
-func DecodeMembers(blob []byte) ([]string, error) {
-	if len(blob) == 0 {
-		return nil, fmt.Errorf("%w: empty membership record", ErrInvalidMembers)
-	}
-	addrs := strings.Split(string(blob), "\n")
-	if err := validateMembers(addrs, "membership record"); err != nil {
-		return nil, err
-	}
-	return addrs, nil
-}
-
-// PublishMembership writes the membership record for the given backend
-// addresses to every one of them, so any single seed address suffices
-// for discovery. Call it once after the store fleet is up (the fleet
-// example does; deployments can use any member and ckptctl).
-func PublishMembership(ctx context.Context, addrs []string, cfg ClientConfig) error {
-	if len(addrs) == 0 {
-		return fmt.Errorf("objstore: no member addresses")
-	}
-	if err := validateMembers(addrs, "member list"); err != nil {
-		return err
-	}
-	record := EncodeMembers(addrs)
-	for _, addr := range addrs {
-		cl, err := Dial(addr, cfg)
-		if err != nil {
-			return fmt.Errorf("objstore: publish membership to %s: %w", addr, err)
-		}
-		err = cl.Put(ctx, MembersKey, record)
-		cl.Close()
-		if err != nil {
-			return fmt.Errorf("objstore: publish membership to %s: %w", addr, err)
-		}
-	}
-	return nil
-}
-
 // Connect opens the store plane described by spec: a comma-separated
 // list of objstored addresses. Every process of a fleet that connects
 // with the same member set routes keys identically (rendezvous hashing
-// over the sorted address list — see RoutedStore).
-//
-//   - Multiple addresses: dial each and return a RoutedStore over them
-//     (static membership, the "-store host:port,..." flag form).
-//   - One address: dial it, then consult the fleet membership record
-//     (MembersKey). If present, expand to the full recorded fleet; if
-//     absent, the single client is the store.
+// over the sorted address list — see RoutedStore). One address is that
+// store, dialed directly; several are a RoutedStore over them.
 //
 // The returned Store owns every connection it opened; Close releases
 // them all.
@@ -123,30 +56,11 @@ func Connect(spec string, cfg ClientConfig) (Store, error) {
 		return nil, err
 	}
 	if len(addrs) == 1 {
-		seed, err := Dial(addrs[0], cfg)
+		cl, err := Dial(addrs[0], cfg)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := seed.Get(context.Background(), MembersKey)
-		if errors.Is(err, ErrNotFound) {
-			return seed, nil // standalone store, no fleet record
-		}
-		if err != nil {
-			seed.Close()
-			return nil, fmt.Errorf("objstore: read membership via %s: %w", addrs[0], err)
-		}
-		members, err := DecodeMembers(blob)
-		if err != nil {
-			seed.Close()
-			return nil, err
-		}
-		// Redial the full recorded fleet; the seed connection served its
-		// purpose unless it is itself the whole fleet.
-		if len(members) == 1 && members[0] == addrs[0] {
-			return seed, nil
-		}
-		seed.Close()
-		addrs = members
+		return cl, nil
 	}
 	return dialRouted(addrs, cfg)
 }

@@ -24,13 +24,12 @@ type Backend struct {
 // instance computes it — so every process of a fleet (controller,
 // shardd, ckptctl, serving) places keys identically.
 //
-// Control-plane keys (anything under a "/ctrl/" segment, and the fleet
-// membership record itself) are pinned to the anchor backend — the
-// lexicographically smallest name — instead of hashed. The epoch/lease
-// register is a read-modify-write register, not an immutable object:
-// pinning it means growing or shrinking the store fleet can never
-// relocate it mid-lease, so two controllers separated by a membership
-// change still contend on the same durable record.
+// Control-plane keys (anything under a "/ctrl/" segment) are pinned to
+// the anchor backend — the lexicographically smallest name — instead of
+// hashed. The epoch/lease register is a read-modify-write register, not
+// an immutable object: pinning it means growing or shrinking the store
+// fleet can never relocate it mid-lease, so two controllers separated
+// by a membership change still contend on the same durable record.
 //
 // Put/Get/Delete/Stat touch exactly one backend. List fans out to every
 // backend in parallel and merges the sorted results. A RoutedStore is
@@ -68,10 +67,8 @@ func (r *RoutedStore) Backends() []Backend { return r.backends }
 
 // pinned reports whether key must live on the anchor backend: mutable
 // control-plane registers (the "/ctrl/" scope holds the epoch/lease
-// record) and the membership record that defines the fleet itself.
-func pinned(key string) bool {
-	return key == MembersKey || strings.Contains(key, "/ctrl/")
-}
+// record).
+func pinned(key string) bool { return strings.Contains(key, "/ctrl/") }
 
 // rendezvousScore hashes (backend name, key) with FNV-64a. The per-name
 // hash makes placement independent of backend ordering.

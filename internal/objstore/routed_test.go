@@ -59,9 +59,8 @@ func TestRoutedDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestRoutedPinnedKeys: control-plane registers and the membership
-// record must sit on the anchor (smallest name) so fleet resizes never
-// relocate them.
+// TestRoutedPinnedKeys: control-plane registers must sit on the anchor
+// (smallest name) so fleet resizes never relocate them.
 func TestRoutedPinnedKeys(t *testing.T) {
 	small, err := NewRouted(memBackends(2))
 	if err != nil {
@@ -74,7 +73,6 @@ func TestRoutedPinnedKeys(t *testing.T) {
 	for _, key := range []string{
 		"jobA/ctrl/lease",
 		"some/job/with/slashes/ctrl/lease",
-		MembersKey,
 	} {
 		if got := small.RouteKey(key); got != "store-0" {
 			t.Fatalf("pinned key %q routed to %q, want anchor store-0", key, got)
@@ -205,8 +203,8 @@ func TestRoutedRoundTrip(t *testing.T) {
 
 // TestRoutedOverTCP runs the full client path: N servers over striped
 // MemStores, one RoutedStore of TCP clients built via Connect's static
-// list form, concurrent writers, then a membership-expanded second
-// client that must observe identical placement.
+// list form, concurrent writers, then a second client over the same
+// members that must observe identical placement.
 func TestRoutedOverTCP(t *testing.T) {
 	const n = 3
 	addrs := make([]string, n)
@@ -258,31 +256,32 @@ func TestRoutedOverTCP(t *testing.T) {
 		t.Fatalf("merged listing has %d keys, want 160", len(all))
 	}
 
-	// Membership discovery: publish the record, reconnect via a single
-	// seed, and require the expanded client to agree on every placement.
-	if err := PublishMembership(ctx, addrs, ClientConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := Connect(addrs[n-1], ClientConfig{})
+	// A second client over the same member set, listed in another order,
+	// must agree on every placement: routing is a function of the set.
+	reordered := append([]string{addrs[n-1]}, addrs[:n-1]...)
+	second, err := Connect(strings.Join(reordered, ","), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seeded.Close()
-	rs2, ok := seeded.(*RoutedStore)
-	if !ok {
-		t.Fatalf("seeded Connect returned %T, want *RoutedStore", seeded)
-	}
-	if len(rs2.Backends()) != n {
-		t.Fatalf("seeded client found %d backends, want %d", len(rs2.Backends()), n)
-	}
+	defer second.Close()
+	rs2 := second.(*RoutedStore)
 	for _, k := range all {
 		if rs.RouteKey(k) != rs2.RouteKey(k) {
-			t.Fatalf("static and seeded clients disagree on %q: %q vs %q",
+			t.Fatalf("two clients of one member set disagree on %q: %q vs %q",
 				k, rs.RouteKey(k), rs2.RouteKey(k))
 		}
-		if v, err := seeded.Get(ctx, k); err != nil || string(v) != k {
-			t.Fatalf("seeded get %q = %q, %v", k, v, err)
+		if v, err := second.Get(ctx, k); err != nil || string(v) != k {
+			t.Fatalf("second client get %q = %q, %v", k, v, err)
 		}
+	}
+	// One address is that store, dialed directly.
+	solo, err := Connect(addrs[0], ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	if _, ok := solo.(*Client); !ok {
+		t.Fatalf("Connect over one address returned %T, want *Client", solo)
 	}
 }
 

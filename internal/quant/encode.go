@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -60,25 +61,22 @@ func (q *QVector) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores q from MarshalBinary output. It implements
-// encoding.BinaryUnmarshaler: q owns its memory afterwards, so data may
-// be reused or mutated freely.
+// encoding.BinaryUnmarshaler: q owns its memory afterwards — it is
+// UnmarshalBinaryAlias over a copy — so data may be reused or mutated
+// freely.
 func (q *QVector) UnmarshalBinary(data []byte) error {
-	return q.unmarshalBinary(data, false)
+	return q.UnmarshalBinaryAlias(bytes.Clone(data))
 }
 
-// UnmarshalBinaryAlias is UnmarshalBinary minus the defensive copy:
-// q.Codes aliases data's backing array directly (capacity-clamped so
-// appends cannot scribble past it). The caller must keep data alive and
-// unmodified for as long as q — or any view derived from q — is in use;
-// mutating data afterwards is observed through q.Codes. The restore hot
-// path uses this on function-local fetched blobs to skip the per-row
-// copy; anything that retains the vector past the blob's lifetime must
-// use UnmarshalBinary.
+// UnmarshalBinaryAlias restores q from MarshalBinary output without
+// copying the codes: q.Codes aliases data's backing array directly
+// (capacity-clamped so appends cannot scribble past it). The caller must
+// keep data alive and unmodified for as long as q — or any view derived
+// from q — is in use; mutating data afterwards is observed through
+// q.Codes. The restore hot path uses this on function-local fetched
+// blobs to skip the per-row copy; anything that retains the vector past
+// the blob's lifetime must use UnmarshalBinary.
 func (q *QVector) UnmarshalBinaryAlias(data []byte) error {
-	return q.unmarshalBinary(data, true)
-}
-
-func (q *QVector) unmarshalBinary(data []byte, alias bool) error {
 	if len(data) < 14 {
 		return fmt.Errorf("quant: short QVector payload: %d bytes", len(data))
 	}
@@ -114,10 +112,6 @@ func (q *QVector) unmarshalBinary(data []byte, alias bool) error {
 	if len(data) != want {
 		return fmt.Errorf("quant: codes length %d, want %d", len(data), want)
 	}
-	if alias {
-		q.Codes = data[:want:want]
-	} else {
-		q.Codes = append([]byte(nil), data...)
-	}
+	q.Codes = data[:want:want]
 	return nil
 }

@@ -117,15 +117,15 @@ func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
 }
 
 // decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked).
-// With alias set, row codes slice straight into body instead of a copied
-// backing array — see DecodeChunkAlias for the lifetime contract.
+// Row codes slice straight into body — see DecodeChunkAlias for the
+// lifetime contract.
 //
 // Only what appendCompact writes is accepted: reserved bytes zero, no
 // unknown flag, the range flag set exactly when bits != 32, and an empty
 // chunk in its one spelling. A stored chunk therefore has exactly one
 // byte representation, which is what FuzzDecodeChunk's re-encode check
 // holds the decoder to.
-func decodeCompact(body []byte, alias bool) (*Chunk, error) {
+func decodeCompact(body []byte) (*Chunk, error) {
 	if len(body) < 20 {
 		return nil, fmt.Errorf("wire: compact chunk header truncated")
 	}
@@ -177,9 +177,6 @@ func decodeCompact(body []byte, alias bool) (*Chunk, error) {
 	c.Rows = make([]Row, n)
 	qs := make([]quant.QVector, n)
 	codesAll := body[codesOff : codesOff+n*rowCodes]
-	if !alias {
-		codesAll = append([]byte(nil), codesAll...)
-	}
 	for i := 0; i < n; i++ {
 		q := &qs[i]
 		q.Bits = bits

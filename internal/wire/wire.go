@@ -10,6 +10,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -134,26 +135,22 @@ func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
 }
 
 // DecodeChunk parses and CRC-verifies a chunk produced by Encode. The
-// returned chunk owns its memory: data may be reused or mutated freely
-// afterwards.
+// returned chunk owns its memory — it is DecodeChunkAlias over a copy —
+// so data may be reused or mutated freely afterwards.
 func DecodeChunk(data []byte) (*Chunk, error) {
-	return decodeChunk(data, false)
+	return DecodeChunkAlias(bytes.Clone(data))
 }
 
-// DecodeChunkAlias is DecodeChunk minus the per-row Codes copies: every
-// row's packed codes alias data's backing array directly (for both the
-// v1 and CKP2 layouts). The caller must keep data alive and unmodified
-// for as long as the chunk — or any row vector taken from it — is in
-// use; mutating data afterwards corrupts the decoded rows. The restore
-// paths use this on freshly fetched, function-local blobs that are
-// consumed (dequantized or index-scanned) before the blob goes out of
-// scope; anything that retains rows past the blob's lifetime must use
-// DecodeChunk.
+// DecodeChunkAlias parses and CRC-verifies a chunk without copying the
+// codes out of it: every row's packed codes alias data's backing array
+// directly (for both the v1 and CKP2 layouts). The caller must keep data
+// alive and unmodified for as long as the chunk — or any row vector
+// taken from it — is in use; mutating data afterwards corrupts the
+// decoded rows. The restore paths use this on freshly fetched,
+// function-local blobs that are consumed (dequantized or index-scanned)
+// before the blob goes out of scope; anything that retains rows past the
+// blob's lifetime must use DecodeChunk.
 func DecodeChunkAlias(data []byte) (*Chunk, error) {
-	return decodeChunk(data, true)
-}
-
-func decodeChunk(data []byte, alias bool) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
 	}
@@ -166,7 +163,7 @@ func decodeChunk(data []byte, alias bool) (*Chunk, error) {
 	case chunkMagic:
 		// v1 layout, decoded below.
 	case compactMagic:
-		return decodeCompact(body, alias)
+		return decodeCompact(body)
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}
@@ -193,13 +190,7 @@ func decodeChunk(data []byte, alias bool) (*Chunk, error) {
 			return nil, fmt.Errorf("wire: truncated row payload at row %d", i)
 		}
 		q := &qs[i]
-		var err error
-		if alias {
-			err = q.UnmarshalBinaryAlias(body[off : off+blobLen])
-		} else {
-			err = q.UnmarshalBinary(body[off : off+blobLen])
-		}
-		if err != nil {
+		if err := q.UnmarshalBinaryAlias(body[off : off+blobLen]); err != nil {
 			return nil, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 		off += blobLen
