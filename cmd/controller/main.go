@@ -39,7 +39,6 @@ func main() {
 	epoch := flag.Uint64("epoch", 0, "explicit epoch to demand from the register (0 = next)")
 	checkpoints := flag.Int("checkpoints", 3, "number of checkpoint rounds to drive")
 	stride := flag.Uint64("stride", 8, "training steps between checkpoint cuts")
-	keep := flag.Int("keep", 0, "composite-level KeepLast retention (0 keeps everything)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-checkpoint deadline")
 	opTimeout := flag.Duration("op-timeout", 30*time.Second, "budget for the controller's own store/discovery operations")
 	announce := flag.String("announce", "", "announce endpoint to listen on for serving-replica subscriptions (empty = off)")
@@ -124,7 +123,6 @@ func main() {
 		JobID:     *job,
 		Store:     store,
 		Agents:    strings.Split(*agents, ","),
-		KeepLast:  *keep,
 		Lease:     lease,
 		OpTimeout: *opTimeout,
 		Announcer: announcer,

@@ -37,7 +37,7 @@ func main() {
 	batch := flag.Int("batch", 64, "replica training batch size")
 	policy := flag.String("policy", "oneshot", "checkpoint policy: full|oneshot|consecutive|intermittent")
 	quantBits := flag.Int("quant-bits", 0, "asymmetric quantization bits (0 = fp32)")
-	keep := flag.Int("keep", 0, "shard-level KeepLast retention (0 keeps everything)")
+	keep := flag.Int("keep", 0, "KeepLast retention, the same on every shard of a job (0 keeps everything)")
 	opTimeout := flag.Duration("op-timeout", 2*time.Minute, "per-operation deadline, store I/O included (0 = none)")
 	connectWait := flag.Duration("connect-wait", 30*time.Second, "retry window for the initial store connect, jittered backoff (0 = single attempt)")
 	flag.Parse()

@@ -91,9 +91,12 @@ type FleetConfig struct {
 	TableRows []int
 	Dim       int
 	// Policy is the checkpoint policy (default one-shot full+incremental);
-	// QuantBits enables asymmetric quantization when positive.
+	// QuantBits enables asymmetric quantization when positive; KeepLast is
+	// every shard's retention (0 keeps everything). Together they are the
+	// engine template of every shard, hosted in-process or forked.
 	Policy    ckpt.PolicyKind
 	QuantBits int
+	KeepLast  int
 	// OpTimeout bounds each agent control operation including its store
 	// I/O — the self-defense deadline that unsticks an agent from a
 	// stalled store. Default 5s.
@@ -246,8 +249,7 @@ type Fleet struct {
 	announcer *ctrl.Announcer // fleet-owned; survives controller failover
 	replicas  []*replicaNode
 
-	ctl   *ctrl.Controller
-	lease *ctrl.Lease
+	ctl *ctrl.Controller
 
 	hookMu       sync.Mutex
 	afterPrepare func()
@@ -577,6 +579,7 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 			"-batch", fmt.Sprint(f.cfg.Batch),
 			"-policy", f.cfg.Policy.String(),
 			"-quant-bits", fmt.Sprint(f.cfg.QuantBits),
+			"-keep", fmt.Sprint(f.cfg.KeepLast),
 			"-op-timeout", f.cfg.OpTimeout.String(),
 			"-connect-wait", "10s",
 		}
@@ -587,7 +590,7 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 		sn.proc, sn.addr, sn.alive = ch, ch.addr, true
 		return nil
 	}
-	ecfg := ckpt.Config{Policy: f.cfg.Policy, ChunkRows: 64}
+	ecfg := ckpt.Config{Policy: f.cfg.Policy, KeepLast: f.cfg.KeepLast}
 	if f.cfg.QuantBits > 0 {
 		ecfg.Quant = quantParams(f.cfg.QuantBits)
 	}
@@ -742,7 +745,7 @@ func (f *Fleet) newController(lease *ctrl.Lease, holder string) error {
 	if err != nil {
 		return fmt.Errorf("chaos: controller %q: %w", holder, err)
 	}
-	f.ctl, f.lease = c, lease
+	f.ctl = c
 	return nil
 }
 
@@ -766,7 +769,7 @@ func (f *Fleet) Lead(ctx context.Context, holder string) error {
 func (f *Fleet) Failover(ctx context.Context, holder string) error {
 	if f.ctl != nil {
 		f.ctl.Close()
-		f.ctl, f.lease = nil, nil
+		f.ctl = nil
 	}
 	reg, err := f.register(holder)
 	if err != nil {
@@ -786,14 +789,6 @@ func (f *Fleet) Checkpoint(ctx context.Context, step uint64) (*wire.Manifest, er
 		return nil, errors.New("chaos: no leader; call Lead first")
 	}
 	return f.ctl.Checkpoint(ctx, step)
-}
-
-// NextID returns the leader's next checkpoint ID (-1 when no leader).
-func (f *Fleet) NextID() int {
-	if f.ctl == nil {
-		return -1
-	}
-	return f.ctl.NextID()
 }
 
 // SetAfterPrepare arms a one-shot hook that fires between the next

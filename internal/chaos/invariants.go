@@ -10,8 +10,10 @@ import (
 	"repro/internal/ctrl/shardhost"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/objstore"
 	"repro/internal/serve"
 	"repro/internal/trainer"
+	"repro/internal/wire"
 )
 
 // Committed records one checkpoint the scenario expects to exist: the
@@ -38,12 +40,14 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 // fleet, through the unshimmed observer store and direct agent probes:
 //
 //  1. complete-composites — no restorable partial composite: every
-//     composite manifest in the store references only shard manifests
-//     that exist.
+//     composite manifest the store lists resolves, shard manifests and
+//     the chains behind them.
 //  2. restore-latest — RestoreLatest lands on the newest expected
 //     checkpoint and reproduces the reference replica bit-identically.
-//  3. id-convergence — committed composite IDs are exactly the expected
-//     gapless sequence, and every live agent agrees on the next ID.
+//  3. id-convergence — the listed composite IDs are the committed
+//     sequence (under KeepLast: its newest and what they restore
+//     through, and nothing uncommitted), and every live agent agrees on
+//     the next ID.
 //  4. serve-consistency — every lookup a serving replica answers comes
 //     from exactly one COMMITTED checkpoint, bit-identical to the
 //     reference state at that checkpoint's cut step. Staleness is
@@ -123,80 +127,97 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 	}
 	out = append(out, sv...)
 
+	// Invariant 3b: every live agent has converged on the same next ID
+	// (live agents probe over unshimmed links). Dead shards are skipped —
+	// convergence is re-checked after restart.
+	av, err := c.checkAgents(ctx, committed)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, av...)
+
 	// Store-side invariants read ground truth through the observer,
 	// which needs every store up: a killed (disk-backed) store makes
 	// reads fail by script, not by bug. The checks resume — over the
 	// recovered on-disk state — at the step after restart-store, which
 	// is where the durability claim is actually decided.
 	if !c.f.AllStoresAlive() {
-		av, err := c.checkAgentsOnly(ctx, committed)
-		if err != nil {
-			return nil, err
-		}
-		return append(out, av...), nil
+		return out, nil
 	}
 
 	rest, err := ckpt.NewRestorer(c.f.cfg.JobID, c.f.observer)
 	if err != nil {
 		return nil, err
 	}
-	manifests, err := rest.ListManifests(ctx)
+	ids, err := rest.ManifestIDs(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: list composites: %w", err)
 	}
 
-	// Invariant 1: every composite manifest present in the store is
-	// complete. An incomplete one is exactly the torn commit the
-	// two-phase protocol exists to prevent — it would be indistinguishable
-	// from a valid checkpoint to a reader that trusts manifests.
-	for _, man := range manifests {
-		// Cut at the checkpoint before: the composite and the shard
-		// manifests it names, no chain behind them.
-		_, err := rest.Resolve(ctx, man.ID, man.ID-1)
-		if errors.Is(err, ckpt.ErrIncomplete) {
+	// Invariant 1: every composite manifest present in the store
+	// resolves, whole chains included. One that does not is the torn
+	// commit the two-phase protocol exists to prevent, or a retention
+	// sweep that took a shard's part from under a listed composite —
+	// either way indistinguishable from a valid checkpoint to a reader
+	// that trusts manifests. Retention runs beside this check: a composite
+	// that is no longer listed after failing to resolve was only retired.
+	plans := make(map[int]*ckpt.Plan) // by listed ID; nil for one that does not resolve
+	for _, id := range ids {
+		plan, err := rest.Resolve(ctx, id, -1)
+		if err != nil {
+			_, serr := c.f.observer.Stat(ctx, wire.ManifestKey(c.f.cfg.JobID, id))
+			if errors.Is(serr, objstore.ErrNotFound) {
+				continue
+			}
+			if serr != nil {
+				return nil, fmt.Errorf("chaos: probe composite %d: %w", id, serr)
+			}
 			out = append(out, Violation{
 				Invariant: "complete-composites",
-				Detail:    fmt.Sprintf("composite manifest %d (step %d) references missing shard manifests", man.ID, man.Step),
+				Detail:    fmt.Sprintf("composite manifest %d is listed and does not resolve: %v", id, err),
 			})
-		} else if err != nil {
-			return nil, fmt.Errorf("chaos: probe composite %d: %w", man.ID, err)
 		}
+		plans[id] = plan
 	}
 
-	// Invariant 3a: the committed IDs are exactly the expected gapless
-	// sequence.
-	gotIDs := make([]int, len(manifests))
-	for i, m := range manifests {
-		gotIDs[i] = m.ID
+	// Invariant 3a: the listed IDs are the committed sequence — all of it
+	// when the shards keep everything; under KeepLast at least the newest
+	// KeepLast and what they restore through (a retired one stays listed
+	// until a sweep gets to it), and nothing but committed IDs.
+	newest := committed
+	if keep := c.f.cfg.KeepLast; keep > 0 && keep < len(committed) {
+		newest = committed[len(committed)-keep:]
 	}
-	sort.Ints(gotIDs)
-	wantIDs := make([]int, len(committed))
-	for i, cm := range committed {
-		wantIDs[i] = cm.ID
+	must := make(map[int]bool)
+	for _, cm := range newest {
+		must[cm.ID] = true
+		if plan := plans[cm.ID]; plan != nil {
+			for _, links := range plan.Links {
+				for _, link := range links {
+					must[link.ID] = true
+				}
+			}
+		}
 	}
-	if !equalInts(gotIDs, wantIDs) {
+	var missing, extra []int
+	for id := range must {
+		if _, listed := plans[id]; !listed {
+			missing = append(missing, id)
+		}
+	}
+	for id := range plans {
+		if id >= len(committed) { // committed IDs are gapless from 0
+			extra = append(extra, id)
+		}
+	}
+	if len(missing)+len(extra) > 0 {
+		sort.Ints(missing)
+		sort.Ints(extra)
 		out = append(out, Violation{
 			Invariant: "id-convergence",
-			Detail:    fmt.Sprintf("store holds composite IDs %v, scenario committed %v", gotIDs, wantIDs),
+			Detail: fmt.Sprintf("of the %d checkpoints the scenario committed (KeepLast %d), the store no longer lists %v and lists uncommitted %v",
+				len(committed), c.f.cfg.KeepLast, missing, extra),
 		})
-	}
-
-	// Invariant 3b: every live agent has converged on the same next ID.
-	// Dead shards are skipped — convergence is re-checked after restart.
-	for s := 0; s < c.f.Shards(); s++ {
-		if !c.f.ShardAlive(s) {
-			continue
-		}
-		st, err := c.f.AgentStatus(ctx, s)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: status shard %d: %w", s, err)
-		}
-		if st.NextID != len(committed) {
-			out = append(out, Violation{
-				Invariant: "id-convergence",
-				Detail:    fmt.Sprintf("shard %d expects next checkpoint %d, scenario committed %d", s, st.NextID, len(committed)),
-			})
-		}
 	}
 
 	// Invariant 2: RestoreLatest lands on the newest expected checkpoint,
@@ -341,10 +362,8 @@ func (c *Checker) probeReplica(ctx context.Context, cl *serve.Client, r int) ([]
 	return out, nil
 }
 
-// checkAgentsOnly is the degraded check while a store is down: agent ID
-// convergence still holds (live agents probe over unshimmed links), but
-// store reads would fail for scripted reasons.
-func (c *Checker) checkAgentsOnly(ctx context.Context, committed []Committed) ([]Violation, error) {
+// checkAgents is the agents' half of id-convergence.
+func (c *Checker) checkAgents(ctx context.Context, committed []Committed) ([]Violation, error) {
 	var out []Violation
 	for s := 0; s < c.f.Shards(); s++ {
 		if !c.f.ShardAlive(s) {
@@ -395,16 +414,4 @@ func bitDiff(a, b *model.DLRM) string {
 		return "dense state differs"
 	}
 	return ""
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -34,6 +34,7 @@ type FleetSpec struct {
 	Dim         int    `json:"dim,omitempty"`
 	Policy      string `json:"policy,omitempty"` // full|oneshot|consecutive|intermittent
 	QuantBits   int    `json:"quant_bits,omitempty"`
+	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
 	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`
 	LeaseTTLMs  int    `json:"lease_ttl_ms,omitempty"`
 	// StoreBackend pins the store plane to "mem" or "disk". Empty defers
@@ -87,7 +88,9 @@ type FaultSpec struct {
 //	lead        — elect Holder as leader (initial election).
 //	failover    — abandon the current leader and promote Holder, who
 //	              waits out the lease TTL like a real standby.
-//	sweep       — run ckpt.SweepOrphans and fail on error.
+//	sweep       — run ckpt.SweepOrphans and fail on error, then wait
+//	              (within the step timeout) until a dry run finds nothing
+//	              more: retention sweeps in flight finish on their own.
 //	serve-wait  — block until every serving replica has converged on the
 //	              newest committed checkpoint (bounded by the step
 //	              timeout; a replica that never converges is a harness
@@ -202,6 +205,7 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		TableRows: sc.Fleet.TableRows,
 		Dim:       sc.Fleet.Dim,
 		QuantBits: sc.Fleet.QuantBits,
+		KeepLast:  sc.Fleet.KeepLast,
 		OpTimeout: time.Duration(sc.Fleet.OpTimeoutMs) * time.Millisecond,
 		LeaseTTL:  time.Duration(sc.Fleet.LeaseTTLMs) * time.Millisecond,
 		Procs:     rcfg.Procs,
@@ -324,12 +328,19 @@ func (r *runner) exec(ctx context.Context, s *Step, sr *StepResult) error {
 		sr.Detail = s.Holder
 		return r.f.Failover(ctx, s.Holder)
 	case "sweep":
-		rep, err := ckpt.SweepOrphans(ctx, r.f.cfg.JobID, r.f.Observer(), false)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
+		for dry := false; ; dry = true {
+			rep, err := ckpt.SweepOrphans(ctx, r.f.cfg.JobID, r.f.Observer(), dry)
+			switch {
+			case err != nil: // the step timeout included
+				return fmt.Errorf("sweep: %w", err)
+			case !dry:
+				sr.Detail = fmt.Sprintf("swept %d orphans of %d scanned", len(rep.Orphans), rep.Scanned)
+			case len(rep.Orphans) == 0:
+				return nil
+			default: // a retention sweep is part-way through a checkpoint
+				time.Sleep(20 * time.Millisecond)
+			}
 		}
-		sr.Detail = fmt.Sprintf("swept %d orphans of %d scanned", len(rep.Orphans), rep.Scanned)
-		return nil
 	case "serve-wait":
 		return r.serveWait(ctx, sr)
 	case "sleep":

@@ -56,6 +56,34 @@ func leaderPartitionedMidCommit() []Step {
 	}
 }
 
+// fleetRetention2x2 is the retention topology: two shards that each keep
+// the newest two checkpoints and what those restore through, over two
+// disk stores that fsync every tombstone.
+func fleetRetention2x2(policy string) FleetSpec {
+	return FleetSpec{Shards: 2, Stores: 2, Policy: policy, KeepLast: 2, StoreBackend: "disk", Fsync: "always",
+		LeaseTTLMs: 500, OpTimeoutMs: 4000}
+}
+
+// shardKilledMidRetention is the script of kill-shard-mid-retention and of
+// its consecutive-policy twin. Shard 1 dies between the commit point of
+// checkpoint 3 and its own finalize: its sweep of what commit 2 retired is
+// abandoned mid-flight and what commit 3 retires it never starts on, while
+// shard 0 goes ahead and unlists it.
+func shardKilledMidRetention() []Step {
+	return []Step{
+		{Op: "lead", Holder: "leader-0"},
+		{Op: "checkpoint", Step: 4},
+		{Op: "checkpoint", Step: 8},
+		{Op: "checkpoint", Step: 12},
+		{Op: "checkpoint", Step: 16, At: "after-commit", Kill: "shard:1"},
+		{Op: "restart", Shard: 1},
+		{Op: "failover", Holder: "leader-1"},
+		{Op: "checkpoint", Step: 20},
+		{Op: "checkpoint", Step: 24},
+		{Op: "sweep"},
+	}
+}
+
 // DemoScenario names the campaign examples/fleet runs over forked
 // daemons: the only builtin that carries a replica across a failover
 // and a store kill-9.
@@ -200,6 +228,20 @@ func BuiltinScenarios() []*Scenario {
 			},
 		},
 		{
+			Name: "kill-shard-mid-retention",
+			Description: "full checkpoints under KeepLast 2: a shard is killed past the commit point, its retention " +
+				"sweep mid-flight or never started; every listed composite resolves and gc finds nothing at the end",
+			Fleet: fleetRetention2x2("full"),
+			Steps: shardKilledMidRetention(),
+		},
+		{
+			Name: "kill-shard-mid-retention-consecutive",
+			Description: "kill-shard-mid-retention under the consecutive policy: every checkpoint is a link of " +
+				"the newest one's chain, so retention is on and must retire nothing",
+			Fleet: fleetRetention2x2("consecutive"),
+			Steps: shardKilledMidRetention(),
+		},
+		{
 			Name: "stall-store-mid-commit",
 			Description: "every data-plane store goes silent (connections up, zero bytes) during publish; " +
 				"agents must save themselves with op deadlines",
@@ -317,9 +359,10 @@ func BuiltinScenarios() []*Scenario {
 // smallMatrix names the per-PR subset: one throttle campaign, one crash
 // campaign, one partition+failover campaign, the two consecutive-policy
 // campaigns (a failed attempt must not lose its interval's rows), the
-// disk-backed store-kill campaign, and the read-plane partition campaign
-// — each exercising a different commit window, policy or plane, all fast
-// enough for `-race` in CI.
+// disk-backed store-kill campaign, the read-plane partition campaign and
+// the retention campaign under both of its policies — each exercising a
+// different commit window, policy or plane, all fast enough for `-race`
+// in CI.
 var smallMatrix = []string{
 	"slow-store-throttle",
 	"kill-during-publish",
@@ -328,6 +371,8 @@ var smallMatrix = []string{
 	"partition-store-outage-consecutive",
 	"kill9-objstored-mid-commit",
 	"partition-replica-across-commits",
+	"kill-shard-mid-retention",
+	"kill-shard-mid-retention-consecutive",
 }
 
 // SmallScenarios returns the per-PR subset of the builtin matrix.

@@ -13,7 +13,9 @@ import (
 
 // Committer owns the composite commit: the one place the two-phase
 // sequence over a job's ShardRunners is written, together with the
-// state it advances — the next checkpoint ID and composite retention.
+// state it advances — the next checkpoint ID and the table ownership.
+// It deletes nothing a committed checkpoint holds: retention is the shard
+// writers', whose sweepers run once Commit has returned.
 // Its two callers differ only in the runners they hand it and in what
 // they put in an Attempt: the in-process Coordinator (ShardWriters) and
 // ctrl.Controller (RemoteRunners to the ShardWriters inside shardd
@@ -22,11 +24,10 @@ import (
 // Like Engine, it is not safe for concurrent use: checkpoints of one job
 // never overlap. The concurrency is inside one Commit.
 type Committer struct {
-	jobID    string
-	store    objstore.Store
-	runners  []ShardRunner
-	keepLast int
-	logf     func(format string, args ...any)
+	jobID   string
+	store   objstore.Store
+	runners []ShardRunner
+	logf    func(format string, args ...any)
 
 	nextID int
 	// tableShards is the table -> shard ownership of the newest committed
@@ -34,10 +35,6 @@ type Committer struct {
 	// must agree with, because a table that changed shards would leave
 	// its new owner writing increments over a base the old owner holds.
 	tableShards map[int]int
-	// retained is the set of composite IDs still in the store, kept for
-	// retention only: with keepLast == 0 it stays empty, or it would grow
-	// one entry per checkpoint, forever, on a long-running job.
-	retained map[int]struct{}
 }
 
 // NewCommitter returns a Committer storing jobID's composite manifests
@@ -48,14 +45,9 @@ type Committer struct {
 // has a checkpoint already, the newest composite (nextID-1, the commit
 // point every writer resumed after) is fetched and must have been
 // written by as many shards as there are runners, and its table
-// ownership is what Commit holds every later attempt to. keepLast bounds
-// retained composites (manifest + dense object; shard-level retention is
-// each shard engine's own KeepLast), zero keeps everything. With
-// retention on, one keys-only List under ctx seeds it with the
-// composites a predecessor left in the store, which a restarted or
-// failed-over writer would otherwise never retire. logf receives
+// ownership is what Commit holds every later attempt to. logf receives
 // diagnostics; nil discards them.
-func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runners []ShardRunner, nextIDs []int, keepLast int,
+func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runners []ShardRunner, nextIDs []int,
 	logf func(format string, args ...any)) (*Committer, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -69,15 +61,12 @@ func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runne
 				jobID, s, next, nextIDs[0], len(runners))
 		}
 	}
-	c := &Committer{
-		jobID: jobID, store: store, runners: runners, keepLast: keepLast, logf: logf,
-		nextID: nextIDs[0], tableShards: map[int]int{}, retained: make(map[int]struct{}),
-	}
-	rest, err := NewRestorer(jobID, store)
-	if err != nil {
-		return nil, err
-	}
+	c := &Committer{jobID: jobID, store: store, runners: runners, logf: logf, nextID: nextIDs[0], tableShards: map[int]int{}}
 	if c.nextID > 0 {
+		rest, err := NewRestorer(jobID, store)
+		if err != nil {
+			return nil, err
+		}
 		tip, err := rest.manifest(ctx, c.nextID-1)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: resume job %q: %w", jobID, err)
@@ -86,15 +75,6 @@ func NewCommitter(ctx context.Context, jobID string, store objstore.Store, runne
 			return nil, fmt.Errorf("ckpt: job %q was written with %d shards, resumed with %d", jobID, tip.ShardCount, len(runners))
 		}
 		c.tableShards = tip.TableShards
-	}
-	if keepLast > 0 {
-		ids, err := rest.ManifestIDs(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: list composites: %w", err)
-		}
-		for _, id := range ids {
-			c.retained[id] = struct{}{}
-		}
 	}
 	return c, nil
 }
@@ -133,7 +113,7 @@ type Attempt struct {
 //  2. publish — shard manifests are stored; the checkpoint is still not
 //     restorable because only the composite manifest defines validity.
 //  3. commit — the composite manifest is stored, then every shard
-//     finalizes its in-memory state and retention runs.
+//     finalizes its in-memory state.
 //
 // Any failure before step 3's composite Put — a slow shard, a crashed
 // agent, a veto, a cancelled context — aborts every shard, deleting all
@@ -238,10 +218,6 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 	}
 	c.nextID++
 	c.tableShards = man.TableShards
-	if c.keepLast > 0 {
-		c.retained[id] = struct{}{}
-		c.retire(ctx, id)
-	}
 	return man, nil
 }
 
@@ -258,36 +234,6 @@ func (c *Committer) forEachRunner(fn func(s int, r ShardRunner) error) error {
 		}
 		return nil
 	})
-}
-
-// retire deletes the composite-level objects (manifest + dense) of
-// every cached checkpoint older than the keepLast newest, newest being
-// the ID just committed. Shard-level objects are garbage collected by
-// each shard engine, which retains whatever its retained increments
-// depend on — so a restorable composite always finds its shard chains
-// intact, while expired composites stop being listed.
-//
-// It runs detached from ctx's cancellation: the commit it follows is
-// already durable. An entry leaves the cache only once its manifest is
-// gone, so a Delete that failed is retried after the next commit; the
-// dense object goes after the manifest, so a composite that is still
-// listed still restores.
-func (c *Committer) retire(ctx context.Context, newest int) {
-	dctx, cancel := DetachedCtx(ctx)
-	defer cancel()
-	for id := range c.retained {
-		if id > newest-c.keepLast {
-			continue
-		}
-		err := c.store.Delete(dctx, wire.ManifestKey(c.jobID, id))
-		if err != nil && !errors.Is(err, objstore.ErrNotFound) {
-			continue
-		}
-		// Unreferenced from here on, if the checkpoint had one at all:
-		// SweepOrphans' job if this fails.
-		_ = c.store.Delete(dctx, wire.DenseKey(c.jobID, id))
-		delete(c.retained, id)
-	}
 }
 
 // buildComposite assembles the top-level manifest from prepared shard

@@ -150,7 +150,7 @@ func TestCommitSequence(t *testing.T) {
 				if point == "fence-veto" {
 					att.Fence = func(context.Context) error { return trip() }
 				}
-				c, err := NewCommitter(ctx, job, store, runners, make([]int, shards), 0, t.Logf)
+				c, err := NewCommitter(ctx, job, store, runners, make([]int, shards), t.Logf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -183,16 +183,16 @@ func TestCommitSequence(t *testing.T) {
 					t.Fatalf("failed attempt consumed an ID: next %d", c.NextID())
 				}
 
-				// The same ID is retried once the fault is gone.
+				// The same ID is retried once the fault is gone, and a commit
+				// that succeeds deletes nothing: retention is the shard writers'.
 				armed = false
+				deletes := mem.Usage().Deletes
 				man, err = c.Commit(bg, att)
 				if err != nil || man.ID != 0 || c.NextID() != 1 {
 					t.Fatalf("retry = (%+v, %v), next %d; want checkpoint 0 committed", man, err, c.NextID())
 				}
-				// With retention off nothing may be cached: one entry per
-				// checkpoint, forever, on a long-running job.
-				if len(c.retained) != 0 {
-					t.Fatalf("retention set holds %d entries with retention disabled", len(c.retained))
+				if n := mem.Usage().Deletes - deletes; n != 0 {
+					t.Fatalf("a successful Commit issued %d Deletes", n)
 				}
 			})
 		}
@@ -204,7 +204,7 @@ func TestCommitSequence(t *testing.T) {
 		fakes, runners := newFakeRunners(shards, job, mem, func() error { return errInjected })
 		fakes[2].failAt = "finalize"
 		var announced *wire.Manifest
-		c, err := NewCommitter(ctx, job, mem, runners, make([]int, shards), 0, t.Logf)
+		c, err := NewCommitter(ctx, job, mem, runners, make([]int, shards), t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestCommitterContinuesOneJob(t *testing.T) {
 	mem := objstore.NewMemStore(objstore.MemConfig{})
 	never := func() error { return nil }
 	_, runners := newFakeRunners(2, job, mem, never)
-	first, err := NewCommitter(ctx, job, mem, runners, []int{0, 0}, 0, t.Logf)
+	first, err := NewCommitter(ctx, job, mem, runners, []int{0, 0}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCommitterContinuesOneJob(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, runners := newFakeRunners(tc.runners, job, mem, never)
-			_, err := NewCommitter(ctx, job, mem, runners, tc.nextIDs, 0, t.Logf)
+			_, err := NewCommitter(ctx, job, mem, runners, tc.nextIDs, t.Logf)
 			if err == nil {
 				t.Fatal("NewCommitter adopted a job these runners do not continue")
 			}
@@ -283,7 +283,7 @@ func TestCommitterContinuesOneJob(t *testing.T) {
 	}
 
 	fakes, runners := newFakeRunners(2, job, mem, never)
-	c, err := NewCommitter(ctx, job, mem, runners, []int{1, 1}, 0, t.Logf)
+	c, err := NewCommitter(ctx, job, mem, runners, []int{1, 1}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

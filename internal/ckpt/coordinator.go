@@ -64,8 +64,7 @@ type Coordinator struct {
 // engine (NewShardWriter: debris of an attempt that died between shard
 // publish and the composite Put is rolled back), NewCommitter checks
 // that they resumed one job — the same next checkpoint ID, as many shards
-// as the newest composite was written with — and covers retention of the
-// composites a predecessor committed, and table ownership continues
+// as the newest composite was written with — and table ownership continues
 // from the newest composite. Over an empty store that is simply a fresh
 // job. Resuming the chain says nothing about the model: a caller that
 // was not the writer of the newest checkpoint must restore it before the
@@ -98,7 +97,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	for s, w := range c.writers {
 		runners[s], nextIDs[s] = w, w.NextID()
 	}
-	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, cfg.KeepLast, nil); err != nil {
+	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, nil); err != nil {
 		return nil, err
 	}
 	// Ownership continues from the newest composite: the committer would

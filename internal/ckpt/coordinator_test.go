@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -298,14 +299,18 @@ func TestCoordinatorKeepLastGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 || ms[0].ID != 3 || ms[1].ID != 4 {
-		t.Fatalf("retained composites = %v", ids(ms))
+	// One-shot: 0 is the base 3 and 4 restore through, so every shard
+	// still holds its part of it and it stays listed; 1 and 2 are gone.
+	if got := ids(ms); !slices.Equal(got, []int{0, 3, 4}) {
+		t.Fatalf("listed composites = %v, want [0 3 4]", got)
 	}
-	// The newest retained composite must still restore: shard GC kept
-	// every shard object its chains depend on.
-	m2, _ := model.New(testModelConfig(), 2)
-	if _, err := rest.RestoreLatest(f.ctx, m2); err != nil {
-		t.Fatal(err)
+	// Every listed composite restores, and the newest is the live model.
+	var m2 *model.DLRM
+	for _, m := range ms {
+		m2, _ = model.New(testModelConfig(), 2)
+		if _, err := rest.Restore(f.ctx, m.ID, m2); err != nil {
+			t.Fatalf("listed composite %d does not restore: %v", m.ID, err)
+		}
 	}
 	if !modelsEqual(f.m, m2, f.gen, 1e-6) {
 		t.Fatal("post-GC sharded restore differs from live model")

@@ -53,7 +53,7 @@ func writeWithEncoders(t *testing.T, encoders int, p quant.Params) map[string][]
 		Policy:    PolicyOneShot,
 		Quant:     p,
 		ChunkRows: 64,
-		Encoders:  encoders,
+		encoders:  encoders,
 	})
 	if err != nil {
 		t.Fatal(err)

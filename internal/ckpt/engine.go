@@ -35,22 +35,22 @@ type Config struct {
 	// (pipelined store while the next chunk quantizes). Zero means 2;
 	// 1 disables pipelining (the ablation baseline).
 	Uploaders int
-	// Encoders is the number of concurrent quantize+encode workers
-	// feeding the uploaders — the data-plane hot path. Each worker owns
-	// reusable quantization scratch and encodes chunks into pooled
-	// buffers, so the steady-state encode loop is allocation-free per
-	// row. Chunk keys are derived from row position, so the manifest is
-	// deterministic regardless of worker count. Zero means GOMAXPROCS;
-	// 1 restores the serial encode baseline.
-	Encoders int
-	// KeepLast bounds retained checkpoints; older ones are garbage
-	// collected after each successful write, respecting chain
-	// dependencies (a base is never deleted while a dependent increment
-	// is retained). Zero keeps everything.
+	// KeepLast is the job's one retention setting: after each commit the
+	// newest KeepLast checkpoints stay, with whatever they restore through
+	// (a base is never deleted while a dependent increment is retained);
+	// the rest is deleted off the commit path. Zero keeps everything. Shard
+	// writers of one job that disagree are safe: a checkpoint stays listed
+	// while every shard holds its part, so the smallest KeepLast decides.
 	KeepLast int
 	// Predictor selects the intermittent policy's full-checkpoint
 	// predictor (default PredictorHistory, the paper's §5.1 rule).
 	Predictor PredictorKind
+
+	// encoders is the number of concurrent quantize+encode workers
+	// feeding the uploaders: GOMAXPROCS, unless a test pins it. Chunk keys
+	// are derived from row position, so the manifest is deterministic
+	// regardless of worker count.
+	encoders int
 }
 
 // adaptiveSampling is the adaptive quantizer's per-chunk sampling
@@ -116,8 +116,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Uploaders <= 0 {
 		cfg.Uploaders = 2
 	}
-	if cfg.Encoders <= 0 {
-		cfg.Encoders = runtime.GOMAXPROCS(0)
+	if cfg.encoders <= 0 {
+		cfg.encoders = runtime.GOMAXPROCS(0)
 	}
 	if !cfg.Predictor.Valid() {
 		return nil, fmt.Errorf("ckpt: invalid predictor %d", cfg.Predictor)
@@ -400,7 +400,7 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 }
 
 // writeTable quantizes, encodes and uploads one table's rows: a pool of
-// cfg.Encoders workers quantizes rows with reusable scratch and encodes
+// cfg.encoders workers quantizes rows with reusable scratch and encodes
 // chunks into pooled buffers, feeding cfg.Uploaders store writers. Chunk
 // keys are precomputed from row position, so the manifest's chunk order
 // is deterministic regardless of which worker encodes which chunk, and
@@ -438,7 +438,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var totalBytes atomic.Int64
-	errCh := make(chan error, e.cfg.Encoders+e.cfg.Uploaders)
+	errCh := make(chan error, e.cfg.encoders+e.cfg.Uploaders)
 	fail := func(err error) {
 		select {
 		case errCh <- err:
@@ -468,7 +468,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		}()
 	}
 
-	encoders := min(e.cfg.Encoders, numChunks)
+	encoders := min(e.cfg.encoders, numChunks)
 	jobs := make(chan int)
 	var encWG sync.WaitGroup
 	for w := 0; w < encoders; w++ {
@@ -653,11 +653,14 @@ func (e *Engine) Close(ctx context.Context) error {
 // checkpoint at a time: declaring a checkpoint valid does not wait for
 // the deletion of the one it supersedes (hundreds of store round trips
 // for a full checkpoint). The goroutine sees the store and the job ID,
-// never the engine.
+// never the engine. It is the only place retention deletes anything.
 type sweeper struct {
 	store   objstore.Store
 	jobID   string
 	workers int
+	// composite is the job this engine writes one shard of
+	// (NewShardWriter sets it); "" for an Engine.Write job.
+	composite string
 
 	mu sync.Mutex
 	// queue is what the newest commit retired and no sweep has tried
@@ -710,7 +713,7 @@ func (s *sweeper) run() {
 		s.mu.Unlock()
 
 		ctx, cancel := context.WithTimeout(context.Background(), abortTimeout)
-		gone := DeleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
+		gone := s.retire(ctx, id)
 		cancel()
 		if gone {
 			s.mu.Lock()
@@ -718,6 +721,25 @@ func (s *sweeper) run() {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// retire deletes checkpoint id in the one order that keeps every listed
+// checkpoint restorable: the commit record, this engine's manifest, then
+// what that names (DeleteCheckpoint). For a shard of a composite job the
+// commit record is the composite manifest and, once that is gone — deleted
+// now, or already by another shard's sweep — its dense object; while the
+// composite manifest cannot be deleted nothing else is touched and the
+// next commit retries. It reports whether this engine's manifest is gone.
+func (s *sweeper) retire(ctx context.Context, id int) bool {
+	if s.composite != "" {
+		if err := s.store.Delete(ctx, wire.ManifestKey(s.composite, id)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
+			return false
+		}
+		// Unreferenced from here on, if the checkpoint had one at all:
+		// SweepOrphans' job if this fails.
+		_ = s.store.Delete(ctx, wire.DenseKey(s.composite, id))
+	}
+	return DeleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
 }
 
 // wait blocks until the goroutine, if any, has emptied the queue, or

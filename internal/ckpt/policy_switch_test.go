@@ -111,6 +111,26 @@ func TestPolicySwitchAcrossRestart(t *testing.T) {
 	}
 }
 
+// nameKeys adds to named every key a restore of plan reads: the manifests
+// it fetched and the chunk and dense keys they carry.
+func nameKeys(plan *Plan, named map[string]bool) {
+	mans := []*wire.Manifest{plan.Top}
+	for _, links := range plan.Links {
+		mans = append(mans, links...)
+	}
+	for _, m := range mans {
+		named[wire.ManifestKey(m.JobID, m.ID)] = true
+		if m.DenseKey != "" {
+			named[m.DenseKey] = true
+		}
+		for _, tm := range m.Tables {
+			for _, k := range tm.ChunkKeys {
+				named[k] = true
+			}
+		}
+	}
+}
+
 // assertSweepIsWhatNoRestoreNames holds SweepOrphans to the read path:
 // with debris planted beside them, every key that a Resolve(id, -1) of a
 // listed checkpoint names — the manifests it fetched and the chunk and
@@ -142,21 +162,7 @@ func assertSweepIsWhatNoRestoreNames(t *testing.T, ctx context.Context, job stri
 		if err != nil {
 			t.Fatalf("Resolve(%d): %v", id, err)
 		}
-		mans := []*wire.Manifest{plan.Top}
-		for _, links := range plan.Links {
-			mans = append(mans, links...)
-		}
-		for _, m := range mans {
-			named[wire.ManifestKey(m.JobID, m.ID)] = true
-			if m.DenseKey != "" {
-				named[m.DenseKey] = true
-			}
-			for _, tm := range m.Tables {
-				for _, k := range tm.ChunkKeys {
-					named[k] = true
-				}
-			}
-		}
+		nameKeys(plan, named)
 	}
 	all, err := store.List(ctx, job+"/")
 	if err != nil {

@@ -296,10 +296,13 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 					}
 				}
 				// Same objects, so the same restore — and retention resumed
-				// too: KeepLast 2 retired composite 0 on both sides.
+				// too: under KeepLast 2 a full job retired composite 0 on both
+				// sides, while under the incremental policies 0 is the base 1
+				// and 2 restore through, so it stays listed.
 				storesEqual(t, ctx, storeLive, storeCrash)
-				if _, err := storeCrash.Stat(ctx, wire.ManifestKey(job, 0)); !errors.Is(err, objstore.ErrNotFound) {
-					t.Fatalf("composite 0 not retired by the rebuilt coordinator: %v", err)
+				_, err = storeCrash.Stat(ctx, wire.ManifestKey(job, 0))
+				if retired := errors.Is(err, objstore.ErrNotFound); retired != (pol == PolicyFull) || (!retired && err != nil) {
+					t.Fatalf("composite 0 after the rebuilt coordinator's commit, policy %v: %v", pol, err)
 				}
 				var restored [2]*model.DLRM
 				for i, store := range []objstore.Store{storeLive, storeCrash} {

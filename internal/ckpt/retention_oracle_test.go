@@ -1,10 +1,14 @@
 package ckpt
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/objstore"
 	"repro/internal/wire"
@@ -129,5 +133,114 @@ func TestRetiredAgainstOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// readGuard is a store that fails the test when a Delete takes away
+// something a listed checkpoint reads. Deleting a checkpoint's own commit
+// record is how it stops being listed, so that one is let through; every
+// other key must be outside what Resolve names for every checkpoint listed
+// at that instant, each of which must resolve. Deletes are serialized, so
+// the listing a Delete is checked against is not one another Delete is
+// half-way through changing.
+type readGuard struct {
+	objstore.Store
+	t   *testing.T
+	job string
+	mu  sync.Mutex
+}
+
+func (g *readGuard) Delete(ctx context.Context, key string) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	rest, err := NewRestorer(g.job, g.Store)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	ids, err := rest.ManifestIDs(ctx)
+	if err != nil {
+		return err
+	}
+	for _, id := range ids {
+		if key == wire.ManifestKey(g.job, id) {
+			continue
+		}
+		plan, err := rest.Resolve(ctx, id, -1)
+		if err != nil {
+			g.t.Errorf("before Delete(%s): checkpoint %d is listed and does not resolve: %v", key, id, err)
+			continue
+		}
+		named := make(map[string]bool)
+		if nameKeys(plan, named); named[key] {
+			g.t.Errorf("Delete(%s) while checkpoint %d, which reads it, is listed", key, id)
+		}
+	}
+	return g.Store.Delete(ctx, key)
+}
+
+// TestRetentionNeverDeletesWhatAListedCheckpointReads drives generated
+// two-shard jobs — the four policies, shard writers that agree and that
+// disagree on KeepLast, and a point at which both are killed (whatever
+// their sweeps were doing) and resume from the store — over a readGuard.
+// The shard writers and the Committer are wired as a Controller wires
+// them; a Coordinator could not give its shards different settings.
+func TestRetentionNeverDeletesWhatAListedCheckpointReads(t *testing.T) {
+	const job, commits = "testjob", 7
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	snaps := rejoinSnapshots(t, commits)
+	assign := map[int]int{0: 0, 1: 1, 2: 0}
+	for _, pol := range []PolicyKind{PolicyFull, PolicyOneShot, PolicyConsecutive, PolicyIntermittent} {
+		for _, keep := range [][2]int{{1, 1}, {2, 2}, {1, 3}, {3, 1}, {2, 0}} {
+			for _, killAfter := range []int{-1, 2, 4} {
+				t.Run(fmt.Sprintf("%v/keep-%d-%d/killed-after-%d", pol, keep[0], keep[1], killAfter), func(t *testing.T) {
+					guard := &readGuard{Store: objstore.NewMemStore(objstore.MemConfig{}), t: t, job: job}
+					var cur *Snapshot
+					// open resumes both writers through a handle of their own, which
+					// a kill turns dead under whatever sweep is using it.
+					open := func() (*sweepStore, [2]*ShardWriter, *Committer) {
+						handle := newSweepStore(guard)
+						var ws [2]*ShardWriter
+						for s := range ws {
+							w, err := NewShardWriter(ctx, Config{JobID: job, Store: handle, Policy: pol, KeepLast: keep[s]}, s,
+								func(context.Context, uint64) (*Snapshot, error) { return SubSnapshot(cur, assign, s), nil })
+							if err != nil {
+								t.Fatal(err)
+							}
+							ws[s] = w
+						}
+						c, err := NewCommitter(ctx, job, handle, []ShardRunner{ws[0], ws[1]}, []int{ws[0].NextID(), ws[1].NextID()}, t.Logf)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return handle, ws, c
+					}
+					handle, ws, c := open()
+					for i, snap := range snaps {
+						cur = snap
+						if _, err := c.Commit(ctx, Attempt{Step: snap.Step}); err != nil {
+							t.Fatalf("commit %d: %v", i, err)
+						}
+						if i == killAfter {
+							handle.mu.Lock()
+							handle.budget = 0
+							handle.mu.Unlock()
+							handle, ws, c = open()
+						}
+					}
+					for _, w := range ws {
+						if err := w.Close(ctx); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// What is left is what the listed checkpoints read, what gc
+					// would collect, and nothing else; the newest is among them.
+					assertSweepIsWhatNoRestoreNames(t, ctx, job, guard.Store)
+					if listed := listedIDs(t, ctx, guard.Store); len(listed) == 0 || listed[len(listed)-1] != commits-1 {
+						t.Fatalf("lists %v, want the newest checkpoint %d among them", listed, commits-1)
+					}
+				})
+			}
+		}
 	}
 }

@@ -280,75 +280,132 @@ func TestSweepRetriesFailedManifestDelete(t *testing.T) {
 // loses only its queue. The recovered engine's next commit retires
 // whatever still has a manifest, SweepOrphans collects what does not,
 // and the store ends up holding exactly what an uninterrupted run's does.
+// A sharded job has two more places to die in, between the Deletes of the
+// commit record and before the shard's own manifest goes; at every one of
+// them each composite still listed resolves.
 func TestAbandonedSweepIsCollected(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	snaps := rejoinSnapshots(t, 4)
 	cfg := Config{JobID: "testjob", Policy: PolicyFull, KeepLast: 2, ChunkRows: 64}
 
-	cfg.Store = objstore.NewMemStore(objstore.MemConfig{})
-	live, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// writer is an Engine or a Coordinator: both resume from the store.
+	type writer interface {
+		Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error)
+		Close(ctx context.Context) error
 	}
-	writeAll(t, ctx, live, snaps)
-	if err := live.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if report, err := SweepOrphans(ctx, "testjob", cfg.Store, false); err != nil || len(report.Orphans) != 0 {
-		t.Fatalf("uninterrupted run left orphans: %+v, %v", report, err)
-	}
-	storeLive := cfg.Store
+	for _, tc := range []struct {
+		name string // prefix of the subtest names; none for a bare engine
+		open func(t *testing.T, cfg Config) writer
+		// manifest is the last manifest a sweep of checkpoint 0 deletes, after
+		// which what is left of 0 is debris; budgets counts the Lists and
+		// Deletes the dying sweep of checkpoint 0 gets through.
+		manifest string
+		budgets  []int
+	}{
+		// None, the List, the manifest too, then some chunks.
+		{"", func(t *testing.T, cfg Config) writer {
+			eng, err := RecoverEngine(ctx, cfg, RecoverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}, wire.ManifestKey("testjob", 0), []int{0, 1, 2, 5}},
+		// None, the composite manifest, the dense object too — the commit
+		// record is gone and the shard has not touched its part — the List,
+		// the shard manifest, then some chunks.
+		{"one-shard/", func(t *testing.T, cfg Config) writer {
+			c, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, wire.ManifestKey(wire.ShardJobID("testjob", 0), 0), []int{0, 1, 2, 3, 4, 7}},
+		// Two sweepers share the budget, so where each dies varies from run
+		// to run; where the store ends up does not.
+		{"two-shards/", func(t *testing.T, cfg Config) writer {
+			c, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, "", []int{0, 1, 2, 3, 4, 5, 6, 8, 11}},
+	} {
+		cfg.Store = objstore.NewMemStore(objstore.MemConfig{})
+		live := tc.open(t, cfg)
+		for _, snap := range snaps {
+			if _, err := live.Write(ctx, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if report, err := SweepOrphans(ctx, "testjob", cfg.Store, false); err != nil || len(report.Orphans) != 0 {
+			t.Fatalf("%suninterrupted run left orphans: %+v, %v", tc.name, report, err)
+		}
+		storeLive := cfg.Store
 
-	// budget counts the List and Deletes the dying sweep of checkpoint 0
-	// gets through: none, the List, the manifest too, then some chunks.
-	for _, budget := range []int{0, 1, 2, 5} {
-		t.Run(fmt.Sprintf("died-after-%d-ops", budget), func(t *testing.T) {
-			mem := objstore.NewMemStore(objstore.MemConfig{})
-			handle := newSweepStore(mem)
-			handle.gate = make(chan struct{})
-			cfg.Store = handle
-			crash, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeAll(t, ctx, crash, snaps[:3]) // commit 2 retires 0
-			handle.mu.Lock()
-			handle.budget = budget
-			handle.mu.Unlock()
-			close(handle.gate)
-			select {
-			case <-handle.died: // and the engine is abandoned, never closed
-			case <-ctx.Done():
-				t.Fatal("the sweep never used up its budget")
-			}
-			_, manifestErr := mem.Stat(ctx, wire.ManifestKey("testjob", 0))
-			if gone := errors.Is(manifestErr, objstore.ErrNotFound); gone != (budget >= 2) {
-				t.Fatalf("after %d sweep operations manifest 0 gone = %v", budget, gone)
-			}
+		for _, budget := range tc.budgets {
+			t.Run(fmt.Sprintf("%sdied-after-%d-ops", tc.name, budget), func(t *testing.T) {
+				mem := objstore.NewMemStore(objstore.MemConfig{})
+				handle := newSweepStore(mem)
+				cfg := cfg
+				cfg.Store = handle
+				crash := tc.open(t, cfg) // resuming lists the store, so the gate goes up after
+				handle.gate = make(chan struct{})
+				for _, snap := range snaps[:3] { // commit 2 retires 0
+					if _, err := crash.Write(ctx, snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				handle.mu.Lock()
+				handle.budget = budget
+				handle.mu.Unlock()
+				close(handle.gate)
+				select {
+				case <-handle.died: // and the writer is abandoned, never closed
+				case <-ctx.Done():
+					t.Fatal("the sweep never used up its budget")
+				}
+				rest, err := NewRestorer("testjob", mem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range listedIDs(t, ctx, mem) {
+					if _, err := rest.Resolve(ctx, id, -1); err != nil {
+						t.Errorf("after %d sweep operations checkpoint %d is listed and does not resolve: %v", budget, id, err)
+					}
+				}
+				debris := false
+				if tc.manifest != "" {
+					_, err := mem.Stat(ctx, tc.manifest)
+					debris = errors.Is(err, objstore.ErrNotFound)
+					if want := budget >= tc.budgets[len(tc.budgets)-2]; debris != want {
+						t.Fatalf("after %d sweep operations %s gone = %v, want %v", budget, tc.manifest, debris, want)
+					}
+				}
 
-			cfg.Store = mem
-			rec, err := RecoverEngine(ctx, cfg, RecoverOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rec.Write(ctx, snaps[3]); err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Close(ctx); err != nil {
-				t.Fatal(err)
-			}
-			report, err := SweepOrphans(ctx, "testjob", mem, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if budget <= 1 && len(report.Orphans) != 0 {
-				t.Errorf("manifest 0 survived the crash, so the next commit retires it whole; SweepOrphans still found %v", report.Orphans)
-			}
-			if budget >= 2 && len(report.Orphans) == 0 {
-				t.Error("manifest 0 was deleted before the crash: its remaining objects are debris, but SweepOrphans found none")
-			}
-			storesEqual(t, ctx, storeLive, mem)
-		})
+				cfg.Store = mem
+				rec := tc.open(t, cfg)
+				if _, err := rec.Write(ctx, snaps[3]); err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.Close(ctx); err != nil {
+					t.Fatal(err)
+				}
+				report, err := SweepOrphans(ctx, "testjob", mem, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.manifest != "" && !debris && len(report.Orphans) != 0 {
+					t.Errorf("%s survived the crash, so the next commit retires checkpoint 0 whole; SweepOrphans still found %v", tc.manifest, report.Orphans)
+				}
+				if debris && len(report.Orphans) == 0 {
+					t.Errorf("%s was deleted before the crash: the remaining objects of checkpoint 0 are debris, but SweepOrphans found none", tc.manifest)
+				}
+				storesEqual(t, ctx, storeLive, mem)
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,16 +37,16 @@ type SweepReport struct {
 // Reachability is what a restore reads: for every listed checkpoint,
 // each of its chains resolved through Restorer.links, exactly as restore,
 // verify and the replica resolve them. A shard checkpoint whose composite
-// was retention-expired is therefore still referenced while a surviving
-// incremental's chain passes through it (the coordinator GCs composite
-// manifests independently of the shard engines' retention, which keeps
-// the same chains — Engine.retired). A chain that cannot be resolved
+// retention has unlisted is therefore still referenced while a listed
+// checkpoint's chain passes through it, and debris otherwise, whether or
+// not its own shard has got to it yet. A chain that cannot be resolved
 // marks its scope conservatively kept. The price of asking the read path
 // is its cost: one manifest Get per link per listed checkpoint.
 //
-// The sweep must only run while the job is quiescent — like `ckptctl
-// delete`, it cannot distinguish a dead job's debris from a commit in
-// flight.
+// The sweep must only run while no commit is in flight — like `ckptctl
+// delete`, it cannot distinguish a dead job's debris from an attempt's.
+// A retention sweep beside it is harmless: neither deletes what a listed
+// checkpoint reads, and an orphan the other got to first is gone anyway.
 func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRun bool) (*SweepReport, error) {
 	rest, err := NewRestorer(jobID, store)
 	if err != nil {
@@ -120,7 +121,7 @@ func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRu
 	sort.Strings(report.Orphans)
 	if !dryRun {
 		for _, key := range report.Orphans {
-			if err := store.Delete(ctx, key); err != nil {
+			if err := store.Delete(ctx, key); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 				return report, fmt.Errorf("ckpt: delete %s: %w", key, err)
 			}
 		}

@@ -79,7 +79,9 @@ type ShardWriter struct {
 // two-phase commit and is rolled back rather than adopted, so every shard
 // writer of a job — an in-process Coordinator's or a shardd agent's —
 // comes back agreeing on the next checkpoint ID (over an empty store, 0).
-// cfg is the engine template; source supplies prepare-time snapshots.
+// cfg is the engine template (its KeepLast resumes over a predecessor's
+// checkpoints: RecoverEngine re-seeds the retention state); source
+// supplies prepare-time snapshots.
 func NewShardWriter(ctx context.Context, cfg Config, shard int, source SnapshotSource) (*ShardWriter, error) {
 	if source == nil {
 		return nil, fmt.Errorf("ckpt: shard %d: nil snapshot source", shard)
@@ -90,6 +92,7 @@ func NewShardWriter(ctx context.Context, cfg Config, shard int, source SnapshotS
 	if w.eng, err = RecoverEngine(ctx, cfg, RecoverOptions{Committed: w.committed}); err != nil {
 		return nil, err
 	}
+	w.eng.sweep.composite = w.jobID // retention unlists a composite first (sweeper.retire)
 	return w, nil
 }
 

@@ -130,10 +130,12 @@ func TestControllerAnnouncesAfterCommit(t *testing.T) {
 	}
 	defer sub.Close()
 
+	store := objstore.NewMemStore(objstore.MemConfig{})
 	c, err := NewController(ControllerConfig{
 		JobID:     "fence",
-		Store:     objstore.NewMemStore(objstore.MemConfig{}),
+		Store:     store,
 		Agents:    addrs,
+		Lease:     testLease(t, "fence", store),
 		Announcer: ann,
 		Logf:      t.Logf,
 	})
@@ -167,30 +169,36 @@ func (a *Announcer) epochNow() uint64 {
 	return a.epoch
 }
 
-// stallingStore wraps a Store with a List that blocks until the context
-// is done — the "hung store" a controller's own per-op budget must
-// bound.
+// stallingStore wraps a Store with a Get of manifests that blocks until
+// the context is done — the "hung store" a controller's own per-op
+// budget must bound.
 type stallingStore struct {
 	objstore.Store
 }
 
-func (s *stallingStore) List(ctx context.Context, prefix string) ([]string, error) {
+func (s *stallingStore) Get(ctx context.Context, key string) ([]byte, error) {
+	if !strings.HasSuffix(key, "/manifest") {
+		return s.Store.Get(ctx, key)
+	}
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
 
 func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 	// Regression: NewController used to hardcode a 30s deadline around
-	// discovery and the KeepLast retention seed; a wedged store made
+	// discovery and its own store operations; a wedged store made
 	// startup hang the full 30s regardless of configuration. With
 	// OpTimeout plumbed through, the slow store fails fast at the
-	// configured budget.
+	// configured budget. The store operation of a start-up is the Get of
+	// the newest composite, so the job has one.
+	ctx := context.Background()
+	store := objstore.NewMemStore(objstore.MemConfig{})
 	src, _ := testSource(t)
 	a, err := NewAgent(AgentConfig{
 		JobID:  "fence",
 		Shard:  0,
 		Shards: 1,
-		Engine: ckpt.Config{Store: objstore.NewMemStore(objstore.MemConfig{}), Policy: ckpt.PolicyOneShot},
+		Engine: ckpt.Config{Store: store, Policy: ckpt.PolicyOneShot},
 		Source: src,
 	})
 	if err != nil {
@@ -201,13 +209,24 @@ func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	first, err := NewController(ControllerConfig{
+		JobID: "fence", Store: store, Agents: []string{srv.Addr()}, Lease: testLease(t, "fence", store),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Checkpoint(ctx, 8); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
 
+	lease := testLease(t, "fence", store)
 	start := time.Now()
 	_, err = NewController(ControllerConfig{
 		JobID:     "fence",
-		Store:     &stallingStore{Store: objstore.NewMemStore(objstore.MemConfig{})},
+		Store:     &stallingStore{Store: store},
 		Agents:    []string{srv.Addr()},
-		KeepLast:  1, // forces the Committer's retention seed (a List), which stalls
+		Lease:     lease,
 		OpTimeout: 200 * time.Millisecond,
 	})
 	elapsed := time.Since(start)

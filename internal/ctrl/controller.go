@@ -16,30 +16,22 @@ type ControllerConfig struct {
 	// JobID is the composite job.
 	JobID string
 	// Store is the controller's own object-store connection, used for
-	// the composite-manifest commit and composite-level GC.
+	// the composite-manifest commit.
 	Store objstore.Store
 	// Agents lists shard-agent addresses in any order; discovery maps
 	// them to shard indices via Status.
 	Agents []string
-	// Epoch is this controller's job epoch. It must exceed any previous
-	// controller's; zero auto-adopts max(agent epochs) + 1. Ignored when
-	// Lease is set.
-	Epoch uint64
-	// Lease, when set, is a live grant from the job's epoch/lease
-	// register. The controller commits under the lease's epoch and renews
-	// the lease at the start of each checkpoint and again immediately
-	// before the composite commit, refusing to commit once superseded.
-	// When nil the controller runs in legacy flag-or-max+1 epoch mode.
+	// Lease is a live grant from the job's epoch/lease register. The
+	// controller commits under the lease's epoch, which must exceed any
+	// epoch the fleet has seen, and renews the lease at the start of each
+	// checkpoint and again immediately before the composite commit,
+	// refusing to commit once superseded.
 	Lease *Lease
-	// KeepLast bounds retained composite checkpoints (composite manifest
-	// + dense objects; shard-level retention is each agent engine's
-	// KeepLast). Zero keeps everything.
-	KeepLast int
 	// DialTimeout bounds agent connection establishment; zero means 5s.
 	DialTimeout time.Duration
 	// OpTimeout bounds the controller's own store and discovery
-	// operations — agent Status during discovery and the List that
-	// seeds retention — mirroring the per-op budget agents already have
+	// operations — agent Status during discovery and the Get of the
+	// newest composite — mirroring the per-op budget agents already have
 	// (AgentConfig.OpTimeout). Zero means 30s. A hung store therefore
 	// fails controller startup at this budget instead of a hardcoded
 	// deadline.
@@ -75,7 +67,6 @@ type ControllerConfig struct {
 // Methods are not safe for concurrent use; checkpoints never overlap.
 type Controller struct {
 	cfg     ControllerConfig
-	epoch   uint64
 	remotes []*RemoteRunner
 	commit  *ckpt.Committer
 }
@@ -96,6 +87,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	if len(cfg.Agents) == 0 {
 		return nil, fmt.Errorf("ctrl: no agents")
+	}
+	if cfg.Lease == nil {
+		return nil, fmt.Errorf("ctrl: no lease")
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -138,22 +132,14 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	}
 	sort.Slice(found, func(a, b int) bool { return found[a].status.Shard < found[b].status.Shard })
 	n := len(found)
-	c.epoch = cfg.Epoch
-	if cfg.Lease != nil {
-		// The register granted this epoch durably and monotonically; it
-		// must still beat the fleet's view (an agent may have adopted a
-		// higher epoch the register missed — fail loudly, don't commit).
-		c.epoch = cfg.Lease.Epoch()
-	}
-	if c.epoch == 0 {
-		c.epoch = maxEpoch + 1
-	} else if c.epoch <= maxEpoch {
-		// Strictly greater, not equal: an epoch the fleet has already
-		// seen may belong to a live controller, and two same-epoch
-		// controllers could interleave the two-phase commit (neither
-		// fences the other). A restarted controller should use 0 and
-		// let discovery bump past its predecessor.
-		return fail(fmt.Errorf("ctrl: configured epoch %d not above fleet epoch %d", c.epoch, maxEpoch))
+	// The register granted this epoch durably and monotonically; it must
+	// still beat the fleet's view (an agent may have adopted a higher
+	// epoch the register missed — fail loudly, don't commit). Strictly
+	// greater, not equal: an epoch the fleet has already seen may belong
+	// to a live controller, and two same-epoch controllers could
+	// interleave the two-phase commit (neither fences the other).
+	if c.Epoch() <= maxEpoch {
+		return fail(fmt.Errorf("ctrl: lease epoch %d not above fleet epoch %d", c.Epoch(), maxEpoch))
 	}
 	runners, nextIDs := make([]ckpt.ShardRunner, n), make([]int, n)
 	for i, d := range found {
@@ -167,33 +153,33 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		if st.Shard != i {
 			return fail(fmt.Errorf("ctrl: shard indices not [0,%d): got shard %d from %s", n, st.Shard, d.client.Addr()))
 		}
-		r := NewRemoteRunner(d.client, cfg.JobID, c.epoch, st.Shard == 0)
+		r := NewRemoteRunner(d.client, cfg.JobID, c.Epoch(), st.Shard == 0)
 		c.remotes = append(c.remotes, r)
 		runners[i], nextIDs[i] = r, st.NextID
 	}
 	// The Committer checks that the fleet resumes one job — every agent at
 	// the same next ID, as many of them as the newest composite has
-	// shards — and seeds retention, all under the start-up budget.
+	// shards — under the start-up budget.
 	var err error
-	if c.commit, err = ckpt.NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, cfg.KeepLast, cfg.Logf); err != nil {
+	if c.commit, err = ckpt.NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, cfg.Logf); err != nil {
 		return fail(err)
 	}
 	if cfg.Announcer != nil {
 		// Seed the announce endpoint so replicas subscribing between
 		// checkpoints learn the current epoch and how far the chain has
 		// advanced.
-		cfg.Announcer.SetPosition(c.epoch, c.NextID())
+		cfg.Announcer.SetPosition(c.Epoch(), c.NextID())
 	}
 	logf("ctrl controller: job %s epoch %d, %d shards, next checkpoint %d",
-		cfg.JobID, c.epoch, n, c.NextID())
+		cfg.JobID, c.Epoch(), n, c.NextID())
 	return c, nil
 }
 
 // Shards returns the discovered shard count.
 func (c *Controller) Shards() int { return len(c.remotes) }
 
-// Epoch returns the controller's job epoch.
-func (c *Controller) Epoch() uint64 { return c.epoch }
+// Epoch returns the controller's job epoch: its lease's.
+func (c *Controller) Epoch() uint64 { return c.cfg.Lease.Epoch() }
 
 // NextID returns the ID the next composite checkpoint will get.
 func (c *Controller) NextID() int { return c.commit.NextID() }
@@ -209,10 +195,8 @@ func (c *Controller) LatestID() int { return c.NextID() - 1 }
 // adds is the consistent-cut check, lease fencing and the announcement.
 func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifest, error) {
 	lease := c.cfg.Lease
-	if lease != nil {
-		if err := lease.Renew(ctx); err != nil {
-			return nil, fmt.Errorf("ctrl: checkpoint %d: %w", c.NextID(), err)
-		}
+	if err := lease.Renew(ctx); err != nil {
+		return nil, fmt.Errorf("ctrl: checkpoint %d: %w", c.NextID(), err)
 	}
 	return c.commit.Commit(ctx, ckpt.Attempt{
 		Step: step,
@@ -232,9 +216,6 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 			return nil
 		},
 		Fence: func(ctx context.Context) error {
-			if lease == nil {
-				return nil
-			}
 			// Last fencing check before the commit point: a controller whose
 			// lease a standby has taken over must abort, not commit.
 			if err := lease.Renew(ctx); err != nil {
@@ -251,7 +232,7 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 				// before finalize, so replicas start pulling the delta as
 				// early as possible. The announcement carries this
 				// controller's epoch; replicas fence on it.
-				c.cfg.Announcer.Announce(c.epoch, man)
+				c.cfg.Announcer.Announce(c.Epoch(), man)
 			}
 		},
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bitvec"
 	"repro/internal/ckpt"
@@ -88,6 +89,23 @@ func testAgent(t *testing.T, shard int) (*Agent, objstore.Store) {
 		t.Fatal(err)
 	}
 	return a, store
+}
+
+// testLease acquires job's commit lease from a register on store, as
+// cmd/controller does before NewController. Every call is the same
+// holder's, so a second one supersedes the first at the next epoch, as a
+// restarted controller does.
+func testLease(t testing.TB, job string, store objstore.Store) *Lease {
+	t.Helper()
+	reg, err := NewRegister(RegisterConfig{JobID: job, Store: store, Holder: "test", Settle: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := reg.Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lease
 }
 
 func TestAgentEpochFencing(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,16 +35,16 @@ func miniSource(shard int) ckpt.SnapshotSource {
 	}
 }
 
-// miniFleet is an in-package agent fleet over loopback TCP sharing one
-// MemStore — small enough for satellite regression tests that need
-// access to controller internals.
+// miniFleet is an in-package agent fleet over loopback TCP — small enough
+// for satellite regression tests that need access to controller
+// internals. engine returns shard s's engine template, store included.
 type miniFleet struct {
 	agents  []*Agent
 	servers []*AgentServer
 	addrs   []string
 }
 
-func startMiniFleet(t *testing.T, job string, n int, store *objstore.MemStore) *miniFleet {
+func startMiniFleet(t *testing.T, job string, n int, engine func(shard int) ckpt.Config) *miniFleet {
 	t.Helper()
 	f := &miniFleet{}
 	for s := 0; s < n; s++ {
@@ -53,7 +52,7 @@ func startMiniFleet(t *testing.T, job string, n int, store *objstore.MemStore) *
 			JobID:  job,
 			Shard:  s,
 			Shards: n,
-			Engine: ckpt.Config{Store: store, Policy: ckpt.PolicyOneShot},
+			Engine: engine(s),
 			Source: miniSource(s),
 		})
 		if err != nil {
@@ -71,147 +70,15 @@ func startMiniFleet(t *testing.T, job string, n int, store *objstore.MemStore) *
 	return f
 }
 
+// oneShotOn is the engine template of a fleet whose shards all run the
+// one-shot policy over store and keep everything.
+func oneShotOn(store objstore.Store) func(int) ckpt.Config {
+	return func(int) ckpt.Config { return ckpt.Config{Store: store, Policy: ckpt.PolicyOneShot} }
+}
+
 func (f *miniFleet) stop() {
 	for _, srv := range f.servers {
 		srv.Close()
-	}
-}
-
-// TestControllerRestartStillSweepsPredecessorComposites is the
-// regression for failover-blind composite GC: a restarted controller
-// seeded only by its own Checkpoint calls would never delete its
-// predecessor's composites, leaking manifests and dense objects past
-// KeepLast forever.
-func TestControllerRestartStillSweepsPredecessorComposites(t *testing.T) {
-	const job = "gcjob"
-	ctx := context.Background()
-	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet := startMiniFleet(t, job, 2, store)
-
-	c1, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := uint64(8); step <= 24; step += 8 {
-		if _, err := c1.Checkpoint(ctx, step); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Sanity: the live instance's own retention works (id 0 swept).
-	if _, err := store.Stat(ctx, wire.ManifestKey(job, 0)); !errors.Is(err, objstore.ErrNotFound) {
-		t.Fatalf("live-instance gc left composite 0 behind (err %v)", err)
-	}
-	c1.Close()
-
-	// Controller restarts (new process, empty caches) and commits past
-	// KeepLast: the predecessor's composites 1 and 2 must be swept.
-	c2, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	for step := uint64(32); step <= 40; step += 8 {
-		if _, err := c2.Checkpoint(ctx, step); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := 1; id <= 2; id++ {
-		if _, err := store.Stat(ctx, wire.ManifestKey(job, id)); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("restarted controller leaked predecessor composite %d (err %v)", id, err)
-		}
-		if _, err := store.Stat(ctx, wire.DenseKey(job, id)); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("restarted controller leaked dense object of composite %d (err %v)", id, err)
-		}
-	}
-	for id := 3; id <= 4; id++ {
-		if _, err := store.Stat(ctx, wire.ManifestKey(job, id)); err != nil {
-			t.Fatalf("retained composite %d missing: %v", id, err)
-		}
-	}
-}
-
-// failDeleteOnce fails the first Delete of key, then behaves.
-type failDeleteOnce struct {
-	objstore.Store
-	key    string
-	failed atomic.Bool
-}
-
-func (s *failDeleteOnce) Delete(ctx context.Context, key string) error {
-	if key == s.key && s.failed.CompareAndSwap(false, true) {
-		return errors.New("injected delete failure")
-	}
-	return s.Store.Delete(ctx, key)
-}
-
-// TestCompositeGCRetriesFailedDelete is the regression for retention
-// forgetting what it failed to delete: both composite writers dropped a
-// checkpoint from their cache whether or not its manifest Delete
-// succeeded, so one failed Delete left that composite listed past
-// KeepLast (and, its dense object gone, unrestorable) for good.
-func TestCompositeGCRetriesFailedDelete(t *testing.T) {
-	const job = "gcretry"
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		// writer returns a func committing one checkpoint at step.
-		writer func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(step uint64) error
-	}{
-		{"coordinator", func(t *testing.T, store objstore.Store, _ *objstore.MemStore) func(uint64) error {
-			coord, err := ckpt.NewCoordinator(context.Background(), ckpt.CoordinatorConfig{
-				Config: ckpt.Config{JobID: job, Store: store, Policy: ckpt.PolicyOneShot, KeepLast: 1},
-				Shards: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return func(step uint64) error {
-				snap, _ := miniSource(0)(ctx, step)
-				_, err := coord.Write(ctx, snap)
-				return err
-			}
-		}},
-		{"controller", func(t *testing.T, store objstore.Store, mem *objstore.MemStore) func(uint64) error {
-			fleet := startMiniFleet(t, job, 2, mem)
-			c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, KeepLast: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(c.Close)
-			return func(step uint64) error {
-				_, err := c.Checkpoint(ctx, step)
-				return err
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mem := objstore.NewMemStore(objstore.MemConfig{})
-			commit := tc.writer(t, &failDeleteOnce{Store: mem, key: wire.ManifestKey(job, 0)}, mem)
-			// Committing 1 retires 0, whose manifest Delete fails: 0 stays
-			// listed, so it must stay whole.
-			for step := uint64(8); step <= 16; step += 8 {
-				if err := commit(step); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := mem.Stat(ctx, wire.DenseKey(job, 0)); err != nil {
-				t.Errorf("composite 0 is still listed but its dense object is gone: %v", err)
-			}
-			// Committing 2 must retry 0 as well as retire 1.
-			if err := commit(24); err != nil {
-				t.Fatal(err)
-			}
-			for id := 0; id <= 1; id++ {
-				for _, key := range []string{wire.ManifestKey(job, id), wire.DenseKey(job, id)} {
-					if _, err := mem.Stat(ctx, key); !errors.Is(err, objstore.ErrNotFound) {
-						t.Errorf("%s outlived KeepLast (err %v)", key, err)
-					}
-				}
-			}
-			if _, err := mem.Stat(ctx, wire.ManifestKey(job, 2)); err != nil {
-				t.Errorf("retained composite 2 missing: %v", err)
-			}
-		})
 	}
 }
 
@@ -224,7 +91,7 @@ func TestStaleEpochControllerRefusedAfterFullFleetRestart(t *testing.T) {
 	const job = "fencejob"
 	ctx := context.Background()
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet1 := startMiniFleet(t, job, 2, store)
+	fleet1 := startMiniFleet(t, job, 2, oneShotOn(store))
 
 	reg, err := NewRegister(RegisterConfig{JobID: job, Store: store, Holder: "primary", Settle: time.Millisecond})
 	if err != nil {
@@ -250,14 +117,14 @@ func TestStaleEpochControllerRefusedAfterFullFleetRestart(t *testing.T) {
 	// Full fleet restart: fresh processes, state only in the store. The
 	// agent config is the one the first fleet started with — there is no
 	// other way to start one.
-	fleet2 := startMiniFleet(t, job, 2, store)
+	fleet2 := startMiniFleet(t, job, 2, oneShotOn(store))
 	if st := fleet2.agents[0].Status(); st.Epoch != lease1.Epoch() || st.NextID != 1 {
 		t.Fatalf("restarted agent at epoch %d next %d, want epoch %d next 1 (durable fencing state)",
 			st.Epoch, st.NextID, lease1.Epoch())
 	}
-	// The superseded controller relaunched with its old explicit epoch
-	// must be refused by fleet admission...
-	if _, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet2.addrs, Epoch: lease1.Epoch()}); err == nil {
+	// The superseded controller relaunched under its old lease must be
+	// refused by fleet admission...
+	if _, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet2.addrs, Lease: lease1}); err == nil {
 		t.Fatal("stale-epoch controller admitted after full-fleet restart")
 	}
 	// ...and must not be able to mint a lease at that epoch either.
@@ -291,16 +158,17 @@ func TestStaleEpochControllerRefusedAfterFullFleetRestart(t *testing.T) {
 	}
 }
 
-// TestControllerManifestCacheBoundedWithoutRetention is the regression
-// for the unbounded manifest cache: with KeepLast == 0 every committed
-// composite stayed cached forever on a long-running job.
+// TestControllerManifestCacheBoundedWithoutRetention: with KeepLast == 0
+// on every shard nothing is ever deleted. (It was the regression for an
+// unbounded per-checkpoint cache in the controller, which keeps no
+// per-checkpoint state any more.)
 func TestControllerManifestCacheBoundedWithoutRetention(t *testing.T) {
 	const job = "cachejob"
 	ctx := context.Background()
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	fleet := startMiniFleet(t, job, 1, store)
+	fleet := startMiniFleet(t, job, 1, oneShotOn(store))
 
-	c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs})
+	c, err := NewController(ControllerConfig{JobID: job, Store: store, Agents: fleet.addrs, Lease: testLease(t, job, store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +178,6 @@ func TestControllerManifestCacheBoundedWithoutRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Retention disabled means nothing is swept, only not cached.
 	for id := 0; id <= 2; id++ {
 		if _, err := store.Stat(ctx, wire.ManifestKey(job, id)); err != nil {
 			t.Fatalf("composite %d missing with retention disabled: %v", id, err)

@@ -141,6 +141,23 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// testLease acquires job's commit lease from a register on store, as
+// cmd/controller does before NewController. Every call is the same
+// holder's, so a second one supersedes the first at the next epoch, as a
+// restarted controller does.
+func testLease(t testing.TB, job string, store objstore.Store) *ctrl.Lease {
+	t.Helper()
+	reg, err := ctrl.NewRegister(ctrl.RegisterConfig{JobID: job, Store: store, Holder: "test", Settle: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := reg.Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lease
+}
+
 func TestFleetEndToEndOverTCP(t *testing.T) {
 	// The full distributed shape, each boundary a real TCP connection:
 	// controller -> 3 shard agents (control plane), agents -> object
@@ -152,8 +169,9 @@ func TestFleetEndToEndOverTCP(t *testing.T) {
 	_ = hosts
 	ctx := testCtx(t)
 
+	lease := testLease(t, job, client)
 	c, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client,
+		JobID: job, Store: client, Lease: lease,
 		// Reverse the address list: discovery must order by shard index.
 		Agents: []string{addrs[2], addrs[1], addrs[0]},
 		Logf:   t.Logf,
@@ -204,14 +222,14 @@ func TestFleetEndToEndOverTCP(t *testing.T) {
 
 	// A second controller at an epoch the fleet has already seen must be
 	// refused — two same-epoch controllers could interleave the commit —
-	// while epoch 0 auto-bumps past the incumbent.
+	// while the register's next grant is past the incumbent.
 	if _, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs, Epoch: c.Epoch(),
+		JobID: job, Store: client, Agents: addrs, Lease: lease,
 	}); err == nil {
 		t.Fatal("controller at the fleet's current epoch was admitted")
 	}
 	c2, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs, Logf: t.Logf,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +253,7 @@ func TestAgentKilledBetweenPrepareAndPublishAbortsComposite(t *testing.T) {
 
 	killed := false
 	c, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client),
 		AfterPrepare: func() {
 			if !killed {
 				return

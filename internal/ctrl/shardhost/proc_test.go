@@ -163,7 +163,7 @@ func TestSeparateProcessFleetCommitIsAllOrNothing(t *testing.T) {
 	defer cancel()
 	kill := false
 	c, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client),
 		AfterPrepare: func() {
 			if !kill {
 				return

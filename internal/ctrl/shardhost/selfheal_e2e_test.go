@@ -73,7 +73,7 @@ func TestKilledShardRejoinsAndNextCompositeCommitsBitIdentically(t *testing.T) {
 
 	killed := false
 	c1, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client),
 		AfterPrepare: func() {
 			if killed {
 				hosts[1].Kill()
@@ -108,7 +108,7 @@ func TestKilledShardRejoinsAndNextCompositeCommitsBitIdentically(t *testing.T) {
 
 	// Discovery must succeed — the rejoined agent agrees on the next ID.
 	c2, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs, Logf: t.Logf,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("discovery after rejoin: %v", err)
@@ -282,7 +282,7 @@ func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {
 
 	kill := false
 	c1, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client),
 		AfterPrepare: func() {
 			if kill {
 				procs[1].Process.Kill()
@@ -312,7 +312,7 @@ func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {
 	_, addr := startProc(t, shardd, sharddArgs(1)...)
 	addrs[1] = addr
 	c2, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: client, Agents: addrs, Logf: t.Logf,
+		JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("discovery after process rejoin: %v", err)
@@ -354,7 +354,7 @@ func TestControllerRefusesFleetOfAnotherShardCount(t *testing.T) {
 	const job = "shrink"
 	hosts, addrs, client, storeAddr := startSelfHealFleet(t, job, 2)
 	ctx := testCtx(t)
-	c, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: addrs, Logf: t.Logf})
+	c, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: addrs, Lease: testLease(t, job, client), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestControllerRefusesFleetOfAnotherShardCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(solo.Close)
-	c2, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: []string{solo.Addr()}, Logf: t.Logf})
+	c2, err := ctrl.NewController(ctrl.ControllerConfig{JobID: job, Store: client, Agents: []string{solo.Addr()}, Lease: testLease(t, job, client), Logf: t.Logf})
 	if err == nil {
 		c2.Close()
 		t.Fatalf("a 1-shard fleet was admitted to a 2-shard job at next checkpoint %d", c2.NextID())

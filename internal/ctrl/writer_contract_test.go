@@ -1,10 +1,13 @@
 package ctrl
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -409,5 +412,320 @@ func TestAgentKeepsAttemptItCannotProbe(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// commitPath marks the context of a commit, so that the store can tell a
+// Delete issued on the commit path from one a sweeper issued.
+type commitPath struct{}
+
+// retentionStore is the store under a retention row. It fails the test
+// when a shard manifest is deleted while the composite that names it is
+// still listed — the one ordering retention promises — counts the Deletes
+// a commit itself issued, and fails every Delete of the key in failing.
+type retentionStore struct {
+	*objstore.MemStore
+	t             *testing.T
+	failing       atomic.Pointer[string]
+	commitDeletes atomic.Int64
+}
+
+func (s *retentionStore) Delete(ctx context.Context, key string) error {
+	if ctx.Value(commitPath{}) != nil {
+		s.commitDeletes.Add(1)
+	}
+	if f := s.failing.Load(); f != nil && *f == key {
+		return errInjected
+	}
+	for shard := 0; shard < 2; shard++ {
+		scope := wire.ShardJobID(contractJob, shard)
+		var id int
+		if _, err := fmt.Sscanf(strings.TrimPrefix(key, wire.JobPrefix(scope)), "%d/manifest", &id); err != nil || wire.ManifestKey(scope, id) != key {
+			continue
+		}
+		if _, err := s.MemStore.Stat(ctx, wire.ManifestKey(contractJob, id)); err == nil {
+			s.t.Errorf("shard %d deleted its manifest of checkpoint %d while composite %d is listed", shard, id, id)
+		}
+	}
+	return s.MemStore.Delete(ctx, key)
+}
+
+// retentionJob is a two-shard job of contractJob as a retention row drives
+// it, shard s owning table s and fed by miniSource(s).
+type retentionJob interface {
+	commit(ctx context.Context, step uint64) error
+	// settle waits for every shard writer's sweep; the job stays usable.
+	settle()
+	// stop settles and releases the job. Opening the transport again over
+	// the same store is a restart of every writer.
+	stop()
+}
+
+type coordinatorJob struct{ c *ckpt.Coordinator }
+
+func (j coordinatorJob) commit(ctx context.Context, step uint64) error {
+	snap, _ := miniSource(0)(ctx, step)
+	other, _ := miniSource(1)(ctx, step)
+	snap.Tables = append(snap.Tables, other.Tables...)
+	snap.Modified[1] = other.Modified[1]
+	_, err := j.c.Write(ctx, snap)
+	return err
+}
+func (j coordinatorJob) settle() { _ = j.c.Close(context.Background()) }
+func (j coordinatorJob) stop()   { j.settle() }
+
+type fleetJob struct {
+	*miniFleet
+	c *Controller
+}
+
+func (j fleetJob) commit(ctx context.Context, step uint64) error {
+	_, err := j.c.Checkpoint(ctx, step)
+	return err
+}
+func (j fleetJob) settle() {
+	for _, a := range j.agents {
+		a.Close()
+	}
+}
+func (j fleetJob) stop() {
+	j.settle()
+	j.c.Close()
+	j.miniFleet.stop()
+}
+
+// retentionTransports open the job over store with shard s's engine at
+// KeepLast keep[s]. A Coordinator builds every shard from one template:
+// it is never asked for a job whose shards disagree.
+var retentionTransports = map[string]func(t *testing.T, store objstore.Store, policy ckpt.PolicyKind, keep [2]int) retentionJob{
+	"coordinator": func(t *testing.T, store objstore.Store, policy ckpt.PolicyKind, keep [2]int) retentionJob {
+		c, err := ckpt.NewCoordinator(context.Background(), ckpt.CoordinatorConfig{
+			Config: ckpt.Config{JobID: contractJob, Store: store, Policy: policy, KeepLast: keep[0]},
+			Shards: 2, Assignment: map[int]int{0: 0, 1: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coordinatorJob{c}
+	},
+	"fleet": func(t *testing.T, store objstore.Store, policy ckpt.PolicyKind, keep [2]int) retentionJob {
+		fleet := startMiniFleet(t, contractJob, 2, func(shard int) ckpt.Config {
+			return ckpt.Config{Store: store, Policy: policy, KeepLast: keep[shard]}
+		})
+		c, err := NewController(ControllerConfig{JobID: contractJob, Store: store, Agents: fleet.addrs, Lease: testLease(t, contractJob, store)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return fleetJob{fleet, c}
+	},
+}
+
+// retentionRig is one retention row under one transport: the job under
+// test and, beside it on a store of its own, the same job with retention
+// off, which every commit goes to as well — the reference a restore of
+// whatever stays listed is compared with.
+type retentionRig struct {
+	t      *testing.T
+	ctx    context.Context
+	store  *retentionStore
+	policy ckpt.PolicyKind
+	keep   [2]int
+	open   func(t *testing.T, store objstore.Store, policy ckpt.PolicyKind, keep [2]int) retentionJob
+
+	job, ref retentionJob
+	refStore *objstore.MemStore
+	next     uint64
+	// spare is the prefixes of what SweepOrphans may, and must, find once
+	// the sweeps have settled: nothing, unless the shards disagree.
+	spare []string
+}
+
+// commits commits n more checkpoints on both jobs.
+func (r *retentionRig) commits(n int) {
+	r.t.Helper()
+	for i := 0; i < n; i++ {
+		r.next += 8
+		if err := r.job.commit(context.WithValue(r.ctx, commitPath{}, true), r.next); err != nil {
+			r.t.Fatal(err)
+		}
+		if err := r.ref.commit(r.ctx, r.next); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
+// restart stops every writer of the job under test and opens it again
+// from the store.
+func (r *retentionRig) restart() {
+	r.t.Helper()
+	r.job.stop()
+	r.job = r.open(r.t, r.store, r.policy, r.keep)
+}
+
+// restored applies checkpoint id of the job in store to fresh tables and
+// returns them with the dense object it names.
+func (r *retentionRig) restored(store objstore.Store, id int) (map[int]*embedding.Table, []byte) {
+	r.t.Helper()
+	rest, err := ckpt.NewRestorer(contractJob, store)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	plan, err := rest.Resolve(r.ctx, id, -1)
+	if err != nil {
+		r.t.Fatalf("listed checkpoint %d does not resolve: %v", id, err)
+	}
+	tabs := contractTables{}
+	for id := 0; id < 2; id++ {
+		tabs[id] = embedding.NewTable(id, 32, 4, 0, rand.New(rand.NewSource(1)))
+	}
+	if err := rest.ApplyPlan(r.ctx, plan, tabs, &ckpt.RestoreResult{}); err != nil {
+		r.t.Fatalf("listed checkpoint %d does not restore: %v", id, err)
+	}
+	dense, err := store.Get(r.ctx, plan.Top.DenseKey)
+	if err != nil {
+		r.t.Fatalf("listed checkpoint %d: dense state: %v", id, err)
+	}
+	return tabs, dense
+}
+
+type contractTables map[int]*embedding.Table
+
+func (c contractTables) Table(id int) *embedding.Table { return c[id] }
+
+// wantListed settles the job and holds what it lists to want, each of
+// them restoring bit-identically to the reference, with nothing in the
+// store that no listed checkpoint reads.
+func (r *retentionRig) wantListed(want ...int) {
+	r.t.Helper()
+	r.job.settle()
+	rest, err := ckpt.NewRestorer(contractJob, r.store)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	listed, err := rest.ManifestIDs(r.ctx)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if !slices.Equal(listed, want) {
+		r.t.Errorf("policy %v, KeepLast %v: lists %v, want %v", r.policy, r.keep, listed, want)
+	}
+	for _, id := range listed {
+		tabs, dense := r.restored(r.store, id)
+		refTabs, refDense := r.restored(r.refStore, id)
+		if !reflect.DeepEqual(tabs, refTabs) || !bytes.Equal(dense, refDense) {
+			r.t.Errorf("listed checkpoint %d restores differently from the job that deleted nothing", id)
+		}
+	}
+	report, err := ckpt.SweepOrphans(r.ctx, contractJob, r.store, true)
+	if err != nil || len(report.Notes) != 0 {
+		r.t.Fatalf("SweepOrphans after the sweeps settled: %+v, %v", report, err)
+	}
+	found := make(map[string]bool)
+	for _, key := range report.Orphans {
+		i := slices.IndexFunc(r.spare, func(prefix string) bool { return strings.HasPrefix(key, prefix) })
+		if i < 0 {
+			r.t.Errorf("SweepOrphans after the sweeps settled would collect %s", key)
+			continue
+		}
+		found[r.spare[i]] = true
+	}
+	if len(found) != len(r.spare) {
+		r.t.Errorf("SweepOrphans found spare objects under %v only, want under each of %v", found, r.spare)
+	}
+}
+
+// TestWriterRetentionContract holds retention — the shard writers', and
+// nobody else's — to one contract under both orchestrators: a Coordinator
+// over in-process ShardWriters and a Controller over Agents on loopback.
+// Whatever a job lists restores bit-identically to the same job with
+// retention off, a commit that succeeds deletes nothing itself, nothing is
+// left for SweepOrphans once the sweeps have settled, and (retentionStore)
+// no shard manifest is ever deleted under a listed composite.
+func TestWriterRetentionContract(t *testing.T) {
+	type row struct {
+		name   string
+		policy ckpt.PolicyKind
+		keep   [2]int
+		run    func(r *retentionRig)
+	}
+	rows := []row{
+		// The newest KeepLast of a full job, whoever orchestrates it. A
+		// controller that kept every composite listed eight here, five of
+		// them naming shard manifests the shards had deleted.
+		{"lists-what-the-shards-hold", ckpt.PolicyFull, [2]int{3, 3}, func(r *retentionRig) {
+			r.commits(8)
+			r.wantListed(5, 6, 7)
+		}},
+		// Shards that disagree are safe: the smallest KeepLast decides what
+		// is listed, and what the other shard still holds of the unlisted
+		// ones is unreachable like any debris until it retires them itself.
+		{"shards-disagree", ckpt.PolicyFull, [2]int{1, 3}, func(r *retentionRig) {
+			r.commits(8)
+			r.spare = []string{wire.CheckpointPrefix(wire.ShardJobID(contractJob, 1), 5), wire.CheckpointPrefix(wire.ShardJobID(contractJob, 1), 6)}
+			r.wantListed(7)
+		}},
+		// One-shot: the base stays listed while an increment restores
+		// through it, and every listed checkpoint resolves after every commit.
+		{"base-stays-listed", ckpt.PolicyOneShot, [2]int{1, 1}, func(r *retentionRig) {
+			for id := 0; id < 6; id++ {
+				r.commits(1)
+				if id == 0 {
+					r.wantListed(0)
+				} else {
+					r.wantListed(0, id)
+				}
+			}
+		}},
+		// A failed Delete of the commit record leaves everything the
+		// composite names in place — it is still listed — and the next
+		// commit's sweep retries it.
+		{"failed-commit-record-delete-is-retried", ckpt.PolicyFull, [2]int{1, 1}, func(r *retentionRig) {
+			r.commits(1)
+			key := wire.ManifestKey(contractJob, 0)
+			r.store.failing.Store(&key)
+			r.commits(1)
+			r.wantListed(0, 1)
+			r.store.failing.Store(nil)
+			r.commits(1)
+			r.wantListed(2)
+		}},
+	}
+	// Writers restarted from the store retire their predecessors'
+	// checkpoints: 1 and 2 go under every policy, 0 only where nothing
+	// restores through it.
+	for policy, want := range map[ckpt.PolicyKind][]int{
+		ckpt.PolicyFull:        {3, 4},
+		ckpt.PolicyOneShot:     {0, 3, 4},
+		ckpt.PolicyConsecutive: {0, 1, 2, 3, 4},
+	} {
+		rows = append(rows, row{fmt.Sprintf("restart-resumes-retention/%v", policy), policy, [2]int{2, 2}, func(r *retentionRig) {
+			r.commits(3)
+			r.restart()
+			r.commits(2)
+			r.wantListed(want...)
+		}})
+	}
+	for transport, open := range retentionTransports {
+		for _, tc := range rows {
+			if transport == "coordinator" && tc.keep[0] != tc.keep[1] {
+				continue
+			}
+			t.Run(transport+"/"+tc.name, func(t *testing.T) {
+				r := &retentionRig{
+					t: t, ctx: context.Background(), policy: tc.policy, keep: tc.keep, open: open,
+					store:    &retentionStore{MemStore: objstore.NewMemStore(objstore.MemConfig{}), t: t},
+					refStore: objstore.NewMemStore(objstore.MemConfig{}),
+				}
+				r.job = open(t, r.store, tc.policy, tc.keep)
+				r.ref = open(t, r.refStore, tc.policy, [2]int{})
+				tc.run(r)
+				r.job.stop()
+				r.ref.stop()
+				if n := r.store.commitDeletes.Load(); n != 0 {
+					t.Errorf("commits that succeeded issued %d Deletes themselves", n)
+				}
+			})
+		}
 	}
 }

@@ -27,10 +27,6 @@ type MemConfig struct {
 	ReadBandwidth float64
 	// Clock is used for throttling; nil means the real clock.
 	Clock simclock.Clock
-	// Stripes overrides the internal lock-stripe count (rounded up to a
-	// power of two). Zero picks a default scaled to GOMAXPROCS. One
-	// restores the single-lock baseline.
-	Stripes int
 }
 
 // MemStore is an in-memory Store with replication-aware accounting and
@@ -66,16 +62,10 @@ func NewMemStore(cfg MemConfig) *MemStore {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	n := cfg.Stripes
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n < 8 {
-			n = 8
-		}
-	}
-	// Round up to a power of two for mask indexing.
-	pow := 1
-	for pow < n {
+	// The lock-stripe count scales with GOMAXPROCS, rounded up to a power
+	// of two for mask indexing.
+	pow := 8
+	for pow < 4*runtime.GOMAXPROCS(0) {
 		pow <<= 1
 	}
 	s := &MemStore{

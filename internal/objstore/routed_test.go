@@ -364,7 +364,7 @@ func TestMemStorePutOwned(t *testing.T) {
 // TestMemStoreStriping hammers disjoint keys from many goroutines —
 // run under -race this is the regression test for the striped rewrite.
 func TestMemStoreStriping(t *testing.T) {
-	s := NewMemStore(MemConfig{Stripes: 4})
+	s := NewMemStore(MemConfig{})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -387,7 +387,9 @@ func TestFullBaselineAfterIncrementals(t *testing.T) {
 }
 
 // TestReplicaKeepsUpUnderCompositeRetention is the regression test for
-// the race between the controller's composite GC (KeepLast > 0) and a
+// the race between composite retention (KeepLast > 0: from the fourth
+// commit on, the shards' sweeps delete composite k-2 right after commit
+// k, one-shot keeping only the base besides the newest two) and a
 // just-announced replica: the replica's pass used to list every
 // composite and fail as a whole when one it had listed was deleted
 // before its Get, leaving that checkpoint to the re-sync ticker. Every
@@ -411,7 +413,7 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 		h, err := shardhost.Start(shardhost.Config{
 			JobID: job, Shard: s, Shards: shards, StoreAddr: srv.Addr(),
 			Seed: 7, BatchSize: 16, TableRows: []int{256, 256, 512}, Dim: 8,
-			Engine: ckpt.Config{Policy: ckpt.PolicyConsecutive, KeepLast: 2},
+			Engine: ckpt.Config{Policy: ckpt.PolicyOneShot, KeepLast: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -429,8 +431,16 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ann.Close()
+	reg, err := ctrl.NewRegister(ctrl.RegisterConfig{JobID: job, Store: store, Holder: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := reg.Acquire(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	controller, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID: job, Store: store, Agents: agents, Epoch: 1, KeepLast: 2, Announcer: ann, Logf: t.Logf,
+		JobID: job, Store: store, Agents: agents, Lease: lease, Announcer: ann, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,5 +470,8 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 	}
 	if st := rep.Stats(); st.Syncs != commits {
 		t.Errorf("stats %+v: want one publishing sync per commit", st)
+	}
+	if _, err := store.Stat(ctx, wire.ManifestKey(job, 1)); !errors.Is(err, objstore.ErrNotFound) {
+		t.Errorf("composite 1 after %d commits: %v; retention never ran beside the replica", commits, err)
 	}
 }
