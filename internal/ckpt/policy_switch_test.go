@@ -19,36 +19,10 @@ import (
 // not — retention stopped at the since-base link, restore walked past it
 // and found "chain link 1 of checkpoint 4 missing" in the only checkpoint
 // the store still listed.) The reverse switch never mixed the two rules
-// and is the control. Both writers: a bare Engine and a two-shard
-// Coordinator.
+// and is the control. Both writers (jobWriters): a bare Engine and a
+// two-shard Coordinator.
 func TestPolicySwitchAcrossRestart(t *testing.T) {
 	const job = "switch"
-	type writer struct {
-		write func(*Snapshot) (*wire.Manifest, error)
-		close func() error
-	}
-	open := map[string]func(t *testing.T, ctx context.Context, cfg Config) writer{
-		"engine": func(t *testing.T, ctx context.Context, cfg Config) writer {
-			eng, err := RecoverEngine(ctx, cfg, RecoverOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return writer{
-				write: func(s *Snapshot) (*wire.Manifest, error) { return eng.Write(ctx, s) },
-				close: func() error { return eng.Close(ctx) },
-			}
-		},
-		"coordinator": func(t *testing.T, ctx context.Context, cfg Config) writer {
-			coord, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return writer{
-				write: func(s *Snapshot) (*wire.Manifest, error) { return coord.Write(ctx, s) },
-				close: func() error { return coord.Close(ctx) },
-			}
-		},
-	}
 	for _, sw := range []struct {
 		name     string
 		from, to PolicyKind
@@ -56,7 +30,7 @@ func TestPolicySwitchAcrossRestart(t *testing.T) {
 		{"oneshot-to-consecutive", PolicyOneShot, PolicyConsecutive},
 		{"consecutive-to-oneshot", PolicyConsecutive, PolicyOneShot},
 	} {
-		for name, openWriter := range open {
+		for name, openWriter := range jobWriters {
 			for _, keep := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/keep-%d", sw.name, name, keep), func(t *testing.T) {
 					f := newFixture(t, Config{Policy: PolicyFull})

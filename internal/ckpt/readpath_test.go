@@ -17,14 +17,20 @@ import (
 // damage makes Verify report a problem AND Restore fail — they read the
 // same objects through the same walker, so neither can pass what the
 // other refuses — and ResolveLatest demotes the checkpoint to the one
-// before it only when a shard manifest is definitively gone.
+// before it only when a shard manifest is definitively gone. Damage to a
+// chunk is planted twice: in the newest link, and in a middle link of a
+// chain whose newest link stores every row, so that a restore wants no
+// row of the damaged chunk. It must refuse it all the same — a restore
+// that passes because it never looked has stopped reading what Verify
+// reads.
 func TestVerifyAgreesWithRestore(t *testing.T) {
 	const job, newest = "agree", 2
 	type damaged struct {
 		*fixture
 		top *wire.Manifest
-		// victim is a table of a shard's newest link that stored chunks,
-		// other a table with another ID (from a base link).
+		// victim is a table that stored chunks in the damaged link — a
+		// shard's newest, or the one before it — and other a table with
+		// another ID (from a base link).
 		victim, other *wire.TableManifest
 		base          *wire.Manifest // shard 0's full baseline
 		victimBase    *wire.Manifest // the full baseline of victim's shard
@@ -56,11 +62,13 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
-		name      string
-		damage    func(t *testing.T, d *damaged)
-		fallsBack bool
-	}{
+	type damageCase struct {
+		name       string
+		damage     func(t *testing.T, d *damaged)
+		fallsBack  bool
+		superseded bool // the newest link stores every row; victim is in the link before it
+	}
+	chunkDamage := []damageCase{
 		{name: "flipped-crc-byte", damage: func(t *testing.T, d *damaged) {
 			key := d.victim.ChunkKeys[0]
 			blob, _ := d.store.Get(d.ctx, key)
@@ -93,6 +101,25 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			})
 		}},
 		{name: "missing-chunk", damage: func(t *testing.T, d *damaged) { remove(t, d, d.victim.ChunkKeys[0]) }},
+		// The one way a row that passes the shape checks can still fail to
+		// de-quantize. Verify never de-quantized, and a restore no longer
+		// does for a row a newer link holds: the walker checks it for both.
+		{name: "kmeans-code-outside-codebook", damage: func(t *testing.T, d *damaged) {
+			rewrite(t, d, func(c *wire.Chunk) {
+				codes := make([]byte, quant.PackedLen(d.victim.Dim, 2))
+				for i := range codes {
+					codes[i] = 0xFF
+				}
+				c.Rows[0].Q = &quant.QVector{Bits: 2, N: d.victim.Dim, Codebook: []float32{0.5}, Codes: codes}
+			})
+		}},
+	}
+	cases := slices.Clone(chunkDamage)
+	for _, tc := range chunkDamage {
+		tc.name, tc.superseded = "superseded/"+tc.name, true
+		cases = append(cases, tc)
+	}
+	cases = append(cases, []damageCase{
 		{name: "missing-dense", damage: func(t *testing.T, d *damaged) { remove(t, d, d.top.DenseKey) }},
 		{name: "missing-shard-manifest", fallsBack: true, damage: func(t *testing.T, d *damaged) {
 			remove(t, d, d.top.ShardManifestKeys[1])
@@ -116,7 +143,8 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-	} {
+	}...)
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, Config{Policy: PolicyFull})
 			coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
@@ -127,6 +155,13 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i <= newest; i++ {
+				if tc.superseded && i == newest {
+					for _, tab := range f.m.Sparse.Tables {
+						for row := 0; row < tab.Rows; row++ {
+							f.m.Tracker.Mark(tab.ID, row)
+						}
+					}
+				}
 				if _, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 2, 32)); err != nil {
 					t.Fatal(err)
 				}
@@ -138,10 +173,18 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			}
 			d := &damaged{fixture: f, top: plan.Top, base: plan.Links[0][0]}
 			for _, chain := range plan.Links {
-				last := chain[len(chain)-1]
-				for i := range last.Tables {
-					if d.victim == nil && len(last.Tables[i].ChunkKeys) > 0 {
-						d.victim, d.victimBase = &last.Tables[i], chain[0]
+				link := chain[len(chain)-1]
+				if tc.superseded {
+					link = chain[len(chain)-2]
+					for _, tm := range chain[len(chain)-1].Tables {
+						if tm.StoredRows != tm.Rows {
+							t.Fatalf("fixture: newest link stores %d of table %d's %d rows", tm.StoredRows, tm.TableID, tm.Rows)
+						}
+					}
+				}
+				for i := range link.Tables {
+					if d.victim == nil && len(link.Tables[i].ChunkKeys) > 0 {
+						d.victim, d.victimBase = &link.Tables[i], chain[0]
 					}
 				}
 			}

@@ -153,7 +153,7 @@ func (r *Restorer) chainSince(ctx context.Context, target *wire.Manifest, after 
 }
 
 // walkChain is the one statement of what a checkpoint depends on: the
-// manifests that must be applied, oldest first, to restore target.
+// manifests a restore of target reads, listed oldest first.
 // Restore, verify, replica sync, shard retention (Engine.retired), the
 // orphan sweep and `ckptctl delete`'s guard all ask it, so none of them
 // can delete or skip what another reads.
@@ -243,9 +243,9 @@ var ErrIncomplete = errors.New("ckpt: composite references a missing shard manif
 type Plan struct {
 	// Top is the composite, or the single-writer manifest itself.
 	Top *wire.Manifest
-	// Links[s] is shard s's chain oldest first, cut to the links newer
-	// than the ID Resolve was given. A single-writer job has one "shard",
-	// whose last link is Top.
+	// Links[s] is shard s's chain listed oldest first, cut to the links
+	// newer than the ID Resolve was given (ApplyPlan walks it from the far
+	// end). A single-writer job has one "shard", whose last link is Top.
 	Links [][]*wire.Manifest
 }
 
@@ -324,28 +324,31 @@ func (r *Restorer) ResolveLatest(ctx context.Context, after int) (*Plan, error) 
 
 // RestoreResult reports what a restore applied.
 type RestoreResult struct {
-	// Manifests is the applied chain, oldest first.
+	// Manifests is the applied chain, listed oldest first.
 	Manifests []*wire.Manifest
 	// Reader is the reader state to hand to the reader tier.
 	Reader data.ReaderState
 	// Step is the trained-batch count of the restored checkpoint.
 	Step uint64
-	// RowsApplied counts embedding rows written (across chain links;
-	// later links overwrite earlier ones).
+	// RowsApplied counts embedding rows written: each row of the chain
+	// once, from the newest link that holds it, so a whole-chain restore
+	// reports the tables' row count however many links stored the row.
 	RowsApplied int
 	// BytesRead counts payload bytes fetched.
 	BytesRead int64
 	// RowsWritten, when the caller sets it non-nil, collects per table ID
-	// the index of every row ApplyPlan wrote from an incremental link, in
-	// no particular order (a serving replica brings its second table
-	// buffer level from it). A full link rewrites every row of the tables
-	// it lists and is not recorded. Left nil, nothing is recorded.
+	// the index of every row ApplyPlan wrote from an incremental link, each
+	// once and in no particular order (a serving replica brings its second
+	// table buffer level from it). A full link rewrites every row of the
+	// tables it lists that no newer link holds, and is not recorded. Left
+	// nil, nothing is recorded.
 	RowsWritten map[int][]uint32
 }
 
-// Restore loads checkpoint id into m. Later chain links overwrite earlier
-// ones row-by-row, reconstructing the exact incremental semantics.
-// Sharded composites fan out across shards in parallel.
+// Restore loads checkpoint id into m: every row from the newest chain
+// link that holds it, which is what applying the links in the order they
+// were written leaves behind. Sharded composites fan out across shards in
+// parallel.
 func (r *Restorer) Restore(ctx context.Context, id int, m *model.DLRM) (*RestoreResult, error) {
 	plan, err := r.Resolve(ctx, id, -1)
 	if err != nil {
@@ -418,12 +421,15 @@ type TableSet interface {
 }
 
 // ApplyPlan applies a resolved checkpoint's embedding rows onto tabs,
-// de-quantizing in place: each shard's links oldest first, one shard
-// after another, then, for a composite, the cross-shard shape check of
-// its own table entries, which carry no chunks. Rows and bytes are added
-// to res. Dense state is NOT applied — it lives on the model, not the
-// tables; Restore adds it, while serving replicas (which hold bare
-// tables) call this directly to land each delta, setting
+// de-quantizing in place: each shard's links newest first, a row written
+// only by the newest link that holds it (applyPlan), one shard after
+// another, then, for a composite, the cross-shard shape check of its own
+// table entries, which carry no chunks. What is skipped is the write,
+// never the read: every chunk of every link is fetched and checked as
+// Verify checks it, whether or not a row of it is still wanted. Rows and
+// bytes are added to res. Dense state is NOT applied — it lives on the
+// model, not the tables; Restore adds it, while serving replicas (which
+// hold bare tables) call this directly to land each delta, setting
 // res.RowsWritten to learn which rows it touched. On failure tabs holds
 // rows of more than one checkpoint and res is untouched.
 //
@@ -444,13 +450,25 @@ func (r *Restorer) ApplyPlan(ctx context.Context, plan *Plan, tabs TableSet, res
 
 // applyPlan is ApplyPlan with the scheduling of the shards left to
 // eachShard: forEachShard runs them concurrently (they own disjoint
-// tables, so the writes never overlap).
+// tables, so neither the writes nor the claimed sets ever overlap).
+//
+// A chain is walked from its newest link back, behind the set of rows
+// already written: a row stored by k links is de-quantized once, not k
+// times, and the cost of the writes is the model's size whatever the
+// chain's length. A chain of one link — every full checkpoint, every
+// delta of a replica that keeps up — has nothing to supersede, so it
+// gets no set and tests nothing.
 func (r *Restorer) applyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult,
 	eachShard func(n int, fn func(s int) error) error) error {
 	sum := applied{written: res.RowsWritten}
 	err := eachShard(len(plan.Links), func(s int) error {
-		for _, link := range plan.Links[s] {
-			if err := r.applyManifest(ctx, link, tabs, &sum); err != nil {
+		links := plan.Links[s]
+		var claimed claimedRows
+		if len(links) > 1 {
+			claimed = make(claimedRows)
+		}
+		for i := len(links) - 1; i >= 0; i-- {
+			if err := r.applyManifest(ctx, links[i], tabs, claimed, &sum); err != nil {
 				if plan.Top.Composite() {
 					err = fmt.Errorf("ckpt: shard %d: %w", s, err)
 				}
@@ -460,7 +478,7 @@ func (r *Restorer) applyPlan(ctx context.Context, plan *Plan, tabs TableSet, res
 		return nil
 	})
 	if err == nil && plan.Top.Composite() {
-		err = r.applyManifest(ctx, plan.Top, tabs, &sum)
+		err = r.applyManifest(ctx, plan.Top, tabs, nil, &sum)
 	}
 	if err != nil {
 		return err
@@ -479,11 +497,20 @@ type applied struct {
 	written map[int][]uint32 // RestoreResult.RowsWritten, or nil
 }
 
+// claimedRows is, per table ID, one byte per row: set once a link of the
+// chain being applied has written the row, so that no older link does. A
+// byte and not a bit because the walk's workers mark rows of one table at
+// once: chunks of one manifest cover disjoint rows but do not end on word
+// boundaries, and distinct bytes need no atomics. A nil claimedRows
+// claims nothing (a one-link chain).
+type claimedRows map[int][]bool
+
 // applyManifest lands one manifest's chunks on tabs: the chunk walk,
-// with every row de-quantized directly into its table's storage (no
-// intermediate fp32 vector). Every chunk of one manifest covers a
-// disjoint row set, so the walk's workers never write the same row.
-func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, sum *applied) error {
+// with every row not yet claimed by a newer link claimed and
+// de-quantized directly into its table's storage (no intermediate fp32
+// vector). Every chunk of one manifest covers a disjoint row set, so the
+// walk's workers never write, or claim, the same row.
+func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, claimed claimedRows, sum *applied) error {
 	for i := range man.Tables {
 		tm := &man.Tables[i]
 		tab := tabs.Table(tm.TableID)
@@ -494,16 +521,31 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 			return fmt.Errorf("ckpt: table %d shape %dx%d != checkpoint %dx%d",
 				tm.TableID, tab.Rows, tab.Dim, tm.Rows, tm.Dim)
 		}
+		// Here and not in the walk: the workers only read the map.
+		if claimed != nil && len(tm.ChunkKeys) > 0 && claimed[tm.TableID] == nil {
+			claimed[tm.TableID] = make([]bool, tm.Rows)
+		}
 	}
 	record := sum.written != nil && man.Kind != wire.KindFull.String()
 	return r.walkChunks(ctx, man, func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error {
 		if err != nil {
 			return fmt.Errorf("ckpt: %w", err)
 		}
-		// The shape check above made tm's bounds the table's.
+		// The shape check above made tm's bounds the table's; readChunk
+		// held every row of the chunk to them before any is looked at here.
 		tab := tabs.Table(tm.TableID)
-		for i := range chunk.Rows {
-			row := &chunk.Rows[i]
+		rows := chunk.Rows
+		if seen := claimed[tm.TableID]; seen != nil {
+			rows = rows[:0] // the chunk is this visit's to cut down
+			for _, row := range chunk.Rows {
+				if !seen[row.Index] {
+					seen[row.Index] = true
+					rows = append(rows, row)
+				}
+			}
+		}
+		for i := range rows {
+			row := &rows[i]
 			if err := quant.DequantizeInto(tab.Lookup(int(row.Index)), row.Q, scratch); err != nil {
 				return fmt.Errorf("ckpt: %s row %d: %w", key, row.Index, err)
 			}
@@ -511,14 +553,14 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 		}
 		sum.mu.Lock()
 		defer sum.mu.Unlock()
-		sum.rows += len(chunk.Rows)
+		sum.rows += len(rows)
 		sum.bytes += size
 		if record {
-			rows := sum.written[tm.TableID]
-			for i := range chunk.Rows {
-				rows = append(rows, chunk.Rows[i].Index)
+			written := sum.written[tm.TableID]
+			for i := range rows {
+				written = append(written, rows[i].Index)
 			}
-			sum.written[tm.TableID] = rows
+			sum.written[tm.TableID] = written
 		}
 		return nil
 	})
@@ -527,18 +569,20 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 // walkChunks is the one chunk read loop, under restore, replica sync,
 // verify and engine rejoin alike. It fans man's chunk keys over
 // r.decoders workers; each Gets an object, alias-decodes it (CRC
-// included), checks it against the TableManifest that names it — table
-// ID, every row index below Rows, every row's dim equal to Dim — and
-// hands the outcome to visit: the chunk, or the error that stopped it
-// short of one (size is what was fetched either way). visit decides what
-// an error means: returning non-nil aborts the walk, which then returns
-// that error; returning nil (having recorded it) carries on. A context
-// that ends with chunks still unread, or under a read, is the walk's
-// error and no finding of visit's.
+// included) into row storage the worker keeps from chunk to chunk, checks
+// it against the TableManifest that names it — table ID, every row index
+// below Rows, every row's dim equal to Dim, every k-means code inside its
+// codebook — and hands the outcome to visit: the chunk, or the error that
+// stopped it short of one (size is what was fetched either way). visit
+// decides what an error means: returning non-nil aborts the walk, which
+// then returns that error; returning nil (having recorded it) carries on.
+// A context that ends with chunks still unread, or under a read, is the
+// walk's error and no finding of visit's.
 //
 // visit runs on the worker goroutines, so it must serialise what it
 // shares; scratch is the calling worker's own, for de-quantizing. chunk
-// aliases the fetched object and is dead once visit returns.
+// aliases the fetched object and lives in the worker's row storage: it is
+// visit's to consume, or cut down, and dead once visit returns.
 func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	visit func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error) error {
 	type work struct {
@@ -569,9 +613,12 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var scratch quant.Scratch
+			var (
+				scratch quant.Scratch
+				rows    wire.RowBuf
+			)
 			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
-				chunk, size, err := r.readChunk(ctx, todo[i].tm, todo[i].key)
+				chunk, size, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows, &scratch)
 				if cerr := ctx.Err(); cerr != nil {
 					fail(cerr) // whatever the read says, it says it of the context
 					return
@@ -587,18 +634,20 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	return first
 }
 
-// readChunk fetches and decodes the chunk stored under key and checks it
-// against tm, the table manifest that names it.
-func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string) (*wire.Chunk, int64, error) {
+// readChunk fetches the chunk stored under key, decodes it into rows and
+// checks it against tm, the table manifest that names it. After it a row
+// has no way left to fail its de-quantizing, so a row that a restore
+// skips hides no error.
+func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf, scratch *quant.Scratch) (*wire.Chunk, int64, error) {
 	blob, err := r.store.Get(ctx, key)
 	if err != nil {
 		return nil, 0, fmt.Errorf("get %s: %w", key, err)
 	}
 	size := int64(len(blob))
-	// Alias decode: blob is function-local and visit consumes the rows
-	// before it goes out of scope, so the per-row Codes copy is pure
-	// overhead.
-	chunk, err := wire.DecodeChunkAlias(blob)
+	// Alias decode: visit consumes the rows before blob goes out of scope
+	// and before rows is decoded into again, so neither the per-row Codes
+	// copy nor fresh row structs would buy anything.
+	chunk, err := rows.DecodeAlias(blob)
 	if err != nil {
 		return nil, size, fmt.Errorf("%s: %w", key, err)
 	}
@@ -612,6 +661,11 @@ func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key st
 		}
 		if row.Q.N != tm.Dim {
 			return nil, size, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
+		}
+		if row.Q.Codebook != nil {
+			if err := row.Q.CheckCodebook(scratch); err != nil {
+				return nil, size, fmt.Errorf("%s: row %d: %w", key, row.Index, err)
+			}
 		}
 	}
 	return chunk, size, nil

@@ -20,6 +20,7 @@ type opStore struct {
 	mu           sync.Mutex
 	lists        int
 	deletes      int
+	gets         int
 	manifestGets int
 	denseGets    int
 	// getErr makes Get of a key return the error instead of the object.
@@ -42,6 +43,7 @@ func (s *opStore) Delete(ctx context.Context, key string) error {
 
 func (s *opStore) Get(ctx context.Context, key string) ([]byte, error) {
 	s.mu.Lock()
+	s.gets++
 	if strings.HasSuffix(key, "/manifest") {
 		s.manifestGets++
 	}

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -445,5 +446,41 @@ func BenchmarkKMeans4Bit(b *testing.B) {
 		if _, err := Quantize(x, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckCodebookAgreesWithDequantize: CheckCodebook refuses exactly the
+// k-means vectors DequantizeInto refuses for a code outside the codebook,
+// at every width and codebook length, and looks at no codes when the
+// codebook has an entry for each.
+func TestCheckCodebookAgreesWithDequantize(t *testing.T) {
+	const n = 11
+	var s Scratch
+	for bits := 1; bits <= 8; bits++ {
+		codes := make([]uint32, n)
+		for i := range codes {
+			codes[i] = uint32(i*37) % (1 << uint(bits))
+		}
+		packed := make([]byte, PackedLen(n, bits))
+		PackCodes(packed, codes, bits)
+		top := int(slices.Max(codes))
+		for _, cl := range []int{0, 1, top, top + 1, 1 << uint(bits)} {
+			q := &QVector{Bits: bits, N: n, Codes: packed, Codebook: make([]float32, cl)}
+			check, deq := q.CheckCodebook(&s), DequantizeInto(make([]float32, n), q, &s)
+			if (check == nil) != (deq == nil) || (check == nil) != (cl > top) {
+				t.Errorf("bits %d, codebook of %d, largest code %d: CheckCodebook %v, DequantizeInto %v", bits, cl, top, check, deq)
+			}
+		}
+	}
+	full := &QVector{Bits: 2, N: n, Codebook: make([]float32, 4)} // no codes at all: never read
+	if err := full.CheckCodebook(nil); err != nil {
+		t.Errorf("a codebook with an entry per code: %v", err)
+	}
+	uniform, err := Quantize(make([]float32, n), Params{Method: MethodAsymmetric, Bits: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := uniform.CheckCodebook(nil); err != nil {
+		t.Errorf("a vector without a codebook: %v", err)
 	}
 }

@@ -489,9 +489,11 @@ func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
 // the standby: it first receives from live the rows the previous sync
 // wrote (the two then hold the same checkpoint), except in tables whose
 // first new link is a full baseline, which overwrites every row anyway.
-// Then the links are applied in place, oldest first per shard
-// (ckpt.Restorer.ApplyPlan: the apply a restore runs, one shard at a
-// time).
+// Then the links are applied in place (ckpt.Restorer.ApplyPlan: the
+// apply a restore runs, one shard at a time), newest first per shard, a
+// row written once from the newest link that holds it — so wrote lists a
+// row once however many links a catch-up covers, and the next sync
+// copies it once.
 //
 // Correctness across delta policies: Resolve cuts every shard's chain
 // to the links newer than the served checkpoint. A SinceBase link

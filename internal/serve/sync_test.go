@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/ctrl"
 	"repro/internal/ctrl/shardhost"
+	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/wire"
 )
@@ -473,5 +475,80 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 	}
 	if _, err := store.Stat(ctx, wire.ManifestKey(job, 1)); !errors.Is(err, objstore.ErrNotFound) {
 		t.Errorf("composite 1 after %d commits: %v; retention never ran beside the replica", commits, err)
+	}
+}
+
+// TestCatchUpWritesAndReconcilesEachRowOnce: a replica three consecutive
+// links behind lands them in one sync, and a row all three stored — the
+// hot rows of a real job — is written once, from the newest, and so
+// copied to the other buffer once by the sync after it (it was applied
+// and reconciled once per link that held it). What it then serves is a
+// restore of the checkpoint, bit for bit.
+func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil))
+	grad := make([]float32, 16)
+	for i := range grad {
+		grad[i] = float32(i+1) / 32
+	}
+	// touch modifies, in every table, the ten hot rows and five rows of
+	// link's own.
+	touch := func(link int) {
+		for _, tab := range f.m.Sparse.Tables {
+			rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+			for i := 0; i < 5; i++ {
+				rows = append(rows, 100+5*link+i)
+			}
+			for _, row := range rows {
+				tab.ApplyGrad(row, grad, 0.01)
+				f.m.Tracker.Mark(tab.ID, row)
+			}
+		}
+	}
+	synced := func(n uint64) Stats {
+		t.Helper()
+		waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Syncs == n })
+		return f.rep.Stats()
+	}
+	f.commitAnnounced() // the base
+	f.commitAnnounced() // both buffers exist from here on
+	before := synced(2)
+
+	var man *wire.Manifest
+	for link := 0; link < 3; link++ {
+		touch(link)
+		man = f.commitTrained(f.ctx)
+	}
+	f.announce(man)
+	caught := synced(3)
+	distinct := uint64(len(f.m.Sparse.Tables) * (10 + 3*5))
+	if links, rows := caught.LinksApplied-before.LinksApplied, caught.RowsApplied-before.RowsApplied; links != 3*2 || rows != distinct {
+		t.Errorf("catch-up applied %d rows from %d links, want the %d distinct rows of 3 links on each of 2 shards", rows, links, distinct)
+	}
+	f.checkAll(man.ID)
+
+	touch(3)
+	next := f.commitTrained(f.ctx)
+	f.announce(next)
+	if got := synced(4).ReconciledRows - caught.ReconciledRows; got != distinct {
+		t.Errorf("the sync after the catch-up reconciled %d rows, want the %d distinct rows the catch-up wrote", got, distinct)
+	}
+	f.checkAll(next.ID)
+
+	rest, err := ckpt.NewRestorer("serve-test", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := model.New(testModelConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rest.Restore(f.ctx, next.ID, restored); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range restored.Sparse.Tables {
+		if !slices.Equal(tab.Weights.Data, f.refs[next.ID][tab.ID]) {
+			t.Errorf("table %d: a restore of checkpoint %d is not what the replica was checked against", tab.ID, next.ID)
+		}
 	}
 }

@@ -146,16 +146,38 @@ func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 	}
 }
 
+// TestRowBufDecodesWithoutAllocating: once a RowBuf has described a chunk
+// as large, decoding a CKP2 chunk into it allocates nothing — the point
+// of keeping one per walker worker.
+func TestRowBufDecodesWithoutAllocating(t *testing.T) {
+	blob, err := makeUniformChunk(t, 1, 256, 16, 4).encodeCompact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf RowBuf
+	if allocs := testing.AllocsPerRun(20, func() {
+		if c, err := buf.DecodeAlias(blob); err != nil || len(c.Rows) != 256 {
+			t.Fatalf("decoded %v, %v", c, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding into a grown RowBuf allocates %v times per chunk", allocs)
+	}
+}
+
 func BenchmarkDecodeChunkAlias(b *testing.B) {
 	blob, err := makeUniformChunk(b, 1, 256, 16, 4).encodeCompact()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeChunkAlias(blob); err != nil {
-			b.Fatal(err)
-		}
+	var buf RowBuf
+	for name, decode := range map[string]func([]byte) (*Chunk, error){"fresh": DecodeChunkAlias, "rowbuf": buf.DecodeAlias} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decode(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -116,20 +116,20 @@ func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked).
-// Row codes slice straight into body — see DecodeChunkAlias for the
-// lifetime contract.
+// decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked)
+// into b's storage, or fresh storage when b is nil. Row codes slice
+// straight into body — see DecodeChunkAlias for the lifetime contract.
 //
 // Only what appendCompact writes is accepted: reserved bytes zero, no
 // unknown flag, the range flag set exactly when bits != 32, and an empty
 // chunk in its one spelling. A stored chunk therefore has exactly one
 // byte representation, which is what FuzzDecodeChunk's re-encode check
 // holds the decoder to.
-func decodeCompact(body []byte) (*Chunk, error) {
+func (b *RowBuf) decodeCompact(body []byte) (*Chunk, error) {
 	if len(body) < 20 {
 		return nil, fmt.Errorf("wire: compact chunk header truncated")
 	}
-	c := &Chunk{TableID: binary.LittleEndian.Uint32(body[4:])}
+	tableID := binary.LittleEndian.Uint32(body[4:])
 	bits := int(body[12])
 	if bits < 1 || (bits > 8 && bits != 32) {
 		return nil, fmt.Errorf("wire: compact chunk invalid bits %d", bits)
@@ -157,6 +157,7 @@ func decodeCompact(body []byte) (*Chunk, error) {
 		if payload != 0 || bits != 32 || dim64 != 0 {
 			return nil, fmt.Errorf("wire: compact chunk without rows is not the canonical empty chunk")
 		}
+		c, _ := b.take(tableID, 0)
 		return c, nil
 	}
 	if payload/n64 != rowBytes || payload%n64 != 0 {
@@ -164,9 +165,9 @@ func decodeCompact(body []byte) (*Chunk, error) {
 	}
 	n, dim := int(n64), int(dim64)
 	rowCodes := packedCodeLen(dim, bits)
-	// The layout is columnar; decode with fixed per-column offsets and
-	// batch the allocations: one Row slice, one QVector slice, and one
-	// contiguous backing array for all row codes.
+	// The layout is columnar; decode with fixed per-column offsets into
+	// one Row slice and one QVector slice (n is tied to len(body) above),
+	// the codes of every row a view of body.
 	idxOff := 20
 	accumOff := idxOff + 4*n
 	rangeOff := accumOff + 4*n
@@ -174,18 +175,17 @@ func decodeCompact(body []byte) (*Chunk, error) {
 	if hasRange {
 		codesOff += 8 * n
 	}
-	c.Rows = make([]Row, n)
-	qs := make([]quant.QVector, n)
+	c, qs := b.take(tableID, n)
 	codesAll := body[codesOff : codesOff+n*rowCodes]
 	for i := 0; i < n; i++ {
+		// A whole-struct store: a reused slot keeps nothing of the row it
+		// described last, a k-means Codebook least of all.
 		q := &qs[i]
-		q.Bits = bits
-		q.N = dim
+		*q = quant.QVector{Bits: bits, N: dim, Codes: codesAll[i*rowCodes : (i+1)*rowCodes : (i+1)*rowCodes]}
 		if hasRange {
 			q.Lo = math.Float32frombits(binary.LittleEndian.Uint32(body[rangeOff+8*i:]))
 			q.Hi = math.Float32frombits(binary.LittleEndian.Uint32(body[rangeOff+8*i+4:]))
 		}
-		q.Codes = codesAll[i*rowCodes : (i+1)*rowCodes : (i+1)*rowCodes]
 		c.Rows[i] = Row{
 			Index: binary.LittleEndian.Uint32(body[idxOff+4*i:]),
 			Accum: math.Float32frombits(binary.LittleEndian.Uint32(body[accumOff+4*i:])),

@@ -1,12 +1,17 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/quant"
 	"repro/internal/rpc/rpctest"
 )
 
@@ -39,26 +44,102 @@ func stampCRC(data []byte) []byte {
 // every input only while 11 × len stays under it.
 const fuzzMaxChunk = 64 << 10
 
-// FuzzDecodeChunk holds both chunk decoders to the property the socket
-// decoders keep (rpctest.FuzzDecoder): no panic, allocation bounded by
-// the input and not by what its header claims, and an accepted chunk
-// re-encodes, through the layout helper behind AppendTo that its magic
-// names, to exactly the input. No field is exempt from the re-encode
-// check: decodeCompact and QVector.UnmarshalBinary refuse the spellings
-// the encoders never write (reserved bytes, unknown flags, a range flag
-// that disagrees with bits, a shaped empty chunk). The trailing CRC is
-// re-stamped so mutations reach the parsers behind the checksum.
+// sameChunk reports how two decoded chunks differ, field by field and
+// float by bit pattern (a fuzzed range is as likely NaN as not), a nil
+// Codebook distinct from an empty one.
+func sameChunk(a, b *Chunk) error {
+	if a.TableID != b.TableID || len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("table %d with %d rows, table %d with %d rows", a.TableID, len(a.Rows), b.TableID, len(b.Rows))
+	}
+	bits := math.Float32bits
+	for i := range a.Rows {
+		ra, rb := a.Rows[i], b.Rows[i]
+		qa, qb := ra.Q, rb.Q
+		if ra.Index != rb.Index || bits(ra.Accum) != bits(rb.Accum) ||
+			qa.Bits != qb.Bits || qa.N != qb.N || bits(qa.Lo) != bits(qb.Lo) || bits(qa.Hi) != bits(qb.Hi) ||
+			!bytes.Equal(qa.Codes, qb.Codes) || (qa.Codebook == nil) != (qb.Codebook == nil) ||
+			!slices.EqualFunc(qa.Codebook, qb.Codebook, func(x, y float32) bool { return bits(x) == bits(y) }) {
+			return fmt.Errorf("row %d: %+v %+v, %+v %+v", i, ra, *qa, rb, *qb)
+		}
+	}
+	return nil
+}
+
+// dirtyRowBufs returns, per layout magic, a way to make a RowBuf that has
+// just described a chunk of the other layout, with more rows than most
+// inputs hold: k-means rows (a codebook each) before a CKP2 input, CKP2
+// rows (a range each) before a v1 one. Whatever the next decode does not
+// overwrite shows.
+func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
+	kmeans := &Chunk{TableID: 9}
+	for r := 0; r < 96; r++ {
+		q, err := quant.Quantize([]float32{float32(r), 1, -2, 3.5}, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 2})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		kmeans.Rows = append(kmeans.Rows, Row{Index: uint32(r), Accum: 7, Q: q})
+	}
+	dirty := make(map[uint32]func() *RowBuf)
+	for magic, c := range map[uint32]*Chunk{compactMagic: kmeans, chunkMagic: makeUniformChunk(tb, 3, 96, 4, 4)} {
+		blob, err := c.Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if binary.LittleEndian.Uint32(blob) == magic {
+			tb.Fatalf("the chunk that dirties a 0x%08x decode is of that layout itself", magic)
+		}
+		dirty[magic] = func() *RowBuf {
+			var b RowBuf
+			if _, err := b.DecodeAlias(blob); err != nil {
+				panic(err) // inside the fuzz target: the blob decoded when it was made
+			}
+			return &b
+		}
+	}
+	return dirty
+}
+
+// FuzzDecodeChunk holds the chunk decoder, entered all three ways, to
+// the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
+// allocation bounded by the input and not by what its header claims, and
+// an accepted chunk re-encodes, through the layout helper behind
+// AppendTo that its magic names, to exactly the input. No field is
+// exempt from the re-encode check: decodeCompact and
+// QVector.UnmarshalBinary refuse the spellings the encoders never write
+// (reserved bytes, unknown flags, a range flag that disagrees with bits,
+// a shaped empty chunk). The third way in is a RowBuf still holding a
+// chunk of the other layout (dirtyRowBufs): it must accept what
+// DecodeChunk accepts and return the same rows, nothing of the previous
+// chunk among them. The trailing CRC is re-stamped so mutations reach
+// the parsers behind the checksum.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, seed := range rpctest.Seeds(f, "testdata/*.bin") {
 		f.Add(seed)
 	}
 	f.Add(wrappedCompactHeader())
+	dirty := dirtyRowBufs(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxChunk {
 			t.Skip()
 		}
 		data = stampCRC(append([]byte(nil), data...))
-		for _, decode := range []func([]byte) (*Chunk, error){DecodeChunk, DecodeChunkAlias} {
+		reused := func(data []byte) (*Chunk, error) { return (&RowBuf{}).DecodeAlias(data) }
+		if len(data) >= 4 {
+			if mk := dirty[binary.LittleEndian.Uint32(data)]; mk != nil {
+				reused = mk().DecodeAlias
+			}
+		}
+		want, wantErr := DecodeChunk(data)
+		got, err := reused(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeChunk: %v; into a used RowBuf: %v", wantErr, err)
+		}
+		if err == nil {
+			if err := sameChunk(want, got); err != nil {
+				t.Fatalf("a used RowBuf decodes other rows than DecodeChunk: %v", err)
+			}
+		}
+		for _, decode := range []func([]byte) (*Chunk, error){DecodeChunk, DecodeChunkAlias, reused} {
 			rpctest.FuzzDecoder(t, data, func(r io.Reader) (func(io.Writer) error, error) {
 				// A chunk is the whole object: consume the reader, decode data.
 				if _, err := io.Copy(io.Discard, r); err != nil {
@@ -99,11 +180,18 @@ func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			// DecodeChunk is DecodeChunkAlias over a copy of the object: the
-			// copy is its whole allowance beyond the alias decoder's.
+			// copy is its whole allowance beyond the alias decoder's. A
+			// RowBuf has none: it is grown only by a count that was checked.
+			var buf RowBuf
+			defer func() {
+				if cap(buf.rows) != 0 || cap(buf.qs) != 0 {
+					t.Errorf("a refused chunk grew the RowBuf to %d rows", cap(buf.rows))
+				}
+			}()
 			for _, d := range []struct {
 				decode func([]byte) (*Chunk, error)
 				budget uint64
-			}{{DecodeChunkAlias, 64 << 10}, {DecodeChunk, 64<<10 + uint64(len(blob))}} {
+			}{{DecodeChunkAlias, 64 << 10}, {buf.DecodeAlias, 64 << 10}, {DecodeChunk, 64<<10 + uint64(len(blob))}} {
 				decode, budget := d.decode, d.budget
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

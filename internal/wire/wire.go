@@ -150,7 +150,47 @@ func DecodeChunk(data []byte) (*Chunk, error) {
 // function-local blobs that are consumed (dequantized or index-scanned)
 // before the blob goes out of scope; anything that retains rows past the
 // blob's lifetime must use DecodeChunk.
+//
+// It is RowBuf.DecodeAlias with no buffer: the one decoder, allocating
+// the rows it returns.
 func DecodeChunkAlias(data []byte) (*Chunk, error) {
+	return (*RowBuf)(nil).DecodeAlias(data)
+}
+
+// RowBuf is caller-owned storage for the rows of one decoded chunk at a
+// time: the Row and QVector structs that describe a chunk outweigh the
+// chunk itself (88 bytes a row against as little as 24 on the wire), so a
+// loop that decodes many chunks and is done with each before the next —
+// the checkpoint walker's workers — keeps one RowBuf and allocates
+// nothing per chunk once it has grown to the largest. The zero value is
+// ready to use; a RowBuf is not safe for concurrent use.
+type RowBuf struct {
+	chunk Chunk
+	rows  []Row
+	qs    []quant.QVector
+}
+
+// take returns a chunk of table tableID with n Row slots, and n QVector
+// slots for them to point at: b's own, grown when it has fewer, or fresh
+// ones when there is no buffer. Callers have tied n to the size of the
+// object before they ask, so a claimed count never sizes anything. The
+// slots hold whatever the last chunk left in them; the decoders
+// overwrite every field of every one.
+func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
+	if b == nil {
+		return &Chunk{TableID: tableID, Rows: make([]Row, n)}, make([]quant.QVector, n)
+	}
+	if cap(b.rows) < n {
+		b.rows, b.qs = make([]Row, n), make([]quant.QVector, n)
+	}
+	b.chunk = Chunk{TableID: tableID, Rows: b.rows[:n]}
+	return &b.chunk, b.qs[:n]
+}
+
+// DecodeAlias is DecodeChunkAlias into b's storage: the returned chunk,
+// its rows and their vectors live in b (their codes still alias data),
+// so all of it is dead at b's next DecodeAlias. A nil b allocates them.
+func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
 	}
@@ -163,21 +203,18 @@ func DecodeChunkAlias(data []byte) (*Chunk, error) {
 	case chunkMagic:
 		// v1 layout, decoded below.
 	case compactMagic:
-		return decodeCompact(body)
+		return b.decodeCompact(body)
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}
-	c := &Chunk{TableID: binary.LittleEndian.Uint32(body[4:])}
 	n := int(binary.LittleEndian.Uint32(body[8:]))
-	// Checked before anything is sized by n: the row slices below cost
+	// Checked before anything is sized by n: the row slots below cost
 	// ~88 bytes a row, a row on the wire at least minV1Row.
 	if n < 0 || n > (len(body)-12)/minV1Row {
 		return nil, fmt.Errorf("wire: implausible row count %d in %d-byte chunk", n, len(body))
 	}
 	off := 12
-	c.Rows = make([]Row, 0, n)
-	// One batched allocation for the row vectors instead of one per row.
-	qs := make([]quant.QVector, n)
+	c, qs := b.take(binary.LittleEndian.Uint32(body[4:]), n)
 	for i := 0; i < n; i++ {
 		if off+12 > len(body) {
 			return nil, fmt.Errorf("wire: truncated row header at row %d", i)
@@ -189,12 +226,13 @@ func DecodeChunkAlias(data []byte) (*Chunk, error) {
 		if blobLen < 0 || off+blobLen > len(body) {
 			return nil, fmt.Errorf("wire: truncated row payload at row %d", i)
 		}
+		// UnmarshalBinaryAlias assigns every field of *q, Codebook included.
 		q := &qs[i]
 		if err := q.UnmarshalBinaryAlias(body[off : off+blobLen]); err != nil {
 			return nil, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 		off += blobLen
-		c.Rows = append(c.Rows, Row{Index: idx, Accum: accum, Q: q})
+		c.Rows[i] = Row{Index: idx, Accum: accum, Q: q}
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("wire: %d trailing bytes in chunk", len(body)-off)
