@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -110,12 +111,46 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent pins Table.Clone's contract, the unit of the
+// training stall's copy: the same table with len(Weights.Data) ==
+// Rows*Dim, weights and accumulators equal bit for bit (NaN payloads, -0
+// and subnormals included), and a write to either side invisible to the
+// other.
 func TestCloneIndependent(t *testing.T) {
 	tab := newTestTable(t, 5, 3)
+	tab.ApplyGrad(2, tensor.Vector{0.5, -1, 2}, 0.1)
+	tab.Weights.Data[1] = math.Float32frombits(0x7fc0beef)
+	tab.Weights.Data[4] = math.Float32frombits(0x80000000)
+	tab.Weights.Data[14] = math.Float32frombits(0x00000001)
+	tab.Accum[3] = math.Float32frombits(0xff800001)
+	tab.Accum[4] = math.Float32frombits(0x807fffff)
+	same := func(a, b []float32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	weights := append([]float32(nil), tab.Weights.Data...)
+	accum := append([]float32(nil), tab.Accum...)
 	c := tab.Clone()
+	if c.ID != tab.ID || c.Rows != tab.Rows || c.Dim != tab.Dim ||
+		c.Weights.Rows != tab.Rows || c.Weights.Cols != tab.Dim || len(c.Weights.Data) != tab.Rows*tab.Dim {
+		t.Fatalf("clone is table %d, %dx%d, weights %dx%d of len %d",
+			c.ID, c.Rows, c.Dim, c.Weights.Rows, c.Weights.Cols, len(c.Weights.Data))
+	}
+	if !same(c.Weights.Data, weights) || !same(c.Accum, accum) {
+		t.Fatal("clone differs from the original bit for bit")
+	}
 	tab.Weights.Set(0, 0, 99)
 	tab.Accum[0] = 7
-	if c.Weights.At(0, 0) == 99 || c.Accum[0] == 7 {
+	c.Weights.Set(4, 2, 98)
+	c.Accum[4] = 6
+	if c.Weights.At(0, 0) == 99 || c.Accum[0] == 7 || tab.Weights.At(4, 2) == 98 || tab.Accum[4] == 6 {
 		t.Fatal("clone aliases original")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Vector is a dense fp32 vector.
@@ -106,11 +107,12 @@ func (m *Matrix) Set(i, j int, v float32) {
 	m.Data[i*m.Cols+j] = v
 }
 
-// Clone returns a deep copy of m.
+// Clone returns a deep copy of m. slices.Clone allocates through append,
+// which does not zero the memory the copy then overwrites; a zeroed
+// allocation plus copy would write every byte twice. A checkpoint's
+// training stall is mostly this copy (ckpt.TakeSnapshot).
 func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: slices.Clone(m.Data)}
 }
 
 // MatVec computes out = m * x (out has length m.Rows). out may not alias x.

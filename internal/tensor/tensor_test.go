@@ -90,13 +90,50 @@ func TestMatrixBoundsPanics(t *testing.T) {
 	}
 }
 
+// TestMatrixClone pins Clone's contract, which the training stall's table
+// copy rests on: the same shape with len(Data) == Rows*Cols, every element
+// equal bit for bit (NaN payloads, -0 and subnormals included), and a
+// write to either side invisible to the other.
 func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	c := m.Clone()
-	c.Set(0, 0, 5)
-	if m.At(0, 0) != 1 {
-		t.Fatal("clone aliases original")
+	odd := []uint32{0x7fc0beef, 0xff800001, 0x80000000, 0x00000001, 0x807fffff}
+	rng := rand.New(rand.NewSource(5))
+	for _, dims := range [][2]int{{2, 2}, {1, 1}, {0, 4}, {257, 33}} {
+		m := NewMatrix(dims[0], dims[1])
+		m.FillUniform(rng, 1)
+		for i, b := range odd {
+			if i < len(m.Data) {
+				m.Data[i*len(m.Data)/len(odd)] = math.Float32frombits(b)
+			}
+		}
+		orig := make([]uint32, len(m.Data))
+		for i, v := range m.Data {
+			orig[i] = math.Float32bits(v)
+		}
+		c := m.Clone()
+		if c.Rows != m.Rows || c.Cols != m.Cols || len(c.Data) != c.Rows*c.Cols {
+			t.Fatalf("%v: clone is %dx%d with len %d", dims, c.Rows, c.Cols, len(c.Data))
+		}
+		for i, v := range c.Data {
+			if math.Float32bits(v) != orig[i] {
+				t.Fatalf("%v: element %d is %#x, want %#x", dims, i, math.Float32bits(v), orig[i])
+			}
+		}
+		if len(m.Data) == 0 {
+			continue
+		}
+		last := len(m.Data) - 1
+		c.Data[0] = 5
+		if math.Float32bits(m.Data[0]) != orig[0] {
+			t.Fatalf("%v: a write to the clone shows in the original", dims)
+		}
+		want := orig[last]
+		if last == 0 {
+			want = math.Float32bits(5)
+		}
+		m.Data[last] = 7
+		if math.Float32bits(c.Data[last]) != want {
+			t.Fatalf("%v: a write to the original shows in the clone", dims)
+		}
 	}
 }
 
