@@ -159,11 +159,16 @@ func BenchmarkFig12QuantLatencyBins(b *testing.B) {
 func BenchmarkFig13QuantLatencyRatio(b *testing.B) {
 	cv := benchCheckpoint(b)
 	b.ResetTimer()
+	var x float64
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13QuantLatencyRatio(cv, []float64{0.5, 1.0}); err != nil {
+		r, err := experiments.Fig13QuantLatencyRatio(cv, []float64{0.2, 1.0})
+		if err != nil {
 			b.Fatal(err)
 		}
+		pts := r.Series[len(r.Series)-1].Points // 45 bins
+		x = pts[1].Y / pts[0].Y
 	}
+	b.ReportMetric(x, "ratio1_vs_ratio02_x")
 }
 
 func BenchmarkFig14AccuracyDegradation(b *testing.B) {

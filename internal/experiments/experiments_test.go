@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,21 +261,32 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
+// TestFig13Shape: the walk stops once no narrower range can beat the best
+// so far, a few steps in, so searching the whole range (ratio 1.0) costs
+// about what ratio 0.2 does. A timing on a shared box can be an outlier;
+// one of three runs must hold at both bin counts.
 func TestFig13Shape(t *testing.T) {
 	cv, err := TrainedCheckpoint(256, 16, 10, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Fig13QuantLatencyRatio(cv, []float64{0.2, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range r.Series {
-		v := ys(s)
-		if v[len(v)-1] < v[0] {
-			t.Fatalf("%s: latency should grow with ratio: %v", s.Name, v)
+	var failed []string
+	for attempt := 0; attempt < 3; attempt++ {
+		r, err := Fig13QuantLatencyRatio(cv, []float64{0.2, 1.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed = failed[:0]
+		for _, s := range r.Series {
+			if v := ys(s); v[1] > 1.5*v[0] {
+				failed = append(failed, fmt.Sprintf("%s: ratio 1.0 costs %.2fx ratio 0.2 (%v)", s.Name, v[1]/v[0], v))
+			}
+		}
+		if len(failed) == 0 {
+			return
 		}
 	}
+	t.Fatal(strings.Join(failed, "; "))
 }
 
 func TestFig15Shape(t *testing.T) {

@@ -209,6 +209,8 @@ func Fig12QuantLatencyBins(cv *CheckpointVectors, binsList []int) (*Result, erro
 		Notes: []string{
 			fmt.Sprintf("naive asymmetric: %.3gs; adaptive at max bins: %.3gs (%.1fx)",
 				naive.Seconds(), last, last/naive.Seconds()),
+			"the walk stops once no narrower range can beat the best so far, a few steps in; finer steps take more of them, " +
+				"so latency still grows with bins, but far less than the paper's full walk of ~bins steps per row",
 			"pipelined chunk upload hides this latency behind storage writes (§6.1)",
 		},
 	}, nil
@@ -237,6 +239,8 @@ func Fig13QuantLatencyRatio(cv *CheckpointVectors, ratios []float64) (*Result, e
 		}
 		r.Series = append(r.Series, stats.Series{Name: fmt.Sprintf("%d bins", bins), Points: pts})
 	}
-	r.Notes = append(r.Notes, "latency grows with ratio: a wider search range means more greedy iterations")
+	r.Notes = append(r.Notes, "latency is flat in ratio, unlike the paper's: the walk stops once a lower bound on every range "+
+		"still ahead reaches the best error so far, usually before even ratio 0.2 would stop it; "+
+		"the ranges, and so Figure 11's quality, are the full walk's")
 	return r, nil
 }

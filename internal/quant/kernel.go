@@ -95,6 +95,41 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 	return sum
 }
 
+// clipFloor returns a lower bound on the squared error of every range
+// nested in [lo, hi]: uniformL2 over any [lo', hi'] with lo <= lo' and
+// hi' <= hi, crossed and empty ones included, is at least this sum. Every
+// reconstruction level of such a range lies in [lo, b]. Level 0 is
+// float64(lo') >= lo exactly, every level is at most the top one, and the
+// top one, float64(s*max) + lo', exceeds hi' only by the float32 rounding
+// of scale = (hi'-lo')/max: at most about 2^-23 of the width for a normal
+// scale, and max*2^-150 < 2^-142 for a subnormal one (the product s*max
+// is exact in float64, and the add rounds by at most 2^-53 of a magnitude
+// within 2^25 widths). b = hi + width*2^-18 + 2^-140 covers both with room
+// to spare. An element below lo is then at least lo-v from its level, one
+// above b at least v-b, one in between at least 0; rounding is monotone,
+// so each term here is at most the range's own float64(d*d), and the two
+// sums add their terms in the same element order. The greedy walk calls
+// it on its current range: once the floor reaches the best error so far,
+// no range still ahead can score below it.
+func clipFloor(x []float32, lo, hi float32) float64 {
+	l, h := float64(lo), float64(hi)
+	b := h + float64((h-l)*0x1p-18) + 0x1p-140
+	var sum float64
+	for _, v := range x {
+		f := float64(v)
+		d := nonNeg(l-f) + nonNeg(f-b) // at most one is positive
+		sum += float64(d * d)
+	}
+	return sum
+}
+
+// nonNeg returns max(a, 0) for a non-NaN a, on the bit pattern (see
+// roundCode on why not a comparison).
+func nonNeg(a float64) float64 {
+	b := int64(math.Float64bits(a))
+	return math.Float64frombits(uint64(b &^ (b >> 63)))
+}
+
 // l2Pair is l2 for two ranges in one pass over the row — the greedy
 // walk's up- and down-neighbour. The two sums are independent chains, so
 // the second range's divide and table read fill the first's latency.

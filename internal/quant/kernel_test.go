@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // Row populations the differential test sweeps. Each stresses a different
@@ -46,6 +47,43 @@ var diffFamilies = []struct {
 		x := make([]float32, n)
 		for i := range x {
 			x[i] = math.Float32frombits(uint32(rng.Intn(1<<12))) * float32(1-2*rng.Intn(2))
+		}
+		return x
+	}},
+	// Rows 1–30 ulps wide around 0.5 or 1e6: the step is at most a few
+	// ulps, often under half of one, so a step may move neither end and
+	// the top level's float32 rounding is a large share of the width.
+	{"near-constant", func(rng *rand.Rand, n, _ int) []float32 {
+		center := float32(0.5)
+		if rng.Intn(2) == 0 {
+			center = 1e6
+		}
+		width := 1 + rng.Intn(30)
+		lo := f32b(center) - uint32(rng.Intn(width+1))
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = f32fb(lo + uint32(rng.Intn(width+1)))
+		}
+		if n >= 2 {
+			x[rng.Intn(n)] = f32fb(lo)
+			x[rng.Intn(n)] = f32fb(lo + uint32(width))
+		}
+		return x
+	}},
+	// One element 10 to 10^6 times the rest's magnitude, above or below
+	// them: the walk clips it for many steps while the rest sit in a
+	// sliver of the range.
+	{"outlier", func(rng *rand.Rand, n, _ int) []float32 {
+		x := uniformAdaGradVector(rng, n)
+		x[rng.Intn(n)] = float32(0.05 * math.Pow(10, 1+5*rng.Float64()) * float64(1-2*rng.Intn(2)))
+		return x
+	}},
+	// Magnitudes log-uniform over 1e-30..1e30, either sign: squared errors
+	// near 1e60 next to ones near 1e-60.
+	{"log-uniform", func(rng *rand.Rand, n, _ int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = float32(math.Pow(10, 60*rng.Float64()-30) * float64(1-2*rng.Intn(2)))
 		}
 		return x
 	}},
@@ -131,9 +169,9 @@ func packedUniform(s *Scratch, x []float32, bits int, lo, hi float32) []byte {
 }
 
 // Every (dim, bits, family) shape gets diffReps draws of (NumBins, Ratio),
-// each a chunk of diffChunkRows rows: 129 × 8 × 5 × 2 × 8 = 82 560 rows,
+// each a chunk of diffChunkRows rows: 129 × 8 × 8 × 2 × 8 = 132 096 rows,
 // half that in -short. (The kernel was signed off on a one-off sweep at
-// diffReps = 18, 743 040 rows.)
+// diffReps = 18, 743 040 rows over the first five families.)
 const (
 	diffReps      = 2
 	diffChunkRows = 8
@@ -142,9 +180,9 @@ const (
 // TestAdaptiveKernelDifferential holds the branch-free kernel to the
 // round-then-clamp oracle, bit for bit, across every dim in 1..129 (odd
 // tails of every packer), every code width, NumBins 1..50, Ratio in
-// (0, 1], and five row populations — through the exact search, both
-// scoring kernels, the code loop, and QuantizeCachedInto with sampling
-// off and on.
+// (0, 1], and eight row populations — through the exact search (whose
+// early stop the oracle does not have), both scoring kernels, the code
+// loop, and QuantizeCachedInto with sampling off and on.
 func TestAdaptiveKernelDifferential(t *testing.T) {
 	reps := diffReps
 	if testing.Short() {
@@ -211,6 +249,112 @@ func TestKernelDegenerateScale(t *testing.T) {
 			}
 			if !bytes.Equal(packedUniform(&s, x, bits, r[0], r[1]), oraclePacked(x, bits, r[0], r[1])) {
 				t.Fatalf("bits=%d [%v,%v]: codes differ from oracle", bits, r[0], r[1])
+			}
+		}
+	}
+}
+
+// TestClipFloorBoundsNestedRanges: the premise of the walk's early stop.
+// For random rows of every population and random [lo', hi'] nested in
+// [lo, hi] — crossed, empty and single-point ones included —
+// clipFloor(lo, hi) is at most the full error over [lo', hi'].
+func TestClipFloorBoundsNestedRanges(t *testing.T) {
+	const u = 0x1p-149 // the smallest subnormal float32
+	var s Scratch
+	check := func(x []float32, bits int, lo, hi, a, b float32) {
+		t.Helper()
+		floor := clipFloor(x, lo, hi)
+		if got := s.uniformL2(x, bits, a, b, math.Inf(1)); floor > got {
+			t.Fatalf("clipFloor over [%v,%v] = %v > l2 %v over nested [%v,%v]; x=%v bits=%d", lo, hi, floor, got, a, b, x, bits)
+		}
+	}
+	// A subnormal scale rounds by up to half its spacing, so the top
+	// level of [0, 200u] at 8 bits is 255u: the element at 250u is
+	// restored exactly although it lies 50u above the range.
+	check([]float32{0, 200 * u, 250 * u}, 8, 0, 200*u, 0, 200*u)
+	// A normal scale rounds up by up to about 2^-23 of the width: the top
+	// level of [0.5, 0.50000006] lies above 0.50000006, nearer to 0.75.
+	check([]float32{0, 0.5, 0.50000006, 0.75}, 4, 0.5, 0.50000006, 0.5, 0.50000006)
+
+	rng := rand.New(rand.NewSource(27))
+	reps := 40000
+	if testing.Short() {
+		reps = 8000
+	}
+	for i := 0; i < reps; i++ {
+		bits := 1 + rng.Intn(8)
+		x := diffFamilies[rng.Intn(len(diffFamilies))].gen(rng, 1+rng.Intn(64), bits)
+		mn, mx, _ := minMax(x)
+		// An end, or a point between, clamped: a+(b-a)*r can round past b.
+		pick := func(a, b float32) float32 {
+			switch rng.Intn(4) {
+			case 0:
+				return a
+			case 1:
+				return b
+			}
+			return min(max(a+(b-a)*rng.Float32(), a), b)
+		}
+		lo, hi := pick(mn, mx), pick(mn, mx)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		for k := 0; k < 6; k++ {
+			check(x, bits, lo, hi, pick(lo, hi), pick(lo, hi))
+		}
+	}
+}
+
+// TestAdaptiveWalkReturnsOnNearConstantRow: rows a few ulps wide, whose
+// step is under half an ulp of both ends, so `lo += step` and
+// `hi -= step` move nothing. The walk used to repeat that step forever;
+// it must return the full range, through Quantize and through sampled
+// QuantizeCachedInto, and agree with the oracle.
+func TestAdaptiveWalkReturnsOnNearConstantRow(t *testing.T) {
+	rows := [][]float32{{0.5, 0.5, 0.50000006, 0.5}, {1e6, 1e6 + 0.5, 1e6 + 0.25}}
+	p := Params{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
+	type result struct {
+		exact, sampled []*QVector
+		err            error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		var s Scratch
+		s.BeginAdaptiveChunk(8)
+		for _, x := range rows {
+			q, err := Quantize(x, p)
+			if err == nil {
+				r.exact = append(r.exact, q)
+				q = new(QVector)
+				err = QuantizeCachedInto(q, x, p, &s, nil)
+				r.sampled = append(r.sampled, q)
+			}
+			if err != nil {
+				r.err = err
+				break
+			}
+		}
+		done <- r
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the adaptive walk did not return within 10s")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, x := range rows {
+		mn, mx, _ := minMax(x)
+		wLo, wHi, _, _ := oracleAdaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
+		if !sameBits32(wLo, mn) || !sameBits32(wHi, mx) {
+			t.Fatalf("row %d: oracle moved to [%v,%v], want the full range [%v,%v]", i, wLo, wHi, mn, mx)
+		}
+		for _, q := range []*QVector{r.exact[i], r.sampled[i]} {
+			if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
+				t.Fatalf("row %d: got [%v,%v], oracle [%v,%v]", i, q.Lo, q.Hi, wLo, wHi)
 			}
 		}
 	}

@@ -6,7 +6,11 @@ import "math"
 // verbatim apart from the oracle prefix: round with math.Round, clamp in
 // the float domain, convert and multiply per element. It is the
 // reference TestAdaptiveKernelDifferential and FuzzAdaptiveRange hold the
-// kernel to, bit for bit; it must not be "fixed" or sped up.
+// kernel to, bit for bit; it must not be "fixed" or sped up. One
+// exception: the walk stops when a step moves neither end, which it
+// otherwise repeats forever (a row a few ulps wide) — so no row that
+// returned before returns anything else now. It has no early stop: it
+// walks to the ratio limit.
 
 func oracleUniformL2(x []float32, bits int, lo, hi float32) float64 {
 	scale, zero := scaleZero(lo, hi, bits)
@@ -44,6 +48,7 @@ func oracleAdaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, orig
 	curU, curD := 0, 0
 	// Iterate while the removed span stays under ratio*range.
 	for float64(origHi-origLo)-float64(curHi-curLo) < ratio*rangeF-1e-12 {
+		prevLo, prevHi := curLo, curHi
 		upErr := oracleUniformL2(x, bits, curLo+step, curHi)
 		dnErr := oracleUniformL2(x, bits, curLo, curHi-step)
 		if upErr <= dnErr {
@@ -61,7 +66,7 @@ func oracleAdaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, orig
 				bestU, bestD = curU, curD
 			}
 		}
-		if curHi-curLo <= step {
+		if curHi-curLo <= step || curLo == prevLo && curHi == prevHi {
 			break
 		}
 	}

@@ -402,6 +402,12 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *S
 // always a node of the step lattice reached by u repeated `lo += step`
 // additions and d repeated `hi -= step` subtractions, so replaying those
 // counts reproduces it bit-exactly.
+//
+// The walk stops early, with the same result, once clipFloor proves that
+// no range still ahead (all nested in the current one) can score below
+// the best so far, and when a step moves neither end: a step under half
+// an ulp of both ends leaves the state as it was, and the walk would
+// repeat the same comparison forever.
 func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32, bestU, bestD int) {
 	rangeF := float64(origHi - origLo)
 	if rangeF <= 0 || numBins < 1 {
@@ -416,6 +422,10 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 	// product is rounded before the subtract; see kernel.go on fusing.)
 	limit := float64(ratio*rangeF) - 1e-12
 	for float64(origHi-origLo)-float64(curHi-curLo) < limit {
+		if clipFloor(x, curLo, curHi) >= bestErr {
+			break
+		}
+		prevLo, prevHi := curLo, curHi
 		upErr, dnErr := s.uniformL2Pair(x, bits, curLo+step, curHi, curLo, curHi-step)
 		if upErr <= dnErr {
 			curLo += step
@@ -432,7 +442,7 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 				bestU, bestD = curU, curD
 			}
 		}
-		if curHi-curLo <= step {
+		if curHi-curLo <= step || curLo == prevLo && curHi == prevHi {
 			break
 		}
 	}
