@@ -81,10 +81,9 @@ type Config struct {
 	JobID string
 
 	// StoreAddr, if non-empty, connects to a remote TCP object store
-	// (cmd/objstored) — a single address, or a comma-separated fleet of
-	// objstored processes routed by consistent hashing (a single address
-	// expands through the fleet's membership record when published; see
-	// objstore.Connect). Empty uses an in-process store.
+	// (cmd/objstored) — a single address, dialed directly, or a
+	// comma-separated fleet of objstored processes routed by consistent
+	// hashing (see objstore.Connect). Empty uses an in-process store.
 	StoreAddr string
 	// Replication is the simulated storage replication factor for the
 	// in-process store (default 1).

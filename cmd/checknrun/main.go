@@ -76,8 +76,8 @@ func main() {
 		if err != nil {
 			logger.Fatalf("recover: %v", err)
 		}
-		fmt.Printf("recovered: step=%d rows=%d bytes=%d chain=%d\n",
-			res.Step, res.RowsApplied, res.BytesRead, len(res.Manifests))
+		fmt.Printf("recovered: ckpt=%d step=%d rows=%d bytes=%d\n",
+			res.Top.ID, res.Step, res.RowsApplied, res.BytesRead)
 	}
 
 	fmt.Printf("job=%s policy=%s bits=%d interval=%d batches x %d samples\n",

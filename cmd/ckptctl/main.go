@@ -83,12 +83,8 @@ func main() {
 			for _, t := range m.Tables {
 				stored += t.StoredRows
 			}
-			shards := "-"
-			if m.Composite() {
-				shards = fmt.Sprintf("%d", m.ShardCount)
-			}
-			fmt.Printf("%-5d %-12s %-7s %-5d %-6d %-10d %-10d %-12s %d\n",
-				m.ID, m.Kind, shards, m.BaseID, m.Step, stored, m.PayloadBytes,
+			fmt.Printf("%-5d %-12s %-7d %-5d %-6d %-10d %-10d %-12s %d\n",
+				m.ID, m.Kind, m.ShardCount, m.BaseID, m.Step, stored, m.PayloadBytes,
 				fmt.Sprintf("%s/%db", m.Quant.Method, m.Quant.Bits), m.ReaderNextSample)
 		}
 	case "verify":
@@ -132,12 +128,12 @@ func main() {
 		if len(deps) > 0 && !*force {
 			logger.Fatalf("checkpoint %d is a chain dependency of checkpoint(s) %v; deleting it would make them unrestorable (use -force to delete anyway)", *id, deps)
 		}
-		// The checkpoint's objects live under the job's own scope and, for
-		// a sharded one, under every shard's (this also reaps debris a torn
-		// shard attempt left without a composite). Each scope loses its
-		// manifest before anything that manifest names, the job's own scope
-		// first: a kill part-way leaves unlisted debris for gc, never a
-		// listed checkpoint whose restore fails.
+		// The checkpoint's objects live under the job's own scope (the
+		// composite and dense object) and under every shard's (this also
+		// reaps debris a torn shard attempt left without a composite). Each
+		// scope loses its manifest before anything that manifest names, the
+		// job's own scope first: a kill part-way leaves unlisted debris for
+		// gc, never a listed checkpoint whose restore fails.
 		keys, err := store.List(ctx, wire.CheckpointPrefix(*job, *id))
 		if err != nil {
 			logger.Fatal(err)

@@ -43,13 +43,16 @@ func main() {
 
 	// Shared store between the trainer and the inference replica.
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	eng, err := ckpt.NewEngine(ckpt.Config{
-		JobID:  "online",
-		Store:  store,
-		Policy: ckpt.PolicyConsecutive,
-		// 8-bit quantization: online models refresh often and restore
-		// often, so the conservative bit-width applies (§6.2.1).
-		Quant: quant.Params{Method: quant.MethodAsymmetric, Bits: 8},
+	coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{
+		Config: ckpt.Config{
+			JobID:  "online",
+			Store:  store,
+			Policy: ckpt.PolicyConsecutive,
+			// 8-bit quantization: online models refresh often and restore
+			// often, so the conservative bit-width applies (§6.2.1).
+			Quant: quant.Params{Method: quant.MethodAsymmetric, Bits: 8},
+		},
+		Shards: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -77,14 +80,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		man, err := eng.Write(ctx, snap)
+		man, err := coord.Write(ctx, snap)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		// The replica applies the newly published checkpoint. Restore
-		// walks the chain, but since the replica applies every link in
-		// order anyway, each publish is a small delta.
+		// The replica loads the newly published checkpoint. Restore
+		// resolves its whole chain and applies it newest link first, each
+		// row once; the publish itself stored only this interval's rows
+		// (a serving replica applies just the new links: internal/serve).
 		if _, err := rest.Restore(ctx, man.ID, replica); err != nil {
 			log.Fatal(err)
 		}

@@ -56,8 +56,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("recover: %v", err)
 	}
-	fmt.Printf("recovered to step %d (%d rows applied from %d checkpoint(s), %d bytes read)\n",
-		res.Step, res.RowsApplied, len(res.Manifests), res.BytesRead)
+	fmt.Printf("recovered checkpoint %d to step %d (%d rows applied, %d bytes read)\n",
+		res.Top.ID, res.Step, res.RowsApplied, res.BytesRead)
 
 	// Training continues where the checkpoint left off.
 	if _, err := sys.RunInterval(ctx); err != nil {

@@ -240,7 +240,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 		})
 		return out, nil
 	}
-	if got := res.Manifests[0]; got.ID != want.ID || res.Step != want.Step {
+	if got := res.Top; got.ID != want.ID || res.Step != want.Step {
 		out = append(out, Violation{
 			Invariant: "restore-latest",
 			Detail: fmt.Sprintf("restored composite %d at step %d, want %d at step %d",

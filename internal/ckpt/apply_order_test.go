@@ -15,27 +15,21 @@ import (
 )
 
 // jobWriter is what writes a job's checkpoints in the tests that run the
-// same job under both products: a bare Engine (single-writer manifests)
-// or a two-shard Coordinator (composites). Either resumes the job from
-// the store, so a test restarts a job by opening another.
+// same job under one shard and under two: a Coordinator, which resumes
+// the job from the store, so a test restarts a job by opening another.
 type jobWriter struct {
 	write func(*Snapshot) (*wire.Manifest, error)
 	close func() error
 }
 
 var jobWriters = map[string]func(t *testing.T, ctx context.Context, cfg Config) jobWriter{
-	"engine": func(t *testing.T, ctx context.Context, cfg Config) jobWriter {
-		eng, err := RecoverEngine(ctx, cfg, RecoverOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jobWriter{
-			write: func(s *Snapshot) (*wire.Manifest, error) { return eng.Write(ctx, s) },
-			close: func() error { return eng.Close(ctx) },
-		}
-	},
-	"coordinator": func(t *testing.T, ctx context.Context, cfg Config) jobWriter {
-		coord, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 2})
+	"one-shard":  shardedWriter(1),
+	"two-shards": shardedWriter(2),
+}
+
+func shardedWriter(shards int) func(t *testing.T, ctx context.Context, cfg Config) jobWriter {
+	return func(t *testing.T, ctx context.Context, cfg Config) jobWriter {
+		coord, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +37,7 @@ var jobWriters = map[string]func(t *testing.T, ctx context.Context, cfg Config) 
 			write: func(s *Snapshot) (*wire.Manifest, error) { return coord.Write(ctx, s) },
 			close: func() error { return coord.Close(ctx) },
 		}
-	},
+	}
 }
 
 // applyOldestFirst is the apply this package ran before a chain was
@@ -102,8 +96,8 @@ func storedRows(t *testing.T, f *fixture, plan *Plan) (all, incremental map[int]
 // TestApplyOrderMatchesOldestFirst holds the newest-first apply to the
 // oldest-first one it replaced. Over generated jobs — every policy and a
 // policy switch across a restart (a chain that mixes since-base and
-// consecutive links), fp32, adaptive 4-bit and k-means rows, one writer
-// and two shards, whole chains and chains cut at a checkpoint already
+// consecutive links), fp32, adaptive 4-bit and k-means rows, one shard
+// and two, whole chains and chains cut at a checkpoint already
 // held — both must leave weights and accumulators bit-identical, from
 // the same Gets. The new one must also write every row once: as many
 // rows applied as the links hold distinct rows (the tables' row count for
@@ -135,7 +129,7 @@ func TestApplyOrderMatchesOldestFirst(t *testing.T) {
 	}
 	for _, job := range jobs {
 		for _, q := range quants {
-			for _, writer := range []string{"engine", "coordinator"} {
+			for _, writer := range []string{"one-shard", "two-shards"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", job.name, q.name, writer), func(t *testing.T) {
 					f := newFixture(t, Config{Policy: PolicyFull})
 					cfg := Config{JobID: "order", Store: f.store, Quant: q.p, ChunkRows: 64}

@@ -153,7 +153,7 @@ func TestCoordinatorWriteCancelledBeforeCommitKeepsPrevious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 0 {
-		t.Fatalf("fell back to %d, want 0", res.Manifests[0].ID)
+	if res.Top.ID != 0 {
+		t.Fatalf("fell back to %d, want 0", res.Top.ID)
 	}
 }

@@ -34,9 +34,33 @@ type fixture struct {
 	m     *model.DLRM
 	gen   *data.Generator
 	store *objstore.MemStore
-	eng   *Engine
+	eng   oneShard
 	rest  *Restorer
 	ctx   context.Context
+}
+
+// oneShard writes a job through a one-shard Coordinator, the shape every
+// checkpoint is stored in. Its Write returns the shard's own manifest:
+// the kind, base, chain fields and chunk keys the engine-level tests
+// assert are there, not on the composite above it.
+type oneShard struct{ *Coordinator }
+
+func (w oneShard) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
+	man, err := w.Coordinator.Write(ctx, snap)
+	if err != nil {
+		return nil, err
+	}
+	return w.writers[0].eng.manifests[man.ID], nil
+}
+
+// shardChain returns the fixture job's one shard chain of checkpoint id.
+func (f *fixture) shardChain(t *testing.T, id int) []*wire.Manifest {
+	t.Helper()
+	chain, err := f.rest.shardScope(0).Chain(f.ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
 }
 
 func newFixture(t *testing.T, cfg Config) *fixture {
@@ -56,7 +80,9 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if cfg.Store == nil {
 		cfg.Store = store
 	}
-	eng, err := NewEngine(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	coord, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +90,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	t.Cleanup(cancel)
-	return &fixture{m: m, gen: gen, store: store, eng: eng, rest: rest, ctx: ctx}
+	return &fixture{m: m, gen: gen, store: store, eng: oneShard{coord}, rest: rest, ctx: ctx}
 }
 
 // trainAndSnapshot trains batches and takes a snapshot.
@@ -328,10 +352,7 @@ func TestOneShotIncremental(t *testing.T) {
 		t.Fatalf("one-shot increments should grow: %d then %d", stored(man1), stored(man2))
 	}
 	// Chain is [base, latest] only.
-	chain, err := f.rest.Chain(f.ctx, man2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.shardChain(t, man2.ID)
 	if len(chain) != 2 || chain[0].ID != 0 || chain[1].ID != man2.ID {
 		t.Fatalf("chain = %v", ids(chain))
 	}
@@ -364,10 +385,7 @@ func TestConsecutiveIncremental(t *testing.T) {
 		}
 	}
 	// Chain for the last checkpoint includes every link.
-	chain, err := f.rest.Chain(f.ctx, mans[3].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.shardChain(t, mans[3].ID)
 	if len(chain) != 4 {
 		t.Fatalf("consecutive chain = %v", ids(chain))
 	}

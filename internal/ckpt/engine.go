@@ -159,9 +159,12 @@ func (e *Engine) Quant() quant.Params { return e.cfg.Quant }
 // NextID returns the ID the next checkpoint will get.
 func (e *Engine) NextID() int { return e.nextID }
 
-// Write builds and stores a checkpoint from snap, returning its manifest
-// once it is valid (manifest durably stored). This runs the paper's
-// step 2 and 3: quantize chunk-by-chunk, upload pipelined, then commit.
+// Write runs one shard's three phases on snap — Prepare, Publish,
+// Finalize — and returns the shard manifest it stored, with no commit
+// record. Under a plain job ID a Restorer lists that manifest and refuses
+// it as damaged, so give the engine a shard-scoped JobID (wire.ShardJobID).
+// It measures or tests the engine alone; a job writes through a
+// Coordinator or ctrl.Controller.
 func (e *Engine) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	p, err := e.Prepare(ctx, snap)
 	if err != nil {
@@ -174,8 +177,8 @@ func (e *Engine) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, err
 	return p.Finalize(ctx), nil
 }
 
-// Prepared is a checkpoint whose payload objects (chunks and dense
-// state) are durably stored but whose manifest is not yet published.
+// Prepared is a checkpoint whose chunks are durably stored but whose
+// manifest is not yet published.
 // Until Publish+Finalize run the checkpoint is invisible to recovery and
 // the engine has committed nothing — sequence number, baseline, policy
 // history and retention are Finalize's — so Abort rolls the whole attempt
@@ -194,8 +197,9 @@ type Prepared struct {
 	done bool
 }
 
-// Prepare quantizes and uploads a checkpoint's payload without
-// publishing its manifest or committing engine state.
+// Prepare quantizes and uploads a checkpoint's embedding rows without
+// publishing its manifest or committing engine state. snap's dense state
+// is not the engine's: a composite stores it once (ShardWriter.Prepare).
 func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
@@ -231,9 +235,6 @@ func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error)
 			Ratio:   e.cfg.Quant.Ratio,
 		},
 	}
-	if snap.Dense != nil {
-		man.DenseKey = wire.DenseKey(e.cfg.JobID, id)
-	}
 	if id == 0 {
 		man.ParentID = -1
 	}
@@ -258,16 +259,6 @@ func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error)
 		payloadBytes += bytes
 		storedTotal += tm.StoredRows
 		man.Tables = append(man.Tables, tm)
-	}
-
-	if man.DenseKey != "" {
-		if err := e.cfg.Store.Put(ctx, man.DenseKey, snap.Dense); err != nil {
-			cctx, cancel := DetachedCtx(ctx)
-			e.cleanup(cctx, id)
-			cancel()
-			return nil, fmt.Errorf("ckpt: dense state: %w", err)
-		}
-		payloadBytes += int64(len(snap.Dense))
 	}
 	man.PayloadBytes = payloadBytes
 
@@ -639,7 +630,7 @@ func (e *Engine) forget(swept []int) {
 // Close waits for the retention sweep in flight, so that a clean exit
 // leaves no checkpoint half-retired; it fails only with ctx's error.
 // The engine stays usable. An engine dropped without Close — a crash —
-// loses nothing but the queue: RecoverEngine re-seeds the retention
+// loses nothing but the queue: recoverEngine re-seeds the retention
 // state from the manifests still in the store, so the next commit
 // retires them again, and chunks whose manifest was already deleted are
 // unreferenced debris for SweepOrphans.
@@ -659,7 +650,7 @@ type sweeper struct {
 	jobID   string
 	workers int
 	// composite is the job this engine writes one shard of
-	// (NewShardWriter sets it); "" for an Engine.Write job.
+	// (NewShardWriter sets it); "" for an engine on its own (Engine.Write).
 	composite string
 
 	mu sync.Mutex
@@ -761,38 +752,30 @@ func (s *sweeper) wait(ctx context.Context) (swept []int, err error) {
 	return swept, err
 }
 
-// RecoverOptions tunes RecoverEngine's manifest walk.
-type RecoverOptions struct {
-	// Committed reports whether checkpoint id reached its job-level
-	// commit point. For a shard engine inside a composite job the commit
-	// point is the controller's composite manifest, not the shard
-	// manifest: a shard manifest published by an attempt whose composite
-	// never landed is debris of an aborted two-phase commit. The newest
-	// manifest failing this check is rolled back (its objects deleted)
-	// rather than adopted, so a rejoining agent agrees with the rest of
-	// the fleet about the next checkpoint ID. Only the newest manifest
-	// is checked — at most one attempt is ever in flight, and older
-	// commit points may have been legitimately garbage collected.
-	//
-	// nil means every published manifest counts: for single-writer jobs
-	// the manifest itself is the commit point.
-	Committed func(ctx context.Context, id int) (bool, error)
-}
-
-// RecoverEngine rebuilds an Engine from the job's durable state by
-// walking its manifests in the store — the rejoin path for a process
-// that crashed and lost its in-memory engine. It reconstructs the
-// checkpoint sequence number, the last full baseline, the manifest
-// cache GC depends on, the policy's incremental-size history, and the
-// cumulative modified-since-baseline bitmaps (from the row indices the
-// incrementals since the last full actually stored), so the recovered
-// engine continues the chain exactly where the dead one left off.
+// recoverEngine rebuilds a shard's Engine from the durable state under
+// cfg.JobID, the shard's scope, by walking its manifests in the store —
+// the rejoin path for a process that crashed and lost its in-memory
+// engine (NewShardWriter). It reconstructs the checkpoint sequence
+// number, the last full baseline, the manifest cache GC depends on, the
+// policy's incremental-size history, and the cumulative
+// modified-since-baseline bitmaps (from the row indices the incrementals
+// since the last full actually stored), so the recovered engine
+// continues the chain exactly where the dead one left off.
+//
+// committed reports whether checkpoint id reached its commit point, the
+// composite manifest: a shard manifest published by an attempt whose
+// composite never landed is debris of an aborted two-phase commit. The
+// newest manifest failing this check is rolled back (its objects
+// deleted) rather than adopted, so a rejoining shard agrees with the rest
+// of the fleet about the next checkpoint ID. Only the newest manifest is
+// checked — at most one attempt is ever in flight, and older commit
+// points may have been legitimately retired.
 //
 // The rebuilt policy history covers only manifests that survived
 // retention; after deep GC it is an approximation, which can shift
 // the intermittent predictor's next full-baseline decision but never
 // correctness of the chain itself.
-func RecoverEngine(ctx context.Context, cfg Config, opts RecoverOptions) (*Engine, error) {
+func recoverEngine(ctx context.Context, cfg Config, committed func(ctx context.Context, id int) (bool, error)) (*Engine, error) {
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
@@ -814,12 +797,12 @@ func RecoverEngine(ctx context.Context, cfg Config, opts RecoverOptions) (*Engin
 		}
 	}
 	ms = kept
-	// A trailing manifest whose job-level commit point never landed is
-	// the published half of an aborted two-phase commit: roll it back
-	// so this engine's next ID matches the fleet's.
-	if opts.Committed != nil && len(ms) > 0 {
+	// A trailing manifest whose commit point never landed is the
+	// published half of an aborted two-phase commit: roll it back so this
+	// engine's next ID matches the fleet's.
+	if len(ms) > 0 {
 		last := ms[len(ms)-1]
-		ok, err := opts.Committed(ctx, last.ID)
+		ok, err := committed(ctx, last.ID)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: recover: commit check %d: %w", last.ID, err)
 		}

@@ -46,8 +46,8 @@ func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
-	// No objects of the aborted checkpoint remain.
-	keys, err := inner.List(f.ctx, "testjob/ckpt/00000000/")
+	// No objects of the aborted checkpoint remain, in any scope.
+	keys, err := inner.List(f.ctx, "testjob/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[len(res.Manifests)-1].ID != 0 {
-		t.Fatalf("latest valid should be 0, got %d", res.Manifests[len(res.Manifests)-1].ID)
+	if res.Top.ID != 0 {
+		t.Fatalf("latest valid should be 0, got %d", res.Top.ID)
 	}
 	_ = liveAtCkpt1
 	// Scrub confirms integrity.
@@ -106,12 +106,12 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 func TestWriteFailureOnDenseState(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	flaky := &flakyStore{Store: inner}
-	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, Uploaders: 1, ChunkRows: 4096})
+	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, Uploaders: 1})
 	snap := f.trainAndSnapshot(t, 1, 16)
-	// With ChunkRows large, the 3 tables upload as 3 Puts; the 4th Put is
-	// the dense state.
+	// The dense state is the attempt's first Put: shard 0 stores it, once
+	// for the composite, before its chunks.
 	flaky.mu.Lock()
-	flaky.failPut = 4
+	flaky.failPut = 1
 	flaky.mu.Unlock()
 	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
@@ -221,8 +221,8 @@ func TestShardKillMidCheckpointAbortsComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 0 {
-		t.Fatalf("fell back to checkpoint %d, want 0", res.Manifests[0].ID)
+	if res.Top.ID != 0 {
+		t.Fatalf("fell back to checkpoint %d, want 0", res.Top.ID)
 	}
 	assertBitIdentical(t, mPrev, mAfter)
 
@@ -311,8 +311,8 @@ func TestCompositeMissingShardManifestFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 0 {
-		t.Fatalf("fell back to %d, want 0", res.Manifests[0].ID)
+	if res.Top.ID != 0 {
+		t.Fatalf("fell back to %d, want 0", res.Top.ID)
 	}
 	assertBitIdentical(t, mPrev, mAfter)
 }
@@ -325,8 +325,8 @@ func TestRestoreFailsCleanlyOnMissingBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Remove the base checkpoint entirely.
-	keys, _ := f.store.List(f.ctx, "testjob/ckpt/00000000/")
+	// Remove the shard's base checkpoint entirely.
+	keys, _ := f.store.List(f.ctx, wire.CheckpointPrefix(wire.ShardJobID("testjob", 0), 0))
 	for _, k := range keys {
 		f.store.Delete(f.ctx, k)
 	}
@@ -358,20 +358,22 @@ func TestWriteRejectsNonFiniteRow(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("table %d", tab.ID)) || !strings.Contains(msg, fmt.Sprintf("row %d", row)) {
 		t.Fatalf("error %q does not name table %d and row %d", msg, tab.ID, row)
 	}
-	keys, err := f.store.List(f.ctx, wire.CheckpointPrefix("testjob", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 0 {
-		t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
+	for _, scope := range []string{"testjob", wire.ShardJobID("testjob", 0)} {
+		keys, err := f.store.List(f.ctx, wire.CheckpointPrefix(scope, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != 0 {
+			t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
+		}
 	}
 	m2, _ := model.New(testModelConfig(), 2)
 	res, err := f.rest.RestoreLatest(f.ctx, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := res.Manifests[len(res.Manifests)-1].ID; last != 0 {
-		t.Fatalf("latest valid checkpoint = %d, want 0", last)
+	if res.Top.ID != 0 {
+		t.Fatalf("latest valid checkpoint = %d, want 0", res.Top.ID)
 	}
 	tab.Lookup(row)[2] = saved
 	man, err := f.eng.Write(f.ctx, snap)

@@ -19,7 +19,7 @@ import (
 // not — retention stopped at the since-base link, restore walked past it
 // and found "chain link 1 of checkpoint 4 missing" in the only checkpoint
 // the store still listed.) The reverse switch never mixed the two rules
-// and is the control. Both writers (jobWriters): a bare Engine and a
+// and is the control. Both writers (jobWriters): a one-shard and a
 // two-shard Coordinator.
 func TestPolicySwitchAcrossRestart(t *testing.T) {
 	const job = "switch"
@@ -68,8 +68,8 @@ func TestPolicySwitchAcrossRestart(t *testing.T) {
 					}
 					assertBitIdentical(t, f.m, m2)
 					results, err := rest.VerifyAll(f.ctx)
-					// An engine's listing also holds what the newest keep depend
-					// on; either way checkpoint 1 is in nobody's chain any more.
+					// The listing also holds what the newest keep depend on;
+					// checkpoint 1 is in nobody's chain any more.
 					if err != nil || len(results) < keep || len(results) > 4 {
 						t.Fatalf("VerifyAll = %d results, %v; want the %d retained checkpoints, their chains, and checkpoint 1 retired", len(results), err, keep)
 					}

@@ -99,6 +99,11 @@ func (r *Restorer) ManifestIDs(ctx context.Context) ([]int, error) {
 // ErrNoCheckpoint indicates the job has no valid checkpoint to restore.
 var ErrNoCheckpoint = fmt.Errorf("ckpt: no valid checkpoint")
 
+// errDamaged marks a stored manifest that is not what its key says: it
+// does not decode, or a top manifest is not a composite. It is a finding
+// about stored bytes; any other error reading a manifest is the store's.
+var errDamaged = errors.New("damaged manifest")
+
 // manifestAt loads and decodes the manifest stored under key.
 func (r *Restorer) manifestAt(ctx context.Context, key string) (*wire.Manifest, error) {
 	blob, err := r.store.Get(ctx, key)
@@ -107,7 +112,7 @@ func (r *Restorer) manifestAt(ctx context.Context, key string) (*wire.Manifest, 
 	}
 	m, err := wire.DecodeManifest(blob)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", key, err)
+		return nil, fmt.Errorf("ckpt: %s: %w: %w", key, errDamaged, err)
 	}
 	return m, nil
 }
@@ -123,21 +128,32 @@ func (r *Restorer) manifest(ctx context.Context, id int) (*wire.Manifest, error)
 	return m, err
 }
 
-// chainScope returns the Restorer whose job ID chain s of top is stored
-// under: shard s's scope for a composite, r itself for a single-writer
-// manifest. It is for resolving that chain and naming its manifests'
-// keys; chunk keys are absolute, so it is never needed to read one.
-func (r *Restorer) chainScope(top *wire.Manifest, s int) *Restorer {
-	if !top.Composite() {
-		return r
+// top loads checkpoint id's composite manifest, the commit record whose
+// ShardCount chains are the checkpoint. Any other manifest under the
+// job's own scope is refused, never read as a checkpoint of another
+// shape.
+func (r *Restorer) top(ctx context.Context, id int) (*wire.Manifest, error) {
+	m, err := r.manifest(ctx, id)
+	if err != nil {
+		return nil, err
 	}
+	if m.ShardCount < 1 {
+		return nil, fmt.Errorf("ckpt: checkpoint %d: %w: shard count %d, not a composite", id, errDamaged, m.ShardCount)
+	}
+	return m, nil
+}
+
+// shardScope returns the Restorer of shard s's scope, which its chain is
+// stored under: for resolving that chain and naming its manifests' keys.
+// Chunk keys are absolute, so it is never needed to read one.
+func (r *Restorer) shardScope(s int) *Restorer {
 	return &Restorer{jobID: wire.ShardJobID(r.jobID, s), store: r.store, decoders: r.decoders}
 }
 
 // Chain returns checkpoint id's restore chain (walkChain), oldest first,
 // fetching exactly those manifests by key. Resolve is what a restore
-// calls; this is the one chain of a single-writer or shard-scoped job
-// on its own, which cnrbench's traced chain-length row reads.
+// calls; this is one shard scope's chain on its own, which cnrbench's
+// traced chain-length row reads.
 func (r *Restorer) Chain(ctx context.Context, id int) ([]*wire.Manifest, error) {
 	target, err := r.manifest(ctx, id)
 	if err != nil {
@@ -238,31 +254,22 @@ func listsTable(m *wire.Manifest, id int) bool {
 // checkpoint but cannot be restored.
 var ErrIncomplete = errors.New("ckpt: composite references a missing shard manifest")
 
-// Plan is one checkpoint resolved for applying: its top-level manifest
+// Plan is one checkpoint resolved for applying: its composite manifest
 // and, per shard, the chain links to apply.
 type Plan struct {
-	// Top is the composite, or the single-writer manifest itself.
+	// Top is the checkpoint's composite manifest.
 	Top *wire.Manifest
 	// Links[s] is shard s's chain listed oldest first, cut to the links
 	// newer than the ID Resolve was given (ApplyPlan walks it from the far
-	// end). A single-writer job has one "shard", whose last link is Top.
+	// end). There are Top.ShardCount of them.
 	Links [][]*wire.Manifest
 }
 
-// chains is the number of restore chains under top: one per shard of a
-// composite, top's own for a single-writer manifest.
-func chains(top *wire.Manifest) int { return max(1, top.ShardCount) }
-
-// links resolves chain s of top, cut to the links newer than after: for
-// a composite, the shard manifest top names by key and its ancestors;
-// for a single-writer manifest, top's own. The chain's target comes back
-// even when the links behind it do not resolve, so a scrub can still
-// read what the target itself names.
+// links resolves shard s's chain of top, cut to the links newer than
+// after: the shard manifest top names by key and its ancestors. The
+// chain's target comes back even when the links behind it do not
+// resolve, so a scrub can still read what the target itself names.
 func (r *Restorer) links(ctx context.Context, top *wire.Manifest, s, after int) (target *wire.Manifest, links []*wire.Manifest, err error) {
-	if !top.Composite() {
-		links, err = r.chainSince(ctx, top, after)
-		return top, links, err
-	}
 	target, err = r.manifestAt(ctx, top.ShardManifestKeys[s])
 	if errors.Is(err, objstore.ErrNotFound) {
 		return nil, nil, fmt.Errorf("ckpt: checkpoint %d shard %d: %w", top.ID, s, ErrIncomplete)
@@ -270,7 +277,7 @@ func (r *Restorer) links(ctx context.Context, top *wire.Manifest, s, after int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if links, err = r.chainScope(top, s).chainSince(ctx, target, after); err != nil {
+	if links, err = r.shardScope(s).chainSince(ctx, target, after); err != nil {
 		return target, nil, fmt.Errorf("ckpt: shard %d: %w", s, err)
 	}
 	return target, links, nil
@@ -278,17 +285,18 @@ func (r *Restorer) links(ctx context.Context, top *wire.Manifest, s, after int) 
 
 // Resolve loads checkpoint id and the links of its per-shard restore
 // chains newer than after (-1: whole chains), every manifest by a
-// direct Get of its key: the top manifest, each shard manifest it names,
+// direct Get of its key: the composite, each shard manifest it names,
 // then ParentID/BaseID back to after. Nothing is listed, so the cost is
 // the number of links returned whatever the job's history. A missing
-// top manifest wraps objstore.ErrNotFound, a missing shard manifest
-// ErrIncomplete; any other failure is the store's.
+// composite wraps objstore.ErrNotFound, a missing shard manifest
+// ErrIncomplete; a top manifest that is not a composite is refused like
+// one that does not decode; any other failure is the store's.
 func (r *Restorer) Resolve(ctx context.Context, id, after int) (*Plan, error) {
-	top, err := r.manifest(ctx, id)
+	top, err := r.top(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Top: top, Links: make([][]*wire.Manifest, chains(top))}
+	p := &Plan{Top: top, Links: make([][]*wire.Manifest, top.ShardCount)}
 	err = forEachShard(len(p.Links), func(s int) (err error) {
 		_, p.Links[s], err = r.links(ctx, top, s, after)
 		return err
@@ -306,7 +314,9 @@ func (r *Restorer) Resolve(ctx context.Context, id, after int) (*Plan, error) {
 // calls. Only a definitive missing object — ErrIncomplete, or a manifest
 // swept since the List — demotes a candidate: transient store errors
 // propagate, so a flaky store cannot silently send recovery, or a serving
-// replica, to an older checkpoint. ErrNoCheckpoint when there is none.
+// replica, to an older checkpoint, and so does a newest top manifest that
+// does not decode or is not a composite, which is damage to report, not
+// a checkpoint to step past. ErrNoCheckpoint when there is none.
 func (r *Restorer) ResolveLatest(ctx context.Context, after int) (*Plan, error) {
 	ids, err := r.ManifestIDs(ctx)
 	if err != nil {
@@ -324,8 +334,8 @@ func (r *Restorer) ResolveLatest(ctx context.Context, after int) (*Plan, error) 
 
 // RestoreResult reports what a restore applied.
 type RestoreResult struct {
-	// Manifests is the applied chain, listed oldest first.
-	Manifests []*wire.Manifest
+	// Top is the restored checkpoint's composite manifest.
+	Top *wire.Manifest
 	// Reader is the reader state to hand to the reader tier.
 	Reader data.ReaderState
 	// Step is the trained-batch count of the restored checkpoint.
@@ -369,18 +379,15 @@ func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreRe
 
 // restorePlan applies a resolved checkpoint to m: the embedding rows as
 // ApplyPlan does, but every shard's chain at once, then the dense state —
-// one object, the newest the checkpoint names (newestDense).
+// the one object the composite names, whole and not a delta.
 func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (*RestoreResult, error) {
 	top := plan.Top
-	res := &RestoreResult{Manifests: plan.Links[0]}
-	if top.Composite() {
-		res.Manifests = []*wire.Manifest{top}
-	}
+	res := &RestoreResult{Top: top}
 	if err := r.applyPlan(ctx, plan, m.Sparse, res, forEachShard); err != nil {
 		return nil, err
 	}
-	if key := newestDense(res.Manifests); key != "" {
-		dense, err := r.store.Get(ctx, key)
+	if top.DenseKey != "" {
+		dense, err := r.store.Get(ctx, top.DenseKey)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: dense state: %w", err)
 		}
@@ -397,20 +404,6 @@ func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (
 	return res, nil
 }
 
-// newestDense returns the key of the dense object a restore of ms (oldest
-// first) loads: dense state is whole, not a delta, so only the newest
-// manifest carrying one counts — every link of a single-writer chain has
-// its own, a composite has the one (its shard manifests have none). ""
-// when there is none.
-func newestDense(ms []*wire.Manifest) string {
-	for i := len(ms) - 1; i >= 0; i-- {
-		if ms[i].DenseKey != "" {
-			return ms[i].DenseKey
-		}
-	}
-	return ""
-}
-
 // TableSet resolves table IDs to live embedding tables during an apply.
 // *embedding.ShardedModel satisfies it (via m.Sparse); serving replicas
 // provide their own resolver over the table versions they maintain.
@@ -423,8 +416,8 @@ type TableSet interface {
 // ApplyPlan applies a resolved checkpoint's embedding rows onto tabs,
 // de-quantizing in place: each shard's links newest first, a row written
 // only by the newest link that holds it (applyPlan), one shard after
-// another, then, for a composite, the cross-shard shape check of its own
-// table entries, which carry no chunks. What is skipped is the write,
+// another, then the cross-shard shape check of the composite's own table
+// entries, which carry no chunks. What is skipped is the write,
 // never the read: every chunk of every link is fetched and checked as
 // Verify checks it, whether or not a row of it is still wanted. Rows and
 // bytes are added to res. Dense state is NOT applied — it lives on the
@@ -469,15 +462,12 @@ func (r *Restorer) applyPlan(ctx context.Context, plan *Plan, tabs TableSet, res
 		}
 		for i := len(links) - 1; i >= 0; i-- {
 			if err := r.applyManifest(ctx, links[i], tabs, claimed, &sum); err != nil {
-				if plan.Top.Composite() {
-					err = fmt.Errorf("ckpt: shard %d: %w", s, err)
-				}
-				return err
+				return fmt.Errorf("ckpt: shard %d: %w", s, err)
 			}
 		}
 		return nil
 	})
-	if err == nil && plan.Top.Composite() {
+	if err == nil {
 		err = r.applyManifest(ctx, plan.Top, tabs, nil, &sum)
 	}
 	if err != nil {

@@ -118,7 +118,7 @@ func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 
 			// The crashed process is gone; recover a fresh engine from
 			// its store and verify it rebuilt the live engine's state.
-			rec, err := RecoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8}, RecoverOptions{})
+			rec, err := recoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8}, published)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,9 +184,7 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := RecoverEngine(ctx, cfg, RecoverOptions{
-		Committed: func(ctx context.Context, id int) (bool, error) { return id == 0, nil },
-	})
+	rec, err := recoverEngine(ctx, cfg, func(_ context.Context, id int) (bool, error) { return id == 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +345,46 @@ func TestCoordinatorRefusesOtherShardCount(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesTableOnShardItDoesNotHave: a stored composite
+// whose table_shards names shard 5 of 2 used to resume, and the next Write
+// panicked with an index out of range while extending the assignment.
+// The manifest decoder refuses it, so resuming the job does.
+func TestCoordinatorRefusesTableOnShardItDoesNotHave(t *testing.T) {
+	ctx := context.Background()
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	cfg := CoordinatorConfig{Config: Config{JobID: "testjob", Store: store, Policy: PolicyOneShot}, Shards: 2}
+	coord, err := NewCoordinator(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := coord.Write(ctx, rejoinSnapshots(t, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := *man
+	edited.TableShards = map[int]int{}
+	for table, s := range man.TableShards {
+		edited.TableShards[table] = s
+	}
+	edited.TableShards[man.Tables[0].TableID] = 5
+	blob, err := wire.EncodeManifest(&edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(ctx, wire.ManifestKey("testjob", man.ID), blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(ctx, cfg); err == nil {
+		t.Fatal("a coordinator resumed a job whose newest composite puts a table on shard 5 of 2")
+	}
+}
+
 // TestRecoverEngineFreshStore: recovery of a job that never checkpointed
 // is just a fresh engine.
 func TestRecoverEngineFreshStore(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	rec, err := RecoverEngine(context.Background(),
-		Config{JobID: "testjob", Store: store, Policy: PolicyOneShot}, RecoverOptions{})
+	rec, err := recoverEngine(context.Background(),
+		Config{JobID: "testjob", Store: store, Policy: PolicyOneShot}, published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,3 +392,7 @@ func TestRecoverEngineFreshStore(t *testing.T) {
 		t.Fatalf("fresh recovery at nextID %d latest %d", rec.NextID(), rec.LatestID())
 	}
 }
+
+// published is the commit probe of an engine tested on its own, with no
+// composite above it: every manifest it published counts as committed.
+func published(context.Context, int) (bool, error) { return true, nil }

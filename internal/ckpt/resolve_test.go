@@ -3,6 +3,7 @@ package ckpt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -125,8 +126,8 @@ func TestRestoreResolvesByKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if res.Manifests[0].ID != links-1 {
-			t.Fatalf("%s restored checkpoint %d, want %d", what, res.Manifests[0].ID, links-1)
+		if res.Top.ID != links-1 {
+			t.Fatalf("%s restored checkpoint %d, want %d", what, res.Top.ID, links-1)
 		}
 		assertBitIdentical(t, f.m, m2)
 		store.mu.Lock()
@@ -163,62 +164,51 @@ func TestRestoreResolvesByKey(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsOneDenseObject: dense state is whole in every link that
-// carries it, so a single-writer chain of n links costs one dense Get —
-// the newest link's that has one — not n with the last one kept.
+// TestRestoreReadsOneDenseObject: dense state is whole, not a delta, and a
+// checkpoint stores it once, under its composite — no link of a shard's
+// chain carries one — so a restore through a chain of n links costs one
+// dense Get, the restored checkpoint's own.
 func TestRestoreReadsOneDenseObject(t *testing.T) {
 	const links = 5
-	for _, tc := range []struct {
-		name      string
-		bareTip   bool // the newest link carries no dense state
-		wantDense int  // the link whose dense state the restore must hold
-	}{
-		{name: "every-link-has-dense", wantDense: links - 1},
-		{name: "newest-link-has-none", bareTip: true, wantDense: links - 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newFixture(t, Config{Policy: PolicyConsecutive})
-			var want []byte
-			for i := 0; i < links; i++ {
-				snap := f.trainAndSnapshot(t, 1, 16)
-				if i == tc.wantDense {
-					want = snap.Dense
-				}
-				if tc.bareTip && i == links-1 {
-					snap.Dense = nil
-				}
-				if _, err := f.eng.Write(f.ctx, snap); err != nil {
-					t.Fatal(err)
-				}
-			}
-			store := &opStore{Store: f.store}
-			rest, err := NewRestorer("testjob", store)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m2, _ := model.New(testModelConfig(), 2)
-			res, err := rest.RestoreLatest(f.ctx, m2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Manifests) != links {
-				t.Fatalf("restored a chain of %d links, want %d", len(res.Manifests), links)
-			}
-			if store.denseGets != 1 {
-				t.Errorf("restore fetched %d dense objects, want 1", store.denseGets)
-			}
-			got, err := m2.DenseState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Errorf("restored dense state is not link %d's", tc.wantDense)
-			}
-			v, err := rest.Verify(f.ctx, links-1)
-			if err != nil || !v.OK() {
-				t.Fatalf("Verify = %+v, %v", v, err)
-			}
-		})
+	f := newFixture(t, Config{Policy: PolicyConsecutive})
+	var want []byte
+	for i := 0; i < links; i++ {
+		snap := f.trainAndSnapshot(t, 1, 16)
+		want = snap.Dense
+		man, err := f.eng.Write(f.ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.DenseKey != "" {
+			t.Fatalf("shard manifest %d names dense object %s; only the composite does", man.ID, man.DenseKey)
+		}
+	}
+	store := &opStore{Store: f.store}
+	rest, err := NewRestorer("testjob", store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := model.New(testModelConfig(), 2)
+	res, err := rest.RestoreLatest(f.ctx, m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Top.ID != links-1 || store.manifestGets != 1+links {
+		t.Fatalf("restored checkpoint %d through %d manifests, want %d through its composite and %d links", res.Top.ID, store.manifestGets, links-1, links)
+	}
+	if store.denseGets != 1 {
+		t.Errorf("restore fetched %d dense objects, want 1", store.denseGets)
+	}
+	got, err := m2.DenseState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("restored dense state is not the newest checkpoint's")
+	}
+	v, err := rest.Verify(f.ctx, links-1)
+	if err != nil || !v.OK() {
+		t.Fatalf("Verify = %+v, %v", v, err)
 	}
 }
 
@@ -259,7 +249,7 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v after %d: %v", tc.policy, tc.after, err)
 		}
-		if !plan.Top.Composite() || len(plan.Links) != 2 {
+		if plan.Top.ShardCount != 2 || len(plan.Links) != 2 {
 			t.Fatalf("%v: plan top %+v with %d chains", tc.policy, plan.Top, len(plan.Links))
 		}
 		for s, chain := range plan.Links {
@@ -298,5 +288,99 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 	}
 	if _, err := rest.Resolve(f.ctx, 7, -1); !errors.Is(err, objstore.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestNoTopButACompositeIsACheckpoint: every checkpoint is a composite,
+// and a top manifest of any other shape under the job's own scope is
+// refused, never read. Checkpoint 2's composite is replaced by hand with
+// a shard manifest (shard count 0, the shape a single writer once
+// committed), or edited to shard count -1 — which used to decode, be read
+// as that shape, and restore with success and not one row applied.
+// Resolve, Restore, Verify and ResolveLatest all refuse it. ResolveLatest
+// does not fall back to checkpoint 1 past it: a damaged commit record is
+// reported, as one that does not decode is, and is not ErrIncomplete,
+// which only a missing shard manifest is. SweepOrphans keeps the job's own
+// scope, where the damaged top lives, and every shard scope, since the
+// damaged top cannot say which shard chains it names; one note says so.
+func TestNoTopButACompositeIsACheckpoint(t *testing.T) {
+	const damaged = 2
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, f *fixture, top *wire.Manifest) []byte
+	}{
+		{"shard-count-0", func(t *testing.T, f *fixture, top *wire.Manifest) []byte {
+			blob, err := f.store.Get(f.ctx, top.ShardManifestKeys[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return blob
+		}},
+		{"shard-count-minus-1", func(t *testing.T, f *fixture, top *wire.Manifest) []byte {
+			blob, err := f.store.Get(f.ctx, wire.ManifestKey("testjob", damaged))
+			if err != nil {
+				t.Fatal(err)
+			}
+			edited := strings.Replace(string(blob), `"shard_count":1,`, `"shard_count":-1,`, 1)
+			if edited == string(blob) {
+				t.Fatalf("no shard count to edit in %s", blob)
+			}
+			return []byte(edited)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, Config{Policy: PolicyFull})
+			for i := 0; i <= damaged; i++ {
+				if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			top, err := f.rest.top(f.ctx, damaged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.store.Put(f.ctx, wire.ManifestKey("testjob", damaged), tc.edit(t, f, top)); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := f.rest.Resolve(f.ctx, damaged, -1); err == nil {
+				t.Error("Resolve accepted the damaged top")
+			}
+			m2, _ := model.New(testModelConfig(), 2)
+			if res, err := f.rest.Restore(f.ctx, damaged, m2); err == nil {
+				t.Errorf("Restore accepted the damaged top, %d rows applied", res.RowsApplied)
+			}
+			if v, err := f.rest.Verify(f.ctx, damaged); err == nil {
+				t.Errorf("Verify accepted the damaged top: %+v", v)
+			}
+			if plan, err := f.rest.ResolveLatest(f.ctx, -1); err == nil || errors.Is(err, ErrIncomplete) {
+				t.Errorf("ResolveLatest = (%v, %v), want the damaged top reported, not stepped past", plan, err)
+			}
+			if _, err := f.rest.Resolve(f.ctx, damaged-1, -1); err != nil {
+				t.Errorf("checkpoint %d, below the damaged top: %v", damaged-1, err)
+			}
+
+			scopes := []string{wire.JobPrefix("testjob"), wire.ShardScopePrefix("testjob")}
+			before := make([]int, len(scopes))
+			for i, prefix := range scopes {
+				keys, err := f.store.List(f.ctx, prefix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[i] = len(keys)
+			}
+			report, err := SweepOrphans(f.ctx, "testjob", f.store, false)
+			if err != nil {
+				t.Fatalf("SweepOrphans over a damaged top: %v", err)
+			}
+			if len(report.Notes) != 1 || !strings.Contains(report.Notes[0], fmt.Sprintf("checkpoint %d", damaged)) {
+				t.Errorf("sweep notes %q, want one for checkpoint %d", report.Notes, damaged)
+			}
+			for i, prefix := range scopes {
+				if after, _ := f.store.List(f.ctx, prefix); len(after) != before[i] {
+					t.Errorf("the sweep deleted under %s beside a damaged top: %d -> %d objects", prefix, before[i], len(after))
+				}
+			}
+		})
 	}
 }

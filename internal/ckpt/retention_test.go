@@ -276,26 +276,25 @@ func TestSweepRetriesFailedManifestDelete(t *testing.T) {
 }
 
 // TestAbandonedSweepIsCollected: a process that dies inside a sweep —
-// before the manifest Delete, right after it, or some chunks later —
-// loses only its queue. The recovered engine's next commit retires
-// whatever still has a manifest, SweepOrphans collects what does not,
-// and the store ends up holding exactly what an uninterrupted run's does.
-// A sharded job has two more places to die in, between the Deletes of the
-// commit record and before the shard's own manifest goes; at every one of
-// them each composite still listed resolves.
+// before the commit record's Deletes, between them, before the shard's own
+// manifest Delete, right after it, or some chunks later — loses only its
+// queue. The recovered writer's next commit retires whatever still has a
+// manifest, SweepOrphans collects what does not, and the store ends up
+// holding exactly what an uninterrupted run's does; at every one of those
+// points each composite still listed resolves.
 func TestAbandonedSweepIsCollected(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	snaps := rejoinSnapshots(t, 4)
 	cfg := Config{JobID: "testjob", Policy: PolicyFull, KeepLast: 2, ChunkRows: 64}
 
-	// writer is an Engine or a Coordinator: both resume from the store.
+	// writer is a Coordinator, which resumes from the store.
 	type writer interface {
 		Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error)
 		Close(ctx context.Context) error
 	}
 	for _, tc := range []struct {
-		name string // prefix of the subtest names; none for a bare engine
+		name string // prefix of the subtest names
 		open func(t *testing.T, cfg Config) writer
 		// manifest is the last manifest a sweep of checkpoint 0 deletes, after
 		// which what is left of 0 is debris; budgets counts the Lists and
@@ -303,14 +302,6 @@ func TestAbandonedSweepIsCollected(t *testing.T) {
 		manifest string
 		budgets  []int
 	}{
-		// None, the List, the manifest too, then some chunks.
-		{"", func(t *testing.T, cfg Config) writer {
-			eng, err := RecoverEngine(ctx, cfg, RecoverOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return eng
-		}, wire.ManifestKey("testjob", 0), []int{0, 1, 2, 5}},
 		// None, the composite manifest, the dense object too — the commit
 		// record is gone and the shard has not touched its part — the List,
 		// the shard manifest, then some chunks.

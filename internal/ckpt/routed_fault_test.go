@@ -151,8 +151,8 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 0 {
-		t.Fatalf("restored checkpoint %d, want 0", res.Manifests[0].ID)
+	if res.Top.ID != 0 {
+		t.Fatalf("restored checkpoint %d, want 0", res.Top.ID)
 	}
 	v, err := rest.Verify(f.ctx, 0)
 	if err != nil {

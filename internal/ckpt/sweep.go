@@ -22,8 +22,9 @@ type SweepReport struct {
 	// Orphans lists the unreferenced keys, sorted. With DryRun they are
 	// only reported; otherwise they were deleted.
 	Orphans []string
-	// Notes records manifests whose chains could not be fully resolved;
-	// their scopes are conservatively kept, never swept.
+	// Notes records top manifests that are damaged and chains that could
+	// not be fully resolved; their scopes are conservatively kept, never
+	// swept.
 	Notes []string
 }
 
@@ -35,13 +36,15 @@ type SweepReport struct {
 // a partitioned shard.
 //
 // Reachability is what a restore reads: for every listed checkpoint,
-// each of its chains resolved through Restorer.links, exactly as restore,
-// verify and the replica resolve them. A shard checkpoint whose composite
-// retention has unlisted is therefore still referenced while a listed
-// checkpoint's chain passes through it, and debris otherwise, whether or
-// not its own shard has got to it yet. A chain that cannot be resolved
-// marks its scope conservatively kept. The price of asking the read path
-// is its cost: one manifest Get per link per listed checkpoint.
+// each of its shard chains resolved through Restorer.links, exactly as
+// restore, verify and the replica resolve them. A shard checkpoint whose
+// composite retention has unlisted is therefore still referenced while a
+// listed checkpoint's chain passes through it, and debris otherwise,
+// whether or not its own shard has got to it yet. A chain that cannot be
+// resolved marks its shard's scope conservatively kept, and a damaged top
+// manifest (undecodable, or not a composite) every scope of the job, as it
+// cannot say which shard chains it names. The price of asking the read
+// path is its cost: one manifest Get per link per listed checkpoint.
 //
 // The sweep must only run while no commit is in flight — like `ckptctl
 // delete`, it cannot distinguish a dead job's debris from an attempt's.
@@ -52,7 +55,7 @@ func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRu
 	if err != nil {
 		return nil, err
 	}
-	tops, err := rest.ListManifests(ctx)
+	ids, err := rest.ManifestIDs(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -60,6 +63,10 @@ func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRu
 	refs := make(map[string]bool)
 	var keepPrefixes []string
 	report := &SweepReport{}
+	keep := func(what string, err error, prefixes ...string) {
+		keepPrefixes = append(keepPrefixes, prefixes...)
+		report.Notes = append(report.Notes, fmt.Sprintf("%s: %v; everything under %s kept", what, err, strings.Join(prefixes, " and ")))
+	}
 
 	refManifest := func(scopeJob string, m *wire.Manifest) {
 		refs[wire.ManifestKey(scopeJob, m.ID)] = true
@@ -73,15 +80,23 @@ func SweepOrphans(ctx context.Context, jobID string, store objstore.Store, dryRu
 		}
 	}
 
-	for _, top := range tops {
+	for _, id := range ids {
+		top, err := rest.top(ctx, id)
+		switch {
+		case errors.Is(err, objstore.ErrNotFound):
+			continue // retired since the List
+		case errors.Is(err, errDamaged):
+			keep(fmt.Sprintf("checkpoint %d", id), err, wire.JobPrefix(jobID), wire.ShardScopePrefix(jobID))
+			continue
+		case err != nil:
+			return nil, err
+		}
 		refManifest(jobID, top)
-		for s := 0; s < chains(top); s++ {
-			scope := rest.chainScope(top, s).jobID
+		for s := 0; s < top.ShardCount; s++ {
+			scope := wire.ShardJobID(jobID, s)
 			_, links, err := rest.links(ctx, top, s, -1)
 			if err != nil {
-				keepPrefixes = append(keepPrefixes, wire.JobPrefix(scope))
-				report.Notes = append(report.Notes,
-					fmt.Sprintf("checkpoint %d chain %d: unresolvable (%v); everything under %s kept", top.ID, s, err, wire.JobPrefix(scope)))
+				keep(fmt.Sprintf("checkpoint %d shard %d: unresolvable", id, s), err, wire.JobPrefix(scope))
 				continue
 			}
 			for _, link := range links {

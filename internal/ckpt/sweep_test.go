@@ -128,8 +128,8 @@ func TestSweepDeletesTornAttemptDebris(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 1 {
-		t.Fatalf("restored %d, want 1", res.Manifests[0].ID)
+	if res.Top.ID != 1 {
+		t.Fatalf("restored %d, want 1", res.Top.ID)
 	}
 	if !modelsEqual(f.m, m2, f.gen, 1e-6) {
 		t.Fatal("post-sweep restore differs from live model")

@@ -30,7 +30,7 @@ type VerifyResult struct {
 func (v *VerifyResult) OK() bool { return len(v.Problems) == 0 && v.ChainOK }
 
 // Verify scrubs checkpoint id by reading what a restore of it would
-// read: the manifests Resolve follows (a composite's shard manifests by
+// read: the manifests Resolve follows (the composite's shard manifests by
 // the keys it names, then each chain), every chunk of every link through
 // the same fetch, CRC and shape checks ApplyPlan runs, and the dense
 // object Restore loads — so a checkpoint verifies clean exactly when it
@@ -40,15 +40,15 @@ func (v *VerifyResult) OK() bool { return len(v.Problems) == 0 && v.ChainOK }
 // runs before trusting a checkpoint (the controller "monitors and
 // maintains checkpoints" in Figure 7).
 func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
-	top, err := r.manifest(ctx, id)
+	top, err := r.top(ctx, id)
 	if err != nil {
-		// Missing, or a transient store failure that must not masquerade
-		// as corruption.
+		// Missing, refused, or a transient store failure that must not
+		// masquerade as corruption below the commit record.
 		return nil, err
 	}
 	res := &VerifyResult{ID: id, Kind: top.Kind, ChainOK: true}
 	var scrub []*wire.Manifest
-	for s := 0; s < chains(top); s++ {
+	for s := 0; s < top.ShardCount; s++ {
 		target, links, err := r.links(ctx, top, s, -1)
 		if err != nil {
 			res.ChainOK = false
@@ -60,9 +60,8 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 		}
 		scrub = append(scrub, links...)
 	}
-	if top.Composite() {
-		scrub = append(scrub, top) // no chunks of its own: the dense object
-	}
+	// The composite names no chunks of its own, but a restore walks it too.
+	scrub = append(scrub, top)
 	var mu sync.Mutex // guards res across the walk's workers
 	for _, man := range scrub {
 		err := r.walkChunks(ctx, man, func(_ *quant.Scratch, _ *wire.TableManifest, _ string, chunk *wire.Chunk, size int64, err error) error {
@@ -81,7 +80,7 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 			return nil, err
 		}
 	}
-	if key := newestDense(scrub); key != "" {
+	if key := top.DenseKey; key != "" {
 		if _, err := r.store.Stat(ctx, key); err != nil {
 			res.Problems = append(res.Problems, fmt.Sprintf("dense %s: %v", key, err))
 		}

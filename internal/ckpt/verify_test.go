@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/quant"
+	"repro/internal/wire"
 )
 
 func TestVerifyCleanCheckpoint(t *testing.T) {
@@ -40,8 +41,8 @@ func TestVerifyDetectsBrokenChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Delete the base manifest: the incremental's chain breaks.
-	keys, _ := f.store.List(f.ctx, "testjob/ckpt/00000000/")
+	// Delete the shard's base: the incremental's chain breaks.
+	keys, _ := f.store.List(f.ctx, wire.CheckpointPrefix(wire.ShardJobID("testjob", 0), 0))
 	for _, k := range keys {
 		f.store.Delete(f.ctx, k)
 	}

@@ -73,14 +73,14 @@ type ShardWriter struct {
 }
 
 // NewShardWriter resumes shard's writer of the composite job cfg.JobID
-// from the store: RecoverEngine under the shard's scoped job ID, with the
+// from the store: recoverEngine under the shard's scoped job ID, with the
 // composite manifest as the commit point. A shard manifest published by
 // an attempt whose composite never landed is debris of an aborted
 // two-phase commit and is rolled back rather than adopted, so every shard
 // writer of a job — an in-process Coordinator's or a shardd agent's —
 // comes back agreeing on the next checkpoint ID (over an empty store, 0).
 // cfg is the engine template (its KeepLast resumes over a predecessor's
-// checkpoints: RecoverEngine re-seeds the retention state); source
+// checkpoints: recoverEngine re-seeds the retention state); source
 // supplies prepare-time snapshots.
 func NewShardWriter(ctx context.Context, cfg Config, shard int, source SnapshotSource) (*ShardWriter, error) {
 	if source == nil {
@@ -89,7 +89,7 @@ func NewShardWriter(ctx context.Context, cfg Config, shard int, source SnapshotS
 	w := &ShardWriter{jobID: cfg.JobID, shard: shard, store: cfg.Store, source: source}
 	cfg.JobID = wire.ShardJobID(cfg.JobID, shard)
 	var err error
-	if w.eng, err = RecoverEngine(ctx, cfg, RecoverOptions{Committed: w.committed}); err != nil {
+	if w.eng, err = recoverEngine(ctx, cfg, w.committed); err != nil {
 		return nil, err
 	}
 	w.eng.sweep.composite = w.jobID // retention unlists a composite first (sweeper.retire)
@@ -150,9 +150,7 @@ func (w *ShardWriter) Prepare(ctx context.Context, id int, step uint64) (*wire.M
 		}
 		w.dense, denseBytes = key, int64(len(snap.Dense))
 	}
-	tables := *snap
-	tables.Dense = nil
-	if w.pending, err = w.eng.Prepare(ctx, &tables); err != nil {
+	if w.pending, err = w.eng.Prepare(ctx, snap); err != nil {
 		w.rollback(ctx)
 		return fail(err)
 	}

@@ -26,12 +26,18 @@ func TestAbortedAttemptKeepsItsRows(t *testing.T) {
 				if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 2, 32)); err != nil {
 					t.Fatal(err)
 				}
-				p, err := f.eng.Prepare(f.ctx, f.trainAndSnapshot(t, 2, 32))
+				// Attempt 1 is prepared, then aborted: its composite never lands.
+				snap := f.trainAndSnapshot(t, 2, 32)
+				f.eng.snap = snap
+				w := f.eng.writers[0]
+				aborted, _, _, err := w.Prepare(f.ctx, 1, snap.Step)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lost := stored(p.Manifest())
-				p.Abort(f.ctx)
+				lost := stored(aborted)
+				if err := w.Abort(f.ctx, 1); err != nil {
+					t.Fatal(err)
+				}
 
 				batches := 2
 				if sameStep {

@@ -312,8 +312,8 @@ func TestAgentKilledBetweenPrepareAndPublishAbortsComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != man1.ID {
-		t.Fatalf("fell back to checkpoint %d, want %d", res.Manifests[0].ID, man1.ID)
+	if res.Top.ID != man1.ID {
+		t.Fatalf("fell back to checkpoint %d, want %d", res.Top.ID, man1.ID)
 	}
 	assertBitIdentical(t, reference(t, 3, 16), m2)
 

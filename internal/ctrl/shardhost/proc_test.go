@@ -226,8 +226,8 @@ func TestSeparateProcessFleetCommitIsAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 1 || res.Step != uint64(mcfgRef) {
-		t.Fatalf("fell back to checkpoint %d step %d, want 1 step %d", res.Manifests[0].ID, res.Step, mcfgRef)
+	if res.Top.ID != 1 || res.Step != uint64(mcfgRef) {
+		t.Fatalf("fell back to checkpoint %d step %d, want 1 step %d", res.Top.ID, res.Step, mcfgRef)
 	}
 	assertBitIdentical(t, procReference(t, shards, mcfgRef), m2)
 }

@@ -130,8 +130,8 @@ func TestKilledShardRejoinsAndNextCompositeCommitsBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 2 || res.Step != 24 {
-		t.Fatalf("restored checkpoint %d step %d, want 2 step 24", res.Manifests[0].ID, res.Step)
+	if res.Top.ID != 2 || res.Step != 24 {
+		t.Fatalf("restored checkpoint %d step %d, want 2 step 24", res.Top.ID, res.Step)
 	}
 	assertBitIdentical(t, reference(t, 3, 24), m2)
 }
@@ -337,8 +337,8 @@ func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Manifests[0].ID != 2 || res.Step != 12 {
-		t.Fatalf("restored checkpoint %d step %d, want 2 step 12", res.Manifests[0].ID, res.Step)
+	if res.Top.ID != 2 || res.Step != 12 {
+		t.Fatalf("restored checkpoint %d step %d, want 2 step 12", res.Top.ID, res.Step)
 	}
 	assertBitIdentical(t, procReference(t, shards, 12), m2)
 }

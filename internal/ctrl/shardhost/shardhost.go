@@ -32,10 +32,9 @@ type Config struct {
 	Shard  int
 	Shards int
 	// StoreAddr is the TCP object store (data plane) address — a single
-	// objstored, or a comma-separated list routed by consistent hashing
-	// (see objstore.Connect). A single address is expanded through the
-	// fleet membership record when one is published, so every shard
-	// routes identically however it was pointed at the store plane.
+	// objstored, dialed directly, or a comma-separated list routed by
+	// consistent hashing (see objstore.Connect). Every shard of a job must
+	// name the same list, so that all of them route identically.
 	StoreAddr string
 	// ListenAddr is the control-plane listen address (e.g. "127.0.0.1:0").
 	ListenAddr string

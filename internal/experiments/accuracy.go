@@ -131,8 +131,10 @@ func fig14Run(cfg Fig14Config, qp quant.Params, restores int, scheduleSeed int64
 		return nil, err
 	}
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	eng, err := ckpt.NewEngine(ckpt.Config{
-		JobID: "fig14", Store: store, Policy: ckpt.PolicyIntermittent, Quant: qp,
+	ctx := context.Background()
+	coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{
+		Config: ckpt.Config{JobID: "fig14", Store: store, Policy: ckpt.PolicyIntermittent, Quant: qp},
+		Shards: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -150,7 +152,6 @@ func fig14Run(cfg Fig14Config, qp quant.Params, restores int, scheduleSeed int64
 	}
 	inj := failure.NewInjector(sched)
 
-	ctx := context.Background()
 	var penalties []restorePenalty
 	pos := 0
 	for pos < cfg.TotalBatches {
@@ -189,7 +190,7 @@ func fig14Run(cfg Fig14Config, qp quant.Params, restores int, scheduleSeed int64
 			if serr != nil {
 				return nil, serr
 			}
-			if _, werr := eng.Write(ctx, snap); werr != nil {
+			if _, werr := coord.Write(ctx, snap); werr != nil {
 				return nil, werr
 			}
 		}

@@ -53,9 +53,9 @@ func DefaultContention() ContentionConfig {
 
 // contentionJob is one training job in the fleet.
 type contentionJob struct {
-	m   *model.DLRM
-	gen *data.Generator
-	eng *ckpt.Engine
+	m     *model.DLRM
+	gen   *data.Generator
+	coord *ckpt.Coordinator
 }
 
 // WriteLatencyResult measures, on a shared bandwidth-shaped virtual
@@ -69,6 +69,7 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 			WriteBandwidth: cfg.Bandwidth,
 			Clock:          clock,
 		})
+		ctx := context.Background()
 		jobs := make([]*contentionJob, cfg.Jobs)
 		for j := range jobs {
 			mcfg := model.DefaultConfig()
@@ -91,19 +92,21 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			eng, err := ckpt.NewEngine(ckpt.Config{
-				JobID:    fmt.Sprintf("job%02d", j),
-				Store:    store,
-				Policy:   policy,
-				Quant:    qp,
-				KeepLast: 1,
+			coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{
+				Config: ckpt.Config{
+					JobID:    fmt.Sprintf("job%02d", j),
+					Store:    store,
+					Policy:   policy,
+					Quant:    qp,
+					KeepLast: 1,
+				},
+				Shards: 1,
 			})
 			if err != nil {
 				return nil, err
 			}
-			jobs[j] = &contentionJob{m: m, gen: gen, eng: eng}
+			jobs[j] = &contentionJob{m: m, gen: gen, coord: coord}
 		}
-		ctx := context.Background()
 		var roundSeconds []float64
 		for round := 0; round < cfg.Rounds; round++ {
 			for _, job := range jobs {
@@ -118,14 +121,14 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := job.eng.Write(ctx, snap); err != nil {
+				if _, err := job.coord.Write(ctx, snap); err != nil {
 					return nil, err
 				}
 			}
 			roundSeconds = append(roundSeconds, clock.Since(start).Seconds())
 		}
 		for _, job := range jobs {
-			if err := job.eng.Close(ctx); err != nil {
+			if err := job.coord.Close(ctx); err != nil {
 				return nil, err
 			}
 		}

@@ -84,15 +84,19 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 		return nil, err
 	}
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	eng, err := ckpt.NewEngine(ckpt.Config{
-		JobID:  "incr",
-		Store:  store,
-		Policy: policy,
-		Quant:  qp,
-		// KeepLast 1 retains exactly what recovery needs (GC preserves
-		// chain dependencies), so store capacity equals the paper's
-		// "required storage capacity".
-		KeepLast: 1,
+	ctx := context.Background()
+	coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{
+		Config: ckpt.Config{
+			JobID:  "incr",
+			Store:  store,
+			Policy: policy,
+			Quant:  qp,
+			// KeepLast 1 retains exactly what recovery needs (GC preserves
+			// chain dependencies), so store capacity equals the paper's
+			// "required storage capacity".
+			KeepLast: 1,
+		},
+		Shards: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -101,7 +105,6 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 	res := &intervalResult{}
 	var fullPayload int64
 	totalRows := m.Sparse.TotalRows()
-	ctx := context.Background()
 	for iv := 0; iv < cfg.Intervals; iv++ {
 		for b := 0; b < cfg.BatchesPerInterval; b++ {
 			m.TrainBatch(gen.NextBatch(cfg.BatchSize))
@@ -111,7 +114,7 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 		if err != nil {
 			return nil, err
 		}
-		man, err := eng.Write(ctx, snap)
+		man, err := coord.Write(ctx, snap)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +127,7 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 			fullPayload = man.PayloadBytes
 		}
 		// Capacity is read once retention has caught up with the commit.
-		if err := eng.Close(ctx); err != nil {
+		if err := coord.Close(ctx); err != nil {
 			return nil, err
 		}
 		u := store.Usage()

@@ -19,10 +19,10 @@ import (
 // its older links CKP1 and its newer ones CKP2. The base is written
 // under k-means (the rows the encoder still writes as CKP1), then the
 // engine switches to the adaptive quantizer and appends increments
-// (CKP2). Every reader of stored chunks — restore, verify, engine
-// recovery and a serving replica — must take the chain as one, and agree
-// bit for bit with a reference built here by decoding the stored chunks
-// link by link with nothing but wire and quant.
+// (CKP2). Every reader of stored chunks — restore, verify, a restarted
+// writer's recovery and a serving replica — must take the chain as one,
+// and agree bit for bit with a reference built here by decoding the
+// stored chunks link by link with nothing but wire and quant.
 func TestMixedLayoutChain(t *testing.T) {
 	const (
 		job        = "mixed"
@@ -44,10 +44,15 @@ func TestMixedLayoutChain(t *testing.T) {
 		JobID: job, Store: store, Policy: ckpt.PolicyConsecutive, ChunkRows: 64,
 		Quant: quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3},
 	}
-	eng, err := ckpt.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	open := func() *ckpt.Coordinator {
+		t.Helper()
+		coord, err := ckpt.NewCoordinator(ctx, ckpt.CoordinatorConfig{Config: cfg, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord
 	}
+	coord := open()
 
 	// The reference: every table zeroed, then each link's stored rows
 	// written over it in chain order.
@@ -57,7 +62,9 @@ func TestMixedLayoutChain(t *testing.T) {
 		accums[tab.ID] = make([]float32, tab.Rows)
 	}
 	step := uint64(0)
-	write := func(eng *ckpt.Engine, wantMagic uint32) *wire.Manifest {
+	// write commits one checkpoint and returns its one shard manifest, the
+	// link that names the chunks.
+	write := func(coord *ckpt.Coordinator, wantMagic uint32) *wire.Manifest {
 		t.Helper()
 		m.TrainBatch(gen.NextBatch(16))
 		step++
@@ -65,7 +72,15 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		man, err := eng.Write(ctx, snap)
+		top, err := coord.Write(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := store.Get(ctx, top.ShardManifestKeys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := wire.DecodeManifest(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +105,12 @@ func TestMixedLayoutChain(t *testing.T) {
 		}
 		return man
 	}
-	write(eng, ckp1)
-	if err := eng.SetQuant(adaptive); err != nil {
+	write(coord, ckp1)
+	if err := coord.SetQuant(adaptive); err != nil {
 		t.Fatal(err)
 	}
-	write(eng, ckp2)
-	write(eng, ckp2)
+	write(coord, ckp2)
+	write(coord, ckp2)
 
 	rest, err := ckpt.NewRestorer(job, store)
 	if err != nil {
@@ -107,13 +122,16 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := rest.RestoreLatest(ctx, got)
+		plan, err := rest.ResolveLatest(ctx, -1)
 		if err != nil {
-			t.Fatalf("restore across the layout change: %v", err)
+			t.Fatalf("resolve across the layout change: %v", err)
 		}
 		// A consecutive chain restores through every link: CKP1 base first.
-		if len(res.Manifests) != wantID+1 {
-			t.Fatalf("restore applied %d links, want %d", len(res.Manifests), wantID+1)
+		if plan.Top.ID != wantID || len(plan.Links[0]) != wantID+1 {
+			t.Fatalf("checkpoint %d resolves to %d links, want %d with %d", plan.Top.ID, len(plan.Links[0]), wantID, wantID+1)
+		}
+		if _, err := rest.RestoreLatest(ctx, got); err != nil {
+			t.Fatalf("restore across the layout change: %v", err)
 		}
 		for _, tab := range got.Sparse.Tables {
 			for i, w := range tab.Weights.Data {
@@ -146,16 +164,13 @@ func TestMixedLayoutChain(t *testing.T) {
 	// A restarted writer recovers its position from the mixed chain and
 	// appends to it.
 	cfg.Quant = adaptive
-	rec, err := ckpt.RecoverEngine(ctx, cfg, ckpt.RecoverOptions{})
-	if err != nil {
-		t.Fatalf("recover engine over the mixed chain: %v", err)
-	}
-	if rec.NextID() != eng.NextID() {
-		t.Fatalf("recovered engine at checkpoint %d, the writer was at %d", rec.NextID(), eng.NextID())
+	rec := open()
+	if rec.NextID() != coord.NextID() {
+		t.Fatalf("recovered writer at checkpoint %d, the writer was at %d", rec.NextID(), coord.NextID())
 	}
 	man := write(rec, ckp2)
 	if man.ID != 3 || man.ParentID != 2 || man.Kind != wire.KindIncremental.String() {
-		t.Fatalf("recovered engine wrote %+v, want incremental 3 on parent 2", man)
+		t.Fatalf("recovered writer stored %+v, want incremental 3 on parent 2", man)
 	}
 	checkRestore(3)
 

@@ -293,12 +293,13 @@ type Manifest struct {
 	// PayloadBytes is the total bytes of chunk + dense objects.
 	PayloadBytes int64 `json:"payload_bytes"`
 
-	// ShardCount > 0 marks a composite manifest committed by the sharded
-	// coordinator. It is written only after every shard's objects —
-	// chunks and the shard's own manifest — are durably stored, so its
-	// presence certifies the whole sharded checkpoint (the paper's "when
-	// all nodes finish storing their part ... the controller will declare
-	// a new valid checkpoint"). Zero means a single-writer checkpoint.
+	// ShardCount > 0 marks a composite manifest, the commit record of a
+	// checkpoint: every checkpoint has one, and it is written only after
+	// every shard's objects — chunks and the shard's own manifest — are
+	// durably stored, so its presence certifies the whole checkpoint (the
+	// paper's "when all nodes finish storing their part ... the controller
+	// will declare a new valid checkpoint"). Zero means a shard manifest,
+	// one link of one shard's chain.
 	ShardCount int `json:"shard_count,omitempty"`
 	// ShardManifestKeys locates shard s's manifest at index s.
 	ShardManifestKeys []string `json:"shard_manifest_keys,omitempty"`
@@ -335,9 +336,17 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	if m.Kind != KindFull.String() && m.Kind != KindIncremental.String() {
 		return nil, fmt.Errorf("wire: unknown checkpoint kind %q", m.Kind)
 	}
+	if m.ShardCount < 0 {
+		return nil, fmt.Errorf("wire: negative shard count %d", m.ShardCount)
+	}
 	if m.ShardCount > 0 && len(m.ShardManifestKeys) != m.ShardCount {
 		return nil, fmt.Errorf("wire: composite manifest has %d shard keys, want %d",
 			len(m.ShardManifestKeys), m.ShardCount)
+	}
+	for table, s := range m.TableShards {
+		if s < 0 || s >= m.ShardCount {
+			return nil, fmt.Errorf("wire: table %d assigned to shard %d, want [0,%d)", table, s, m.ShardCount)
+		}
 	}
 	return &m, nil
 }
@@ -373,13 +382,13 @@ func JobPrefix(jobID string) string {
 	return fmt.Sprintf("%s/ckpt/", jobID)
 }
 
-// Sharded-coordinator layout: each logical shard writer operates as an
-// ordinary engine under a shard-scoped job ID, so its objects live at
+// Sharded layout: each shard writer operates as an ordinary engine under
+// a shard-scoped job ID, so its objects live at
 //
 //	<job>/shard/<s>/ckpt/<id>/...
 //
-// outside JobPrefix — only composite (and single-writer) manifests are
-// visible to a plain manifest listing.
+// outside JobPrefix — a plain manifest listing of the job sees only its
+// composite manifests.
 
 // ShardJobID returns the scoped job ID shard s's writer checkpoints under.
 func ShardJobID(jobID string, shard int) string {

@@ -180,6 +180,28 @@ func TestManifestRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestManifestRejectsShardsOutOfRange: a negative shard count, or a table
+// assigned to a shard the manifest does not have, is refused at decode. A
+// resuming coordinator sizes its per-shard state from the newest
+// composite, so a stored `table_shards` naming shard 5 of 2 used to decode
+// and then panic the next commit with an index out of range.
+func TestManifestRejectsShardsOutOfRange(t *testing.T) {
+	for name, blob := range map[string]string{
+		"negative-shard-count":      `{"format_version":1,"kind":"full","shard_count":-1}`,
+		"table-on-shard-5-of-2":     `{"format_version":1,"kind":"full","shard_count":2,"shard_manifest_keys":["a","b"],"table_shards":{"0":0,"1":5}}`,
+		"table-on-negative-shard":   `{"format_version":1,"kind":"full","shard_count":2,"shard_manifest_keys":["a","b"],"table_shards":{"0":-1}}`,
+		"table-shards-no-composite": `{"format_version":1,"kind":"full","table_shards":{"0":0}}`,
+	} {
+		if m, err := DecodeManifest([]byte(blob)); err == nil {
+			t.Errorf("%s: decoded %+v", name, m)
+		}
+	}
+	ok := `{"format_version":1,"kind":"full","shard_count":2,"shard_manifest_keys":["a","b"],"table_shards":{"0":0,"1":1}}`
+	if _, err := DecodeManifest([]byte(ok)); err != nil {
+		t.Fatalf("a composite with every table on one of its shards: %v", err)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KindFull.String() != "full" || KindIncremental.String() != "incremental" {
 		t.Fatal("kind names wrong")
