@@ -28,8 +28,11 @@ type Config struct {
 	// Quant configures checkpoint quantization. The zero value means no
 	// quantization (fp32).
 	Quant quant.Params
-	// ChunkRows is the number of rows per upload chunk (the pipelining
-	// granularity of §4.4). Zero means 512.
+	// ChunkRows is the number of rows per fp32 upload chunk (the
+	// pipelining granularity of §4.4) and the segment the adaptive
+	// quantizer samples within. A quantized chunk holds
+	// wire.SegmentsPerChunk whole segments, so that it weighs about what
+	// an fp32 chunk does. Zero means 512.
 	ChunkRows int
 	// Uploaders is the number of concurrent chunk-upload workers
 	// (pipelined store while the next chunk quantizes). Zero means 2;
@@ -53,11 +56,13 @@ type Config struct {
 	encoders int
 }
 
-// adaptiveSampling is the adaptive quantizer's per-chunk sampling
-// stride: the greedy range search runs on every adaptiveSampling-th row
-// of a chunk and the rows between pick from the sampled rows' harvested
-// candidate ranges, while rows whose min/max didn't move since their
-// last encode reuse their cached range outright (Engine.rangeCache).
+// adaptiveSampling is the adaptive quantizer's per-segment sampling
+// stride: within each segment of Config.ChunkRows rows the greedy range
+// search runs on every adaptiveSampling-th row and the rows between pick
+// from the sampled rows' harvested candidate ranges, while rows whose
+// min/max didn't move since their last encode reuse their cached range
+// outright (Engine.rangeCache). Segments, not chunks, bound the
+// candidates, so how many segments a chunk packs moves no code.
 const adaptiveSampling = 8
 
 // Engine builds and stores checkpoints for one training job. Methods are
@@ -392,11 +397,13 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 
 // writeTable quantizes, encodes and uploads one table's rows: a pool of
 // cfg.encoders workers quantizes rows with reusable scratch and encodes
-// chunks into pooled buffers, feeding cfg.Uploaders store writers. Chunk
-// keys are precomputed from row position, so the manifest's chunk order
-// is deterministic regardless of which worker encodes which chunk, and
-// uploaders return each buffer to the pool once Store.Put has released
-// it. In steady state the encode loop performs no per-row allocations.
+// chunks into pooled buffers, feeding cfg.Uploaders store writers. A
+// chunk is wire.SegmentsPerChunk segments of cfg.ChunkRows rows under
+// the checkpoint's quantizer. Chunk keys are precomputed from row
+// position, so the manifest's chunk order is deterministic regardless of
+// which worker encodes which chunk, and uploaders return each buffer to
+// the pool once Store.Put has released it. In steady state the encode
+// loop performs no per-row allocations.
 func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Table, rows []int) (wire.TableManifest, int64, error) {
 	tm := wire.TableManifest{
 		TableID:    tab.ID,
@@ -404,7 +411,9 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		Dim:        tab.Dim,
 		StoredRows: len(rows),
 	}
-	numChunks := (len(rows) + e.cfg.ChunkRows - 1) / e.cfg.ChunkRows
+	segRows := e.cfg.ChunkRows
+	chunkRows := segRows * wire.SegmentsPerChunk(e.cfg.Quant, tab.Dim)
+	numChunks := (len(rows) + chunkRows - 1) / chunkRows
 	if numChunks == 0 {
 		return tm, 0, nil
 	}
@@ -472,8 +481,8 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				chunk   = wire.Chunk{TableID: uint32(tab.ID)}
 			)
 			for ci := range jobs {
-				start := ci * e.cfg.ChunkRows
-				end := min(start+e.cfg.ChunkRows, len(rows))
+				start := ci * chunkRows
+				end := min(start+chunkRows, len(rows))
 				n := end - start
 				if cap(qrows) < n {
 					qrows = make([]quant.QVector, n)
@@ -483,12 +492,12 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 					chunk.Rows = make([]wire.Row, 0, n)
 				}
 				chunk.Rows = chunk.Rows[:0]
-				if rc != nil {
-					scratch.BeginAdaptiveChunk(adaptiveSampling)
-				}
 				for j, r := range rows[start:end] {
 					var ent *quant.RowRange
 					if rc != nil {
+						if j%segRows == 0 {
+							scratch.BeginAdaptiveChunk(adaptiveSampling)
+						}
 						ent = &rc[r]
 					}
 					if err := quant.QuantizeCachedInto(&qrows[j], tab.Lookup(r), e.cfg.Quant, &scratch, ent); err != nil {

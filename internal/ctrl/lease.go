@@ -1,11 +1,13 @@
 package ctrl
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/objstore"
 	"repro/internal/simclock"
@@ -88,6 +90,11 @@ func NewRegister(cfg RegisterConfig) (*Register, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("ctrl: register requires a store")
 	}
+	// JSON would store invalid UTF-8 as U+FFFD, which decodeLease then
+	// refuses: a claim by such a holder would damage the register.
+	if !utf8.ValidString(cfg.Holder) {
+		return nil, fmt.Errorf("ctrl: register holder %q is not valid UTF-8", cfg.Holder)
+	}
 	if cfg.TTL <= 0 {
 		cfg.TTL = 10 * time.Second
 	}
@@ -102,7 +109,9 @@ func NewRegister(cfg RegisterConfig) (*Register, error) {
 }
 
 // Read returns the current register record. A register that has never
-// been written reads as the zero record (epoch 0, no holder).
+// been written reads as the zero record (epoch 0, no holder); one that
+// holds anything but a record this register writes is an error
+// (decodeLease).
 func (r *Register) Read(ctx context.Context) (*LeaseRecord, error) {
 	blob, err := r.cfg.Store.Get(ctx, LeaseKey(r.cfg.JobID))
 	if errors.Is(err, objstore.ErrNotFound) {
@@ -111,9 +120,22 @@ func (r *Register) Read(ctx context.Context) (*LeaseRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: read lease register: %w", err)
 	}
+	return decodeLease(blob)
+}
+
+// decodeLease parses a stored register record, accepting only the bytes
+// write stores: the record must re-encode to exactly blob. A lenient
+// decode reads null, {}, a duplicated key or a key in the wrong case as
+// a lower epoch — epoch 0 for the first two — and Acquire would then
+// grant an epoch the fleet has already passed, so all of them are a
+// damaged register instead.
+func decodeLease(blob []byte) (*LeaseRecord, error) {
 	rec := &LeaseRecord{}
 	if err := json.Unmarshal(blob, rec); err != nil {
-		return nil, fmt.Errorf("ctrl: decode lease register: %w", err)
+		return nil, fmt.Errorf("ctrl: damaged lease register: %w", err)
+	}
+	if again, err := json.Marshal(rec); err != nil || !bytes.Equal(again, blob) {
+		return nil, fmt.Errorf("ctrl: damaged lease register: its %d bytes are not a record as the register writes one", len(blob))
 	}
 	return rec, nil
 }

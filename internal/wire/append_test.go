@@ -42,6 +42,44 @@ func allocTestChunks(t *testing.T) map[string]*Chunk {
 	}
 }
 
+// TestSegmentsPerChunk holds the chunk-size rule to the layout AppendTo
+// writes: rowLen is exactly what one more row adds to an encoded chunk,
+// for every method at several dims, and at dim 32 the rule packs the
+// segment counts its doc is stated with.
+func TestSegmentsPerChunk(t *testing.T) {
+	cases := []struct {
+		p     quant.Params
+		dim32 int
+	}{
+		{quant.Params{Method: quant.MethodNone}, 1},
+		{quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}, 4},
+		{quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}, 4},
+		{quant.Params{Method: quant.MethodAdaptive, Bits: 8, NumBins: 45, Ratio: 1}, 2},
+		{quant.Params{Method: quant.MethodAsymmetric, Bits: 4}, 4},
+		{quant.Params{Method: quant.MethodSymmetric, Bits: 2}, 5},
+		{quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, 1},
+		{quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3}, 2},
+	}
+	for _, tc := range cases {
+		for _, dim := range []int{1, 7, 16, 32, 64} {
+			one, err := goldenChunk(t, 1, 1, dim, tc.p).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			two, err := goldenChunk(t, 1, 2, dim, tc.p).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rowLen(tc.p, dim), len(two)-len(one); got != want {
+				t.Errorf("%v %d-bit dim %d: rowLen %d, a row adds %d bytes to the chunk", tc.p.Method, tc.p.Bits, dim, got, want)
+			}
+		}
+		if got := SegmentsPerChunk(tc.p, 32); got != tc.dim32 {
+			t.Errorf("%v %d-bit dim 32: %d segments per chunk, want %d", tc.p.Method, tc.p.Bits, got, tc.dim32)
+		}
+	}
+}
+
 // TestChunkBufPool exercises the get/put cycle and the reuse contract.
 func TestChunkBufPool(t *testing.T) {
 	buf := GetChunkBuf()

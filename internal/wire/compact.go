@@ -68,9 +68,15 @@ func (c *Chunk) compactShape() (bits, dim int) {
 // compact-encodable chunk.
 func (c *Chunk) compactEncodedLen() int {
 	bits, dim := c.compactShape()
-	size := 20 + len(c.Rows)*(4+4+packedCodeLen(dim, bits)) + 4
+	return 20 + len(c.Rows)*compactRowLen(dim, bits) + 4
+}
+
+// compactRowLen returns the bytes one row takes in a CKP2 chunk: index,
+// accumulator, the range unless bits == 32, and the packed codes.
+func compactRowLen(dim, bits int) int {
+	size := 4 + 4 + packedCodeLen(dim, bits)
 	if bits != 32 {
-		size += len(c.Rows) * 8
+		size += 8
 	}
 	return size
 }

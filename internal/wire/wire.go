@@ -107,6 +107,31 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 	return c.appendV1(dst)
 }
 
+// SegmentsPerChunk returns how many segments of a writer's fp32 chunk
+// rows one chunk of dim-element rows quantized under p holds: as many
+// whole segments as fit in the bytes of one fp32 segment, and at least
+// one. A stored chunk then weighs about what an fp32 chunk does at every
+// bit width — enough bytes that a Put or Get is bound by them rather
+// than by its round trip — and its segments keep the row positions the
+// adaptive quantizer samples at.
+func SegmentsPerChunk(p quant.Params, dim int) int {
+	return max(1, rowLen(quant.Params{Method: quant.MethodNone}, dim)/rowLen(p, dim))
+}
+
+// rowLen returns the bytes one row of dim elements quantized under p
+// adds to the chunk AppendTo writes for it: CKP2 for fp32 and the
+// uniform methods, CKP1 for k-means, whose rows carry a codebook each.
+func rowLen(p quant.Params, dim int) int {
+	switch p.Method {
+	case quant.MethodNone:
+		return compactRowLen(dim, 32)
+	case quant.MethodKMeans:
+		return minV1Row + packedCodeLen(dim, p.Bits) + 2 + 4<<p.Bits
+	default:
+		return compactRowLen(dim, p.Bits)
+	}
+}
+
 // appendV1 appends the v1 ("CKP1") layout: a full QVector per row. The
 // emitted bytes are pinned by the v1_* golden fixtures.
 func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
