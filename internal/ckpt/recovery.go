@@ -17,6 +17,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/quant"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -572,7 +573,9 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 // visit runs on the worker goroutines, so it must serialise what it
 // shares; scratch is the calling worker's own, for de-quantizing. chunk
 // aliases the fetched object and lives in the worker's row storage: it is
-// visit's to consume, or cut down, and dead once visit returns.
+// visit's to consume, or cut down, and dead once visit returns — when the
+// walk hands the object back to the store's pool (rpc.Recycle), so
+// nothing visit keeps may point into it.
 func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	visit func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error) error {
 	type work struct {
@@ -608,12 +611,14 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 				rows    wire.RowBuf
 			)
 			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
-				chunk, size, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows, &scratch)
+				blob, chunk, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows, &scratch)
 				if cerr := ctx.Err(); cerr != nil {
 					fail(cerr) // whatever the read says, it says it of the context
 					return
 				}
-				if err := visit(&scratch, todo[i].tm, todo[i].key, chunk, size, err); err != nil {
+				err = visit(&scratch, todo[i].tm, todo[i].key, chunk, int64(len(blob)), err)
+				rpc.Recycle(blob)
+				if err != nil {
 					fail(err)
 					return
 				}
@@ -624,39 +629,39 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	return first
 }
 
-// readChunk fetches the chunk stored under key, decodes it into rows and
-// checks it against tm, the table manifest that names it. After it a row
-// has no way left to fail its de-quantizing, so a row that a restore
-// skips hides no error.
-func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf, scratch *quant.Scratch) (*wire.Chunk, int64, error) {
+// readChunk fetches the object stored under key, decodes it into rows as
+// a chunk and checks that against tm, the table manifest that names it.
+// After it a row has no way left to fail its de-quantizing, so a row that
+// a restore skips hides no error. The object comes back whatever the
+// decode and checks found, nil only when the Get failed.
+func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf, scratch *quant.Scratch) ([]byte, *wire.Chunk, error) {
 	blob, err := r.store.Get(ctx, key)
 	if err != nil {
-		return nil, 0, fmt.Errorf("get %s: %w", key, err)
+		return nil, nil, fmt.Errorf("get %s: %w", key, err)
 	}
-	size := int64(len(blob))
-	// Alias decode: visit consumes the rows before blob goes out of scope
-	// and before rows is decoded into again, so neither the per-row Codes
+	// Alias decode: visit consumes the rows before blob is recycled and
+	// before rows is decoded into again, so neither the per-row Codes
 	// copy nor fresh row structs would buy anything.
 	chunk, err := rows.DecodeAlias(blob)
 	if err != nil {
-		return nil, size, fmt.Errorf("%s: %w", key, err)
+		return blob, nil, fmt.Errorf("%s: %w", key, err)
 	}
 	if int(chunk.TableID) != tm.TableID {
-		return nil, size, fmt.Errorf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID)
+		return blob, nil, fmt.Errorf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID)
 	}
 	for i := range chunk.Rows {
 		row := &chunk.Rows[i]
 		if int(row.Index) >= tm.Rows {
-			return nil, size, fmt.Errorf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows)
+			return blob, nil, fmt.Errorf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows)
 		}
 		if row.Q.N != tm.Dim {
-			return nil, size, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
+			return blob, nil, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
 		}
 		if row.Q.Codebook != nil {
 			if err := row.Q.CheckCodebook(scratch); err != nil {
-				return nil, size, fmt.Errorf("%s: row %d: %w", key, row.Index, err)
+				return blob, nil, fmt.Errorf("%s: row %d: %w", key, row.Index, err)
 			}
 		}
 	}
-	return chunk, size, nil
+	return blob, chunk, nil
 }

@@ -22,7 +22,10 @@ import (
 // is the model's row count when every row is written once (the sum over
 // the links, 1.68 M, when each link overwrites the last); gets/op is the
 // same either way: 920, one per 2048-row 4-bit chunk (3360 with one
-// 512-row segment per chunk).
+// 512-row segment per chunk). B/op is what the Gets leave behind, since
+// the walk recycles each fetched object: with -benchmem -cpu 2 it reads
+// 9.8 MB on mem and 18.1 MB on tcp, where a fresh body per Get on each
+// end of the wire took 70.1 and 138.6 MB.
 func BenchmarkRestoreChain(b *testing.B) {
 	const job, dim, links = "chain", 32, 22
 	ctx := context.Background()

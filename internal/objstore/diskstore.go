@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // FsyncPolicy selects when DiskStore flushes appended records to stable
@@ -451,8 +453,8 @@ func (s *DiskStore) Put(ctx context.Context, key string, value []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if len(key) == 0 || len(key) > maxKeyLen {
-		return fmt.Errorf("objstore: diskstore key length %d out of range", len(key))
+	if err := checkKey(key); err != nil {
+		return err
 	}
 	if len(value) > maxValueLen {
 		return fmt.Errorf("objstore: diskstore value too large: %d bytes", len(value))
@@ -503,8 +505,8 @@ func (s *DiskStore) PutOwned(ctx context.Context, key string, value []byte) erro
 	return s.Put(ctx, key, value)
 }
 
-// Get reads the value through the index with a positional read; the
-// returned slice is freshly allocated.
+// Get reads the value through the index with a positional read into
+// rpc.Alloc memory.
 func (s *DiskStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -519,8 +521,9 @@ func (s *DiskStore) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	f := s.files[loc.seg]
-	buf := make([]byte, loc.valLen)
+	buf := rpc.Alloc(int(loc.valLen))
 	if _, err := f.ReadAt(buf, loc.valOff); err != nil {
+		rpc.Recycle(buf)
 		return nil, fmt.Errorf("objstore: diskstore read %q: %w", key, err)
 	}
 	s.gets.Add(1)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/rpc"
 	"repro/internal/simclock"
 )
 
@@ -97,7 +98,7 @@ func (s *MemStore) stripe(key string) *memStripe {
 // Put stores a copy of value under key, charging bandwidth and capacity
 // for replication copies.
 func (s *MemStore) Put(ctx context.Context, key string, value []byte) error {
-	if err := s.admitWrite(ctx, len(value)); err != nil {
+	if err := s.admitWrite(ctx, key, len(value)); err != nil {
 		return err
 	}
 	return s.putStored(key, append([]byte(nil), value...))
@@ -108,17 +109,20 @@ func (s *MemStore) Put(ctx context.Context, key string, value []byte) error {
 // TCP server hands each request's freshly decoded frame buffer straight
 // in, eliminating the copy-per-Put on the server receive path.
 func (s *MemStore) PutOwned(ctx context.Context, key string, value []byte) error {
-	if err := s.admitWrite(ctx, len(value)); err != nil {
+	if err := s.admitWrite(ctx, key, len(value)); err != nil {
 		return err
 	}
 	return s.putStored(key, value)
 }
 
-// admitWrite runs the pre-storage Put checks: context liveness and
-// bandwidth shaping (replication-inclusive, like a real store fanning
-// the write out to its copies).
-func (s *MemStore) admitWrite(ctx context.Context, n int) error {
+// admitWrite runs the pre-storage Put checks: context liveness, the
+// key rule and bandwidth shaping (replication-inclusive, like a real
+// store fanning the write out to its copies).
+func (s *MemStore) admitWrite(ctx context.Context, key string, n int) error {
 	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if err := checkKey(key); err != nil {
 		return err
 	}
 	if s.throttle != nil {
@@ -151,7 +155,7 @@ func (s *MemStore) putStored(key string, stored []byte) error {
 	return nil
 }
 
-// Get returns a copy of the value stored under key.
+// Get returns a copy of the value stored under key, in rpc.Alloc memory.
 func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -175,7 +179,9 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	s.gets.Add(1)
 	s.bytesRead.Add(int64(len(v)))
-	return append([]byte(nil), v...), nil
+	out := rpc.Alloc(len(v))
+	copy(out, v)
+	return out, nil
 }
 
 // Delete removes key and releases its capacity.

@@ -13,6 +13,8 @@ package objstore
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 )
 
 // ErrNotFound is returned by Get/Delete/Stat for missing keys.
@@ -30,6 +32,19 @@ var ErrClosed = errors.New("objstore: store closed")
 // errors.Is.
 var ErrStoreUnavailable = errors.New("objstore: store unavailable")
 
+// ErrInvalidKey is returned by Put for a key checkKey refuses. Through
+// the TCP client it arrives as the server's error text.
+var ErrInvalidKey = errors.New("objstore: invalid key")
+
+// checkKey is the one rule for what a key may be, applied at Put by
+// every backend: non-empty, no '\n', at most maxKeyLen bytes.
+func checkKey(key string) error {
+	if key == "" || len(key) > maxKeyLen || strings.IndexByte(key, '\n') >= 0 {
+		return fmt.Errorf("%w (%d bytes; a key is 1 to %d bytes with no newline)", ErrInvalidKey, len(key), maxKeyLen)
+	}
+	return nil
+}
+
 // Store is the object storage interface used by the checkpoint engine.
 // Values are immutable once put; a Put to an existing key overwrites it.
 type Store interface {
@@ -37,9 +52,18 @@ type Store interface {
 	// value after Put returns: the checkpoint engine recycles encode
 	// buffers through a pool the moment Put completes (MemStore copies
 	// on Put; the TCP client writes the bytes to the socket before
-	// returning). A write-behind implementation must copy.
+	// returning). A write-behind implementation must copy. A key that
+	// is empty, holds a '\n' or is longer than 4 KiB is refused with
+	// ErrInvalidKey: List could not give it back over CNR1, whose reply
+	// joins keys with '\n'.
 	Put(ctx context.Context, key string, value []byte) error
-	// Get returns the value stored under key, or ErrNotFound.
+	// Get returns the value stored under key, or ErrNotFound. The value
+	// is the caller's: no later operation on the store changes it. A
+	// caller holding the only reference may pass it to rpc.Recycle when
+	// done with it, and must not touch it afterwards — the hot readers do
+	// (the chunk walk, the server's Get), so MemStore, DiskStore and the
+	// TCP client return pooled memory from rpc.Alloc. A value that is
+	// never recycled is garbage-collected like any other.
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Delete removes key. Deleting a missing key returns ErrNotFound.
 	Delete(ctx context.Context, key string) error

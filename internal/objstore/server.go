@@ -59,7 +59,17 @@ func (s *Server) handle(br *bufio.Reader, w *rpc.FrameWriter) error {
 		// the backend — no copy-per-Put on the server receive path.
 		err = PutOwned(ctx, s.backend, req.key, req.value)
 	case opGet:
-		payload, err = s.backend.Get(ctx, req.key)
+		if payload, err = s.backend.Get(ctx, req.key); err == nil {
+			// The value is this call's alone (Store.Get): once the
+			// response is flushed nothing refers to it, so it goes back to
+			// the pool the backend took it from. Listen's own flush then
+			// finds nothing left to send.
+			if err = rpc.WriteResponse(w, statusOK, payload); err == nil {
+				err = w.Flush()
+			}
+			rpc.Recycle(payload)
+			return err
+		}
 	case opDelete:
 		err = s.backend.Delete(ctx, req.key)
 	case opList:

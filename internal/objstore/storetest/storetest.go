@@ -8,13 +8,16 @@
 package storetest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/objstore"
+	"repro/internal/rpc"
 )
 
 // Factory returns a fresh, empty store for one subtest. Cleanup is the
@@ -176,22 +179,66 @@ func RunWith(t *testing.T, factory Factory, opts Options) {
 		}
 	})
 
+	// What Get returns is the caller's to scribble on and to recycle
+	// (Store.Get): neither reaches the stored value, nor a later Get that
+	// takes the recycled memory from the pool — at sizes on both sides of
+	// the pool's smallest class, a chunk's, and past its largest.
 	t.Run("GetReturnsCopy", func(t *testing.T) {
 		s := factory(t)
-		if err := s.Put(ctx, "k", []byte("original")); err != nil {
-			t.Fatalf("Put: %v", err)
+		for _, n := range []int{1, 4<<10 - 1, 4 << 10, 68 << 10, 1<<20 + 1} {
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(i*7 + n)
+			}
+			key := fmt.Sprintf("copy/%d", n)
+			if err := s.Put(ctx, key, want); err != nil {
+				t.Fatalf("Put %d bytes: %v", n, err)
+			}
+			first, err := s.Get(ctx, key)
+			if err != nil {
+				t.Fatalf("Get %d bytes: %v", n, err)
+			}
+			for i := range first {
+				first[i] ^= 0xFF
+			}
+			rpc.Recycle(first)
+			got := make([][]byte, 3)
+			errs := make([]error, 3)
+			got[0], errs[0] = s.Get(ctx, key)
+			var wg sync.WaitGroup
+			for g := 1; g < 3; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					got[g], errs[g] = s.Get(ctx, key)
+				}(g)
+			}
+			wg.Wait()
+			for g := range got {
+				if errs[g] != nil {
+					t.Fatalf("Get %d bytes after Recycle (%d): %v", n, g, errs[g])
+				}
+				if !bytes.Equal(got[g], want) {
+					t.Fatalf("Get %d bytes after a scribbled, recycled Get (%d): bytes differ", n, g)
+				}
+			}
 		}
-		first, err := s.Get(ctx, "k")
-		if err != nil {
-			t.Fatalf("Get: %v", err)
+	})
+
+	// CNR1's List reply joins keys with '\n', and a listing of the one
+	// empty key is an empty reply: a key that is empty or holds a newline
+	// could be Put and never listed back, so every store refuses it at
+	// Put with one error.
+	t.Run("RefusesUnlistableKeys", func(t *testing.T) {
+		s := factory(t)
+		for _, key := range []string{"job/a\njob/zzz", "", "\n"} {
+			err := s.Put(ctx, key, []byte("v"))
+			if err == nil || !strings.Contains(err.Error(), objstore.ErrInvalidKey.Error()) {
+				t.Fatalf("Put(%q) = %v, want %v", key, err, objstore.ErrInvalidKey)
+			}
 		}
-		copy(first, "CLOBBER!")
-		second, err := s.Get(ctx, "k")
-		if err != nil {
-			t.Fatalf("Get: %v", err)
-		}
-		if string(second) != "original" {
-			t.Fatalf("Get returned aliased storage: second Get = %q", second)
+		if keys, err := s.List(ctx, ""); err != nil || len(keys) != 0 {
+			t.Fatalf("List after refused Puts = %q, %v; want no keys", keys, err)
 		}
 	})
 

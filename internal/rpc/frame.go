@@ -23,22 +23,28 @@ import (
 // a control frame, a Delete, a Stat or a small lookup arrives in one
 // read, small enough that a chunk body does not pass through it — a
 // read longer than the buffer goes from the socket straight into the
-// slice ReadBody allocated. Of a body only what arrived behind its
-// header is copied (and, when the socket delivers it in pieces, a last
-// piece shorter than the buffer).
+// body's own slice (a pooled buffer for a response, ReadBody's for a
+// request). Of a body only what arrived behind its header is copied
+// (and, when the socket delivers it in pieces, a last piece shorter
+// than the buffer).
 const readBufSize = 4 << 10
 
-// bodyChunk is the most ReadBody allocates on the strength of a length
-// header alone.
-const bodyChunk = 1 << 20
+// bodyChunk is the most a body reader commits on the strength of a
+// length header alone. It is also the pool's largest class, so every
+// response body a header can claim without sending it comes from the
+// pool.
+const bodyChunk = maxPooled
 
-// ReadBody reads an n-byte frame body. n comes off the wire, so it is
+// ReadBody reads an n-byte frame body into memory of its own, which the
+// caller may keep for good: the servers read request bodies with it, and
+// a Put's body becomes the stored value. n comes off the wire, so it is
 // a claim, not a fact: memory is committed only as bytes arrive — at
 // most bodyChunk up front, then doubling — and a peer that sends a
 // header and stalls pins 1 MiB, not the protocol's frame limit. Bodies
-// up to bodyChunk (every checkpoint chunk, control message and lookup)
-// take exactly one allocation and one ReadFull. Callers check n against
-// their protocol's limit first, so over-limit claims allocate nothing.
+// up to bodyChunk (every checkpoint chunk and control message) take
+// exactly one allocation of exactly n bytes and one ReadFull. Callers
+// check n against their protocol's limit first, so over-limit claims
+// allocate nothing.
 func ReadBody(r io.Reader, n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -93,7 +99,9 @@ func ReadResponse(r io.Reader, max int) (status uint8, payload []byte, err error
 }
 
 // readResponse is ReadResponse with the header read into hdr, which a
-// pooled connection supplies from its own array.
+// pooled connection supplies from its own array. A payload up to
+// bodyChunk is read into an Alloc buffer, unzeroed: ReadFull writes
+// every byte of it before anyone sees it, and the caller may Recycle it.
 func readResponse(r io.Reader, hdr []byte, max int) (status uint8, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
@@ -102,6 +110,14 @@ func readResponse(r io.Reader, hdr []byte, max int) (status uint8, payload []byt
 	if uint64(n) > uint64(max) {
 		return 0, nil, fmt.Errorf("rpc: response length %d exceeds limit %d", n, max)
 	}
-	payload, err = ReadBody(r, int(n))
-	return hdr[0], payload, err
+	if n == 0 || n > bodyChunk {
+		payload, err = ReadBody(r, int(n))
+		return hdr[0], payload, err
+	}
+	payload = Alloc(int(n))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		Recycle(payload)
+		return 0, nil, err
+	}
+	return hdr[0], payload, nil
 }
