@@ -10,8 +10,8 @@
 // click-through dataset and distributed reader tier (internal/data), a
 // synchronous multi-node trainer simulation (internal/trainer), a remote
 // object store reachable in-memory or over TCP (internal/objstore), and
-// the checkpoint engine and controller themselves (internal/ckpt,
-// internal/core).
+// the checkpoint engine itself (internal/ckpt). System is the controller
+// (§4.4, Figure 7): it runs each checkpoint interval and every recovery.
 //
 // Quickstart:
 //
@@ -29,12 +29,12 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/quant"
+	"repro/internal/simclock"
 	"repro/internal/trainer"
 	"repro/internal/wire"
 )
@@ -89,8 +89,8 @@ type Config struct {
 	// in-process store (default 1).
 	Replication int
 
-	// Policy is the incremental checkpointing policy
-	// (default PolicyIntermittent).
+	// Policy is the incremental checkpointing policy. The zero value is
+	// PolicyFull; cmd/checknrun defaults to PolicyIntermittent.
 	Policy Policy
 
 	// ExpectedRestores drives dynamic quantization bit-width selection
@@ -124,15 +124,27 @@ type Config struct {
 	Data data.Spec
 }
 
-// System is a running Check-N-Run training job: model, reader tier,
-// trainer cluster, checkpoint coordinator and controller.
+// System is a running Check-N-Run training job — model, reader tier,
+// trainer cluster and checkpoint coordinator — and the controller that
+// runs the §4.4 workflow over them. Every checkpoint is a composite with
+// one shard writer per trainer node.
 type System struct {
-	cfg       Config
-	ctrl      *core.Controller
-	reader    *data.Cluster
-	clus      *trainer.Cluster
-	store     objstore.Store
-	ownsStore bool
+	cfg    Config
+	reader *data.Cluster
+	clus   *trainer.Cluster
+	store  objstore.Store
+	coord  *ckpt.Coordinator
+	rest   *ckpt.Restorer
+
+	restores int
+	fallback bool
+	// behind is set while the job has committed checkpoints the live model
+	// neither wrote nor restored: a process restarted over an existing job,
+	// until Recover runs.
+	behind bool
+
+	// manifests of the checkpoints this System committed, in order.
+	manifests []*Manifest
 }
 
 // Open validates cfg, builds the substrate and returns a ready System.
@@ -151,14 +163,24 @@ func Open(cfg Config) (*System, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.BatchesPerInterval <= 0 && cfg.Interval <= 0 {
+	if cfg.BatchesPerInterval <= 0 {
 		cfg.BatchesPerInterval = 8
+		if cfg.Interval > 0 {
+			tm := simclock.DefaultThroughput()
+			tm.BatchSize = cfg.BatchSize
+			cfg.BatchesPerInterval = tm.BatchesPerInterval(cfg.Interval)
+		}
 	}
 	switch {
 	case cfg.KeepLast == 0:
 		cfg.KeepLast = 2
 	case cfg.KeepLast < 0:
 		cfg.KeepLast = 0 // keep all
+	}
+	qp := quant.Params{Method: quant.MethodNone}
+	if cfg.ExpectedRestores >= 0 {
+		// SelectBitWidth only picks widths ParamsForBits has.
+		qp, _ = quant.ParamsForBits(quant.SelectBitWidth(cfg.ExpectedRestores))
 	}
 
 	mcfg := cfg.Model
@@ -201,7 +223,6 @@ func Open(cfg Config) (*System, error) {
 	}
 
 	var store objstore.Store
-	ownsStore := true
 	if cfg.StoreAddr != "" {
 		store, err = objstore.Connect(cfg.StoreAddr, objstore.ClientConfig{})
 		if err != nil {
@@ -213,53 +234,118 @@ func Open(cfg Config) (*System, error) {
 	}
 
 	// Open's signature predates the store I/O a resumed job needs here.
-	ctrl, err := core.New(context.TODO(), clus, reader, core.Config{
-		JobID:              cfg.JobID,
-		Store:              store,
-		Policy:             cfg.Policy,
-		Interval:           cfg.Interval,
-		BatchesPerInterval: cfg.BatchesPerInterval,
-		BatchSize:          cfg.BatchSize,
-		ExpectedRestores:   cfg.ExpectedRestores,
-		KeepLast:           cfg.KeepLast,
-		Predictor:          cfg.Predictor,
+	coord, err := ckpt.NewCoordinator(context.TODO(), ckpt.CoordinatorConfig{
+		Config: ckpt.Config{
+			JobID:     cfg.JobID,
+			Store:     store,
+			Policy:    cfg.Policy,
+			Quant:     qp,
+			KeepLast:  cfg.KeepLast,
+			Predictor: cfg.Predictor,
+		},
+		Shards:     m.Sparse.Nodes(),
+		Assignment: clus.TableAssignment(),
 	})
+	var rest *ckpt.Restorer
+	if err == nil {
+		rest, err = ckpt.NewRestorer(cfg.JobID, store)
+	}
 	if err != nil {
 		reader.Close()
 		store.Close()
-		return nil, fmt.Errorf("checknrun: controller: %w", err)
+		return nil, fmt.Errorf("checknrun: checkpoints: %w", err)
 	}
-	return &System{cfg: cfg, ctrl: ctrl, reader: reader, clus: clus, store: store, ownsStore: ownsStore}, nil
+	return &System{
+		cfg:    cfg,
+		reader: reader,
+		clus:   clus,
+		store:  store,
+		coord:  coord,
+		rest:   rest,
+		behind: coord.NextID() > 0,
+	}, nil
 }
 
-// RunInterval trains one checkpoint interval and commits a checkpoint,
-// returning its manifest.
+// RunInterval executes one checkpoint interval of the §4.4 workflow:
+// grant the reader the interval's exact batch count, train through it,
+// collect the quiescent reader state, stall-snapshot, and build + store
+// the checkpoint. It returns the committed manifest.
 func (s *System) RunInterval(ctx context.Context) (*Manifest, error) {
-	return s.ctrl.RunInterval(ctx)
+	if s.behind {
+		// Training on from a freshly initialised model would commit
+		// increments against a base that model never held.
+		return nil, fmt.Errorf("checknrun: job %q already has checkpoints (next ID %d) this model was not restored from: Recover first (checknrun -recover)",
+			s.cfg.JobID, s.coord.NextID())
+	}
+	s.reader.Grant(s.cfg.BatchesPerInterval)
+	for i := 0; i < s.cfg.BatchesPerInterval; i++ {
+		b, err := s.reader.Recv(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("checknrun: recv batch %d: %w", i, err)
+		}
+		s.clus.Step(b)
+	}
+	// Gap invariant (§4.1): the reader produced exactly the grant, so
+	// nothing is in flight at the trigger.
+	if inflight := s.reader.InFlight(); inflight != 0 {
+		return nil, fmt.Errorf("checknrun: %d in-flight batches at checkpoint trigger", inflight)
+	}
+	snap, err := s.clus.Snapshot(s.reader.State())
+	if err != nil {
+		return nil, fmt.Errorf("checknrun: snapshot: %w", err)
+	}
+	man, err := s.coord.Write(ctx, snap)
+	if err != nil {
+		return nil, fmt.Errorf("checknrun: checkpoint write: %w", err)
+	}
+	s.manifests = append(s.manifests, man)
+	return man, nil
 }
 
 // Run trains n checkpoint intervals.
 func (s *System) Run(ctx context.Context, n int) error {
-	return s.ctrl.Run(ctx, n)
+	for i := 0; i < n; i++ {
+		if _, err := s.RunInterval(ctx); err != nil {
+			return fmt.Errorf("checknrun: interval %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// Recover restores the latest valid checkpoint into the model and reader,
-// de-quantizing as needed.
+// Recover restores the latest valid checkpoint into the model, the reader
+// tier and the trainer's batch count, de-quantizing as needed — in the
+// process that wrote the checkpoint or in a fresh one. Once the job has
+// restored more often than ExpectedRestores, later checkpoints fall back
+// to 8-bit quantization (§6.2.1).
 func (s *System) Recover(ctx context.Context) (*RestoreResult, error) {
-	return s.ctrl.Recover(ctx)
+	res, err := s.rest.RestoreLatest(ctx, s.clus.Model())
+	if err != nil {
+		return nil, err
+	}
+	if err := s.reader.Restore(res.Reader); err != nil {
+		return nil, fmt.Errorf("checknrun: reader restore: %w", err)
+	}
+	s.clus.ResumeAt(res.Step)
+	s.behind = false
+	s.restores++
+	if !s.fallback && s.cfg.ExpectedRestores >= 0 && float64(s.restores) > s.cfg.ExpectedRestores {
+		p, _ := quant.ParamsForBits(8) // 8 is in the table
+		s.fallback = s.coord.SetQuant(p) == nil
+	}
+	return res, nil
 }
 
 // Manifests returns the manifests committed by this System, in order.
-func (s *System) Manifests() []*Manifest { return s.ctrl.Manifests() }
+func (s *System) Manifests() []*Manifest { return append([]*Manifest(nil), s.manifests...) }
 
 // Checkpoints lists all valid checkpoints in the store for this job,
 // including ones written by previous runs.
 func (s *System) Checkpoints(ctx context.Context) ([]*Manifest, error) {
-	return s.ctrl.Restorer().ListManifests(ctx)
+	return s.rest.ListManifests(ctx)
 }
 
 // Model returns the DLRM being trained.
-func (s *System) Model() *model.DLRM { return s.ctrl.Model() }
+func (s *System) Model() *model.DLRM { return s.clus.Model() }
 
 // TrainerStats returns the cluster's accumulated statistics.
 func (s *System) TrainerStats() trainer.Stats { return s.clus.Stats() }
@@ -281,7 +367,7 @@ func (s *System) StoreUsage() (objstore.Usage, bool) {
 // QuantBits returns the quantization bit-width currently in effect
 // (32 means fp32 / no quantization).
 func (s *System) QuantBits() int {
-	q := s.ctrl.Quant()
+	q := s.coord.Quant()
 	if q.Method == quant.MethodNone {
 		return 32
 	}
@@ -289,7 +375,7 @@ func (s *System) QuantBits() int {
 }
 
 // Restores returns how many times this System resumed from a checkpoint.
-func (s *System) Restores() int { return s.ctrl.Restores() }
+func (s *System) Restores() int { return s.restores }
 
 // VerifyResult reports a checkpoint integrity scrub.
 type VerifyResult = ckpt.VerifyResult
@@ -297,12 +383,12 @@ type VerifyResult = ckpt.VerifyResult
 // Verify scrubs one checkpoint: CRC-validates every chunk, checks row
 // bounds and the restore chain. It never modifies anything.
 func (s *System) Verify(ctx context.Context, id int) (*VerifyResult, error) {
-	return s.ctrl.Restorer().Verify(ctx, id)
+	return s.rest.Verify(ctx, id)
 }
 
 // VerifyAll scrubs every retained checkpoint, newest first.
 func (s *System) VerifyAll(ctx context.Context) ([]*VerifyResult, error) {
-	return s.ctrl.Restorer().VerifyAll(ctx)
+	return s.rest.VerifyAll(ctx)
 }
 
 // Close shuts down the reader tier, waits for the deletion of the
@@ -311,9 +397,5 @@ func (s *System) Close() error {
 	s.reader.Close()
 	// Close's signature predates anything here that can wait on the store;
 	// each retired checkpoint's deletion is bounded by the sweeper.
-	err := s.ctrl.Close(context.TODO())
-	if s.ownsStore {
-		err = errors.Join(err, s.store.Close())
-	}
-	return err
+	return errors.Join(s.coord.Close(context.TODO()), s.store.Close())
 }

@@ -2,6 +2,7 @@ package checknrun
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,246 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+func TestOpenDefaults(t *testing.T) {
+	// Open fills every field but JobID, so nothing past it re-validates.
+	sys := newSystem(t, Config{JobID: "defaults", BatchSize: -1, BatchesPerInterval: -1})
+	if c := sys.cfg; c.Nodes != 2 || c.BatchSize != 64 || c.BatchesPerInterval != 8 || c.KeepLast != 2 {
+		t.Fatalf("defaults: nodes %d, batch %d, interval %d batches, keep %d; want 2, 64, 8, 2",
+			c.Nodes, c.BatchSize, c.BatchesPerInterval, c.KeepLast)
+	}
+	if n := sys.Model().Sparse.Nodes(); n != 2 {
+		t.Fatalf("model sharded over %d nodes, want 2", n)
+	}
+	// Negative KeepLast keeps every checkpoint; an explicit interval in
+	// batches wins over a wall-clock one.
+	sys = newSystem(t, Config{JobID: "explicit", KeepLast: -1, BatchesPerInterval: 3, Interval: 30 * time.Minute})
+	if c := sys.cfg; c.KeepLast != 0 || c.BatchesPerInterval != 3 {
+		t.Fatalf("keep %d, interval %d batches; want 0 (keep all), 3", c.KeepLast, c.BatchesPerInterval)
+	}
+}
+
+func TestRunIntervalCommitsCheckpoint(t *testing.T) {
+	sys := newSystem(t, Config{BatchesPerInterval: 3, Policy: PolicyIntermittent, ExpectedRestores: 1})
+	man, err := sys.RunInterval(testCtx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Kind != "full" {
+		t.Fatalf("first checkpoint kind = %s", man.Kind)
+	}
+	// Expected restores <= 1 -> 2-bit adaptive.
+	if man.Quant.Bits != 2 || man.Quant.Method != "adaptive-asymmetric" {
+		t.Fatalf("quant = %+v", man.Quant)
+	}
+	// Reader state matches the trained batches.
+	if man.ReaderNextSample != 3*16 {
+		t.Fatalf("reader state = %d, want 48", man.ReaderNextSample)
+	}
+	if len(sys.Manifests()) != 1 {
+		t.Fatal("manifest not recorded")
+	}
+}
+
+func TestRecoverRoundTrip(t *testing.T) {
+	sys := newSystem(t, Config{Policy: PolicyIntermittent, ExpectedRestores: -1})
+	ctx := testCtx(t)
+	if err := sys.Run(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Perturb the model to simulate a crashed/fresh trainer, then recover.
+	sys.Model().Sparse.Tables[0].Weights.Set(0, 0, 99)
+	res, err := sys.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Step != 4 {
+		t.Fatalf("restored step = %d, want 4", res.Step)
+	}
+	if sys.Restores() != 1 {
+		t.Fatalf("restores = %d", sys.Restores())
+	}
+	if sys.Model().Sparse.Tables[0].Weights.At(0, 0) == 99 {
+		t.Fatal("model not restored")
+	}
+	// Training continues cleanly after recovery.
+	if _, err := sys.RunInterval(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunIntervalRefusedUntilRecover(t *testing.T) {
+	// A System opened over a job that already has checkpoints holds a
+	// freshly initialised model: training on would commit increments
+	// against a base that model never held. It must refuse, write
+	// nothing, and continue the job's history once Recover has run.
+	backend := objstore.NewMemStore(objstore.MemConfig{})
+	srv, err := objstore.NewServer("127.0.0.1:0", backend, objstore.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := testCtx(t)
+	cfg := Config{JobID: "refused", StoreAddr: srv.Addr(), Policy: PolicyOneShot, ExpectedRestores: -1, KeepLast: -1}
+	a := newSystem(t, cfg)
+	if err := a.Run(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	b := newSystem(t, cfg)
+	before, err := backend.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunInterval(ctx); err == nil || !strings.Contains(err.Error(), "Recover") {
+		t.Fatalf("RunInterval before Recover: err = %v, want one naming Recover", err)
+	}
+	if n := b.TrainerStats().Batches; n != 0 {
+		t.Fatalf("refused interval trained %d batches", n)
+	}
+	after, err := backend.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, after) {
+		t.Fatalf("refused interval changed the store: %v -> %v", before, after)
+	}
+	if _, err := b.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	man, err := b.RunInterval(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.ID != 2 || man.Step != 6 || man.Kind != "incremental" {
+		t.Fatalf("resumed checkpoint id %d step %d kind %s, want 2, 6, incremental", man.ID, man.Step, man.Kind)
+	}
+}
+
+func TestIntervalDerivedFromWallClock(t *testing.T) {
+	sys, err := Open(Config{JobID: "wall-clock", BatchSize: 1024, Interval: 30 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	// 30 min at 500K QPS, batch 1024, 1% tracking: ~870k batches.
+	if bpi := sys.cfg.BatchesPerInterval; bpi < 800_000 || bpi > 900_000 {
+		t.Fatalf("batches per interval = %d", bpi)
+	}
+}
+
+func TestRunMultipleIntervals(t *testing.T) {
+	sys := newSystem(t, Config{Policy: PolicyOneShot, ExpectedRestores: -1})
+	if err := sys.Run(testCtx(t), 3); err != nil {
+		t.Fatal(err)
+	}
+	ms := sys.Manifests()
+	if len(ms) != 3 {
+		t.Fatalf("manifests = %d", len(ms))
+	}
+	if ms[0].Kind != "full" || ms[1].Kind != "incremental" || ms[2].Kind != "incremental" {
+		t.Fatalf("kinds: %s %s %s", ms[0].Kind, ms[1].Kind, ms[2].Kind)
+	}
+	// Steps advance by the interval.
+	if ms[1].Step != ms[0].Step+2 {
+		t.Fatalf("steps: %d then %d", ms[0].Step, ms[1].Step)
+	}
+}
+
+func TestRecoverWithoutCheckpointFails(t *testing.T) {
+	sys := newSystem(t, Config{Policy: PolicyFull})
+	if _, err := sys.Recover(testCtx(t)); err == nil {
+		t.Fatal("recover with no checkpoint should error")
+	}
+}
+
+func TestFallbackTo8Bit(t *testing.T) {
+	sys := newSystem(t, Config{Policy: PolicyIntermittent, ExpectedRestores: 1}) // 2-bit selected
+	ctx := testCtx(t)
+	if sys.QuantBits() != 2 {
+		t.Fatalf("initial bits = %d", sys.QuantBits())
+	}
+	if err := sys.Run(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	// First restore: within expectation, no fallback.
+	if _, err := sys.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if sys.fallback {
+		t.Fatal("fallback too early")
+	}
+	// Second restore exceeds the estimate of 1: fallback engages.
+	if _, err := sys.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !sys.fallback {
+		t.Fatal("fallback did not engage")
+	}
+	if sys.QuantBits() != 8 {
+		t.Fatalf("post-fallback bits = %d", sys.QuantBits())
+	}
+}
+
+func TestNoGapInvariantHolds(t *testing.T) {
+	sys := newSystem(t, Config{BatchSize: 8, BatchesPerInterval: 5, Policy: PolicyFull, ExpectedRestores: -1})
+	ctx := testCtx(t)
+	for i := 0; i < 3; i++ {
+		if _, err := sys.RunInterval(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if inf := sys.reader.InFlight(); inf != 0 {
+			t.Fatalf("interval %d: %d in-flight batches after checkpoint", i, inf)
+		}
+	}
+}
+
+func TestResumeProducesSameStateAsUninterrupted(t *testing.T) {
+	// The headline accuracy property with fp32 checkpoints: crash +
+	// recover + retrain = never crashed.
+	cfg := Config{JobID: "same", Policy: PolicyOneShot, ExpectedRestores: -1}
+	ctx := testCtx(t)
+	// Uninterrupted: 4 intervals.
+	a := newSystem(t, cfg)
+	if err := a.Run(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	// Interrupted: 2 intervals, crash, recover, 2 more.
+	b := newSystem(t, cfg)
+	if err := b.Run(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	b.Model().Sparse.Tables[0].Weights.Set(3, 3, 123) // corrupt
+	if _, err := b.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Run(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	gen := probeGenerator(t, a)
+	for i := uint64(0); i < 32; i++ {
+		s := gen.At(1<<33 + i)
+		la, lb := a.Model().Forward(&s), b.Model().Forward(&s)
+		if d := la - lb; d > 1e-5 || d < -1e-5 {
+			t.Fatalf("sample %d: uninterrupted %v vs recovered %v", i, la, lb)
+		}
+	}
+}
+
+// probeGenerator returns a generator over sys's tables, for comparing
+// predictions on samples far past anything trained.
+func probeGenerator(t *testing.T, sys *System) *data.Generator {
+	t.Helper()
+	spec := data.DefaultSpec()
+	spec.TableRows = nil
+	for _, tab := range sys.Model().Config().Tables {
+		spec.TableRows = append(spec.TableRows, tab.Rows)
+	}
+	gen, err := data.NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 func TestFP32Mode(t *testing.T) {
 	sys := newSystem(t, Config{ExpectedRestores: -1})
 	if sys.QuantBits() != 32 {
@@ -130,6 +371,11 @@ func TestKeepLastGC(t *testing.T) {
 	sys := newSystem(t, Config{KeepLast: 1, Policy: PolicyFull, ExpectedRestores: -1})
 	ctx := testCtx(t)
 	if err := sys.Run(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Retention deletes off the commit path: wait for the sweep before
+	// reading the store (the coordinator stays usable).
+	if err := sys.coord.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	cks, err := sys.Checkpoints(ctx)
@@ -253,15 +499,7 @@ func TestSecondSystemResumesJob(t *testing.T) {
 	if want := cks[4].Step; res.Step != want {
 		t.Fatalf("third system restored step %d, want %d", res.Step, want)
 	}
-	spec := data.DefaultSpec()
-	spec.TableRows = nil
-	for _, tab := range second.Model().Config().Tables {
-		spec.TableRows = append(spec.TableRows, tab.Rows)
-	}
-	gen, err := data.NewGenerator(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := probeGenerator(t, second)
 	for i := uint64(0); i < 64; i++ {
 		smp := gen.At(1<<33 + i)
 		if live, got := second.Model().Forward(&smp), third.Model().Forward(&smp); live != got {

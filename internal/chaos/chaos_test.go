@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/ckpt"
+	"repro/internal/wire"
 )
 
 func runScenario(t *testing.T, sc *Scenario, rcfg RunnerConfig) *Result {
@@ -43,6 +46,31 @@ func TestScenarioMatrix(t *testing.T) {
 				t.Logf("step %d %-10s %5dms+%4dms %s", step.Index, step.Op, step.ExecMs, step.CheckMs, step.Detail)
 			}
 		})
+	}
+}
+
+// TestFleetRunsPolicyFull: ckpt.PolicyFull is the zero PolicyKind, and a
+// fleet built with it writes a full checkpoint every time — the one-shot
+// default belongs to a campaign that names no policy, not to the fleet.
+func TestFleetRunsPolicyFull(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	f, err := NewFleet(FleetConfig{JobID: "policy-full", Policy: ckpt.PolicyFull, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Lead(ctx, "leader-0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []uint64{2, 4} {
+		man, err := f.Checkpoint(ctx, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.Kind != wire.KindFull.String() {
+			t.Fatalf("checkpoint %d at step %d is %s, want full", man.ID, step, man.Kind)
+		}
 	}
 }
 

@@ -90,10 +90,11 @@ type FleetConfig struct {
 	// forked shardd uses the demo defaults).
 	TableRows []int
 	Dim       int
-	// Policy is the checkpoint policy (default one-shot full+incremental);
-	// QuantBits enables asymmetric quantization when positive; KeepLast is
-	// every shard's retention (0 keeps everything). Together they are the
-	// engine template of every shard, hosted in-process or forked.
+	// Policy is the checkpoint policy (the zero value is ckpt.PolicyFull;
+	// a campaign that names none runs one-shot); QuantBits enables
+	// asymmetric quantization when positive; KeepLast is every shard's
+	// retention (0 keeps everything). Together they are the engine
+	// template of every shard, hosted in-process or forked.
 	Policy    ckpt.PolicyKind
 	QuantBits int
 	KeepLast  int
@@ -146,9 +147,6 @@ func (cfg *FleetConfig) withDefaults() (FleetConfig, error) {
 	}
 	if c.Batch <= 0 {
 		c.Batch = 16
-	}
-	if c.Policy == 0 {
-		c.Policy = ckpt.PolicyOneShot
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 5 * time.Second

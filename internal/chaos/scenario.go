@@ -32,7 +32,7 @@ type FleetSpec struct {
 	Batch       int    `json:"batch,omitempty"`
 	TableRows   []int  `json:"table_rows,omitempty"`
 	Dim         int    `json:"dim,omitempty"`
-	Policy      string `json:"policy,omitempty"` // full|oneshot|consecutive|intermittent
+	Policy      string `json:"policy,omitempty"` // full|oneshot|consecutive|intermittent; empty is oneshot
 	QuantBits   int    `json:"quant_bits,omitempty"`
 	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
 	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`
@@ -221,6 +221,7 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 	if fcfg.StoreBackend == "" && rcfg.DiskStores {
 		fcfg.StoreBackend = "disk"
 	}
+	fcfg.Policy = ckpt.PolicyOneShot
 	if sc.Fleet.Policy != "" {
 		kind, err := ckpt.ParsePolicy(sc.Fleet.Policy)
 		if err != nil {

@@ -40,8 +40,8 @@ type CoordinatorConfig struct {
 // its shard's view of the snapshot being written, and decides which shard
 // owns which table, while ctrl.Controller hands the same Committer
 // RemoteRunners talking to the ShardWriters inside shardd agent
-// processes. It is the single-process product path: core.Controller (the
-// checknrun package and CLI) writes every checkpoint through one.
+// processes. It is the single-process product path: checknrun.System
+// (and so cmd/checknrun) writes every checkpoint through one.
 //
 // Like Engine, methods are not safe for concurrent use — checkpoints of
 // one job never overlap. The concurrency is inside one Write.

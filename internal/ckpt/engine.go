@@ -16,6 +16,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/objstore"
 	"repro/internal/quant"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -397,13 +398,14 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 
 // writeTable quantizes, encodes and uploads one table's rows: a pool of
 // cfg.encoders workers quantizes rows with reusable scratch and encodes
-// chunks into pooled buffers, feeding cfg.Uploaders store writers. A
-// chunk is wire.SegmentsPerChunk segments of cfg.ChunkRows rows under
-// the checkpoint's quantizer. Chunk keys are precomputed from row
-// position, so the manifest's chunk order is deterministic regardless of
-// which worker encodes which chunk, and uploaders return each buffer to
-// the pool once Store.Put has released it. In steady state the encode
-// loop performs no per-row allocations.
+// chunks into exactly-sized rpc.Alloc buffers, feeding cfg.Uploaders
+// store writers. A chunk is wire.SegmentsPerChunk segments of
+// cfg.ChunkRows rows under the checkpoint's quantizer. Chunk keys are
+// precomputed from row position, so the manifest's chunk order is
+// deterministic regardless of which worker encodes which chunk, and
+// uploaders rpc.Recycle each buffer once Store.Put has returned (Put
+// keeps no value). In steady state the encode loop performs no per-row
+// allocations.
 func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Table, rows []int) (wire.TableManifest, int64, error) {
 	tm := wire.TableManifest{
 		TableID:    tab.ID,
@@ -449,7 +451,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 
 	type upload struct {
 		key string
-		buf *[]byte
+		buf []byte
 	}
 	uploads := make(chan upload, e.cfg.Uploaders)
 	var upWG sync.WaitGroup
@@ -458,12 +460,12 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		go func() {
 			defer upWG.Done()
 			for u := range uploads {
-				if err := e.cfg.Store.Put(ctx, u.key, *u.buf); err != nil {
+				if err := e.cfg.Store.Put(ctx, u.key, u.buf); err != nil {
 					fail(err)
 				} else {
-					totalBytes.Add(int64(len(*u.buf)))
+					totalBytes.Add(int64(len(u.buf)))
 				}
-				wire.PutChunkBuf(u.buf)
+				rpc.Recycle(u.buf)
 			}
 		}()
 	}
@@ -510,17 +512,16 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 						Q:     &qrows[j],
 					})
 				}
-				buf := wire.GetChunkBuf()
-				var err error
-				if *buf, err = chunk.AppendTo(*buf); err != nil {
-					wire.PutChunkBuf(buf)
+				buf, err := chunk.AppendTo(rpc.Alloc(chunk.EncodedLen())[:0])
+				if err != nil {
+					rpc.Recycle(buf)
 					fail(err)
 					return
 				}
 				select {
 				case uploads <- upload{key: tm.ChunkKeys[ci], buf: buf}:
 				case <-ctx.Done():
-					wire.PutChunkBuf(buf)
+					rpc.Recycle(buf)
 					return
 				}
 			}

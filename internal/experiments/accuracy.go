@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/failure"
@@ -236,7 +235,7 @@ func Fig14AccuracyDegradation(cfg Fig14Config, bits int) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig14 baseline: %w", err)
 	}
-	qp, err := core.ParamsForBits(bits)
+	qp, err := quant.ParamsForBits(bits)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +289,7 @@ func Fig14Summary(cfg Fig14Config) (*Result, error) {
 	}
 	sort.Ints(bitsList)
 	for _, bits := range bitsList {
-		qp, err := core.ParamsForBits(bits)
+		qp, err := quant.ParamsForBits(bits)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/model"
@@ -139,7 +138,7 @@ func WriteLatencyResult(cfg ContentionConfig) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("contention baseline: %w", err)
 	}
-	qp, err := core.ParamsForBits(4)
+	qp, err := quant.ParamsForBits(4)
 	if err != nil {
 		return nil, err
 	}

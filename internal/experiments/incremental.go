@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/model"
@@ -240,8 +239,8 @@ func Fig17OverallReduction(cfg IncrementalConfig) (*Result, []Fig17Bucket, error
 	var bwPts, capPts []stats.Point
 	var out []Fig17Bucket
 	for i, b := range buckets {
-		bits := core.SelectBitWidth(b.restores)
-		qp, err := core.ParamsForBits(bits)
+		bits := quant.SelectBitWidth(b.restores)
+		qp, err := quant.ParamsForBits(bits)
 		if err != nil {
 			return nil, nil, err
 		}

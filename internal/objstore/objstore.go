@@ -48,14 +48,15 @@ func checkKey(key string) error {
 // Store is the object storage interface used by the checkpoint engine.
 // Values are immutable once put; a Put to an existing key overwrites it.
 type Store interface {
-	// Put stores value under key. Implementations must not retain
-	// value after Put returns: the checkpoint engine recycles encode
-	// buffers through a pool the moment Put completes (MemStore copies
-	// on Put; the TCP client writes the bytes to the socket before
-	// returning). A write-behind implementation must copy. A key that
-	// is empty, holds a '\n' or is longer than 4 KiB is refused with
-	// ErrInvalidKey: List could not give it back over CNR1, whose reply
-	// joins keys with '\n'.
+	// Put stores value under key. The value is only lent: the store must
+	// not keep it, or any slice of it, once Put returns — the checkpoint
+	// engine encodes every chunk into rpc.Alloc memory and passes it to
+	// rpc.Recycle the moment Put returns (MemStore and DiskStore copy
+	// it; the TCP client has written it to the socket). A write-behind
+	// implementation must copy. PutOwned is the one exception: there the
+	// caller hands the value over. A key that is empty, holds a '\n' or
+	// is longer than 4 KiB is refused with ErrInvalidKey: List could not
+	// give it back over CNR1, whose reply joins keys with '\n'.
 	Put(ctx context.Context, key string, value []byte) error
 	// Get returns the value stored under key, or ErrNotFound. The value
 	// is the caller's: no later operation on the store changes it. A

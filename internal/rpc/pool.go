@@ -5,12 +5,13 @@ import (
 	"sync"
 )
 
-// The body pool: every Get body — the response payload readResponse
-// reads, the copy MemStore.Get returns, the value DiskStore.Get preads —
-// comes from Alloc, and whoever holds the only reference may give it
-// back with Recycle once it is done with it. A chunk is filled once,
-// read once and dead, so without the pool each one is a fresh zeroed
-// allocation on both ends of the wire, and the GC's to reclaim.
+// The body pool, in both directions: every Get body — the response
+// payload readResponse reads, the copy MemStore.Get returns, the value
+// DiskStore.Get preads — and every chunk the checkpoint engine encodes
+// for a Put comes from Alloc, and whoever holds the only reference may
+// give it back with Recycle once it is done with it. A chunk is filled
+// once, read once and dead, so without the pool each one is a fresh
+// zeroed allocation on both ends of the wire, and the GC's to reclaim.
 //
 // Sizes are quarter steps of each power of two — 4, 5, 6, 7, 8, 10, 12,
 // 14, 16 KiB and so on up to 1 MiB — so a buffer wastes under a fifth of

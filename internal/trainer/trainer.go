@@ -175,9 +175,10 @@ func (c *Cluster) gatherParallel(b *data.Batch) *model.Gathered {
 	return g
 }
 
-// TableAssignment returns the table -> node ownership map. core.Controller
-// configures its checkpoint Coordinator with it — one shard writer per
-// trainer node — so every node checkpoints exactly the rows it trains.
+// TableAssignment returns the table -> node ownership map.
+// checknrun.System configures its checkpoint Coordinator with it — one
+// shard writer per trainer node — so every node checkpoints exactly the
+// rows it trains.
 func (c *Cluster) TableAssignment() map[int]int {
 	out := make(map[int]int)
 	for n, set := range c.nodeTables {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/quant"
+	"repro/internal/rpc"
 )
 
 // TestAppendToMatchesEncode checks that appending onto a non-empty,
@@ -27,7 +28,7 @@ func TestAppendToMatchesEncode(t *testing.T) {
 		if !bytes.Equal(got[len(prefix):], want) {
 			t.Fatalf("%s: AppendTo suffix differs from Encode output", name)
 		}
-		// Exact-size accounting keeps pooled buffers from over-growing.
+		// Exact: the engine encodes into an rpc.Alloc(EncodedLen()) buffer.
 		if len(want) != c.EncodedLen() {
 			t.Fatalf("%s: EncodedLen %d != encoded size %d", name, c.EncodedLen(), len(want))
 		}
@@ -80,37 +81,39 @@ func TestSegmentsPerChunk(t *testing.T) {
 	}
 }
 
-// TestChunkBufPool exercises the get/put cycle and the reuse contract.
-func TestChunkBufPool(t *testing.T) {
-	buf := GetChunkBuf()
-	if len(*buf) != 0 {
-		t.Fatalf("fresh buffer has length %d", len(*buf))
+// TestEncodeFitsExactAlloc holds the engine's write path to its buffer
+// rule: a chunk encodes into rpc.Alloc(EncodedLen()) in place, so the Put
+// body is the pooled slice itself and rpc.Recycle can take it back. A
+// short EncodedLen would make AppendTo grow into a fresh array the pool
+// never sees.
+func TestEncodeFitsExactAlloc(t *testing.T) {
+	chunks := allocTestChunks(t)
+	// Large enough to come from a pool class rather than a plain make.
+	chunks["fp32-pooled"] = goldenChunk(t, 3, 128, 16, quant.Params{Method: quant.MethodNone})
+	for name, c := range chunks {
+		n := c.EncodedLen()
+		buf := rpc.Alloc(n)
+		out, err := c.AppendTo(buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != n || &out[0] != &buf[0] {
+			t.Fatalf("%s: encoded %d bytes into a %d-byte Alloc, in place %v", name, len(out), n, &out[0] == &buf[0])
+		}
+		rpc.Recycle(out)
 	}
-	*buf = append(*buf, []byte("payload")...)
-	PutChunkBuf(buf)
-	again := GetChunkBuf()
-	if len(*again) != 0 {
-		t.Fatal("recycled buffer not reset to zero length")
-	}
-	PutChunkBuf(again)
-	PutChunkBuf(nil) // must not panic
-
-	// Oversized buffers are dropped, not pooled.
-	big := make([]byte, 0, maxPooledChunkBuf+1)
-	PutChunkBuf(&big)
 }
 
-// TestEncodePooledAllocFree confirms encoding into a warm pooled buffer
+// TestEncodePooledAllocFree confirms encoding into a warm reused buffer
 // does not allocate, whichever layout AppendTo chooses.
 func TestEncodePooledAllocFree(t *testing.T) {
 	for name, c := range allocTestChunks(t) {
-		buf := GetChunkBuf()
-		var err error
-		if *buf, err = c.AppendTo((*buf)[:0]); err != nil { // warm capacity
+		buf, err := c.AppendTo(nil) // warm capacity
+		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			*buf, err = c.AppendTo((*buf)[:0])
+			buf, err = c.AppendTo(buf[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,6 +121,5 @@ func TestEncodePooledAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s encode into warm buffer: %v allocs, want 0", name, allocs)
 		}
-		PutChunkBuf(buf)
 	}
 }
