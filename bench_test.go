@@ -7,18 +7,12 @@ package checknrun
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/ckpt"
 	"repro/internal/data"
-	"repro/internal/embedding"
 	"repro/internal/experiments"
-	"repro/internal/model"
-	"repro/internal/objstore"
-	"repro/internal/quant"
-	"repro/internal/simclock"
 	"repro/internal/stats"
 )
 
@@ -325,64 +319,6 @@ func BenchmarkAblationTrackingGranularity(b *testing.B) {
 	b.ReportMetric(float64(block64Count)/float64(rowCount), "write_amplification_x")
 }
 
-// BenchmarkAblationPipelining measures checkpoint write wall time with 1
-// vs 4 upload workers against a bandwidth-shaped store on the real clock.
-// Note the finding: the engine's producer/consumer design pipelines
-// quantization against upload even with a single worker, and a serialized
-// link gains nothing from extra workers — extra uploaders only pay off
-// when the store accepts parallel streams. The pipelining itself (vs a
-// hypothetical quantize-everything-then-upload design) is what §6.1 calls
-// "virtually zero" quantization latency.
-func BenchmarkAblationPipelining(b *testing.B) {
-	for _, uploaders := range []int{1, 4} {
-		b.Run(fmt.Sprintf("uploaders=%d", uploaders), func(b *testing.B) {
-			mcfg := model.DefaultConfig()
-			mcfg.Tables = []embedding.TableSpec{{Rows: 4096, Dim: 16}}
-			m, err := model.New(mcfg, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec := data.DefaultSpec()
-			spec.TableRows = []int{4096}
-			gen, err := data.NewGenerator(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.TrainBatch(gen.NextBatch(64))
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// A real-clock throttle so upload time is non-trivial
-				// (~40ms per checkpoint at 16 MB/s).
-				store := objstore.NewMemStore(objstore.MemConfig{
-					WriteBandwidth: 16 << 20,
-					Clock:          simclock.Real{},
-				})
-				eng, err := ckpt.NewEngine(ckpt.Config{
-					JobID: "abl", Store: store, Policy: ckpt.PolicyFull,
-					Quant: quant.Params{Method: quant.MethodAdaptive, Bits: 4,
-						NumBins: 25, Ratio: 1},
-					ChunkRows: 256,
-					Uploaders: uploaders,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				snap, err := ckpt.TakeSnapshot(m, 1,
-					data.ReaderState{NextSample: gen.Pos(), BatchSize: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := eng.Write(ctx, snap); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationPredictor compares the intermittent history predictor
 // against fixed-period full baselines on total bytes written.
 func BenchmarkAblationPredictor(b *testing.B) {
@@ -419,6 +355,7 @@ func BenchmarkEndToEndInterval(b *testing.B) {
 	sys, err := Open(Config{
 		JobID:              "bench-e2e",
 		ExpectedRestores:   3,
+		KeepLast:           2,
 		BatchSize:          32,
 		BatchesPerInterval: 2,
 	})

@@ -55,18 +55,6 @@ const (
 	PolicyIntermittent = ckpt.PolicyIntermittent
 )
 
-// Predictor selects the intermittent policy's full-baseline predictor.
-type Predictor = ckpt.PredictorKind
-
-// Intermittent-policy predictors.
-const (
-	// PredictorHistory is the paper's §5.1 rule (default).
-	PredictorHistory = ckpt.PredictorHistory
-	// PredictorRegression fits the incremental growth curve (the
-	// paper's future-work improvement).
-	PredictorRegression = ckpt.PredictorRegression
-)
-
 // Manifest describes a committed checkpoint.
 type Manifest = wire.Manifest
 
@@ -85,9 +73,6 @@ type Config struct {
 	// comma-separated fleet of objstored processes routed by consistent
 	// hashing (see objstore.Connect). Empty uses an in-process store.
 	StoreAddr string
-	// Replication is the simulated storage replication factor for the
-	// in-process store (default 1).
-	Replication int
 
 	// Policy is the incremental checkpointing policy. The zero value is
 	// PolicyFull; cmd/checknrun defaults to PolicyIntermittent.
@@ -108,14 +93,10 @@ type Config struct {
 	// Interval optionally derives BatchesPerInterval from a wall-clock
 	// duration using the paper's throughput model (500K QPS).
 	Interval time.Duration
-	// KeepLast bounds retained checkpoints: zero means the default of 2,
+	// KeepLast bounds retained checkpoints as ckpt.Config.KeepLast does:
+	// the newest KeepLast stay, with what they restore through; zero or
 	// negative keeps every checkpoint.
 	KeepLast int
-
-	// Predictor selects the intermittent policy's full-baseline
-	// predictor: PredictorHistory (the paper's rule, default) or
-	// PredictorRegression (fits the observed growth curve).
-	Predictor Predictor
 
 	// Model optionally overrides the DLRM architecture; zero value uses
 	// a small default matched to the synthetic dataset.
@@ -171,12 +152,6 @@ func Open(cfg Config) (*System, error) {
 			cfg.BatchesPerInterval = tm.BatchesPerInterval(cfg.Interval)
 		}
 	}
-	switch {
-	case cfg.KeepLast == 0:
-		cfg.KeepLast = 2
-	case cfg.KeepLast < 0:
-		cfg.KeepLast = 0 // keep all
-	}
 	qp := quant.Params{Method: quant.MethodNone}
 	if cfg.ExpectedRestores >= 0 {
 		// SelectBitWidth only picks widths ParamsForBits has.
@@ -230,18 +205,17 @@ func Open(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("checknrun: store: %w", err)
 		}
 	} else {
-		store = objstore.NewMemStore(objstore.MemConfig{Replication: cfg.Replication})
+		store = objstore.NewMemStore(objstore.MemConfig{})
 	}
 
 	// Open's signature predates the store I/O a resumed job needs here.
 	coord, err := ckpt.NewCoordinator(context.TODO(), ckpt.CoordinatorConfig{
 		Config: ckpt.Config{
-			JobID:     cfg.JobID,
-			Store:     store,
-			Policy:    cfg.Policy,
-			Quant:     qp,
-			KeepLast:  cfg.KeepLast,
-			Predictor: cfg.Predictor,
+			JobID:    cfg.JobID,
+			Store:    store,
+			Policy:   cfg.Policy,
+			Quant:    qp,
+			KeepLast: cfg.KeepLast,
 		},
 		Shards:     m.Sparse.Nodes(),
 		Assignment: clus.TableAssignment(),

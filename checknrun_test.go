@@ -2,6 +2,7 @@ package checknrun
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -91,20 +92,21 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestOpenDefaults(t *testing.T) {
-	// Open fills every field but JobID, so nothing past it re-validates.
+	// Open fills the sizing fields, so nothing past it re-validates them.
+	// KeepLast has no default of its own: zero keeps everything, as it does
+	// for ckpt.Config.
 	sys := newSystem(t, Config{JobID: "defaults", BatchSize: -1, BatchesPerInterval: -1})
-	if c := sys.cfg; c.Nodes != 2 || c.BatchSize != 64 || c.BatchesPerInterval != 8 || c.KeepLast != 2 {
-		t.Fatalf("defaults: nodes %d, batch %d, interval %d batches, keep %d; want 2, 64, 8, 2",
+	if c := sys.cfg; c.Nodes != 2 || c.BatchSize != 64 || c.BatchesPerInterval != 8 || c.KeepLast != 0 {
+		t.Fatalf("defaults: nodes %d, batch %d, interval %d batches, keep %d; want 2, 64, 8, 0",
 			c.Nodes, c.BatchSize, c.BatchesPerInterval, c.KeepLast)
 	}
 	if n := sys.Model().Sparse.Nodes(); n != 2 {
 		t.Fatalf("model sharded over %d nodes, want 2", n)
 	}
-	// Negative KeepLast keeps every checkpoint; an explicit interval in
-	// batches wins over a wall-clock one.
-	sys = newSystem(t, Config{JobID: "explicit", KeepLast: -1, BatchesPerInterval: 3, Interval: 30 * time.Minute})
-	if c := sys.cfg; c.KeepLast != 0 || c.BatchesPerInterval != 3 {
-		t.Fatalf("keep %d, interval %d batches; want 0 (keep all), 3", c.KeepLast, c.BatchesPerInterval)
+	// An explicit interval in batches wins over a wall-clock one.
+	sys = newSystem(t, Config{JobID: "explicit", BatchesPerInterval: 3, Interval: 30 * time.Minute})
+	if c := sys.cfg; c.BatchesPerInterval != 3 {
+		t.Fatalf("interval %d batches, want 3", c.BatchesPerInterval)
 	}
 }
 
@@ -388,17 +390,27 @@ func TestKeepLastGC(t *testing.T) {
 }
 
 func TestKeepAll(t *testing.T) {
-	sys := newSystem(t, Config{KeepLast: -1, Policy: PolicyFull, ExpectedRestores: -1})
-	ctx := testCtx(t)
-	if err := sys.Run(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	cks, err := sys.Checkpoints(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cks) != 3 {
-		t.Fatalf("retained %d checkpoints, want 3", len(cks))
+	// Zero and negative KeepLast both keep every checkpoint, as they do for
+	// ckpt.Config.KeepLast and shardd -keep.
+	for _, keep := range []int{0, -1} {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			sys := newSystem(t, Config{KeepLast: keep, Policy: PolicyFull, ExpectedRestores: -1})
+			ctx := testCtx(t)
+			if err := sys.Run(ctx, 3); err != nil {
+				t.Fatal(err)
+			}
+			// Wait for any retention sweep before listing.
+			if err := sys.coord.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cks, err := sys.Checkpoints(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cks) != 3 {
+				t.Fatalf("retained %d checkpoints, want 3", len(cks))
+			}
+		})
 	}
 }
 
@@ -508,11 +520,8 @@ func TestSecondSystemResumesJob(t *testing.T) {
 	}
 }
 
-func TestCompactAndRegressionKnobs(t *testing.T) {
-	sys := newSystem(t, Config{
-		ExpectedRestores: 3,
-		Predictor:        PredictorRegression,
-	})
+func TestQuantizedCheckpointsRecoverAndTrainOn(t *testing.T) {
+	sys := newSystem(t, Config{ExpectedRestores: 3})
 	ctx := testCtx(t)
 	if err := sys.Run(ctx, 3); err != nil {
 		t.Fatal(err)

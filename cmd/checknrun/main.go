@@ -31,9 +31,8 @@ func main() {
 	batch := flag.Int("batch", 64, "batch size")
 	batchesPerInterval := flag.Int("interval-batches", 8, "batches per checkpoint interval")
 	nodes := flag.Int("nodes", 2, "simulated trainer nodes")
-	keep := flag.Int("keep", 2, "checkpoints to retain (-1 = all)")
+	keep := flag.Int("keep", 2, "checkpoints to retain (0 or negative = all)")
 	doRecover := flag.Bool("recover", false, "restore the latest checkpoint before training")
-	predictorName := flag.String("predictor", "history", "intermittent predictor: history|regression")
 	doVerify := flag.Bool("verify", false, "scrub all checkpoints after training")
 	flag.Parse()
 
@@ -42,16 +41,6 @@ func main() {
 	policy, err := ckpt.ParsePolicy(*policyName)
 	if err != nil {
 		logger.Fatal(err)
-	}
-
-	var predictor checknrun.Predictor
-	switch *predictorName {
-	case "history":
-		predictor = checknrun.PredictorHistory
-	case "regression":
-		predictor = checknrun.PredictorRegression
-	default:
-		logger.Fatalf("unknown predictor %q", *predictorName)
 	}
 
 	sys, err := checknrun.Open(checknrun.Config{
@@ -63,7 +52,6 @@ func main() {
 		BatchSize:          *batch,
 		BatchesPerInterval: *batchesPerInterval,
 		KeepLast:           *keep,
-		Predictor:          predictor,
 	})
 	if err != nil {
 		logger.Fatalf("open: %v", err)

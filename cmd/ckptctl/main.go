@@ -15,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -121,12 +122,14 @@ func main() {
 		if *id < 0 {
 			logger.Fatal("delete requires -id")
 		}
-		deps, err := dependents(ctx, rest, *id)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		if len(deps) > 0 && !*force {
-			logger.Fatalf("checkpoint %d is a chain dependency of checkpoint(s) %v; deleting it would make them unrestorable (use -force to delete anyway)", *id, deps)
+		if !*force {
+			deps, err := dependents(ctx, rest, *id)
+			if err != nil {
+				logger.Fatalf("%v; it may depend on checkpoint %d (use -force to delete anyway)", err, *id)
+			}
+			if len(deps) > 0 {
+				logger.Fatalf("checkpoint %d is a chain dependency of checkpoint(s) %v; deleting it would make them unrestorable (use -force to delete anyway)", *id, deps)
+			}
 		}
 		// The checkpoint's objects live under the job's own scope (the
 		// composite and dense object) and under every shard's (this also
@@ -229,7 +232,9 @@ func main() {
 
 // dependents returns the IDs of checkpoints whose restore chains — every
 // shard's, for a composite — pass through checkpoint id: deleting id
-// would brick them.
+// would brick them. It takes SweepOrphans' rule: a checkpoint retired
+// since the listing is skipped, and one whose chain cannot be read for
+// any other reason fails the call, named, since it may need id.
 func dependents(ctx context.Context, rest *ckpt.Restorer, id int) ([]int, error) {
 	ids, err := rest.ManifestIDs(ctx)
 	if err != nil {
@@ -237,20 +242,25 @@ func dependents(ctx context.Context, rest *ckpt.Restorer, id int) ([]int, error)
 	}
 	var out []int
 	for _, other := range ids {
-		if other != id && chainNeeds(ctx, rest, other, id) {
+		if other == id {
+			continue
+		}
+		plan, err := rest.Resolve(ctx, other, -1)
+		if errors.Is(err, objstore.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint %d: %w", other, err)
+		}
+		if planNeeds(plan, id) {
 			out = append(out, other)
 		}
 	}
 	return out, nil
 }
 
-// chainNeeds reports whether restoring checkpoint of requires checkpoint id.
-func chainNeeds(ctx context.Context, rest *ckpt.Restorer, of, id int) bool {
-	plan, err := rest.Resolve(ctx, of, -1)
-	if err != nil {
-		// An already-broken chain is not this deletion's problem.
-		return false
-	}
+// planNeeds reports whether a restore of plan reads checkpoint id.
+func planNeeds(plan *ckpt.Plan, id int) bool {
 	for _, links := range plan.Links {
 		for _, link := range links {
 			if link.ID == id {

@@ -35,7 +35,7 @@ func main() {
 	shards := flag.Int("shards", 1, "total shard count of the job")
 	seed := flag.Int64("seed", 1, "fleet-wide model/data seed (must match across shards)")
 	batch := flag.Int("batch", 64, "replica training batch size")
-	policy := flag.String("policy", "oneshot", "checkpoint policy: full|oneshot|consecutive|intermittent")
+	policy := flag.String("policy", "one-shot", "checkpoint policy: full|one-shot|consecutive|intermittent")
 	quantBits := flag.Int("quant-bits", 0, "asymmetric quantization bits (0 = fp32)")
 	keep := flag.Int("keep", 0, "KeepLast retention, the same on every shard of a job (0 keeps everything)")
 	opTimeout := flag.Duration("op-timeout", 2*time.Minute, "per-operation deadline, store I/O included (0 = none)")

@@ -42,6 +42,7 @@ func main() {
 		ExpectedRestores:   expected,
 		BatchSize:          64,
 		BatchesPerInterval: 4,
+		KeepLast:           2,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,6 +21,7 @@ func main() {
 		ExpectedRestores:   1,
 		BatchSize:          64,
 		BatchesPerInterval: 4,
+		KeepLast:           2,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

@@ -735,7 +735,6 @@ func (f *Fleet) newController(lease *ctrl.Lease, holder string) error {
 		Agents:       agents,
 		Lease:        lease,
 		Announcer:    f.announcer,
-		DialTimeout:  5 * time.Second,
 		Logf:         f.logf,
 		AfterPrepare: func() { f.fire(&f.afterPrepare) },
 		AfterCommit:  func() { f.fire(&f.afterCommit) },

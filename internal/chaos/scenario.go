@@ -32,7 +32,7 @@ type FleetSpec struct {
 	Batch       int    `json:"batch,omitempty"`
 	TableRows   []int  `json:"table_rows,omitempty"`
 	Dim         int    `json:"dim,omitempty"`
-	Policy      string `json:"policy,omitempty"` // full|oneshot|consecutive|intermittent; empty is oneshot
+	Policy      string `json:"policy,omitempty"` // full|one-shot|consecutive|intermittent; empty is one-shot
 	QuantBits   int    `json:"quant_bits,omitempty"`
 	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
 	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`

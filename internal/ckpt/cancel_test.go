@@ -74,7 +74,7 @@ func TestCoordinatorWriteSurfacesCtxErrAndAbortsAllShards(t *testing.T) {
 	cs := &cancelStore{Store: inner, cancel: cancel, after: 5}
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
-		Config: Config{JobID: "cancel", Store: cs, Policy: PolicyOneShot, ChunkRows: 64, Uploaders: 1},
+		Config: Config{JobID: "cancel", Store: cs, Policy: PolicyOneShot, ChunkRows: 64, uploaders: 1},
 		Shards: 3,
 	})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestCoordinatorWriteCancelledBeforeCommitKeepsPrevious(t *testing.T) {
 	defer cancel0()
 	cs := &cancelStore{Store: inner, cancel: cancel0, after: 1 << 30}
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
-		Config: Config{JobID: "cancel2", Store: cs, Policy: PolicyOneShot, Uploaders: 1},
+		Config: Config{JobID: "cancel2", Store: cs, Policy: PolicyOneShot, uploaders: 1},
 		Shards: 2,
 	})
 	if err != nil {

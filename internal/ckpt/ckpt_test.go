@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/quant"
+	"repro/internal/simclock"
 	"repro/internal/wire"
 )
 
@@ -698,17 +700,41 @@ func ids(ms []*wire.Manifest) []int {
 }
 
 func BenchmarkWriteFullFP32(b *testing.B) {
-	benchWrite(b, Config{Policy: PolicyFull})
+	benchWrite(b, Config{Policy: PolicyFull}, objstore.MemConfig{})
 }
 
 func BenchmarkWriteFull4Bit(b *testing.B) {
 	benchWrite(b, Config{
 		Policy: PolicyFull,
 		Quant:  quant.Params{Method: quant.MethodAsymmetric, Bits: 4},
-	})
+	}, objstore.MemConfig{})
 }
 
-func benchWrite(b *testing.B, cfg Config) {
+// BenchmarkAblationPipelining measures checkpoint write wall time with 1
+// vs 4 upload workers against a bandwidth-shaped store on the real clock
+// (the test model's 4-bit checkpoint takes about 48 ms on its 1 MiB/s link).
+// Note the finding: the engine's producer/consumer design pipelines
+// quantization against upload even with a single worker, and a serialized
+// link gains nothing from extra workers — extra uploaders only pay off
+// when the store accepts parallel streams. The pipelining itself (vs a
+// hypothetical quantize-everything-then-upload design) is what §6.1 calls
+// "virtually zero" quantization latency.
+func BenchmarkAblationPipelining(b *testing.B) {
+	for _, uploaders := range []int{1, 4} {
+		b.Run(fmt.Sprintf("uploaders=%d", uploaders), func(b *testing.B) {
+			benchWrite(b, Config{
+				Policy:    PolicyFull,
+				Quant:     quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1},
+				ChunkRows: 256,
+				uploaders: uploaders,
+			}, objstore.MemConfig{WriteBandwidth: 1 << 20, Clock: simclock.Real{}})
+		})
+	}
+}
+
+// benchWrite times Engine.Write of one snapshot of the test model, each
+// iteration into a fresh MemStore built from mem.
+func benchWrite(b *testing.B, cfg Config, mem objstore.MemConfig) {
 	m, err := model.New(testModelConfig(), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -725,7 +751,7 @@ func benchWrite(b *testing.B, cfg Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg.Store = objstore.NewMemStore(objstore.MemConfig{})
+		cfg.Store = objstore.NewMemStore(mem)
 		cfg.JobID = "bench"
 		eng, err := NewEngine(cfg)
 		if err != nil {

@@ -35,10 +35,6 @@ type Config struct {
 	// wire.SegmentsPerChunk whole segments, so that it weighs about what
 	// an fp32 chunk does. Zero means 512.
 	ChunkRows int
-	// Uploaders is the number of concurrent chunk-upload workers
-	// (pipelined store while the next chunk quantizes). Zero means 2;
-	// 1 disables pipelining (the ablation baseline).
-	Uploaders int
 	// KeepLast is the job's one retention setting: after each commit the
 	// newest KeepLast checkpoints stay, with whatever they restore through
 	// (a base is never deleted while a dependent increment is retained);
@@ -46,15 +42,16 @@ type Config struct {
 	// writers of one job that disagree are safe: a checkpoint stays listed
 	// while every shard holds its part, so the smallest KeepLast decides.
 	KeepLast int
-	// Predictor selects the intermittent policy's full-checkpoint
-	// predictor (default PredictorHistory, the paper's §5.1 rule).
-	Predictor PredictorKind
 
 	// encoders is the number of concurrent quantize+encode workers
 	// feeding the uploaders: GOMAXPROCS, unless a test pins it. Chunk keys
 	// are derived from row position, so the manifest is deterministic
 	// regardless of worker count.
 	encoders int
+	// uploaders is the number of concurrent chunk-upload workers, which
+	// store one chunk while the encoders build the next, and of the
+	// sweeper's delete workers: 2, unless a test pins it.
+	uploaders int
 }
 
 // adaptiveSampling is the adaptive quantizer's per-segment sampling
@@ -119,25 +116,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.ChunkRows <= 0 {
 		cfg.ChunkRows = 512
 	}
-	if cfg.Uploaders <= 0 {
-		cfg.Uploaders = 2
+	if cfg.uploaders <= 0 {
+		cfg.uploaders = 2
 	}
 	if cfg.encoders <= 0 {
 		cfg.encoders = runtime.GOMAXPROCS(0)
 	}
-	if !cfg.Predictor.Valid() {
-		return nil, fmt.Errorf("ckpt: invalid predictor %d", cfg.Predictor)
-	}
-	st := newPolicyState(cfg.Policy)
-	st.predictor = cfg.Predictor
 	return &Engine{
 		cfg:         cfg,
-		state:       st,
+		state:       newPolicyState(cfg.Policy),
 		lastFullID:  -1,
 		cumulative:  make(map[int]*bitvec.Bitmap),
 		uncommitted: make(map[int]*bitvec.Bitmap),
 		manifests:   make(map[int]*wire.Manifest),
-		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.Uploaders},
+		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.uploaders},
 		rangeCache:  make(map[int][]quant.RowRange),
 	}, nil
 }
@@ -398,7 +390,7 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 
 // writeTable quantizes, encodes and uploads one table's rows: a pool of
 // cfg.encoders workers quantizes rows with reusable scratch and encodes
-// chunks into exactly-sized rpc.Alloc buffers, feeding cfg.Uploaders
+// chunks into exactly-sized rpc.Alloc buffers, feeding cfg.uploaders
 // store writers. A chunk is wire.SegmentsPerChunk segments of
 // cfg.ChunkRows rows under the checkpoint's quantizer. Chunk keys are
 // precomputed from row position, so the manifest's chunk order is
@@ -440,7 +432,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var totalBytes atomic.Int64
-	errCh := make(chan error, e.cfg.encoders+e.cfg.Uploaders)
+	errCh := make(chan error, e.cfg.encoders+e.cfg.uploaders)
 	fail := func(err error) {
 		select {
 		case errCh <- err:
@@ -453,9 +445,9 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		key string
 		buf []byte
 	}
-	uploads := make(chan upload, e.cfg.Uploaders)
+	uploads := make(chan upload, e.cfg.uploaders)
 	var upWG sync.WaitGroup
-	for w := 0; w < e.cfg.Uploaders; w++ {
+	for w := 0; w < e.cfg.uploaders; w++ {
 		upWG.Add(1)
 		go func() {
 			defer upWG.Done()
@@ -553,7 +545,7 @@ feed:
 
 // cleanup deletes any objects written for an aborted checkpoint.
 func (e *Engine) cleanup(ctx context.Context, id int) {
-	DeleteCheckpoint(ctx, e.cfg.Store, e.cfg.JobID, id, e.cfg.Uploaders)
+	DeleteCheckpoint(ctx, e.cfg.Store, e.cfg.JobID, id, e.cfg.uploaders)
 }
 
 // DeleteCheckpoint removes the objects of checkpoint id under jobID — one

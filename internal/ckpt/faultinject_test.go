@@ -41,7 +41,7 @@ func (f *flakyStore) Put(ctx context.Context, key string, value []byte) error {
 func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	flaky := &flakyStore{Store: inner, failPut: 3}
-	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, Uploaders: 1})
+	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, uploaders: 1})
 	snap := f.trainAndSnapshot(t, 1, 16)
 	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
@@ -70,7 +70,7 @@ func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	flaky := &flakyStore{Store: inner}
-	f := newFixture(t, Config{Store: flaky, Policy: PolicyOneShot, Uploaders: 1})
+	f := newFixture(t, Config{Store: flaky, Policy: PolicyOneShot, uploaders: 1})
 	// First checkpoint succeeds.
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 func TestWriteFailureOnDenseState(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	flaky := &flakyStore{Store: inner}
-	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, Uploaders: 1})
+	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, uploaders: 1})
 	snap := f.trainAndSnapshot(t, 1, 16)
 	// The dense state is the attempt's first Put: shard 0 stores it, once
 	// for the composite, before its chunks.

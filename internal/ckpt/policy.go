@@ -23,9 +23,10 @@ const (
 	// during the last interval. Restore reads the baseline plus every
 	// incremental in the chain. Suited to online-training publication.
 	PolicyConsecutive
-	// PolicyIntermittent is one-shot plus a history-based predictor that
-	// takes a fresh full baseline when the projected cumulative cost of
-	// staying incremental exceeds the cost of a new baseline (Fc <= Ic).
+	// PolicyIntermittent is one-shot plus the §5.1 history predictor
+	// (policyState.predictFull), which takes a fresh full baseline when the
+	// projected cumulative cost of staying incremental exceeds the cost of
+	// a new baseline (Fc <= Ic).
 	PolicyIntermittent
 )
 
@@ -46,12 +47,8 @@ func (p PolicyKind) String() string {
 }
 
 // ParsePolicy is String's inverse, as the daemons' -policy flags and
-// chaos campaign files spell a policy; "oneshot" is accepted for
-// "one-shot".
+// chaos campaign files spell a policy.
 func ParsePolicy(s string) (PolicyKind, error) {
-	if strings.EqualFold(s, "oneshot") {
-		return PolicyOneShot, nil
-	}
 	for p := PolicyFull; p.Valid(); p++ {
 		if strings.EqualFold(s, p.String()) {
 			return p, nil
@@ -76,8 +73,7 @@ type decision struct {
 // intervals: the sizes of incrementals since the last full baseline,
 // expressed as fractions of the full checkpoint size (S_i in §5.1).
 type policyState struct {
-	kind      PolicyKind
-	predictor PredictorKind
+	kind PolicyKind
 	// sizes holds S_1..S_i for incrementals taken since the last full.
 	sizes []float64
 	// haveFull records whether any full baseline exists yet.
@@ -102,13 +98,7 @@ func (ps *policyState) decide(prospectiveSize float64) decision {
 	case PolicyConsecutive:
 		return decision{kind: wire.KindIncremental, sinceBase: false}
 	case PolicyIntermittent:
-		takeFull := false
-		if ps.predictor == PredictorRegression {
-			takeFull = regressionPredictFull(ps.sizes, prospectiveSize)
-		} else {
-			takeFull = ps.predictFull(prospectiveSize)
-		}
-		if takeFull {
+		if ps.predictFull(prospectiveSize) {
 			return decision{kind: wire.KindFull}
 		}
 		return decision{kind: wire.KindIncremental, sinceBase: true}

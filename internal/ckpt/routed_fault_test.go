@@ -84,7 +84,7 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 	const job = "routedfault"
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
-		Config: Config{JobID: job, Store: routed, Policy: PolicyOneShot, ChunkRows: 64, Uploaders: 1},
+		Config: Config{JobID: job, Store: routed, Policy: PolicyOneShot, ChunkRows: 64, uploaders: 1},
 		Shards: 2,
 	})
 	if err != nil {

@@ -66,7 +66,7 @@ func TestCoordinatorOverTCPSharded(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "tcp4", Store: client, Policy: PolicyOneShot,
-			ChunkRows: 64, Uploaders: 3},
+			ChunkRows: 64, uploaders: 3},
 		Shards: 4,
 	})
 	if err != nil {

@@ -27,8 +27,6 @@ type ControllerConfig struct {
 	// checkpoint and again immediately before the composite commit,
 	// refusing to commit once superseded.
 	Lease *Lease
-	// DialTimeout bounds agent connection establishment; zero means 5s.
-	DialTimeout time.Duration
 	// OpTimeout bounds the controller's own store and discovery
 	// operations — agent Status during discovery and the Get of the
 	// newest composite — mirroring the per-op budget agents already have
@@ -116,7 +114,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	defer cancel()
 	var maxEpoch uint64
 	for _, addr := range cfg.Agents {
-		client, err := DialAgent(addr, ClientConfig{DialTimeout: cfg.DialTimeout})
+		client, err := DialAgent(addr, ClientConfig{}) // DialAgent's default dial timeout, 5s
 		if err != nil {
 			return fail(err)
 		}

@@ -149,7 +149,7 @@ func TestSeparateProcessFleetCommitIsAllOrNothing(t *testing.T) {
 			"-shards", fmt.Sprint(shards),
 			"-seed", "11",
 			"-batch", "8",
-			"-policy", "oneshot",
+			"-policy", "one-shot",
 		)
 	}
 

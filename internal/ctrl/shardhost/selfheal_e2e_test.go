@@ -264,7 +264,7 @@ func TestSeparateProcessSharddRejoinAfterSIGKILL(t *testing.T) {
 			"-shards", fmt.Sprint(shards),
 			"-seed", "11",
 			"-batch", "8",
-			"-policy", "oneshot",
+			"-policy", "one-shot",
 		}
 	}
 	procs := make([]*exec.Cmd, shards)

@@ -48,7 +48,7 @@ type Config struct {
 	TableRows []int
 	Dim       int
 	// Engine is the shard engine template (Policy, Quant, ChunkRows,
-	// Uploaders, KeepLast). JobID and Store are filled in by the host.
+	// KeepLast). JobID and Store are filled in by the host.
 	Engine ckpt.Config
 	// ConnectWait, if positive, keeps retrying the initial store connect
 	// for up to this long with jittered exponential backoff. A rejoining

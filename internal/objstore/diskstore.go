@@ -141,16 +141,16 @@ type DiskStore struct {
 	cfg DiskConfig
 	dir *os.File // directory handle, fsynced after create/rename/remove
 
-	mu       sync.RWMutex
-	index    map[string]diskLoc
-	files    map[uint64]*os.File
-	segIDs   []uint64 // sorted; last is the active segment
-	active   *os.File
-	activeID uint64
-	nextID   uint64
+	mu        sync.RWMutex
+	index     map[string]diskLoc
+	files     map[uint64]*os.File
+	segIDs    []uint64 // sorted; last is the active segment
+	active    *os.File
+	activeID  uint64
+	nextID    uint64
 	activeOff int64
-	dirty    bool // unsynced appends on the active segment
-	closed   bool
+	dirty     bool // unsynced appends on the active segment
+	closed    bool
 
 	totalLog int64 // bytes across all segment files
 	deadLog  int64 // bytes of overwritten/deleted/tombstone records
@@ -660,12 +660,6 @@ func (s *DiskStore) Usage() Usage {
 		Gets:          s.gets.Load(),
 		Deletes:       s.deletes.Load(),
 	}
-}
-
-// ResetBandwidth zeroes the cumulative bandwidth counters.
-func (s *DiskStore) ResetBandwidth() {
-	s.bytesWritten.Store(0)
-	s.bytesRead.Store(0)
 }
 
 // Stats snapshots the log shape.

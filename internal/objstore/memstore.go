@@ -267,9 +267,3 @@ func (s *MemStore) Usage() Usage {
 		Deletes:       s.deletes.Load(),
 	}
 }
-
-// ResetBandwidth zeroes the cumulative bandwidth counters.
-func (s *MemStore) ResetBandwidth() {
-	s.bytesWritten.Store(0)
-	s.bytesRead.Store(0)
-}

@@ -109,7 +109,4 @@ func PutOwned(ctx context.Context, s Store, key string, value []byte) error {
 // Accountant is implemented by stores that expose usage counters.
 type Accountant interface {
 	Usage() Usage
-	// ResetBandwidth zeroes the cumulative read/write counters (capacity
-	// is preserved); experiments call it at interval boundaries.
-	ResetBandwidth()
 }

@@ -172,20 +172,6 @@ func TestMemStoreContextCancelled(t *testing.T) {
 	}
 }
 
-func TestMemStoreResetBandwidth(t *testing.T) {
-	s := NewMemStore(MemConfig{})
-	ctx := ctxT(t)
-	s.Put(ctx, "k", make([]byte, 50))
-	s.ResetBandwidth()
-	u := s.Usage()
-	if u.BytesWritten != 0 {
-		t.Fatal("bandwidth not reset")
-	}
-	if u.CapacityBytes != 50 {
-		t.Fatal("capacity should survive bandwidth reset")
-	}
-}
-
 func TestMemStoreConcurrent(t *testing.T) {
 	s := NewMemStore(MemConfig{})
 	ctx := ctxT(t)

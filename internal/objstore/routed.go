@@ -192,12 +192,3 @@ func (r *RoutedStore) Usage() Usage {
 	}
 	return total
 }
-
-// ResetBandwidth resets every accounting backend's bandwidth counters.
-func (r *RoutedStore) ResetBandwidth() {
-	for i := range r.backends {
-		if a, ok := r.backends[i].Store.(Accountant); ok {
-			a.ResetBandwidth()
-		}
-	}
-}

@@ -47,9 +47,9 @@ func FuzzSegmentScan(f *testing.F) {
 	clean = appendRecord(clean, "job/composite/7", []byte("manifest"), false)
 	clean = appendRecord(clean, "job/shard/0/chunk/0001", nil, true)
 	f.Add(clean)
-	f.Add(clean[:len(clean)-5])       // torn body
-	f.Add(clean[:7])                  // torn header
-	f.Add([]byte{})                   // empty segment
+	f.Add(clean[:len(clean)-5])                  // torn body
+	f.Add(clean[:7])                             // torn header
+	f.Add([]byte{})                              // empty segment
 	f.Add(bytes.Repeat([]byte{0}, recHeaderLen)) // zero key length
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(clean)-3] ^= 0xFF

@@ -100,10 +100,3 @@ func (s *SlowStore) Usage() Usage {
 	}
 	return Usage{}
 }
-
-// ResetBandwidth forwards to the inner store's Accountant when present.
-func (s *SlowStore) ResetBandwidth() {
-	if a, ok := s.inner.(Accountant); ok {
-		a.ResetBandwidth()
-	}
-}

@@ -71,14 +71,17 @@ type Config struct {
 	// that converges a replica whose announce stream is dead or
 	// partitioned. Zero means 2s.
 	ResyncEvery time.Duration
-	// SyncTimeout bounds one catch-up pass against the store (listing,
-	// chain fetch, chunk apply). Zero means 60s.
-	SyncTimeout time.Duration
-	// DialTimeout bounds the subscribe handshake; zero means 5s.
-	DialTimeout time.Duration
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// syncTimeout bounds one catch-up pass against the store (listing,
+	// chain fetch, chunk apply).
+	syncTimeout = 60 * time.Second
+	// subscribeTimeout bounds the announce subscribe handshake.
+	subscribeTimeout = 5 * time.Second
+)
 
 // tableSet is one of the replica's two table buffers, holding the
 // tables as of composite checkpoint id. At any moment one set is live
@@ -223,12 +226,6 @@ func Start(cfg Config) (*Replica, error) {
 	}
 	if cfg.ResyncEvery <= 0 {
 		cfg.ResyncEvery = 2 * time.Second
-	}
-	if cfg.SyncTimeout <= 0 {
-		cfg.SyncTimeout = 60 * time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -378,7 +375,7 @@ func (r *Replica) applyLoop() {
 		case <-r.wake:
 		case <-tick.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.cfg.SyncTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), syncTimeout)
 		err := r.syncOnce(ctx)
 		cancel()
 		if err != nil {
@@ -577,7 +574,7 @@ func (r *Replica) subscribeLoop() {
 			return
 		default:
 		}
-		dctx, cancel := context.WithTimeout(context.Background(), r.cfg.DialTimeout)
+		dctx, cancel := context.WithTimeout(context.Background(), subscribeTimeout)
 		sub, err := ctrl.Subscribe(dctx, r.cfg.AnnounceAddr, r.cfg.JobID)
 		cancel()
 		if err != nil {
