@@ -390,7 +390,8 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 
 // writeTable quantizes, encodes and uploads one table's rows: a pool of
 // cfg.encoders workers quantizes rows with reusable scratch and encodes
-// chunks into exactly-sized rpc.Alloc buffers, feeding cfg.uploaders
+// chunks into exactly-sized rpc.Alloc buffers (fp32 chunks through
+// wire.AppendF32Chunk, straight from the table), feeding cfg.uploaders
 // store writers. A chunk is wire.SegmentsPerChunk segments of
 // cfg.ChunkRows rows under the checkpoint's quantizer. Chunk keys are
 // precomputed from row position, so the manifest's chunk order is
@@ -474,9 +475,16 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				scratch quant.Scratch
 				chunk   = wire.Chunk{TableID: uint32(tab.ID)}
 			)
-			for ci := range jobs {
+			// encode writes chunk ci into an rpc.Alloc buffer: fp32 rows
+			// straight from the table, each value converted once; any other
+			// method quantizes each row into qrows first.
+			encode := func(ci int) ([]byte, error) {
 				start := ci * chunkRows
 				end := min(start+chunkRows, len(rows))
+				if e.cfg.Quant.Method == quant.MethodNone {
+					dst := rpc.Alloc(wire.F32ChunkLen(end-start, tab.Dim))[:0]
+					return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
+				}
 				n := end - start
 				if cap(qrows) < n {
 					qrows = make([]quant.QVector, n)
@@ -495,8 +503,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 						ent = &rc[r]
 					}
 					if err := quant.QuantizeCachedInto(&qrows[j], tab.Lookup(r), e.cfg.Quant, &scratch, ent); err != nil {
-						fail(fmt.Errorf("row %d: %w", r, err))
-						return
+						return nil, fmt.Errorf("row %d: %w", r, err)
 					}
 					chunk.Rows = append(chunk.Rows, wire.Row{
 						Index: uint32(r),
@@ -504,7 +511,10 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 						Q:     &qrows[j],
 					})
 				}
-				buf, err := chunk.AppendTo(rpc.Alloc(chunk.EncodedLen())[:0])
+				return chunk.AppendTo(rpc.Alloc(chunk.EncodedLen())[:0])
+			}
+			for ci := range jobs {
+				buf, err := encode(ci)
 				if err != nil {
 					rpc.Recycle(buf)
 					fail(err)

@@ -260,7 +260,9 @@ func (d *DLRM) DenseState() ([]byte, error) {
 	return out, nil
 }
 
-// RestoreDenseState restores both MLPs from DenseState output.
+// RestoreDenseState restores both MLPs from DenseState output. It is
+// all or nothing: both headers and both payloads are checked before
+// either MLP is written, so a refused object leaves the model as it was.
 func (d *DLRM) RestoreDenseState(payload []byte) error {
 	readU32 := func(p []byte) uint32 {
 		return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
@@ -273,19 +275,24 @@ func (d *DLRM) RestoreDenseState(payload []byte) error {
 	if len(payload) < n {
 		return fmt.Errorf("model: truncated bottom MLP")
 	}
-	if err := d.Bottom.UnmarshalBinary(payload[:n]); err != nil {
+	bottom, payload := payload[:n], payload[n:]
+	if err := d.Bottom.checkBinary(bottom); err != nil {
 		return fmt.Errorf("model: bottom MLP: %w", err)
 	}
-	payload = payload[n:]
 	if len(payload) < 4 {
 		return fmt.Errorf("model: missing top MLP header")
 	}
 	n = int(readU32(payload))
-	payload = payload[4:]
-	if len(payload) != n {
-		return fmt.Errorf("model: top MLP payload %d bytes, want %d", len(payload), n)
+	top := payload[4:]
+	if len(top) != n {
+		return fmt.Errorf("model: top MLP payload %d bytes, want %d", len(top), n)
 	}
-	return d.Top.UnmarshalBinary(payload)
+	if err := d.Top.checkBinary(top); err != nil {
+		return fmt.Errorf("model: top MLP: %w", err)
+	}
+	d.Bottom.loadBinary(bottom)
+	d.Top.loadBinary(top)
+	return nil
 }
 
 // SparseBytes returns the checkpointable size of the sparse layer, and

@@ -191,8 +191,19 @@ func (m *MLP) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores an MLP serialized by MarshalBinary. The dims in
-// the payload must match the receiver's architecture.
+// the payload must match the receiver's architecture; a payload that does
+// not leaves the MLP as it was.
 func (m *MLP) UnmarshalBinary(data []byte) error {
+	if err := m.checkBinary(data); err != nil {
+		return err
+	}
+	m.loadBinary(data)
+	return nil
+}
+
+// checkBinary reports whether data is a MarshalBinary payload of m's
+// architecture, writing nothing.
+func (m *MLP) checkBinary(data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("model: short MLP payload")
 	}
@@ -217,6 +228,13 @@ func (m *MLP) UnmarshalBinary(data []byte) error {
 	if len(data) != need {
 		return fmt.Errorf("model: payload %d bytes, want %d", len(data), need)
 	}
+	return nil
+}
+
+// loadBinary overwrites m's weights and biases from a payload
+// checkBinary accepted.
+func (m *MLP) loadBinary(data []byte) {
+	data = data[4*(1+len(m.dims)):]
 	off := 0
 	readF32 := func() float32 {
 		v := math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
@@ -231,7 +249,6 @@ func (m *MLP) UnmarshalBinary(data []byte) error {
 			l.b[i] = readF32()
 		}
 	}
-	return nil
 }
 
 // Clone deep-copies the MLP (used when snapshotting trainer state).

@@ -101,9 +101,11 @@ func BenchmarkDequantizeEngineShape(b *testing.B) {
 }
 
 // BenchmarkNoneEngineShape is MethodNone at the same shape, both ways:
-// what an fp32 commit spends per row in QuantizeInto and what restore
-// and replica apply spend in DequantizeInto — a byte-order conversion
-// of 128 bytes and nothing else.
+// QuantizeInto, which stages a row in a QVector (the fp32 commit does
+// not: wire.AppendF32Chunk runs PutRawF32 from the table straight into
+// the chunk, and wire's BenchmarkCompactEncode times both paths), and
+// what restore and replica apply spend per row in DequantizeInto — a
+// byte-order conversion of 128 bytes and nothing else.
 func BenchmarkNoneEngineShape(b *testing.B) {
 	x := trainedLikeVector(rand.New(rand.NewSource(1)), 32)
 	p := Params{Method: MethodNone}

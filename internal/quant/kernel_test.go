@@ -421,7 +421,7 @@ func TestQuotientNeverJustBelowHalf(t *testing.T) {
 func FuzzAdaptiveRange(f *testing.F) {
 	seed := func(x []float32) []byte {
 		b := make([]byte, 4*len(x))
-		rawPutF32(b, x)
+		PutRawF32(b, x)
 		return b
 	}
 	f.Add(seed([]float32{-1, -0.5, 0, 0.25, 1}), uint8(4), uint8(45), 1.0)

@@ -183,12 +183,13 @@ func unpackAccum(dst []uint32, src []byte, bits uint) {
 	}
 }
 
-// rawPutF32 stores fp32 values verbatim, little-endian — the MethodNone
-// fast path. dst must hold 4*len(x) bytes. Both conversions run eight
+// PutRawF32 stores fp32 values verbatim, little-endian — MethodNone's
+// codes, which wire.AppendF32Chunk also writes straight from a table.
+// dst must hold 4*len(x) bytes. Both conversions run eight
 // values to a bounds check: the reslice to a constant length is the one
 // check, and the compiler turns each fixed-offset store or load under
 // it into a plain 4-byte move.
-func rawPutF32(dst []byte, x []float32) {
+func PutRawF32(dst []byte, x []float32) {
 	dst = dst[:4*len(x)]
 	for len(x) >= 8 {
 		d, v := dst[:32], x[:8]
@@ -207,7 +208,7 @@ func rawPutF32(dst []byte, x []float32) {
 	}
 }
 
-// rawGetF32 loads fp32 values stored by rawPutF32. src must hold
+// rawGetF32 loads fp32 values stored by PutRawF32. src must hold
 // 4*len(dst) bytes.
 func rawGetF32(dst []float32, src []byte) {
 	src = src[:4*len(dst)]

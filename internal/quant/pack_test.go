@@ -172,9 +172,9 @@ func TestRawF32EveryLength(t *testing.T) {
 			binary.LittleEndian.PutUint32(want[4*i:], bits)
 		}
 		got := bytes.Repeat([]byte{0xA5}, 4*n+8)
-		rawPutF32(got, x)
+		PutRawF32(got, x)
 		if !bytes.Equal(got[:4*n], want) || !bytes.Equal(got[4*n:], bytes.Repeat([]byte{0xA5}, 8)) {
-			t.Fatalf("n=%d: rawPutF32 wrote\n%x\nwant\n%x", n, got, want)
+			t.Fatalf("n=%d: PutRawF32 wrote\n%x\nwant\n%x", n, got, want)
 		}
 		back := make([]float32, n+2)
 		rawGetF32(back[:n], append(want, 0xFF, 0xFF, 0xFF, 0xFF))

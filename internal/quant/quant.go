@@ -318,7 +318,7 @@ func quantizeNoneInto(q *QVector, x []float32) {
 	q.Lo, q.Hi = 0, 0
 	q.Codebook = nil
 	q.Codes = ensureBytes(q.Codes, len(x)*4)
-	rawPutF32(q.Codes, x)
+	PutRawF32(q.Codes, x)
 }
 
 // ErrNonFinite is returned by every lossy method for a row that holds NaN

@@ -105,8 +105,23 @@ func TestEncodeFitsExactAlloc(t *testing.T) {
 }
 
 // TestEncodePooledAllocFree confirms encoding into a warm reused buffer
-// does not allocate, whichever layout AppendTo chooses.
+// does not allocate, whichever layout AppendTo chooses, nor through the
+// fp32 entry.
 func TestEncodePooledAllocFree(t *testing.T) {
+	rows, weights, accum, dim, ok := f32Table(goldenChunk(t, 3, 512, 32, quant.Params{Method: quant.MethodNone}), 1<<20)
+	if !ok {
+		t.Fatal("golden fp32 rows do not lay out as a table")
+	}
+	buf := make([]byte, 0, F32ChunkLen(len(rows), dim))
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if buf, err = AppendF32Chunk(buf[:0], 3, dim, rows, weights, accum); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendF32Chunk into a buffer of F32ChunkLen: %v allocs, want 0", allocs)
+	}
 	for name, c := range allocTestChunks(t) {
 		buf, err := c.AppendTo(nil) // warm capacity
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/quant"
 )
@@ -81,31 +82,29 @@ func compactRowLen(dim, bits int) int {
 	return size
 }
 
+// There is one CKP2 writer with two entries: appendCompact (behind
+// AppendTo) takes rows already quantized into QVectors, and
+// AppendF32Chunk takes fp32 rows straight from a table, so an fp32 row is
+// written once, never staged in a QVector first. Both write the header
+// with appendCompactHeader, the index and accumulator columns in row
+// order, and the CRC with appendCRC; the ckp2_* golden fixtures pin the
+// bytes of both.
+
 // appendCompact appends the CKP2 encoding of a compact-encodable chunk
-// (the caller has checked) to dst. The emitted bytes are pinned by the
-// ckp2_* golden fixtures.
+// (the caller has checked) to dst.
 func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
 	bits, dim := c.compactShape()
-	hasRange := bits != 32
 	rowCodes := packedCodeLen(dim, bits)
 	base := len(dst)
 	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, compactMagic)
-	dst = le.AppendUint32(dst, c.TableID)
-	dst = le.AppendUint32(dst, uint32(len(c.Rows)))
-	var flags byte
-	if hasRange {
-		flags |= compactFlagHasRange
-	}
-	dst = append(dst, byte(bits), flags, 0, 0)
-	dst = le.AppendUint32(dst, uint32(dim))
+	dst = appendCompactHeader(dst, c.TableID, len(c.Rows), bits, dim)
 	for i := range c.Rows {
 		dst = le.AppendUint32(dst, c.Rows[i].Index)
 	}
 	for i := range c.Rows {
 		dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Accum))
 	}
-	if hasRange {
+	if bits != 32 {
 		for i := range c.Rows {
 			dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Q.Lo))
 			dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Q.Hi))
@@ -118,8 +117,79 @@ func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, q.Codes...)
 	}
-	dst = le.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
-	return dst, nil
+	return appendCRC(dst, base), nil
+}
+
+// F32ChunkLen returns the exact size AppendF32Chunk writes for n rows of
+// dim elements.
+func F32ChunkLen(n, dim int) int {
+	return 20 + n*compactRowLen(dim, 32) + 4
+}
+
+// AppendF32Chunk appends to dst the fp32 CKP2 chunk of table tableID
+// holding rows, in order: row r's values are weights[r*dim : (r+1)*dim]
+// (a table's row-major storage) and its accumulator is accum[r]. The
+// bytes are exactly what AppendTo writes for the same rows quantized
+// under quant.MethodNone — NaN payloads included, since the values are
+// copied as bits — with no QVector per row: each value is converted once,
+// from weights into dst. With cap(dst)-len(dst) >= F32ChunkLen it does
+// not allocate. A row outside weights or accum is an error, and dst is
+// then returned as it came.
+func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, accum []float32) ([]byte, error) {
+	if len(rows) == 0 {
+		dim = 0 // the one spelling of an empty chunk, as appendCompact writes it
+	}
+	if dim < 0 {
+		return dst, fmt.Errorf("wire: fp32 chunk of negative dim %d", dim)
+	}
+	for _, r := range rows {
+		if r < 0 || r >= len(accum) || uint64(r) > math.MaxUint32 || (dim > 0 && r >= len(weights)/dim) {
+			return dst, fmt.Errorf("wire: fp32 row %d outside a table of %d accumulators and %d values of dim %d", r, len(accum), len(weights), dim)
+		}
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, F32ChunkLen(len(rows), dim))
+	dst = appendCompactHeader(dst, tableID, len(rows), 32, dim)
+	n := len(rows)
+	cols := dst[len(dst) : len(dst)+n*compactRowLen(dim, 32)]
+	idx, acc, codes := cols[:4*n], cols[4*n:8*n], cols[8*n:]
+	for i, r := range rows {
+		binary.LittleEndian.PutUint32(idx[4*i:], uint32(r))
+		binary.LittleEndian.PutUint32(acc[4*i:], math.Float32bits(accum[r]))
+	}
+	// A run of consecutive rows — all of a full checkpoint's chunk — is
+	// one stretch of weights, converted in one call.
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && rows[j] == rows[j-1]+1 {
+			j++
+		}
+		vals := weights[rows[i]*dim : (rows[j-1]+1)*dim]
+		quant.PutRawF32(codes, vals)
+		codes = codes[4*len(vals):]
+		i = j
+	}
+	return appendCRC(dst[:len(dst)+len(cols)], base), nil
+}
+
+// appendCompactHeader appends the 20-byte CKP2 header; the range flag is
+// set exactly when bits != 32, the one spelling decodeCompact accepts.
+func appendCompactHeader(dst []byte, tableID uint32, n, bits, dim int) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint32(dst, compactMagic)
+	dst = le.AppendUint32(dst, tableID)
+	dst = le.AppendUint32(dst, uint32(n))
+	var flags byte
+	if bits != 32 {
+		flags |= compactFlagHasRange
+	}
+	dst = append(dst, byte(bits), flags, 0, 0)
+	return le.AppendUint32(dst, uint32(dim))
+}
+
+// appendCRC appends the CRC32-C of the chunk that starts at dst[base:].
+func appendCRC(dst []byte, base int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
 }
 
 // decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked)

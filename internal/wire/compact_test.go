@@ -187,15 +187,70 @@ func TestCompactQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkCompactEncode times the CKP2 writer. asym4 encodes quantized
+// rows into a fresh buffer. The fp32 cases are one chunk of a full fp32
+// checkpoint at cnrbench's shape — 512 consecutive rows of dim 32 out of
+// a table — into a warm buffer, through both entries: quantize+AppendTo
+// stages each row in a QVector under MethodNone and then copies it into
+// the chunk, as the engine did before AppendF32Chunk; AppendF32Chunk
+// converts each value once, straight from the table. MB/s counts the
+// chunk's bytes.
 func BenchmarkCompactEncode(b *testing.B) {
-	c := makeUniformChunk(b, 1, 256, 16, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.encodeCompact(); err != nil {
-			b.Fatal(err)
+	b.Run("asym4_256x16", func(b *testing.B) {
+		c := makeUniformChunk(b, 1, 256, 16, 4)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.encodeCompact(); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+
+	const tabRows, chunkRows, dim = 4096, 512, 32
+	rng := rand.New(rand.NewSource(1))
+	weights, accum := make([]float32, tabRows*dim), make([]float32, tabRows)
+	for i := range weights {
+		weights[i] = rng.Float32()*0.1 - 0.05
 	}
+	for i := range accum {
+		accum[i] = rng.Float32()
+	}
+	rows := make([]int, chunkRows)
+	for i := range rows {
+		rows[i] = 1024 + i
+	}
+	buf := make([]byte, 0, F32ChunkLen(chunkRows, dim))
+	b.Run("fp32_512x32/quantize+AppendTo", func(b *testing.B) {
+		p := quant.Params{Method: quant.MethodNone}
+		var s quant.Scratch
+		qs := make([]quant.QVector, chunkRows)
+		c := &Chunk{TableID: 1, Rows: make([]Row, chunkRows)}
+		b.SetBytes(int64(F32ChunkLen(chunkRows, dim)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, r := range rows {
+				if err := quant.QuantizeInto(&qs[j], weights[r*dim:(r+1)*dim], p, &s); err != nil {
+					b.Fatal(err)
+				}
+				c.Rows[j] = Row{Index: uint32(r), Accum: accum[r], Q: &qs[j]}
+			}
+			var err error
+			if buf, err = c.AppendTo(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fp32_512x32/AppendF32Chunk", func(b *testing.B) {
+		b.SetBytes(int64(F32ChunkLen(chunkRows, dim)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = AppendF32Chunk(buf[:0], 1, dim, rows, weights, accum); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkCompactDecode(b *testing.B) {

@@ -110,8 +110,11 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 // a shaped empty chunk). The third way in is a RowBuf still holding a
 // chunk of the other layout (dirtyRowBufs): it must accept what
 // DecodeChunk accepts and return the same rows, nothing of the previous
-// chunk among them. The trailing CRC is re-stamped so mutations reach
-// the parsers behind the checksum.
+// chunk among them. An accepted fp32 CKP2 chunk whose row indices are
+// distinct must also re-encode to exactly the input through the writer's
+// other entry, AppendF32Chunk, reading a table built from its rows. The
+// trailing CRC is re-stamped so mutations reach the parsers behind the
+// checksum.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, seed := range rpctest.Seeds(f, "testdata/*.bin") {
 		f.Add(seed)
@@ -137,6 +140,14 @@ func FuzzDecodeChunk(f *testing.F) {
 		if err == nil {
 			if err := sameChunk(want, got); err != nil {
 				t.Fatalf("a used RowBuf decodes other rows than DecodeChunk: %v", err)
+			}
+			// The CKP2 writer's fp32 entry, given the rows as a table at
+			// their indices, writes the input again too.
+			if rows, weights, accum, dim, ok := f32Table(want, fuzzMaxChunk); ok && binary.LittleEndian.Uint32(data) == compactMagic {
+				again, err := AppendF32Chunk(nil, want.TableID, dim, rows, weights, accum)
+				if err != nil || !bytes.Equal(again, data) {
+					t.Fatalf("AppendF32Chunk re-encodes an accepted fp32 chunk of %d rows to %d other bytes: %v", len(rows), len(again), err)
+				}
 			}
 		}
 		for _, decode := range []func([]byte) (*Chunk, error){DecodeChunk, DecodeChunkAlias, reused} {

@@ -88,12 +88,14 @@ func (c *Chunk) Encode() ([]byte, error) {
 }
 
 // AppendTo appends the chunk's encoding, with a trailing CRC32-C over
-// it, to dst and returns the extended slice. It is the one chunk
-// encoder, and it picks the layout from the rows: CKP2 (compact.go)
-// whenever they share one uniform bit-width and dimension, which is
-// every chunk the engine's uniform quantizers and fp32 produce, and the
-// v1 layout only for what CKP2 cannot hold — per-row k-means codebooks
-// (or rows that differ in shape). DecodeChunk reads both.
+// it, to dst and returns the extended slice. It is the encoder of
+// quantized rows, and it picks the layout from the rows: CKP2
+// (compact.go) whenever they share one uniform bit-width and dimension,
+// which is every chunk the engine's uniform quantizers and fp32 produce,
+// and the v1 layout only for what CKP2 cannot hold — per-row k-means
+// codebooks (or rows that differ in shape). DecodeChunk reads both. The
+// CKP2 writer has a second entry, AppendF32Chunk, which writes the same
+// bytes for fp32 rows read straight from a table.
 //
 // Rows are serialized in place — no per-row blob allocations — so
 // encoding into a pooled buffer with sufficient capacity performs zero
@@ -155,8 +157,7 @@ func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
 			return dst, fmt.Errorf("wire: row %d: %w", i, err)
 		}
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
-	return dst, nil
+	return appendCRC(dst, base), nil
 }
 
 // DecodeChunk parses and CRC-verifies a chunk produced by Encode. The
