@@ -1,12 +1,17 @@
 package ckpt
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/embedding"
+	"repro/internal/objstore"
 	"repro/internal/quant"
+	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
@@ -62,14 +67,14 @@ func sameVector(a, b *quant.QVector) bool {
 }
 
 // TestChunkPackagingKeepsEveryCode holds the chunk-size rule to what it
-// promises: a quantized chunk packs wire.SegmentsPerChunk segments of
-// ChunkRows rows, and packing moves nothing but the object boundaries.
-// Every row a checkpoint stores — decoded from the store — must be bit for
-// bit what segmentOracle makes of the same snapshot rows, for the
+// promises: a chunk packs wire.SegmentsPerChunk segments of ChunkRows
+// rows, and packing moves nothing but the object boundaries. Every row a
+// checkpoint stores — decoded from the store — must be bit for bit what
+// segmentOracle makes of the same snapshot rows, for fp32 and the
 // adaptive, uniform and k-means quantizers, under full and consecutive
 // policies, on one shard and two. Each table stores
-// ⌈stored rows / (k·ChunkRows)⌉ chunks, every one but the last full; fp32
-// keeps k = 1, its chunks exactly as before.
+// ⌈stored rows / (k·ChunkRows)⌉ chunks, every one but the last full; at
+// these widths every method, fp32 included, packs k = 4.
 func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 	const segRows, commits = 16, 4
 	quants := []struct {
@@ -124,9 +129,9 @@ func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 										rows[r] = r
 									}
 								}
-								k := wire.SegmentsPerChunk(q.p, tm.Dim)
-								if q.p.Method == quant.MethodNone && k != 1 {
-									t.Fatalf("fp32 packs %d segments per chunk, want 1", k)
+								k := wire.SegmentsPerChunk(q.p, tm.Dim, segRows)
+								if k != 4 {
+									t.Fatalf("%s packs %d segments per chunk, want 4", q.name, k)
 								}
 								per := k * segRows
 								if tm.StoredRows != len(rows) || len(tm.ChunkKeys) != (len(rows)+per-1)/per {
@@ -165,10 +170,80 @@ func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 					if err := w.close(); err != nil {
 						t.Fatal(err)
 					}
-					if k := wire.SegmentsPerChunk(q.p, 16); k > 1 && policy == PolicyConsecutive && !multiSegment {
+					if policy == PolicyConsecutive && !multiSegment {
 						t.Fatal("no increment stored a chunk of more than one segment: the test proves nothing about packing")
 					}
 				})
+			}
+		}
+	}
+}
+
+// chunkSizeStore decodes every chunk Put to it and records its bytes and
+// rows; it keeps nothing else.
+type chunkSizeStore struct {
+	objstore.Store
+	mu     sync.Mutex
+	chunks [][2]int // bytes, rows
+}
+
+func (s *chunkSizeStore) Put(_ context.Context, _ string, v []byte) error {
+	c, err := wire.DecodeChunk(v)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chunks = append(s.chunks, [2]int{len(v), len(c.Rows)})
+	return nil
+}
+
+// TestEveryChunkFitsThePool holds Engine.writeTable to the ceiling of the
+// chunk-size rule at the default segment: for five methods at six dims
+// from 1 to 1024, each chunk it encodes fits rpc.MaxPooled — so its Put buffer
+// and Get body are pooled — unless it is a single segment that alone
+// outgrows it, and a table's largest chunk holds all the segments
+// wire.SegmentsPerChunk promises.
+func TestEveryChunkFitsThePool(t *testing.T) {
+	const segRows = 512
+	methods := []struct {
+		name string
+		p    quant.Params
+	}{
+		{"fp32", quant.Params{}},
+		{"adaptive4", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
+		{"asymmetric8", quant.Params{Method: quant.MethodAsymmetric, Bits: 8}},
+		{"symmetric2", quant.Params{Method: quant.MethodSymmetric, Bits: 2}},
+		{"kmeans4", quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 1}},
+	}
+	dims := []int{1, 31, 128, 129, 256, 1024}
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range methods {
+		for _, dim := range dims {
+			store := &chunkSizeStore{}
+			e, err := NewEngine(Config{JobID: "fit", Store: store, Quant: m.p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := wire.SegmentsPerChunk(m.p, dim, segRows)
+			// One full chunk and one row past it.
+			tab := embedding.NewTable(0, k*segRows+1, dim, 0.05, rng)
+			rows := make([]int, tab.Rows)
+			for r := range rows {
+				rows[r] = r
+			}
+			if _, _, err := e.writeTable(context.Background(), 0, tab, rows); err != nil {
+				t.Fatal(err)
+			}
+			most := 0
+			for _, c := range store.chunks {
+				if c[0] > rpc.MaxPooled && c[1] > segRows {
+					t.Errorf("%s dim %d: a %d-row chunk of %d bytes outgrows the pool's %d", m.name, dim, c[1], c[0], rpc.MaxPooled)
+				}
+				most = max(most, c[1])
+			}
+			if len(store.chunks) != 2 || most != k*segRows {
+				t.Errorf("%s dim %d: %d chunks, the largest %d rows; want 2, the largest %d segments of %d", m.name, dim, len(store.chunks), most, k, segRows)
 			}
 		}
 	}

@@ -29,11 +29,10 @@ type Config struct {
 	// Quant configures checkpoint quantization. The zero value means no
 	// quantization (fp32).
 	Quant quant.Params
-	// ChunkRows is the number of rows per fp32 upload chunk (the
-	// pipelining granularity of §4.4) and the segment the adaptive
-	// quantizer samples within. A quantized chunk holds
-	// wire.SegmentsPerChunk whole segments, so that it weighs about what
-	// an fp32 chunk does. Zero means 512.
+	// ChunkRows is the segment: the rows the adaptive quantizer samples
+	// within. An upload chunk (the pipelining granularity of §4.4) holds
+	// wire.SegmentsPerChunk whole segments — four, unless that would
+	// outgrow the largest pooled buffer. Zero means 512.
 	ChunkRows int
 	// KeepLast is the job's one retention setting: after each commit the
 	// newest KeepLast checkpoints stay, with whatever they restore through
@@ -407,7 +406,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		StoredRows: len(rows),
 	}
 	segRows := e.cfg.ChunkRows
-	chunkRows := segRows * wire.SegmentsPerChunk(e.cfg.Quant, tab.Dim)
+	chunkRows := segRows * wire.SegmentsPerChunk(e.cfg.Quant, tab.Dim, segRows)
 	numChunks := (len(rows) + chunkRows - 1) / chunkRows
 	if numChunks == 0 {
 		return tm, 0, nil

@@ -124,7 +124,7 @@ func newPartitionRig(t *testing.T) *partitionRig {
 	}
 	fix := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
-		Config: Config{JobID: partitionJob, Store: routed, Policy: PolicyOneShot, ChunkRows: 64, uploaders: 1},
+		Config: Config{JobID: partitionJob, Store: routed, Policy: PolicyOneShot, ChunkRows: 16, uploaders: 1},
 		Shards: 2,
 	})
 	if err != nil {

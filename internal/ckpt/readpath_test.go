@@ -89,6 +89,14 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		{name: "row-index-out-of-range", damage: func(t *testing.T, d *damaged) {
 			rewrite(t, d, func(c *wire.Chunk) { c.Rows[0].Index = uint32(d.victim.Rows) })
 		}},
+		// Every writer emits a chunk's rows in strictly increasing index
+		// order. A repeated index would restore differently by chain length.
+		{name: "duplicate-row-index", damage: func(t *testing.T, d *damaged) {
+			rewrite(t, d, func(c *wire.Chunk) { c.Rows[1].Index = c.Rows[0].Index })
+		}},
+		{name: "row-indices-out-of-order", damage: func(t *testing.T, d *damaged) {
+			rewrite(t, d, func(c *wire.Chunk) { c.Rows[0], c.Rows[1] = c.Rows[1], c.Rows[0] })
+		}},
 		{name: "wrong-dim", damage: func(t *testing.T, d *damaged) {
 			rewrite(t, d, func(c *wire.Chunk) {
 				q, err := quant.Quantize(make([]float32, d.victim.Dim/2), quant.Params{})

@@ -77,8 +77,8 @@ func storesEqual(t *testing.T, ctx context.Context, a, b objstore.Store) {
 // guarantee: an engine rebuilt from the store continues the chain with
 // byte-for-byte the same objects a never-crashed engine writes. Every
 // policy is covered — each reconstructs different state (baselines,
-// cumulative bitmaps, size history). Eight rows to a chunk make every
-// increment several chunks per table, so the bitmap rebuild's walker runs
+// cumulative bitmaps, size history). Eight rows to a chunk (four
+// two-row segments) make every increment several chunks per table, so the bitmap rebuild's walker runs
 // its workers side by side (under -race: they share the bitmaps).
 func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 	policies := map[string]PolicyKind{
@@ -94,11 +94,11 @@ func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 			snaps := rejoinSnapshots(t, written+1)
 			storeLive := objstore.NewMemStore(objstore.MemConfig{})
 			storeCrash := objstore.NewMemStore(objstore.MemConfig{})
-			live, err := NewEngine(Config{JobID: "testjob", Store: storeLive, Policy: pol, ChunkRows: 8})
+			live, err := NewEngine(Config{JobID: "testjob", Store: storeLive, Policy: pol, ChunkRows: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			crash, err := NewEngine(Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8})
+			crash, err := NewEngine(Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestRecoverEngineResumesChainBitIdentically(t *testing.T) {
 
 			// The crashed process is gone; recover a fresh engine from
 			// its store and verify it rebuilt the live engine's state.
-			rec, err := recoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 8}, published)
+			rec, err := recoverEngine(ctx, Config{JobID: "testjob", Store: storeCrash, Policy: pol, ChunkRows: 2}, published)
 			if err != nil {
 				t.Fatal(err)
 			}

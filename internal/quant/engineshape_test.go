@@ -36,7 +36,7 @@ func uniformAdaGradVector(rng *rand.Rand, n int) []float32 {
 }
 
 // BenchmarkAdaptiveEngineShape is the quantized commit's inner loop at
-// cnrbench's shape: dim 32, 4 bits, 45 bins, ratio 1, 512-row chunks,
+// cnrbench's shape: dim 32, 4 bits, 45 bins, ratio 1, 512-row segments,
 // cold range cache. "exact" searches every row (quant.ns_per_row's
 // path), "sampled8" is the engine default. Two row populations, because
 // a kernel that branches on the data times differently on them.

@@ -33,7 +33,7 @@ const readBufSize = 4 << 10
 // length header alone. It is also the pool's largest class, so every
 // response body a header can claim without sending it comes from the
 // pool.
-const bodyChunk = maxPooled
+const bodyChunk = MaxPooled
 
 // ReadBody reads an n-byte frame body into memory of its own, which the
 // caller may keep for good: the servers read request bodies with it, and

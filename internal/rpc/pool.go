@@ -15,11 +15,14 @@ import (
 //
 // Sizes are quarter steps of each power of two — 4, 5, 6, 7, 8, 10, 12,
 // 14, 16 KiB and so on up to 1 MiB — so a buffer wastes under a fifth of
-// itself: a 68 KiB fp32 chunk rides in an 80 KiB one. Anything smaller
-// or larger is a plain make and never pooled.
+// itself: a 272 KiB fp32 chunk (2048 rows of dim 32) rides in a 320 KiB
+// one. Anything smaller or larger is a plain make and never pooled.
 const (
-	minPooled  = 4 << 10
-	maxPooled  = 1 << 20
+	minPooled = 4 << 10
+	// MaxPooled is the largest buffer the pool holds. The checkpoint
+	// engine sizes its chunks to fit it (wire.SegmentsPerChunk), so every
+	// Put buffer and Get body of a chunk is pooled.
+	MaxPooled  = 1 << 20
 	numClasses = 4*(20-12) + 1 // four per octave from 2^12 to 2^20, and 2^20 itself
 )
 
@@ -31,7 +34,7 @@ func classSize(c int) int {
 }
 
 // classOf is the smallest class whose buffers hold n bytes,
-// minPooled <= n <= maxPooled: with 2^k < n <= 2^(k+1), n is 1 to 4
+// minPooled <= n <= MaxPooled: with 2^k < n <= 2^(k+1), n is 1 to 4
 // quarter steps of 2^(k-2) above 2^k.
 func classOf(n int) int {
 	if n <= minPooled {
@@ -46,7 +49,7 @@ func classOf(n int) int {
 // must write every byte before reading any. It is pooled memory when n
 // is within the pool's classes, a fresh make otherwise.
 func Alloc(n int) []byte {
-	if n < minPooled || n > maxPooled {
+	if n < minPooled || n > MaxPooled {
 		return make([]byte, n)
 	}
 	c := classOf(n)
@@ -63,7 +66,7 @@ func Alloc(n int) []byte {
 // out) is left to the GC, as is anything never recycled.
 func Recycle(b []byte) {
 	n := cap(b)
-	if n < minPooled || n > maxPooled {
+	if n < minPooled || n > MaxPooled {
 		return
 	}
 	c := classOf(n)

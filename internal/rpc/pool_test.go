@@ -7,11 +7,11 @@ import (
 )
 
 // TestPoolClasses: the classes are quarter steps of each power of two
-// from minPooled to maxPooled, and every size takes the smallest class
+// from minPooled to MaxPooled, and every size takes the smallest class
 // that holds it — so no buffer wastes a fifth of itself or more.
 func TestPoolClasses(t *testing.T) {
-	if got := classSize(numClasses - 1); got != maxPooled {
-		t.Fatalf("largest class %d, want %d", got, maxPooled)
+	if got := classSize(numClasses - 1); got != MaxPooled {
+		t.Fatalf("largest class %d, want %d", got, MaxPooled)
 	}
 	for c := 1; c < numClasses; c++ {
 		lo, hi := classSize(c-1), classSize(c)
@@ -19,22 +19,22 @@ func TestPoolClasses(t *testing.T) {
 			t.Fatalf("class %d = %d after %d: not a quarter of %d above it", c, hi, lo, octave)
 		}
 	}
-	for n := minPooled; n <= maxPooled; n++ {
+	for n := minPooled; n <= MaxPooled; n++ {
 		c := classOf(n)
 		if size := classSize(c); size < n || c > 0 && classSize(c-1) >= n || 5*(size-n) >= size {
 			t.Fatalf("%d bytes -> class %d of %d bytes", n, c, size)
 		}
 	}
-	if got := classSize(classOf(68 << 10)); got != 80<<10 {
-		t.Fatalf("a 68 KiB chunk rides in %d bytes, want 80 KiB", got)
+	if got := classSize(classOf(272 << 10)); got != 320<<10 {
+		t.Fatalf("a 272 KiB chunk rides in %d bytes, want 320 KiB", got)
 	}
 }
 
 func TestAllocAndRecycle(t *testing.T) {
-	for _, n := range []int{0, 1, minPooled - 1, minPooled, 68 << 10, maxPooled, maxPooled + 1} {
+	for _, n := range []int{0, 1, minPooled - 1, minPooled, 68 << 10, MaxPooled, MaxPooled + 1} {
 		b := Alloc(n)
 		want := n
-		if n >= minPooled && n <= maxPooled {
+		if n >= minPooled && n <= MaxPooled {
 			want = classSize(classOf(n))
 		}
 		if len(b) != n || cap(b) != want {
@@ -57,7 +57,7 @@ func TestAllocAndRecycle(t *testing.T) {
 // unzeroed, so whatever a recycled buffer held must be overwritten by
 // the next body read into it, byte for byte.
 func TestResponseBodyIsRecyclable(t *testing.T) {
-	for _, size := range []int{minPooled, 68 << 10, 80 << 10, maxPooled, maxPooled + 1} {
+	for _, size := range []int{minPooled, 68 << 10, 80 << 10, MaxPooled, MaxPooled + 1} {
 		for seed := int64(0); seed < 3; seed++ {
 			body := randomBody(seed+int64(size), size)
 			var hdr [responseHeaderLen]byte

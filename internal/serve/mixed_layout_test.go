@@ -163,18 +163,17 @@ func TestMixedLayoutChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Segments per chunk at dim 16: a k-means row carries its codebook, so
-	// one; a 4-bit row is 24 bytes against fp32's 72, so three; 8-bit, two.
-	write(coord, ckp1, 1)
+	// Four segments per chunk at every width.
+	write(coord, ckp1, 4)
 	if err := coord.SetQuant(adaptive4); err != nil {
 		t.Fatal(err)
 	}
-	repackage(write(coord, ckp2, 3))
-	write(coord, ckp2, 3)
+	repackage(write(coord, ckp2, 4))
+	write(coord, ckp2, 4)
 	if err := coord.SetQuant(adaptive8); err != nil {
 		t.Fatal(err)
 	}
-	write(coord, ckp2, 2)
+	write(coord, ckp2, 4)
 
 	rest, err := ckpt.NewRestorer(job, store)
 	if err != nil {
@@ -266,7 +265,7 @@ func TestMixedLayoutChain(t *testing.T) {
 	if rec.NextID() != coord.NextID() {
 		t.Fatalf("recovered writer at checkpoint %d, the writer was at %d", rec.NextID(), coord.NextID())
 	}
-	man := write(rec, ckp2, 2)
+	man := write(rec, ckp2, 4)
 	if man.ID != 4 || man.ParentID != 3 || man.Kind != wire.KindIncremental.String() {
 		t.Fatalf("recovered writer stored %+v, want incremental 4 on parent 3", man)
 	}

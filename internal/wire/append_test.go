@@ -45,38 +45,58 @@ func allocTestChunks(t *testing.T) map[string]*Chunk {
 
 // TestSegmentsPerChunk holds the chunk-size rule to the layout AppendTo
 // writes: rowLen is exactly what one more row adds to an encoded chunk,
-// for every method at several dims, and at dim 32 the rule packs the
-// segment counts its doc is stated with.
+// for every method at several dims; at dim 32 every method packs four
+// segments of 512 rows; and where four would not fit rpc.MaxPooled the
+// rule packs the most that do, and one when not even one does.
 func TestSegmentsPerChunk(t *testing.T) {
-	cases := []struct {
-		p     quant.Params
-		dim32 int
-	}{
-		{quant.Params{Method: quant.MethodNone}, 1},
-		{quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}, 4},
-		{quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}, 4},
-		{quant.Params{Method: quant.MethodAdaptive, Bits: 8, NumBins: 45, Ratio: 1}, 2},
-		{quant.Params{Method: quant.MethodAsymmetric, Bits: 4}, 4},
-		{quant.Params{Method: quant.MethodSymmetric, Bits: 2}, 5},
-		{quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, 1},
-		{quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3}, 2},
+	const segRows = 512
+	methods := []quant.Params{
+		{Method: quant.MethodNone},
+		{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1},
+		{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1},
+		{Method: quant.MethodAdaptive, Bits: 8, NumBins: 45, Ratio: 1},
+		{Method: quant.MethodAsymmetric, Bits: 4},
+		{Method: quant.MethodSymmetric, Bits: 2},
+		{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3},
+		{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3},
 	}
-	for _, tc := range cases {
-		for _, dim := range []int{1, 7, 16, 32, 64} {
-			one, err := goldenChunk(t, 1, 1, dim, tc.p).Encode()
+	for _, p := range methods {
+		for _, dim := range []int{1, 7, 16, 32, 64, 128, 256, 1000} {
+			one, err := goldenChunk(t, 1, 1, dim, p).Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := goldenChunk(t, 1, 2, dim, tc.p).Encode()
+			two, err := goldenChunk(t, 1, 2, dim, p).Encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := rowLen(tc.p, dim), len(two)-len(one); got != want {
-				t.Errorf("%v %d-bit dim %d: rowLen %d, a row adds %d bytes to the chunk", tc.p.Method, tc.p.Bits, dim, got, want)
+			row := rowLen(p, dim)
+			if want := len(two) - len(one); row != want {
+				t.Errorf("%v %d-bit dim %d: rowLen %d, a row adds %d bytes to the chunk", p.Method, p.Bits, dim, row, want)
+			}
+			// The encoded size of a chunk of n segments.
+			size := func(n int) int { return len(one) + (n*segRows-1)*row }
+			k := SegmentsPerChunk(p, dim, segRows)
+			if k < 1 || k > 4 || (k > 1 && size(k) > rpc.MaxPooled) || (k < 4 && size(k+1) <= rpc.MaxPooled) {
+				t.Errorf("%v %d-bit dim %d: %d segments per chunk (%d bytes; one more would be %d)", p.Method, p.Bits, dim, k, size(k), size(k+1))
 			}
 		}
-		if got := SegmentsPerChunk(tc.p, 32); got != tc.dim32 {
-			t.Errorf("%v %d-bit dim 32: %d segments per chunk, want %d", tc.p.Method, tc.p.Bits, got, tc.dim32)
+		if got := SegmentsPerChunk(p, 32, segRows); got != 4 {
+			t.Errorf("%v %d-bit dim 32: %d segments per chunk, want 4", p.Method, p.Bits, got)
+		}
+	}
+	for _, tc := range []struct {
+		p        quant.Params
+		dim, cut int
+	}{
+		{quant.Params{Method: quant.MethodNone}, 128, 3},
+		{quant.Params{Method: quant.MethodNone}, 256, 1},
+		{quant.Params{Method: quant.MethodNone}, 1 << 12, 1}, // one segment alone outgrows the pool
+		{quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}, 1024, 3},
+		{quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, 1024, 3},
+	} {
+		if got := SegmentsPerChunk(tc.p, tc.dim, segRows); got != tc.cut {
+			t.Errorf("%v %d-bit dim %d: %d segments per chunk, want %d", tc.p.Method, tc.p.Bits, tc.dim, got, tc.cut)
 		}
 	}
 }

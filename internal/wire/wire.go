@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"repro/internal/quant"
+	"repro/internal/rpc"
 )
 
 // Kind discriminates full baseline checkpoints from incremental ones.
@@ -109,15 +110,20 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 	return c.appendV1(dst)
 }
 
-// SegmentsPerChunk returns how many segments of a writer's fp32 chunk
-// rows one chunk of dim-element rows quantized under p holds: as many
-// whole segments as fit in the bytes of one fp32 segment, and at least
-// one. A stored chunk then weighs about what an fp32 chunk does at every
-// bit width — enough bytes that a Put or Get is bound by them rather
-// than by its round trip — and its segments keep the row positions the
-// adaptive quantizer samples at.
-func SegmentsPerChunk(p quant.Params, dim int) int {
-	return max(1, rowLen(quant.Params{Method: quant.MethodNone}, dim)/rowLen(p, dim))
+// SegmentsPerChunk returns how many segments of segRows rows one chunk
+// of dim-element rows quantized under p holds: four, at every bit width,
+// unless four would encode to more than rpc.MaxPooled bytes — then as
+// many as fit, and at least one. A Put or Get of a few tens of KiB pays
+// mostly its fixed per-operation cost, so a chunk of four segments moves
+// the same bytes in a quarter of the operations; the ceiling keeps every
+// chunk's Put buffer and Get body in the body pool. More segments do not
+// pay: a chunk is also the unit of encode work, and a coarser one
+// starves the encoders of a quantized commit. Whole segments keep the
+// row positions the adaptive quantizer samples at.
+func SegmentsPerChunk(p quant.Params, dim, segRows int) int {
+	const segments = 4
+	const overhead = 20 + 4 // the CKP2 header and CRC; a v1 chunk's are smaller
+	return max(1, min(segments, (rpc.MaxPooled-overhead)/(segRows*rowLen(p, dim))))
 }
 
 // rowLen returns the bytes one row of dim elements quantized under p
