@@ -301,18 +301,14 @@ func BenchmarkAblationTrackingGranularity(b *testing.B) {
 		rowCount = bm.Count()
 		// Block granularity 64: a block is stored if any row in it is set.
 		block64Count = 0
-		for start := 0; start < rows; start += 64 {
-			any := false
-			for r := start; r < start+64; r++ {
-				if bm.Test(r) {
-					any = true
-					break
-				}
-			}
-			if any {
+		lastBlock := -1
+		bm.Range(func(r int) bool {
+			if r/64 != lastBlock {
+				lastBlock = r / 64
 				block64Count += 64
 			}
-		}
+			return true
+		})
 	}
 	b.ReportMetric(float64(rowCount), "rows_stored_rowgranular")
 	b.ReportMetric(float64(block64Count), "rows_stored_block64")

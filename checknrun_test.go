@@ -150,7 +150,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if sys.Restores() != 1 {
 		t.Fatalf("restores = %d", sys.Restores())
 	}
-	if sys.Model().Sparse.Tables[0].Weights.At(0, 0) == 99 {
+	if sys.Model().Sparse.Tables[0].Weights.Row(0)[0] == 99 {
 		t.Fatal("model not restored")
 	}
 	// Training continues cleanly after recovery.

@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "fleet-wide model/data seed (must match across shards)")
 	batch := flag.Int("batch", 64, "replica training batch size")
 	policy := flag.String("policy", "one-shot", "checkpoint policy: full|one-shot|consecutive|intermittent")
-	quantBits := flag.Int("quant-bits", 0, "asymmetric quantization bits (0 = fp32)")
+	quantBits := flag.Int("quant-bits", 0, "checkpoint bit width, quantized as in the paper: 2, 3 or 4 (adaptive), 8 (asymmetric); 0 or 32 = fp32")
 	keep := flag.Int("keep", 0, "KeepLast retention, the same on every shard of a job (0 keeps everything)")
 	opTimeout := flag.Duration("op-timeout", 2*time.Minute, "per-operation deadline, store I/O included (0 = none)")
 	connectWait := flag.Duration("connect-wait", 30*time.Second, "retry window for the initial store connect, jittered backoff (0 = single attempt)")
@@ -49,8 +49,10 @@ func main() {
 		logger.Fatal(err)
 	}
 	ecfg := ckpt.Config{Policy: pol, KeepLast: *keep}
-	if *quantBits > 0 {
-		ecfg.Quant = quant.Params{Method: quant.MethodAsymmetric, Bits: *quantBits}
+	if *quantBits != 0 {
+		if ecfg.Quant, err = quant.ParamsForBits(*quantBits); err != nil {
+			logger.Fatal(err)
+		}
 	}
 	host, err := shardhost.Start(shardhost.Config{
 		JobID:       *job,

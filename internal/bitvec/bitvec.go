@@ -46,22 +46,6 @@ func (b *Bitmap) Set(i int) {
 	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (b *Bitmap) Clear(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitvec: Clear(%d) out of range [0,%d)", i, b.n))
-	}
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
-// Test reports whether bit i is set. It panics if i is out of range.
-func (b *Bitmap) Test(i int) bool {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitvec: Test(%d) out of range [0,%d)", i, b.n))
-	}
-	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
 // Count returns the number of set bits (the incremental checkpoint row count).
 func (b *Bitmap) Count() int {
 	c := 0
@@ -87,16 +71,6 @@ func (b *Bitmap) Or(other *Bitmap) {
 	}
 	for i, w := range other.words {
 		b.words[i] |= w
-	}
-}
-
-// AndNot removes other's bits from b (b &^= other).
-func (b *Bitmap) AndNot(other *Bitmap) {
-	if b.n != other.n {
-		panic(fmt.Sprintf("bitvec: AndNot length mismatch %d vs %d", b.n, other.n))
-	}
-	for i, w := range other.words {
-		b.words[i] &^= w
 	}
 }
 
@@ -136,16 +110,6 @@ func (b *Bitmap) Indices() []int {
 		return true
 	})
 	return out
-}
-
-// Any reports whether at least one bit is set.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Fraction returns Count/Len, the "% of model modified" metric the paper

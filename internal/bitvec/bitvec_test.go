@@ -8,7 +8,7 @@ import (
 
 func TestNewEmpty(t *testing.T) {
 	b := New(0)
-	if b.Len() != 0 || b.Count() != 0 || b.Any() {
+	if b.Len() != 0 || b.Count() != 0 {
 		t.Fatalf("empty bitmap misbehaves: %v", b)
 	}
 }
@@ -20,26 +20,19 @@ func TestNewNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestSetTestClear(t *testing.T) {
+func TestSetAndCount(t *testing.T) {
 	b := New(200)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
-		if b.Test(i) {
+		if isSet(b, i) {
 			t.Fatalf("bit %d set before Set", i)
 		}
 		b.Set(i)
-		if !b.Test(i) {
+		if !isSet(b, i) {
 			t.Fatalf("bit %d not set after Set", i)
 		}
 	}
 	if got := b.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
-	}
-	b.Clear(64)
-	if b.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := b.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
 	}
 }
 
@@ -55,10 +48,8 @@ func TestSetIdempotent(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
 	for name, fn := range map[string]func(){
-		"Set(-1)":   func() { b.Set(-1) },
-		"Set(10)":   func() { b.Set(10) },
-		"Test(10)":  func() { b.Test(10) },
-		"Clear(-1)": func() { b.Clear(-1) },
+		"Set(-1)": func() { b.Set(-1) },
+		"Set(10)": func() { b.Set(10) },
 	} {
 		func() {
 			defer func() {
@@ -77,7 +68,7 @@ func TestReset(t *testing.T) {
 		b.Set(i)
 	}
 	b.Reset()
-	if b.Count() != 0 || b.Any() {
+	if b.Count() != 0 {
 		t.Fatalf("Reset left bits: %v", b)
 	}
 	if b.Len() != 100 {
@@ -113,31 +104,19 @@ func TestOrLengthMismatchPanics(t *testing.T) {
 	New(10).Or(New(11))
 }
 
-func TestAndNot(t *testing.T) {
-	a, b := New(10), New(10)
-	a.Set(1)
-	a.Set(2)
-	a.Set(3)
-	b.Set(2)
-	a.AndNot(b)
-	if a.Test(2) || !a.Test(1) || !a.Test(3) {
-		t.Fatalf("AndNot wrong: %v", a.Indices())
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := New(64)
 	a.Set(5)
 	c := a.Clone()
 	a.Set(6)
 	c.Set(7)
-	if c.Test(6) {
+	if isSet(c, 6) {
 		t.Fatal("clone sees later writes to original")
 	}
-	if a.Test(7) {
+	if isSet(a, 7) {
 		t.Fatal("original sees writes to clone")
 	}
-	if !c.Test(5) {
+	if !isSet(c, 5) {
 		t.Fatal("clone missing original bit")
 	}
 }
@@ -215,7 +194,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: %v vs %v", &c, b)
 	}
 	for i := 0; i < b.Len(); i++ {
-		if b.Test(i) != c.Test(i) {
+		if isSet(b, i) != isSet(&c, i) {
 			t.Fatalf("bit %d mismatch after round trip", i)
 		}
 	}
@@ -257,7 +236,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if b.Test(i) != c.Test(i) {
+			if isSet(b, i) != isSet(&c, i) {
 				return false
 			}
 		}
@@ -293,30 +272,54 @@ func TestQuickOrCountUpperBound(t *testing.T) {
 	}
 }
 
-func TestQuickAndNotDisjoint(t *testing.T) {
-	// After a.AndNot(b), a and b share no bits.
+// TestQuickOrIsUnion: after a.Or(b) exactly the bits set in either are
+// set, the union an incremental view accumulates across intervals.
+func TestQuickOrIsUnion(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(500) + 1
 		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				a.Set(i)
-			}
-			if rng.Intn(2) == 0 {
-				b.Set(i)
-			}
+		for i := 0; i < n/3; i++ {
+			a.Set(rng.Intn(n))
+			b.Set(rng.Intn(n))
 		}
-		a.AndNot(b)
-		ok := true
-		a.Range(func(i int) bool {
-			if b.Test(i) {
-				ok = false
+		u := a.Clone()
+		u.Or(b)
+		for i := 0; i < n; i++ {
+			if isSet(u, i) != (isSet(a, i) || isSet(b, i)) {
 				return false
 			}
-			return true
-		})
-		return ok
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickIndicesAscendingAndComplete: Indices lists every set bit once,
+// in ascending order — the row order a checkpoint writer emits.
+func TestQuickIndicesAscendingAndComplete(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(1000) + 1
+		b := New(n)
+		want := make(map[int]bool)
+		for i := 0; i < n/4; i++ {
+			j := rng.Intn(n)
+			b.Set(j)
+			want[j] = true
+		}
+		got := b.Indices()
+		if len(got) != len(want) {
+			return false
+		}
+		for k, i := range got {
+			if !want[i] || (k > 0 && got[k-1] >= i) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -354,4 +357,8 @@ func BenchmarkRangeSparse(b *testing.B) {
 		n := 0
 		bm.Range(func(int) bool { n++; return true })
 	}
+}
+
+func isSet(b *Bitmap, i int) bool {
+	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }

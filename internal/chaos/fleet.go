@@ -16,7 +16,6 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/ctrl/shardhost"
 	"repro/internal/objstore"
-	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -91,13 +90,13 @@ type FleetConfig struct {
 	TableRows []int
 	Dim       int
 	// Policy is the checkpoint policy (the zero value is ckpt.PolicyFull;
-	// a campaign that names none runs one-shot); QuantBits enables
-	// asymmetric quantization when positive; KeepLast is every shard's
+	// a campaign that names none runs one-shot); KeepLast is every shard's
 	// retention (0 keeps everything). Together they are the engine
-	// template of every shard, hosted in-process or forked.
-	Policy    ckpt.PolicyKind
-	QuantBits int
-	KeepLast  int
+	// template of every shard, hosted in-process or forked. Checkpoints
+	// are fp32: invariant 2 compares a restore with an fp32 reference
+	// replica bit for bit.
+	Policy   ckpt.PolicyKind
+	KeepLast int
 	// OpTimeout bounds each agent control operation including its store
 	// I/O — the self-defense deadline that unsticks an agent from a
 	// stalled store. Default 5s.
@@ -398,7 +397,7 @@ func (rn *replicaNode) close() {
 func (f *Fleet) routedVia(dialAddr func(i int) string) (objstore.Store, error) {
 	backends := make([]objstore.Backend, len(f.stores))
 	for i := range f.stores {
-		cl, err := objstore.Dial(dialAddr(i), objstore.ClientConfig{PoolSize: 4, DialTimeout: 5 * time.Second})
+		cl, err := objstore.Dial(dialAddr(i), objstore.ClientConfig{PoolSize: 4})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: dial store %d: %w", i, err)
 		}
@@ -576,7 +575,6 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 			"-seed", fmt.Sprint(f.cfg.Seed),
 			"-batch", fmt.Sprint(f.cfg.Batch),
 			"-policy", f.cfg.Policy.String(),
-			"-quant-bits", fmt.Sprint(f.cfg.QuantBits),
 			"-keep", fmt.Sprint(f.cfg.KeepLast),
 			"-op-timeout", f.cfg.OpTimeout.String(),
 			"-connect-wait", "10s",
@@ -589,9 +587,6 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 		return nil
 	}
 	ecfg := ckpt.Config{Policy: f.cfg.Policy, KeepLast: f.cfg.KeepLast}
-	if f.cfg.QuantBits > 0 {
-		ecfg.Quant = quantParams(f.cfg.QuantBits)
-	}
 	host, err := shardhost.Start(shardhost.Config{
 		JobID:       f.cfg.JobID,
 		Shard:       s,
@@ -876,12 +871,6 @@ func (f *Fleet) Close() {
 	if f.ownsDataRoot {
 		os.RemoveAll(f.dataRoot)
 	}
-}
-
-// quantParams builds the asymmetric quantization params shardd's
-// -quant-bits flag maps to.
-func quantParams(bits int) quant.Params {
-	return quant.Params{Method: quant.MethodAsymmetric, Bits: bits}
 }
 
 // --- forked children -----------------------------------------------

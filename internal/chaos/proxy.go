@@ -110,16 +110,6 @@ func NewProxy(name, listenAddr, target string, logf func(format string, args ...
 // Addr returns the shim's listen address — what clients dial.
 func (p *Proxy) Addr() string { return p.srv.Addr() }
 
-// Name returns the label the proxy was created with.
-func (p *Proxy) Name() string { return p.name }
-
-// Target returns the current forwarding address.
-func (p *Proxy) Target() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
-}
-
 // SetTarget points the shim at a new backend address. Existing
 // connections keep their original backend; new ones get the new target.
 // This is how a restarted process (new ephemeral port) keeps its stable

@@ -32,8 +32,7 @@ type FleetSpec struct {
 	Batch       int    `json:"batch,omitempty"`
 	TableRows   []int  `json:"table_rows,omitempty"`
 	Dim         int    `json:"dim,omitempty"`
-	Policy      string `json:"policy,omitempty"` // full|one-shot|consecutive|intermittent; empty is one-shot
-	QuantBits   int    `json:"quant_bits,omitempty"`
+	Policy      string `json:"policy,omitempty"`    // full|one-shot|consecutive|intermittent; empty is one-shot
 	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
 	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`
 	LeaseTTLMs  int    `json:"lease_ttl_ms,omitempty"`
@@ -204,7 +203,6 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		Batch:     sc.Fleet.Batch,
 		TableRows: sc.Fleet.TableRows,
 		Dim:       sc.Fleet.Dim,
-		QuantBits: sc.Fleet.QuantBits,
 		KeepLast:  sc.Fleet.KeepLast,
 		OpTimeout: time.Duration(sc.Fleet.OpTimeoutMs) * time.Millisecond,
 		LeaseTTL:  time.Duration(sc.Fleet.LeaseTTLMs) * time.Millisecond,

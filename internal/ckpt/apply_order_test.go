@@ -71,7 +71,7 @@ func storedRows(t *testing.T, f *fixture, plan *Plan) (all, incremental map[int]
 					if err != nil {
 						t.Fatal(err)
 					}
-					c, err := wire.DecodeChunk(blob)
+					c, err := new(wire.RowBuf).DecodeAlias(blob)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -145,7 +145,7 @@ func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 									if err != nil {
 										t.Fatal(err)
 									}
-									chunk, err := wire.DecodeChunk(blob)
+									chunk, err := new(wire.RowBuf).DecodeAlias(blob)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -188,7 +188,7 @@ type chunkSizeStore struct {
 }
 
 func (s *chunkSizeStore) Put(_ context.Context, _ string, v []byte) error {
-	c, err := wire.DecodeChunk(v)
+	c, err := new(wire.RowBuf).DecodeAlias(v)
 	if err != nil {
 		return err
 	}

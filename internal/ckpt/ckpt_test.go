@@ -150,11 +150,11 @@ func TestSnapshotIndependence(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	snap := f.trainAndSnapshot(t, 2, 32)
 	// Train more; snapshot must not change.
-	before := snap.Tables[0].Weights.At(0, 0)
+	before := snap.Tables[0].Weights.Row(0)[0]
 	for i := 0; i < 5; i++ {
 		f.m.TrainBatch(f.gen.NextBatch(32))
 	}
-	if snap.Tables[0].Weights.At(0, 0) != before {
+	if snap.Tables[0].Weights.Row(0)[0] != before {
 		t.Fatal("snapshot aliases live model")
 	}
 }
@@ -162,7 +162,7 @@ func TestSnapshotIndependence(t *testing.T) {
 func TestSnapshotResetsTracker(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	f.trainAndSnapshot(t, 2, 32)
-	if f.m.Tracker.TotalModified() != 0 {
+	if f.m.Tracker.ModifiedFraction() != 0 {
 		t.Fatal("snapshot should reset the live tracker")
 	}
 }
@@ -253,7 +253,7 @@ func TestQuantizedCheckpointApproximate(t *testing.T) {
 	// metadata overhead caps the ratio (the paper's §6.3.2 caveat), so
 	// only assert a strict reduction here; TestQuantizedRatioAtDim64
 	// checks the paper-scale ratio.
-	fullBytes := f.m.SparseBytes()
+	fullBytes := sparseBytes(f.m)
 	if man.PayloadBytes >= fullBytes*3/4 {
 		t.Fatalf("8-bit checkpoint %d bytes vs fp32 model %d: insufficient reduction",
 			man.PayloadBytes, fullBytes)
@@ -298,7 +298,7 @@ func TestQuantizedRatioAtDim64(t *testing.T) {
 	// is negligible (>99% sparse), but on this deliberately tiny model it
 	// would skew the ratio.
 	sparsePayload := man.PayloadBytes - int64(len(snap.Dense))
-	full := m.SparseBytes()
+	full := sparseBytes(m)
 	if ratio := float64(full) / float64(sparsePayload); ratio < 4 {
 		t.Fatalf("4-bit dim-64 ratio = %.2fx (payload %d vs %d), want >= 4x",
 			ratio, sparsePayload, full)
@@ -849,7 +849,16 @@ func TestSnapshotSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, below component sum", got)
 	}
 	// The snapshot is roughly one model copy (the §4.2 host-DRAM cost).
-	if got > 2*f.m.SparseBytes() {
-		t.Fatalf("SizeBytes = %d suspiciously large vs model %d", got, f.m.SparseBytes())
+	if got > 2*sparseBytes(f.m) {
+		t.Fatalf("SizeBytes = %d suspiciously large vs model %d", got, sparseBytes(f.m))
 	}
+}
+
+// sparseBytes is the checkpointable size of m's embedding tables.
+func sparseBytes(m *model.DLRM) int64 {
+	var n int64
+	for _, tab := range m.Sparse.Tables {
+		n += tab.SizeBytes()
+	}
+	return n
 }

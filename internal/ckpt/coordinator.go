@@ -3,7 +3,6 @@ package ckpt
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/embedding"
@@ -21,8 +20,9 @@ type CoordinatorConfig struct {
 	Shards int
 	// Assignment optionally pins table ID -> shard — e.g. to mirror the
 	// trainer cluster's node ownership (trainer.Cluster.TableAssignment).
-	// Tables absent from the map are balanced by row count across shards
-	// at the first Write. Assignments must name shards in [0, Shards).
+	// Tables absent from the map are placed across shards at their first
+	// Write by embedding.Place. Assignments must name shards in
+	// [0, Shards).
 	Assignment map[int]int
 }
 
@@ -130,47 +130,6 @@ func (c *Coordinator) SetQuant(p quant.Params) error {
 	return nil
 }
 
-// Assignment returns a copy of the current table -> shard ownership map
-// (empty before the first Write if none was configured).
-func (c *Coordinator) Assignment() map[int]int {
-	out := make(map[int]int, len(c.assign))
-	for k, v := range c.assign {
-		out[k] = v
-	}
-	return out
-}
-
-// extendAssignment gives every snapshot table an owning shard, keeping
-// prior assignments and balancing new tables by row count: largest table
-// first onto the currently lightest shard.
-func (c *Coordinator) extendAssignment(snap *Snapshot) {
-	load := make([]int, c.cfg.Shards) // rows per shard
-	var unassigned []*embedding.Table
-	for _, tab := range snap.Tables {
-		if s, ok := c.assign[tab.ID]; ok {
-			load[s] += tab.Rows
-		} else {
-			unassigned = append(unassigned, tab)
-		}
-	}
-	sort.Slice(unassigned, func(a, b int) bool {
-		if unassigned[a].Rows != unassigned[b].Rows {
-			return unassigned[a].Rows > unassigned[b].Rows
-		}
-		return unassigned[a].ID < unassigned[b].ID
-	})
-	for _, tab := range unassigned {
-		best := 0
-		for s := 1; s < c.cfg.Shards; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		c.assign[tab.ID] = best
-		load[best] += tab.Rows
-	}
-}
-
 // forEachShard runs fn concurrently for every shard in [0, n) and
 // returns the lowest-indexed shard's error, if any.
 func forEachShard(n int, fn func(s int) error) error {
@@ -206,7 +165,7 @@ func (c *Coordinator) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
 	}
-	c.extendAssignment(snap)
+	embedding.Place(c.assign, snap.Tables, c.cfg.Shards)
 	c.snap = snap
 	defer func() { c.snap = nil }()
 	return c.commit.Commit(ctx, Attempt{Step: snap.Step})

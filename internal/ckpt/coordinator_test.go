@@ -182,12 +182,13 @@ func TestCoordinatorAssignmentBalancesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+	man, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Tables are 512/512/1024 rows: the greedy balancer must put the
 	// 1024-row table alone on one shard.
-	assign := coord.Assignment()
+	assign := man.TableShards
 	if len(assign) != 3 {
 		t.Fatalf("assignment = %v", assign)
 	}

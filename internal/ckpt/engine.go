@@ -886,6 +886,3 @@ func manifestStoredFraction(m *wire.Manifest) float64 {
 	}
 	return float64(stored) / float64(total)
 }
-
-// LatestID returns the ID of the most recent committed checkpoint, or -1.
-func (e *Engine) LatestID() int { return e.nextID - 1 }

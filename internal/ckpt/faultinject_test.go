@@ -75,7 +75,7 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
 		t.Fatal(err)
 	}
-	liveAtCkpt1 := f.m.Sparse.Tables[0].Weights.At(0, 0)
+	liveAtCkpt1 := f.m.Sparse.Tables[0].Weights.Row(0)[0]
 	// Second checkpoint fails mid-upload.
 	flaky.mu.Lock()
 	flaky.failPut = flaky.putCount + 2

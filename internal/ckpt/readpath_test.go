@@ -44,12 +44,12 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := wire.DecodeChunk(blob)
+		c, err := new(wire.RowBuf).DecodeAlias(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
 		edit(c)
-		if blob, err = c.Encode(); err != nil {
+		if blob, err = c.AppendTo(nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.store.Put(d.ctx, key, blob); err != nil {

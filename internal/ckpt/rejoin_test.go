@@ -202,8 +202,8 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 	if _, err := rec.Write(ctx, snaps[1]); err != nil {
 		t.Fatal(err)
 	}
-	if rec.LatestID() != 1 {
-		t.Fatalf("latest = %d after resumed write, want 1", rec.LatestID())
+	if rec.NextID() != 2 {
+		t.Fatalf("next ID %d after resumed write, want 2", rec.NextID())
 	}
 }
 
@@ -274,8 +274,8 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 						t.Fatalf("shard %d: published debris of the torn attempt survived: %v", s, keys)
 					}
 				}
-				if !reflect.DeepEqual(rec.Assignment(), live.Assignment()) {
-					t.Fatalf("table ownership changed across the rebuild: %v, want %v", rec.Assignment(), live.Assignment())
+				if !reflect.DeepEqual(rec.assign, live.assign) {
+					t.Fatalf("table ownership changed across the rebuild: %v, want %v", rec.assign, live.assign)
 				}
 
 				if _, err := live.Write(ctx, snaps[2]); err != nil {
@@ -388,8 +388,8 @@ func TestRecoverEngineFreshStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.NextID() != 0 || rec.LatestID() != -1 {
-		t.Fatalf("fresh recovery at nextID %d latest %d", rec.NextID(), rec.LatestID())
+	if rec.NextID() != 0 {
+		t.Fatalf("fresh recovery at nextID %d", rec.NextID())
 	}
 }
 

@@ -109,16 +109,6 @@ func (s *Snapshot) TotalRows() int {
 	return n
 }
 
-// ModifiedRows returns the number of rows marked modified in this
-// snapshot's interval view.
-func (s *Snapshot) ModifiedRows() int {
-	n := 0
-	for _, bm := range s.Modified {
-		n += bm.Count()
-	}
-	return n
-}
-
 // SizeBytes returns the host-memory footprint of the snapshot: table
 // copies, dense state, and tracker view. The paper provisions up to
 // 1.5 TB of host DRAM per node to hold these copies (§6); the engine

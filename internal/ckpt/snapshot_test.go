@@ -197,8 +197,8 @@ func TestTakeSnapshotOwnsABitExactCopy(t *testing.T) {
 					if d := ref.diff(snap); d != "" {
 						t.Fatalf("round %d: %s", round, d)
 					}
-					if n := m.Tracker.TotalModified(); n != 0 {
-						t.Fatalf("round %d: live tracker holds %d rows after the hand-off", round, n)
+					if f := m.Tracker.ModifiedFraction(); f != 0 {
+						t.Fatalf("round %d: live tracker holds %v of its rows after the hand-off", round, f)
 					}
 					for _, tab := range m.Sparse.Tables {
 						for i := range tab.Weights.Data {

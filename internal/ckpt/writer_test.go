@@ -44,8 +44,10 @@ func TestAbortedAttemptKeepsItsRows(t *testing.T) {
 					batches = 0
 				}
 				retry := f.trainAndSnapshot(t, batches, 32)
-				if sameStep && retry.ModifiedRows() != 0 {
-					t.Fatalf("retried cut reports %d modified rows; the tracker was reset", retry.ModifiedRows())
+				for id, bm := range retry.Modified {
+					if sameStep && bm.Count() != 0 {
+						t.Fatalf("retried cut reports %d modified rows in table %d; the tracker was reset", bm.Count(), id)
+					}
 				}
 				man, err := f.eng.Write(f.ctx, retry)
 				if err != nil {

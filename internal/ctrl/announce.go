@@ -118,14 +118,6 @@ func (a *Announcer) Announce(epoch uint64, man *wire.Manifest) {
 	}
 }
 
-// Subscribers reports the live subscription count (for tests and
-// monitoring).
-func (a *Announcer) Subscribers() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.subs)
-}
-
 // serveConn runs one subscriber's session: handshake, then push frames
 // until the peer hangs up, wedges, or the announcer closes. The
 // handshake read is bounded so a silent peer cannot hold the goroutine

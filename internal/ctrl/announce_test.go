@@ -97,7 +97,7 @@ func TestAnnouncerDropsWedgedSubscriber(t *testing.T) {
 		t.Fatalf("subscribe handshake: status %d, %v", status, err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; ann.Subscribers() > 0; i++ {
+	for i := 0; subscribers(ann) > 0; i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("wedged subscriber never dropped")
 		}
@@ -257,4 +257,10 @@ func TestAnnouncerCloseWithSilentConn(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Close took %v behind a connection that never subscribed", d)
 	}
+}
+
+func subscribers(a *Announcer) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.subs)
 }

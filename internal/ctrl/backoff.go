@@ -19,7 +19,7 @@ import (
 // The zero value is not usable; call NewBackoff. A Backoff is safe for
 // concurrent use, though typically each retry loop owns one.
 type Backoff struct {
-	base, max time.Duration
+	max time.Duration
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -37,7 +37,6 @@ func NewBackoff(base, max time.Duration) *Backoff {
 		max = base
 	}
 	return &Backoff{
-		base:    base,
 		max:     max,
 		rng:     rand.New(rand.NewSource(rand.Int63())),
 		current: base,
@@ -55,14 +54,6 @@ func (b *Backoff) Next() time.Duration {
 		b.current = b.max
 	}
 	return d
-}
-
-// Reset restores the delay window to base. Call it after a success so
-// the next failure starts cheap again.
-func (b *Backoff) Reset() {
-	b.mu.Lock()
-	b.current = b.base
-	b.mu.Unlock()
 }
 
 // Sleep waits out one backoff step on clock, returning early with ctx's

@@ -1,8 +1,12 @@
 package ctrl
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
@@ -18,17 +22,6 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		if window > max {
 			window = max
 		}
-	}
-}
-
-func TestBackoffReset(t *testing.T) {
-	b := NewBackoff(time.Millisecond, time.Second)
-	for i := 0; i < 20; i++ {
-		b.Next()
-	}
-	b.Reset()
-	if d := b.Next(); d > time.Millisecond {
-		t.Fatalf("delay after reset = %v, want <= base", d)
 	}
 }
 
@@ -48,5 +41,34 @@ func TestBackoffJitterSpreads(t *testing.T) {
 	}
 	if same {
 		t.Fatal("two backoffs produced identical jitter sequences")
+	}
+}
+
+// TestBackoffSleepAdvancesClock: Sleep waits out one Next step on the
+// given clock, so a simulated clock moves by a delay inside the window.
+func TestBackoffSleepAdvancesClock(t *testing.T) {
+	clock := simclock.NewSim(time.Time{})
+	b := NewBackoff(time.Second, time.Minute)
+	start := clock.Now()
+	if err := b.Sleep(context.Background(), clock); err != nil {
+		t.Fatal(err)
+	}
+	if d := clock.Since(start); d <= 0 || d > time.Second {
+		t.Fatalf("clock moved %v, want in (0, 1s]", d)
+	}
+}
+
+// TestBackoffSleepCancelled: a retry loop whose context ends stops
+// sleeping at once, however long its current step.
+func TestBackoffSleepCancelled(t *testing.T) {
+	b := NewBackoff(time.Hour, time.Hour)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if err := b.Sleep(ctx, simclock.Real{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Sleep = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled Sleep returned after %v", d)
 	}
 }

@@ -200,9 +200,6 @@ func (h *Host) snapshotAt(ctx context.Context, step uint64) (*ckpt.Snapshot, err
 // Addr returns the bound control-plane address.
 func (h *Host) Addr() string { return h.srv.Addr() }
 
-// Agent returns the hosted shard agent.
-func (h *Host) Agent() *ctrl.Agent { return h.agent }
-
 // Close stops the control server, rolls back any in-flight attempt,
 // and closes the store connection.
 func (h *Host) Close() {

@@ -287,12 +287,12 @@ func TestClusterExactGrant(t *testing.T) {
 	// flight and workers have stopped producing.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
-		if c.Produced() == grant {
+		if produced(c) == grant {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := c.Produced(); got != grant {
+	if got := produced(c); got != grant {
 		t.Fatalf("produced %d, want exactly %d", got, grant)
 	}
 	if inf := c.InFlight(); inf != 0 {
@@ -379,7 +379,7 @@ func TestClusterStateAtQuiescence(t *testing.T) {
 	}
 	// Wait for the produced counter to settle.
 	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) && c.Produced() < 5 {
+	for time.Now().Before(deadline) && produced(c) < 5 {
 		time.Sleep(time.Millisecond)
 	}
 	st := c.State()
@@ -464,4 +464,11 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = g.Next()
 	}
+}
+
+// produced returns the number of batches c's workers have produced.
+func produced(c *Cluster) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.produced
 }

@@ -102,9 +102,6 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	return &Generator{spec: spec, teacher: newTeacher(spec)}, nil
 }
 
-// Spec returns the generator's dataset spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // Pos returns the index of the next sample to be produced. This is the
 // reader state recorded in checkpoints.
 func (g *Generator) Pos() uint64 { return g.pos }

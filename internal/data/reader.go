@@ -204,13 +204,6 @@ func (c *Cluster) InFlight() int {
 	return int(c.produced - c.consumed)
 }
 
-// Produced returns the total number of batches produced so far.
-func (c *Cluster) Produced() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.produced
-}
-
 // State returns the checkpointable reader state. Call only at a quiescent
 // point (checkpoint trigger with no in-flight batches) for an exact state.
 func (c *Cluster) State() ReaderState {

@@ -52,7 +52,7 @@ func TestLookupIsView(t *testing.T) {
 	tab := newTestTable(t, 10, 4)
 	row := tab.Lookup(3)
 	row[0] = 42
-	if tab.Weights.At(3, 0) != 42 {
+	if tab.Weights.Row(3)[0] != 42 {
 		t.Fatal("Lookup should return a view")
 	}
 }
@@ -82,12 +82,12 @@ func TestApplyGradMovesAgainstGradient(t *testing.T) {
 func TestApplyGradAdagradShrinksSteps(t *testing.T) {
 	tab := newTestTable(t, 2, 2)
 	g := tensor.Vector{1, 1}
-	before1 := tab.Weights.At(0, 0)
+	before1 := tab.Weights.Row(0)[0]
 	tab.ApplyGrad(0, g, 0.1)
-	step1 := before1 - tab.Weights.At(0, 0)
-	before2 := tab.Weights.At(0, 0)
+	step1 := before1 - tab.Weights.Row(0)[0]
+	before2 := tab.Weights.Row(0)[0]
 	tab.ApplyGrad(0, g, 0.1)
-	step2 := before2 - tab.Weights.At(0, 0)
+	step2 := before2 - tab.Weights.Row(0)[0]
 	if step2 >= step1 {
 		t.Fatalf("AdaGrad step should shrink: %v then %v", step1, step2)
 	}
@@ -150,7 +150,7 @@ func TestCloneIndependent(t *testing.T) {
 	tab.Accum[0] = 7
 	c.Weights.Set(4, 2, 98)
 	c.Accum[4] = 6
-	if c.Weights.At(0, 0) == 99 || c.Accum[0] == 7 || tab.Weights.At(4, 2) == 98 || tab.Accum[4] == 6 {
+	if c.Weights.Row(0)[0] == 99 || c.Accum[0] == 7 || tab.Weights.Row(4)[2] == 98 || tab.Accum[4] == 6 {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -160,12 +160,12 @@ func TestCopyRow(t *testing.T) {
 	dst := make(tensor.Vector, 3)
 	tab.CopyRow(2, dst)
 	for i := range dst {
-		if dst[i] != tab.Weights.At(2, i) {
+		if dst[i] != tab.Weights.Row(2)[i] {
 			t.Fatal("CopyRow mismatch")
 		}
 	}
 	dst[0] = 123
-	if tab.Weights.At(2, 0) == 123 {
+	if tab.Weights.Row(2)[0] == 123 {
 		t.Fatal("CopyRow should copy, not alias")
 	}
 }
@@ -185,14 +185,12 @@ func TestTrackerMarkAndCount(t *testing.T) {
 	tr.Mark(0, 5)
 	tr.Mark(0, 5) // idempotent
 	tr.Mark(1, 99)
-	if got := tr.ModifiedRows(0); got != 1 {
+	view := tr.Snapshot(false)
+	if got := view[0].Count(); got != 1 {
 		t.Fatalf("table 0 modified = %d, want 1", got)
 	}
-	if got := tr.TotalModified(); got != 2 {
-		t.Fatalf("total modified = %d, want 2", got)
-	}
-	if got := tr.TotalRows(); got != 200 {
-		t.Fatalf("total rows = %d, want 200", got)
+	if got := view[1].Count(); got != 1 {
+		t.Fatalf("table 1 modified = %d, want 1", got)
 	}
 	if got := tr.ModifiedFraction(); got != 0.01 {
 		t.Fatalf("fraction = %v, want 0.01", got)
@@ -209,22 +207,16 @@ func TestTrackerUnknownTablePanics(t *testing.T) {
 	tr.Mark(42, 0)
 }
 
-func TestTrackerMarkBatch(t *testing.T) {
-	tr := NewTracker(makeTables(1, 100, 2))
-	tr.MarkBatch(0, []int{1, 2, 3, 2, 1})
-	if got := tr.ModifiedRows(0); got != 3 {
-		t.Fatalf("modified = %d, want 3", got)
-	}
-}
-
 func TestTrackerSnapshotWithReset(t *testing.T) {
 	tr := NewTracker(makeTables(1, 50, 2))
-	tr.MarkBatch(0, []int{1, 2, 3})
+	for _, i := range []int{1, 2, 3, 2} {
+		tr.Mark(0, i)
+	}
 	snap := tr.Snapshot(true)
 	if snap[0].Count() != 3 {
 		t.Fatalf("snapshot count = %d, want 3", snap[0].Count())
 	}
-	if tr.TotalModified() != 0 {
+	if tr.ModifiedFraction() != 0 {
 		t.Fatal("live tracker should be reset")
 	}
 	// New marks don't appear in the old snapshot.
@@ -238,7 +230,7 @@ func TestTrackerSnapshotWithoutReset(t *testing.T) {
 	tr := NewTracker(makeTables(1, 50, 2))
 	tr.Mark(0, 1)
 	_ = tr.Snapshot(false)
-	if tr.TotalModified() != 1 {
+	if tr.ModifiedFraction() != 1.0/50 {
 		t.Fatal("snapshot(false) must not reset")
 	}
 }
@@ -257,20 +249,42 @@ func TestTrackerConcurrentMark(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := tr.TotalModified(); got != 4000 {
-		t.Fatalf("total = %d, want 4000", got)
+	if got := tr.ModifiedFraction(); got != 1 {
+		t.Fatalf("fraction = %v, want 1", got)
 	}
 }
 
-func TestTrackerFootprintSmall(t *testing.T) {
-	tabs := makeTables(4, 1<<16, 64)
-	tr := NewTracker(tabs)
-	var model int64
-	for _, tb := range tabs {
-		model += tb.SizeBytes()
+// TestTrackerFractionWeighsRows: the modified fraction is marked rows over
+// all tracked rows, so a small table counts for its rows and no more
+// (not a mean of per-table fractions).
+func TestTrackerFractionWeighsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tr := NewTracker([]*Table{NewTable(0, 10, 2, 0.01, rng), NewTable(1, 90, 2, 0.01, rng)})
+	for i := 0; i < 10; i++ {
+		tr.Mark(0, i)
 	}
-	if frac := float64(tr.FootprintBytes()) / float64(model); frac > 0.0005 {
-		t.Fatalf("tracker fraction %v exceeds paper's 0.05%% bound", frac)
+	if got := tr.ModifiedFraction(); got != 0.1 {
+		t.Fatalf("fraction = %v, want 0.1 (10 of 100 rows)", got)
+	}
+	if got := NewTracker(nil).ModifiedFraction(); got != 0 {
+		t.Fatalf("empty tracker fraction = %v, want 0", got)
+	}
+}
+
+func TestTrackerReset(t *testing.T) {
+	tr := NewTracker(makeTables(3, 40, 2))
+	for id := 0; id < 3; id++ {
+		tr.Mark(id, id)
+	}
+	tr.Reset()
+	for id, bm := range tr.Snapshot(false) {
+		if bm.Count() != 0 || bm.Len() != 40 {
+			t.Fatalf("table %d after Reset: %d of %d marked", id, bm.Count(), bm.Len())
+		}
+	}
+	tr.Mark(2, 39)
+	if got := tr.ModifiedFraction(); got != 1.0/120 {
+		t.Fatalf("fraction after Reset and one mark = %v, want 1/120", got)
 	}
 }
 
@@ -283,7 +297,12 @@ func TestShardedBalancedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := m.NodeBytes()
+	loads := make([]int64, 3)
+	for n := range loads {
+		for _, tb := range m.TablesOn(n) {
+			loads[n] += tb.SizeBytes()
+		}
+	}
 	var lo, hi int64 = loads[0], loads[0]
 	for _, l := range loads {
 		if l < lo {
@@ -307,9 +326,6 @@ func TestShardedBalancedPlacement(t *testing.T) {
 				t.Fatalf("table %d owned twice", tb.ID)
 			}
 			seen[tb.ID] = true
-			if m.Owner(tb.ID) != n {
-				t.Fatalf("Owner(%d) inconsistent", tb.ID)
-			}
 		}
 	}
 	if len(seen) != len(specs) {
@@ -341,10 +357,6 @@ func TestShardedAccessors(t *testing.T) {
 	}
 	if m.TotalRows() != 30 {
 		t.Fatalf("TotalRows = %d", m.TotalRows())
-	}
-	want := int64(10*4*4+10*4) + int64(20*4*4+20*4)
-	if m.TotalBytes() != want {
-		t.Fatalf("TotalBytes = %d, want %d", m.TotalBytes(), want)
 	}
 	if m.Table(1) == nil || m.Table(1).Rows != 20 {
 		t.Fatal("Table(1) lookup wrong")
@@ -391,7 +403,7 @@ func BenchmarkApplyGrad(b *testing.B) {
 	}
 }
 
-func BenchmarkTrackerMarkBatch(b *testing.B) {
+func BenchmarkTrackerMark(b *testing.B) {
 	tr := NewTracker(makeTables(1, 1<<20, 4))
 	idxs := make([]int, 64)
 	for i := range idxs {
@@ -400,6 +412,48 @@ func BenchmarkTrackerMarkBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.MarkBatch(0, idxs)
+		for _, j := range idxs {
+			tr.Mark(0, j)
+		}
+	}
+}
+
+// TestShardedPlacementIsPinned pins NewSharded's table -> node placement
+// for the table sets the product and the benchmark train: it feeds
+// trainer.Cluster.TableAssignment, and so checknrun, shardhost and the
+// bench fleet. A job's stored chains are cut by it, so it must not move.
+func TestShardedPlacementIsPinned(t *testing.T) {
+	same := make([]TableSpec, 20)
+	for i := range same {
+		same[i] = TableSpec{Rows: 64, Dim: 8}
+	}
+	cases := []struct {
+		name  string
+		specs []TableSpec
+		nodes int
+		want  string
+	}{
+		{"checknrun", []TableSpec{{2048, 16, 0}, {2048, 16, 0}, {4096, 16, 0}, {4096, 16, 0}}, 2, "0101"},
+		{"checknrun-3", []TableSpec{{2048, 16, 0}, {2048, 16, 0}, {4096, 16, 0}, {4096, 16, 0}}, 3, "2201"},
+		{"model-default", []TableSpec{{4096, 16, 0}, {4096, 16, 0}, {8192, 16, 0}, {16384, 16, 0}}, 2, "1110"},
+		{"model-default-4", []TableSpec{{4096, 16, 0}, {4096, 16, 0}, {8192, 16, 0}, {16384, 16, 0}}, 4, "2310"},
+		{"bench", []TableSpec{{65536, 32, 0}, {65536, 32, 0}, {131072, 32, 0}, {262144, 32, 0}}, 2, "1110"},
+		{"mixed-dims", []TableSpec{{1000, 4, 0}, {300, 32, 0}, {500, 16, 0}, {2000, 2, 0}, {700, 8, 0}}, 3, "10122"},
+		{"twenty-equal", same, 3, "01201201201201201201"},
+	}
+	for _, c := range cases {
+		m, err := NewSharded(c.specs, c.nodes, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := make([]byte, len(c.specs))
+		for n := 0; n < c.nodes; n++ {
+			for _, tab := range m.TablesOn(n) {
+				owner[tab.ID] = byte('0' + n)
+			}
+		}
+		if string(owner) != c.want {
+			t.Errorf("%s on %d nodes: owners %s, want %s", c.name, c.nodes, owner, c.want)
+		}
 	}
 }

@@ -47,40 +47,40 @@ func NewSharded(specs []TableSpec, nodes int, rng *rand.Rand) (*ShardedModel, er
 		}
 		m.Tables = append(m.Tables, NewTable(id, s.Rows, s.Dim, scale, rng))
 	}
+	Place(m.owner, m.Tables, nodes)
+	return m, nil
+}
 
-	// Greedy balanced placement: biggest table to lightest node.
-	order := make([]int, len(m.Tables))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return m.Tables[order[a]].SizeBytes() > m.Tables[order[b]].SizeBytes()
-	})
+// Place gives every table that owner does not yet place a node in
+// [0, nodes): largest table first onto the node holding the fewest bytes,
+// counting the tables owner already places. This is the one table
+// placement, for the trainer nodes (NewSharded) and for the checkpoint
+// shards of a job that pins none (ckpt.Coordinator).
+func Place(owner map[int]int, tables []*Table, nodes int) {
 	load := make([]int64, nodes)
-	for _, ti := range order {
+	var open []*Table
+	for _, t := range tables {
+		if n, ok := owner[t.ID]; ok {
+			load[n] += t.SizeBytes()
+		} else {
+			open = append(open, t)
+		}
+	}
+	sort.Slice(open, func(a, b int) bool { return open[a].SizeBytes() > open[b].SizeBytes() })
+	for _, t := range open {
 		best := 0
 		for n := 1; n < nodes; n++ {
 			if load[n] < load[best] {
 				best = n
 			}
 		}
-		m.owner[m.Tables[ti].ID] = best
-		load[best] += m.Tables[ti].SizeBytes()
+		owner[t.ID] = best
+		load[best] += t.SizeBytes()
 	}
-	return m, nil
 }
 
 // Nodes returns the number of trainer nodes in the placement.
 func (m *ShardedModel) Nodes() int { return m.nodes }
-
-// Owner returns the node index owning tableID.
-func (m *ShardedModel) Owner(tableID int) int {
-	n, ok := m.owner[tableID]
-	if !ok {
-		panic(fmt.Sprintf("embedding: unknown table %d", tableID))
-	}
-	return n
-}
 
 // TablesOn returns the tables owned by node n, ordered by table ID.
 func (m *ShardedModel) TablesOn(n int) []*Table {
@@ -104,15 +104,6 @@ func (m *ShardedModel) Table(id int) *Table {
 	return nil
 }
 
-// TotalBytes returns the checkpointable size of the sparse layer.
-func (m *ShardedModel) TotalBytes() int64 {
-	var n int64
-	for _, t := range m.Tables {
-		n += t.SizeBytes()
-	}
-	return n
-}
-
 // TotalRows returns the number of embedding rows across tables.
 func (m *ShardedModel) TotalRows() int {
 	n := 0
@@ -120,13 +111,4 @@ func (m *ShardedModel) TotalRows() int {
 		n += t.Rows
 	}
 	return n
-}
-
-// NodeBytes returns per-node checkpointable bytes, for balance assertions.
-func (m *ShardedModel) NodeBytes() []int64 {
-	out := make([]int64, m.nodes)
-	for _, t := range m.Tables {
-		out[m.owner[t.ID]] += t.SizeBytes()
-	}
-	return out
 }

@@ -42,21 +42,6 @@ func (tr *Tracker) Mark(tableID, idx int) {
 	tr.mu.Unlock()
 }
 
-// MarkBatch records a batch of modified rows for one table in a single
-// lock acquisition (the common path during training).
-func (tr *Tracker) MarkBatch(tableID int, idxs []int) {
-	tr.mu.Lock()
-	bm, ok := tr.maps[tableID]
-	if !ok {
-		tr.mu.Unlock()
-		panic(fmt.Sprintf("embedding: MarkBatch on unknown table %d", tableID))
-	}
-	for _, i := range idxs {
-		bm.Set(i)
-	}
-	tr.mu.Unlock()
-}
-
 // Snapshot returns an independent copy of every table's bitmap and, if
 // reset is true, clears the live bitmaps in the same critical section.
 // This is the atomic hand-off at a checkpoint trigger: the returned view
@@ -75,41 +60,8 @@ func (tr *Tracker) Snapshot(reset bool) map[int]*bitvec.Bitmap {
 	return out
 }
 
-// ModifiedRows returns the number of currently-marked rows in table tableID.
-func (tr *Tracker) ModifiedRows(tableID int) int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	bm, ok := tr.maps[tableID]
-	if !ok {
-		return 0
-	}
-	return bm.Count()
-}
-
-// TotalModified returns the number of marked rows summed over all tables.
-func (tr *Tracker) TotalModified() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := 0
-	for _, bm := range tr.maps {
-		n += bm.Count()
-	}
-	return n
-}
-
-// TotalRows returns the number of tracked rows across all tables.
-func (tr *Tracker) TotalRows() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := 0
-	for _, bm := range tr.maps {
-		n += bm.Len()
-	}
-	return n
-}
-
-// ModifiedFraction returns TotalModified/TotalRows — the "% of model
-// modified" series of Figures 5 and 6.
+// ModifiedFraction returns the share of tracked rows that are marked —
+// the "% of model modified" series of Figures 5 and 6.
 func (tr *Tracker) ModifiedFraction() float64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
@@ -131,16 +83,4 @@ func (tr *Tracker) Reset() {
 		bm.Reset()
 	}
 	tr.mu.Unlock()
-}
-
-// FootprintBytes returns the total bitmap footprint, which the paper notes
-// is < 0.05% of the model (several MB per GPU).
-func (tr *Tracker) FootprintBytes() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := 0
-	for _, bm := range tr.maps {
-		n += bm.SizeBytes()
-	}
-	return n
 }

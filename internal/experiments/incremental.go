@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"compress/flate"
 	"context"
 	"encoding/binary"
@@ -8,7 +9,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/ckpt"
 	"repro/internal/data"
 	"repro/internal/embedding"
@@ -272,16 +272,7 @@ func ZstdBaselineResult(rowsPerTable int, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Serialize as a raw fp32 stream.
-	blob := make([]byte, 0, len(cv.Vectors)*cv.Dim*4)
-	var b4 [4]byte
-	for _, v := range cv.Vectors {
-		for _, x := range v {
-			binary.LittleEndian.PutUint32(b4[:], math.Float32bits(x))
-			blob = append(blob, b4[:]...)
-		}
-	}
-	ratio, err := baseline.CompressRatio(blob, flate.BestCompression)
+	ratio, err := deflateRatio(fp32Stream(cv), flate.BestCompression)
 	if err != nil {
 		return nil, err
 	}
@@ -294,6 +285,38 @@ func ZstdBaselineResult(rowsPerTable int, seed int64) (*Result, error) {
 			fmt.Sprintf("DEFLATE (best) reduction: %.1f%% (paper: <= 7%% with Zstandard)", (1-ratio)*100),
 		},
 	}, nil
+}
+
+// fp32Stream serializes the checkpoint's rows as raw little-endian fp32:
+// the byte stream a checkpointer with no quantization would upload.
+func fp32Stream(cv *CheckpointVectors) []byte {
+	blob := make([]byte, 0, len(cv.Vectors)*cv.Dim*4)
+	for _, v := range cv.Vectors {
+		for _, x := range v {
+			blob = binary.LittleEndian.AppendUint32(blob, math.Float32bits(x))
+		}
+	}
+	return blob
+}
+
+// deflateRatio compresses blob with DEFLATE at the given level and
+// returns compressed size over original size (1 = no reduction).
+func deflateRatio(blob []byte, level int) (float64, error) {
+	if len(blob) == 0 {
+		return 1, nil
+	}
+	var packed bytes.Buffer
+	w, err := flate.NewWriter(&packed, level)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(blob); err != nil {
+		return 0, err
+	}
+	if err := w.Close(); err != nil {
+		return 0, err
+	}
+	return float64(packed.Len()) / float64(len(blob)), nil
 }
 
 // SnapshotStallResult reproduces the §6.1 overhead numbers: a 7-second

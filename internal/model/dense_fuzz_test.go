@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/tensor"
 )
 
 // FuzzRestoreDenseState holds the dense-object decoder, which every
@@ -37,7 +38,7 @@ func FuzzRestoreDenseState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		d := &DLRM{Bottom: fresh.Bottom.Clone(), Top: fresh.Top.Clone()}
+		d := &DLRM{Bottom: cloneMLP(fresh.Bottom), Top: cloneMLP(fresh.Top)}
 		before, err := d.DenseState()
 		if err != nil {
 			t.Fatal(err)
@@ -54,4 +55,19 @@ func FuzzRestoreDenseState(f *testing.F) {
 			t.Fatalf("refused a %d-byte dense object (%v) but changed the model", len(payload), restoreErr)
 		}
 	})
+}
+
+// cloneMLP deep-copies m.
+func cloneMLP(m *MLP) *MLP {
+	c := &MLP{dims: append([]int(nil), m.dims...)}
+	for _, l := range m.layers {
+		c.layers = append(c.layers, &layer{
+			w:    l.w.Clone(),
+			b:    append(tensor.Vector(nil), l.b...),
+			gw:   tensor.NewMatrix(l.gw.Rows, l.gw.Cols),
+			gb:   make(tensor.Vector, len(l.gb)),
+			relu: l.relu,
+		})
+	}
+	return c
 }

@@ -206,20 +206,6 @@ func (d *DLRM) TrainBatch(b *data.Batch) float32 {
 	return float32(totalLoss / float64(n))
 }
 
-// EvalBatch returns the mean BCE loss on a batch without any updates.
-func (d *DLRM) EvalBatch(b *data.Batch) float32 {
-	if len(b.Samples) == 0 {
-		return 0
-	}
-	var total float64
-	for i := range b.Samples {
-		s := &b.Samples[i]
-		logit := d.Forward(s)
-		total += float64(tensor.BCEWithLogits(logit, s.Label))
-	}
-	return float32(total / float64(len(b.Samples)))
-}
-
 // EvalLoss evaluates mean loss over n held-out samples drawn from gen
 // starting at a fixed offset, without disturbing gen's position.
 func (d *DLRM) EvalLoss(gen *data.Generator, start uint64, n int) float32 {
@@ -293,13 +279,4 @@ func (d *DLRM) RestoreDenseState(payload []byte) error {
 	d.Bottom.loadBinary(bottom)
 	d.Top.loadBinary(top)
 	return nil
-}
-
-// SparseBytes returns the checkpointable size of the sparse layer, and
-// DenseBytes the dense layer; the paper notes sparse is > 99% of the model.
-func (d *DLRM) SparseBytes() int64 { return d.Sparse.TotalBytes() }
-
-// DenseBytes returns the serialized dense state size.
-func (d *DLRM) DenseBytes() int64 {
-	return int64(4*(d.Bottom.ParamCount()+d.Top.ParamCount())) + 64
 }

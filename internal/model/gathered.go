@@ -10,7 +10,7 @@ import (
 // The gathered-training API splits one synchronous iteration into the
 // three phases of the paper's hybrid-parallel trainer (§2.2):
 //
-//  1. GatherSparse — each node looks up (copies) the embedding rows its
+//  1. GatherSparseFor — each node looks up (copies) the embedding rows its
 //     shards own for every sample: the forward AlltoAll payload.
 //  2. TrainGathered — the data-parallel dense computation: forward,
 //     loss, backward; MLP updates applied (AllReduce-equivalent);
@@ -52,17 +52,6 @@ func (d *DLRM) GatherSparseFor(b *data.Batch, g *Gathered, tableSet map[int]bool
 			g.Vecs[i][t] = v
 		}
 	}
-}
-
-// GatherSparse copies all tables' vectors (single-node convenience).
-func (d *DLRM) GatherSparse(b *data.Batch) *Gathered {
-	all := make(map[int]bool, len(d.cfg.Tables))
-	for t := range d.cfg.Tables {
-		all[t] = true
-	}
-	g := &Gathered{}
-	d.GatherSparseFor(b, g, all)
-	return g
 }
 
 // SparseGrads holds per-sample, per-table embedding gradients produced by

@@ -12,15 +12,15 @@ func TestGatherSparseCopies(t *testing.T) {
 	d := mustModel(t, 1)
 	gen, _ := data.NewGenerator(testDataSpec())
 	b := gen.NextBatch(8)
-	g := d.GatherSparse(b)
+	g := gatherAll(d, b)
 	if len(g.Vecs) != 8 {
 		t.Fatalf("gathered %d samples", len(g.Vecs))
 	}
 	// Gathered vectors are copies: mutating them must not touch tables.
 	s0 := &b.Samples[0]
-	orig := d.Sparse.Table(0).Weights.At(s0.Sparse[0], 0)
+	orig := d.Sparse.Table(0).Weights.Row(s0.Sparse[0])[0]
 	g.Vecs[0][0][0] = 999
-	if d.Sparse.Table(0).Weights.At(s0.Sparse[0], 0) != orig {
+	if d.Sparse.Table(0).Weights.Row(s0.Sparse[0])[0] != orig {
 		t.Fatal("gathered vector aliases the table")
 	}
 }
@@ -68,7 +68,7 @@ func TestTrainGatheredPanicsOnSizeMismatch(t *testing.T) {
 	d := mustModel(t, 1)
 	gen, _ := data.NewGenerator(testDataSpec())
 	b := gen.NextBatch(2)
-	g := d.GatherSparse(gen.NextBatch(3))
+	g := gatherAll(d, gen.NextBatch(3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("size mismatch should panic")
@@ -86,7 +86,7 @@ func TestGatheredPipelineEquivalentToItself(t *testing.T) {
 		all := map[int]bool{0: true, 1: true, 2: true, 3: true}
 		for i := 0; i < 5; i++ {
 			b := gen.NextBatch(16)
-			g := d.GatherSparse(b)
+			g := gatherAll(d, b)
 			_, sg := d.TrainGathered(b, g)
 			d.ApplySparseFor(b, sg, all)
 		}
@@ -109,7 +109,7 @@ func TestGatheredLearns(t *testing.T) {
 	before := d.EvalLoss(gen, 1<<30, 200)
 	for i := 0; i < 50; i++ {
 		b := gen.NextBatch(64)
-		g := d.GatherSparse(b)
+		g := gatherAll(d, b)
 		_, sg := d.TrainGathered(b, g)
 		d.ApplySparseFor(b, sg, all)
 	}
@@ -127,22 +127,22 @@ func TestApplySparseAccumulatesMultiSampleRows(t *testing.T) {
 	// Force both samples onto the same row of table 0.
 	b.Samples[1].Sparse[0] = b.Samples[0].Sparse[0]
 	row := b.Samples[0].Sparse[0]
-	g := d.GatherSparse(b)
+	g := gatherAll(d, b)
 	_, sg := d.TrainGathered(b, g)
 	// Make both gradients nonzero and known.
 	sg.Grads[0][0] = make(tensor.Vector, d.EmbedDim())
 	sg.Grads[1][0] = make(tensor.Vector, d.EmbedDim())
 	sg.Grads[0][0][0] = 1
 	sg.Grads[1][0][0] = 1
-	before := d.Sparse.Table(0).Weights.At(row, 0)
+	before := d.Sparse.Table(0).Weights.Row(row)[0]
 	d.ApplySparseFor(b, sg, map[int]bool{0: true})
-	after := d.Sparse.Table(0).Weights.At(row, 0)
+	after := d.Sparse.Table(0).Weights.Row(row)[0]
 	// Two AdaGrad steps applied: strictly more movement than one step
 	// (which we can bound by applying one step on a fresh model).
 	if !(after < before) {
 		t.Fatalf("row did not move against positive grads: %v -> %v", before, after)
 	}
-	if d.Tracker.ModifiedRows(0) == 0 {
+	if d.Tracker.Snapshot(false)[0].Count() == 0 {
 		t.Fatal("tracker not marked by ApplySparseFor")
 	}
 }
@@ -164,7 +164,7 @@ func TestGatheredForwardMatchesSequentialBeforeUpdates(t *testing.T) {
 	d2 := mustModel(t, 1)
 	gen, _ := data.NewGenerator(testDataSpec())
 	b := gen.NextBatch(1)
-	g := d1.GatherSparse(b)
+	g := gatherAll(d1, b)
 	loss1, _ := d1.TrainGathered(b, g)
 	s := &b.Samples[0]
 	logit2 := d2.Forward(s)
@@ -172,4 +172,16 @@ func TestGatheredForwardMatchesSequentialBeforeUpdates(t *testing.T) {
 	if math.Abs(float64(loss1-loss2)) > 1e-6 {
 		t.Fatalf("single-sample losses differ: %v vs %v", loss1, loss2)
 	}
+}
+
+// gatherAll gathers every table's vectors, as a single node owning all
+// of them would.
+func gatherAll(d *DLRM, b *data.Batch) *Gathered {
+	all := make(map[int]bool, len(d.cfg.Tables))
+	for t := range d.cfg.Tables {
+		all[t] = true
+	}
+	g := &Gathered{}
+	d.GatherSparseFor(b, g, all)
+	return g
 }

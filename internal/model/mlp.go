@@ -150,15 +150,6 @@ func (m *MLP) step(lr float32, batch int) {
 	}
 }
 
-// ParamCount returns the number of fp32 parameters in the stack.
-func (m *MLP) ParamCount() int {
-	n := 0
-	for _, l := range m.layers {
-		n += len(l.w.Data) + len(l.b)
-	}
-	return n
-}
-
 // MarshalBinary serializes dims and all weights/biases (little-endian
 // fp32). The MLP is replicated across GPUs in the paper, so a checkpoint
 // stores exactly one copy read from a single GPU (§4.1).
@@ -249,19 +240,4 @@ func (m *MLP) loadBinary(data []byte) {
 			l.b[i] = readF32()
 		}
 	}
-}
-
-// Clone deep-copies the MLP (used when snapshotting trainer state).
-func (m *MLP) Clone() *MLP {
-	c := &MLP{dims: append([]int(nil), m.dims...)}
-	for _, l := range m.layers {
-		c.layers = append(c.layers, &layer{
-			w:    l.w.Clone(),
-			b:    append(tensor.Vector(nil), l.b...),
-			gw:   tensor.NewMatrix(l.gw.Rows, l.gw.Cols),
-			gb:   make(tensor.Vector, len(l.gb)),
-			relu: l.relu,
-		})
-	}
-	return c
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -176,6 +177,30 @@ func TestMLPMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMLPUnmarshalIndependent: a restored MLP owns its weights. It
+// aliases neither the payload, which the restore path drops or reuses,
+// nor the MLP that wrote it, which goes on training.
+func TestMLPUnmarshalIndependent(t *testing.T) {
+	m, _ := NewMLP([]int{2, 2}, rand.New(rand.NewSource(6)))
+	blob, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := NewMLP([]int{2, 2}, rand.New(rand.NewSource(7)))
+	if err := c.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	w := c.layers[0].w.Data[0]
+	if w != m.layers[0].w.Data[0] {
+		t.Fatal("restored weight differs from the original")
+	}
+	clear(blob)
+	m.layers[0].w.Data[0] += 1
+	if c.layers[0].w.Data[0] != w {
+		t.Fatal("restored MLP aliases its payload or the original")
+	}
+}
+
 func TestMLPUnmarshalErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, _ := NewMLP([]int{4, 2}, rng)
@@ -190,16 +215,6 @@ func TestMLPUnmarshalErrors(t *testing.T) {
 	good, _ := m.MarshalBinary()
 	if err := m.UnmarshalBinary(good[:len(good)-2]); err == nil {
 		t.Fatal("truncated payload should error")
-	}
-}
-
-func TestMLPCloneIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m, _ := NewMLP([]int{2, 2}, rng)
-	c := m.Clone()
-	m.layers[0].w.Data[0] += 1
-	if c.layers[0].w.Data[0] == m.layers[0].w.Data[0] {
-		t.Fatal("clone aliases original")
 	}
 }
 
@@ -236,12 +251,16 @@ func TestDLRMTrainBatchReturnsFiniteLoss(t *testing.T) {
 func TestDLRMTracksModifiedRows(t *testing.T) {
 	d := mustModel(t, 1)
 	gen, _ := data.NewGenerator(testDataSpec())
-	if d.Tracker.TotalModified() != 0 {
+	if d.Tracker.ModifiedFraction() != 0 {
 		t.Fatal("tracker should start empty")
 	}
 	b := gen.NextBatch(32)
 	d.TrainBatch(b)
-	mod := d.Tracker.TotalModified()
+	snap := d.Tracker.Snapshot(false)
+	mod := 0
+	for _, bm := range snap {
+		mod += bm.Count()
+	}
 	if mod == 0 {
 		t.Fatal("no rows marked after training")
 	}
@@ -250,10 +269,9 @@ func TestDLRMTracksModifiedRows(t *testing.T) {
 		t.Fatalf("marked %d rows, more than touched", mod)
 	}
 	// Every accessed row must be marked.
-	snap := d.Tracker.Snapshot(false)
 	for i := range b.Samples {
 		for ti, id := range b.Samples[i].Sparse {
-			if !snap[ti].Test(id) {
+			if !slices.Contains(snap[ti].Indices(), id) {
 				t.Fatalf("row (%d,%d) accessed but not marked", ti, id)
 			}
 		}
@@ -275,9 +293,9 @@ func TestDLRMSparsityOfUpdates(t *testing.T) {
 func TestDLRMEvalDoesNotModify(t *testing.T) {
 	d := mustModel(t, 1)
 	gen, _ := data.NewGenerator(testDataSpec())
-	b := gen.NextBatch(16)
-	d.EvalBatch(b)
-	if d.Tracker.TotalModified() != 0 {
+	d.EvalLoss(gen, 0, 16)
+	d.EvalAUC(gen, 0, 16)
+	if d.Tracker.ModifiedFraction() != 0 {
 		t.Fatal("eval must not mark rows")
 	}
 }
@@ -324,8 +342,16 @@ func TestDLRMSparseDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SparseBytes() < 20*d.DenseBytes() {
-		t.Fatalf("sparse %d vs dense %d: sparse should dominate", d.SparseBytes(), d.DenseBytes())
+	var sparse int64
+	for _, tab := range d.Sparse.Tables {
+		sparse += tab.SizeBytes()
+	}
+	dense, err := d.DenseState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sparse < 20*int64(len(dense)) {
+		t.Fatalf("sparse %d vs dense %d: sparse should dominate", sparse, len(dense))
 	}
 }
 

@@ -22,9 +22,10 @@ type Client struct {
 type ClientConfig struct {
 	// PoolSize caps pooled idle connections; zero means 4.
 	PoolSize int
-	// DialTimeout bounds connection establishment; zero means 5s.
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds connection establishment and Dial's probe.
+const dialTimeout = 5 * time.Second
 
 // Dial connects to a Server at addr and verifies reachability with a
 // List probe.
@@ -32,17 +33,14 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 4
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
 	// Every CNR1 op is idempotent, so a failure on a parked connection
 	// is retried once on a fresh dial (see rpc.NewClient): "stale pool
 	// after a network blip" becomes a non-event instead of a spurious
 	// ErrStoreUnavailable.
-	cl := &Client{rpc: rpc.NewClient(addr, cfg.PoolSize, cfg.DialTimeout, true)}
+	cl := &Client{rpc: rpc.NewClient(addr, cfg.PoolSize, dialTimeout, true)}
 	// Probe, bounded by the dial timeout so an accepting-but-unresponsive
 	// endpoint cannot hang Dial forever.
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
 	defer cancel()
 	if _, err := cl.List(ctx, "\x00probe\x00"); err != nil {
 		return nil, fmt.Errorf("objstore: dial probe: %w", err)

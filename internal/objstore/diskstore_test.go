@@ -531,15 +531,15 @@ func TestSlowStoreDelays(t *testing.T) {
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("put delay not applied: %v", d)
 	}
-	s.SetPutDelay(0)
-	// A canceled ctx interrupts the injected delay.
-	s.SetGetDelay(10 * time.Second)
+	// A canceled ctx interrupts the injected delay, and the write is not
+	// made.
+	s.SetPutDelay(10 * time.Second)
 	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
-	if _, err := s.Get(cctx, "k"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Get under delay = %v, want deadline exceeded", err)
+	if err := s.Put(cctx, "k", []byte("v3")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Put under delay = %v, want deadline exceeded", err)
 	}
-	s.SetGetDelay(0)
+	s.SetPutDelay(0)
 	if got, err := s.Get(ctx, "k"); err != nil || string(got) != "v2" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}

@@ -219,15 +219,44 @@ func TestThrottleVirtualTime(t *testing.T) {
 	if d := clock.Since(start); d != 500*time.Millisecond {
 		t.Fatalf("second wait advanced clock by %v, want 500ms", d)
 	}
-	if bl := th.Backlog(); bl != 500*time.Millisecond {
-		t.Fatalf("backlog = %v, want 500ms", bl)
+}
+
+// TestThrottleIdleLinkBanksNothing: bandwidth left unused while the link
+// is idle is lost, not saved up for a burst.
+func TestThrottleIdleLinkBanksNothing(t *testing.T) {
+	clock := simclock.NewSim(time.Time{})
+	th := NewThrottle(1000, clock) // 1000 B/s
+	ctx := context.Background()
+	if err := th.Wait(ctx, 500); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(10 * time.Second)
+	start := clock.Now()
+	for i := 0; i < 2; i++ {
+		if err := th.Wait(ctx, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := clock.Since(start); d != 500*time.Millisecond {
+		t.Fatalf("two 500 B sends after an idle spell took %v, want 500ms", d)
 	}
 }
 
-func TestThrottleTransferTime(t *testing.T) {
-	th := NewThrottle(1<<20, simclock.NewSim(time.Time{}))
-	if d := th.TransferTime(1 << 20); d != time.Second {
-		t.Fatalf("TransferTime = %v, want 1s", d)
+// TestThrottleWaitCancelled: on the real clock a caller queued behind a
+// saturated link leaves when its context ends, not when the link frees.
+func TestThrottleWaitCancelled(t *testing.T) {
+	th := NewThrottle(1, nil) // 1 B/s
+	if err := th.Wait(context.Background(), 3600); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := th.Wait(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait = %v, want deadline exceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled Wait returned after %v", d)
 	}
 }
 
@@ -561,7 +590,7 @@ func TestClientTransportErrorsAreTyped(t *testing.T) {
 	}
 	addr := dead.Addr()
 	dead.Close()
-	if _, err := Dial(addr, ClientConfig{DialTimeout: time.Second}); !errors.Is(err, ErrStoreUnavailable) {
+	if _, err := Dial(addr, ClientConfig{}); !errors.Is(err, ErrStoreUnavailable) {
 		t.Fatalf("Dial to dead server = %v, want ErrStoreUnavailable", err)
 	}
 

@@ -61,10 +61,6 @@ func NewRouted(backends []Backend) (*RoutedStore, error) {
 	return &RoutedStore{backends: bs}, nil
 }
 
-// Backends returns the fleet members, sorted by name (anchor first).
-// The slice is shared; callers must not mutate it.
-func (r *RoutedStore) Backends() []Backend { return r.backends }
-
 // pinned reports whether key must live on the anchor backend: mutable
 // control-plane registers (the "/ctrl/" scope holds the epoch/lease
 // record).
@@ -94,12 +90,6 @@ func (r *RoutedStore) pick(key string) int {
 		}
 	}
 	return best
-}
-
-// RouteKey returns the name of the backend that owns key — diagnostics
-// and tests use it to assert deterministic placement.
-func (r *RoutedStore) RouteKey(key string) string {
-	return r.backends[r.pick(key)].Name
 }
 
 // Put implements Store.

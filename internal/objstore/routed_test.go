@@ -42,7 +42,7 @@ func TestRoutedDeterministicAcrossInstances(t *testing.T) {
 		for id := 0; id < 8; id++ {
 			for c := 0; c < 16; c++ {
 				key := wire.ChunkKey(fmt.Sprintf("job-%d", job), id, 0, c)
-				ra, rb := a.RouteKey(key), b.RouteKey(key)
+				ra, rb := routeKey(a, key), routeKey(b, key)
 				if ra != rb {
 					t.Fatalf("key %q routes to %q on one instance, %q on another", key, ra, rb)
 				}
@@ -74,17 +74,17 @@ func TestRoutedPinnedKeys(t *testing.T) {
 		"jobA/ctrl/lease",
 		"some/job/with/slashes/ctrl/lease",
 	} {
-		if got := small.RouteKey(key); got != "store-0" {
+		if got := routeKey(small, key); got != "store-0" {
 			t.Fatalf("pinned key %q routed to %q, want anchor store-0", key, got)
 		}
-		if got := big.RouteKey(key); got != "store-0" {
+		if got := routeKey(big, key); got != "store-0" {
 			t.Fatalf("pinned key %q moved to %q after fleet growth", key, got)
 		}
 	}
 	// Sanity: ordinary checkpoint keys are NOT all on the anchor.
 	moved := false
 	for i := 0; i < 32 && !moved; i++ {
-		moved = big.RouteKey(wire.ChunkKey("jobA", 1, 0, i)) != "store-0"
+		moved = routeKey(big, wire.ChunkKey("jobA", 1, 0, i)) != "store-0"
 	}
 	if !moved {
 		t.Fatal("no data key left the anchor across 32 chunks; routing looks pinned-everything")
@@ -153,7 +153,7 @@ func TestRoutedListMerge(t *testing.T) {
 }
 
 // TestRoutedRoundTrip drives every Store verb through routing and then
-// verifies each object really lives on exactly the backend RouteKey
+// verifies each object really lives on exactly the backend routeKey
 // names.
 func TestRoutedRoundTrip(t *testing.T) {
 	bs := memBackends(4)
@@ -177,7 +177,7 @@ func TestRoutedRoundTrip(t *testing.T) {
 		if sz, err := r.Stat(ctx, k); err != nil || sz != int64(len(k)) {
 			t.Fatalf("stat %q = %d, %v", k, sz, err)
 		}
-		owner := r.RouteKey(k)
+		owner := routeKey(r, k)
 		for _, b := range bs {
 			_, err := b.Store.Stat(ctx, k)
 			if b.Name == owner && err != nil {
@@ -266,9 +266,9 @@ func TestRoutedOverTCP(t *testing.T) {
 	defer second.Close()
 	rs2 := second.(*RoutedStore)
 	for _, k := range all {
-		if rs.RouteKey(k) != rs2.RouteKey(k) {
+		if routeKey(rs, k) != routeKey(rs2, k) {
 			t.Fatalf("two clients of one member set disagree on %q: %q vs %q",
-				k, rs.RouteKey(k), rs2.RouteKey(k))
+				k, routeKey(rs, k), routeKey(rs2, k))
 		}
 		if v, err := second.Get(ctx, k); err != nil || string(v) != k {
 			t.Fatalf("second client get %q = %q, %v", k, v, err)
@@ -317,7 +317,7 @@ func TestRoutedBackendDownPutFails(t *testing.T) {
 	for i := 0; i < 512 && !(sawFail && sawOK); i++ {
 		k := fmt.Sprintf("faultjob/ckpt/%08d/table/0000/chunk/%06d", i/8, i%8)
 		err := store.Put(ctx, k, []byte(k))
-		if rs.RouteKey(k) == addrs[down] {
+		if routeKey(rs, k) == addrs[down] {
 			if err == nil {
 				t.Fatalf("put %q to dead backend succeeded", k)
 			}
@@ -409,4 +409,9 @@ func TestMemStoreStriping(t *testing.T) {
 	if len(keys) != wantObjects/8 {
 		t.Fatalf("w3 listing has %d keys, want %d", len(keys), wantObjects/8)
 	}
+}
+
+// routeKey returns the name of the backend r places key on.
+func routeKey(r *RoutedStore, key string) string {
+	return r.backends[r.pick(key)].Name
 }

@@ -6,30 +6,25 @@ import (
 	"time"
 )
 
-// SlowStore wraps a Store and injects per-op latency — the slow-disk
-// fault shim for the chaos harness. Unlike the network shims in
-// internal/chaos (which model the link), SlowStore models the device:
+// SlowStore wraps a Store and injects latency into every mutation — the
+// slow-disk fault shim for the chaos harness. Unlike the network shims
+// in internal/chaos (which model the link), SlowStore models the device:
 // the delay is paid inside the store, after the request is fully
-// received, exactly where a slow or contended disk would stall.
-// Delays are runtime-settable from a fault step while ops are in
-// flight.
+// received, exactly where a slow or contended disk would stall. The
+// delay is runtime-settable from a fault step while ops are in flight.
 type SlowStore struct {
 	inner Store
 
 	putDelay atomic.Int64 // ns added to every Put/PutOwned/Delete
-	getDelay atomic.Int64 // ns added to every Get
 }
 
-// NewSlowStore wraps inner with initially-zero delays.
+// NewSlowStore wraps inner with an initially-zero delay.
 func NewSlowStore(inner Store) *SlowStore {
 	return &SlowStore{inner: inner}
 }
 
 // SetPutDelay sets the extra latency applied to every mutation.
 func (s *SlowStore) SetPutDelay(d time.Duration) { s.putDelay.Store(int64(d)) }
-
-// SetGetDelay sets the extra latency applied to every read.
-func (s *SlowStore) SetGetDelay(d time.Duration) { s.getDelay.Store(int64(d)) }
 
 // sleep pauses for d unless the context dies first.
 func sleep(ctx context.Context, d time.Duration) error {
@@ -63,11 +58,8 @@ func (s *SlowStore) PutOwned(ctx context.Context, key string, value []byte) erro
 	return PutOwned(ctx, s.inner, key, value)
 }
 
-// Get delays then forwards.
+// Get forwards: a slow device is modelled on its writes.
 func (s *SlowStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := sleep(ctx, time.Duration(s.getDelay.Load())); err != nil {
-		return nil, err
-	}
 	return s.inner.Get(ctx, key)
 }
 

@@ -71,20 +71,3 @@ func (t *Throttle) Wait(ctx context.Context, n int64) error {
 	t.clock.Sleep(wait)
 	return ctx.Err()
 }
-
-// Backlog returns how far in the future the link frees up — a measure of
-// queued transmission time.
-func (t *Throttle) Backlog() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.nextFree.Sub(t.clock.Now())
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// TransferTime returns how long n bytes take at the throttle's rate.
-func (t *Throttle) TransferTime(n int64) time.Duration {
-	return time.Duration(float64(n) / t.rate * float64(time.Second))
-}

@@ -273,11 +273,6 @@ func (s *Scratch) BeginAdaptiveChunk(sampleEvery int) {
 	s.cand = s.cand[:0]
 }
 
-// ChunkSearches reports how many rows of the current chunk went through
-// a range computation (exact or candidate-based) rather than a RowRange
-// cache hit — observability for tests asserting the steady-state path.
-func (s *Scratch) ChunkSearches() int { return s.chunkRow }
-
 // noteCandidate records a sampled row's best (u, d) step coordinates,
 // deduplicating and ring-overwriting past maxAdaptiveCandidates. (0, 0)
 // is not recorded: the full range is always evaluated anyway.

@@ -103,7 +103,7 @@ func TestMixedLayoutChain(t *testing.T) {
 				if got := binary.LittleEndian.Uint32(blob); got != wantMagic {
 					t.Fatalf("checkpoint %d: %s stored with magic 0x%08x, want 0x%08x", man.ID, key, got, wantMagic)
 				}
-				chunk, err := wire.DecodeChunk(blob)
+				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,13 +133,13 @@ func TestMixedLayoutChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				chunk, err := wire.DecodeChunk(blob)
+				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for s := 0; s < len(chunk.Rows); s += segRows {
 					seg := wire.Chunk{TableID: chunk.TableID, Rows: chunk.Rows[s:min(s+segRows, len(chunk.Rows))]}
-					b, err := seg.Encode()
+					b, err := seg.AppendTo(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -234,7 +234,7 @@ func TestMixedLayoutChain(t *testing.T) {
 	defer cl.Close()
 	checkServed := func(wantID int) {
 		t.Helper()
-		if err := rep.WaitForCheckpoint(ctx, wantID); err != nil {
+		if err := waitForCheckpoint(ctx, rep, wantID); err != nil {
 			t.Fatal(err)
 		}
 		for _, tab := range m.Sparse.Tables {

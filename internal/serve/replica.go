@@ -305,22 +305,6 @@ func (r *Replica) pin() *tableSet {
 	}
 }
 
-// WaitForCheckpoint blocks until the replica serves checkpoint id or
-// newer, or the context expires.
-func (r *Replica) WaitForCheckpoint(ctx context.Context, id int) error {
-	for {
-		if got, _ := r.Served(); got >= id {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			got, _ := r.Served()
-			return fmt.Errorf("serve: waiting for checkpoint %d (at %d): %w", id, got, ctx.Err())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
 // Close stops serving and releases all resources except the store.
 func (r *Replica) Close() {
 	r.mu.Lock()

@@ -167,7 +167,7 @@ func TestReplicaServesCommittedCheckpointsBitExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if err := rep.WaitForCheckpoint(ctx, man0.ID); err != nil {
+	if err := waitForCheckpoint(ctx, rep, man0.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,7 +202,7 @@ func TestReplicaServesCommittedCheckpointsBitExactly(t *testing.T) {
 		if man == nil {
 			t.FailNow()
 		}
-		if err := rep.WaitForCheckpoint(ctx, man.ID); err != nil {
+		if err := waitForCheckpoint(ctx, rep, man.ID); err != nil {
 			t.Fatal(err)
 		}
 		check(man.ID)
@@ -238,7 +238,7 @@ func TestReplicaFollowsAnnounceStream(t *testing.T) {
 	// Wait for the subscription to be up before committing, then each
 	// commit+announce must reach the replica well inside the resync
 	// period.
-	waitFor(t, 10*time.Second, func() bool { return ann.Subscribers() == 1 })
+	waitFor(t, 10*time.Second, func() bool { return subscribed(rep) })
 	for i := 0; i < 3; i++ {
 		man := h.commit(ctx)
 		if man == nil {
@@ -246,7 +246,7 @@ func TestReplicaFollowsAnnounceStream(t *testing.T) {
 		}
 		ann.Announce(1, man)
 		wctx, wcancel := context.WithTimeout(ctx, 10*time.Second)
-		err := rep.WaitForCheckpoint(wctx, man.ID)
+		err := waitForCheckpoint(wctx, rep, man.ID)
 		wcancel()
 		if err != nil {
 			t.Fatalf("replica did not converge on announcement: %v", err)
@@ -318,7 +318,7 @@ func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if err := rep.WaitForCheckpoint(ctx, man0.ID); err != nil {
+	if err := waitForCheckpoint(ctx, rep, man0.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -382,7 +382,7 @@ func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 			break
 		}
 		lastID = man.ID
-		if err := rep.WaitForCheckpoint(ctx, lastID); err != nil {
+		if err := waitForCheckpoint(ctx, rep, lastID); err != nil {
 			t.Error(err)
 			break
 		}
@@ -406,6 +406,29 @@ func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 	if policy == ckpt.PolicyFull && st.ReconciledRows != 0 {
 		t.Fatalf("reconciled %d rows between full baselines, which overwrite every row", st.ReconciledRows)
 	}
+}
+
+// waitForCheckpoint blocks until r serves checkpoint id or newer, or ctx
+// expires.
+func waitForCheckpoint(ctx context.Context, r *Replica, id int) error {
+	for {
+		if got, _ := r.Served(); got >= id {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			got, _ := r.Served()
+			return fmt.Errorf("serve: waiting for checkpoint %d (at %d): %w", id, got, ctx.Err())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// subscribed reports whether r holds a live announce subscription.
+func subscribed(r *Replica) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sub != nil
 }
 
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {

@@ -49,7 +49,7 @@ func follow(t *testing.T, store objstore.Store, h *harness) *followed {
 		t.Fatal(err)
 	}
 	t.Cleanup(rep.Close)
-	waitFor(t, 10*time.Second, func() bool { return ann.Subscribers() == 1 })
+	waitFor(t, 10*time.Second, func() bool { return subscribed(rep) })
 	return &followed{harness: h, ctx: ctx, ann: ann, rep: rep}
 }
 
@@ -68,7 +68,7 @@ func (f *followed) commitAnnounced() *wire.Manifest {
 func (f *followed) announce(man *wire.Manifest) {
 	f.t.Helper()
 	f.ann.Announce(1, man)
-	if err := f.rep.WaitForCheckpoint(f.ctx, man.ID); err != nil {
+	if err := waitForCheckpoint(f.ctx, f.rep, man.ID); err != nil {
 		f.t.Fatal(err)
 	}
 }
@@ -295,7 +295,7 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 		}
 	}
 	f.ann.Announce(1, &wire.Manifest{ID: 999, Kind: wire.KindIncremental.String()})
-	if err := f.rep.WaitForCheckpoint(f.ctx, man.ID); err != nil {
+	if err := waitForCheckpoint(f.ctx, f.rep, man.ID); err != nil {
 		t.Fatal(err)
 	}
 	if st := f.rep.Stats(); st.LastLists != 1 {
@@ -317,7 +317,7 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.ann.Announce(1, &wire.Manifest{ID: 999, Kind: wire.KindIncremental.String()})
-	if err := f.rep.WaitForCheckpoint(f.ctx, landed.ID); err != nil {
+	if err := waitForCheckpoint(f.ctx, f.rep, landed.ID); err != nil {
 		t.Fatal(err)
 	}
 	shards := int64(landed.ShardCount)
@@ -453,7 +453,7 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	waitFor(t, 10*time.Second, func() bool { return ann.Subscribers() == 1 })
+	waitFor(t, 10*time.Second, func() bool { return subscribed(rep) })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -463,7 +463,7 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		wctx, wcancel := context.WithTimeout(ctx, bound)
-		err = rep.WaitForCheckpoint(wctx, man.ID)
+		err = waitForCheckpoint(wctx, rep, man.ID)
 		wcancel()
 		if err != nil {
 			t.Fatalf("checkpoint %d not served within %v (re-sync tick is %v): %v; %+v",

@@ -44,20 +44,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Stddev returns the population standard deviation of xs.
 func Stddev(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -83,9 +69,6 @@ func NewCDF(samples []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// N returns the number of samples.
-func (c *CDF) N() int { return len(c.sorted) }
 
 // At returns P(X <= x), the fraction of samples at or below x.
 func (c *CDF) At(x float64) float64 {

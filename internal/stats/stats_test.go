@@ -18,7 +18,7 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestSumMaxMin(t *testing.T) {
+func TestSumMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Sum(xs) != 11 {
 		t.Fatalf("Sum = %v", Sum(xs))
@@ -26,11 +26,8 @@ func TestSumMaxMin(t *testing.T) {
 	if Max(xs) != 7 {
 		t.Fatalf("Max = %v", Max(xs))
 	}
-	if Min(xs) != -1 {
-		t.Fatalf("Min = %v", Min(xs))
-	}
-	if Max(nil) != 0 || Min(nil) != 0 {
-		t.Fatal("empty Max/Min should be 0")
+	if Max(nil) != 0 {
+		t.Fatal("empty Max should be 0")
 	}
 }
 
@@ -41,6 +38,17 @@ func TestStddev(t *testing.T) {
 	}
 	if Stddev(nil) != 0 {
 		t.Fatal("Stddev(nil) should be 0")
+	}
+}
+
+// TestSumEmptyAndCancelling: Sum of nothing is 0, and it is a plain
+// sum, not a mean or a magnitude.
+func TestSumEmptyAndCancelling(t *testing.T) {
+	if Sum(nil) != 0 {
+		t.Fatal("Sum(nil) should be 0")
+	}
+	if got := Sum([]float64{2.5, -2.5, 4}); got != 4 {
+		t.Fatalf("Sum = %v, want 4", got)
 	}
 }
 
@@ -74,7 +82,7 @@ func TestCDFQuantile(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.At(1) != 0 || c.Quantile(0.5) != 0 || c.N() != 0 {
+	if c.At(1) != 0 || c.Quantile(0.5) != 0 {
 		t.Fatal("empty CDF should return zeros")
 	}
 	if c.Points(5) != nil {

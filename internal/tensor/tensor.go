@@ -39,36 +39,6 @@ func Axpy(alpha float32, x, y Vector) {
 	}
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float32, x Vector) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// L2 returns the Euclidean norm of x.
-func L2(x Vector) float32 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(s))
-}
-
-// SquaredDistance returns ||a-b||^2 accumulated in float64, the inner
-// quantity of the paper's mean-l2-error metric (§5.2).
-func SquaredDistance(a, b Vector) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: SquaredDistance length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, x := range a {
-		d := float64(x) - float64(b[i])
-		s += d * d
-	}
-	return s
-}
-
 // Matrix is a dense row-major fp32 matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -89,14 +59,6 @@ func (m *Matrix) Row(i int) Vector {
 		panic(fmt.Sprintf("tensor: Row(%d) out of range [0,%d)", i, m.Rows))
 	}
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float32 {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("tensor: At(%d,%d) out of range %dx%d", i, j, m.Rows, m.Cols))
-	}
-	return m.Data[i*m.Cols+j]
 }
 
 // Set assigns element (i, j).
@@ -199,14 +161,6 @@ func Sigmoid(x float32) float32 {
 	}
 	z := math.Exp(float64(x))
 	return float32(z / (1 + z))
-}
-
-// ReLU returns max(0, x).
-func ReLU(x float32) float32 {
-	if x > 0 {
-		return x
-	}
-	return 0
 }
 
 // ReLUVec applies ReLU elementwise in place and records the mask needed by

@@ -33,32 +33,19 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScaleAndL2(t *testing.T) {
-	x := Vector{3, 4}
-	if got := L2(x); got != 5 {
-		t.Fatalf("L2 = %v, want 5", got)
-	}
-	Scale(2, x)
-	if x[0] != 6 || x[1] != 8 {
-		t.Fatalf("Scale = %v", x)
-	}
-}
-
-func TestSquaredDistance(t *testing.T) {
-	a := Vector{1, 2, 3}
-	b := Vector{1, 4, 0}
-	if got := SquaredDistance(a, b); got != 13 {
-		t.Fatalf("SquaredDistance = %v, want 13", got)
-	}
-	if got := SquaredDistance(a, a); got != 0 {
-		t.Fatalf("self distance = %v, want 0", got)
-	}
+func TestAxpyMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic")
+		}
+	}()
+	Axpy(1, Vector{1, 2}, Vector{1})
 }
 
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(1, 2, 7)
-	if got := m.At(1, 2); got != 7 {
+	if got := m.Data[1*3+2]; got != 7 {
 		t.Fatalf("At = %v", got)
 	}
 	row := m.Row(1)
@@ -67,7 +54,7 @@ func TestMatrixAccessors(t *testing.T) {
 	}
 	// Row is a view: writing through it changes the matrix.
 	row[0] = 9
-	if m.At(1, 0) != 9 {
+	if m.Data[1*3+0] != 9 {
 		t.Fatal("Row should be a view")
 	}
 }
@@ -75,7 +62,6 @@ func TestMatrixAccessors(t *testing.T) {
 func TestMatrixBoundsPanics(t *testing.T) {
 	m := NewMatrix(2, 2)
 	for name, fn := range map[string]func(){
-		"At":  func() { m.At(2, 0) },
 		"Set": func() { m.Set(0, -1, 1) },
 		"Row": func() { m.Row(5) },
 	} {
@@ -216,6 +202,23 @@ func TestXavierInitRange(t *testing.T) {
 	}
 }
 
+func TestFillUniformRange(t *testing.T) {
+	m := NewMatrix(16, 16)
+	const scale = 0.25
+	m.FillUniform(rand.New(rand.NewSource(1)), scale)
+	neg, pos := false, false
+	for _, v := range m.Data {
+		if v < -scale || v >= scale {
+			t.Fatalf("value %v outside [-%v, %v)", v, scale, scale)
+		}
+		neg = neg || v < 0
+		pos = pos || v > 0
+	}
+	if !neg || !pos {
+		t.Fatal("FillUniform should draw both signs")
+	}
+}
+
 func TestSigmoid(t *testing.T) {
 	if got := Sigmoid(0); got != 0.5 {
 		t.Fatalf("Sigmoid(0) = %v", got)
@@ -247,12 +250,6 @@ func TestSigmoidSymmetry(t *testing.T) {
 	}
 }
 
-func TestReLU(t *testing.T) {
-	if ReLU(-1) != 0 || ReLU(2) != 2 || ReLU(0) != 0 {
-		t.Fatal("ReLU wrong")
-	}
-}
-
 func TestReLUVec(t *testing.T) {
 	x := Vector{-1, 0, 2}
 	mask := make([]bool, 3)
@@ -263,6 +260,15 @@ func TestReLUVec(t *testing.T) {
 	if mask[0] || mask[1] || !mask[2] {
 		t.Fatalf("ReLUVec mask = %v", mask)
 	}
+}
+
+func TestReLUVecMaskMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic")
+		}
+	}()
+	ReLUVec(Vector{1, 2}, make([]bool, 1))
 }
 
 func TestBCEWithLogits(t *testing.T) {

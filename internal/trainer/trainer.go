@@ -100,9 +100,6 @@ func New(m *model.DLRM, cfg Config) (*Cluster, error) {
 // Model returns the cluster's model.
 func (c *Cluster) Model() *model.DLRM { return c.m }
 
-// Clock returns the cluster's virtual clock.
-func (c *Cluster) Clock() *simclock.Sim { return c.clock }
-
 // Step runs one fully synchronous training iteration:
 //
 //	phase 1 (parallel per node): gather owned embedding rows

@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,10 +102,10 @@ func TestStepDeterministicAcrossNodeCounts(t *testing.T) {
 
 func TestStepAdvancesClock(t *testing.T) {
 	c, gen := newCluster(t, 2)
-	start := c.Clock().Now()
+	start := c.clock.Now()
 	c.Step(gen.NextBatch(16))
 	want := simclock.DefaultThroughput().BatchDuration()
-	if got := c.Clock().Since(start); got != want {
+	if got := c.clock.Since(start); got != want {
 		t.Fatalf("clock advanced %v, want %v", got, want)
 	}
 }
@@ -116,7 +117,7 @@ func TestStepTracksModifiedRows(t *testing.T) {
 	snap := c.Model().Tracker.Snapshot(false)
 	for i := range b.Samples {
 		for ti, id := range b.Samples[i].Sparse {
-			if !snap[ti].Test(id) {
+			if !slices.Contains(snap[ti].Indices(), id) {
 				t.Fatalf("row (%d,%d) not tracked by distributed step", ti, id)
 			}
 		}
@@ -201,7 +202,12 @@ func TestGatheredMatchesSequentialForward(t *testing.T) {
 	m2, _ := model.New(testModelConfig(), 1)
 	gen, _ := data.NewGenerator(testDataSpec())
 	b := gen.NextBatch(16)
-	g := m1.GatherSparse(b)
+	all := map[int]bool{}
+	for _, tab := range m1.Sparse.Tables {
+		all[tab.ID] = true
+	}
+	g := &model.Gathered{}
+	m1.GatherSparseFor(b, g, all)
 	loss1, _ := m1.TrainGathered(b, g)
 	loss2 := m2.TrainBatch(b)
 	// TrainBatch applies sparse updates mid-batch, so small divergence

@@ -22,7 +22,7 @@ func aliasTestChunks(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	kc := goldenChunk(t, 3, 4, 8, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 5})
-	kv1, err := kc.Encode()
+	kv1, err := kc.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,29 +40,6 @@ func cloneRows(c *Chunk) []Row {
 	return out
 }
 
-// TestDecodeChunkCopyUnaffectedByBlobMutation pins DecodeChunk's
-// ownership contract: a caller that requested a copy must not observe
-// later mutations of the fetched blob.
-func TestDecodeChunkCopyUnaffectedByBlobMutation(t *testing.T) {
-	for name, blob := range aliasTestChunks(t) {
-		t.Run(name, func(t *testing.T) {
-			c, err := DecodeChunk(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := cloneRows(c)
-			for i := range blob {
-				blob[i] ^= 0xff
-			}
-			for i := range want {
-				if !bytes.Equal(c.Rows[i].Q.Codes, want[i].Q.Codes) {
-					t.Fatalf("row %d: copy-decoded codes changed when the blob was mutated", i)
-				}
-			}
-		})
-	}
-}
-
 // TestDecodeChunkAliasObservesBlob pins the documented aliasing lifetime:
 // the alias decode's row codes are views into the blob, so mutating the
 // blob is observed — the reason the contract restricts it to
@@ -70,7 +47,7 @@ func TestDecodeChunkCopyUnaffectedByBlobMutation(t *testing.T) {
 func TestDecodeChunkAliasObservesBlob(t *testing.T) {
 	for name, blob := range aliasTestChunks(t) {
 		t.Run(name, func(t *testing.T) {
-			c, err := DecodeChunkAlias(blob)
+			c, err := (*RowBuf)(nil).DecodeAlias(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,37 +68,49 @@ func TestDecodeChunkAliasObservesBlob(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkAliasMatchesCopy: modulo ownership, the two decodes are
-// the same parse.
+// TestDecodeChunkAliasMatchesCopy: modulo ownership, decoding into a
+// reused RowBuf is the same parse as decoding a private copy of the blob
+// into fresh storage. One RowBuf walks every layout in turn, as a
+// restore worker's does across a mixed-layout chain.
 func TestDecodeChunkAliasMatchesCopy(t *testing.T) {
+	var buf RowBuf
 	for name, blob := range aliasTestChunks(t) {
 		t.Run(name, func(t *testing.T) {
-			cp, err := DecodeChunk(blob)
+			cp, err := decodeChunk(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			al, err := DecodeChunkAlias(append([]byte(nil), blob...))
+			al, err := buf.DecodeAlias(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cp.TableID != al.TableID || len(cp.Rows) != len(al.Rows) {
-				t.Fatalf("shape mismatch: (%d,%d) vs (%d,%d)",
-					cp.TableID, len(cp.Rows), al.TableID, len(al.Rows))
+			if err := sameChunk(cp, al); err != nil {
+				t.Fatalf("reused RowBuf and copy decode differ: %v", err)
 			}
-			for i := range cp.Rows {
-				a, b := cp.Rows[i], al.Rows[i]
-				if a.Index != b.Index || a.Accum != b.Accum {
-					t.Fatalf("row %d header mismatch", i)
+		})
+	}
+}
+
+// TestDecodeChunkLeavesBlobIntact: decoding a blob and dequantizing every
+// row of it only reads the blob. The codes alias it, so a decoder or
+// dequantizer that wrote through them would corrupt the fetched object
+// for every later reader of it.
+func TestDecodeChunkLeavesBlobIntact(t *testing.T) {
+	for name, blob := range aliasTestChunks(t) {
+		t.Run(name, func(t *testing.T) {
+			want := bytes.Clone(blob)
+			c, err := (*RowBuf)(nil).DecodeAlias(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var s quant.Scratch
+			for i, r := range c.Rows {
+				if err := quant.DequantizeInto(make([]float32, r.Q.N), r.Q, &s); err != nil {
+					t.Fatalf("row %d: %v", i, err)
 				}
-				if a.Q.Bits != b.Q.Bits || a.Q.N != b.Q.N || a.Q.Lo != b.Q.Lo || a.Q.Hi != b.Q.Hi {
-					t.Fatalf("row %d qmeta mismatch: %+v vs %+v", i, a.Q, b.Q)
-				}
-				if !bytes.Equal(a.Q.Codes, b.Q.Codes) {
-					t.Fatalf("row %d codes mismatch", i)
-				}
-				if len(a.Q.Codebook) != len(b.Q.Codebook) {
-					t.Fatalf("row %d codebook mismatch", i)
-				}
+			}
+			if !bytes.Equal(blob, want) {
+				t.Fatal("decoding and dequantizing wrote into the blob")
 			}
 		})
 	}
@@ -131,7 +120,7 @@ func TestDecodeChunkAliasMatchesCopy(t *testing.T) {
 // Codes must never scribble into the blob bytes of the next row.
 func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 	blob := aliasTestChunks(t)["v1"]
-	c, err := DecodeChunkAlias(blob)
+	c, err := (*RowBuf)(nil).DecodeAlias(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +159,7 @@ func BenchmarkDecodeChunkAlias(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf RowBuf
-	for name, decode := range map[string]func([]byte) (*Chunk, error){"fresh": DecodeChunkAlias, "rowbuf": buf.DecodeAlias} {
+	for name, decode := range map[string]func([]byte) (*Chunk, error){"fresh": (*RowBuf)(nil).DecodeAlias, "rowbuf": buf.DecodeAlias} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

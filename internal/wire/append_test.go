@@ -13,7 +13,7 @@ import (
 // cover only the chunk's own bytes, not the prefix — on both layouts.
 func TestAppendToMatchesEncode(t *testing.T) {
 	for name, c := range allocTestChunks(t) {
-		want, err := c.Encode()
+		want, err := c.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,11 +62,11 @@ func TestSegmentsPerChunk(t *testing.T) {
 	}
 	for _, p := range methods {
 		for _, dim := range []int{1, 7, 16, 32, 64, 128, 256, 1000} {
-			one, err := goldenChunk(t, 1, 1, dim, p).Encode()
+			one, err := goldenChunk(t, 1, 1, dim, p).AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := goldenChunk(t, 1, 2, dim, p).Encode()
+			two, err := goldenChunk(t, 1, 2, dim, p).AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -194,7 +194,7 @@ func appendCRC(dst []byte, base int) []byte {
 
 // decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked)
 // into b's storage, or fresh storage when b is nil. Row codes slice
-// straight into body — see DecodeChunkAlias for the lifetime contract.
+// straight into body — see RowBuf.DecodeAlias for the lifetime contract.
 //
 // Only what appendCompact writes is accepted: reserved bytes zero, no
 // unknown flag, the range flag set exactly when bits != 32, and an empty

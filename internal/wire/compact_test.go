@@ -60,7 +60,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
-		got, err := DecodeChunk(blob)
+		got, err := decodeChunk(blob)
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)
 		}
@@ -74,7 +74,7 @@ func TestCompactEmptyChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeChunk(blob)
+	got, err := decodeChunk(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCompactCRCDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{0, len(blob) / 2, len(blob) - 5} {
 		bad := append([]byte(nil), blob...)
 		bad[pos] ^= 0xFF
-		if _, err := DecodeChunk(bad); err == nil {
+		if _, err := decodeChunk(bad); err == nil {
 			t.Fatalf("corruption at %d undetected", pos)
 		}
 	}
@@ -150,7 +150,7 @@ func TestCompactTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 10, len(blob) - 1} {
-		if _, err := DecodeChunk(blob[:n]); err == nil {
+		if _, err := decodeChunk(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d undetected", n)
 		}
 	}
@@ -165,7 +165,7 @@ func TestCompactQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeChunk(blob)
+		got, err := decodeChunk(blob)
 		if err != nil {
 			return false
 		}
@@ -261,7 +261,7 @@ func BenchmarkCompactDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeChunk(blob); err != nil {
+		if _, err := decodeChunk(blob); err != nil {
 			b.Fatal(err)
 		}
 	}

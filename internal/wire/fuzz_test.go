@@ -81,7 +81,7 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 	}
 	dirty := make(map[uint32]func() *RowBuf)
 	for magic, c := range map[uint32]*Chunk{compactMagic: kmeans, chunkMagic: makeUniformChunk(tb, 3, 96, 4, 4)} {
-		blob, err := c.Encode()
+		blob, err := c.AppendTo(nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 	return dirty
 }
 
-// FuzzDecodeChunk holds the chunk decoder, entered all three ways, to
+// FuzzDecodeChunk holds the chunk decoder, entered both ways, to
 // the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
 // allocation bounded by the input and not by what its header claims, and
 // an accepted chunk re-encodes, through the layout helper behind
@@ -107,10 +107,10 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 // exempt from the re-encode check: decodeCompact and
 // QVector.UnmarshalBinary refuse the spellings the encoders never write
 // (reserved bytes, unknown flags, a range flag that disagrees with bits,
-// a shaped empty chunk). The third way in is a RowBuf still holding a
-// chunk of the other layout (dirtyRowBufs): it must accept what
-// DecodeChunk accepts and return the same rows, nothing of the previous
-// chunk among them. An accepted fp32 CKP2 chunk whose row indices are
+// a shaped empty chunk). The second way in is a RowBuf still holding a
+// chunk of the other layout (dirtyRowBufs): it must accept what a fresh
+// decode accepts and return the same rows, nothing of the previous chunk
+// among them. An accepted fp32 CKP2 chunk whose row indices are
 // distinct must also re-encode to exactly the input through the writer's
 // other entry, AppendF32Chunk, reading a table built from its rows. The
 // trailing CRC is re-stamped so mutations reach the parsers behind the
@@ -132,14 +132,14 @@ func FuzzDecodeChunk(f *testing.F) {
 				reused = mk().DecodeAlias
 			}
 		}
-		want, wantErr := DecodeChunk(data)
+		want, wantErr := decodeChunk(data)
 		got, err := reused(data)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("DecodeChunk: %v; into a used RowBuf: %v", wantErr, err)
+			t.Fatalf("fresh decode: %v; into a used RowBuf: %v", wantErr, err)
 		}
 		if err == nil {
 			if err := sameChunk(want, got); err != nil {
-				t.Fatalf("a used RowBuf decodes other rows than DecodeChunk: %v", err)
+				t.Fatalf("a used RowBuf decodes other rows than a fresh decode: %v", err)
 			}
 			// The CKP2 writer's fp32 entry, given the rows as a table at
 			// their indices, writes the input again too.
@@ -150,7 +150,7 @@ func FuzzDecodeChunk(f *testing.F) {
 				}
 			}
 		}
-		for _, decode := range []func([]byte) (*Chunk, error){DecodeChunk, DecodeChunkAlias, reused} {
+		for _, decode := range []func([]byte) (*Chunk, error){(*RowBuf)(nil).DecodeAlias, reused} {
 			rpctest.FuzzDecoder(t, data, func(r io.Reader) (func(io.Writer) error, error) {
 				// A chunk is the whole object: consume the reader, decode data.
 				if _, err := io.Copy(io.Discard, r); err != nil {
@@ -190,9 +190,7 @@ func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 		"v1_row_per_13B":    stampCRC(v1),
 	} {
 		t.Run(name, func(t *testing.T) {
-			// DecodeChunk is DecodeChunkAlias over a copy of the object: the
-			// copy is its whole allowance beyond the alias decoder's. A
-			// RowBuf has none: it is grown only by a count that was checked.
+			// A RowBuf is grown only by a count that was checked.
 			var buf RowBuf
 			defer func() {
 				if cap(buf.rows) != 0 || cap(buf.qs) != 0 {
@@ -202,7 +200,7 @@ func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 			for _, d := range []struct {
 				decode func([]byte) (*Chunk, error)
 				budget uint64
-			}{{DecodeChunkAlias, 64 << 10}, {buf.DecodeAlias, 64 << 10}, {DecodeChunk, 64<<10 + uint64(len(blob))}} {
+			}{{(*RowBuf)(nil).DecodeAlias, 64 << 10}, {buf.DecodeAlias, 64 << 10}} {
 				decode, budget := d.decode, d.budget
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)

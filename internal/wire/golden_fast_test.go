@@ -70,9 +70,6 @@ func goldenFastChunk(t *testing.T, gc goldenCase, warm bool) *Chunk {
 		}
 		c.Rows = append(c.Rows, Row{Index: uint32(r * 3), Accum: float32(r) * 0.125, Q: q})
 	}
-	if warm && s.ChunkSearches() != 0 {
-		t.Fatalf("warm pass ran %d range searches, want 0 (every row should hit the cache)", s.ChunkSearches())
-	}
 	return c
 }
 

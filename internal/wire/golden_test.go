@@ -156,7 +156,7 @@ func TestEncodeChoosesLayout(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
-			got, err := c.Encode()
+			got, err := c.AppendTo(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestGoldenDecode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
-			got, err := DecodeChunk(blob)
+			got, err := decodeChunk(blob)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}

@@ -10,7 +10,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -83,18 +82,14 @@ func (c *Chunk) EncodedLen() int {
 	return size
 }
 
-// Encode serializes the chunk into a fresh buffer; see AppendTo.
-func (c *Chunk) Encode() ([]byte, error) {
-	return c.AppendTo(make([]byte, 0, c.EncodedLen()))
-}
-
 // AppendTo appends the chunk's encoding, with a trailing CRC32-C over
 // it, to dst and returns the extended slice. It is the encoder of
 // quantized rows, and it picks the layout from the rows: CKP2
 // (compact.go) whenever they share one uniform bit-width and dimension,
 // which is every chunk the engine's uniform quantizers and fp32 produce,
 // and the v1 layout only for what CKP2 cannot hold — per-row k-means
-// codebooks (or rows that differ in shape). DecodeChunk reads both. The
+// codebooks (or rows that differ in shape). RowBuf.DecodeAlias reads
+// both. The
 // CKP2 writer has a second entry, AppendF32Chunk, which writes the same
 // bytes for fp32 rows read straight from a table.
 //
@@ -166,29 +161,6 @@ func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
 	return appendCRC(dst, base), nil
 }
 
-// DecodeChunk parses and CRC-verifies a chunk produced by Encode. The
-// returned chunk owns its memory — it is DecodeChunkAlias over a copy —
-// so data may be reused or mutated freely afterwards.
-func DecodeChunk(data []byte) (*Chunk, error) {
-	return DecodeChunkAlias(bytes.Clone(data))
-}
-
-// DecodeChunkAlias parses and CRC-verifies a chunk without copying the
-// codes out of it: every row's packed codes alias data's backing array
-// directly (for both the v1 and CKP2 layouts). The caller must keep data
-// alive and unmodified for as long as the chunk — or any row vector
-// taken from it — is in use; mutating data afterwards corrupts the
-// decoded rows. The restore paths use this on freshly fetched,
-// function-local blobs that are consumed (dequantized or index-scanned)
-// before the blob goes out of scope; anything that retains rows past the
-// blob's lifetime must use DecodeChunk.
-//
-// It is RowBuf.DecodeAlias with no buffer: the one decoder, allocating
-// the rows it returns.
-func DecodeChunkAlias(data []byte) (*Chunk, error) {
-	return (*RowBuf)(nil).DecodeAlias(data)
-}
-
 // RowBuf is caller-owned storage for the rows of one decoded chunk at a
 // time: the Row and QVector structs that describe a chunk outweigh the
 // chunk itself (88 bytes a row against as little as 24 on the wire), so a
@@ -219,9 +191,15 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	return &b.chunk, b.qs[:n]
 }
 
-// DecodeAlias is DecodeChunkAlias into b's storage: the returned chunk,
-// its rows and their vectors live in b (their codes still alias data),
-// so all of it is dead at b's next DecodeAlias. A nil b allocates them.
+// DecodeAlias parses and CRC-verifies a chunk (either layout) without
+// copying the codes out of it: every row's packed codes alias data's
+// backing array directly. The caller must keep data alive and unmodified
+// for as long as the chunk, or any row vector taken from it, is in use;
+// mutating data afterwards corrupts the decoded rows. The restore paths
+// consume each freshly fetched blob (dequantize or index-scan it) before
+// it goes out of scope. The returned chunk, its rows and their vectors
+// live in b, so all of it is dead at b's next DecodeAlias; a nil b
+// allocates them.
 func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeChunk(blob)
+	got, err := decodeChunk(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestChunkEmptyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeChunk(blob)
+	got, err := decodeChunk(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestChunkEmptyRoundTrip(t *testing.T) {
 
 func TestChunkNilQVectorErrors(t *testing.T) {
 	c := &Chunk{Rows: []Row{{Index: 1}}}
-	if _, err := c.Encode(); err == nil {
+	if _, err := c.AppendTo(nil); err == nil {
 		t.Fatal("nil QVector should error")
 	}
 }
@@ -89,7 +90,7 @@ func TestChunkCRCDetectsCorruption(t *testing.T) {
 	for _, pos := range []int{0, len(blob) / 2, len(blob) - 5} {
 		bad := append([]byte(nil), blob...)
 		bad[pos] ^= 0xFF
-		if _, err := DecodeChunk(bad); err == nil {
+		if _, err := decodeChunk(bad); err == nil {
 			t.Fatalf("corruption at %d not detected", pos)
 		}
 	}
@@ -101,7 +102,7 @@ func TestChunkTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 4, 15, len(blob) - 1} {
-		if _, err := DecodeChunk(blob[:n]); err == nil {
+		if _, err := decodeChunk(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d not detected", n)
 		}
 	}
@@ -115,7 +116,7 @@ func TestChunkQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeChunk(blob)
+		got, err := decodeChunk(blob)
 		if err != nil {
 			return false
 		}
@@ -247,8 +248,14 @@ func BenchmarkChunkDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeChunk(blob); err != nil {
+		if _, err := decodeChunk(blob); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// decodeChunk decodes a private copy of data into fresh storage, so the
+// chunk it returns owns its memory.
+func decodeChunk(data []byte) (*Chunk, error) {
+	return (*RowBuf)(nil).DecodeAlias(bytes.Clone(data))
 }
