@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/objstore"
+	"repro/internal/simclock"
 )
 
 func newSystem(t *testing.T, cfg Config) *System {
@@ -364,7 +365,8 @@ func TestStallFractionPositive(t *testing.T) {
 		t.Fatalf("stall fraction = %v", f)
 	}
 	st := sys.TrainerStats()
-	if st.Batches == 0 || st.Snapshots != 1 {
+	// One interval, one snapshot: one modeled stall.
+	if st.Batches == 0 || st.StallTime != simclock.DefaultThroughput().SnapshotStall {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -44,18 +44,18 @@ func TestLeaseAcquireRenewExpire(t *testing.T) {
 		t.Fatalf("concurrent acquire err = %v, want ErrLeaseHeld", err)
 	}
 	// Renewal keeps the grant alive past the original TTL.
-	clock.Advance(6 * time.Second)
+	clock.Sleep(6 * time.Second)
 	if err := leaseA.Renew(ctx); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(6 * time.Second)
+	clock.Sleep(6 * time.Second)
 	if _, err := regB.Acquire(ctx, 0); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("acquire after renew err = %v, want ErrLeaseHeld", err)
 	}
 
 	// The holder stops renewing; after expiry the standby takes over at
 	// the next epoch — no manual assignment.
-	clock.Advance(11 * time.Second)
+	clock.Sleep(11 * time.Second)
 	leaseB, err := regB.Acquire(ctx, 0)
 	if err != nil {
 		t.Fatal(err)

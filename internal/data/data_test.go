@@ -215,8 +215,8 @@ func TestLabelsCorrelateWithTeacher(t *testing.T) {
 func TestNextBatch(t *testing.T) {
 	g := mustGen(t, DefaultSpec())
 	b := g.NextBatch(16)
-	if b.Len() != 16 || b.Seq != 0 {
-		t.Fatalf("batch len=%d seq=%d", b.Len(), b.Seq)
+	if len(b.Samples) != 16 || b.Seq != 0 {
+		t.Fatalf("batch len=%d seq=%d", len(b.Samples), b.Seq)
 	}
 	b2 := g.NextBatch(8)
 	if b2.Seq != 16 {
@@ -279,8 +279,8 @@ func TestClusterExactGrant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}
-		if b.Len() != 8 {
-			t.Fatalf("batch %d len %d", i, b.Len())
+		if len(b.Samples) != 8 {
+			t.Fatalf("batch %d len %d", i, len(b.Samples))
 		}
 	}
 	// The gap invariant: after consuming the full grant, nothing is in

@@ -34,9 +34,6 @@ type Batch struct {
 	Seq uint64
 }
 
-// Len returns the number of samples in the batch.
-func (b *Batch) Len() int { return len(b.Samples) }
-
 // Spec configures the synthetic dataset.
 type Spec struct {
 	Seed      int64

@@ -113,8 +113,8 @@ func New(cfg Config, nodes int) (*DLRM, error) {
 // Config returns the model's configuration.
 func (d *DLRM) Config() Config { return d.cfg }
 
-// forwardSample computes the logit for one sample, returning the
-// intermediate state needed for the backward pass.
+// sampleState is one sample's forward pass: the tapes the backward pass
+// reads, the vectors the interaction multiplied and the logit.
 type sampleState struct {
 	botTape *tape
 	topTape *tape
@@ -122,88 +122,36 @@ type sampleState struct {
 	logit   float32
 }
 
-func (d *DLRM) forwardSample(s *data.Sample) *sampleState {
-	st := &sampleState{}
-	st.botTape = d.Bottom.forward(s.Dense)
-	z0 := st.botTape.out
-
-	st.vecs = make([]tensor.Vector, 0, len(s.Sparse)+1)
-	st.vecs = append(st.vecs, z0)
-	for t, id := range s.Sparse {
-		st.vecs = append(st.vecs, d.Sparse.Table(t).Lookup(id))
-	}
+// forward runs one sample through the bottom MLP over its dense
+// features, the pairwise-dot interaction of that output with its
+// embedding vectors emb, and the top MLP.
+func (d *DLRM) forward(dense tensor.Vector, emb []tensor.Vector) sampleState {
+	botTape := d.Bottom.forward(dense)
+	vecs := make([]tensor.Vector, 0, len(emb)+1)
+	vecs = append(append(vecs, botTape.out), emb...)
 
 	// Interaction: [z0 ; dot(v_i, v_j) for i<j].
 	feats := make(tensor.Vector, d.cfg.EmbedDim+d.nInteract)
-	copy(feats, z0)
+	copy(feats, botTape.out)
 	k := d.cfg.EmbedDim
-	for i := 0; i < len(st.vecs); i++ {
-		for j := i + 1; j < len(st.vecs); j++ {
-			feats[k] = tensor.Dot(st.vecs[i], st.vecs[j])
+	for i := 0; i < len(vecs); i++ {
+		for j := i + 1; j < len(vecs); j++ {
+			feats[k] = tensor.Dot(vecs[i], vecs[j])
 			k++
 		}
 	}
-	st.topTape = d.Top.forward(feats)
-	st.logit = st.topTape.out[0]
-	return st
+	topTape := d.Top.forward(feats)
+	return sampleState{botTape: botTape, topTape: topTape, vecs: vecs, logit: topTape.out[0]}
 }
 
-// Forward returns the click logit for a sample without recording anything.
+// Forward returns the click logit for a sample, read from the live
+// tables, without recording anything.
 func (d *DLRM) Forward(s *data.Sample) float32 {
-	return d.forwardSample(s).logit
-}
-
-// TrainBatch runs one synchronous training iteration: forward + backward
-// over every sample, embedding rows updated immediately with AdaGrad
-// (model-parallel semantics) and marked in the tracker, MLP gradients
-// accumulated and applied once (data-parallel AllReduce semantics).
-// It returns the mean BCE loss over the batch.
-func (d *DLRM) TrainBatch(b *data.Batch) float32 {
-	var totalLoss float64
-	for i := range b.Samples {
-		s := &b.Samples[i]
-		st := d.forwardSample(s)
-		totalLoss += float64(tensor.BCEWithLogits(st.logit, s.Label))
-		gLogit := tensor.BCEGrad(st.logit, s.Label)
-
-		// Top MLP backward: input gradient covers [z0 ; dots].
-		gradFeats := d.Top.backward(st.topTape, tensor.Vector{gLogit})
-
-		// Interaction backward: d(dot(vi,vj))/dvi = vj.
-		gradVecs := make([]tensor.Vector, len(st.vecs))
-		for v := range gradVecs {
-			gradVecs[v] = make(tensor.Vector, d.cfg.EmbedDim)
-		}
-		copy(gradVecs[0], gradFeats[:d.cfg.EmbedDim])
-		k := d.cfg.EmbedDim
-		for vi := 0; vi < len(st.vecs); vi++ {
-			for vj := vi + 1; vj < len(st.vecs); vj++ {
-				g := gradFeats[k]
-				k++
-				if g == 0 {
-					continue
-				}
-				tensor.Axpy(g, st.vecs[vj], gradVecs[vi])
-				tensor.Axpy(g, st.vecs[vi], gradVecs[vj])
-			}
-		}
-
-		// Bottom MLP backward from z0's gradient.
-		d.Bottom.backward(st.botTape, gradVecs[0])
-
-		// Sparse updates: immediate row-wise AdaGrad + tracker mark.
-		for t, id := range s.Sparse {
-			d.Sparse.Table(t).ApplyGrad(id, gradVecs[t+1], d.cfg.LRSparse)
-			d.Tracker.Mark(t, id)
-		}
+	emb := make([]tensor.Vector, len(s.Sparse))
+	for t, id := range s.Sparse {
+		emb[t] = d.Sparse.Table(t).Lookup(id)
 	}
-	n := len(b.Samples)
-	d.Bottom.step(d.cfg.LRDense, n)
-	d.Top.step(d.cfg.LRDense, n)
-	if n == 0 {
-		return 0
-	}
-	return float32(totalLoss / float64(n))
+	return d.forward(s.Dense, emb).logit
 }
 
 // EvalLoss evaluates mean loss over n held-out samples drawn from gen

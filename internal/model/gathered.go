@@ -16,14 +16,31 @@ import (
 //     loss, backward; MLP updates applied (AllReduce-equivalent);
 //     per-sample embedding gradients returned: the backward AlltoAll
 //     payload.
-//  3. Table.ApplyGrad per node — each node applies the gradients for its
+//  3. ApplySparseFor per node — each node applies the gradients for its
 //     own rows (the trainer package runs this concurrently per node and
 //     marks the tracker during this window, as §5.1.1 hides tracking in
 //     AlltoAll).
 //
-// Unlike TrainBatch (which applies sparse updates sample-by-sample), the
-// gathered path reads all embedding rows before any update, which is
-// exactly what a synchronous distributed iteration does.
+// Every embedding row is read before any is updated, which is exactly
+// what a synchronous distributed iteration does. TrainBatch runs the
+// three phases on one node that owns every table.
+
+// TrainBatch runs one synchronous training iteration on one node: it
+// gathers every table, runs TrainGathered and applies every table's
+// gradients with ApplySparseFor. It leaves a model bit-identical to
+// trainer.Cluster.Step's at any node count, and returns the mean BCE
+// loss over the batch.
+func (d *DLRM) TrainBatch(b *data.Batch) float32 {
+	all := make(map[int]bool, len(d.cfg.Tables))
+	for t := range d.cfg.Tables {
+		all[t] = true
+	}
+	g := &Gathered{}
+	d.GatherSparseFor(b, g, all)
+	loss, sg := d.TrainGathered(b, g)
+	d.ApplySparseFor(b, sg, all)
+	return loss
+}
 
 // Gathered holds the embedding vectors fetched for a batch:
 // Vecs[sample][table] is a copy of the row the sample references.
@@ -74,50 +91,36 @@ func (d *DLRM) TrainGathered(b *data.Batch, g *Gathered) (float32, *SparseGrads)
 	var totalLoss float64
 	for i := range b.Samples {
 		s := &b.Samples[i]
-		vecs := make([]tensor.Vector, 0, len(s.Sparse)+1)
-		botTape := d.Bottom.forward(s.Dense)
-		vecs = append(vecs, botTape.out)
 		for t := range s.Sparse {
-			v := g.Vecs[i][t]
-			if v == nil {
+			if g.Vecs[i][t] == nil {
 				panic(fmt.Sprintf("model: sample %d table %d not gathered", i, t))
 			}
-			vecs = append(vecs, v)
 		}
+		st := d.forward(s.Dense, g.Vecs[i][:len(s.Sparse)])
+		totalLoss += float64(tensor.BCEWithLogits(st.logit, s.Label))
+		gLogit := tensor.BCEGrad(st.logit, s.Label)
 
-		feats := make(tensor.Vector, d.cfg.EmbedDim+d.nInteract)
-		copy(feats, botTape.out)
-		k := d.cfg.EmbedDim
-		for a := 0; a < len(vecs); a++ {
-			for bidx := a + 1; bidx < len(vecs); bidx++ {
-				feats[k] = tensor.Dot(vecs[a], vecs[bidx])
-				k++
-			}
-		}
-		topTape := d.Top.forward(feats)
-		logit := topTape.out[0]
-		totalLoss += float64(tensor.BCEWithLogits(logit, s.Label))
-		gLogit := tensor.BCEGrad(logit, s.Label)
-
-		gradFeats := d.Top.backward(topTape, tensor.Vector{gLogit})
-		gradVecs := make([]tensor.Vector, len(vecs))
+		// Top MLP backward: the input gradient covers [z0 ; dots].
+		gradFeats := d.Top.backward(st.topTape, tensor.Vector{gLogit})
+		// Interaction backward: d(dot(v_a, v_b))/dv_a = v_b.
+		gradVecs := make([]tensor.Vector, len(st.vecs))
 		for v := range gradVecs {
 			gradVecs[v] = make(tensor.Vector, d.cfg.EmbedDim)
 		}
 		copy(gradVecs[0], gradFeats[:d.cfg.EmbedDim])
-		k = d.cfg.EmbedDim
-		for a := 0; a < len(vecs); a++ {
-			for bidx := a + 1; bidx < len(vecs); bidx++ {
+		k := d.cfg.EmbedDim
+		for a := 0; a < len(st.vecs); a++ {
+			for bidx := a + 1; bidx < len(st.vecs); bidx++ {
 				gv := gradFeats[k]
 				k++
 				if gv == 0 {
 					continue
 				}
-				tensor.Axpy(gv, vecs[bidx], gradVecs[a])
-				tensor.Axpy(gv, vecs[a], gradVecs[bidx])
+				tensor.Axpy(gv, st.vecs[bidx], gradVecs[a])
+				tensor.Axpy(gv, st.vecs[a], gradVecs[bidx])
 			}
 		}
-		d.Bottom.backward(botTape, gradVecs[0])
+		d.Bottom.backward(st.botTape, gradVecs[0])
 		sg.Grads[i] = gradVecs[1:]
 	}
 	n := len(b.Samples)
@@ -145,9 +148,3 @@ func (d *DLRM) ApplySparseFor(b *data.Batch, sg *SparseGrads, tableSet map[int]b
 		}
 	}
 }
-
-// EmbedDim exposes the embedding dimension for trainer wiring.
-func (d *DLRM) EmbedDim() int { return d.cfg.EmbedDim }
-
-// NumTables exposes the table count for trainer wiring.
-func (d *DLRM) NumTables() int { return len(d.cfg.Tables) }

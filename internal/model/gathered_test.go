@@ -1,7 +1,6 @@
 package model
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -130,8 +129,8 @@ func TestApplySparseAccumulatesMultiSampleRows(t *testing.T) {
 	g := gatherAll(d, b)
 	_, sg := d.TrainGathered(b, g)
 	// Make both gradients nonzero and known.
-	sg.Grads[0][0] = make(tensor.Vector, d.EmbedDim())
-	sg.Grads[1][0] = make(tensor.Vector, d.EmbedDim())
+	sg.Grads[0][0] = make(tensor.Vector, d.Config().EmbedDim)
+	sg.Grads[1][0] = make(tensor.Vector, d.Config().EmbedDim)
 	sg.Grads[0][0][0] = 1
 	sg.Grads[1][0][0] = 1
 	before := d.Sparse.Table(0).Weights.Row(row)[0]
@@ -149,10 +148,7 @@ func TestApplySparseAccumulatesMultiSampleRows(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	d := mustModel(t, 1)
-	if d.EmbedDim() != 16 || d.NumTables() != 4 {
-		t.Fatalf("accessors: dim=%d tables=%d", d.EmbedDim(), d.NumTables())
-	}
-	if d.Config().EmbedDim != 16 {
+	if d.Config().EmbedDim != 16 || len(d.Config().Tables) != 4 {
 		t.Fatal("Config accessor wrong")
 	}
 }
@@ -169,7 +165,7 @@ func TestGatheredForwardMatchesSequentialBeforeUpdates(t *testing.T) {
 	s := &b.Samples[0]
 	logit2 := d2.Forward(s)
 	loss2 := tensor.BCEWithLogits(logit2, s.Label)
-	if math.Abs(float64(loss1-loss2)) > 1e-6 {
+	if loss1 != loss2 {
 		t.Fatalf("single-sample losses differ: %v vs %v", loss1, loss2)
 	}
 }

@@ -230,7 +230,7 @@ func TestThrottleIdleLinkBanksNothing(t *testing.T) {
 	if err := th.Wait(ctx, 500); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(10 * time.Second)
+	clock.Sleep(10 * time.Second)
 	start := clock.Now()
 	for i := 0; i < 2; i++ {
 		if err := th.Wait(ctx, 500); err != nil {

@@ -108,7 +108,7 @@ func (q *QVector) UnmarshalBinaryAlias(data []byte) error {
 	if q.Bits < 1 || (q.Bits > 8 && q.Bits != 32) {
 		return fmt.Errorf("quant: invalid bits %d", q.Bits)
 	}
-	want := packedLen(q.N, q.Bits)
+	want := PackedLen(q.N, q.Bits)
 	if len(data) != want {
 		return fmt.Errorf("quant: codes length %d, want %d", len(data), want)
 	}

@@ -22,9 +22,6 @@ func PackedLen(n, bits int) int {
 	return (n*bits + 7) / 8
 }
 
-// packedLen is the historical internal spelling.
-func packedLen(n, bits int) int { return PackedLen(n, bits) }
-
 // PackCodes packs codes (each truncated to the low `bits` bits) into dst,
 // which must hold at least PackedLen(len(codes), bits) bytes. Every byte
 // of the packed region is overwritten; dst does not need to be zeroed.

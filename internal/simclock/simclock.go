@@ -56,10 +56,6 @@ func (s *Sim) Sleep(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Advance is an alias for Sleep that reads better at call sites that are
-// driving the simulation rather than emulating a blocking wait.
-func (s *Sim) Advance(d time.Duration) { s.Sleep(d) }
-
 // Since returns the elapsed virtual time since t.
 func (s *Sim) Since(t time.Time) time.Duration {
 	return s.Now().Sub(t)

@@ -39,15 +39,6 @@ func TestSimNegativeSleepIgnored(t *testing.T) {
 	}
 }
 
-func TestSimAdvanceAlias(t *testing.T) {
-	c := NewSim(time.Time{})
-	c.Advance(time.Second)
-	c.Advance(time.Second)
-	if got := c.Since(time.Unix(0, 0).UTC()); got != 2*time.Second {
-		t.Fatalf("elapsed = %v, want 2s", got)
-	}
-}
-
 func TestSimConcurrentAdvance(t *testing.T) {
 	c := NewSim(time.Time{})
 	var wg sync.WaitGroup

@@ -1,15 +1,15 @@
 // Package trainer simulates the synchronous hybrid-parallel training
 // cluster of §2.2: N trainer nodes, embedding tables model-parallel
 // across nodes, MLPs data-parallel, AlltoAll exchanges in forward and
-// backward passes, and the stall-for-snapshot behaviour of §4.2 on a
-// virtual clock.
+// backward passes, and the stall-for-snapshot behaviour of §4.2.
 //
 // The math is exact (the single authoritative model equals what a real
-// synchronous cluster computes); the cluster structure contributes real
-// concurrency — per-node gather and apply phases run in goroutines with
-// barriers between phases — plus the timing model that turns progress
-// into the wall-clock quantities the paper reports (stall fraction,
-// interval durations).
+// synchronous cluster computes, bit for bit at any node count); the
+// cluster structure contributes real concurrency — per-node gather and
+// apply phases run in goroutines with barriers between phases. The
+// paper's throughput model (simclock.DefaultThroughput) turns batches
+// and snapshots into modeled training and stall time, from which
+// StallFraction reports the quantity of §6.1.
 package trainer
 
 import (
@@ -28,32 +28,23 @@ type Config struct {
 	// Nodes is the trainer node count; embedding shards spread across
 	// them. Must match the node count the model was built with.
 	Nodes int
-	// Clock drives virtual time; nil creates a fresh simulation clock.
-	Clock *simclock.Sim
-	// Throughput converts batches to virtual time.
-	Throughput simclock.ThroughputModel
 }
 
-// Stats accumulates what the cluster did, in virtual time.
+// Stats accumulates what the cluster did. TrainTime and StallTime are
+// modeled durations under simclock.DefaultThroughput.
 type Stats struct {
 	Batches   uint64
-	Samples   uint64
 	TrainTime time.Duration
 	StallTime time.Duration
-	Snapshots int
 	LastLoss  float32
-	// AlltoAllBytes is the embedding traffic crossing node boundaries:
-	// looked-up vectors in the forward pass plus gradient vectors in the
-	// backward pass (§2.2). Vectors consumed on their owning node do not
-	// cross the fabric and are not counted.
-	AlltoAllBytes uint64
 }
+
+// throughput converts batches and snapshots into modeled time.
+var throughput = simclock.DefaultThroughput()
 
 // Cluster drives synchronous training of one DLRM.
 type Cluster struct {
-	m     *model.DLRM
-	clock *simclock.Sim
-	tm    simclock.ThroughputModel
+	m *model.DLRM
 
 	nodes      int
 	nodeTables []map[int]bool // node -> owned table IDs
@@ -74,16 +65,8 @@ func New(m *model.DLRM, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("trainer: model sharded over %d nodes, cluster has %d",
 			m.Sparse.Nodes(), cfg.Nodes)
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.NewSim(time.Time{})
-	}
-	if cfg.Throughput.QPS <= 0 {
-		cfg.Throughput = simclock.DefaultThroughput()
-	}
 	c := &Cluster{
 		m:     m,
-		clock: cfg.Clock,
-		tm:    cfg.Throughput,
 		nodes: cfg.Nodes,
 	}
 	c.nodeTables = make([]map[int]bool, cfg.Nodes)
@@ -108,7 +91,7 @@ func (c *Cluster) Model() *model.DLRM { return c.m }
 //	barrier — backward AlltoAll (tracking hides here, §5.1.1)
 //	phase 3 (parallel per node): apply sparse gradients + mark tracker
 //
-// and advances the virtual clock by the modeled iteration time.
+// and adds the modeled iteration time to Stats.TrainTime.
 func (c *Cluster) Step(b *data.Batch) float32 {
 	// Phase 1: concurrent gather, one goroutine per node.
 	g := c.gatherParallel(b)
@@ -127,30 +110,12 @@ func (c *Cluster) Step(b *data.Batch) float32 {
 	}
 	wg.Wait()
 
-	c.clock.Advance(c.tm.BatchDuration())
 	c.mu.Lock()
 	c.stats.Batches++
-	c.stats.Samples += uint64(b.Len())
-	c.stats.TrainTime += c.tm.BatchDuration()
+	c.stats.TrainTime += throughput.BatchDuration()
 	c.stats.LastLoss = loss
-	c.stats.AlltoAllBytes += c.alltoallBytes(b)
 	c.mu.Unlock()
 	return loss
-}
-
-// alltoallBytes models the per-iteration AlltoAll volume: every embedding
-// vector looked up for a sample travels from its owning node to the
-// data-parallel consumer in the forward pass, and its gradient travels
-// back in the backward pass. With T tables spread over N nodes, a uniform
-// consumer assignment leaves a 1/N fraction local.
-func (c *Cluster) alltoallBytes(b *data.Batch) uint64 {
-	if c.nodes <= 1 {
-		return 0
-	}
-	vecBytes := uint64(c.m.EmbedDim()) * 4
-	lookups := uint64(b.Len()) * uint64(c.m.NumTables())
-	crossing := lookups - lookups/uint64(c.nodes)
-	return 2 * crossing * vecBytes // forward vectors + backward gradients
 }
 
 // gatherParallel runs phase 1 with one goroutine per node writing
@@ -186,10 +151,10 @@ func (c *Cluster) TableAssignment() map[int]int {
 	return out
 }
 
-// Snapshot stalls training (advancing the clock by the modeled snapshot
-// stall, §4.2/§6.1) and returns an atomic copy of the trainer state. The
-// caller must not run Step concurrently — the trainer is synchronous, so
-// the step boundary is the natural barrier.
+// Snapshot stalls training (adding the modeled snapshot stall of
+// §4.2/§6.1 to Stats.StallTime) and returns an atomic copy of the
+// trainer state. The caller must not run Step concurrently — the trainer
+// is synchronous, so the step boundary is the natural barrier.
 func (c *Cluster) Snapshot(reader data.ReaderState) (*ckpt.Snapshot, error) {
 	c.mu.Lock()
 	step := c.stats.Batches
@@ -198,10 +163,8 @@ func (c *Cluster) Snapshot(reader data.ReaderState) (*ckpt.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.clock.Advance(c.tm.SnapshotStall)
 	c.mu.Lock()
-	c.stats.StallTime += c.tm.SnapshotStall
-	c.stats.Snapshots++
+	c.stats.StallTime += throughput.SnapshotStall
 	c.mu.Unlock()
 	return snap, nil
 }
@@ -222,7 +185,7 @@ func (c *Cluster) Stats() Stats {
 	return c.stats
 }
 
-// StallFraction returns the fraction of virtual time spent stalled for
+// StallFraction returns the fraction of modeled time spent stalled for
 // snapshots — the paper reports < 0.4% at 30-minute intervals.
 func (c *Cluster) StallFraction() float64 {
 	c.mu.Lock()

@@ -75,7 +75,7 @@ func (c *Chunk) compactEncodedLen() int {
 // compactRowLen returns the bytes one row takes in a CKP2 chunk: index,
 // accumulator, the range unless bits == 32, and the packed codes.
 func compactRowLen(dim, bits int) int {
-	size := 4 + 4 + packedCodeLen(dim, bits)
+	size := 4 + 4 + quant.PackedLen(dim, bits)
 	if bits != 32 {
 		size += 8
 	}
@@ -94,7 +94,7 @@ func compactRowLen(dim, bits int) int {
 // (the caller has checked) to dst.
 func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
 	bits, dim := c.compactShape()
-	rowCodes := packedCodeLen(dim, bits)
+	rowCodes := quant.PackedLen(dim, bits)
 	base := len(dst)
 	le := binary.LittleEndian
 	dst = appendCompactHeader(dst, c.TableID, len(c.Rows), bits, dim)
@@ -240,7 +240,7 @@ func (b *RowBuf) decodeCompact(body []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("wire: compact chunk of %d bytes cannot hold %d rows of %d bytes", len(body), n64, rowBytes)
 	}
 	n, dim := int(n64), int(dim64)
-	rowCodes := packedCodeLen(dim, bits)
+	rowCodes := quant.PackedLen(dim, bits)
 	// The layout is columnar; decode with fixed per-column offsets into
 	// one Row slice and one QVector slice (n is tied to len(body) above),
 	// the codes of every row a view of body.
@@ -269,11 +269,4 @@ func (b *RowBuf) decodeCompact(body []byte) (*Chunk, error) {
 		}
 	}
 	return c, nil
-}
-
-// packedCodeLen returns the per-row byte length of dim codes of the given
-// width, byte-aligned per row (matching quant's packing; 32-bit raw rows
-// are dim*4 bytes).
-func packedCodeLen(dim, bits int) int {
-	return (dim*bits + 7) / 8
 }

@@ -129,7 +129,7 @@ func rowLen(p quant.Params, dim int) int {
 	case quant.MethodNone:
 		return compactRowLen(dim, 32)
 	case quant.MethodKMeans:
-		return minV1Row + packedCodeLen(dim, p.Bits) + 2 + 4<<p.Bits
+		return minV1Row + quant.PackedLen(dim, p.Bits) + 2 + 4<<p.Bits
 	default:
 		return compactRowLen(dim, p.Bits)
 	}
