@@ -341,11 +341,7 @@ func (s *System) StoreUsage() (objstore.Usage, bool) {
 // QuantBits returns the quantization bit-width currently in effect
 // (32 means fp32 / no quantization).
 func (s *System) QuantBits() int {
-	q := s.coord.Quant()
-	if q.Method == quant.MethodNone {
-		return 32
-	}
-	return q.Bits
+	return s.coord.Quant().StoredBits()
 }
 
 // Restores returns how many times this System resumed from a checkpoint.

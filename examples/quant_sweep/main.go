@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/quant"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -55,15 +56,18 @@ func main() {
 			bits, p.NumBins, imp*100)
 	}
 
-	// Storage footprint comparison.
-	fmt.Println("\nper-row storage (dim-16 row, fp32 = 64 bytes + 4 accum):")
-	x := cv.Vectors[0]
+	// Storage footprint: what one row adds to the CKP2 chunk a checkpoint
+	// stores, index and accumulator included on both sides.
+	dim := cv.Dim
+	fp32 := wire.F32ChunkLen(1, dim) - wire.F32ChunkLen(0, dim)
+	fmt.Printf("\nper-row checkpoint storage (dim-%d row, fp32 = %d bytes: values, index, accumulator):\n", dim, fp32)
+	empty := (&wire.Chunk{}).EncodedLen()
 	for _, bits := range []int{2, 3, 4, 8} {
-		q, err := quant.Quantize(x, quant.Params{Method: quant.MethodAsymmetric, Bits: bits})
+		q, err := quant.Quantize(cv.Vectors[0], quant.Params{Method: quant.MethodAsymmetric, Bits: bits})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %d-bit: %d bytes (%.1fx smaller)\n",
-			bits, q.StorageBytes(), 68.0/float64(q.StorageBytes()))
+		row := (&wire.Chunk{Rows: []wire.Row{{Q: q}}}).EncodedLen() - empty
+		fmt.Printf("  %d-bit: %d bytes (%.2fx smaller)\n", bits, row, float64(fp32)/float64(row))
 	}
 }

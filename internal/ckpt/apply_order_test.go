@@ -96,7 +96,7 @@ func storedRows(t *testing.T, f *fixture, plan *Plan) (all, incremental map[int]
 // TestApplyOrderMatchesOldestFirst holds the newest-first apply to the
 // oldest-first one it replaced. Over generated jobs — every policy and a
 // policy switch across a restart (a chain that mixes since-base and
-// consecutive links), fp32, adaptive 4-bit and k-means rows, one shard
+// consecutive links), fp32, adaptive 4-bit and adaptive 2-bit rows, one shard
 // and two, whole chains and chains cut at a checkpoint already
 // held — both must leave weights and accumulators bit-identical, from
 // the same Gets. The new one must also write every row once: as many
@@ -125,7 +125,7 @@ func TestApplyOrderMatchesOldestFirst(t *testing.T) {
 	}{
 		{"fp32", quant.Params{}},
 		{"adaptive4", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}},
-		{"kmeans2", quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3}},
+		{"adaptive2", quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}},
 	}
 	for _, job := range jobs {
 		for _, q := range quants {

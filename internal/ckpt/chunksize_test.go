@@ -71,7 +71,7 @@ func sameVector(a, b *quant.QVector) bool {
 // rows, and packing moves nothing but the object boundaries. Every row a
 // checkpoint stores — decoded from the store — must be bit for bit what
 // segmentOracle makes of the same snapshot rows, for fp32 and the
-// adaptive, uniform and k-means quantizers, under full and consecutive
+// adaptive and uniform quantizers, under full and consecutive
 // policies, on one shard and two. Each table stores
 // ⌈stored rows / (k·ChunkRows)⌉ chunks, every one but the last full; at
 // these widths every method, fp32 included, packs k = 4.
@@ -85,7 +85,7 @@ func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 		{"adaptive4", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}},
 		{"adaptive8", quant.Params{Method: quant.MethodAdaptive, Bits: 8, NumBins: 45, Ratio: 1}},
 		{"asymmetric4", quant.Params{Method: quant.MethodAsymmetric, Bits: 4}},
-		{"kmeans4", quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}},
+		{"symmetric3", quant.Params{Method: quant.MethodSymmetric, Bits: 3}},
 	}
 	for _, q := range quants {
 		for _, policy := range []PolicyKind{PolicyFull, PolicyConsecutive} {
@@ -214,7 +214,7 @@ func TestEveryChunkFitsThePool(t *testing.T) {
 		{"adaptive4", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
 		{"asymmetric8", quant.Params{Method: quant.MethodAsymmetric, Bits: 8}},
 		{"symmetric2", quant.Params{Method: quant.MethodSymmetric, Bits: 2}},
-		{"kmeans4", quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 1}},
+		{"adaptive3", quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}},
 	}
 	dims := []int{1, 31, 128, 129, 256, 1024}
 	rng := rand.New(rand.NewSource(1))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -788,23 +789,20 @@ func TestCompactLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncoderChoosesChunkLayout reads the magic of every chunk object
-// the engine stored: the layout is the encoder's choice from the rows,
-// not a setting — CKP2 for every uniform quantizer and fp32, CKP1 for
-// k-means codebooks, the one row shape CKP2 cannot hold — and either
-// way the checkpoint restores.
-func TestEncoderChoosesChunkLayout(t *testing.T) {
-	const ckp1, ckp2 = 0x434B5031, 0x434B5032 // "CKP1", "CKP2"
+// TestEncoderWritesOnlyCKP2 reads the magic of every chunk object the
+// engine stored: CKP2 for every quantizer the engine takes, and fp32,
+// and the checkpoint restores.
+func TestEncoderWritesOnlyCKP2(t *testing.T) {
+	const ckp2 = 0x434B5032 // "CKP2"
 	for _, tc := range []struct {
-		name  string
-		p     quant.Params
-		magic uint32
+		name string
+		p    quant.Params
 	}{
-		{"fp32", quant.Params{Method: quant.MethodNone}, ckp2},
-		{"asym4", quant.Params{Method: quant.MethodAsymmetric, Bits: 4}, ckp2},
-		{"sym8", quant.Params{Method: quant.MethodSymmetric, Bits: 8}, ckp2},
-		{"adaptive3", quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}, ckp2},
-		{"kmeans", quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, ckp1},
+		{"fp32", quant.Params{Method: quant.MethodNone}},
+		{"asym4", quant.Params{Method: quant.MethodAsymmetric, Bits: 4}},
+		{"sym8", quant.Params{Method: quant.MethodSymmetric, Bits: 8}},
+		{"adaptive3", quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}},
+		{"adaptive2", quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, Config{Policy: PolicyFull, Quant: tc.p})
@@ -819,8 +817,8 @@ func TestEncoderChoosesChunkLayout(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := binary.LittleEndian.Uint32(blob); got != tc.magic {
-						t.Fatalf("%s stored with magic 0x%08x, want 0x%08x", key, got, tc.magic)
+					if got := binary.LittleEndian.Uint32(blob); got != ckp2 {
+						t.Fatalf("%s stored with magic 0x%08x, want 0x%08x", key, got, ckp2)
 					}
 					chunks++
 				}
@@ -833,6 +831,97 @@ func TestEncoderChoosesChunkLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestEngineRefusesKMeans: k-means rows carry a codebook each, which no
+// layout the engine writes can hold, so NewEngine, Engine.SetQuant and
+// Coordinator.SetQuant refuse k-means parameters, valid as they are to
+// quant. A refused SetQuant changes nothing: the engine keeps its
+// parameters and the adaptive ranges it cached under them.
+func TestEngineRefusesKMeans(t *testing.T) {
+	kmeans := quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}
+	if err := kmeans.Validate(); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	if _, err := NewEngine(Config{JobID: "km", Store: store, Quant: kmeans}); err == nil {
+		t.Fatal("NewEngine took k-means")
+	}
+
+	adaptive := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
+	f := newFixture(t, Config{Policy: PolicyFull, Quant: adaptive})
+	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
+		t.Fatal(err)
+	}
+	e := f.eng.writers[0].eng
+	cached := maps.Clone(e.rangeCache)
+	if len(cached) == 0 {
+		t.Fatal("fixture: an adaptive checkpoint cached no ranges")
+	}
+	if err := e.SetQuant(kmeans); err == nil {
+		t.Fatal("Engine.SetQuant took k-means")
+	}
+	if got := e.Quant(); got != adaptive {
+		t.Fatalf("a refused SetQuant left the engine at %+v", got)
+	}
+	if len(e.rangeCache) != len(cached) {
+		t.Fatalf("a refused SetQuant left %d tables' ranges of %d", len(e.rangeCache), len(cached))
+	}
+	for id, rc := range cached {
+		if got := e.rangeCache[id]; len(got) != len(rc) || &got[0] != &rc[0] {
+			t.Fatalf("a refused SetQuant replaced table %d's cached ranges", id)
+		}
+	}
+
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
+		Config: Config{JobID: "km-coord", Store: store, Quant: adaptive}, Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.SetQuant(kmeans); err == nil {
+		t.Fatal("Coordinator.SetQuant took k-means")
+	}
+	for s, w := range coord.writers {
+		if got := w.eng.Quant(); got != adaptive {
+			t.Fatalf("a refused SetQuant left shard %d at %+v", s, got)
+		}
+	}
+}
+
+// TestFP32ManifestsRecord32Bits: an fp32 checkpoint's shard manifest and
+// composite manifest both carry {none, 32}, the width its CKP2 chunk
+// headers carry, not MethodNone's zero Bits.
+func TestFP32ManifestsRecord32Bits(t *testing.T) {
+	f := newFixture(t, Config{Policy: PolicyFull})
+	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
+		Config: Config{JobID: "fp32", Store: f.store, Quant: quant.Params{Method: quant.MethodNone}}, Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wire.QuantInfo{Method: "none", Bits: 32}
+	mans := []*wire.Manifest{top}
+	for _, key := range top.ShardManifestKeys {
+		blob, err := f.store.Get(f.ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := wire.DecodeManifest(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mans = append(mans, man)
+	}
+	for _, man := range mans {
+		if man.Quant != want {
+			t.Errorf("manifest %d (shards %d) records %+v, want %+v", man.ID, man.ShardCount, man.Quant, want)
+		}
 	}
 }
 

@@ -86,16 +86,15 @@ func writeWithEncoders(t *testing.T, encoders int, p quant.Params) map[string][]
 // TestParallelEncodeDeterministic proves the encoder pool is an
 // implementation detail: every stored object — chunk bytes, manifests,
 // chunk-key order — is byte-identical between a serial engine and a
-// wide worker pool, for both chunk layouts (named for the one the
-// encoder picks) and quantized + fp32 paths.
+// wide worker pool, on the quantized and fp32 paths.
 func TestParallelEncodeDeterministic(t *testing.T) {
 	cases := []struct {
 		name string
 		p    quant.Params
 	}{
-		{"fp32_ckp2", quant.Params{Method: quant.MethodNone}},
-		{"adaptive4_ckp2", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
-		{"kmeans3_v1", quant.Params{Method: quant.MethodKMeans, Bits: 3, KMeansIters: 5}},
+		{"fp32", quant.Params{Method: quant.MethodNone}},
+		{"adaptive4", quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
+		{"asymmetric8", quant.Params{Method: quant.MethodAsymmetric, Bits: 8}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // TestVerifyAgreesWithRestore pins the read path's one predicate: over a
@@ -35,9 +36,10 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		base          *wire.Manifest // shard 0's full baseline
 		victimBase    *wire.Manifest // the full baseline of victim's shard
 	}
-	// rewrite replaces victim's first chunk with a re-encoded edit of it:
-	// a well-formed object, CRC and all, that lies about its rows.
-	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
+	// rewriteAs replaces victim's first chunk with an edit of it, encoded
+	// by encode: a well-formed object, CRC and all, that lies about its
+	// rows. rewrite encodes in the layout the engine writes.
+	rewriteAs := func(t *testing.T, d *damaged, encode func(c *wire.Chunk, dst []byte) ([]byte, error), edit func(c *wire.Chunk)) {
 		t.Helper()
 		key := d.victim.ChunkKeys[0]
 		blob, err := d.store.Get(d.ctx, key)
@@ -49,12 +51,16 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		edit(c)
-		if blob, err = c.AppendTo(nil); err != nil {
+		if blob, err = encode(c, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.store.Put(d.ctx, key, blob); err != nil {
 			t.Fatal(err)
 		}
+	}
+	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
+		t.Helper()
+		rewriteAs(t, d, (*wire.Chunk).AppendTo, edit)
 	}
 	remove := func(t *testing.T, d *damaged, key string) {
 		t.Helper()
@@ -112,8 +118,10 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		// The one way a row that passes the shape checks can still fail to
 		// de-quantize. Verify never de-quantized, and a restore no longer
 		// does for a row a newer link holds: the walker checks it for both.
+		// Only a v1 chunk, what older checkpoints hold, carries a codebook.
 		{name: "kmeans-code-outside-codebook", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, func(c *wire.Chunk) {
+			v1 := func(c *wire.Chunk, dst []byte) ([]byte, error) { return wiretest.AppendV1(dst, c.TableID, c.Rows) }
+			rewriteAs(t, d, v1, func(c *wire.Chunk) {
 				codes := make([]byte, quant.PackedLen(d.victim.Dim, 2))
 				for i := range codes {
 					codes[i] = 0xFF

@@ -95,6 +95,15 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// StoredBits returns the width one element takes in a checkpoint: Bits,
+// or 32 for MethodNone, whose codes are the raw fp32 values.
+func (p Params) StoredBits() int {
+	if p.Method == MethodNone {
+		return 32
+	}
+	return p.Bits
+}
+
 // QVector is one quantized embedding vector: packed integer codes plus the
 // de-quantization parameters. For uniform methods Lo/Hi are the clip range
 // (zero_point = Lo, scale derived); for k-means, Codebook holds the
@@ -105,17 +114,6 @@ type QVector struct {
 	Lo, Hi   float32
 	Codes    []byte    // bit-packed, ceil(N*Bits/8) bytes
 	Codebook []float32 // k-means only, len 2^Bits
-}
-
-// StorageBytes returns the serialized footprint: packed codes plus
-// per-vector metadata (range parameters or codebook). This is what the
-// capacity/bandwidth accounting charges per row.
-func (q *QVector) StorageBytes() int {
-	meta := 8 // Lo+Hi as fp32
-	if q.Codebook != nil {
-		meta = 4 * len(q.Codebook)
-	}
-	return len(q.Codes) + meta
 }
 
 // Quantize quantizes one embedding vector with the given parameters.

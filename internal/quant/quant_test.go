@@ -268,79 +268,27 @@ func TestKMeansFewerElementsThanClusters(t *testing.T) {
 }
 
 func TestPackedCodesCompression(t *testing.T) {
-	// 4-bit codes on dim-64 vectors: 32 bytes codes + 8 bytes metadata =
-	// 40 bytes vs 256 fp32 bytes -> 6.4x. Verify StorageBytes accounting.
+	// 4-bit codes on dim-64 vectors pack into 32 bytes against 256 fp32
+	// bytes; 2-bit k-means codes into 16, beside a 4-entry codebook.
 	x := trainedLikeVector(rand.New(rand.NewSource(8)), 64)
 	q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q.StorageBytes(); got != 32+8 {
-		t.Fatalf("StorageBytes = %d, want 40", got)
+	if got := len(q.Codes); got != 32 {
+		t.Fatalf("4-bit codes = %d bytes, want 32", got)
 	}
 	q2, err := Quantize(x, Params{Method: MethodKMeans, Bits: 2, KMeansIters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := q2.StorageBytes(); got != 16+16 {
-		t.Fatalf("kmeans StorageBytes = %d, want 32", got)
+	if len(q2.Codes) != 16 || len(q2.Codebook) != 4 {
+		t.Fatalf("2-bit k-means: %d code bytes and %d centroids, want 16 and 4", len(q2.Codes), len(q2.Codebook))
 	}
 }
 
-// Bit-pack round-trip and differential tests live in pack_test.go.
-
-func TestQVectorMarshalRoundTrip(t *testing.T) {
-	x := trainedLikeVector(rand.New(rand.NewSource(9)), 48)
-	for _, p := range []Params{
-		{Method: MethodNone},
-		{Method: MethodSymmetric, Bits: 2},
-		{Method: MethodAsymmetric, Bits: 4},
-		{Method: MethodAdaptive, Bits: 3, NumBins: 10, Ratio: 0.8},
-		{Method: MethodKMeans, Bits: 4, KMeansIters: 5},
-	} {
-		q, err := Quantize(x, p)
-		if err != nil {
-			t.Fatalf("%v: %v", p.Method, err)
-		}
-		blob, err := q.MarshalBinary()
-		if err != nil {
-			t.Fatalf("%v: marshal: %v", p.Method, err)
-		}
-		var q2 QVector
-		if err := q2.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("%v: unmarshal: %v", p.Method, err)
-		}
-		a, b := Dequantize(q), Dequantize(&q2)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v: element %d differs after round trip", p.Method, i)
-			}
-		}
-	}
-}
-
-func TestQVectorUnmarshalErrors(t *testing.T) {
-	var q QVector
-	if err := q.UnmarshalBinary(nil); err == nil {
-		t.Fatal("nil should error")
-	}
-	if err := q.UnmarshalBinary(make([]byte, 5)); err == nil {
-		t.Fatal("short should error")
-	}
-	// Valid header but truncated codes.
-	x := []float32{1, 2, 3, 4}
-	good, _ := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
-	blob, _ := good.MarshalBinary()
-	if err := q.UnmarshalBinary(blob[:len(blob)-1]); err == nil {
-		t.Fatal("truncated codes should error")
-	}
-	// Invalid bits value.
-	blob2 := append([]byte(nil), blob...)
-	blob2[0] = 13
-	if err := q.UnmarshalBinary(blob2); err == nil {
-		t.Fatal("invalid bits should error")
-	}
-}
+// Bit-pack round-trip and differential tests live in pack_test.go; the
+// v1 row layout's round trip and refusals in internal/wire.
 
 func TestSampleVectors(t *testing.T) {
 	vectors := testVectors(1000, 8, 10)

@@ -12,21 +12,23 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // TestMixedLayoutChain reads one chain whose links are in different
 // chunk layouts and chunk sizes — what a fleet upgraded mid-job leaves in
 // the store, its older links CKP1 and its newer ones CKP2, its older
 // 4-bit chunks one ChunkRows segment each and its newer ones
-// wire.SegmentsPerChunk segments. The base is written under k-means (the
-// rows the encoder still writes as CKP1), then the engine switches to
-// the adaptive 4-bit quantizer and appends increments (CKP2): the first
-// one rewritten into one-segment chunks, the next as the engine packs
-// them; then SetQuant moves it to 8 bits mid-chain. Every reader of
-// stored chunks — restore, verify, a restarted writer's recovery and a
-// serving replica — must take the chain as one, and agree bit for bit
-// with a reference built here by decoding the stored chunks link by link
-// with nothing but wire and quant.
+// wire.SegmentsPerChunk segments. The base is written at 2-bit adaptive
+// and each of its chunks then rewritten as CKP1 with k-means rows (what
+// the encoder wrote for k-means before it wrote CKP2 only); the engine
+// then switches to the adaptive 4-bit quantizer and appends increments
+// (CKP2): the first one rewritten into one-segment chunks, the next as
+// the engine packs them; then SetQuant moves it to 8 bits mid-chain.
+// Every reader of stored chunks — restore, verify, a restarted writer's
+// recovery and a serving replica — must take the chain as one, and agree
+// bit for bit with a reference built here by decoding the stored chunks
+// link by link with nothing but wire and quant.
 func TestMixedLayoutChain(t *testing.T) {
 	const (
 		job        = "mixed"
@@ -44,11 +46,13 @@ func TestMixedLayoutChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	adaptive2 := quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}
 	adaptive4 := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}
 	adaptive8 := quant.Params{Method: quant.MethodAdaptive, Bits: 8, NumBins: 25, Ratio: 1}
+	kmeans2 := quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3}
 	cfg := ckpt.Config{
 		JobID: job, Store: store, Policy: ckpt.PolicyConsecutive, ChunkRows: segRows,
-		Quant: quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3},
+		Quant: adaptive2,
 	}
 	open := func() *ckpt.Coordinator {
 		t.Helper()
@@ -68,10 +72,9 @@ func TestMixedLayoutChain(t *testing.T) {
 		accums[tab.ID] = make([]float32, tab.Rows)
 	}
 	step := uint64(0)
-	// write commits one checkpoint and returns its one shard manifest, the
-	// link that names the chunks. Its largest chunk must hold segs
-	// segments.
-	write := func(coord *ckpt.Coordinator, wantMagic uint32, segs int) *wire.Manifest {
+	// commit commits one checkpoint and returns its one shard manifest,
+	// the link that names the chunks.
+	commit := func(coord *ckpt.Coordinator) *wire.Manifest {
 		t.Helper()
 		for i := 0; i < 8; i++ {
 			m.TrainBatch(gen.NextBatch(16))
@@ -93,6 +96,12 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return man
+	}
+	// record writes the stored rows of link man over the reference. Every
+	// chunk must be of layout wantMagic and the largest hold segs segments.
+	record := func(man *wire.Manifest, wantMagic uint32, segs int) {
+		t.Helper()
 		most := 0
 		for _, tm := range man.Tables {
 			for _, key := range tm.ChunkKeys {
@@ -117,7 +126,44 @@ func TestMixedLayoutChain(t *testing.T) {
 		if most != segs*segRows {
 			t.Fatalf("checkpoint %d: largest chunk holds %d rows, want %d segments of %d", man.ID, most, segs, segRows)
 		}
+	}
+	// write commits one checkpoint and records it.
+	write := func(coord *ckpt.Coordinator, wantMagic uint32, segs int) *wire.Manifest {
+		t.Helper()
+		man := commit(coord)
+		record(man, wantMagic, segs)
 		return man
+	}
+	// toKMeansV1 rewrites every chunk of a stored link in place as the v1
+	// chunk of the same rows quantized with k-means: de-quantized, then
+	// re-quantized to a codebook each.
+	toKMeansV1 := func(man *wire.Manifest) {
+		t.Helper()
+		for _, tm := range man.Tables {
+			for _, key := range tm.ChunkKeys {
+				blob, err := store.Get(ctx, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, row := range chunk.Rows {
+					q, err := quant.Quantize(quant.Dequantize(row.Q), kmeans2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					chunk.Rows[i].Q = q
+				}
+				if blob, err = wiretest.AppendV1(nil, chunk.TableID, chunk.Rows); err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Put(ctx, key, blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	// repackage rewrites a stored link into chunks of one segment each, the
 	// objects of a writer that packed one segment per chunk: the same rows,
@@ -164,7 +210,9 @@ func TestMixedLayoutChain(t *testing.T) {
 		}
 	}
 	// Four segments per chunk at every width.
-	write(coord, ckp1, 4)
+	base := commit(coord)
+	toKMeansV1(base)
+	record(base, ckp1, 4)
 	if err := coord.SetQuant(adaptive4); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func aliasTestChunks(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	kc := goldenChunk(t, 3, 4, 8, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 5})
-	kv1, err := kc.AppendTo(nil)
+	kv1, err := kc.encodeV1()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestAppendToMatchesEncode checks that appending onto a non-empty,
 // reused buffer yields exactly the bytes Encode produces — the CRC must
-// cover only the chunk's own bytes, not the prefix — on both layouts.
+// cover only the chunk's own bytes, not the prefix — quantized and fp32.
 func TestAppendToMatchesEncode(t *testing.T) {
 	for name, c := range allocTestChunks(t) {
 		want, err := c.AppendTo(nil)
@@ -35,17 +35,51 @@ func TestAppendToMatchesEncode(t *testing.T) {
 	}
 }
 
-// allocTestChunks returns one chunk per layout AppendTo can choose.
+// allocTestChunks returns a quantized and an fp32 chunk for AppendTo.
 func allocTestChunks(t *testing.T) map[string]*Chunk {
 	return map[string]*Chunk{
-		"ckp2": goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4}),
-		"v1":   goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 5}),
+		"asym4": goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4}),
+		"fp32":  goldenChunk(t, 3, 32, 16, quant.Params{Method: quant.MethodNone}),
+	}
+}
+
+// TestAppendToRefusesRowsCKP2CannotHold: a row that is nil, carries a
+// codebook, or differs from row 0 in bits or dim has no place in a CKP2
+// chunk. AppendTo says so, and returns dst as it came — length, contents
+// and backing array — so a pooled buffer survives the failed encode.
+func TestAppendToRefusesRowsCKP2CannotHold(t *testing.T) {
+	asym := func(bits, dim int) *quant.QVector {
+		return goldenChunk(t, 1, 1, dim, quant.Params{Method: quant.MethodAsymmetric, Bits: bits}).Rows[0].Q
+	}
+	kmeans := goldenChunk(t, 1, 1, 16, quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}).Rows[0].Q
+	for name, rows := range map[string][]*quant.QVector{
+		"mixed-bits":     {asym(4, 16), asym(4, 16), asym(8, 16)},
+		"mixed-dim":      {asym(4, 16), asym(4, 8)},
+		"codebook-row":   {asym(4, 16), kmeans},
+		"codebook-row-0": {kmeans, kmeans},
+		"nil-row":        {asym(4, 16), nil},
+		"nil-row-0":      {nil, asym(4, 16)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := &Chunk{TableID: 2}
+			for i, q := range rows {
+				c.Rows = append(c.Rows, Row{Index: uint32(i), Q: q})
+			}
+			dst := append(make([]byte, 0, 1<<10), "prefix"...)
+			got, err := c.AppendTo(dst)
+			if err == nil {
+				t.Fatal("AppendTo encoded rows CKP2 cannot hold")
+			}
+			if string(got) != "prefix" || cap(got) != cap(dst) || &got[0] != &dst[0] {
+				t.Fatalf("a refused encode returned %q (cap %d), want dst as it came", got, cap(got))
+			}
+		})
 	}
 }
 
 // TestSegmentsPerChunk holds the chunk-size rule to the layout AppendTo
-// writes: rowLen is exactly what one more row adds to an encoded chunk,
-// for every method at several dims; at dim 32 every method packs four
+// writes: compactRowLen is exactly what one more row adds to an encoded
+// chunk, for every method at several dims; at dim 32 every method packs four
 // segments of 512 rows; and where four would not fit rpc.MaxPooled the
 // rule packs the most that do, and one when not even one does.
 func TestSegmentsPerChunk(t *testing.T) {
@@ -57,8 +91,8 @@ func TestSegmentsPerChunk(t *testing.T) {
 		{Method: quant.MethodAdaptive, Bits: 8, NumBins: 45, Ratio: 1},
 		{Method: quant.MethodAsymmetric, Bits: 4},
 		{Method: quant.MethodSymmetric, Bits: 2},
-		{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3},
-		{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3},
+		{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1},
+		{Method: quant.MethodSymmetric, Bits: 8},
 	}
 	for _, p := range methods {
 		for _, dim := range []int{1, 7, 16, 32, 64, 128, 256, 1000} {
@@ -70,9 +104,9 @@ func TestSegmentsPerChunk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := rowLen(p, dim)
+			row := compactRowLen(dim, p.StoredBits())
 			if want := len(two) - len(one); row != want {
-				t.Errorf("%v %d-bit dim %d: rowLen %d, a row adds %d bytes to the chunk", p.Method, p.Bits, dim, row, want)
+				t.Errorf("%v %d-bit dim %d: compactRowLen %d, a row adds %d bytes to the chunk", p.Method, p.Bits, dim, row, want)
 			}
 			// The encoded size of a chunk of n segments.
 			size := func(n int) int { return len(one) + (n*segRows-1)*row }
@@ -93,7 +127,7 @@ func TestSegmentsPerChunk(t *testing.T) {
 		{quant.Params{Method: quant.MethodNone}, 256, 1},
 		{quant.Params{Method: quant.MethodNone}, 1 << 12, 1}, // one segment alone outgrows the pool
 		{quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}, 1024, 3},
-		{quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}, 1024, 3},
+		{quant.Params{Method: quant.MethodAsymmetric, Bits: 8}, 512, 3},
 	} {
 		if got := SegmentsPerChunk(tc.p, tc.dim, segRows); got != tc.cut {
 			t.Errorf("%v %d-bit dim %d: %d segments per chunk, want %d", tc.p.Method, tc.p.Bits, tc.dim, got, tc.cut)
@@ -125,8 +159,7 @@ func TestEncodeFitsExactAlloc(t *testing.T) {
 }
 
 // TestEncodePooledAllocFree confirms encoding into a warm reused buffer
-// does not allocate, whichever layout AppendTo chooses, nor through the
-// fp32 entry.
+// does not allocate, through either entry of the CKP2 writer.
 func TestEncodePooledAllocFree(t *testing.T) {
 	rows, weights, accum, dim, ok := f32Table(goldenChunk(t, 3, 512, 32, quant.Params{Method: quant.MethodNone}), 1<<20)
 	if !ok {

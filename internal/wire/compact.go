@@ -12,13 +12,13 @@ import (
 
 // Compact chunk format ("CKP2") — the metadata optimization the paper
 // leaves as future work (§6.3.2: savings "are not linearly proportional to
-// the chosen quantization bit-width due to the metadata structure").
+// the chosen quantization bit-width due to the metadata structure"), and
+// the one layout this package writes.
 //
-// The v1 format stores a full QVector per row (14-byte header, range
-// included, + codes) plus a 12-byte row header. When every row in a chunk
-// shares the same uniform method, bit-width and dimension — which is
-// always true for the engine's uniform quantizers — the shared fields are
-// hoisted into the chunk header:
+// The v1 format (v1.go) stores a full vector header per row (14 bytes,
+// range included) plus a 12-byte row header. Every row of a chunk the
+// engine writes shares one uniform method, bit-width and dimension, so
+// the shared fields are hoisted into the chunk header:
 //
 //	u32 magic "CKP2" | u32 tableID | u32 rowCount | u8 bits | u8 flags |
 //	u16 reserved | u32 dim |
@@ -30,47 +30,10 @@ import (
 //
 // Per dim-16 4-bit row this is 16 bytes of metadata + 8 code bytes
 // against v1's 26 + 8 — a 1.4x smaller incremental checkpoint. K-means
-// rows (per-row codebooks) do not fit this layout, which is why
-// Chunk.AppendTo still writes v1 for them.
+// rows (a codebook each) have no column here.
 const compactMagic = 0x434B5032 // "CKP2"
 
 const compactFlagHasRange = 1 << 0
-
-// compactEncodable reports whether the chunk fits the CKP2 layout: all
-// rows quantized with the same uniform bit-width and dimension, and no
-// codebooks.
-func (c *Chunk) compactEncodable() bool {
-	if len(c.Rows) == 0 {
-		return true
-	}
-	first := c.Rows[0].Q
-	if first == nil || first.Codebook != nil {
-		return false
-	}
-	for i := range c.Rows {
-		q := c.Rows[i].Q
-		if q == nil || q.Codebook != nil || q.Bits != first.Bits || q.N != first.N {
-			return false
-		}
-	}
-	return true
-}
-
-// compactShape returns the bit-width and dimension a compact-encodable
-// chunk's header carries; an empty chunk is written as (32, 0).
-func (c *Chunk) compactShape() (bits, dim int) {
-	if len(c.Rows) == 0 {
-		return 32, 0
-	}
-	return c.Rows[0].Q.Bits, c.Rows[0].Q.N
-}
-
-// compactEncodedLen returns the exact CKP2 encoding size of a
-// compact-encodable chunk.
-func (c *Chunk) compactEncodedLen() int {
-	bits, dim := c.compactShape()
-	return 20 + len(c.Rows)*compactRowLen(dim, bits) + 4
-}
 
 // compactRowLen returns the bytes one row takes in a CKP2 chunk: index,
 // accumulator, the range unless bits == 32, and the packed codes.
@@ -82,43 +45,77 @@ func compactRowLen(dim, bits int) int {
 	return size
 }
 
-// There is one CKP2 writer with two entries: appendCompact (behind
-// AppendTo) takes rows already quantized into QVectors, and
-// AppendF32Chunk takes fp32 rows straight from a table, so an fp32 row is
-// written once, never staged in a QVector first. Both write the header
-// with appendCompactHeader, the index and accumulator columns in row
-// order, and the CRC with appendCRC; the ckp2_* golden fixtures pin the
-// bytes of both.
+// EncodedLen returns the exact size AppendTo writes for a chunk it
+// accepts, for presizing buffers: the CKP2 header and CRC and one
+// column entry per row, sized by row 0's shape.
+func (c *Chunk) EncodedLen() int {
+	bits, dim := c.shape()
+	return 20 + len(c.Rows)*compactRowLen(dim, bits) + 4
+}
 
-// appendCompact appends the CKP2 encoding of a compact-encodable chunk
-// (the caller has checked) to dst.
-func (c *Chunk) appendCompact(dst []byte) ([]byte, error) {
-	bits, dim := c.compactShape()
+// shape returns the bit-width and dimension the chunk's CKP2 header
+// carries: row 0's, or (32, 0) — the one spelling of an empty chunk —
+// when there is no row 0 vector to take them from.
+func (c *Chunk) shape() (bits, dim int) {
+	if len(c.Rows) == 0 || c.Rows[0].Q == nil {
+		return 32, 0
+	}
+	return c.Rows[0].Q.Bits, c.Rows[0].Q.N
+}
+
+// AppendTo appends the chunk's CKP2 encoding, with a
+// trailing CRC32-C over it, to dst and returns the extended slice. It is
+// the encoder of quantized rows; its other entry, AppendF32Chunk, writes
+// the same bytes for fp32 rows read straight from a table. Every row
+// must share row 0's bit-width and dimension and carry no codebook: a
+// k-means row has no column to go in, and the engine refuses k-means
+// before it quantizes a row. A nil row vector, a row of another shape or
+// a codebook is an error, found in the pass that writes the index
+// column, and dst then comes back as it went in, so pooled buffers
+// survive failed encodes.
+//
+// Rows are serialized in place — no per-row blob allocations — so
+// encoding into a pooled buffer with sufficient capacity performs zero
+// allocations.
+func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
+	bits, dim := c.shape()
 	rowCodes := quant.PackedLen(dim, bits)
-	base := len(dst)
 	le := binary.LittleEndian
-	dst = appendCompactHeader(dst, c.TableID, len(c.Rows), bits, dim)
+	out := appendCompactHeader(dst, c.TableID, len(c.Rows), bits, dim)
 	for i := range c.Rows {
-		dst = le.AppendUint32(dst, c.Rows[i].Index)
+		switch q := c.Rows[i].Q; {
+		case q == nil:
+			return dst, fmt.Errorf("wire: row %d has nil quantized vector", i)
+		case q.Codebook != nil:
+			return dst, fmt.Errorf("wire: row %d carries a codebook, which CKP2 has no column for", i)
+		case q.Bits != bits || q.N != dim:
+			return dst, fmt.Errorf("wire: row %d is %d-bit of dim %d, row 0 %d-bit of dim %d", i, q.Bits, q.N, bits, dim)
+		case len(q.Codes) != rowCodes:
+			return dst, fmt.Errorf("wire: row %d codes %d bytes, want %d", i, len(q.Codes), rowCodes)
+		}
+		out = le.AppendUint32(out, c.Rows[i].Index)
 	}
 	for i := range c.Rows {
-		dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Accum))
+		out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Accum))
 	}
 	if bits != 32 {
 		for i := range c.Rows {
-			dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Q.Lo))
-			dst = le.AppendUint32(dst, math.Float32bits(c.Rows[i].Q.Hi))
+			out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Q.Lo))
+			out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Q.Hi))
 		}
 	}
 	for i := range c.Rows {
-		q := c.Rows[i].Q
-		if len(q.Codes) != rowCodes {
-			return dst, fmt.Errorf("wire: row %d codes %d bytes, want %d", i, len(q.Codes), rowCodes)
-		}
-		dst = append(dst, q.Codes...)
+		out = append(out, c.Rows[i].Q.Codes...)
 	}
-	return appendCRC(dst, base), nil
+	return appendCRC(out, len(dst)), nil
 }
+
+// There is one CKP2 writer with two entries: Chunk.AppendTo takes rows
+// already quantized into QVectors, and AppendF32Chunk takes fp32 rows
+// straight from a table, so an fp32 row is written once, never staged in
+// a QVector first. Both write the header with appendCompactHeader, the
+// index and accumulator columns in row order, and the CRC with
+// appendCRC; the ckp2_* golden fixtures pin the bytes of both.
 
 // F32ChunkLen returns the exact size AppendF32Chunk writes for n rows of
 // dim elements.
@@ -137,7 +134,7 @@ func F32ChunkLen(n, dim int) int {
 // then returned as it came.
 func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, accum []float32) ([]byte, error) {
 	if len(rows) == 0 {
-		dim = 0 // the one spelling of an empty chunk, as appendCompact writes it
+		dim = 0 // the one spelling of an empty chunk, as AppendTo writes it
 	}
 	if dim < 0 {
 		return dst, fmt.Errorf("wire: fp32 chunk of negative dim %d", dim)
@@ -196,7 +193,7 @@ func appendCRC(dst []byte, base int) []byte {
 // into b's storage, or fresh storage when b is nil. Row codes slice
 // straight into body — see RowBuf.DecodeAlias for the lifetime contract.
 //
-// Only what appendCompact writes is accepted: reserved bytes zero, no
+// Only what AppendTo writes is accepted: reserved bytes zero, no
 // unknown flag, the range flag set exactly when bits != 32, and an empty
 // chunk in its one spelling. A stored chunk therefore has exactly one
 // byte representation, which is what FuzzDecodeChunk's re-encode check

@@ -102,34 +102,6 @@ func TestCompactSmallerThanV1(t *testing.T) {
 	t.Logf("v1=%dB v2=%dB (%.0f%% smaller)", len(v1), len(v2), (1-float64(len(v2))/float64(len(v1)))*100)
 }
 
-func TestCompactRejectsKMeans(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]float32, 16)
-	for i := range x {
-		x[i] = rng.Float32()
-	}
-	q, err := quant.Quantize(x, quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Chunk{Rows: []Row{{Index: 0, Q: q}}}
-	if c.compactEncodable() {
-		t.Fatal("k-means rows should not be compact-encodable")
-	}
-	if _, err := c.encodeCompact(); err == nil {
-		t.Fatal("encodeCompact should reject k-means rows")
-	}
-}
-
-func TestCompactRejectsMixedBits(t *testing.T) {
-	a := makeUniformChunk(t, 3, 1, 16, 4)
-	b := makeUniformChunk(t, 4, 1, 16, 8)
-	mixed := &Chunk{Rows: []Row{a.Rows[0], b.Rows[0]}}
-	if mixed.compactEncodable() {
-		t.Fatal("mixed bit-widths should not be compact-encodable")
-	}
-}
-
 func TestCompactCRCDetectsCorruption(t *testing.T) {
 	blob, err := makeUniformChunk(t, 5, 20, 16, 4).encodeCompact()
 	if err != nil {

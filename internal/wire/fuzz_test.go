@@ -67,9 +67,9 @@ func sameChunk(a, b *Chunk) error {
 
 // dirtyRowBufs returns, per layout magic, a way to make a RowBuf that has
 // just described a chunk of the other layout, with more rows than most
-// inputs hold: k-means rows (a codebook each) before a CKP2 input, CKP2
-// rows (a range each) before a v1 one. Whatever the next decode does not
-// overwrite shows.
+// inputs hold: v1 k-means rows (a codebook each) before a CKP2 input,
+// CKP2 rows (a range each) before a v1 one. Whatever the next decode does
+// not overwrite shows.
 func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 	kmeans := &Chunk{TableID: 9}
 	for r := 0; r < 96; r++ {
@@ -79,12 +79,16 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 		}
 		kmeans.Rows = append(kmeans.Rows, Row{Index: uint32(r), Accum: 7, Q: q})
 	}
+	v1, err := kmeans.encodeV1()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ckp2, err := makeUniformChunk(tb, 3, 96, 4, 4).AppendTo(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	dirty := make(map[uint32]func() *RowBuf)
-	for magic, c := range map[uint32]*Chunk{compactMagic: kmeans, chunkMagic: makeUniformChunk(tb, 3, 96, 4, 4)} {
-		blob, err := c.AppendTo(nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
+	for magic, blob := range map[uint32][]byte{compactMagic: v1, v1Magic: ckp2} {
 		if binary.LittleEndian.Uint32(blob) == magic {
 			tb.Fatalf("the chunk that dirties a 0x%08x decode is of that layout itself", magic)
 		}
@@ -102,10 +106,10 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 // FuzzDecodeChunk holds the chunk decoder, entered both ways, to
 // the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
 // allocation bounded by the input and not by what its header claims, and
-// an accepted chunk re-encodes, through the layout helper behind
-// AppendTo that its magic names, to exactly the input. No field is
-// exempt from the re-encode check: decodeCompact and
-// QVector.UnmarshalBinary refuse the spellings the encoders never write
+// an accepted chunk re-encodes, in the layout its magic names — CKP2
+// through AppendTo, v1 through wiretest.AppendV1 — to exactly the input.
+// No field is exempt from the re-encode check: decodeCompact and
+// decodeV1Row refuse the spellings the writers never wrote
 // (reserved bytes, unknown flags, a range flag that disagrees with bits,
 // a shaped empty chunk). The second way in is a RowBuf still holding a
 // chunk of the other layout (dirtyRowBufs): it must accept what a fresh
@@ -161,11 +165,11 @@ func FuzzDecodeChunk(f *testing.F) {
 					return nil, err
 				}
 				return func(w io.Writer) error {
-					layout := c.appendV1
+					encode := c.encodeV1
 					if binary.LittleEndian.Uint32(data) == compactMagic {
-						layout = c.appendCompact
+						encode = func() ([]byte, error) { return c.AppendTo(nil) }
 					}
-					again, err := layout(nil)
+					again, err := encode()
 					if err != nil {
 						return err
 					}
@@ -183,7 +187,7 @@ func FuzzDecodeChunk(f *testing.F) {
 // Both must fail before anything is sized by the claim.
 func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 	v1 := make([]byte, 8<<20)
-	binary.LittleEndian.PutUint32(v1, chunkMagic)
+	binary.LittleEndian.PutUint32(v1, v1Magic)
 	binary.LittleEndian.PutUint32(v1[8:], uint32(len(v1)-4-12)/13) // two rows per minV1Row
 	for name, blob := range map[string][]byte{
 		"ckp2_wrapped_size": wrappedCompactHeader(),

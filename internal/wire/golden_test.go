@@ -2,29 +2,35 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/quant"
+	"repro/internal/wire/wiretest"
 )
 
-// The golden-bytes differential tests pin the v1 ("CKP1") and compact
-// ("CKP2") chunk layouts to byte-identical output across encoder
-// rewrites: testdata/*.bin was captured from the original per-row
-// MarshalBinary encoder, and every future encoder must reproduce it
-// exactly. That proves both directions of compatibility at once —
-// checkpoints written before an encoder change restore bit-identically
-// after it, and checkpoints written after decode under the old readers.
+// The golden-bytes differential tests pin both chunk layouts. The
+// compact ("CKP2") fixtures, testdata/ckp2_*.bin, pin what AppendTo
+// writes: every future encoder must reproduce them exactly, which proves
+// both directions of compatibility at once — checkpoints written before
+// an encoder change restore bit-identically after it, and checkpoints
+// written after decode under the old readers. The v1 ("CKP1") fixtures,
+// testdata/v1_*.bin, pin what the reader must keep accepting: they were
+// captured from the v1 writer this package no longer has, their hashes
+// are recorded below, and each decodes to goldenChunk's rows.
 //
-// Regenerate (only when the wire format intentionally changes) with:
+// Regenerate the ckp2_* fixtures (only when the wire format
+// intentionally changes) with:
 //
 //	go test ./internal/wire -run TestGolden -update-golden
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden chunk testdata")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the ckp2_* golden chunk testdata")
 
 // goldenVector derives a deterministic embedding-like vector from integer
 // arithmetic only, so the quantizer input is identical on every platform
@@ -89,19 +95,26 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", name+".bin")
 }
 
-// encodeV1 and encodeCompact reach the two layouts behind AppendTo by
-// name. The fixtures pin each layout for every row shape, and AppendTo
-// itself writes v1 only for k-means rows, so the v1 fixtures of uniform
-// rows (what older checkpoints hold) are reachable only this way.
+// v1Fixtures records the sha256 of every v1 fixture. Nothing writes
+// them any more; a changed hash is a damaged fixture, not a format
+// change.
+var v1Fixtures = map[string]string{
+	"v1_adaptive4": "62959ef39e707cc728d9383733479a0a10f69873b7de52d6feb486a1f39b3dc8",
+	"v1_asym2":     "3ddf621463cae7a7073fdb0e6020cbb838fc6bd9bc7a2588230a00d3184f2c61",
+	"v1_empty":     "4c100af5ba4a959c8f9c4ff981a756c7a9ee3b5c79464a362821c86eba8f2f0b",
+	"v1_kmeans2":   "c56ab683b56236b5569a122de2e8355e3c563daaef7e3505e9c0175bbc1f0f2b",
+	"v1_none":      "e86f7100da5e97b87c014e7b4ddc00fb4bdc58e569ece4e80da6a766e4ccb9f1",
+	"v1_sym3":      "dcdf0ca633e17d7ef2901bae92197a6e3773db5974234a5c328b013c151776a8",
+}
+
+// encodeV1 writes c in the v1 layout through the test-only writer;
+// encodeCompact is AppendTo into a buffer of EncodedLen.
 func (c *Chunk) encodeV1() ([]byte, error) {
-	return c.appendV1(nil)
+	return wiretest.AppendV1(nil, c.TableID, c.Rows)
 }
 
 func (c *Chunk) encodeCompact() ([]byte, error) {
-	if !c.compactEncodable() {
-		return nil, fmt.Errorf("wire: chunk not compact-encodable (mixed or codebook rows)")
-	}
-	return c.appendCompact(make([]byte, 0, c.compactEncodedLen()))
+	return c.AppendTo(make([]byte, 0, c.EncodedLen()))
 }
 
 func encodeCase(t *testing.T, gc goldenCase, c *Chunk) []byte {
@@ -119,10 +132,13 @@ func encodeCase(t *testing.T, gc goldenCase, c *Chunk) []byte {
 	return blob
 }
 
-// TestGoldenEncodeBytes asserts the encoders reproduce the captured
+// TestGoldenEncodeBytes asserts AppendTo reproduces the captured CKP2
 // byte streams exactly.
 func TestGoldenEncodeBytes(t *testing.T) {
 	for _, gc := range goldenCases() {
+		if !gc.compact {
+			continue
+		}
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
 			blob := encodeCase(t, gc, c)
@@ -148,45 +164,74 @@ func TestGoldenEncodeBytes(t *testing.T) {
 	}
 }
 
-// TestEncodeChoosesLayout pins the one decision AppendTo makes: CKP2 for
-// every uniform row shape in the corpus, byte-identical to the ckp2_*
-// fixtures where one exists, and v1 — byte-identical to its fixture —
-// for k-means rows only.
-func TestEncodeChoosesLayout(t *testing.T) {
+// TestV1FixturesUnchanged holds every v1 fixture to its recorded hash:
+// with no writer to regenerate them from, the bytes themselves are the
+// reader's specification.
+func TestV1FixturesUnchanged(t *testing.T) {
+	seen := 0
+	for _, gc := range goldenCases() {
+		if gc.compact {
+			continue
+		}
+		seen++
+		blob, err := os.ReadFile(goldenPath(gc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != v1Fixtures[gc.name] {
+			t.Errorf("%s: sha256 %s, recorded %s", gc.name, got, v1Fixtures[gc.name])
+		}
+	}
+	if seen != len(v1Fixtures) {
+		t.Errorf("%d v1 golden cases, %d recorded hashes", seen, len(v1Fixtures))
+	}
+}
+
+// TestAppendToWritesOnlyCKP2 runs every row shape of the golden corpus
+// through AppendTo: CKP2, of EncodedLen bytes and byte-identical to the
+// ckp2_* fixture where one exists, for every uniform shape and fp32; an
+// error with dst untouched for k-means rows, which no layout AppendTo
+// writes can hold.
+func TestAppendToWritesOnlyCKP2(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
-			got, err := c.AppendTo(nil)
+			dst := make([]byte, 3, 8)
+			got, err := c.AppendTo(dst)
+			if gc.params.Method == quant.MethodKMeans {
+				if err == nil || len(got) != len(dst) || &got[:cap(got)][0] != &dst[:cap(dst)][0] {
+					t.Fatalf("AppendTo took k-means rows: %d bytes, %v", len(got), err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			got = got[len(dst):]
 			if len(got) != c.EncodedLen() {
 				t.Fatalf("EncodedLen %d != encoded size %d", c.EncodedLen(), len(got))
 			}
-			kmeans := gc.params.Method == quant.MethodKMeans
-			wantMagic := uint32(compactMagic)
-			if kmeans {
-				wantMagic = chunkMagic
+			if m := binary.LittleEndian.Uint32(got); m != compactMagic {
+				t.Fatalf("AppendTo wrote magic 0x%08x, want 0x%08x", m, compactMagic)
 			}
-			if m := binary.LittleEndian.Uint32(got); m != wantMagic {
-				t.Fatalf("Encode wrote magic 0x%08x, want 0x%08x", m, wantMagic)
-			}
-			if gc.compact || kmeans {
+			if gc.compact {
 				want, err := os.ReadFile(goldenPath(gc.name))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("%s: Encode diverged from golden bytes (%d vs %d bytes)", gc.name, len(got), len(want))
+					t.Fatalf("%s: AppendTo diverged from golden bytes (%d vs %d bytes)", gc.name, len(got), len(want))
 				}
 			}
 		})
 	}
 }
 
-// TestGoldenDecode asserts that chunks captured from the original encoder
-// still decode, field-for-field, to the same logical rows — i.e. old
-// checkpoints keep restoring bit-identically.
+// TestGoldenDecode asserts that every fixture, v1 and CKP2, still decodes
+// field for field — index, accumulator, bits, N, the range's bits,
+// codebook and codes — to goldenChunk's rows, so old checkpoints keep
+// restoring bit-identically, and that re-encoding the decoded rows in the
+// fixture's layout reproduces it.
 func TestGoldenDecode(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
@@ -209,17 +254,18 @@ func TestGoldenDecode(t *testing.T) {
 					t.Fatalf("row %d header: got (%d, %v), want (%d, %v)",
 						i, g.Index, g.Accum, w.Index, w.Accum)
 				}
-				if g.Q.Bits != w.Q.Bits || g.Q.N != w.Q.N || g.Q.Lo != w.Q.Lo || g.Q.Hi != w.Q.Hi {
+				if g.Q.Bits != w.Q.Bits || g.Q.N != w.Q.N ||
+					math.Float32bits(g.Q.Lo) != math.Float32bits(w.Q.Lo) || math.Float32bits(g.Q.Hi) != math.Float32bits(w.Q.Hi) {
 					t.Fatalf("row %d qmeta: got %+v, want %+v", i, g.Q, w.Q)
 				}
 				if !bytes.Equal(g.Q.Codes, w.Q.Codes) {
 					t.Fatalf("row %d codes differ", i)
 				}
-				if len(g.Q.Codebook) != len(w.Q.Codebook) {
+				if (g.Q.Codebook == nil) != (w.Q.Codebook == nil) || len(g.Q.Codebook) != len(w.Q.Codebook) {
 					t.Fatalf("row %d codebook length %d != %d", i, len(g.Q.Codebook), len(w.Q.Codebook))
 				}
 				for j := range w.Q.Codebook {
-					if g.Q.Codebook[j] != w.Q.Codebook[j] {
+					if math.Float32bits(g.Q.Codebook[j]) != math.Float32bits(w.Q.Codebook[j]) {
 						t.Fatalf("row %d codebook[%d] %v != %v", i, j, g.Q.Codebook[j], w.Q.Codebook[j])
 					}
 				}

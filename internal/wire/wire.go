@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/quant"
 	"repro/internal/rpc"
@@ -58,53 +57,6 @@ type Chunk struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// chunkMagic guards against decoding non-chunk objects.
-const chunkMagic = 0x434B5031 // "CKP1"
-
-// minV1Row is the smallest v1 row on the wire: a 12-byte row header and
-// the 14-byte fixed part of an empty QVector.
-const minV1Row = 12 + 14
-
-// EncodedLen returns the exact size AppendTo will produce, for
-// presizing buffers. Rows with nil vectors contribute only their
-// header; AppendTo rejects them anyway.
-func (c *Chunk) EncodedLen() int {
-	if c.compactEncodable() {
-		return c.compactEncodedLen()
-	}
-	size := 12 + 4 // header + CRC
-	for i := range c.Rows {
-		size += 12
-		if q := c.Rows[i].Q; q != nil {
-			size += q.EncodedLen()
-		}
-	}
-	return size
-}
-
-// AppendTo appends the chunk's encoding, with a trailing CRC32-C over
-// it, to dst and returns the extended slice. It is the encoder of
-// quantized rows, and it picks the layout from the rows: CKP2
-// (compact.go) whenever they share one uniform bit-width and dimension,
-// which is every chunk the engine's uniform quantizers and fp32 produce,
-// and the v1 layout only for what CKP2 cannot hold — per-row k-means
-// codebooks (or rows that differ in shape). RowBuf.DecodeAlias reads
-// both. The
-// CKP2 writer has a second entry, AppendF32Chunk, which writes the same
-// bytes for fp32 rows read straight from a table.
-//
-// Rows are serialized in place — no per-row blob allocations — so
-// encoding into a pooled buffer with sufficient capacity performs zero
-// allocations. On error the returned slice keeps dst's backing array
-// (possibly partially extended), so pooled buffers survive failed
-// encodes.
-func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
-	if c.compactEncodable() {
-		return c.appendCompact(dst)
-	}
-	return c.appendV1(dst)
-}
-
 // SegmentsPerChunk returns how many segments of segRows rows one chunk
 // of dim-element rows quantized under p holds: four, at every bit width,
 // unless four would encode to more than rpc.MaxPooled bytes — then as
@@ -117,48 +69,8 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 // row positions the adaptive quantizer samples at.
 func SegmentsPerChunk(p quant.Params, dim, segRows int) int {
 	const segments = 4
-	const overhead = 20 + 4 // the CKP2 header and CRC; a v1 chunk's are smaller
-	return max(1, min(segments, (rpc.MaxPooled-overhead)/(segRows*rowLen(p, dim))))
-}
-
-// rowLen returns the bytes one row of dim elements quantized under p
-// adds to the chunk AppendTo writes for it: CKP2 for fp32 and the
-// uniform methods, CKP1 for k-means, whose rows carry a codebook each.
-func rowLen(p quant.Params, dim int) int {
-	switch p.Method {
-	case quant.MethodNone:
-		return compactRowLen(dim, 32)
-	case quant.MethodKMeans:
-		return minV1Row + quant.PackedLen(dim, p.Bits) + 2 + 4<<p.Bits
-	default:
-		return compactRowLen(dim, p.Bits)
-	}
-}
-
-// appendV1 appends the v1 ("CKP1") layout: a full QVector per row. The
-// emitted bytes are pinned by the v1_* golden fixtures.
-func (c *Chunk) appendV1(dst []byte) ([]byte, error) {
-	base := len(dst)
-	// Header: magic u32 | tableID u32 | rowCount u32.
-	dst = binary.LittleEndian.AppendUint32(dst, chunkMagic)
-	dst = binary.LittleEndian.AppendUint32(dst, c.TableID)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Rows)))
-	for i := range c.Rows {
-		r := &c.Rows[i]
-		if r.Q == nil {
-			return dst, fmt.Errorf("wire: row %d has nil quantized vector", i)
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, r.Index)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Q.EncodedLen()))
-		// Accum as raw fp32 bits.
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(r.Accum))
-		var err error
-		dst, err = r.Q.AppendBinary(dst)
-		if err != nil {
-			return dst, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-	}
-	return appendCRC(dst, base), nil
+	const overhead = 20 + 4 // the CKP2 header and CRC
+	return max(1, min(segments, (rpc.MaxPooled-overhead)/(segRows*compactRowLen(dim, p.StoredBits()))))
 }
 
 // RowBuf is caller-owned storage for the rows of one decoded chunk at a
@@ -210,44 +122,13 @@ func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("wire: chunk CRC mismatch: 0x%08x != 0x%08x", got, want)
 	}
 	switch m := binary.LittleEndian.Uint32(body); m {
-	case chunkMagic:
-		// v1 layout, decoded below.
 	case compactMagic:
 		return b.decodeCompact(body)
+	case v1Magic:
+		return b.decodeV1(body)
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}
-	n := int(binary.LittleEndian.Uint32(body[8:]))
-	// Checked before anything is sized by n: the row slots below cost
-	// ~88 bytes a row, a row on the wire at least minV1Row.
-	if n < 0 || n > (len(body)-12)/minV1Row {
-		return nil, fmt.Errorf("wire: implausible row count %d in %d-byte chunk", n, len(body))
-	}
-	off := 12
-	c, qs := b.take(binary.LittleEndian.Uint32(body[4:]), n)
-	for i := 0; i < n; i++ {
-		if off+12 > len(body) {
-			return nil, fmt.Errorf("wire: truncated row header at row %d", i)
-		}
-		idx := binary.LittleEndian.Uint32(body[off:])
-		blobLen := int(binary.LittleEndian.Uint32(body[off+4:]))
-		accum := math.Float32frombits(binary.LittleEndian.Uint32(body[off+8:]))
-		off += 12
-		if blobLen < 0 || off+blobLen > len(body) {
-			return nil, fmt.Errorf("wire: truncated row payload at row %d", i)
-		}
-		// UnmarshalBinaryAlias assigns every field of *q, Codebook included.
-		q := &qs[i]
-		if err := q.UnmarshalBinaryAlias(body[off : off+blobLen]); err != nil {
-			return nil, fmt.Errorf("wire: row %d: %w", i, err)
-		}
-		off += blobLen
-		c.Rows[i] = Row{Index: idx, Accum: accum, Q: q}
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("wire: %d trailing bytes in chunk", len(body)-off)
-	}
-	return c, nil
 }
 
 // TableManifest records one table's chunk objects within a checkpoint.

@@ -10,9 +10,9 @@ import (
 	"repro/internal/quant"
 )
 
-// makeChunk builds asymmetric 4-bit rows. The Chunk* tests below encode
-// them with encodeV1: they are the v1 decoder's tests, and Encode would
-// pick CKP2 for these rows (compact_test.go covers that layout).
+// makeChunk builds asymmetric 4-bit rows. The Chunk* tests below write
+// them in the v1 layout with encodeV1: they are the v1 decoder's tests
+// (compact_test.go covers the CKP2 layout AppendTo writes).
 func makeChunk(t testing.TB, seed int64, rows int) *Chunk {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Chunk{TableID: 3}
@@ -226,17 +226,6 @@ func TestKeyLayout(t *testing.T) {
 	// Keys sort by checkpoint ID because of zero-padding.
 	if !(ManifestKey(job, 9) < ManifestKey(job, 10)) {
 		t.Fatal("keys must sort numerically")
-	}
-}
-
-func BenchmarkChunkEncode(b *testing.B) {
-	c := makeChunk(b, 1, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.encodeV1(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
