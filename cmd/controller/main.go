@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,6 +34,16 @@ import (
 )
 
 func main() {
+	logger := log.New(os.Stderr, "controller: ", log.LstdFlags)
+	if err := run(logger); err != nil {
+		logger.Fatal(err)
+	}
+}
+
+// run drives the controller to completion. Every exit after the lease
+// is acquired returns through here, so the deferred release runs and a
+// failed controller does not hold the lease for a TTL.
+func run(logger *log.Logger) error {
 	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID")
 	agents := flag.String("agents", "", "comma-separated shard-agent control addresses")
@@ -45,17 +56,15 @@ func main() {
 	standby := flag.Bool("standby", false, "wait for the current leader's lease to lapse, then take over")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "lease duration between renewals")
 	holder := flag.String("holder", "", "holder identity in the lease register (default host:pid)")
-	statusEvery := flag.Duration("status-every", 0, "fleet health polling period (0 = off)")
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "controller: ", log.LstdFlags)
 	if *agents == "" {
-		logger.Fatal("no -agents given")
+		return errors.New("no -agents given")
 	}
 
 	store, err := objstore.Connect(*storeSpec, objstore.ClientConfig{})
 	if err != nil {
-		logger.Fatalf("dial store: %v", err)
+		return fmt.Errorf("dial store: %w", err)
 	}
 	defer store.Close()
 
@@ -69,7 +78,7 @@ func main() {
 		JobID: *job, Store: store, Holder: who, TTL: *leaseTTL,
 	})
 	if err != nil {
-		logger.Fatalf("lease register: %v", err)
+		return fmt.Errorf("lease register: %w", err)
 	}
 	var lease *ctrl.Lease
 	if *standby {
@@ -79,7 +88,7 @@ func main() {
 		lease, err = reg.Acquire(ctx, *epoch)
 	}
 	if err != nil {
-		logger.Fatalf("acquire lease: %v", err)
+		return fmt.Errorf("acquire lease: %w", err)
 	}
 	logger.Printf("holding lease for job %s at epoch %d", *job, lease.Epoch())
 	defer func() {
@@ -113,7 +122,7 @@ func main() {
 	if *announce != "" {
 		announcer, err = ctrl.NewAnnouncer(*announce, *job, objstore.Logger(logger))
 		if err != nil {
-			logger.Fatalf("announce endpoint: %v", err)
+			return fmt.Errorf("announce endpoint: %w", err)
 		}
 		defer announcer.Close()
 		logger.Printf("announcing commits on %s", announcer.Addr())
@@ -130,31 +139,11 @@ func main() {
 	}
 	c, err := ctrl.NewController(cfg)
 	if err != nil {
-		logger.Fatalf("discover fleet: %v", err)
+		return fmt.Errorf("discover fleet: %w", err)
 	}
 	defer c.Close()
 	logger.Printf("fleet of %d shards at epoch %d, next checkpoint %d",
 		c.Shards(), c.Epoch(), c.NextID())
-
-	if *statusEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*statusEvery)
-			defer tick.Stop()
-			for range tick.C {
-				hctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				sts, err := c.Health(hctx)
-				cancel()
-				if err != nil {
-					logger.Printf("health: %v", err)
-					continue
-				}
-				for _, st := range sts {
-					logger.Printf("health: shard %d/%d epoch %d next %d prepared %d",
-						st.Shard, st.Shards, st.Epoch, st.NextID, st.PreparedID)
-				}
-			}
-		}()
-	}
 
 	// Each round cuts one stride further into the sample stream; the
 	// agents' replicas train forward to the cut inside prepare.
@@ -165,9 +154,10 @@ func main() {
 		man, err := c.Checkpoint(cctx, step)
 		cancel()
 		if err != nil {
-			logger.Fatalf("checkpoint at step %d: %v", step, err)
+			return fmt.Errorf("checkpoint at step %d: %w", step, err)
 		}
 		fmt.Printf("ckpt %d: %-11s %d shards, %8d bytes payload, step %d\n",
 			man.ID, man.Kind, man.ShardCount, man.PayloadBytes, man.Step)
 	}
+	return nil
 }

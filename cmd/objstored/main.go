@@ -1,14 +1,13 @@
 // Command objstored runs a standalone checkpoint object-store server
 // speaking the Check-N-Run TCP protocol. The backend is an in-memory
 // store by default, or — with -data-dir — the crash-consistent on-disk
-// segment log, whose fsync policy and compaction trigger are
-// flag-selectable. -put-delay/-sync-delay inject device latency for
-// chaos campaigns.
+// segment log, whose fsync policy is flag-selectable. -put-delay and
+// -sync-delay inject device latency for chaos campaigns.
 //
 // Usage:
 //
-//	objstored -addr 127.0.0.1:7070 -replication 3 -write-bw 1073741824 -read-bw 1073741824
-//	objstored -addr 127.0.0.1:7070 -data-dir /var/lib/cnr -fsync interval:100ms -compact-ratio 0.55
+//	objstored -addr 127.0.0.1:7070
+//	objstored -addr 127.0.0.1:7070 -data-dir /var/lib/cnr -fsync interval:100ms
 package main
 
 import (
@@ -25,13 +24,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
-	replication := flag.Int("replication", 1, "simulated storage replication factor")
-	writeBW := flag.Float64("write-bw", 0, "write bandwidth cap in bytes/sec (0 = unlimited; memory backend only)")
-	readBW := flag.Float64("read-bw", 0, "read bandwidth cap in bytes/sec (0 = unlimited; memory backend only)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "usage report interval (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable data directory; empty selects the in-memory backend")
-	fsync := flag.String("fsync", "always", `disk fsync policy: "always", "interval[:dur]", "never"`)
-	compactRatio := flag.Float64("compact-ratio", 0, "dead-byte ratio triggering disk compaction (0 = default 0.55, negative disables)")
+	fsync := flag.String("fsync", "always", `disk fsync policy: "always" or "interval[:dur]"`)
 	putDelay := flag.Duration("put-delay", 0, "injected latency per mutation (chaos slow-disk shim)")
 	syncDelay := flag.Duration("sync-delay", 0, "injected latency per disk fsync (chaos slow-disk shim)")
 	flag.Parse()
@@ -45,15 +40,10 @@ func main() {
 		if err != nil {
 			logger.Fatalf("%v", err)
 		}
-		if *writeBW > 0 || *readBW > 0 {
-			logger.Printf("warning: -write-bw/-read-bw shape the memory backend only; the disk backend's bandwidth is the device's")
-		}
 		ds, err := objstore.NewDiskStore(objstore.DiskConfig{
 			Dir:          *dataDir,
 			Fsync:        policy,
 			SyncInterval: interval,
-			CompactRatio: *compactRatio,
-			Replication:  *replication,
 			SyncDelay:    *syncDelay,
 			Logf:         logger.Printf,
 		})
@@ -63,11 +53,7 @@ func main() {
 		backend, acct = ds, ds
 		logger.Printf("disk backend at %s (fsync=%s)", *dataDir, policy)
 	} else {
-		ms := objstore.NewMemStore(objstore.MemConfig{
-			Replication:    *replication,
-			WriteBandwidth: *writeBW,
-			ReadBandwidth:  *readBW,
-		})
+		ms := objstore.NewMemStore(objstore.MemConfig{})
 		backend, acct = ms, ms
 	}
 	if *putDelay > 0 {
@@ -82,7 +68,7 @@ func main() {
 	if err != nil {
 		logger.Fatalf("start: %v", err)
 	}
-	logger.Printf("serving on %s (replication=%d)", srv.Addr(), *replication)
+	logger.Printf("serving on %s", srv.Addr())
 	fmt.Println(srv.Addr()) // machine-readable bound address on stdout
 
 	stop := make(chan os.Signal, 1)

@@ -29,41 +29,7 @@ var keptTestOnly = map[string]string{
 // satisfies an interface counts as referenced; the *test helper packages
 // are exempt.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module from source")
-	}
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := newSourceLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var paths []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "out" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if p, err := build.ImportDir(path, 0); err == nil && len(p.GoFiles) > 0 {
-			rel, _ := filepath.Rel(root, path)
-			paths = append(paths, filepath.ToSlash(filepath.Join("repro", rel)))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if _, err := l.Import(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	l, paths := loadModule(t)
 	var found []string
 	kept := map[string]bool{}
 	for _, p := range paths {
@@ -106,15 +72,122 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// keptUnset names the settings that no program file sets, each with the
+// reason it stays a field rather than a constant.
+var keptUnset = map[string]string{
+	"chaos.RunnerConfig.AllowInjection":   "a safety gate: only the checker's own tests may script a corruption",
+	"ckpt.Config.ChunkRows":               "test seam: small chunks put many chunks in a small table",
+	"ctrl.RegisterConfig.Clock":           "test seam: lease expiry on a simulated clock",
+	"data.ClusterConfig.QueueDepth":       "test seam: a depth-1 queue keeps workers waiting to enqueue, where batch order once broke",
+	"objstore.DiskConfig.SegmentBytes":    "test seam: small segments cross rotation in a small store",
+	"objstore.DiskConfig.CompactRatio":    "test seam: compaction on demand, or never",
+	"objstore.DiskConfig.CompactMinBytes": "test seam: compaction of a log smaller than 1 MiB",
+	"shardhost.Config.TableRows":          "test seam: a small model for end-to-end shard tests",
+	"shardhost.Config.Dim":                "test seam: a small model for end-to-end shard tests",
+	"serve.ClientConfig.DialTimeout":      "cnrbench compiles against serve.ClientConfig; it goes with the bench's next change",
+}
+
+// settingPackages are the packages whose …Config structs are operator
+// settings. model and experiments are out: their Config fields are DLRM
+// and figure parameters their Default* constructors set.
+var settingPackages = []string{"ckpt", "ctrl", "ctrl/shardhost", "objstore", "serve", "chaos", "data", "trainer"}
+
+// TestEverySettingHasAWriter fails for each exported field of an exported
+// …Config struct in settingPackages that no program file of the module or
+// of benchmark/ writes outside the file that declares it — a setting
+// nothing sets is a constant. A write is the key of a composite literal
+// or the target of an assignment.
+func TestEverySettingHasAWriter(t *testing.T) {
+	l, _ := loadModule(t)
+	kept := map[string]bool{}
+	for _, p := range settingPackages {
+		pkg := l.pkgs["repro/internal/"+p]
+		if pkg == nil {
+			t.Fatalf("package internal/%s is not loaded", p)
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			decl := l.fset.Position(tn.Pos()).Filename
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || l.writtenOutside(f, decl) {
+					continue
+				}
+				setting := pkg.Name() + "." + name + "." + f.Name()
+				if _, ok := keptUnset[setting]; ok {
+					kept[setting] = true
+					continue
+				}
+				t.Errorf("%s: no program file sets it; make it a constant, or keep it with a reason in keptUnset", setting)
+			}
+		}
+	}
+	for setting := range keptUnset {
+		if !kept[setting] {
+			t.Errorf("keptUnset lists %s, which is gone or has a writer", setting)
+		}
+	}
+}
+
+// loadModule type-checks every program file of the module and of
+// benchmark/ and returns the loader with the import paths it loaded.
+func loadModule(t *testing.T) (*sourceLoader, []string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the module from source")
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := newSourceLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		name := d.Name()
+		if path != root && (name == "testdata" || name == "out" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		if p, err := build.ImportDir(path, 0); err == nil && len(p.GoFiles) > 0 {
+			rel, _ := filepath.Rel(root, path)
+			paths = append(paths, filepath.ToSlash(filepath.Join("repro", rel)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if _, err := l.Import(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l, paths
+}
+
 // sourceLoader type-checks the module's packages from their program files
 // (build tags as for a plain go build), recording every object they
-// reference, and hands the standard library to the source importer.
+// reference and the files that write each struct field, and hands the
+// standard library to the source importer.
 type sourceLoader struct {
 	root   string
 	fset   *token.FileSet
 	std    types.Importer
 	pkgs   map[string]*types.Package
 	used   map[types.Object]bool
+	writes map[*types.Var][]string
 	ifaces []*types.Interface
 }
 
@@ -135,11 +208,12 @@ var (
 func newSourceLoader(root string) (*sourceLoader, error) {
 	fset := token.NewFileSet()
 	l := &sourceLoader{
-		root: root,
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
-		used: map[types.Object]bool{},
+		root:   root,
+		fset:   fset,
+		std:    importer.ForCompiler(fset, "source", nil),
+		pkgs:   map[string]*types.Package{},
+		used:   map[types.Object]bool{},
+		writes: map[*types.Var][]string{},
 	}
 	f, err := parser.ParseFile(fset, "conventions.go", conventions, 0)
 	if err == nil {
@@ -198,8 +272,55 @@ func (l *sourceLoader) check(path string, files []*ast.File) (*types.Package, er
 			l.ifaces = append(l.ifaces, it)
 		}
 	}
+	for _, f := range files {
+		l.recordWrites(f, info)
+	}
 	l.collectInterfaces(pkg)
 	return pkg, nil
+}
+
+// recordWrites notes each struct field that f writes: as the key of a
+// composite literal, or as the target of an assignment or ++/--.
+func (l *sourceLoader) recordWrites(f *ast.File, info *types.Info) {
+	file := l.fset.Position(f.Pos()).Filename
+	ast.Inspect(f, func(n ast.Node) bool {
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					targets = append(targets, kv.Key)
+				}
+			}
+		case *ast.AssignStmt:
+			targets = n.Lhs
+		case *ast.IncDecStmt:
+			targets = []ast.Expr{n.X}
+		}
+		for _, e := range targets {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			id, ok := e.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				l.writes[v] = append(l.writes[v], file)
+			}
+		}
+		return true
+	})
+}
+
+// writtenOutside reports whether a file other than decl writes field.
+func (l *sourceLoader) writtenOutside(field *types.Var, decl string) bool {
+	for _, file := range l.writes[field] {
+		if file != decl {
+			return true
+		}
+	}
+	return false
 }
 
 func (l *sourceLoader) collectInterfaces(pkg *types.Package) {

@@ -164,3 +164,24 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 		t.Fatalf("fault spec lost in parse: %+v", sc.Steps[1])
 	}
 }
+
+// TestParseScenarioRefusesRemovedFleetKeys: the model seed, batch and
+// shape and the disk compaction trigger are constants of the fleet, not
+// campaign settings. A campaign that names one fails to parse rather
+// than running on values it did not ask for.
+func TestParseScenarioRefusesRemovedFleetKeys(t *testing.T) {
+	for _, c := range []struct{ key, kv string }{
+		{"seed", `"seed": 9`},
+		{"batch", `"batch": 8`},
+		{"table_rows", `"table_rows": [64, 64]`},
+		{"dim", `"dim": 8`},
+		{"compact_ratio", `"compact_ratio": 0.4`},
+	} {
+		t.Run(c.key, func(t *testing.T) {
+			blob := `{"name": "x", "fleet": {"shards": 1, "stores": 1, ` + c.kv + `}, "steps": [{"op": "sleep", "ms": 1}]}`
+			if _, err := ParseScenario([]byte(blob)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("ParseScenario = %v, want an unknown-field refusal", err)
+			}
+		})
+	}
+}

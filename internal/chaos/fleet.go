@@ -65,6 +65,14 @@ func ResolveBins(objstored, shardd string) (bins Bins, cleanup func(), err error
 	return bins, func() { os.RemoveAll(dir) }, nil
 }
 
+// Every shard of a chaos fleet, hosted or forked, and the checker's
+// reference replica train one deterministic model: the data and weight
+// seed, and the training batch size.
+const (
+	fleetSeed  = 7
+	fleetBatch = 16
+)
+
 // FleetConfig describes a chaos fleet: N shard agents + M object
 // stores + a leased controller, every link behind a Proxy.
 type FleetConfig struct {
@@ -81,14 +89,6 @@ type FleetConfig struct {
 	// surface is the same set of real TCP proxies either way, and the
 	// checker needs direct access to their served state.
 	Replicas int
-	// Seed drives the deterministic replicas (default 7); Batch the
-	// training batch size (default 16).
-	Seed  int64
-	Batch int
-	// TableRows/Dim size the embedding tables (in-process fleets only —
-	// forked shardd uses the demo defaults).
-	TableRows []int
-	Dim       int
 	// Policy is the checkpoint policy (the zero value is ckpt.PolicyFull;
 	// a campaign that names none runs one-shot); KeepLast is every shard's
 	// retention (0 keeps everything). Together they are the engine
@@ -113,19 +113,12 @@ type FleetConfig struct {
 	// may be killed and restarted — a killed MemStore is just data loss.
 	StoreBackend string
 	// Fsync is the disk backend's flag-style fsync policy ("always",
-	// "interval[:dur]", "never"); default "always".
+	// "interval[:dur]"); default "always".
 	Fsync string
-	// CompactRatio is the disk backend's compaction trigger (0 = its
-	// default).
-	CompactRatio float64
 	// DiskPutDelay injects latency into every store mutation (the
 	// slow-disk shim); DiskSyncDelay injects latency into every fsync.
 	DiskPutDelay  time.Duration
 	DiskSyncDelay time.Duration
-	// DataRoot hosts the per-store data directories for the disk
-	// backend; empty means a fleet-owned temp directory removed on
-	// Close.
-	DataRoot string
 	// Logf receives fleet diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -140,12 +133,6 @@ func (cfg *FleetConfig) withDefaults() (FleetConfig, error) {
 	}
 	if c.Stores <= 0 {
 		c.Stores = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	if c.Batch <= 0 {
-		c.Batch = 16
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 5 * time.Second
@@ -169,13 +156,8 @@ func (cfg *FleetConfig) withDefaults() (FleetConfig, error) {
 	if _, _, err := objstore.ParseFsync(c.Fsync); err != nil {
 		return c, err
 	}
-	if c.Procs {
-		if c.Bins.Objstored == "" || c.Bins.Shardd == "" {
-			return c, errors.New("chaos: process-mode fleet requires Bins.Objstored and Bins.Shardd")
-		}
-		if len(c.TableRows) > 0 || c.Dim > 0 {
-			return c, errors.New("chaos: process-mode fleet cannot override TableRows/Dim (shardd uses demo defaults)")
-		}
+	if c.Procs && (c.Bins.Objstored == "" || c.Bins.Shardd == "") {
+		return c, errors.New("chaos: process-mode fleet requires Bins.Objstored and Bins.Shardd")
 	}
 	return c, nil
 }
@@ -229,10 +211,9 @@ type replicaNode struct {
 // wires. The observer store and the invariant checker's agent probes
 // bypass every shim — faults never blind the checker.
 type Fleet struct {
-	cfg          FleetConfig
-	logf         func(format string, args ...any)
-	dataRoot     string
-	ownsDataRoot bool
+	cfg      FleetConfig
+	logf     func(format string, args ...any)
+	dataRoot string // the disk backend's temp directory, removed on Close
 
 	stores     []*storeNode
 	storeShims []*Proxy // shard-side; Addr() is the canonical routing name
@@ -269,13 +250,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// Store plane: M servers, each behind a shard-side and a
 	// controller-side shim.
 	if c.StoreBackend == "disk" {
-		f.dataRoot = c.DataRoot
-		if f.dataRoot == "" {
-			f.dataRoot, err = os.MkdirTemp("", "chaos-fleet-")
-			if err != nil {
-				return fail(fmt.Errorf("chaos: fleet data root: %w", err))
-			}
-			f.ownsDataRoot = true
+		if f.dataRoot, err = os.MkdirTemp("", "chaos-fleet-"); err != nil {
+			return fail(fmt.Errorf("chaos: fleet data root: %w", err))
 		}
 	}
 	for i := 0; i < c.Stores; i++ {
@@ -433,7 +409,6 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 			args = append(args,
 				"-data-dir", sn.dir,
 				"-fsync", f.cfg.Fsync,
-				"-compact-ratio", fmt.Sprint(f.cfg.CompactRatio),
 			)
 			if f.cfg.DiskPutDelay > 0 {
 				args = append(args, "-put-delay", f.cfg.DiskPutDelay.String())
@@ -469,7 +444,6 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 			Dir:          sn.dir,
 			Fsync:        policy,
 			SyncInterval: interval,
-			CompactRatio: f.cfg.CompactRatio,
 			SyncDelay:    f.cfg.DiskSyncDelay,
 			Logf:         f.logf,
 		})
@@ -572,8 +546,8 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 			"-job", f.cfg.JobID,
 			"-shard", fmt.Sprint(s),
 			"-shards", fmt.Sprint(f.cfg.Shards),
-			"-seed", fmt.Sprint(f.cfg.Seed),
-			"-batch", fmt.Sprint(f.cfg.Batch),
+			"-seed", fmt.Sprint(fleetSeed),
+			"-batch", fmt.Sprint(fleetBatch),
 			"-policy", f.cfg.Policy.String(),
 			"-keep", fmt.Sprint(f.cfg.KeepLast),
 			"-op-timeout", f.cfg.OpTimeout.String(),
@@ -592,10 +566,8 @@ func (f *Fleet) startShard(sn *shardNode, s int) error {
 		Shard:       s,
 		Shards:      f.cfg.Shards,
 		StoreAddr:   f.storeSpec(),
-		Seed:        f.cfg.Seed,
-		BatchSize:   f.cfg.Batch,
-		TableRows:   f.cfg.TableRows,
-		Dim:         f.cfg.Dim,
+		Seed:        fleetSeed,
+		BatchSize:   fleetBatch,
 		Engine:      ecfg,
 		OpTimeout:   f.cfg.OpTimeout,
 		ConnectWait: 10 * time.Second,
@@ -868,7 +840,7 @@ func (f *Fleet) Close() {
 			sn.disk.Close()
 		}
 	}
-	if f.ownsDataRoot {
+	if f.dataRoot != "" {
 		os.RemoveAll(f.dataRoot)
 	}
 }

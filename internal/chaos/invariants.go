@@ -74,7 +74,7 @@ type Checker struct {
 
 // NewChecker builds a checker (and its reference replica) for f.
 func NewChecker(f *Fleet) (*Checker, error) {
-	mcfg, spec := shardhost.ReplicaConfig(f.cfg.Seed, f.cfg.TableRows, f.cfg.Dim)
+	mcfg, spec := shardhost.ReplicaConfig(fleetSeed, nil, 0)
 	m, err := model.New(mcfg, f.cfg.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: checker model: %w", err)
@@ -95,7 +95,7 @@ func NewChecker(f *Fleet) (*Checker, error) {
 // cut steps are monotonic, so the replica only ever moves forward.
 func (c *Checker) referenceAt(step uint64) (*model.DLRM, error) {
 	for c.cluster.Stats().Batches < step {
-		c.cluster.Step(c.gen.NextBatch(c.f.cfg.Batch))
+		c.cluster.Step(c.gen.NextBatch(fleetBatch))
 	}
 	if got := c.cluster.Stats().Batches; got != step {
 		return nil, fmt.Errorf("chaos: reference replica at step %d, cannot rewind to %d", got, step)
@@ -106,7 +106,7 @@ func (c *Checker) referenceAt(step uint64) (*model.DLRM, error) {
 // freshModel builds an untrained fleet-shaped model to restore into; a
 // different seed, so a restore that leans on initialization is caught.
 func (c *Checker) freshModel() (*model.DLRM, error) {
-	mcfg, _ := shardhost.ReplicaConfig(c.f.cfg.Seed+1000, c.f.cfg.TableRows, c.f.cfg.Dim)
+	mcfg, _ := shardhost.ReplicaConfig(fleetSeed+1000, nil, 0)
 	return model.New(mcfg, c.f.cfg.Shards)
 }
 

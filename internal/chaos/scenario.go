@@ -28,10 +28,6 @@ type FleetSpec struct {
 	Shards      int    `json:"shards"`
 	Stores      int    `json:"stores"`
 	Replicas    int    `json:"replicas,omitempty"`
-	Seed        int64  `json:"seed,omitempty"`
-	Batch       int    `json:"batch,omitempty"`
-	TableRows   []int  `json:"table_rows,omitempty"`
-	Dim         int    `json:"dim,omitempty"`
 	Policy      string `json:"policy,omitempty"`    // full|one-shot|consecutive|intermittent; empty is one-shot
 	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
 	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`
@@ -41,12 +37,11 @@ type FleetSpec struct {
 	// against both backends in the nightly matrix; campaigns that kill
 	// stores must pin "disk".
 	StoreBackend string `json:"store_backend,omitempty"`
-	// Disk-backend knobs (ignored for mem): fsync policy flag value,
-	// compaction trigger, and injected device latencies.
-	Fsync           string  `json:"fsync,omitempty"`
-	CompactRatio    float64 `json:"compact_ratio,omitempty"`
-	DiskPutDelayMs  int     `json:"disk_put_delay_ms,omitempty"`
-	DiskSyncDelayMs int     `json:"disk_sync_delay_ms,omitempty"`
+	// Disk-backend knobs (ignored for mem): fsync policy flag value and
+	// injected device latencies.
+	Fsync           string `json:"fsync,omitempty"`
+	DiskPutDelayMs  int    `json:"disk_put_delay_ms,omitempty"`
+	DiskSyncDelayMs int    `json:"disk_sync_delay_ms,omitempty"`
 }
 
 // FaultSpec describes a link degradation. Zero-valued fields are
@@ -139,9 +134,6 @@ type RunnerConfig struct {
 	// Procs forks real objstored/shardd processes (Bins required).
 	Procs bool
 	Bins  Bins
-	// StepTimeout bounds each step, checkpoint commits included.
-	// Default 60s.
-	StepTimeout time.Duration
 	// AllowInjection enables the inject-partial-composite op. Off by
 	// default: a campaign that "passes" by injecting corruption is a
 	// checker test, not a system test.
@@ -185,9 +177,6 @@ func (r *Result) Passed() bool { return r.Err == "" && len(r.Violations) == 0 }
 // reserved for harness failures (a step contract broken, the observer
 // store erroring); invariant verdicts are in Result.Violations.
 func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) {
-	if rcfg.StepTimeout <= 0 {
-		rcfg.StepTimeout = 60 * time.Second
-	}
 	res := &Result{Scenario: sc.Name}
 	fail := func(err error) (*Result, error) {
 		res.Err = err.Error()
@@ -199,10 +188,6 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		Shards:    sc.Fleet.Shards,
 		Stores:    sc.Fleet.Stores,
 		Replicas:  sc.Fleet.Replicas,
-		Seed:      sc.Fleet.Seed,
-		Batch:     sc.Fleet.Batch,
-		TableRows: sc.Fleet.TableRows,
-		Dim:       sc.Fleet.Dim,
 		KeepLast:  sc.Fleet.KeepLast,
 		OpTimeout: time.Duration(sc.Fleet.OpTimeoutMs) * time.Millisecond,
 		LeaseTTL:  time.Duration(sc.Fleet.LeaseTTLMs) * time.Millisecond,
@@ -212,7 +197,6 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 
 		StoreBackend:  sc.Fleet.StoreBackend,
 		Fsync:         sc.Fleet.Fsync,
-		CompactRatio:  sc.Fleet.CompactRatio,
 		DiskPutDelay:  time.Duration(sc.Fleet.DiskPutDelayMs) * time.Millisecond,
 		DiskSyncDelay: time.Duration(sc.Fleet.DiskSyncDelayMs) * time.Millisecond,
 	}
@@ -261,6 +245,9 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 	return res, nil
 }
 
+// stepTimeout bounds each step, checkpoint commits included.
+const stepTimeout = 60 * time.Second
+
 // runner carries one scenario execution's mutable state.
 type runner struct {
 	f         *Fleet
@@ -270,7 +257,7 @@ type runner struct {
 }
 
 func (r *runner) exec(ctx context.Context, s *Step, sr *StepResult) error {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.StepTimeout)
+	ctx, cancel := context.WithTimeout(ctx, stepTimeout)
 	defer cancel()
 	switch s.Op {
 	case "checkpoint":

@@ -236,22 +236,6 @@ func (c *Controller) Checkpoint(ctx context.Context, step uint64) (*wire.Manifes
 	})
 }
 
-// Health polls every agent's Status — per-shard epoch, next checkpoint
-// ID, and in-flight attempt — for operators, standby controllers, and
-// tests. Read-only: agents apply no fencing to Status, so monitoring
-// never perturbs commit state.
-func (c *Controller) Health(ctx context.Context) ([]*StatusReply, error) {
-	out := make([]*StatusReply, 0, len(c.remotes))
-	for _, r := range c.remotes {
-		st, err := r.client.Status(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("ctrl: status %s: %w", r.client.Addr(), err)
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
 // Close closes the agent connections. Agents keep running.
 func (c *Controller) Close() {
 	for _, r := range c.remotes {

@@ -18,8 +18,7 @@ import (
 // FsyncPolicy selects when DiskStore flushes appended records to stable
 // storage. The policy is the durability/latency trade the bench sweep
 // measures: `always` makes every Put a floor of one fsync, `interval`
-// bounds data loss to one sync window, `never` trusts the OS page cache
-// (a kill -9 loses nothing, only machine loss does).
+// bounds data loss to one sync window.
 type FsyncPolicy int
 
 const (
@@ -29,8 +28,6 @@ const (
 	// FsyncInterval fsyncs on a background timer (DiskConfig.SyncInterval):
 	// a crash loses at most the writes of the last window.
 	FsyncInterval
-	// FsyncNever issues no fsyncs on the write path (Close still syncs).
-	FsyncNever
 )
 
 // String returns the flag spelling of the policy.
@@ -40,23 +37,18 @@ func (p FsyncPolicy) String() string {
 		return "always"
 	case FsyncInterval:
 		return "interval"
-	case FsyncNever:
-		return "never"
 	default:
 		return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 	}
 }
 
-// ParseFsync parses a -fsync flag value: "always", "never",
-// "interval" (default 100ms window), "interval:250ms" or
-// "interval(250ms)".
+// ParseFsync parses a -fsync flag value: "always", "interval" (default
+// 100ms window), "interval:250ms" or "interval(250ms)".
 func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 	v := strings.ToLower(strings.TrimSpace(s))
 	switch v {
 	case "always", "":
 		return FsyncAlways, 0, nil
-	case "never":
-		return FsyncNever, 0, nil
 	case "interval":
 		return FsyncInterval, 0, nil
 	}
@@ -67,7 +59,7 @@ func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 	case strings.HasPrefix(v, "interval(") && strings.HasSuffix(v, ")"):
 		durStr = strings.TrimSuffix(strings.TrimPrefix(v, "interval("), ")")
 	default:
-		return 0, 0, fmt.Errorf("objstore: unknown fsync policy %q (want always, interval[:dur], never)", s)
+		return 0, 0, fmt.Errorf("objstore: unknown fsync policy %q (want always or interval[:dur])", s)
 	}
 	d, err := time.ParseDuration(durStr)
 	if err != nil || d <= 0 {
@@ -95,10 +87,6 @@ type DiskConfig struct {
 	// CompactMinBytes is the dead-byte floor below which compaction is
 	// never worth the rewrite; zero means 1 MiB.
 	CompactMinBytes int64
-	// Replication is the accounting replication factor (parity with
-	// MemStore — the simulated store replicates for availability).
-	// Zero means 1.
-	Replication int
 	// SyncDelay injects extra latency before every fsync — the
 	// slow-device chaos knob (objstored -sync-delay). Zero disables.
 	SyncDelay time.Duration
@@ -198,9 +186,6 @@ func NewDiskStore(cfg DiskConfig) (*DiskStore, error) {
 	}
 	if cfg.CompactMinBytes == 0 {
 		cfg.CompactMinBytes = 1 << 20
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 1
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -324,25 +309,24 @@ func (s *DiskStore) recover() error {
 
 // replay applies one recovered record to the index and accounting.
 func (s *DiskStore) replay(seg uint64, rec segRecord) {
-	repl := int64(s.cfg.Replication)
 	old, existed := s.index[rec.key]
 	if rec.tombstone {
 		s.deadLog += rec.size
 		if existed {
 			s.deadLog += old.size
 			s.objects.Add(-1)
-			s.capacityBytes.Add(-old.valLen * repl)
+			s.capacityBytes.Add(-old.valLen)
 			delete(s.index, rec.key)
 		}
 		return
 	}
 	if existed {
 		s.deadLog += old.size
-		s.capacityBytes.Add(-old.valLen * repl)
+		s.capacityBytes.Add(-old.valLen)
 	} else {
 		s.objects.Add(1)
 	}
-	s.capacityBytes.Add(rec.valLen * repl)
+	s.capacityBytes.Add(rec.valLen)
 	s.index[rec.key] = diskLoc{seg: seg, valOff: rec.valOff, valLen: rec.valLen, size: rec.size}
 }
 
@@ -433,10 +417,9 @@ func (s *DiskStore) afterAppendLocked() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (synced unless FsyncNever) and
-// opens the next one.
+// rotateLocked seals the active segment (synced) and opens the next one.
 func (s *DiskStore) rotateLocked() error {
-	if s.cfg.Fsync != FsyncNever && s.dirty {
+	if s.dirty {
 		if err := s.syncLocked(); err != nil {
 			return err
 		}
@@ -479,11 +462,10 @@ func (s *DiskStore) putLocked(key string, valLen int64, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	repl := int64(s.cfg.Replication)
 	old, existed := s.index[key]
 	if existed {
 		s.deadLog += old.size
-		s.capacityBytes.Add(-old.valLen * repl)
+		s.capacityBytes.Add(-old.valLen)
 	} else {
 		s.objects.Add(1)
 	}
@@ -494,8 +476,8 @@ func (s *DiskStore) putLocked(key string, valLen int64, rec []byte) error {
 		size:   int64(len(rec)),
 	}
 	s.puts.Add(1)
-	s.bytesWritten.Add(valLen * repl)
-	s.capacityBytes.Add(valLen * repl)
+	s.bytesWritten.Add(valLen)
+	s.capacityBytes.Add(valLen)
 	return s.afterAppendLocked()
 }
 
@@ -564,7 +546,7 @@ func (s *DiskStore) deleteLocked(key string) error {
 	s.deadLog += old.size + int64(len(rec))
 	s.deletes.Add(1)
 	s.objects.Add(-1)
-	s.capacityBytes.Add(-old.valLen * int64(s.cfg.Replication))
+	s.capacityBytes.Add(-old.valLen)
 	return s.afterAppendLocked()
 }
 
@@ -649,7 +631,7 @@ func (s *DiskStore) Crash() {
 }
 
 // Usage implements Accountant with MemStore-compatible semantics:
-// capacity counts live value bytes (× replication), not log bytes.
+// capacity counts live value bytes, not log bytes.
 func (s *DiskStore) Usage() Usage {
 	return Usage{
 		BytesWritten:  s.bytesWritten.Load(),

@@ -460,20 +460,21 @@ func TestDiskStoreLeftoverTmpRemoved(t *testing.T) {
 	}
 }
 
-// TestDiskStoreCrashUnderFsyncNever: Crash drops everything unsynced on
-// the Go side, but the OS still holds the writes (kill -9 loses no page
-// cache). The recovery scan must accept whatever prefix is on disk.
-func TestDiskStoreCrashUnderFsyncNever(t *testing.T) {
+// TestDiskStoreCrashBeforeIntervalSync: a crash before the first
+// interval sync drops everything unsynced on the Go side, but the OS
+// still holds the writes (kill -9 loses no page cache). The recovery
+// scan must accept whatever prefix is on disk.
+func TestDiskStoreCrashBeforeIntervalSync(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	s := mustDisk(t, DiskConfig{Dir: dir, Fsync: FsyncNever})
+	s := mustDisk(t, DiskConfig{Dir: dir, Fsync: FsyncInterval, SyncInterval: time.Hour})
 	for i := 0; i < 10; i++ {
 		if err := s.Put(ctx, fmt.Sprintf("k/%d", i), bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.Crash()
-	r := mustDisk(t, DiskConfig{Dir: dir, Fsync: FsyncNever})
+	r := mustDisk(t, DiskConfig{Dir: dir, Fsync: FsyncInterval, SyncInterval: time.Hour})
 	defer r.Close()
 	for i := 0; i < 10; i++ {
 		got, err := r.Get(ctx, fmt.Sprintf("k/%d", i))
@@ -492,7 +493,7 @@ func TestParseFsync(t *testing.T) {
 	}{
 		{"always", FsyncAlways, 0, false},
 		{"", FsyncAlways, 0, false},
-		{"never", FsyncNever, 0, false},
+		{"never", 0, 0, true},
 		{"interval", FsyncInterval, 0, false},
 		{"interval:250ms", FsyncInterval, 250 * time.Millisecond, false},
 		{"interval(50ms)", FsyncInterval, 50 * time.Millisecond, false},

@@ -22,10 +22,6 @@ type MemConfig struct {
 	// WriteBandwidth, if positive, throttles Put calls to this many
 	// bytes per second on Clock.
 	WriteBandwidth float64
-	// ReadBandwidth, if positive, throttles Get calls to this many bytes
-	// per second on Clock. Reads are charged unreplicated: a Get is
-	// served from one replica, while a Put fans out to all of them.
-	ReadBandwidth float64
 	// Clock is used for throttling; nil means the real clock.
 	Clock simclock.Clock
 }
@@ -41,9 +37,8 @@ type MemStore struct {
 	seed    maphash.Seed
 	closed  atomic.Bool
 
-	replication  int
-	throttle     *Throttle
-	readThrottle *Throttle
+	replication int
+	throttle    *Throttle
 
 	bytesWritten, bytesRead atomic.Int64
 	capacityBytes           atomic.Int64
@@ -84,9 +79,6 @@ func NewMemStore(cfg MemConfig) *MemStore {
 	}
 	if cfg.WriteBandwidth > 0 {
 		s.throttle = NewThrottle(cfg.WriteBandwidth, clock)
-	}
-	if cfg.ReadBandwidth > 0 {
-		s.readThrottle = NewThrottle(cfg.ReadBandwidth, clock)
 	}
 	return s
 }
@@ -169,13 +161,6 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	st.mu.RUnlock()
 	if !ok {
 		return nil, ErrNotFound
-	}
-	// Shape after the lookup so a missing key costs no read bandwidth,
-	// and outside the stripe lock so a shaped read cannot block writers.
-	if s.readThrottle != nil {
-		if err := s.readThrottle.Wait(ctx, int64(len(v))); err != nil {
-			return nil, err
-		}
 	}
 	s.gets.Add(1)
 	s.bytesRead.Add(int64(len(v)))

@@ -288,49 +288,6 @@ func TestMemStoreThrottledPutAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestMemStoreThrottledGetAdvancesClock(t *testing.T) {
-	clock := simclock.NewSim(time.Time{})
-	s := NewMemStore(MemConfig{ReadBandwidth: 1 << 10, Clock: clock})
-	ctx := ctxT(t)
-	if err := s.Put(ctx, "a", make([]byte, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	start := clock.Now()
-	if _, err := s.Get(ctx, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(ctx, "a"); err != nil { // waits for the first read's reservation
-		t.Fatal(err)
-	}
-	if d := clock.Since(start); d != time.Second {
-		t.Fatalf("clock advanced %v, want 1s", d)
-	}
-	// Replication must not multiply read cost: a Get is served from one
-	// copy. With replication 3 the same two reads still cost 1s.
-	s3 := NewMemStore(MemConfig{Replication: 3, ReadBandwidth: 1 << 10, Clock: clock})
-	if err := s3.Put(ctx, "a", make([]byte, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	start = clock.Now()
-	s3.Get(ctx, "a")
-	s3.Get(ctx, "a")
-	if d := clock.Since(start); d != time.Second {
-		t.Fatalf("replicated read cost %v, want 1s", d)
-	}
-}
-
-func TestMemStoreThrottledGetMissingKeyIsFree(t *testing.T) {
-	clock := simclock.NewSim(time.Time{})
-	s := NewMemStore(MemConfig{ReadBandwidth: 1, Clock: clock}) // 1 B/s: any charge is visible
-	start := clock.Now()
-	if _, err := s.Get(ctxT(t), "missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get = %v", err)
-	}
-	if d := clock.Since(start); d != 0 {
-		t.Fatalf("missing key charged %v of read bandwidth", d)
-	}
-}
-
 // --- TCP server/client tests ---
 
 func newTCPPair(t *testing.T) (*Client, *MemStore) {
