@@ -2,15 +2,17 @@ package ckpt
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // TestVerifyAgreesWithRestore pins the read path's one predicate: over a
@@ -36,10 +38,9 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		base          *wire.Manifest // shard 0's full baseline
 		victimBase    *wire.Manifest // the full baseline of victim's shard
 	}
-	// rewriteAs replaces victim's first chunk with an edit of it, encoded
-	// by encode: a well-formed object, CRC and all, that lies about its
-	// rows. rewrite encodes in the layout the engine writes.
-	rewriteAs := func(t *testing.T, d *damaged, encode func(c *wire.Chunk, dst []byte) ([]byte, error), edit func(c *wire.Chunk)) {
+	// rewrite replaces victim's first chunk with an edit of it: a
+	// well-formed object, CRC and all, that lies about its rows.
+	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
 		t.Helper()
 		key := d.victim.ChunkKeys[0]
 		blob, err := d.store.Get(d.ctx, key)
@@ -51,16 +52,12 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		edit(c)
-		if blob, err = encode(c, nil); err != nil {
+		if blob, err = c.AppendTo(nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.store.Put(d.ctx, key, blob); err != nil {
 			t.Fatal(err)
 		}
-	}
-	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
-		t.Helper()
-		rewriteAs(t, d, (*wire.Chunk).AppendTo, edit)
 	}
 	remove := func(t *testing.T, d *damaged, key string) {
 		t.Helper()
@@ -72,7 +69,8 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		name       string
 		damage     func(t *testing.T, d *damaged)
 		fallsBack  bool
-		superseded bool // the newest link stores every row; victim is in the link before it
+		superseded bool   // the newest link stores every row; victim is in the link before it
+		names      string // when set, what Verify's problems and Restore's error must name
 	}
 	chunkDamage := []damageCase{
 		{name: "flipped-crc-byte", damage: func(t *testing.T, d *damaged) {
@@ -115,19 +113,16 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			})
 		}},
 		{name: "missing-chunk", damage: func(t *testing.T, d *damaged) { remove(t, d, d.victim.ChunkKeys[0]) }},
-		// The one way a row that passes the shape checks can still fail to
-		// de-quantize. Verify never de-quantized, and a restore no longer
-		// does for a row a newer link holds: the walker checks it for both.
-		// Only a v1 chunk, what older checkpoints hold, carries a codebook.
-		{name: "kmeans-code-outside-codebook", damage: func(t *testing.T, d *damaged) {
-			v1 := func(c *wire.Chunk, dst []byte) ([]byte, error) { return wiretest.AppendV1(dst, c.TableID, c.Rows) }
-			rewriteAs(t, d, v1, func(c *wire.Chunk) {
-				codes := make([]byte, quant.PackedLen(d.victim.Dim, 2))
-				for i := range codes {
-					codes[i] = 0xFF
-				}
-				c.Rows[0].Q = &quant.QVector{Bits: 2, N: d.victim.Dim, Codebook: []float32{0.5}, Codes: codes}
-			})
+		// An intact object of the layout before CKP2, which no reader
+		// decodes any more: refused by name, not as corruption.
+		{name: "retired-ckp1-chunk", names: "CKP1", damage: func(t *testing.T, d *damaged) {
+			key := d.victim.ChunkKeys[0]
+			blob, _ := d.store.Get(d.ctx, key)
+			binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
+			binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli)))
+			if err := d.store.Put(d.ctx, key, blob); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 	cases := slices.Clone(chunkDamage)
@@ -233,9 +228,14 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 				t.Errorf("Verify passed the damaged checkpoint: %+v", v)
 			}
 			t.Logf("Verify: %q", v.Problems)
+			if tc.names != "" && !slices.ContainsFunc(v.Problems, func(p string) bool { return strings.Contains(p, tc.names) }) {
+				t.Errorf("no problem Verify reports names %s", tc.names)
+			}
 			err = restore()
 			if err == nil {
 				t.Errorf("Restore accepted the damaged checkpoint (Verify said %v)", v.Problems)
+			} else if !strings.Contains(err.Error(), tc.names) {
+				t.Errorf("Restore's error does not name %s", tc.names)
 			}
 			t.Logf("Restore: %v", err)
 			latest, err := rest.ResolveLatest(f.ctx, -1)

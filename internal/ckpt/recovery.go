@@ -562,11 +562,11 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 // r.decoders workers; each Gets an object, alias-decodes it (CRC
 // included) into row storage the worker keeps from chunk to chunk, checks
 // it against the TableManifest that names it — table ID, every row index
-// below Rows, every row's dim equal to Dim, every k-means code inside its
-// codebook — and hands the outcome to visit: the chunk, or the error that
-// stopped it short of one (size is what was fetched either way). visit
-// decides what an error means: returning non-nil aborts the walk, which
-// then returns that error; returning nil (having recorded it) carries on.
+// below Rows, every row's dim equal to Dim — and hands the outcome to
+// visit: the chunk, or the error that stopped it short of one (size is
+// what was fetched either way). visit decides what an error means:
+// returning non-nil aborts the walk, which then returns that error;
+// returning nil (having recorded it) carries on.
 // A context that ends with chunks still unread, or under a read, is the
 // walk's error and no finding of visit's.
 //
@@ -611,7 +611,7 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 				rows    wire.RowBuf
 			)
 			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
-				blob, chunk, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows, &scratch)
+				blob, chunk, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows)
 				if cerr := ctx.Err(); cerr != nil {
 					fail(cerr) // whatever the read says, it says it of the context
 					return
@@ -638,7 +638,7 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 // through a longer one, where the first copy claims the row. The object
 // comes back whatever the decode and checks found, nil only when the Get
 // failed.
-func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf, scratch *quant.Scratch) ([]byte, *wire.Chunk, error) {
+func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf) ([]byte, *wire.Chunk, error) {
 	blob, err := r.store.Get(ctx, key)
 	if err != nil {
 		return nil, nil, fmt.Errorf("get %s: %w", key, err)
@@ -663,11 +663,6 @@ func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key st
 		}
 		if row.Q.N != tm.Dim {
 			return blob, nil, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
-		}
-		if row.Q.Codebook != nil {
-			if err := row.Q.CheckCodebook(scratch); err != nil {
-				return blob, nil, fmt.Errorf("%s: row %d: %w", key, row.Index, err)
-			}
 		}
 	}
 	return blob, chunk, nil

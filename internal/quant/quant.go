@@ -232,34 +232,6 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	return nil
 }
 
-// CheckCodebook reports whether every code of a k-means vector indexes
-// inside its codebook. It is the one way DequantizeInto can fail on a
-// vector whose bits and lengths a decoder accepted, split out so that a
-// reader can hold a stored row to it without de-quantizing the row. A
-// codebook with an entry for every code of the width — what the
-// quantizer writes — is accepted without looking at the codes, and a
-// vector whose codes index no codebook (none, or raw fp32) has nothing to
-// check. s may be nil.
-func (q *QVector) CheckCodebook(s *Scratch) error {
-	if q.Codebook == nil || q.Bits < 1 || q.Bits > 8 || len(q.Codebook) >= 1<<uint(q.Bits) {
-		return nil
-	}
-	if len(q.Codes) < PackedLen(q.N, q.Bits) {
-		return fmt.Errorf("quant: codes %d bytes, want %d", len(q.Codes), PackedLen(q.N, q.Bits))
-	}
-	if s == nil {
-		s = &Scratch{}
-	}
-	codes := s.codeBuf(q.N)
-	UnpackCodes(codes, q.Codes, q.Bits)
-	for _, c := range codes {
-		if int(c) >= len(q.Codebook) {
-			return fmt.Errorf("quant: code %d exceeds codebook of %d", c, len(q.Codebook))
-		}
-	}
-	return nil
-}
-
 // level is the value a uniform code reconstructs to. The product is
 // rounded to float32 before the add, so no platform fuses the two: a
 // replica must serve the bits a restore produces, whatever either runs

@@ -287,8 +287,7 @@ func TestPackedCodesCompression(t *testing.T) {
 	}
 }
 
-// Bit-pack round-trip and differential tests live in pack_test.go; the
-// v1 row layout's round trip and refusals in internal/wire.
+// Bit-pack round-trip and differential tests live in pack_test.go.
 
 func TestSampleVectors(t *testing.T) {
 	vectors := testVectors(1000, 8, 10)
@@ -397,11 +396,10 @@ func BenchmarkKMeans4Bit(b *testing.B) {
 	}
 }
 
-// TestCheckCodebookAgreesWithDequantize: CheckCodebook refuses exactly the
-// k-means vectors DequantizeInto refuses for a code outside the codebook,
-// at every width and codebook length, and looks at no codes when the
-// codebook has an entry for each.
-func TestCheckCodebookAgreesWithDequantize(t *testing.T) {
+// TestDequantizeRefusesCodesOutsideCodebook: DequantizeInto refuses a
+// k-means vector with a code outside its codebook, and only such a one,
+// at every width and codebook length.
+func TestDequantizeRefusesCodesOutsideCodebook(t *testing.T) {
 	const n = 11
 	var s Scratch
 	for bits := 1; bits <= 8; bits++ {
@@ -414,21 +412,9 @@ func TestCheckCodebookAgreesWithDequantize(t *testing.T) {
 		top := int(slices.Max(codes))
 		for _, cl := range []int{0, 1, top, top + 1, 1 << uint(bits)} {
 			q := &QVector{Bits: bits, N: n, Codes: packed, Codebook: make([]float32, cl)}
-			check, deq := q.CheckCodebook(&s), DequantizeInto(make([]float32, n), q, &s)
-			if (check == nil) != (deq == nil) || (check == nil) != (cl > top) {
-				t.Errorf("bits %d, codebook of %d, largest code %d: CheckCodebook %v, DequantizeInto %v", bits, cl, top, check, deq)
+			if err := DequantizeInto(make([]float32, n), q, &s); (err == nil) != (cl > top) {
+				t.Errorf("bits %d, codebook of %d, largest code %d: DequantizeInto %v", bits, cl, top, err)
 			}
 		}
-	}
-	full := &QVector{Bits: 2, N: n, Codebook: make([]float32, 4)} // no codes at all: never read
-	if err := full.CheckCodebook(nil); err != nil {
-		t.Errorf("a codebook with an entry per code: %v", err)
-	}
-	uniform, err := Quantize(make([]float32, n), Params{Method: MethodAsymmetric, Bits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := uniform.CheckCodebook(nil); err != nil {
-		t.Errorf("a vector without a codebook: %v", err)
 	}
 }

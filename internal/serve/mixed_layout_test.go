@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,28 +15,24 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
-// TestMixedLayoutChain reads one chain whose links are in different
-// chunk layouts and chunk sizes — what a fleet upgraded mid-job leaves in
-// the store, its older links CKP1 and its newer ones CKP2, its older
-// 4-bit chunks one ChunkRows segment each and its newer ones
-// wire.SegmentsPerChunk segments. The base is written at 2-bit adaptive
-// and each of its chunks then rewritten as CKP1 with k-means rows (what
-// the encoder wrote for k-means before it wrote CKP2 only); the engine
-// then switches to the adaptive 4-bit quantizer and appends increments
-// (CKP2): the first one rewritten into one-segment chunks, the next as
-// the engine packs them; then SetQuant moves it to 8 bits mid-chain.
-// Every reader of stored chunks — restore, verify, a restarted writer's
-// recovery and a serving replica — must take the chain as one, and agree
-// bit for bit with a reference built here by decoding the stored chunks
-// link by link with nothing but wire and quant.
+// TestMixedLayoutChain reads one chain whose links differ in bit width
+// and chunk size — what a writer that changed its quantizer and its
+// chunk packing mid-job leaves in the store: a 2-bit adaptive CKP2 base
+// of wire.SegmentsPerChunk segments a chunk; a 4-bit increment rewritten
+// into chunks of one ChunkRows segment each, the objects of a writer that
+// packed one segment per chunk; a 4-bit increment as the engine packs
+// it; then SetQuant moves it to 8 bits mid-chain. Every reader of stored
+// chunks — restore, verify, a restarted writer's recovery and a serving
+// replica — must take the chain as one, and agree bit for bit with a
+// reference built here by decoding the stored chunks link by link with
+// nothing but wire and quant.
 func TestMixedLayoutChain(t *testing.T) {
 	const (
-		job        = "mixed"
-		ckp1, ckp2 = 0x434B5031, 0x434B5032
-		segRows    = 8
+		job     = "mixed"
+		ckp2    = 0x434B5032
+		segRows = 8
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -49,7 +48,6 @@ func TestMixedLayoutChain(t *testing.T) {
 	adaptive2 := quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}
 	adaptive4 := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}
 	adaptive8 := quant.Params{Method: quant.MethodAdaptive, Bits: 8, NumBins: 25, Ratio: 1}
-	kmeans2 := quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 3}
 	cfg := ckpt.Config{
 		JobID: job, Store: store, Policy: ckpt.PolicyConsecutive, ChunkRows: segRows,
 		Quant: adaptive2,
@@ -134,37 +132,6 @@ func TestMixedLayoutChain(t *testing.T) {
 		record(man, wantMagic, segs)
 		return man
 	}
-	// toKMeansV1 rewrites every chunk of a stored link in place as the v1
-	// chunk of the same rows quantized with k-means: de-quantized, then
-	// re-quantized to a codebook each.
-	toKMeansV1 := func(man *wire.Manifest) {
-		t.Helper()
-		for _, tm := range man.Tables {
-			for _, key := range tm.ChunkKeys {
-				blob, err := store.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, row := range chunk.Rows {
-					q, err := quant.Quantize(quant.Dequantize(row.Q), kmeans2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					chunk.Rows[i].Q = q
-				}
-				if blob, err = wiretest.AppendV1(nil, chunk.TableID, chunk.Rows); err != nil {
-					t.Fatal(err)
-				}
-				if err := store.Put(ctx, key, blob); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
 	// repackage rewrites a stored link into chunks of one segment each, the
 	// objects of a writer that packed one segment per chunk: the same rows,
 	// re-encoded segRows at a time under the engine's keys, and the shard
@@ -210,9 +177,7 @@ func TestMixedLayoutChain(t *testing.T) {
 		}
 	}
 	// Four segments per chunk at every width.
-	base := commit(coord)
-	toKMeansV1(base)
-	record(base, ckp1, 4)
+	write(coord, ckp2, 4)
 	if err := coord.SetQuant(adaptive4); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +202,7 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolve across the layout change: %v", err)
 		}
-		// A consecutive chain restores through every link: CKP1 base first.
+		// A consecutive chain restores through every link: the 2-bit base first.
 		if plan.Top.ID != wantID || len(plan.Links[0]) != wantID+1 {
 			t.Fatalf("checkpoint %d resolves to %d links, want %d with %d", plan.Top.ID, len(plan.Links[0]), wantID, wantID+1)
 		}
@@ -319,4 +284,103 @@ func TestMixedLayoutChain(t *testing.T) {
 	}
 	checkRestore(4)
 	checkServed(4)
+}
+
+// TestRetiredLayoutIsRefused: a chain with one chunk in CKP1, the layout
+// before CKP2, in an increment after its base. The two readers besides
+// restore and verify (internal/ckpt's TestVerifyAgreesWithRestore) refuse
+// it by name: a restarted writer's recovery, which walks the increments
+// since the base, and a replica bootstrapping from the chain, which
+// never serves a model it could not read whole.
+func TestRetiredLayoutIsRefused(t *testing.T) {
+	const job = "retired"
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	m, err := model.New(testModelConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := data.NewGenerator(testDataSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ckpt.CoordinatorConfig{
+		Config: ckpt.Config{JobID: job, Store: store, Policy: ckpt.PolicyConsecutive, Quant: quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}},
+		Shards: 1,
+	}
+	coord, err := ckpt.NewCoordinator(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top *wire.Manifest
+	for step := uint64(1); step <= 2; step++ {
+		for i := 0; i < 8; i++ {
+			m.TrainBatch(gen.NextBatch(16))
+		}
+		snap, err := ckpt.TakeSnapshot(m, step, data.ReaderState{NextSample: gen.Pos(), BatchSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top, err = coord.Write(ctx, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := store.Get(ctx, top.ShardManifestKeys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := wire.DecodeManifest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if link.Kind != wire.KindIncremental.String() || len(link.Tables) == 0 || len(link.Tables[0].ChunkKeys) == 0 {
+		t.Fatalf("fixture: newest link %+v is no increment with chunks", link)
+	}
+	key := link.Tables[0].ChunkKeys[0]
+	if blob, err = store.Get(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli)))
+	if err := store.Put(ctx, key, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("restarted-writer", func(t *testing.T) {
+		rec, err := ckpt.NewCoordinator(ctx, cfg)
+		if err == nil || !strings.Contains(err.Error(), "CKP1") {
+			t.Fatalf("a writer recovered over a CKP1 chunk: %v, %v", rec, err)
+		}
+		t.Log(err)
+	})
+	t.Run("replica", func(t *testing.T) {
+		logged := make(chan string, 64)
+		rep, err := Start(Config{JobID: job, Store: store, ResyncEvery: 10 * time.Millisecond, Logf: func(format string, args ...any) {
+			select {
+			case logged <- fmt.Sprintf(format, args...):
+			default:
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rep.Close()
+		// Three refusals: the replica neither gives up on the chain nor
+		// settles for a shorter one.
+		for refusals := 0; refusals < 3; {
+			select {
+			case line := <-logged:
+				if strings.Contains(line, "CKP1") {
+					refusals++
+					t.Log(line)
+				}
+			case <-ctx.Done():
+				t.Fatalf("the replica logged %d refusals of the CKP1 chunk, want 3", refusals)
+			}
+			if st := rep.Stats(); st.ServedID != -1 {
+				t.Fatalf("the replica serves checkpoint %d of a chain it cannot read", st.ServedID)
+			}
+		}
+	})
 }

@@ -7,26 +7,21 @@ import (
 	"repro/internal/quant"
 )
 
-// aliasTestChunks builds one v1 and one CKP2 chunk blob plus the expected
-// decoded rows.
+// aliasTestChunks builds one quantized and one fp32 CKP2 chunk blob.
 func aliasTestChunks(t *testing.T) map[string][]byte {
 	t.Helper()
-	p := quant.Params{Method: quant.MethodAsymmetric, Bits: 4}
-	c := goldenChunk(t, 3, 6, 16, p)
-	v1, err := c.encodeV1()
-	if err != nil {
-		t.Fatal(err)
+	blobs := map[string][]byte{}
+	for name, p := range map[string]quant.Params{
+		"ckp2":      {Method: quant.MethodAsymmetric, Bits: 4},
+		"ckp2_fp32": {Method: quant.MethodNone},
+	} {
+		blob, err := goldenChunk(t, 3, 6, 16, p).encodeCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[name] = blob
 	}
-	ckp2, err := c.encodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kc := goldenChunk(t, 3, 4, 8, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 5})
-	kv1, err := kc.encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{"v1": v1, "ckp2": ckp2, "v1_kmeans": kv1}
+	return blobs
 }
 
 func cloneRows(c *Chunk) []Row {
@@ -34,7 +29,6 @@ func cloneRows(c *Chunk) []Row {
 	for i, r := range c.Rows {
 		q := *r.Q
 		q.Codes = append([]byte(nil), r.Q.Codes...)
-		q.Codebook = append([]float32(nil), r.Q.Codebook...)
 		out[i] = Row{Index: r.Index, Accum: r.Accum, Q: &q}
 	}
 	return out
@@ -70,8 +64,8 @@ func TestDecodeChunkAliasObservesBlob(t *testing.T) {
 
 // TestDecodeChunkAliasMatchesCopy: modulo ownership, decoding into a
 // reused RowBuf is the same parse as decoding a private copy of the blob
-// into fresh storage. One RowBuf walks every layout in turn, as a
-// restore worker's does across a mixed-layout chain.
+// into fresh storage. One RowBuf walks a quantized and an fp32 chunk in
+// turn, as a restore worker's does across a chain whose width changed.
 func TestDecodeChunkAliasMatchesCopy(t *testing.T) {
 	var buf RowBuf
 	for name, blob := range aliasTestChunks(t) {
@@ -119,7 +113,7 @@ func TestDecodeChunkLeavesBlobIntact(t *testing.T) {
 // TestDecodeChunkAliasCapacityClamped: appending to an aliased row's
 // Codes must never scribble into the blob bytes of the next row.
 func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
-	blob := aliasTestChunks(t)["v1"]
+	blob := aliasTestChunks(t)["ckp2"]
 	c, err := (*RowBuf)(nil).DecodeAlias(blob)
 	if err != nil {
 		t.Fatal(err)

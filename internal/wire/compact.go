@@ -15,10 +15,10 @@ import (
 // the chosen quantization bit-width due to the metadata structure"), and
 // the one layout this package writes.
 //
-// The v1 format (v1.go) stores a full vector header per row (14 bytes,
-// range included) plus a 12-byte row header. Every row of a chunk the
-// engine writes shares one uniform method, bit-width and dimension, so
-// the shared fields are hoisted into the chunk header:
+// The layout it replaced, CKP1, stored a full vector header per row (14
+// bytes, range included) plus a 12-byte row header. Every row of a chunk
+// the engine writes shares one uniform method, bit-width and dimension,
+// so the shared fields are hoisted into the chunk header:
 //
 //	u32 magic "CKP2" | u32 tableID | u32 rowCount | u8 bits | u8 flags |
 //	u16 reserved | u32 dim |
@@ -29,9 +29,13 @@ import (
 //	u32 CRC32-C
 //
 // Per dim-16 4-bit row this is 16 bytes of metadata + 8 code bytes
-// against v1's 26 + 8 — a 1.4x smaller incremental checkpoint. K-means
+// against CKP1's 26 + 8 — a 1.4x smaller incremental checkpoint. K-means
 // rows (a codebook each) have no column here.
 const compactMagic = 0x434B5032 // "CKP2"
+
+// ckp1Magic opens a chunk in the retired CKP1 layout, which
+// RowBuf.DecodeAlias refuses by name.
+const ckp1Magic = 0x434B5031 // "CKP1"
 
 const compactFlagHasRange = 1 << 0
 
@@ -252,7 +256,7 @@ func (b *RowBuf) decodeCompact(body []byte) (*Chunk, error) {
 	codesAll := body[codesOff : codesOff+n*rowCodes]
 	for i := 0; i < n; i++ {
 		// A whole-struct store: a reused slot keeps nothing of the row it
-		// described last, a k-means Codebook least of all.
+		// described last, so an fp32 row keeps no range of a quantized one.
 		q := &qs[i]
 		*q = quant.QVector{Bits: bits, N: dim, Codes: codesAll[i*rowCodes : (i+1)*rowCodes : (i+1)*rowCodes]}
 		if hasRange {

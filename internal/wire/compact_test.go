@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,25 +86,6 @@ func TestCompactEmptyChunk(t *testing.T) {
 	}
 }
 
-func TestCompactSmallerThanV1(t *testing.T) {
-	c := makeUniformChunk(t, 1, 100, 16, 4)
-	v1, err := c.encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := c.encodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At dim 16 / 4 bits, v1 carries 26 metadata bytes per row vs v2's
-	// 16 (34 vs 24 with the codes); expect at least a 25% chunk-size
-	// reduction.
-	if float64(len(v2)) > float64(len(v1))*0.75 {
-		t.Fatalf("compact %d bytes vs v1 %d: insufficient saving", len(v2), len(v1))
-	}
-	t.Logf("v1=%dB v2=%dB (%.0f%% smaller)", len(v1), len(v2), (1-float64(len(v2))/float64(len(v1)))*100)
-}
-
 func TestCompactCRCDetectsCorruption(t *testing.T) {
 	blob, err := makeUniformChunk(t, 5, 20, 16, 4).encodeCompact()
 	if err != nil {
@@ -156,6 +140,85 @@ func TestCompactQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refusal is an object one edit away from a chunk AppendTo wrote, its
+// CRC re-stamped unless the CRC is what the edit breaks, and a phrase of
+// the error that refuses it.
+type refusal struct {
+	name, want string
+	blob       []byte
+}
+
+// nonCanonicalCKP2 returns one refusal per refusal branch of DecodeAlias
+// and decodeCompact.
+func nonCanonicalCKP2(tb testing.TB) []refusal {
+	q4, err := makeUniformChunk(tb, 1, 3, 8, 4).AppendTo(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f32, err := makeUniformChunk(tb, 1, 3, 8, 32).AppendTo(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	empty, err := (&Chunk{TableID: 5}).AppendTo(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// edit returns blob with its body (all but the CRC) rewritten by fn
+	// and the CRC re-stamped; set overwrites body bytes from off on.
+	edit := func(blob []byte, fn func(body []byte) []byte) []byte {
+		return stampCRC(append(fn(bytes.Clone(blob[:len(blob)-4])), 0, 0, 0, 0))
+	}
+	set := func(blob []byte, off int, b ...byte) []byte {
+		return edit(blob, func(body []byte) []byte { copy(body[off:], b); return body })
+	}
+	magic := func(m uint32) []byte { return set(q4, 0, binary.LittleEndian.AppendUint32(nil, m)...) }
+	badCRC := bytes.Clone(q4)
+	badCRC[len(badCRC)-1] ^= 0xFF
+	return []refusal{
+		{"short-object", "too short", q4[:15]},
+		{"crc-mismatch", "CRC mismatch", badCRC},
+		{"unknown-magic", "bad chunk magic", magic(0)},
+		{"ckp1-magic", "retired CKP1", magic(ckp1Magic)},
+		{"truncated-header", "header truncated", edit(q4, func(body []byte) []byte { return body[:19] })},
+		{"bits-0", "invalid bits 0", set(q4, 12, 0)},
+		{"bits-9", "invalid bits 9", set(q4, 12, 9)},
+		{"bits-33", "invalid bits 33", set(q4, 12, 33)},
+		{"range-flag-on-fp32", "non-canonical header", set(f32, 13, compactFlagHasRange)},
+		{"range-flag-missing-at-4-bits", "non-canonical header", set(q4, 13, 0)},
+		{"unknown-flag-bit", "non-canonical header", set(q4, 13, compactFlagHasRange|2)},
+		{"reserved-byte-14", "non-canonical header", set(q4, 14, 1)},
+		{"reserved-byte-15", "non-canonical header", set(q4, 15, 1)},
+		{"empty-with-payload", "canonical empty chunk", edit(empty, func(body []byte) []byte { return append(body, 0, 0, 0, 0) })},
+		{"empty-at-4-bits", "canonical empty chunk", set(empty, 12, 4, compactFlagHasRange)},
+		{"empty-of-dim-8", "canonical empty chunk", set(empty, 16, 8)},
+		{"payload-one-byte-past-rows", "cannot hold", edit(q4, func(body []byte) []byte { return append(body, 0) })},
+	}
+}
+
+// TestDecodeRefusesNonCanonicalCKP2 reaches every refusal of the chunk
+// decoder by name, each with an object one edit away from a chunk that
+// decodes. A chunk in the retired CKP1 layout is refused as retired,
+// never as a bad magic or corruption.
+func TestDecodeRefusesNonCanonicalCKP2(t *testing.T) {
+	for _, bits := range []int{4, 32} {
+		blob, err := makeUniformChunk(t, 1, 3, 8, bits).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeChunk(blob); err != nil {
+			t.Fatalf("the unedited %d-bit chunk is refused: %v", bits, err)
+		}
+	}
+	for _, r := range nonCanonicalCKP2(t) {
+		t.Run(r.name, func(t *testing.T) {
+			c, err := decodeChunk(r.blob)
+			if err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("decoded %v, %v; want an error saying %q", c, err, r.want)
+			}
+		})
 	}
 }
 

@@ -54,7 +54,7 @@ func f32Table(c *Chunk, maxValues int) (rows []int, weights, accum []float32, di
 // their indices encode to ckp2_none.bin and ckp2_empty.bin byte for byte.
 func TestF32ChunkMatchesGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
-		if !gc.compact || gc.params.Method != quant.MethodNone {
+		if gc.params.Method != quant.MethodNone {
 			continue
 		}
 		t.Run(gc.name, func(t *testing.T) {

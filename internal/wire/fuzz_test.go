@@ -11,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/quant"
 	"repro/internal/rpc/rpctest"
 )
 
@@ -65,34 +64,19 @@ func sameChunk(a, b *Chunk) error {
 	return nil
 }
 
-// dirtyRowBufs returns, per layout magic, a way to make a RowBuf that has
-// just described a chunk of the other layout, with more rows than most
-// inputs hold: v1 k-means rows (a codebook each) before a CKP2 input,
-// CKP2 rows (a range each) before a v1 one. Whatever the next decode does
-// not overwrite shows.
-func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
-	kmeans := &Chunk{TableID: 9}
-	for r := 0; r < 96; r++ {
-		q, err := quant.Quantize([]float32{float32(r), 1, -2, 3.5}, quant.Params{Method: quant.MethodKMeans, Bits: 2, KMeansIters: 2})
+// dirtyRowBufs returns a way to make a RowBuf that has just described a
+// chunk of the other kind than an input, with more rows than most inputs
+// hold, keyed by whether the input is fp32: quantized rows (a range
+// each) before an fp32 input, fp32 rows before a quantized one. Whatever
+// the next decode does not overwrite shows.
+func dirtyRowBufs(tb testing.TB) map[bool]func() *RowBuf {
+	dirty := make(map[bool]func() *RowBuf)
+	for fp32, bits := range map[bool]int{true: 4, false: 32} {
+		blob, err := makeUniformChunk(tb, 3, 96, 4, bits).AppendTo(nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		kmeans.Rows = append(kmeans.Rows, Row{Index: uint32(r), Accum: 7, Q: q})
-	}
-	v1, err := kmeans.encodeV1()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ckp2, err := makeUniformChunk(tb, 3, 96, 4, 4).AppendTo(nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dirty := make(map[uint32]func() *RowBuf)
-	for magic, blob := range map[uint32][]byte{compactMagic: v1, v1Magic: ckp2} {
-		if binary.LittleEndian.Uint32(blob) == magic {
-			tb.Fatalf("the chunk that dirties a 0x%08x decode is of that layout itself", magic)
-		}
-		dirty[magic] = func() *RowBuf {
+		dirty[fp32] = func() *RowBuf {
 			var b RowBuf
 			if _, err := b.DecodeAlias(blob); err != nil {
 				panic(err) // inside the fuzz target: the blob decoded when it was made
@@ -106,24 +90,27 @@ func dirtyRowBufs(tb testing.TB) map[uint32]func() *RowBuf {
 // FuzzDecodeChunk holds the chunk decoder, entered both ways, to
 // the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
 // allocation bounded by the input and not by what its header claims, and
-// an accepted chunk re-encodes, in the layout its magic names — CKP2
-// through AppendTo, v1 through wiretest.AppendV1 — to exactly the input.
-// No field is exempt from the re-encode check: decodeCompact and
-// decodeV1Row refuse the spellings the writers never wrote
-// (reserved bytes, unknown flags, a range flag that disagrees with bits,
-// a shaped empty chunk). The second way in is a RowBuf still holding a
-// chunk of the other layout (dirtyRowBufs): it must accept what a fresh
-// decode accepts and return the same rows, nothing of the previous chunk
-// among them. An accepted fp32 CKP2 chunk whose row indices are
-// distinct must also re-encode to exactly the input through the writer's
-// other entry, AppendF32Chunk, reading a table built from its rows. The
-// trailing CRC is re-stamped so mutations reach the parsers behind the
-// checksum.
+// an accepted chunk re-encodes through AppendTo to exactly the input.
+// No field is exempt from the re-encode check: decodeCompact refuses the
+// spellings the writer never wrote (reserved bytes, unknown flags, a
+// range flag that disagrees with bits, a shaped empty chunk). The second
+// way in is a RowBuf still holding a chunk of the other kind, fp32 or
+// quantized (dirtyRowBufs): it must accept what a fresh decode accepts
+// and return the same rows, nothing of the previous chunk among them. An
+// accepted fp32 chunk whose row indices are distinct must also re-encode
+// to exactly the input through the writer's other entry, AppendF32Chunk,
+// reading a table built from its rows. The corpus starts at the golden
+// fixtures and at every refusal of TestDecodeRefusesNonCanonicalCKP2.
+// The trailing CRC is re-stamped so mutations reach the parser behind
+// the checksum.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, seed := range rpctest.Seeds(f, "testdata/*.bin") {
 		f.Add(seed)
 	}
 	f.Add(wrappedCompactHeader())
+	for _, r := range nonCanonicalCKP2(f) {
+		f.Add(r.blob)
+	}
 	dirty := dirtyRowBufs(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxChunk {
@@ -131,10 +118,8 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		data = stampCRC(append([]byte(nil), data...))
 		reused := func(data []byte) (*Chunk, error) { return (&RowBuf{}).DecodeAlias(data) }
-		if len(data) >= 4 {
-			if mk := dirty[binary.LittleEndian.Uint32(data)]; mk != nil {
-				reused = mk().DecodeAlias
-			}
+		if len(data) > 12 {
+			reused = dirty[data[12] == 32]().DecodeAlias
 		}
 		want, wantErr := decodeChunk(data)
 		got, err := reused(data)
@@ -147,7 +132,7 @@ func FuzzDecodeChunk(f *testing.F) {
 			}
 			// The CKP2 writer's fp32 entry, given the rows as a table at
 			// their indices, writes the input again too.
-			if rows, weights, accum, dim, ok := f32Table(want, fuzzMaxChunk); ok && binary.LittleEndian.Uint32(data) == compactMagic {
+			if rows, weights, accum, dim, ok := f32Table(want, fuzzMaxChunk); ok {
 				again, err := AppendF32Chunk(nil, want.TableID, dim, rows, weights, accum)
 				if err != nil || !bytes.Equal(again, data) {
 					t.Fatalf("AppendF32Chunk re-encodes an accepted fp32 chunk of %d rows to %d other bytes: %v", len(rows), len(again), err)
@@ -165,11 +150,7 @@ func FuzzDecodeChunk(f *testing.F) {
 					return nil, err
 				}
 				return func(w io.Writer) error {
-					encode := c.encodeV1
-					if binary.LittleEndian.Uint32(data) == compactMagic {
-						encode = func() ([]byte, error) { return c.AppendTo(nil) }
-					}
-					again, err := encode()
+					again, err := c.AppendTo(nil)
 					if err != nil {
 						return err
 					}
@@ -181,17 +162,12 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// TestDecodeChunkRejectsClaimedCountsCheaply pins the two size checks on
-// inputs too large or too slow to leave to the fuzzer: a header whose
-// counts wrap the size sum, and a v1 body claiming one row per byte.
-// Both must fail before anything is sized by the claim.
+// TestDecodeChunkRejectsClaimedCountsCheaply pins the size check on a
+// header whose counts wrap the size sum: it must fail before anything is
+// sized by the claim.
 func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
-	v1 := make([]byte, 8<<20)
-	binary.LittleEndian.PutUint32(v1, v1Magic)
-	binary.LittleEndian.PutUint32(v1[8:], uint32(len(v1)-4-12)/13) // two rows per minV1Row
 	for name, blob := range map[string][]byte{
 		"ckp2_wrapped_size": wrappedCompactHeader(),
-		"v1_row_per_13B":    stampCRC(v1),
 	} {
 		t.Run(name, func(t *testing.T) {
 			// A RowBuf is grown only by a count that was checked.

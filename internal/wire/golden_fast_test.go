@@ -10,7 +10,7 @@ import (
 
 // Differential proof that the adaptive quantizer's fast paths reproduce
 // the legacy per-row greedy search byte-for-byte on the golden-bytes
-// fixtures (testdata/*.bin, captured from the original encoder):
+// fixtures (testdata/ckp2_*.bin, captured from the original encoder):
 //
 //   - exact mode (sampling disarmed): the refactored search entry point
 //     must still emit the golden bytes;
@@ -80,7 +80,7 @@ func TestGoldenBytesFastPathExactMode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
-			blob := encodeCase(t, gc, goldenFastChunk(t, gc, false))
+			blob := encodeCase(t, goldenFastChunk(t, gc, false))
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("%s: exact-mode fast path diverged from golden bytes (%d vs %d bytes)",
 					gc.name, len(blob), len(want))
@@ -96,7 +96,7 @@ func TestGoldenBytesCachedReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
-			blob := encodeCase(t, gc, goldenFastChunk(t, gc, true))
+			blob := encodeCase(t, goldenFastChunk(t, gc, true))
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("%s: cached-reuse fast path diverged from golden bytes (%d vs %d bytes)",
 					gc.name, len(blob), len(want))

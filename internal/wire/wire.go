@@ -90,8 +90,8 @@ type RowBuf struct {
 // slots for them to point at: b's own, grown when it has fewer, or fresh
 // ones when there is no buffer. Callers have tied n to the size of the
 // object before they ask, so a claimed count never sizes anything. The
-// slots hold whatever the last chunk left in them; the decoders
-// overwrite every field of every one.
+// slots hold whatever the last chunk left in them; decodeCompact
+// overwrites every field of every one.
 func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	if b == nil {
 		return &Chunk{TableID: tableID, Rows: make([]Row, n)}, make([]quant.QVector, n)
@@ -103,15 +103,18 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	return &b.chunk, b.qs[:n]
 }
 
-// DecodeAlias parses and CRC-verifies a chunk (either layout) without
-// copying the codes out of it: every row's packed codes alias data's
-// backing array directly. The caller must keep data alive and unmodified
-// for as long as the chunk, or any row vector taken from it, is in use;
+// DecodeAlias parses and CRC-verifies a CKP2 chunk without copying the
+// codes out of it: every row's packed codes alias data's backing array
+// directly. The caller must keep data alive and unmodified for as long
+// as the chunk, or any row vector taken from it, is in use;
 // mutating data afterwards corrupts the decoded rows. The restore paths
 // consume each freshly fetched blob (dequantize or index-scan it) before
 // it goes out of scope. The returned chunk, its rows and their vectors
 // live in b, so all of it is dead at b's next DecodeAlias; a nil b
 // allocates them.
+//
+// A chunk in CKP1, the layout before CKP2, is refused by name: no writer
+// produces it, and an intact object of a retired layout is not corruption.
 func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
@@ -124,8 +127,8 @@ func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	switch m := binary.LittleEndian.Uint32(body); m {
 	case compactMagic:
 		return b.decodeCompact(body)
-	case v1Magic:
-		return b.decodeV1(body)
+	case ckp1Magic:
+		return nil, fmt.Errorf("wire: chunk in the retired CKP1 layout; this reader decodes only CKP2")
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}

@@ -2,128 +2,14 @@ package wire
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/quant"
 )
-
-// makeChunk builds asymmetric 4-bit rows. The Chunk* tests below write
-// them in the v1 layout with encodeV1: they are the v1 decoder's tests
-// (compact_test.go covers the CKP2 layout AppendTo writes).
-func makeChunk(t testing.TB, seed int64, rows int) *Chunk {
-	rng := rand.New(rand.NewSource(seed))
-	c := &Chunk{TableID: 3}
-	for i := 0; i < rows; i++ {
-		x := make([]float32, 16)
-		for j := range x {
-			x[j] = rng.Float32()*2 - 1
-		}
-		q, err := quant.Quantize(x, quant.Params{Method: quant.MethodAsymmetric, Bits: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Rows = append(c.Rows, Row{Index: uint32(i * 7), Accum: rng.Float32(), Q: q})
-	}
-	return c
-}
-
-func TestChunkRoundTrip(t *testing.T) {
-	c := makeChunk(t, 1, 20)
-	blob, err := c.encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeChunk(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TableID != c.TableID || len(got.Rows) != len(c.Rows) {
-		t.Fatalf("chunk header mismatch: %+v", got)
-	}
-	for i := range c.Rows {
-		if got.Rows[i].Index != c.Rows[i].Index {
-			t.Fatalf("row %d index mismatch", i)
-		}
-		if got.Rows[i].Accum != c.Rows[i].Accum {
-			t.Fatalf("row %d accum mismatch", i)
-		}
-		a := quant.Dequantize(c.Rows[i].Q)
-		b := quant.Dequantize(got.Rows[i].Q)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("row %d element %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestChunkEmptyRoundTrip(t *testing.T) {
-	c := &Chunk{TableID: 9}
-	blob, err := c.encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeChunk(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TableID != 9 || len(got.Rows) != 0 {
-		t.Fatalf("empty chunk mismatch: %+v", got)
-	}
-}
 
 func TestChunkNilQVectorErrors(t *testing.T) {
 	c := &Chunk{Rows: []Row{{Index: 1}}}
 	if _, err := c.AppendTo(nil); err == nil {
 		t.Fatal("nil QVector should error")
-	}
-}
-
-func TestChunkCRCDetectsCorruption(t *testing.T) {
-	blob, err := makeChunk(t, 2, 10).encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pos := range []int{0, len(blob) / 2, len(blob) - 5} {
-		bad := append([]byte(nil), blob...)
-		bad[pos] ^= 0xFF
-		if _, err := decodeChunk(bad); err == nil {
-			t.Fatalf("corruption at %d not detected", pos)
-		}
-	}
-}
-
-func TestChunkTruncation(t *testing.T) {
-	blob, err := makeChunk(t, 3, 5).encodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 4, 15, len(blob) - 1} {
-		if _, err := decodeChunk(blob[:n]); err == nil {
-			t.Fatalf("truncation to %d not detected", n)
-		}
-	}
-}
-
-func TestChunkQuickRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw) % 30
-		c := makeChunk(t, seed, n)
-		blob, err := c.encodeV1()
-		if err != nil {
-			return false
-		}
-		got, err := decodeChunk(blob)
-		if err != nil {
-			return false
-		}
-		return len(got.Rows) == n && got.TableID == c.TableID
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -226,20 +112,6 @@ func TestKeyLayout(t *testing.T) {
 	// Keys sort by checkpoint ID because of zero-padding.
 	if !(ManifestKey(job, 9) < ManifestKey(job, 10)) {
 		t.Fatal("keys must sort numerically")
-	}
-}
-
-func BenchmarkChunkDecode(b *testing.B) {
-	blob, err := makeChunk(b, 1, 256).encodeV1()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeChunk(blob); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
