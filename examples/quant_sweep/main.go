@@ -21,24 +21,13 @@ func main() {
 	}
 	fmt.Printf("checkpoint: %d embedding vectors of dim %d\n\n", len(cv.Vectors), cv.Dim)
 
-	// Figure 9: mean L2 error by method and bit-width.
-	fmt.Printf("%-10s %14s %14s %14s %14s\n", "bits", "symmetric", "asymmetric", "k-means", "adaptive")
-	for _, bits := range []int{2, 3, 4, 8} {
-		row := []float64{}
-		for _, p := range []quant.Params{
-			{Method: quant.MethodSymmetric, Bits: bits},
-			{Method: quant.MethodAsymmetric, Bits: bits},
-			{Method: quant.MethodKMeans, Bits: bits, KMeansIters: 15},
-			{Method: quant.MethodAdaptive, Bits: bits, NumBins: 25, Ratio: 1},
-		} {
-			e, err := quant.MeanL2Error(cv.Vectors, p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row = append(row, e)
-		}
-		fmt.Printf("%-10d %14.6f %14.6f %14.6f %14.6f\n", bits, row[0], row[1], row[2], row[3])
+	// Figure 9: mean L2 error by method and bit-width, the table
+	// `benchgen -fig 9` prints.
+	fig9, err := experiments.Fig9QuantError(cv)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Print(fig9.Render())
 
 	// Automatic parameter selection on a sampled checkpoint (§5.2).
 	fmt.Println("\nautomatic parameter selection (0.001% sampling profile):")

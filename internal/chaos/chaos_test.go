@@ -185,3 +185,23 @@ func TestParseScenarioRefusesRemovedFleetKeys(t *testing.T) {
 		})
 	}
 }
+
+// TestMemFleetRefusesDiskDelays: a disk latency on a mem fleet is
+// refused before anything starts, with an error naming the field, so a
+// campaign cannot run slowed in-process and unslowed forked.
+func TestMemFleetRefusesDiskDelays(t *testing.T) {
+	for _, field := range []string{"disk_put_delay_ms", "disk_sync_delay_ms"} {
+		t.Run(field, func(t *testing.T) {
+			sc, err := ParseScenario([]byte(`{"name": "x", "fleet": {"shards": 1, "stores": 1,
+				"store_backend": "mem", "` + field + `": 20}, "steps": [{"op": "sleep", "ms": 1}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if _, err := Run(ctx, sc, RunnerConfig{Logf: t.Logf}); err == nil || !strings.Contains(err.Error(), field) {
+				t.Fatalf("Run = %v, want a refusal naming %s", err, field)
+			}
+		})
+	}
+}

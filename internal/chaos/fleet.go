@@ -117,6 +117,7 @@ type FleetConfig struct {
 	Fsync string
 	// DiskPutDelay injects latency into every store mutation (the
 	// slow-disk shim); DiskSyncDelay injects latency into every fsync.
+	// Both need the disk backend: a mem fleet refuses either.
 	DiskPutDelay  time.Duration
 	DiskSyncDelay time.Duration
 	// Logf receives fleet diagnostics; nil discards them.
@@ -149,6 +150,12 @@ func (cfg *FleetConfig) withDefaults() (FleetConfig, error) {
 	case "mem", "disk":
 	default:
 		return c, fmt.Errorf("chaos: unknown store backend %q (want mem or disk)", c.StoreBackend)
+	}
+	switch {
+	case c.StoreBackend == "mem" && c.DiskPutDelay != 0:
+		return c, errors.New("chaos: DiskPutDelay (disk_put_delay_ms) needs the disk store backend, not mem")
+	case c.StoreBackend == "mem" && c.DiskSyncDelay != 0:
+		return c, errors.New("chaos: DiskSyncDelay (disk_sync_delay_ms) needs the disk store backend, not mem")
 	}
 	if c.Fsync == "" {
 		c.Fsync = "always"

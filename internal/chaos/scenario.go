@@ -37,8 +37,9 @@ type FleetSpec struct {
 	// against both backends in the nightly matrix; campaigns that kill
 	// stores must pin "disk".
 	StoreBackend string `json:"store_backend,omitempty"`
-	// Disk-backend knobs (ignored for mem): fsync policy flag value and
-	// injected device latencies.
+	// Disk-backend knobs: fsync policy flag value (ignored for mem) and
+	// injected device latencies (refused for mem: the in-process and
+	// forked fleets would disagree on whether a mem store slows down).
 	Fsync           string `json:"fsync,omitempty"`
 	DiskPutDelayMs  int    `json:"disk_put_delay_ms,omitempty"`
 	DiskSyncDelayMs int    `json:"disk_sync_delay_ms,omitempty"`

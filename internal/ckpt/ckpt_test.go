@@ -834,19 +834,15 @@ func TestEncoderWritesOnlyCKP2(t *testing.T) {
 	}
 }
 
-// TestEngineRefusesKMeans: k-means rows carry a codebook each, which no
-// layout the engine writes can hold, so NewEngine, Engine.SetQuant and
-// Coordinator.SetQuant refuse k-means parameters, valid as they are to
-// quant. A refused SetQuant changes nothing: the engine keeps its
+// TestRefusedQuantChangesNothing: NewEngine, Engine.SetQuant and
+// Coordinator.SetQuant refuse parameters quant.Params.Validate refuses,
+// and a refused SetQuant changes nothing: the engine keeps its
 // parameters and the adaptive ranges it cached under them.
-func TestEngineRefusesKMeans(t *testing.T) {
-	kmeans := quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}
-	if err := kmeans.Validate(); err != nil {
-		t.Fatalf("fixture: %v", err)
-	}
+func TestRefusedQuantChangesNothing(t *testing.T) {
+	bad := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 0, Ratio: 1}
 	store := objstore.NewMemStore(objstore.MemConfig{})
-	if _, err := NewEngine(Config{JobID: "km", Store: store, Quant: kmeans}); err == nil {
-		t.Fatal("NewEngine took k-means")
+	if _, err := NewEngine(Config{JobID: "bad", Store: store, Quant: bad}); err == nil {
+		t.Fatal("NewEngine took adaptive with no bins")
 	}
 
 	adaptive := quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
@@ -859,8 +855,8 @@ func TestEngineRefusesKMeans(t *testing.T) {
 	if len(cached) == 0 {
 		t.Fatal("fixture: an adaptive checkpoint cached no ranges")
 	}
-	if err := e.SetQuant(kmeans); err == nil {
-		t.Fatal("Engine.SetQuant took k-means")
+	if err := e.SetQuant(bad); err == nil {
+		t.Fatal("Engine.SetQuant took adaptive with no bins")
 	}
 	if got := e.Quant(); got != adaptive {
 		t.Fatalf("a refused SetQuant left the engine at %+v", got)
@@ -875,13 +871,13 @@ func TestEngineRefusesKMeans(t *testing.T) {
 	}
 
 	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
-		Config: Config{JobID: "km-coord", Store: store, Quant: adaptive}, Shards: 2,
+		Config: Config{JobID: "bad-coord", Store: store, Quant: adaptive}, Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.SetQuant(kmeans); err == nil {
-		t.Fatal("Coordinator.SetQuant took k-means")
+	if err := coord.SetQuant(bad); err == nil {
+		t.Fatal("Coordinator.SetQuant took adaptive with no bins")
 	}
 	for s, w := range coord.writers {
 		if got := w.eng.Quant(); got != adaptive {

@@ -107,8 +107,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if !cfg.Policy.Valid() {
 		return nil, fmt.Errorf("ckpt: invalid policy %d", cfg.Policy)
 	}
-	if err := checkQuant(cfg.Quant); err != nil {
-		return nil, err
+	if err := cfg.Quant.Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
 	}
 	if cfg.ChunkRows <= 0 {
 		cfg.ChunkRows = 512
@@ -131,27 +131,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// checkQuant refuses the parameters no checkpoint can be written under:
-// invalid ones, and k-means, whose rows carry a codebook each that no
-// chunk layout the engine writes has room for. k-means stays a quant
-// method for the Fig. 9 comparison.
-func checkQuant(p quant.Params) error {
-	if p.Method == quant.MethodKMeans {
-		return fmt.Errorf("ckpt: k-means rows have no checkpoint layout")
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	return nil
-}
-
 // SetQuant changes the quantization parameters for subsequent checkpoints.
 // The controller uses this for dynamic bit-width selection and the 8-bit
 // fallback (§6.2.1); it is safe because checkpoints never overlap. Refused
 // parameters change nothing.
 func (e *Engine) SetQuant(p quant.Params) error {
-	if err := checkQuant(p); err != nil {
-		return err
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	if p != e.cfg.Quant {
 		// Cached adaptive ranges were searched under the old parameters.

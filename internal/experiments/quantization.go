@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/data"
@@ -65,23 +67,21 @@ func Fig9QuantError(cv *CheckpointVectors) (*Result, error) {
 	bits := []int{2, 3, 4, 8}
 	methods := []struct {
 		name   string
-		params func(b int) quant.Params
+		meanL2 func(vectors [][]float32, b int) (float64, error)
 	}{
-		{"symmetric", func(b int) quant.Params {
-			return quant.Params{Method: quant.MethodSymmetric, Bits: b}
+		{"symmetric", func(v [][]float32, b int) (float64, error) {
+			return quant.MeanL2Error(v, quant.Params{Method: quant.MethodSymmetric, Bits: b})
 		}},
-		{"asymmetric", func(b int) quant.Params {
-			return quant.Params{Method: quant.MethodAsymmetric, Bits: b}
+		{"asymmetric", func(v [][]float32, b int) (float64, error) {
+			return quant.MeanL2Error(v, quant.Params{Method: quant.MethodAsymmetric, Bits: b})
 		}},
-		{"k-means", func(b int) quant.Params {
-			return quant.Params{Method: quant.MethodKMeans, Bits: b, KMeansIters: 15}
-		}},
-		{"adaptive", func(b int) quant.Params {
+		{"k-means", kmeansMeanL2},
+		{"adaptive", func(v [][]float32, b int) (float64, error) {
 			bins := 25
 			if b >= 4 {
 				bins = 45
 			}
-			return quant.Params{Method: quant.MethodAdaptive, Bits: b, NumBins: bins, Ratio: 1}
+			return quant.MeanL2Error(v, quant.Params{Method: quant.MethodAdaptive, Bits: b, NumBins: bins, Ratio: 1})
 		}},
 	}
 	r := &Result{
@@ -93,7 +93,7 @@ func Fig9QuantError(cv *CheckpointVectors) (*Result, error) {
 	for _, m := range methods {
 		var pts []stats.Point
 		for _, b := range bits {
-			e, err := quant.MeanL2Error(cv.Vectors, m.params(b))
+			e, err := m.meanL2(cv.Vectors, b)
 			if err != nil {
 				return nil, fmt.Errorf("fig9 %s/%d: %w", m.name, b, err)
 			}
@@ -105,6 +105,91 @@ func Fig9QuantError(cv *CheckpointVectors) (*Result, error) {
 		"asymmetric < symmetric at every bit-width (embedding values are not symmetric)",
 		"adaptive ~ k-means <= asymmetric at low bit-widths")
 	return r, nil
+}
+
+// kmeansIters is the Lloyd iteration count of Figure 9's k-means (§5.2).
+const kmeansIters = 15
+
+// kmeansMeanL2 is Figure 9's k-means point: the mean over vectors of
+// ||x - kmeansReconstruct(x)||_2, the metric quant.MeanL2Error takes of
+// the uniform methods. The paper found per-vector k-means marginally
+// better than adaptive asymmetric but orders of magnitude slower at
+// checkpoint scale, so Check-N-Run does not deploy it and no checkpoint
+// here can hold its codebook; it exists only as this comparison point.
+func kmeansMeanL2(vectors [][]float32, bits int) (float64, error) {
+	if len(vectors) == 0 {
+		return 0, fmt.Errorf("fig9: no vectors")
+	}
+	var sum float64
+	for _, x := range vectors {
+		rec, err := kmeansReconstruct(x, bits)
+		if err != nil {
+			return 0, err
+		}
+		var sq float64
+		for i, v := range x {
+			d := float64(v) - float64(rec[i])
+			sq += d * d
+		}
+		sum += math.Sqrt(sq)
+	}
+	return sum / float64(len(vectors)), nil
+}
+
+// kmeansReconstruct clusters x's elements into min(2^bits, len(x))
+// centroids with kmeansIters rounds of Lloyd's algorithm (§5.2 Approach
+// 2) and returns x with each element replaced by float32 of its
+// centroid. Initialization uses evenly spaced quantiles of the sorted
+// elements, which avoids the empty-cluster pathologies of random init on
+// 1-D data while staying deterministic. Like the uniform methods, it
+// refuses a row quant.ErrNonFinite describes.
+func kmeansReconstruct(x []float32, bits int) ([]float32, error) {
+	sorted := slices.Clone(x)
+	slices.Sort(sorted) // NaNs first, so a NaN or ±Inf anywhere makes the span NaN or Inf
+	if span := float64(sorted[len(x)-1] - sorted[0]); math.IsNaN(span) || math.IsInf(span, 0) {
+		return nil, quant.ErrNonFinite
+	}
+	k := min(1<<uint(bits), len(x))
+	centroids := make([]float64, k)
+	for c := range centroids {
+		// Midpoint of the c-th of k equal-frequency buckets.
+		centroids[c] = float64(sorted[(2*c+1)*len(sorted)/(2*k)])
+	}
+	assign := make([]int, len(x))
+	sum := make([]float64, k)
+	cnt := make([]int, k)
+	for it := 0; it < kmeansIters; it++ {
+		changed := false
+		for i, v := range x {
+			best, bestD := 0, math.Inf(1)
+			for c, m := range centroids {
+				if d := (float64(v) - m) * (float64(v) - m); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			changed = changed || assign[i] != best
+			assign[i] = best
+		}
+		clear(sum)
+		clear(cnt)
+		for i, v := range x {
+			sum[assign[i]] += float64(v)
+			cnt[assign[i]]++
+		}
+		for c := range centroids {
+			if cnt[c] > 0 {
+				centroids[c] = sum[c] / float64(cnt[c])
+			}
+		}
+		if !changed && it > 0 {
+			break
+		}
+	}
+	rec := make([]float32, len(x))
+	for i, c := range assign {
+		rec[i] = float32(centroids[c])
+	}
+	return rec, nil
 }
 
 // Fig10AdaptiveBins regenerates Figure 10: the mean-ℓ2 improvement of

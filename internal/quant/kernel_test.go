@@ -555,7 +555,6 @@ func TestNonFiniteRows(t *testing.T) {
 		{Method: MethodSymmetric, Bits: 4},
 		{Method: MethodAsymmetric, Bits: 4},
 		{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1},
-		{Method: MethodKMeans, Bits: 2, KMeansIters: 3},
 	}
 	for name, x := range rows {
 		for _, p := range lossy {

@@ -11,9 +11,11 @@ import "encoding/binary"
 // bit-at-a-time packer produced, so packed streams are interchangeable
 // across implementations — the golden-bytes tests in internal/wire pin it.
 //
-// The implementation is a 64-bit accumulator that shifts whole codes in
-// and retires full bytes, with dedicated unrolled paths for the power-of-
-// two widths (1, 2, 4, 8 bits) where codes align to byte boundaries.
+// The packer is a 64-bit accumulator that shifts whole codes in and
+// retires full bytes, with dedicated unrolled paths for the power-of-two
+// widths (1, 2, 4, 8 bits) where codes align to byte boundaries. The
+// unpacker is the accumulator alone: the restore path decodes those
+// widths straight from the packed bytes (DequantizeInto).
 // fp32 (MethodNone) rows never come through here; they use direct
 // little-endian 4-byte loads and stores.
 
@@ -105,78 +107,25 @@ func packAccum(dst []byte, codes []uint32, bits uint) {
 
 // UnpackCodes reverses PackCodes: it reads len(dst) codes of the given
 // width from src, which must hold at least PackedLen(len(dst), bits)
-// bytes. bits must be in [1, 8].
+// bytes. bits must be in [1, 8]. It refills a 64-bit accumulator a byte
+// at a time and peels codes off the bottom; DequantizeInto stages only
+// the 3/5/6/7-bit rows through it, since 1/2/4/8-bit rows decode straight
+// from the packed bytes.
 func UnpackCodes(dst []uint32, src []byte, bits int) {
-	n := len(dst)
-	switch bits {
-	case 8:
-		for i := range dst {
-			dst[i] = uint32(src[i])
-		}
-	case 4:
-		o := 0
-		for i := 0; i+2 <= n; i += 2 {
-			b := src[o]
-			o++
-			dst[i] = uint32(b & 0xf)
-			dst[i+1] = uint32(b >> 4)
-		}
-		if n%2 != 0 {
-			dst[n-1] = uint32(src[o] & 0xf)
-		}
-	case 2:
-		o := 0
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			b := src[o]
-			o++
-			dst[i] = uint32(b & 3)
-			dst[i+1] = uint32(b >> 2 & 3)
-			dst[i+2] = uint32(b >> 4 & 3)
-			dst[i+3] = uint32(b >> 6)
-		}
-		for s := 0; i < n; i, s = i+1, s+2 {
-			dst[i] = uint32(src[o] >> s & 3)
-		}
-	case 1:
-		o := 0
-		i := 0
-		for ; i+8 <= n; i += 8 {
-			b := src[o]
-			o++
-			dst[i] = uint32(b & 1)
-			dst[i+1] = uint32(b >> 1 & 1)
-			dst[i+2] = uint32(b >> 2 & 1)
-			dst[i+3] = uint32(b >> 3 & 1)
-			dst[i+4] = uint32(b >> 4 & 1)
-			dst[i+5] = uint32(b >> 5 & 1)
-			dst[i+6] = uint32(b >> 6 & 1)
-			dst[i+7] = uint32(b >> 7)
-		}
-		for s := 0; i < n; i, s = i+1, s+1 {
-			dst[i] = uint32(src[o] >> s & 1)
-		}
-	default:
-		unpackAccum(dst, src, uint(bits))
-	}
-}
-
-// unpackAccum is the general unpack path: refill the 64-bit accumulator a
-// byte at a time and peel codes off the bottom.
-func unpackAccum(dst []uint32, src []byte, bits uint) {
-	mask := uint64(1)<<bits - 1
+	w := uint(bits)
+	mask := uint64(1)<<w - 1
 	var acc uint64
 	var na uint
 	o := 0
 	for i := range dst {
-		for na < bits {
+		for na < w {
 			acc |= uint64(src[o]) << na
 			o++
 			na += 8
 		}
 		dst[i] = uint32(acc & mask)
-		acc >>= bits
-		na -= bits
+		acc >>= w
+		na -= w
 	}
 }
 
@@ -305,14 +254,6 @@ func (s *Scratch) codeBuf(n int) []uint32 {
 func ensureBytes(b []byte, n int) []byte {
 	if cap(b) < n {
 		return make([]byte, n)
-	}
-	return b[:n]
-}
-
-// ensureF32 is ensureBytes for float32 slices.
-func ensureF32(b []float32, n int) []float32 {
-	if cap(b) < n {
-		return make([]float32, n)
 	}
 	return b[:n]
 }

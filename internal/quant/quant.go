@@ -1,7 +1,10 @@
 // Package quant implements Check-N-Run's checkpoint quantization (§5.2):
-// per-embedding-vector uniform quantization (symmetric and asymmetric),
-// non-uniform k-means quantization, and the adaptive asymmetric greedy
-// search that the production system uses for bit-widths of 4 and below.
+// per-embedding-vector uniform quantization (symmetric and asymmetric)
+// and the adaptive asymmetric greedy search that the production system
+// uses for bit-widths of 4 and below. Every quantized vector is packed
+// codes plus a clip range; the paper's non-uniform k-means, which it
+// does not deploy, is only Figure 9's comparison point and lives in
+// internal/experiments.
 //
 // Quantization applies only to checkpoints — training always runs in fp32 —
 // so the quality metric is the mean ℓ2 error between original and
@@ -26,9 +29,6 @@ const (
 	// MethodAsymmetric is uniform quantization with the vector's actual
 	// min and max as the range ("naive asymmetric").
 	MethodAsymmetric
-	// MethodKMeans is non-uniform quantization via k-means clustering of
-	// the vector's elements into 2^bits centroids.
-	MethodKMeans
 	// MethodAdaptive is adaptive asymmetric quantization: a greedy search
 	// shrinks [xmin, xmax] to minimize ℓ2 error before uniform quantizing.
 	MethodAdaptive
@@ -43,8 +43,6 @@ func (m Method) String() string {
 		return "symmetric"
 	case MethodAsymmetric:
 		return "asymmetric"
-	case MethodKMeans:
-		return "k-means"
 	case MethodAdaptive:
 		return "adaptive-asymmetric"
 	default:
@@ -65,8 +63,6 @@ type Params struct {
 	// remove: it iterates while the removed span < Ratio*range. 1.0
 	// searches the full range (Figure 11).
 	Ratio float64
-	// KMeansIters is the Lloyd iteration count (paper uses 15).
-	KMeansIters int
 }
 
 // Validate checks parameter sanity.
@@ -74,7 +70,7 @@ func (p Params) Validate() error {
 	switch p.Method {
 	case MethodNone:
 		return nil
-	case MethodSymmetric, MethodAsymmetric, MethodKMeans, MethodAdaptive:
+	case MethodSymmetric, MethodAsymmetric, MethodAdaptive:
 	default:
 		return fmt.Errorf("quant: unknown method %d", p.Method)
 	}
@@ -89,9 +85,6 @@ func (p Params) Validate() error {
 			return fmt.Errorf("quant: adaptive Ratio must be in (0,1], got %v", p.Ratio)
 		}
 	}
-	if p.Method == MethodKMeans && p.KMeansIters < 1 {
-		return fmt.Errorf("quant: k-means needs iters >= 1, got %d", p.KMeansIters)
-	}
 	return nil
 }
 
@@ -105,15 +98,12 @@ func (p Params) StoredBits() int {
 }
 
 // QVector is one quantized embedding vector: packed integer codes plus the
-// de-quantization parameters. For uniform methods Lo/Hi are the clip range
-// (zero_point = Lo, scale derived); for k-means, Codebook holds the
-// centroids and Lo/Hi are unused.
+// clip range Lo/Hi they de-quantize over (zero_point = Lo, scale derived).
 type QVector struct {
-	Bits     int
-	N        int // original element count
-	Lo, Hi   float32
-	Codes    []byte    // bit-packed, ceil(N*Bits/8) bytes
-	Codebook []float32 // k-means only, len 2^Bits
+	Bits   int
+	N      int // original element count
+	Lo, Hi float32
+	Codes  []byte // bit-packed, ceil(N*Bits/8) bytes
 }
 
 // Quantize quantizes one embedding vector with the given parameters.
@@ -130,13 +120,12 @@ func Quantize(x []float32, p Params) (*QVector, error) {
 	return q, nil
 }
 
-// QuantizeInto quantizes x into q, reusing q's Codes (and Codebook)
-// backing arrays and the staging buffers in s. It performs zero
-// allocations in steady state for the uniform methods and MethodNone —
-// the chunk-encode hot path. s may be nil, in which case staging buffers
-// are allocated per call. q is fully overwritten; stale fields from a
-// previous use never leak into the result. A lossy method returns
-// ErrNonFinite for a row it cannot represent.
+// QuantizeInto quantizes x into q, reusing q's Codes backing array and
+// the staging buffers in s. It performs zero allocations in steady
+// state — the chunk-encode hot path. s may be nil, in which case staging
+// buffers are allocated per call. q is fully overwritten; stale fields
+// from a previous use never leak into the result. A lossy method
+// returns ErrNonFinite for a row it cannot represent.
 func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -157,18 +146,14 @@ func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 		return nil
 	case MethodSymmetric:
 		lo, hi, ok = symmetricRange(x)
-	case MethodAsymmetric, MethodAdaptive, MethodKMeans:
+	case MethodAsymmetric, MethodAdaptive:
 		lo, hi, ok = minMax(x)
 	}
 	if !ok {
 		return ErrNonFinite
 	}
-	switch p.Method {
-	case MethodAdaptive:
+	if p.Method == MethodAdaptive {
 		lo, hi, _, _ = s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, lo, hi)
-	case MethodKMeans:
-		quantizeKMeansInto(q, x, p.Bits, p.KMeansIters)
-		return nil
 	}
 	quantizeUniformInto(q, x, p.Bits, lo, hi, s)
 	return nil
@@ -206,7 +191,7 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	if len(q.Codes) < PackedLen(q.N, q.Bits) {
 		return fmt.Errorf("quant: codes %d bytes, want %d", len(q.Codes), PackedLen(q.N, q.Bits))
 	}
-	if q.Codebook == nil && q.Bits&(q.Bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
+	if q.Bits&(q.Bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
 		dequantizeUniformPacked(dst, q)
 		return nil
 	}
@@ -215,16 +200,6 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	}
 	codes := s.codeBuf(q.N)
 	UnpackCodes(codes, q.Codes, q.Bits)
-	if q.Codebook != nil {
-		cb := q.Codebook
-		for i, c := range codes {
-			if int(c) >= len(cb) {
-				return fmt.Errorf("quant: code %d exceeds codebook of %d", c, len(cb))
-			}
-			dst[i] = cb[c]
-		}
-		return nil
-	}
 	scale, zero := scaleZero(q.Lo, q.Hi, q.Bits)
 	for i, c := range codes {
 		dst[i] = level(scale, zero, c)
@@ -286,7 +261,6 @@ func quantizeNoneInto(q *QVector, x []float32) {
 	q.Bits = 32
 	q.N = len(x)
 	q.Lo, q.Hi = 0, 0
-	q.Codebook = nil
 	q.Codes = ensureBytes(q.Codes, len(x)*4)
 	PutRawF32(q.Codes, x)
 }
@@ -354,7 +328,6 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *S
 	q.N = len(x)
 	q.Lo = lo
 	q.Hi = hi
-	q.Codebook = nil
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
 	codes := s.codeBuf(len(x))
 	uniformCodes(codes, x, bits, lo, hi)

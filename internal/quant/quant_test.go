@@ -3,7 +3,6 @@ package quant
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -39,7 +38,6 @@ func TestParamsValidate(t *testing.T) {
 		{Method: MethodAdaptive, Bits: 4, NumBins: 0, Ratio: 1},
 		{Method: MethodAdaptive, Bits: 4, NumBins: 10, Ratio: 0},
 		{Method: MethodAdaptive, Bits: 4, NumBins: 10, Ratio: 1.5},
-		{Method: MethodKMeans, Bits: 4, KMeansIters: 0},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -51,7 +49,6 @@ func TestParamsValidate(t *testing.T) {
 		{Method: MethodSymmetric, Bits: 2},
 		{Method: MethodAsymmetric, Bits: 8},
 		{Method: MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1},
-		{Method: MethodKMeans, Bits: 3, KMeansIters: 15},
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -61,7 +58,7 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	for _, m := range []Method{MethodNone, MethodSymmetric, MethodAsymmetric, MethodKMeans, MethodAdaptive, Method(42)} {
+	for _, m := range []Method{MethodNone, MethodSymmetric, MethodAsymmetric, MethodAdaptive, Method(42)} {
 		if m.String() == "" {
 			t.Fatalf("empty name for %d", m)
 		}
@@ -219,57 +216,9 @@ func TestMoreBitsLowerError(t *testing.T) {
 	}
 }
 
-func TestKMeansCompetitiveWithAdaptive(t *testing.T) {
-	// Figure 9: k-means is at or below asymmetric error (modulo init
-	// randomness at 4 bits). Check it beats naive asymmetric on average.
-	vectors := testVectors(60, 64, 7)
-	for _, bits := range []int{3, 4} {
-		km, err := MeanL2Error(vectors, Params{Method: MethodKMeans, Bits: bits, KMeansIters: 15})
-		if err != nil {
-			t.Fatal(err)
-		}
-		asym, err := MeanL2Error(vectors, Params{Method: MethodAsymmetric, Bits: bits})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if km >= asym {
-			t.Fatalf("bits=%d: k-means %v should beat naive asymmetric %v", bits, km, asym)
-		}
-	}
-}
-
-func TestKMeansConstantVector(t *testing.T) {
-	x := make([]float32, 16)
-	for i := range x {
-		x[i] = -2
-	}
-	q, err := Quantize(x, Params{Method: MethodKMeans, Bits: 2, KMeansIters: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Dequantize(q)
-	for i := range rec {
-		if rec[i] != -2 {
-			t.Fatalf("rec[%d] = %v, want -2", i, rec[i])
-		}
-	}
-}
-
-func TestKMeansFewerElementsThanClusters(t *testing.T) {
-	x := []float32{1, 2}
-	q, err := Quantize(x, Params{Method: MethodKMeans, Bits: 4, KMeansIters: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Dequantize(q)
-	if math.Abs(float64(rec[0]-1)) > 1e-5 || math.Abs(float64(rec[1]-2)) > 1e-5 {
-		t.Fatalf("rec = %v, want [1 2]", rec)
-	}
-}
-
 func TestPackedCodesCompression(t *testing.T) {
 	// 4-bit codes on dim-64 vectors pack into 32 bytes against 256 fp32
-	// bytes; 2-bit k-means codes into 16, beside a 4-entry codebook.
+	// bytes; 2-bit codes into 16.
 	x := trainedLikeVector(rand.New(rand.NewSource(8)), 64)
 	q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
 	if err != nil {
@@ -278,12 +227,12 @@ func TestPackedCodesCompression(t *testing.T) {
 	if got := len(q.Codes); got != 32 {
 		t.Fatalf("4-bit codes = %d bytes, want 32", got)
 	}
-	q2, err := Quantize(x, Params{Method: MethodKMeans, Bits: 2, KMeansIters: 3})
+	q2, err := Quantize(x, Params{Method: MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q2.Codes) != 16 || len(q2.Codebook) != 4 {
-		t.Fatalf("2-bit k-means: %d code bytes and %d centroids, want 16 and 4", len(q2.Codes), len(q2.Codebook))
+	if got := len(q2.Codes); got != 16 {
+		t.Fatalf("2-bit codes = %d bytes, want 16", got)
 	}
 }
 
@@ -381,40 +330,6 @@ func BenchmarkAdaptive4Bit25Bins(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Quantize(x, p); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKMeans4Bit(b *testing.B) {
-	x := trainedLikeVector(rand.New(rand.NewSource(1)), 64)
-	p := Params{Method: MethodKMeans, Bits: 4, KMeansIters: 15}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Quantize(x, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestDequantizeRefusesCodesOutsideCodebook: DequantizeInto refuses a
-// k-means vector with a code outside its codebook, and only such a one,
-// at every width and codebook length.
-func TestDequantizeRefusesCodesOutsideCodebook(t *testing.T) {
-	const n = 11
-	var s Scratch
-	for bits := 1; bits <= 8; bits++ {
-		codes := make([]uint32, n)
-		for i := range codes {
-			codes[i] = uint32(i*37) % (1 << uint(bits))
-		}
-		packed := make([]byte, PackedLen(n, bits))
-		PackCodes(packed, codes, bits)
-		top := int(slices.Max(codes))
-		for _, cl := range []int{0, 1, top, top + 1, 1 << uint(bits)} {
-			q := &QVector{Bits: bits, N: n, Codes: packed, Codebook: make([]float32, cl)}
-			if err := DequantizeInto(make([]float32, n), q, &s); (err == nil) != (cl > top) {
-				t.Errorf("bits %d, codebook of %d, largest code %d: DequantizeInto %v", bits, cl, top, err)
-			}
 		}
 	}
 }

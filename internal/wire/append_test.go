@@ -43,22 +43,19 @@ func allocTestChunks(t *testing.T) map[string]*Chunk {
 	}
 }
 
-// TestAppendToRefusesRowsCKP2CannotHold: a row that is nil, carries a
-// codebook, or differs from row 0 in bits or dim has no place in a CKP2
-// chunk. AppendTo says so, and returns dst as it came — length, contents
-// and backing array — so a pooled buffer survives the failed encode.
+// TestAppendToRefusesRowsCKP2CannotHold: a row that is nil or differs
+// from row 0 in bits or dim has no place in a CKP2 chunk. AppendTo says
+// so, and returns dst as it came — length, contents and backing array —
+// so a pooled buffer survives the failed encode.
 func TestAppendToRefusesRowsCKP2CannotHold(t *testing.T) {
 	asym := func(bits, dim int) *quant.QVector {
 		return goldenChunk(t, 1, 1, dim, quant.Params{Method: quant.MethodAsymmetric, Bits: bits}).Rows[0].Q
 	}
-	kmeans := goldenChunk(t, 1, 1, 16, quant.Params{Method: quant.MethodKMeans, Bits: 4, KMeansIters: 3}).Rows[0].Q
 	for name, rows := range map[string][]*quant.QVector{
-		"mixed-bits":     {asym(4, 16), asym(4, 16), asym(8, 16)},
-		"mixed-dim":      {asym(4, 16), asym(4, 8)},
-		"codebook-row":   {asym(4, 16), kmeans},
-		"codebook-row-0": {kmeans, kmeans},
-		"nil-row":        {asym(4, 16), nil},
-		"nil-row-0":      {nil, asym(4, 16)},
+		"mixed-bits": {asym(4, 16), asym(4, 16), asym(8, 16)},
+		"mixed-dim":  {asym(4, 16), asym(4, 8)},
+		"nil-row":    {asym(4, 16), nil},
+		"nil-row-0":  {nil, asym(4, 16)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := &Chunk{TableID: 2}

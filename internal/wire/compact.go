@@ -29,8 +29,8 @@ import (
 //	u32 CRC32-C
 //
 // Per dim-16 4-bit row this is 16 bytes of metadata + 8 code bytes
-// against CKP1's 26 + 8 — a 1.4x smaller incremental checkpoint. K-means
-// rows (a codebook each) have no column here.
+// against CKP1's 26 + 8 — a 1.4x smaller incremental checkpoint. A row
+// is its range and codes, all a quant.QVector holds.
 const compactMagic = 0x434B5032 // "CKP2"
 
 // ckp1Magic opens a chunk in the retired CKP1 layout, which
@@ -71,10 +71,8 @@ func (c *Chunk) shape() (bits, dim int) {
 // trailing CRC32-C over it, to dst and returns the extended slice. It is
 // the encoder of quantized rows; its other entry, AppendF32Chunk, writes
 // the same bytes for fp32 rows read straight from a table. Every row
-// must share row 0's bit-width and dimension and carry no codebook: a
-// k-means row has no column to go in, and the engine refuses k-means
-// before it quantizes a row. A nil row vector, a row of another shape or
-// a codebook is an error, found in the pass that writes the index
+// must share row 0's bit-width and dimension. A nil row vector or a row
+// of another shape is an error, found in the pass that writes the index
 // column, and dst then comes back as it went in, so pooled buffers
 // survive failed encodes.
 //
@@ -90,8 +88,6 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 		switch q := c.Rows[i].Q; {
 		case q == nil:
 			return dst, fmt.Errorf("wire: row %d has nil quantized vector", i)
-		case q.Codebook != nil:
-			return dst, fmt.Errorf("wire: row %d carries a codebook, which CKP2 has no column for", i)
 		case q.Bits != bits || q.N != dim:
 			return dst, fmt.Errorf("wire: row %d is %d-bit of dim %d, row 0 %d-bit of dim %d", i, q.Bits, q.N, bits, dim)
 		case len(q.Codes) != rowCodes:

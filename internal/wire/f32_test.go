@@ -24,7 +24,7 @@ func f32Table(c *Chunk, maxValues int) (rows []int, weights, accum []float32, di
 	dim = c.Rows[0].Q.N
 	top := 0
 	for _, r := range c.Rows {
-		if r.Q.Bits != 32 || r.Q.N != dim || r.Q.Codebook != nil {
+		if r.Q.Bits != 32 || r.Q.N != dim {
 			return nil, nil, nil, 0, false
 		}
 		top = max(top, int(r.Index)+1)

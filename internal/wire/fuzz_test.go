@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/rpc/rpctest"
@@ -37,15 +36,14 @@ func stampCRC(data []byte) []byte {
 }
 
 // fuzzMaxChunk is the largest input FuzzDecodeChunk judges. A decoded
-// row costs 88 bytes (Row + QVector) however small it is on the wire —
+// row costs 64 bytes (Row + QVector) however small it is on the wire —
 // as little as 8 bytes in CKP2 — so rpctest.FuzzDecoder's bound of twice
 // the input plus 1 MiB is a statement about the slack, and holds for
-// every input only while 11 × len stays under it.
+// every input only while 8 × len stays under it.
 const fuzzMaxChunk = 64 << 10
 
 // sameChunk reports how two decoded chunks differ, field by field and
-// float by bit pattern (a fuzzed range is as likely NaN as not), a nil
-// Codebook distinct from an empty one.
+// float by bit pattern (a fuzzed range is as likely NaN as not).
 func sameChunk(a, b *Chunk) error {
 	if a.TableID != b.TableID || len(a.Rows) != len(b.Rows) {
 		return fmt.Errorf("table %d with %d rows, table %d with %d rows", a.TableID, len(a.Rows), b.TableID, len(b.Rows))
@@ -56,8 +54,7 @@ func sameChunk(a, b *Chunk) error {
 		qa, qb := ra.Q, rb.Q
 		if ra.Index != rb.Index || bits(ra.Accum) != bits(rb.Accum) ||
 			qa.Bits != qb.Bits || qa.N != qb.N || bits(qa.Lo) != bits(qb.Lo) || bits(qa.Hi) != bits(qb.Hi) ||
-			!bytes.Equal(qa.Codes, qb.Codes) || (qa.Codebook == nil) != (qb.Codebook == nil) ||
-			!slices.EqualFunc(qa.Codebook, qb.Codebook, func(x, y float32) bool { return bits(x) == bits(y) }) {
+			!bytes.Equal(qa.Codes, qb.Codes) {
 			return fmt.Errorf("row %d: %+v %+v, %+v %+v", i, ra, *qa, rb, *qb)
 		}
 	}

@@ -131,7 +131,7 @@ func TestGoldenEncodeBytes(t *testing.T) {
 // TestAppendToWritesOnlyCKP2 runs every row shape of the golden corpus
 // through AppendTo behind bytes already in dst: CKP2, of EncodedLen
 // bytes and byte-identical to the fixture. (append_test.go holds the
-// rows AppendTo refuses, k-means rows among them.)
+// rows AppendTo refuses.)
 func TestAppendToWritesOnlyCKP2(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {

@@ -75,7 +75,7 @@ func SegmentsPerChunk(p quant.Params, dim, segRows int) int {
 
 // RowBuf is caller-owned storage for the rows of one decoded chunk at a
 // time: the Row and QVector structs that describe a chunk outweigh the
-// chunk itself (88 bytes a row against as little as 24 on the wire), so a
+// chunk itself (64 bytes a row against as little as 24 on the wire), so a
 // loop that decodes many chunks and is done with each before the next —
 // the checkpoint walker's workers — keeps one RowBuf and allocates
 // nothing per chunk once it has grown to the largest. The zero value is
