@@ -528,7 +528,7 @@ func TestQuantizedCheckpointsRecoverAndTrainOn(t *testing.T) {
 	if err := sys.Run(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
-	// Quantized checkpoints (the encoder writes CKP2 for them) restore.
+	// Quantized checkpoints (the encoder writes CKP3 for them) restore.
 	if _, err := sys.Recover(ctx); err != nil {
 		t.Fatal(err)
 	}

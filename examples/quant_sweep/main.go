@@ -45,10 +45,11 @@ func main() {
 			bits, p.NumBins, imp*100)
 	}
 
-	// Storage footprint: what one row adds to the CKP2 chunk a checkpoint
-	// stores, index and accumulator included on both sides.
+	// Storage footprint: what one row adds to the CKP3 chunk a checkpoint
+	// stores, index and accumulator included: an index gap under 128, as
+	// at a 10 % touch rate, takes one byte.
 	dim := cv.Dim
-	fp32 := wire.F32ChunkLen(1, dim) - wire.F32ChunkLen(0, dim)
+	fp32 := wire.F32ChunkLen([]int{0}, dim) - wire.F32ChunkLen(nil, dim)
 	fmt.Printf("\nper-row checkpoint storage (dim-%d row, fp32 = %d bytes: values, index, accumulator):\n", dim, fp32)
 	empty := (&wire.Chunk{}).EncodedLen()
 	for _, bits := range []int{2, 3, 4, 8} {

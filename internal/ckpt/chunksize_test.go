@@ -54,7 +54,7 @@ func (o *segmentOracle) quantize(t *testing.T, tab *embedding.Table, rows []int)
 // sameVector reports whether two vectors are bit for bit the same row.
 func sameVector(a, b *quant.QVector) bool {
 	return a.Bits == b.Bits && a.N == b.N && string(a.Codes) == string(b.Codes) &&
-		math.Float32bits(a.Lo) == math.Float32bits(b.Lo) && math.Float32bits(a.Hi) == math.Float32bits(b.Hi)
+		math.Float32bits(a.Lo) == math.Float32bits(b.Lo) && math.Float32bits(a.Scale) == math.Float32bits(b.Scale)
 }
 
 // TestChunkPackagingKeepsEveryCode holds the chunk-size rule to what it

@@ -789,11 +789,11 @@ func TestCompactLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncoderWritesOnlyCKP2 reads the magic of every chunk object the
-// engine stored: CKP2 for every quantizer the engine takes, and fp32,
+// TestEncoderWritesOnlyCKP3 reads the magic of every chunk object the
+// engine stored: CKP3 for every quantizer the engine takes, and fp32,
 // and the checkpoint restores.
-func TestEncoderWritesOnlyCKP2(t *testing.T) {
-	const ckp2 = 0x434B5032 // "CKP2"
+func TestEncoderWritesOnlyCKP3(t *testing.T) {
+	const ckp3 = 0x434B5033 // "CKP3"
 	for _, tc := range []struct {
 		name string
 		p    quant.Params
@@ -817,8 +817,8 @@ func TestEncoderWritesOnlyCKP2(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := binary.LittleEndian.Uint32(blob); got != ckp2 {
-						t.Fatalf("%s stored with magic 0x%08x, want 0x%08x", key, got, ckp2)
+					if got := binary.LittleEndian.Uint32(blob); got != ckp3 {
+						t.Fatalf("%s stored with magic 0x%08x, want 0x%08x", key, got, ckp3)
 					}
 					chunks++
 				}
@@ -887,7 +887,7 @@ func TestRefusedQuantChangesNothing(t *testing.T) {
 }
 
 // TestFP32ManifestsRecord32Bits: an fp32 checkpoint's shard manifest and
-// composite manifest both carry {none, 32}, the width its CKP2 chunk
+// composite manifest both carry {none, 32}, the width its CKP3 chunk
 // headers carry, not MethodNone's zero Bits.
 func TestFP32ManifestsRecord32Bits(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})

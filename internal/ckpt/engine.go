@@ -478,7 +478,7 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				start := ci * chunkRows
 				end := min(start+chunkRows, len(rows))
 				if e.cfg.Quant.Method == quant.MethodNone {
-					dst := rpc.Alloc(wire.F32ChunkLen(end-start, tab.Dim))[:0]
+					dst := rpc.Alloc(wire.F32ChunkLen(rows[start:end], tab.Dim))[:0]
 					return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
 				}
 				n := end - start

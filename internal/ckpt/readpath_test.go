@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // TestVerifyAgreesWithRestore pins the read path's one predicate: over a
@@ -38,9 +40,15 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		base          *wire.Manifest // shard 0's full baseline
 		victimBase    *wire.Manifest // the full baseline of victim's shard
 	}
-	// rewrite replaces victim's first chunk with an edit of it: a
-	// well-formed object, CRC and all, that lies about its rows.
-	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
+	// rewrite replaces victim's first chunk with an edit of it, encoded
+	// by encode: a well-formed object, CRC and all, that lies about its
+	// rows. What CKP3 cannot spell — an index that repeats or goes back,
+	// a range as two floats — is written in CKP2, which readers still
+	// decode.
+	type encoder func(c *wire.Chunk) ([]byte, error)
+	ckp3 := func(c *wire.Chunk) ([]byte, error) { return c.AppendTo(nil) }
+	ckp2 := func(c *wire.Chunk) ([]byte, error) { return wiretest.AppendCKP2(nil, c), nil }
+	rewrite := func(t *testing.T, d *damaged, encode encoder, edit func(c *wire.Chunk)) {
 		t.Helper()
 		key := d.victim.ChunkKeys[0]
 		blob, err := d.store.Get(d.ctx, key)
@@ -52,13 +60,31 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		edit(c)
-		if blob, err = c.AppendTo(nil); err != nil {
+		if blob, err = encode(c); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.store.Put(d.ctx, key, blob); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// patch overwrites victim's first chunk, a 4-bit CKP3 one, with b from
+	// off(n) on, n its row count, and stamps the CRC: a lo or scale no
+	// encoder writes.
+	patch := func(t *testing.T, d *damaged, off func(n int) int, b ...byte) {
+		t.Helper()
+		key := d.victim.ChunkKeys[0]
+		blob, err := d.store.Get(d.ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(blob[off(int(binary.LittleEndian.Uint32(blob[8:]))):], b)
+		binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli)))
+		if err := d.store.Put(d.ctx, key, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loOf := func(n int) int { return 20 + 4*n }    // row 0's lo
+	scaleOf := func(n int) int { return 20 + 8*n } // row 0's bf16 scale
 	remove := func(t *testing.T, d *damaged, key string) {
 		t.Helper()
 		if err := d.store.Delete(d.ctx, key); err != nil {
@@ -70,6 +96,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		damage     func(t *testing.T, d *damaged)
 		fallsBack  bool
 		superseded bool   // the newest link stores every row; victim is in the link before it
+		quantized  bool   // the chain is adaptive 4-bit, not fp32
 		names      string // when set, what Verify's problems and Restore's error must name
 	}
 	chunkDamage := []damageCase{
@@ -91,18 +118,35 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			}
 		}},
 		{name: "row-index-out-of-range", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, func(c *wire.Chunk) { c.Rows[0].Index = uint32(d.victim.Rows) })
+			rewrite(t, d, ckp3, func(c *wire.Chunk) { c.Rows[len(c.Rows)-1].Index = uint32(d.victim.Rows) })
 		}},
 		// Every writer emits a chunk's rows in strictly increasing index
 		// order. A repeated index would restore differently by chain length.
 		{name: "duplicate-row-index", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, func(c *wire.Chunk) { c.Rows[1].Index = c.Rows[0].Index })
+			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[1].Index = c.Rows[0].Index })
 		}},
 		{name: "row-indices-out-of-order", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, func(c *wire.Chunk) { c.Rows[0], c.Rows[1] = c.Rows[1], c.Rows[0] })
+			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0], c.Rows[1] = c.Rows[1], c.Rows[0] })
+		}},
+		// A CRC-valid row whose range is not finite would restore NaN or
+		// Inf into the model and a replica would serve it.
+		{name: "nan-lo", quantized: true, names: "zero point", damage: func(t *testing.T, d *damaged) {
+			patch(t, d, loOf, 0x00, 0x00, 0xc0, 0x7f)
+		}},
+		{name: "negative-scale", quantized: true, names: "scale", damage: func(t *testing.T, d *damaged) {
+			patch(t, d, scaleOf, 0x80, 0xbf)
+		}},
+		{name: "nan-scale", quantized: true, names: "scale", damage: func(t *testing.T, d *damaged) {
+			patch(t, d, scaleOf, 0xc0, 0x7f)
+		}},
+		{name: "ckp2-nan-lo", quantized: true, names: "not finite", damage: func(t *testing.T, d *damaged) {
+			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0].Q.Lo = float32(math.NaN()) })
+		}},
+		{name: "ckp2-hi-below-lo", quantized: true, names: "not finite and ordered", damage: func(t *testing.T, d *damaged) {
+			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0].Q.Scale = -1 })
 		}},
 		{name: "wrong-dim", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, func(c *wire.Chunk) {
+			rewrite(t, d, ckp3, func(c *wire.Chunk) {
 				q, err := quant.Quantize(make([]float32, d.victim.Dim/2), quant.Params{})
 				if err != nil {
 					t.Fatal(err)
@@ -158,10 +202,11 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, Config{Policy: PolicyFull})
-			coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
-				Config: Config{JobID: job, Store: f.store, Policy: PolicyConsecutive, ChunkRows: 16},
-				Shards: 2,
-			})
+			cfg := Config{JobID: job, Store: f.store, Policy: PolicyConsecutive, ChunkRows: 16}
+			if tc.quantized {
+				cfg.Quant = quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1}
+			}
+			coord, err := NewCoordinator(f.ctx, CoordinatorConfig{Config: cfg, Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

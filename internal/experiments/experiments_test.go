@@ -439,6 +439,52 @@ func TestFig14HigherBitsDegradeLess(t *testing.T) {
 	}
 }
 
+// TestQuantizedRestorePenaltyHolds is the accuracy gate of a change to
+// what a quantized checkpoint stores: Fig14Summary commits through
+// ckpt.Coordinator and restores with RestoreLatest, so each penalty is
+// the training loss a job pays for restoring from the product's stored
+// rows. The pins are the four penalties measured before the chunk layout
+// stored a bfloat16 step (lo, hi stored in float32). The runs are
+// deterministic, but a single penalty moves by a few percent with any
+// change to a restored row, so each may rise at most 10 % and their sum
+// at most 2 %.
+func TestQuantizedRestorePenaltyHolds(t *testing.T) {
+	cfg := smallFig14()
+	cfg.Restores = map[int][]int{2: {1}, 3: {3}, 4: {10, 19}}
+	pinned := map[string][]float64{ // per restore count, ascending
+		"2 bits": {4.7585368156433105e-4},
+		"3 bits": {8.09207558631897e-4},
+		"4 bits": {5.685091018676758e-4, 9.423941373825073e-4},
+	}
+	r, err := Fig14Summary(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum, pinnedSum float64
+	seen := 0
+	for _, s := range r.Series {
+		want := pinned[s.Name]
+		if len(s.Points) != len(want) {
+			t.Fatalf("%s: %d points, pinned %d", s.Name, len(s.Points), len(want))
+		}
+		for i, p := range s.Points {
+			t.Logf("%s, %v restores: penalty %.4g, pinned %.4g (%+.1f %%)", s.Name, p.X, p.Y, want[i], 100*(p.Y/want[i]-1))
+			if p.Y > 1.10*want[i] {
+				t.Errorf("%s, %v restores: penalty %.4g is more than 1.10 × the pinned %.4g", s.Name, p.X, p.Y, want[i])
+			}
+			sum += p.Y
+			pinnedSum += want[i]
+			seen++
+		}
+	}
+	if seen != 4 {
+		t.Fatalf("%d penalties, want 4", seen)
+	}
+	if sum > 1.02*pinnedSum {
+		t.Errorf("penalties sum to %.4g, more than 1.02 × the pinned %.4g", sum, pinnedSum)
+	}
+}
+
 func TestZstdBaseline(t *testing.T) {
 	r, err := ZstdBaselineResult(512, 3)
 	if err != nil {

@@ -24,9 +24,14 @@ func quantizeExact(t *testing.T, x []float32, p Params) *QVector {
 	return q
 }
 
+// sameQVector reports whether a and b are the same stored row, floats
+// by bit pattern; two nils are the same (no row).
 func sameQVector(a, b *QVector) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
 	return a.Bits == b.Bits && a.N == b.N &&
-		f32b(a.Lo) == f32b(b.Lo) && f32b(a.Hi) == f32b(b.Hi) &&
+		f32b(a.Lo) == f32b(b.Lo) && f32b(a.Scale) == f32b(b.Scale) &&
 		bytes.Equal(a.Codes, b.Codes)
 }
 
@@ -45,7 +50,7 @@ func TestCachedExactModeByteIdentical(t *testing.T) {
 			}
 			if !sameQVector(&got, want) {
 				t.Fatalf("bits=%d vector %d: exact-mode cached quantize diverged: got [%v,%v], want [%v,%v]",
-					bits, i, got.Lo, got.Hi, want.Lo, want.Hi)
+					bits, i, got.Lo, got.Scale, want.Lo, want.Scale)
 			}
 		}
 	}
@@ -78,7 +83,9 @@ func TestCachedReuseByteIdentical(t *testing.T) {
 	s.BeginAdaptiveChunk(8)
 	for i, x := range vectors {
 		var q1, q2 QVector
-		quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, &Scratch{})
+		if err := quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, &Scratch{}); err != nil {
+			t.Fatal(err)
+		}
 		if err := QuantizeCachedInto(&q2, x, p, &s, &ents[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -124,29 +131,29 @@ func TestCachedInvalidationOnMinMaxMove(t *testing.T) {
 	want := quantizeExact(t, x, p)
 	if !sameQVector(&q, want) {
 		t.Fatalf("recomputed range diverged from exact search: got [%v,%v], want [%v,%v]",
-			q.Lo, q.Hi, want.Lo, want.Hi)
+			q.Lo, q.Scale, want.Lo, want.Scale)
 	}
 	_ = mnIdx
 }
 
 // TestChunkSampledNeverWorseThanNaive: the sampled fast path always
-// evaluates the full range as a candidate, so its ℓ2 error can never
-// exceed naive asymmetric quantization — the guarantee that makes the
-// approximation safe to enable by default.
+// evaluates the full range as a candidate, so the range it picks can
+// never score worse than naive asymmetric quantization's, the row's
+// min/max — the guarantee that makes the approximation safe to enable
+// by default.
 func TestChunkSampledNeverWorseThanNaive(t *testing.T) {
 	for _, bits := range []int{2, 3, 4} {
 		p := adaptiveParams(bits)
-		naive := Params{Method: MethodAsymmetric, Bits: bits}
 		var s Scratch
 		s.BeginAdaptiveChunk(8)
 		for i, x := range testVectors(128, 16, 17) {
-			var q QVector
-			if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
+			var ent RowRange
+			if err := QuantizeCachedInto(new(QVector), x, p, &s, &ent); err != nil {
 				t.Fatal(err)
 			}
-			fastErr := s.uniformL2(x, bits, q.Lo, q.Hi, math.Inf(1))
-			nq := quantizeExact(t, x, naive)
-			naiveErr := s.uniformL2(x, bits, nq.Lo, nq.Hi, math.Inf(1))
+			fastErr := s.uniformL2(x, bits, ent.Lo, ent.Hi, math.Inf(1))
+			mn, mx, _ := minMax(x)
+			naiveErr := s.uniformL2(x, bits, mn, mx, math.Inf(1))
 			if fastErr > naiveErr*(1+1e-12) {
 				t.Fatalf("bits=%d vector %d: sampled path error %v worse than naive %v",
 					bits, i, fastErr, naiveErr)

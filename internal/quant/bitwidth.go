@@ -5,7 +5,7 @@ import "fmt"
 // SelectBitWidth maps the expected number of checkpoint restores L to a
 // quantization bit-width using the thresholds measured in §6.2.1 /
 // Figure 14: 2-bit survives L <= 1 restore within the 0.01% accuracy
-// budget, 3-bit up to 3, 4-bit up to 20, and 8-bit beyond 100.
+// budget, 3-bit up to 3, 4-bit below 20, and 8-bit from 20 on.
 func SelectBitWidth(expectedRestores float64) int {
 	switch {
 	case expectedRestores <= 1:

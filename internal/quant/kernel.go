@@ -42,12 +42,14 @@ import "math"
 type levels [256]float64
 
 // fill sets t[k] for every code of the given width and returns the
-// divisor for roundCode. A range with no positive scale (constant row,
-// or a candidate whose ends crossed) reconstructs every element to zero:
-// every level is then zero_point, and which code an element gets no
-// longer matters.
+// divisor for roundCode. The scale is the one the range would store
+// (storedScale), so the search scores every range as it would be stored
+// and the full range, always a candidate, bounds what it picks. A range
+// with no positive scale (constant row, or a candidate whose ends
+// crossed) reconstructs every element to zero: every level is then
+// zero_point, and which code an element gets no longer matters.
 func (t *levels) fill(bits int, lo, hi float32) (zero float32, scale64 float64) {
-	scale, zero := scaleZero(lo, hi, bits)
+	scale, zero := storedScale(lo, hi, bits), lo
 	s, z := float64(scale), float64(zero)
 	n := 1 << uint(bits)
 	if !(scale > 0) {
@@ -100,12 +102,13 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 // hi' <= hi, crossed and empty ones included, is at least this sum. Every
 // reconstruction level of such a range lies in [lo, b]. Level 0 is
 // float64(lo') >= lo exactly, every level is at most the top one, and the
-// top one, float64(s*max) + lo', exceeds hi' only by the float32 rounding
-// of scale = (hi'-lo')/max: at most about 2^-23 of the width for a normal
-// scale, and max*2^-150 < 2^-142 for a subnormal one (the product s*max
-// is exact in float64, and the add rounds by at most 2^-53 of a magnitude
-// within 2^25 widths). b = hi + width*2^-18 + 2^-140 covers both with room
-// to spare. An element below lo is then at least lo-v from its level, one
+// top one, float64(s*max) + lo', exceeds hi' only by the rounding of the
+// stored scale s: (hi'-lo')/max rounded to float32 and then up to a
+// bfloat16, under (1+2^-24)(1+2^-7) < 1+2^-6 times the quotient for a
+// normal scale, and under 2^-133 above it for a subnormal one, so
+// max*2^-133 < 2^-125 (the product s*max is exact in float64, and the add
+// rounds by at most 2^-53 of a magnitude within 2^25 widths).
+// b = hi + width*2^-6 + 2^-120 covers both. An element below lo is then at least lo-v from its level, one
 // above b at least v-b, one in between at least 0; rounding is monotone,
 // so each term here is at most the range's own float64(d*d), and the two
 // sums add their terms in the same element order. The greedy walk calls
@@ -113,7 +116,7 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 // no range still ahead can score below it.
 func clipFloor(x []float32, lo, hi float32) float64 {
 	l, h := float64(lo), float64(hi)
-	b := h + float64((h-l)*0x1p-18) + 0x1p-140
+	b := h + float64((h-l)*0x1p-6) + 0x1p-120
 	var sum float64
 	for _, v := range x {
 		f := float64(v)
@@ -160,16 +163,15 @@ func (s *Scratch) uniformL2Pair(x []float32, bits int, loA, hiA, loB, hiB float3
 	return l2Pair(x, ta, tb, zeroA, zeroB, scaleA, scaleB, codeCap(bits))
 }
 
-// uniformCodes maps x to [0, 2^bits-1] codes over [lo, hi], clipping
-// out-of-range elements.
-func uniformCodes(codes []uint32, x []float32, bits int, lo, hi float32) {
-	scale, zero := scaleZero(lo, hi, bits)
+// uniformCodes maps x to [0, 2^bits-1] codes of step scale from zero
+// point lo, clipping out-of-range elements.
+func uniformCodes(codes []uint32, x []float32, bits int, lo, scale float32) {
 	if !(scale > 0) {
 		clear(codes)
 		return
 	}
 	scale64, capBits := float64(scale), codeCap(bits)
 	for i, v := range x {
-		codes[i] = uint32(roundCode(float64(v-zero)/scale64, capBits))
+		codes[i] = uint32(roundCode(float64(v-lo)/scale64, capBits))
 	}
 }

@@ -1,11 +1,11 @@
 package quant
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -91,16 +91,46 @@ var diffFamilies = []struct {
 
 func sameBits32(a, b float32) bool { return f32b(a) == f32b(b) }
 
-// oraclePacked is what the old quantizeUniformInto put in QVector.Codes.
-// One patch: the old loop converted the rounded quotient to int64 before
-// clamping, so beyond ±2^63 (a scale of a few subnormal ulps under a
-// large element) its code was whatever the platform's out-of-range
-// conversion returns — 0 on amd64 for a quotient that is far above the
-// range. The old scorer clamped as a float and had no such hole; those
-// elements are held to the scorer's reading, which is also the kernel's.
-func oraclePacked(x []float32, bits int, lo, hi float32) []byte {
-	codes := oracleCodes(x, bits, lo, hi)
-	if scale, zero := scaleZero(lo, hi, bits); scale > 0 {
+// oracleStoredScale is the step a row searched to [lo, hi] stores, by the
+// rounding rule spelled out: the search's step (hi-lo)/(2^bits-1), or
+// the smallest bfloat16 (a float32 whose low 16 bits are zero) above it
+// when it is not one; +0 when it is not positive.
+func oracleStoredScale(lo, hi float32, bits int) float32 {
+	s := (hi - lo) / float32(int(1)<<uint(bits)-1)
+	if !(s > 0) {
+		return 0
+	}
+	down := math.Float32frombits(math.Float32bits(s) &^ 0xffff)
+	if down == s {
+		return s
+	}
+	return math.Float32frombits(math.Float32bits(down) + 1<<16)
+}
+
+// oracleQuantized is the row the quantizer stores for x searched to
+// [lo, hi]: zero point lo, the oracle's stored step, and the codes of
+// that step. It is nil when that step or the top level lo + (2^bits-1)
+// steps is not finite, a row the quantizer refuses.
+func oracleQuantized(x []float32, bits int, lo, hi float32) *QVector {
+	scale := oracleStoredScale(lo, hi, bits)
+	top := float32(scale*float32(int(1)<<uint(bits)-1)) + lo
+	if math.IsInf(float64(scale), 0) || math.IsInf(float64(top), 0) {
+		return nil
+	}
+	return &QVector{Bits: bits, N: len(x), Lo: lo, Scale: scale, Codes: oraclePacked(x, bits, lo, scale)}
+}
+
+// oraclePacked is what the old quantizeUniformInto put in QVector.Codes,
+// given the step. One patch: the old loop converted the rounded quotient
+// to int64 before clamping, so beyond ±2^63 (a scale of a few subnormal
+// ulps under a large element) its code was whatever the platform's
+// out-of-range conversion returns — 0 on amd64 for a quotient that is
+// far above the range. The old scorer clamped as a float and had no such
+// hole; those elements are held to the scorer's reading, which is also
+// the kernel's.
+func oraclePacked(x []float32, bits int, zero, scale float32) []byte {
+	codes := oracleCodes(x, bits, zero, scale)
+	if scale > 0 {
 		for i, v := range x {
 			if c := float64(v-zero) / float64(scale); c >= 1<<62 {
 				codes[i] = uint32(1)<<uint(bits) - 1
@@ -148,24 +178,36 @@ func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, prob
 			t.Fatalf("paired l2 over [%v,%v] and [%v,%v]: got %v %v, oracle %v %v; x=%v bits=%d",
 				r[0], r[1], o[0], o[1], gotA, gotB, want, wantB, x, p.Bits)
 		}
-		if !bytes.Equal(packedUniform(s, x, p.Bits, r[0], r[1]), oraclePacked(x, p.Bits, r[0], r[1])) {
-			t.Fatalf("codes over [%v,%v] differ from oracle; x=%v bits=%d", r[0], r[1], x, p.Bits)
+		if !sameQVector(storedOver(s, x, p.Bits, r[0], r[1]), oracleQuantized(x, p.Bits, r[0], r[1])) {
+			t.Fatalf("stored row over [%v,%v] differs from oracle; x=%v bits=%d", r[0], r[1], x, p.Bits)
 		}
 	}
 	var q QVector
 	s.BeginAdaptiveChunk(1)
-	if err := QuantizeCachedInto(&q, x, p, s, nil); err != nil {
+	err := QuantizeCachedInto(&q, x, p, s, nil)
+	want := oracleQuantized(x, p.Bits, wLo, wHi)
+	if want == nil {
+		if !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("a range the oracle cannot store: err = %v, want ErrNonFinite; x=%v p=%+v", err, x, p)
+		}
+		return
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
+	if !sameQVector(&q, want) {
 		t.Fatalf("unsampled QuantizeCachedInto differs from oracle; x=%v p=%+v", x, p)
 	}
 }
 
-func packedUniform(s *Scratch, x []float32, bits int, lo, hi float32) []byte {
+// storedOver is the row quantizeUniformInto stores for x over [lo, hi],
+// or nil when it refuses the range.
+func storedOver(s *Scratch, x []float32, bits int, lo, hi float32) *QVector {
 	var q QVector
-	quantizeUniformInto(&q, x, bits, lo, hi, s)
-	return q.Codes
+	if quantizeUniformInto(&q, x, bits, lo, hi, s) != nil {
+		return nil
+	}
+	return &q
 }
 
 // Every (dim, bits, family) shape gets diffReps draws of (NumBins, Ratio),
@@ -222,9 +264,9 @@ func TestAdaptiveKernelDifferential(t *testing.T) {
 						if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
 							t.Fatal(err)
 						}
-						if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
-							t.Fatalf("%s dim=%d row %d: sampled QuantizeCachedInto [%v,%v], oracle [%v,%v]; p=%+v",
-								fam.name, dim, i, q.Lo, q.Hi, wLo, wHi, p)
+						if want := oracleQuantized(x, p.Bits, wLo, wHi); !sameQVector(&q, want) {
+							t.Fatalf("%s dim=%d row %d: sampled QuantizeCachedInto %+v, oracle %+v over [%v,%v]; p=%+v",
+								fam.name, dim, i, q, want, wLo, wHi, p)
 						}
 					}
 					cases += len(rows)
@@ -247,8 +289,8 @@ func TestKernelDegenerateScale(t *testing.T) {
 			if got := s.uniformL2(x, bits, r[0], r[1], math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("bits=%d [%v,%v]: l2 %v, oracle %v", bits, r[0], r[1], got, want)
 			}
-			if !bytes.Equal(packedUniform(&s, x, bits, r[0], r[1]), oraclePacked(x, bits, r[0], r[1])) {
-				t.Fatalf("bits=%d [%v,%v]: codes differ from oracle", bits, r[0], r[1])
+			if !sameQVector(storedOver(&s, x, bits, r[0], r[1]), oracleQuantized(x, bits, r[0], r[1])) {
+				t.Fatalf("bits=%d [%v,%v]: stored row differs from oracle", bits, r[0], r[1])
 			}
 		}
 	}
@@ -353,8 +395,8 @@ func TestAdaptiveWalkReturnsOnNearConstantRow(t *testing.T) {
 			t.Fatalf("row %d: oracle moved to [%v,%v], want the full range [%v,%v]", i, wLo, wHi, mn, mx)
 		}
 		for _, q := range []*QVector{r.exact[i], r.sampled[i]} {
-			if !sameBits32(q.Lo, wLo) || !sameBits32(q.Hi, wHi) || !bytes.Equal(q.Codes, oraclePacked(x, p.Bits, wLo, wHi)) {
-				t.Fatalf("row %d: got [%v,%v], oracle [%v,%v]", i, q.Lo, q.Hi, wLo, wHi)
+			if want := oracleQuantized(x, p.Bits, wLo, wHi); !sameQVector(q, want) {
+				t.Fatalf("row %d: got %+v, oracle %+v over [%v,%v]", i, q, want, wLo, wHi)
 			}
 		}
 	}
@@ -526,7 +568,7 @@ func TestDequantizePackedMatchesStaged(t *testing.T) {
 			}
 			codes := make([]uint32, n)
 			UnpackCodes(codes, q.Codes, bits)
-			scale, zero := scaleZero(q.Lo, q.Hi, bits)
+			scale, zero := q.Scale, q.Lo
 			got := Dequantize(q)
 			for i, c := range codes {
 				if want := scale*float32(c) + zero; !sameBits32(got[i], want) {
@@ -581,5 +623,44 @@ func TestNonFiniteRows(t *testing.T) {
 	// A wide but representable row is still fine.
 	if _, err := Quantize([]float32{-1.5e38, 1.5e38}, lossy[1]); err != nil {
 		t.Errorf("finite wide row: %v", err)
+	}
+	// Rows whose span float32 holds but whose stored range it does not:
+	// a 1-bit step past bfloat16's largest rounds up to +Inf, and a step
+	// rounded up by 0.6 % carries the top level past float32's largest.
+	asym1 := Params{Method: MethodAsymmetric, Bits: 1}
+	for name, x := range map[string][]float32{
+		"scale rounds to +Inf": {0, 3.4e38},
+		"top level overflows":  {1.1e38, 3.4e38},
+	} {
+		if q, err := Quantize(x, asym1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: stored %+v, %v; want ErrNonFinite", name, q, err)
+		}
+	}
+}
+
+// TestCheckRange names each range a stored row may not carry.
+func TestCheckRange(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, tc := range []struct {
+		lo, scale float32
+		bits      int
+		want      string
+	}{
+		{nan, 1, 4, "zero point"},
+		{-inf, 1, 4, "zero point"},
+		{0, -1, 4, "negative or not finite"},
+		{0, f32fb(1 << 31), 4, "negative or not finite"}, // -0
+		{0, nan, 4, "negative or not finite"},
+		{0, inf, 4, "negative or not finite"},
+		{3e38, 1e37, 4, "overflows"},
+	} {
+		if err := CheckRange(tc.lo, tc.scale, tc.bits); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckRange(%v, %v, %d) = %v, want an error saying %q", tc.lo, tc.scale, tc.bits, err, tc.want)
+		}
+	}
+	for _, ok := range [][2]float32{{0, 0}, {-1, 0.125}, {-3e38, 2e37}} {
+		if err := CheckRange(ok[0], ok[1], 4); err != nil {
+			t.Errorf("CheckRange(%v, %v, 4): %v", ok[0], ok[1], err)
+		}
 	}
 }

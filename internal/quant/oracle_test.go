@@ -6,14 +6,16 @@ import "math"
 // verbatim apart from the oracle prefix: round with math.Round, clamp in
 // the float domain, convert and multiply per element. It is the
 // reference TestAdaptiveKernelDifferential and FuzzAdaptiveRange hold the
-// kernel to, bit for bit; it must not be "fixed" or sped up. One
-// exception: the walk stops when a step moves neither end, which it
+// kernel to, bit for bit; it must not be "fixed" or sped up. Two
+// exceptions: the walk stops when a step moves neither end, which it
 // otherwise repeats forever (a row a few ulps wide) — so no row that
-// returned before returns anything else now. It has no early stop: it
-// walks to the ratio limit.
+// returned before returns anything else now; and a range is scored with
+// the step it would store, oracleStoredScale, as the quantizer has since
+// chunks store a bfloat16 step. It has no early stop: it walks to the
+// ratio limit.
 
 func oracleUniformL2(x []float32, bits int, lo, hi float32) float64 {
-	scale, zero := scaleZero(lo, hi, bits)
+	scale, zero := oracleStoredScale(lo, hi, bits), lo
 	maxCode := float64(int(1)<<uint(bits) - 1)
 	var sum float64
 	for _, v := range x {
@@ -73,10 +75,10 @@ func oracleAdaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, orig
 	return bestLo, bestHi, bestU, bestD
 }
 
-// oracleCodes is the old quantizeUniformInto's code loop.
-func oracleCodes(x []float32, bits int, lo, hi float32) []uint32 {
+// oracleCodes is the old quantizeUniformInto's code loop, given the step
+// rather than the range.
+func oracleCodes(x []float32, bits int, zero, scale float32) []uint32 {
 	codes := make([]uint32, len(x))
-	scale, zero := scaleZero(lo, hi, bits)
 	maxCode := uint32(1)<<uint(bits) - 1
 	for i, v := range x {
 		var code uint32

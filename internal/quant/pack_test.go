@@ -214,7 +214,7 @@ func TestQuantizeIntoReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.Bits != want.Bits || q.N != want.N || q.Lo != want.Lo || q.Hi != want.Hi {
+		if q.Bits != want.Bits || q.N != want.N || q.Lo != want.Lo || q.Scale != want.Scale {
 			t.Fatalf("trial %d (%v): meta %+v != %+v", trial, p.Method, q, *want)
 		}
 		if !bytes.Equal(q.Codes, want.Codes) {

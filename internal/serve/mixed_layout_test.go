@@ -15,23 +15,28 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
-// TestMixedLayoutChain reads one chain whose links differ in bit width
-// and chunk size — what a writer that changed its quantizer and its
-// chunk packing mid-job leaves in the store: a 2-bit adaptive CKP2 base
-// of wire.SegmentsPerChunk segments a chunk; a 4-bit increment rewritten
-// into chunks of one ChunkRows segment each, the objects of a writer that
-// packed one segment per chunk; a 4-bit increment as the engine packs
-// it; then SetQuant moves it to 8 bits mid-chain. Every reader of stored
-// chunks — restore, verify, a restarted writer's recovery and a serving
-// replica — must take the chain as one, and agree bit for bit with a
-// reference built here by decoding the stored chunks link by link with
-// nothing but wire and quant.
+// TestMixedLayoutChain reads one chain whose links differ in chunk
+// layout, bit width and chunk size — what a job that began before CKP3
+// and changed its quantizer and its chunk packing mid-job leaves in the
+// store: a 2-bit adaptive base in CKP2, the layout before CKP3, of
+// wire.SegmentsPerChunk segments a chunk, as a CKP2 writer stored it
+// (wiretest.AppendCKP2 rewrites the engine's chunks); CKP3 increments on
+// top of it — a 4-bit one rewritten into chunks of one ChunkRows segment
+// each, the objects of a writer that packed one segment per chunk, a
+// 4-bit one as the engine packs it, then SetQuant moves it to 8 bits
+// mid-chain. Every reader of stored chunks — restore, verify, a
+// restarted writer's recovery and a serving replica — must take the
+// chain as one, and agree bit for bit with a reference built here by
+// decoding the stored chunks link by link with nothing but wire and
+// quant.
 func TestMixedLayoutChain(t *testing.T) {
 	const (
 		job     = "mixed"
 		ckp2    = 0x434B5032
+		ckp3    = 0x434B5033
 		segRows = 8
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -176,17 +181,39 @@ func TestMixedLayoutChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// toCKP2 rewrites every chunk of a stored link, in place, as the CKP2
+	// writer would have stored its rows.
+	toCKP2 := func(man *wire.Manifest) {
+		t.Helper()
+		for _, tm := range man.Tables {
+			for _, key := range tm.ChunkKeys {
+				blob, err := store.Get(ctx, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Put(ctx, key, wiretest.AppendCKP2(nil, chunk)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	// Four segments per chunk at every width.
-	write(coord, ckp2, 4)
+	base := commit(coord)
+	toCKP2(base)
+	record(base, ckp2, 4)
 	if err := coord.SetQuant(adaptive4); err != nil {
 		t.Fatal(err)
 	}
-	repackage(write(coord, ckp2, 4))
-	write(coord, ckp2, 4)
+	repackage(write(coord, ckp3, 4))
+	write(coord, ckp3, 4)
 	if err := coord.SetQuant(adaptive8); err != nil {
 		t.Fatal(err)
 	}
-	write(coord, ckp2, 4)
+	write(coord, ckp3, 4)
 
 	rest, err := ckpt.NewRestorer(job, store)
 	if err != nil {
@@ -202,7 +229,8 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolve across the layout change: %v", err)
 		}
-		// A consecutive chain restores through every link: the 2-bit base first.
+		// A consecutive chain restores through every link: the 2-bit CKP2
+		// base first.
 		if plan.Top.ID != wantID || len(plan.Links[0]) != wantID+1 {
 			t.Fatalf("checkpoint %d resolves to %d links, want %d with %d", plan.Top.ID, len(plan.Links[0]), wantID, wantID+1)
 		}
@@ -278,7 +306,7 @@ func TestMixedLayoutChain(t *testing.T) {
 	if rec.NextID() != coord.NextID() {
 		t.Fatalf("recovered writer at checkpoint %d, the writer was at %d", rec.NextID(), coord.NextID())
 	}
-	man := write(rec, ckp2, 4)
+	man := write(rec, ckp3, 4)
 	if man.ID != 4 || man.ParentID != 3 || man.Kind != wire.KindIncremental.String() {
 		t.Fatalf("recovered writer stored %+v, want incremental 4 on parent 3", man)
 	}
@@ -293,7 +321,26 @@ func TestMixedLayoutChain(t *testing.T) {
 // since the base, and a replica bootstrapping from the chain, which
 // never serves a model it could not read whole.
 func TestRetiredLayoutIsRefused(t *testing.T) {
-	const job = "retired"
+	refuseDamagedIncrement(t, "retired", "CKP1", func(blob []byte) {
+		binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
+	})
+}
+
+// TestNonFiniteRangeIsRefused: the same two readers refuse a CRC-valid
+// chunk whose first row's zero point is NaN, which would otherwise
+// restore and serve a row of NaNs.
+func TestNonFiniteRangeIsRefused(t *testing.T) {
+	refuseDamagedIncrement(t, "nan-lo", "zero point", func(blob []byte) {
+		n := int(binary.LittleEndian.Uint32(blob[8:]))
+		binary.LittleEndian.PutUint32(blob[20+4*n:], 0x7fc00000) // row 0's lo: NaN
+	})
+}
+
+// refuseDamagedIncrement commits a 4-bit consecutive chain of two, edits
+// the first chunk of the increment with damage (and stamps its CRC), and
+// checks that a restarted writer and a replica each refuse the chain with
+// an error naming names.
+func refuseDamagedIncrement(t *testing.T, job, names string, damage func(blob []byte)) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	store := objstore.NewMemStore(objstore.MemConfig{})
@@ -341,7 +388,7 @@ func TestRetiredLayoutIsRefused(t *testing.T) {
 	if blob, err = store.Get(ctx, key); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
+	damage(blob)
 	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli)))
 	if err := store.Put(ctx, key, blob); err != nil {
 		t.Fatal(err)
@@ -349,8 +396,8 @@ func TestRetiredLayoutIsRefused(t *testing.T) {
 
 	t.Run("restarted-writer", func(t *testing.T) {
 		rec, err := ckpt.NewCoordinator(ctx, cfg)
-		if err == nil || !strings.Contains(err.Error(), "CKP1") {
-			t.Fatalf("a writer recovered over a CKP1 chunk: %v, %v", rec, err)
+		if err == nil || !strings.Contains(err.Error(), names) {
+			t.Fatalf("a writer recovered over the damaged chunk: %v, %v", rec, err)
 		}
 		t.Log(err)
 	})
@@ -371,12 +418,12 @@ func TestRetiredLayoutIsRefused(t *testing.T) {
 		for refusals := 0; refusals < 3; {
 			select {
 			case line := <-logged:
-				if strings.Contains(line, "CKP1") {
+				if strings.Contains(line, names) {
 					refusals++
 					t.Log(line)
 				}
 			case <-ctx.Done():
-				t.Fatalf("the replica logged %d refusals of the CKP1 chunk, want 3", refusals)
+				t.Fatalf("the replica logged %d refusals of the damaged chunk, want 3", refusals)
 			}
 			if st := rep.Stats(); st.ServedID != -1 {
 				t.Fatalf("the replica serves checkpoint %d of a chain it cannot read", st.ServedID)

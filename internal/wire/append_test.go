@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/quant"
@@ -43,29 +45,55 @@ func allocTestChunks(t *testing.T) map[string]*Chunk {
 	}
 }
 
-// TestAppendToRefusesRowsCKP2CannotHold: a row that is nil or differs
-// from row 0 in bits or dim has no place in a CKP2 chunk. AppendTo says
-// so, and returns dst as it came — length, contents and backing array —
-// so a pooled buffer survives the failed encode.
-func TestAppendToRefusesRowsCKP2CannotHold(t *testing.T) {
+// TestAppendToRefusesRowsCKP3CannotHold: a row that is nil, differs from
+// row 0 in bits or dim, does not follow its predecessor's index, or
+// carries a range the decoder would refuse — a non-finite zero point, a
+// step that is negative, -0, non-finite or not a bfloat16, a top level
+// past float32 — has no place in a CKP3 chunk. AppendTo says so, and
+// returns dst as it came — length, contents and backing array — so a
+// pooled buffer survives the failed encode.
+func TestAppendToRefusesRowsCKP3CannotHold(t *testing.T) {
 	asym := func(bits, dim int) *quant.QVector {
 		return goldenChunk(t, 1, 1, dim, quant.Params{Method: quant.MethodAsymmetric, Bits: bits}).Rows[0].Q
 	}
-	for name, rows := range map[string][]*quant.QVector{
-		"mixed-bits": {asym(4, 16), asym(4, 16), asym(8, 16)},
-		"mixed-dim":  {asym(4, 16), asym(4, 8)},
-		"nil-row":    {asym(4, 16), nil},
-		"nil-row-0":  {nil, asym(4, 16)},
+	with := func(lo, scale float32) *quant.QVector {
+		q := *asym(4, 16)
+		q.Lo, q.Scale = lo, scale
+		return &q
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for name, tc := range map[string]struct {
+		index []uint32
+		rows  []*quant.QVector
+	}{
+		"mixed-bits":         {nil, []*quant.QVector{asym(4, 16), asym(4, 16), asym(8, 16)}},
+		"mixed-dim":          {nil, []*quant.QVector{asym(4, 16), asym(4, 8)}},
+		"nil-row":            {nil, []*quant.QVector{asym(4, 16), nil}},
+		"nil-row-0":          {nil, []*quant.QVector{nil, asym(4, 16)}},
+		"repeated-index":     {[]uint32{3, 3}, []*quant.QVector{asym(4, 16), asym(4, 16)}},
+		"decreasing-index":   {[]uint32{4, 3}, []*quant.QVector{asym(4, 16), asym(4, 16)}},
+		"nan-lo":             {nil, []*quant.QVector{asym(4, 16), with(nan, 1)}},
+		"inf-lo":             {nil, []*quant.QVector{with(-inf, 1)}},
+		"negative-scale":     {nil, []*quant.QVector{with(0, -1)}},
+		"negative-zero":      {nil, []*quant.QVector{with(0, float32(math.Copysign(0, -1)))}},
+		"nan-scale":          {nil, []*quant.QVector{with(0, nan)}},
+		"inf-scale":          {nil, []*quant.QVector{with(0, inf)}},
+		"scale-not-bf16":     {nil, []*quant.QVector{with(0, 0.1)}},
+		"top-level-overflow": {nil, []*quant.QVector{with(3e38, 0x1p124)}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c := &Chunk{TableID: 2}
-			for i, q := range rows {
-				c.Rows = append(c.Rows, Row{Index: uint32(i), Q: q})
+			for i, q := range tc.rows {
+				idx := uint32(i)
+				if tc.index != nil {
+					idx = tc.index[i]
+				}
+				c.Rows = append(c.Rows, Row{Index: idx, Q: q})
 			}
 			dst := append(make([]byte, 0, 1<<10), "prefix"...)
 			got, err := c.AppendTo(dst)
 			if err == nil {
-				t.Fatal("AppendTo encoded rows CKP2 cannot hold")
+				t.Fatal("AppendTo encoded rows CKP3 cannot hold")
 			}
 			if string(got) != "prefix" || cap(got) != cap(dst) || &got[0] != &dst[0] {
 				t.Fatalf("a refused encode returned %q (cap %d), want dst as it came", got, cap(got))
@@ -75,10 +103,11 @@ func TestAppendToRefusesRowsCKP2CannotHold(t *testing.T) {
 }
 
 // TestSegmentsPerChunk holds the chunk-size rule to the layout AppendTo
-// writes: compactRowLen is exactly what one more row adds to an encoded
-// chunk, for every method at several dims; at dim 32 every method packs four
-// segments of 512 rows; and where four would not fit rpc.MaxPooled the
-// rule packs the most that do, and one when not even one does.
+// writes: fixedRowLen plus its index's bytes is exactly what one more row
+// adds to an encoded chunk, for every method at several dims; at dim 32
+// every method packs four segments of 512 rows; and where four segments
+// of rows with the longest indices would not fit rpc.MaxPooled the rule
+// packs the most that do, and one when not even one does.
 func TestSegmentsPerChunk(t *testing.T) {
 	const segRows = 512
 	methods := []quant.Params{
@@ -101,12 +130,14 @@ func TestSegmentsPerChunk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			row := compactRowLen(dim, p.StoredBits())
-			if want := len(two) - len(one); row != want {
-				t.Errorf("%v %d-bit dim %d: compactRowLen %d, a row adds %d bytes to the chunk", p.Method, p.Bits, dim, row, want)
+			// Row 1's index follows row 0's by 3: one byte.
+			row := fixedRowLen(dim, p.StoredBits())
+			if want := len(two) - len(one); row+1 != want {
+				t.Errorf("%v %d-bit dim %d: fixedRowLen %d, a row adds %d bytes to the chunk", p.Method, p.Bits, dim, row, want)
 			}
-			// The encoded size of a chunk of n segments.
-			size := func(n int) int { return len(one) + (n*segRows-1)*row }
+			// The encoded size of a chunk of n segments of rows whose
+			// indices take the most bytes.
+			size := func(n int) int { return headerLen + crcLen + n*segRows*(row+binary.MaxVarintLen32) }
 			k := SegmentsPerChunk(p, dim, segRows)
 			if k < 1 || k > 4 || (k > 1 && size(k) > rpc.MaxPooled) || (k < 4 && size(k+1) <= rpc.MaxPooled) {
 				t.Errorf("%v %d-bit dim %d: %d segments per chunk (%d bytes; one more would be %d)", p.Method, p.Bits, dim, k, size(k), size(k+1))
@@ -162,7 +193,7 @@ func TestEncodePooledAllocFree(t *testing.T) {
 	if !ok {
 		t.Fatal("golden fp32 rows do not lay out as a table")
 	}
-	buf := make([]byte, 0, F32ChunkLen(len(rows), dim))
+	buf := make([]byte, 0, F32ChunkLen(rows, dim))
 	allocs := testing.AllocsPerRun(20, func() {
 		var err error
 		if buf, err = AppendF32Chunk(buf[:0], 3, dim, rows, weights, accum); err != nil {

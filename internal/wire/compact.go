@@ -5,61 +5,96 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/quant"
 )
 
-// Compact chunk format ("CKP2") — the metadata optimization the paper
-// leaves as future work (§6.3.2: savings "are not linearly proportional to
-// the chosen quantization bit-width due to the metadata structure"), and
-// the one layout this package writes.
+// Chunk format ("CKP3") — the metadata optimization the paper leaves as
+// future work (§6.3.2: savings "are not linearly proportional to the
+// chosen quantization bit-width due to the metadata structure"), and the
+// one layout this package writes. Every row of a chunk shares one uniform
+// method, bit-width and dimension, so those live in the chunk header and
+// the rows are stored as columns:
 //
-// The layout it replaced, CKP1, stored a full vector header per row (14
-// bytes, range included) plus a 12-byte row header. Every row of a chunk
-// the engine writes shares one uniform method, bit-width and dimension,
-// so the shared fields are hoisted into the chunk header:
-//
-//	u32 magic "CKP2" | u32 tableID | u32 rowCount | u8 bits | u8 flags |
+//	u32 magic "CKP3" | u32 tableID | u32 rowCount | u8 bits | u8 flags |
 //	u16 reserved | u32 dim |
-//	rowCount * u32 index |
 //	rowCount * f32 accum |
-//	rowCount * (f32 lo, f32 hi)      (omitted when bits == 32)
+//	rowCount * f32 lo, rowCount * bf16 scale   (both omitted when bits == 32)
 //	packed codes, rowCount*dim*bits bits, byte-aligned per row |
+//	index column: uvarint(first index), then uvarint(gap - 1) per row |
 //	u32 CRC32-C
 //
-// Per dim-16 4-bit row this is 16 bytes of metadata + 8 code bytes
-// against CKP1's 26 + 8 — a 1.4x smaller incremental checkpoint. A row
-// is its range and codes, all a quant.QVector holds.
-const compactMagic = 0x434B5032 // "CKP2"
+// Every other column has a fixed size, so the index column is what
+// remains of the object, and a gap of at least one makes a chunk's
+// indices strictly increasing by construction. Code k of a row is
+// lo + k·scale, scale a bfloat16 (the only steps quant stores). A 4-bit
+// dim-32 row at a 10 % touch rate takes 1 + 4 + 4 + 2 + 16 = 27 bytes.
+//
+// CKP2, the layout before, stored a u32 index column first and the range
+// as f32 lo and hi (32 bytes for that row). It is read, never written;
+// its rows decode with scale = (hi - lo)/(2^bits - 1) in float32, what
+// its writer's dequantizer computed, so a stored CKP2 chain restores bit
+// for bit. CKP1, the layout before that, is refused by name.
+const (
+	ckp3Magic = 0x434B5033 // "CKP3"
+	ckp2Magic = 0x434B5032 // "CKP2", decoded only
+	ckp1Magic = 0x434B5031 // "CKP1", refused by name
+)
 
-// ckp1Magic opens a chunk in the retired CKP1 layout, which
-// RowBuf.DecodeAlias refuses by name.
-const ckp1Magic = 0x434B5031 // "CKP1"
+const (
+	flagHasRange = 1 << 0
+	headerLen    = 20
+	crcLen       = 4
+)
 
-const compactFlagHasRange = 1 << 0
-
-// compactRowLen returns the bytes one row takes in a CKP2 chunk: index,
-// accumulator, the range unless bits == 32, and the packed codes.
-func compactRowLen(dim, bits int) int {
-	size := 4 + 4 + quant.PackedLen(dim, bits)
+// fixedRowLen returns the bytes one row takes in a CKP3 chunk besides
+// its index: accumulator, the range unless bits == 32, and the packed
+// codes. The index adds 1 to binary.MaxVarintLen32 bytes.
+func fixedRowLen(dim, bits int) int {
+	size := 4 + quant.PackedLen(dim, bits)
 	if bits != 32 {
-		size += 8
+		size += 4 + 2
 	}
 	return size
 }
 
-// EncodedLen returns the exact size AppendTo writes for a chunk it
-// accepts, for presizing buffers: the CKP2 header and CRC and one
-// column entry per row, sized by row 0's shape.
-func (c *Chunk) EncodedLen() int {
-	bits, dim := c.shape()
-	return 20 + len(c.Rows)*compactRowLen(dim, bits) + 4
+// indexColumnLen returns the size appendIndexColumn writes.
+func indexColumnLen(n int, at func(int) uint32) int {
+	size, next := 0, uint32(0)
+	for i := 0; i < n; i++ {
+		size += (bits.Len32((at(i)-next)|1) + 6) / 7
+		next = at(i) + 1
+	}
+	return size
 }
 
-// shape returns the bit-width and dimension the chunk's CKP2 header
-// carries: row 0's, or (32, 0) — the one spelling of an empty chunk —
-// when there is no row 0 vector to take them from.
+// appendIndexColumn appends the index column of n rows with increasing
+// indices at(0) < at(1) < ...: each row's index less the one after its
+// predecessor's (0 before row 0), as a uvarint.
+func appendIndexColumn(dst []byte, n int, at func(int) uint32) []byte {
+	next := uint32(0)
+	for i := 0; i < n; i++ {
+		dst = binary.AppendUvarint(dst, uint64(at(i)-next))
+		next = at(i) + 1
+	}
+	return dst
+}
+
+// EncodedLen returns the exact size AppendTo writes for a chunk it
+// accepts, for presizing buffers: the header and CRC, the fixed columns
+// sized by row 0's shape, and the index column.
+func (c *Chunk) EncodedLen() int {
+	bits, dim := c.shape()
+	return headerLen + len(c.Rows)*fixedRowLen(dim, bits) + indexColumnLen(len(c.Rows), c.index) + crcLen
+}
+
+func (c *Chunk) index(i int) uint32 { return c.Rows[i].Index }
+
+// shape returns the bit-width and dimension the chunk's header carries:
+// row 0's, or (32, 0) — the one spelling of an empty chunk — when there
+// is no row 0 vector to take them from.
 func (c *Chunk) shape() (bits, dim int) {
 	if len(c.Rows) == 0 || c.Rows[0].Q == nil {
 		return 32, 0
@@ -67,14 +102,15 @@ func (c *Chunk) shape() (bits, dim int) {
 	return c.Rows[0].Q.Bits, c.Rows[0].Q.N
 }
 
-// AppendTo appends the chunk's CKP2 encoding, with a
-// trailing CRC32-C over it, to dst and returns the extended slice. It is
-// the encoder of quantized rows; its other entry, AppendF32Chunk, writes
-// the same bytes for fp32 rows read straight from a table. Every row
-// must share row 0's bit-width and dimension. A nil row vector or a row
-// of another shape is an error, found in the pass that writes the index
-// column, and dst then comes back as it went in, so pooled buffers
-// survive failed encodes.
+// AppendTo appends the chunk's CKP3 encoding, with a trailing CRC32-C
+// over it, to dst and returns the extended slice. It is the encoder of
+// quantized rows; its other entry, AppendF32Chunk, writes the same bytes
+// for fp32 rows read straight from a table. Every row must share row 0's
+// bit-width and dimension, follow its predecessor's index, and carry a
+// range quant.CheckRange accepts with a bfloat16 step. A row that breaks
+// one of these is an error, found before anything is written, and dst
+// then comes back as it went in, so pooled buffers survive failed
+// encodes.
 //
 // Rows are serialized in place — no per-row blob allocations — so
 // encoding into a pooled buffer with sufficient capacity performs zero
@@ -82,8 +118,6 @@ func (c *Chunk) shape() (bits, dim int) {
 func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 	bits, dim := c.shape()
 	rowCodes := quant.PackedLen(dim, bits)
-	le := binary.LittleEndian
-	out := appendCompactHeader(dst, c.TableID, len(c.Rows), bits, dim)
 	for i := range c.Rows {
 		switch q := c.Rows[i].Q; {
 		case q == nil:
@@ -92,46 +126,63 @@ func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
 			return dst, fmt.Errorf("wire: row %d is %d-bit of dim %d, row 0 %d-bit of dim %d", i, q.Bits, q.N, bits, dim)
 		case len(q.Codes) != rowCodes:
 			return dst, fmt.Errorf("wire: row %d codes %d bytes, want %d", i, len(q.Codes), rowCodes)
+		case i > 0 && c.Rows[i].Index <= c.Rows[i-1].Index:
+			return dst, fmt.Errorf("wire: row %d index %d after row %d's %d: a chunk's indices increase", i, c.Rows[i].Index, i-1, c.Rows[i-1].Index)
+		case bits == 32:
+		case math.Float32bits(q.Scale)&0xffff != 0:
+			return dst, fmt.Errorf("wire: row %d scale %v is not a bfloat16", i, q.Scale)
+		default:
+			if err := quant.CheckRange(q.Lo, q.Scale, bits); err != nil {
+				return dst, fmt.Errorf("wire: row %d: %w", i, err)
+			}
 		}
-		out = le.AppendUint32(out, c.Rows[i].Index)
 	}
+	le := binary.LittleEndian
+	out := appendHeader(dst, c.TableID, len(c.Rows), bits, dim)
 	for i := range c.Rows {
 		out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Accum))
 	}
 	if bits != 32 {
 		for i := range c.Rows {
 			out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Q.Lo))
-			out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Q.Hi))
+		}
+		for i := range c.Rows {
+			out = le.AppendUint16(out, uint16(math.Float32bits(c.Rows[i].Q.Scale)>>16))
 		}
 	}
 	for i := range c.Rows {
 		out = append(out, c.Rows[i].Q.Codes...)
 	}
+	out = appendIndexColumn(out, len(c.Rows), c.index)
 	return appendCRC(out, len(dst)), nil
 }
 
-// There is one CKP2 writer with two entries: Chunk.AppendTo takes rows
+// There is one CKP3 writer with two entries: Chunk.AppendTo takes rows
 // already quantized into QVectors, and AppendF32Chunk takes fp32 rows
 // straight from a table, so an fp32 row is written once, never staged in
-// a QVector first. Both write the header with appendCompactHeader, the
-// index and accumulator columns in row order, and the CRC with
-// appendCRC; the ckp2_* golden fixtures pin the bytes of both.
+// a QVector first. Both write the header with appendHeader, the
+// accumulator column and the index column in row order, and the CRC with
+// appendCRC; the ckp3_* golden fixtures pin the bytes of both.
 
-// F32ChunkLen returns the exact size AppendF32Chunk writes for n rows of
-// dim elements.
-func F32ChunkLen(n, dim int) int {
-	return 20 + n*compactRowLen(dim, 32) + 4
+// F32ChunkLen returns the exact size AppendF32Chunk writes for the given
+// rows of dim elements.
+func F32ChunkLen(rows []int, dim int) int {
+	if len(rows) == 0 {
+		dim = 0
+	}
+	return headerLen + len(rows)*fixedRowLen(dim, 32) + indexColumnLen(len(rows), func(i int) uint32 { return uint32(rows[i]) }) + crcLen
 }
 
-// AppendF32Chunk appends to dst the fp32 CKP2 chunk of table tableID
+// AppendF32Chunk appends to dst the fp32 CKP3 chunk of table tableID
 // holding rows, in order: row r's values are weights[r*dim : (r+1)*dim]
 // (a table's row-major storage) and its accumulator is accum[r]. The
 // bytes are exactly what AppendTo writes for the same rows quantized
 // under quant.MethodNone — NaN payloads included, since the values are
 // copied as bits — with no QVector per row: each value is converted once,
 // from weights into dst. With cap(dst)-len(dst) >= F32ChunkLen it does
-// not allocate. A row outside weights or accum is an error, and dst is
-// then returned as it came.
+// not allocate. A row outside weights or accum, or one that does not
+// follow its predecessor, is an error, and dst is then returned as it
+// came.
 func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, accum []float32) ([]byte, error) {
 	if len(rows) == 0 {
 		dim = 0 // the one spelling of an empty chunk, as AppendTo writes it
@@ -139,19 +190,21 @@ func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, ac
 	if dim < 0 {
 		return dst, fmt.Errorf("wire: fp32 chunk of negative dim %d", dim)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r < 0 || r >= len(accum) || uint64(r) > math.MaxUint32 || (dim > 0 && r >= len(weights)/dim) {
 			return dst, fmt.Errorf("wire: fp32 row %d outside a table of %d accumulators and %d values of dim %d", r, len(accum), len(weights), dim)
 		}
+		if i > 0 && r <= rows[i-1] {
+			return dst, fmt.Errorf("wire: fp32 row %d after row %d: a chunk's indices increase", r, rows[i-1])
+		}
 	}
 	base := len(dst)
-	dst = slices.Grow(dst, F32ChunkLen(len(rows), dim))
-	dst = appendCompactHeader(dst, tableID, len(rows), 32, dim)
+	dst = slices.Grow(dst, F32ChunkLen(rows, dim))
+	dst = appendHeader(dst, tableID, len(rows), 32, dim)
 	n := len(rows)
-	cols := dst[len(dst) : len(dst)+n*compactRowLen(dim, 32)]
-	idx, acc, codes := cols[:4*n], cols[4*n:8*n], cols[8*n:]
+	cols := dst[len(dst) : len(dst)+n*fixedRowLen(dim, 32)]
+	acc, codes := cols[:4*n], cols[4*n:]
 	for i, r := range rows {
-		binary.LittleEndian.PutUint32(idx[4*i:], uint32(r))
 		binary.LittleEndian.PutUint32(acc[4*i:], math.Float32bits(accum[r]))
 	}
 	// A run of consecutive rows — all of a full checkpoint's chunk — is
@@ -166,19 +219,20 @@ func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, ac
 		codes = codes[4*len(vals):]
 		i = j
 	}
-	return appendCRC(dst[:len(dst)+len(cols)], base), nil
+	dst = appendIndexColumn(dst[:len(dst)+len(cols)], n, func(i int) uint32 { return uint32(rows[i]) })
+	return appendCRC(dst, base), nil
 }
 
-// appendCompactHeader appends the 20-byte CKP2 header; the range flag is
-// set exactly when bits != 32, the one spelling decodeCompact accepts.
-func appendCompactHeader(dst []byte, tableID uint32, n, bits, dim int) []byte {
+// appendHeader appends the 20-byte CKP3 header; the range flag is set
+// exactly when bits != 32, the one spelling decodeHeader accepts.
+func appendHeader(dst []byte, tableID uint32, n, bits, dim int) []byte {
 	le := binary.LittleEndian
-	dst = le.AppendUint32(dst, compactMagic)
+	dst = le.AppendUint32(dst, ckp3Magic)
 	dst = le.AppendUint32(dst, tableID)
 	dst = le.AppendUint32(dst, uint32(n))
 	var flags byte
 	if bits != 32 {
-		flags |= compactFlagHasRange
+		flags |= flagHasRange
 	}
 	dst = append(dst, byte(bits), flags, 0, 0)
 	return le.AppendUint32(dst, uint32(dim))
@@ -189,81 +243,195 @@ func appendCRC(dst []byte, base int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
 }
 
-// decodeCompact parses a CKP2 chunk (CRC already verified, magic peeked)
-// into b's storage, or fresh storage when b is nil. Row codes slice
-// straight into body — see RowBuf.DecodeAlias for the lifetime contract.
-//
-// Only what AppendTo writes is accepted: reserved bytes zero, no
-// unknown flag, the range flag set exactly when bits != 32, and an empty
-// chunk in its one spelling. A stored chunk therefore has exactly one
+// header is what decodeHeader reads. The counts are untrusted u32s,
+// int64 until a size check ties them to the object's length.
+type header struct {
+	tableID  uint32
+	bits     int
+	n, dim   int64
+	hasRange bool
+}
+
+// decodeHeader parses the 20-byte header CKP3 and CKP2 share (CRC
+// already verified, magic peeked). Only what a writer wrote is accepted:
+// reserved bytes zero, no unknown flag, the range flag set exactly when
+// bits != 32, and an empty chunk in its one spelling — no rows, no
+// payload, 32 bits, dim 0. A stored chunk therefore has exactly one
 // byte representation, which is what FuzzDecodeChunk's re-encode check
-// holds the decoder to.
-func (b *RowBuf) decodeCompact(body []byte) (*Chunk, error) {
-	if len(body) < 20 {
-		return nil, fmt.Errorf("wire: compact chunk header truncated")
+// holds the CKP3 decoder to.
+func decodeHeader(body []byte) (header, error) {
+	if len(body) < headerLen {
+		return header{}, fmt.Errorf("wire: chunk header truncated")
 	}
-	tableID := binary.LittleEndian.Uint32(body[4:])
-	bits := int(body[12])
-	if bits < 1 || (bits > 8 && bits != 32) {
-		return nil, fmt.Errorf("wire: compact chunk invalid bits %d", bits)
+	h := header{
+		tableID: binary.LittleEndian.Uint32(body[4:]),
+		bits:    int(body[12]),
+		n:       int64(binary.LittleEndian.Uint32(body[8:])),
+		dim:     int64(binary.LittleEndian.Uint32(body[16:])),
 	}
-	hasRange := bits != 32
+	if h.bits < 1 || (h.bits > 8 && h.bits != 32) {
+		return header{}, fmt.Errorf("wire: chunk invalid bits %d", h.bits)
+	}
+	h.hasRange = h.bits != 32
 	wantFlags := byte(0)
-	if hasRange {
-		wantFlags = compactFlagHasRange
+	if h.hasRange {
+		wantFlags = flagHasRange
 	}
 	if body[13] != wantFlags || body[14] != 0 || body[15] != 0 {
-		return nil, fmt.Errorf("wire: compact chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
-			bits, body[13], body[14], body[15])
+		return header{}, fmt.Errorf("wire: chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
+			h.bits, body[13], body[14], body[15])
 	}
-	// The two counts are untrusted u32s: they stay int64 until the size
-	// check has tied them to len(body), and that check divides — their
-	// product can wrap to any value, len(body) included.
-	n64 := int64(binary.LittleEndian.Uint32(body[8:]))
-	dim64 := int64(binary.LittleEndian.Uint32(body[16:]))
-	rowBytes := 4 + 4 + (dim64*int64(bits)+7)/8
-	if hasRange {
-		rowBytes += 8
+	if h.n == 0 && (len(body) != headerLen || h.bits != 32 || h.dim != 0) {
+		return header{}, fmt.Errorf("wire: chunk without rows is not the canonical empty chunk")
 	}
-	payload := int64(len(body) - 20)
-	if n64 == 0 {
-		if payload != 0 || bits != 32 || dim64 != 0 {
-			return nil, fmt.Errorf("wire: compact chunk without rows is not the canonical empty chunk")
-		}
-		c, _ := b.take(tableID, 0)
-		return c, nil
+	return h, nil
+}
+
+// rowCodes returns a row's packed code bytes; dim*bits needs 38 bits.
+func (h header) rowCodes() int64 { return (h.dim*int64(h.bits) + 7) / 8 }
+
+// decodeCKP3 parses a CKP3 chunk (CRC already verified, magic peeked)
+// into b's storage, or fresh storage when b is nil. Row codes slice
+// straight into body — see RowBuf.DecodeAlias for the lifetime contract.
+// Besides the header's rules, it accepts only a range quant.CheckRange
+// accepts and an index column AppendTo would write: each uvarint in its
+// shortest form, every index at most 2^32-1, and the column consumed
+// exactly by the rows.
+func (b *RowBuf) decodeCKP3(body []byte) (*Chunk, error) {
+	h, err := decodeHeader(body)
+	if err != nil || h.n == 0 {
+		return b.empty(h, err)
 	}
-	if payload/n64 != rowBytes || payload%n64 != 0 {
-		return nil, fmt.Errorf("wire: compact chunk of %d bytes cannot hold %d rows of %d bytes", len(body), n64, rowBytes)
+	rowFixed := 4 + h.rowCodes()
+	if h.hasRange {
+		rowFixed += 4 + 2
 	}
-	n, dim := int(n64), int(dim64)
-	rowCodes := quant.PackedLen(dim, bits)
-	// The layout is columnar; decode with fixed per-column offsets into
-	// one Row slice and one QVector slice (n is tied to len(body) above),
-	// the codes of every row a view of body.
-	idxOff := 20
-	accumOff := idxOff + 4*n
-	rangeOff := accumOff + 4*n
-	codesOff := rangeOff
-	if hasRange {
-		codesOff += 8 * n
+	// Every row takes its fixed columns and at least one index byte; the
+	// check divides, since n*rowFixed can wrap to any value.
+	payload := int64(len(body) - headerLen)
+	if payload/(rowFixed+1) < h.n {
+		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of at least %d bytes", len(body), h.n, rowFixed+1)
 	}
-	c, qs := b.take(tableID, n)
-	codesAll := body[codesOff : codesOff+n*rowCodes]
+	n, dim, rowCodes := int(h.n), int(h.dim), int(h.rowCodes())
+	le := binary.LittleEndian
+	accumOff := headerLen
+	loOff := accumOff + 4*n
+	scaleOff := loOff + 4*n
+	codesOff := loOff
+	if h.hasRange {
+		codesOff = scaleOff + 2*n
+	}
+	indexOff := codesOff + n*rowCodes
+	col := body[indexOff:]
+	c, qs := b.take(h.tableID, n)
+	next := uint64(0)
 	for i := 0; i < n; i++ {
 		// A whole-struct store: a reused slot keeps nothing of the row it
 		// described last, so an fp32 row keeps no range of a quantized one.
 		q := &qs[i]
-		*q = quant.QVector{Bits: bits, N: dim, Codes: codesAll[i*rowCodes : (i+1)*rowCodes : (i+1)*rowCodes]}
-		if hasRange {
-			q.Lo = math.Float32frombits(binary.LittleEndian.Uint32(body[rangeOff+8*i:]))
-			q.Hi = math.Float32frombits(binary.LittleEndian.Uint32(body[rangeOff+8*i+4:]))
+		*q = quant.QVector{Bits: h.bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
+		if h.hasRange {
+			q.Lo = math.Float32frombits(le.Uint32(body[loOff+4*i:]))
+			q.Scale = math.Float32frombits(uint32(le.Uint16(body[scaleOff+2*i:])) << 16)
+			if err := quant.CheckRange(q.Lo, q.Scale, h.bits); err != nil {
+				return nil, fmt.Errorf("wire: chunk row %d: %w", i, err)
+			}
+		}
+		v, k := uvarint32(col)
+		switch {
+		case k == 0:
+			return nil, fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: it ends inside row %d's", len(body)-indexOff, i)
+		case k < 0:
+			return nil, fmt.Errorf("wire: chunk index column: row %d's is an over-long uvarint", i)
+		case next+v > math.MaxUint32:
+			return nil, fmt.Errorf("wire: chunk index column: row %d's index %d is past 2^32-1", i, next+v)
+		}
+		col = col[k:]
+		c.Rows[i] = Row{Index: uint32(next + v), Accum: math.Float32frombits(le.Uint32(body[accumOff+4*i:])), Q: q}
+		next += v + 1
+	}
+	if len(col) != 0 {
+		return nil, fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: %d bytes after the last row's", len(body)-indexOff, len(col))
+	}
+	return c, nil
+}
+
+// uvarint32 reads the index column's next uvarint and returns it and its
+// length: 0 when src ends inside it, -1 when it is longer than its value
+// needs or than binary.MaxVarintLen32.
+func uvarint32(src []byte) (uint64, int) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen32; i++ {
+		if i == len(src) {
+			return 0, 0
+		}
+		c := src[i]
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if c == 0 && i > 0 {
+				return 0, -1
+			}
+			return v, i + 1
+		}
+	}
+	return 0, -1
+}
+
+// decodeCKP2 parses a chunk in CKP2, the layout before CKP3, as
+// decodeCKP3 parses CKP3: the rows of the CKP2 writer, whose range is a
+// finite f32 lo <= hi, and nothing else.
+func (b *RowBuf) decodeCKP2(body []byte) (*Chunk, error) {
+	h, err := decodeHeader(body)
+	if err != nil || h.n == 0 {
+		return b.empty(h, err)
+	}
+	rowBytes := 4 + 4 + h.rowCodes()
+	if h.hasRange {
+		rowBytes += 8
+	}
+	payload := int64(len(body) - headerLen)
+	if payload/h.n != rowBytes || payload%h.n != 0 {
+		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of %d bytes", len(body), h.n, rowBytes)
+	}
+	n, dim, rowCodes := int(h.n), int(h.dim), int(h.rowCodes())
+	le := binary.LittleEndian
+	idxOff := headerLen
+	accumOff := idxOff + 4*n
+	rangeOff := accumOff + 4*n
+	codesOff := rangeOff
+	if h.hasRange {
+		codesOff += 8 * n
+	}
+	levels := float32(int(1)<<uint(h.bits) - 1)
+	c, qs := b.take(h.tableID, n)
+	for i := 0; i < n; i++ {
+		q := &qs[i]
+		*q = quant.QVector{Bits: h.bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
+		if h.hasRange {
+			lo := math.Float32frombits(le.Uint32(body[rangeOff+8*i:]))
+			hi := math.Float32frombits(le.Uint32(body[rangeOff+8*i+4:]))
+			if lo-lo != 0 || hi-hi != 0 || hi < lo {
+				return nil, fmt.Errorf("wire: CKP2 chunk row %d range [%v, %v] is not finite and ordered", i, lo, hi)
+			}
+			q.Lo, q.Scale = lo, (hi-lo)/levels
+			if err := quant.CheckRange(q.Lo, q.Scale, h.bits); err != nil {
+				return nil, fmt.Errorf("wire: CKP2 chunk row %d: %w", i, err)
+			}
 		}
 		c.Rows[i] = Row{
-			Index: binary.LittleEndian.Uint32(body[idxOff+4*i:]),
-			Accum: math.Float32frombits(binary.LittleEndian.Uint32(body[accumOff+4*i:])),
+			Index: le.Uint32(body[idxOff+4*i:]),
+			Accum: math.Float32frombits(le.Uint32(body[accumOff+4*i:])),
 			Q:     q,
 		}
 	}
+	return c, nil
+}
+
+// empty finishes a decode whose header was refused or holds no rows.
+func (b *RowBuf) empty(h header, err error) (*Chunk, error) {
+	if err != nil {
+		return nil, err
+	}
+	c, _ := b.take(h.tableID, 0)
 	return c, nil
 }

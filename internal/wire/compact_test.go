@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -143,7 +145,7 @@ func TestCompactQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// refusal is an object one edit away from a chunk AppendTo wrote, its
+// refusal is an object one edit away from a chunk a writer wrote, its
 // CRC re-stamped unless the CRC is what the edit breaks, and a phrase of
 // the error that refuses it.
 type refusal struct {
@@ -151,9 +153,25 @@ type refusal struct {
 	blob       []byte
 }
 
-// nonCanonicalCKP2 returns one refusal per refusal branch of DecodeAlias
-// and decodeCompact.
-func nonCanonicalCKP2(tb testing.TB) []refusal {
+// edit returns blob with its body (all but the CRC) rewritten by fn and
+// the CRC re-stamped.
+func edit(blob []byte, fn func(body []byte) []byte) []byte {
+	return stampCRC(append(fn(bytes.Clone(blob[:len(blob)-4])), 0, 0, 0, 0))
+}
+
+// set returns blob with body bytes from off on overwritten by b.
+func set(blob []byte, off int, b ...byte) []byte {
+	return edit(blob, func(body []byte) []byte { copy(body[off:], b); return body })
+}
+
+// f32le returns v's little-endian bytes.
+func f32le(v float32) []byte { return binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)) }
+
+// nonCanonicalCKP3 returns one refusal per refusal branch of DecodeAlias,
+// decodeHeader and decodeCKP3. Its 4-bit chunk holds rows 0, 3 and 6 of
+// dim 8: 20 header bytes, 12 of accumulators, 12 of lo, 6 of scale, 12
+// of codes, then the index column 00 02 02.
+func nonCanonicalCKP3(tb testing.TB) []refusal {
 	q4, err := makeUniformChunk(tb, 1, 3, 8, 4).AppendTo(nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -166,17 +184,17 @@ func nonCanonicalCKP2(tb testing.TB) []refusal {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// edit returns blob with its body (all but the CRC) rewritten by fn
-	// and the CRC re-stamped; set overwrites body bytes from off on.
-	edit := func(blob []byte, fn func(body []byte) []byte) []byte {
-		return stampCRC(append(fn(bytes.Clone(blob[:len(blob)-4])), 0, 0, 0, 0))
+	const loOff, scaleOff, indexOff = headerLen + 12, headerLen + 24, headerLen + 42
+	if !bytes.Equal(q4[indexOff:len(q4)-4], []byte{0, 2, 2}) {
+		tb.Fatalf("fixture: index column %x", q4[indexOff:len(q4)-4])
 	}
-	set := func(blob []byte, off int, b ...byte) []byte {
-		return edit(blob, func(body []byte) []byte { copy(body[off:], b); return body })
+	index := func(col ...byte) []byte {
+		return edit(q4, func(body []byte) []byte { return append(body[:indexOff], col...) })
 	}
 	magic := func(m uint32) []byte { return set(q4, 0, binary.LittleEndian.AppendUint32(nil, m)...) }
 	badCRC := bytes.Clone(q4)
 	badCRC[len(badCRC)-1] ^= 0xFF
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	return []refusal{
 		{"short-object", "too short", q4[:15]},
 		{"crc-mismatch", "CRC mismatch", badCRC},
@@ -186,23 +204,60 @@ func nonCanonicalCKP2(tb testing.TB) []refusal {
 		{"bits-0", "invalid bits 0", set(q4, 12, 0)},
 		{"bits-9", "invalid bits 9", set(q4, 12, 9)},
 		{"bits-33", "invalid bits 33", set(q4, 12, 33)},
-		{"range-flag-on-fp32", "non-canonical header", set(f32, 13, compactFlagHasRange)},
+		{"range-flag-on-fp32", "non-canonical header", set(f32, 13, flagHasRange)},
 		{"range-flag-missing-at-4-bits", "non-canonical header", set(q4, 13, 0)},
-		{"unknown-flag-bit", "non-canonical header", set(q4, 13, compactFlagHasRange|2)},
+		{"unknown-flag-bit", "non-canonical header", set(q4, 13, flagHasRange|2)},
 		{"reserved-byte-14", "non-canonical header", set(q4, 14, 1)},
 		{"reserved-byte-15", "non-canonical header", set(q4, 15, 1)},
-		{"empty-with-payload", "canonical empty chunk", edit(empty, func(body []byte) []byte { return append(body, 0, 0, 0, 0) })},
-		{"empty-at-4-bits", "canonical empty chunk", set(empty, 12, 4, compactFlagHasRange)},
+		{"empty-with-payload", "canonical empty chunk", edit(empty, func(body []byte) []byte { return append(body, 0) })},
+		{"empty-at-4-bits", "canonical empty chunk", set(empty, 12, 4, flagHasRange)},
 		{"empty-of-dim-8", "canonical empty chunk", set(empty, 16, 8)},
-		{"payload-one-byte-past-rows", "cannot hold", edit(q4, func(body []byte) []byte { return append(body, 0) })},
+		{"more-rows-than-bytes", "cannot hold", set(q4, 8, 4)},
+		{"overlong-uvarint", "over-long uvarint", index(0x80, 0x00, 2, 2)},
+		{"six-byte-uvarint", "over-long uvarint", index(0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 2, 2)},
+		{"index-past-u32", "past 2^32-1", index(0xff, 0xff, 0xff, 0xff, 0x1f, 2, 2)},
+		{"index-sum-past-u32", "past 2^32-1", index(0xfe, 0xff, 0xff, 0xff, 0x0f, 0, 0)},
+		{"index-column-ends-inside-a-row", "not consumed exactly", index(0, 2, 0x82)},
+		{"index-column-byte-past-rows", "not consumed exactly", index(0, 2, 2, 0)},
+		{"nan-lo", "zero point", set(q4, loOff+4, f32le(nan)...)},
+		{"inf-lo", "zero point", set(q4, loOff, f32le(-inf)...)},
+		{"negative-scale", "negative or not finite", set(q4, scaleOff+2, 0x80, 0xbf)},
+		{"negative-zero-scale", "negative or not finite", set(q4, scaleOff, 0x00, 0x80)},
+		{"inf-scale", "negative or not finite", set(q4, scaleOff, 0x80, 0x7f)},
+		{"nan-scale", "negative or not finite", set(q4, scaleOff, 0xc0, 0x7f)},
+		{"top-level-overflow", "overflows", set(set(q4, loOff, f32le(3e38)...), scaleOff, 0x80, 0x7d)},
 	}
 }
 
-// TestDecodeRefusesNonCanonicalCKP2 reaches every refusal of the chunk
+// nonCanonicalCKP2 returns one refusal per refusal branch of decodeCKP2,
+// each an edit of ckp2_asym4.bin: 8 rows of dim 16, whose lo and hi
+// columns start 84 bytes in.
+func nonCanonicalCKP2(tb testing.TB) []refusal {
+	q4, err := os.ReadFile(goldenPath("ckp2", "asym4"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const rangeOff = headerLen + 8*8
+	lohi := func(row int, lo, hi float32) []byte {
+		return set(q4, rangeOff+8*row, append(f32le(lo), f32le(hi)...)...)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	return []refusal{
+		{"ckp2-payload-one-byte-past-rows", "cannot hold", edit(q4, func(body []byte) []byte { return append(body, 0) })},
+		{"ckp2-nan-lo", "not finite and ordered", lohi(1, nan, 1)},
+		{"ckp2-nan-hi", "not finite and ordered", lohi(0, 0, nan)},
+		{"ckp2-inf-hi", "not finite and ordered", lohi(7, 0, inf)},
+		{"ckp2-hi-below-lo", "not finite and ordered", lohi(2, 1, 0.5)},
+		{"ckp2-span-overflows", "negative or not finite", lohi(3, -3e38, 3e38)},
+		{"ckp2-non-canonical-header", "non-canonical header", set(q4, 14, 1)},
+	}
+}
+
+// TestDecodeRefusesNonCanonicalCKP3 reaches every refusal of the chunk
 // decoder by name, each with an object one edit away from a chunk that
 // decodes. A chunk in the retired CKP1 layout is refused as retired,
 // never as a bad magic or corruption.
-func TestDecodeRefusesNonCanonicalCKP2(t *testing.T) {
+func TestDecodeRefusesNonCanonicalCKP3(t *testing.T) {
 	for _, bits := range []int{4, 32} {
 		blob, err := makeUniformChunk(t, 1, 3, 8, bits).AppendTo(nil)
 		if err != nil {
@@ -212,7 +267,19 @@ func TestDecodeRefusesNonCanonicalCKP2(t *testing.T) {
 			t.Fatalf("the unedited %d-bit chunk is refused: %v", bits, err)
 		}
 	}
-	for _, r := range nonCanonicalCKP2(t) {
+	checkRefusals(t, nonCanonicalCKP3(t))
+}
+
+// TestDecodeRefusesNonCanonicalCKP2: the CKP2 reader refuses a row count
+// the object cannot hold, the header spellings CKP3's refuses, and a
+// range that is not finite, is crossed, or spans past float32 — a
+// CRC-valid CKP2 chunk never restores a NaN or Inf row.
+func TestDecodeRefusesNonCanonicalCKP2(t *testing.T) {
+	checkRefusals(t, nonCanonicalCKP2(t))
+}
+
+func checkRefusals(t *testing.T, refusals []refusal) {
+	for _, r := range refusals {
 		t.Run(r.name, func(t *testing.T) {
 			c, err := decodeChunk(r.blob)
 			if err == nil || !strings.Contains(err.Error(), r.want) {
@@ -255,13 +322,13 @@ func BenchmarkCompactEncode(b *testing.B) {
 	for i := range rows {
 		rows[i] = 1024 + i
 	}
-	buf := make([]byte, 0, F32ChunkLen(chunkRows, dim))
+	buf := make([]byte, 0, F32ChunkLen(rows, dim))
 	b.Run("fp32_512x32/quantize+AppendTo", func(b *testing.B) {
 		p := quant.Params{Method: quant.MethodNone}
 		var s quant.Scratch
 		qs := make([]quant.QVector, chunkRows)
 		c := &Chunk{TableID: 1, Rows: make([]Row, chunkRows)}
-		b.SetBytes(int64(F32ChunkLen(chunkRows, dim)))
+		b.SetBytes(int64(F32ChunkLen(rows, dim)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j, r := range rows {
@@ -277,7 +344,7 @@ func BenchmarkCompactEncode(b *testing.B) {
 		}
 	})
 	b.Run("fp32_512x32/AppendF32Chunk", func(b *testing.B) {
-		b.SetBytes(int64(F32ChunkLen(chunkRows, dim)))
+		b.SetBytes(int64(F32ChunkLen(rows, dim)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var err error

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/quant"
@@ -51,14 +52,14 @@ func f32Table(c *Chunk, maxValues int) (rows []int, weights, accum []float32, di
 
 // TestF32ChunkMatchesGolden holds the fp32 entry to the fixtures the
 // QVector entry is pinned by: the golden rows laid out as a table at
-// their indices encode to ckp2_none.bin and ckp2_empty.bin byte for byte.
+// their indices encode to ckp3_none.bin and ckp3_empty.bin byte for byte.
 func TestF32ChunkMatchesGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
 		if gc.params.Method != quant.MethodNone {
 			continue
 		}
 		t.Run(gc.name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath(gc.name))
+			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +74,8 @@ func TestF32ChunkMatchesGolden(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("AppendF32Chunk diverged from %s (%d vs %d bytes)", gc.name, len(got), len(want))
 			}
-			if len(got) != F32ChunkLen(len(rows), dim) {
-				t.Fatalf("F32ChunkLen %d, wrote %d bytes", F32ChunkLen(len(rows), dim), len(got))
+			if len(got) != F32ChunkLen(rows, dim) {
+				t.Fatalf("F32ChunkLen %d, wrote %d bytes", F32ChunkLen(rows, dim), len(got))
 			}
 		})
 	}
@@ -102,16 +103,21 @@ func specialF32(rng *rand.Rand) float32 {
 }
 
 // TestF32ChunkMatchesAppendTo is the differential between the two
-// entries: random tables full of NaN payloads, −0 and subnormals, and row
-// lists that are sorted, shuffled or repeat a row, encode to the same
-// bytes through AppendF32Chunk as through MethodNone's QVectors and
-// AppendTo, after a prefix neither may touch.
+// entries: random tables full of NaN payloads, −0 and subnormals, and
+// increasing row lists — every row, or scattered ones with gaps of 1 to
+// 2^17, so indices take 1 to 3 bytes — encode to the same bytes through
+// AppendF32Chunk as through MethodNone's QVectors and AppendTo, after a
+// prefix neither may touch. A list that repeats a row or goes back is
+// refused by both, each returning dst as it came.
 func TestF32ChunkMatchesAppendTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	prefix := []byte("reused-buffer-prefix")
 	for _, dim := range []int{1, 7, 8, 16, 32, 33} {
 		for trial := 0; trial < 20; trial++ {
 			tabRows := 1 + rng.Intn(600)
+			if trial%4 == 3 {
+				tabRows = 1 << 18 // room for gaps up to 2^17
+			}
 			weights, accum := make([]float32, tabRows*dim), make([]float32, tabRows)
 			for i := range weights {
 				weights[i] = specialF32(rng)
@@ -119,13 +125,17 @@ func TestF32ChunkMatchesAppendTo(t *testing.T) {
 			for i := range accum {
 				accum[i] = specialF32(rng)
 			}
-			rows := make([]int, rng.Intn(513))
-			for i := range rows {
-				switch trial % 3 {
-				case 0:
-					rows[i] = i % tabRows // sorted, as a full checkpoint's
+			var rows []int
+			for r, want := 0, rng.Intn(513); r < tabRows && len(rows) < want; r++ {
+				switch trial % 4 {
+				case 0: // every row, as a full checkpoint's
+				case 3:
+					r += rng.Intn(1 << uint(rng.Intn(18)))
 				default:
-					rows[i] = rng.Intn(tabRows)
+					r += rng.Intn(20)
+				}
+				if r < tabRows {
+					rows = append(rows, r)
 				}
 			}
 			c := &Chunk{TableID: uint32(trial)}
@@ -147,8 +157,25 @@ func TestF32ChunkMatchesAppendTo(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("dim %d trial %d, %d rows: AppendF32Chunk and AppendTo differ", dim, trial, len(rows))
 			}
-			if len(got)-len(prefix) != F32ChunkLen(len(rows), dim) {
-				t.Fatalf("dim %d: F32ChunkLen %d, wrote %d bytes", dim, F32ChunkLen(len(rows), dim), len(got)-len(prefix))
+			if len(got)-len(prefix) != F32ChunkLen(rows, dim) || len(got)-len(prefix) != c.EncodedLen() {
+				t.Fatalf("dim %d: F32ChunkLen %d, EncodedLen %d, wrote %d bytes", dim, F32ChunkLen(rows, dim), c.EncodedLen(), len(got)-len(prefix))
+			}
+			if len(rows) < 2 {
+				continue
+			}
+			// The same rows with the last one repeated, or moved first.
+			for _, bad := range [][]int{append(slices.Clone(rows), rows[len(rows)-1]), append([]int{rows[len(rows)-1]}, rows[:len(rows)-1]...)} {
+				c.Rows = c.Rows[:0]
+				for _, r := range bad {
+					q, _ := quant.Quantize(weights[r*dim:(r+1)*dim], quant.Params{Method: quant.MethodNone})
+					c.Rows = append(c.Rows, Row{Index: uint32(r), Accum: accum[r], Q: q})
+				}
+				if got, err := c.AppendTo(prefix); err == nil || len(got) != len(prefix) {
+					t.Fatalf("dim %d: AppendTo wrote rows %v: %v", dim, bad, err)
+				}
+				if got, err := AppendF32Chunk(prefix, c.TableID, dim, bad, weights, accum); err == nil || len(got) != len(prefix) {
+					t.Fatalf("dim %d: AppendF32Chunk wrote rows %v: %v", dim, bad, err)
+				}
 			}
 		}
 	}
@@ -166,6 +193,8 @@ func TestF32ChunkRefusesRowsOutsideTable(t *testing.T) {
 		"past the accumulator": {8, []int{4}},
 		"past the weights":     {16, []int{2}},
 		"negative dim":         {-8, []int{0}},
+		"repeated row":         {8, []int{1, 1}},
+		"decreasing rows":      {8, []int{2, 1}},
 	} {
 		dst := make([]byte, 3, 64)
 		got, err := AppendF32Chunk(dst, 1, tc.dim, tc.rows, weights, accum)

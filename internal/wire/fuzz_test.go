@@ -13,12 +13,13 @@ import (
 	"repro/internal/rpc/rpctest"
 )
 
-// wrappedCompactHeader is a complete 24-byte CKP2 object whose two
+// wrappedHeader is a complete 24-byte object of a layout whose two
 // counts multiply to 2^64: rowCount 1<<31, bits 32, dim 2147483646, so a
-// row is 8 + 4*dim = 2^33 bytes. Summed in a machine word the claimed
-// size wraps to the 20 bytes actually present.
-func wrappedCompactHeader() []byte {
-	b := binary.LittleEndian.AppendUint32(nil, compactMagic)
+// CKP2 row is 8 + 4*dim = 2^33 bytes (a CKP3 row 4 bytes fewer, plus its
+// index). Summed in a machine word the claimed size wraps to the 20
+// bytes actually present.
+func wrappedHeader(magic uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
 	b = binary.LittleEndian.AppendUint32(b, 7)     // tableID
 	b = binary.LittleEndian.AppendUint32(b, 1<<31) // rowCount
 	b = append(b, 32, 0, 0, 0)                     // bits, flags, reserved
@@ -37,9 +38,10 @@ func stampCRC(data []byte) []byte {
 
 // fuzzMaxChunk is the largest input FuzzDecodeChunk judges. A decoded
 // row costs 64 bytes (Row + QVector) however small it is on the wire —
-// as little as 8 bytes in CKP2 — so rpctest.FuzzDecoder's bound of twice
-// the input plus 1 MiB is a statement about the slack, and holds for
-// every input only while 8 × len stays under it.
+// as little as 5 bytes in CKP3, an fp32 row of dim 0 — so
+// rpctest.FuzzDecoder's bound of twice the input plus 1 MiB is a
+// statement about the slack, and holds for every input only while
+// 13 × len stays under it.
 const fuzzMaxChunk = 64 << 10
 
 // sameChunk reports how two decoded chunks differ, field by field and
@@ -53,7 +55,7 @@ func sameChunk(a, b *Chunk) error {
 		ra, rb := a.Rows[i], b.Rows[i]
 		qa, qb := ra.Q, rb.Q
 		if ra.Index != rb.Index || bits(ra.Accum) != bits(rb.Accum) ||
-			qa.Bits != qb.Bits || qa.N != qb.N || bits(qa.Lo) != bits(qb.Lo) || bits(qa.Hi) != bits(qb.Hi) ||
+			qa.Bits != qb.Bits || qa.N != qb.N || bits(qa.Lo) != bits(qb.Lo) || bits(qa.Scale) != bits(qb.Scale) ||
 			!bytes.Equal(qa.Codes, qb.Codes) {
 			return fmt.Errorf("row %d: %+v %+v, %+v %+v", i, ra, *qa, rb, *qb)
 		}
@@ -87,25 +89,28 @@ func dirtyRowBufs(tb testing.TB) map[bool]func() *RowBuf {
 // FuzzDecodeChunk holds the chunk decoder, entered both ways, to
 // the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
 // allocation bounded by the input and not by what its header claims, and
-// an accepted chunk re-encodes through AppendTo to exactly the input.
-// No field is exempt from the re-encode check: decodeCompact refuses the
-// spellings the writer never wrote (reserved bytes, unknown flags, a
-// range flag that disagrees with bits, a shaped empty chunk). The second
-// way in is a RowBuf still holding a chunk of the other kind, fp32 or
-// quantized (dirtyRowBufs): it must accept what a fresh decode accepts
-// and return the same rows, nothing of the previous chunk among them. An
-// accepted fp32 chunk whose row indices are distinct must also re-encode
-// to exactly the input through the writer's other entry, AppendF32Chunk,
-// reading a table built from its rows. The corpus starts at the golden
-// fixtures and at every refusal of TestDecodeRefusesNonCanonicalCKP2.
-// The trailing CRC is re-stamped so mutations reach the parser behind
-// the checksum.
+// an accepted CKP3 chunk re-encodes through AppendTo to exactly the
+// input. No field is exempt from the re-encode check: decodeHeader and
+// decodeCKP3 refuse the spellings the writer never wrote (reserved
+// bytes, unknown flags, a range flag that disagrees with bits, a shaped
+// empty chunk, a uvarint longer than its value needs). An accepted CKP2
+// chunk, which no writer produces any more, is held to the first two.
+// The second way in is a RowBuf still holding a chunk of the other kind,
+// fp32 or quantized (dirtyRowBufs): it must accept what a fresh decode
+// accepts and return the same rows, nothing of the previous chunk among
+// them. An accepted fp32 CKP3 chunk must also re-encode to exactly the
+// input through the writer's other entry, AppendF32Chunk, reading a
+// table built from its rows. The corpus starts at the golden fixtures of
+// both layouts and at every refusal of TestDecodeRefusesNonCanonicalCKP3
+// and TestDecodeRefusesNonCanonicalCKP2. The trailing CRC is re-stamped
+// so mutations reach the parser behind the checksum.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, seed := range rpctest.Seeds(f, "testdata/*.bin") {
 		f.Add(seed)
 	}
-	f.Add(wrappedCompactHeader())
-	for _, r := range nonCanonicalCKP2(f) {
+	f.Add(wrappedHeader(ckp3Magic))
+	f.Add(wrappedHeader(ckp2Magic))
+	for _, r := range append(nonCanonicalCKP3(f), nonCanonicalCKP2(f)...) {
 		f.Add(r.blob)
 	}
 	dirty := dirtyRowBufs(f)
@@ -127,7 +132,21 @@ func FuzzDecodeChunk(f *testing.F) {
 			if err := sameChunk(want, got); err != nil {
 				t.Fatalf("a used RowBuf decodes other rows than a fresh decode: %v", err)
 			}
-			// The CKP2 writer's fp32 entry, given the rows as a table at
+		}
+		if len(data) < 4 || binary.LittleEndian.Uint32(data) != ckp3Magic {
+			// No writer produces the other layouts: decoding one may refuse
+			// it or not, within the allocation bound.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _ = reused(data)
+			runtime.ReadMemStats(&after)
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+1<<20); grew > limit {
+				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
+			}
+			return
+		}
+		if err == nil {
+			// The CKP3 writer's fp32 entry, given the rows as a table at
 			// their indices, writes the input again too.
 			if rows, weights, accum, dim, ok := f32Table(want, fuzzMaxChunk); ok {
 				again, err := AppendF32Chunk(nil, want.TableID, dim, rows, weights, accum)
@@ -164,7 +183,8 @@ func FuzzDecodeChunk(f *testing.F) {
 // sized by the claim.
 func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 	for name, blob := range map[string][]byte{
-		"ckp2_wrapped_size": wrappedCompactHeader(),
+		"ckp3_wrapped_size": wrappedHeader(ckp3Magic),
+		"ckp2_wrapped_size": wrappedHeader(ckp2Magic),
 	} {
 		t.Run(name, func(t *testing.T) {
 			// A RowBuf is grown only by a count that was checked.

@@ -12,18 +12,21 @@ import (
 	"repro/internal/quant"
 )
 
-// The golden-bytes differential tests pin the chunk layout, CKP2. The
-// fixtures, testdata/ckp2_*.bin, pin what AppendTo writes: every future
+// The golden-bytes differential tests pin the chunk layout, CKP3. The
+// fixtures, testdata/ckp3_*.bin, pin what AppendTo writes: every future
 // encoder must reproduce them exactly, which proves both directions of
 // compatibility at once — checkpoints written before an encoder change
 // restore bit-identically after it, and checkpoints written after decode
-// under the old readers.
+// under the old readers. testdata/ckp2_*.bin are the same cases as the
+// CKP2 writer stored them, before CKP3: decode-only, and never
+// regenerated.
 //
-// Regenerate them (only when the wire format intentionally changes) with:
+// Regenerate the CKP3 fixtures (only when the wire format intentionally
+// changes) with:
 //
 //	go test ./internal/wire -run TestGolden -update-golden
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the ckp2_* golden chunk testdata")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the ckp3_* golden chunk testdata")
 
 // goldenVector derives a deterministic embedding-like vector from integer
 // arithmetic only, so the quantizer input is identical on every platform
@@ -66,23 +69,26 @@ type goldenCase struct {
 	params quant.Params
 }
 
+// goldenCases are the CKP3 fixtures, ckp3_<case>.bin; ckp2_<case>.bin
+// holds each case as the CKP2 writer stored it.
 func goldenCases() []goldenCase {
 	return []goldenCase{
-		{"ckp2_asym1", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 1}},
-		{"ckp2_asym2", 6, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 2}},
-		{"ckp2_asym4", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4}},
-		{"ckp2_asym8", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 8}},
-		{"ckp2_sym3", 5, 10, quant.Params{Method: quant.MethodSymmetric, Bits: 3}},
-		{"ckp2_adaptive2", 8, 16, quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}},
-		{"ckp2_adaptive3", 6, 10, quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}},
-		{"ckp2_adaptive4", 8, 16, quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}},
-		{"ckp2_none", 4, 16, quant.Params{Method: quant.MethodNone}},
-		{"ckp2_empty", 0, 16, quant.Params{Method: quant.MethodNone}},
+		{"asym1", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 1}},
+		{"asym2", 6, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 2}},
+		{"asym4", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 4}},
+		{"asym8", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 8}},
+		{"sym3", 5, 10, quant.Params{Method: quant.MethodSymmetric, Bits: 3}},
+		{"adaptive2", 8, 16, quant.Params{Method: quant.MethodAdaptive, Bits: 2, NumBins: 25, Ratio: 1}},
+		{"adaptive3", 6, 10, quant.Params{Method: quant.MethodAdaptive, Bits: 3, NumBins: 25, Ratio: 1}},
+		{"adaptive4", 8, 16, quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}},
+		{"none", 4, 16, quant.Params{Method: quant.MethodNone}},
+		{"empty", 0, 16, quant.Params{Method: quant.MethodNone}},
 	}
 }
 
-func goldenPath(name string) string {
-	return filepath.Join("testdata", name+".bin")
+// goldenPath returns the fixture of a case in a layout, "ckp3" or "ckp2".
+func goldenPath(layout, name string) string {
+	return filepath.Join("testdata", layout+"_"+name+".bin")
 }
 
 // encodeCompact is AppendTo into a buffer of EncodedLen.
@@ -99,14 +105,14 @@ func encodeCase(t *testing.T, c *Chunk) []byte {
 	return blob
 }
 
-// TestGoldenEncodeBytes asserts AppendTo reproduces the captured CKP2
+// TestGoldenEncodeBytes asserts AppendTo reproduces the captured CKP3
 // byte streams exactly.
 func TestGoldenEncodeBytes(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
 			blob := encodeCase(t, c)
-			path := goldenPath(gc.name)
+			path := goldenPath("ckp3", gc.name)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -128,11 +134,11 @@ func TestGoldenEncodeBytes(t *testing.T) {
 	}
 }
 
-// TestAppendToWritesOnlyCKP2 runs every row shape of the golden corpus
-// through AppendTo behind bytes already in dst: CKP2, of EncodedLen
+// TestAppendToWritesOnlyCKP3 runs every row shape of the golden corpus
+// through AppendTo behind bytes already in dst: CKP3, of EncodedLen
 // bytes and byte-identical to the fixture. (append_test.go holds the
 // rows AppendTo refuses.)
-func TestAppendToWritesOnlyCKP2(t *testing.T) {
+func TestAppendToWritesOnlyCKP3(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
@@ -145,10 +151,10 @@ func TestAppendToWritesOnlyCKP2(t *testing.T) {
 			if len(got) != c.EncodedLen() {
 				t.Fatalf("EncodedLen %d != encoded size %d", c.EncodedLen(), len(got))
 			}
-			if m := binary.LittleEndian.Uint32(got); m != compactMagic {
-				t.Fatalf("AppendTo wrote magic 0x%08x, want 0x%08x", m, compactMagic)
+			if m := binary.LittleEndian.Uint32(got); m != ckp3Magic {
+				t.Fatalf("AppendTo wrote magic 0x%08x, want 0x%08x", m, ckp3Magic)
 			}
-			want, err := os.ReadFile(goldenPath(gc.name))
+			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,14 +165,14 @@ func TestAppendToWritesOnlyCKP2(t *testing.T) {
 	}
 }
 
-// TestGoldenDecode asserts that every fixture still decodes field for
-// field — index, accumulator, bits, N, the range's bits and codes — to
-// goldenChunk's rows, so old checkpoints keep restoring bit-identically,
-// and that re-encoding the decoded rows reproduces it.
+// TestGoldenDecode asserts that every CKP3 fixture still decodes field
+// for field — index, accumulator, bits, N, the range's bits and codes —
+// to goldenChunk's rows, so old checkpoints keep restoring
+// bit-identically, and that re-encoding the decoded rows reproduces it.
 func TestGoldenDecode(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			blob, err := os.ReadFile(goldenPath(gc.name))
+			blob, err := os.ReadFile(goldenPath("ckp3", gc.name))
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
@@ -186,7 +192,7 @@ func TestGoldenDecode(t *testing.T) {
 						i, g.Index, g.Accum, w.Index, w.Accum)
 				}
 				if g.Q.Bits != w.Q.Bits || g.Q.N != w.Q.N ||
-					math.Float32bits(g.Q.Lo) != math.Float32bits(w.Q.Lo) || math.Float32bits(g.Q.Hi) != math.Float32bits(w.Q.Hi) {
+					math.Float32bits(g.Q.Lo) != math.Float32bits(w.Q.Lo) || math.Float32bits(g.Q.Scale) != math.Float32bits(w.Q.Scale) {
 					t.Fatalf("row %d qmeta: got %+v, want %+v", i, g.Q, w.Q)
 				}
 				if !bytes.Equal(g.Q.Codes, w.Q.Codes) {
@@ -204,6 +210,59 @@ func TestGoldenDecode(t *testing.T) {
 			re := encodeCase(t, got)
 			if !bytes.Equal(re, blob) {
 				t.Fatalf("%s: re-encode of decoded chunk diverged", gc.name)
+			}
+		})
+	}
+}
+
+// TestCKP2FixturesDecode holds the CKP2 reader to the chunks the CKP2
+// writer stored, the ckp2_* fixtures: every row decodes to the index,
+// accumulator, zero point and codes stored in its columns, with the
+// step (hi - lo)/(2^bits - 1) in float32, the one the CKP2 writer's
+// dequantizer reconstructed with — so a stored CKP2 chain restores bit
+// for bit.
+func TestCKP2FixturesDecode(t *testing.T) {
+	le := binary.LittleEndian
+	for _, gc := range goldenCases() {
+		t.Run(gc.name, func(t *testing.T) {
+			blob, err := os.ReadFile(goldenPath("ckp2", gc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decodeChunk(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
+			if got.TableID != 7 || len(got.Rows) != gc.nRows {
+				t.Fatalf("decoded table %d with %d rows, want table 7 with %d", got.TableID, len(got.Rows), gc.nRows)
+			}
+			n, bits := gc.nRows, gc.params.StoredBits()
+			codes := blob[headerLen+8*n:]
+			if bits != 32 {
+				codes = codes[8*n:]
+			}
+			rowCodes := quant.PackedLen(gc.dim, bits)
+			for i, g := range got.Rows {
+				w := want.Rows[i]
+				if g.Index != le.Uint32(blob[headerLen+4*i:]) || g.Index != w.Index || g.Accum != w.Accum {
+					t.Fatalf("row %d: index %d accumulator %v, want %d %v", i, g.Index, g.Accum, w.Index, w.Accum)
+				}
+				if !bytes.Equal(g.Q.Codes, codes[i*rowCodes:(i+1)*rowCodes]) || g.Q.Bits != bits || g.Q.N != gc.dim {
+					t.Fatalf("row %d: %d-bit dim %d codes %x, stored %x", i, g.Q.Bits, g.Q.N, g.Q.Codes, codes[i*rowCodes:(i+1)*rowCodes])
+				}
+				if bits == 32 {
+					if g.Q.Lo != 0 || g.Q.Scale != 0 {
+						t.Fatalf("fp32 row %d decoded with range %v %v", i, g.Q.Lo, g.Q.Scale)
+					}
+					continue
+				}
+				lo := math.Float32frombits(le.Uint32(blob[headerLen+8*n+8*i:]))
+				hi := math.Float32frombits(le.Uint32(blob[headerLen+8*n+8*i+4:]))
+				scale := (hi - lo) / float32(int(1)<<uint(bits)-1)
+				if math.Float32bits(g.Q.Lo) != math.Float32bits(lo) || math.Float32bits(g.Q.Scale) != math.Float32bits(scale) {
+					t.Fatalf("row %d: decoded lo %v scale %v, stored [%v, %v] (scale %v)", i, g.Q.Lo, g.Q.Scale, lo, hi, scale)
+				}
 			}
 		})
 	}

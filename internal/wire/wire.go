@@ -40,8 +40,9 @@ func (k Kind) String() string {
 }
 
 // Row is one embedding row inside a chunk: its index within the table, the
-// row-wise optimizer accumulator (always fp32 — it is tiny relative to the
-// vector), and the quantized vector payload.
+// row-wise optimizer accumulator, and the quantized vector payload. The
+// accumulator is always fp32, 4 of the 27 bytes a 4-bit dim-32 row takes:
+// a restore hands it back bit for bit.
 type Row struct {
 	Index uint32
 	Accum float32
@@ -67,18 +68,22 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // pay: a chunk is also the unit of encode work, and a coarser one
 // starves the encoders of a quantized commit. Whole segments keep the
 // row positions the adaptive quantizer samples at.
+//
+// A row is sized with its longest index, binary.MaxVarintLen32 bytes, so
+// the ceiling holds for any indices.
 func SegmentsPerChunk(p quant.Params, dim, segRows int) int {
 	const segments = 4
-	const overhead = 20 + 4 // the CKP2 header and CRC
-	return max(1, min(segments, (rpc.MaxPooled-overhead)/(segRows*compactRowLen(dim, p.StoredBits()))))
+	row := fixedRowLen(dim, p.StoredBits()) + binary.MaxVarintLen32
+	return max(1, min(segments, (rpc.MaxPooled-headerLen-crcLen)/(segRows*row)))
 }
 
 // RowBuf is caller-owned storage for the rows of one decoded chunk at a
 // time: the Row and QVector structs that describe a chunk outweigh the
-// chunk itself (64 bytes a row against as little as 24 on the wire), so a
-// loop that decodes many chunks and is done with each before the next —
-// the checkpoint walker's workers — keeps one RowBuf and allocates
-// nothing per chunk once it has grown to the largest. The zero value is
+// chunk itself (64 bytes a row against 27 on the wire for a 4-bit row of
+// dim 32, 19 at dim 16), so a loop that decodes many chunks and is done
+// with each before the next — the checkpoint walker's workers — keeps
+// one RowBuf and allocates nothing per chunk once it has grown to the
+// largest. The zero value is
 // ready to use; a RowBuf is not safe for concurrent use.
 type RowBuf struct {
 	chunk Chunk
@@ -90,8 +95,8 @@ type RowBuf struct {
 // slots for them to point at: b's own, grown when it has fewer, or fresh
 // ones when there is no buffer. Callers have tied n to the size of the
 // object before they ask, so a claimed count never sizes anything. The
-// slots hold whatever the last chunk left in them; decodeCompact
-// overwrites every field of every one.
+// slots hold whatever the last chunk left in them; the decoders
+// overwrite every field of every one.
 func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	if b == nil {
 		return &Chunk{TableID: tableID, Rows: make([]Row, n)}, make([]quant.QVector, n)
@@ -103,9 +108,9 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	return &b.chunk, b.qs[:n]
 }
 
-// DecodeAlias parses and CRC-verifies a CKP2 chunk without copying the
-// codes out of it: every row's packed codes alias data's backing array
-// directly. The caller must keep data alive and unmodified for as long
+// DecodeAlias parses and CRC-verifies a CKP3 or CKP2 chunk without
+// copying the codes out of it: every row's packed codes alias data's
+// backing array directly. The caller must keep data alive and unmodified for as long
 // as the chunk, or any row vector taken from it, is in use;
 // mutating data afterwards corrupts the decoded rows. The restore paths
 // consume each freshly fetched blob (dequantize or index-scan it) before
@@ -115,6 +120,7 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 //
 // A chunk in CKP1, the layout before CKP2, is refused by name: no writer
 // produces it, and an intact object of a retired layout is not corruption.
+// CKP2 chunks decode as a CKP2 writer stored them; see compact.go.
 func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
@@ -125,10 +131,12 @@ func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 		return nil, fmt.Errorf("wire: chunk CRC mismatch: 0x%08x != 0x%08x", got, want)
 	}
 	switch m := binary.LittleEndian.Uint32(body); m {
-	case compactMagic:
-		return b.decodeCompact(body)
+	case ckp3Magic:
+		return b.decodeCKP3(body)
+	case ckp2Magic:
+		return b.decodeCKP2(body)
 	case ckp1Magic:
-		return nil, fmt.Errorf("wire: chunk in the retired CKP1 layout; this reader decodes only CKP2")
+		return nil, fmt.Errorf("wire: chunk in the retired CKP1 layout; this reader decodes CKP3 and CKP2")
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}
