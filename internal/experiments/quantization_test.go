@@ -10,16 +10,32 @@ import (
 )
 
 // TestFig9Pinned holds Figure 9 to float64 bit patterns. The uniform
-// series are the stored rows' error: each row's step is rounded up to a
-// bfloat16, which the chunk stores. k-means has no stored form and keeps
-// the values it had while it was a quant.Method; at dim 16 it has a
-// centroid per element at 4 and 8 bits and so no error.
+// series are the stored rows' error, on the grid a chunk stores: a
+// bfloat16 step, and at 8 bits a zero point that may put the row's max
+// on a level. k-means has no stored form and keeps the values it had
+// while it was a quant.Method; at dim 16 it has a centroid per element at
+// 4 and 8 bits and so no error. Each uniform value also stays within
+// +1 % of the one the float32 step stored (fp32), so a re-recorded pin
+// cannot carry a larger regression.
 func TestFig9Pinned(t *testing.T) {
 	want := map[string][4]uint64{ // widths 2, 3, 4, 8
-		"symmetric":  {0x3f94762d6978ec97, 0x3f818990cec183b3, 0x3f705641eaac374c, 0x3f2f363c00261011},
-		"asymmetric": {0x3f913eb0bccac7d9, 0x3f7d98177e0f3c99, 0x3f6bafb6c0da72cc, 0x3f2a67fa03a88a03},
+		"symmetric":  {0x3f94762d6978ec97, 0x3f818990cec183b3, 0x3f705641eaac374c, 0x3f2dffd08827271b},
+		"asymmetric": {0x3f913eb0bccac7d9, 0x3f7d98177e0f3c99, 0x3f6bafb6c0da72cc, 0x3f297798d341bca5},
 		"k-means":    {0x3f8a9e3989e2aa8e, 0x3f74da6459d3a7f4, 0, 0},
-		"adaptive":   {0x3f8b3664457c45e4, 0x3f7a1a61bc259c51, 0x3f68eb23797973db, 0x3f2a67fa03a88a03},
+		"adaptive":   {0x3f8b3664457c45e4, 0x3f7a1a61bc259c51, 0x3f68eb23797973db, 0x3f297798d341bca5},
+	}
+	fp32 := map[string][4]uint64{
+		"symmetric":  {0x3f9464f5219f0029, 0x3f817a464bd7431d, 0x3f7044c0b5323c13, 0x3f2e9430819875b7},
+		"asymmetric": {0x3f912fa15c09e6c2, 0x3f7d7c14df84f424, 0x3f6b91b4d8e16524, 0x3f29c1e991264fe8},
+		"k-means":    {0x3f8a9e3989e2aa8e, 0x3f74da6459d3a7f4, 0, 0},
+		"adaptive":   {0x3f8b35e15e44dffa, 0x3f7a1faaff5669f5, 0x3f68fae8265a2f1e, 0x3f29c1e991264fe8},
+	}
+	for name, w := range want {
+		for i, bits := range []int{2, 3, 4, 8} {
+			if got, old := math.Float64frombits(w[i]), math.Float64frombits(fp32[name][i]); got > 1.01*old {
+				t.Errorf("%s at %d bits: pinned %v is more than 1 %% above the fp32-step %v", name, bits, got, old)
+			}
+		}
 	}
 	r, err := Fig9QuantError(smallCheckpoint(t))
 	if err != nil {

@@ -83,7 +83,7 @@ func TestCachedReuseByteIdentical(t *testing.T) {
 	s.BeginAdaptiveChunk(8)
 	for i, x := range vectors {
 		var q1, q2 QVector
-		if err := quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, &Scratch{}); err != nil {
+		if _, _, err := quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, ents[i].Lo, ents[i].Hi, &Scratch{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := QuantizeCachedInto(&q2, x, p, &s, &ents[i]); err != nil {
@@ -137,29 +137,35 @@ func TestCachedInvalidationOnMinMaxMove(t *testing.T) {
 }
 
 // TestChunkSampledNeverWorseThanNaive: the sampled fast path always
-// evaluates the full range as a candidate, so the range it picks can
-// never score worse than naive asymmetric quantization's, the row's
-// min/max — the guarantee that makes the approximation safe to enable
-// by default.
+// evaluates the full range as a candidate, on the grid it would be
+// stored on, so no stored row is worse than naive asymmetric
+// quantization's — the guarantee that makes the approximation safe to
+// enable by default. Both rows are scored as stored, on the kernel the
+// choice is made with.
 func TestChunkSampledNeverWorseThanNaive(t *testing.T) {
 	for _, bits := range []int{2, 3, 4} {
 		p := adaptiveParams(bits)
+		naive := Params{Method: MethodAsymmetric, Bits: bits}
 		var s Scratch
 		s.BeginAdaptiveChunk(8)
 		for i, x := range testVectors(128, 16, 17) {
-			var ent RowRange
-			if err := QuantizeCachedInto(new(QVector), x, p, &s, &ent); err != nil {
+			var q QVector
+			if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
 				t.Fatal(err)
 			}
-			fastErr := s.uniformL2(x, bits, ent.Lo, ent.Hi, math.Inf(1))
-			mn, mx, _ := minMax(x)
-			naiveErr := s.uniformL2(x, bits, mn, mx, math.Inf(1))
-			if fastErr > naiveErr*(1+1e-12) {
+			fastErr, naiveErr := storedL2(x, &q), storedL2(x, quantizeExact(t, x, naive))
+			if fastErr > naiveErr {
 				t.Fatalf("bits=%d vector %d: sampled path error %v worse than naive %v",
 					bits, i, fastErr, naiveErr)
 			}
 		}
 	}
+}
+
+// storedL2 is the squared error of x stored as q, on the scoring kernel.
+func storedL2(x []float32, q *QVector) float64 {
+	var t levels
+	return t.l2(x, q.Lo, t.fill(q.Bits, q.Lo, q.Scale), codeCap(q.Bits), math.Inf(1))
 }
 
 // TestChunkSampledDeterministic: two independent Scratches fed the same

@@ -42,26 +42,23 @@ import "math"
 type levels [256]float64
 
 // fill sets t[k] for every code of the given width and returns the
-// divisor for roundCode. The scale is the one the range would store
-// (storedScale), so the search scores every range as it would be stored
-// and the full range, always a candidate, bounds what it picks. A range
-// with no positive scale (constant row, or a candidate whose ends
-// crossed) reconstructs every element to zero: every level is then
-// zero_point, and which code an element gets no longer matters.
-func (t *levels) fill(bits int, lo, hi float32) (zero float32, scale64 float64) {
-	scale, zero := storedScale(lo, hi, bits), lo
+// divisor for roundCode. A grid with no positive scale (constant row, or
+// a candidate whose ends crossed) reconstructs every element to zero:
+// every level is then zero_point, and which code an element gets no
+// longer matters.
+func (t *levels) fill(bits int, zero, scale float32) (scale64 float64) {
 	s, z := float64(scale), float64(zero)
 	n := 1 << uint(bits)
 	if !(scale > 0) {
 		for k := 0; k < n; k++ {
 			t[k] = z
 		}
-		return zero, s
+		return s
 	}
 	for k := 0; k < n; k++ {
 		t[k] = float64(s*float64(k)) + z
 	}
-	return zero, s
+	return s
 }
 
 // codeCap returns the bit pattern roundCode clamps against for a code
@@ -103,12 +100,13 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 // reconstruction level of such a range lies in [lo, b]. Level 0 is
 // float64(lo') >= lo exactly, every level is at most the top one, and the
 // top one, float64(s*max) + lo', exceeds hi' only by the rounding of the
-// stored scale s: (hi'-lo')/max rounded to float32 and then up to a
-// bfloat16, under (1+2^-24)(1+2^-7) < 1+2^-6 times the quotient for a
-// normal scale, and under 2^-133 above it for a subnormal one, so
-// max*2^-133 < 2^-125 (the product s*max is exact in float64, and the add
-// rounds by at most 2^-53 of a magnitude within 2^25 widths).
-// b = hi + width*2^-6 + 2^-120 covers both. An element below lo is then at least lo-v from its level, one
+// stored scale s (storedScale): (hi'-lo')/max rounded to float32 and then
+// up to a bfloat16, or one bfloat16 more where that falls short, under
+// (1+2^-24)(1+2^-7) < 1+2^-6 times the quotient for a normal scale, and
+// under 2^-132 above it for a subnormal one, so max*2^-132 < 2^-124 (the
+// product s*max is exact in float64, and the add rounds by at most 2^-53
+// of a magnitude within 2^25 widths). b = hi + width*2^-6 + 2^-120 covers
+// both. An element below lo is then at least lo-v from its level, one
 // above b at least v-b, one in between at least 0; rounding is monotone,
 // so each term here is at most the range's own float64(d*d), and the two
 // sums add their terms in the same element order. The greedy walk calls
@@ -148,30 +146,32 @@ func l2Pair(x []float32, ta, tb *levels, zeroA, zeroB float32, scaleA, scaleB fl
 }
 
 // uniformL2 is the squared error of uniform quantization over [lo, hi],
-// up to bound (see l2).
+// up to bound (see l2). A range is scored on the grid it would be stored
+// on from lo (storedScale), so the search scores ranges as they store
+// and the full range, always a candidate, bounds what it picks.
 func (s *Scratch) uniformL2(x []float32, bits int, lo, hi float32, bound float64) float64 {
 	t := &s.lvl[0]
-	zero, scale64 := t.fill(bits, lo, hi)
-	return t.l2(x, zero, scale64, codeCap(bits), bound)
+	scale64 := t.fill(bits, lo, storedScale(lo, hi, bits))
+	return t.l2(x, lo, scale64, codeCap(bits), bound)
 }
 
 // uniformL2Pair scores [loA, hiA] and [loB, hiB] in one pass.
 func (s *Scratch) uniformL2Pair(x []float32, bits int, loA, hiA, loB, hiB float32) (float64, float64) {
 	ta, tb := &s.lvl[0], &s.lvl[1]
-	zeroA, scaleA := ta.fill(bits, loA, hiA)
-	zeroB, scaleB := tb.fill(bits, loB, hiB)
-	return l2Pair(x, ta, tb, zeroA, zeroB, scaleA, scaleB, codeCap(bits))
+	scaleA := ta.fill(bits, loA, storedScale(loA, hiA, bits))
+	scaleB := tb.fill(bits, loB, storedScale(loB, hiB, bits))
+	return l2Pair(x, ta, tb, loA, loB, scaleA, scaleB, codeCap(bits))
 }
 
 // uniformCodes maps x to [0, 2^bits-1] codes of step scale from zero
-// point lo, clipping out-of-range elements.
-func uniformCodes(codes []uint32, x []float32, bits int, lo, scale float32) {
+// point zero, clipping out-of-range elements.
+func uniformCodes(codes []uint32, x []float32, bits int, zero, scale float32) {
 	if !(scale > 0) {
 		clear(codes)
 		return
 	}
 	scale64, capBits := float64(scale), codeCap(bits)
 	for i, v := range x {
-		codes[i] = uint32(roundCode(float64(v-lo)/scale64, capBits))
+		codes[i] = uint32(roundCode(float64(v-zero)/scale64, capBits))
 	}
 }

@@ -91,33 +91,70 @@ var diffFamilies = []struct {
 
 func sameBits32(a, b float32) bool { return f32b(a) == f32b(b) }
 
-// oracleStoredScale is the step a row searched to [lo, hi] stores, by the
-// rounding rule spelled out: the search's step (hi-lo)/(2^bits-1), or
-// the smallest bfloat16 (a float32 whose low 16 bits are zero) above it
-// when it is not one; +0 when it is not positive.
+// oracleStoredScale is the step a row over [lo, hi] stores, by the rule
+// spelled out: the least bfloat16 (a float32 whose low 16 bits are zero)
+// at or above the search's step (hi-lo)/(2^bits-1) whose grid from lo
+// reaches hi, found by walking up one bfloat16 at a time; +0 when the
+// search's step is not positive.
 func oracleStoredScale(lo, hi float32, bits int) float32 {
 	s := (hi - lo) / float32(int(1)<<uint(bits)-1)
 	if !(s > 0) {
 		return 0
 	}
-	down := math.Float32frombits(math.Float32bits(s) &^ 0xffff)
-	if down == s {
-		return s
+	for b := math.Float32bits(s) &^ 0xffff; ; b += 1 << 16 {
+		c := math.Float32frombits(b)
+		if c >= s && float64(lo)+float64(int(1)<<uint(bits)-1)*float64(c) >= float64(hi) {
+			return c
+		}
 	}
-	return math.Float32frombits(math.Float32bits(down) + 1<<16)
 }
 
-// oracleQuantized is the row the quantizer stores for x searched to
-// [lo, hi]: zero point lo, the oracle's stored step, and the codes of
-// that step. It is nil when that step or the top level lo + (2^bits-1)
-// steps is not finite, a row the quantizer refuses.
-func oracleQuantized(x []float32, bits int, lo, hi float32) *QVector {
+// oracleQuantized is the row the quantizer stores for x over [lo, hi],
+// and its squared error: the oracle's step, and of two zero points the
+// one with the lower error, lo on a tie. The other is hi - k·step for the
+// least k, counted up from 0, with k·step >= hi-lo; it is a candidate
+// only when the grid from lo ends at least half a step past hi, and it
+// lies below lo, its grid reaches hi, and it and its top level are
+// finite. The row is nil when the step or the top level from lo is not
+// finite, a row the quantizer refuses.
+func oracleQuantized(x []float32, bits int, lo, hi float32) (*QVector, float64) {
+	maxCode := float32(int(1)<<uint(bits) - 1)
+	finite := func(v float32) bool { return !math.IsInf(float64(v), 0) && !math.IsNaN(float64(v)) }
 	scale := oracleStoredScale(lo, hi, bits)
-	top := float32(scale*float32(int(1)<<uint(bits)-1)) + lo
-	if math.IsInf(float64(scale), 0) || math.IsInf(float64(top), 0) {
-		return nil
+	if !finite(scale) || !finite(float32(scale*maxCode)+lo) {
+		return nil, 0
 	}
-	return &QVector{Bits: bits, N: len(x), Lo: lo, Scale: scale, Codes: oraclePacked(x, bits, lo, scale)}
+	zero, best := lo, oracleGridL2(x, bits, lo, scale)
+	if scale > 0 && float64(maxCode)*float64(scale)-(float64(hi)-float64(lo)) >= float64(scale)/2 {
+		k := 0
+		for float64(k)*float64(scale) < float64(hi)-float64(lo) {
+			k++
+		}
+		z := hi - float32(k)*scale
+		if z < lo && float64(z)+float64(maxCode)*float64(scale) >= float64(hi) &&
+			finite(z) && finite(float32(scale*maxCode)+z) {
+			if e := oracleGridL2(x, bits, z, scale); e < best {
+				zero, best = z, e
+			}
+		}
+	}
+	return &QVector{Bits: bits, N: len(x), Lo: zero, Scale: scale, Codes: oraclePacked(x, bits, zero, scale)}, best
+}
+
+// oracleAdaptive is the row the quantizer stores for x when the search
+// picked [lo, hi]: the row over [lo, hi], nil if that cannot be stored.
+// From 7 bits on it is the row over the full range instead where that
+// one's error is lower, and nil if the full range cannot be stored.
+func oracleAdaptive(x []float32, bits int, lo, hi float32) *QVector {
+	q, e := oracleQuantized(x, bits, lo, hi)
+	mn, mx, _ := minMax(x)
+	if q == nil || bits < 7 || lo == mn && hi == mx {
+		return q
+	}
+	if full, fullErr := oracleQuantized(x, bits, mn, mx); full == nil || fullErr < e {
+		return full
+	}
+	return q
 }
 
 // oraclePacked is what the old quantizeUniformInto put in QVector.Codes,
@@ -178,14 +215,14 @@ func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, prob
 			t.Fatalf("paired l2 over [%v,%v] and [%v,%v]: got %v %v, oracle %v %v; x=%v bits=%d",
 				r[0], r[1], o[0], o[1], gotA, gotB, want, wantB, x, p.Bits)
 		}
-		if !sameQVector(storedOver(s, x, p.Bits, r[0], r[1]), oracleQuantized(x, p.Bits, r[0], r[1])) {
+		if want, _ := oracleQuantized(x, p.Bits, r[0], r[1]); !sameQVector(storedOver(s, x, p.Bits, r[0], r[1]), want) {
 			t.Fatalf("stored row over [%v,%v] differs from oracle; x=%v bits=%d", r[0], r[1], x, p.Bits)
 		}
 	}
 	var q QVector
 	s.BeginAdaptiveChunk(1)
 	err := QuantizeCachedInto(&q, x, p, s, nil)
-	want := oracleQuantized(x, p.Bits, wLo, wHi)
+	want := oracleAdaptive(x, p.Bits, wLo, wHi)
 	if want == nil {
 		if !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("a range the oracle cannot store: err = %v, want ErrNonFinite; x=%v p=%+v", err, x, p)
@@ -204,7 +241,7 @@ func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, prob
 // or nil when it refuses the range.
 func storedOver(s *Scratch, x []float32, bits int, lo, hi float32) *QVector {
 	var q QVector
-	if quantizeUniformInto(&q, x, bits, lo, hi, s) != nil {
+	if _, _, err := quantizeUniformInto(&q, x, bits, lo, hi, lo, hi, s); err != nil {
 		return nil
 	}
 	return &q
@@ -264,7 +301,7 @@ func TestAdaptiveKernelDifferential(t *testing.T) {
 						if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
 							t.Fatal(err)
 						}
-						if want := oracleQuantized(x, p.Bits, wLo, wHi); !sameQVector(&q, want) {
+						if want := oracleAdaptive(x, p.Bits, wLo, wHi); !sameQVector(&q, want) {
 							t.Fatalf("%s dim=%d row %d: sampled QuantizeCachedInto %+v, oracle %+v over [%v,%v]; p=%+v",
 								fam.name, dim, i, q, want, wLo, wHi, p)
 						}
@@ -289,7 +326,7 @@ func TestKernelDegenerateScale(t *testing.T) {
 			if got := s.uniformL2(x, bits, r[0], r[1], math.Inf(1)); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("bits=%d [%v,%v]: l2 %v, oracle %v", bits, r[0], r[1], got, want)
 			}
-			if !sameQVector(storedOver(&s, x, bits, r[0], r[1]), oracleQuantized(x, bits, r[0], r[1])) {
+			if want, _ := oracleQuantized(x, bits, r[0], r[1]); !sameQVector(storedOver(&s, x, bits, r[0], r[1]), want) {
 				t.Fatalf("bits=%d [%v,%v]: stored row differs from oracle", bits, r[0], r[1])
 			}
 		}
@@ -395,7 +432,7 @@ func TestAdaptiveWalkReturnsOnNearConstantRow(t *testing.T) {
 			t.Fatalf("row %d: oracle moved to [%v,%v], want the full range [%v,%v]", i, wLo, wHi, mn, mx)
 		}
 		for _, q := range []*QVector{r.exact[i], r.sampled[i]} {
-			if want := oracleQuantized(x, p.Bits, wLo, wHi); !sameQVector(q, want) {
+			if want := oracleAdaptive(x, p.Bits, wLo, wHi); !sameQVector(q, want) {
 				t.Fatalf("row %d: got %+v, oracle %+v over [%v,%v]", i, q, want, wLo, wHi)
 			}
 		}

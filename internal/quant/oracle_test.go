@@ -9,13 +9,17 @@ import "math"
 // kernel to, bit for bit; it must not be "fixed" or sped up. Two
 // exceptions: the walk stops when a step moves neither end, which it
 // otherwise repeats forever (a row a few ulps wide) — so no row that
-// returned before returns anything else now; and a range is scored with
-// the step it would store, oracleStoredScale, as the quantizer has since
-// chunks store a bfloat16 step. It has no early stop: it walks to the
-// ratio limit.
+// returned before returns anything else now; and a range is scored on
+// the grid it would be stored on from lo, step oracleStoredScale, as the
+// quantizer has since chunks store a bfloat16 step. It has no early
+// stop: it walks to the ratio limit.
 
 func oracleUniformL2(x []float32, bits int, lo, hi float32) float64 {
-	scale, zero := oracleStoredScale(lo, hi, bits), lo
+	return oracleGridL2(x, bits, lo, oracleStoredScale(lo, hi, bits))
+}
+
+// oracleGridL2 is the scorer over a grid, a zero point and a step.
+func oracleGridL2(x []float32, bits int, zero, scale float32) float64 {
 	maxCode := float64(int(1)<<uint(bits) - 1)
 	var sum float64
 	for _, v := range x {

@@ -155,10 +155,12 @@ func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if !ok {
 		return ErrNonFinite
 	}
+	mn, mx := lo, hi
 	if p.Method == MethodAdaptive {
 		lo, hi, _, _ = s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, lo, hi)
 	}
-	return quantizeUniformInto(q, x, p.Bits, lo, hi, s)
+	_, _, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s)
+	return err
 }
 
 // Dequantize reconstructs the fp32 vector from q, allocating the result.
@@ -331,42 +333,117 @@ func minMax(x []float32) (lo, hi float32, ok bool) {
 	return lo, hi, nonFinite == 0 && !math.IsInf(float64(hi-lo), 0)
 }
 
-// storedScale is the step a row over [lo, hi] stores: the uniform step
-// of §5.2, scale = (xmax-xmin)/(2^N - 1), rounded up to a bfloat16, so
-// lo + (2^bits−1)·scale covers hi, and a chunk stores it in two bytes
-// without loss. bfloat16 has float32's exponent range, so only a step
-// within 2^-8 of float32's largest rounds to +Inf. A range with no
-// positive step stores +0: every code then reconstructs to lo, as it did
-// over the crossed or empty range.
+// storedScale is the step a row over [lo, hi] stores: §5.2's uniform
+// step, scale = (xmax-xmin)/(2^N - 1) in float32, rounded up to a
+// bfloat16 (a float32 whose low 16 bits are zero), and up once more when
+// lo + (2^bits−1)·scale still falls short of hi. A chunk stores it in
+// two bytes without loss, and the grid from lo covers hi. bfloat16 has
+// float32's exponent range, so only a step within 2^-8 of float32's
+// largest rounds to +Inf. A range with no positive step stores
+// +0: every code then reconstructs to lo, as it did over the crossed or
+// empty range.
 func storedScale(lo, hi float32, bits int) float32 {
 	s := (hi - lo) / float32(int(1)<<uint(bits)-1)
 	if !(s > 0) {
 		return 0
 	}
-	return f32fb((f32b(s) + 0xffff) &^ 0xffff)
+	s = f32fb((f32b(s) + 0xffff) &^ 0xffff)
+	if float64(lo)+float64(int(1)<<uint(bits)-1)*float64(s) < float64(hi) {
+		s = f32fb(f32b(s) + 1<<16)
+	}
+	return s
+}
+
+// topAligned is the second zero point a row over [lo, hi] may be stored
+// from: hi − k·scale for the least k that reaches lo, which puts hi on a
+// level. It is tried only where the grid from lo leaves its top level at
+// least half a step past hi, so that hi's nearest level is not the top
+// one: the rounded step leaves at most 2^-7 of the range as slack, under
+// half a step below 7 bits and up to two levels at 8. It returns lo where
+// it is not tried, and where the grid from it does not reach hi or is
+// not finite.
+func topAligned(lo, hi, scale float32, bits int) float32 {
+	maxCode, step := float64(int(1)<<uint(bits)-1), float64(scale)
+	width := float64(hi) - float64(lo)
+	if !(step > 0) || !(maxCode*step-width >= 0.5*step) {
+		return lo
+	}
+	k := math.Ceil(width / step)
+	if k*step < width { // the quotient rounded down onto an integer
+		k++
+	}
+	z := hi - float32(float32(k)*scale) // k·scale is exact: 8 bits times 8
+	if float64(z)+maxCode*step < float64(hi) || CheckRange(z, scale, bits) != nil {
+		return lo
+	}
+	return z
+}
+
+// grid is where a stored row's codes land: code k restores to
+// zero + k·scale.
+type grid struct{ zero, scale float32 }
+
+// appendGrids appends the grids a row over [lo, hi] may be stored on:
+// step storedScale from zero point lo, and from topAligned where that
+// is another — at 8 bits a grid from lo leaves hi up to half a step off
+// its levels, and the grid ending on hi often stores the row better. It
+// appends nothing and reports false for a range whose stored form
+// CheckRange refuses.
+func appendGrids(gs []grid, lo, hi float32, bits int) ([]grid, bool) {
+	scale := storedScale(lo, hi, bits)
+	if CheckRange(lo, scale, bits) != nil {
+		return gs, false
+	}
+	gs = append(gs, grid{lo, scale})
+	if top := topAligned(lo, hi, scale, bits); top != lo {
+		gs = append(gs, grid{top, scale})
+	}
+	return gs, true
 }
 
 // quantizeUniformInto is where every method's codes are computed: it
-// stores [lo, hi]'s zero point and bfloat16 step and maps x into
-// [0, 2^bits-1] codes with exactly that step, clipping out-of-range
-// elements (which is what makes the adaptive range-shrinking search
-// meaningful). Codes are staged unpacked in s and packed word-wise in
-// one pass. A range whose stored form CheckRange refuses is
-// ErrNonFinite.
-func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi float32, s *Scratch) error {
-	scale := storedScale(lo, hi, bits)
-	if CheckRange(lo, scale, bits) != nil {
-		return ErrNonFinite
+// stores x on whichever of [lo, hi]'s grids has the least squared error,
+// the first on a tie, and maps x into [0, 2^bits-1] codes of exactly
+// that grid, clipping out-of-range elements (which is what makes the
+// adaptive range-shrinking search meaningful). It returns the range it
+// stored. For a searched [lo, hi], [mn, mx] is the row's full range: the
+// search scores each range on its grid from its bottom, so the full
+// range, its first candidate, bounds what it picks there, and from 7
+// bits on, where a grid ending on a range's top may store better, the
+// full range's grids are tried as well — adaptive never stores a row
+// worse than asymmetric. Other callers pass [lo, hi] twice.
+func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float32, s *Scratch) (float32, float32, error) {
+	var buf [4]grid
+	gs, ok := appendGrids(buf[:0], lo, hi, bits)
+	searched := len(gs)
+	if ok && bits >= 7 && (lo != mn || hi != mx) {
+		gs, ok = appendGrids(gs, mn, mx, bits)
 	}
+	if !ok {
+		return 0, 0, ErrNonFinite
+	}
+	best := 0
+	if len(gs) > 1 { // a lone grid is not scored
+		bestSq, t := math.Inf(1), &s.lvl[0]
+		for i, g := range gs {
+			if sq := t.l2(x, g.zero, t.fill(bits, g.zero, g.scale), codeCap(bits), bestSq); sq < bestSq {
+				best, bestSq = i, sq
+			}
+		}
+	}
+	if best >= searched {
+		lo, hi = mn, mx
+	}
+	g := gs[best]
 	q.Bits = bits
 	q.N = len(x)
-	q.Lo = lo
-	q.Scale = scale
+	q.Lo = g.zero
+	q.Scale = g.scale
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
 	codes := s.codeBuf(len(x))
-	uniformCodes(codes, x, bits, lo, scale)
+	uniformCodes(codes, x, bits, g.zero, g.scale)
 	PackCodes(q.Codes, codes, bits)
-	return nil
+	return lo, hi, nil
 }
 
 // adaptiveRangeFrom runs the paper's greedy search (§5.2 Approach 3) with
@@ -476,13 +553,15 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 		return ErrNonFinite
 	}
 	if ent != nil && ent.Valid && ent.MnBits == f32b(mn) && ent.MxBits == f32b(mx) {
-		return quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, s)
+		_, _, err := quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, ent.Lo, ent.Hi, s)
+		return err
 	}
 	lo, hi := s.adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
-	if ent != nil {
+	lo, hi, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s)
+	if err == nil && ent != nil {
 		*ent = RowRange{MnBits: f32b(mn), MxBits: f32b(mx), Lo: lo, Hi: hi, Valid: true}
 	}
-	return quantizeUniformInto(q, x, p.Bits, lo, hi, s)
+	return err
 }
 
 // adaptiveRangeChunk picks the quantization range for one row under the

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -291,8 +292,11 @@ func TestMeanL2ErrorEmpty(t *testing.T) {
 	}
 }
 
+// TestQuickDequantWithinRange: a 3-bit asymmetric row is stored on a grid
+// from its min whose top level covers its max, and every value restores
+// into [min, max + (max-min)·2^-6]: the rounded-up step carries the top
+// level at most 2^-7 of the width past the max.
 func TestQuickDequantWithinRange(t *testing.T) {
-	// All dequantized values lie within [Lo, top level] for uniform methods.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := trainedLikeVector(rng, 16)
@@ -300,9 +304,13 @@ func TestQuickDequantWithinRange(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		top := q.Lo + 7*q.Scale
+		mn, mx := slices.Min(x), slices.Max(x)
+		if q.Lo != mn || float32(7*q.Scale)+q.Lo < mx {
+			return false
+		}
+		over := mx + (mx-mn)*0x1p-6
 		for _, v := range Dequantize(q) {
-			if v < q.Lo-1e-5 || v > top+1e-5 {
+			if v < mn || v > over {
 				return false
 			}
 		}
@@ -311,6 +319,51 @@ func TestQuickDequantWithinRange(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStoredGridCoversRange: at every width, a symmetric or asymmetric
+// row's stored step is a bfloat16 at most 2^-6 above its range's uniform
+// step, its grid spans the range, and so every element restores within
+// half a step of itself. The zero point is the range's bottom below 7
+// bits; at 8 bits it may sit lower, where the grid ends on the range's
+// top, and some rows here take that grid.
+func TestStoredGridCoversRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	lowered := 0
+	for i := 0; i < 4000; i++ {
+		bits := 1 + i%8
+		x := trainedLikeVector(rng, 16)
+		for _, m := range []Method{MethodSymmetric, MethodAsymmetric} {
+			q, err := Quantize(x, Params{Method: m, Bits: bits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := slices.Min(x), slices.Max(x)
+			if m == MethodSymmetric {
+				a := max(-lo, hi)
+				lo, hi = -a, a
+			}
+			maxCode, step := float64(int(1)<<uint(bits)-1), float64(q.Scale)
+			if f32b(q.Scale)&0xffff != 0 || step > (float64(hi)-float64(lo))/maxCode*(1+0x1p-6) {
+				t.Fatalf("%v %d bits: step %v over [%v,%v] is not a bfloat16 within 2^-6 of the uniform step", m, bits, q.Scale, lo, hi)
+			}
+			if q.Lo > lo || float64(q.Lo)+maxCode*step < float64(hi) || q.Lo < lo && bits < 7 {
+				t.Fatalf("%v %d bits: grid %v + k·%v does not span [%v,%v] as it should", m, bits, q.Lo, q.Scale, lo, hi)
+			}
+			if q.Lo < lo {
+				lowered++
+			}
+			for j, v := range Dequantize(q) {
+				if d := math.Abs(float64(v) - float64(x[j])); d > step/2+0x1p-20*float64(hi-lo) {
+					t.Fatalf("%v %d bits: element %d restores %v from %v, more than half a step %v off", m, bits, j, v, x[j], step)
+				}
+			}
+		}
+	}
+	if lowered == 0 {
+		t.Fatal("no 8-bit row took the grid that ends on its top")
+	}
+	t.Logf("%d of 1000 8-bit rows stored on the grid that ends on the top", lowered)
 }
 
 func BenchmarkAsymmetric4Bit(b *testing.B) {

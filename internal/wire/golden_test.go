@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -220,8 +222,26 @@ func TestGoldenDecode(t *testing.T) {
 // accumulator, zero point and codes stored in its columns, with the
 // step (hi - lo)/(2^bits - 1) in float32, the one the CKP2 writer's
 // dequantizer reconstructed with — so a stored CKP2 chain restores bit
-// for bit.
+// for bit. restored pins what that release restored from each fixture:
+// the count of floats Dequantize returned over its rows and the first 16
+// bytes of the SHA-256 of their little-endian bit patterns, recorded with
+// the CKP2 writer's own decoder and dequantizer.
 func TestCKP2FixturesDecode(t *testing.T) {
+	restored := map[string]struct {
+		n      int
+		digest string
+	}{
+		"adaptive2": {128, "a78f9613ad1ec781acac405e21faabde"},
+		"adaptive3": {60, "402d4a0f22ce638d877be40a010a7d1a"},
+		"adaptive4": {128, "582e6b2b5b321ff9bba188b816ddb63e"},
+		"asym1":     {128, "9a6d4e0ddae8965eef77982e71b0bc1c"},
+		"asym2":     {96, "e07be0fc348933418954e57f073a0156"},
+		"asym4":     {128, "1a7fba5c456710374319d6f39a90c43f"},
+		"asym8":     {128, "ab4edb227098e7387c8e17651fe231c4"},
+		"empty":     {0, "e3b0c44298fc1c149afbf4c8996fb924"},
+		"none":      {64, "dbbc0f5339f940b46ef8a15975631552"},
+		"sym3":      {50, "bfb58b6f8984f57ea1cb1cb18af5423a"},
+	}
 	le := binary.LittleEndian
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
@@ -263,6 +283,17 @@ func TestCKP2FixturesDecode(t *testing.T) {
 				if math.Float32bits(g.Q.Lo) != math.Float32bits(lo) || math.Float32bits(g.Q.Scale) != math.Float32bits(scale) {
 					t.Fatalf("row %d: decoded lo %v scale %v, stored [%v, %v] (scale %v)", i, g.Q.Lo, g.Q.Scale, lo, hi, scale)
 				}
+			}
+			h, n := sha256.New(), 0
+			for _, r := range got.Rows {
+				for _, v := range quant.Dequantize(r.Q) {
+					h.Write(le.AppendUint32(nil, math.Float32bits(v)))
+					n++
+				}
+			}
+			pin, ok := restored[gc.name]
+			if digest := fmt.Sprintf("%x", h.Sum(nil)[:16]); !ok || n != pin.n || digest != pin.digest {
+				t.Fatalf("restored %d floats with digest %s, the CKP2 release restored %d with %s", n, digest, pin.n, pin.digest)
 			}
 		})
 	}
