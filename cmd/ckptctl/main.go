@@ -132,8 +132,10 @@ func main() {
 			}
 		}
 		// The checkpoint's objects live under the job's own scope (the
-		// composite and dense object) and under every shard's (this also
-		// reaps debris a torn shard attempt left without a composite). Each
+		// composite, and the dense object of a checkpoint written before
+		// shard 0 stored it) and under every shard's (shard 0's dense
+		// object among them; this also reaps debris a torn shard attempt
+		// left without a composite). Each
 		// scope loses its manifest before anything that manifest names, the
 		// job's own scope first: a kill part-way leaves unlisted debris for
 		// gc, never a listed checkpoint whose restore fails.

@@ -168,9 +168,8 @@ func BuiltinScenarios() []*Scenario {
 			Name: "partition-store-outage-consecutive",
 			Description: "partition-anchor-store-outage under the consecutive policy, with the outage on " +
 				"the agents' store links only, so that the attempt gets past the controller's lease renewal: " +
-				"every shard cuts its snapshot and then fails its first Put (shard 0 the dense object, " +
-				"before its engine saw the snapshot); the retried cut and the increment after it must " +
-				"restore bit-identically",
+				"every shard cuts its snapshot and then fails its first Put (shard 0 the dense object); " +
+				"the retried cut and the increment after it must restore bit-identically",
 			Fleet: fleetConsecutive3x3,
 			Steps: []Step{
 				{Op: "lead", Holder: "leader-0"},

@@ -139,10 +139,6 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 		// prepared treats Abort as a no-op, so all of them are aborted.
 		actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		_ = c.forEachRunner(func(_ int, r ShardRunner) error { return r.Abort(actx, id) })
-		// The dense object is its shard-0 writer's to delete, but that
-		// writer may be the one that died after its prepare: best-effort
-		// delete directly, too.
-		_ = c.store.Delete(actx, wire.DenseKey(c.jobID, id))
 		cancel()
 		if ce := ctx.Err(); ce != nil {
 			return nil, ce
@@ -150,17 +146,10 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 		return nil, err
 	}
 
-	// Phase 1: concurrent per-shard prepare. Shard 0's runner also stores,
-	// and reports, the composite's dense object.
+	// Phase 1: concurrent per-shard prepare.
 	shardMans := make([]*wire.Manifest, len(c.runners))
-	var denseKey string
-	var denseBytes int64
-	err := c.forEachRunner(func(s int, r ShardRunner) error {
-		man, key, n, err := r.Prepare(ctx, id, att.Step)
-		shardMans[s] = man
-		if s == 0 {
-			denseKey, denseBytes = key, n
-		}
+	err := c.forEachRunner(func(s int, r ShardRunner) (err error) {
+		shardMans[s], err = r.Prepare(ctx, id, att.Step)
 		return err
 	})
 	if err != nil {
@@ -188,7 +177,7 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 
 	// Phase 3: commit. The composite manifest's presence is the commit
 	// point, and this is the only place it is written.
-	man := buildComposite(c.jobID, id, att.Step, shardMans, denseKey, denseBytes)
+	man := buildComposite(c.jobID, id, att.Step, shardMans)
 	manBlob, err := wire.EncodeManifest(man)
 	if err != nil {
 		return fail(fmt.Errorf("ckpt: encode composite manifest: %w", err))
@@ -243,8 +232,9 @@ func (c *Committer) forEachRunner(fn func(s int, r ShardRunner) error) error {
 // inspection — with ChunkKeys left nil, because the restorable chunk
 // references live in the shard manifests — and TableShards records which
 // shard listed each table. Reader state is the same on every shard of a
-// consistent cut; shard 0's is recorded.
-func buildComposite(jobID string, id int, step uint64, shardMans []*wire.Manifest, denseKey string, denseBytes int64) *wire.Manifest {
+// consistent cut; shard 0's is recorded, as is the dense object shard 0
+// stored, so that a restore reads it from the composite alone.
+func buildComposite(jobID string, id int, step uint64, shardMans []*wire.Manifest) *wire.Manifest {
 	man := &wire.Manifest{
 		FormatVersion:    wire.CurrentFormatVersion,
 		JobID:            jobID,
@@ -255,8 +245,7 @@ func buildComposite(jobID string, id int, step uint64, shardMans []*wire.Manifes
 		Step:             step,
 		ReaderNextSample: shardMans[0].ReaderNextSample,
 		ReaderBatchSize:  shardMans[0].ReaderBatchSize,
-		DenseKey:         denseKey,
-		PayloadBytes:     denseBytes,
+		DenseKey:         shardMans[0].DenseKey,
 		ShardCount:       len(shardMans),
 		TableShards:      make(map[int]int),
 	}

@@ -14,8 +14,9 @@ import (
 // fakeRunner is a ShardRunner that stores no tables: it counts the phase
 // calls it receives and fails the one phase named by failAt, through
 // the trip function the test case supplies. Shard 0's stores the dense
-// object in prepare, as the shard-0 ShardWriter does, and never deletes
-// it — so what a failed attempt leaves is down to Committer's rollback.
+// object in prepare, in its own scope as the shard-0 ShardWriter does,
+// names it in its manifest and deletes it in abort — so what a failed
+// attempt leaves is down to Committer aborting every shard.
 type fakeRunner struct {
 	shard  int
 	job    string
@@ -46,19 +47,18 @@ func (r *fakeRunner) count(name string) int {
 	return r.calls[name]
 }
 
-func (r *fakeRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, string, int64, error) {
+func (r *fakeRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, error) {
 	if err := r.phase("prepare"); err != nil {
-		return nil, "", 0, err
-	}
-	var denseKey string
-	var denseBytes int64
-	if r.shard == 0 {
-		denseKey, denseBytes = wire.DenseKey(r.job, id), int64(len(fakeDense))
-		if err := r.store.Put(ctx, denseKey, fakeDense); err != nil {
-			return nil, "", 0, err
-		}
+		return nil, err
 	}
 	man := &wire.Manifest{ID: id, Kind: wire.KindFull.String(), Step: step, PayloadBytes: 100}
+	if r.shard == 0 {
+		man.DenseKey = fakeDenseKey(r.job, id)
+		man.PayloadBytes += int64(len(fakeDense))
+		if err := r.store.Put(ctx, man.DenseKey, fakeDense); err != nil {
+			return nil, err
+		}
+	}
 	tables := r.tables
 	if tables == nil {
 		tables = []int{r.shard}
@@ -66,14 +66,24 @@ func (r *fakeRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Ma
 	for _, table := range tables {
 		man.Tables = append(man.Tables, wire.TableManifest{TableID: table, Rows: 8, Dim: 4, StoredRows: 8})
 	}
-	return man, denseKey, denseBytes, nil
+	return man, nil
 }
 
 var fakeDense = []byte("mlp")
 
+// fakeDenseKey is where shard 0's fake runner stores checkpoint id's
+// dense object: shard 0's own scope.
+func fakeDenseKey(job string, id int) string { return wire.DenseKey(wire.ShardJobID(job, 0), id) }
+
 func (r *fakeRunner) Publish(context.Context, int) error  { return r.phase("publish") }
 func (r *fakeRunner) Finalize(context.Context, int) error { return r.phase("finalize") }
-func (r *fakeRunner) Abort(context.Context, int) error    { return r.phase("abort") }
+
+func (r *fakeRunner) Abort(ctx context.Context, id int) error {
+	if r.shard == 0 {
+		_ = r.store.Delete(ctx, fakeDenseKey(r.job, id))
+	}
+	return r.phase("abort")
+}
 
 // newFakeRunners returns n fake runners sharing trip, once as
 // themselves and once as the ShardRunners a Committer takes.
@@ -174,7 +184,7 @@ func TestCommitSequence(t *testing.T) {
 					}
 				}
 				bg := context.Background()
-				for _, key := range []string{wire.DenseKey(job, 0), wire.ManifestKey(job, 0)} {
+				for _, key := range []string{fakeDenseKey(job, 0), wire.ManifestKey(job, 0)} {
 					if _, err := mem.Stat(bg, key); !errors.Is(err, objstore.ErrNotFound) {
 						t.Errorf("%s survived the failed attempt (err %v)", key, err)
 					}
@@ -215,7 +225,7 @@ func TestCommitSequence(t *testing.T) {
 		if man != announced || man.ID != 0 || c.NextID() != 1 {
 			t.Fatalf("committed %+v (announced %+v), next %d", man, announced, c.NextID())
 		}
-		if man.DenseKey != wire.DenseKey(job, 0) || man.PayloadBytes != 3+shards*100 || man.ShardCount != shards {
+		if man.DenseKey != fakeDenseKey(job, 0) || man.PayloadBytes != 3+shards*100 || man.ShardCount != shards {
 			t.Fatalf("composite = %+v", man)
 		}
 		for s, f := range fakes {
@@ -300,7 +310,7 @@ func TestCommitterContinuesOneJob(t *testing.T) {
 			t.Errorf("shard %d: %v, want one prepare and one abort and nothing published", s, f.calls)
 		}
 	}
-	for _, key := range []string{wire.DenseKey(job, 1), wire.ManifestKey(job, 1)} {
+	for _, key := range []string{fakeDenseKey(job, 1), wire.ManifestKey(job, 1)} {
 		if _, err := mem.Stat(ctx, key); !errors.Is(err, objstore.ErrNotFound) {
 			t.Errorf("%s survived the vetoed attempt (err %v)", key, err)
 		}

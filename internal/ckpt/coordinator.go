@@ -159,8 +159,6 @@ func (c *Coordinator) Close(ctx context.Context) error {
 
 // Write checkpoints snap across all shards and commits the composite
 // manifest (Committer.Commit has the phases and the failure contract).
-// The replicated dense state is stored once, at the composite level, by
-// the shard-0 writer.
 func (c *Coordinator) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")

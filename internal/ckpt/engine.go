@@ -94,6 +94,10 @@ type Engine struct {
 	// row list, so workers touch disjoint elements. Dropped whenever the
 	// quantization parameters change.
 	rangeCache map[int][]quant.RowRange
+
+	// pending is the attempt in flight, from prepare until finalize or
+	// abort; nil if none.
+	pending *attempt
 }
 
 // NewEngine validates cfg and returns an Engine.
@@ -153,48 +157,47 @@ func (e *Engine) Quant() quant.Params { return e.cfg.Quant }
 // NextID returns the ID the next checkpoint will get.
 func (e *Engine) NextID() int { return e.nextID }
 
-// Write runs one shard's three phases on snap — Prepare, Publish,
-// Finalize — and returns the shard manifest it stored, with no commit
+// Write runs one shard's three phases on snap — prepare, publish,
+// finalize — and returns the shard manifest it stored, with no commit
 // record. Under a plain job ID a Restorer lists that manifest and refuses
 // it as damaged, so give the engine a shard-scoped JobID (wire.ShardJobID).
 // It measures or tests the engine alone; a job writes through a
 // Coordinator or ctrl.Controller.
 func (e *Engine) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
-	p, err := e.Prepare(ctx, snap)
-	if err != nil {
+	if _, err := e.prepare(ctx, snap); err != nil {
 		return nil, err
 	}
-	if err := p.Publish(ctx); err != nil {
-		p.Abort(ctx)
+	if err := e.publish(ctx); err != nil {
+		e.abort(ctx)
 		return nil, err
 	}
-	return p.Finalize(ctx), nil
+	return e.finalize(), nil
 }
 
-// Prepared is a checkpoint whose chunks are durably stored but whose
-// manifest is not yet published.
-// Until Publish+Finalize run the checkpoint is invisible to recovery and
-// the engine has committed nothing — sequence number, baseline, policy
-// history and retention are Finalize's — so Abort rolls the whole attempt
-// back and the next Prepare reuses the ID. The one thing Prepare does
-// change is what no retry could get back: the snapshot's Modified view
-// is folded into the engine's modified-row sets (Engine.absorb), because
-// taking the snapshot reset the tracker. That is safe to keep after an
-// Abort — the sets only grow, so the next attempt stores a superset of
-// the rows it must — and only Finalize clears them. This is the
-// shard-local "prepared" vote of the coordinator's two-phase commit.
-type Prepared struct {
-	eng  *Engine
+// attempt is a checkpoint whose objects are durably stored but which is
+// not yet finalized: the shard-local "prepared" vote of the two-phase
+// commit. Until finalize the engine has committed nothing — sequence
+// number, baseline, policy history and retention are finalize's — so
+// abort rolls the whole attempt back and the next prepare reuses the ID.
+// The one thing prepare does change is what no retry could get back: the
+// snapshot's Modified view is folded into the engine's modified-row sets
+// (Engine.absorb), because taking the snapshot reset the tracker. That is
+// safe to keep after an abort — the sets only grow, so the next attempt
+// stores a superset of the rows it must — and only finalize clears them.
+type attempt struct {
 	man  *wire.Manifest
 	dec  decision
 	size float64 // stored fraction of total rows, for policy history
-	done bool
 }
 
-// Prepare quantizes and uploads a checkpoint's embedding rows without
-// publishing its manifest or committing engine state. snap's dense state
-// is not the engine's: a composite stores it once (ShardWriter.Prepare).
-func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error) {
+// prepare stores a checkpoint's objects — snap's dense state, when it
+// carries any, then the embedding rows, quantized — without publishing
+// its manifest or committing engine state, and makes it the attempt in
+// flight. The dense object is an object of this checkpoint like its
+// chunks: under its scope, named by its manifest, deleted with it. A
+// prepare that fails deletes what it stored. The caller must not prepare
+// again before it has finalized or aborted.
+func (e *Engine) prepare(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("ckpt: nil snapshot")
 	}
@@ -237,67 +240,65 @@ func (e *Engine) Prepare(ctx context.Context, snap *Snapshot) (*Prepared, error)
 		man.SinceBase = dec.sinceBase
 	}
 
-	var payloadBytes int64
+	fail := func(err error) (*wire.Manifest, error) {
+		// Best-effort cleanup of partial objects; the manifest was never
+		// written so the checkpoint is invalid either way.
+		cctx, cancel := DetachedCtx(ctx)
+		e.cleanup(cctx, id)
+		cancel()
+		return nil, err
+	}
+	if snap.Dense != nil {
+		man.DenseKey = wire.DenseKey(e.cfg.JobID, id)
+		if err := e.cfg.Store.Put(ctx, man.DenseKey, snap.Dense); err != nil {
+			return fail(fmt.Errorf("ckpt: dense state: %w", err))
+		}
+		man.PayloadBytes = int64(len(snap.Dense))
+	}
 	storedTotal := 0
 	for _, tab := range snap.Tables {
 		rows := e.rowsToStore(tab, dec)
 		tm, bytes, err := e.writeTable(ctx, id, tab, rows)
 		if err != nil {
-			// Abort: best-effort cleanup of partial objects; the manifest
-			// was never written so the checkpoint is invalid either way.
-			cctx, cancel := DetachedCtx(ctx)
-			e.cleanup(cctx, id)
-			cancel()
-			return nil, err
+			return fail(err)
 		}
-		payloadBytes += bytes
+		man.PayloadBytes += bytes
 		storedTotal += tm.StoredRows
 		man.Tables = append(man.Tables, tm)
 	}
-	man.PayloadBytes = payloadBytes
 
 	size := 0.0
 	if totalRows > 0 {
 		size = float64(storedTotal) / float64(totalRows)
 	}
-	return &Prepared{eng: e, man: man, dec: dec, size: size}, nil
+	e.pending = &attempt{man: man, dec: dec, size: size}
+	return man, nil
 }
 
-// Manifest returns the prepared checkpoint's manifest. Callers may
-// inspect it but must not rely on it being restorable before Publish.
-func (p *Prepared) Manifest() *wire.Manifest { return p.man }
-
-// Publish durably stores the manifest object, making the checkpoint
-// visible to recovery. Engine state is still uncommitted: the caller
-// must follow with Finalize (or, on failure, Abort — which also removes
-// a manifest published by an earlier attempt of this call).
-func (p *Prepared) Publish(ctx context.Context) error {
-	if p.done {
-		return fmt.Errorf("ckpt: checkpoint %d already finalized or aborted", p.man.ID)
-	}
-	manBlob, err := wire.EncodeManifest(p.man)
+// publish durably stores the pending attempt's manifest, making the
+// checkpoint visible to recovery. Engine state is still uncommitted: the
+// caller must follow with finalize (or, on failure, abort — which also
+// removes a manifest published by an earlier try).
+func (e *Engine) publish(ctx context.Context) error {
+	manBlob, err := wire.EncodeManifest(e.pending.man)
 	if err != nil {
 		return fmt.Errorf("ckpt: encode manifest: %w", err)
 	}
-	e := p.eng
-	if err := e.cfg.Store.Put(ctx, wire.ManifestKey(e.cfg.JobID, p.man.ID), manBlob); err != nil {
+	if err := e.cfg.Store.Put(ctx, wire.ManifestKey(e.cfg.JobID, e.pending.man.ID), manBlob); err != nil {
 		return fmt.Errorf("ckpt: store manifest: %w", err)
 	}
 	return nil
 }
 
-// Finalize commits the engine's in-memory state — policy history,
-// baseline tracking, manifest cache, sequence number — and decides which
-// checkpoints retire. It cannot fail and issues no store operation: the
-// checkpoint became valid when Publish stored the manifest, and deleting
-// what it supersedes is the sweeper's job, off the commit path (hence
-// no use for ctx). Returns the committed manifest.
-func (p *Prepared) Finalize(_ context.Context) *wire.Manifest {
-	if p.done {
-		return p.man
-	}
-	p.done = true
-	e := p.eng
+// finalize commits the pending attempt into the engine's in-memory state
+// — policy history, baseline tracking, manifest cache, sequence number —
+// and decides which checkpoints retire. It cannot fail and issues no
+// store operation: the checkpoint became valid when its commit point
+// landed, and deleting what it supersedes is the sweeper's job, off the
+// commit path. Returns the committed manifest.
+func (e *Engine) finalize() *wire.Manifest {
+	p := e.pending
+	e.pending = nil
 	e.state.record(p.dec.kind, p.size)
 	if p.dec.kind == wire.KindFull {
 		e.lastFullID = p.man.ID
@@ -331,28 +332,26 @@ func DetachedCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.WithoutCancel(ctx), dl)
 }
 
-// Abort deletes every object the prepared checkpoint stored (including
-// a manifest from a failed Publish round). Nothing was committed, so the
-// next Prepare reuses the same ID — and, the modified-row sets being
+// abort deletes every object the pending attempt stored (including a
+// manifest from a failed publish) and drops it. Nothing was committed, so
+// the next prepare reuses the same ID — and, the modified-row sets being
 // kept, stores this attempt's rows again. Cleanup runs under a
-// cancellation-immune but still deadline-bounded context (detachedCtx),
+// cancellation-immune but still deadline-bounded context (DetachedCtx),
 // so a caller's op timeout keeps bounding the store I/O.
-func (p *Prepared) Abort(ctx context.Context) {
-	if p.done {
-		return
-	}
-	p.done = true
+func (e *Engine) abort(ctx context.Context) {
+	id := e.pending.man.ID
+	e.pending = nil
 	cctx, cancel := DetachedCtx(ctx)
 	defer cancel()
-	p.eng.cleanup(cctx, p.man.ID)
+	e.cleanup(cctx, id)
 }
 
 // absorb folds snap's Modified view into the engine's modified-row sets.
 // Rows modified since the last committed checkpoint are never dropped by
 // an attempt that did not commit: taking the snapshot reset the tracker,
 // so from here on these sets are the only record of the interval's rows,
-// and whoever holds a snapshot must hand it over before any store I/O of
-// the attempt can fail. Absorbing the same snapshot twice changes nothing.
+// and prepare absorbs its snapshot before any store I/O of the attempt
+// can fail.
 func (e *Engine) absorb(snap *Snapshot) {
 	for id, bm := range snap.Modified {
 		for _, set := range []map[int]*bitvec.Bitmap{e.cumulative, e.uncommitted} {
@@ -725,18 +724,14 @@ func (s *sweeper) run() {
 // retire deletes checkpoint id in the one order that keeps every listed
 // checkpoint restorable: the commit record, this engine's manifest, then
 // what that names (DeleteCheckpoint). For a shard of a composite job the
-// commit record is the composite manifest and, once that is gone — deleted
-// now, or already by another shard's sweep — its dense object; while the
-// composite manifest cannot be deleted nothing else is touched and the
-// next commit retries. It reports whether this engine's manifest is gone.
+// commit record is the composite manifest; while it cannot be deleted
+// nothing else is touched and the next commit retries. It reports
+// whether this engine's manifest is gone.
 func (s *sweeper) retire(ctx context.Context, id int) bool {
 	if s.composite != "" {
 		if err := s.store.Delete(ctx, wire.ManifestKey(s.composite, id)); err != nil && !errors.Is(err, objstore.ErrNotFound) {
 			return false
 		}
-		// Unreferenced from here on, if the checkpoint had one at all:
-		// SweepOrphans' job if this fails.
-		_ = s.store.Delete(ctx, wire.DenseKey(s.composite, id))
 	}
 	return DeleteCheckpoint(ctx, s.store, s.jobID, id, s.workers)
 }

@@ -176,11 +176,10 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 	}
 	// Attempt 1 publishes, then the process dies before the composite
 	// commit: the manifest is durable but uncommitted.
-	p, err := eng.Prepare(ctx, snaps[1])
-	if err != nil {
+	if _, err := eng.prepare(ctx, snaps[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Publish(ctx); err != nil {
+	if err := eng.publish(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,7 +247,7 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 				// the process is gone, rollback included.
 				crash.snap = snaps[2]
 				for s, w := range crash.writers {
-					if _, _, _, err := w.Prepare(ctx, 2, snaps[2].Step); err != nil {
+					if _, err := w.Prepare(ctx, 2, snaps[2].Step); err != nil {
 						t.Fatal(err)
 					}
 					if s < published {
@@ -273,6 +272,11 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 					if s < published && len(keys) != 0 {
 						t.Fatalf("shard %d: published debris of the torn attempt survived: %v", s, keys)
 					}
+				}
+				// Nothing of the attempt is the job's own: its one object, the
+				// dense state, went with shard 0's rollback.
+				if keys, err := storeCrash.List(ctx, wire.CheckpointPrefix(job, 2)); err != nil || len(keys) != 0 {
+					t.Fatalf("job scope: debris of the torn attempt survived: %v (err %v)", keys, err)
 				}
 				if !reflect.DeepEqual(rec.assign, live.assign) {
 					t.Fatalf("table ownership changed across the rebuild: %v, want %v", rec.assign, live.assign)

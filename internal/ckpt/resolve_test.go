@@ -164,9 +164,9 @@ func TestRestoreResolvesByKey(t *testing.T) {
 	}
 }
 
-// TestRestoreReadsOneDenseObject: dense state is whole, not a delta, and a
-// checkpoint stores it once, under its composite — no link of a shard's
-// chain carries one — so a restore through a chain of n links costs one
+// TestRestoreReadsOneDenseObject: dense state is whole, not a delta. Every
+// link of shard 0's chain stores one, but a restore reads only the one its
+// composite names, so a restore through a chain of n links costs one
 // dense Get, the restored checkpoint's own.
 func TestRestoreReadsOneDenseObject(t *testing.T) {
 	const links = 5
@@ -179,8 +179,8 @@ func TestRestoreReadsOneDenseObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if man.DenseKey != "" {
-			t.Fatalf("shard manifest %d names dense object %s; only the composite does", man.ID, man.DenseKey)
+		if man.DenseKey == "" {
+			t.Fatalf("shard 0's manifest %d names no dense object", man.ID)
 		}
 	}
 	store := &opStore{Store: f.store}

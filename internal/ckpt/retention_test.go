@@ -302,16 +302,16 @@ func TestAbandonedSweepIsCollected(t *testing.T) {
 		manifest string
 		budgets  []int
 	}{
-		// None, the composite manifest, the dense object too — the commit
-		// record is gone and the shard has not touched its part — the List,
-		// the shard manifest, then some chunks.
+		// None, the composite manifest — the commit record is gone and the
+		// shard has not touched its part — the List, the shard manifest,
+		// then some of its other objects.
 		{"one-shard/", func(t *testing.T, cfg Config) writer {
 			c, err := NewCoordinator(ctx, CoordinatorConfig{Config: cfg, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c
-		}, wire.ManifestKey(wire.ShardJobID("testjob", 0), 0), []int{0, 1, 2, 3, 4, 7}},
+		}, wire.ManifestKey(wire.ShardJobID("testjob", 0), 0), []int{0, 1, 2, 3, 6}},
 		// Two sweepers share the budget, so where each dies varies from run
 		// to run; where the store ends up does not.
 		{"two-shards/", func(t *testing.T, cfg Config) writer {

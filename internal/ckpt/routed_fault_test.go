@@ -98,15 +98,21 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 	if man0.ID != 0 {
 		t.Fatalf("first composite ID = %d, want 0", man0.ID)
 	}
-	// The checkpoint's objects must actually be spread: every backend
+	// The checkpoint's chunks must actually be spread: every backend
 	// holds some of them, or the fault below tests nothing.
 	for i, m := range mems {
 		keys, err := m.Store.List(f.ctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(keys) == 0 {
-			t.Fatalf("backend %d holds no objects; keyspace not spread", i)
+		chunks := 0
+		for _, k := range keys {
+			if strings.Contains(k, "/chunk/") {
+				chunks++
+			}
+		}
+		if chunks == 0 {
+			t.Fatalf("backend %d holds no chunks; keyspace not spread: %v", i, keys)
 		}
 	}
 

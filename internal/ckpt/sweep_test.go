@@ -52,8 +52,9 @@ func TestSweepKeepsEverythingReferenced(t *testing.T) {
 func TestSweepDeletesTornAttemptDebris(t *testing.T) {
 	// Debris of a torn attempt — shard objects uploaded (and even a
 	// shard manifest published) for an ID whose composite was never
-	// committed, plus a composite-level dense object — is orphaned and
-	// swept; committed checkpoints are untouched.
+	// committed, plus a composite-level dense object, where checkpoints
+	// written before shard 0 stored it kept it — is orphaned and swept;
+	// committed checkpoints are untouched.
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(f.ctx, CoordinatorConfig{
 		Config: Config{JobID: "torn", Store: f.store, Policy: PolicyOneShot},

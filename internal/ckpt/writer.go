@@ -18,16 +18,15 @@ import (
 //
 // Prepare uploads the shard's payload for checkpoint id, cut at the global
 // training step, without making anything visible, and returns the shard
-// manifest plus the replicated dense object it stored on the job's behalf
-// (denseKey "" when none: every shard but 0). Publish stores the shard
-// manifest (still not restorable — validity is the composite manifest),
-// Finalize commits shard-local state after the composite commit point,
-// and Abort ends an attempt that did not reach it, rolling it back
-// completely. Abort must be idempotent and must succeed (as a no-op) when
-// nothing is prepared, because Committer aborts every shard after a
-// partial failure.
+// manifest; shard 0's names the replicated dense object too, stored in
+// its own scope like its chunks. Publish stores the shard manifest (still
+// not restorable — validity is the composite manifest), Finalize commits
+// shard-local state after the composite commit point, and Abort ends an
+// attempt that did not reach it, rolling it back completely. Abort must
+// be idempotent and must succeed (as a no-op) when nothing is prepared,
+// because Committer aborts every shard after a partial failure.
 type ShardRunner interface {
-	Prepare(ctx context.Context, id int, step uint64) (man *wire.Manifest, denseKey string, denseBytes int64, err error)
+	Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, error)
 	Publish(ctx context.Context, id int) error
 	Finalize(ctx context.Context, id int) error
 	Abort(ctx context.Context, id int) error
@@ -35,10 +34,10 @@ type ShardRunner interface {
 
 // SnapshotSource produces one shard's snapshot for a prepare: an atomic
 // copy, cut at exactly the named global step, of the tables the shard
-// owns and their modified bitmaps, dense state included (the writer
-// decides whether to store it). A shard agent's hosted trainer advances
-// its replica to the step; an in-process Coordinator carves the view out
-// of the snapshot its caller took.
+// owns and their modified bitmaps, and on shard 0 the dense state
+// (SubSnapshot): the engine stores whatever the snapshot carries. A shard
+// agent's hosted trainer advances its replica to the step; an in-process
+// Coordinator carves the view out of the snapshot its caller took.
 type SnapshotSource func(ctx context.Context, step uint64) (*Snapshot, error)
 
 // ErrOutOfSequence marks a request a ShardWriter refused because it does
@@ -48,27 +47,21 @@ type SnapshotSource func(ctx context.Context, step uint64) (*Snapshot, error)
 // about history, and failing loudly is what keeps the chain intact.
 var ErrOutOfSequence = errors.New("ckpt: out of sequence")
 
-// ShardWriter is one shard of one composite job: the shard's engine, its
-// snapshot source and the single attempt in flight. It is the only holder
-// of a *Prepared outside Engine.Write, under the in-process Coordinator
-// and the shardd agent alike.
+// ShardWriter is one shard of one composite job — the shard's engine and
+// its snapshot source — under the in-process Coordinator and the shardd
+// agent alike. The single attempt in flight is its engine's.
 //
 // Like Engine, it is not safe for concurrent use: the phases of one shard
 // never overlap (a Coordinator calls each writer from one goroutine per
 // phase; an agent serializes commands on its mutex).
 type ShardWriter struct {
 	jobID  string // the composite job, not the shard scope
-	shard  int
 	store  objstore.Store
 	eng    *Engine
 	source SnapshotSource
 
-	// pending is the attempt in flight, nil if none, and dense the
-	// replicated dense object it stored ("" if none).
-	pending *Prepared
-	dense   string
-	// unsettled is set while an Abort of pending could not tell whether
-	// the attempt committed; every request retries it first.
+	// unsettled is set while an Abort of the attempt in flight could not
+	// tell whether it committed; every request retries it first.
 	unsettled bool
 }
 
@@ -86,7 +79,7 @@ func NewShardWriter(ctx context.Context, cfg Config, shard int, source SnapshotS
 	if source == nil {
 		return nil, fmt.Errorf("ckpt: shard %d: nil snapshot source", shard)
 	}
-	w := &ShardWriter{jobID: cfg.JobID, shard: shard, store: cfg.Store, source: source}
+	w := &ShardWriter{jobID: cfg.JobID, store: cfg.Store, source: source}
 	cfg.JobID = wire.ShardJobID(cfg.JobID, shard)
 	var err error
 	if w.eng, err = recoverEngine(ctx, cfg, w.committed); err != nil {
@@ -114,47 +107,30 @@ func (w *ShardWriter) NextID() int { return w.eng.NextID() }
 
 // PreparedID returns the ID of the attempt in flight, or -1.
 func (w *ShardWriter) PreparedID() int {
-	if w.pending == nil {
+	if w.eng.pending == nil {
 		return -1
 	}
-	return w.pending.man.ID
+	return w.eng.pending.man.ID
 }
 
 // Prepare implements ShardRunner: only at the engine's next ID and with
 // nothing in flight. The snapshot's modified rows reach the engine before
-// the first store operation of the attempt (Engine.absorb has the rule),
-// and shard 0 stores the replicated dense state under the composite-level
-// key — the one copy, whose owner this writer is until the attempt
-// commits; no shard stores it under its own scope.
-func (w *ShardWriter) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, string, int64, error) {
-	fail := func(err error) (*wire.Manifest, string, int64, error) { return nil, "", 0, err }
+// the attempt's first store operation (Engine.absorb has the rule).
+func (w *ShardWriter) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, error) {
 	if err := w.resettle(ctx); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	if w.pending != nil {
-		return fail(fmt.Errorf("%w: checkpoint %d already in flight", ErrOutOfSequence, w.PreparedID()))
+	if w.eng.pending != nil {
+		return nil, fmt.Errorf("%w: checkpoint %d already in flight", ErrOutOfSequence, w.PreparedID())
 	}
 	if next := w.eng.NextID(); id != next {
-		return fail(fmt.Errorf("%w: prepare id %d, engine at %d", ErrOutOfSequence, id, next))
+		return nil, fmt.Errorf("%w: prepare id %d, engine at %d", ErrOutOfSequence, id, next)
 	}
 	snap, err := w.source(ctx, step)
 	if err != nil {
-		return fail(fmt.Errorf("ckpt: snapshot at step %d: %w", step, err))
+		return nil, fmt.Errorf("ckpt: snapshot at step %d: %w", step, err)
 	}
-	w.eng.absorb(snap)
-	var denseBytes int64
-	if w.shard == 0 && snap.Dense != nil {
-		key := wire.DenseKey(w.jobID, id)
-		if err := w.store.Put(ctx, key, snap.Dense); err != nil {
-			return fail(fmt.Errorf("ckpt: dense state: %w", err))
-		}
-		w.dense, denseBytes = key, int64(len(snap.Dense))
-	}
-	if w.pending, err = w.eng.Prepare(ctx, snap); err != nil {
-		w.rollback(ctx)
-		return fail(err)
-	}
-	return w.pending.Manifest(), w.dense, denseBytes, nil
+	return w.eng.prepare(ctx, snap)
 }
 
 // holds admits a publish or finalize: only for the prepared ID.
@@ -162,7 +138,7 @@ func (w *ShardWriter) holds(ctx context.Context, id int) error {
 	if err := w.resettle(ctx); err != nil {
 		return err
 	}
-	if w.pending == nil {
+	if w.eng.pending == nil {
 		return fmt.Errorf("%w: no prepared checkpoint", ErrOutOfSequence)
 	}
 	if got := w.PreparedID(); got != id {
@@ -176,7 +152,7 @@ func (w *ShardWriter) Publish(ctx context.Context, id int) error {
 	if err := w.holds(ctx, id); err != nil {
 		return err
 	}
-	return w.pending.Publish(ctx)
+	return w.eng.publish(ctx)
 }
 
 // Finalize implements ShardRunner. The orchestrator calls it only after
@@ -185,7 +161,7 @@ func (w *ShardWriter) Finalize(ctx context.Context, id int) error {
 	if err := w.holds(ctx, id); err != nil {
 		return err
 	}
-	w.finalize(ctx)
+	w.eng.finalize()
 	return nil
 }
 
@@ -198,7 +174,7 @@ func (w *ShardWriter) Finalize(ctx context.Context, id int) error {
 // any other answer, it is kept as it is and the error returned, and every
 // later request settles it before doing anything else.
 func (w *ShardWriter) Abort(ctx context.Context, _ int) error {
-	if w.pending == nil {
+	if w.eng.pending == nil {
 		return nil
 	}
 	w.unsettled = true
@@ -208,10 +184,11 @@ func (w *ShardWriter) Abort(ctx context.Context, _ int) error {
 		return fmt.Errorf("ckpt: settle checkpoint %d: %w", id, err)
 	}
 	if committed {
-		w.finalize(ctx)
+		w.eng.finalize()
 	} else {
-		w.rollback(ctx)
+		w.eng.abort(ctx)
 	}
+	w.unsettled = false
 	return nil
 }
 
@@ -223,26 +200,6 @@ func (w *ShardWriter) resettle(ctx context.Context) error {
 	return w.Abort(ctx, w.PreparedID())
 }
 
-func (w *ShardWriter) finalize(ctx context.Context) {
-	w.pending.Finalize(ctx)
-	w.pending, w.dense, w.unsettled = nil, "", false
-}
-
-// rollback deletes whatever the attempt in flight stored: the engine's
-// objects, then the dense object, best effort (SweepOrphans' job if it
-// fails). A prepare that failed inside the engine has only the latter.
-func (w *ShardWriter) rollback(ctx context.Context) {
-	if w.pending != nil {
-		w.pending.Abort(ctx)
-	}
-	if w.dense != "" {
-		dctx, cancel := DetachedCtx(ctx)
-		_ = w.store.Delete(dctx, w.dense)
-		cancel()
-	}
-	w.pending, w.dense, w.unsettled = nil, "", false
-}
-
 // Close waits for the shard engine's retention sweep (Engine.Close). An
 // attempt in flight is not touched: settling it is Abort's job.
 func (w *ShardWriter) Close(ctx context.Context) error { return w.eng.Close(ctx) }
@@ -250,15 +207,17 @@ func (w *ShardWriter) Close(ctx context.Context) error { return w.eng.Close(ctx)
 // SubSnapshot carves one shard's view out of snap under the table ->
 // shard assignment: the tables it owns and their modified bitmaps.
 // Tables are shared, not copied — the snapshot already owns its memory
-// exclusively and shards own disjoint subsets. Dense state is carried
-// over: the replicated MLP state is stored once per composite, by the
-// shard-0 ShardWriter.
+// exclusively and shards own disjoint subsets. Dense state goes to shard
+// 0's view only: the replicated MLP state is stored once per composite,
+// as an object of shard 0's checkpoint.
 func SubSnapshot(snap *Snapshot, assign map[int]int, shard int) *Snapshot {
 	sub := &Snapshot{
 		Step:     snap.Step,
 		Reader:   snap.Reader,
-		Dense:    snap.Dense,
 		Modified: make(map[int]*bitvec.Bitmap),
+	}
+	if shard == 0 {
+		sub.Dense = snap.Dense
 	}
 	for _, tab := range snap.Tables {
 		if assign[tab.ID] != shard {

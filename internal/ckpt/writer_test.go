@@ -30,7 +30,7 @@ func TestAbortedAttemptKeepsItsRows(t *testing.T) {
 				snap := f.trainAndSnapshot(t, 2, 32)
 				f.eng.snap = snap
 				w := f.eng.writers[0]
-				aborted, _, _, err := w.Prepare(f.ctx, 1, snap.Step)
+				aborted, err := w.Prepare(f.ctx, 1, snap.Step)
 				if err != nil {
 					t.Fatal(err)
 				}

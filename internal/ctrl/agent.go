@@ -39,7 +39,7 @@ type AgentConfig struct {
 
 // Agent hosts one shard's ckpt.ShardWriter and executes control-plane
 // commands against it. The shard side of the commit — the attempt in
-// flight, ID sequencing, the dense object, settling what a dead
+// flight, ID sequencing, settling what a dead
 // controller left — is the writer's; the agent adds what only a remote
 // shard needs: epoch fencing (admitted, adopted and persisted here), the
 // job-ID check, the op budget, and ErrFenced for what the writer refuses
@@ -178,20 +178,18 @@ func (a *Agent) settleLocked(ctx context.Context) error {
 // Prepare executes the prepare phase: snapshot the hosted shard state
 // at args.Step and durably upload the checkpoint payload, publishing
 // nothing. Fenced unless args.CkptID is exactly the engine's next ID
-// and no attempt is in flight. args.WantDense is not consulted: the
-// replicated dense state is the shard-0 writer's to store, and shard 0
-// is the agent every controller designates.
+// and no attempt is in flight.
 func (a *Agent) Prepare(ctx context.Context, epoch uint64, args *PrepareArgs) (*PrepareReply, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return nil, err
 	}
-	man, denseKey, denseBytes, err := a.w.Prepare(ctx, args.CkptID, args.Step)
+	man, err := a.w.Prepare(ctx, args.CkptID, args.Step)
 	if err != nil {
 		return nil, fenced(err)
 	}
-	return &PrepareReply{Manifest: man, DenseKey: denseKey, DenseBytes: denseBytes}, nil
+	return &PrepareReply{Manifest: man}, nil
 }
 
 // Publish stores the prepared shard manifest.

@@ -151,7 +151,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		if st.Shard != i {
 			return fail(fmt.Errorf("ctrl: shard indices not [0,%d): got shard %d from %s", n, st.Shard, d.client.Addr()))
 		}
-		r := NewRemoteRunner(d.client, cfg.JobID, c.Epoch(), st.Shard == 0)
+		r := NewRemoteRunner(d.client, cfg.JobID, c.Epoch())
 		c.remotes = append(c.remotes, r)
 		runners[i], nextIDs[i] = r, st.NextID
 	}

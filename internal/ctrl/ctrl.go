@@ -45,25 +45,13 @@ type PrepareArgs struct {
 	// Step is the global training step of the consistent cut. The agent
 	// advances its replica to exactly this step before snapshotting.
 	Step uint64 `json:"step"`
-	// WantDense marks the one agent that also stores the replicated MLP
-	// state under the composite dense key, keeping the blob on the data
-	// plane — the paper reads the replicated MLPs "from a single GPU".
-	// Controllers set it on shard 0 and nowhere else; agents do not read
-	// it, because storing that object is the shard-0 ckpt.ShardWriter's
-	// job under every transport. It stays in the frame so that frame does
-	// not change.
-	WantDense bool `json:"want_dense,omitempty"`
 }
 
 // PrepareReply reports a successful prepare.
 type PrepareReply struct {
-	// Manifest is the shard's prepared (not yet published) manifest.
+	// Manifest is the shard's prepared (not yet published) manifest;
+	// shard 0's names the replicated dense object it stored.
 	Manifest *wire.Manifest `json:"manifest"`
-	// DenseKey and DenseBytes describe the composite-level dense object
-	// this agent stored, when WantDense was set and the snapshot carried
-	// dense state.
-	DenseKey   string `json:"dense_key,omitempty"`
-	DenseBytes int64  `json:"dense_bytes,omitempty"`
 }
 
 // CommitArgs names the attempt for the publish / finalize / abort phases.

@@ -138,7 +138,7 @@ func TestAgentEpochFencing(t *testing.T) {
 func TestAgentAdoptingNewerEpochAbortsInFlightAttempt(t *testing.T) {
 	a, store := testAgent(t, 0)
 	ctx := context.Background()
-	if _, err := a.Prepare(ctx, 1, &PrepareArgs{JobID: "fence", CkptID: 0, Step: 4, WantDense: true}); err != nil {
+	if _, err := a.Prepare(ctx, 1, &PrepareArgs{JobID: "fence", CkptID: 0, Step: 4}); err != nil {
 		t.Fatal(err)
 	}
 	keys, _ := store.List(ctx, "fence")
@@ -215,11 +215,11 @@ func TestClientServerFencedErrorCrossesTheWire(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	// Full happy path over TCP.
-	reply, err := cl.Prepare(ctx, 3, &PrepareArgs{JobID: "fence", CkptID: 0, Step: 4, WantDense: true})
+	reply, err := cl.Prepare(ctx, 3, &PrepareArgs{JobID: "fence", CkptID: 0, Step: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Manifest == nil || reply.Manifest.ID != 0 || reply.DenseKey == "" {
+	if reply.Manifest == nil || reply.Manifest.ID != 0 || reply.Manifest.DenseKey == "" {
 		t.Fatalf("prepare reply = %+v", reply)
 	}
 	// Fencing survives serialization as ErrFenced.

@@ -52,8 +52,15 @@ func TestFrameGolden(t *testing.T) {
 				return err
 			})
 	}
-	reqFrame("prepare_request", &request{op: opPrepare, epoch: 3,
-		body: mustJSON(&PrepareArgs{JobID: "job", CkptID: 7, Step: 4200, WantDense: true})})
+	// The prepare body is a literal, as controllers that still send the
+	// retired want_dense flag write it: an agent decodes their requests,
+	// because json.Unmarshal skips a field it does not know.
+	prepareBody := []byte(`{"job_id":"job","ckpt_id":7,"step":4200,"want_dense":true}`)
+	var args PrepareArgs
+	if err := json.Unmarshal(prepareBody, &args); err != nil || args != (PrepareArgs{JobID: "job", CkptID: 7, Step: 4200}) {
+		t.Fatalf("prepare body decodes to %+v, %v", args, err)
+	}
+	reqFrame("prepare_request", &request{op: opPrepare, epoch: 3, body: prepareBody})
 	respFrame("fenced_response", statusFenced, []byte(fencedf("epoch %d superseded by %d", 2, 3).Error()))
 	reqFrame("subscribe_request", &request{op: opSubscribe, body: mustJSON(&SubscribeArgs{JobID: "job"})})
 	respFrame("subscribe_reply", statusOK, mustJSON(&SubscribeReply{JobID: "job", Epoch: 3, NextID: 8}))

@@ -15,29 +15,21 @@ type RemoteRunner struct {
 	client *Client
 	jobID  string
 	epoch  uint64
-	// wantDense marks the one runner (shard 0) whose agent stores the
-	// replicated dense state at the composite level.
-	wantDense bool
 }
 
 // NewRemoteRunner wraps client, connected to one shard's agent, as that
 // shard's runner for jobID, acting under the given controller epoch.
-func NewRemoteRunner(client *Client, jobID string, epoch uint64, wantDense bool) *RemoteRunner {
-	return &RemoteRunner{client: client, jobID: jobID, epoch: epoch, wantDense: wantDense}
+func NewRemoteRunner(client *Client, jobID string, epoch uint64) *RemoteRunner {
+	return &RemoteRunner{client: client, jobID: jobID, epoch: epoch}
 }
 
 // Prepare implements ckpt.ShardRunner.
-func (r *RemoteRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, string, int64, error) {
-	reply, err := r.client.Prepare(ctx, r.epoch, &PrepareArgs{
-		JobID:     r.jobID,
-		CkptID:    id,
-		Step:      step,
-		WantDense: r.wantDense,
-	})
+func (r *RemoteRunner) Prepare(ctx context.Context, id int, step uint64) (*wire.Manifest, error) {
+	reply, err := r.client.Prepare(ctx, r.epoch, &PrepareArgs{JobID: r.jobID, CkptID: id, Step: step})
 	if err != nil {
-		return nil, "", 0, err
+		return nil, err
 	}
-	return reply.Manifest, reply.DenseKey, reply.DenseBytes, nil
+	return reply.Manifest, nil
 }
 
 // Publish implements ckpt.ShardRunner.

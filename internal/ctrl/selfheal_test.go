@@ -223,7 +223,7 @@ func TestAgentOpDeadlineUnblocksWedgedStore(t *testing.T) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if _, err := cl.Prepare(cctx, 1, &PrepareArgs{JobID: job, CkptID: 0, Step: 4, WantDense: true}); err == nil {
+	if _, err := cl.Prepare(cctx, 1, &PrepareArgs{JobID: job, CkptID: 0, Step: 4}); err == nil {
 		t.Fatal("prepare against a saturated store succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {

@@ -178,8 +178,8 @@ func connectStore(cfg Config) (objstore.Store, error) {
 
 // snapshotAt advances the replica to exactly the requested global step
 // and returns this shard's carved view: its owned tables, their
-// modified bitmaps, and the replicated dense state (the agent stores it
-// only when designated).
+// modified bitmaps, and on shard 0 the replicated dense state
+// (ckpt.SubSnapshot).
 func (h *Host) snapshotAt(ctx context.Context, step uint64) (*ckpt.Snapshot, error) {
 	for h.cluster.Stats().Batches < step {
 		if err := ctx.Err(); err != nil {

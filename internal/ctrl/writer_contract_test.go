@@ -144,7 +144,7 @@ var contractTransports = map[string]func(t *testing.T, store objstore.Store, src
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
-		return &agentSide{NewRemoteRunner(cl, contractJob, 1, true)}
+		return &agentSide{NewRemoteRunner(cl, contractJob, 1)}
 	},
 }
 
@@ -158,16 +158,12 @@ type contractRig struct {
 }
 
 // attemptObjects lists what checkpoint id holds in the store on the
-// shard's behalf: its shard-scope objects and the composite-level dense
-// object.
+// shard's behalf: its shard-scope objects, the dense object among them.
 func (r *contractRig) attemptObjects(id int) []string {
 	r.t.Helper()
 	keys, err := r.store.List(r.ctx, wire.CheckpointPrefix(wire.ShardJobID(contractJob, 0), id))
 	if err != nil {
 		r.t.Fatal(err)
-	}
-	if _, err := r.store.Store.Stat(r.ctx, wire.DenseKey(contractJob, id)); err == nil {
-		keys = append(keys, wire.DenseKey(contractJob, id))
 	}
 	return keys
 }
@@ -181,7 +177,7 @@ func (r *contractRig) wantPosition(next, prepared int) {
 
 func (r *contractRig) prepare(id int, step uint64) *wire.Manifest {
 	r.t.Helper()
-	man, _, _, err := r.side.Prepare(r.ctx, id, step)
+	man, err := r.side.Prepare(r.ctx, id, step)
 	if err != nil {
 		r.t.Fatalf("prepare %d: %v", id, err)
 	}
@@ -221,7 +217,7 @@ func TestShardWriterContract(t *testing.T) {
 		run  func(r *contractRig)
 	}{
 		{"prepare-out-of-sequence", func(r *contractRig) {
-			_, _, _, err := r.side.Prepare(r.ctx, 3, 4)
+			_, err := r.side.Prepare(r.ctx, 3, 4)
 			r.wantRefused("prepare of id 3 at id 0", err)
 			r.wantPosition(0, -1)
 			if keys := r.attemptObjects(3); len(keys) != 0 {
@@ -230,7 +226,7 @@ func TestShardWriterContract(t *testing.T) {
 		}},
 		{"double-prepare", func(r *contractRig) {
 			r.prepare(0, 4)
-			_, _, _, err := r.side.Prepare(r.ctx, 0, 4)
+			_, err := r.side.Prepare(r.ctx, 0, 4)
 			r.wantRefused("prepare with one in flight", err)
 			r.wantPosition(0, 0)
 		}},
@@ -281,7 +277,7 @@ func TestShardWriterContract(t *testing.T) {
 			}
 			r.src.touch(3, 5, 9)
 			r.store.failDensePut.Store(true)
-			if _, _, _, err := r.side.Prepare(r.ctx, 1, 8); err == nil || r.side.refused(err) {
+			if _, err := r.side.Prepare(r.ctx, 1, 8); err == nil || r.side.refused(err) {
 				r.t.Fatalf("prepare over a failing dense Put: err = %v", err)
 			}
 			r.wantPosition(1, -1)
@@ -372,7 +368,7 @@ func TestAgentKeepsAttemptItCannotProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := a.Prepare(ctx, 1, &PrepareArgs{JobID: contractJob, CkptID: 0, Step: 4, WantDense: true}); err != nil {
+			if _, err := a.Prepare(ctx, 1, &PrepareArgs{JobID: contractJob, CkptID: 0, Step: 4}); err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Publish(ctx, 1, commit); err != nil {

@@ -66,14 +66,24 @@ func NewRouted(backends []Backend) (*RoutedStore, error) {
 // record).
 func pinned(key string) bool { return strings.Contains(key, "/ctrl/") }
 
-// rendezvousScore hashes (backend name, key) with FNV-64a. The per-name
-// hash makes placement independent of backend ordering.
+// rendezvousScore hashes (backend name, key) with FNV-64a, finished with
+// splitmix64's finalizer. The per-name hash makes placement independent
+// of backend ordering. The finalizer is what spreads keys that differ
+// only at the end: FNV carries a key's last bytes into the hash's low
+// and middle bits only, so raw FNV scores rank backends by the key's
+// prefix, and every chunk of one table of one checkpoint would land on
+// one backend.
 func rendezvousScore(name, key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
 	h.Write([]byte(key))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // pick returns the backend index owning key.

@@ -59,6 +59,32 @@ func TestRoutedDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
+// TestRoutedSpreadsOneTable: the chunk keys of one table of one
+// checkpoint differ only in their last digits, and still reach every
+// backend — or a checkpoint's Puts would queue on one backend per table.
+func TestRoutedSpreadsOneTable(t *testing.T) {
+	for _, names := range [][]string{
+		{"store-0", "store-1", "store-2"},
+		{"127.0.0.1:7171", "127.0.0.1:7172", "127.0.0.1:7173"},
+	} {
+		bs := make([]Backend, len(names))
+		for i, name := range names {
+			bs[i] = Backend{Name: name, Store: NewMemStore(MemConfig{})}
+		}
+		r, err := NewRouted(bs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int{}
+		for c := 0; c < 64; c++ {
+			counts[routeKey(r, wire.ChunkKey(wire.ShardJobID("job", 1), 3, 2, c))]++
+		}
+		if len(counts) != len(names) {
+			t.Errorf("backends %v: 64 chunks of one table reached %v", names, counts)
+		}
+	}
+}
+
 // TestRoutedPinnedKeys: control-plane registers must sit on the anchor
 // (smallest name) so fleet resizes never relocate them.
 func TestRoutedPinnedKeys(t *testing.T) {

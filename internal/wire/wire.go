@@ -188,9 +188,9 @@ type Manifest struct {
 	ReaderBatchSize  int             `json:"reader_batch_size"`
 	Quant            QuantInfo       `json:"quant"`
 	Tables           []TableManifest `json:"tables"`
-	// DenseKey locates the serialized MLP state object. Empty means the
-	// manifest carries no dense state (shard manifests: the coordinator
-	// stores the replicated MLP state once, at the composite level).
+	// DenseKey locates the serialized MLP state object; empty, none.
+	// Shard 0 stores it once per checkpoint, in its own scope, and the
+	// composite names it again: a restore reads the composite's.
 	DenseKey string `json:"dense_key,omitempty"`
 	// PayloadBytes is the total bytes of chunk + dense objects.
 	PayloadBytes int64 `json:"payload_bytes"`
