@@ -39,7 +39,9 @@ func uniformAdaGradVector(rng *rand.Rand, n int) []float32 {
 // cnrbench's shape: dim 32, 4 bits, 45 bins, ratio 1, 512-row segments,
 // cold range cache. "exact" searches every row (quant.ns_per_row's
 // path), "sampled8" is the engine default. Two row populations, because
-// a kernel that branches on the data times differently on them.
+// a kernel that branches on the data times differently on them. "go"
+// scores on the Go kernel, "dispatched" on what scoreGrids picks for
+// this CPU (the assembly where it has AVX2).
 func BenchmarkAdaptiveEngineShape(b *testing.B) {
 	const dim, chunkRows = 32, 512
 	p := Params{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
@@ -60,20 +62,27 @@ func BenchmarkAdaptiveEngineShape(b *testing.B) {
 			name     string
 			sampling int
 		}{{"exact", 1}, {"sampled8", 8}} {
-			b.Run(pop.name+"/"+mode.name, func(b *testing.B) {
-				var s Scratch
-				var q QVector
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%chunkRows == 0 {
-						s.BeginAdaptiveChunk(mode.sampling)
+			for _, kernel := range []struct {
+				name string
+				asm  bool
+			}{{"go", false}, {"dispatched", useAVX2}} {
+				b.Run(pop.name+"/"+mode.name+"/"+kernel.name, func(b *testing.B) {
+					defer func(was bool) { useAVX2 = was }(useAVX2)
+					useAVX2 = kernel.asm
+					var s Scratch
+					var q QVector
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if i%chunkRows == 0 {
+							s.BeginAdaptiveChunk(mode.sampling)
+						}
+						if err := QuantizeCachedInto(&q, rows[i%chunkRows], p, &s, nil); err != nil {
+							b.Fatal(err)
+						}
 					}
-					if err := QuantizeCachedInto(&q, rows[i%chunkRows], p, &s, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

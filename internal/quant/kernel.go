@@ -2,23 +2,25 @@ package quant
 
 import "math"
 
-// The adaptive quantizer's inner kernel: score one clip range (or the
-// greedy walk's two neighbour ranges at once) against a row, and turn a
-// row into codes. It is branch-free per element — the walk clips a third
-// of a row, so a clamp written as a branch is a coin flip — and produces
-// bit-identical sums and codes to the round-then-clamp formulation in
-// oracle_test.go. What is load-bearing for the golden bytes:
+// The adaptive quantizer's inner kernel: score a row on up to eight grids
+// (clip ranges as they store) at once, and turn a row into codes. Scoring
+// is scoreGrids: on amd64 with AVX2 the assembly in kernel_amd64.s, one
+// grid per YMM lane, and elsewhere scoreGridsGo over levels tables. Both
+// are branch-free per element — the walk clips a third of a row, so a
+// clamp written as a branch is a coin flip — and produce sums and codes
+// bit-identical to the round-then-clamp formulation in oracle_test.go.
+// What is load-bearing for the golden bytes:
 //
 //   - the quotient is float64(v-zero) / float64(scale): a float32
 //     subtract, then a float64 divide. A reciprocal multiply rounds
 //     differently and moves codes at ties.
 //   - the error is summed in float64, in element order, one chain per
-//     range.
+//     grid: a lane holds a grid, never a slice of the row.
 //   - every product feeding an add is wrapped in a conversion
-//     (float64(a*b) + c). The spec lets a compiler fuse a*b+c into an FMA
-//     (arm64, ppc64, s390x do) unless the product is explicitly rounded;
-//     unfused is what amd64 computes, and a mixed fleet must agree on
-//     ranges, codes and restored floats.
+//     (float64(a*b) + c), and the assembly has no FMA. The spec lets a
+//     compiler fuse a*b+c into an FMA (arm64, ppc64, s390x do) unless the
+//     product is explicitly rounded; unfused is what amd64 computes, and
+//     a mixed fleet must agree on ranges, codes and restored floats.
 //
 // Rounding: code = clamp(round-half-away(c), 0, maxCode) is computed as
 // trunc(clamp(c+0.5, 0, maxCode+0.5)). Below zero both give 0. From
@@ -28,17 +30,23 @@ import "math"
 // a, b with a/b != 1/2, |a/b - 1/2| = |2a-b| / 2|b| >= 2^-26, because
 // 2a-b is a nonzero multiple of ulp(b)/2 and |b| < 2^24 ulp(b).
 //
-// The clamp is done on the IEEE bit pattern of c+0.5, where order of
+// The Go kernel clamps on the IEEE bit pattern of c+0.5, where order of
 // non-negative doubles is order of their patterns as integers, with
 // shifts and masks (Go emits a jump, not a CMOV, for `if k < 0 { k = 0 }`
-// and for integer min/max). Clamping before the float→int conversion
-// rather than after keeps the conversion in range whatever c is — a
-// degenerate scale can push c past 2^63, where the conversion's result is
-// implementation-defined.
+// and for integer min/max). The assembly clamps with VMAXPD against +0,
+// its second source, which VMAXPD returns for a NaN or a -0 first one,
+// then VMINPD. The two agree on NaN: one arises only as 0/0 or Inf/Inf,
+// which amd64 answers with a NaN whose sign bit is set, code 0 both ways.
+// Clamping before the float→int conversion rather than after keeps the
+// conversion in range whatever c is — a degenerate scale can push c past
+// 2^63, where the conversion's result is implementation-defined.
 
-// levels is one clip range's reconstruction table: levels[k] is code k's
+// levels is one grid's reconstruction table: levels[k] is code k's
 // value, float64(scale)*k + float64(zero) with the product rounded, read
-// per element instead of converted and multiplied per element.
+// per element; the assembly computes the same multiply and add per
+// element instead. (Over a step of +0 the table holds zero itself and the
+// assembly 0*k + zero, which differ only where zero is -0, and d*d is the
+// same either way.)
 type levels [256]float64
 
 // fill sets t[k] for every code of the given width and returns the
@@ -95,7 +103,7 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 }
 
 // clipFloor returns a lower bound on the squared error of every range
-// nested in [lo, hi]: uniformL2 over any [lo', hi'] with lo <= lo' and
+// nested in [lo, hi]: the error scored over any [lo', hi'] with lo <= lo' and
 // hi' <= hi, crossed and empty ones included, is at least this sum. Every
 // reconstruction level of such a range lies in [lo, b]. Level 0 is
 // float64(lo') >= lo exactly, every level is at most the top one, and the
@@ -131,36 +139,16 @@ func nonNeg(a float64) float64 {
 	return math.Float64frombits(uint64(b &^ (b >> 63)))
 }
 
-// l2Pair is l2 for two ranges in one pass over the row — the greedy
-// walk's up- and down-neighbour. The two sums are independent chains, so
-// the second range's divide and table read fill the first's latency.
-func l2Pair(x []float32, ta, tb *levels, zeroA, zeroB float32, scaleA, scaleB float64, capBits int64) (sumA, sumB float64) {
-	for _, v := range x {
-		f := float64(v)
-		da := f - ta[roundCode(float64(v-zeroA)/scaleA, capBits)]
-		db := f - tb[roundCode(float64(v-zeroB)/scaleB, capBits)]
-		sumA += float64(da * da)
-		sumB += float64(db * db)
+// scoreGridsGo is scoreGrids on levels tables, the kernel every other
+// platform runs and the reference the assembly is held to. It stops
+// scoring a grid once its partial sum reaches the least sum before it
+// (l2's bound), which leaves the first-wins argmin where it was.
+func (s *Scratch) scoreGridsGo(x []float32, bits int, gs []grid, out []float64) {
+	t, capBits, bound := &s.lvl, codeCap(bits), math.Inf(1)
+	for i, g := range gs {
+		out[i] = t.l2(x, g.zero, t.fill(bits, g.zero, g.scale), capBits, bound)
+		bound = min(bound, out[i])
 	}
-	return sumA, sumB
-}
-
-// uniformL2 is the squared error of uniform quantization over [lo, hi],
-// up to bound (see l2). A range is scored on the grid it would be stored
-// on from lo (storedScale), so the search scores ranges as they store
-// and the full range, always a candidate, bounds what it picks.
-func (s *Scratch) uniformL2(x []float32, bits int, lo, hi float32, bound float64) float64 {
-	t := &s.lvl[0]
-	scale64 := t.fill(bits, lo, storedScale(lo, hi, bits))
-	return t.l2(x, lo, scale64, codeCap(bits), bound)
-}
-
-// uniformL2Pair scores [loA, hiA] and [loB, hiB] in one pass.
-func (s *Scratch) uniformL2Pair(x []float32, bits int, loA, hiA, loB, hiB float32) (float64, float64) {
-	ta, tb := &s.lvl[0], &s.lvl[1]
-	scaleA := ta.fill(bits, loA, storedScale(loA, hiA, bits))
-	scaleB := tb.fill(bits, loB, storedScale(loB, hiB, bits))
-	return l2Pair(x, ta, tb, loA, loB, scaleA, scaleB, codeCap(bits))
 }
 
 // uniformCodes maps x to [0, 2^bits-1] codes of step scale from zero

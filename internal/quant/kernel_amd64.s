@@ -1,0 +1,120 @@
+#include "textflag.h"
+
+// scoreGrids on AVX2: each YMM lane is one grid, and each lane runs the
+// Go kernel's per-element operations in the Go kernel's order (see
+// kernel.go), so each lane's sum is the Go kernel's bit for bit. No FMA:
+// every product is rounded before its add.
+//
+// Registers, lanes 0-3 (set A) / lanes 4-7 (set B):
+//   X1 / X5   zero points, float32
+//   Y2 / Y6   steps, float64
+//   Y3 / Y7   zero points, float64
+//   Y4 / Y8   sums
+//   Y13 0.5 in every lane, Y14 +0, Y15 maxCode+0.5
+//   X0 / Y9   the element, float32 / float64; Y10, Y11 temporaries
+
+// gridLanes' field offsets (kernel_amd64.go; TestGridLanesLayout).
+#define ZERO 0
+#define STEP 32
+#define CAP 64
+#define SUM 72
+
+// SETUP loads the constants and set A, and points SI at x with CX
+// elements left.
+#define SETUP \
+	MOVQ x_base+0(FP), SI; \
+	MOVQ x_len+8(FP), CX; \
+	MOVQ l+24(FP), DI; \
+	MOVQ $0x3fe0000000000000, AX; \
+	MOVQ AX, X13; \
+	VBROADCASTSD X13, Y13; \
+	VXORPD Y14, Y14, Y14; \
+	VBROADCASTSD CAP(DI), Y15; \
+	VMOVUPS ZERO(DI), X1; \
+	VCVTPS2PD STEP(DI), Y2; \
+	VCVTPS2PD X1, Y3; \
+	VXORPD Y4, Y4, Y4
+
+// SQERR turns the element in X0 and Y9 into lane-wise squared errors in
+// Yc: c = float64(v-zero)/scale; k = trunc(min(max(c+0.5, +0), cap));
+// d = float64(v) - (float64(scale*k) + zero). VMAXPD's second source is
+// the +0 register, which it returns when the first is NaN or -0: both
+// land on code 0 (kernel.go says why that is roundCode's code too).
+#define SQERR(Xz, Ys, Yz, Xc, Yc) \
+	VSUBPS Xz, X0, Xc; \
+	VCVTPS2PD Xc, Yc; \
+	VDIVPD Ys, Yc, Yc; \
+	VADDPD Y13, Yc, Yc; \
+	VMAXPD Y14, Yc, Yc; \
+	VMINPD Y15, Yc, Yc; \
+	VCVTTPD2DQY Yc, Xc; \
+	VCVTDQ2PD Xc, Yc; \
+	VMULPD Ys, Yc, Yc; \
+	VADDPD Yz, Yc, Yc; \
+	VSUBPD Yc, Y9, Yc; \
+	VMULPD Yc, Yc, Yc
+
+// func scoreGrids4AVX2(x []float32, l *gridLanes)
+TEXT ·scoreGrids4AVX2(SB), NOSPLIT, $0-32
+	SETUP
+	TESTQ CX, CX
+	JZ    done4
+
+loop4:
+	VBROADCASTSS (SI), X0
+	VCVTPS2PD    X0, Y9
+	SQERR(X1, Y2, Y3, X10, Y10)
+	VADDPD       Y10, Y4, Y4
+	ADDQ         $4, SI
+	DECQ         CX
+	JNZ          loop4
+
+done4:
+	VMOVUPD Y4, SUM(DI)
+	VZEROUPPER
+	RET
+
+// func scoreGrids8AVX2(x []float32, l *gridLanes)
+TEXT ·scoreGrids8AVX2(SB), NOSPLIT, $0-32
+	SETUP
+	VMOVUPS   ZERO+16(DI), X5
+	VCVTPS2PD STEP+16(DI), Y6
+	VCVTPS2PD X5, Y7
+	VXORPD    Y8, Y8, Y8
+	TESTQ     CX, CX
+	JZ        done8
+
+loop8:
+	VBROADCASTSS (SI), X0
+	VCVTPS2PD    X0, Y9
+	SQERR(X1, Y2, Y3, X10, Y10)
+	SQERR(X5, Y6, Y7, X11, Y11)
+	VADDPD       Y10, Y4, Y4
+	VADDPD       Y11, Y8, Y8
+	ADDQ         $4, SI
+	DECQ         CX
+	JNZ          loop8
+
+done8:
+	VMOVUPD Y4, SUM(DI)
+	VMOVUPD Y8, SUM+32(DI)
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

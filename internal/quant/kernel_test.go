@@ -181,10 +181,43 @@ func oraclePacked(x []float32, bits int, zero, scale float32) []byte {
 	return out
 }
 
+// goL2 is the Go kernel's squared error of x on grid g, up to bound (see
+// l2).
+func (s *Scratch) goL2(x []float32, bits int, g grid, bound float64) float64 {
+	return s.lvl.l2(x, g.zero, s.lvl.fill(bits, g.zero, g.scale), codeCap(bits), bound)
+}
+
+// uniformL2 is goL2 over [lo, hi], on the grid the search scores it on.
+func (s *Scratch) uniformL2(x []float32, bits int, lo, hi float32, bound float64) float64 {
+	return s.goL2(x, bits, rangeGrid(lo, hi, bits), bound)
+}
+
+// sameSum is bit-for-bit equality of two error sums, NaN matched by
+// NaN-ness.
+func sameSum(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// badScore returns the first lane where got breaks scoreGrids' contract
+// against the full sums want, or -1: each lane is its full sum (sameSum)
+// or, where early is set (the Go kernel), a partial one at or above the
+// least full sum before it and at most its own.
+func badScore(got, want []float64, early bool) int {
+	bound := math.Inf(1)
+	for i := range want {
+		if !sameSum(got[i], want[i]) && !(early && got[i] >= bound && got[i] <= want[i]) {
+			return i
+		}
+		bound = min(bound, want[i])
+	}
+	return -1
+}
+
 // checkRowAgainstOracle holds one row to the oracle: the search's range
-// and lattice coordinates, the error sums (single and paired kernels, at
-// the winning range and at the given probe ranges, which may be crossed
-// or empty), and the packed codes of the exact entry point.
+// and lattice coordinates, the error sums (one range, and two in one
+// scoreGrids call, at the winning range and at the given probe ranges,
+// which may be crossed or empty), and the packed codes of the exact
+// entry point.
 func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, probes [][2]float32) {
 	t.Helper()
 	mn, mx, ok := minMax(x)
@@ -210,10 +243,11 @@ func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, prob
 		}
 		o := probes[(i+1)%len(probes)]
 		wantB := oracleUniformL2(x, p.Bits, o[0], o[1])
-		gotA, gotB := s.uniformL2Pair(x, p.Bits, r[0], r[1], o[0], o[1])
-		if math.Float64bits(gotA) != math.Float64bits(want) || math.Float64bits(gotB) != math.Float64bits(wantB) {
-			t.Fatalf("paired l2 over [%v,%v] and [%v,%v]: got %v %v, oracle %v %v; x=%v bits=%d",
-				r[0], r[1], o[0], o[1], gotA, gotB, want, wantB, x, p.Bits)
+		var got [2]float64
+		s.scoreGrids(x, p.Bits, []grid{rangeGrid(r[0], r[1], p.Bits), rangeGrid(o[0], o[1], p.Bits)}, got[:])
+		if badScore(got[:], []float64{want, wantB}, !useAVX2) >= 0 {
+			t.Fatalf("two-grid l2 over [%v,%v] and [%v,%v]: got %v %v, oracle %v %v; x=%v bits=%d",
+				r[0], r[1], o[0], o[1], got[0], got[1], want, wantB, x, p.Bits)
 		}
 		if want, _ := oracleQuantized(x, p.Bits, r[0], r[1]); !sameQVector(storedOver(s, x, p.Bits, r[0], r[1]), want) {
 			t.Fatalf("stored row over [%v,%v] differs from oracle; x=%v bits=%d", r[0], r[1], x, p.Bits)
@@ -312,6 +346,106 @@ func TestAdaptiveKernelDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d rows held to the oracle", cases)
+}
+
+// checkKernelsAgree holds scoreGrids over gs, one call, to the Go
+// kernel's full sums: the Go kernel's scoreGridsGo under its early stop,
+// and the assembly, where it runs, bit for bit.
+func checkKernelsAgree(t testing.TB, s *Scratch, x []float32, bits int, gs []grid) {
+	t.Helper()
+	want := make([]float64, len(gs))
+	for i, g := range gs {
+		want[i] = s.goL2(x, bits, g, math.Inf(1))
+	}
+	got := make([]float64, len(gs))
+	s.scoreGridsGo(x, bits, gs, got)
+	if i := badScore(got, want, true); i >= 0 {
+		t.Fatalf("Go kernel, lane %d of %d: %v, full sum %v; grids %v x=%v bits=%d", i, len(gs), got[i], want[i], gs, x, bits)
+	}
+	if !useAVX2 {
+		return
+	}
+	s.scoreGrids(x, bits, gs, got)
+	if i := badScore(got, want, false); i >= 0 {
+		t.Fatalf("assembly, lane %d of %d: %x, Go kernel %x; grids %v x=%v bits=%d",
+			i, len(gs), math.Float64bits(got[i]), math.Float64bits(want[i]), gs, x, bits)
+	}
+}
+
+// TestScoreGridsMatchesGoKernel holds the assembly to the Go kernel, bit
+// for bit, on 1 to 9 grids a call (the four-lane entry, the eight-lane
+// one, padded lanes, and a call split 8 + 1), over every dim in 1..129,
+// every code width and every row population, with lanes drawn from
+// ranges of the row and from grids the search can hand it: step +0
+// (crossed and empty ranges), step +Inf, subnormal steps, a -0 zero
+// point, and elements whose quotient is exactly k+0.5.
+func TestScoreGridsMatchesGoKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var s Scratch
+	negZero := float32(math.Copysign(0, -1))
+	calls := 0
+	for dim := 1; dim <= 129; dim++ {
+		for bits := 1; bits <= 8; bits++ {
+			maxCode := float32(int(1)<<uint(bits) - 1)
+			for _, fam := range diffFamilies {
+				x := fam.gen(rng, dim, bits)
+				mn, mx, _ := minMax(x)
+				w := mx - mn
+				pick := func() float32 { return mn + w*rng.Float32() }
+				pool := []grid{
+					rangeGrid(mn, mx, bits),
+					rangeGrid(pick(), pick(), bits), // may cross
+					rangeGrid(mx, mn, bits),         // crossed: step +0
+					rangeGrid(mn, mn, bits),         // empty: step +0
+					{pick(), 0},
+					rangeGrid(-3.4e38, 3.4e38, bits), // step +Inf
+					{pick(), float32(math.Inf(1))},
+					{pick(), f32fb(1 + uint32(rng.Intn(1<<23)))}, // subnormal step
+					{negZero, rangeGrid(mn, mx, bits).scale},
+					{negZero, 0},
+					{0, 0.5}, // the "ties" rows: every other quotient is k+0.5
+					{-0.25, 1},
+				}
+				// Zero points that put an element exactly half a step from a
+				// level, where the float32 subtract lets them, on bfloat16
+				// steps: a reciprocal multiply rounds these off the tie.
+				for k := 0; k < 3; k++ {
+					v, step := x[rng.Intn(dim)], f32fb(f32b(max(w/maxCode, 1e-30))&0xffff0000)
+					pool = append(pool, grid{v - (float32(rng.Intn(int(maxCode)+1))+0.5)*step, step})
+				}
+				for n := 1; n <= 9; n++ {
+					gs := make([]grid, n)
+					for i := range gs {
+						gs[i] = pool[rng.Intn(len(pool))]
+					}
+					checkKernelsAgree(t, &s, x, bits, gs)
+					calls++
+				}
+			}
+		}
+	}
+	// Rows near float32's ends under zero points at the other end: v-zero
+	// overflows to ±Inf, and over a step of +Inf or +0 the quotient is
+	// NaN, which must land on code 0 as in roundCode.
+	huge := []float32{3.4e38, -3.4e38, 1e38, -1e38, 1, 0, negZero}
+	hugeGrids := []grid{{-3.4e38, float32(math.Inf(1))}, {3.4e38, float32(math.Inf(1))},
+		{-3.4e38, 0}, {3.4e38, 1e38}, {negZero, float32(math.Inf(1))}, {1, 1}}
+	for i := 0; i < 2000; i++ {
+		x := make([]float32, 1+rng.Intn(9))
+		for j := range x {
+			x[j] = huge[rng.Intn(len(huge))]
+		}
+		gs := make([]grid, 1+rng.Intn(9))
+		for j := range gs {
+			gs[j] = hugeGrids[rng.Intn(len(hugeGrids))]
+		}
+		checkKernelsAgree(t, &s, x, 1+rng.Intn(8), gs)
+		calls++
+	}
+	if !useAVX2 {
+		t.Skipf("this CPU has no AVX2: scoreGrids is the Go kernel, checked on %d calls", calls)
+	}
+	t.Logf("%d calls, assembly equal to the Go kernel", calls)
 }
 
 // TestKernelDegenerateScale: quotients far outside int64 (a scale of a
@@ -535,6 +669,8 @@ func FuzzAdaptiveRange(f *testing.F) {
 			return
 		}
 		checkRowAgainstOracle(t, &s, x, p, [][2]float32{{x[0], x[n-1]}, {x[n-1], x[0]}})
+		checkKernelsAgree(t, &s, x, p.Bits, []grid{rangeGrid(mn, mx, p.Bits), rangeGrid(x[0], x[n-1], p.Bits),
+			rangeGrid(x[n-1], x[0], p.Bits), {x[0], storedScale(mn, mx, p.Bits)}, {x[n-1], f32fb(f32b(x[0]) &^ (1 << 31))}})
 	})
 }
 

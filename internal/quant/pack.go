@@ -182,10 +182,9 @@ func rawGetF32(dst []float32, src []byte) {
 type Scratch struct {
 	codes []uint32
 
-	// lvl holds the reconstruction tables of the clip ranges being
-	// scored: one for a single range, both for the greedy walk's up- and
-	// down-neighbour.
-	lvl [2]levels
+	// lvl is the Go kernel's reconstruction table, refilled per grid it
+	// scores (scoreGridsGo); the assembly computes its levels instead.
+	lvl levels
 
 	// Adaptive chunk-sampling state, armed by BeginAdaptiveChunk and
 	// consumed by QuantizeCachedInto: cand holds the (u, d) step-lattice

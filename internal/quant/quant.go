@@ -424,12 +424,9 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float
 	}
 	best := 0
 	if len(gs) > 1 { // a lone grid is not scored
-		bestSq, t := math.Inf(1), &s.lvl[0]
-		for i, g := range gs {
-			if sq := t.l2(x, g.zero, t.fill(bits, g.zero, g.scale), codeCap(bits), bestSq); sq < bestSq {
-				best, bestSq = i, sq
-			}
-		}
+		var sq [len(buf)]float64
+		s.scoreGrids(x, bits, gs, sq[:len(gs)])
+		best = leastFirst(sq[:len(gs)])
 	}
 	if best >= searched {
 		lo, hi = mn, mx
@@ -470,7 +467,9 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 	}
 	step := float32(rangeF / float64(numBins))
 	bestLo, bestHi := origLo, origHi
-	bestErr := s.uniformL2(x, bits, origLo, origHi, math.Inf(1))
+	var sq [2]float64
+	s.scoreGrids(x, bits, []grid{rangeGrid(origLo, origHi, bits)}, sq[:1])
+	bestErr := sq[0]
 	curLo, curHi := origLo, origHi
 	curU, curD := 0, 0
 	// Iterate while the removed span stays under ratio*range. (The
@@ -481,7 +480,8 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 			break
 		}
 		prevLo, prevHi := curLo, curHi
-		upErr, dnErr := s.uniformL2Pair(x, bits, curLo+step, curHi, curLo, curHi-step)
+		s.scoreGrids(x, bits, []grid{rangeGrid(curLo+step, curHi, bits), rangeGrid(curLo, curHi-step, bits)}, sq[:])
+		upErr, dnErr := sq[0], sq[1]
 		if upErr <= dnErr {
 			curLo += step
 			curU++
@@ -587,9 +587,16 @@ func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float
 		s.noteCandidate(u, d)
 		return lo, hi
 	}
+	// The full range and every candidate, scored in one call: index 0 is
+	// the full range, and the first least sum wins.
+	var (
+		gs  [1 + maxAdaptiveCandidates]grid
+		his [len(gs)]float32
+		sq  [len(gs)]float64
+	)
+	gs[0], his[0] = rangeGrid(origLo, origHi, bits), origHi
+	n := 1
 	step := float32(rangeF / float64(numBins))
-	bestLo, bestHi := origLo, origHi
-	bestErr := s.uniformL2(x, bits, origLo, origHi, math.Inf(1))
 	maxSteps := int(ratio * float64(numBins))
 	for _, c := range s.cand {
 		if int(c[0])+int(c[1]) > maxSteps {
@@ -608,13 +615,31 @@ func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float
 		if cHi-cLo <= 0 {
 			continue
 		}
-		// A candidate only has to beat the best so far, so its scoring
-		// stops at the first partial sum that no longer can.
-		if e := s.uniformL2(x, bits, cLo, cHi, bestErr); e < bestErr {
-			bestErr, bestLo, bestHi = e, cLo, cHi
+		gs[n], his[n] = rangeGrid(cLo, cHi, bits), cHi
+		n++
+	}
+	s.scoreGrids(x, bits, gs[:n], sq[:n])
+	best := leastFirst(sq[:n])
+	return gs[best].zero, his[best]
+}
+
+// rangeGrid is the grid a range is scored on: its stored step from lo.
+// The search scores ranges as they store, so the full range, always a
+// candidate, bounds what it picks.
+func rangeGrid(lo, hi float32, bits int) grid {
+	return grid{lo, storedScale(lo, hi, bits)}
+}
+
+// leastFirst returns the index of the least of sq, the first on a tie.
+// A NaN never wins, and nothing wins over a NaN at index 0.
+func leastFirst(sq []float64) int {
+	best := 0
+	for i, e := range sq[1:] {
+		if e < sq[best] {
+			best = i + 1
 		}
 	}
-	return bestLo, bestHi
+	return best
 }
 
 func f32b(v float32) uint32  { return math.Float32bits(v) }
