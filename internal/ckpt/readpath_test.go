@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // TestVerifyAgreesWithRestore pins the read path's one predicate: over a
@@ -40,15 +38,9 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		base          *wire.Manifest // shard 0's full baseline
 		victimBase    *wire.Manifest // the full baseline of victim's shard
 	}
-	// rewrite replaces victim's first chunk with an edit of it, encoded
-	// by encode: a well-formed object, CRC and all, that lies about its
-	// rows. What CKP3 cannot spell — an index that repeats or goes back,
-	// a range as two floats — is written in CKP2, which readers still
-	// decode.
-	type encoder func(c *wire.Chunk) ([]byte, error)
-	ckp3 := func(c *wire.Chunk) ([]byte, error) { return c.AppendTo(nil) }
-	ckp2 := func(c *wire.Chunk) ([]byte, error) { return wiretest.AppendCKP2(nil, c), nil }
-	rewrite := func(t *testing.T, d *damaged, encode encoder, edit func(c *wire.Chunk)) {
+	// rewrite replaces victim's first chunk with an edit of it: a
+	// well-formed object, CRC and all, that lies about its rows.
+	rewrite := func(t *testing.T, d *damaged, edit func(c *wire.Chunk)) {
 		t.Helper()
 		key := d.victim.ChunkKeys[0]
 		blob, err := d.store.Get(d.ctx, key)
@@ -60,16 +52,16 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		edit(c)
-		if blob, err = encode(c); err != nil {
+		if blob, err = c.AppendTo(nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.store.Put(d.ctx, key, blob); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// patch overwrites victim's first chunk, a 4-bit CKP3 one, with b from
-	// off(n) on, n its row count, and stamps the CRC: a lo or scale no
-	// encoder writes.
+	// patch overwrites victim's first chunk with b from off(n) on, n its
+	// row count, and stamps the CRC: in a 4-bit chunk a lo or scale no
+	// encoder writes, at offset 0 the magic of a retired layout.
 	patch := func(t *testing.T, d *damaged, off func(n int) int, b ...byte) {
 		t.Helper()
 		key := d.victim.ChunkKeys[0]
@@ -85,6 +77,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 	}
 	loOf := func(n int) int { return 20 + 4*n }    // row 0's lo
 	scaleOf := func(n int) int { return 20 + 8*n } // row 0's bf16 scale
+	magicOf := func(int) int { return 0 }
 	remove := func(t *testing.T, d *damaged, key string) {
 		t.Helper()
 		if err := d.store.Delete(d.ctx, key); err != nil {
@@ -118,15 +111,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			}
 		}},
 		{name: "row-index-out-of-range", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp3, func(c *wire.Chunk) { c.Rows[len(c.Rows)-1].Index = uint32(d.victim.Rows) })
-		}},
-		// Every writer emits a chunk's rows in strictly increasing index
-		// order. A repeated index would restore differently by chain length.
-		{name: "duplicate-row-index", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[1].Index = c.Rows[0].Index })
-		}},
-		{name: "row-indices-out-of-order", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0], c.Rows[1] = c.Rows[1], c.Rows[0] })
+			rewrite(t, d, func(c *wire.Chunk) { c.Rows[len(c.Rows)-1].Index = uint32(d.victim.Rows) })
 		}},
 		// A CRC-valid row whose range is not finite would restore NaN or
 		// Inf into the model and a replica would serve it.
@@ -139,14 +124,8 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		{name: "nan-scale", quantized: true, names: "scale", damage: func(t *testing.T, d *damaged) {
 			patch(t, d, scaleOf, 0xc0, 0x7f)
 		}},
-		{name: "ckp2-nan-lo", quantized: true, names: "not finite", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0].Q.Lo = float32(math.NaN()) })
-		}},
-		{name: "ckp2-hi-below-lo", quantized: true, names: "not finite and ordered", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp2, func(c *wire.Chunk) { c.Rows[0].Q.Scale = -1 })
-		}},
 		{name: "wrong-dim", damage: func(t *testing.T, d *damaged) {
-			rewrite(t, d, ckp3, func(c *wire.Chunk) {
+			rewrite(t, d, func(c *wire.Chunk) {
 				q, err := quant.Quantize(make([]float32, d.victim.Dim/2), quant.Params{})
 				if err != nil {
 					t.Fatal(err)
@@ -157,16 +136,13 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 			})
 		}},
 		{name: "missing-chunk", damage: func(t *testing.T, d *damaged) { remove(t, d, d.victim.ChunkKeys[0]) }},
-		// An intact object of the layout before CKP2, which no reader
+		// Intact objects of the layouts before CKP3, which no reader
 		// decodes any more: refused by name, not as corruption.
 		{name: "retired-ckp1-chunk", names: "CKP1", damage: func(t *testing.T, d *damaged) {
-			key := d.victim.ChunkKeys[0]
-			blob, _ := d.store.Get(d.ctx, key)
-			binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
-			binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.Checksum(blob[:len(blob)-4], crc32.MakeTable(crc32.Castagnoli)))
-			if err := d.store.Put(d.ctx, key, blob); err != nil {
-				t.Fatal(err)
-			}
+			patch(t, d, magicOf, binary.LittleEndian.AppendUint32(nil, 0x434B5031)...) // "CKP1"
+		}},
+		{name: "retired-ckp2-chunk", names: "CKP2", damage: func(t *testing.T, d *damaged) {
+			patch(t, d, magicOf, binary.LittleEndian.AppendUint32(nil, 0x434B5032)...) // "CKP2"
 		}},
 	}
 	cases := slices.Clone(chunkDamage)

@@ -632,12 +632,10 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 // readChunk fetches the object stored under key, decodes it into rows as
 // a chunk and checks that against tm, the table manifest that names it.
 // After it a row has no way left to fail its de-quantizing, so a row that
-// a restore skips hides no error, and the row indices strictly increase,
-// as every writer emits them: a repeated index would restore its last
-// copy through a one-link chain, where every row applies, and its first
-// through a longer one, where the first copy claims the row. The object
-// comes back whatever the decode and checks found, nil only when the Get
-// failed.
+// a restore skips hides no error. Its row indices strictly increase: the
+// one layout the decoder accepts, CKP3, stores each as a gap of at least
+// one. The object comes back whatever the decode and checks found, nil
+// only when the Get failed.
 func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf) ([]byte, *wire.Chunk, error) {
 	blob, err := r.store.Get(ctx, key)
 	if err != nil {
@@ -653,16 +651,13 @@ func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key st
 	if int(chunk.TableID) != tm.TableID {
 		return blob, nil, fmt.Errorf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID)
 	}
-	for i := range chunk.Rows {
-		row := &chunk.Rows[i]
+	// Every row takes its dim from the chunk's header.
+	if len(chunk.Rows) > 0 && chunk.Rows[0].Q.N != tm.Dim {
+		return blob, nil, fmt.Errorf("%s: rows have dim %d, want %d", key, chunk.Rows[0].Q.N, tm.Dim)
+	}
+	for _, row := range chunk.Rows {
 		if int(row.Index) >= tm.Rows {
 			return blob, nil, fmt.Errorf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows)
-		}
-		if i > 0 && row.Index <= chunk.Rows[i-1].Index {
-			return blob, nil, fmt.Errorf("%s: row index %d follows %d", key, row.Index, chunk.Rows[i-1].Index)
-		}
-		if row.Q.N != tm.Dim {
-			return blob, nil, fmt.Errorf("%s: row %d has dim %d, want %d", key, row.Index, row.Q.N, tm.Dim)
 		}
 	}
 	return blob, chunk, nil

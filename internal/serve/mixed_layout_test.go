@@ -15,28 +15,22 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/quant"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
-// TestMixedLayoutChain reads one chain whose links differ in chunk
-// layout, bit width and chunk size — what a job that began before CKP3
-// and changed its quantizer and its chunk packing mid-job leaves in the
-// store: a 2-bit adaptive base in CKP2, the layout before CKP3, of
-// wire.SegmentsPerChunk segments a chunk, as a CKP2 writer stored it
-// (wiretest.AppendCKP2 rewrites the engine's chunks); CKP3 increments on
-// top of it — a 4-bit one rewritten into chunks of one ChunkRows segment
-// each, the objects of a writer that packed one segment per chunk, a
-// 4-bit one as the engine packs it, then SetQuant moves it to 8 bits
-// mid-chain. Every reader of stored chunks — restore, verify, a
-// restarted writer's recovery and a serving replica — must take the
-// chain as one, and agree bit for bit with a reference built here by
-// decoding the stored chunks link by link with nothing but wire and
-// quant.
+// TestMixedLayoutChain reads one CKP3 chain whose links differ in bit
+// width and chunk packing — what a job that changed its quantizer and
+// its chunk packing mid-job leaves in the store: a 2-bit adaptive base
+// of wire.SegmentsPerChunk segments a chunk; a 4-bit increment rewritten
+// into chunks of one ChunkRows segment each, the objects of a writer
+// that packed one segment per chunk; a 4-bit one as the engine packs it;
+// then SetQuant moves it to 8 bits mid-chain. Every reader of stored
+// chunks — restore, verify, a restarted writer's recovery and a serving
+// replica — must take the chain as one, and agree bit for bit with a
+// reference built here by decoding the stored chunks link by link with
+// nothing but wire and quant.
 func TestMixedLayoutChain(t *testing.T) {
 	const (
 		job     = "mixed"
-		ckp2    = 0x434B5032
-		ckp3    = 0x434B5033
 		segRows = 8
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -101,19 +95,18 @@ func TestMixedLayoutChain(t *testing.T) {
 		}
 		return man
 	}
-	// record writes the stored rows of link man over the reference. Every
-	// chunk must be of layout wantMagic and the largest hold segs segments.
-	record := func(man *wire.Manifest, wantMagic uint32, segs int) {
+	// write commits one checkpoint and writes the stored rows of its link
+	// over the reference. The largest chunk must hold four segments, what
+	// the engine packs at every width.
+	write := func(coord *ckpt.Coordinator) *wire.Manifest {
 		t.Helper()
+		man := commit(coord)
 		most := 0
 		for _, tm := range man.Tables {
 			for _, key := range tm.ChunkKeys {
 				blob, err := store.Get(ctx, key)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if got := binary.LittleEndian.Uint32(blob); got != wantMagic {
-					t.Fatalf("checkpoint %d: %s stored with magic 0x%08x, want 0x%08x", man.ID, key, got, wantMagic)
 				}
 				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
 				if err != nil {
@@ -126,15 +119,9 @@ func TestMixedLayoutChain(t *testing.T) {
 				}
 			}
 		}
-		if most != segs*segRows {
-			t.Fatalf("checkpoint %d: largest chunk holds %d rows, want %d segments of %d", man.ID, most, segs, segRows)
+		if most != 4*segRows {
+			t.Fatalf("checkpoint %d: largest chunk holds %d rows, want 4 segments of %d", man.ID, most, segRows)
 		}
-	}
-	// write commits one checkpoint and records it.
-	write := func(coord *ckpt.Coordinator, wantMagic uint32, segs int) *wire.Manifest {
-		t.Helper()
-		man := commit(coord)
-		record(man, wantMagic, segs)
 		return man
 	}
 	// repackage rewrites a stored link into chunks of one segment each, the
@@ -181,39 +168,16 @@ func TestMixedLayoutChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// toCKP2 rewrites every chunk of a stored link, in place, as the CKP2
-	// writer would have stored its rows.
-	toCKP2 := func(man *wire.Manifest) {
-		t.Helper()
-		for _, tm := range man.Tables {
-			for _, key := range tm.ChunkKeys {
-				blob, err := store.Get(ctx, key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := store.Put(ctx, key, wiretest.AppendCKP2(nil, chunk)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	// Four segments per chunk at every width.
-	base := commit(coord)
-	toCKP2(base)
-	record(base, ckp2, 4)
+	write(coord)
 	if err := coord.SetQuant(adaptive4); err != nil {
 		t.Fatal(err)
 	}
-	repackage(write(coord, ckp3, 4))
-	write(coord, ckp3, 4)
+	repackage(write(coord))
+	write(coord)
 	if err := coord.SetQuant(adaptive8); err != nil {
 		t.Fatal(err)
 	}
-	write(coord, ckp3, 4)
+	write(coord)
 
 	rest, err := ckpt.NewRestorer(job, store)
 	if err != nil {
@@ -229,8 +193,8 @@ func TestMixedLayoutChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolve across the layout change: %v", err)
 		}
-		// A consecutive chain restores through every link: the 2-bit CKP2
-		// base first.
+		// A consecutive chain restores through every link: the 2-bit base
+		// first.
 		if plan.Top.ID != wantID || len(plan.Links[0]) != wantID+1 {
 			t.Fatalf("checkpoint %d resolves to %d links, want %d with %d", plan.Top.ID, len(plan.Links[0]), wantID, wantID+1)
 		}
@@ -306,7 +270,7 @@ func TestMixedLayoutChain(t *testing.T) {
 	if rec.NextID() != coord.NextID() {
 		t.Fatalf("recovered writer at checkpoint %d, the writer was at %d", rec.NextID(), coord.NextID())
 	}
-	man := write(rec, ckp3, 4)
+	man := write(rec)
 	if man.ID != 4 || man.ParentID != 3 || man.Kind != wire.KindIncremental.String() {
 		t.Fatalf("recovered writer stored %+v, want incremental 4 on parent 3", man)
 	}
@@ -314,16 +278,20 @@ func TestMixedLayoutChain(t *testing.T) {
 	checkServed(4)
 }
 
-// TestRetiredLayoutIsRefused: a chain with one chunk in CKP1, the layout
-// before CKP2, in an increment after its base. The two readers besides
-// restore and verify (internal/ckpt's TestVerifyAgreesWithRestore) refuse
-// it by name: a restarted writer's recovery, which walks the increments
-// since the base, and a replica bootstrapping from the chain, which
-// never serves a model it could not read whole.
+// TestRetiredLayoutIsRefused: a chain with one chunk in CKP1 or CKP2, the
+// layouts before CKP3, in an increment after its base. The two readers
+// besides restore and verify (internal/ckpt's TestVerifyAgreesWithRestore)
+// refuse it by name: a restarted writer's recovery, which walks the
+// increments since the base, and a replica bootstrapping from the chain,
+// which never serves a model it could not read whole.
 func TestRetiredLayoutIsRefused(t *testing.T) {
-	refuseDamagedIncrement(t, "retired", "CKP1", func(blob []byte) {
-		binary.LittleEndian.PutUint32(blob, 0x434B5031) // "CKP1"
-	})
+	for layout, magic := range map[string]uint32{"CKP1": 0x434B5031, "CKP2": 0x434B5032} {
+		t.Run(layout, func(t *testing.T) {
+			refuseDamagedIncrement(t, "retired", layout, func(blob []byte) {
+				binary.LittleEndian.PutUint32(blob, magic)
+			})
+		})
+	}
 }
 
 // TestNonFiniteRangeIsRefused: the same two readers refuse a CRC-valid

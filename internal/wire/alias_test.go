@@ -7,13 +7,13 @@ import (
 	"repro/internal/quant"
 )
 
-// aliasTestChunks builds one quantized and one fp32 CKP2 chunk blob.
+// aliasTestChunks builds one quantized and one fp32 CKP3 chunk blob.
 func aliasTestChunks(t *testing.T) map[string][]byte {
 	t.Helper()
 	blobs := map[string][]byte{}
 	for name, p := range map[string]quant.Params{
-		"ckp2":      {Method: quant.MethodAsymmetric, Bits: 4},
-		"ckp2_fp32": {Method: quant.MethodNone},
+		"ckp3":      {Method: quant.MethodAsymmetric, Bits: 4},
+		"ckp3_fp32": {Method: quant.MethodNone},
 	} {
 		blob, err := goldenChunk(t, 3, 6, 16, p).encodeCompact()
 		if err != nil {
@@ -113,7 +113,7 @@ func TestDecodeChunkLeavesBlobIntact(t *testing.T) {
 // TestDecodeChunkAliasCapacityClamped: appending to an aliased row's
 // Codes must never scribble into the blob bytes of the next row.
 func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
-	blob := aliasTestChunks(t)["ckp2"]
+	blob := aliasTestChunks(t)["ckp3"]
 	c, err := (*RowBuf)(nil).DecodeAlias(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 }
 
 // TestRowBufDecodesWithoutAllocating: once a RowBuf has described a chunk
-// as large, decoding a CKP2 chunk into it allocates nothing — the point
+// as large, decoding a CKP3 chunk into it allocates nothing — the point
 // of keeping one per walker worker.
 func TestRowBufDecodesWithoutAllocating(t *testing.T) {
 	blob, err := makeUniformChunk(t, 1, 256, 16, 4).encodeCompact()

@@ -187,7 +187,7 @@ func TestEncodeFitsExactAlloc(t *testing.T) {
 }
 
 // TestEncodePooledAllocFree confirms encoding into a warm reused buffer
-// does not allocate, through either entry of the CKP2 writer.
+// does not allocate, through either entry of the CKP3 writer.
 func TestEncodePooledAllocFree(t *testing.T) {
 	rows, weights, accum, dim, ok := f32Table(goldenChunk(t, 3, 512, 32, quant.Params{Method: quant.MethodNone}), 1<<20)
 	if !ok {

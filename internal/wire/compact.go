@@ -32,14 +32,10 @@ import (
 // lo + k·scale, scale a bfloat16 (the only steps quant stores). A 4-bit
 // dim-32 row at a 10 % touch rate takes 1 + 4 + 4 + 2 + 16 = 27 bytes.
 //
-// CKP2, the layout before, stored a u32 index column first and the range
-// as f32 lo and hi (32 bytes for that row). It is read, never written;
-// its rows decode with scale = (hi - lo)/(2^bits - 1) in float32, what
-// its writer's dequantizer computed, so a stored CKP2 chain restores bit
-// for bit. CKP1, the layout before that, is refused by name.
+// CKP2 and CKP1, the layouts before, are refused by name.
 const (
 	ckp3Magic = 0x434B5033 // "CKP3"
-	ckp2Magic = 0x434B5032 // "CKP2", decoded only
+	ckp2Magic = 0x434B5032 // "CKP2", refused by name
 	ckp1Magic = 0x434B5031 // "CKP1", refused by name
 )
 
@@ -231,7 +227,7 @@ func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, ac
 }
 
 // appendHeader appends the 20-byte CKP3 header; the range flag is set
-// exactly when bits != 32, the one spelling decodeHeader accepts.
+// exactly when bits != 32, the one spelling decodeCKP3 accepts.
 func appendHeader(dst []byte, tableID uint32, n, bits, dim int) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, ckp3Magic)
@@ -250,97 +246,77 @@ func appendCRC(dst []byte, base int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
 }
 
-// header is what decodeHeader reads. The counts are untrusted u32s,
-// int64 until a size check ties them to the object's length.
-type header struct {
-	tableID  uint32
-	bits     int
-	n, dim   int64
-	hasRange bool
-}
-
-// decodeHeader parses the 20-byte header CKP3 and CKP2 share (CRC
-// already verified, magic peeked). Only what a writer wrote is accepted:
-// reserved bytes zero, no unknown flag, the range flag set exactly when
-// bits != 32, and an empty chunk in its one spelling — no rows, no
-// payload, 32 bits, dim 0. A stored chunk therefore has exactly one
-// byte representation, which is what FuzzDecodeChunk's re-encode check
-// holds the CKP3 decoder to.
-func decodeHeader(body []byte) (header, error) {
-	if len(body) < headerLen {
-		return header{}, fmt.Errorf("wire: chunk header truncated")
-	}
-	h := header{
-		tableID: binary.LittleEndian.Uint32(body[4:]),
-		bits:    int(body[12]),
-		n:       int64(binary.LittleEndian.Uint32(body[8:])),
-		dim:     int64(binary.LittleEndian.Uint32(body[16:])),
-	}
-	if h.bits < 1 || (h.bits > 8 && h.bits != 32) {
-		return header{}, fmt.Errorf("wire: chunk invalid bits %d", h.bits)
-	}
-	h.hasRange = h.bits != 32
-	wantFlags := byte(0)
-	if h.hasRange {
-		wantFlags = flagHasRange
-	}
-	if body[13] != wantFlags || body[14] != 0 || body[15] != 0 {
-		return header{}, fmt.Errorf("wire: chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
-			h.bits, body[13], body[14], body[15])
-	}
-	if h.n == 0 && (len(body) != headerLen || h.bits != 32 || h.dim != 0) {
-		return header{}, fmt.Errorf("wire: chunk without rows is not the canonical empty chunk")
-	}
-	return h, nil
-}
-
-// rowCodes returns a row's packed code bytes; dim*bits needs 38 bits.
-func (h header) rowCodes() int64 { return (h.dim*int64(h.bits) + 7) / 8 }
-
 // decodeCKP3 parses a CKP3 chunk (CRC already verified, magic peeked)
 // into b's storage, or fresh storage when b is nil. Row codes slice
 // straight into body — see RowBuf.DecodeAlias for the lifetime contract.
-// Besides the header's rules, it accepts only a range quant.CheckRange
-// accepts and an index column AppendTo would write: each uvarint in its
-// shortest form, every index at most 2^32-1, and the column consumed
-// exactly by the rows.
+// Only what a writer wrote is accepted: reserved bytes zero, no unknown
+// flag, the range flag set exactly when bits != 32, an empty chunk in its
+// one spelling — no rows, no payload, 32 bits, dim 0 —, a range
+// quant.CheckRange accepts, and an index column AppendTo would write:
+// each uvarint in its shortest form, every index at most 2^32-1, and the
+// column consumed exactly by the rows. A stored chunk therefore has
+// exactly one byte representation, which is what FuzzDecodeChunk's
+// re-encode check holds the decoder to.
 func (b *RowBuf) decodeCKP3(body []byte) (*Chunk, error) {
-	h, err := decodeHeader(body)
-	if err != nil || h.n == 0 {
-		return b.empty(h, err)
+	if len(body) < headerLen {
+		return nil, fmt.Errorf("wire: chunk header truncated")
 	}
-	rowFixed := 4 + h.rowCodes()
-	if h.hasRange {
+	le := binary.LittleEndian
+	// The counts are untrusted u32s, int64 until a size check ties them
+	// to the object's length; dim*bits needs 38 bits.
+	tableID, bits := le.Uint32(body[4:]), int(body[12])
+	n64, dim64 := int64(le.Uint32(body[8:])), int64(le.Uint32(body[16:]))
+	if bits < 1 || (bits > 8 && bits != 32) {
+		return nil, fmt.Errorf("wire: chunk invalid bits %d", bits)
+	}
+	hasRange := bits != 32
+	wantFlags := byte(0)
+	if hasRange {
+		wantFlags = flagHasRange
+	}
+	if body[13] != wantFlags || body[14] != 0 || body[15] != 0 {
+		return nil, fmt.Errorf("wire: chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
+			bits, body[13], body[14], body[15])
+	}
+	if n64 == 0 {
+		if len(body) != headerLen || bits != 32 || dim64 != 0 {
+			return nil, fmt.Errorf("wire: chunk without rows is not the canonical empty chunk")
+		}
+		c, _ := b.take(tableID, 0)
+		return c, nil
+	}
+	rowCodes64 := (dim64*int64(bits) + 7) / 8
+	rowFixed := 4 + rowCodes64
+	if hasRange {
 		rowFixed += 4 + 2
 	}
 	// Every row takes its fixed columns and at least one index byte; the
 	// check divides, since n*rowFixed can wrap to any value.
 	payload := int64(len(body) - headerLen)
-	if payload/(rowFixed+1) < h.n {
-		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of at least %d bytes", len(body), h.n, rowFixed+1)
+	if payload/(rowFixed+1) < n64 {
+		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of at least %d bytes", len(body), n64, rowFixed+1)
 	}
-	n, dim, rowCodes := int(h.n), int(h.dim), int(h.rowCodes())
-	le := binary.LittleEndian
+	n, dim, rowCodes := int(n64), int(dim64), int(rowCodes64)
 	accumOff := headerLen
 	loOff := accumOff + 4*n
 	scaleOff := loOff + 4*n
 	codesOff := loOff
-	if h.hasRange {
+	if hasRange {
 		codesOff = scaleOff + 2*n
 	}
 	indexOff := codesOff + n*rowCodes
 	col := body[indexOff:]
-	c, qs := b.take(h.tableID, n)
+	c, qs := b.take(tableID, n)
 	next := uint64(0)
 	for i := 0; i < n; i++ {
 		// A whole-struct store: a reused slot keeps nothing of the row it
 		// described last, so an fp32 row keeps no range of a quantized one.
 		q := &qs[i]
-		*q = quant.QVector{Bits: h.bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
-		if h.hasRange {
+		*q = quant.QVector{Bits: bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
+		if hasRange {
 			q.Lo = math.Float32frombits(le.Uint32(body[loOff+4*i:]))
 			q.Scale = math.Float32frombits(uint32(le.Uint16(body[scaleOff+2*i:])) << 16)
-			if err := quant.CheckRange(q.Lo, q.Scale, h.bits); err != nil {
+			if err := quant.CheckRange(q.Lo, q.Scale, bits); err != nil {
 				return nil, fmt.Errorf("wire: chunk row %d: %w", i, err)
 			}
 		}
@@ -382,63 +358,4 @@ func uvarint32(src []byte) (uint64, int) {
 		}
 	}
 	return 0, -1
-}
-
-// decodeCKP2 parses a chunk in CKP2, the layout before CKP3, as
-// decodeCKP3 parses CKP3: the rows of the CKP2 writer, whose range is a
-// finite f32 lo <= hi, and nothing else.
-func (b *RowBuf) decodeCKP2(body []byte) (*Chunk, error) {
-	h, err := decodeHeader(body)
-	if err != nil || h.n == 0 {
-		return b.empty(h, err)
-	}
-	rowBytes := 4 + 4 + h.rowCodes()
-	if h.hasRange {
-		rowBytes += 8
-	}
-	payload := int64(len(body) - headerLen)
-	if payload/h.n != rowBytes || payload%h.n != 0 {
-		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of %d bytes", len(body), h.n, rowBytes)
-	}
-	n, dim, rowCodes := int(h.n), int(h.dim), int(h.rowCodes())
-	le := binary.LittleEndian
-	idxOff := headerLen
-	accumOff := idxOff + 4*n
-	rangeOff := accumOff + 4*n
-	codesOff := rangeOff
-	if h.hasRange {
-		codesOff += 8 * n
-	}
-	levels := float32(int(1)<<uint(h.bits) - 1)
-	c, qs := b.take(h.tableID, n)
-	for i := 0; i < n; i++ {
-		q := &qs[i]
-		*q = quant.QVector{Bits: h.bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
-		if h.hasRange {
-			lo := math.Float32frombits(le.Uint32(body[rangeOff+8*i:]))
-			hi := math.Float32frombits(le.Uint32(body[rangeOff+8*i+4:]))
-			if lo-lo != 0 || hi-hi != 0 || hi < lo {
-				return nil, fmt.Errorf("wire: CKP2 chunk row %d range [%v, %v] is not finite and ordered", i, lo, hi)
-			}
-			q.Lo, q.Scale = lo, (hi-lo)/levels
-			if err := quant.CheckRange(q.Lo, q.Scale, h.bits); err != nil {
-				return nil, fmt.Errorf("wire: CKP2 chunk row %d: %w", i, err)
-			}
-		}
-		c.Rows[i] = Row{
-			Index: le.Uint32(body[idxOff+4*i:]),
-			Accum: math.Float32frombits(le.Uint32(body[accumOff+4*i:])),
-			Q:     q,
-		}
-	}
-	return c, nil
-}
-
-// empty finishes a decode whose header was refused or holds no rows.
-func (b *RowBuf) empty(h header, err error) (*Chunk, error) {
-	if err != nil {
-		return nil, err
-	}
-	c, _ := b.take(h.tableID, 0)
-	return c, nil
 }

@@ -167,10 +167,10 @@ func set(blob []byte, off int, b ...byte) []byte {
 // f32le returns v's little-endian bytes.
 func f32le(v float32) []byte { return binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)) }
 
-// nonCanonicalCKP3 returns one refusal per refusal branch of DecodeAlias,
-// decodeHeader and decodeCKP3. Its 4-bit chunk holds rows 0, 3 and 6 of
-// dim 8: 20 header bytes, 12 of accumulators, 12 of lo, 6 of scale, 12
-// of codes, then the index column 00 02 02.
+// nonCanonicalCKP3 returns one refusal per refusal branch of DecodeAlias
+// and decodeCKP3, the retired layouts aside. Its 4-bit chunk holds rows
+// 0, 3 and 6 of dim 8: 20 header bytes, 12 of accumulators, 12 of lo, 6
+// of scale, 12 of codes, then the index column 00 02 02.
 func nonCanonicalCKP3(tb testing.TB) []refusal {
 	q4, err := makeUniformChunk(tb, 1, 3, 8, 4).AppendTo(nil)
 	if err != nil {
@@ -199,7 +199,7 @@ func nonCanonicalCKP3(tb testing.TB) []refusal {
 		{"short-object", "too short", q4[:15]},
 		{"crc-mismatch", "CRC mismatch", badCRC},
 		{"unknown-magic", "bad chunk magic", magic(0)},
-		{"ckp1-magic", "retired CKP1", magic(ckp1Magic)},
+		{"ckp4-magic", "bad chunk magic", magic(0x434B5034)}, // no layout, not a retired one
 		{"truncated-header", "header truncated", edit(q4, func(body []byte) []byte { return body[:19] })},
 		{"bits-0", "invalid bits 0", set(q4, 12, 0)},
 		{"bits-9", "invalid bits 9", set(q4, 12, 9)},
@@ -229,34 +229,9 @@ func nonCanonicalCKP3(tb testing.TB) []refusal {
 	}
 }
 
-// nonCanonicalCKP2 returns one refusal per refusal branch of decodeCKP2,
-// each an edit of ckp2_asym4.bin: 8 rows of dim 16, whose lo and hi
-// columns start 84 bytes in.
-func nonCanonicalCKP2(tb testing.TB) []refusal {
-	q4, err := os.ReadFile(goldenPath("ckp2", "asym4"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	const rangeOff = headerLen + 8*8
-	lohi := func(row int, lo, hi float32) []byte {
-		return set(q4, rangeOff+8*row, append(f32le(lo), f32le(hi)...)...)
-	}
-	nan, inf := float32(math.NaN()), float32(math.Inf(1))
-	return []refusal{
-		{"ckp2-payload-one-byte-past-rows", "cannot hold", edit(q4, func(body []byte) []byte { return append(body, 0) })},
-		{"ckp2-nan-lo", "not finite and ordered", lohi(1, nan, 1)},
-		{"ckp2-nan-hi", "not finite and ordered", lohi(0, 0, nan)},
-		{"ckp2-inf-hi", "not finite and ordered", lohi(7, 0, inf)},
-		{"ckp2-hi-below-lo", "not finite and ordered", lohi(2, 1, 0.5)},
-		{"ckp2-span-overflows", "negative or not finite", lohi(3, -3e38, 3e38)},
-		{"ckp2-non-canonical-header", "non-canonical header", set(q4, 14, 1)},
-	}
-}
-
 // TestDecodeRefusesNonCanonicalCKP3 reaches every refusal of the chunk
 // decoder by name, each with an object one edit away from a chunk that
-// decodes. A chunk in the retired CKP1 layout is refused as retired,
-// never as a bad magic or corruption.
+// decodes. (TestRetiredLayoutsRefusedByName holds the retired layouts.)
 func TestDecodeRefusesNonCanonicalCKP3(t *testing.T) {
 	for _, bits := range []int{4, 32} {
 		blob, err := makeUniformChunk(t, 1, 3, 8, bits).AppendTo(nil)
@@ -270,12 +245,43 @@ func TestDecodeRefusesNonCanonicalCKP3(t *testing.T) {
 	checkRefusals(t, nonCanonicalCKP3(t))
 }
 
-// TestDecodeRefusesNonCanonicalCKP2: the CKP2 reader refuses a row count
-// the object cannot hold, the header spellings CKP3's refuses, and a
-// range that is not finite, is crossed, or spans past float32 — a
-// CRC-valid CKP2 chunk never restores a NaN or Inf row.
-func TestDecodeRefusesNonCanonicalCKP2(t *testing.T) {
-	checkRefusals(t, nonCanonicalCKP2(t))
+// retiredLayouts are the layouts before CKP3, which every reader refuses
+// by name.
+var retiredLayouts = []struct {
+	name  string
+	magic uint32
+}{{"CKP1", ckp1Magic}, {"CKP2", ckp2Magic}}
+
+// asRetired returns blob under magic, its CRC re-stamped.
+func asRetired(blob []byte, magic uint32) []byte {
+	return set(blob, 0, binary.LittleEndian.AppendUint32(nil, magic)...)
+}
+
+// TestRetiredLayoutsRefusedByName: every CKP3 fixture, the empty one
+// included, under the magic of CKP1 or CKP2 and with its CRC re-stamped,
+// is refused with an error naming that layout — never decoded, never a
+// bad magic — before the RowBuf grows.
+func TestRetiredLayoutsRefusedByName(t *testing.T) {
+	for _, gc := range goldenCases() {
+		blob, err := os.ReadFile(goldenPath(gc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(gc.name, func(t *testing.T) {
+			for _, retired := range retiredLayouts {
+				t.Run(retired.name, func(t *testing.T) {
+					var buf RowBuf
+					c, err := buf.DecodeAlias(asRetired(blob, retired.magic))
+					if want := "retired " + retired.name + " layout"; err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("decoded %v, %v; want an error saying %q", c, err, want)
+					}
+					if cap(buf.rows) != 0 || cap(buf.qs) != 0 {
+						t.Fatalf("a refused chunk grew the RowBuf to %d rows", cap(buf.rows))
+					}
+				})
+			}
+		})
+	}
 }
 
 func checkRefusals(t *testing.T, refusals []refusal) {
@@ -289,7 +295,7 @@ func checkRefusals(t *testing.T, refusals []refusal) {
 	}
 }
 
-// BenchmarkCompactEncode times the CKP2 writer. asym4 encodes quantized
+// BenchmarkCompactEncode times the CKP3 writer. asym4 encodes quantized
 // rows into a fresh buffer. The fp32 cases are one chunk of a full fp32
 // checkpoint at cnrbench's shape — 512 consecutive rows of dim 32 out of
 // a table — into a warm buffer, through both entries: quantize+AppendTo

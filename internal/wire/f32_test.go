@@ -59,7 +59,7 @@ func TestF32ChunkMatchesGolden(t *testing.T) {
 			continue
 		}
 		t.Run(gc.name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
+			want, err := os.ReadFile(goldenPath(gc.name))
 			if err != nil {
 				t.Fatal(err)
 			}

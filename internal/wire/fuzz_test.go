@@ -7,17 +7,18 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
 	"repro/internal/rpc/rpctest"
 )
 
-// wrappedHeader is a complete 24-byte object of a layout whose two
-// counts multiply to 2^64: rowCount 1<<31, bits 32, dim 2147483646, so a
-// CKP2 row is 8 + 4*dim = 2^33 bytes (a CKP3 row 4 bytes fewer, plus its
-// index). Summed in a machine word the claimed size wraps to the 20
-// bytes actually present.
+// wrappedHeader is a complete 24-byte object whose counts claim more
+// than a machine word holds: rowCount 1<<31, bits 32, dim 2147483646, so
+// a CKP3 row is at least 4 + 4*dim + 1 = 2^33 - 3 bytes, and the claimed
+// size, multiplied out in an int64, wraps to -3·2^31 — which a size
+// check that multiplies would take to fit the 20 bytes present.
 func wrappedHeader(magic uint32) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, magic)
 	b = binary.LittleEndian.AppendUint32(b, 7)     // tableID
@@ -90,27 +91,35 @@ func dirtyRowBufs(tb testing.TB) map[bool]func() *RowBuf {
 // the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
 // allocation bounded by the input and not by what its header claims, and
 // an accepted CKP3 chunk re-encodes through AppendTo to exactly the
-// input. No field is exempt from the re-encode check: decodeHeader and
-// decodeCKP3 refuse the spellings the writer never wrote (reserved
-// bytes, unknown flags, a range flag that disagrees with bits, a shaped
-// empty chunk, a uvarint longer than its value needs). An accepted CKP2
-// chunk, which no writer produces any more, is held to the first two.
-// The second way in is a RowBuf still holding a chunk of the other kind,
-// fp32 or quantized (dirtyRowBufs): it must accept what a fresh decode
-// accepts and return the same rows, nothing of the previous chunk among
-// them. An accepted fp32 CKP3 chunk must also re-encode to exactly the
-// input through the writer's other entry, AppendF32Chunk, reading a
-// table built from its rows. The corpus starts at the golden fixtures of
-// both layouts and at every refusal of TestDecodeRefusesNonCanonicalCKP3
-// and TestDecodeRefusesNonCanonicalCKP2. The trailing CRC is re-stamped
-// so mutations reach the parser behind the checksum.
+// input. No field is exempt from the re-encode check: decodeCKP3 refuses
+// the spellings the writer never wrote (reserved bytes, unknown flags, a
+// range flag that disagrees with bits, a shaped empty chunk, a uvarint
+// longer than its value needs), and AppendTo refuses rows whose indices
+// do not increase. Any other layout is refused, within the allocation
+// bound. The second way in is a RowBuf still holding a chunk of the
+// other kind, fp32 or quantized (dirtyRowBufs): it must accept what a
+// fresh decode accepts and return the same rows, nothing of the previous
+// chunk among them. An accepted fp32 CKP3 chunk must also re-encode to
+// exactly the input through the writer's other entry, AppendF32Chunk,
+// reading a table built from its rows. The corpus starts at the golden
+// fixtures, each also under the magic of every retired layout, and at
+// every refusal of TestDecodeRefusesNonCanonicalCKP3. The trailing CRC
+// is re-stamped so mutations reach the parser behind the checksum.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, seed := range rpctest.Seeds(f, "testdata/*.bin") {
 		f.Add(seed)
 	}
+	for _, gc := range goldenCases() {
+		blob, err := os.ReadFile(goldenPath(gc.name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, retired := range retiredLayouts {
+			f.Add(asRetired(blob, retired.magic))
+		}
+	}
 	f.Add(wrappedHeader(ckp3Magic))
-	f.Add(wrappedHeader(ckp2Magic))
-	for _, r := range append(nonCanonicalCKP3(f), nonCanonicalCKP2(f)...) {
+	for _, r := range nonCanonicalCKP3(f) {
 		f.Add(r.blob)
 	}
 	dirty := dirtyRowBufs(f)
@@ -134,8 +143,11 @@ func FuzzDecodeChunk(f *testing.F) {
 			}
 		}
 		if len(data) < 4 || binary.LittleEndian.Uint32(data) != ckp3Magic {
-			// No writer produces the other layouts: decoding one may refuse
-			// it or not, within the allocation bound.
+			// No writer produces another layout: decoding one refuses it,
+			// within the allocation bound.
+			if err == nil {
+				t.Fatalf("decoded a chunk that is not CKP3: %v", got)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, _ = reused(data)
@@ -184,7 +196,6 @@ func FuzzDecodeChunk(f *testing.F) {
 func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 	for name, blob := range map[string][]byte{
 		"ckp3_wrapped_size": wrappedHeader(ckp3Magic),
-		"ckp2_wrapped_size": wrappedHeader(ckp2Magic),
 	} {
 		t.Run(name, func(t *testing.T) {
 			// A RowBuf is grown only by a count that was checked.

@@ -76,7 +76,7 @@ func goldenFastChunk(t *testing.T, gc goldenCase, warm bool) *Chunk {
 func TestGoldenBytesFastPathExactMode(t *testing.T) {
 	for _, gc := range goldenAdaptiveCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
+			want, err := os.ReadFile(goldenPath(gc.name))
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
@@ -92,7 +92,7 @@ func TestGoldenBytesFastPathExactMode(t *testing.T) {
 func TestGoldenBytesCachedReuse(t *testing.T) {
 	for _, gc := range goldenAdaptiveCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
+			want, err := os.ReadFile(goldenPath(gc.name))
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}

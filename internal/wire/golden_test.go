@@ -2,10 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -19,9 +17,7 @@ import (
 // encoder must reproduce them exactly, which proves both directions of
 // compatibility at once — checkpoints written before an encoder change
 // restore bit-identically after it, and checkpoints written after decode
-// under the old readers. testdata/ckp2_*.bin are the same cases as the
-// CKP2 writer stored them, before CKP3: decode-only, and never
-// regenerated.
+// under the old readers.
 //
 // Regenerate the CKP3 fixtures (only when the wire format intentionally
 // changes) with:
@@ -71,8 +67,7 @@ type goldenCase struct {
 	params quant.Params
 }
 
-// goldenCases are the CKP3 fixtures, ckp3_<case>.bin; ckp2_<case>.bin
-// holds each case as the CKP2 writer stored it.
+// goldenCases are the CKP3 fixtures, ckp3_<case>.bin.
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		{"asym1", 8, 16, quant.Params{Method: quant.MethodAsymmetric, Bits: 1}},
@@ -88,9 +83,9 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenPath returns the fixture of a case in a layout, "ckp3" or "ckp2".
-func goldenPath(layout, name string) string {
-	return filepath.Join("testdata", layout+"_"+name+".bin")
+// goldenPath returns the fixture of a case.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "ckp3_"+name+".bin")
 }
 
 // encodeCompact is AppendTo into a buffer of EncodedLen.
@@ -114,7 +109,7 @@ func TestGoldenEncodeBytes(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			c := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
 			blob := encodeCase(t, c)
-			path := goldenPath("ckp3", gc.name)
+			path := goldenPath(gc.name)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -156,7 +151,7 @@ func TestAppendToWritesOnlyCKP3(t *testing.T) {
 			if m := binary.LittleEndian.Uint32(got); m != ckp3Magic {
 				t.Fatalf("AppendTo wrote magic 0x%08x, want 0x%08x", m, ckp3Magic)
 			}
-			want, err := os.ReadFile(goldenPath("ckp3", gc.name))
+			want, err := os.ReadFile(goldenPath(gc.name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +169,7 @@ func TestAppendToWritesOnlyCKP3(t *testing.T) {
 func TestGoldenDecode(t *testing.T) {
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
-			blob, err := os.ReadFile(goldenPath("ckp3", gc.name))
+			blob, err := os.ReadFile(goldenPath(gc.name))
 			if err != nil {
 				t.Fatalf("missing golden file (run with -update-golden): %v", err)
 			}
@@ -212,88 +207,6 @@ func TestGoldenDecode(t *testing.T) {
 			re := encodeCase(t, got)
 			if !bytes.Equal(re, blob) {
 				t.Fatalf("%s: re-encode of decoded chunk diverged", gc.name)
-			}
-		})
-	}
-}
-
-// TestCKP2FixturesDecode holds the CKP2 reader to the chunks the CKP2
-// writer stored, the ckp2_* fixtures: every row decodes to the index,
-// accumulator, zero point and codes stored in its columns, with the
-// step (hi - lo)/(2^bits - 1) in float32, the one the CKP2 writer's
-// dequantizer reconstructed with — so a stored CKP2 chain restores bit
-// for bit. restored pins what that release restored from each fixture:
-// the count of floats Dequantize returned over its rows and the first 16
-// bytes of the SHA-256 of their little-endian bit patterns, recorded with
-// the CKP2 writer's own decoder and dequantizer.
-func TestCKP2FixturesDecode(t *testing.T) {
-	restored := map[string]struct {
-		n      int
-		digest string
-	}{
-		"adaptive2": {128, "a78f9613ad1ec781acac405e21faabde"},
-		"adaptive3": {60, "402d4a0f22ce638d877be40a010a7d1a"},
-		"adaptive4": {128, "582e6b2b5b321ff9bba188b816ddb63e"},
-		"asym1":     {128, "9a6d4e0ddae8965eef77982e71b0bc1c"},
-		"asym2":     {96, "e07be0fc348933418954e57f073a0156"},
-		"asym4":     {128, "1a7fba5c456710374319d6f39a90c43f"},
-		"asym8":     {128, "ab4edb227098e7387c8e17651fe231c4"},
-		"empty":     {0, "e3b0c44298fc1c149afbf4c8996fb924"},
-		"none":      {64, "dbbc0f5339f940b46ef8a15975631552"},
-		"sym3":      {50, "bfb58b6f8984f57ea1cb1cb18af5423a"},
-	}
-	le := binary.LittleEndian
-	for _, gc := range goldenCases() {
-		t.Run(gc.name, func(t *testing.T) {
-			blob, err := os.ReadFile(goldenPath("ckp2", gc.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := decodeChunk(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := goldenChunk(t, 7, gc.nRows, gc.dim, gc.params)
-			if got.TableID != 7 || len(got.Rows) != gc.nRows {
-				t.Fatalf("decoded table %d with %d rows, want table 7 with %d", got.TableID, len(got.Rows), gc.nRows)
-			}
-			n, bits := gc.nRows, gc.params.StoredBits()
-			codes := blob[headerLen+8*n:]
-			if bits != 32 {
-				codes = codes[8*n:]
-			}
-			rowCodes := quant.PackedLen(gc.dim, bits)
-			for i, g := range got.Rows {
-				w := want.Rows[i]
-				if g.Index != le.Uint32(blob[headerLen+4*i:]) || g.Index != w.Index || g.Accum != w.Accum {
-					t.Fatalf("row %d: index %d accumulator %v, want %d %v", i, g.Index, g.Accum, w.Index, w.Accum)
-				}
-				if !bytes.Equal(g.Q.Codes, codes[i*rowCodes:(i+1)*rowCodes]) || g.Q.Bits != bits || g.Q.N != gc.dim {
-					t.Fatalf("row %d: %d-bit dim %d codes %x, stored %x", i, g.Q.Bits, g.Q.N, g.Q.Codes, codes[i*rowCodes:(i+1)*rowCodes])
-				}
-				if bits == 32 {
-					if g.Q.Lo != 0 || g.Q.Scale != 0 {
-						t.Fatalf("fp32 row %d decoded with range %v %v", i, g.Q.Lo, g.Q.Scale)
-					}
-					continue
-				}
-				lo := math.Float32frombits(le.Uint32(blob[headerLen+8*n+8*i:]))
-				hi := math.Float32frombits(le.Uint32(blob[headerLen+8*n+8*i+4:]))
-				scale := (hi - lo) / float32(int(1)<<uint(bits)-1)
-				if math.Float32bits(g.Q.Lo) != math.Float32bits(lo) || math.Float32bits(g.Q.Scale) != math.Float32bits(scale) {
-					t.Fatalf("row %d: decoded lo %v scale %v, stored [%v, %v] (scale %v)", i, g.Q.Lo, g.Q.Scale, lo, hi, scale)
-				}
-			}
-			h, n := sha256.New(), 0
-			for _, r := range got.Rows {
-				for _, v := range quant.Dequantize(r.Q) {
-					h.Write(le.AppendUint32(nil, math.Float32bits(v)))
-					n++
-				}
-			}
-			pin, ok := restored[gc.name]
-			if digest := fmt.Sprintf("%x", h.Sum(nil)[:16]); !ok || n != pin.n || digest != pin.digest {
-				t.Fatalf("restored %d floats with digest %s, the CKP2 release restored %d with %s", n, digest, pin.n, pin.digest)
 			}
 		})
 	}

@@ -95,8 +95,8 @@ type RowBuf struct {
 // slots for them to point at: b's own, grown when it has fewer, or fresh
 // ones when there is no buffer. Callers have tied n to the size of the
 // object before they ask, so a claimed count never sizes anything. The
-// slots hold whatever the last chunk left in them; the decoders
-// overwrite every field of every one.
+// slots hold whatever the last chunk left in them; decodeCKP3
+// overwrites every field of every one.
 func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	if b == nil {
 		return &Chunk{TableID: tableID, Rows: make([]Row, n)}, make([]quant.QVector, n)
@@ -108,9 +108,9 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 	return &b.chunk, b.qs[:n]
 }
 
-// DecodeAlias parses and CRC-verifies a CKP3 or CKP2 chunk without
-// copying the codes out of it: every row's packed codes alias data's
-// backing array directly. The caller must keep data alive and unmodified for as long
+// DecodeAlias parses and CRC-verifies a CKP3 chunk without copying the
+// codes out of it: every row's packed codes alias data's backing array
+// directly. The caller must keep data alive and unmodified for as long
 // as the chunk, or any row vector taken from it, is in use;
 // mutating data afterwards corrupts the decoded rows. The restore paths
 // consume each freshly fetched blob (dequantize or index-scan it) before
@@ -118,9 +118,9 @@ func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
 // live in b, so all of it is dead at b's next DecodeAlias; a nil b
 // allocates them.
 //
-// A chunk in CKP1, the layout before CKP2, is refused by name: no writer
-// produces it, and an intact object of a retired layout is not corruption.
-// CKP2 chunks decode as a CKP2 writer stored them; see compact.go.
+// A chunk in CKP2 or CKP1, the layouts before CKP3, is refused by name:
+// no writer produces them, and an intact object of a retired layout is
+// not corruption.
 func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
@@ -133,10 +133,9 @@ func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
 	switch m := binary.LittleEndian.Uint32(body); m {
 	case ckp3Magic:
 		return b.decodeCKP3(body)
-	case ckp2Magic:
-		return b.decodeCKP2(body)
-	case ckp1Magic:
-		return nil, fmt.Errorf("wire: chunk in the retired CKP1 layout; this reader decodes CKP3 and CKP2")
+	case ckp2Magic, ckp1Magic:
+		// A magic's low byte is its layout's digit.
+		return nil, fmt.Errorf("wire: chunk in the retired CKP%c layout; this reader decodes only CKP3", byte(m))
 	default:
 		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
 	}
