@@ -13,22 +13,9 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
-
-// failingGets fails every Get of the keys in fail with the error mapped
-// to it.
-type failingGets struct {
-	objstore.Store
-	fail map[string]error
-}
-
-func (s *failingGets) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := s.fail[key]; err != nil {
-		return nil, err
-	}
-	return s.Store.Get(ctx, key)
-}
 
 // writeOneShotJob commits checkpoints 0 (full), 1 and 2 (increments since
 // 0) of a two-shard job.
@@ -90,7 +77,14 @@ func TestDependentsRefusesWhatItCannotRead(t *testing.T) {
 		{name: "dependent retired since the listing", fail: map[string]error{wire.ManifestKey(job, 2): objstore.ErrNotFound}, want: []int{1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rest, err := ckpt.NewRestorer(job, &failingGets{Store: backend, fail: tc.fail})
+			// Every Get of a key in tc.fail fails with the error mapped to it.
+			failing := &storetest.Hook{Store: backend, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+				if err := tc.fail[key]; op == storetest.OpGet && err != nil {
+					return err
+				}
+				return do()
+			}}
+			rest, err := ckpt.NewRestorer(job, failing)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,9 @@
 // speaking the Check-N-Run TCP protocol. The backend is an in-memory
 // store by default, or — with -data-dir — the crash-consistent on-disk
 // segment log, whose fsync policy is flag-selectable. -put-delay and
-// -sync-delay inject device latency for chaos campaigns.
+// -sync-delay make that disk a slow device for chaos campaigns
+// (objstore.DiskConfig.PutDelay and SyncDelay); without -data-dir there
+// is no device to slow, and either one is refused.
 //
 // Usage:
 //
@@ -27,11 +29,14 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "usage report interval (0 disables)")
 	dataDir := flag.String("data-dir", "", "durable data directory; empty selects the in-memory backend")
 	fsync := flag.String("fsync", "always", `disk fsync policy: "always" or "interval[:dur]"`)
-	putDelay := flag.Duration("put-delay", 0, "injected latency per mutation (chaos slow-disk shim)")
-	syncDelay := flag.Duration("sync-delay", 0, "injected latency per disk fsync (chaos slow-disk shim)")
+	putDelay := flag.Duration("put-delay", 0, "injected latency per disk Put and Delete (chaos slow disk; needs -data-dir)")
+	syncDelay := flag.Duration("sync-delay", 0, "injected latency per disk fsync (chaos slow disk; needs -data-dir)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "objstored: ", log.LstdFlags)
+	if *dataDir == "" && (*putDelay != 0 || *syncDelay != 0) {
+		logger.Fatalf("-put-delay and -sync-delay slow a disk: they need -data-dir")
+	}
 
 	var backend objstore.Store
 	var acct objstore.Accountant
@@ -44,6 +49,7 @@ func main() {
 			Dir:          *dataDir,
 			Fsync:        policy,
 			SyncInterval: interval,
+			PutDelay:     *putDelay,
 			SyncDelay:    *syncDelay,
 			Logf:         logger.Printf,
 		})
@@ -55,11 +61,6 @@ func main() {
 	} else {
 		ms := objstore.NewMemStore(objstore.MemConfig{})
 		backend, acct = ms, ms
-	}
-	if *putDelay > 0 {
-		slow := objstore.NewSlowStore(backend)
-		slow.SetPutDelay(*putDelay)
-		backend = slow
 	}
 
 	srv, err := objstore.NewServer(*addr, backend, objstore.ServerConfig{

@@ -115,8 +115,9 @@ type FleetConfig struct {
 	// Fsync is the disk backend's flag-style fsync policy ("always",
 	// "interval[:dur]"); default "always".
 	Fsync string
-	// DiskPutDelay injects latency into every store mutation (the
-	// slow-disk shim); DiskSyncDelay injects latency into every fsync.
+	// DiskPutDelay and DiskSyncDelay make every disk store a slow
+	// device: they set its DiskConfig.PutDelay (each Put and Delete) and
+	// SyncDelay (each fsync), or objstored's -put-delay and -sync-delay.
 	// Both need the disk backend: a mem fleet refuses either.
 	DiskPutDelay  time.Duration
 	DiskSyncDelay time.Duration
@@ -451,6 +452,7 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 			Dir:          sn.dir,
 			Fsync:        policy,
 			SyncInterval: interval,
+			PutDelay:     f.cfg.DiskPutDelay,
 			SyncDelay:    f.cfg.DiskSyncDelay,
 			Logf:         f.logf,
 		})
@@ -461,11 +463,6 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 		backend = ds
 	} else {
 		backend = objstore.NewMemStore(objstore.MemConfig{})
-	}
-	if f.cfg.DiskPutDelay > 0 {
-		slow := objstore.NewSlowStore(backend)
-		slow.SetPutDelay(f.cfg.DiskPutDelay)
-		backend = slow
 	}
 	// A restart rebinds an address the dead listener just vacated; give
 	// the kernel a beat if the port is momentarily in transition.

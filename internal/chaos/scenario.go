@@ -38,8 +38,8 @@ type FleetSpec struct {
 	// stores must pin "disk".
 	StoreBackend string `json:"store_backend,omitempty"`
 	// Disk-backend knobs: fsync policy flag value (ignored for mem) and
-	// injected device latencies (refused for mem: the in-process and
-	// forked fleets would disagree on whether a mem store slows down).
+	// injected device latencies (refused for mem: the delays are
+	// DiskStore settings, DiskConfig.PutDelay and SyncDelay).
 	Fsync           string `json:"fsync,omitempty"`
 	DiskPutDelayMs  int    `json:"disk_put_delay_ms,omitempty"`
 	DiskSyncDelayMs int    `json:"disk_sync_delay_ms,omitempty"`

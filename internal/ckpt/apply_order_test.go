@@ -148,7 +148,7 @@ func TestApplyOrderMatchesOldestFirst(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					store := &opStore{Store: f.store}
+					store, ops := countOps(f.store)
 					rest, err := NewRestorer(cfg.JobID, store)
 					if err != nil {
 						t.Fatal(err)
@@ -174,9 +174,9 @@ func TestApplyOrderMatchesOldestFirst(t *testing.T) {
 						}
 						want, got := start(), start()
 						gets := func() int {
-							store.mu.Lock()
-							defer store.mu.Unlock()
-							return store.gets
+							ops.mu.Lock()
+							defer ops.mu.Unlock()
+							return ops.gets
 						}
 						base := gets()
 						wantRes := &RestoreResult{}

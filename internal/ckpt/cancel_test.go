@@ -9,58 +9,53 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 )
 
-// cancelStore wraps a Store, cancels a context after the Nth successful
-// Put, and from then on fails every ctx-carrying operation with the
-// context's error — emulating a store client that honors deadlines
-// (like the TCP client) under a parent cancellation mid-commit.
-type cancelStore struct {
-	objstore.Store
-	cancel  context.CancelFunc
-	mu      sync.Mutex
-	after   int
-	puts    int
-	tripped bool
-}
-
-func (s *cancelStore) trippedNow() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tripped
-}
-
-func (s *cancelStore) Put(ctx context.Context, key string, value []byte) error {
-	s.mu.Lock()
-	if s.tripped && ctx.Err() != nil {
-		s.mu.Unlock()
-		return ctx.Err()
+// cancellingStore returns a store over inner that, armed with n, cancels
+// through cancel at the nth Put from then on and fails that Put with
+// context.Canceled; once tripped, a Put under a dead context fails with
+// the context's error, as every Delete and List does — a store client
+// that honors deadlines (like the TCP client) under a parent
+// cancellation mid-commit. tripped reports whether it has fired.
+func cancellingStore(inner objstore.Store, cancel context.CancelFunc) (store *storetest.Hook, arm func(n int), tripped func() bool) {
+	var mu sync.Mutex
+	var after, puts int
+	var fired bool
+	arm = func(n int) {
+		mu.Lock()
+		after = puts + n
+		mu.Unlock()
 	}
-	s.puts++
-	trip := s.puts == s.after
-	if trip {
-		s.tripped = true
+	tripped = func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return fired
 	}
-	s.mu.Unlock()
-	if trip {
-		s.cancel()
-		return context.Canceled
-	}
-	return s.Store.Put(ctx, key, value)
-}
-
-func (s *cancelStore) Delete(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return s.Store.Delete(ctx, key)
-}
-
-func (s *cancelStore) List(ctx context.Context, prefix string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Store.List(ctx, prefix)
+	store = &storetest.Hook{Store: inner, Around: func(ctx context.Context, op storetest.Op, _ string, do func() error) error {
+		switch op {
+		case storetest.OpPut:
+			mu.Lock()
+			if fired && ctx.Err() != nil {
+				mu.Unlock()
+				return ctx.Err()
+			}
+			puts++
+			trip := puts == after
+			fired = fired || trip
+			mu.Unlock()
+			if trip {
+				cancel()
+				return context.Canceled
+			}
+		case storetest.OpDelete, storetest.OpList:
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		return do()
+	}}
+	return store, arm, tripped
 }
 
 func TestCoordinatorWriteSurfacesCtxErrAndAbortsAllShards(t *testing.T) {
@@ -71,7 +66,8 @@ func TestCoordinatorWriteSurfacesCtxErrAndAbortsAllShards(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cs := &cancelStore{Store: inner, cancel: cancel, after: 5}
+	cs, arm, tripped := cancellingStore(inner, cancel)
+	arm(5)
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "cancel", Store: cs, Policy: PolicyOneShot, ChunkRows: 64, uploaders: 1},
@@ -84,7 +80,7 @@ func TestCoordinatorWriteSurfacesCtxErrAndAbortsAllShards(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if !cs.trippedNow() {
+	if !tripped() {
 		t.Fatal("cancellation never injected; test is vacuous")
 	}
 	// Abort ran under a cancellation-immune context: nothing of the
@@ -120,7 +116,7 @@ func TestCoordinatorWriteCancelledBeforeCommitKeepsPrevious(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull})
 	ctx0, cancel0 := context.WithCancel(context.Background())
 	defer cancel0()
-	cs := &cancelStore{Store: inner, cancel: cancel0, after: 1 << 30}
+	cs, arm, _ := cancellingStore(inner, cancel0)
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "cancel2", Store: cs, Policy: PolicyOneShot, uploaders: 1},
 		Shards: 2,
@@ -132,9 +128,7 @@ func TestCoordinatorWriteCancelledBeforeCommitKeepsPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Arm the trip partway into the second write.
-	cs.mu.Lock()
-	cs.after = cs.puts + 3
-	cs.mu.Unlock()
+	arm(3)
 	if _, err := coord.Write(ctx0, f.trainAndSnapshot(t, 1, 16)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
@@ -96,20 +97,6 @@ func newFakeRunners(n int, job string, store objstore.Store, trip func() error) 
 	return fakes, runners
 }
 
-// failPutStore fails the Put of the one key ending in suffix.
-type failPutStore struct {
-	objstore.Store
-	suffix string
-	trip   func() error
-}
-
-func (s *failPutStore) Put(ctx context.Context, key string, value []byte) error {
-	if s.suffix != "" && strings.HasSuffix(key, s.suffix) {
-		return s.trip()
-	}
-	return s.Store.Put(ctx, key, value)
-}
-
 // TestCommitSequence drives Committer.Commit — the one composite commit
 // sequence under Coordinator.Write and ctrl.Controller.Checkpoint — over
 // fake runners, failing it at every point before the commit point, once
@@ -141,14 +128,21 @@ func TestCommitSequence(t *testing.T) {
 					}
 					return errInjected
 				}
-				mem := objstore.NewMemStore(objstore.MemConfig{})
-				store := &failPutStore{Store: mem, trip: trip}
+				// The store fails the Put of the one key ending in suffix.
+				var suffix string
 				switch point {
 				case "dense-put":
-					store.suffix = "/dense"
+					suffix = "/dense"
 				case "composite-put":
-					store.suffix = "/manifest"
+					suffix = "/manifest"
 				}
+				mem := objstore.NewMemStore(objstore.MemConfig{})
+				store := &storetest.Hook{Store: mem, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+					if op == storetest.OpPut && suffix != "" && strings.HasSuffix(key, suffix) {
+						return trip()
+					}
+					return do()
+				}}
 				fakes, runners := newFakeRunners(shards, job, store, trip)
 				if point == "prepare" || point == "publish" {
 					fakes[1].failAt = point

@@ -7,40 +7,35 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/quant"
 	"repro/internal/wire"
 )
 
-// flakyStore wraps a Store and fails Puts according to a schedule —
-// failure injection for the engine's abort/cleanup path.
-type flakyStore struct {
-	objstore.Store
-	mu       sync.Mutex
-	failPut  int // fail the Nth Put (1-based); 0 disables
-	putCount int
-}
-
 var errInjected = errors.New("injected storage failure")
 
-func (f *flakyStore) Put(ctx context.Context, key string, value []byte) error {
-	f.mu.Lock()
-	f.putCount++
-	n := f.putCount
-	fail := f.failPut
-	f.mu.Unlock()
-	if fail > 0 && n == fail {
-		return errInjected
-	}
-	return f.Store.Put(ctx, key, value)
+// failingPut returns a store over inner that fails the Put numbered
+// failAt (1-based; 0 disables it), counting Puts in puts — failure
+// injection for the engine's abort/cleanup path.
+func failingPut(inner objstore.Store, failAt, puts *atomic.Int64) *storetest.Hook {
+	return &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, _ string, do func() error) error {
+		if op == storetest.OpPut && puts.Add(1) == failAt.Load() {
+			return errInjected
+		}
+		return do()
+	}}
 }
 
 func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	flaky := &flakyStore{Store: inner, failPut: 3}
+	var failAt, puts atomic.Int64
+	failAt.Store(3)
+	flaky := failingPut(inner, &failAt, &puts)
 	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, uploaders: 1})
 	snap := f.trainAndSnapshot(t, 1, 16)
 	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
@@ -55,9 +50,7 @@ func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 		t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
 	}
 	// And the next attempt succeeds with the same ID.
-	flaky.mu.Lock()
-	flaky.failPut = 0
-	flaky.mu.Unlock()
+	failAt.Store(0)
 	man, err := f.eng.Write(f.ctx, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +62,8 @@ func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
 
 func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	flaky := &flakyStore{Store: inner}
+	var failAt, puts atomic.Int64
+	flaky := failingPut(inner, &failAt, &puts)
 	f := newFixture(t, Config{Store: flaky, Policy: PolicyOneShot, uploaders: 1})
 	// First checkpoint succeeds.
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
@@ -77,9 +71,7 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 	}
 	liveAtCkpt1 := f.m.Sparse.Tables[0].Weights.Row(0)[0]
 	// Second checkpoint fails mid-upload.
-	flaky.mu.Lock()
-	flaky.failPut = flaky.putCount + 2
-	flaky.mu.Unlock()
+	failAt.Store(puts.Load() + 2)
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err == nil {
 		t.Fatal("expected injected failure")
 	}
@@ -105,14 +97,13 @@ func TestWriteAbortKeepsPreviousCheckpointValid(t *testing.T) {
 
 func TestWriteFailureOnDenseState(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	flaky := &flakyStore{Store: inner}
+	var failAt, puts atomic.Int64
+	flaky := failingPut(inner, &failAt, &puts)
 	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, uploaders: 1})
 	snap := f.trainAndSnapshot(t, 1, 16)
 	// The dense state is the attempt's first Put: shard 0 stores it, once
 	// for the composite, before its chunks.
-	flaky.mu.Lock()
-	flaky.failPut = 1
-	flaky.mu.Unlock()
+	failAt.Store(1)
 	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -136,42 +127,38 @@ func TestWriteContextCancelledMidway(t *testing.T) {
 	}
 }
 
-// shardKillStore fails every Put whose key contains kill, after allowing
-// the first okFirst matching Puts through — killing one shard writer
-// mid-checkpoint while the other shards keep storing.
-type shardKillStore struct {
-	objstore.Store
-	mu      sync.Mutex
-	kill    string
-	okFirst int
-	matched int
-}
-
-func (s *shardKillStore) arm(substr string, okFirst int) {
-	s.mu.Lock()
-	s.kill = substr
-	s.okFirst = okFirst
-	s.matched = 0
-	s.mu.Unlock()
-}
-
-func (s *shardKillStore) Put(ctx context.Context, key string, value []byte) error {
-	s.mu.Lock()
-	armed := s.kill != "" && strings.Contains(key, s.kill)
-	if armed {
-		s.matched++
-		armed = s.matched > s.okFirst
+// shardKill returns a store over inner that, once armed, fails every Put
+// whose key contains substr after letting the first okFirst of them
+// through — killing one shard writer mid-checkpoint while the other
+// shards keep storing. arm("", 0) disarms it.
+func shardKill(inner objstore.Store) (store *storetest.Hook, arm func(substr string, okFirst int)) {
+	var mu sync.Mutex
+	var kill string
+	var okFirst, matched int
+	arm = func(substr string, n int) {
+		mu.Lock()
+		kill, okFirst, matched = substr, n, 0
+		mu.Unlock()
 	}
-	s.mu.Unlock()
-	if armed {
-		return errInjected
-	}
-	return s.Store.Put(ctx, key, value)
+	store = &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+		mu.Lock()
+		armed := op == storetest.OpPut && kill != "" && strings.Contains(key, kill)
+		if armed {
+			matched++
+			armed = matched > okFirst
+		}
+		mu.Unlock()
+		if armed {
+			return errInjected
+		}
+		return do()
+	}}
+	return store, arm
 }
 
 func TestShardKillMidCheckpointAbortsComposite(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	killer := &shardKillStore{Store: inner}
+	killer, arm := shardKill(inner)
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "kill", Store: killer, Policy: PolicyOneShot, ChunkRows: 64},
@@ -194,7 +181,7 @@ func TestShardKillMidCheckpointAbortsComposite(t *testing.T) {
 	}
 
 	// Kill shard 1 after its first chunk of checkpoint 1 uploads.
-	killer.arm("/shard/0001/ckpt/00000001/", 1)
+	arm("/shard/0001/ckpt/00000001/", 1)
 	snap := f.trainAndSnapshot(t, 2, 32)
 	if _, err := coord.Write(f.ctx, snap); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected shard failure", err)
@@ -227,7 +214,7 @@ func TestShardKillMidCheckpointAbortsComposite(t *testing.T) {
 	assertBitIdentical(t, mPrev, mAfter)
 
 	// Disarmed, the retry reuses ID 1 and becomes restorable.
-	killer.arm("", 0)
+	arm("", 0)
 	man, err := coord.Write(f.ctx, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +233,7 @@ func TestShardKillOnManifestPublishAbortsComposite(t *testing.T) {
 	// Fail the two-phase commit later: chunks all land, but one shard's
 	// manifest put dies. The composite must still not exist.
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	killer := &shardKillStore{Store: inner}
+	killer, arm := shardKill(inner)
 	f := newFixture(t, Config{Policy: PolicyFull})
 	coord, err := NewCoordinator(context.Background(), CoordinatorConfig{
 		Config: Config{JobID: "pubkill", Store: killer, Policy: PolicyFull},
@@ -255,7 +242,7 @@ func TestShardKillOnManifestPublishAbortsComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	killer.arm("/shard/0002/ckpt/00000000/manifest", 0)
+	arm("/shard/0002/ckpt/00000000/manifest", 0)
 	if _, err := coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
@@ -16,8 +17,9 @@ import (
 // through across the whole backend set, every operation on every
 // wrapped backend fails with ErrStoreUnavailable — the coordinator's
 // side of the network is gone, exactly the view a writer has of a
-// partition. Unlike flakyBackend (one store down), the fuse models a
-// correlated cut that strikes at a precise point inside the commit.
+// partition. Unlike the outage of TestRoutedStoreBackendDownNeverHalfCommits
+// (one store down), the fuse models a correlated cut that strikes at a
+// precise point inside the commit.
 type partitionFuse struct {
 	allow   atomic.Int64 // Puts still permitted before the cut
 	tripped atomic.Bool
@@ -50,45 +52,16 @@ func (pf *partitionFuse) heal() {
 	pf.tripped.Store(false)
 }
 
-// fusedBackend routes every op through the shared fuse.
-type fusedBackend struct {
-	objstore.Store
-	fuse *partitionFuse
-}
-
-func (f *fusedBackend) Put(ctx context.Context, key string, value []byte) error {
-	if err := f.fuse.gatePut(); err != nil {
+// around routes every operation of a wrapped backend through the fuse.
+func (pf *partitionFuse) around(_ context.Context, op storetest.Op, _ string, do func() error) error {
+	gate := pf.gate
+	if op == storetest.OpPut {
+		gate = pf.gatePut
+	}
+	if err := gate(); err != nil {
 		return err
 	}
-	return f.Store.Put(ctx, key, value)
-}
-
-func (f *fusedBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := f.fuse.gate(); err != nil {
-		return nil, err
-	}
-	return f.Store.Get(ctx, key)
-}
-
-func (f *fusedBackend) Delete(ctx context.Context, key string) error {
-	if err := f.fuse.gate(); err != nil {
-		return err
-	}
-	return f.Store.Delete(ctx, key)
-}
-
-func (f *fusedBackend) List(ctx context.Context, prefix string) ([]string, error) {
-	if err := f.fuse.gate(); err != nil {
-		return nil, err
-	}
-	return f.Store.List(ctx, prefix)
-}
-
-func (f *fusedBackend) Stat(ctx context.Context, key string) (int64, error) {
-	if err := f.fuse.gate(); err != nil {
-		return 0, err
-	}
-	return f.Store.Stat(ctx, key)
+	return do()
 }
 
 // partitionRig is one isolated run: a 3-backend routed store behind a
@@ -115,7 +88,7 @@ func newPartitionRig(t *testing.T) *partitionRig {
 		mems[i] = objstore.NewMemStore(objstore.MemConfig{})
 		backends[i] = objstore.Backend{
 			Name:  fmt.Sprintf("store-%d", i),
-			Store: &fusedBackend{Store: mems[i], fuse: fuse},
+			Store: &storetest.Hook{Store: mems[i], Around: fuse.around},
 		}
 	}
 	routed, err := objstore.NewRouted(backends)

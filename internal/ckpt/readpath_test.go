@@ -283,7 +283,8 @@ func TestVerifyAllSkipsCheckpointGoneSinceList(t *testing.T) {
 		}
 	}
 	gone := wire.ManifestKey("testjob", 0)
-	store := &opStore{Store: f.store, getErr: map[string]error{gone: objstore.ErrNotFound}}
+	store, ops := countOps(f.store)
+	ops.getErr = map[string]error{gone: objstore.ErrNotFound}
 	rest, err := NewRestorer("testjob", store)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +297,7 @@ func TestVerifyAllSkipsCheckpointGoneSinceList(t *testing.T) {
 		t.Fatalf("scrubbed %+v, want checkpoints 2 and 1 clean", vs)
 	}
 
-	store.getErr[gone] = errInjected
+	ops.getErr[gone] = errInjected
 	if _, err := rest.VerifyAll(f.ctx); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the store's failure propagated", err)
 	}

@@ -10,14 +10,14 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
-// opStore counts the read operations a restorer issues and the Deletes
-// retention does, and can make chosen keys fail their Get.
-type opStore struct {
-	objstore.Store
-
+// opCounts counts the read operations a restorer issues and the Deletes
+// retention does through the store countOps returns, and can make chosen
+// keys fail their Get.
+type opCounts struct {
 	mu           sync.Mutex
 	lists        int
 	deletes      int
@@ -28,35 +28,34 @@ type opStore struct {
 	getErr map[string]error
 }
 
-func (s *opStore) List(ctx context.Context, prefix string) ([]string, error) {
-	s.mu.Lock()
-	s.lists++
-	s.mu.Unlock()
-	return s.Store.List(ctx, prefix)
-}
-
-func (s *opStore) Delete(ctx context.Context, key string) error {
-	s.mu.Lock()
-	s.deletes++
-	s.mu.Unlock()
-	return s.Store.Delete(ctx, key)
-}
-
-func (s *opStore) Get(ctx context.Context, key string) ([]byte, error) {
-	s.mu.Lock()
-	s.gets++
-	if strings.HasSuffix(key, "/manifest") {
-		s.manifestGets++
-	}
-	if strings.HasSuffix(key, "/dense") {
-		s.denseGets++
-	}
-	err := s.getErr[key]
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.Store.Get(ctx, key)
+// countOps returns a store over inner that counts into the opCounts it
+// returns with it.
+func countOps(inner objstore.Store) (*storetest.Hook, *opCounts) {
+	c := &opCounts{}
+	return &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+		c.mu.Lock()
+		var err error
+		switch op {
+		case storetest.OpList:
+			c.lists++
+		case storetest.OpDelete:
+			c.deletes++
+		case storetest.OpGet:
+			c.gets++
+			if strings.HasSuffix(key, "/manifest") {
+				c.manifestGets++
+			}
+			if strings.HasSuffix(key, "/dense") {
+				c.denseGets++
+			}
+			err = c.getErr[key]
+		}
+		c.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		return do()
+	}}, c
 }
 
 // TestListManifestsSkipsKeyGoneSinceList is the regression test for the
@@ -71,7 +70,8 @@ func TestListManifestsSkipsKeyGoneSinceList(t *testing.T) {
 		}
 	}
 	gone := wire.ManifestKey("testjob", 0)
-	store := &opStore{Store: f.store, getErr: map[string]error{gone: objstore.ErrNotFound}}
+	store, ops := countOps(f.store)
+	ops.getErr = map[string]error{gone: objstore.ErrNotFound}
 	rest, err := NewRestorer("testjob", store)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestListManifestsSkipsKeyGoneSinceList(t *testing.T) {
 		t.Fatalf("listed %v, want [1 2]", got)
 	}
 
-	store.getErr[gone] = errInjected
+	ops.getErr[gone] = errInjected
 	if _, err := rest.ListManifests(f.ctx); !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the store's failure propagated", err)
 	}
@@ -108,7 +108,7 @@ func TestRestoreResolvesByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	store := &opStore{Store: f.store}
+	store, ops := countOps(f.store)
 	rest, err := NewRestorer("bykey", store)
 	if err != nil {
 		t.Fatal(err)
@@ -130,16 +130,16 @@ func TestRestoreResolvesByKey(t *testing.T) {
 			t.Fatalf("%s restored checkpoint %d, want %d", what, res.Top.ID, links-1)
 		}
 		assertBitIdentical(t, f.m, m2)
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		if store.lists > maxLists {
-			t.Errorf("%s issued %d Lists, want at most %d", what, store.lists, maxLists)
+		ops.mu.Lock()
+		defer ops.mu.Unlock()
+		if ops.lists > maxLists {
+			t.Errorf("%s issued %d Lists, want at most %d", what, ops.lists, maxLists)
 		}
-		if want := 1 + shards*links; store.manifestGets != want {
+		if want := 1 + shards*links; ops.manifestGets != want {
 			t.Errorf("%s fetched %d manifests, want %d (the composite and each shard's %d chain links, once)",
-				what, store.manifestGets, want, links)
+				what, ops.manifestGets, want, links)
 		}
-		store.lists, store.manifestGets = 0, 0
+		ops.lists, ops.manifestGets = 0, 0
 	}
 	check("RestoreLatest", 1)
 	// The restorer remembers nothing: a second restore is as cold.
@@ -157,10 +157,10 @@ func TestRestoreResolvesByKey(t *testing.T) {
 	if len(chain) != links || chain[0].Kind != wire.KindFull.String() || chain[links-1].ID != links-1 {
 		t.Fatalf("shard chain = %v, want %d links from the full baseline", ids(chain), links)
 	}
-	store.mu.Lock()
-	defer store.mu.Unlock()
-	if store.lists != 0 || store.manifestGets != links {
-		t.Errorf("Chain issued %d Lists and %d manifest Gets, want 0 and %d", store.lists, store.manifestGets, links)
+	ops.mu.Lock()
+	defer ops.mu.Unlock()
+	if ops.lists != 0 || ops.manifestGets != links {
+		t.Errorf("Chain issued %d Lists and %d manifest Gets, want 0 and %d", ops.lists, ops.manifestGets, links)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestRestoreReadsOneDenseObject(t *testing.T) {
 			t.Fatalf("shard 0's manifest %d names no dense object", man.ID)
 		}
 	}
-	store := &opStore{Store: f.store}
+	store, ops := countOps(f.store)
 	rest, err := NewRestorer("testjob", store)
 	if err != nil {
 		t.Fatal(err)
@@ -193,11 +193,11 @@ func TestRestoreReadsOneDenseObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Top.ID != links-1 || store.manifestGets != 1+links {
-		t.Fatalf("restored checkpoint %d through %d manifests, want %d through its composite and %d links", res.Top.ID, store.manifestGets, links-1, links)
+	if res.Top.ID != links-1 || ops.manifestGets != 1+links {
+		t.Fatalf("restored checkpoint %d through %d manifests, want %d through its composite and %d links", res.Top.ID, ops.manifestGets, links-1, links)
 	}
-	if store.denseGets != 1 {
-		t.Errorf("restore fetched %d dense objects, want 1", store.denseGets)
+	if ops.denseGets != 1 {
+		t.Errorf("restore fetched %d dense objects, want 1", ops.denseGets)
 	}
 	got, err := m2.DenseState()
 	if err != nil {
@@ -243,7 +243,7 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		store := &opStore{Store: f.store}
+		store, ops := countOps(f.store)
 		rest, _ := NewRestorer("cut", store)
 		plan, err := rest.Resolve(f.ctx, 4, tc.after)
 		if err != nil {
@@ -265,9 +265,9 @@ func TestResolveCutsChainAtHeldCheckpoint(t *testing.T) {
 		}
 		// The composite, each shard's manifest, and nothing that is not
 		// returned.
-		if want := 1 + 2*max(1, len(tc.want)); store.lists != 0 || store.manifestGets != want {
+		if want := 1 + 2*max(1, len(tc.want)); ops.lists != 0 || ops.manifestGets != want {
 			t.Errorf("%v after %d: %d Lists, %d manifest Gets, want 0 and %d",
-				tc.policy, tc.after, store.lists, store.manifestGets, want)
+				tc.policy, tc.after, ops.lists, ops.manifestGets, want)
 		}
 	}
 

@@ -116,7 +116,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 		}},
 	} {
 		b.Run(sub.name, func(b *testing.B) {
-			store := &opStore{Store: sub.store(b)}
+			store, ops := countOps(sub.store(b))
 			rest, err := NewRestorer(job, store)
 			if err != nil {
 				b.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 				rows = res.RowsApplied
 			}
 			b.ReportMetric(float64(rows), "rows-written/op")
-			b.ReportMetric(float64(store.gets)/float64(b.N), "gets/op")
+			b.ReportMetric(float64(ops.gets)/float64(b.N), "gets/op")
 		})
 	}
 }

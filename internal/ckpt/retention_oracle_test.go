@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
@@ -136,46 +137,45 @@ func TestRetiredAgainstOracle(t *testing.T) {
 	}
 }
 
-// readGuard is a store that fails the test when a Delete takes away
-// something a listed checkpoint reads. Deleting a checkpoint's own commit
-// record is how it stops being listed, so that one is let through; every
-// other key must be outside what Resolve names for every checkpoint listed
-// at that instant, each of which must resolve. Deletes are serialized, so
-// the listing a Delete is checked against is not one another Delete is
-// half-way through changing.
-type readGuard struct {
-	objstore.Store
-	t   *testing.T
-	job string
-	mu  sync.Mutex
-}
-
-func (g *readGuard) Delete(ctx context.Context, key string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rest, err := NewRestorer(g.job, g.Store)
-	if err != nil {
-		g.t.Fatal(err)
-	}
-	ids, err := rest.ManifestIDs(ctx)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if key == wire.ManifestKey(g.job, id) {
-			continue
+// readGuard returns a store over inner that fails the test when a Delete
+// takes away something a listed checkpoint of job reads. Deleting a
+// checkpoint's own commit record is how it stops being listed, so that
+// one is let through; every other key must be outside what Resolve names
+// for every checkpoint listed at that instant, each of which must
+// resolve. Deletes are serialized, so the listing a Delete is checked
+// against is not one another Delete is half-way through changing.
+func readGuard(t *testing.T, job string, inner objstore.Store) *storetest.Hook {
+	var mu sync.Mutex
+	return &storetest.Hook{Store: inner, Around: func(ctx context.Context, op storetest.Op, key string, do func() error) error {
+		if op != storetest.OpDelete {
+			return do()
 		}
-		plan, err := rest.Resolve(ctx, id, -1)
+		mu.Lock()
+		defer mu.Unlock()
+		rest, err := NewRestorer(job, inner)
 		if err != nil {
-			g.t.Errorf("before Delete(%s): checkpoint %d is listed and does not resolve: %v", key, id, err)
-			continue
+			t.Fatal(err)
 		}
-		named := make(map[string]bool)
-		if nameKeys(plan, named); named[key] {
-			g.t.Errorf("Delete(%s) while checkpoint %d, which reads it, is listed", key, id)
+		ids, err := rest.ManifestIDs(ctx)
+		if err != nil {
+			return err
 		}
-	}
-	return g.Store.Delete(ctx, key)
+		for _, id := range ids {
+			if key == wire.ManifestKey(job, id) {
+				continue
+			}
+			plan, err := rest.Resolve(ctx, id, -1)
+			if err != nil {
+				t.Errorf("before Delete(%s): checkpoint %d is listed and does not resolve: %v", key, id, err)
+				continue
+			}
+			named := make(map[string]bool)
+			if nameKeys(plan, named); named[key] {
+				t.Errorf("Delete(%s) while checkpoint %d, which reads it, is listed", key, id)
+			}
+		}
+		return do()
+	}}
 }
 
 // TestRetentionNeverDeletesWhatAListedCheckpointReads drives generated
@@ -194,7 +194,7 @@ func TestRetentionNeverDeletesWhatAListedCheckpointReads(t *testing.T) {
 		for _, keep := range [][2]int{{1, 1}, {2, 2}, {1, 3}, {3, 1}, {2, 0}} {
 			for _, killAfter := range []int{-1, 2, 4} {
 				t.Run(fmt.Sprintf("%v/keep-%d-%d/killed-after-%d", pol, keep[0], keep[1], killAfter), func(t *testing.T) {
-					guard := &readGuard{Store: objstore.NewMemStore(objstore.MemConfig{}), t: t, job: job}
+					guard := readGuard(t, job, objstore.NewMemStore(objstore.MemConfig{}))
 					var cur *Snapshot
 					// open resumes both writers through a handle of their own, which
 					// a kill turns dead under whatever sweep is using it.

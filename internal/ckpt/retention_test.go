@@ -10,18 +10,20 @@ import (
 	"time"
 
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
-// sweepStore stands between an engine and an opStore (which counts what
-// got through) and controls the two operations retention issues: List
-// and Delete wait at gate while there is one, fail once for a key in
-// failOnce, and fail for good once budget of them have been let through
-// (the process "died": died is closed when the last admitted operation
-// has returned). It also checks what the sweeper promises about order:
-// the operations of two checkpoints never overlap.
+// sweepStore stands between an engine and a countOps store (which counts
+// what got through) and controls the two operations retention issues:
+// List and Delete wait at gate while there is one, fail once for a key
+// in failOnce, and fail for good once budget of them have been let
+// through (the process "died": died is closed when the last admitted
+// operation has returned). It also checks what the sweeper promises
+// about order: the operations of two checkpoints never overlap.
 type sweepStore struct {
-	objstore.Store // an *opStore
+	storetest.Hook // Around is admit
+	ops            *opCounts
 	gate           chan struct{}
 	failOnce       map[string]bool
 	budget         int // < 0: unlimited
@@ -38,10 +40,11 @@ type sweepStore struct {
 var errDied = errors.New("store handle of a dead process")
 
 func newSweepStore(inner objstore.Store) *sweepStore {
-	return &sweepStore{Store: &opStore{Store: inner}, budget: -1, died: make(chan struct{})}
+	counted, ops := countOps(inner)
+	s := &sweepStore{ops: ops, budget: -1, died: make(chan struct{})}
+	s.Hook = storetest.Hook{Store: counted, Around: s.admit}
+	return s
 }
-
-func (s *sweepStore) ops() *opStore { return s.Store.(*opStore) }
 
 func ckptOfKey(key string) int {
 	var id int
@@ -51,8 +54,11 @@ func ckptOfKey(key string) int {
 	return id
 }
 
-// admit runs op, a List or Delete naming key, under the store's rules.
-func (s *sweepStore) admit(ctx context.Context, what, key string, op func() error) error {
+// admit runs a List or Delete naming key under the store's rules.
+func (s *sweepStore) admit(ctx context.Context, op storetest.Op, key string, do func() error) error {
+	if op != storetest.OpList && op != storetest.OpDelete {
+		return do()
+	}
 	if s.gate != nil {
 		select {
 		case <-s.gate:
@@ -80,18 +86,18 @@ func (s *sweepStore) admit(ctx context.Context, what, key string, op func() erro
 	}
 	s.budget--
 	if s.inFlight > 0 && id != s.current {
-		s.overlap = append(s.overlap, fmt.Sprintf("%s %s while checkpoint %d is being swept", what, key, s.current))
+		s.overlap = append(s.overlap, fmt.Sprintf("%s %s while checkpoint %d is being swept", op, key, s.current))
 	}
 	s.inFlight++
 	s.current = id
-	if what == "list" {
+	if op == storetest.OpList {
 		s.log = append(s.log, fmt.Sprintf("list %d", id))
 	} else {
 		s.log = append(s.log, "delete "+key)
 	}
 	s.mu.Unlock()
 
-	err := op()
+	err := do()
 
 	s.mu.Lock()
 	s.inFlight--
@@ -102,21 +108,9 @@ func (s *sweepStore) admit(ctx context.Context, what, key string, op func() erro
 	return err
 }
 
-func (s *sweepStore) List(ctx context.Context, prefix string) (keys []string, err error) {
-	err = s.admit(ctx, "list", prefix, func() (err error) {
-		keys, err = s.Store.List(ctx, prefix)
-		return err
-	})
-	return keys, err
-}
-
-func (s *sweepStore) Delete(ctx context.Context, key string) error {
-	return s.admit(ctx, "delete", key, func() error { return s.Store.Delete(ctx, key) })
-}
-
 // counts returns the Lists and Deletes that reached the store.
 func (s *sweepStore) counts() (lists, deletes int) {
-	o := s.ops()
+	o := s.ops
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.lists, o.deletes

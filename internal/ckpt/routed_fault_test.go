@@ -9,54 +9,11 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
-// flakyBackend wraps one routed backend and fails every operation while
-// down — a store process that crashed and later restarts with its data
-// intact (the restart-with-volume case, as opposed to MemStore.Close
-// which is terminal).
-type flakyBackend struct {
-	objstore.Store
-	down atomic.Bool
-}
-
 var errBackendDown = fmt.Errorf("objstore: backend down")
-
-func (f *flakyBackend) Put(ctx context.Context, key string, value []byte) error {
-	if f.down.Load() {
-		return errBackendDown
-	}
-	return f.Store.Put(ctx, key, value)
-}
-
-func (f *flakyBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if f.down.Load() {
-		return nil, errBackendDown
-	}
-	return f.Store.Get(ctx, key)
-}
-
-func (f *flakyBackend) Delete(ctx context.Context, key string) error {
-	if f.down.Load() {
-		return errBackendDown
-	}
-	return f.Store.Delete(ctx, key)
-}
-
-func (f *flakyBackend) List(ctx context.Context, prefix string) ([]string, error) {
-	if f.down.Load() {
-		return nil, errBackendDown
-	}
-	return f.Store.List(ctx, prefix)
-}
-
-func (f *flakyBackend) Stat(ctx context.Context, key string) (int64, error) {
-	if f.down.Load() {
-		return 0, errBackendDown
-	}
-	return f.Store.Stat(ctx, key)
-}
 
 // TestRoutedStoreBackendDownNeverHalfCommits drives the full checkpoint
 // stack — coordinator two-phase commit over a consistent-hash routed
@@ -70,11 +27,22 @@ func (f *flakyBackend) Stat(ctx context.Context, key string) (int64, error) {
 //  3. after the backend comes back, RestoreLatest still lands on the
 //     complete checkpoint and a retried Write commits the failed ID.
 func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
-	mems := make([]*flakyBackend, 3)
+	// Each backend fails every operation while down — a store process
+	// that crashed and later restarts with its data intact (the
+	// restart-with-volume case, as opposed to MemStore.Close which is
+	// terminal).
+	mems := make([]*objstore.MemStore, 3)
+	down := make([]atomic.Bool, 3)
 	backends := make([]objstore.Backend, 3)
 	for i := range mems {
-		mems[i] = &flakyBackend{Store: objstore.NewMemStore(objstore.MemConfig{})}
-		backends[i] = objstore.Backend{Name: fmt.Sprintf("store-%d", i), Store: mems[i]}
+		mems[i] = objstore.NewMemStore(objstore.MemConfig{})
+		backends[i] = objstore.Backend{Name: fmt.Sprintf("store-%d", i), Store: &storetest.Hook{Store: mems[i],
+			Around: func(_ context.Context, _ storetest.Op, _ string, do func() error) error {
+				if down[i].Load() {
+					return errBackendDown
+				}
+				return do()
+			}}}
 	}
 	routed, err := objstore.NewRouted(backends)
 	if err != nil {
@@ -101,7 +69,7 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 	// The checkpoint's chunks must actually be spread: every backend
 	// holds some of them, or the fault below tests nothing.
 	for i, m := range mems {
-		keys, err := m.Store.List(f.ctx, "")
+		keys, err := m.List(f.ctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +86,7 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 
 	// Backend 1 goes down (1, not 0: store-0 is the anchor for pinned
 	// control keys, and this failure is about hashed data keys).
-	mems[1].down.Store(true)
+	down[1].Store(true)
 	_, err = coord.Write(f.ctx, f.trainAndSnapshot(t, 1, 32))
 	if err == nil {
 		t.Fatal("Write with a backend down succeeded; fault never injected")
@@ -130,10 +98,10 @@ func TestRoutedStoreBackendDownNeverHalfCommits(t *testing.T) {
 	// The composite commit point must not exist for the failed ID —
 	// check the live backends directly (the routed List would fail), and
 	// the downed backend's data after it comes back.
-	mems[1].down.Store(false)
+	down[1].Store(false)
 	manKey := wire.ManifestKey(job, 1)
 	for i, m := range mems {
-		keys, err := m.Store.List(f.ctx, "")
+		keys, err := m.List(f.ctx, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/rpc"
 	"repro/internal/wire"
 )
@@ -169,21 +170,6 @@ func (a *Announcer) epochNow() uint64 {
 	return a.epoch
 }
 
-// stallingStore wraps a Store with a Get of manifests that blocks until
-// the context is done — the "hung store" a controller's own per-op
-// budget must bound.
-type stallingStore struct {
-	objstore.Store
-}
-
-func (s *stallingStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if !strings.HasSuffix(key, "/manifest") {
-		return s.Store.Get(ctx, key)
-	}
-	<-ctx.Done()
-	return nil, ctx.Err()
-}
-
 func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 	// Regression: NewController used to hardcode a 30s deadline around
 	// discovery and its own store operations; a wedged store made
@@ -220,11 +206,20 @@ func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 	}
 	first.Close()
 
+	// The wedged store: a Get of a manifest blocks until the context is
+	// done — the "hung store" a controller's own per-op budget must bound.
+	stalling := &storetest.Hook{Store: store, Around: func(ctx context.Context, op storetest.Op, key string, do func() error) error {
+		if op != storetest.OpGet || !strings.HasSuffix(key, "/manifest") {
+			return do()
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	}}
 	lease := testLease(t, "fence", store)
 	start := time.Now()
 	_, err = NewController(ControllerConfig{
 		JobID:     "fence",
-		Store:     &stallingStore{Store: store},
+		Store:     stalling,
 		Agents:    []string{srv.Addr()},
 		Lease:     lease,
 		OpTimeout: 200 * time.Millisecond,

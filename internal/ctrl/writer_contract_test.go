@@ -18,6 +18,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/embedding"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
@@ -53,27 +54,21 @@ func (s *trackerSource) cut(_ context.Context, step uint64) (*ckpt.Snapshot, err
 	return snap, nil
 }
 
-// faultStore fails, once each when armed, the next Stat and the next Put
-// of a dense object.
-type faultStore struct {
-	objstore.Store
-	failStat, failDensePut atomic.Bool
-}
-
 var errInjected = errors.New("injected store failure")
 
-func (s *faultStore) Stat(ctx context.Context, key string) (int64, error) {
-	if s.failStat.CompareAndSwap(true, false) {
-		return 0, errInjected
-	}
-	return s.Store.Stat(ctx, key)
-}
+// storeFaults fails, once each when armed, the next Stat and the next Put
+// of a dense object through the store hook returns.
+type storeFaults struct{ failStat, failDensePut atomic.Bool }
 
-func (s *faultStore) Put(ctx context.Context, key string, value []byte) error {
-	if strings.HasSuffix(key, "/dense") && s.failDensePut.CompareAndSwap(true, false) {
-		return errInjected
-	}
-	return s.Store.Put(ctx, key, value)
+// hook returns a fresh MemStore under the faults.
+func (f *storeFaults) hook() *storetest.Hook {
+	return &storetest.Hook{Store: objstore.NewMemStore(objstore.MemConfig{}), Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+		if op == storetest.OpStat && f.failStat.CompareAndSwap(true, false) ||
+			op == storetest.OpPut && strings.HasSuffix(key, "/dense") && f.failDensePut.CompareAndSwap(true, false) {
+			return errInjected
+		}
+		return do()
+	}}
 }
 
 // shardSide is the shard side of the two-phase commit as the contract
@@ -150,11 +145,12 @@ var contractTransports = map[string]func(t *testing.T, store objstore.Store, src
 
 // contractRig is one fresh shard 0 of a one-shard job under test.
 type contractRig struct {
-	t     *testing.T
-	ctx   context.Context
-	side  shardSide
-	store *faultStore
-	src   *trackerSource
+	t      *testing.T
+	ctx    context.Context
+	side   shardSide
+	store  *storetest.Hook
+	faults *storeFaults
+	src    *trackerSource
 }
 
 // attemptObjects lists what checkpoint id holds in the store on the
@@ -276,7 +272,7 @@ func TestShardWriterContract(t *testing.T) {
 				r.t.Fatal(err)
 			}
 			r.src.touch(3, 5, 9)
-			r.store.failDensePut.Store(true)
+			r.faults.failDensePut.Store(true)
 			if _, err := r.side.Prepare(r.ctx, 1, 8); err == nil || r.side.refused(err) {
 				r.t.Fatalf("prepare over a failing dense Put: err = %v", err)
 			}
@@ -313,7 +309,7 @@ func TestShardWriterContract(t *testing.T) {
 			// every shard object of a checkpoint whose composite names them.
 			r.published(0, 4, true)
 			held := r.attemptObjects(0)
-			r.store.failStat.Store(true)
+			r.faults.failStat.Store(true)
 			if err := r.side.settle(r.ctx); err == nil || r.side.refused(err) {
 				r.t.Fatalf("settle over a failing Stat: err = %v, want the store's error", err)
 			}
@@ -332,9 +328,10 @@ func TestShardWriterContract(t *testing.T) {
 	for transport, open := range contractTransports {
 		for _, tc := range cases {
 			t.Run(transport+"/"+tc.name, func(t *testing.T) {
-				store := &faultStore{Store: objstore.NewMemStore(objstore.MemConfig{})}
+				faults := &storeFaults{}
+				store := faults.hook()
 				src := &trackerSource{mod: bitvec.New(32)}
-				tc.run(&contractRig{t: t, ctx: context.Background(), side: open(t, store, src.cut), store: store, src: src})
+				tc.run(&contractRig{t: t, ctx: context.Background(), side: open(t, store, src.cut), store: store, faults: faults, src: src})
 			})
 		}
 	}
@@ -359,7 +356,8 @@ func TestAgentKeepsAttemptItCannotProbe(t *testing.T) {
 	}
 	for name, request := range requests {
 		t.Run(name, func(t *testing.T) {
-			store := &faultStore{Store: objstore.NewMemStore(objstore.MemConfig{})}
+			faults := &storeFaults{}
+			store := faults.hook()
 			src := &trackerSource{mod: bitvec.New(32)}
 			a, err := NewAgent(AgentConfig{
 				JobID: contractJob, Shard: 0, Shards: 1,
@@ -382,7 +380,7 @@ func TestAgentKeepsAttemptItCannotProbe(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			store.failStat.Store(true)
+			faults.failStat.Store(true)
 			if request == nil {
 				a.Close()
 			} else if err := request(a); err == nil || errors.Is(err, ErrFenced) {
@@ -414,37 +412,6 @@ func TestAgentKeepsAttemptItCannotProbe(t *testing.T) {
 // commitPath marks the context of a commit, so that the store can tell a
 // Delete issued on the commit path from one a sweeper issued.
 type commitPath struct{}
-
-// retentionStore is the store under a retention row. It fails the test
-// when a shard manifest is deleted while the composite that names it is
-// still listed — the one ordering retention promises — counts the Deletes
-// a commit itself issued, and fails every Delete of the key in failing.
-type retentionStore struct {
-	*objstore.MemStore
-	t             *testing.T
-	failing       atomic.Pointer[string]
-	commitDeletes atomic.Int64
-}
-
-func (s *retentionStore) Delete(ctx context.Context, key string) error {
-	if ctx.Value(commitPath{}) != nil {
-		s.commitDeletes.Add(1)
-	}
-	if f := s.failing.Load(); f != nil && *f == key {
-		return errInjected
-	}
-	for shard := 0; shard < 2; shard++ {
-		scope := wire.ShardJobID(contractJob, shard)
-		var id int
-		if _, err := fmt.Sscanf(strings.TrimPrefix(key, wire.JobPrefix(scope)), "%d/manifest", &id); err != nil || wire.ManifestKey(scope, id) != key {
-			continue
-		}
-		if _, err := s.MemStore.Stat(ctx, wire.ManifestKey(contractJob, id)); err == nil {
-			s.t.Errorf("shard %d deleted its manifest of checkpoint %d while composite %d is listed", shard, id, id)
-		}
-	}
-	return s.MemStore.Delete(ctx, key)
-}
 
 // retentionJob is a two-shard job of contractJob as a retention row drives
 // it, shard s owning table s and fed by miniSource(s).
@@ -524,7 +491,7 @@ var retentionTransports = map[string]func(t *testing.T, store objstore.Store, po
 type retentionRig struct {
 	t      *testing.T
 	ctx    context.Context
-	store  *retentionStore
+	store  *storetest.Hook // a MemStore under guard
 	policy ckpt.PolicyKind
 	keep   [2]int
 	open   func(t *testing.T, store objstore.Store, policy ckpt.PolicyKind, keep [2]int) retentionJob
@@ -532,6 +499,10 @@ type retentionRig struct {
 	job, ref retentionJob
 	refStore *objstore.MemStore
 	next     uint64
+	// failing is the key every Delete of which fails; commitDeletes counts
+	// the Deletes a commit itself issued.
+	failing       atomic.Pointer[string]
+	commitDeletes atomic.Int64
 	// spare is the prefixes of what SweepOrphans may, and must, find once
 	// the sweeps have settled: nothing, unless the shards disagree.
 	spare []string
@@ -549,6 +520,32 @@ func (r *retentionRig) commits(n int) {
 			r.t.Fatal(err)
 		}
 	}
+}
+
+// guard is the Around of the store under a retention row. It fails the
+// test when a shard manifest is deleted while the composite that names
+// it is still listed — the one ordering retention promises.
+func (r *retentionRig) guard(ctx context.Context, op storetest.Op, key string, do func() error) error {
+	if op != storetest.OpDelete {
+		return do()
+	}
+	if ctx.Value(commitPath{}) != nil {
+		r.commitDeletes.Add(1)
+	}
+	if f := r.failing.Load(); f != nil && *f == key {
+		return errInjected
+	}
+	for shard := 0; shard < 2; shard++ {
+		scope := wire.ShardJobID(contractJob, shard)
+		var id int
+		if _, err := fmt.Sscanf(strings.TrimPrefix(key, wire.JobPrefix(scope)), "%d/manifest", &id); err != nil || wire.ManifestKey(scope, id) != key {
+			continue
+		}
+		if _, err := r.store.Store.Stat(ctx, wire.ManifestKey(contractJob, id)); err == nil {
+			r.t.Errorf("shard %d deleted its manifest of checkpoint %d while composite %d is listed", shard, id, id)
+		}
+	}
+	return do()
 }
 
 // restart stops every writer of the job under test and opens it again
@@ -679,10 +676,10 @@ func TestWriterRetentionContract(t *testing.T) {
 		{"failed-commit-record-delete-is-retried", ckpt.PolicyFull, [2]int{1, 1}, func(r *retentionRig) {
 			r.commits(1)
 			key := wire.ManifestKey(contractJob, 0)
-			r.store.failing.Store(&key)
+			r.failing.Store(&key)
 			r.commits(1)
 			r.wantListed(0, 1)
-			r.store.failing.Store(nil)
+			r.failing.Store(nil)
 			r.commits(1)
 			r.wantListed(2)
 		}},
@@ -710,15 +707,15 @@ func TestWriterRetentionContract(t *testing.T) {
 			t.Run(transport+"/"+tc.name, func(t *testing.T) {
 				r := &retentionRig{
 					t: t, ctx: context.Background(), policy: tc.policy, keep: tc.keep, open: open,
-					store:    &retentionStore{MemStore: objstore.NewMemStore(objstore.MemConfig{}), t: t},
 					refStore: objstore.NewMemStore(objstore.MemConfig{}),
 				}
+				r.store = &storetest.Hook{Store: objstore.NewMemStore(objstore.MemConfig{}), Around: r.guard}
 				r.job = open(t, r.store, tc.policy, tc.keep)
 				r.ref = open(t, r.refStore, tc.policy, [2]int{})
 				tc.run(r)
 				r.job.stop()
 				r.ref.stop()
-				if n := r.store.commitDeletes.Load(); n != 0 {
+				if n := r.commitDeletes.Load(); n != 0 {
 					t.Errorf("commits that succeeded issued %d Deletes themselves", n)
 				}
 			})

@@ -87,8 +87,14 @@ type DiskConfig struct {
 	// CompactMinBytes is the dead-byte floor below which compaction is
 	// never worth the rewrite; zero means 1 MiB.
 	CompactMinBytes int64
-	// SyncDelay injects extra latency before every fsync — the
-	// slow-device chaos knob (objstored -sync-delay). Zero disables.
+	// PutDelay and SyncDelay model a slow device for chaos campaigns
+	// (objstored -put-delay, -sync-delay); zero disables each. PutDelay
+	// is paid by every Put and Delete once the request is received,
+	// outside the writer lock, so reads are not held behind it; a done
+	// ctx ends the wait with its error.
+	PutDelay time.Duration
+	// SyncDelay is paid before every fsync, under the writer lock, as a
+	// slow flush holds the log.
 	SyncDelay time.Duration
 	// Logf receives recovery/compaction diagnostics; nil discards them.
 	Logf func(format string, args ...any)
@@ -347,6 +353,20 @@ func (s *DiskStore) openActiveLocked(id uint64) error {
 	return nil
 }
 
+// payPutDelay waits out DiskConfig.PutDelay, or until ctx is done, and
+// returns ctx's error.
+func (s *DiskStore) payPutDelay(ctx context.Context) error {
+	if s.cfg.PutDelay > 0 {
+		t := time.NewTimer(s.cfg.PutDelay)
+		defer t.Stop()
+		select {
+		case <-ctx.Done():
+		case <-t.C:
+		}
+	}
+	return ctx.Err()
+}
+
 // syncLocked flushes the active segment, honoring the injected
 // slow-device delay.
 func (s *DiskStore) syncLocked() error {
@@ -433,7 +453,7 @@ func (s *DiskStore) rotateLocked() error {
 // is on disk (and, under FsyncAlways, on stable storage) before Put
 // returns; the slice is not retained.
 func (s *DiskStore) Put(ctx context.Context, key string, value []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.payPutDelay(ctx); err != nil {
 		return err
 	}
 	if err := checkKey(key); err != nil {
@@ -517,7 +537,7 @@ func (s *DiskStore) Get(ctx context.Context, key string) ([]byte, error) {
 // a missing key returns ErrNotFound (and writes nothing) — the same
 // contract as MemStore, pinned by the storetest conformance suite.
 func (s *DiskStore) Delete(ctx context.Context, key string) error {
-	if err := ctx.Err(); err != nil {
+	if err := s.payPutDelay(ctx); err != nil {
 		return err
 	}
 	s.mu.Lock()

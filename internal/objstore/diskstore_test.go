@@ -516,35 +516,64 @@ func TestParseFsync(t *testing.T) {
 	}
 }
 
-// TestSlowStoreDelays: the chaos slow-disk shim actually delays, and
-// the delay is runtime-settable.
-func TestSlowStoreDelays(t *testing.T) {
+// TestDiskStorePutDelay: the slow-device delay is paid by every Put and
+// Delete; a deadline inside it ends the Put with the deadline's error
+// and no write; and it is paid outside the writer lock, so a Get issued
+// while a delayed Put waits is not held behind it.
+func TestDiskStorePutDelay(t *testing.T) {
 	ctx := context.Background()
-	s := NewSlowStore(NewMemStore(MemConfig{}))
-	if err := s.Put(ctx, "k", []byte("v")); err != nil {
+	dir := t.TempDir()
+	open := func(delay time.Duration) *DiskStore {
+		s, err := NewDiskStore(DiskConfig{Dir: dir, PutDelay: delay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	const delay = 30 * time.Millisecond
+	s := open(delay)
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Put", func() error { return s.Put(ctx, "k", []byte("v")) }},
+		{"Put", func() error { return s.Put(ctx, "other", []byte("o")) }},
+		{"Put", func() error { return s.Put(ctx, "gone", []byte("g")) }},
+		{"Delete", func() error { return s.Delete(ctx, "gone") }},
+	} {
+		start := time.Now()
+		if err := op.do(); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < delay {
+			t.Fatalf("%s took %v, want the %v delay paid", op.name, d, delay)
+		}
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s.SetPutDelay(30 * time.Millisecond)
-	start := time.Now()
-	if err := s.Put(ctx, "k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Fatalf("put delay not applied: %v", d)
-	}
-	// A canceled ctx interrupts the injected delay, and the write is not
-	// made.
-	s.SetPutDelay(10 * time.Second)
-	cctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+
+	// Reopened under a delay no test waits out.
+	s = open(time.Hour)
+	defer s.Close()
+	cctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
 	defer cancel()
-	if err := s.Put(cctx, "k", []byte("v3")); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Put under delay = %v, want deadline exceeded", err)
-	}
-	s.SetPutDelay(0)
-	if got, err := s.Get(ctx, "k"); err != nil || string(got) != "v2" {
+	done := make(chan error, 1)
+	go func() { done <- s.Put(cctx, "k", []byte("v2")) }()
+	time.Sleep(20 * time.Millisecond) // let the Put start waiting
+	if got, err := s.Get(ctx, "other"); err != nil || string(got) != "o" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if s.Usage().Puts != 2 {
-		t.Fatalf("Usage not forwarded: %+v", s.Usage())
+	if cctx.Err() != nil {
+		t.Fatal("a Get waited behind a delayed Put")
+	}
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Put under delay = %v, want deadline exceeded", err)
+	}
+	if got, err := s.Get(ctx, "k"); err != nil || string(got) != "v" {
+		t.Fatalf("Get = %q, %v, want the value before the refused Put", got, err)
+	}
+	if u := s.Usage(); u.Puts != 0 {
+		t.Fatalf("the refused Put wrote: %+v", u)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/ctrl/shardhost"
 	"repro/internal/model"
 	"repro/internal/objstore"
+	"repro/internal/objstore/storetest"
 	"repro/internal/wire"
 )
 
@@ -195,31 +196,7 @@ func TestSyncAllocatesForTheDeltaNotTheModel(t *testing.T) {
 	f.checkAll(man.ID)
 }
 
-// chunkFailStore fails one chunk Get once armed.
-type chunkFailStore struct {
-	objstore.Store
-	mu    sync.Mutex
-	skip  int // chunk Gets to let through before the failure; -1: disarmed
-	fired bool
-}
-
 var errChunkGet = errors.New("injected chunk Get failure")
-
-func (s *chunkFailStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if strings.Contains(key, "/chunk/") {
-		s.mu.Lock()
-		fail := s.skip == 0
-		if s.skip >= 0 {
-			s.skip--
-		}
-		s.fired = s.fired || fail
-		s.mu.Unlock()
-		if fail {
-			return nil, errChunkGet
-		}
-	}
-	return s.Store.Get(ctx, key)
-}
 
 // TestFailedApplyKeepsServingAndConverges: a store failure in the
 // middle of an apply leaves the standby holding rows of two
@@ -228,7 +205,24 @@ func (s *chunkFailStore) Get(ctx context.Context, key string) ([]byte, error) {
 // and the next pass converges.
 func TestFailedApplyKeepsServingAndConverges(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
-	store := &chunkFailStore{Store: inner, skip: -1}
+	// The store fails one chunk Get once armed.
+	var mu sync.Mutex
+	skip, fired := -1, false // skip: chunk Gets to let through before the failure; -1: disarmed
+	store := &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+		if op == storetest.OpGet && strings.Contains(key, "/chunk/") {
+			mu.Lock()
+			fail := skip == 0
+			if skip >= 0 {
+				skip--
+			}
+			fired = fired || fail
+			mu.Unlock()
+			if fail {
+				return errChunkGet
+			}
+		}
+		return do()
+	}}
 	h := newHarnessWith(t, inner, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil)
 	f := follow(t, store, h)
 	f.commitAnnounced()
@@ -238,14 +232,14 @@ func TestFailedApplyKeepsServingAndConverges(t *testing.T) {
 	if chunks := deltaChunks(t, f.ctx, inner, man2); chunks < 2 {
 		t.Fatalf("delta has %d chunks; the test needs the failure to land after an applied one", chunks)
 	}
-	store.mu.Lock()
-	store.skip = 1 // the first chunk lands on the standby, the second fails
-	store.mu.Unlock()
+	mu.Lock()
+	skip = 1 // the first chunk lands on the standby, the second fails
+	mu.Unlock()
 	f.ann.Announce(1, man2)
 	waitFor(t, 10*time.Second, func() bool {
-		store.mu.Lock()
-		defer store.mu.Unlock()
-		return store.fired
+		mu.Lock()
+		defer mu.Unlock()
+		return fired
 	})
 	// Refilled after the failed pass (bootstrap was the first fill).
 	waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Rebuilds == 2 })
