@@ -8,15 +8,16 @@
 //
 // Consistency model: every lookup response is served from exactly one
 // committed checkpoint. The replica owns two full table sets. Lookups
-// read the live one; a sync first copies into the standby the rows the
-// previous sync wrote (so both hold the served checkpoint), applies the
-// new chain links onto it in place, and swaps the two with one atomic
-// pointer store. A lookup pins the set it reads — read-lock, re-check
-// that it is still the live one, read the checkpoint ID under the lock
-// — and the writer takes a set's lock exclusively only while that set
-// is the standby, so readers never observe a row mixing old and new
-// delta state (no torn reads), nothing is cloned, and a sync costs what
-// the delta weighs, not what the model does.
+// read the live one; a sync applies the new chain links onto the
+// standby in place, swaps the two with one atomic pointer store, and only
+// then copies into the new standby the rows it wrote (so both hold the
+// served checkpoint), off the path a reader waits on. A lookup pins the
+// set it reads — read-lock, re-check that it is still the live one, read
+// the checkpoint ID under the lock — and the writer takes a set's lock
+// exclusively only while that set is the standby, so readers never
+// observe a row mixing old and new delta state (no torn reads), nothing
+// is cloned, and a sync costs what the delta weighs, not what the model
+// does.
 // Staleness is allowed and unbounded: a partitioned replica keeps
 // serving its last version and converges (bit-identically — the apply
 // path is the same alias-decode/dequantize path recovery uses) after
@@ -125,12 +126,6 @@ func newTableSet(plan *ckpt.Plan) *tableSet {
 	return ts
 }
 
-// tableDelta names the rows of one table a sync wrote.
-type tableDelta struct {
-	all  bool // a full link rewrote every row
-	rows []uint32
-}
-
 // countingStore counts the read operations the replica issues, for
 // Stats: what one sync costs the store is the number that must not grow
 // with the model or the checkpoint history.
@@ -161,9 +156,11 @@ type Stats struct {
 	ServedID   int
 	ServedStep uint64
 	Epoch      uint64
-	// Syncs counts sync passes that published a new version; LinksApplied,
-	// RowsApplied and ReconciledRows what they applied from the store and
-	// copied between the two buffers.
+	// Syncs counts sync passes that published a new version; LinksApplied
+	// and RowsApplied what they applied from the store. ReconciledRows
+	// counts the rows copied between the two buffers: after the swap,
+	// every row an incremental link wrote, in the sync that wrote it; and
+	// before an apply, every row of a table a full link left lazy.
 	Syncs          uint64
 	LinksApplied   uint64
 	RowsApplied    uint64
@@ -172,9 +169,15 @@ type Stats struct {
 	// bootstrap, one after every failed apply.
 	Rebuilds uint64
 	// LastLists, LastGets and LastStats are the store operations of the
-	// most recent publishing sync, LastSync its duration.
-	LastLists, LastGets, LastStats int64
-	LastSync                       time.Duration
+	// most recent publishing sync. LastSync runs from its start to the
+	// swap, the wait a reader of the checkpoint sees: LastResolve finds
+	// the links (manifest Gets, or the List), then LastApply lands them on
+	// the standby, the copy of a lazy table included. Fetch is not split
+	// from apply: chunk Gets and decodes interleave inside the restorer's
+	// workers. LastReconcile follows the swap: it waits out the lookups
+	// still on the old set, then copies into it the rows the sync wrote.
+	LastLists, LastGets, LastStats                  int64
+	LastSync, LastResolve, LastApply, LastReconcile time.Duration
 }
 
 // Replica is a serving replica. Start it with Start; it is safe for
@@ -191,13 +194,14 @@ type Replica struct {
 	// looked at yet, or -1: which manifest key to Get first, no more.
 	hint atomic.Int64
 
-	// standby and wrote belong to applyLoop, the single writer. standby
+	// standby and lazy belong to applyLoop, the single writer. standby
 	// is the buffer the next sync rewrites (nil until filled: after
-	// bootstrap and after a failed apply); wrote names the rows the last
-	// sync wrote, which is exactly what standby lacks to equal the live
-	// set.
+	// bootstrap and after a failed apply); lazy names the tables a full
+	// link of the last sync rewrote, which is exactly what standby lacks
+	// to equal the live set. Each is copied whole by the next sync,
+	// unless that sync's first link for it is a full baseline too.
 	standby *tableSet
-	wrote   map[int]*tableDelta
+	lazy    map[int]bool
 
 	srv  *rpc.Server
 	wake chan struct{}
@@ -388,7 +392,7 @@ func (r *Replica) fillStandby() {
 	for id, t := range live.tables {
 		sb.tables[id] = t.Clone()
 	}
-	r.standby, r.wrote = sb, nil
+	r.standby, r.lazy = sb, nil
 	r.mu.Lock()
 	r.stats.Rebuilds++
 	r.mu.Unlock()
@@ -408,6 +412,7 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 	if plan == nil || err != nil {
 		return err
 	}
+	resolved := time.Now()
 	next := r.standby
 	if live == nil {
 		next = newTableSet(plan)
@@ -415,28 +420,37 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 	// From here next is being rewritten. If the apply fails it holds rows
 	// of two checkpoints and is dropped; fillStandby makes a new one.
 	r.standby = nil
-	wrote, did, err := r.rewrite(ctx, plan, next, live)
+	written, full, did, err := r.rewrite(ctx, plan, next, live)
 	if err != nil {
 		return err
 	}
 	r.cur.Store(next)
-	r.standby, r.wrote = live, wrote
+	swapped := time.Now()
+	did.LastSync, did.LastResolve, did.LastApply = swapped.Sub(began), resolved.Sub(began), swapped.Sub(resolved)
+	// The old live set is the standby now: nobody waits on it any more.
+	if live != nil {
+		did.ReconciledRows += reconcile(live, next, written, full)
+	}
+	r.standby, r.lazy = live, full
+	did.LastReconcile = time.Since(swapped)
 
 	did.LastLists = r.store.lists.Load() - lists
 	did.LastGets = r.store.gets.Load() - gets
 	did.LastStats = r.store.stats.Load() - stats
-	did.LastSync = time.Since(began)
 	r.mu.Lock()
 	st := &r.stats
 	st.Syncs++
 	st.LinksApplied += did.LinksApplied
 	st.RowsApplied += did.RowsApplied
 	st.ReconciledRows += did.ReconciledRows
-	st.LastLists, st.LastGets, st.LastStats, st.LastSync = did.LastLists, did.LastGets, did.LastStats, did.LastSync
+	st.LastLists, st.LastGets, st.LastStats = did.LastLists, did.LastGets, did.LastStats
+	st.LastSync, st.LastResolve, st.LastApply, st.LastReconcile = did.LastSync, did.LastResolve, did.LastApply, did.LastReconcile
 	r.mu.Unlock()
-	r.logf("serve %s: serving checkpoint %d (step %d, %d tables; %d links, %d rows applied, %d reconciled; store %d gets %d lists %d stats; %v)",
+	r.logf("serve %s: serving checkpoint %d (step %d, %d tables; %d links, %d rows applied, %d reconciled; store %d gets %d lists %d stats; "+
+		"%v = resolve %v + apply %v; reconcile %v after the swap)",
 		r.cfg.JobID, plan.Top.ID, plan.Top.Step, len(next.tables), did.LinksApplied, did.RowsApplied, did.ReconciledRows,
-		did.LastGets, did.LastLists, did.LastStats, did.LastSync.Round(time.Microsecond))
+		did.LastGets, did.LastLists, did.LastStats, did.LastSync.Round(time.Microsecond),
+		did.LastResolve.Round(time.Microsecond), did.LastApply.Round(time.Microsecond), did.LastReconcile.Round(time.Microsecond))
 	return nil
 }
 
@@ -466,15 +480,15 @@ func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
 	return plan, err
 }
 
-// rewrite turns next into plan's checkpoint. With a live set, next is
-// the standby: it first receives from live the rows the previous sync
-// wrote (the two then hold the same checkpoint), except in tables whose
-// first new link is a full baseline, which overwrites every row anyway.
-// Then the links are applied in place (ckpt.Restorer.ApplyPlan: the
-// apply a restore runs, one shard at a time), newest first per shard, a
-// row written once from the newest link that holds it — so wrote lists a
-// row once however many links a catch-up covers, and the next sync
-// copies it once.
+// rewrite turns next, the standby, into plan's checkpoint. A table
+// whose first new link is a full baseline is rewritten whole by it (a
+// chain holds a full link only first: ckpt's walkChain); any other table
+// the last sync left lazy is first copied whole from live. Then the
+// links are applied in place (ckpt.Restorer.ApplyPlan: the apply a
+// restore runs, one shard at a time), newest first per shard, a row
+// written once from the newest link that holds it — so written lists a
+// row once however many links a catch-up covers, and reconcile copies it
+// once.
 //
 // Correctness across delta policies: Resolve cuts every shard's chain
 // to the links newer than the served checkpoint. A SinceBase link
@@ -483,66 +497,63 @@ func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
 // or the base itself would be among the links — so skipping links at or
 // before the served one never loses writes.
 //
-// It returns the rows it wrote per table and, in did, the links and rows
-// it applied and reconciled.
-func (r *Replica) rewrite(ctx context.Context, plan *ckpt.Plan, next, live *tableSet) (wrote map[int]*tableDelta, did Stats, err error) {
-	full := wire.KindFull.String()
+// It returns the rows the incremental links wrote per table, the tables
+// a full link rewrote and, in did, the links and rows it applied and the
+// lazy rows it copied.
+func (r *Replica) rewrite(ctx context.Context, plan *ckpt.Plan, next, live *tableSet) (written map[int][]uint32, full map[int]bool, did Stats, err error) {
 	// Waits out the lookups that pinned next while it was the live set.
 	next.mu.Lock()
 	defer next.mu.Unlock()
 
-	if live != nil {
-		overwritten := make(map[int]bool)
-		for _, chain := range plan.Links {
-			if len(chain) > 0 && chain[0].Kind == full {
-				for i := range chain[0].Tables {
-					overwritten[chain[0].Tables[i].TableID] = true
-				}
+	full = make(map[int]bool)
+	for _, chain := range plan.Links {
+		if len(chain) > 0 && chain[0].Kind == wire.KindFull.String() {
+			for i := range chain[0].Tables {
+				full[chain[0].Tables[i].TableID] = true
 			}
 		}
-		for id, d := range r.wrote {
-			if overwritten[id] {
-				continue
-			}
+		did.LinksApplied += uint64(len(chain))
+	}
+	for id := range r.lazy {
+		if !full[id] {
 			dst, src := next.tables[id], live.tables[id]
-			if d.all {
-				copy(dst.Weights.Data, src.Weights.Data)
-				copy(dst.Accum, src.Accum)
-				did.ReconciledRows += uint64(src.Rows)
-				continue
-			}
-			for _, row := range d.rows {
-				copy(dst.Lookup(int(row)), src.Lookup(int(row)))
-				dst.Accum[row] = src.Accum[row]
-			}
-			did.ReconciledRows += uint64(len(d.rows))
+			copy(dst.Weights.Data, src.Weights.Data)
+			copy(dst.Accum, src.Accum)
+			did.ReconciledRows += uint64(src.Rows)
 		}
 	}
 
 	res := &ckpt.RestoreResult{RowsWritten: make(map[int][]uint32)}
 	if err := r.rest.ApplyPlan(ctx, plan, next, res); err != nil {
-		return nil, did, fmt.Errorf("serve: apply %d: %w", plan.Top.ID, err)
-	}
-	// A table some link rewrote in full is wholly new; any other holds
-	// exactly the rows the incremental links recorded.
-	wrote = make(map[int]*tableDelta)
-	for _, chain := range plan.Links {
-		for _, m := range chain {
-			for i := range m.Tables {
-				id := m.Tables[i].TableID
-				if wrote[id] == nil {
-					wrote[id] = &tableDelta{rows: res.RowsWritten[id]}
-				}
-				if m.Kind == full {
-					*wrote[id] = tableDelta{all: true}
-				}
-			}
-		}
-		did.LinksApplied += uint64(len(chain))
+		return nil, nil, did, fmt.Errorf("serve: apply %d: %w", plan.Top.ID, err)
 	}
 	did.RowsApplied = uint64(res.RowsApplied)
 	next.id, next.step = plan.Top.ID, plan.Top.Step
-	return wrote, did, nil
+	return res.RowsWritten, full, did, nil
+}
+
+// reconcile brings old, the live set until the swap that published
+// next, level with next: it copies every row written lists outside the
+// full tables, weights and Accum, and returns how many. The full tables
+// stay lazy (Replica.lazy). The exclusive lock waits out the lookups
+// that pinned old just before the swap; later ones fail to get it and
+// pin next instead. next is read without its lock: only this goroutine
+// writes it.
+func reconcile(old, next *tableSet, written map[int][]uint32, full map[int]bool) (n uint64) {
+	old.mu.Lock()
+	defer old.mu.Unlock()
+	for id, rows := range written {
+		if full[id] {
+			continue
+		}
+		dst, src := old.tables[id], next.tables[id]
+		for _, row := range rows {
+			copy(dst.Lookup(int(row)), src.Lookup(int(row)))
+			dst.Accum[row] = src.Accum[row]
+		}
+		n += uint64(len(rows))
+	}
+	return n
 }
 
 // subscribeLoop keeps one announce subscription alive, re-dialing with

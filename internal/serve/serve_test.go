@@ -395,7 +395,7 @@ func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 		t.Fatal(err)
 	default:
 	}
-	st := rep.Stats()
+	st := synced(t, rep, commits+1)
 	if st.ServedID != lastID {
 		t.Fatalf("served id = %d after commits, want %d", st.ServedID, lastID)
 	}
@@ -421,6 +421,25 @@ func waitForCheckpoint(ctx context.Context, r *Replica, id int) error {
 			return fmt.Errorf("serve: waiting for checkpoint %d (at %d): %w", id, got, ctx.Err())
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// synced waits until r has recorded exactly n publishing syncs and
+// returns its stats. A sync's counters land after the reconcile that
+// follows its swap, so a test that reads them once Served shows the
+// checkpoint waits here first.
+func synced(t *testing.T, r *Replica, n uint64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := r.Stats()
+		if st.Syncs == n {
+			return st
+		}
+		if st.Syncs > n || time.Now().After(deadline) {
+			t.Fatalf("replica recorded %d publishing syncs, want %d: %+v", st.Syncs, n, st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

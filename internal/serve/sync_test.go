@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,7 +134,7 @@ func TestSyncCostIndependentOfHistory(t *testing.T) {
 			f.commitAnnounced()
 		}
 		man := f.commitAnnounced()
-		st := f.rep.Stats()
+		st := synced(t, f.rep, uint64(man.ID+1))
 		chunks := deltaChunks(t, f.ctx, store, man)
 		if st.LastLists != 0 || st.LastStats != 0 {
 			t.Errorf("sync for commit %d: %d Lists, %d Stats, want none", man.ID, st.LastLists, st.LastStats)
@@ -270,9 +272,9 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	before := f.rep.Stats()
+	before := synced(t, f.rep, 1)
 	man := f.commitAnnounced()
-	st := f.rep.Stats()
+	st := synced(t, f.rep, 2)
 	if links := st.LinksApplied - before.LinksApplied; links != 4*uint64(man.ShardCount) {
 		t.Errorf("caught up over %d links, want 4 per shard", links)
 	}
@@ -292,7 +294,7 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 	if err := waitForCheckpoint(f.ctx, f.rep, man.ID); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.rep.Stats(); st.LastLists != 1 {
+	if st := synced(t, f.rep, 3); st.LastLists != 1 {
 		t.Errorf("the fallback pass listed the store %d times, want once", st.LastLists)
 	}
 	f.checkAll(man.ID)
@@ -316,7 +318,7 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 	}
 	shards := int64(landed.ShardCount)
 	budget := 1 + (1 + 2*shards) + (1 + shards + deltaChunks(t, f.ctx, store, landed))
-	if st := f.rep.Stats(); st.ServedID != landed.ID || st.LastLists != 1 || st.LastGets > budget {
+	if st := synced(t, f.rep, 4); st.ServedID != landed.ID || st.LastLists != 1 || st.LastGets > budget {
 		t.Errorf("past a torn composite: serving %d with %d Lists and %d Gets, want %d with 1 and at most %d",
 			st.ServedID, st.LastLists, st.LastGets, landed.ID, budget)
 	}
@@ -341,6 +343,7 @@ func TestFullBaselineAfterIncrementals(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyIntermittent}, nil))
 	f.commitAnnounced()
+	synced(t, f.rep, 1)
 
 	rebaselines, after := 0, 0
 	for i := 0; i < 80 && after < 3; i++ {
@@ -357,9 +360,9 @@ func TestFullBaselineAfterIncrementals(t *testing.T) {
 		reconciled := f.rep.Stats().ReconciledRows
 		f.announce(man)
 		f.checkAll(man.ID)
-		if allFull && f.rep.Stats().ReconciledRows != reconciled {
-			t.Errorf("checkpoint %d is a full baseline on every shard, yet %d rows were reconciled first",
-				man.ID, f.rep.Stats().ReconciledRows-reconciled)
+		if st := synced(t, f.rep, uint64(man.ID+1)); allFull && st.ReconciledRows != reconciled {
+			t.Errorf("checkpoint %d is a full baseline on every shard, yet %d rows were reconciled",
+				man.ID, st.ReconciledRows-reconciled)
 		}
 		if rebaselines > 0 {
 			after++
@@ -464,9 +467,7 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 				man.ID, bound, resync, err, rep.Stats())
 		}
 	}
-	if st := rep.Stats(); st.Syncs != commits {
-		t.Errorf("stats %+v: want one publishing sync per commit", st)
-	}
+	synced(t, rep, commits) // one publishing sync per commit
 	if _, err := store.Stat(ctx, wire.ManifestKey(job, 1)); !errors.Is(err, objstore.ErrNotFound) {
 		t.Errorf("composite 1 after %d commits: %v; retention never ran beside the replica", commits, err)
 	}
@@ -475,9 +476,9 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 // TestCatchUpWritesAndReconcilesEachRowOnce: a replica three consecutive
 // links behind lands them in one sync, and a row all three stored — the
 // hot rows of a real job — is written once, from the newest, and so
-// copied to the other buffer once by the sync after it (it was applied
-// and reconciled once per link that held it). What it then serves is a
-// restore of the checkpoint, bit for bit.
+// copied to the other buffer once, right after that sync's swap (it was
+// applied and reconciled once per link that held it). What it then
+// serves is a restore of the checkpoint, bit for bit.
 func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil))
@@ -499,14 +500,9 @@ func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
 			}
 		}
 	}
-	synced := func(n uint64) Stats {
-		t.Helper()
-		waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Syncs == n })
-		return f.rep.Stats()
-	}
 	f.commitAnnounced() // the base
 	f.commitAnnounced() // both buffers exist from here on
-	before := synced(2)
+	before := synced(t, f.rep, 2)
 
 	var man *wire.Manifest
 	for link := 0; link < 3; link++ {
@@ -514,18 +510,21 @@ func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
 		man = f.commitTrained(f.ctx)
 	}
 	f.announce(man)
-	caught := synced(3)
+	caught := synced(t, f.rep, 3)
 	distinct := uint64(len(f.m.Sparse.Tables) * (10 + 3*5))
 	if links, rows := caught.LinksApplied-before.LinksApplied, caught.RowsApplied-before.RowsApplied; links != 3*2 || rows != distinct {
 		t.Errorf("catch-up applied %d rows from %d links, want the %d distinct rows of 3 links on each of 2 shards", rows, links, distinct)
+	}
+	if got := caught.ReconciledRows - before.ReconciledRows; got != distinct {
+		t.Errorf("the catch-up reconciled %d rows, want the %d distinct rows it wrote", got, distinct)
 	}
 	f.checkAll(man.ID)
 
 	touch(3)
 	next := f.commitTrained(f.ctx)
 	f.announce(next)
-	if got := synced(4).ReconciledRows - caught.ReconciledRows; got != distinct {
-		t.Errorf("the sync after the catch-up reconciled %d rows, want the %d distinct rows the catch-up wrote", got, distinct)
+	if got, wrote := synced(t, f.rep, 4).ReconciledRows-caught.ReconciledRows, uint64(len(f.m.Sparse.Tables)*(10+5)); got != wrote {
+		t.Errorf("the sync after the catch-up reconciled %d rows, want the %d rows it wrote", got, wrote)
 	}
 	f.checkAll(next.ID)
 
@@ -545,4 +544,118 @@ func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
 			t.Errorf("table %d: a restore of checkpoint %d is not what the replica was checked against", tab.ID, next.ID)
 		}
 	}
+}
+
+// TestStandbyEqualsLiveAfterEverySync: once a sync's counters have
+// landed, the standby holds what the live set serves, bit for bit,
+// weights and Accum, save the tables a full link left lazy; under
+// consecutive increments and under intermittent re-baselines. After a
+// failed apply the refilled standby equals the live set whole.
+func TestStandbyEqualsLiveAfterEverySync(t *testing.T) {
+	for _, policy := range []ckpt.PolicyKind{ckpt.PolicyConsecutive, ckpt.PolicyIntermittent} {
+		t.Run(policy.String(), func(t *testing.T) {
+			inner := objstore.NewMemStore(objstore.MemConfig{})
+			var failChunk atomic.Bool
+			store := &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+				if op == storetest.OpGet && strings.Contains(key, "/chunk/") && failChunk.CompareAndSwap(true, false) {
+					return errChunkGet
+				}
+				return do()
+			}}
+			f := follow(t, store, newHarnessWith(t, inner, ckpt.Config{Policy: policy}, nil))
+			f.commitAnnounced()
+			// Eight syncs at least; under the intermittent policy, on to
+			// three after the first that left a table lazy.
+			lazy, after := 0, 0
+			for i := 0; i < 80 && (i < 8 || policy == ckpt.PolicyIntermittent && after < 3); i++ {
+				// Several batches per interval, as in
+				// TestFullBaselineAfterIncrementals, so the intermittent
+				// policy re-baselines within the loop.
+				for b := 0; b < 4; b++ {
+					f.m.TrainBatch(f.gen.NextBatch(16))
+				}
+				man := f.commitTrained(f.ctx)
+				if man == nil {
+					t.FailNow()
+				}
+				f.announce(man)
+				synced(t, f.rep, uint64(man.ID+1))
+				if lazy += standbyLevel(t, f.rep); lazy > 0 {
+					after++
+				}
+			}
+			if policy == ckpt.PolicyIntermittent && lazy == 0 {
+				t.Fatal("no full link left a table lazy in 80 intervals; the test no longer covers the case")
+			}
+
+			failChunk.Store(true)
+			failed := f.commit(f.ctx)
+			if failed == nil {
+				t.FailNow()
+			}
+			f.ann.Announce(1, failed)
+			waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Rebuilds == 2 })
+			if n := standbyLevel(t, f.rep); n != 0 {
+				t.Errorf("the refilled standby left %d tables lazy", n)
+			}
+			man := f.commitAnnounced()
+			synced(t, f.rep, uint64(man.ID))
+			standbyLevel(t, f.rep)
+			f.checkAll(man.ID)
+		})
+	}
+}
+
+// standbyLevel checks that r's standby equals its live set bit for bit,
+// weights and Accum, in every table but those a full link left lazy,
+// and returns how many those were. r must be idle: its last sync's
+// counters or refill landed, no announcement pending.
+func standbyLevel(t *testing.T, r *Replica) (lazy int) {
+	t.Helper()
+	live, sb := r.cur.Load(), r.standby
+	if sb == nil || sb == live {
+		t.Fatalf("checkpoint %d: no standby beside the live set", live.id)
+	}
+	same := func(a, b []float32) bool {
+		return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+	}
+	for id, want := range live.tables {
+		if r.lazy[id] {
+			lazy++
+			continue
+		}
+		if got := sb.tables[id]; !same(got.Weights.Data, want.Weights.Data) || !same(got.Accum, want.Accum) {
+			t.Errorf("checkpoint %d: table %d of the standby differs from the live set", live.id, id)
+		}
+	}
+	return lazy
+}
+
+// TestSyncTimelineSplitsAtTheSwap: a sync's resolve and apply come before
+// the swap and add up to at most LastSync; its reconcile comes after,
+// so a lookup still reading the old set holds back the sync's counters
+// but not the new checkpoint, and the hold shows in LastReconcile alone.
+func TestSyncTimelineSplitsAtTheSwap(t *testing.T) {
+	const hold = 50 * time.Millisecond
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil))
+	f.commitAnnounced()
+	f.commitAnnounced()
+	synced(t, f.rep, 2)
+
+	old := f.rep.pin() // a lookup reading checkpoint 1
+	man := f.commitAnnounced()
+	time.Sleep(hold)
+	if st := f.rep.Stats(); st.Syncs != 2 || st.ServedID != man.ID {
+		t.Errorf("with the old set pinned: %d syncs recorded serving %d, want 2 serving %d", st.Syncs, st.ServedID, man.ID)
+	}
+	old.mu.RUnlock()
+	st := synced(t, f.rep, 3)
+	if st.LastResolve <= 0 || st.LastApply <= 0 || st.LastResolve+st.LastApply > st.LastSync {
+		t.Errorf("resolve %v + apply %v, want both positive and within the sync's %v", st.LastResolve, st.LastApply, st.LastSync)
+	}
+	if st.LastReconcile < hold {
+		t.Errorf("reconcile %v, want at least the %v the old set stayed pinned after the swap", st.LastReconcile, hold)
+	}
+	f.checkAll(man.ID)
 }
