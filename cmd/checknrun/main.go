@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro"
 	"repro/internal/ckpt"
@@ -64,8 +65,9 @@ func main() {
 		if err != nil {
 			logger.Fatalf("recover: %v", err)
 		}
-		fmt.Printf("recovered: ckpt=%d step=%d rows=%d bytes=%d\n",
-			res.Top.ID, res.Step, res.RowsApplied, res.BytesRead)
+		fmt.Printf("recovered: ckpt=%d step=%d rows=%d bytes=%d resolve=%v apply=%v dense=%v\n",
+			res.Top.ID, res.Step, res.RowsApplied, res.BytesRead,
+			res.Resolve.Round(time.Microsecond), res.Apply.Round(time.Microsecond), res.Dense.Round(time.Microsecond))
 	}
 
 	fmt.Printf("job=%s policy=%s bits=%d interval=%d batches x %d samples\n",

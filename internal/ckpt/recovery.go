@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/embedding"
@@ -347,6 +348,11 @@ type RestoreResult struct {
 	RowsApplied int
 	// BytesRead counts payload bytes fetched.
 	BytesRead int64
+	// Resolve, Apply and Dense are where a Restore's wall time went, in
+	// that order: finding the checkpoint and its chain, landing the
+	// embedding rows, and fetching and loading the dense state. ApplyPlan
+	// leaves them alone.
+	Resolve, Apply, Dense time.Duration
 	// RowsWritten, when the caller sets it non-nil, collects per table ID
 	// the index of every row ApplyPlan wrote from an incremental link, each
 	// once and in no particular order (a serving replica brings its second
@@ -361,32 +367,38 @@ type RestoreResult struct {
 // were written leaves behind. Sharded composites fan out across shards in
 // parallel.
 func (r *Restorer) Restore(ctx context.Context, id int, m *model.DLRM) (*RestoreResult, error) {
+	start := time.Now()
 	plan, err := r.Resolve(ctx, id, -1)
 	if err != nil {
 		return nil, err
 	}
-	return r.restorePlan(ctx, plan, m)
+	return r.restorePlan(ctx, plan, m, time.Since(start))
 }
 
 // RestoreLatest restores the checkpoint ResolveLatest finds: the most
 // recent one that is fully restorable. A restore is a cold start.
 func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreResult, error) {
+	start := time.Now()
 	plan, err := r.ResolveLatest(ctx, -1)
 	if err != nil {
 		return nil, err
 	}
-	return r.restorePlan(ctx, plan, m)
+	return r.restorePlan(ctx, plan, m, time.Since(start))
 }
 
 // restorePlan applies a resolved checkpoint to m: the embedding rows as
 // ApplyPlan does, but every shard's chain at once, then the dense state —
-// the one object the composite names, whole and not a delta.
-func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (*RestoreResult, error) {
+// the one object the composite names, whole and not a delta. resolve is
+// what finding the plan took.
+func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM, resolve time.Duration) (*RestoreResult, error) {
 	top := plan.Top
-	res := &RestoreResult{Top: top}
+	res := &RestoreResult{Top: top, Resolve: resolve}
+	start := time.Now()
 	if err := r.applyPlan(ctx, plan, m.Sparse, res, forEachShard); err != nil {
 		return nil, err
 	}
+	res.Apply = time.Since(start)
+	start = time.Now()
 	if top.DenseKey != "" {
 		dense, err := r.store.Get(ctx, top.DenseKey)
 		if err != nil {
@@ -397,6 +409,7 @@ func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM) (
 			return nil, fmt.Errorf("ckpt: dense state: %w", err)
 		}
 	}
+	res.Dense = time.Since(start)
 	res.Reader = data.ReaderState{NextSample: top.ReaderNextSample, BatchSize: top.ReaderBatchSize}
 	res.Step = top.Step
 	// The tracker restarts clean: rows restored are not "modified" in
@@ -499,8 +512,9 @@ type claimedRows map[int][]bool
 // applyManifest lands one manifest's chunks on tabs: the chunk walk,
 // with every row not yet claimed by a newer link claimed and
 // de-quantized directly into its table's storage (no intermediate fp32
-// vector). Every chunk of one manifest covers a disjoint row set, so the
-// walk's workers never write, or claim, the same row.
+// vector), one quant.DequantizeRows per chunk. Every chunk of one
+// manifest covers a disjoint row set, so the walk's workers never write,
+// or claim, the same row.
 func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs TableSet, claimed claimedRows, sum *applied) error {
 	for i := range man.Tables {
 		tm := &man.Tables[i]
@@ -535,12 +549,13 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 				}
 			}
 		}
+		if i, err := quant.DequantizeRows(len(rows), func(i int) ([]float32, *quant.QVector) {
+			return tab.Lookup(int(rows[i].Index)), rows[i].Q
+		}, scratch); err != nil {
+			return fmt.Errorf("ckpt: %s row %d: %w", key, rows[i].Index, err)
+		}
 		for i := range rows {
-			row := &rows[i]
-			if err := quant.DequantizeInto(tab.Lookup(int(row.Index)), row.Q, scratch); err != nil {
-				return fmt.Errorf("ckpt: %s row %d: %w", key, row.Index, err)
-			}
-			tab.Accum[row.Index] = row.Accum
+			tab.Accum[rows[i].Index] = rows[i].Accum
 		}
 		sum.mu.Lock()
 		defer sum.mu.Unlock()

@@ -7,10 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/objstore/storetest"
+	"repro/internal/quant"
 	"repro/internal/wire"
 )
 
@@ -209,6 +211,37 @@ func TestRestoreReadsOneDenseObject(t *testing.T) {
 	v, err := rest.Verify(f.ctx, links-1)
 	if err != nil || !v.OK() {
 		t.Fatalf("Verify = %+v, %v", v, err)
+	}
+}
+
+// TestRestoreTimelineTilesWallTime: a restore reports where its time
+// went, resolve, apply and dense, each part positive, and together no
+// more than the restore's wall time, by name and by latest alike.
+func TestRestoreTimelineTilesWallTime(t *testing.T) {
+	f := newFixture(t, Config{Policy: PolicyConsecutive,
+		Quant: quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}})
+	for i := 0; i < 3; i++ {
+		if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 2, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m2, _ := model.New(testModelConfig(), 2)
+	for name, restore := range map[string]func() (*RestoreResult, error){
+		"Restore":       func() (*RestoreResult, error) { return f.rest.Restore(f.ctx, 1, m2) },
+		"RestoreLatest": func() (*RestoreResult, error) { return f.rest.RestoreLatest(f.ctx, m2) },
+	} {
+		start := time.Now()
+		res, err := restore()
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Resolve <= 0 || res.Apply <= 0 || res.Dense <= 0 {
+			t.Errorf("%s: resolve %v, apply %v, dense %v; want each positive", name, res.Resolve, res.Apply, res.Dense)
+		}
+		if sum := res.Resolve + res.Apply + res.Dense; sum > wall {
+			t.Errorf("%s: resolve + apply + dense = %v, more than the restore's wall time %v", name, sum, wall)
+		}
 	}
 }
 

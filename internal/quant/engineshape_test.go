@@ -145,3 +145,47 @@ func BenchmarkNoneEngineShape(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDequantizeRowsEngineShape is the restore's per-chunk
+// de-quantize at cnrbench's shape: 2048 4-bit dim-32 rows a batch, each
+// into a random row of a 64 MiB table, so that every destination row
+// misses the cache as a restore's do. "go" is DequantizeInto's loop,
+// "dispatched" what DequantizeRows picks for this CPU. ns/op is per row.
+func BenchmarkDequantizeRowsEngineShape(b *testing.B) {
+	const dim, chunkRows, tableRows = 32, 2048, 1 << 19
+	rng := rand.New(rand.NewSource(1))
+	qs := make([]QVector, chunkRows)
+	for i := range qs {
+		q, err := Quantize(trainedLikeVector(rng, dim), Params{Method: MethodAsymmetric, Bits: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs[i] = *q
+	}
+	table := make([]float32, tableRows*dim)
+	perm := rng.Perm(tableRows)
+	for _, kernel := range []struct {
+		name string
+		asm  bool
+	}{{"go", false}, {"dispatched", useAVX2}} {
+		b.Run(kernel.name, func(b *testing.B) {
+			defer func(was bool) { useAVX2 = was }(useAVX2)
+			useAVX2 = kernel.asm
+			var s Scratch
+			next := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += chunkRows {
+				n := min(chunkRows, b.N-done)
+				at := func(i int) ([]float32, *QVector) {
+					r := perm[(next+i)%tableRows]
+					return table[r*dim : (r+1)*dim], &qs[i]
+				}
+				if _, err := DequantizeRows(n, at, &s); err != nil {
+					b.Fatal(err)
+				}
+				next += n
+			}
+		})
+	}
+}

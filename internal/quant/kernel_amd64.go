@@ -1,7 +1,10 @@
 package quant
 
-// useAVX2 is whether scoreGrids runs the assembly in kernel_amd64.s:
-// checked once, because the module builds for GOAMD64=v1.
+import "unsafe"
+
+// useAVX2 is whether scoreGrids and DequantizeRows' 4-bit rows run the
+// assembly in kernel_amd64.s: checked once, because the module builds
+// for GOAMD64=v1.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports AVX2 with the YMM state enabled by the OS: CPUID
@@ -63,4 +66,27 @@ func (s *Scratch) scoreGrids(x []float32, bits int, gs []grid, out []float64) {
 		copy(out[:n], l.sum[:n])
 		gs, out = gs[n:], out[n:]
 	}
+}
+
+//go:noescape
+func dequantize4AVX2(dst []float32, codes []byte, scale, lo float32)
+
+// storeFence orders every store before it, the assembly's streaming
+// ones included, before every store after it.
+func storeFence()
+
+// dequantize4 writes a 4-bit row that checkRow has accepted, and
+// reports whether it did: the assembly writes its groups of eight, Go
+// the rest. On a CPU without AVX2, or into a row that does not start on
+// a 32-byte boundary, it writes nothing.
+func dequantize4(dst []float32, q *QVector) bool {
+	if !useAVX2 || uintptr(unsafe.Pointer(unsafe.SliceData(dst)))%32 != 0 {
+		return false
+	}
+	raceWriteRow(dst)
+	dequantize4AVX2(dst, q.Codes, q.Scale, q.Lo)
+	for i := len(dst) &^ 7; i < len(dst); i++ {
+		dst[i] = level(q.Scale, q.Lo, uint32(q.Codes[i>>1]>>(4*uint(i&1))&0xf))
+	}
+	return true
 }

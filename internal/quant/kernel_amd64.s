@@ -118,3 +118,67 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XGETBV
 	MOVL AX, eax+0(FP)
 	RET
+
+// dequantize4AVX2's lane indices for eight codes: code 2k is dword 2k's
+// bits 0-3 and code 2k+1 dword 2k+1's. VPERMPS reads bits 0-2 of each
+// index; VPSLLD $28 moves bit 3 to the sign, where VBLENDVPS reads it.
+//   Y2 / Y3   levels 0-7 / 8-15
+//   Y4        indices, then the blend mask; Y5, Y6 the picked levels
+#define PICK8 \
+	VPMOVZXBQ (SI), Y4; \
+	VPSRLQ    $4, Y4, Y5; \
+	VPSLLQ    $32, Y5, Y5; \
+	VPOR      Y5, Y4, Y4; \
+	VPERMPS   Y2, Y4, Y5; \
+	VPERMPS   Y3, Y4, Y6; \
+	VPSLLD    $28, Y4, Y4; \
+	VBLENDVPS Y4, Y6, Y5, Y5
+
+// func dequantize4AVX2(dst []float32, codes []byte, scale, lo float32)
+//
+// Writes len(dst)/8 groups of eight values, four code bytes each, into
+// a dst that starts on a 32-byte boundary. The sixteen levels are
+// scale*c rounded, then + lo rounded, as level() computes them; no FMA.
+// The stores bypass the cache (VMOVNTPS), so the caller fences before
+// it publishes the row (storeFence). Every instruction is VEX-encoded
+// (VMOVQ, not MOVQ to an X register): one legacy SSE instruction after
+// a YMM write costs an SSE/AVX transition per call, which made the
+// kernel slower than the Go loop.
+TEXT ·dequantize4AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ codes_base+24(FP), SI
+	SHRQ $3, CX
+	JZ   done
+
+	VBROADCASTSS scale+48(FP), Y0
+	VBROADCASTSS lo+52(FP), Y1
+	MOVQ         $0x0706050403020100, AX
+	VMOVQ        AX, X2
+	VPMOVZXBD    X2, Y2
+	VCVTDQ2PS    Y2, Y2
+	VMULPS       Y0, Y2, Y2
+	VADDPS       Y1, Y2, Y2
+	MOVQ         $0x0f0e0d0c0b0a0908, AX
+	VMOVQ        AX, X3
+	VPMOVZXBD    X3, Y3
+	VCVTDQ2PS    Y3, Y3
+	VMULPS       Y0, Y3, Y3
+	VADDPS       Y1, Y3, Y3
+
+stream:
+	PICK8
+	VMOVNTPS Y5, (DI)
+	ADDQ     $4, SI
+	ADDQ     $32, DI
+	DECQ     CX
+	JNZ      stream
+
+done:
+	VZEROUPPER
+	RET
+
+// func storeFence()
+TEXT ·storeFence(SB), NOSPLIT, $0-0
+	SFENCE
+	RET

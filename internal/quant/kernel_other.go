@@ -2,11 +2,17 @@
 
 package quant
 
-// useAVX2 is false off amd64, where scoreGrids is always the Go kernel;
-// tests and benchmarks read it.
+// useAVX2 is false off amd64, where scoreGrids and DequantizeRows are
+// always the Go kernels; tests and benchmarks read it.
 var useAVX2 = false
 
 // scoreGrids is the Go kernel, scoreGridsGo.
 func (s *Scratch) scoreGrids(x []float32, bits int, gs []grid, out []float64) {
 	s.scoreGridsGo(x, bits, gs, out)
 }
+
+// dequantize4 writes nothing: DequantizeRows runs DequantizeInto.
+func dequantize4([]float32, *QVector) bool { return false }
+
+// storeFence has nothing to order: no store here bypasses the cache.
+func storeFence() {}

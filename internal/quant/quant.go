@@ -173,12 +173,21 @@ func Dequantize(q *QVector) []float32 {
 }
 
 // DequantizeInto reconstructs q into dst, which must have exactly q.N
-// elements. It performs zero allocations in steady state when given a
-// reusable Scratch — restore workers dequantize straight into the
-// embedding table's row storage. s may be nil (staging is then
-// allocated per call; fp32 rows and uniform 1/2/4/8-bit rows decode
+// elements, with ordinary stores. It performs zero allocations in
+// steady state when given a reusable Scratch. s may be nil (staging is
+// then allocated per call; fp32 rows and uniform 1/2/4/8-bit rows decode
 // straight from the packed bytes and never need staging).
 func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
+	if err := checkRow(dst, q); err != nil {
+		return err
+	}
+	dequantizeRow(dst, q, s)
+	return nil
+}
+
+// checkRow is every check DequantizeInto and DequantizeRows make of a
+// row before they write it.
+func checkRow(dst []float32, q *QVector) error {
 	if len(dst) != q.N {
 		return fmt.Errorf("quant: dequantize into %d elements, vector has %d", len(dst), q.N)
 	}
@@ -186,7 +195,6 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 		if len(q.Codes) < 4*q.N {
 			return fmt.Errorf("quant: raw codes %d bytes, want %d", len(q.Codes), 4*q.N)
 		}
-		rawGetF32(dst, q.Codes)
 		return nil
 	}
 	if q.Bits < 1 || q.Bits > 8 {
@@ -195,9 +203,19 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	if len(q.Codes) < PackedLen(q.N, q.Bits) {
 		return fmt.Errorf("quant: codes %d bytes, want %d", len(q.Codes), PackedLen(q.N, q.Bits))
 	}
+	return nil
+}
+
+// dequantizeRow is DequantizeInto's Go loops, on a row checkRow has
+// accepted.
+func dequantizeRow(dst []float32, q *QVector, s *Scratch) {
+	if q.Bits == 32 {
+		rawGetF32(dst, q.Codes)
+		return
+	}
 	if q.Bits&(q.Bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
 		dequantizeUniformPacked(dst, q)
-		return nil
+		return
 	}
 	if s == nil {
 		s = &Scratch{}
@@ -207,7 +225,35 @@ func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
 	for i, c := range codes {
 		dst[i] = level(q.Scale, q.Lo, c)
 	}
-	return nil
+}
+
+// DequantizeRows de-quantizes n rows, row i being at(i)'s vector into
+// at(i)'s destination, each to the bits DequantizeInto writes: the
+// restore's entry, one call per chunk. On AVX2 a 4-bit row that starts
+// on a 32-byte boundary runs the assembly, which streams it past the
+// cache; one fence before the call returns makes every row visible to
+// whatever the caller synchronizes with next. Every other row runs
+// DequantizeInto's loops. On failure it returns the position of the row
+// that failed, with DequantizeInto's error; the rows before it are
+// written.
+func DequantizeRows(n int, at func(i int) (dst []float32, q *QVector), s *Scratch) (int, error) {
+	streamed := false
+	for i := 0; i < n; i++ {
+		dst, q := at(i)
+		if err := checkRow(dst, q); err != nil {
+			storeFence()
+			return i, err
+		}
+		if q.Bits == 4 && dequantize4(dst, q) {
+			streamed = true
+			continue
+		}
+		dequantizeRow(dst, q, s)
+	}
+	if streamed {
+		storeFence()
+	}
+	return n, nil
 }
 
 // level is the value a uniform code reconstructs to. The product is
