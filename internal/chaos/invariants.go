@@ -299,7 +299,7 @@ func (c *Checker) checkServing(ctx context.Context, committed []Committed) ([]Vi
 		}
 		for i := range vio {
 			// What the replica last did says which path produced the bad
-			// rows: a delta onto the standby, a refill, a fallback listing.
+			// rows: a delta onto the standby, a lazy table's copy, a fallback listing.
 			vio[i].Detail += fmt.Sprintf("; replica stats %+v", c.f.ReplicaStats(r))
 		}
 		out = append(out, vio...)

@@ -185,7 +185,7 @@ func TestApplyOrderMatchesOldestFirst(t *testing.T) {
 						}
 						oracleGets := gets() - base
 						res := &RestoreResult{RowsWritten: make(map[int][]uint32)}
-						if err := rest.applyPlan(f.ctx, plan, got.Sparse, res, forEachShard); err != nil {
+						if err := rest.ApplyPlan(f.ctx, plan, got.Sparse, res); err != nil {
 							t.Fatal(err)
 						}
 						assertBitIdentical(t, want, got)

@@ -386,15 +386,14 @@ func (r *Restorer) RestoreLatest(ctx context.Context, m *model.DLRM) (*RestoreRe
 	return r.restorePlan(ctx, plan, m, time.Since(start))
 }
 
-// restorePlan applies a resolved checkpoint to m: the embedding rows as
-// ApplyPlan does, but every shard's chain at once, then the dense state —
-// the one object the composite names, whole and not a delta. resolve is
-// what finding the plan took.
+// restorePlan applies a resolved checkpoint to m: the embedding rows
+// (ApplyPlan), then the dense state — the one object the composite
+// names, whole and not a delta. resolve is what finding the plan took.
 func (r *Restorer) restorePlan(ctx context.Context, plan *Plan, m *model.DLRM, resolve time.Duration) (*RestoreResult, error) {
 	top := plan.Top
 	res := &RestoreResult{Top: top, Resolve: resolve}
 	start := time.Now()
-	if err := r.applyPlan(ctx, plan, m.Sparse, res, forEachShard); err != nil {
+	if err := r.ApplyPlan(ctx, plan, m.Sparse, res); err != nil {
 		return nil, err
 	}
 	res.Apply = time.Since(start)
@@ -428,10 +427,10 @@ type TableSet interface {
 }
 
 // ApplyPlan applies a resolved checkpoint's embedding rows onto tabs,
-// de-quantizing in place: each shard's links newest first, a row written
-// only by the newest link that holds it (applyPlan), one shard after
-// another, then the cross-shard shape check of the composite's own table
-// entries, which carry no chunks. What is skipped is the write,
+// de-quantizing in place: every shard's chain at once (shards own
+// disjoint tables, so neither their writes nor their claimed sets ever
+// overlap), then the cross-shard shape check of the composite's own
+// table entries, which carry no chunks. What is skipped is the write,
 // never the read: every chunk of every link is fetched and checked as
 // Verify checks it, whether or not a row of it is still wanted. Rows and
 // bytes are added to res. Dense state is NOT applied — it lives on the
@@ -440,35 +439,15 @@ type TableSet interface {
 // res.RowsWritten to learn which rows it touched. On failure tabs holds
 // rows of more than one checkpoint and res is untouched.
 //
-// A replica shares its cores with the lookups it serves and, in a small
-// deployment, with the commit whose checkpoint it is fetching, so the
-// shards take turns; a restore is a cold start with nothing beside it
-// and applies them all at once (restorePlan).
-func (r *Restorer) ApplyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult) error {
-	return r.applyPlan(ctx, plan, tabs, res, func(n int, fn func(s int) error) error {
-		for s := 0; s < n; s++ {
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// applyPlan is ApplyPlan with the scheduling of the shards left to
-// eachShard: forEachShard runs them concurrently (they own disjoint
-// tables, so neither the writes nor the claimed sets ever overlap).
-//
 // A chain is walked from its newest link back, behind the set of rows
 // already written: a row stored by k links is de-quantized once, not k
 // times, and the cost of the writes is the model's size whatever the
 // chain's length. A chain of one link — every full checkpoint, every
 // delta of a replica that keeps up — has nothing to supersede, so it
 // gets no set and tests nothing.
-func (r *Restorer) applyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult,
-	eachShard func(n int, fn func(s int) error) error) error {
+func (r *Restorer) ApplyPlan(ctx context.Context, plan *Plan, tabs TableSet, res *RestoreResult) error {
 	sum := applied{written: res.RowsWritten}
-	err := eachShard(len(plan.Links), func(s int) error {
+	err := forEachShard(len(plan.Links), func(s int) error {
 		links := plan.Links[s]
 		var claimed claimedRows
 		if len(links) > 1 {

@@ -43,7 +43,7 @@ func (p FsyncPolicy) String() string {
 }
 
 // ParseFsync parses a -fsync flag value: "always", "interval" (default
-// 100ms window), "interval:250ms" or "interval(250ms)".
+// 100ms window) or "interval:250ms".
 func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 	v := strings.ToLower(strings.TrimSpace(s))
 	switch v {
@@ -52,13 +52,8 @@ func ParseFsync(s string) (FsyncPolicy, time.Duration, error) {
 	case "interval":
 		return FsyncInterval, 0, nil
 	}
-	var durStr string
-	switch {
-	case strings.HasPrefix(v, "interval:"):
-		durStr = strings.TrimPrefix(v, "interval:")
-	case strings.HasPrefix(v, "interval(") && strings.HasSuffix(v, ")"):
-		durStr = strings.TrimSuffix(strings.TrimPrefix(v, "interval("), ")")
-	default:
+	durStr, ok := strings.CutPrefix(v, "interval:")
+	if !ok {
 		return 0, 0, fmt.Errorf("objstore: unknown fsync policy %q (want always or interval[:dur])", s)
 	}
 	d, err := time.ParseDuration(durStr)

@@ -496,7 +496,7 @@ func TestParseFsync(t *testing.T) {
 		{"never", 0, 0, true},
 		{"interval", FsyncInterval, 0, false},
 		{"interval:250ms", FsyncInterval, 250 * time.Millisecond, false},
-		{"interval(50ms)", FsyncInterval, 50 * time.Millisecond, false},
+		{"interval(50ms)", 0, 0, true},
 		{"INTERVAL:1s", FsyncInterval, time.Second, false},
 		{"interval:-5ms", 0, 0, true},
 		{"interval:bogus", 0, 0, true},

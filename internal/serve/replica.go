@@ -160,14 +160,13 @@ type Stats struct {
 	// and RowsApplied what they applied from the store. ReconciledRows
 	// counts the rows copied between the two buffers: after the swap,
 	// every row an incremental link wrote, in the sync that wrote it; and
-	// before an apply, every row of a table a full link left lazy.
+	// before an apply, every row of a lazy table.
 	Syncs          uint64
 	LinksApplied   uint64
 	RowsApplied    uint64
 	ReconciledRows uint64
-	// Rebuilds counts whole-model fills of the second buffer: one after
-	// bootstrap, one after every failed apply.
-	Rebuilds uint64
+	// FailedSyncs counts sync passes that returned an error.
+	FailedSyncs uint64
 	// LastLists, LastGets and LastStats are the store operations of the
 	// most recent publishing sync. LastSync runs from its start to the
 	// swap, the wait a reader of the checkpoint sees: LastResolve finds
@@ -195,11 +194,12 @@ type Replica struct {
 	hint atomic.Int64
 
 	// standby and lazy belong to applyLoop, the single writer. standby
-	// is the buffer the next sync rewrites (nil until filled: after
-	// bootstrap and after a failed apply); lazy names the tables a full
-	// link of the last sync rewrote, which is exactly what standby lacks
-	// to equal the live set. Each is copied whole by the next sync,
-	// unless that sync's first link for it is a full baseline too.
+	// is the buffer the next sync rewrites: nil until bootstrap, then
+	// kept for the replica's life. lazy names the tables in which standby
+	// may differ from the live set: every table after bootstrap and after
+	// a failed apply, else those a full link of the last sync rewrote.
+	// Each is copied whole by the next sync, unless that sync's first
+	// link for it is a full baseline too.
 	standby *tableSet
 	lazy    map[int]bool
 
@@ -373,29 +373,11 @@ func (r *Replica) applyLoop() {
 			default:
 			}
 			r.logf("serve %s: sync: %v", r.cfg.JobID, err)
+			r.mu.Lock()
+			r.stats.FailedSyncs++
+			r.mu.Unlock()
 		}
-		// After the pass, not in it: the version it published is already
-		// being served while the second buffer is filled.
-		r.fillStandby()
 	}
-}
-
-// fillStandby gives the replica its second buffer, a copy of the live
-// set, when it has none: after bootstrap and after a failed apply.
-func (r *Replica) fillStandby() {
-	live := r.cur.Load()
-	if live == nil || r.standby != nil {
-		return
-	}
-	// No lock: the live set is written by nobody but this goroutine.
-	sb := &tableSet{id: live.id, step: live.step, tables: make(map[int]*embedding.Table, len(live.tables))}
-	for id, t := range live.tables {
-		sb.tables[id] = t.Clone()
-	}
-	r.standby, r.lazy = sb, nil
-	r.mu.Lock()
-	r.stats.Rebuilds++
-	r.mu.Unlock()
 }
 
 // syncOnce advances the served version to the newest complete composite
@@ -417,18 +399,25 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 	if live == nil {
 		next = newTableSet(plan)
 	}
-	// From here next is being rewritten. If the apply fails it holds rows
-	// of two checkpoints and is dropped; fillStandby makes a new one.
-	r.standby = nil
 	written, full, did, err := r.rewrite(ctx, plan, next, live)
 	if err != nil {
+		// A failed apply leaves next holding rows of two checkpoints.
+		// A failed bootstrap's next is dropped: there is no live set to
+		// copy from.
+		if live != nil {
+			r.lazy = every(live)
+		}
 		return err
 	}
 	r.cur.Store(next)
 	swapped := time.Now()
 	did.LastSync, did.LastResolve, did.LastApply = swapped.Sub(began), resolved.Sub(began), swapped.Sub(resolved)
-	// The old live set is the standby now: nobody waits on it any more.
-	if live != nil {
+	if live == nil {
+		// Bootstrap: the second buffer is allocated after the swap, so
+		// the first serve does not wait for it, and is wholly lazy.
+		live, full = newTableSet(plan), every(next)
+	} else {
+		// The old live set is the standby now: nobody waits on it any more.
 		did.ReconciledRows += reconcile(live, next, written, full)
 	}
 	r.standby, r.lazy = live, full
@@ -482,13 +471,12 @@ func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
 
 // rewrite turns next, the standby, into plan's checkpoint. A table
 // whose first new link is a full baseline is rewritten whole by it (a
-// chain holds a full link only first: ckpt's walkChain); any other table
-// the last sync left lazy is first copied whole from live. Then the
-// links are applied in place (ckpt.Restorer.ApplyPlan: the apply a
-// restore runs, one shard at a time), newest first per shard, a row
-// written once from the newest link that holds it — so written lists a
-// row once however many links a catch-up covers, and reconcile copies it
-// once.
+// chain holds a full link only first: ckpt's walkChain); any other lazy
+// table is first copied whole from live. Then the links are applied in
+// place (ckpt.Restorer.ApplyPlan: the apply a restore runs), newest
+// first per shard, a row written once from the newest link that holds
+// it — so written lists a row once however many links a catch-up
+// covers, and reconcile copies it once.
 //
 // Correctness across delta policies: Resolve cuts every shard's chain
 // to the links newer than the served checkpoint. A SinceBase link
@@ -530,6 +518,15 @@ func (r *Replica) rewrite(ctx context.Context, plan *ckpt.Plan, next, live *tabl
 	did.RowsApplied = uint64(res.RowsApplied)
 	next.id, next.step = plan.Top.ID, plan.Top.Step
 	return res.RowsWritten, full, did, nil
+}
+
+// every returns the IDs of all of ts's tables, as a lazy set.
+func every(ts *tableSet) map[int]bool {
+	ids := make(map[int]bool, len(ts.tables))
+	for id := range ts.tables {
+		ids[id] = true
+	}
+	return ids
 }
 
 // reconcile brings old, the live set until the swap that published

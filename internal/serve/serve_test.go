@@ -399,9 +399,8 @@ func readUnderCommit(t *testing.T, policy ckpt.PolicyKind) {
 	if st.ServedID != lastID {
 		t.Fatalf("served id = %d after commits, want %d", st.ServedID, lastID)
 	}
-	if st.Syncs != commits+1 || st.Rebuilds != 1 {
-		t.Fatalf("stats %+v: want %d publishing syncs (bootstrap and one per commit) over one fill of the second buffer",
-			st, commits+1)
+	if st.Syncs != commits+1 {
+		t.Fatalf("stats %+v: want %d publishing syncs (bootstrap and one per commit)", st, commits+1)
 	}
 	if policy == ckpt.PolicyFull && st.ReconciledRows != 0 {
 		t.Fatalf("reconciled %d rows between full baselines, which overwrite every row", st.ReconciledRows)

@@ -153,11 +153,14 @@ func TestSyncCostIndependentOfHistory(t *testing.T) {
 
 // TestSyncAllocatesForTheDeltaNotTheModel: landing a 0.3% delta must
 // not allocate anything the size of the model (the copy-on-write design
-// this replaced cloned every touched table, all of them).
+// this replaced cloned every touched table, all of them), and neither
+// must a failed apply or the sync that converges after it: the standby
+// is kept and its tables copied whole, not cloned.
 func TestSyncAllocatesForTheDeltaNotTheModel(t *testing.T) {
-	store := objstore.NewMemStore(objstore.MemConfig{})
+	inner := objstore.NewMemStore(objstore.MemConfig{})
+	store, failChunk := failOneChunkGet(inner)
 	rows := []int{65536, 32768, 65536}
-	f := follow(t, store, newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, rows))
+	f := follow(t, store, newHarnessWith(t, inner, ckpt.Config{Policy: ckpt.PolicyConsecutive}, rows))
 	f.commitAnnounced()
 	var modelBytes int64
 	for _, tab := range f.m.Sparse.Tables {
@@ -183,28 +186,52 @@ func TestSyncAllocatesForTheDeltaNotTheModel(t *testing.T) {
 		touch(0.003)
 		f.announce(f.commitTrained(f.ctx))
 	}
+	measure := func(what string, sync func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sync()
+		runtime.ReadMemStats(&after)
+		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), modelBytes/20; got > limit {
+			t.Errorf("%s allocated %d bytes, want under 5%% of the model's %d", what, got, modelBytes)
+		}
+	}
 	touch(0.003)
 	man := f.commitTrained(f.ctx)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f.announce(man)
-	runtime.ReadMemStats(&after)
-	if got, limit := int64(after.TotalAlloc-before.TotalAlloc), modelBytes/20; got > limit {
-		t.Errorf("one sync of a 0.3%% delta allocated %d bytes, want under 5%% of the model's %d", got, modelBytes)
-	}
-	if st := f.rep.Stats(); st.Rebuilds != 1 {
-		t.Errorf("second buffer filled %d times, want once", st.Rebuilds)
-	}
+	measure("one sync of a 0.3% delta", func() { f.announce(man) })
+	f.checkAll(man.ID)
+
+	touch(0.003)
+	failed := f.commitTrained(f.ctx)
+	failChunk.Store(true)
+	measure("a failed apply", func() {
+		f.ann.Announce(1, failed)
+		waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().FailedSyncs == 1 })
+	})
+	touch(0.003)
+	man = f.commitTrained(f.ctx)
+	measure("the sync after a failed apply", func() { f.announce(man) })
 	f.checkAll(man.ID)
 }
 
 var errChunkGet = errors.New("injected chunk Get failure")
 
+// failOneChunkGet wraps inner so that, while armed is set, the next
+// chunk Get fails with errChunkGet and disarms it.
+func failOneChunkGet(inner objstore.Store) (store objstore.Store, armed *atomic.Bool) {
+	armed = new(atomic.Bool)
+	return &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
+		if op == storetest.OpGet && strings.Contains(key, "/chunk/") && armed.CompareAndSwap(true, false) {
+			return errChunkGet
+		}
+		return do()
+	}}, armed
+}
+
 // TestFailedApplyKeepsServingAndConverges: a store failure in the
 // middle of an apply leaves the standby holding rows of two
 // checkpoints. The live set must keep answering, bit-identically, as
-// the checkpoint it names; the replica then refills its second buffer
-// and the next pass converges.
+// the checkpoint it names; the replica keeps its second buffer, every
+// table of it lazy, and the next pass converges.
 func TestFailedApplyKeepsServingAndConverges(t *testing.T) {
 	inner := objstore.NewMemStore(objstore.MemConfig{})
 	// The store fails one chunk Get once armed.
@@ -243,17 +270,42 @@ func TestFailedApplyKeepsServingAndConverges(t *testing.T) {
 		defer mu.Unlock()
 		return fired
 	})
-	// Refilled after the failed pass (bootstrap was the first fill).
-	waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Rebuilds == 2 })
+	waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().FailedSyncs == 1 })
 	f.checkAll(man1.ID)
 
-	// The next announcement's pass applies both links onto the new
-	// standby.
+	// The next announcement's pass copies the standby's tables whole
+	// and applies both links onto it.
 	man3 := f.commitAnnounced()
 	f.checkAll(man3.ID)
-	if st := f.rep.Stats(); st.Rebuilds != 2 {
-		t.Errorf("stats %+v: want exactly one refill after the one failure", st)
+	if st := f.rep.Stats(); st.FailedSyncs != 1 {
+		t.Errorf("stats %+v: want exactly one failed sync", st)
 	}
+}
+
+// TestFailedBootstrapSyncConverges: a store failure in the bootstrap
+// sync leaves nothing to copy the standby from. The next pass must
+// bootstrap afresh and serve bit-identically, and the sync after it
+// leave the standby level with the live set.
+func TestFailedBootstrapSyncConverges(t *testing.T) {
+	inner := objstore.NewMemStore(objstore.MemConfig{})
+	store, failChunk := failOneChunkGet(inner)
+	failChunk.Store(true) // the replica's first chunk Get is the bootstrap's
+	f := follow(t, store, newHarnessWith(t, inner, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil))
+	man := f.commit(f.ctx)
+	if man == nil {
+		t.FailNow()
+	}
+	f.ann.Announce(1, man)
+	waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().FailedSyncs == 1 })
+	f.announce(man)
+	f.checkAll(man.ID)
+
+	man = f.commitAnnounced()
+	synced(t, f.rep, 2)
+	if n := standbyLevel(t, f.rep); n != 0 {
+		t.Errorf("one sync after bootstrap, %d tables still lazy", n)
+	}
+	f.checkAll(man.ID)
 }
 
 // TestSkippedAndStaleHintsConverge: announcements are hints. A replica
@@ -549,19 +601,13 @@ func TestCatchUpWritesAndReconcilesEachRowOnce(t *testing.T) {
 // TestStandbyEqualsLiveAfterEverySync: once a sync's counters have
 // landed, the standby holds what the live set serves, bit for bit,
 // weights and Accum, save the tables a full link left lazy; under
-// consecutive increments and under intermittent re-baselines. After a
-// failed apply the refilled standby equals the live set whole.
+// consecutive increments and under intermittent re-baselines. A failed
+// apply leaves every table lazy, and the next sync levels them.
 func TestStandbyEqualsLiveAfterEverySync(t *testing.T) {
 	for _, policy := range []ckpt.PolicyKind{ckpt.PolicyConsecutive, ckpt.PolicyIntermittent} {
 		t.Run(policy.String(), func(t *testing.T) {
 			inner := objstore.NewMemStore(objstore.MemConfig{})
-			var failChunk atomic.Bool
-			store := &storetest.Hook{Store: inner, Around: func(_ context.Context, op storetest.Op, key string, do func() error) error {
-				if op == storetest.OpGet && strings.Contains(key, "/chunk/") && failChunk.CompareAndSwap(true, false) {
-					return errChunkGet
-				}
-				return do()
-			}}
+			store, failChunk := failOneChunkGet(inner)
 			f := follow(t, store, newHarnessWith(t, inner, ckpt.Config{Policy: policy}, nil))
 			f.commitAnnounced()
 			// Eight syncs at least; under the intermittent policy, on to
@@ -594,9 +640,9 @@ func TestStandbyEqualsLiveAfterEverySync(t *testing.T) {
 				t.FailNow()
 			}
 			f.ann.Announce(1, failed)
-			waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().Rebuilds == 2 })
-			if n := standbyLevel(t, f.rep); n != 0 {
-				t.Errorf("the refilled standby left %d tables lazy", n)
+			waitFor(t, 10*time.Second, func() bool { return f.rep.Stats().FailedSyncs == 1 })
+			if n, all := standbyLevel(t, f.rep), len(f.rep.cur.Load().tables); n != all {
+				t.Errorf("the failed apply left %d of %d tables lazy, want all", n, all)
 			}
 			man := f.commitAnnounced()
 			synced(t, f.rep, uint64(man.ID))
@@ -607,9 +653,9 @@ func TestStandbyEqualsLiveAfterEverySync(t *testing.T) {
 }
 
 // standbyLevel checks that r's standby equals its live set bit for bit,
-// weights and Accum, in every table but those a full link left lazy,
-// and returns how many those were. r must be idle: its last sync's
-// counters or refill landed, no announcement pending.
+// weights and Accum, in every table but the lazy ones, and returns how
+// many those were. r must be idle: its last sync's
+// counters landed, no announcement pending.
 func standbyLevel(t *testing.T, r *Replica) (lazy int) {
 	t.Helper()
 	live, sb := r.cur.Load(), r.standby
