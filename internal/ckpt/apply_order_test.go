@@ -71,8 +71,8 @@ func storedRows(t *testing.T, f *fixture, plan *Plan) (all, incremental map[int]
 					if err != nil {
 						t.Fatal(err)
 					}
-					c, err := new(wire.RowBuf).DecodeAlias(blob)
-					if err != nil {
+					var v wire.ChunkView
+					if err := v.Decode(blob); err != nil {
 						t.Fatal(err)
 					}
 					for _, sets := range []map[int]map[uint32]bool{all, incremental} {
@@ -80,10 +80,10 @@ func storedRows(t *testing.T, f *fixture, plan *Plan) (all, incremental map[int]
 							sets[tm.TableID] = make(map[uint32]bool)
 						}
 					}
-					for _, row := range c.Rows {
-						all[tm.TableID][row.Index] = true
+					for _, idx := range v.Index {
+						all[tm.TableID][idx] = true
 						if m.Kind != wire.KindFull.String() {
-							incremental[tm.TableID][row.Index] = true
+							incremental[tm.TableID][idx] = true
 						}
 					}
 				}

@@ -136,7 +136,7 @@ func TestChunkPackagingKeepsEveryCode(t *testing.T) {
 									if err != nil {
 										t.Fatal(err)
 									}
-									chunk, err := new(wire.RowBuf).DecodeAlias(blob)
+									chunk, err := decodeRows(blob)
 									if err != nil {
 										t.Fatal(err)
 									}
@@ -179,13 +179,13 @@ type chunkSizeStore struct {
 }
 
 func (s *chunkSizeStore) Put(_ context.Context, _ string, v []byte) error {
-	c, err := new(wire.RowBuf).DecodeAlias(v)
-	if err != nil {
+	var c wire.ChunkView
+	if err := c.Decode(v); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.chunks = append(s.chunks, [2]int{len(v), len(c.Rows)})
+	s.chunks = append(s.chunks, [2]int{len(v), len(c.Index)})
 	return nil
 }
 

@@ -846,15 +846,15 @@ func recoverEngine(ctx context.Context, cfg Config, committed func(ctx context.C
 				eng.cumulative[tm.TableID] = bitvec.New(tm.Rows)
 			}
 		}
-		err := rest.walkChunks(ctx, m, func(_ *quant.Scratch, tm *wire.TableManifest, _ string, chunk *wire.Chunk, _ int64, err error) error {
+		err := rest.walkChunks(ctx, m, func(w *walker, tm *wire.TableManifest, _ string, _ int64, err error) error {
 			if err != nil {
 				return fmt.Errorf("ckpt: recover: %w", err)
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			bm := eng.cumulative[tm.TableID]
-			for r := range chunk.Rows {
-				bm.Set(int(chunk.Rows[r].Index))
+			for _, idx := range w.view.Index {
+				bm.Set(int(idx))
 			}
 			return nil
 		})

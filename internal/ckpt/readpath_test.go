@@ -47,7 +47,7 @@ func TestVerifyAgreesWithRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := new(wire.RowBuf).DecodeAlias(blob)
+		c, err := decodeRows(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestWalkChunksEndsWithItsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(f.ctx)
 	f.rest.decoders = 1 // one worker: the visits below are sequential
 	visited := 0
-	err = f.rest.walkChunks(ctx, man, func(*quant.Scratch, *wire.TableManifest, string, *wire.Chunk, int64, error) error {
+	err = f.rest.walkChunks(ctx, man, func(*walker, *wire.TableManifest, string, int64, error) error {
 		visited++
 		cancel()
 		return nil
@@ -337,4 +337,22 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
 		}
 	}
+}
+
+// decodeRows decodes blob through a wire.ChunkView and returns its rows
+// as a wire.Chunk, a QVector each, codes aliasing blob: the form a test
+// inspects, edits and re-encodes through AppendTo.
+func decodeRows(blob []byte) (*wire.Chunk, error) {
+	var v wire.ChunkView
+	if err := v.Decode(blob); err != nil {
+		return nil, err
+	}
+	c := &wire.Chunk{TableID: v.TableID, Rows: make([]wire.Row, len(v.Index))}
+	n := quant.PackedLen(v.Dim, v.Bits)
+	for i := range c.Rows {
+		lo, scale := v.Range(i)
+		q := &quant.QVector{Bits: v.Bits, N: v.Dim, Lo: lo, Scale: scale, Codes: v.Codes[i*n : (i+1)*n : (i+1)*n]}
+		c.Rows[i] = wire.Row{Index: v.Index[i], Accum: v.Accum(i), Q: q}
+	}
+	return c, nil
 }

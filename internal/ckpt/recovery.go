@@ -511,39 +511,37 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 		}
 	}
 	record := sum.written != nil && man.Kind != wire.KindFull.String()
-	return r.walkChunks(ctx, man, func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error {
+	return r.walkChunks(ctx, man, func(w *walker, tm *wire.TableManifest, key string, size int64, err error) error {
 		if err != nil {
 			return fmt.Errorf("ckpt: %w", err)
 		}
 		// The shape check above made tm's bounds the table's; readChunk
-		// held every row of the chunk to them before any is looked at here.
-		tab := tabs.Table(tm.TableID)
-		rows := chunk.Rows
-		if seen := claimed[tm.TableID]; seen != nil {
-			rows = rows[:0] // the chunk is this visit's to cut down
-			for _, row := range chunk.Rows {
-				if !seen[row.Index] {
-					seen[row.Index] = true
-					rows = append(rows, row)
-				}
+		// held the chunk's rows to them before any is looked at here.
+		tab, v, seen := tabs.Table(tm.TableID), &w.view, claimed[tm.TableID]
+		w.pick = slices.Grow(w.pick[:0], len(v.Index))
+		pick := w.pick // the positions of the rows no newer link claimed
+		for i, idx := range v.Index {
+			if seen == nil {
+				pick = append(pick, uint32(i))
+			} else if !seen[idx] {
+				seen[idx] = true
+				pick = append(pick, uint32(i))
 			}
 		}
-		if i, err := quant.DequantizeRows(len(rows), func(i int) ([]float32, *quant.QVector) {
-			return tab.Lookup(int(rows[i].Index)), rows[i].Q
-		}, scratch); err != nil {
-			return fmt.Errorf("ckpt: %s row %d: %w", key, rows[i].Index, err)
+		if i, err := quant.DequantizeRows(tab.Weights.Data, &v.Columns, v.Index, pick, &w.scratch); err != nil {
+			return fmt.Errorf("ckpt: %s row %d: %w", key, v.Index[i], err)
 		}
-		for i := range rows {
-			tab.Accum[rows[i].Index] = rows[i].Accum
+		for _, i := range pick {
+			tab.Accum[v.Index[i]] = v.Accum(int(i))
 		}
 		sum.mu.Lock()
 		defer sum.mu.Unlock()
-		sum.rows += len(rows)
+		sum.rows += len(pick)
 		sum.bytes += size
 		if record {
 			written := sum.written[tm.TableID]
-			for i := range rows {
-				written = append(written, rows[i].Index)
+			for _, i := range pick {
+				written = append(written, v.Index[i])
 			}
 			sum.written[tm.TableID] = written
 		}
@@ -551,27 +549,29 @@ func (r *Restorer) applyManifest(ctx context.Context, man *wire.Manifest, tabs T
 	})
 }
 
+// walker is one chunk-walk worker's storage, kept from chunk to chunk:
+// the view a chunk is decoded into, and what visit de-quantizes it with.
+type walker struct {
+	view    wire.ChunkView
+	scratch quant.Scratch
+	pick    []uint32
+}
+
 // walkChunks is the one chunk read loop, under restore, replica sync,
 // verify and engine rejoin alike. It fans man's chunk keys over
-// r.decoders workers; each Gets an object, alias-decodes it (CRC
-// included) into row storage the worker keeps from chunk to chunk, checks
-// it against the TableManifest that names it — table ID, every row index
-// below Rows, every row's dim equal to Dim — and hands the outcome to
-// visit: the chunk, or the error that stopped it short of one (size is
-// what was fetched either way). visit decides what an error means:
-// returning non-nil aborts the walk, which then returns that error;
-// returning nil (having recorded it) carries on.
+// r.decoders workers; each Gets an object, decodes it (CRC included)
+// into its walker's view, checks it against the TableManifest that names
+// it (readChunk) and hands the outcome to visit: the walker, whose view
+// holds the chunk, or the error that stopped it short of one (size is
+// what was fetched either way). visit returning non-nil aborts the walk,
+// which then returns that error; nil (having recorded any) carries on.
 // A context that ends with chunks still unread, or under a read, is the
-// walk's error and no finding of visit's.
-//
-// visit runs on the worker goroutines, so it must serialise what it
-// shares; scratch is the calling worker's own, for de-quantizing. chunk
-// aliases the fetched object and lives in the worker's row storage: it is
-// visit's to consume, or cut down, and dead once visit returns — when the
-// walk hands the object back to the store's pool (rpc.Recycle), so
-// nothing visit keeps may point into it.
+// walk's error and no finding of visit's. visit runs on the worker
+// goroutines, so it must serialise what it shares. The view aliases the
+// fetched object, which the walk hands back to the store's pool
+// (rpc.Recycle) once visit returns: nothing visit keeps may point into it.
 func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
-	visit func(scratch *quant.Scratch, tm *wire.TableManifest, key string, chunk *wire.Chunk, size int64, err error) error) error {
+	visit func(w *walker, tm *wire.TableManifest, key string, size int64, err error) error) error {
 	type work struct {
 		tm  *wire.TableManifest
 		key string
@@ -600,17 +600,14 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var (
-				scratch quant.Scratch
-				rows    wire.RowBuf
-			)
+			var w walker
 			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
-				blob, chunk, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &rows)
+				blob, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &w.view)
 				if cerr := ctx.Err(); cerr != nil {
 					fail(cerr) // whatever the read says, it says it of the context
 					return
 				}
-				err = visit(&scratch, todo[i].tm, todo[i].key, chunk, int64(len(blob)), err)
+				err = visit(&w, todo[i].tm, todo[i].key, int64(len(blob)), err)
 				rpc.Recycle(blob)
 				if err != nil {
 					fail(err)
@@ -623,36 +620,31 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	return first
 }
 
-// readChunk fetches the object stored under key, decodes it into rows as
-// a chunk and checks that against tm, the table manifest that names it.
-// After it a row has no way left to fail its de-quantizing, so a row that
-// a restore skips hides no error. Its row indices strictly increase: the
-// one layout the decoder accepts, CKP3, stores each as a gap of at least
-// one. The object comes back whatever the decode and checks found, nil
-// only when the Get failed.
-func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, rows *wire.RowBuf) ([]byte, *wire.Chunk, error) {
+// readChunk fetches the object stored under key, decodes it into v and
+// checks it against tm: table ID, dim, and every row index below Rows —
+// the last one, since the decoder guarantees they strictly increase
+// (CKP3 stores each as a gap of at least one). After it no row can fail
+// its de-quantizing, so a row a restore skips hides no error. The object
+// comes back whatever the decode and checks found, nil only when the Get
+// failed.
+func (r *Restorer) readChunk(ctx context.Context, tm *wire.TableManifest, key string, v *wire.ChunkView) ([]byte, error) {
 	blob, err := r.store.Get(ctx, key)
 	if err != nil {
-		return nil, nil, fmt.Errorf("get %s: %w", key, err)
+		return nil, fmt.Errorf("get %s: %w", key, err)
 	}
-	// Alias decode: visit consumes the rows before blob is recycled and
-	// before rows is decoded into again, so neither the per-row Codes
-	// copy nor fresh row structs would buy anything.
-	chunk, err := rows.DecodeAlias(blob)
-	if err != nil {
-		return blob, nil, fmt.Errorf("%s: %w", key, err)
+	if err := v.Decode(blob); err != nil {
+		return blob, fmt.Errorf("%s: %w", key, err)
 	}
-	if int(chunk.TableID) != tm.TableID {
-		return blob, nil, fmt.Errorf("%s: holds table %d, manifest says %d", key, chunk.TableID, tm.TableID)
+	if int(v.TableID) != tm.TableID {
+		return blob, fmt.Errorf("%s: holds table %d, manifest says %d", key, v.TableID, tm.TableID)
 	}
-	// Every row takes its dim from the chunk's header.
-	if len(chunk.Rows) > 0 && chunk.Rows[0].Q.N != tm.Dim {
-		return blob, nil, fmt.Errorf("%s: rows have dim %d, want %d", key, chunk.Rows[0].Q.N, tm.Dim)
-	}
-	for _, row := range chunk.Rows {
-		if int(row.Index) >= tm.Rows {
-			return blob, nil, fmt.Errorf("%s: row index %d out of range [0,%d)", key, row.Index, tm.Rows)
+	if n := len(v.Index); n > 0 {
+		if v.Dim != tm.Dim {
+			return blob, fmt.Errorf("%s: rows have dim %d, want %d", key, v.Dim, tm.Dim)
+		}
+		if last := v.Index[n-1]; int(last) >= tm.Rows {
+			return blob, fmt.Errorf("%s: row index %d out of range [0,%d)", key, last, tm.Rows)
 		}
 	}
-	return blob, chunk, nil
+	return blob, nil
 }

@@ -24,11 +24,13 @@ import (
 // same either way: 920, one per 2048-row 4-bit chunk (3360 with one
 // 512-row segment per chunk). B/op is what the Gets leave behind, since
 // the walk recycles each fetched object: with -benchmem -cpu 2 it reads
-// 7.4 MB on mem and 13.5 MB on tcp, where a fresh body per Get on each
-// end of the wire took 70.1 and 138.6 MB. ns/op at -cpu 2 on a 2-core
-// Intel Xeon VM: 76 ms on mem and 97 ms on tcp with a 4-bit row
-// de-quantized by DequantizeInto's Go loop, 54 and 72 ms with
-// DequantizeRows' AVX2 kernel streaming each row to its table.
+// 1.9 MB on mem and 2.9 MB on tcp (7.4 and 13.5 MB while a chunk decoded
+// to a Row and a QVector per row; 70.1 and 138.6 MB with a fresh body
+// per Get on each end of the wire). ns/op at -cpu 2 on a 2-core Intel
+// Xeon VM: 23–27 ms on mem and 37–39 ms on tcp with each chunk read as a
+// wire.ChunkView and its rows de-quantized from the view's columns; 49–56
+// and 70–72 ms with a Row and a QVector per decoded row; 76 and 97 ms
+// before DequantizeRows' AVX2 kernel.
 func BenchmarkRestoreChain(b *testing.B) {
 	const job, dim, links = "chain", 32, 22
 	ctx := context.Background()

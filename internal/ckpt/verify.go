@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/objstore"
-	"repro/internal/quant"
 	"repro/internal/wire"
 )
 
@@ -64,7 +63,7 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 	scrub = append(scrub, top)
 	var mu sync.Mutex // guards res across the walk's workers
 	for _, man := range scrub {
-		err := r.walkChunks(ctx, man, func(_ *quant.Scratch, _ *wire.TableManifest, _ string, chunk *wire.Chunk, size int64, err error) error {
+		err := r.walkChunks(ctx, man, func(w *walker, _ *wire.TableManifest, _ string, size int64, err error) error {
 			mu.Lock()
 			defer mu.Unlock()
 			res.Bytes += size
@@ -73,7 +72,7 @@ func (r *Restorer) Verify(ctx context.Context, id int) (*VerifyResult, error) {
 				return nil
 			}
 			res.Chunks++
-			res.Rows += len(chunk.Rows)
+			res.Rows += len(w.view.Index)
 			return nil
 		})
 		if err != nil {

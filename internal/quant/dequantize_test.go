@@ -1,6 +1,9 @@
 package quant
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +14,7 @@ import (
 // width is stored with in TestDequantizeRowsMatchesGoKernel: a trained
 // row's, -0 and +0 steps and zero points, subnormals, values near
 // float32's ends, and random bit patterns. Only pairs CheckRange accepts
-// reach a chunk, so only those are kept.
+// reach a chunk, with a bfloat16 step, so only those are kept.
 func dequantizeRanges(rng *rand.Rand, bits int) []grid {
 	negZero := float32(math.Copysign(0, -1))
 	maxCode := float64(int(1)<<uint(bits) - 1)
@@ -20,16 +23,15 @@ func dequantizeRanges(rng *rand.Rand, bits int) []grid {
 		{negZero, 0},
 		{negZero, 0.25},
 		{0, 0},
-		{f32fb(1), f32fb(1)},                   // subnormal zero point and step
-		{f32fb(0x80000001), f32fb(0x007fffff)}, // negative subnormal, largest subnormal step
-		{f32fb(0x807fffff), f32fb(0x00010000)}, // a bfloat16 subnormal step
-		{-3.4e38, float32(min(6.8e38*0.999/maxCode, 3.4e38))}, // the top level near float32's largest
+		{f32fb(1), f32fb(1 << 16)},             // subnormal zero point and step
+		{f32fb(0x80000001), f32fb(0x007f0000)}, // negative subnormal, largest subnormal step
+		{f32fb(0x807fffff), f32fb(0x00010000)}, // the least subnormal step
+		{-3.4e38, f32fb(f32b(float32(min(6.8e38*0.999/maxCode, 3.4e38))) &^ 0xffff)}, // the top level near float32's largest
 		{3.4e38, 0},
-		{-1e30, 1e28},
-		{1, f32fb(0x3f800001)}, // a step that is no bfloat16
+		{-1e30, f32fb(f32b(1e28) &^ 0xffff)},
 	}
 	for len(pool) < 16 {
-		g := grid{f32fb(rng.Uint32()), f32fb(rng.Uint32() &^ (1 << 31))}
+		g := grid{f32fb(rng.Uint32()), f32fb(rng.Uint32() &^ (1<<31 | 0xffff))}
 		if CheckRange(g.zero, g.scale, bits) == nil {
 			pool = append(pool, g)
 		}
@@ -43,13 +45,30 @@ func dequantizeRanges(rng *rand.Rand, bits int) []grid {
 	return kept
 }
 
+// columnsOf lays rows of one width and dimension out as a chunk stores
+// them.
+func columnsOf(qs []QVector) *Columns {
+	c := &Columns{Bits: qs[0].Bits, Dim: qs[0].N}
+	for _, q := range qs {
+		if q.Bits != 32 {
+			c.Lo = binary.LittleEndian.AppendUint32(c.Lo, f32b(q.Lo))
+			c.Scale = binary.LittleEndian.AppendUint16(c.Scale, uint16(f32b(q.Scale)>>16))
+		}
+		c.Codes = append(c.Codes, q.Codes...)
+	}
+	return c
+}
+
 // TestDequantizeRowsMatchesGoKernel holds the batch entry to
 // DequantizeInto, row by row and bit for bit, with the assembly on and
 // off: at every width the restore meets (1, 2, 4, 8 bits, and raw fp32
-// at 32), every dim in 1..129, and every offset of a row from a 32-byte
-// boundary in 0..7 floats, so that the streaming stores, the rows'
-// tails and the Go loop an unaligned row falls back to all run. Every
-// float beside a row must keep the sentinel it was filled with.
+// at 32), every dim in 1..129, and every offset of the table from a
+// 32-byte boundary in 0..7 floats, so that the streaming stores, the
+// rows' tails and the Go loop an unaligned row falls back to all run.
+// The rows land in every other row or further apart, at least eight
+// floats between two, in the order pick gives, and every third is not
+// picked: every float outside a picked row must keep the sentinel it was
+// filled with.
 func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 	const sentinel = 0x7fc0dead
 	rng := rand.New(rand.NewSource(49))
@@ -78,24 +97,33 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					// Rows a stride of whole 32-byte blocks apart, each with
-					// at least eight sentinels after it.
-					stride := (dim + 8 + 7) &^ 7
-					buf := make([]float32, len(qs)*stride+16)
+					cols := columnsOf(qs)
+					// Row i lands in table row i·every, last to first.
+					every := 1 + (8+dim-1)/dim
+					to := make([]uint32, len(qs))
+					var pick []uint32
+					for i := range to {
+						to[i] = uint32(i * every)
+						if j := len(qs) - 1 - i; j%3 != 2 {
+							pick = append(pick, uint32(j))
+						}
+					}
+					picked := func(i int) bool { return i%3 != 2 }
+					buf := make([]float32, len(qs)*every*dim+16)
 					base := (8 - int(uintptr(unsafe.Pointer(&buf[0]))%32/4)) % 8
 					for off := 0; off < 8; off++ {
 						for i := range buf {
 							buf[i] = f32fb(sentinel)
 						}
-						at := func(i int) ([]float32, *QVector) {
-							p := base + i*stride + off
-							return buf[p : p+dim], &qs[i]
-						}
-						if i, err := DequantizeRows(len(qs), at, &s); err != nil {
+						table := buf[base+off:]
+						if i, err := DequantizeRows(table, cols, to, pick, &s); err != nil {
 							t.Fatalf("bits=%d dim=%d offset %d: row %d: %v", bits, dim, off, i, err)
 						}
 						for i := range qs {
-							got, _ := at(i)
+							if !picked(i) {
+								continue
+							}
+							got := table[int(to[i])*dim:][:dim]
 							for j := range got {
 								if f32b(got[j]) != f32b(want[i][j]) {
 									t.Fatalf("asm=%v bits=%d dim=%d offset %d row %d [lo %v step %v]: element %d is %#x, DequantizeInto %#x",
@@ -105,11 +133,11 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 						}
 						inRow := func(p int) bool {
 							q := p - base - off
-							return q >= 0 && q/stride < len(qs) && q%stride < dim
+							return q >= 0 && q/(every*dim) < len(qs) && q%(every*dim) < dim && picked(q/(every*dim))
 						}
 						for p, v := range buf {
 							if !inRow(p) && f32b(v) != sentinel {
-								t.Fatalf("asm=%v bits=%d dim=%d offset %d: float %d, outside every row, is %#x",
+								t.Fatalf("asm=%v bits=%d dim=%d offset %d: float %d, outside every picked row, is %#x",
 									asm, bits, dim, off, p, f32b(v))
 							}
 						}
@@ -125,31 +153,174 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 	t.Logf("%d batches, assembly and Go equal to DequantizeInto", batches)
 }
 
-// TestDequantizeRowsStopsAtABadRow: a row DequantizeInto refuses stops
-// the batch at its position, with the rows before it written.
+// TestDequantizeRowsStopsAtABadRow: a row whose destination lies past
+// the table's end stops the batch at its position, with the rows before
+// it written; a width no row is stored at, or columns too short for the
+// rows, stops it before any row is written.
 func TestDequantizeRowsStopsAtABadRow(t *testing.T) {
 	x := trainedLikeVector(rand.New(rand.NewSource(1)), 32)
 	good, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := *good
-	bad.Codes = bad.Codes[:3]
-	qs := []*QVector{good, good, &bad, good}
-	dst := make([][]float32, len(qs))
-	for i := range dst {
-		dst[i] = make([]float32, len(x))
-	}
-	i, err := DequantizeRows(len(qs), func(i int) ([]float32, *QVector) { return dst[i], qs[i] }, nil)
+	cols := columnsOf([]QVector{*good, *good, *good, *good})
+	table := make([]float32, 4*len(x))
+	all := []uint32{0, 1, 2, 3}
+	i, err := DequantizeRows(table, cols, []uint32{0, 1, 4, 2}, all, nil)
 	if err == nil || i != 2 {
 		t.Fatalf("DequantizeRows = %d, %v; want row 2 refused", i, err)
 	}
 	want := Dequantize(good)
 	for r := 0; r < 2; r++ {
 		for j := range want {
-			if f32b(dst[r][j]) != f32b(want[j]) {
-				t.Fatalf("row %d, before the refused one, element %d: %v, want %v", r, j, dst[r][j], want[j])
+			if got := table[r*len(x)+j]; f32b(got) != f32b(want[j]) {
+				t.Fatalf("row %d, before the refused one, element %d: %v, want %v", r, j, got, want[j])
 			}
 		}
 	}
+	for name, c := range map[string]*Columns{
+		"bits-9":      {Bits: 9, Dim: cols.Dim, Lo: cols.Lo, Scale: cols.Scale, Codes: cols.Codes},
+		"short-codes": {Bits: 4, Dim: cols.Dim, Lo: cols.Lo, Scale: cols.Scale, Codes: cols.Codes[:len(cols.Codes)-1]},
+		"short-lo":    {Bits: 4, Dim: cols.Dim, Lo: cols.Lo[:15], Scale: cols.Scale, Codes: cols.Codes},
+	} {
+		clear(table)
+		if i, err := DequantizeRows(table, c, all, all, nil); err == nil || i != 0 {
+			t.Errorf("%s: DequantizeRows = %d, %v; want the call refused", name, i, err)
+		}
+		for j, v := range table {
+			if v != 0 {
+				t.Fatalf("%s: a refused call wrote float %d", name, j)
+			}
+		}
+	}
+}
+
+// rangeEdges are the zero points and bfloat16 steps
+// TestCheckRangesMatchesCheckRange combines: ±0, subnormals and the
+// largest finite value, ±Inf, NaNs with several payloads, and steps with
+// the sign bit set.
+var rangeEdges = struct {
+	lo    []uint32
+	scale []uint16
+}{
+	lo: []uint32{
+		0, 1 << 31, // ±0
+		1, 0x807fffff, 0x00400000, // subnormals
+		0x7f7fffff, 0xff7fffff, 0x3f800000, 0xbdcccccd, // ±largest, 1, -0.1
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0x7f800001, 0xffc00001, 0x7fffffff, 0xffbfffff, // NaNs
+	},
+	scale: []uint16{
+		0, 0x0001, 0x007f, 0x0080, 0x3c00, 0x3f80, 0x7f7f, // +0, subnormals, small, 1, largest
+		0x8000, 0x8001, 0xbf80, 0xff7f, // the sign bit set
+		0x7f80, 0xff80, // ±Inf
+		0x7fc0, 0x7f81, 0xffc0, 0xffff, // NaNs
+	},
+}
+
+// overflowRanges returns, for each width of 1 to 8 bits, a range whose
+// top level overflows at that width and at none below it.
+func overflowRanges(tb testing.TB) [][2]uint32 {
+	var out [][2]uint32
+	const lo = 0x7f000000 // 2^127: a top level at most 2^127 above it overflows
+	for bits := 1; bits <= 8; bits++ {
+		found := false
+		for s := uint32(0x7000); s < 0x7f80 && !found; s++ {
+			if CheckRange(f32fb(lo), f32fb(s<<16), bits) != nil && (bits == 1 || CheckRange(f32fb(lo), f32fb(s<<16), bits-1) == nil) {
+				out, found = append(out, [2]uint32{lo, s}), true
+			}
+		}
+		if !found {
+			tb.Fatalf("no step overflows first at %d bits", bits)
+		}
+	}
+	return out
+}
+
+// checkRangesAgree holds CheckRanges on one pair of columns to
+// CheckRange row by row: the same first refused row, with the same
+// error, or none.
+func checkRangesAgree(tb testing.TB, lo, scale []byte, bits int) {
+	n := min(len(lo)/4, len(scale)/2)
+	c := Columns{Bits: bits, Lo: lo, Scale: scale}
+	wantAt, wantErr := n, error(nil)
+	for i := 0; i < n; i++ {
+		l, s := c.Range(i)
+		if err := CheckRange(l, s, bits); err != nil {
+			wantAt, wantErr = i, err
+			break
+		}
+	}
+	if at, err := CheckRanges(lo, scale, bits); at != wantAt || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		tb.Fatalf("%d-bit columns of %d rows: CheckRanges = %d, %v; CheckRange refuses row %d: %v", bits, n, at, err, wantAt, wantErr)
+	}
+}
+
+// appendRange appends one row's zero point and step to the columns.
+func appendRange(lo, scale []byte, l uint32, s uint16) ([]byte, []byte) {
+	return binary.LittleEndian.AppendUint32(lo, l), binary.LittleEndian.AppendUint16(scale, s)
+}
+
+// TestCheckRangesMatchesCheckRange: the one-pass range check refuses
+// exactly the rows CheckRange refuses and names the first of them with
+// CheckRange's error — for every pair of edge values alone, behind seven
+// rows that pass, and all pairs in one chunk in several orders, at every
+// width, with a top level that first overflows at each width among them.
+func TestCheckRangesMatchesCheckRange(t *testing.T) {
+	pairs := overflowRanges(t)
+	for _, l := range rangeEdges.lo {
+		for _, s := range rangeEdges.scale {
+			pairs = append(pairs, [2]uint32{l, uint32(s)})
+		}
+	}
+	rng := rand.New(rand.NewSource(51))
+	refused := 0
+	for bits := 1; bits <= 8; bits++ {
+		var goodLo, goodScale []byte
+		for i := 0; i < 7; i++ {
+			goodLo, goodScale = appendRange(goodLo, goodScale, 0xbdcccccd, 0x3c00)
+		}
+		var allLo, allScale []byte
+		for _, p := range pairs {
+			lo, scale := appendRange(nil, nil, p[0], uint16(p[1]))
+			checkRangesAgree(t, lo, scale, bits)
+			lo, scale = appendRange(bytes.Clone(goodLo), bytes.Clone(goodScale), p[0], uint16(p[1]))
+			checkRangesAgree(t, lo, scale, bits)
+			allLo, allScale = appendRange(allLo, allScale, p[0], uint16(p[1]))
+			if CheckRange(f32fb(p[0]), f32fb(p[1]<<16), bits) != nil {
+				refused++
+			}
+		}
+		for k := 0; k < 8; k++ {
+			checkRangesAgree(t, allLo, allScale, bits)
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			allLo, allScale = allLo[:0], allScale[:0]
+			for _, p := range pairs {
+				allLo, allScale = appendRange(allLo, allScale, p[0], uint16(p[1]))
+			}
+		}
+		checkRangesAgree(t, goodLo, goodScale, bits)
+	}
+	if refused == 0 || refused == 8*len(pairs) {
+		t.Fatalf("%d of %d rows refused: the edges do not tell the check apart", refused, 8*len(pairs))
+	}
+}
+
+// FuzzCheckRanges holds CheckRanges to CheckRange on arbitrary columns:
+// data's first two thirds are the zero points, the rest the steps.
+func FuzzCheckRanges(f *testing.F) {
+	for _, p := range overflowRanges(f) {
+		lo, scale := appendRange(nil, nil, p[0], uint16(p[1]))
+		f.Add(append(lo, scale...), uint8(0))
+	}
+	for i, l := range rangeEdges.lo {
+		s := rangeEdges.scale[i%len(rangeEdges.scale)]
+		lo, scale := appendRange(nil, nil, 0x3f800000, 0x3c00)
+		lo, scale = appendRange(lo, scale, l, s)
+		f.Add(append(lo, scale...), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits uint8) {
+		n := len(data) / 6
+		checkRangesAgree(t, data[:4*n], data[4*n:6*n], 1+int(bits%8))
+	})
 }

@@ -162,8 +162,15 @@ func BenchmarkDequantizeRowsEngineShape(b *testing.B) {
 		}
 		qs[i] = *q
 	}
+	cols := columnsOf(qs)
 	table := make([]float32, tableRows*dim)
-	perm := rng.Perm(tableRows)
+	perm, pick := make([]uint32, tableRows), make([]uint32, chunkRows)
+	for i, r := range rng.Perm(tableRows) {
+		perm[i] = uint32(r)
+	}
+	for i := range pick {
+		pick[i] = uint32(i)
+	}
 	for _, kernel := range []struct {
 		name string
 		asm  bool
@@ -177,11 +184,8 @@ func BenchmarkDequantizeRowsEngineShape(b *testing.B) {
 			b.ResetTimer()
 			for done := 0; done < b.N; done += chunkRows {
 				n := min(chunkRows, b.N-done)
-				at := func(i int) ([]float32, *QVector) {
-					r := perm[(next+i)%tableRows]
-					return table[r*dim : (r+1)*dim], &qs[i]
-				}
-				if _, err := DequantizeRows(n, at, &s); err != nil {
+				at := next % (tableRows - chunkRows)
+				if _, err := DequantizeRows(table, cols, perm[at:at+n], pick[:n], &s); err != nil {
 					b.Fatal(err)
 				}
 				next += n

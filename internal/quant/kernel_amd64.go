@@ -75,18 +75,18 @@ func dequantize4AVX2(dst []float32, codes []byte, scale, lo float32)
 // ones included, before every store after it.
 func storeFence()
 
-// dequantize4 writes a 4-bit row that checkRow has accepted, and
-// reports whether it did: the assembly writes its groups of eight, Go
-// the rest. On a CPU without AVX2, or into a row that does not start on
-// a 32-byte boundary, it writes nothing.
-func dequantize4(dst []float32, q *QVector) bool {
+// dequantize4 writes a 4-bit row of len(dst) elements whose codes have
+// been checked, and reports whether it did: the assembly writes its
+// groups of eight, Go the rest. On a CPU without AVX2, or into a row
+// that does not start on a 32-byte boundary, it writes nothing.
+func dequantize4(dst []float32, codes []byte, lo, scale float32) bool {
 	if !useAVX2 || uintptr(unsafe.Pointer(unsafe.SliceData(dst)))%32 != 0 {
 		return false
 	}
 	raceWriteRow(dst)
-	dequantize4AVX2(dst, q.Codes, q.Scale, q.Lo)
+	dequantize4AVX2(dst, codes, scale, lo)
 	for i := len(dst) &^ 7; i < len(dst); i++ {
-		dst[i] = level(q.Scale, q.Lo, uint32(q.Codes[i>>1]>>(4*uint(i&1))&0xf))
+		dst[i] = level(scale, lo, uint32(codes[i>>1]>>(4*uint(i&1))&0xf))
 	}
 	return true
 }

@@ -11,8 +11,8 @@ func (s *Scratch) scoreGrids(x []float32, bits int, gs []grid, out []float64) {
 	s.scoreGridsGo(x, bits, gs, out)
 }
 
-// dequantize4 writes nothing: DequantizeRows runs DequantizeInto.
-func dequantize4([]float32, *QVector) bool { return false }
+// dequantize4 writes nothing: DequantizeRows runs DequantizeInto's loops.
+func dequantize4([]float32, []byte, float32, float32) bool { return false }
 
 // storeFence has nothing to order: no store here bypasses the cache.
 func storeFence() {}

@@ -13,6 +13,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -178,77 +179,123 @@ func Dequantize(q *QVector) []float32 {
 // then allocated per call; fp32 rows and uniform 1/2/4/8-bit rows decode
 // straight from the packed bytes and never need staging).
 func DequantizeInto(dst []float32, q *QVector, s *Scratch) error {
-	if err := checkRow(dst, q); err != nil {
-		return err
-	}
-	dequantizeRow(dst, q, s)
-	return nil
-}
-
-// checkRow is every check DequantizeInto and DequantizeRows make of a
-// row before they write it.
-func checkRow(dst []float32, q *QVector) error {
-	if len(dst) != q.N {
+	switch {
+	case len(dst) != q.N:
 		return fmt.Errorf("quant: dequantize into %d elements, vector has %d", len(dst), q.N)
-	}
-	if q.Bits == 32 { // MethodNone raw storage
-		if len(q.Codes) < 4*q.N {
-			return fmt.Errorf("quant: raw codes %d bytes, want %d", len(q.Codes), 4*q.N)
-		}
-		return nil
-	}
-	if q.Bits < 1 || q.Bits > 8 {
+	case q.Bits != 32 && (q.Bits < 1 || q.Bits > 8):
 		return fmt.Errorf("quant: invalid bits %d", q.Bits)
-	}
-	if len(q.Codes) < PackedLen(q.N, q.Bits) {
+	case len(q.Codes) < PackedLen(q.N, q.Bits):
 		return fmt.Errorf("quant: codes %d bytes, want %d", len(q.Codes), PackedLen(q.N, q.Bits))
 	}
+	dequantizeRow(dst, q.Codes, q.Bits, q.Lo, q.Scale, s)
 	return nil
 }
 
-// dequantizeRow is DequantizeInto's Go loops, on a row checkRow has
-// accepted.
-func dequantizeRow(dst []float32, q *QVector, s *Scratch) {
-	if q.Bits == 32 {
-		rawGetF32(dst, q.Codes)
+// dequantizeRow is DequantizeInto's Go loops, on a row of len(dst)
+// elements whose width and codes have been checked.
+func dequantizeRow(dst []float32, codes []byte, bits int, lo, scale float32, s *Scratch) {
+	if bits == 32 {
+		rawGetF32(dst, codes)
 		return
 	}
-	if q.Bits&(q.Bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
-		dequantizeUniformPacked(dst, q)
+	if bits&(bits-1) == 0 { // 1, 2, 4, 8: codes never straddle a byte
+		dequantizeUniformPacked(dst, codes, bits, lo, scale)
 		return
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
-	codes := s.codeBuf(q.N)
-	UnpackCodes(codes, q.Codes, q.Bits)
-	for i, c := range codes {
-		dst[i] = level(q.Scale, q.Lo, c)
+	unpacked := s.codeBuf(len(dst))
+	UnpackCodes(unpacked, codes, bits)
+	for i, c := range unpacked {
+		dst[i] = level(scale, lo, c)
 	}
 }
 
-// DequantizeRows de-quantizes n rows, row i being at(i)'s vector into
-// at(i)'s destination, each to the bits DequantizeInto writes: the
-// restore's entry, one call per chunk. On AVX2 a 4-bit row that starts
-// on a 32-byte boundary runs the assembly, which streams it past the
-// cache; one fence before the call returns makes every row visible to
-// whatever the caller synchronizes with next. Every other row runs
-// DequantizeInto's loops. On failure it returns the position of the row
-// that failed, with DequantizeInto's error; the rows before it are
-// written.
-func DequantizeRows(n int, at func(i int) (dst []float32, q *QVector), s *Scratch) (int, error) {
-	streamed := false
-	for i := 0; i < n; i++ {
-		dst, q := at(i)
-		if err := checkRow(dst, q); err != nil {
-			storeFence()
+// Columns is rows of one width and dimension laid out as a stored chunk
+// keeps them: row i's zero point is the little-endian float32 at
+// Lo[4i:], its step the bfloat16 (a float32's high half) at Scale[2i:],
+// both empty at 32 bits, and its codes the PackedLen(Dim, Bits) bytes at
+// Codes[i·PackedLen(Dim, Bits):], raw fp32 values at 32 bits.
+type Columns struct {
+	Bits, Dim        int
+	Lo, Scale, Codes []byte
+}
+
+// Range returns row i's zero point and step: 0 and 0 at 32 bits.
+func (c *Columns) Range(i int) (lo, scale float32) {
+	if c.Bits == 32 {
+		return 0, 0
+	}
+	return f32fb(binary.LittleEndian.Uint32(c.Lo[4*i:])), f32fb(uint32(binary.LittleEndian.Uint16(c.Scale[2*i:])) << 16)
+}
+
+// CheckRanges is CheckRange over a chunk's zero point and step columns:
+// it refuses exactly the rows CheckRange refuses and returns the first
+// with CheckRange's error, or the row count and nil. A zero point below
+// 2^126 in magnitude and a non-negative step below 2^118 pass (the top
+// level, 255 steps up at most, stays below 2^127): one pass tests that on
+// the bits, four rows at a time, and CheckRange walks any other chunk.
+func CheckRanges(lo, scale []byte, bits int) (int, error) {
+	n, le := min(len(lo)/4, len(scale)/2), binary.LittleEndian
+	l, s, bad := lo[:4*n], scale[:2*n], uint64(0)
+	for ; len(s) >= 8; l, s = l[16:], s[8:] {
+		bad |= rangeFlags(le.Uint64(s), le.Uint64(l)>>16&0x0000ffff0000ffff|le.Uint64(l[8:])&0xffff0000ffff0000)
+	}
+	for ; len(s) >= 2; l, s = l[4:], s[2:] {
+		bad |= rangeFlags(uint64(le.Uint16(s)), uint64(le.Uint16(l[2:])))
+	}
+	if bad&0x8000800080008000 == 0 {
+		return n, nil
+	}
+	c := Columns{Bits: bits, Lo: lo, Scale: scale}
+	for i := range n {
+		lo, scale := c.Range(i)
+		if err := CheckRange(lo, scale, bits); err != nil {
 			return i, err
 		}
-		if q.Bits == 4 && dequantize4(dst, q) {
+	}
+	return n, nil
+}
+
+// rangeFlags sets bit 15 of each 16-bit lane whose step bits s are 0x7a80
+// (2^118) or more, or whose zero point's high half l has exponent 0xfd
+// (2^126) or more. No lane carries into the next.
+func rangeFlags(s, l uint64) uint64 {
+	return s&0x8000800080008000 | (s&0x7fff7fff7fff7fff + 0x0580058005800580) | (l&0x7f807f807f807f80 + 0x0180018001800180)
+}
+
+// DequantizeRows de-quantizes rows of c into dst, a row-major table of
+// c.Dim-element rows, to the bits DequantizeInto writes: for each
+// position i in pick, row i of c lands in dst's row to[i]. It is the
+// restore's entry, one call per chunk. On AVX2 a 4-bit row that starts on
+// a 32-byte boundary runs the assembly, which streams it past the cache;
+// one fence before the call returns makes every row visible to whatever
+// the caller synchronizes with next. A width it does not know, or columns
+// short of len(to) rows, fail the call before it writes; a destination
+// past dst's end fails it at that row, the rows before it written. It
+// returns the position in c of the row that failed.
+func DequantizeRows(dst []float32, c *Columns, to, pick []uint32, s *Scratch) (int, error) {
+	n, bits, dim := len(to), c.Bits, c.Dim
+	rowCodes := PackedLen(dim, bits)
+	if bits != 32 && (bits < 1 || bits > 8 || len(c.Lo) < 4*n || len(c.Scale) < 2*n) || len(c.Codes) < n*rowCodes {
+		return 0, fmt.Errorf("quant: columns of %d, %d and %d bytes do not hold %d %d-bit rows of dim %d",
+			len(c.Lo), len(c.Scale), len(c.Codes), n, bits, dim)
+	}
+	streamed := false
+	for _, i := range pick {
+		r := int(to[i])
+		if uint64(r+1)*uint64(dim) > uint64(len(dst)) { // to[i] and a chunk's dim are u32s
+			storeFence()
+			return int(i), fmt.Errorf("quant: row %d of dim %d is outside a destination of %d elements", r, dim, len(dst))
+		}
+		row, codes := dst[r*dim:(r+1)*dim:(r+1)*dim], c.Codes[int(i)*rowCodes:(int(i)+1)*rowCodes]
+		lo, scale := c.Range(int(i))
+		if bits == 4 && dequantize4(row, codes, lo, scale) {
 			streamed = true
 			continue
 		}
-		dequantizeRow(dst, q, s)
+		dequantizeRow(row, codes, bits, lo, scale, s)
 	}
 	if streamed {
 		storeFence()
@@ -265,23 +312,21 @@ func level(scale, zero float32, c uint32) float32 {
 }
 
 // dequantizeUniformPacked reconstructs a uniform row whose codes divide a
-// byte (1, 2, 4 or 8 bits) straight from the packed bytes. Below 8 bits
-// each code indexes a table of the row's 2^bits levels; at 8 bits the
-// table would outweigh the row, and the byte is the code.
-func dequantizeUniformPacked(dst []float32, q *QVector) {
-	scale, zero := q.Scale, q.Lo
-	src := q.Codes
-	if q.Bits == 8 {
+// byte (1, 2, 4 or 8 bits) straight from the packed bytes src. Below 8
+// bits each code indexes a table of the row's 2^bits levels; at 8 bits
+// the table would outweigh the row, and the byte is the code.
+func dequantizeUniformPacked(dst []float32, src []byte, bits int, zero, scale float32) {
+	if bits == 8 {
 		for i := range dst {
 			dst[i] = level(scale, zero, uint32(src[i]))
 		}
 		return
 	}
 	var tab [16]float32
-	for c := range tab[:1<<uint(q.Bits)] {
+	for c := range tab[:1<<uint(bits)] {
 		tab[c] = level(scale, zero, uint32(c))
 	}
-	if q.Bits == 4 { // the production width, unrolled
+	if bits == 4 { // the production width, unrolled
 		n := len(dst)
 		for i := 0; i+2 <= n; i += 2 {
 			b := src[i>>1]
@@ -293,12 +338,12 @@ func dequantizeUniformPacked(dst []float32, q *QVector) {
 		}
 		return
 	}
-	bits, mask := uint(q.Bits), byte(1)<<uint(q.Bits)-1
+	mask := byte(1)<<uint(bits) - 1
 	i := 0
-	for _, b := range src[:PackedLen(len(dst), q.Bits)] {
-		for left := 8; left > 0 && i < len(dst); left -= q.Bits {
+	for _, b := range src[:PackedLen(len(dst), bits)] {
+		for left := 8; left > 0 && i < len(dst); left -= bits {
 			dst[i] = tab[b&mask&0xf]
-			b >>= bits
+			b >>= uint(bits)
 			i++
 		}
 	}

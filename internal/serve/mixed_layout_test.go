@@ -108,7 +108,7 @@ func TestMixedLayoutChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
+				chunk, err := decodeRows(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func TestMixedLayoutChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				chunk, err := new(wire.RowBuf).DecodeAlias(blob)
+				chunk, err := decodeRows(blob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -398,4 +398,22 @@ func refuseDamagedIncrement(t *testing.T, job, names string, damage func(blob []
 			}
 		}
 	})
+}
+
+// decodeRows decodes blob through a wire.ChunkView and returns its rows
+// as a wire.Chunk, a QVector each, codes aliasing blob: the form a test
+// inspects, edits and re-encodes through AppendTo.
+func decodeRows(blob []byte) (*wire.Chunk, error) {
+	var v wire.ChunkView
+	if err := v.Decode(blob); err != nil {
+		return nil, err
+	}
+	c := &wire.Chunk{TableID: v.TableID, Rows: make([]wire.Row, len(v.Index))}
+	n := quant.PackedLen(v.Dim, v.Bits)
+	for i := range c.Rows {
+		lo, scale := v.Range(i)
+		q := &quant.QVector{Bits: v.Bits, N: v.Dim, Lo: lo, Scale: scale, Codes: v.Codes[i*n : (i+1)*n : (i+1)*n]}
+		c.Rows[i] = wire.Row{Index: v.Index[i], Accum: v.Accum(i), Q: q}
+	}
+	return c, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/quant"
@@ -24,84 +25,66 @@ func aliasTestChunks(t *testing.T) map[string][]byte {
 	return blobs
 }
 
-func cloneRows(c *Chunk) []Row {
-	out := make([]Row, len(c.Rows))
-	for i, r := range c.Rows {
-		q := *r.Q
-		q.Codes = append([]byte(nil), r.Q.Codes...)
-		out[i] = Row{Index: r.Index, Accum: r.Accum, Q: &q}
-	}
-	return out
-}
-
 // TestDecodeChunkAliasObservesBlob pins the documented aliasing lifetime:
-// the alias decode's row codes are views into the blob, so mutating the
-// blob is observed — the reason the contract restricts it to
-// function-local blobs consumed before they go out of scope.
+// the view's columns are the blob's bytes, so mutating the blob is
+// observed — the reason the contract has the caller keep the blob
+// unmodified for as long as it reads the view.
 func TestDecodeChunkAliasObservesBlob(t *testing.T) {
 	for name, blob := range aliasTestChunks(t) {
 		t.Run(name, func(t *testing.T) {
-			c, err := (*RowBuf)(nil).DecodeAlias(blob)
-			if err != nil {
+			var v ChunkView
+			if err := v.Decode(blob); err != nil {
 				t.Fatal(err)
 			}
-			before := cloneRows(c)
+			before := bytes.Clone(v.Codes)
 			for i := range blob {
 				blob[i] ^= 0xff
 			}
-			saw := false
-			for i := range before {
-				if !bytes.Equal(c.Rows[i].Q.Codes, before[i].Q.Codes) {
-					saw = true
-				}
-			}
-			if !saw {
-				t.Fatal("alias decode did not observe blob mutation — rows are not aliased")
+			if bytes.Equal(v.Codes, before) {
+				t.Fatal("the view did not observe blob mutation — its columns are not aliased")
 			}
 		})
 	}
 }
 
 // TestDecodeChunkAliasMatchesCopy: modulo ownership, decoding into a
-// reused RowBuf is the same parse as decoding a private copy of the blob
-// into fresh storage. One RowBuf walks a quantized and an fp32 chunk in
+// reused view is the same parse as decoding a private copy of the blob
+// into a fresh one. One view walks a quantized and an fp32 chunk in
 // turn, as a restore worker's does across a chain whose width changed.
 func TestDecodeChunkAliasMatchesCopy(t *testing.T) {
-	var buf RowBuf
+	var v ChunkView
 	for name, blob := range aliasTestChunks(t) {
 		t.Run(name, func(t *testing.T) {
 			cp, err := decodeChunk(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			al, err := buf.DecodeAlias(blob)
+			al, err := decodeInto(&v)(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sameChunk(cp, al); err != nil {
-				t.Fatalf("reused RowBuf and copy decode differ: %v", err)
+				t.Fatalf("reused view and copy decode differ: %v", err)
 			}
 		})
 	}
 }
 
 // TestDecodeChunkLeavesBlobIntact: decoding a blob and dequantizing every
-// row of it only reads the blob. The codes alias it, so a decoder or
+// row of it only reads the blob. The columns alias it, so a decoder or
 // dequantizer that wrote through them would corrupt the fetched object
 // for every later reader of it.
 func TestDecodeChunkLeavesBlobIntact(t *testing.T) {
 	for name, blob := range aliasTestChunks(t) {
 		t.Run(name, func(t *testing.T) {
 			want := bytes.Clone(blob)
-			c, err := (*RowBuf)(nil).DecodeAlias(blob)
-			if err != nil {
+			var v ChunkView
+			if err := v.Decode(blob); err != nil {
 				t.Fatal(err)
 			}
-			var s quant.Scratch
-			for i, r := range c.Rows {
-				if err := quant.DequantizeInto(make([]float32, r.Q.N), r.Q, &s); err != nil {
-					t.Fatalf("row %d: %v", i, err)
-				}
+			table := make([]float32, (int(v.Index[len(v.Index)-1])+1)*v.Dim)
+			if i, err := quant.DequantizeRows(table, &v.Columns, v.Index, every(len(v.Index)), nil); err != nil {
+				t.Fatalf("row %d: %v", i, err)
 			}
 			if !bytes.Equal(blob, want) {
 				t.Fatal("decoding and dequantizing wrote into the blob")
@@ -110,57 +93,80 @@ func TestDecodeChunkLeavesBlobIntact(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkAliasCapacityClamped: appending to an aliased row's
-// Codes must never scribble into the blob bytes of the next row.
+// every returns the positions 0..n-1: a pick of every row.
+func every(n int) []uint32 {
+	pick := make([]uint32, n)
+	for i := range pick {
+		pick[i] = uint32(i)
+	}
+	return pick
+}
+
+// TestDecodeChunkAliasCapacityClamped: appending to one row's codes must
+// never scribble into the blob bytes of the next row.
 func TestDecodeChunkAliasCapacityClamped(t *testing.T) {
 	blob := aliasTestChunks(t)["ckp3"]
-	c, err := (*RowBuf)(nil).DecodeAlias(blob)
-	if err != nil {
+	var v ChunkView
+	if err := v.Decode(blob); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Rows) < 2 {
+	if len(v.Index) < 2 {
 		t.Fatal("need at least 2 rows")
 	}
-	next := append([]byte(nil), c.Rows[1].Q.Codes...)
-	r0 := c.Rows[0].Q
-	r0.Codes = append(r0.Codes, 0xAA, 0xBB) // must reallocate, not overwrite
-	if !bytes.Equal(c.Rows[1].Q.Codes, next) {
-		t.Fatal("append to aliased row codes scribbled into the next row's bytes")
+	next := bytes.Clone(rowCodes(&v, 1))
+	_ = append(rowCodes(&v, 0), 0xAA, 0xBB) // must reallocate, not overwrite
+	if !bytes.Equal(rowCodes(&v, 1), next) {
+		t.Fatal("append to one row's codes scribbled into the next row's bytes")
 	}
 }
 
-// TestRowBufDecodesWithoutAllocating: once a RowBuf has described a chunk
-// as large, decoding a CKP3 chunk into it allocates nothing — the point
-// of keeping one per walker worker.
-func TestRowBufDecodesWithoutAllocating(t *testing.T) {
-	blob, err := makeUniformChunk(t, 1, 256, 16, 4).encodeCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf RowBuf
-	if allocs := testing.AllocsPerRun(20, func() {
-		if c, err := buf.DecodeAlias(blob); err != nil || len(c.Rows) != 256 {
-			t.Fatalf("decoded %v, %v", c, err)
+// TestChunkViewReadsWithoutAllocating: once a view has held a chunk as
+// large, decoding a CKP3 chunk into it, and de-quantizing every row of
+// it into a table, allocates nothing — the point of keeping one view
+// per walker worker.
+func TestChunkViewReadsWithoutAllocating(t *testing.T) {
+	for _, bits := range []int{4, 3, 32} {
+		blob, err := makeUniformChunk(t, 1, 256, 16, bits).encodeCompact()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("decoding into a grown RowBuf allocates %v times per chunk", allocs)
+		var (
+			v ChunkView
+			s quant.Scratch
+		)
+		table, pick := make([]float32, 3*256*16), every(256)
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := v.Decode(blob); err != nil || len(v.Index) != 256 {
+				t.Fatalf("decoded %d rows, %v", len(v.Index), err)
+			}
+			if _, err := quant.DequantizeRows(table, &v.Columns, v.Index, pick, &s); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%d-bit: decoding into a grown view and de-quantizing it allocates %v times per chunk", bits, allocs)
+		}
 	}
 }
 
+// BenchmarkDecodeChunkAlias times ChunkView.Decode on the chunks a
+// restore reads: the engine's 4-bit chunk, 2048 rows of dim 32, and a
+// 256-row fp32 chunk of dim 32. ns/row is the decode's cost a row, CRC
+// included.
 func BenchmarkDecodeChunkAlias(b *testing.B) {
-	blob, err := makeUniformChunk(b, 1, 256, 16, 4).encodeCompact()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf RowBuf
-	for name, decode := range map[string]func([]byte) (*Chunk, error){"fresh": (*RowBuf)(nil).DecodeAlias, "rowbuf": buf.DecodeAlias} {
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct{ rows, bits int }{{2048, 4}, {256, 32}} {
+		blob, err := makeUniformChunk(b, 1, c.rows, 32, c.bits).encodeCompact()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dx32_%db", c.rows, c.bits), func(b *testing.B) {
+			var v ChunkView
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := decode(blob); err != nil {
+				if err := v.Decode(blob); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.rows), "ns/row")
 		})
 	}
 }

@@ -227,7 +227,7 @@ func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, ac
 }
 
 // appendHeader appends the 20-byte CKP3 header; the range flag is set
-// exactly when bits != 32, the one spelling decodeCKP3 accepts.
+// exactly when bits != 32, the one spelling ChunkView.Decode accepts.
 func appendHeader(dst []byte, tableID uint32, n, bits, dim int) []byte {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, ckp3Magic)
@@ -246,97 +246,125 @@ func appendCRC(dst []byte, base int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[base:], crcTable))
 }
 
-// decodeCKP3 parses a CKP3 chunk (CRC already verified, magic peeked)
-// into b's storage, or fresh storage when b is nil. Row codes slice
-// straight into body — see RowBuf.DecodeAlias for the lifetime contract.
+// ChunkView is one fetched CKP3 chunk read where it lies: the header's
+// fields, and the accumulator, zero point, step and code columns as
+// slices of the object. Only the index column is decoded, into Index,
+// which the view owns and reuses, so a view that has grown to the
+// largest chunk allocates nothing more. The zero value is ready to use.
+type ChunkView struct {
+	TableID uint32
+	quant.Columns
+	Index []uint32
+	accum []byte
+}
+
+// Accum returns row i's optimizer accumulator.
+func (v *ChunkView) Accum(i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(v.accum[4*i:]))
+}
+
+// Decode CRC-verifies data as a CKP3 chunk and points v at it, whose
+// columns then alias data; a refused object leaves v holding no chunk.
 // Only what a writer wrote is accepted: reserved bytes zero, no unknown
 // flag, the range flag set exactly when bits != 32, an empty chunk in its
-// one spelling — no rows, no payload, 32 bits, dim 0 —, a range
-// quant.CheckRange accepts, and an index column AppendTo would write:
-// each uvarint in its shortest form, every index at most 2^32-1, and the
-// column consumed exactly by the rows. A stored chunk therefore has
-// exactly one byte representation, which is what FuzzDecodeChunk's
-// re-encode check holds the decoder to.
-func (b *RowBuf) decodeCKP3(body []byte) (*Chunk, error) {
-	if len(body) < headerLen {
-		return nil, fmt.Errorf("wire: chunk header truncated")
+// one spelling (no rows, no payload, 32 bits, dim 0), ranges
+// quant.CheckRanges accepts, and an index column AppendTo would write:
+// each uvarint shortest, every index at most 2^32-1, and the column
+// consumed exactly by the rows. A stored chunk therefore has one byte
+// representation, as FuzzDecodeChunk's re-encode check holds. CKP2 and
+// CKP1 are refused by name: an intact object of a retired layout is not
+// corruption.
+func (v *ChunkView) Decode(data []byte) error {
+	*v = ChunkView{Index: v.Index[:0]}
+	if len(data) < 16 {
+		return fmt.Errorf("wire: chunk too short: %d bytes", len(data))
 	}
 	le := binary.LittleEndian
+	body := data[:len(data)-crcLen]
+	if got, want := crc32.Checksum(body, crcTable), le.Uint32(data[len(body):]); got != want {
+		return fmt.Errorf("wire: chunk CRC mismatch: 0x%08x != 0x%08x", got, want)
+	}
+	switch m := le.Uint32(body); m {
+	case ckp3Magic:
+	case ckp2Magic, ckp1Magic:
+		// A magic's low byte is its layout's digit.
+		return fmt.Errorf("wire: chunk in the retired CKP%c layout; this reader decodes only CKP3", byte(m))
+	default:
+		return fmt.Errorf("wire: bad chunk magic 0x%08x", m)
+	}
+	if len(body) < headerLen {
+		return fmt.Errorf("wire: chunk header truncated")
+	}
 	// The counts are untrusted u32s, int64 until a size check ties them
 	// to the object's length; dim*bits needs 38 bits.
 	tableID, bits := le.Uint32(body[4:]), int(body[12])
 	n64, dim64 := int64(le.Uint32(body[8:])), int64(le.Uint32(body[16:]))
 	if bits < 1 || (bits > 8 && bits != 32) {
-		return nil, fmt.Errorf("wire: chunk invalid bits %d", bits)
+		return fmt.Errorf("wire: chunk invalid bits %d", bits)
 	}
-	hasRange := bits != 32
 	wantFlags := byte(0)
-	if hasRange {
+	if bits != 32 {
 		wantFlags = flagHasRange
 	}
 	if body[13] != wantFlags || body[14] != 0 || body[15] != 0 {
-		return nil, fmt.Errorf("wire: chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
+		return fmt.Errorf("wire: chunk non-canonical header: bits %d, flags 0x%02x, reserved 0x%02x%02x",
 			bits, body[13], body[14], body[15])
 	}
-	if n64 == 0 {
-		if len(body) != headerLen || bits != 32 || dim64 != 0 {
-			return nil, fmt.Errorf("wire: chunk without rows is not the canonical empty chunk")
-		}
-		c, _ := b.take(tableID, 0)
-		return c, nil
+	if n64 == 0 && (len(body) != headerLen || bits != 32 || dim64 != 0) {
+		return fmt.Errorf("wire: chunk without rows is not the canonical empty chunk")
 	}
 	rowCodes64 := (dim64*int64(bits) + 7) / 8
 	rowFixed := 4 + rowCodes64
-	if hasRange {
+	if bits != 32 {
 		rowFixed += 4 + 2
 	}
 	// Every row takes its fixed columns and at least one index byte; the
 	// check divides, since n*rowFixed can wrap to any value.
 	payload := int64(len(body) - headerLen)
 	if payload/(rowFixed+1) < n64 {
-		return nil, fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of at least %d bytes", len(body), n64, rowFixed+1)
+		return fmt.Errorf("wire: chunk of %d bytes cannot hold %d rows of at least %d bytes", len(body), n64, rowFixed+1)
 	}
-	n, dim, rowCodes := int(n64), int(dim64), int(rowCodes64)
-	accumOff := headerLen
-	loOff := accumOff + 4*n
-	scaleOff := loOff + 4*n
-	codesOff := loOff
-	if hasRange {
-		codesOff = scaleOff + 2*n
+	n, rowCodes := int(n64), int(rowCodes64)
+	cols := body[headerLen:]
+	accum, cols := cols[:4*n], cols[4*n:]
+	var lo, scale []byte
+	if bits != 32 {
+		lo, scale, cols = cols[:4*n], cols[4*n:6*n], cols[6*n:]
+		if i, err := quant.CheckRanges(lo, scale, bits); err != nil {
+			return fmt.Errorf("wire: chunk row %d: %w", i, err)
+		}
 	}
-	indexOff := codesOff + n*rowCodes
-	col := body[indexOff:]
-	c, qs := b.take(tableID, n)
-	next := uint64(0)
-	for i := 0; i < n; i++ {
-		// A whole-struct store: a reused slot keeps nothing of the row it
-		// described last, so an fp32 row keeps no range of a quantized one.
-		q := &qs[i]
-		*q = quant.QVector{Bits: bits, N: dim, Codes: body[codesOff+i*rowCodes : codesOff+(i+1)*rowCodes : codesOff+(i+1)*rowCodes]}
-		if hasRange {
-			q.Lo = math.Float32frombits(le.Uint32(body[loOff+4*i:]))
-			q.Scale = math.Float32frombits(uint32(le.Uint16(body[scaleOff+2*i:])) << 16)
-			if err := quant.CheckRange(q.Lo, q.Scale, bits); err != nil {
-				return nil, fmt.Errorf("wire: chunk row %d: %w", i, err)
+	codes, col := cols[:n*rowCodes], cols[n*rowCodes:]
+	index := v.Index
+	if cap(index) < n {
+		index = make([]uint32, n)
+	}
+	index = index[:n]
+	next, k := uint64(0), 0
+	for i := range index {
+		// At a 10 % touch rate nearly every gap is one byte.
+		gap, size := uint64(0), 1
+		if k < len(col) && col[k] < 0x80 {
+			gap = uint64(col[k])
+		} else if gap, size = uvarint32(col[k:]); size <= 0 {
+			if size == 0 {
+				return fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: it ends inside row %d's", len(col), i)
 			}
+			return fmt.Errorf("wire: chunk index column: row %d's is an over-long uvarint", i)
 		}
-		v, k := uvarint32(col)
-		switch {
-		case k == 0:
-			return nil, fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: it ends inside row %d's", len(body)-indexOff, i)
-		case k < 0:
-			return nil, fmt.Errorf("wire: chunk index column: row %d's is an over-long uvarint", i)
-		case next+v > math.MaxUint32:
-			return nil, fmt.Errorf("wire: chunk index column: row %d's index %d is past 2^32-1", i, next+v)
+		if next+gap > math.MaxUint32 {
+			return fmt.Errorf("wire: chunk index column: row %d's index %d is past 2^32-1", i, next+gap)
 		}
-		col = col[k:]
-		c.Rows[i] = Row{Index: uint32(next + v), Accum: math.Float32frombits(le.Uint32(body[accumOff+4*i:])), Q: q}
-		next += v + 1
+		k += size
+		index[i] = uint32(next + gap)
+		next += gap + 1
 	}
-	if len(col) != 0 {
-		return nil, fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: %d bytes after the last row's", len(body)-indexOff, len(col))
+	if k != len(col) {
+		return fmt.Errorf("wire: chunk index column of %d bytes not consumed exactly: %d bytes after the last row's", len(col), len(col)-k)
 	}
-	return c, nil
+	v.TableID, v.Index, v.accum = tableID, index, accum
+	v.Columns = quant.Columns{Bits: bits, Dim: int(dim64), Lo: lo, Scale: scale, Codes: codes}
+	return nil
 }
 
 // uvarint32 reads the index column's next uvarint and returns it and its

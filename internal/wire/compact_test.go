@@ -167,8 +167,8 @@ func set(blob []byte, off int, b ...byte) []byte {
 // f32le returns v's little-endian bytes.
 func f32le(v float32) []byte { return binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)) }
 
-// nonCanonicalCKP3 returns one refusal per refusal branch of DecodeAlias
-// and decodeCKP3, the retired layouts aside. Its 4-bit chunk holds rows
+// nonCanonicalCKP3 returns one refusal per refusal branch of
+// ChunkView.Decode, the retired layouts aside. Its 4-bit chunk holds rows
 // 0, 3 and 6 of dim 8: 20 header bytes, 12 of accumulators, 12 of lo, 6
 // of scale, 12 of codes, then the index column 00 02 02.
 func nonCanonicalCKP3(tb testing.TB) []refusal {
@@ -260,7 +260,7 @@ func asRetired(blob []byte, magic uint32) []byte {
 // TestRetiredLayoutsRefusedByName: every CKP3 fixture, the empty one
 // included, under the magic of CKP1 or CKP2 and with its CRC re-stamped,
 // is refused with an error naming that layout — never decoded, never a
-// bad magic — before the RowBuf grows.
+// bad magic — before the view's index column grows.
 func TestRetiredLayoutsRefusedByName(t *testing.T) {
 	for _, gc := range goldenCases() {
 		blob, err := os.ReadFile(goldenPath(gc.name))
@@ -270,13 +270,13 @@ func TestRetiredLayoutsRefusedByName(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			for _, retired := range retiredLayouts {
 				t.Run(retired.name, func(t *testing.T) {
-					var buf RowBuf
-					c, err := buf.DecodeAlias(asRetired(blob, retired.magic))
+					var view ChunkView
+					err := view.Decode(asRetired(blob, retired.magic))
 					if want := "retired " + retired.name + " layout"; err == nil || !strings.Contains(err.Error(), want) {
-						t.Fatalf("decoded %v, %v; want an error saying %q", c, err, want)
+						t.Fatalf("decoded %d rows, %v; want an error saying %q", len(view.Index), err, want)
 					}
-					if cap(buf.rows) != 0 || cap(buf.qs) != 0 {
-						t.Fatalf("a refused chunk grew the RowBuf to %d rows", cap(buf.rows))
+					if cap(view.Index) != 0 {
+						t.Fatalf("a refused chunk grew the view to %d rows", cap(view.Index))
 					}
 				})
 			}

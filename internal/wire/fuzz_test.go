@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/quant"
 	"repro/internal/rpc/rpctest"
 )
 
@@ -37,13 +38,42 @@ func stampCRC(data []byte) []byte {
 	return data
 }
 
-// fuzzMaxChunk is the largest input FuzzDecodeChunk judges. A decoded
-// row costs 64 bytes (Row + QVector) however small it is on the wire —
-// as little as 5 bytes in CKP3, an fp32 row of dim 0 — so
-// rpctest.FuzzDecoder's bound of twice the input plus 1 MiB is a
-// statement about the slack, and holds for every input only while
-// 13 × len stays under it.
+// fuzzMaxChunk is the largest input FuzzDecodeChunk judges. The view
+// costs 4 bytes a row, in its index column, but the oracle and the
+// re-encode build a Row and a QVector a row, 64 bytes however small the
+// row is on the wire — as little as 5 bytes in CKP3, an fp32 row of dim
+// 0 — so the input is kept small enough for the fuzzer to run fast.
 const fuzzMaxChunk = 64 << 10
+
+// rowsOf builds a Row and a QVector for each row v holds, codes aliasing
+// v's object: the form a test compares and re-encodes through AppendTo.
+func rowsOf(v *ChunkView) *Chunk {
+	c := &Chunk{TableID: v.TableID, Rows: make([]Row, len(v.Index))}
+	for i := range c.Rows {
+		lo, scale := v.Range(i)
+		q := &quant.QVector{Bits: v.Bits, N: v.Dim, Lo: lo, Scale: scale, Codes: rowCodes(v, i)}
+		c.Rows[i] = Row{Index: v.Index[i], Accum: v.Accum(i), Q: q}
+	}
+	return c
+}
+
+// rowCodes returns row i's packed codes in v, capped at the row's end
+// so that an append to them cannot write into the next row's.
+func rowCodes(v *ChunkView, i int) []byte {
+	n := quant.PackedLen(v.Dim, v.Bits)
+	return v.Codes[i*n : (i+1)*n : (i+1)*n]
+}
+
+// decodeInto returns a decoder that decodes through v and hands back
+// the rows it holds, as rowsOf builds them.
+func decodeInto(v *ChunkView) func([]byte) (*Chunk, error) {
+	return func(data []byte) (*Chunk, error) {
+		if err := v.Decode(data); err != nil {
+			return nil, err
+		}
+		return rowsOf(v), nil
+	}
+}
 
 // sameChunk reports how two decoded chunks differ, field by field and
 // float by bit pattern (a fuzzed range is as likely NaN as not).
@@ -64,42 +94,56 @@ func sameChunk(a, b *Chunk) error {
 	return nil
 }
 
-// dirtyRowBufs returns a way to make a RowBuf that has just described a
+// sameView reports how two views differ: in their header fields, or in
+// any row.
+func sameView(a, b *ChunkView) error {
+	if a.TableID != b.TableID || a.Bits != b.Bits || a.Dim != b.Dim {
+		return fmt.Errorf("table %d %d-bit of dim %d, table %d %d-bit of dim %d", a.TableID, a.Bits, a.Dim, b.TableID, b.Bits, b.Dim)
+	}
+	return sameChunk(rowsOf(a), rowsOf(b))
+}
+
+// dirtyViews returns a way to make a ChunkView that has just held a
 // chunk of the other kind than an input, with more rows than most inputs
 // hold, keyed by whether the input is fp32: quantized rows (a range
 // each) before an fp32 input, fp32 rows before a quantized one. Whatever
 // the next decode does not overwrite shows.
-func dirtyRowBufs(tb testing.TB) map[bool]func() *RowBuf {
-	dirty := make(map[bool]func() *RowBuf)
+func dirtyViews(tb testing.TB) map[bool]func() *ChunkView {
+	dirty := make(map[bool]func() *ChunkView)
 	for fp32, bits := range map[bool]int{true: 4, false: 32} {
 		blob, err := makeUniformChunk(tb, 3, 96, 4, bits).AppendTo(nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		dirty[fp32] = func() *RowBuf {
-			var b RowBuf
-			if _, err := b.DecodeAlias(blob); err != nil {
+		dirty[fp32] = func() *ChunkView {
+			var v ChunkView
+			if err := v.Decode(blob); err != nil {
 				panic(err) // inside the fuzz target: the blob decoded when it was made
 			}
-			return &b
+			return &v
 		}
 	}
 	return dirty
 }
 
-// FuzzDecodeChunk holds the chunk decoder, entered both ways, to
-// the property the socket decoders keep (rpctest.FuzzDecoder): no panic,
-// allocation bounded by the input and not by what its header claims, and
-// an accepted CKP3 chunk re-encodes through AppendTo to exactly the
-// input. No field is exempt from the re-encode check: decodeCKP3 refuses
-// the spellings the writer never wrote (reserved bytes, unknown flags, a
-// range flag that disagrees with bits, a shaped empty chunk, a uvarint
-// longer than its value needs), and AppendTo refuses rows whose indices
-// do not increase. Any other layout is refused, within the allocation
-// bound. The second way in is a RowBuf still holding a chunk of the
-// other kind, fp32 or quantized (dirtyRowBufs): it must accept what a
-// fresh decode accepts and return the same rows, nothing of the previous
-// chunk among them. An accepted fp32 CKP3 chunk must also re-encode to
+// FuzzDecodeChunk holds ChunkView.Decode, entered both ways, to the
+// decoder it replaced and to the property the socket decoders keep
+// (rpctest.FuzzDecoder). The oracle is decodeCKP3 (oracle_test.go),
+// which builds a Row and a QVector a row and checks each range with
+// quant.CheckRange: the view must accept exactly what it accepts, with
+// the same table, bits, dim, index, accumulator, zero point, step and
+// codes for every row. The view must not panic, must allocate within a
+// bound of the input and not of what its header claims, and an accepted
+// CKP3 chunk must re-encode through AppendTo, from rowsOf's rows, to
+// exactly the input. No field is exempt from the re-encode check: the
+// view refuses the spellings the writer never wrote (reserved bytes,
+// unknown flags, a range flag that disagrees with bits, a shaped empty
+// chunk, a uvarint longer than its value needs), and AppendTo refuses
+// rows whose indices do not increase. Any other layout is refused,
+// within the allocation bound. The second way in is a view still
+// holding a chunk of the other kind, fp32 or quantized (dirtyViews): it
+// must accept what a fresh view accepts and equal it, nothing of the
+// previous chunk left. An accepted fp32 CKP3 chunk must also re-encode to
 // exactly the input through the writer's other entry, AppendF32Chunk,
 // reading a table built from its rows. The corpus starts at the golden
 // fixtures, each also under the magic of every retired layout, and at
@@ -122,35 +166,39 @@ func FuzzDecodeChunk(f *testing.F) {
 	for _, r := range nonCanonicalCKP3(f) {
 		f.Add(r.blob)
 	}
-	dirty := dirtyRowBufs(f)
+	dirty := dirtyViews(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxChunk {
 			t.Skip()
 		}
 		data = stampCRC(append([]byte(nil), data...))
-		reused := func(data []byte) (*Chunk, error) { return (&RowBuf{}).DecodeAlias(data) }
+		var fresh ChunkView
+		reused := &ChunkView{}
 		if len(data) > 12 {
-			reused = dirty[data[12] == 32]().DecodeAlias
+			reused = dirty[data[12] == 32]()
 		}
-		want, wantErr := decodeChunk(data)
-		got, err := reused(data)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("fresh decode: %v; into a used RowBuf: %v", wantErr, err)
+		want, wantErr := decodeOracle(data)
+		err, reusedErr := fresh.Decode(data), reused.Decode(data)
+		if (err == nil) != (wantErr == nil) || (reusedErr == nil) != (wantErr == nil) {
+			t.Fatalf("the oracle: %v; a fresh view: %v; a used view: %v", wantErr, err, reusedErr)
 		}
 		if err == nil {
-			if err := sameChunk(want, got); err != nil {
-				t.Fatalf("a used RowBuf decodes other rows than a fresh decode: %v", err)
+			if err := sameChunk(want, rowsOf(&fresh)); err != nil {
+				t.Fatalf("the view holds other rows than the oracle decodes: %v", err)
+			}
+			if err := sameView(&fresh, reused); err != nil {
+				t.Fatalf("a used view holds other rows than a fresh one: %v", err)
 			}
 		}
 		if len(data) < 4 || binary.LittleEndian.Uint32(data) != ckp3Magic {
 			// No writer produces another layout: decoding one refuses it,
 			// within the allocation bound.
 			if err == nil {
-				t.Fatalf("decoded a chunk that is not CKP3: %v", got)
+				t.Fatalf("decoded a chunk that is not CKP3: %v", want)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _ = reused(data)
+			_ = reused.Decode(data)
 			runtime.ReadMemStats(&after)
 			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+1<<20); grew > limit {
 				t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), grew, limit)
@@ -167,18 +215,17 @@ func FuzzDecodeChunk(f *testing.F) {
 				}
 			}
 		}
-		for _, decode := range []func([]byte) (*Chunk, error){(*RowBuf)(nil).DecodeAlias, reused} {
+		for _, v := range []*ChunkView{new(ChunkView), reused} {
 			rpctest.FuzzDecoder(t, data, func(r io.Reader) (func(io.Writer) error, error) {
 				// A chunk is the whole object: consume the reader, decode data.
 				if _, err := io.Copy(io.Discard, r); err != nil {
 					return nil, err
 				}
-				c, err := decode(data)
-				if err != nil {
+				if err := v.Decode(data); err != nil {
 					return nil, err
 				}
 				return func(w io.Writer) error {
-					again, err := c.AppendTo(nil)
+					again, err := rowsOf(v).AppendTo(nil)
 					if err != nil {
 						return err
 					}
@@ -198,21 +245,22 @@ func TestDecodeChunkRejectsClaimedCountsCheaply(t *testing.T) {
 		"ckp3_wrapped_size": wrappedHeader(ckp3Magic),
 	} {
 		t.Run(name, func(t *testing.T) {
-			// A RowBuf is grown only by a count that was checked.
-			var buf RowBuf
+			// A view's index column is grown only by a count that was
+			// checked.
+			var view ChunkView
 			defer func() {
-				if cap(buf.rows) != 0 || cap(buf.qs) != 0 {
-					t.Errorf("a refused chunk grew the RowBuf to %d rows", cap(buf.rows))
+				if cap(view.Index) != 0 {
+					t.Errorf("a refused chunk grew the view to %d rows", cap(view.Index))
 				}
 			}()
 			for _, d := range []struct {
-				decode func([]byte) (*Chunk, error)
+				view   *ChunkView
 				budget uint64
-			}{{(*RowBuf)(nil).DecodeAlias, 64 << 10}, {buf.DecodeAlias, 64 << 10}} {
-				decode, budget := d.decode, d.budget
+			}{{new(ChunkView), 64 << 10}, {&view, 64 << 10}} {
+				v, budget := d.view, d.budget
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_, err := decode(blob)
+				err := v.Decode(blob)
 				runtime.ReadMemStats(&after)
 				if err == nil {
 					t.Fatal("decoded a chunk whose header claims more rows than it holds")

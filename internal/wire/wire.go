@@ -77,70 +77,6 @@ func SegmentsPerChunk(p quant.Params, dim, segRows int) int {
 	return max(1, min(segments, (rpc.MaxPooled-headerLen-crcLen)/(segRows*row)))
 }
 
-// RowBuf is caller-owned storage for the rows of one decoded chunk at a
-// time: the Row and QVector structs that describe a chunk outweigh the
-// chunk itself (64 bytes a row against 27 on the wire for a 4-bit row of
-// dim 32, 19 at dim 16), so a loop that decodes many chunks and is done
-// with each before the next — the checkpoint walker's workers — keeps
-// one RowBuf and allocates nothing per chunk once it has grown to the
-// largest. The zero value is
-// ready to use; a RowBuf is not safe for concurrent use.
-type RowBuf struct {
-	chunk Chunk
-	rows  []Row
-	qs    []quant.QVector
-}
-
-// take returns a chunk of table tableID with n Row slots, and n QVector
-// slots for them to point at: b's own, grown when it has fewer, or fresh
-// ones when there is no buffer. Callers have tied n to the size of the
-// object before they ask, so a claimed count never sizes anything. The
-// slots hold whatever the last chunk left in them; decodeCKP3
-// overwrites every field of every one.
-func (b *RowBuf) take(tableID uint32, n int) (*Chunk, []quant.QVector) {
-	if b == nil {
-		return &Chunk{TableID: tableID, Rows: make([]Row, n)}, make([]quant.QVector, n)
-	}
-	if cap(b.rows) < n {
-		b.rows, b.qs = make([]Row, n), make([]quant.QVector, n)
-	}
-	b.chunk = Chunk{TableID: tableID, Rows: b.rows[:n]}
-	return &b.chunk, b.qs[:n]
-}
-
-// DecodeAlias parses and CRC-verifies a CKP3 chunk without copying the
-// codes out of it: every row's packed codes alias data's backing array
-// directly. The caller must keep data alive and unmodified for as long
-// as the chunk, or any row vector taken from it, is in use;
-// mutating data afterwards corrupts the decoded rows. The restore paths
-// consume each freshly fetched blob (dequantize or index-scan it) before
-// it goes out of scope. The returned chunk, its rows and their vectors
-// live in b, so all of it is dead at b's next DecodeAlias; a nil b
-// allocates them.
-//
-// A chunk in CKP2 or CKP1, the layouts before CKP3, is refused by name:
-// no writer produces them, and an intact object of a retired layout is
-// not corruption.
-func (b *RowBuf) DecodeAlias(data []byte) (*Chunk, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("wire: chunk too short: %d bytes", len(data))
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(tail)
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("wire: chunk CRC mismatch: 0x%08x != 0x%08x", got, want)
-	}
-	switch m := binary.LittleEndian.Uint32(body); m {
-	case ckp3Magic:
-		return b.decodeCKP3(body)
-	case ckp2Magic, ckp1Magic:
-		// A magic's low byte is its layout's digit.
-		return nil, fmt.Errorf("wire: chunk in the retired CKP%c layout; this reader decodes only CKP3", byte(m))
-	default:
-		return nil, fmt.Errorf("wire: bad chunk magic 0x%08x", m)
-	}
-}
-
 // TableManifest records one table's chunk objects within a checkpoint.
 type TableManifest struct {
 	TableID int `json:"table_id"`

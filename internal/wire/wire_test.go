@@ -115,8 +115,8 @@ func TestKeyLayout(t *testing.T) {
 	}
 }
 
-// decodeChunk decodes a private copy of data into fresh storage, so the
-// chunk it returns owns its memory.
+// decodeChunk decodes a private copy of data through a fresh view, so
+// the rows it returns own their memory.
 func decodeChunk(data []byte) (*Chunk, error) {
-	return (*RowBuf)(nil).DecodeAlias(bytes.Clone(data))
+	return decodeInto(new(ChunkView))(bytes.Clone(data))
 }
