@@ -214,8 +214,9 @@ func (c *Committer) Commit(ctx context.Context, att Attempt) (*wire.Manifest, er
 // cannot hang the abort path forever.
 const abortTimeout = 30 * time.Second
 
-// forEachRunner runs fn concurrently for every shard's runner and
-// returns the lowest-indexed shard's error, if any, naming the shard.
+// forEachRunner runs fn concurrently for every shard's runner
+// (forEachShard) and returns the first error in time, if any, naming the
+// shard.
 func (c *Committer) forEachRunner(fn func(s int, r ShardRunner) error) error {
 	return forEachShard(len(c.runners), func(s int) error {
 		if err := fn(s, c.runners[s]); err != nil {

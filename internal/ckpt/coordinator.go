@@ -3,7 +3,6 @@ package ckpt
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/embedding"
 	"repro/internal/quant"
@@ -130,25 +129,12 @@ func (c *Coordinator) SetQuant(p quant.Params) error {
 	return nil
 }
 
-// forEachShard runs fn concurrently for every shard in [0, n) and
-// returns the lowest-indexed shard's error, if any.
+// forEachShard runs fn for every shard in [0, n) at once, one fanOut
+// worker each, and returns the first error in time, if any. fn runs under
+// its caller's context, not fanOut's: one failed shard cancels no other
+// shard's call.
 func forEachShard(n int, fn func(s int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fn(s)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanOut(context.Background(), n, n, func(_ context.Context, _, s int) error { return fn(s) })
 }
 
 // Close waits for every shard engine's retention sweep (Engine.Close):

@@ -383,17 +383,17 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 	return bm.Indices()
 }
 
-// writeTable quantizes, encodes and uploads one table's rows: a pool of
-// cfg.encoders workers quantizes rows with reusable scratch and encodes
-// chunks into exactly-sized rpc.Alloc buffers (fp32 chunks through
-// wire.AppendF32Chunk, straight from the table), feeding cfg.uploaders
-// store writers. A chunk is wire.SegmentsPerChunk segments of
-// cfg.ChunkRows rows under the checkpoint's quantizer. Chunk keys are
-// precomputed from row position, so the manifest's chunk order is
-// deterministic regardless of which worker encodes which chunk, and
-// uploaders rpc.Recycle each buffer once Store.Put has returned (Put
-// keeps no value). In steady state the encode loop performs no per-row
-// allocations.
+// writeTable quantizes, encodes and uploads one table's rows:
+// min(cfg.encoders, chunks) fanOut workers quantize rows with reusable
+// scratch and encode chunks into exactly-sized rpc.Alloc buffers (fp32
+// chunks through wire.AppendF32Chunk, straight from the table), feeding
+// cfg.uploaders store writers, a second fanOut. A chunk is
+// wire.SegmentsPerChunk segments of cfg.ChunkRows rows under the
+// checkpoint's quantizer. Chunk keys are precomputed from row position,
+// so the manifest's chunk order is deterministic regardless of which
+// worker encodes which chunk, and uploaders rpc.Recycle each buffer once
+// Store.Put has returned (Put keeps no value). In steady state the encode
+// loop performs no per-row allocations.
 func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Table, rows []int) (wire.TableManifest, int64, error) {
 	tm := wire.TableManifest{
 		TableID:    tab.ID,
@@ -425,127 +425,101 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		}
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var totalBytes atomic.Int64
-	errCh := make(chan error, e.cfg.encoders+e.cfg.uploaders)
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-			cancel()
-		default:
+	// Each encoder keeps its scratch from chunk to chunk. encode writes
+	// chunk ci into an rpc.Alloc buffer: fp32 rows straight from the
+	// table, each value converted once; any other method quantizes each
+	// row into the encoder's qrows first.
+	type encoder struct {
+		qrows   []quant.QVector
+		scratch quant.Scratch
+		chunk   wire.Chunk
+	}
+	encs := make([]encoder, min(e.cfg.encoders, numChunks))
+	encode := func(enc *encoder, ci int) ([]byte, error) {
+		start := ci * chunkRows
+		end := min(start+chunkRows, len(rows))
+		if e.cfg.Quant.Method == quant.MethodNone {
+			dst := rpc.Alloc(wire.F32ChunkLen(rows[start:end], tab.Dim))[:0]
+			return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
 		}
+		n := end - start
+		if cap(enc.qrows) < n {
+			enc.qrows = make([]quant.QVector, n)
+		}
+		enc.qrows = enc.qrows[:n]
+		enc.chunk.TableID = uint32(tab.ID)
+		enc.chunk.Rows = slices.Grow(enc.chunk.Rows[:0], n)
+		for j, r := range rows[start:end] {
+			var ent *quant.RowRange
+			if rc != nil {
+				if j%segRows == 0 {
+					enc.scratch.BeginAdaptiveChunk(adaptiveSampling)
+				}
+				ent = &rc[r]
+			}
+			if err := quant.QuantizeCachedInto(&enc.qrows[j], tab.Lookup(r), e.cfg.Quant, &enc.scratch, ent); err != nil {
+				return nil, fmt.Errorf("row %d: %w", r, err)
+			}
+			enc.chunk.Rows = append(enc.chunk.Rows, wire.Row{
+				Index: uint32(r),
+				Accum: tab.Accum[r],
+				Q:     &enc.qrows[j],
+			})
+		}
+		return enc.chunk.AppendTo(rpc.Alloc(enc.chunk.EncodedLen())[:0])
 	}
 
+	// The encoders and the uploaders are two fanOut stages joined by the
+	// uploads channel. The first failed encode or Put, or the end of ctx,
+	// is the one cause that stops both, and the table's error.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	type upload struct {
 		key string
 		buf []byte
 	}
 	uploads := make(chan upload, e.cfg.uploaders)
-	var upWG sync.WaitGroup
-	for w := 0; w < e.cfg.uploaders; w++ {
-		upWG.Add(1)
-		go func() {
-			defer upWG.Done()
+	var sent atomic.Int64
+	uploaded := make(chan struct{})
+	go func() {
+		defer close(uploaded)
+		_ = fanOut(ctx, e.cfg.uploaders, e.cfg.uploaders, func(ctx context.Context, _, _ int) error {
 			for u := range uploads {
-				if err := e.cfg.Store.Put(ctx, u.key, u.buf); err != nil {
-					fail(err)
-				} else {
-					totalBytes.Add(int64(len(u.buf)))
+				if ctx.Err() == nil {
+					if err := e.cfg.Store.Put(ctx, u.key, u.buf); err != nil {
+						cancel(err)
+					} else {
+						sent.Add(int64(len(u.buf)))
+					}
 				}
 				rpc.Recycle(u.buf)
 			}
-		}()
-	}
-
-	encoders := min(e.cfg.encoders, numChunks)
-	jobs := make(chan int)
-	var encWG sync.WaitGroup
-	for w := 0; w < encoders; w++ {
-		encWG.Add(1)
-		go func() {
-			defer encWG.Done()
-			var (
-				qrows   []quant.QVector
-				scratch quant.Scratch
-				chunk   = wire.Chunk{TableID: uint32(tab.ID)}
-			)
-			// encode writes chunk ci into an rpc.Alloc buffer: fp32 rows
-			// straight from the table, each value converted once; any other
-			// method quantizes each row into qrows first.
-			encode := func(ci int) ([]byte, error) {
-				start := ci * chunkRows
-				end := min(start+chunkRows, len(rows))
-				if e.cfg.Quant.Method == quant.MethodNone {
-					dst := rpc.Alloc(wire.F32ChunkLen(rows[start:end], tab.Dim))[:0]
-					return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
-				}
-				n := end - start
-				if cap(qrows) < n {
-					qrows = make([]quant.QVector, n)
-				}
-				qrows = qrows[:n]
-				if cap(chunk.Rows) < n {
-					chunk.Rows = make([]wire.Row, 0, n)
-				}
-				chunk.Rows = chunk.Rows[:0]
-				for j, r := range rows[start:end] {
-					var ent *quant.RowRange
-					if rc != nil {
-						if j%segRows == 0 {
-							scratch.BeginAdaptiveChunk(adaptiveSampling)
-						}
-						ent = &rc[r]
-					}
-					if err := quant.QuantizeCachedInto(&qrows[j], tab.Lookup(r), e.cfg.Quant, &scratch, ent); err != nil {
-						return nil, fmt.Errorf("row %d: %w", r, err)
-					}
-					chunk.Rows = append(chunk.Rows, wire.Row{
-						Index: uint32(r),
-						Accum: tab.Accum[r],
-						Q:     &qrows[j],
-					})
-				}
-				return chunk.AppendTo(rpc.Alloc(chunk.EncodedLen())[:0])
-			}
-			for ci := range jobs {
-				buf, err := encode(ci)
-				if err != nil {
-					rpc.Recycle(buf)
-					fail(err)
-					return
-				}
-				select {
-				case uploads <- upload{key: tm.ChunkKeys[ci], buf: buf}:
-				case <-ctx.Done():
-					rpc.Recycle(buf)
-					return
-				}
-			}
-		}()
-	}
-
-feed:
-	for ci := 0; ci < numChunks; ci++ {
-		select {
-		case jobs <- ci:
-		case <-ctx.Done():
-			break feed
+			return nil
+		})
+	}()
+	_ = fanOut(ctx, numChunks, len(encs), func(ctx context.Context, w, ci int) error {
+		if ctx.Err() != nil {
+			return nil
 		}
-	}
-	close(jobs)
-	encWG.Wait()
+		buf, err := encode(&encs[w], ci)
+		if err != nil {
+			rpc.Recycle(buf)
+			cancel(err)
+			return nil
+		}
+		select {
+		case uploads <- upload{key: tm.ChunkKeys[ci], buf: buf}:
+		case <-ctx.Done():
+			rpc.Recycle(buf)
+		}
+		return nil
+	})
 	close(uploads)
-	upWG.Wait()
-	select {
-	case err := <-errCh:
-		return tm, 0, fmt.Errorf("ckpt: table %d: %w", tab.ID, err)
-	default:
-	}
-	if err := ctx.Err(); err != nil {
+	<-uploaded
+	if err := context.Cause(ctx); err != nil {
 		return tm, 0, fmt.Errorf("ckpt: table %d: %w", tab.ID, err)
 	}
-	return tm, totalBytes.Load(), nil
+	return tm, sent.Load(), nil
 }
 
 // cleanup deletes any objects written for an aborted checkpoint.
@@ -558,9 +532,9 @@ func (e *Engine) cleanup(ctx context.Context, id int) {
 // and reports whether its manifest is gone: deleted now, or not there to
 // begin with. The manifest goes first, and nothing else goes unless it
 // did, so that neither a crash part-way nor a failed Delete leaves a
-// manifest naming deleted objects; the rest go through workers
-// goroutines, because one Delete is a store round trip and a full
-// checkpoint is hundreds of them. Retention's sweeper, an aborted
+// manifest naming deleted objects; the rest go through workers fanOut
+// workers, every key tried, because one Delete is a store round trip and
+// a full checkpoint is hundreds of them. Retention's sweeper, an aborted
 // attempt's cleanup and `ckptctl delete` all delete through it.
 func DeleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, id, workers int) bool {
 	keys, err := store.List(ctx, wire.CheckpointPrefix(jobID, id))
@@ -575,18 +549,10 @@ func DeleteCheckpoint(ctx context.Context, store objstore.Store, jobID string, i
 			return false
 		}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(rest)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; int(i) < len(rest); i = next.Add(1) - 1 {
-				_ = store.Delete(ctx, rest[i])
-			}
-		}()
-	}
-	wg.Wait()
+	_ = fanOut(ctx, len(rest), workers, func(ctx context.Context, _, i int) error {
+		_ = store.Delete(ctx, rest[i])
+		return nil
+	})
 	return true
 }
 

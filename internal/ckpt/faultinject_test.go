@@ -31,32 +31,60 @@ func failingPut(inner objstore.Store, failAt, puts *atomic.Int64) *storetest.Hoo
 	}}
 }
 
+// TestWriteAbortCleansUpPartialObjects fails the third Put of a write
+// (the second of the first table's eight chunks), at one uploader and at
+// the default two. At two the next Put is held in flight until the
+// failure cancels it: the injected error is still what Write returns, not
+// the cancellation it caused.
 func TestWriteAbortCleansUpPartialObjects(t *testing.T) {
-	inner := objstore.NewMemStore(objstore.MemConfig{})
-	var failAt, puts atomic.Int64
-	failAt.Store(3)
-	flaky := failingPut(inner, &failAt, &puts)
-	f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, uploaders: 1})
-	snap := f.trainAndSnapshot(t, 1, 16)
-	if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v, want injected failure", err)
-	}
-	// No objects of the aborted checkpoint remain, in any scope.
-	keys, err := inner.List(f.ctx, "testjob/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 0 {
-		t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
-	}
-	// And the next attempt succeeds with the same ID.
-	failAt.Store(0)
-	man, err := f.eng.Write(f.ctx, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.ID != 0 {
-		t.Fatalf("retry should reuse ID 0, got %d", man.ID)
+	for _, uploaders := range []int{1, 2} {
+		t.Run(fmt.Sprintf("uploaders=%d", uploaders), func(t *testing.T) {
+			inner := objstore.NewMemStore(objstore.MemConfig{})
+			var failAt, puts atomic.Int64
+			failAt.Store(3)
+			inFlight := make(chan struct{})
+			flaky := &storetest.Hook{Store: inner, Around: func(ctx context.Context, op storetest.Op, _ string, do func() error) error {
+				if op != storetest.OpPut || failAt.Load() == 0 {
+					return do()
+				}
+				switch n := puts.Add(1); {
+				case n < failAt.Load():
+					return do()
+				case n == failAt.Load():
+					if uploaders > 1 {
+						<-inFlight
+					}
+					return errInjected
+				case n == failAt.Load()+1:
+					close(inFlight)
+					<-ctx.Done()
+					return ctx.Err()
+				}
+				return do()
+			}}
+			f := newFixture(t, Config{Store: flaky, Policy: PolicyFull, ChunkRows: 16, uploaders: uploaders})
+			snap := f.trainAndSnapshot(t, 1, 16)
+			if _, err := f.eng.Write(f.ctx, snap); !errors.Is(err, errInjected) {
+				t.Fatalf("err = %v, want injected failure", err)
+			}
+			// No objects of the aborted checkpoint remain, in any scope.
+			keys, err := inner.List(f.ctx, "testjob/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != 0 {
+				t.Fatalf("aborted checkpoint left %d objects: %v", len(keys), keys)
+			}
+			// And the next attempt succeeds with the same ID.
+			failAt.Store(0)
+			man, err := f.eng.Write(f.ctx, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if man.ID != 0 {
+				t.Fatalf("retry should reuse ID 0, got %d", man.ID)
+			}
+		})
 	}
 }
 

@@ -304,7 +304,9 @@ func TestVerifyAllSkipsCheckpointGoneSinceList(t *testing.T) {
 }
 
 // TestWalkChunksEndsWithItsContext: a walk whose context ends with chunks
-// still unread is a failed walk, not a short clean one.
+// still unread is a failed walk, not a short clean one. And a walk that
+// visit stops ends with visit's error, not with the cancel it caused, and
+// fetches nothing after it.
 func TestWalkChunksEndsWithItsContext(t *testing.T) {
 	f := newFixture(t, Config{Policy: PolicyFull, ChunkRows: 16})
 	man, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16))
@@ -321,6 +323,19 @@ func TestWalkChunksEndsWithItsContext(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || visited != 1 {
 		t.Fatalf("walk over a context cancelled at its first chunk = %v after %d chunks, want context.Canceled after 1", err, visited)
+	}
+
+	errVisit := errors.New("visit refused the chunk")
+	for _, decoders := range []int{1, 4} {
+		store, ops := countOps(f.store)
+		r := &Restorer{jobID: f.rest.jobID, store: store, decoders: decoders}
+		err := r.walkChunks(f.ctx, man, func(*walker, *wire.TableManifest, string, int64, error) error { return errVisit })
+		if !errors.Is(err, errVisit) {
+			t.Errorf("decoders=%d: walk whose visit fails = %v, want visit's error", decoders, err)
+		}
+		if decoders == 1 && ops.gets != 1 {
+			t.Errorf("decoders=1: walk whose visit fails at the first chunk made %d Gets, want 1", ops.gets)
+		}
 	}
 }
 

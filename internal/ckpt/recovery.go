@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
@@ -559,17 +558,18 @@ type walker struct {
 
 // walkChunks is the one chunk read loop, under restore, replica sync,
 // verify and engine rejoin alike. It fans man's chunk keys over
-// r.decoders workers; each Gets an object, decodes it (CRC included)
-// into its walker's view, checks it against the TableManifest that names
-// it (readChunk) and hands the outcome to visit: the walker, whose view
-// holds the chunk, or the error that stopped it short of one (size is
-// what was fetched either way). visit returning non-nil aborts the walk,
-// which then returns that error; nil (having recorded any) carries on.
-// A context that ends with chunks still unread, or under a read, is the
-// walk's error and no finding of visit's. visit runs on the worker
-// goroutines, so it must serialise what it shares. The view aliases the
-// fetched object, which the walk hands back to the store's pool
-// (rpc.Recycle) once visit returns: nothing visit keeps may point into it.
+// r.decoders fanOut workers, a walker each; each Gets an object, decodes
+// it (CRC included) into its walker's view, checks it against the
+// TableManifest that names it (readChunk) and hands the outcome to visit:
+// the walker, whose view holds the chunk, or the error that stopped it
+// short of one (size is what was fetched either way). visit returning
+// non-nil aborts the walk, which then returns that error and starts no
+// further Get; nil (having recorded any) carries on. A context that ends
+// with chunks still unread, or under a read, is the walk's error and no
+// finding of visit's. visit runs on the worker goroutines, so it must
+// serialise what it shares. The view aliases the fetched object, which
+// the walk hands back to the store's pool (rpc.Recycle) once visit
+// returns: nothing visit keeps may point into it.
 func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 	visit func(w *walker, tm *wire.TableManifest, key string, size int64, err error) error) error {
 	type work struct {
@@ -582,42 +582,20 @@ func (r *Restorer) walkChunks(ctx context.Context, man *wire.Manifest,
 			todo = append(todo, work{&man.Tables[i], key})
 		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next  atomic.Int64
-		once  sync.Once
-		first error
-		wg    sync.WaitGroup
-	)
-	fail := func(err error) {
-		once.Do(func() {
-			first = err
-			cancel()
-		})
-	}
-	for w := 0; w < min(r.decoders, len(todo)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var w walker
-			for i := next.Add(1) - 1; int(i) < len(todo); i = next.Add(1) - 1 {
-				blob, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &w.view)
-				if cerr := ctx.Err(); cerr != nil {
-					fail(cerr) // whatever the read says, it says it of the context
-					return
-				}
-				err = visit(&w, todo[i].tm, todo[i].key, int64(len(blob)), err)
-				rpc.Recycle(blob)
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	walkers := make([]walker, min(r.decoders, len(todo)))
+	return fanOut(ctx, len(todo), len(walkers), func(ctx context.Context, w, i int) error {
+		if err := ctx.Err(); err != nil {
+			return err // the walk has ended: no Get
+		}
+		blob, err := r.readChunk(ctx, todo[i].tm, todo[i].key, &walkers[w].view)
+		if cerr := ctx.Err(); cerr != nil {
+			rpc.Recycle(blob)
+			return cerr // whatever the read says, it says it of the context
+		}
+		err = visit(&walkers[w], todo[i].tm, todo[i].key, int64(len(blob)), err)
+		rpc.Recycle(blob)
+		return err
+	})
 }
 
 // readChunk fetches the object stored under key, decodes it into v and

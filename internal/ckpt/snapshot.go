@@ -6,11 +6,10 @@
 package ckpt
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitvec"
 	"repro/internal/data"
@@ -45,11 +44,11 @@ type Snapshot struct {
 // snapshotted with reset, starting the next interval's tracking window.
 //
 // The tables are copied as the paper's trainers copy their shards to host
-// memory, in parallel: min(GOMAXPROCS, tables) workers take them largest
-// first, the calling goroutine being one of them, so the stall scales with
-// the largest table or the model over the cores, whichever is longer.
-// Each copy goes into memory the runtime does not clear first (see
-// tensor.Matrix.Clone).
+// memory, in parallel: min(GOMAXPROCS, tables) fanOut workers take them
+// largest first, the calling goroutine being one of them, so the stall
+// scales with the largest table or the model over the cores, whichever is
+// longer. Each copy goes into memory the runtime does not clear first
+// (see tensor.Matrix.Clone).
 func TakeSnapshot(m *model.DLRM, step uint64, reader data.ReaderState) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("ckpt: nil model")
@@ -71,22 +70,10 @@ func TakeSnapshot(m *model.DLRM, step uint64, reader data.ReaderState) (*Snapsho
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return live[order[a]].SizeBytes() > live[order[b]].SizeBytes() })
-	var next atomic.Int64
-	clone := func() {
-		for i := next.Add(1) - 1; int(i) < len(order); i = next.Add(1) - 1 {
-			s.Tables[order[i]] = live[order[i]].Clone()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(live)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			clone()
-		}()
-	}
-	clone()
-	wg.Wait()
+	_ = fanOut(context.Background(), len(order), runtime.GOMAXPROCS(0), func(_ context.Context, _, i int) error {
+		s.Tables[order[i]] = live[order[i]].Clone()
+		return nil
+	})
 	return s, nil
 }
 
