@@ -22,13 +22,13 @@ func main() {
 
 	// Start a local object-store server — in production this is the
 	// remote, replicated checkpoint storage tier.
-	backend := objstore.NewMemStore(objstore.MemConfig{Replication: 3})
+	backend := objstore.NewMemStore(objstore.MemConfig{})
 	srv, err := objstore.NewServer("127.0.0.1:0", backend, objstore.ServerConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("object store (replication=3) on %s\n", srv.Addr())
+	fmt.Printf("object store on %s\n", srv.Addr())
 
 	// Estimate expected restores from the failure model: a 24h job on 16
 	// nodes with the per-node failure rate implied by the paper's CDF.
@@ -85,6 +85,6 @@ func main() {
 	fmt.Printf("\njob finished: %d intervals, %d restores, final bits=%d\n",
 		intervals, sys.Restores(), sys.QuantBits())
 	u := backend.Usage()
-	fmt.Printf("server-side accounting: %d objects, %d bytes capacity (x3 replication), %d bytes written\n",
+	fmt.Printf("server-side accounting: %d objects, %d bytes capacity, %d bytes written\n",
 		u.Objects, u.CapacityBytes, u.BytesWritten)
 }

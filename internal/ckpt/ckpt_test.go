@@ -53,7 +53,7 @@ func (w oneShard) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, er
 	if err != nil {
 		return nil, err
 	}
-	return w.writers[0].eng.manifests[man.ID], nil
+	return w.shards[0].manifests[man.ID], nil
 }
 
 // shardChain returns the fixture job's one shard chain of checkpoint id.
@@ -713,7 +713,8 @@ func BenchmarkWriteFull4Bit(b *testing.B) {
 
 // BenchmarkAblationPipelining measures checkpoint write wall time with 1
 // vs 4 upload workers against a bandwidth-shaped store on the real clock
-// (the test model's 4-bit checkpoint takes about 48 ms on its 1 MiB/s link).
+// (the test model's 4-bit checkpoint, eight 256-row chunks, takes about
+// 45 ms on its 1 MiB/s link).
 // Note the finding: the engine's producer/consumer design pipelines
 // quantization against upload even with a single worker, and a serialized
 // link gains nothing from extra workers — extra uploaders only pay off
@@ -726,16 +727,22 @@ func BenchmarkAblationPipelining(b *testing.B) {
 			benchWrite(b, Config{
 				Policy:    PolicyFull,
 				Quant:     quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 25, Ratio: 1},
-				ChunkRows: 256,
 				uploaders: uploaders,
 			}, objstore.MemConfig{WriteBandwidth: 1 << 20, Clock: simclock.Real{}})
 		})
 	}
 }
 
+// benchChunkRows is benchWrite's segment: 256-row chunks, so the test
+// model's 512-, 512- and 1024-row tables go out in 2, 2 and 4 chunks,
+// and a write runs more than one encoder and more than one Put per table.
+const benchChunkRows = 64
+
 // benchWrite times Engine.Write of one snapshot of the test model, each
-// iteration into a fresh MemStore built from mem.
+// iteration into a fresh MemStore built from mem, in benchChunkRows
+// segments.
 func benchWrite(b *testing.B, cfg Config, mem objstore.MemConfig) {
+	cfg.ChunkRows = benchChunkRows
 	m, err := model.New(testModelConfig(), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -850,7 +857,7 @@ func TestRefusedQuantChangesNothing(t *testing.T) {
 	if _, err := f.eng.Write(f.ctx, f.trainAndSnapshot(t, 1, 16)); err != nil {
 		t.Fatal(err)
 	}
-	e := f.eng.writers[0].eng
+	e := f.eng.shards[0]
 	cached := maps.Clone(e.rangeCache)
 	if len(cached) == 0 {
 		t.Fatal("fixture: an adaptive checkpoint cached no ranges")
@@ -879,8 +886,8 @@ func TestRefusedQuantChangesNothing(t *testing.T) {
 	if err := coord.SetQuant(bad); err == nil {
 		t.Fatal("Coordinator.SetQuant took adaptive with no bins")
 	}
-	for s, w := range coord.writers {
-		if got := w.eng.Quant(); got != adaptive {
+	for s, e := range coord.shards {
+		if got := e.Quant(); got != adaptive {
 			t.Fatalf("a refused SetQuant left shard %d at %+v", s, got)
 		}
 	}

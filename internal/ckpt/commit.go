@@ -15,10 +15,10 @@ import (
 // sequence over a job's ShardRunners is written, together with the
 // state it advances — the next checkpoint ID and the table ownership.
 // It deletes nothing a committed checkpoint holds: retention is the shard
-// writers', whose sweepers run once Commit has returned.
+// engines', whose sweepers run once Commit has returned.
 // Its two callers differ only in the runners they hand it and in what
-// they put in an Attempt: the in-process Coordinator (ShardWriters) and
-// ctrl.Controller (RemoteRunners to the ShardWriters inside shardd
+// they put in an Attempt: the in-process Coordinator (its shard Engines)
+// and ctrl.Controller (RemoteRunners to the Engines inside shardd
 // agents, plus lease fencing and announcements).
 //
 // Like Engine, it is not safe for concurrent use: checkpoints of one job
@@ -40,10 +40,10 @@ type Committer struct {
 // NewCommitter returns a Committer storing jobID's composite manifests
 // in store and driving runners, one per shard in shard order. It is the
 // one resume check of a job, under the Coordinator and ctrl.Controller
-// alike: nextIDs[s] is the ID runner s's writer resumed at, and all of
+// alike: nextIDs[s] is the ID runner s's engine resumed at, and all of
 // them must agree — that is the first ID it will commit; when the job
 // has a checkpoint already, the newest composite (nextID-1, the commit
-// point every writer resumed after) is fetched and must have been
+// point every engine resumed after) is fetched and must have been
 // written by as many shards as there are runners, and its table
 // ownership is what Commit holds every later attempt to. logf receives
 // diagnostics; nil discards them.

@@ -15,7 +15,7 @@ import (
 // fakeRunner is a ShardRunner that stores no tables: it counts the phase
 // calls it receives and fails the one phase named by failAt, through
 // the trip function the test case supplies. Shard 0's stores the dense
-// object in prepare, in its own scope as the shard-0 ShardWriter does,
+// object in prepare, in its own scope as the shard-0 Engine does,
 // names it in its manifest and deletes it in abort — so what a failed
 // attempt leaves is down to Committer aborting every shard.
 type fakeRunner struct {
@@ -188,7 +188,7 @@ func TestCommitSequence(t *testing.T) {
 				}
 
 				// The same ID is retried once the fault is gone, and a commit
-				// that succeeds deletes nothing: retention is the shard writers'.
+				// that succeeds deletes nothing: retention is the shard engines'.
 				armed = false
 				deletes := mem.Usage().Deletes
 				man, err = c.Commit(bg, att)

@@ -15,7 +15,7 @@ import (
 // wire.ShardJobID-scoped job IDs derived from it).
 type CoordinatorConfig struct {
 	Config
-	// Shards is the number of logical shard writers. Must be >= 1.
+	// Shards is the number of logical shards. Must be >= 1.
 	Shards int
 	// Assignment optionally pins table ID -> shard — e.g. to mirror the
 	// trainer cluster's node ownership (trainer.Cluster.TableAssignment).
@@ -25,8 +25,8 @@ type CoordinatorConfig struct {
 	Assignment map[int]int
 }
 
-// Coordinator fans one job's checkpoints out across N logical shard
-// writers — the paper's multi-trainer shape, where each trainer owns a
+// Coordinator fans one job's checkpoints out across N logical shards —
+// the paper's multi-trainer shape, where each trainer owns a
 // subset of the embedding tables and stores its part concurrently. Each
 // shard runs a full Engine pipeline (its own uploader pool, policy
 // state, and cumulative-delta bitmap) under a shard-scoped job ID, and
@@ -34,33 +34,33 @@ type CoordinatorConfig struct {
 // shard's objects are durable: a two-phase commit in which a crashed
 // shard can never leave a restorable-looking checkpoint behind.
 //
-// The commit sequence itself is Committer's and the shard side of it
-// ShardWriter's; this type builds the in-process ShardWriters, hands each
-// its shard's view of the snapshot being written, and decides which shard
-// owns which table, while ctrl.Controller hands the same Committer
-// RemoteRunners talking to the ShardWriters inside shardd agent
-// processes. It is the single-process product path: checknrun.System
-// (and so cmd/checknrun) writes every checkpoint through one.
+// The commit sequence itself is Committer's and the shard side of it the
+// shard Engine's; this type resumes the in-process shard engines, hands
+// each its shard's view of the snapshot being written, and decides which
+// shard owns which table, while ctrl.Controller hands the same Committer
+// RemoteRunners talking to the engines inside shardd agent processes.
+// It is the single-process product path: checknrun.System (and so
+// cmd/checknrun) writes every checkpoint through one.
 //
 // Like Engine, methods are not safe for concurrent use — checkpoints of
 // one job never overlap. The concurrency is inside one Write.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	writers []*ShardWriter
-	commit  *Committer
+	cfg    CoordinatorConfig
+	shards []*Engine
+	commit *Committer
 	// assign is the table -> shard ownership map, fixed at first Write
 	// (seeded from cfg.Assignment, and from the newest composite when the
 	// job already has one) so per-shard incremental chains stay
 	// self-contained across the job's lifetime.
 	assign map[int]int
-	// snap is the snapshot of the Write in progress, which every writer's
+	// snap is the snapshot of the Write in progress, which every shard's
 	// source carves its shard's view out of.
 	snap *Snapshot
 }
 
 // NewCoordinator validates cfg and builds the per-shard engines, resuming
-// the job from whatever the store holds: each shard writer recovers its
-// engine (NewShardWriter: debris of an attempt that died between shard
+// the job from whatever the store holds: each shard engine resumes
+// (ResumeShard: debris of an attempt that died between shard
 // publish and the composite Put is rolled back), NewCommitter checks
 // that they resumed one job — the same next checkpoint ID, as many shards
 // as the newest composite was written with — and table ownership continues
@@ -76,7 +76,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("ckpt: empty job ID")
 	}
-	c := &Coordinator{cfg: cfg, writers: make([]*ShardWriter, cfg.Shards), assign: make(map[int]int)}
+	c := &Coordinator{cfg: cfg, shards: make([]*Engine, cfg.Shards), assign: make(map[int]int)}
 	for id, s := range cfg.Assignment {
 		if s < 0 || s >= cfg.Shards {
 			return nil, fmt.Errorf("ckpt: table %d assigned to shard %d, want [0,%d)", id, s, cfg.Shards)
@@ -84,7 +84,7 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		c.assign[id] = s
 	}
 	err := forEachShard(cfg.Shards, func(s int) (err error) {
-		c.writers[s], err = NewShardWriter(ctx, cfg.Config, s, func(context.Context, uint64) (*Snapshot, error) {
+		c.shards[s], err = ResumeShard(ctx, cfg.Config, s, func(context.Context, uint64) (*Snapshot, error) {
 			return SubSnapshot(c.snap, c.assign, s), nil
 		})
 		return err
@@ -93,8 +93,8 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 		return nil, err
 	}
 	runners, nextIDs := make([]ShardRunner, cfg.Shards), make([]int, cfg.Shards)
-	for s, w := range c.writers {
-		runners[s], nextIDs[s] = w, w.NextID()
+	for s, e := range c.shards {
+		runners[s], nextIDs[s] = e, e.NextID()
 	}
 	if c.commit, err = NewCommitter(ctx, cfg.JobID, cfg.Store, runners, nextIDs, nil); err != nil {
 		return nil, err
@@ -116,13 +116,13 @@ func NewCoordinator(ctx context.Context, cfg CoordinatorConfig) (*Coordinator, e
 func (c *Coordinator) NextID() int { return c.commit.NextID() }
 
 // Quant returns the quantization parameters the shard engines encode with.
-func (c *Coordinator) Quant() quant.Params { return c.writers[0].eng.Quant() }
+func (c *Coordinator) Quant() quant.Params { return c.shards[0].Quant() }
 
 // SetQuant changes the quantization parameters of every shard engine for
 // subsequent checkpoints (Engine.SetQuant).
 func (c *Coordinator) SetQuant(p quant.Params) error {
-	for _, w := range c.writers {
-		if err := w.eng.SetQuant(p); err != nil {
+	for _, e := range c.shards {
+		if err := e.SetQuant(p); err != nil {
 			return err
 		}
 	}
@@ -140,7 +140,7 @@ func forEachShard(n int, fn func(s int) error) error {
 // Close waits for every shard engine's retention sweep (Engine.Close):
 // after it, no checkpoint this coordinator retired is half-deleted.
 func (c *Coordinator) Close(ctx context.Context) error {
-	return forEachShard(len(c.writers), func(s int) error { return c.writers[s].Close(ctx) })
+	return forEachShard(len(c.shards), func(s int) error { return c.shards[s].Close(ctx) })
 }
 
 // Write checkpoints snap across all shards and commits the composite

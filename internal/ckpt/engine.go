@@ -38,7 +38,7 @@ type Config struct {
 	// newest KeepLast checkpoints stay, with whatever they restore through
 	// (a base is never deleted while a dependent increment is retained);
 	// the rest is deleted off the commit path. Zero keeps everything. Shard
-	// writers of one job that disagree are safe: a checkpoint stays listed
+	// engines of one job that disagree are safe: a checkpoint stays listed
 	// while every shard holds its part, so the smallest KeepLast decides.
 	KeepLast int
 
@@ -62,10 +62,15 @@ type Config struct {
 // candidates, so how many segments a chunk packs moves no code.
 const adaptiveSampling = 8
 
-// Engine builds and stores checkpoints for one training job. Methods are
-// not safe for concurrent use: the paper serializes checkpoints ("two
-// consecutive checkpoints cannot overlap"). The one goroutine an engine
-// owns is its retention sweeper's; Close waits for it.
+// Engine builds and stores checkpoints for one training job, or for one
+// shard of a composite job (ResumeShard), where it is the shard's side of
+// the two-phase commit (ShardRunner) under the in-process Coordinator and
+// the shardd agent alike. Methods are not safe for concurrent use: the
+// paper serializes checkpoints ("two consecutive checkpoints cannot
+// overlap"), and the phases of one shard never overlap (a Coordinator
+// calls each shard from one goroutine per phase; an agent serializes
+// commands on its mutex). The one goroutine an engine owns is its
+// retention sweeper's; Close waits for it.
 type Engine struct {
 	cfg   Config
 	state *policyState
@@ -98,6 +103,12 @@ type Engine struct {
 	// pending is the attempt in flight, from prepare until finalize or
 	// abort; nil if none.
 	pending *attempt
+	// source supplies a shard engine's prepare-time snapshots; nil for an
+	// engine on its own.
+	source SnapshotSource
+	// unsettled is set while an Abort of the attempt in flight could not
+	// tell whether it committed; every request retries it first.
+	unsettled bool
 }
 
 // NewEngine validates cfg and returns an Engine.
@@ -162,7 +173,8 @@ func (e *Engine) NextID() int { return e.nextID }
 // record. Under a plain job ID a Restorer lists that manifest and refuses
 // it as damaged, so give the engine a shard-scoped JobID (wire.ShardJobID).
 // It measures or tests the engine alone; a job writes through a
-// Coordinator or ctrl.Controller.
+// Coordinator or ctrl.Controller, and a shard engine is driven through
+// the ShardRunner calls only.
 func (e *Engine) Write(ctx context.Context, snap *Snapshot) (*wire.Manifest, error) {
 	if _, err := e.prepare(ctx, snap); err != nil {
 		return nil, err
@@ -623,7 +635,7 @@ type sweeper struct {
 	jobID   string
 	workers int
 	// composite is the job this engine writes one shard of
-	// (NewShardWriter sets it); "" for an engine on its own (Engine.Write).
+	// (ResumeShard sets it); "" for an engine on its own (Engine.Write).
 	composite string
 
 	mu sync.Mutex
@@ -724,7 +736,7 @@ func (s *sweeper) wait(ctx context.Context) (swept []int, err error) {
 // recoverEngine rebuilds a shard's Engine from the durable state under
 // cfg.JobID, the shard's scope, by walking its manifests in the store —
 // the rejoin path for a process that crashed and lost its in-memory
-// engine (NewShardWriter). It reconstructs the checkpoint sequence
+// engine (ResumeShard). It reconstructs the checkpoint sequence
 // number, the last full baseline, the manifest cache GC depends on, the
 // policy's incremental-size history, and the cumulative
 // modified-since-baseline bitmaps (from the row indices the incrementals

@@ -213,7 +213,7 @@ func TestRecoverEngineDropsUncommittedTrailingManifest(t *testing.T) {
 // never happened — rolls the debris back, has every shard agree on the
 // next ID, and continues the chain with byte-for-byte the objects a
 // Coordinator that never died writes. (ctrl's selfheal tests hold the
-// same property for shardd agents; both go through NewShardWriter.)
+// same property for shardd agents; both go through ResumeShard.)
 func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 	const job, shards = "testjob", 2
 	for _, pol := range []PolicyKind{PolicyFull, PolicyOneShot, PolicyConsecutive, PolicyIntermittent} {
@@ -246,7 +246,7 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 				// object with shard 0's) and `published` shard manifests; then
 				// the process is gone, rollback included.
 				crash.snap = snaps[2]
-				for s, w := range crash.writers {
+				for s, w := range crash.shards {
 					if _, err := w.Prepare(ctx, 2, snaps[2].Step); err != nil {
 						t.Fatal(err)
 					}
@@ -261,7 +261,7 @@ func TestCoordinatorRejoinsAfterTornCommit(t *testing.T) {
 				if rec.NextID() != 2 {
 					t.Fatalf("rebuilt coordinator at next ID %d, want 2", rec.NextID())
 				}
-				for s, w := range rec.writers {
+				for s, w := range rec.shards {
 					if w.NextID() != 2 {
 						t.Fatalf("shard %d rejoined at next ID %d, want 2", s, w.NextID())
 					}

@@ -179,10 +179,10 @@ func readGuard(t *testing.T, job string, inner objstore.Store) *storetest.Hook {
 }
 
 // TestRetentionNeverDeletesWhatAListedCheckpointReads drives generated
-// two-shard jobs — the four policies, shard writers that agree and that
+// two-shard jobs — the four policies, shard engines that agree and that
 // disagree on KeepLast, and a point at which both are killed (whatever
 // their sweeps were doing) and resume from the store — over a readGuard.
-// The shard writers and the Committer are wired as a Controller wires
+// The shard engines and the Committer are wired as a Controller wires
 // them; a Coordinator could not give its shards different settings.
 func TestRetentionNeverDeletesWhatAListedCheckpointReads(t *testing.T) {
 	const job, commits = "testjob", 7
@@ -196,13 +196,13 @@ func TestRetentionNeverDeletesWhatAListedCheckpointReads(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/keep-%d-%d/killed-after-%d", pol, keep[0], keep[1], killAfter), func(t *testing.T) {
 					guard := readGuard(t, job, objstore.NewMemStore(objstore.MemConfig{}))
 					var cur *Snapshot
-					// open resumes both writers through a handle of their own, which
+					// open resumes both engines through a handle of their own, which
 					// a kill turns dead under whatever sweep is using it.
-					open := func() (*sweepStore, [2]*ShardWriter, *Committer) {
+					open := func() (*sweepStore, [2]*Engine, *Committer) {
 						handle := newSweepStore(guard)
-						var ws [2]*ShardWriter
+						var ws [2]*Engine
 						for s := range ws {
-							w, err := NewShardWriter(ctx, Config{JobID: job, Store: handle, Policy: pol, KeepLast: keep[s]}, s,
+							w, err := ResumeShard(ctx, Config{JobID: job, Store: handle, Policy: pol, KeepLast: keep[s]}, s,
 								func(context.Context, uint64) (*Snapshot, error) { return SubSnapshot(cur, assign, s), nil })
 							if err != nil {
 								t.Fatal(err)

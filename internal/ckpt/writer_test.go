@@ -29,7 +29,7 @@ func TestAbortedAttemptKeepsItsRows(t *testing.T) {
 				// Attempt 1 is prepared, then aborted: its composite never lands.
 				snap := f.trainAndSnapshot(t, 2, 32)
 				f.eng.snap = snap
-				w := f.eng.writers[0]
+				w := f.eng.shards[0]
 				aborted, err := w.Prepare(f.ctx, 1, snap.Step)
 				if err != nil {
 					t.Fatal(err)

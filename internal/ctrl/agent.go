@@ -37,17 +37,17 @@ type AgentConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Agent hosts one shard's ckpt.ShardWriter and executes control-plane
+// Agent hosts one shard's ckpt.Engine and executes control-plane
 // commands against it. The shard side of the commit — the attempt in
-// flight, ID sequencing, settling what a dead
-// controller left — is the writer's; the agent adds what only a remote
-// shard needs: epoch fencing (admitted, adopted and persisted here), the
-// job-ID check, the op budget, and ErrFenced for what the writer refuses
+// flight, ID sequencing, settling what a dead controller left — is the
+// engine's (ckpt.ShardRunner); the agent adds what only a remote shard
+// needs: epoch fencing (admitted, adopted and persisted here), the
+// job-ID check, the op budget, and ErrFenced for what the engine refuses
 // as out of sequence. All commands serialize on one mutex — checkpoint
-// phases of one shard never overlap, mirroring the writer's contract.
+// phases of one shard never overlap, mirroring the engine's contract.
 type Agent struct {
 	cfg  AgentConfig
-	w    *ckpt.ShardWriter
+	eng  *ckpt.Engine
 	logf func(format string, args ...any)
 	// reg is the job's epoch/lease register, through which adopted
 	// epochs survive agent restarts.
@@ -58,7 +58,7 @@ type Agent struct {
 }
 
 // NewAgent validates cfg and resumes the shard from the store: the
-// writer from the shard scope's manifests (ckpt.NewShardWriter) and
+// engine from the shard scope's manifests (ckpt.ResumeShard) and
 // the fleet epoch from the job's lease register, so a restarted agent
 // rejoins the fleet — passing NextID-consensus discovery and still
 // refusing superseded controllers — instead of coming back amnesiac.
@@ -82,7 +82,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	defer cancel()
 	ecfg := cfg.Engine
 	ecfg.JobID = cfg.JobID
-	w, err := ckpt.NewShardWriter(ctx, ecfg, cfg.Shard, cfg.Source)
+	eng, err := ckpt.ResumeShard(ctx, ecfg, cfg.Shard, cfg.Source)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 	}
@@ -94,8 +94,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: recover shard %d: %w", cfg.Shard, err)
 	}
-	a.w, a.reg, a.epoch = w, reg, rec.Epoch
-	logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, w.NextID(), rec.Epoch)
+	a.eng, a.reg, a.epoch = eng, reg, rec.Epoch
+	logf("ctrl agent %d: recovered at next id %d, epoch %d", cfg.Shard, eng.NextID(), rec.Epoch)
 	return a, nil
 }
 
@@ -104,7 +104,7 @@ func fencedf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrFenced, fmt.Sprintf(format, args...))
 }
 
-// fenced maps what the writer refused as out of sequence onto ErrFenced;
+// fenced maps what the engine refused as out of sequence onto ErrFenced;
 // any other error (a store failure, a failed snapshot) passes through.
 func fenced(err error) error {
 	if errors.Is(err, ckpt.ErrOutOfSequence) {
@@ -116,7 +116,7 @@ func fenced(err error) error {
 // admitLocked applies epoch and job fencing for a mutating request.
 // Requests from older epochs are rejected; a newer epoch is adopted, and
 // any attempt the superseded controller left in flight is settled — a
-// request that cannot settle it fails, and the writer retries before the
+// request that cannot settle it fails, and the engine retries before the
 // next one.
 func (a *Agent) admitLocked(epoch uint64, jobID string) error {
 	if epoch < a.epoch {
@@ -161,17 +161,17 @@ func (a *Agent) opCtxLocked() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), a.cfg.OpTimeout)
 }
 
-// settleLocked has the writer settle the attempt in flight, if any, by
-// the store (ckpt.ShardWriter.Abort): afterwards the next ID is past it if
+// settleLocked has the engine settle the attempt in flight, if any, by
+// the store (ckpt.Engine.Abort): afterwards the next ID is past it if
 // it had committed, still at it if it was rolled back or, on an error,
 // kept.
 func (a *Agent) settleLocked(ctx context.Context) error {
-	id := a.w.PreparedID()
+	id := a.eng.PreparedID()
 	if id < 0 {
 		return nil
 	}
-	err := a.w.Abort(ctx, id)
-	a.logf("ctrl agent %d: settled in-flight checkpoint %d: next id %d, err %v", a.cfg.Shard, id, a.w.NextID(), err)
+	err := a.eng.Abort(ctx, id)
+	a.logf("ctrl agent %d: settled in-flight checkpoint %d: next id %d, err %v", a.cfg.Shard, id, a.eng.NextID(), err)
 	return err
 }
 
@@ -185,7 +185,7 @@ func (a *Agent) Prepare(ctx context.Context, epoch uint64, args *PrepareArgs) (*
 	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return nil, err
 	}
-	man, err := a.w.Prepare(ctx, args.CkptID, args.Step)
+	man, err := a.eng.Prepare(ctx, args.CkptID, args.Step)
 	if err != nil {
 		return nil, fenced(err)
 	}
@@ -199,7 +199,7 @@ func (a *Agent) Publish(ctx context.Context, epoch uint64, args *CommitArgs) err
 	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return err
 	}
-	return fenced(a.w.Publish(ctx, args.CkptID))
+	return fenced(a.eng.Publish(ctx, args.CkptID))
 }
 
 // Finalize commits the shard engine's state. The controller calls this
@@ -210,7 +210,7 @@ func (a *Agent) Finalize(ctx context.Context, epoch uint64, args *CommitArgs) er
 	if err := a.admitLocked(epoch, args.JobID); err != nil {
 		return err
 	}
-	return fenced(a.w.Finalize(ctx, args.CkptID))
+	return fenced(a.eng.Finalize(ctx, args.CkptID))
 }
 
 // Abort settles the in-flight attempt: rolled back, unless its composite
@@ -237,14 +237,14 @@ func (a *Agent) Status() *StatusReply {
 		Shard:      a.cfg.Shard,
 		Shards:     a.cfg.Shards,
 		Epoch:      a.epoch,
-		NextID:     a.w.NextID(),
-		PreparedID: a.w.PreparedID(),
+		NextID:     a.eng.NextID(),
+		PreparedID: a.eng.PreparedID(),
 	}
 }
 
 // Close settles any in-flight attempt; one the store cannot vouch for
 // either way is left as a kill would leave it, for the restart to settle.
-// It then waits, within the op budget, for the writer's retention sweep,
+// It then waits, within the op budget, for the engine's retention sweep,
 // so a clean shutdown leaves no retired checkpoint half-deleted.
 func (a *Agent) Close() {
 	a.mu.Lock()
@@ -252,7 +252,7 @@ func (a *Agent) Close() {
 	ctx, cancel := a.opCtxLocked()
 	defer cancel()
 	_ = a.settleLocked(ctx) // logged there
-	if err := a.w.Close(ctx); err != nil {
+	if err := a.eng.Close(ctx); err != nil {
 		a.logf("ctrl agent %d: retention sweep still running at close: %v", a.cfg.Shard, err)
 	}
 }

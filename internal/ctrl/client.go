@@ -9,11 +9,11 @@ import (
 	"repro/internal/rpc"
 )
 
-// Client speaks the control protocol to one shard agent. Control
-// traffic is low-rate and the controller drives each shard's phases in
-// order, so a single parked connection (redialed transparently after
-// transport errors) suffices — unlike the data plane's pooled
-// objstore.Client.
+// Client speaks the control protocol to one shard agent: Status here,
+// the commit phases through the RemoteRunner over it. Control traffic is
+// low-rate and the controller drives each shard's phases in order, so a
+// single parked connection (redialed transparently after transport
+// errors) suffices — unlike the data plane's pooled objstore.Client.
 type Client struct {
 	rpc *rpc.Client
 }
@@ -84,33 +84,6 @@ func (c *Client) Status(ctx context.Context) (*StatusReply, error) {
 		return nil, err
 	}
 	return &reply, nil
-}
-
-// Prepare drives the agent's prepare phase.
-func (c *Client) Prepare(ctx context.Context, epoch uint64, args *PrepareArgs) (*PrepareReply, error) {
-	var reply PrepareReply
-	if err := c.call(ctx, opPrepare, epoch, args, &reply); err != nil {
-		return nil, err
-	}
-	if reply.Manifest == nil {
-		return nil, fmt.Errorf("ctrl: agent %s returned no manifest", c.Addr())
-	}
-	return &reply, nil
-}
-
-// Publish drives the agent's publish phase.
-func (c *Client) Publish(ctx context.Context, epoch uint64, jobID string, id int) error {
-	return c.call(ctx, opPublish, epoch, &CommitArgs{JobID: jobID, CkptID: id}, nil)
-}
-
-// Finalize commits the agent's shard state after the composite commit.
-func (c *Client) Finalize(ctx context.Context, epoch uint64, jobID string, id int) error {
-	return c.call(ctx, opFinalize, epoch, &CommitArgs{JobID: jobID, CkptID: id}, nil)
-}
-
-// Abort rolls back the agent's in-flight attempt.
-func (c *Client) Abort(ctx context.Context, epoch uint64, jobID string, id int) error {
-	return c.call(ctx, opAbort, epoch, &CommitArgs{JobID: jobID, CkptID: id}, nil)
 }
 
 // Close closes the connection. It does not wait for a call in flight.

@@ -58,8 +58,7 @@ type ControllerConfig struct {
 // checkpoint fleet: it discovers shard agents, drives the two-phase
 // commit over the control protocol (the ckpt.Committer sequence the
 // in-process Coordinator also uses, over RemoteRunners to the agents'
-// ckpt.ShardWriters), and alone
-// stores the composite manifest. A crashed or partitioned agent
+// shard engines), and alone stores the composite manifest. A crashed or partitioned agent
 // therefore results in Abort — never a restorable-looking composite.
 //
 // Methods are not safe for concurrent use; checkpoints never overlap.

@@ -16,7 +16,7 @@
 // and the checkpoint ID it names. An agent rejects requests from a
 // stale epoch (a superseded controller) and adopts higher epochs,
 // settling any attempt the dead controller left in flight by whether its
-// composite manifest is in the store; its ckpt.ShardWriter — the same
+// composite manifest is in the store; its ckpt.Engine — the same
 // shard-side state machine an in-process Coordinator drives — refuses
 // Prepare for any ID other than its engine's next, so a controller and
 // agent that disagree about history fail loudly instead of corrupting

@@ -215,21 +215,22 @@ func TestClientServerFencedErrorCrossesTheWire(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	// Full happy path over TCP.
-	reply, err := cl.Prepare(ctx, 3, &PrepareArgs{JobID: "fence", CkptID: 0, Step: 4})
+	at := NewRemoteRunner(cl, "fence", 3)
+	man, err := at.Prepare(ctx, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Manifest == nil || reply.Manifest.ID != 0 || reply.Manifest.DenseKey == "" {
-		t.Fatalf("prepare reply = %+v", reply)
+	if man.ID != 0 || man.DenseKey == "" {
+		t.Fatalf("prepared manifest = %+v", man)
 	}
 	// Fencing survives serialization as ErrFenced.
-	if err := cl.Publish(ctx, 2, "fence", 0); !errors.Is(err, ErrFenced) {
+	if err := NewRemoteRunner(cl, "fence", 2).Publish(ctx, 0); !errors.Is(err, ErrFenced) {
 		t.Fatalf("err = %v, want ErrFenced", err)
 	}
-	if err := cl.Publish(ctx, 3, "fence", 0); err != nil {
+	if err := at.Publish(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Finalize(ctx, 3, "fence", 0); err != nil {
+	if err := at.Finalize(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	st, err = cl.Status(ctx)

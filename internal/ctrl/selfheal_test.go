@@ -223,7 +223,7 @@ func TestAgentOpDeadlineUnblocksWedgedStore(t *testing.T) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if _, err := cl.Prepare(cctx, 1, &PrepareArgs{JobID: job, CkptID: 0, Step: 4}); err == nil {
+	if _, err := NewRemoteRunner(cl, job, 1).Prepare(cctx, 0, 4); err == nil {
 		t.Fatal("prepare against a saturated store succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -233,7 +233,7 @@ func TestAgentOpDeadlineUnblocksWedgedStore(t *testing.T) {
 	if _, err := cl.Status(cctx); err != nil {
 		t.Fatalf("status after deadline-failed prepare: %v", err)
 	}
-	if err := cl.Abort(cctx, 2, job, 0); err != nil {
+	if err := NewRemoteRunner(cl, job, 2).Abort(cctx, 0); err != nil {
 		t.Fatalf("abort from new epoch after deadline-failed prepare: %v", err)
 	}
 	if st := a.Status(); st.Epoch != 2 || st.PreparedID != -1 {

@@ -84,15 +84,15 @@ type shardSide interface {
 	refused(err error) bool
 }
 
-// directSide is a ckpt.ShardWriter called as an in-process Coordinator
-// calls it.
-type directSide struct{ *ckpt.ShardWriter }
+// directSide is a shard's ckpt.Engine called as an in-process
+// Coordinator calls it.
+type directSide struct{ *ckpt.Engine }
 
 func (d directSide) settle(ctx context.Context) error { return d.Abort(ctx, -1) }
 func (d directSide) position(*testing.T) (int, int)   { return d.NextID(), d.PreparedID() }
 func (d directSide) refused(err error) bool           { return errors.Is(err, ckpt.ErrOutOfSequence) }
 
-// agentSide is the writer inside an Agent behind NewAgentServer on
+// agentSide is the engine inside an Agent behind NewAgentServer on
 // loopback, called through the RemoteRunner a Controller uses.
 type agentSide struct{ *RemoteRunner }
 
@@ -114,12 +114,12 @@ func (a *agentSide) refused(err error) bool { return errors.Is(err, ErrFenced) }
 
 var contractTransports = map[string]func(t *testing.T, store objstore.Store, src ckpt.SnapshotSource) shardSide{
 	"writer": func(t *testing.T, store objstore.Store, src ckpt.SnapshotSource) shardSide {
-		w, err := ckpt.NewShardWriter(context.Background(),
+		e, err := ckpt.ResumeShard(context.Background(),
 			ckpt.Config{JobID: contractJob, Store: store, Policy: ckpt.PolicyOneShot}, 0, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return directSide{w}
+		return directSide{e}
 	},
 	"agent": func(t *testing.T, store objstore.Store, src ckpt.SnapshotSource) shardSide {
 		a, err := NewAgent(AgentConfig{
@@ -204,7 +204,7 @@ func (r *contractRig) wantRefused(what string, err error) {
 }
 
 // TestShardWriterContract holds the shard side of the two-phase commit to
-// one contract under both transports: a ckpt.ShardWriter called directly,
+// one contract under both transports: a shard's ckpt.Engine called directly,
 // as Coordinator calls it, and the one inside an Agent reached over CNC1,
 // as Controller calls it.
 func TestShardWriterContract(t *testing.T) {
@@ -630,7 +630,7 @@ func (r *retentionRig) wantListed(want ...int) {
 
 // TestWriterRetentionContract holds retention — the shard writers', and
 // nobody else's — to one contract under both orchestrators: a Coordinator
-// over in-process ShardWriters and a Controller over Agents on loopback.
+// over in-process shard engines and a Controller over Agents on loopback.
 // Whatever a job lists restores bit-identically to the same job with
 // retention off, a commit that succeeds deletes nothing itself, nothing is
 // left for SweepOrphans once the sweeps have settled, and (retentionStore)

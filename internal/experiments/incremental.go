@@ -141,66 +141,41 @@ func intervalRun(cfg IncrementalConfig, policy ckpt.PolicyKind, qp quant.Params)
 // checkpoint size (bandwidth proxy, % of model) under the three
 // incremental policies.
 func Fig15IncrementalBandwidth(cfg IncrementalConfig) (*Result, error) {
-	r := &Result{
+	return policyFigure(cfg, &Result{
 		ID:     "fig15",
 		Title:  "Incremental checkpoint size per interval (write bandwidth proxy)",
 		XLabel: "interval",
 		YLabel: "% of model size",
-	}
-	none := quant.Params{Method: quant.MethodNone}
-	for _, pc := range []struct {
-		name   string
-		policy ckpt.PolicyKind
-	}{
-		{"one-shot", ckpt.PolicyOneShot},
-		{"intermittent", ckpt.PolicyIntermittent},
-		{"consecutive", ckpt.PolicyConsecutive},
-	} {
-		res, err := intervalRun(cfg, pc.policy, none)
-		if err != nil {
-			return nil, fmt.Errorf("fig15 %s: %w", pc.name, err)
-		}
-		var pts []stats.Point
-		for i, v := range res.BWFrac {
-			pts = append(pts, stats.Point{X: float64(i), Y: v})
-		}
-		r.Series = append(r.Series, stats.Series{Name: pc.name, Points: pts})
-	}
-	r.Notes = append(r.Notes,
-		"one-shot grows monotonically; consecutive stays flat; intermittent resets to 100% at its new baseline")
-	return r, nil
+		Notes:  []string{"one-shot grows monotonically; consecutive stays flat; intermittent resets to 100% at its new baseline"},
+	}, func(res *intervalResult) []float64 { return res.BWFrac })
 }
 
 // Fig16StorageCapacity regenerates Figure 16: required storage capacity
 // per interval (relative to one full checkpoint) under the three policies.
 func Fig16StorageCapacity(cfg IncrementalConfig) (*Result, error) {
-	r := &Result{
+	return policyFigure(cfg, &Result{
 		ID:     "fig16",
 		Title:  "Required storage capacity per interval",
 		XLabel: "interval",
 		YLabel: "% of one full checkpoint",
-	}
-	none := quant.Params{Method: quant.MethodNone}
-	for _, pc := range []struct {
-		name   string
-		policy ckpt.PolicyKind
-	}{
-		{"one-shot", ckpt.PolicyOneShot},
-		{"intermittent", ckpt.PolicyIntermittent},
-		{"consecutive", ckpt.PolicyConsecutive},
-	} {
-		res, err := intervalRun(cfg, pc.policy, none)
+		Notes:  []string{"consecutive capacity grows without bound (all links retained); intermittent resets at each new baseline"},
+	}, func(res *intervalResult) []float64 { return res.CapFrac })
+}
+
+// policyFigure fills r with one series per incremental policy, named for
+// the policy: field's per-interval values of an fp32 intervalRun.
+func policyFigure(cfg IncrementalConfig, r *Result, field func(*intervalResult) []float64) (*Result, error) {
+	for _, policy := range []ckpt.PolicyKind{ckpt.PolicyOneShot, ckpt.PolicyIntermittent, ckpt.PolicyConsecutive} {
+		res, err := intervalRun(cfg, policy, quant.Params{Method: quant.MethodNone})
 		if err != nil {
-			return nil, fmt.Errorf("fig16 %s: %w", pc.name, err)
+			return nil, fmt.Errorf("%s %v: %w", r.ID, policy, err)
 		}
 		var pts []stats.Point
-		for i, v := range res.CapFrac {
+		for i, v := range field(res) {
 			pts = append(pts, stats.Point{X: float64(i), Y: v})
 		}
-		r.Series = append(r.Series, stats.Series{Name: pc.name, Points: pts})
+		r.Series = append(r.Series, stats.Series{Name: policy.String(), Points: pts})
 	}
-	r.Notes = append(r.Notes,
-		"consecutive capacity grows without bound (all links retained); intermittent resets at each new baseline")
 	return r, nil
 }
 

@@ -308,7 +308,9 @@ func (s *DiskStore) recover() error {
 	return nil
 }
 
-// replay applies one recovered record to the index and accounting.
+// replay applies one record to the index and accounting: the one index
+// rule, for a record the recovery scan found and for one Put or Delete
+// just appended alike, so the live store and a reopened one agree.
 func (s *DiskStore) replay(seg uint64, rec segRecord) {
 	old, existed := s.index[rec.key]
 	if rec.tombstone {
@@ -477,22 +479,9 @@ func (s *DiskStore) putLocked(key string, valLen int64, rec []byte) error {
 	if err != nil {
 		return err
 	}
-	old, existed := s.index[key]
-	if existed {
-		s.deadLog += old.size
-		s.capacityBytes.Add(-old.valLen)
-	} else {
-		s.objects.Add(1)
-	}
-	s.index[key] = diskLoc{
-		seg:    s.activeID,
-		valOff: start + recHeaderLen + int64(len(key)),
-		valLen: valLen,
-		size:   int64(len(rec)),
-	}
+	s.replay(s.activeID, segRecord{key: key, valOff: start + recHeaderLen + int64(len(key)), valLen: valLen, size: int64(len(rec))})
 	s.puts.Add(1)
 	s.bytesWritten.Add(valLen)
-	s.capacityBytes.Add(valLen)
 	return s.afterAppendLocked()
 }
 
@@ -549,19 +538,15 @@ func (s *DiskStore) deleteLocked(key string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	old, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index[key]; !ok {
 		return ErrNotFound
 	}
 	rec := appendRecord(make([]byte, 0, recordLen(len(key), 0)), key, nil, true)
 	if _, err := s.writeLocked(rec); err != nil {
 		return err
 	}
-	delete(s.index, key)
-	s.deadLog += old.size + int64(len(rec))
+	s.replay(s.activeID, segRecord{key: key, tombstone: true, size: int64(len(rec))})
 	s.deletes.Add(1)
-	s.objects.Add(-1)
-	s.capacityBytes.Add(-old.valLen)
 	return s.afterAppendLocked()
 }
 
@@ -585,7 +570,7 @@ func (s *DiskStore) List(ctx context.Context, prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Stat returns the unreplicated stored size of key.
+// Stat returns the stored size of key.
 func (s *DiskStore) Stat(ctx context.Context, key string) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -51,6 +51,7 @@ func TestDiskStoreReopen(t *testing.T) {
 		}
 		delete(want, k)
 	}
+	liveUse, liveLog := s.Usage(), s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -59,6 +60,15 @@ func TestDiskStoreReopen(t *testing.T) {
 	defer r.Close()
 	if got := int(r.Usage().Objects); got != len(want) {
 		t.Fatalf("reopened Objects = %d, want %d", got, len(want))
+	}
+	// The recovery scan and the live Put/Delete path apply one index rule:
+	// the reopened store accounts exactly what the live one did.
+	use, log := r.Usage(), r.Stats()
+	if use.Objects != liveUse.Objects || use.CapacityBytes != liveUse.CapacityBytes ||
+		log.LogBytes != liveLog.LogBytes || log.DeadBytes != liveLog.DeadBytes {
+		t.Fatalf("reopened objects %d, capacity %d, log %d, dead %d; live store had %d, %d, %d, %d",
+			use.Objects, use.CapacityBytes, log.LogBytes, log.DeadBytes,
+			liveUse.Objects, liveUse.CapacityBytes, liveLog.LogBytes, liveLog.DeadBytes)
 	}
 	for k, v := range want {
 		got, err := r.Get(ctx, k)

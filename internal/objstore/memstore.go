@@ -15,10 +15,6 @@ import (
 
 // MemConfig configures a MemStore.
 type MemConfig struct {
-	// Replication is the storage replication factor applied to capacity
-	// and bandwidth accounting (the paper's store replicates for high
-	// availability). Zero means 1.
-	Replication int
 	// WriteBandwidth, if positive, throttles Put calls to this many
 	// bytes per second on Clock.
 	WriteBandwidth float64
@@ -26,8 +22,8 @@ type MemConfig struct {
 	Clock simclock.Clock
 }
 
-// MemStore is an in-memory Store with replication-aware accounting and
-// optional bandwidth shaping. The key space is striped across
+// MemStore is an in-memory Store with usage accounting and optional
+// bandwidth shaping. The key space is striped across
 // independently locked maps so concurrent Puts from many server
 // connections do not serialize on one mutex; accounting counters are
 // atomics outside the stripe locks. It is safe for concurrent use.
@@ -37,8 +33,7 @@ type MemStore struct {
 	seed    maphash.Seed
 	closed  atomic.Bool
 
-	replication int
-	throttle    *Throttle
+	throttle *Throttle
 
 	bytesWritten, bytesRead atomic.Int64
 	capacityBytes           atomic.Int64
@@ -55,9 +50,6 @@ type memStripe struct {
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore(cfg MemConfig) *MemStore {
-	if cfg.Replication <= 0 {
-		cfg.Replication = 1
-	}
 	// The lock-stripe count scales with GOMAXPROCS, rounded up to a power
 	// of two for mask indexing.
 	pow := 8
@@ -65,10 +57,9 @@ func NewMemStore(cfg MemConfig) *MemStore {
 		pow <<= 1
 	}
 	s := &MemStore{
-		stripes:     make([]memStripe, pow),
-		mask:        uint64(pow - 1),
-		seed:        maphash.MakeSeed(),
-		replication: cfg.Replication,
+		stripes: make([]memStripe, pow),
+		mask:    uint64(pow - 1),
+		seed:    maphash.MakeSeed(),
 	}
 	for i := range s.stripes {
 		s.stripes[i].objects = make(map[string][]byte)
@@ -87,8 +78,7 @@ func (s *MemStore) stripe(key string) *memStripe {
 	return &s.stripes[maphash.String(s.seed, key)&s.mask]
 }
 
-// Put stores a copy of value under key, charging bandwidth and capacity
-// for replication copies.
+// Put stores a copy of value under key, charging bandwidth and capacity.
 func (s *MemStore) Put(ctx context.Context, key string, value []byte) error {
 	if err := s.admitWrite(ctx, key, len(value)); err != nil {
 		return err
@@ -108,8 +98,7 @@ func (s *MemStore) PutOwned(ctx context.Context, key string, value []byte) error
 }
 
 // admitWrite runs the pre-storage Put checks: context liveness, the
-// key rule and bandwidth shaping (replication-inclusive, like a real
-// store fanning the write out to its copies).
+// key rule and bandwidth shaping.
 func (s *MemStore) admitWrite(ctx context.Context, key string, n int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -118,7 +107,7 @@ func (s *MemStore) admitWrite(ctx context.Context, key string, n int) error {
 		return err
 	}
 	if s.throttle != nil {
-		if err := s.throttle.Wait(ctx, int64(n)*int64(s.replication)); err != nil {
+		if err := s.throttle.Wait(ctx, int64(n)); err != nil {
 			return err
 		}
 	}
@@ -130,20 +119,19 @@ func (s *MemStore) putStored(key string, stored []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	repl := int64(s.replication)
 	st := s.stripe(key)
 	st.mu.Lock()
 	old, existed := st.objects[key]
 	st.objects[key] = stored
 	st.mu.Unlock()
 	if existed {
-		s.capacityBytes.Add(-int64(len(old)) * repl)
+		s.capacityBytes.Add(-int64(len(old)))
 	} else {
 		s.objects.Add(1)
 	}
 	s.puts.Add(1)
-	s.bytesWritten.Add(int64(len(stored)) * repl)
-	s.capacityBytes.Add(int64(len(stored)) * repl)
+	s.bytesWritten.Add(int64(len(stored)))
+	s.capacityBytes.Add(int64(len(stored)))
 	return nil
 }
 
@@ -189,7 +177,7 @@ func (s *MemStore) Delete(ctx context.Context, key string) error {
 	}
 	s.deletes.Add(1)
 	s.objects.Add(-1)
-	s.capacityBytes.Add(-int64(len(v)) * int64(s.replication))
+	s.capacityBytes.Add(-int64(len(v)))
 	return nil
 }
 
@@ -216,7 +204,7 @@ func (s *MemStore) List(ctx context.Context, prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Stat returns the unreplicated size of key.
+// Stat returns the stored size of key.
 func (s *MemStore) Stat(ctx context.Context, key string) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -1,6 +1,6 @@
 // Package objstore implements the remote checkpoint storage tier of §2.2:
 // an object-store abstraction with an in-memory backend, token-bucket
-// bandwidth shaping, replication-aware capacity accounting, and a real
+// bandwidth shaping, capacity accounting, and a real
 // TCP server/client pair speaking a compact length-prefixed protocol.
 //
 // The paper's checkpoints go to a planet-scale replicated object store
@@ -78,8 +78,9 @@ type Store interface {
 
 // Usage is a snapshot of a store's accounting counters. BytesWritten is
 // cumulative (the bandwidth metric of Figure 15/17); CapacityBytes is the
-// currently-occupied capacity (Figure 16/17). Both include the replication
-// factor.
+// currently-occupied capacity (Figure 16/17). Both count one copy of
+// each byte: the store's replication factor is a constant of the
+// deployment and scales every policy alike.
 type Usage struct {
 	BytesWritten        int64
 	BytesRead           int64

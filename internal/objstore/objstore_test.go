@@ -105,17 +105,19 @@ func TestMemStoreOverwriteAccounting(t *testing.T) {
 	}
 }
 
+// TestMemStoreReplicationAccounting: a MemStore charges one copy of
+// every byte, as a DiskStore does; there is no replication factor.
 func TestMemStoreReplicationAccounting(t *testing.T) {
-	s := NewMemStore(MemConfig{Replication: 3})
+	s := NewMemStore(MemConfig{})
 	ctx := ctxT(t)
 	s.Put(ctx, "k", make([]byte, 10))
 	u := s.Usage()
-	if u.BytesWritten != 30 || u.CapacityBytes != 30 {
-		t.Fatalf("replicated accounting wrong: %+v", u)
+	if u.BytesWritten != 10 || u.CapacityBytes != 10 {
+		t.Fatalf("unreplicated accounting wrong: %+v", u)
 	}
 	s.Delete(ctx, "k")
 	if s.Usage().CapacityBytes != 0 {
-		t.Fatal("replicated capacity not released")
+		t.Fatal("capacity not released")
 	}
 }
 
