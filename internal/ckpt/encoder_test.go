@@ -225,3 +225,51 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSecondWriteAllocatesNoRowCodes: the engine keeps its encoders, and
+// each encoder its rows' codes, so a second Write of a same-shape
+// snapshot allocates per chunk and per table, never per row: fewer
+// allocations than an eighth of its rows.
+func TestSecondWriteAllocatesNoRowCodes(t *testing.T) {
+	m, err := model.New(testModelConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := data.NewGenerator(testDataSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(Config{
+		JobID:     "allocs",
+		Store:     objstore.NewMemStore(objstore.MemConfig{}),
+		Policy:    PolicyFull,
+		Quant:     quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1},
+		ChunkRows: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	snaps := make([]*Snapshot, runs+2) // AllocsPerRun warms up with one more run
+	for i := range snaps {
+		m.TrainBatch(gen.NextBatch(64))
+		if snaps[i], err = TakeSnapshot(m, uint64(i+1), data.ReaderState{NextSample: gen.Pos(), BatchSize: 64}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := 0
+	for _, tab := range snaps[0].Tables {
+		rows += tab.Rows
+	}
+	next := 0
+	write := func() {
+		if _, err := eng.Write(context.Background(), snaps[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	write() // sizes the encoders
+	if n := testing.AllocsPerRun(runs, write); n >= float64(rows)/8 {
+		t.Fatalf("a second Write of %d rows made %v allocations, want fewer than one per 8 rows", rows, n)
+	}
+}

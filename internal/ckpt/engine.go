@@ -109,6 +109,20 @@ type Engine struct {
 	// unsettled is set while an Abort of the attempt in flight could not
 	// tell whether it committed; every request retries it first.
 	unsettled bool
+	// encs are writeTable's chunk encoders, cfg.encoders of them, kept
+	// from table to table and checkpoint to checkpoint.
+	encs []encoder
+}
+
+// encoder is one of writeTable's workers' scratch: the quantized rows of
+// the chunk it encodes, whose codes, rowBytes apart in one array, the
+// next chunk's rows reuse, the quantizer's staging and the chunk being
+// built.
+type encoder struct {
+	qrows    []quant.QVector
+	rowBytes int
+	scratch  quant.Scratch
+	chunk    wire.Chunk
 }
 
 // NewEngine validates cfg and returns an Engine.
@@ -143,6 +157,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		manifests:   make(map[int]*wire.Manifest),
 		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.uploaders},
 		rangeCache:  make(map[int][]quant.RowRange),
+		encs:        make([]encoder, cfg.encoders),
 	}, nil
 }
 
@@ -396,16 +411,16 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 }
 
 // writeTable quantizes, encodes and uploads one table's rows:
-// min(cfg.encoders, chunks) fanOut workers quantize rows with reusable
-// scratch and encode chunks into exactly-sized rpc.Alloc buffers (fp32
-// chunks through wire.AppendF32Chunk, straight from the table), feeding
-// cfg.uploaders store writers, a second fanOut. A chunk is
-// wire.SegmentsPerChunk segments of cfg.ChunkRows rows under the
-// checkpoint's quantizer. Chunk keys are precomputed from row position,
-// so the manifest's chunk order is deterministic regardless of which
-// worker encodes which chunk, and uploaders rpc.Recycle each buffer once
-// Store.Put has returned (Put keeps no value). In steady state the encode
-// loop performs no per-row allocations.
+// min(cfg.encoders, chunks) fanOut workers quantize rows with the
+// engine's encoders (e.encs) and encode chunks into exactly-sized
+// rpc.Alloc buffers (fp32 chunks through wire.AppendF32Chunk, straight
+// from the table), feeding cfg.uploaders store writers, a second fanOut.
+// A chunk is wire.SegmentsPerChunk segments of cfg.ChunkRows rows under
+// the checkpoint's quantizer. Chunk keys are precomputed from row
+// position, so the manifest's chunk order is deterministic regardless of
+// which worker encodes which chunk, and uploaders rpc.Recycle each
+// buffer once Store.Put has returned (Put keeps no value). In steady
+// state the encode loop performs no per-row allocations.
 func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Table, rows []int) (wire.TableManifest, int64, error) {
 	tm := wire.TableManifest{
 		TableID:    tab.ID,
@@ -437,16 +452,10 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		}
 	}
 
-	// Each encoder keeps its scratch from chunk to chunk. encode writes
-	// chunk ci into an rpc.Alloc buffer: fp32 rows straight from the
-	// table, each value converted once; any other method quantizes each
-	// row into the encoder's qrows first.
-	type encoder struct {
-		qrows   []quant.QVector
-		scratch quant.Scratch
-		chunk   wire.Chunk
-	}
-	encs := make([]encoder, min(e.cfg.encoders, numChunks))
+	// encode writes chunk ci into an rpc.Alloc buffer: fp32 rows straight
+	// from the table, each value converted once; any other method
+	// quantizes each row into the encoder's qrows first.
+	encs := e.encs[:min(len(e.encs), numChunks)]
 	encode := func(enc *encoder, ci int) ([]byte, error) {
 		start := ci * chunkRows
 		end := min(start+chunkRows, len(rows))
@@ -454,9 +463,14 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 			dst := rpc.Alloc(wire.F32ChunkLen(rows[start:end], tab.Dim))[:0]
 			return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
 		}
-		n := end - start
-		if cap(enc.qrows) < n {
-			enc.qrows = make([]quant.QVector, n)
+		n, rowBytes := end-start, quant.PackedLen(tab.Dim, e.cfg.Quant.StoredBits())
+		if cap(enc.qrows) < n || enc.rowBytes < rowBytes {
+			// One allocation holds every row's codes.
+			enc.qrows, enc.rowBytes = make([]quant.QVector, n), rowBytes
+			codes := make([]byte, n*rowBytes)
+			for j := range enc.qrows {
+				enc.qrows[j].Codes = codes[j*rowBytes : (j+1)*rowBytes : (j+1)*rowBytes]
+			}
 		}
 		enc.qrows = enc.qrows[:n]
 		enc.chunk.TableID = uint32(tab.ID)

@@ -83,7 +83,7 @@ func TestCachedReuseByteIdentical(t *testing.T) {
 	s.BeginAdaptiveChunk(8)
 	for i, x := range vectors {
 		var q1, q2 QVector
-		if _, _, err := quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, ents[i].Lo, ents[i].Hi, &Scratch{}); err != nil {
+		if _, _, err := quantizeUniformInto(&q1, x, p.Bits, ents[i].Lo, ents[i].Hi, ents[i].Lo, ents[i].Hi, &Scratch{}, -1); err != nil {
 			t.Fatal(err)
 		}
 		if err := QuantizeCachedInto(&q2, x, p, &s, &ents[i]); err != nil {

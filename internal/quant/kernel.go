@@ -5,10 +5,29 @@ import "math"
 // The adaptive quantizer's inner kernel: score a row on up to eight grids
 // (clip ranges as they store) at once, and turn a row into codes. Scoring
 // is scoreGrids: on amd64 with AVX2 the assembly in kernel_amd64.s, one
-// grid per YMM lane, and elsewhere scoreGridsGo over levels tables. Both
+// grid per lane, and elsewhere scoreGridsGo over levels tables. Both
 // are branch-free per element — the walk clips a third of a row, so a
 // clamp written as a branch is a coin flip — and produce sums and codes
 // bit-identical to the round-then-clamp formulation in oracle_test.go.
+// What each assembly entry holds, bit for bit:
+//
+//   - each lane's sum is scoreGridsGo's full sum for its grid. A pass of
+//     one or two grids runs the two-lane XMM entry, of three or four the
+//     four-lane one, of five to eight the eight-lane one.
+//   - the two-lane entry's floor lanes are clipFloor's sums over two
+//     more ranges: a walk step (scoreMoves) scores both moves and both
+//     moves' floors in one pass, and the next step's early-stop test
+//     reads the floor of the move taken.
+//   - every lane's codes are kept, one byte an element (keptCodes): for
+//     a grid of positive step they are uniformCodes', and the stored row
+//     is packed from the winner's rather than recomputed. uniformCodes
+//     stays for a grid no pass scored (a walked row, a cached range), a
+//     step that is not positive, and the Go kernel, which keeps none.
+//   - minMax is minMaxGo's answer from a VMINPS/VMAXPS pass that also
+//     sums v-v, where the row has eight elements or more, all finite,
+//     and neither its least nor its greatest is ±0; the Go loop answers
+//     every other row.
+//
 // What is load-bearing for the golden bytes:
 //
 //   - the quotient is float64(v-zero) / float64(scale): a float32
@@ -121,8 +140,7 @@ func (t *levels) l2(x []float32, zero float32, scale64 float64, capBits int64, b
 // it on its current range: once the floor reaches the best error so far,
 // no range still ahead can score below it.
 func clipFloor(x []float32, lo, hi float32) float64 {
-	l, h := float64(lo), float64(hi)
-	b := h + float64((h-l)*0x1p-6) + 0x1p-120
+	l, b := clipBounds(lo, hi)
 	var sum float64
 	for _, v := range x {
 		f := float64(v)
@@ -130,6 +148,12 @@ func clipFloor(x []float32, lo, hi float32) float64 {
 		sum += float64(d * d)
 	}
 	return sum
+}
+
+// clipBounds returns clipFloor's float64 bottom lo and top b for [lo, hi].
+func clipBounds(lo, hi float32) (l, b float64) {
+	l, h := float64(lo), float64(hi)
+	return l, h + float64((h-l)*0x1p-6) + 0x1p-120
 }
 
 // nonNeg returns max(a, 0) for a non-NaN a, on the bit pattern (see
@@ -151,6 +175,20 @@ func (s *Scratch) scoreGridsGo(x []float32, bits int, gs []grid, out []float64) 
 	}
 }
 
+// scoreMovesGo scores the walk's two moves from [lo, hi] by step — up,
+// [lo+step, hi], and down, [lo, hi-step] — on the grids they store on,
+// and returns each one's sum (scoreGridsGo's, so the down move's may stop
+// early) and clipFloor. It computes only the floor the walk reads, the
+// move it takes: up where sq[0] <= sq[1]. The other is NaN, which stops
+// no walk.
+func (s *Scratch) scoreMovesGo(x []float32, bits int, lo, hi, step float32) (sq, floor [2]float64) {
+	s.scoreGridsGo(x, bits, []grid{rangeGrid(lo+step, hi, bits), rangeGrid(lo, hi-step, bits)}, sq[:])
+	if sq[0] <= sq[1] {
+		return sq, [2]float64{clipFloor(x, lo+step, hi), math.NaN()}
+	}
+	return sq, [2]float64{math.NaN(), clipFloor(x, lo, hi-step)}
+}
+
 // uniformCodes maps x to [0, 2^bits-1] codes of step scale from zero
 // point zero, clipping out-of-range elements.
 func uniformCodes(codes []uint32, x []float32, bits int, zero, scale float32) {
@@ -161,5 +199,16 @@ func uniformCodes(codes []uint32, x []float32, bits int, zero, scale float32) {
 	scale64, capBits := float64(scale), codeCap(bits)
 	for i, v := range x {
 		codes[i] = uint32(roundCode(float64(v-zero)/scale64, capBits))
+	}
+}
+
+// keptCodes writes into codes, one per element, grid g's codes as the
+// last scoreGrids call over len(codes) elements kept them: pass g/8's
+// bytes, lane g%8 of each element's eight. They are uniformCodes' for a
+// grid of positive step.
+func (s *Scratch) keptCodes(codes []uint32, g int) {
+	k := s.kept[g/8*8*len(codes)+g%8:]
+	for i := range codes {
+		codes[i] = uint32(k[8*i])
 	}
 }

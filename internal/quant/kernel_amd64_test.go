@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math/rand"
 	"os"
 	"regexp"
 	"runtime"
@@ -31,8 +32,26 @@ func TestScoreGridsDispatchesToAVX2(t *testing.T) {
 // TestGridLanesLayout: the offsets kernel_amd64.s reads gridLanes at.
 func TestGridLanesLayout(t *testing.T) {
 	var l gridLanes
-	got := [4]uintptr{unsafe.Offsetof(l.zero), unsafe.Offsetof(l.scale), unsafe.Offsetof(l.cap), unsafe.Offsetof(l.sum)}
-	if got != [4]uintptr{0, 32, 64, 72} {
-		t.Fatalf("gridLanes offsets %v, the assembly reads 0, 32, 64, 72", got)
+	got := [8]uintptr{unsafe.Offsetof(l.zero), unsafe.Offsetof(l.scale), unsafe.Offsetof(l.cap), unsafe.Offsetof(l.sum),
+		unsafe.Offsetof(l.floorLo), unsafe.Offsetof(l.floorTop), unsafe.Offsetof(l.floor), unsafe.Offsetof(l.kept)}
+	if want := [8]uintptr{0, 32, 64, 72, 136, 152, 168, 184}; got != want {
+		t.Fatalf("gridLanes offsets %v, the assembly reads %v", got, want)
+	}
+}
+
+// TestMinMaxAVX2AnswersFiniteRows: the pass answers an ordinary row
+// itself, every length from 8 to 40, so minMax does not take the Go loop
+// where it need not. (TestMinMaxMatchesGo holds the answers.)
+func TestMinMaxAVX2AnswersFiniteRows(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("this CPU has no AVX2: minMax is the Go loop")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for n := 8; n <= 40; n++ {
+		x := trainedLikeVector(rng, n)
+		lo, hi, nonFinite := minMaxAVX2(x)
+		if wlo, whi, _ := minMaxGo(x); nonFinite != 0 || lo != wlo || hi != whi {
+			t.Fatalf("minMaxAVX2(%v) = %v %v %v, the Go loop %v %v", x, lo, hi, nonFinite, wlo, whi)
+		}
 	}
 }

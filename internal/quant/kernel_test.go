@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -275,7 +276,7 @@ func checkRowAgainstOracle(t testing.TB, s *Scratch, x []float32, p Params, prob
 // or nil when it refuses the range.
 func storedOver(s *Scratch, x []float32, bits int, lo, hi float32) *QVector {
 	var q QVector
-	if _, _, err := quantizeUniformInto(&q, x, bits, lo, hi, lo, hi, s); err != nil {
+	if _, _, err := quantizeUniformInto(&q, x, bits, lo, hi, lo, hi, s, -1); err != nil {
 		return nil
 	}
 	return &q
@@ -350,7 +351,8 @@ func TestAdaptiveKernelDifferential(t *testing.T) {
 
 // checkKernelsAgree holds scoreGrids over gs, one call, to the Go
 // kernel's full sums: the Go kernel's scoreGridsGo under its early stop,
-// and the assembly, where it runs, bit for bit.
+// and the assembly, where it runs, bit for bit, with every kept lane of
+// positive step holding uniformCodes' codes.
 func checkKernelsAgree(t testing.TB, s *Scratch, x []float32, bits int, gs []grid) {
 	t.Helper()
 	want := make([]float64, len(gs))
@@ -365,20 +367,63 @@ func checkKernelsAgree(t testing.TB, s *Scratch, x []float32, bits int, gs []gri
 	if !useAVX2 {
 		return
 	}
-	s.scoreGrids(x, bits, gs, got)
+	if !s.scoreGrids(x, bits, gs, got) {
+		t.Fatal("the assembly kept no codes")
+	}
 	if i := badScore(got, want, false); i >= 0 {
 		t.Fatalf("assembly, lane %d of %d: %x, Go kernel %x; grids %v x=%v bits=%d",
 			i, len(gs), math.Float64bits(got[i]), math.Float64bits(want[i]), gs, x, bits)
 	}
+	checkKeptCodes(t, s, x, bits, gs)
+}
+
+// checkKeptCodes holds the codes the last scoring pass kept for each of
+// gs with a positive step to uniformCodes'.
+func checkKeptCodes(t testing.TB, s *Scratch, x []float32, bits int, gs []grid) {
+	t.Helper()
+	kept, want := make([]uint32, len(x)), make([]uint32, len(x))
+	for i, g := range gs {
+		if !(g.scale > 0) {
+			continue // stored through uniformCodes, never from kept codes
+		}
+		s.keptCodes(kept, i)
+		uniformCodes(want, x, bits, g.zero, g.scale)
+		if !slices.Equal(kept, want) {
+			t.Fatalf("kept codes of grid %d of %d %v: %v, uniformCodes %v; x=%v bits=%d", i, len(gs), g, kept, want, x, bits)
+		}
+	}
+}
+
+// checkMovesAgree holds the two-lane entry on the walk's moves from
+// [lo, hi] by step to the Go kernel, where it runs: both sums to goL2's
+// full ones and both floor lanes to clipFloor, bit for bit, and the kept
+// codes to uniformCodes'.
+func checkMovesAgree(t testing.TB, s *Scratch, x []float32, bits int, lo, hi, step float32) {
+	t.Helper()
+	if !useAVX2 {
+		return
+	}
+	gs := []grid{rangeGrid(lo+step, hi, bits), rangeGrid(lo, hi-step, bits)}
+	sq, floor := s.scoreMoves(x, bits, lo, hi, step)
+	wantFloor := [2]float64{clipFloor(x, lo+step, hi), clipFloor(x, lo, hi-step)}
+	for i, g := range gs {
+		if want := s.goL2(x, bits, g, math.Inf(1)); !sameSum(sq[i], want) || !sameSum(floor[i], wantFloor[i]) {
+			t.Fatalf("move %d from [%v,%v] by %v: sum %x floor %x, Go kernel %x and clipFloor %x; x=%v bits=%d",
+				i, lo, hi, step, math.Float64bits(sq[i]), math.Float64bits(floor[i]), math.Float64bits(want), math.Float64bits(wantFloor[i]), x, bits)
+		}
+	}
+	checkKeptCodes(t, s, x, bits, gs)
 }
 
 // TestScoreGridsMatchesGoKernel holds the assembly to the Go kernel, bit
-// for bit, on 1 to 9 grids a call (the four-lane entry, the eight-lane
-// one, padded lanes, and a call split 8 + 1), over every dim in 1..129,
-// every code width and every row population, with lanes drawn from
-// ranges of the row and from grids the search can hand it: step +0
-// (crossed and empty ranges), step +Inf, subnormal steps, a -0 zero
-// point, and elements whose quotient is exactly k+0.5.
+// for bit, on 1 to 9 grids a call (the two-lane entry, the four-lane
+// one, the eight-lane one, padded lanes, and a call split 8 + 1), over
+// every dim in 1..129, every code width and every row population, with
+// lanes drawn from ranges of the row and from grids the search can hand
+// it: step +0 (crossed and empty ranges), step +Inf, subnormal steps, a
+// -0 zero point, and elements whose quotient is exactly k+0.5. Every
+// kept lane's codes are uniformCodes', and the two-lane entry's floor
+// lanes, on walk moves from the pool's zero points, are clipFloor's.
 func TestScoreGridsMatchesGoKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	var s Scratch
@@ -421,6 +466,14 @@ func TestScoreGridsMatchesGoKernel(t *testing.T) {
 					checkKernelsAgree(t, &s, x, bits, gs)
 					calls++
 				}
+				// Walk moves from the pool's zero points to an end or a point
+				// of the row, by a bin of the row's width, +0, a subnormal
+				// step or the whole width.
+				for _, step := range []float32{w / float32(1+rng.Intn(50)), 0, f32fb(1 + uint32(rng.Intn(1<<23))), w} {
+					lo := pool[rng.Intn(len(pool))].zero
+					checkMovesAgree(t, &s, x, bits, lo, [3]float32{mn, mx, pick()}[rng.Intn(3)], step)
+					calls++
+				}
 			}
 		}
 	}
@@ -439,7 +492,9 @@ func TestScoreGridsMatchesGoKernel(t *testing.T) {
 		for j := range gs {
 			gs[j] = hugeGrids[rng.Intn(len(hugeGrids))]
 		}
-		checkKernelsAgree(t, &s, x, 1+rng.Intn(8), gs)
+		bits := 1 + rng.Intn(8)
+		checkKernelsAgree(t, &s, x, bits, gs)
+		checkMovesAgree(t, &s, x, bits, gs[0].zero, x[0], gs[len(gs)-1].scale)
 		calls++
 	}
 	if !useAVX2 {
@@ -671,6 +726,91 @@ func FuzzAdaptiveRange(f *testing.F) {
 		checkRowAgainstOracle(t, &s, x, p, [][2]float32{{x[0], x[n-1]}, {x[n-1], x[0]}})
 		checkKernelsAgree(t, &s, x, p.Bits, []grid{rangeGrid(mn, mx, p.Bits), rangeGrid(x[0], x[n-1], p.Bits),
 			rangeGrid(x[n-1], x[0], p.Bits), {x[0], storedScale(mn, mx, p.Bits)}, {x[n-1], f32fb(f32b(x[0]) &^ (1 << 31))}})
+	})
+}
+
+// sameMinMax reports whether minMax and minMaxGo answer alike on x, the
+// range bit for bit.
+func sameMinMax(x []float32) bool {
+	lo, hi, ok := minMax(x)
+	wlo, whi, wok := minMaxGo(x)
+	return ok == wok && sameBits32(lo, wlo) && sameBits32(hi, whi)
+}
+
+// TestMinMaxMatchesGo holds minMax, the AVX2 pass where it runs, to the
+// Go loop on every length from 1 to 67 (a tail of each size after the
+// groups of eight, and rows too short for the pass), on rows of every
+// population with signed zeros, NaN, ±Inf and float32's ends planted.
+func TestMinMaxMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	negZero := float32(math.Copysign(0, -1))
+	plant := []float32{0, negZero, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 3.4e38, -3.4e38, 1e-45}
+	for n := 1; n <= 67; n++ {
+		for _, fam := range diffFamilies {
+			for k := 0; k <= 3; k++ {
+				x := fam.gen(rng, n, 1+rng.Intn(8))
+				for j := 0; j < k; j++ {
+					x[rng.Intn(n)] = plant[rng.Intn(len(plant))]
+				}
+				if !sameMinMax(x) {
+					lo, hi, ok := minMax(x)
+					wlo, whi, wok := minMaxGo(x)
+					t.Fatalf("minMax(%v) = %v %v %v, the Go loop %v %v %v", x, lo, hi, ok, wlo, whi, wok)
+				}
+			}
+		}
+	}
+}
+
+// FuzzScoreGrids holds the assembly to the Go kernel on arbitrary rows
+// and grids: each grid's sum and kept codes (scoreGrids, one to nine
+// grids a call), both moves' sums, floors and codes from the first
+// grid's zero point (scoreMoves), and minMax. minMax sees the row as it
+// came; the kernels see it finite, as the quantizer hands them rows (a
+// non-finite element becomes ±MaxFloat32, NaN the positive one), over
+// non-negative steps, with a NaN zero point or step made +Inf. The
+// contract holds there: a NaN quotient arises only as 0/0 or ∞/∞.
+func FuzzScoreGrids(f *testing.F) {
+	seed := func(x []float32) []byte {
+		b := make([]byte, 4*len(x))
+		PutRawF32(b, x)
+		return b
+	}
+	f.Add(seed([]float32{-1, -0.5, 0, 0.25, 1, 2, 3, 4, 5}), seed([]float32{-1, 0.125, 0, 0, 0.5, 0.25}), uint8(3))
+	f.Add(seed(trainedLikeVector(rand.New(rand.NewSource(3)), 32)), seed([]float32{-0.1, 0.0078125, -0.05, 0.00390625}), uint8(3))
+	f.Add(seed([]float32{3.4e38, -3.4e38, 1, float32(math.Copysign(0, -1)), 0, 1e-45, 7, 8}), seed([]float32{-3.4e38, float32(math.Inf(1)), 1, 1e-45}), uint8(7))
+	f.Fuzz(func(t *testing.T, row, grids []byte, bits uint8) {
+		n, ng := len(row)/4, min(len(grids)/8, 9)
+		if n == 0 || n > 256 || ng == 0 {
+			t.Skip()
+		}
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(row[4*i:]))
+		}
+		if !sameMinMax(x) {
+			t.Fatalf("minMax(%v) disagrees with the Go loop", x)
+		}
+		noNaN := func(v float32) float32 {
+			if v != v {
+				return float32(math.Inf(1))
+			}
+			return v
+		}
+		for i, v := range x {
+			if v-v != 0 {
+				x[i] = float32(math.Copysign(math.MaxFloat32, float64(noNaN(v))))
+			}
+		}
+		gs := make([]grid, ng)
+		for i := range gs {
+			g := math.Float32frombits(binary.LittleEndian.Uint32(grids[8*i:]))
+			gs[i] = grid{noNaN(g), noNaN(math.Float32frombits(binary.LittleEndian.Uint32(grids[8*i+4:]) &^ (1 << 31)))}
+		}
+		var s Scratch
+		b := 1 + int(bits%8)
+		checkKernelsAgree(t, &s, x, b, gs)
+		checkMovesAgree(t, &s, x, b, gs[0].zero, x[n-1], gs[ng-1].scale)
 	})
 }
 

@@ -186,6 +186,10 @@ type Scratch struct {
 	// scores (scoreGridsGo); the assembly computes its levels instead.
 	lvl levels
 
+	// kept is the codes the assembly's last scoring pass kept, eight
+	// bytes an element (keptCodes).
+	kept []byte
+
 	// Adaptive chunk-sampling state, armed by BeginAdaptiveChunk and
 	// consumed by QuantizeCachedInto: cand holds the (u, d) step-lattice
 	// coordinates harvested from sampled rows' exact searches, chunkRow

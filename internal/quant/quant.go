@@ -160,7 +160,7 @@ func QuantizeInto(q *QVector, x []float32, p Params, s *Scratch) error {
 	if p.Method == MethodAdaptive {
 		lo, hi, _, _ = s.adaptiveRangeFrom(x, p.Bits, p.NumBins, p.Ratio, lo, hi)
 	}
-	_, _, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s)
+	_, _, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s, -1)
 	return err
 }
 
@@ -405,11 +405,11 @@ func symmetricRange(x []float32) (lo, hi float32, ok bool) {
 	return -m, m, nonFinite == 0 && !math.IsInf(float64(m+m), 0)
 }
 
-// minMax returns the actual element range; ok is false for a row
+// minMaxGo returns the actual element range; ok is false for a row
 // ErrNonFinite describes. v-v is 0 for a finite v and NaN for NaN and
 // ±Inf, and NaN is sticky in the sum, so the one pass that finds the
-// range also vets the row without a branch.
-func minMax(x []float32) (lo, hi float32, ok bool) {
+// range also vets the row without a branch. minMax answers the same.
+func minMaxGo(x []float32) (lo, hi float32, ok bool) {
 	lo, hi = x[0], x[0]
 	var nonFinite float32
 	for _, v := range x {
@@ -502,8 +502,11 @@ func appendGrids(gs []grid, lo, hi float32, bits int) ([]grid, bool) {
 // range, its first candidate, bounds what it picks there, and from 7
 // bits on, where a grid ending on a range's top may store better, the
 // full range's grids are tried as well — adaptive never stores a row
-// worse than asymmetric. Other callers pass [lo, hi] twice.
-func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float32, s *Scratch) (float32, float32, error) {
+// worse than asymmetric. Other callers pass [lo, hi] twice. kept is the
+// grid whose codes s.kept holds for the grid from lo (keptCodes), or -1:
+// a grid of positive step whose codes a scoring pass kept is packed from
+// them, any other through uniformCodes.
+func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float32, s *Scratch, kept int) (float32, float32, error) {
 	var buf [4]grid
 	gs, ok := appendGrids(buf[:0], lo, hi, bits)
 	searched := len(gs)
@@ -516,8 +519,7 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float
 	best := 0
 	if len(gs) > 1 { // a lone grid is not scored
 		var sq [len(buf)]float64
-		s.scoreGrids(x, bits, gs, sq[:len(gs)])
-		best = leastFirst(sq[:len(gs)])
+		best, kept = s.scoreBest(x, bits, gs, sq[:len(gs)])
 	}
 	if best >= searched {
 		lo, hi = mn, mx
@@ -529,7 +531,11 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float
 	q.Scale = g.scale
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
 	codes := s.codeBuf(len(x))
-	uniformCodes(codes, x, bits, g.zero, g.scale)
+	if kept >= 0 && g.scale > 0 {
+		s.keptCodes(codes, kept)
+	} else {
+		uniformCodes(codes, x, bits, g.zero, g.scale)
+	}
 	PackCodes(q.Codes, codes, bits)
 	return lo, hi, nil
 }
@@ -550,7 +556,10 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float
 // no range still ahead (all nested in the current one) can score below
 // the best so far, and when a step moves neither end: a step under half
 // an ulp of both ends leaves the state as it was, and the walk would
-// repeat the same comparison forever.
+// repeat the same comparison forever. Each step is one scoreMoves pass,
+// which also returns both moves' floors, so the next step's test costs
+// nothing; the first range, [origLo, origHi], holds every element of x
+// (its caller's minMax), and its floor is +0.
 func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32, bestU, bestD int) {
 	rangeF := float64(origHi - origLo)
 	if rangeF <= 0 || numBins < 1 {
@@ -558,24 +567,25 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 	}
 	step := float32(rangeF / float64(numBins))
 	bestLo, bestHi := origLo, origHi
-	var sq [2]float64
-	s.scoreGrids(x, bits, []grid{rangeGrid(origLo, origHi, bits)}, sq[:1])
-	bestErr := sq[0]
+	var full [1]float64
+	s.scoreGrids(x, bits, []grid{rangeGrid(origLo, origHi, bits)}, full[:])
+	bestErr, floor := full[0], 0.0
 	curLo, curHi := origLo, origHi
 	curU, curD := 0, 0
 	// Iterate while the removed span stays under ratio*range. (The
 	// product is rounded before the subtract; see kernel.go on fusing.)
 	limit := float64(ratio*rangeF) - 1e-12
 	for float64(origHi-origLo)-float64(curHi-curLo) < limit {
-		if clipFloor(x, curLo, curHi) >= bestErr {
+		if floor >= bestErr {
 			break
 		}
 		prevLo, prevHi := curLo, curHi
-		s.scoreGrids(x, bits, []grid{rangeGrid(curLo+step, curHi, bits), rangeGrid(curLo, curHi-step, bits)}, sq[:])
+		sq, floors := s.scoreMoves(x, bits, curLo, curHi, step)
 		upErr, dnErr := sq[0], sq[1]
 		if upErr <= dnErr {
 			curLo += step
 			curU++
+			floor = floors[0]
 			if upErr < bestErr {
 				bestErr, bestLo, bestHi = upErr, curLo, curHi
 				bestU, bestD = curU, curD
@@ -583,6 +593,7 @@ func (s *Scratch) adaptiveRangeFrom(x []float32, bits, numBins int, ratio float6
 		} else {
 			curHi -= step
 			curD++
+			floor = floors[1]
 			if dnErr < bestErr {
 				bestErr, bestLo, bestHi = dnErr, curLo, curHi
 				bestU, bestD = curU, curD
@@ -644,11 +655,11 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 		return ErrNonFinite
 	}
 	if ent != nil && ent.Valid && ent.MnBits == f32b(mn) && ent.MxBits == f32b(mx) {
-		_, _, err := quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, ent.Lo, ent.Hi, s)
+		_, _, err := quantizeUniformInto(q, x, p.Bits, ent.Lo, ent.Hi, ent.Lo, ent.Hi, s, -1)
 		return err
 	}
-	lo, hi := s.adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
-	lo, hi, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s)
+	lo, hi, kept := s.adaptiveRangeChunk(x, p.Bits, p.NumBins, p.Ratio, mn, mx)
+	lo, hi, err := quantizeUniformInto(q, x, p.Bits, lo, hi, mn, mx, s, kept)
 	if err == nil && ent != nil {
 		*ent = RowRange{MnBits: f32b(mn), MxBits: f32b(mx), Lo: lo, Hi: hi, Valid: true}
 	}
@@ -661,14 +672,16 @@ func QuantizeCachedInto(q *QVector, x []float32, p Params, s *Scratch, ent *RowR
 // its best (u, d) lattice coordinates; the rest evaluate the harvested
 // candidates plus the full range and keep the ℓ2 argmin, first-wins on
 // ties, so the choice is deterministic for a deterministic input order.
-func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32) {
+// kept is the winner's grid in s.kept where the pass that picked it kept
+// its codes (quantizeUniformInto), and -1 otherwise.
+func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float64, origLo, origHi float32) (lo, hi float32, kept int) {
 	rangeF := float64(origHi - origLo)
 	if rangeF <= 0 || numBins < 1 {
-		return origLo, origHi
+		return origLo, origHi, -1
 	}
 	if s.sampleEvery <= 1 {
 		lo, hi, _, _ = s.adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
-		return lo, hi
+		return lo, hi, -1
 	}
 	i := s.chunkRow
 	s.chunkRow++
@@ -676,7 +689,7 @@ func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float
 		var u, d int
 		lo, hi, u, d = s.adaptiveRangeFrom(x, bits, numBins, ratio, origLo, origHi)
 		s.noteCandidate(u, d)
-		return lo, hi
+		return lo, hi, -1
 	}
 	// The full range and every candidate, scored in one call: index 0 is
 	// the full range, and the first least sum wins.
@@ -709,9 +722,8 @@ func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float
 		gs[n], his[n] = rangeGrid(cLo, cHi, bits), cHi
 		n++
 	}
-	s.scoreGrids(x, bits, gs[:n], sq[:n])
-	best := leastFirst(sq[:n])
-	return gs[best].zero, his[best]
+	best, kept := s.scoreBest(x, bits, gs[:n], sq[:n])
+	return gs[best].zero, his[best], kept
 }
 
 // rangeGrid is the grid a range is scored on: its stored step from lo.
@@ -719,6 +731,17 @@ func (s *Scratch) adaptiveRangeChunk(x []float32, bits, numBins int, ratio float
 // candidate, bounds what it picks.
 func rangeGrid(lo, hi float32, bits int) grid {
 	return grid{lo, storedScale(lo, hi, bits)}
+}
+
+// scoreBest scores gs into sq (scoreGrids) and returns the grid of the
+// least sum (leastFirst), and kept, that grid again where the pass kept
+// every grid's codes and -1 where it kept none.
+func (s *Scratch) scoreBest(x []float32, bits int, gs []grid, sq []float64) (best, kept int) {
+	keptAll := s.scoreGrids(x, bits, gs, sq)
+	if best = leastFirst(sq); keptAll {
+		return best, best
+	}
+	return best, -1
 }
 
 // leastFirst returns the index of the least of sq, the first on a tie.
