@@ -52,7 +52,7 @@ func run(logger *log.Logger) error {
 	stride := flag.Uint64("stride", 8, "training steps between checkpoint cuts")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-checkpoint deadline")
 	opTimeout := flag.Duration("op-timeout", 30*time.Second, "budget for the controller's own store/discovery operations")
-	announce := flag.String("announce", "", "announce endpoint to listen on for serving-replica subscriptions (empty = off)")
+	announce := flag.String("announce", "", "announce endpoint to listen on for serving replicas' waits (empty = off)")
 	standby := flag.Bool("standby", false, "wait for the current leader's lease to lapse, then take over")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "lease duration between renewals")
 	holder := flag.String("holder", "", "holder identity in the lease register (default host:pid)")

@@ -3,11 +3,11 @@
 // object store as its baseline, applies each incremental delta as it
 // commits, and answers embedding lookups over framed TCP.
 //
-// Commit discovery is push-first, poll-always: with -controller set the
-// replica subscribes to the controller's announce endpoint
+// Commit discovery is announce-first, poll-always: with -controller set
+// the replica long-polls the controller's announce endpoint
 // (controller -announce) and learns of each commit immediately; with or
 // without it, a periodic store re-sync (-resync) converges the replica
-// after partitions, announce-stream loss, or controller failover.
+// after partitions, a lost announce endpoint, or controller failover.
 //
 // The first line on stdout is the bound lookup address.
 //
@@ -33,7 +33,7 @@ import (
 func main() {
 	storeSpec := flag.String("store", "127.0.0.1:7070", "TCP object store address, or a comma-separated fleet (consistent-hash routed)")
 	job := flag.String("job", "demo", "job ID to serve")
-	controller := flag.String("controller", "", "controller announce endpoint to subscribe to (empty = poll-only)")
+	controller := flag.String("controller", "", "controller announce endpoint to long-poll (empty = poll-only)")
 	addr := flag.String("addr", "127.0.0.1:0", "lookup listen address")
 	resync := flag.Duration("resync", 2*time.Second, "store re-sync polling period")
 	flag.Parse()

@@ -84,7 +84,7 @@ type FleetConfig struct {
 	// Replicas is the serving-replica count (default 0: no read plane).
 	// A fleet with replicas owns one ctrl.Announcer that every elected
 	// controller announces through — the "stable VIP" a deployment would
-	// front the announce plane with — so subscriptions survive failover.
+	// front the announce plane with — so replicas' waits survive failover.
 	// Replicas are hosted in-process even under Procs: their fault
 	// surface is the same set of real TCP proxies either way, and the
 	// checker needs direct access to their served state.
@@ -635,7 +635,7 @@ func (f *Fleet) ReplicaStats(r int) serve.Stats { return f.replicas[r].rep.Stats
 
 // ReplicaAddr returns replica r's lookup address. The checker dials it
 // directly — the lookup link itself is never degraded, only the
-// replica's subscription and store links are.
+// replica's announce and store links are.
 func (f *Fleet) ReplicaAddr(r int) string { return f.replicas[r].rep.Addr() }
 
 // ShardAlive reports whether shard s is currently running.

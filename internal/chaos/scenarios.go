@@ -293,7 +293,7 @@ func BuiltinScenarios() []*Scenario {
 		},
 		{
 			Name: "partition-replica-across-commits",
-			Description: "a serving replica is partitioned off both its announce stream and every store " +
+			Description: "a serving replica is partitioned off both its announce endpoint and every store " +
 				"while two composites commit; it must keep serving its last checkpoint bit-identically " +
 				"(stale, never torn) and converge bit-exactly once healed",
 			Fleet: fleetServe3x3,

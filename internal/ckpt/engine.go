@@ -155,7 +155,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cumulative:  make(map[int]*bitvec.Bitmap),
 		uncommitted: make(map[int]*bitvec.Bitmap),
 		manifests:   make(map[int]*wire.Manifest),
-		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.uploaders},
+		sweep:       &sweeper{store: cfg.Store, jobID: cfg.JobID, workers: cfg.uploaders, sweeping: -1},
 		rangeCache:  make(map[int][]quant.RowRange),
 		encs:        make([]encoder, cfg.encoders),
 	}, nil
@@ -705,11 +705,12 @@ func (s *sweeper) run() {
 		ctx, cancel := context.WithTimeout(context.Background(), abortTimeout)
 		gone := s.retire(ctx, id)
 		cancel()
+		s.mu.Lock()
+		s.sweeping = -1
 		if gone {
-			s.mu.Lock()
 			s.swept = append(s.swept, id)
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 }
 

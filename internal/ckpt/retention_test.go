@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +268,51 @@ func TestSweepRetriesFailedManifestDelete(t *testing.T) {
 		t.Errorf("retention state holds %d checkpoints, want 1", len(eng.manifests))
 	}
 	store.checkSweepOrder(t, "testjob")
+}
+
+// TestSubmitSkipsOnlyTheCheckpointBeingSwept: a submit that lands while
+// the sweep goroutine runs but holds no checkpoint — before its first
+// pop, or between two — queues every ID it is given, 0 included. Only
+// the one being deleted at that instant is left to its sweep.
+func TestSubmitSkipsOnlyTheCheckpointBeingSwept(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	mem := objstore.NewMemStore(objstore.MemConfig{})
+	store := newSweepStore(mem)
+	store.failOnce = map[string]bool{wire.ManifestKey("testjob", 0): true}
+	eng, err := NewEngine(Config{JobID: "testjob", Store: store, Policy: PolicyFull, KeepLast: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// submitWhileRunning stands in for a submit racing the goroutine
+	// that an earlier one started: the goroutine has popped nothing yet.
+	submitWhileRunning := func(ids ...int) []int {
+		s := eng.sweep
+		s.mu.Lock()
+		s.idle = make(chan struct{})
+		s.mu.Unlock()
+		s.submit(ids)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		queued := slices.Clone(s.queue)
+		s.queue, s.idle = nil, nil
+		return queued
+	}
+	if got := submitWhileRunning(0, 1); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("a fresh engine's running sweeper queued %v, want [0 1]", got)
+	}
+
+	// After a sweep of 0 that failed, 0 is retired again, not skipped.
+	writeAll(t, ctx, eng, rejoinSnapshots(t, 2))
+	if err := eng.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eng.manifests[0]; !ok {
+		t.Fatal("checkpoint 0 left the retention state although its manifest Delete failed")
+	}
+	if got := submitWhileRunning(0); !slices.Equal(got, []int{0}) {
+		t.Fatalf("after a failed sweep of checkpoint 0 the running sweeper queued %v, want [0]", got)
+	}
 }
 
 // TestAbandonedSweepIsCollected: a process that dies inside a sweep —

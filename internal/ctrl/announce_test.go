@@ -10,99 +10,92 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/objstore"
 	"repro/internal/objstore/storetest"
-	"repro/internal/rpc"
 	"repro/internal/wire"
 )
 
-func TestAnnounceSubscribeStream(t *testing.T) {
+// TestAnnouncerWaitContract: a wait is answered at once when the reader
+// is behind, held until the next Announce otherwise, answered with no
+// news at the bound, refused for another job, and released by Close. An
+// Announce from below the highest epoch seen is not recorded.
+func TestAnnouncerWaitContract(t *testing.T) {
 	ann, err := NewAnnouncer("127.0.0.1:0", "job", t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ann.Close()
-	ann.SetPosition(3, 7)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ann.SetEpoch(3)
+	c := NewClient(ann.Addr(), time.Second)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sub, err := Subscribe(ctx, ann.Addr(), "job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if r := sub.Reply(); r.JobID != "job" || r.Epoch != 3 || r.NextID != 7 {
-		t.Fatalf("subscribe reply = %+v, want epoch 3 next 7", r)
-	}
-
-	ann.Announce(3, &wire.Manifest{ID: 7, Step: 64, Kind: wire.KindFull.String()})
-	ev, epoch, err := sub.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 3 || ev.CkptID != 7 || ev.Step != 64 || ev.Kind != wire.KindFull.String() {
-		t.Fatalf("announcement = %+v at epoch %d", ev, epoch)
-	}
-
-	// A later announcement from a lower epoch still crosses the wire —
-	// fencing is the reader's job (the frame epoch is its input) — and a
-	// second subscriber sees the advanced position.
-	ann.Announce(2, &wire.Manifest{ID: 8, Step: 72, Kind: wire.KindIncremental.String()})
-	ev, epoch, err = sub.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 2 || ev.CkptID != 8 {
-		t.Fatalf("stale-epoch announcement = %+v at epoch %d", ev, epoch)
-	}
-	sub2, err := Subscribe(ctx, ann.Addr(), "job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub2.Close()
-	if r := sub2.Reply(); r.Epoch != 3 || r.NextID != 9 {
-		t.Fatalf("second subscribe reply = %+v, want epoch 3 next 9", r)
-	}
-}
-
-func TestSubscribeWrongJobRejected(t *testing.T) {
-	ann, err := NewAnnouncer("127.0.0.1:0", "job", t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ann.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := Subscribe(ctx, ann.Addr(), "other"); err == nil || !strings.Contains(err.Error(), "job") {
-		t.Fatalf("cross-job subscribe = %v, want job mismatch error", err)
-	}
-}
-
-func TestAnnouncerDropsWedgedSubscriber(t *testing.T) {
-	ann, err := NewAnnouncer("127.0.0.1:0", "job", t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ann.Close()
-
-	// A raw conn that subscribes and then never reads: once its queue
-	// and the socket buffers fill, the announcer must drop it rather
-	// than block the commit path.
-	conn, err := net.Dial("tcp", ann.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeRequest(conn, &request{op: opSubscribe, body: []byte(`{"job_id":"job"}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if status, _, err := rpc.ReadResponse(conn, maxBodyLen); err != nil || status != statusOK {
-		t.Fatalf("subscribe handshake: status %d, %v", status, err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; subscribers(ann) > 0; i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("wedged subscriber never dropped")
+	wait := func(after uint64) (*WaitReply, time.Duration) {
+		t.Helper()
+		start := time.Now()
+		r, err := c.Wait(ctx, "job", after)
+		if err != nil {
+			t.Fatalf("wait after %d: %v", after, err)
 		}
-		ann.Announce(1, &wire.Manifest{ID: i, Step: uint64(i), Kind: wire.KindFull.String()})
+		return r, time.Since(start)
+	}
+
+	if r, took := wait(0); *r != (WaitReply{Epoch: 3, CkptID: -1}) || took < waitBound-50*time.Millisecond || took > waitBound+time.Second {
+		t.Fatalf("wait with nothing announced = %+v after %v, want no news at the %v bound", r, took, waitBound)
+	}
+	ann.Announce(3, &wire.Manifest{ID: 7, Step: 64})
+	if r, took := wait(0); *r != (WaitReply{Seq: 1, Epoch: 3, CkptID: 7, Step: 64}) || took > waitBound/2 {
+		t.Fatalf("wait behind one announcement = %+v after %v, want checkpoint 7 at once", r, took)
+	}
+
+	// A wait at the newest Seq is held until the next Announce.
+	got := make(chan *WaitReply, 1)
+	go func() {
+		r, err := c.Wait(ctx, "job", 1)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- r
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case r := <-got:
+		t.Fatalf("a wait with no news was answered at once: %+v", r)
+	default:
+	}
+	ann.Announce(4, &wire.Manifest{ID: 8, Step: 72})
+	select {
+	case r := <-got:
+		if r == nil || *r != (WaitReply{Seq: 2, Epoch: 4, CkptID: 8, Step: 72}) {
+			t.Fatalf("held wait answered %+v, want checkpoint 8 at epoch 4", r)
+		}
+	case <-time.After(waitBound / 2):
+		t.Fatal("Announce did not release the held wait")
+	}
+
+	// A deposed controller's announcement would overwrite checkpoint 8,
+	// which a reader may not have read yet.
+	ann.Announce(3, &wire.Manifest{ID: 9, Step: 80})
+	if r, _ := wait(0); r.Seq != 2 || r.CkptID != 8 {
+		t.Fatalf("after a stale-epoch Announce the slot holds %+v, want checkpoint 8", r)
+	}
+
+	if _, err := c.Wait(ctx, "other", 0); err == nil || !strings.Contains(err.Error(), "job") {
+		t.Fatalf("cross-job wait = %v, want a job mismatch error", err)
+	}
+
+	go func() {
+		_, _ = c.Wait(ctx, "job", 2) // answered or cut: either way, released
+		got <- nil
+	}()
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	ann.Close()
+	select {
+	case <-got:
+	case <-time.After(waitBound / 2):
+		t.Fatal("Close did not release the held wait")
+	}
+	if d := time.Since(start); d > waitBound/2 {
+		t.Fatalf("Close took %v with a wait in flight", d)
 	}
 }
 
@@ -125,11 +118,6 @@ func TestControllerAnnouncesAfterCommit(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	sub, err := Subscribe(ctx, ann.Addr(), "fence")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
 
 	store := objstore.NewMemStore(objstore.MemConfig{})
 	c, err := NewController(ControllerConfig{
@@ -145,29 +133,27 @@ func TestControllerAnnouncesAfterCommit(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Discovery already seeded the announcer's position.
-	if ann.epochNow() != c.Epoch() {
-		t.Fatalf("announcer epoch = %d, want controller's %d", ann.epochNow(), c.Epoch())
+	// Discovery already raised the announcer's epoch.
+	reader := NewClient(ann.Addr(), time.Second)
+	defer reader.Close()
+	r, err := reader.Wait(ctx, "fence", 1) // ahead of the announcer: answered at once
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Seq != 0 || r.Epoch != c.Epoch() {
+		t.Fatalf("before any commit the announcer holds %+v, want epoch %d", r, c.Epoch())
 	}
 
 	man, err := c.Checkpoint(ctx, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, epoch, err := sub.Next(ctx)
-	if err != nil {
+	if r, err = reader.Wait(ctx, "fence", 0); err != nil {
 		t.Fatal(err)
 	}
-	if epoch != c.Epoch() || ev.CkptID != man.ID || ev.Step != 8 || ev.Kind != man.Kind {
-		t.Fatalf("announcement = %+v at epoch %d, want ckpt %d step 8 epoch %d", ev, epoch, man.ID, c.Epoch())
+	if *r != (WaitReply{Seq: 1, Epoch: c.Epoch(), CkptID: man.ID, Step: 8}) {
+		t.Fatalf("announcement = %+v, want ckpt %d step 8 epoch %d", r, man.ID, c.Epoch())
 	}
-}
-
-// epochNow exposes the announcer's current epoch to tests.
-func (a *Announcer) epochNow() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.epoch
 }
 
 func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
@@ -234,8 +220,7 @@ func TestControllerOpTimeoutBoundsSlowStore(t *testing.T) {
 }
 
 // TestAnnouncerCloseWithSilentConn: a peer that connects and never
-// sends Subscribe sits in the 5 s handshake read; Close must not wait
-// it out.
+// sends a wait must not hold Close.
 func TestAnnouncerCloseWithSilentConn(t *testing.T) {
 	ann, err := NewAnnouncer("127.0.0.1:0", "job", t.Logf)
 	if err != nil {
@@ -250,12 +235,6 @@ func TestAnnouncerCloseWithSilentConn(t *testing.T) {
 	start := time.Now()
 	ann.Close()
 	if d := time.Since(start); d > time.Second {
-		t.Fatalf("Close took %v behind a connection that never subscribed", d)
+		t.Fatalf("Close took %v behind a connection that never sent a wait", d)
 	}
-}
-
-func subscribers(a *Announcer) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.subs)
 }

@@ -19,7 +19,7 @@ import (
 // The zero value is not usable; call NewBackoff. A Backoff is safe for
 // concurrent use, though typically each retry loop owns one.
 type Backoff struct {
-	max time.Duration
+	base, max time.Duration
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -37,6 +37,7 @@ func NewBackoff(base, max time.Duration) *Backoff {
 		max = base
 	}
 	return &Backoff{
+		base:    base,
 		max:     max,
 		rng:     rand.New(rand.NewSource(rand.Int63())),
 		current: base,
@@ -54,6 +55,13 @@ func (b *Backoff) Next() time.Duration {
 		b.current = b.max
 	}
 	return d
+}
+
+// Reset starts the delays over from base, as after a success.
+func (b *Backoff) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.current = b.base
 }
 
 // Sleep waits out one backoff step on clock, returning early with ctx's

@@ -25,6 +25,19 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	}
 }
 
+// TestBackoffReset: after Reset the next delay is drawn from the first
+// window again, however far the delays had grown.
+func TestBackoffReset(t *testing.T) {
+	b := NewBackoff(time.Millisecond, time.Hour)
+	for i := 0; i < 20; i++ {
+		b.Next()
+	}
+	b.Reset()
+	if d := b.Next(); d <= 0 || d > time.Millisecond {
+		t.Fatalf("delay after Reset = %v, want in (0, 1ms]", d)
+	}
+}
+
 // TestBackoffJitterSpreads pins the anti-herd property: two loops with
 // the same parameters must not produce identical delay sequences. With
 // 20 draws over growing windows a collision is (1/base_ns)^20-unlikely,

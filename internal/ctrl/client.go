@@ -9,13 +9,23 @@ import (
 	"repro/internal/rpc"
 )
 
-// Client speaks the control protocol to one shard agent: Status here,
-// the commit phases through the RemoteRunner over it. Control traffic is
-// low-rate and the controller drives each shard's phases in order, so a
-// single parked connection (redialed transparently after transport
-// errors) suffices — unlike the data plane's pooled objstore.Client.
+// Client speaks the control protocol to one endpoint: to a shard agent
+// Status here and the commit phases through the RemoteRunner over it, to
+// an announcer Wait. Control traffic is low-rate and the controller
+// drives each shard's phases in order, so a single parked connection
+// (redialed transparently after transport errors) suffices — unlike the
+// data plane's pooled objstore.Client.
 type Client struct {
 	rpc *rpc.Client
+}
+
+// NewClient returns a client for the CNC1 endpoint at addr; nothing is
+// dialed until the first call, and each dial is bounded by dialTimeout.
+func NewClient(addr string, dialTimeout time.Duration) *Client {
+	// No retry on a stale parked connection (see rpc.NewClient): Prepare
+	// is not idempotent, and the controller's own retry policy decides
+	// what a broken round trip means.
+	return &Client{rpc: rpc.NewClient(addr, 1, dialTimeout, false)}
 }
 
 // ClientConfig configures DialAgent.
@@ -30,10 +40,7 @@ func DialAgent(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	// No retry on a stale parked connection (see rpc.NewClient): Prepare
-	// is not idempotent, and the controller's own retry policy decides
-	// what a broken round trip means.
-	c := &Client{rpc: rpc.NewClient(addr, 1, cfg.DialTimeout, false)}
+	c := NewClient(addr, cfg.DialTimeout)
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
 	defer cancel()
 	if _, err := c.Status(ctx); err != nil {
@@ -73,7 +80,7 @@ func (c *Client) call(ctx context.Context, op uint8, epoch uint64, args any, rep
 	case statusFenced:
 		return fmt.Errorf("%w: agent %s: %s", ErrFenced, c.Addr(), payload)
 	default:
-		return fmt.Errorf("ctrl: agent %s: %s", c.Addr(), payload)
+		return fmt.Errorf("ctrl: %s: %s", c.Addr(), payload)
 	}
 }
 
@@ -81,6 +88,20 @@ func (c *Client) call(ctx context.Context, op uint8, epoch uint64, args any, rep
 func (c *Client) Status(ctx context.Context) (*StatusReply, error) {
 	var reply StatusReply
 	if err := c.call(ctx, opStatus, 0, nil, &reply); err != nil {
+		return nil, err
+	}
+	return &reply, nil
+}
+
+// Wait long-polls the announce endpoint for job: the reply comes at
+// once if the announcer's newest Seq is not after, otherwise at the next
+// announcement, or with no news at the announcer's bound. A link that
+// stays silent past that bound fails the call, as does a cancel of ctx.
+func (c *Client) Wait(ctx context.Context, jobID string, after uint64) (*WaitReply, error) {
+	ctx, cancel := context.WithTimeout(ctx, waitBound+waitGrace)
+	defer cancel()
+	var reply WaitReply
+	if err := c.call(ctx, opWait, 0, &WaitArgs{JobID: jobID, After: after}, &reply); err != nil {
 		return nil, err
 	}
 	return &reply, nil

@@ -35,8 +35,8 @@ type ControllerConfig struct {
 	// deadline.
 	OpTimeout time.Duration
 	// Announcer, when set, receives every committed composite via
-	// Announce immediately after the commit point, fanning it out to
-	// subscribed serving replicas. The announcer is owned by the
+	// Announce immediately after the commit point, answering the waits
+	// of serving replicas. The announcer is owned by the
 	// deployment (it survives controller failover); the controller only
 	// seeds it with its epoch and announces into it.
 	Announcer *Announcer
@@ -162,10 +162,9 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		return fail(err)
 	}
 	if cfg.Announcer != nil {
-		// Seed the announce endpoint so replicas subscribing between
-		// checkpoints learn the current epoch and how far the chain has
-		// advanced.
-		cfg.Announcer.SetPosition(c.Epoch(), c.NextID())
+		// From now on the announce endpoint refuses what a deposed
+		// controller announces.
+		cfg.Announcer.SetEpoch(c.Epoch())
 	}
 	logf("ctrl controller: job %s epoch %d, %d shards, next checkpoint %d",
 		cfg.JobID, c.Epoch(), n, c.NextID())

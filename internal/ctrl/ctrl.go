@@ -60,39 +60,31 @@ type CommitArgs struct {
 	CkptID int    `json:"ckpt_id"`
 }
 
-// SubscribeArgs opens a checkpoint-announcement stream on a
-// controller's announce endpoint (see Announcer).
-type SubscribeArgs struct {
-	// JobID guards against misrouted subscriptions; must match the
-	// announcer's.
+// WaitArgs is a long-poll on a controller's announce endpoint (see
+// Announcer).
+type WaitArgs struct {
+	// JobID guards against misrouted waits; must match the announcer's.
 	JobID string `json:"job_id"`
+	// After is the Seq of the newest announcement the reader has seen
+	// (0 before any): the wait is answered at once if the announcer's
+	// differs.
+	After uint64 `json:"after"`
 }
 
-// SubscribeReply acknowledges a subscription and tells the reader where
-// the job currently stands, so it can decide how far behind it is
-// before the first announcement arrives.
-type SubscribeReply struct {
-	JobID string `json:"job_id"`
-	// Epoch is the announcing controller's job epoch at subscribe time
-	// (zero if the announcer has not yet seen a controller).
+// WaitReply is the announcer's one slot: the newest composite checkpoint
+// announced to it. It is a hint, not a commit record: readers fence on
+// Epoch (a deposed controller may still announce) and treat the
+// committed manifests in the object store as the source of truth.
+type WaitReply struct {
+	// Seq counts the announcements recorded since the announcer
+	// started; a reply whose Seq is the wait's After carries no news.
+	Seq uint64 `json:"seq"`
+	// Epoch is the highest controller epoch the announcer has seen.
 	Epoch uint64 `json:"epoch"`
-	// NextID is the ID the next composite checkpoint will get; NextID-1
-	// is the newest committed composite, or -1 when none is known.
-	NextID int `json:"next_id"`
-}
-
-// AnnounceEvent is pushed to every subscriber after a composite
-// checkpoint commits. It is a hint, not a commit record: readers must
-// fence on the frame epoch (a deposed controller may still announce)
-// and treat the committed manifests in the object store as the source
-// of truth.
-type AnnounceEvent struct {
-	// CkptID is the committed composite's checkpoint ID.
-	CkptID int `json:"ckpt_id"`
-	// Step is the consistent-cut training step of the checkpoint.
-	Step uint64 `json:"step"`
-	// Kind is the checkpoint kind ("full" or "incremental").
-	Kind string `json:"kind"`
+	// CkptID and Step name the announced composite: its checkpoint ID
+	// (-1 before any) and its consistent-cut training step.
+	CkptID int    `json:"ckpt_id"`
+	Step   uint64 `json:"step"`
 }
 
 // StatusReply describes an agent for discovery and monitoring. Status

@@ -62,17 +62,15 @@ func TestFrameGolden(t *testing.T) {
 	}
 	reqFrame("prepare_request", &request{op: opPrepare, epoch: 3, body: prepareBody})
 	respFrame("fenced_response", statusFenced, []byte(fencedf("epoch %d superseded by %d", 2, 3).Error()))
-	reqFrame("subscribe_request", &request{op: opSubscribe, body: mustJSON(&SubscribeArgs{JobID: "job"})})
-	respFrame("subscribe_reply", statusOK, mustJSON(&SubscribeReply{JobID: "job", Epoch: 3, NextID: 8}))
-	reqFrame("announce_frame", &request{op: opAnnounce, epoch: 3,
-		body: mustJSON(&AnnounceEvent{CkptID: 7, Step: 4200, Kind: "incremental"})})
+	reqFrame("wait_request", &request{op: opWait, body: mustJSON(&WaitArgs{JobID: "job", After: 7})})
+	respFrame("wait_reply", statusOK, mustJSON(&WaitReply{Seq: 8, Epoch: 3, CkptID: 7, Step: 4200}))
 }
 
 // FuzzReadRequest: the CNC1 request decoder reads bytes straight off a
-// socket, on agents, the announce endpoint and (announce frames)
-// replicas (see rpctest.FuzzDecoder for the property).
+// socket, on agents and the announce endpoint (see rpctest.FuzzDecoder
+// for the property).
 func FuzzReadRequest(f *testing.F) {
-	for _, seed := range rpctest.Seeds(f, "testdata/*_request.bin", "testdata/announce_frame.bin") {
+	for _, seed := range rpctest.Seeds(f, "testdata/*_request.bin") {
 		f.Add(seed)
 	}
 	f.Add([]byte("1CNC\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x04")) // a header claiming maxBodyLen, and nothing after it

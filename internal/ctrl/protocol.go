@@ -27,14 +27,13 @@ const (
 	opFinalize = 3
 	opAbort    = 4
 	opStatus   = 5
-	// opSubscribe/opAnnounce are the read plane's verbs: a serving
-	// replica sends one opSubscribe to the controller's announce
-	// endpoint, and from then on the endpoint pushes an opAnnounce
-	// request frame (epoch in the header, AnnounceEvent body) for each
-	// composite that commits. Announcements are hints — the committed
-	// manifests in the object store remain the source of truth.
-	opSubscribe = 6
-	opAnnounce  = 7
+	// opWait is the read plane's one verb: a serving replica long-polls
+	// the controller's announce endpoint with the last Seq it saw, and
+	// the reply names the newest announced composite (see Announcer).
+	// Announcements are hints — the committed manifests in the object
+	// store remain the source of truth. 6 and 7 belonged to the retired
+	// push stream; a reader still speaking it is refused.
+	opWait = 8
 
 	statusOK     = 0
 	statusFenced = 1

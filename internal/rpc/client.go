@@ -43,10 +43,12 @@ type Client struct {
 }
 
 type clientConn struct {
-	c   net.Conn
-	br  *bufio.Reader
-	fw  *FrameWriter
-	hdr [responseHeaderLen]byte // where this connection's response headers are read
+	c  net.Conn
+	br *bufio.Reader
+	fw *FrameWriter
+	// expire puts the connection's deadline in the past, failing the
+	// write or read in flight: what a cancel of the call's ctx runs.
+	expire func()
 }
 
 // NewClient returns a client for addr that parks up to poolSize idle
@@ -72,10 +74,11 @@ func (c *Client) Addr() string { return c.addr }
 // connection's FrameWriter (Do flushes it, so anything write passed by
 // reference is free again when Do returns), and the response frame is
 // read back as ReadResponse(max) would. The ctx deadline, if any,
-// becomes the connection deadline and also bounds the dial. The error
-// is ctx's if ctx is already done, ErrClosed after Close, and otherwise
-// an *Error; under retryIdle, write may run twice — each run gathers
-// the frame afresh on the connection it is given.
+// becomes the connection deadline and also bounds the dial, and a
+// cancel of ctx ends the call as its deadline would. The error is ctx's
+// if ctx is already done, ErrClosed after Close, and otherwise an
+// *Error; under retryIdle, write may run twice — each run gathers the
+// frame afresh on the connection it is given.
 func (c *Client) Do(ctx context.Context, max int, write func(*FrameWriter) error) (status uint8, payload []byte, err error) {
 	status, payload, pooled, err := c.do(ctx, max, write)
 	if err != nil && pooled && c.retryIdle && ctx.Err() == nil {
@@ -96,17 +99,28 @@ func (c *Client) do(ctx context.Context, max int, write func(*FrameWriter) error
 	}
 	dl, _ := ctx.Deadline() // the zero time clears a previous call's deadline
 	_ = cc.c.SetDeadline(dl)
+	stop := func() bool { return true } // a ctx that is never cancelled
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, cc.expire)
+	}
 	op := "write"
 	if err = write(cc.fw); err == nil {
 		err = cc.fw.Flush()
 	}
 	if err == nil {
 		op = "read"
-		status, payload, err = readResponse(cc.br, cc.hdr[:], max)
+		status, payload, err = ReadResponse(cc.br, max)
 	}
 	if err != nil {
+		stop()
 		cc.c.Close()
 		return 0, nil, pooled, &Error{Op: op, Addr: c.addr, Err: err}
+	}
+	if !stop() {
+		// The cancel came after the response: the call stands, but the
+		// connection's deadline is (or is about to be) in the past.
+		cc.c.Close()
+		return status, payload, pooled, nil
 	}
 	c.release(cc)
 	return status, payload, pooled, nil
@@ -130,7 +144,12 @@ func (c *Client) acquire(ctx context.Context) (cc *clientConn, pooled bool, err 
 	if err != nil {
 		return nil, false, &Error{Op: "dial", Addr: c.addr, Err: err}
 	}
-	return &clientConn{c: conn, br: bufio.NewReaderSize(conn, readBufSize), fw: newFrameWriter(conn)}, false, nil
+	return &clientConn{
+		c:      conn,
+		br:     bufio.NewReaderSize(conn, readBufSize),
+		fw:     newFrameWriter(conn),
+		expire: func() { _ = conn.SetDeadline(time.Unix(1, 0)) },
+	}, false, nil
 }
 
 // release parks a healthy connection, or closes it if the pool is full

@@ -13,6 +13,7 @@
 package rpc
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -93,31 +94,36 @@ func WriteResponse(w io.Writer, status uint8, payload []byte) error {
 }
 
 // ReadResponse reads one framed response, refusing payloads longer
-// than max (the calling protocol's frame limit) before allocating.
+// than max (the calling protocol's frame limit) before allocating. From
+// a *bufio.Reader — every connection's — the header is read in place. A
+// payload up to bodyChunk is read into an Alloc buffer, unzeroed:
+// ReadFull writes every byte of it before anyone sees it, and the caller
+// may Recycle it.
 func ReadResponse(r io.Reader, max int) (status uint8, payload []byte, err error) {
-	return readResponse(r, make([]byte, responseHeaderLen), max)
-}
-
-// readResponse is ReadResponse with the header read into hdr, which a
-// pooled connection supplies from its own array. A payload up to
-// bodyChunk is read into an Alloc buffer, unzeroed: ReadFull writes
-// every byte of it before anyone sees it, and the caller may Recycle it.
-func readResponse(r io.Reader, hdr []byte, max int) (status uint8, payload []byte, err error) {
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr []byte
+	if br, ok := r.(*bufio.Reader); ok {
+		if hdr, err = br.Peek(responseHeaderLen); err == nil {
+			_, _ = br.Discard(responseHeaderLen)
+		}
+	} else {
+		hdr = make([]byte, responseHeaderLen)
+		_, err = io.ReadFull(r, hdr)
+	}
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	status, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:])
 	if uint64(n) > uint64(max) {
 		return 0, nil, fmt.Errorf("rpc: response length %d exceeds limit %d", n, max)
 	}
 	if n == 0 || n > bodyChunk {
 		payload, err = ReadBody(r, int(n))
-		return hdr[0], payload, err
+		return status, payload, err
 	}
 	payload = Alloc(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		Recycle(payload)
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return status, payload, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // The body pool, in both directions: every Get body — the response
-// payload readResponse reads, the copy MemStore.Get returns, the value
+// payload ReadResponse reads, the copy MemStore.Get returns, the value
 // DiskStore.Get preads — and every chunk the checkpoint engine encodes
 // for a Put comes from Alloc, and whoever holds the only reference may
 // give it back with Recycle once it is done with it. A chunk is filled

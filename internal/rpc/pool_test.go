@@ -60,9 +60,8 @@ func TestResponseBodyIsRecyclable(t *testing.T) {
 	for _, size := range []int{minPooled, 68 << 10, 80 << 10, MaxPooled, MaxPooled + 1} {
 		for seed := int64(0); seed < 3; seed++ {
 			body := randomBody(seed+int64(size), size)
-			var hdr [responseHeaderLen]byte
 			br := bufio.NewReaderSize(bytes.NewReader(bufioFrame(t, 0, body)), readBufSize)
-			_, payload, err := readResponse(br, hdr[:], 1<<26)
+			_, payload, err := ReadResponse(br, 1<<26)
 			if err != nil || !bytes.Equal(payload, body) {
 				t.Fatalf("%d-byte body, seed %d: err %v, equal %v", size, seed, err, bytes.Equal(payload, body))
 			}

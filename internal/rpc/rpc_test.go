@@ -167,6 +167,75 @@ func TestCtxDeadlineBecomesConnDeadline(t *testing.T) {
 	}
 }
 
+// TestCtxCancelEndsTheCall: a cancel ends a call to a peer that never
+// answers as a deadline would — promptly, with a read *Error — and the
+// connection it was on is not parked.
+func TestCtxCancelEndsTheCall(t *testing.T) {
+	addr, _ := silentListener(t)
+	c := NewClient(addr, 1, time.Second, false)
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := echo(ctx, c, "x")
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let the call reach its blocking read
+	cancel()
+	start := time.Now()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cancelled call to a silent peer did not return")
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("the call returned %v after its cancel", d)
+	}
+	var te *Error
+	if !errors.As(err, &te) || te.Op != "read" {
+		t.Fatalf("cancelled call = %v, want read *Error", err)
+	}
+	if n := len(c.idle); n != 0 {
+		t.Fatalf("a cancelled call parked its connection (%d idle)", n)
+	}
+}
+
+// TestCancelAfterResponseKeepsTheCall: a cancel that comes once the
+// response is in fails neither that call nor the next, whichever side of
+// Do's return it lands on.
+func TestCancelAfterResponseKeepsTheCall(t *testing.T) {
+	srv := echoServer(t, nil)
+	c := NewClient(srv.Addr(), 1, time.Second, false)
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, got, err := echo(ctx, c, "a"); err != nil || got != "a\n" {
+		t.Fatalf("echo = %q, %v", got, err)
+	}
+	cancel()
+	if _, got, err := echo(ctxT(t), c, "b"); err != nil || got != "b\n" {
+		t.Fatalf("the call after a late cancel = %q, %v", got, err)
+	}
+	// Cancels racing the response: a call either fails as a cancelled
+	// one does or returns its own answer, and never leaves the client a
+	// connection that fails the call after it.
+	for i := 0; i < 200; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		_, got, err := echo(ctx, c, "c")
+		var te *Error
+		if err != nil && !errors.As(err, &te) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("racing cancel %d: %v, want a transport *Error or context.Canceled", i, err)
+		}
+		if err == nil && got != "c\n" {
+			t.Fatalf("racing cancel %d answered %q", i, got)
+		}
+		if _, got, err := echo(ctxT(t), c, "d"); err != nil || got != "d\n" {
+			t.Fatalf("the call after racing cancel %d = %q, %v", i, got, err)
+		}
+	}
+}
+
 func TestClientCloseDoesNotWaitForInFlight(t *testing.T) {
 	addr, release := silentListener(t)
 	c := NewClient(addr, 1, time.Second, false)

@@ -87,8 +87,7 @@ func TestBodyIsReadIntoItsOwnSlice(t *testing.T) {
 			body := randomBody(int64(size), size)
 			frame := bufioFrame(t, 0, body)
 			conn := &recordingConn{stream: bytes.NewReader(frame), size: len(frame), piece: piece}
-			var hdr [responseHeaderLen]byte
-			status, payload, err := readResponse(bufio.NewReaderSize(conn, readBufSize), hdr[:], 1<<26)
+			status, payload, err := ReadResponse(bufio.NewReaderSize(conn, readBufSize), 1<<26)
 			if err != nil || status != 0 || !bytes.Equal(payload, body) {
 				t.Fatalf("%d-byte body: status %d, err %v, equal %v", size, status, err, bytes.Equal(payload, body))
 			}

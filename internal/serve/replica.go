@@ -1,10 +1,10 @@
 // Package serve is the read plane: serving replicas that publish
-// checkpointed embeddings to inference traffic. A Replica subscribes to
-// the controller's announce endpoint (the CNC1 control plane's
-// opSubscribe/opAnnounce verbs), pulls the newest complete composite
-// from the object store once as its baseline, then applies each
-// incremental delta as its composite commits — maintaining an in-memory
-// dequantized table set that answers embedding lookups over framed TCP.
+// checkpointed embeddings to inference traffic. A Replica long-polls
+// the controller's announce endpoint (the CNC1 control plane's opWait
+// verb), pulls the newest complete composite from the object store once
+// as its baseline, then applies each incremental delta as its composite
+// commits — maintaining an in-memory dequantized table set that answers
+// embedding lookups over framed TCP.
 //
 // Consistency model: every lookup response is served from exactly one
 // committed checkpoint. The replica owns two full table sets. Lookups
@@ -21,15 +21,17 @@
 // Staleness is allowed and unbounded: a partitioned replica keeps
 // serving its last version and converges (bit-identically — the apply
 // path is the same alias-decode/dequantize path recovery uses) after
-// healing, via announcements when the stream is alive and via periodic
-// re-sync polling when it is not.
+// healing: by the announcer's slot, which answers the first wait after
+// the heal with the newest announcement, and by periodic re-sync polling
+// while the announce link is down.
 //
-// Fencing for readers: announcements carry the controller's epoch and
-// the replica drops events from epochs below the highest it has seen,
-// so a deposed controller cannot make a replica chase phantom
-// checkpoints. Announcements are only hints, though — state always
-// comes from committed manifests in the store, which the two-phase
-// commit guarantees are immutable once present.
+// Fencing for readers: a wait's reply carries the highest controller
+// epoch the announcer has seen, and the replica ignores replies from
+// epochs below the highest it has seen, so a deposed controller cannot
+// make a replica chase phantom checkpoints. Announcements are only
+// hints, though — state always comes from committed manifests in the
+// store, which the two-phase commit guarantees are immutable once
+// present.
 package serve
 
 import (
@@ -62,14 +64,14 @@ type Config struct {
 	// caller-owned, not closed by the replica).
 	Store objstore.Store
 	// AnnounceAddr is the controller's announce endpoint. Empty means
-	// poll-only: the replica discovers new checkpoints solely via the
-	// ResyncEvery ticker.
+	// poll-only: the replica discovers new checkpoints solely by asking
+	// the store every ResyncEvery.
 	AnnounceAddr string
 	// ListenAddr is the lookup listen address; empty means
 	// "127.0.0.1:0".
 	ListenAddr string
 	// ResyncEvery is the store re-sync polling period — the fallback
-	// that converges a replica whose announce stream is dead or
+	// that converges a replica whose announce link is dead or
 	// partitioned. Zero means 2s.
 	ResyncEvery time.Duration
 	// Logf receives diagnostics; nil discards them.
@@ -80,8 +82,8 @@ const (
 	// syncTimeout bounds one catch-up pass against the store (listing,
 	// chain fetch, chunk apply).
 	syncTimeout = 60 * time.Second
-	// subscribeTimeout bounds the announce subscribe handshake.
-	subscribeTimeout = 5 * time.Second
+	// announceDialTimeout bounds each dial of the announce endpoint.
+	announceDialTimeout = 5 * time.Second
 )
 
 // tableSet is one of the replica's two table buffers, holding the
@@ -189,11 +191,8 @@ type Replica struct {
 
 	cur   atomic.Pointer[tableSet]
 	epoch atomic.Uint64
-	// hint is the newest announced checkpoint ID the sync loop has not
-	// looked at yet, or -1: which manifest key to Get first, no more.
-	hint atomic.Int64
 
-	// standby and lazy belong to applyLoop, the single writer. standby
+	// standby and lazy belong to syncLoop, the single writer. standby
 	// is the buffer the next sync rewrites: nil until bootstrap, then
 	// kept for the replica's life. lazy names the tables in which standby
 	// may differ from the live set: every table after bootstrap and after
@@ -204,20 +203,17 @@ type Replica struct {
 	lazy    map[int]bool
 
 	srv  *rpc.Server
-	wake chan struct{}
-	done chan struct{}
+	stop context.CancelFunc // ends syncLoop
 	wg   sync.WaitGroup
 
-	mu     sync.Mutex
-	sub    *ctrl.Subscription
-	closed bool
-	stats  Stats // counters only; Stats() fills in what is served
+	mu    sync.Mutex
+	stats Stats // counters only; Stats() fills in what is served
 }
 
 // Start launches a replica: it begins listening for lookups
 // immediately (answering ErrNotReady until the first complete composite
-// is loaded), starts the catch-up loop, and — when AnnounceAddr is set
-// — maintains a subscription to the controller's announce stream.
+// is loaded) and starts the sync loop, which long-polls the announce
+// endpoint when AnnounceAddr is set.
 func Start(cfg Config) (*Replica, error) {
 	if cfg.JobID == "" {
 		return nil, fmt.Errorf("serve: empty job ID")
@@ -240,26 +236,15 @@ func Start(cfg Config) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{
-		cfg:   cfg,
-		logf:  logf,
-		store: store,
-		rest:  rest,
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
-	}
-	r.hint.Store(-1)
+	ctx, stop := context.WithCancel(context.Background())
+	r := &Replica{cfg: cfg, logf: logf, store: store, rest: rest, stop: stop}
 	r.srv, err = newServer(cfg.ListenAddr, r)
 	if err != nil {
+		stop()
 		return nil, err
 	}
-	r.kick() // bootstrap attempt without waiting for the first tick
 	r.wg.Add(1)
-	go r.applyLoop()
-	if cfg.AnnounceAddr != "" {
-		r.wg.Add(1)
-		go r.subscribeLoop()
-	}
+	go r.syncLoop(ctx)
 	return r, nil
 }
 
@@ -309,30 +294,12 @@ func (r *Replica) pin() *tableSet {
 	}
 }
 
-// Close stops serving and releases all resources except the store.
+// Close stops serving and releases all resources except the store. It
+// cuts short the sync or the wait in flight.
 func (r *Replica) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	sub := r.sub
-	r.mu.Unlock()
-	close(r.done)
-	if sub != nil {
-		sub.Close()
-	}
+	r.stop()
 	r.srv.Close()
 	r.wg.Wait()
-}
-
-// kick schedules a catch-up pass if one is not already pending.
-func (r *Replica) kick() {
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
 }
 
 // observeEpoch folds a seen controller epoch into the replica's fence.
@@ -349,40 +316,88 @@ func (r *Replica) observeEpoch(e uint64) bool {
 	}
 }
 
-// applyLoop is the single writer of r.cur and of both table sets: it
-// wakes on announcements and on the re-sync ticker, and runs one
-// catch-up pass per wake.
-func (r *Replica) applyLoop() {
+// syncLoop is the replica's one loop and the single writer of r.cur and
+// of both table sets. It syncs, then waits on the announcer for news
+// past the last announcement it read: a reply naming a checkpoint newer
+// than the served one, from a current epoch, starts a pass that
+// resolves it by key. Every ResyncEvery — checked between waits, each
+// answered within the announcer's bound — a pass asks the store instead.
+// A failed wait backs off, never past the next poll, and a successful
+// one resets the backoff. Without an announce endpoint the loop only
+// polls.
+func (r *Replica) syncLoop(ctx context.Context) {
 	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.ResyncEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.wake:
-		case <-tick.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), syncTimeout)
-		err := r.syncOnce(ctx)
-		cancel()
-		if err != nil {
-			select {
-			case <-r.done:
-				return
-			default:
+	var ann *ctrl.Client
+	if r.cfg.AnnounceAddr != "" {
+		ann = ctrl.NewClient(r.cfg.AnnounceAddr, announceDialTimeout)
+		defer ann.Close()
+	}
+	bo := ctrl.NewBackoff(100*time.Millisecond, 2*time.Second)
+	var seen uint64    // Seq of the newest announcement read
+	var poll time.Time // when the next pass asks the store
+	hint := -1         // the checkpoint the next pass resolves by key, or -1
+	for ctx.Err() == nil {
+		if now := time.Now(); hint >= 0 || !now.Before(poll) {
+			if !now.Before(poll) {
+				poll = now.Add(r.cfg.ResyncEvery)
 			}
-			r.logf("serve %s: sync: %v", r.cfg.JobID, err)
-			r.mu.Lock()
-			r.stats.FailedSyncs++
-			r.mu.Unlock()
+			r.sync(ctx, hint)
+			hint = -1
 		}
+		if ann == nil {
+			sleep(ctx, time.Until(poll))
+			continue
+		}
+		reply, err := ann.Wait(ctx, r.cfg.JobID, seen)
+		if err != nil {
+			sleep(ctx, min(bo.Next(), time.Until(poll)))
+			continue
+		}
+		bo.Reset()
+		if reply.Seq == seen {
+			continue
+		}
+		seen = reply.Seq
+		if !r.observeEpoch(reply.Epoch) {
+			// Fenced: a deposed controller is still announcing. Ignore
+			// the hint; committed manifests are the source of truth.
+			r.logf("serve %s: dropping announcement of ckpt %d from stale epoch %d (at %d)",
+				r.cfg.JobID, reply.CkptID, reply.Epoch, r.epoch.Load())
+			continue
+		}
+		if live := r.cur.Load(); live == nil || reply.CkptID > live.id {
+			hint = reply.CkptID
+		}
+	}
+}
+
+// sleep waits d, or until ctx is done.
+func sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
+}
+
+// sync runs one catch-up pass, resolving hint by key first when it is
+// not -1, and counts and logs a failure unless the replica is closing.
+func (r *Replica) sync(ctx context.Context, hint int) {
+	sctx, cancel := context.WithTimeout(ctx, syncTimeout)
+	err := r.syncOnce(sctx, hint)
+	cancel()
+	if err != nil && ctx.Err() == nil {
+		r.logf("serve %s: sync: %v", r.cfg.JobID, err)
+		r.mu.Lock()
+		r.stats.FailedSyncs++
+		r.mu.Unlock()
 	}
 }
 
 // syncOnce advances the served version to the newest complete composite
 // if the replica is behind.
-func (r *Replica) syncOnce(ctx context.Context) error {
+func (r *Replica) syncOnce(ctx context.Context, hint int) error {
 	began := time.Now()
 	lists, gets, stats := r.store.lists.Load(), r.store.gets.Load(), r.store.stats.Load()
 	live := r.cur.Load()
@@ -390,7 +405,7 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 	if live != nil {
 		served = live.id
 	}
-	plan, err := r.resolve(ctx, served)
+	plan, err := r.resolve(ctx, hint, served)
 	if plan == nil || err != nil {
 		return err
 	}
@@ -446,17 +461,17 @@ func (r *Replica) syncOnce(ctx context.Context) error {
 // resolve finds the newest complete checkpoint above served and the
 // chain links that lead to it from served, or nil when there is none.
 //
-// An announcement's checkpoint ID is a hint for which key to Get: that
+// An announced checkpoint ID, hint, says which key to Get: that
 // composite, the shard manifests it names, and their parents back to
-// served are fetched by key, so a replica following the stream issues
+// served are fetched by key, so a replica following the announcer issues
 // 1 + shards manifest Gets and no List however long the job's history.
 // State still comes only from the store: a hint whose composite is not
 // there (or is incomplete) is dropped, and that pass, like every pass
-// the re-sync ticker starts, asks ResolveLatest instead — one keys-only
-// List, the fallback past torn composites recovery uses — which is also
-// what heals a replica whose announce stream died.
-func (r *Replica) resolve(ctx context.Context, served int) (*ckpt.Plan, error) {
-	if hint := int(r.hint.Swap(-1)); hint > served {
+// without a hint, asks ResolveLatest instead — one keys-only List, the
+// fallback past torn composites recovery uses — which is also what heals
+// a replica whose announce link died.
+func (r *Replica) resolve(ctx context.Context, hint, served int) (*ckpt.Plan, error) {
+	if hint > served {
 		plan, err := r.rest.Resolve(ctx, hint, served)
 		if !errors.Is(err, objstore.ErrNotFound) && !errors.Is(err, ckpt.ErrIncomplete) {
 			return plan, err
@@ -551,71 +566,6 @@ func reconcile(old, next *tableSet, written map[int][]uint32, full map[int]bool)
 		n += uint64(len(rows))
 	}
 	return n
-}
-
-// subscribeLoop keeps one announce subscription alive, re-dialing with
-// jittered backoff; each current-epoch announcement kicks a catch-up
-// pass. Loss of the stream is not fatal — applyLoop's ticker still
-// converges the replica.
-func (r *Replica) subscribeLoop() {
-	defer r.wg.Done()
-	bo := ctrl.NewBackoff(100*time.Millisecond, 2*time.Second)
-	for {
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		dctx, cancel := context.WithTimeout(context.Background(), subscribeTimeout)
-		sub, err := ctrl.Subscribe(dctx, r.cfg.AnnounceAddr, r.cfg.JobID)
-		cancel()
-		if err != nil {
-			select {
-			case <-r.done:
-				return
-			case <-time.After(bo.Next()):
-			}
-			continue
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			sub.Close()
-			return
-		}
-		r.sub = sub
-		r.mu.Unlock()
-		r.observeEpoch(sub.Reply().Epoch)
-		r.logf("serve %s: subscribed to %s (epoch %d, next id %d)",
-			r.cfg.JobID, r.cfg.AnnounceAddr, sub.Reply().Epoch, sub.Reply().NextID)
-		r.kick()
-		for {
-			ev, epoch, err := sub.Next(context.Background())
-			if err != nil {
-				break
-			}
-			if !r.observeEpoch(epoch) {
-				// Fenced: a deposed controller is still announcing. Ignore
-				// the hint; committed manifests are the source of truth.
-				r.logf("serve %s: dropping announcement of ckpt %d from stale epoch %d (at %d)",
-					r.cfg.JobID, ev.CkptID, epoch, r.epoch.Load())
-				continue
-			}
-			// One stream delivers announcements in commit order, so the
-			// latest is the newest.
-			r.hint.Store(int64(ev.CkptID))
-			r.kick()
-		}
-		sub.Close()
-		r.mu.Lock()
-		r.sub = nil
-		r.mu.Unlock()
-		select {
-		case <-r.done:
-			return
-		case <-time.After(bo.Next()):
-		}
-	}
 }
 
 // lookup answers one batch lookup from the live version, pinned for

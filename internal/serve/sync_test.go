@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"net"
 	"runtime"
 	"slices"
 	"strings"
@@ -23,8 +25,8 @@ import (
 )
 
 // followed is a harness with a replica that learns of commits only from
-// the announce stream: the re-sync ticker is set far beyond the test,
-// so every sync is one the test caused.
+// the announcer: the store poll is set far beyond the test, so every
+// sync after the bootstrap is one the test caused.
 type followed struct {
 	*harness
 	ctx context.Context
@@ -52,7 +54,6 @@ func follow(t *testing.T, store objstore.Store, h *harness) *followed {
 		t.Fatal(err)
 	}
 	t.Cleanup(rep.Close)
-	waitFor(t, 10*time.Second, func() bool { return subscribed(rep) })
 	return &followed{harness: h, ctx: ctx, ann: ann, rep: rep}
 }
 
@@ -121,7 +122,7 @@ func deltaChunks(t *testing.T, ctx context.Context, store objstore.Store, man *w
 	return n
 }
 
-// TestSyncCostIndependentOfHistory: following the announce stream, the
+// TestSyncCostIndependentOfHistory: following the announcer, the
 // sync for commit K+1 costs the store the same after 5 commits as after
 // 50 — the composite, one manifest per shard, the delta's chunks, and
 // no List.
@@ -386,6 +387,137 @@ func TestSkippedAndStaleHintsConverge(t *testing.T) {
 	}
 }
 
+// cuttableLink forwards TCP connections to target until cut, which
+// closes the live ones and resets new ones until heal.
+type cuttableLink struct {
+	ln     net.Listener
+	target string
+
+	mu    sync.Mutex
+	down  bool
+	conns []net.Conn
+}
+
+func newCuttableLink(t *testing.T, target string) *cuttableLink {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &cuttableLink{ln: ln, target: target}
+	t.Cleanup(func() { ln.Close(); l.cut() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			l.mu.Lock()
+			if err != nil || l.down {
+				l.mu.Unlock()
+				c.Close()
+				if up != nil {
+					up.Close()
+				}
+				continue
+			}
+			l.conns = append(l.conns, c, up)
+			l.mu.Unlock()
+			go func() { _, _ = io.Copy(up, c); up.Close() }()
+			go func() { _, _ = io.Copy(c, up); c.Close() }()
+		}
+	}()
+	return l
+}
+
+func (l *cuttableLink) Addr() string { return l.ln.Addr().String() }
+
+func (l *cuttableLink) cut() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.down = true
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
+}
+
+func (l *cuttableLink) heal() {
+	l.mu.Lock()
+	l.down = false
+	l.mu.Unlock()
+}
+
+// TestAnnouncementDuringOutageArrivesByKey: an announcement made while a
+// replica's announce link is down is not lost. The first wait after the
+// heal is answered with it at once, and the replica resolves it by key,
+// with no List — the store poll is an hour away.
+func TestAnnouncementDuringOutageArrivesByKey(t *testing.T) {
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	h := newHarnessWith(t, store, ckpt.Config{Policy: ckpt.PolicyConsecutive}, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ann, err := ctrl.NewAnnouncer("127.0.0.1:0", "serve-test", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ann.Close()
+	link := newCuttableLink(t, ann.Addr())
+	rep, err := Start(Config{JobID: "serve-test", Store: store, AnnounceAddr: link.Addr(), ResyncEvery: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	man := h.commit(ctx)
+	if man == nil {
+		t.FailNow()
+	}
+	ann.Announce(1, man)
+	if err := waitForCheckpoint(ctx, rep, man.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	link.cut()
+	if man = h.commit(ctx); man == nil {
+		t.FailNow()
+	}
+	ann.Announce(1, man)
+	time.Sleep(100 * time.Millisecond)
+	if id, _ := rep.Served(); id == man.ID {
+		t.Fatalf("checkpoint %d served across a cut announce link", id)
+	}
+	link.heal()
+	if err := waitForCheckpoint(ctx, rep, man.ID); err != nil {
+		t.Fatalf("announcement made during the outage: %v", err)
+	}
+	if st := synced(t, rep, 2); st.LastLists != 0 {
+		t.Errorf("the sync after the heal listed the store %d times, want 0: %+v", st.LastLists, st)
+	}
+	(&followed{harness: h, ctx: ctx, ann: ann, rep: rep}).checkAll(man.ID)
+}
+
+// TestCloseCutsTheWaitInFlight: Close does not wait out a wait the
+// announcer is holding.
+func TestCloseCutsTheWaitInFlight(t *testing.T) {
+	ann, err := ctrl.NewAnnouncer("127.0.0.1:0", "serve-test", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ann.Close()
+	store := objstore.NewMemStore(objstore.MemConfig{})
+	rep, err := Start(Config{JobID: "serve-test", Store: store, AnnounceAddr: ann.Addr(), ResyncEvery: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // the bootstrap finds nothing; the wait is held
+	start := time.Now()
+	rep.Close()
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("Close took %v with a wait in flight", d)
+	}
+}
+
 // TestFullBaselineAfterIncrementals: under the intermittent policy a
 // shard re-baselines in the middle of a run. The full link overwrites
 // every row of its tables, so the replica skips bringing them level
@@ -502,7 +634,6 @@ func TestReplicaKeepsUpUnderCompositeRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	waitFor(t, 10*time.Second, func() bool { return subscribed(rep) })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
