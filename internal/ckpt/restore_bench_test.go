@@ -12,27 +12,57 @@ import (
 	"repro/internal/quant"
 )
 
-// BenchmarkRestoreChain restores the chain cnrbench's incr_quant workload
-// ends a run with, one layer down: 4 tables of 64 Ki–256 Ki rows × dim
-// 32 on 2 shards, consecutive policy, adaptive 4-bit, a full base and 22
-// increments of 10 % of every table's rows, half of them drawn from a
-// fixed hot set — so a hot row is stored by most links and written by
-// one. mem restores straight from the MemStore the chain was written to,
-// tcp through a loopback objstore.Server in front of it. rows-written/op
-// is the model's row count when every row is written once (the sum over
-// the links, 1.68 M, when each link overwrites the last); gets/op is the
-// same either way: 920, one per 2048-row 4-bit chunk (3360 with one
-// 512-row segment per chunk). B/op is what the Gets leave behind, since
-// the walk recycles each fetched object: with -benchmem -cpu 2 it reads
-// 1.9 MB on mem and 2.9 MB on tcp (7.4 and 13.5 MB while a chunk decoded
-// to a Row and a QVector per row; 70.1 and 138.6 MB with a fresh body
-// per Get on each end of the wire). ns/op at -cpu 2 on a 2-core Intel
-// Xeon VM: 23–27 ms on mem and 37–39 ms on tcp with each chunk read as a
-// wire.ChunkView and its rows de-quantized from the view's columns; 49–56
-// and 70–72 ms with a Row and a QVector per decoded row; 76 and 97 ms
-// before DequantizeRows' AVX2 kernel.
+// BenchmarkRestoreChain restores, one layer down, the chains three
+// cnrbench workloads end a run with: 4 tables of 64 Ki–256 Ki rows × dim
+// 32 on 2 shards, every increment storing a share of every table's rows,
+// half of them drawn from a fixed hot set of a tenth of the rows — so a
+// hot row is stored by most links and written by one. incr_quant is
+// consecutive, adaptive 4-bit, a full base and 22 increments of 10 %;
+// full_fp32 a single fp32 full link; incr_fsync consecutive fp32, a full
+// base and 160 increments of 0.2 %, about what a 20 s cnrbench run ends
+// with. mem restores straight from the MemStore the chain was written to, tcp
+// through a loopback objstore.Server in front of it. rows-written/op is
+// the model's row count when every row is written once (for incr_quant
+// the sum over the links, 1.68 M, when each link overwrites the last);
+// gets/op is the same either way: 920 for incr_quant, one per 2048-row
+// 4-bit chunk (3360 with one 512-row segment per chunk). B/op is what the
+// Gets leave behind, since the walk recycles each fetched object: with
+// -benchmem -cpu 2 incr_quant reads 1.9 MB on mem and 2.9 MB on tcp (7.4
+// and 13.5 MB while a chunk decoded to a Row and a QVector per row; 70.1
+// and 138.6 MB with a fresh body per Get on each end of the wire). ns/op
+// at -cpu 2 on a 2-core Intel Xeon VM, incr_quant: 23–27 ms on mem and
+// 37–39 ms on tcp with each chunk read as a wire.ChunkView and its rows
+// de-quantized from the view's columns; 49–56 and 70–72 ms with a Row
+// and a QVector per decoded row; 76 and 97 ms before DequantizeRows' AVX2
+// kernel. full_fp32 reads 260 gets/op and incr_fsync 1220; ns/op on mem
+// and on tcp, same host, six alternated runs a side: full_fp32 9–13 and
+// 16–25 ms, incr_fsync 17–26 and 33–47 ms, with each run of consecutive
+// fp32 rows one streaming AVX2 copy; 16–19 and 25–32 ms, 25–33 and 47–59
+// ms with a Go loop a row.
 func BenchmarkRestoreChain(b *testing.B) {
-	const job, dim, links = "chain", 32, 22
+	fp32 := quant.Params{Method: quant.MethodNone}
+	for _, shape := range []struct {
+		name   string
+		policy PolicyKind
+		quant  quant.Params
+		links  int
+		frac   float64
+	}{
+		{"incr_quant", PolicyConsecutive, quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}, 22, 0.10},
+		{"full_fp32", PolicyFull, fp32, 0, 0},
+		{"incr_fsync", PolicyConsecutive, fp32, 160, 0.002},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchmarkRestoreChain(b, shape.policy, shape.quant, shape.links, shape.frac)
+		})
+	}
+}
+
+// benchmarkRestoreChain writes a full base and links increments of frac
+// of every table's rows under policy and q, then times RestoreLatest
+// from the store it was written to (mem) and over loopback TCP (tcp).
+func benchmarkRestoreChain(b *testing.B, policy PolicyKind, q quant.Params, links int, frac float64) {
+	const job, dim = "chain", 32
 	ctx := context.Background()
 	mcfg := testModelConfig()
 	mcfg.EmbedDim, mcfg.Tables = dim, nil
@@ -46,10 +76,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 	backend := objstore.NewMemStore(objstore.MemConfig{})
 	b.Cleanup(func() { backend.Close() })
 	coord, err := NewCoordinator(ctx, CoordinatorConfig{
-		Config: Config{
-			JobID: job, Store: backend, Policy: PolicyConsecutive,
-			Quant: quant.Params{Method: quant.MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1},
-		},
+		Config: Config{JobID: job, Store: backend, Policy: policy, Quant: q},
 		Shards: 2,
 	})
 	if err != nil {
@@ -68,7 +95,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 		if id > 0 {
 			// As cnrbench's trainInterval: the rows of one interval are distinct.
 			for _, tab := range m.Sparse.Tables {
-				n, hot, seen := tab.Rows/10, hot[tab.ID], seen[tab.ID]
+				n, hot, seen := int(float64(tab.Rows)*frac), hot[tab.ID], seen[tab.ID]
 				for i := 0; i < n; i++ {
 					var row int
 					if i < n/2 {

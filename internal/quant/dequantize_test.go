@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -59,16 +60,55 @@ func columnsOf(qs []QVector) *Columns {
 	return c
 }
 
+// rawEdges are fp32 bit patterns a raw row must land unchanged: ±0,
+// subnormals, ±Inf, and quiet and signalling NaNs with payloads.
+var rawEdges = []uint32{0x80000000, 0, 1, 0x807fffff, 0x00400000, 0x7f800000, 0xff800000,
+	0x7fc00001, 0x7f800001, 0xffbfffff, 0x7fffffff, 0xffc0dead}
+
+// spreadLayout lands row i of n in table row i·every, last to first,
+// and leaves every third row unpicked: no two picked rows are adjacent.
+func spreadLayout(n, every int) (to, pick []uint32) {
+	to = make([]uint32, n)
+	for i := range to {
+		to[i] = uint32(i * every)
+		if j := n - 1 - i; j%3 != 2 {
+			pick = append(pick, uint32(j))
+		}
+	}
+	return to, pick
+}
+
+// runsLayout lands row i of n in table row i, or i+1 from row 4 on, in
+// runs that an index gap (rows 3 and 4), an unpicked row (7), pick's
+// order (11 before 8 to 10) and a reversed pair (13, 12) break; the rows
+// from 14 on are one run.
+func runsLayout(n int) (to, pick []uint32) {
+	to = make([]uint32, n)
+	for i := range to {
+		to[i] = uint32(i + min(i/4, 1))
+	}
+	for _, i := range []uint32{0, 1, 2, 3, 4, 5, 6, 11, 8, 9, 10, 13, 12} {
+		if int(i) < n {
+			pick = append(pick, i)
+		}
+	}
+	for i := 14; i < n; i++ {
+		pick = append(pick, uint32(i))
+	}
+	return to, pick
+}
+
 // TestDequantizeRowsMatchesGoKernel holds the batch entry to
 // DequantizeInto, row by row and bit for bit, with the assembly on and
 // off: at every width the restore meets (1, 2, 4, 8 bits, and raw fp32
-// at 32), every dim in 1..129, and every offset of the table from a
-// 32-byte boundary in 0..7 floats, so that the streaming stores, the
-// rows' tails and the Go loop an unaligned row falls back to all run.
-// The rows land in every other row or further apart, at least eight
-// floats between two, in the order pick gives, and every third is not
-// picked: every float outside a picked row must keep the sentinel it was
-// filled with.
+// at 32, whose rows hold rawEdges among random bits), every dim in
+// 1..129, and every offset of the table from a 32-byte boundary in 0..7
+// floats, so that the streaming stores, the rows' heads and tails and
+// the Go loop an unaligned row falls back to all run. Each batch lands
+// twice: spreadLayout, rows apart, and runsLayout, rows on consecutive
+// table rows, which DequantizeRows copies a run at a time at 32 bits.
+// Every float outside a picked row must keep the sentinel it was filled
+// with.
 func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 	const sentinel = 0x7fc0dead
 	rng := rand.New(rand.NewSource(49))
@@ -84,13 +124,16 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 					if bits != 32 {
 						ranges = dequantizeRanges(rng, bits)
 					} else {
-						ranges = make([]grid, 8) // raw rows store no range
+						ranges = make([]grid, 20) // raw rows store no range
 					}
 					qs := make([]QVector, len(ranges))
 					want := make([][]float32, len(ranges))
 					for i, g := range ranges {
 						codes := make([]byte, PackedLen(dim, bits))
 						rng.Read(codes)
+						for k := 0; bits == 32 && k < min(dim, 4); k++ {
+							binary.LittleEndian.PutUint32(codes[4*((3*i+7*k)%dim):], rawEdges[(i+k)%len(rawEdges)])
+						}
 						qs[i] = QVector{Bits: bits, N: dim, Lo: g.zero, Scale: g.scale, Codes: codes}
 						want[i] = make([]float32, dim)
 						if err := DequantizeInto(want[i], &qs[i], &s); err != nil {
@@ -98,50 +141,42 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 						}
 					}
 					cols := columnsOf(qs)
-					// Row i lands in table row i·every, last to first.
-					every := 1 + (8+dim-1)/dim
-					to := make([]uint32, len(qs))
-					var pick []uint32
-					for i := range to {
-						to[i] = uint32(i * every)
-						if j := len(qs) - 1 - i; j%3 != 2 {
-							pick = append(pick, uint32(j))
-						}
-					}
-					picked := func(i int) bool { return i%3 != 2 }
-					buf := make([]float32, len(qs)*every*dim+16)
-					base := (8 - int(uintptr(unsafe.Pointer(&buf[0]))%32/4)) % 8
-					for off := 0; off < 8; off++ {
-						for i := range buf {
-							buf[i] = f32fb(sentinel)
-						}
-						table := buf[base+off:]
-						if i, err := DequantizeRows(table, cols, to, pick, &s); err != nil {
-							t.Fatalf("bits=%d dim=%d offset %d: row %d: %v", bits, dim, off, i, err)
-						}
-						for i := range qs {
-							if !picked(i) {
-								continue
+					spreadTo, spreadPick := spreadLayout(len(qs), 1+(8+dim-1)/dim)
+					runsTo, runsPick := runsLayout(len(qs))
+					for _, l := range []struct {
+						name     string
+						to, pick []uint32
+					}{{"spread", spreadTo, spreadPick}, {"runs", runsTo, runsPick}} {
+						buf := make([]float32, (int(l.to[len(l.to)-1])+2)*dim+16)
+						base := (8 - int(uintptr(unsafe.Pointer(&buf[0]))%32/4)) % 8
+						for off := 0; off < 8; off++ {
+							for i := range buf {
+								buf[i] = f32fb(sentinel)
 							}
-							got := table[int(to[i])*dim:][:dim]
-							for j := range got {
-								if f32b(got[j]) != f32b(want[i][j]) {
-									t.Fatalf("asm=%v bits=%d dim=%d offset %d row %d [lo %v step %v]: element %d is %#x, DequantizeInto %#x",
-										asm, bits, dim, off, i, qs[i].Lo, qs[i].Scale, j, f32b(got[j]), f32b(want[i][j]))
+							table := buf[base+off:]
+							if i, err := DequantizeRows(table, cols, l.to, l.pick, &s); err != nil {
+								t.Fatalf("%s bits=%d dim=%d offset %d: row %d: %v", l.name, bits, dim, off, i, err)
+							}
+							written := make([]bool, len(buf))
+							for _, i := range l.pick {
+								at := int(l.to[i]) * dim
+								got := table[at:][:dim]
+								for j := range got {
+									written[base+off+at+j] = true
+									if f32b(got[j]) != f32b(want[i][j]) {
+										t.Fatalf("%s asm=%v bits=%d dim=%d offset %d row %d [lo %v step %v]: element %d is %#x, DequantizeInto %#x",
+											l.name, asm, bits, dim, off, i, qs[i].Lo, qs[i].Scale, j, f32b(got[j]), f32b(want[i][j]))
+									}
 								}
 							}
-						}
-						inRow := func(p int) bool {
-							q := p - base - off
-							return q >= 0 && q/(every*dim) < len(qs) && q%(every*dim) < dim && picked(q/(every*dim))
-						}
-						for p, v := range buf {
-							if !inRow(p) && f32b(v) != sentinel {
-								t.Fatalf("asm=%v bits=%d dim=%d offset %d: float %d, outside every picked row, is %#x",
-									asm, bits, dim, off, p, f32b(v))
+							for p, v := range buf {
+								if !written[p] && f32b(v) != sentinel {
+									t.Fatalf("%s asm=%v bits=%d dim=%d offset %d: float %d, outside every picked row, is %#x",
+										l.name, asm, bits, dim, off, p, f32b(v))
+								}
 							}
+							batches++
 						}
-						batches++
 					}
 				}
 			}
@@ -155,8 +190,9 @@ func TestDequantizeRowsMatchesGoKernel(t *testing.T) {
 
 // TestDequantizeRowsStopsAtABadRow: a row whose destination lies past
 // the table's end stops the batch at its position, with the rows before
-// it written; a width no row is stored at, or columns too short for the
-// rows, stops it before any row is written.
+// it written, a 32-bit run's rows before it too; a width no row is
+// stored at, or columns too short for the rows, stops it before any row
+// is written.
 func TestDequantizeRowsStopsAtABadRow(t *testing.T) {
 	x := trainedLikeVector(rand.New(rand.NewSource(1)), 32)
 	good, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
@@ -178,6 +214,29 @@ func TestDequantizeRowsStopsAtABadRow(t *testing.T) {
 			}
 		}
 	}
+	// At 32 bits positions 1..5 are one run onto table rows 0..4: the run
+	// crosses the table's end, and writes rows 0..3 before it stops at 5.
+	var raw []QVector
+	for i := 0; i < 6; i++ {
+		q, err := Quantize(trainedLikeVector(rand.New(rand.NewSource(int64(i))), 32), Params{Method: MethodNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = append(raw, *q)
+	}
+	for _, off := range []int{0, 1} {
+		buf := make([]float32, 4*32+off)
+		if i, err := DequantizeRows(buf[off:], columnsOf(raw), []uint32{9, 0, 1, 2, 3, 4}, []uint32{1, 2, 3, 4, 5}, nil); err == nil || i != 5 {
+			t.Fatalf("32-bit, offset %d: DequantizeRows = %d, %v; want row 5 refused", off, i, err)
+		}
+		for r := 0; r < 4; r++ {
+			for j, w := range Dequantize(&raw[r+1]) {
+				if got := buf[off+32*r+j]; f32b(got) != f32b(w) {
+					t.Fatalf("32-bit, offset %d: table row %d, before the refused one, element %d: %v, want %v", off, r, j, got, w)
+				}
+			}
+		}
+	}
 	for name, c := range map[string]*Columns{
 		"bits-9":      {Bits: 9, Dim: cols.Dim, Lo: cols.Lo, Scale: cols.Scale, Codes: cols.Codes},
 		"short-codes": {Bits: 4, Dim: cols.Dim, Lo: cols.Lo, Scale: cols.Scale, Codes: cols.Codes[:len(cols.Codes)-1]},
@@ -193,6 +252,80 @@ func TestDequantizeRowsStopsAtABadRow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDequantizeRows holds DequantizeRows to DequantizeInto on
+// arbitrary batches of 4-bit or raw fp32 rows of dim 1..40 into a table
+// 0..7 floats past a 32-byte boundary. Each layout byte is one row: it
+// lands one table row past the last or, when its low two bits are 0,
+// 1..8 rows further (bits 2-4), so to strictly increases; its top three
+// bits are the key pick is sorted by, stably, and 7 leaves it unpicked.
+// codes, cycled, are the rows' codes, and the 4-bit rows take
+// dequantizeRanges in turn. Every picked row must equal DequantizeInto
+// bit for bit, and every other float keep its sentinel.
+func FuzzDequantizeRows(f *testing.F) {
+	const sentinel = 0x7fc0dead
+	ranges := dequantizeRanges(rand.New(rand.NewSource(1)), 4)
+	f.Add(bytes.Repeat([]byte{1}, 40), []byte{0, 0, 0x80, 0x80, 1, 0, 0x80, 0x7f}, uint8(31), uint8(0), false)
+	f.Add([]byte{1, 1, 0x0c, 0xe1, 1, 0x41, 0x21, 1}, []byte{0x01, 0xc0, 0x80, 0x7f}, uint8(7), uint8(3), false)
+	f.Add([]byte{0x21, 1, 1, 1, 0xe1, 1, 1}, []byte{0x5a, 0xa5}, uint8(15), uint8(5), true)
+	f.Fuzz(func(t *testing.T, layout, codes []byte, dim, off uint8, four bool) {
+		if len(layout) == 0 || len(layout) > 64 || len(codes) == 0 {
+			return
+		}
+		bits, d, n := 32, 1+int(dim%40), len(layout)
+		if four {
+			bits = 4
+		}
+		to, keys, pick, next := make([]uint32, n), make([]byte, n), []uint32(nil), uint32(0)
+		for i, b := range layout {
+			if b&3 == 0 {
+				next += 1 + uint32(b>>2&7)
+			}
+			to[i], keys[i], next = next, b>>5, next+1
+			if keys[i] != 7 {
+				pick = append(pick, uint32(i))
+			}
+		}
+		slices.SortStableFunc(pick, func(a, b uint32) int { return int(keys[a]) - int(keys[b]) })
+		qs, want := make([]QVector, n), make([][]float32, n)
+		for i := range qs {
+			q := QVector{Bits: bits, N: d, Codes: make([]byte, PackedLen(d, bits))}
+			for j := range q.Codes {
+				q.Codes[j] = codes[(i*len(q.Codes)+j)%len(codes)]
+			}
+			if bits == 4 {
+				q.Lo, q.Scale = ranges[i%len(ranges)].zero, ranges[i%len(ranges)].scale
+			}
+			qs[i], want[i] = q, make([]float32, d)
+			if err := DequantizeInto(want[i], &qs[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf := make([]float32, (int(next)+1)*d+16)
+		at := (8-int(uintptr(unsafe.Pointer(&buf[0]))%32/4))%8 + int(off%8)
+		for i := range buf {
+			buf[i] = f32fb(sentinel)
+		}
+		if i, err := DequantizeRows(buf[at:], columnsOf(qs), to, pick, nil); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		written := make([]bool, len(buf))
+		for _, i := range pick {
+			for j, w := range want[i] {
+				p := at + int(to[i])*d + j
+				written[p] = true
+				if f32b(buf[p]) != f32b(w) {
+					t.Fatalf("%d-bit row %d into table row %d, element %d: %#x, DequantizeInto %#x", bits, i, to[i], j, f32b(buf[p]), f32b(w))
+				}
+			}
+		}
+		for p, v := range buf {
+			if !written[p] && f32b(v) != sentinel {
+				t.Fatalf("float %d, outside every picked row, is %#x", p, f32b(v))
+			}
+		}
+	})
 }
 
 // rangeEdges are the zero points and bfloat16 steps

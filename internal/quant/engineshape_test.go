@@ -147,49 +147,67 @@ func BenchmarkNoneEngineShape(b *testing.B) {
 }
 
 // BenchmarkDequantizeRowsEngineShape is the restore's per-chunk
-// de-quantize at cnrbench's shape: 2048 4-bit dim-32 rows a batch, each
-// into a random row of a 64 MiB table, so that every destination row
-// misses the cache as a restore's do. "go" is DequantizeInto's loop,
-// "dispatched" what DequantizeRows picks for this CPU. ns/op is per row.
+// de-quantize at cnrbench's shape: 2048 dim-32 rows a batch into a 64 MiB
+// table, so that every destination row misses the cache as a restore's
+// do. 4bit lands each row of an adaptive 4-bit chunk in a random table
+// row, as an increment's chunk does; fp32 lands a raw chunk's rows on
+// consecutive table rows, as a full link's does, one run. "go" is
+// DequantizeInto's loop, "dispatched" what DequantizeRows picks for this
+// CPU. ns/op is per row; at -cpu 1 on a 2-core Intel Xeon VM, 4bit reads
+// 118–130 on go and 17–20 dispatched, fp32 21–27 and 8–9 (27–29 either
+// way while every fp32 row was a Go loop of its own).
 func BenchmarkDequantizeRowsEngineShape(b *testing.B) {
 	const dim, chunkRows, tableRows = 32, 2048, 1 << 19
 	rng := rand.New(rand.NewSource(1))
-	qs := make([]QVector, chunkRows)
-	for i := range qs {
-		q, err := Quantize(trainedLikeVector(rng, dim), Params{Method: MethodAsymmetric, Bits: 4})
+	q4, q32 := make([]QVector, chunkRows), make([]QVector, chunkRows)
+	for i := range q4 {
+		x := trainedLikeVector(rng, dim)
+		q, err := Quantize(x, Params{Method: MethodAsymmetric, Bits: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		qs[i] = *q
+		q4[i] = *q
+		if q, err = Quantize(x, Params{Method: MethodNone}); err != nil {
+			b.Fatal(err)
+		}
+		q32[i] = *q
 	}
-	cols := columnsOf(qs)
 	table := make([]float32, tableRows*dim)
-	perm, pick := make([]uint32, tableRows), make([]uint32, chunkRows)
+	for i := range table { // fault every page in before any timer runs
+		table[i] = 1
+	}
+	perm, seq, pick := make([]uint32, tableRows), make([]uint32, tableRows), make([]uint32, chunkRows)
 	for i, r := range rng.Perm(tableRows) {
-		perm[i] = uint32(r)
+		perm[i], seq[i] = uint32(r), uint32(i)
 	}
 	for i := range pick {
 		pick[i] = uint32(i)
 	}
-	for _, kernel := range []struct {
+	for _, shape := range []struct {
 		name string
-		asm  bool
-	}{{"go", false}, {"dispatched", useAVX2}} {
-		b.Run(kernel.name, func(b *testing.B) {
-			defer func(was bool) { useAVX2 = was }(useAVX2)
-			useAVX2 = kernel.asm
-			var s Scratch
-			next := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; done += chunkRows {
-				n := min(chunkRows, b.N-done)
-				at := next % (tableRows - chunkRows)
-				if _, err := DequantizeRows(table, cols, perm[at:at+n], pick[:n], &s); err != nil {
-					b.Fatal(err)
+		cols *Columns
+		to   []uint32
+	}{{"4bit", columnsOf(q4), perm}, {"fp32", columnsOf(q32), seq}} {
+		for _, kernel := range []struct {
+			name string
+			asm  bool
+		}{{"go", false}, {"dispatched", useAVX2}} {
+			b.Run(shape.name+"/"+kernel.name, func(b *testing.B) {
+				defer func(was bool) { useAVX2 = was }(useAVX2)
+				useAVX2 = kernel.asm
+				var s Scratch
+				next := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; done += chunkRows {
+					n := min(chunkRows, b.N-done)
+					at := next % (tableRows - chunkRows)
+					if _, err := DequantizeRows(table, shape.cols, shape.to[at:at+n], pick[:n], &s); err != nil {
+						b.Fatal(err)
+					}
+					next += n
 				}
-				next += n
-			}
-		})
+			})
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // useAVX2 is whether scoreGrids, scoreMoves, minMax and DequantizeRows'
-// 4-bit rows run the assembly in kernel_amd64.s: checked once, because
-// the module builds for GOAMD64=v1.
+// 4-bit rows and fp32 runs run the assembly in kernel_amd64.s: checked
+// once, because the module builds for GOAMD64=v1.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports AVX2 with the YMM state enabled by the OS: CPUID
@@ -145,4 +145,23 @@ func dequantize4(dst []float32, codes []byte, lo, scale float32) bool {
 		dst[i] = level(scale, lo, uint32(codes[i>>1]>>(4*uint(i&1))&0xf))
 	}
 	return true
+}
+
+//go:noescape
+func copyF32AVX2(dst []float32, src []byte)
+
+// copyF32 loads the fp32 values src holds, as PutRawF32 stores them,
+// into dst: on AVX2 the assembly streams the 32-byte blocks from dst's
+// first 32-byte boundary on, and rawGetF32 writes the head before it, the
+// tail after them, and all of dst on a CPU without AVX2.
+func copyF32(dst []float32, src []byte) {
+	src, head := src[:4*len(dst)], len(dst)
+	if useAVX2 {
+		head = min(int(-uintptr(unsafe.Pointer(unsafe.SliceData(dst)))%32/4), head)
+		raceWriteRow(dst[head:])
+		copyF32AVX2(dst[head:], src[4*head:])
+	}
+	tail := head + (len(dst)-head)&^7
+	rawGetF32(dst[:head], src)
+	rawGetF32(dst[tail:], src[4*tail:])
 }

@@ -317,6 +317,30 @@ done:
 	VZEROUPPER
 	RET
 
+// func copyF32AVX2(dst []float32, src []byte)
+//
+// Copies len(dst)/8 32-byte blocks of src, fp32 values as PutRawF32
+// stores them, into a dst on a 32-byte boundary: unaligned loads,
+// streaming stores (VMOVNTDQ), which the caller fences (storeFence).
+TEXT ·copyF32AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	SHRQ $3, CX
+	JZ   copied
+
+copy:
+	VMOVDQU  (SI), Y0
+	VMOVNTDQ Y0, (DI)
+	ADDQ     $32, SI
+	ADDQ     $32, DI
+	DECQ     CX
+	JNZ      copy
+
+copied:
+	VZEROUPPER
+	RET
+
 // func storeFence()
 TEXT ·storeFence(SB), NOSPLIT, $0-0
 	SFENCE

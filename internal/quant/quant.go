@@ -268,19 +268,24 @@ func rangeFlags(s, l uint64) uint64 {
 // DequantizeRows de-quantizes rows of c into dst, a row-major table of
 // c.Dim-element rows, to the bits DequantizeInto writes: for each
 // position i in pick, row i of c lands in dst's row to[i]. It is the
-// restore's entry, one call per chunk. On AVX2 a 4-bit row that starts on
-// a 32-byte boundary runs the assembly, which streams it past the cache;
-// one fence before the call returns makes every row visible to whatever
-// the caller synchronizes with next. A width it does not know, or columns
-// short of len(to) rows, fail the call before it writes; a destination
-// past dst's end fails it at that row, the rows before it written. It
-// returns the position in c of the row that failed.
+// restore's entry, one call per chunk; at 32 bits it copies runs of
+// rows (copyRuns: a full link's chunk is one run). On AVX2 that copy,
+// and a 4-bit row that starts on a 32-byte boundary, run the assembly,
+// which streams past the cache; one fence before the call returns makes
+// every row visible to whatever the caller synchronizes with next. A
+// width it does not know, or columns short of len(to) rows, fail the
+// call before it writes; a destination past dst's end fails it at that
+// row, every row before it written. It returns the position in c of the
+// row that failed.
 func DequantizeRows(dst []float32, c *Columns, to, pick []uint32, s *Scratch) (int, error) {
 	n, bits, dim := len(to), c.Bits, c.Dim
 	rowCodes := PackedLen(dim, bits)
 	if bits != 32 && (bits < 1 || bits > 8 || len(c.Lo) < 4*n || len(c.Scale) < 2*n) || len(c.Codes) < n*rowCodes {
 		return 0, fmt.Errorf("quant: columns of %d, %d and %d bytes do not hold %d %d-bit rows of dim %d",
 			len(c.Lo), len(c.Scale), len(c.Codes), n, bits, dim)
+	}
+	if bits == 32 {
+		return copyRuns(dst, c.Codes, dim, to, pick)
 	}
 	streamed := false
 	for _, i := range pick {
@@ -301,6 +306,27 @@ func DequantizeRows(dst []float32, c *Columns, to, pick []uint32, s *Scratch) (i
 		storeFence()
 	}
 	return n, nil
+}
+
+// copyRuns is DequantizeRows at 32 bits: each run of picked positions
+// that follow one another in pick and in codes, whose rows follow one
+// another in dst up to its end, is one copyF32.
+func copyRuns(dst []float32, codes []byte, dim int, to, pick []uint32) (int, error) {
+	for k := 0; k < len(pick); {
+		i, m := int(pick[k]), 1
+		r := int(to[i])
+		if uint64(r+1)*uint64(dim) > uint64(len(dst)) { // to[i] and a chunk's dim are u32s
+			storeFence()
+			return i, fmt.Errorf("quant: row %d of dim %d is outside a destination of %d elements", r, dim, len(dst))
+		}
+		for k+m < len(pick) && int(pick[k+m]) == i+m && uint64(to[i+m]) == uint64(r+m) && uint64(r+m+1)*uint64(dim) <= uint64(len(dst)) {
+			m++
+		}
+		copyF32(dst[r*dim:(r+m)*dim], codes[4*i*dim:4*(i+m)*dim])
+		k += m
+	}
+	storeFence()
+	return len(to), nil
 }
 
 // level is the value a uniform code reconstructs to. The product is
