@@ -415,6 +415,9 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 // engine's encoders (e.encs) and encode chunks into exactly-sized
 // rpc.Alloc buffers (fp32 chunks through wire.AppendF32Chunk, straight
 // from the table), feeding cfg.uploaders store writers, a second fanOut.
+// A quantizing worker prefetches each row's cache lines (quant.Prefetch)
+// while it quantizes the row before: the rows lie scattered through the
+// snapshot's tables, and each would otherwise start with a miss.
 // A chunk is wire.SegmentsPerChunk segments of cfg.ChunkRows rows under
 // the checkpoint's quantizer. Chunk keys are precomputed from row
 // position, so the manifest's chunk order is deterministic regardless of
@@ -476,6 +479,9 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		enc.chunk.TableID = uint32(tab.ID)
 		enc.chunk.Rows = slices.Grow(enc.chunk.Rows[:0], n)
 		for j, r := range rows[start:end] {
+			if j+1 < n {
+				quant.Prefetch(tab.Lookup(rows[start+j+1]))
+			}
 			var ent *quant.RowRange
 			if rc != nil {
 				if j%segRows == 0 {

@@ -3,6 +3,7 @@ package quant
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -190,6 +191,50 @@ func TestChunkSampledDeterministic(t *testing.T) {
 			t.Fatalf("vector %d: same input order, different bytes", i)
 		}
 	}
+}
+
+// TestAdaptiveWalkedRowIgnoresKeptBytes: a walk step keeps no codes, and
+// a walked row packs through uniformCodes, so what s.kept holds when a
+// row is walked moves no stored byte. Sampled chunks at several widths,
+// dims and row populations are quantized twice, the second time over
+// kept bytes poisoned at random before every walked row; the stored rows
+// must equal byte for byte.
+func TestAdaptiveWalkedRowIgnoresKeptBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	walked := 0
+	for _, bits := range []int{2, 3, 4, 8} {
+		p := adaptiveParams(bits)
+		for _, dim := range []int{1, 7, 32, 33} {
+			for _, gen := range []func(*rand.Rand, int) []float32{trainedLikeVector, uniformAdaGradVector} {
+				rows := make([][]float32, 96)
+				for i := range rows {
+					rows[i] = gen(rng, dim)
+				}
+				run := func(poison bool) []QVector {
+					s := Scratch{kept: make([]byte, 16*dim)} // two passes: nine grids
+					s.BeginAdaptiveChunk(8)
+					out := make([]QVector, len(rows))
+					for i, x := range rows {
+						if poison && (s.chunkRow%s.sampleEvery == 0 || len(s.cand) == 0) {
+							rng.Read(s.kept)
+							walked++
+						}
+						if err := QuantizeCachedInto(&out[i], x, p, &s, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return out
+				}
+				clean, poisoned := run(false), run(true)
+				for i := range rows {
+					if !sameQVector(&clean[i], &poisoned[i]) {
+						t.Fatalf("bits=%d dim=%d row %d: %+v over poisoned kept bytes, %+v over clean ones", bits, dim, i, poisoned[i], clean[i])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d rows quantized over poisoned kept bytes", walked)
 }
 
 // TestCandidateReplayBitExact: a sampled row's harvested (u, d)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,12 +39,16 @@ func uniformAdaGradVector(rng *rand.Rand, n int) []float32 {
 // BenchmarkAdaptiveEngineShape is the quantized commit's inner loop at
 // cnrbench's shape: dim 32, 4 bits, 45 bins, ratio 1, 512-row segments,
 // cold range cache. "exact" searches every row (quant.ns_per_row's
-// path), "sampled8" is the engine default. Two row populations, because
-// a kernel that branches on the data times differently on them. "go"
-// scores on the Go kernel, "dispatched" on what scoreGrids picks for
-// this CPU (the assembly where it has AVX2).
+// path), "sampled8" is the engine default, both over one 512-row array
+// that stays in cache. "scattered" is sampled8 as Engine.writeTable runs
+// it: the rows are a sorted tenth of a 64 MiB table, far larger than L2,
+// read where they lie, and each row's cache lines are prefetched while
+// the row before is quantized. Two row populations, because a kernel
+// that branches on the data times differently on them. "go" scores on
+// the Go kernel, "dispatched" on what scoreGrids picks for this CPU (the
+// assembly where it has AVX2).
 func BenchmarkAdaptiveEngineShape(b *testing.B) {
-	const dim, chunkRows = 32, 512
+	const dim, chunkRows, tableRows = 32, 512, 1 << 19
 	p := Params{Method: MethodAdaptive, Bits: 4, NumBins: 45, Ratio: 1}
 	populations := []struct {
 		name string
@@ -58,10 +63,19 @@ func BenchmarkAdaptiveEngineShape(b *testing.B) {
 		for i := range rows {
 			rows[i] = pop.gen(rng, dim)
 		}
+		// The table holds the population's rows over and over; the
+		// scattered case reads pick's rows of it in turn, carrying on
+		// from where its last run stopped, so that a row is read again
+		// only after every other picked row.
+		var table []float32
+		pick, next := rng.Perm(tableRows)[:tableRows/10], 0
+		slices.Sort(pick)
+		row := func(r int) []float32 { return table[r*dim : (r+1)*dim : (r+1)*dim] }
 		for _, mode := range []struct {
-			name     string
-			sampling int
-		}{{"exact", 1}, {"sampled8", 8}} {
+			name      string
+			sampling  int
+			scattered bool
+		}{{"exact", 1, false}, {"sampled8", 8, false}, {"scattered", 8, true}} {
 			for _, kernel := range []struct {
 				name string
 				asm  bool
@@ -69,6 +83,12 @@ func BenchmarkAdaptiveEngineShape(b *testing.B) {
 				b.Run(pop.name+"/"+mode.name+"/"+kernel.name, func(b *testing.B) {
 					defer func(was bool) { useAVX2 = was }(useAVX2)
 					useAVX2 = kernel.asm
+					if mode.scattered && table == nil {
+						table = make([]float32, tableRows*dim)
+						for r := range tableRows {
+							copy(row(r), rows[r%chunkRows])
+						}
+					}
 					var s Scratch
 					var q QVector
 					b.ReportAllocs()
@@ -77,7 +97,13 @@ func BenchmarkAdaptiveEngineShape(b *testing.B) {
 						if i%chunkRows == 0 {
 							s.BeginAdaptiveChunk(mode.sampling)
 						}
-						if err := QuantizeCachedInto(&q, rows[i%chunkRows], p, &s, nil); err != nil {
+						x := rows[i%chunkRows]
+						if mode.scattered {
+							x = row(pick[next])
+							next = (next + 1) % len(pick)
+							Prefetch(row(pick[next]))
+						}
+						if err := QuantizeCachedInto(&q, x, p, &s, nil); err != nil {
 							b.Fatal(err)
 						}
 					}

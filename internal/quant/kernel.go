@@ -12,17 +12,24 @@ import "math"
 // What each assembly entry holds, bit for bit:
 //
 //   - each lane's sum is scoreGridsGo's full sum for its grid. A pass of
-//     one or two grids runs the two-lane XMM entry, of three or four the
-//     four-lane one, of five to eight the eight-lane one.
+//     one or two grids runs the two-lane entry, of three or four the
+//     four-lane one, of five to eight the eight-lane one. The two-lane
+//     entry takes two elements a step, in YMM lanes (g0,e), (g1,e),
+//     (g0,e+1), (g1,e+1), and adds element e's lanes to each sum before
+//     element e+1's, so each sum is still one chain in element order; an
+//     odd last element runs alone.
 //   - the two-lane entry's floor lanes are clipFloor's sums over two
-//     more ranges: a walk step (scoreMoves) scores both moves and both
-//     moves' floors in one pass, and the next step's early-stop test
-//     reads the floor of the move taken.
-//   - every lane's codes are kept, one byte an element (keptCodes): for
-//     a grid of positive step they are uniformCodes', and the stored row
-//     is packed from the winner's rather than recomputed. uniformCodes
-//     stays for a grid no pass scored (a walked row, a cached range), a
-//     step that is not positive, and the Go kernel, which keeps none.
+//     more ranges, laid out and added the same way: a walk step
+//     (scoreMoves) scores both moves and both moves' floors in one pass,
+//     and the next step's early-stop test reads the floor of the move
+//     taken.
+//   - a scoreGrids pass keeps every lane's codes, one byte an element
+//     (keptCodes): for a grid of positive step they are uniformCodes',
+//     and the stored row is packed from the winner's rather than
+//     recomputed, a 4-bit row straight from the kept bytes (packKept4).
+//     A walk step keeps none: a walked row packs through uniformCodes,
+//     as does a cached range, a step that is not positive, and every
+//     row on the Go kernel, which keeps none.
 //   - minMax is minMaxGo's answer from a VMINPS/VMAXPS pass that also
 //     sums v-v, where the row has eight elements or more, all finite,
 //     and neither its least nor its greatest is ±0; the Go loop answers
@@ -210,5 +217,17 @@ func (s *Scratch) keptCodes(codes []uint32, g int) {
 	k := s.kept[g/8*8*len(codes)+g%8:]
 	for i := range codes {
 		codes[i] = uint32(k[8*i])
+	}
+}
+
+// packKept4 packs grid g's kept 4-bit codes for n elements into dst as
+// PackCodes does, straight from the kept bytes.
+func (s *Scratch) packKept4(dst []byte, n, g int) {
+	k := s.kept[g/8*8*n+g%8:]
+	for i := 0; i+2 <= n; i += 2 {
+		dst[i/2] = k[8*i] | k[8*i+8]<<4
+	}
+	if n%2 != 0 {
+		dst[n/2] = k[8*(n-1)]
 	}
 }

@@ -33,7 +33,8 @@ func xgetbv() (eax uint32)
 // gridLanes is what the assembly reads and writes, at fixed offsets:
 // lane i's zero point and step, the code cap maxCode+0.5, lane i's sum,
 // the two-lane entry's floor ranges (clipBounds) and their sums, and
-// where each element's codes go, eight bytes an element.
+// where each element's codes go, eight bytes an element (nil: the
+// two-lane entry keeps none).
 type gridLanes struct {
 	zero, scale              [8]float32
 	cap                      float64
@@ -54,13 +55,9 @@ func scoreGrids8AVX2(x []float32, l *gridLanes)
 //go:noescape
 func minMaxAVX2(x []float32) (lo, hi, nonFinite float32)
 
-// lanes returns gridLanes for bits with s.kept sized for passes passes
-// over x, and at least one.
-func (s *Scratch) lanes(x []float32, bits, passes int) gridLanes {
-	if n := 8 * max(len(x)*passes, 1); len(s.kept) < n {
-		s.kept = make([]byte, n)
-	}
-	return gridLanes{cap: float64(int(1)<<uint(bits)-1) + 0.5, kept: unsafe.SliceData(s.kept)}
+// lanes returns gridLanes for bits, keeping no codes.
+func lanes(bits int) gridLanes {
+	return gridLanes{cap: float64(int(1)<<uint(bits)-1) + 0.5}
 }
 
 // scoreGrids is the assembly up to eight grids a pass, and the Go kernel
@@ -73,7 +70,10 @@ func (s *Scratch) scoreGrids(x []float32, bits int, gs []grid, out []float64) bo
 		s.scoreGridsGo(x, bits, gs, out)
 		return false
 	}
-	l := s.lanes(x, bits, (len(gs)+7)/8)
+	if n := 8 * max(len(x)*((len(gs)+7)/8), 1); len(s.kept) < n {
+		s.kept = make([]byte, n)
+	}
+	l := lanes(bits)
 	for p := 0; len(gs) > 0; p++ {
 		n := min(len(gs), 8)
 		for i := range l.zero {
@@ -95,13 +95,14 @@ func (s *Scratch) scoreGrids(x []float32, bits int, gs []grid, out []float64) bo
 	return true
 }
 
-// scoreMoves is the two-lane entry on the walk's two moves, and
-// scoreMovesGo on a CPU without AVX2.
+// scoreMoves is the two-lane entry on the walk's two moves, keeping no
+// codes (a walked row packs through uniformCodes), and scoreMovesGo on a
+// CPU without AVX2.
 func (s *Scratch) scoreMoves(x []float32, bits int, lo, hi, step float32) (sq, floor [2]float64) {
 	if !useAVX2 {
 		return s.scoreMovesGo(x, bits, lo, hi, step)
 	}
-	l := s.lanes(x, bits, 1)
+	l := lanes(bits)
 	up, dn := rangeGrid(lo+step, hi, bits), rangeGrid(lo, hi-step, bits)
 	l.zero[0], l.scale[0], l.zero[1], l.scale[1] = up.zero, up.scale, dn.zero, dn.scale
 	l.floorLo[0], l.floorTop[0] = clipBounds(lo+step, hi)
@@ -123,6 +124,14 @@ func minMax(x []float32) (lo, hi float32, ok bool) {
 	}
 	return minMaxGo(x)
 }
+
+// Prefetch hints every cache line of x into the cache, a hint that
+// faults on nothing and changes no value: the engine issues it for the
+// row it quantizes next, which sits elsewhere in a table larger than the
+// cache.
+//
+//go:noescape
+func Prefetch(x []float32)
 
 //go:noescape
 func dequantize4AVX2(dst []float32, codes []byte, scale, lo float32)

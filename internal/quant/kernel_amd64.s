@@ -4,7 +4,8 @@
 // kernel's per-element operations in the Go kernel's order (see
 // kernel.go), so each lane's sum is the Go kernel's bit for bit. No FMA:
 // every product is rounded before its add. Each entry also keeps every
-// element's codes, one byte a lane, eight bytes an element, at KEPT.
+// element's codes, one byte a lane, eight bytes an element, at KEPT; the
+// two-lane entry keeps none where KEPT is nil.
 //
 // Registers, lanes 0-3 (set A) / lanes 4-7 (set B):
 //   X1 / X5   zero points, float32
@@ -69,67 +70,111 @@
 	VPACKUSDW Xb, X12, X12; \
 	VPACKUSWB X12, X12, X12
 
+// PAIR2 turns two elements, f in Y9 as (e, e, e+1, e+1) and v in X0 as
+// float32 the same way, into squared errors in Y10 and, rounded to whole
+// numbers, codes in Y11, lanes (g0,e), (g1,e), (g0,e+1), (g1,e+1); and the
+// floor terms d*d in Y12. SQERR's operations, with VROUNDPD $3 for the
+// truncation: c is in [0, cap] after the clamp, where truncating to a
+// double and through int32 agree.
+#define PAIR2 \
+	VSUBPS    X1, X0, X10; \
+	VCVTPS2PD X10, Y10; \
+	VDIVPD    Y2, Y10, Y10; \
+	VADDPD    Y13, Y10, Y10; \
+	VMAXPD    Y14, Y10, Y10; \
+	VMINPD    Y15, Y10, Y10; \
+	VROUNDPD  $3, Y10, Y11; \
+	VMULPD    Y2, Y11, Y10; \
+	VADDPD    Y3, Y10, Y10; \
+	VSUBPD    Y10, Y9, Y10; \
+	VMULPD    Y10, Y10, Y10; \
+	VSUBPD    Y9, Y5, Y12; \
+	VSUBPD    Y6, Y9, Y8; \
+	VMAXPD    Y14, Y12, Y12; \
+	VMAXPD    Y14, Y8, Y8; \
+	VADDPD    Y8, Y12, Y12; \
+	VMULPD    Y12, Y12, Y12
+
 // func scoreGrids2AVX2(x []float32, l *gridLanes)
 //
-// Two grids in lanes 0-1 of XMM registers (a 128-bit divide costs half
-// a 256-bit one), and in X5-X7 the two floor lanes: clipFloor's sum of
-// d*d, d = max(lo-f, +0) + max(f-top, +0) with f = float64(v), for the
-// floor ranges' float64 bottoms and tops (clipBounds). VMAXPD answers
-// nonNeg's +0 for a -0 or negative first source. Every instruction is
-// VEX.128, so no YMM state is dirtied and none needs clearing.
+// Two grids, two elements a step: lanes (g0,e), (g1,e), (g0,e+1),
+// (g1,e+1) of YMM registers, and the same lanes for the two floor ranges:
+// clipFloor's sum of d*d, d = max(lo-f, +0) + max(f-top, +0) with f =
+// float64(v), for the floor ranges' float64 bottoms and tops
+// (clipBounds). VMAXPD answers nonNeg's +0 for a -0 or negative first
+// source. Each sum and each floor adds element e's lanes before element
+// e+1's, so every chain runs in element order; an odd last element runs
+// alone, in the low halves. Codes are kept (eight bytes an element, lanes
+// 0-1) only where KEPT is not nil: a walk step keeps none.
 TEXT ·scoreGrids2AVX2(SB), NOSPLIT, $0-32
-	MOVQ       x_base+0(FP), SI
-	MOVQ       x_len+8(FP), CX
-	MOVQ       l+24(FP), DI
-	MOVQ       KEPT(DI), DX
-	MOVQ       $0x3fe0000000000000, AX
-	VMOVQ      AX, X13
-	VMOVDDUP   X13, X13
-	VXORPD     X14, X14, X14
-	VMOVDDUP   CAP(DI), X15
-	VMOVQ      ZERO(DI), X1
-	VCVTPS2PD  STEP(DI), X2
-	VCVTPS2PD  X1, X3
-	VXORPD     X4, X4, X4
-	VMOVUPD    FLOORLO(DI), X5
-	VMOVUPD    FLOORTOP(DI), X6
-	VXORPD     X7, X7, X7
-	TESTQ      CX, CX
-	JZ         done2
+	MOVQ           x_base+0(FP), SI
+	MOVQ           x_len+8(FP), CX
+	MOVQ           l+24(FP), DI
+	MOVQ           KEPT(DI), DX
+	MOVQ           $0x3fe0000000000000, AX
+	VMOVQ          AX, X13
+	VBROADCASTSD   X13, Y13
+	VXORPD         Y14, Y14, Y14
+	VBROADCASTSD   CAP(DI), Y15
+	VMOVQ          ZERO(DI), X1
+	VMOVDDUP       X1, X1
+	VMOVQ          STEP(DI), X2
+	VMOVDDUP       X2, X2
+	VCVTPS2PD      X2, Y2
+	VCVTPS2PD      X1, Y3
+	VXORPD         X4, X4, X4
+	VBROADCASTF128 FLOORLO(DI), Y5
+	VBROADCASTF128 FLOORTOP(DI), Y6
+	VXORPD         X7, X7, X7
+	MOVQ           CX, BX
+	SHRQ           $1, BX
+	JZ             odd2
 
-loop2:
-	VBROADCASTSS (SI), X0
-	VCVTPS2PD    X0, X9
-	VSUBPS       X1, X0, X10
-	VCVTPS2PD    X10, X10
-	VDIVPD       X2, X10, X10
-	VADDPD       X13, X10, X10
-	VMAXPD       X14, X10, X10
-	VMINPD       X15, X10, X10
-	VCVTTPD2DQX  X10, X12
-	VCVTDQ2PD    X12, X10
-	VMULPD       X2, X10, X10
-	VADDPD       X3, X10, X10
-	VSUBPD       X10, X9, X10
-	VMULPD       X10, X10, X10
+pairs2:
+	VMOVQ        (SI), X0
+	VPERMILPS    $0x50, X0, X0
+	VCVTPS2PD    X0, Y9
+	PAIR2
 	VADDPD       X10, X4, X4
-	VSUBPD       X9, X5, X10
-	VSUBPD       X6, X9, X11
-	VMAXPD       X14, X10, X10
-	VMAXPD       X14, X11, X11
-	VADDPD       X11, X10, X10
-	VMULPD       X10, X10, X10
-	VADDPD       X10, X7, X7
-	KEEP(X12)
-	VMOVD        X12, (DX)
-	ADDQ         $8, DX
-	ADDQ         $4, SI
-	DECQ         CX
-	JNZ          loop2
+	VEXTRACTF128 $1, Y10, X10
+	VADDPD       X10, X4, X4
+	VADDPD       X12, X7, X7
+	VEXTRACTF128 $1, Y12, X12
+	VADDPD       X12, X7, X7
+	TESTQ        DX, DX
+	JZ           next2
+	VCVTTPD2DQY  Y11, X11
+	VPACKUSDW    X11, X11, X11
+	VPACKUSWB    X11, X11, X11
+	VPMOVZXWQ    X11, X11
+	VMOVDQU      X11, (DX)
+	ADDQ         $16, DX
+
+next2:
+	ADDQ $8, SI
+	DECQ BX
+	JNZ  pairs2
+
+odd2:
+	TESTQ        $1, CX
+	JZ           done2
+	VBROADCASTSS (SI), X0
+	VCVTPS2PD    X0, Y9
+	PAIR2
+	VADDPD       X10, X4, X4
+	VADDPD       X12, X7, X7
+	TESTQ        DX, DX
+	JZ           done2
+	VCVTTPD2DQY  Y11, X11
+	VPACKUSDW    X11, X11, X11
+	VPACKUSWB    X11, X11, X11
+	VPMOVZXWQ    X11, X11
+	VMOVQ        X11, (DX)
 
 done2:
 	VMOVUPD X4, SUM(DI)
 	VMOVUPD X7, FLOOR(DI)
+	VZEROUPPER
 	RET
 
 // func scoreGrids4AVX2(x []float32, l *gridLanes)
@@ -344,4 +389,25 @@ copied:
 // func storeFence()
 TEXT ·storeFence(SB), NOSPLIT, $0-0
 	SFENCE
+	RET
+
+// func Prefetch(x []float32)
+//
+// PREFETCHT0 at every 64-byte line x spans, from the line of its first
+// byte to the line of its last.
+TEXT ·Prefetch(SB), NOSPLIT, $0-24
+	MOVQ  x_base+0(FP), SI
+	MOVQ  x_len+8(FP), CX
+	TESTQ CX, CX
+	JZ    fetched
+	LEAQ  -1(SI)(CX*4), DX
+	ANDQ  $-64, SI
+
+fetch:
+	PREFETCHT0 (SI)
+	ADDQ       $64, SI
+	CMPQ       SI, DX
+	JLS        fetch
+
+fetched:
 	RET

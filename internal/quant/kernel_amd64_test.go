@@ -55,3 +55,24 @@ func TestMinMaxAVX2AnswersFiniteRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchReturns: Prefetch returns and writes nothing on a nil row,
+// an empty one and rows of 1 to 64 floats at every float offset of a
+// cache line, so its line walk ends wherever a row starts and stops.
+func TestPrefetchReturns(t *testing.T) {
+	Prefetch(nil)
+	data := make([]float32, 128)
+	for i := range data {
+		data[i] = float32(i)
+	}
+	for off := 0; off < 16; off++ {
+		for n := 0; n <= 64; n++ {
+			Prefetch(data[off : off+n])
+		}
+	}
+	for i, v := range data {
+		if v != float32(i) {
+			t.Fatalf("element %d is %v after Prefetch", i, v)
+		}
+	}
+}

@@ -28,3 +28,6 @@ func storeFence() {}
 
 // copyF32 is rawGetF32, which streams nothing.
 func copyF32(dst []float32, src []byte) { rawGetF32(dst, src) }
+
+// Prefetch issues nothing: it is only a hint.
+func Prefetch([]float32) {}

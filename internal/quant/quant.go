@@ -556,6 +556,10 @@ func quantizeUniformInto(q *QVector, x []float32, bits int, lo, hi, mn, mx float
 	q.Lo = g.zero
 	q.Scale = g.scale
 	q.Codes = ensureBytes(q.Codes, PackedLen(len(x), bits))
+	if kept >= 0 && g.scale > 0 && bits == 4 {
+		s.packKept4(q.Codes, len(x), kept)
+		return lo, hi, nil
+	}
 	codes := s.codeBuf(len(x))
 	if kept >= 0 && g.scale > 0 {
 		s.keptCodes(codes, kept)
