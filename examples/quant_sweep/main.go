@@ -49,15 +49,11 @@ func main() {
 	// stores, index and accumulator included: an index gap under 128, as
 	// at a 10 % touch rate, takes one byte.
 	dim := cv.Dim
-	fp32 := wire.F32ChunkLen([]int{0}, dim) - wire.F32ChunkLen(nil, dim)
+	empty := wire.ChunkLen(nil, 32, 0)
+	fp32 := wire.ChunkLen([]int{0}, 32, dim) - empty
 	fmt.Printf("\nper-row checkpoint storage (dim-%d row, fp32 = %d bytes: values, index, accumulator):\n", dim, fp32)
-	empty := (&wire.Chunk{}).EncodedLen()
 	for _, bits := range []int{2, 3, 4, 8} {
-		q, err := quant.Quantize(cv.Vectors[0], quant.Params{Method: quant.MethodAsymmetric, Bits: bits})
-		if err != nil {
-			log.Fatal(err)
-		}
-		row := (&wire.Chunk{Rows: []wire.Row{{Q: q}}}).EncodedLen() - empty
+		row := wire.ChunkLen([]int{0}, bits, dim) - empty
 		fmt.Printf("  %d-bit: %d bytes (%.2fx smaller)\n", bits, row, float64(fp32)/float64(row))
 	}
 }

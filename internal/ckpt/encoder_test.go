@@ -173,54 +173,47 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 }
 
 // TestEncodeSteadyStateAllocs pins the per-row allocation behavior of
-// the chunk encode loop: with warm scratch and a pooled buffer, encoding
-// a chunk allocates nothing regardless of row count.
+// the chunk encode loop as writeTable runs it: with warm scratch and a
+// buffer of wire.ChunkLen, quantizing each row straight into the codes a
+// wire.ChunkWriter hands out allocates nothing regardless of row count.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	build := func(nRows int) ([][]float32, []float32) {
-		rows := make([][]float32, nRows)
-		accums := make([]float32, nRows)
-		for i := range rows {
-			v := make([]float32, 16)
-			for j := range v {
-				v[j] = rng.Float32() - 0.5
-			}
-			rows[i] = v
-			accums[i] = rng.Float32()
-		}
-		return rows, accums
-	}
 	p := quant.Params{Method: quant.MethodAsymmetric, Bits: 4}
 	for _, nRows := range []int{64, 512} {
-		vecs, accums := build(nRows)
-		qrows := make([]quant.QVector, nRows)
-		var scratch quant.Scratch
-		encodeOnce := func(chunk *wire.Chunk) {
-			chunk.Rows = chunk.Rows[:0]
-			for i, v := range vecs {
-				if err := quant.QuantizeInto(&qrows[i], v, p, &scratch); err != nil {
-					t.Fatal(err)
-				}
-				chunk.Rows = append(chunk.Rows, wire.Row{Index: uint32(i), Accum: accums[i], Q: &qrows[i]})
+		vecs, accums, rows := make([][]float32, nRows), make([]float32, nRows), make([]int, nRows)
+		for i := range vecs {
+			vecs[i] = make([]float32, 16)
+			for j := range vecs[i] {
+				vecs[i][j] = rng.Float32() - 0.5
 			}
+			accums[i], rows[i] = rng.Float32(), i
 		}
-		chunk := &wire.Chunk{TableID: 1, Rows: make([]wire.Row, 0, nRows)}
-		buf := make([]byte, 0, 1<<20)
-		// Warm.
-		encodeOnce(chunk)
-		var err error
-		if buf, err = chunk.AppendTo(buf[:0]); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			encodeOnce(chunk)
-			var err error
-			buf, err = chunk.AppendTo(buf[:0])
-			if err != nil {
+		var (
+			w       wire.ChunkWriter
+			q       quant.QVector
+			scratch quant.Scratch
+		)
+		buf := make([]byte, 0, wire.ChunkLen(rows, 4, 16))
+		encodeOnce := func() {
+			if err := w.Open(buf[:0], 1, nRows, 4, 16); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
+			for i, v := range vecs {
+				q.Codes = w.Next(1)
+				if err := quant.QuantizeInto(&q, v, p, &scratch); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Add(uint32(i), accums[i], q.Lo, q.Scale); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if buf, err = w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		encodeOnce() // warm
+		if allocs := testing.AllocsPerRun(20, encodeOnce); allocs != 0 {
 			t.Errorf("nRows=%d: %v allocs per encoded chunk, want 0 (row-count independent)", nRows, allocs)
 		}
 	}

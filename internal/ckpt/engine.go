@@ -114,15 +114,13 @@ type Engine struct {
 	encs []encoder
 }
 
-// encoder is one of writeTable's workers' scratch: the quantized rows of
-// the chunk it encodes, whose codes, rowBytes apart in one array, the
-// next chunk's rows reuse, the quantizer's staging and the chunk being
-// built.
+// encoder is one of writeTable's workers' scratch: the chunk writer, the
+// quantized row whose codes point into the chunk being written, and the
+// quantizer's staging.
 type encoder struct {
-	qrows    []quant.QVector
-	rowBytes int
-	scratch  quant.Scratch
-	chunk    wire.Chunk
+	w       wire.ChunkWriter
+	q       quant.QVector
+	scratch quant.Scratch
 }
 
 // NewEngine validates cfg and returns an Engine.
@@ -411,10 +409,11 @@ func (e *Engine) rowsToStore(tab *embedding.Table, dec decision) []int {
 }
 
 // writeTable quantizes, encodes and uploads one table's rows:
-// min(cfg.encoders, chunks) fanOut workers quantize rows with the
-// engine's encoders (e.encs) and encode chunks into exactly-sized
-// rpc.Alloc buffers (fp32 chunks through wire.AppendF32Chunk, straight
-// from the table), feeding cfg.uploaders store writers, a second fanOut.
+// min(cfg.encoders, chunks) fanOut workers write chunks with the
+// engine's encoders (e.encs), each through its wire.ChunkWriter into an
+// exactly-sized rpc.Alloc buffer, quantizing every row straight into its
+// codes there (fp32 rows are copied from the table), and feed
+// cfg.uploaders store writers, a second fanOut.
 // A quantizing worker prefetches each row's cache lines (quant.Prefetch)
 // while it quantizes the row before: the rows lie scattered through the
 // snapshot's tables, and each would otherwise start with a miss.
@@ -455,32 +454,38 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 		}
 	}
 
-	// encode writes chunk ci into an rpc.Alloc buffer: fp32 rows straight
-	// from the table, each value converted once; any other method
-	// quantizes each row into the encoder's qrows first.
+	// encode writes chunk ci into an rpc.Alloc buffer through the
+	// encoder's writer: fp32 rows straight from the table, a run of
+	// consecutive rows — all of a full checkpoint's chunk — one stretch
+	// of weights converted in one call; any other method quantizes each
+	// row straight into its codes in the chunk.
 	encs := e.encs[:min(len(e.encs), numChunks)]
+	bits := e.cfg.Quant.StoredBits()
 	encode := func(enc *encoder, ci int) ([]byte, error) {
-		start := ci * chunkRows
-		end := min(start+chunkRows, len(rows))
+		chunk := rows[ci*chunkRows : min((ci+1)*chunkRows, len(rows))]
+		w := &enc.w
+		if err := w.Open(rpc.Alloc(wire.ChunkLen(chunk, bits, tab.Dim))[:0], uint32(tab.ID), len(chunk), bits, tab.Dim); err != nil {
+			return nil, err
+		}
 		if e.cfg.Quant.Method == quant.MethodNone {
-			dst := rpc.Alloc(wire.F32ChunkLen(rows[start:end], tab.Dim))[:0]
-			return wire.AppendF32Chunk(dst, uint32(tab.ID), tab.Dim, rows[start:end], tab.Weights.Data, tab.Accum)
-		}
-		n, rowBytes := end-start, quant.PackedLen(tab.Dim, e.cfg.Quant.StoredBits())
-		if cap(enc.qrows) < n || enc.rowBytes < rowBytes {
-			// One allocation holds every row's codes.
-			enc.qrows, enc.rowBytes = make([]quant.QVector, n), rowBytes
-			codes := make([]byte, n*rowBytes)
-			for j := range enc.qrows {
-				enc.qrows[j].Codes = codes[j*rowBytes : (j+1)*rowBytes : (j+1)*rowBytes]
+			for i := 0; i < len(chunk); {
+				j := i + 1
+				for j < len(chunk) && chunk[j] == chunk[j-1]+1 {
+					j++
+				}
+				quant.PutRawF32(w.Next(j-i), tab.Weights.Data[chunk[i]*tab.Dim:(chunk[j-1]+1)*tab.Dim])
+				for _, r := range chunk[i:j] {
+					if err := w.Add(uint32(r), tab.Accum[r], 0, 0); err != nil {
+						return nil, err
+					}
+				}
+				i = j
 			}
+			return w.Close()
 		}
-		enc.qrows = enc.qrows[:n]
-		enc.chunk.TableID = uint32(tab.ID)
-		enc.chunk.Rows = slices.Grow(enc.chunk.Rows[:0], n)
-		for j, r := range rows[start:end] {
-			if j+1 < n {
-				quant.Prefetch(tab.Lookup(rows[start+j+1]))
+		for j, r := range chunk {
+			if j+1 < len(chunk) {
+				quant.Prefetch(tab.Lookup(chunk[j+1]))
 			}
 			var ent *quant.RowRange
 			if rc != nil {
@@ -489,16 +494,15 @@ func (e *Engine) writeTable(ctx context.Context, ckptID int, tab *embedding.Tabl
 				}
 				ent = &rc[r]
 			}
-			if err := quant.QuantizeCachedInto(&enc.qrows[j], tab.Lookup(r), e.cfg.Quant, &enc.scratch, ent); err != nil {
+			enc.q.Codes = w.Next(1)
+			if err := quant.QuantizeCachedInto(&enc.q, tab.Lookup(r), e.cfg.Quant, &enc.scratch, ent); err != nil {
 				return nil, fmt.Errorf("row %d: %w", r, err)
 			}
-			enc.chunk.Rows = append(enc.chunk.Rows, wire.Row{
-				Index: uint32(r),
-				Accum: tab.Accum[r],
-				Q:     &enc.qrows[j],
-			})
+			if err := w.Add(uint32(r), tab.Accum[r], enc.q.Lo, enc.q.Scale); err != nil {
+				return nil, err
+			}
 		}
-		return enc.chunk.AppendTo(rpc.Alloc(enc.chunk.EncodedLen())[:0])
+		return w.Close()
 	}
 
 	// The encoders and the uploaders are two fanOut stages joined by the

@@ -137,8 +137,8 @@ func BenchmarkDequantizeEngineShape(b *testing.B) {
 
 // BenchmarkNoneEngineShape is MethodNone at the same shape, both ways:
 // QuantizeInto, which stages a row in a QVector (the fp32 commit does
-// not: wire.AppendF32Chunk runs PutRawF32 from the table straight into
-// the chunk, and wire's BenchmarkCompactEncode times both paths), and
+// not: it runs PutRawF32 from the table straight into the chunk's code
+// column, and wire's BenchmarkCompactEncode times both paths), and
 // what restore and replica apply spend per row in DequantizeInto — a
 // byte-order conversion of 128 bytes and nothing else.
 func BenchmarkNoneEngineShape(b *testing.B) {

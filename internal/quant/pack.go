@@ -130,7 +130,8 @@ func UnpackCodes(dst []uint32, src []byte, bits int) {
 }
 
 // PutRawF32 stores fp32 values verbatim, little-endian — MethodNone's
-// codes, which wire.AppendF32Chunk also writes straight from a table.
+// codes, which the engine also writes straight from a table into a
+// wire.ChunkWriter's code column, a run of rows a call.
 // dst must hold 4*len(x) bytes. Both conversions run eight
 // values to a bounds check: the reslice to a constant length is the one
 // check, and the compiler turns each fixed-offset store or load under

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -69,102 +70,11 @@ func appendGap(dst []byte, gap uint32) []byte {
 	return binary.AppendUvarint(dst, uint64(gap))
 }
 
-// EncodedLen returns the exact size AppendTo writes for a chunk it
-// accepts, for presizing buffers: the header and CRC, the fixed columns
-// sized by row 0's shape, and the index column.
-func (c *Chunk) EncodedLen() int {
-	bits, dim := c.shape()
-	size, next := headerLen+len(c.Rows)*fixedRowLen(dim, bits)+crcLen, uint32(0)
-	for i := range c.Rows {
-		size += gapLen(c.Rows[i].Index - next)
-		next = c.Rows[i].Index + 1
-	}
-	return size
-}
-
-// shape returns the bit-width and dimension the chunk's header carries:
-// row 0's, or (32, 0) — the one spelling of an empty chunk — when there
-// is no row 0 vector to take them from.
-func (c *Chunk) shape() (bits, dim int) {
-	if len(c.Rows) == 0 || c.Rows[0].Q == nil {
-		return 32, 0
-	}
-	return c.Rows[0].Q.Bits, c.Rows[0].Q.N
-}
-
-// AppendTo appends the chunk's CKP3 encoding, with a trailing CRC32-C
-// over it, to dst and returns the extended slice. It is the encoder of
-// quantized rows; its other entry, AppendF32Chunk, writes the same bytes
-// for fp32 rows read straight from a table. Every row must share row 0's
-// bit-width and dimension, follow its predecessor's index, and carry a
-// range quant.CheckRange accepts with a bfloat16 step. A row that breaks
-// one of these is an error, found before anything is written, and dst
-// then comes back as it went in, so pooled buffers survive failed
-// encodes.
-//
-// Rows are serialized in place — no per-row blob allocations — so
-// encoding into a pooled buffer with sufficient capacity performs zero
-// allocations.
-func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
-	bits, dim := c.shape()
-	rowCodes := quant.PackedLen(dim, bits)
-	for i := range c.Rows {
-		switch q := c.Rows[i].Q; {
-		case q == nil:
-			return dst, fmt.Errorf("wire: row %d has nil quantized vector", i)
-		case q.Bits != bits || q.N != dim:
-			return dst, fmt.Errorf("wire: row %d is %d-bit of dim %d, row 0 %d-bit of dim %d", i, q.Bits, q.N, bits, dim)
-		case len(q.Codes) != rowCodes:
-			return dst, fmt.Errorf("wire: row %d codes %d bytes, want %d", i, len(q.Codes), rowCodes)
-		case i > 0 && c.Rows[i].Index <= c.Rows[i-1].Index:
-			return dst, fmt.Errorf("wire: row %d index %d after row %d's %d: a chunk's indices increase", i, c.Rows[i].Index, i-1, c.Rows[i-1].Index)
-		case bits == 32:
-		case math.Float32bits(q.Scale)&0xffff != 0:
-			return dst, fmt.Errorf("wire: row %d scale %v is not a bfloat16", i, q.Scale)
-		default:
-			if err := quant.CheckRange(q.Lo, q.Scale, bits); err != nil {
-				return dst, fmt.Errorf("wire: row %d: %w", i, err)
-			}
-		}
-	}
-	le := binary.LittleEndian
-	out := appendHeader(dst, c.TableID, len(c.Rows), bits, dim)
-	for i := range c.Rows {
-		out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Accum))
-	}
-	if bits != 32 {
-		for i := range c.Rows {
-			out = le.AppendUint32(out, math.Float32bits(c.Rows[i].Q.Lo))
-		}
-		for i := range c.Rows {
-			out = le.AppendUint16(out, uint16(math.Float32bits(c.Rows[i].Q.Scale)>>16))
-		}
-	}
-	for i := range c.Rows {
-		out = append(out, c.Rows[i].Q.Codes...)
-	}
-	next := uint32(0)
-	for i := range c.Rows {
-		out = appendGap(out, c.Rows[i].Index-next)
-		next = c.Rows[i].Index + 1
-	}
-	return appendCRC(out, len(dst)), nil
-}
-
-// There is one CKP3 writer with two entries: Chunk.AppendTo takes rows
-// already quantized into QVectors, and AppendF32Chunk takes fp32 rows
-// straight from a table, so an fp32 row is written once, never staged in
-// a QVector first. Both write the header with appendHeader, the
-// accumulator column and the index column in row order, and the CRC with
-// appendCRC; the ckp3_* golden fixtures pin the bytes of both.
-
-// F32ChunkLen returns the exact size AppendF32Chunk writes for the given
-// rows of dim elements.
-func F32ChunkLen(rows []int, dim int) int {
-	if len(rows) == 0 {
-		dim = 0
-	}
-	size, next := headerLen+len(rows)*fixedRowLen(dim, 32)+crcLen, 0
+// ChunkLen returns the exact size of the CKP3 chunk of the given rows,
+// in order, at bits bits and dim elements a row, for presizing buffers:
+// the header and CRC, the fixed columns and the index column.
+func ChunkLen(rows []int, bits, dim int) int {
+	size, next := headerLen+len(rows)*fixedRowLen(dim, bits)+crcLen, 0
 	for _, r := range rows {
 		size += gapLen(uint32(r - next))
 		next = r + 1
@@ -172,58 +82,134 @@ func F32ChunkLen(rows []int, dim int) int {
 	return size
 }
 
-// AppendF32Chunk appends to dst the fp32 CKP3 chunk of table tableID
-// holding rows, in order: row r's values are weights[r*dim : (r+1)*dim]
-// (a table's row-major storage) and its accumulator is accum[r]. The
-// bytes are exactly what AppendTo writes for the same rows quantized
-// under quant.MethodNone — NaN payloads included, since the values are
-// copied as bits — with no QVector per row: each value is converted once,
-// from weights into dst. With cap(dst)-len(dst) >= F32ChunkLen it does
-// not allocate. A row outside weights or accum, or one that does not
-// follow its predecessor, is an error, and dst is then returned as it
-// came.
-func AppendF32Chunk(dst []byte, tableID uint32, dim int, rows []int, weights, accum []float32) ([]byte, error) {
-	if len(rows) == 0 {
-		dim = 0 // the one spelling of an empty chunk, as AppendTo writes it
+// The ChunkWriter's refusals, each wrapped with the row it names.
+var (
+	errWidth      = errors.New("wire: a CKP3 chunk cannot spell this shape")
+	errPastCount  = errors.New("wire: row past the chunk's row count")
+	errShort      = errors.New("wire: chunk short of its row count")
+	errIndexOrder = errors.New("wire: a chunk's indices increase")
+	errStep       = errors.New("wire: step is not a bfloat16")
+	errRange      = errors.New("wire: range refused")
+)
+
+// ChunkWriter writes one CKP3 chunk in place, column by column: it is the
+// one CKP3 writer. Open writes the header and reserves the fixed columns;
+// the caller then fills each row's codes where they lie (Next) and gives
+// its index, accumulator and range (Add), and Close checks the ranges and
+// appends the CRC. The zero value is ready to Open, and a writer may be
+// opened again once closed.
+type ChunkWriter struct {
+	buf                     []byte
+	base, n, bits, rowCodes int
+	accum, lo, scale, codes int // column offsets in buf
+	added, coded            int
+	next                    uint64 // the lowest index the next row may take
+}
+
+// Open starts a chunk of table tableID holding n rows of dim elements at
+// bits bits (1 to 8, or 32 for raw fp32) behind dst's bytes, growing dst
+// only if its spare capacity is short of ChunkLen for one-byte index
+// gaps. A chunk of no rows is written in its one spelling, 32 bits of
+// dim 0, whatever the shape given.
+func (w *ChunkWriter) Open(dst []byte, tableID uint32, n, bits, dim int) error {
+	if n == 0 {
+		bits, dim = 32, 0
 	}
-	if dim < 0 {
-		return dst, fmt.Errorf("wire: fp32 chunk of negative dim %d", dim)
+	if bits < 1 || (bits > 8 && bits != 32) || n < 0 || dim < 0 || uint64(n) > math.MaxUint32 || uint64(dim) > math.MaxUint32 {
+		return fmt.Errorf("%w: %d rows of %d bits and dim %d", errWidth, n, bits, dim)
 	}
-	for i, r := range rows {
-		if r < 0 || r >= len(accum) || uint64(r) > math.MaxUint32 || (dim > 0 && r >= len(weights)/dim) {
-			return dst, fmt.Errorf("wire: fp32 row %d outside a table of %d accumulators and %d values of dim %d", r, len(accum), len(weights), dim)
+	fixed := n * fixedRowLen(dim, bits)
+	buf := appendHeader(slices.Grow(dst, headerLen+fixed+n+crcLen), tableID, n, bits, dim)
+	*w = ChunkWriter{buf: buf[:len(buf)+fixed], base: len(dst), n: n, bits: bits, rowCodes: quant.PackedLen(dim, bits)}
+	w.accum = len(buf)
+	w.lo, w.scale, w.codes = w.accum+4*n, w.accum+8*n, w.accum+10*n
+	if bits == 32 {
+		w.codes = w.accum + 4*n
+	}
+	return nil
+}
+
+// Next returns the code bytes of the next k rows, for the caller to fill
+// before its next Add, or nil when fewer than k rows are left.
+func (w *ChunkWriter) Next(k int) []byte {
+	if k < 0 || k > w.n-w.coded {
+		return nil
+	}
+	at := w.codes + w.coded*w.rowCodes
+	w.coded += k
+	return w.buf[at : at+k*w.rowCodes : at+k*w.rowCodes]
+}
+
+// Add stores the next row's index, accumulator and range; the range is
+// ignored at 32 bits. It refuses a row past the chunk's count, an index
+// not above its predecessor's and a step that is not a bfloat16.
+func (w *ChunkWriter) Add(index uint32, accum, lo, scale float32) error {
+	i := w.added
+	switch {
+	case i == w.n:
+		return fmt.Errorf("%w: row %d of %d", errPastCount, i, w.n)
+	case uint64(index) < w.next:
+		return fmt.Errorf("%w: row %d index %d after %d", errIndexOrder, i, index, w.next-1)
+	case w.bits != 32 && math.Float32bits(scale)&0xffff != 0:
+		return fmt.Errorf("%w: row %d scale %v", errStep, i, scale)
+	}
+	le := binary.LittleEndian
+	le.PutUint32(w.buf[w.accum+4*i:], math.Float32bits(accum))
+	if w.bits != 32 {
+		le.PutUint32(w.buf[w.lo+4*i:], math.Float32bits(lo))
+		le.PutUint16(w.buf[w.scale+2*i:], uint16(math.Float32bits(scale)>>16))
+	}
+	w.buf = appendGap(w.buf, index-uint32(w.next))
+	w.next, w.added = uint64(index)+1, i+1
+	return nil
+}
+
+// Close appends the CRC and returns dst extended by the chunk. It
+// refuses a chunk with fewer rows added or coded than Open was told, and
+// ranges quant.CheckRanges refuses, the decoder's own predicate; a
+// refused chunk returns dst's bytes as Open found them.
+func (w *ChunkWriter) Close() ([]byte, error) {
+	c := *w
+	*w = ChunkWriter{} // drop the buffer: the caller owns it now
+	if c.added != c.n || c.coded != c.n {
+		return c.buf[:c.base], fmt.Errorf("%w: %d rows added and %d coded of %d", errShort, c.added, c.coded, c.n)
+	}
+	if c.bits != 32 {
+		if i, err := quant.CheckRanges(c.buf[c.lo:c.scale], c.buf[c.scale:c.codes], c.bits); err != nil {
+			return c.buf[:c.base], fmt.Errorf("%w: row %d: %w", errRange, i, err)
 		}
-		if i > 0 && r <= rows[i-1] {
-			return dst, fmt.Errorf("wire: fp32 row %d after row %d: a chunk's indices increase", r, rows[i-1])
+	}
+	return appendCRC(c.buf, c.base), nil
+}
+
+// AppendTo appends the chunk's CKP3 encoding to dst through a
+// ChunkWriter, every row shaped as row 0 (no rows: the empty chunk). A
+// nil or other-shaped row, or one the writer refuses, is an error, and
+// dst then comes back as it went in. It stays only for the replay in
+// benchmark/probes.go, which compiles against Chunk and Row.
+func (c *Chunk) AppendTo(dst []byte) ([]byte, error) {
+	bits, dim := 32, 0
+	if len(c.Rows) > 0 && c.Rows[0].Q != nil {
+		bits, dim = c.Rows[0].Q.Bits, c.Rows[0].Q.N
+	}
+	var w ChunkWriter
+	if err := w.Open(dst, c.TableID, len(c.Rows), bits, dim); err != nil {
+		return dst, err
+	}
+	for i, r := range c.Rows {
+		if q := r.Q; q == nil || q.Bits != bits || q.N != dim || len(q.Codes) != quant.PackedLen(dim, bits) {
+			return dst, fmt.Errorf("wire: row %d is not a %d-bit vector of dim %d as row 0", i, bits, dim)
+		}
+		copy(w.Next(1), r.Q.Codes)
+		if err := w.Add(r.Index, r.Accum, r.Q.Lo, r.Q.Scale); err != nil {
+			return dst, err
 		}
 	}
-	base := len(dst)
-	dst = slices.Grow(dst, F32ChunkLen(rows, dim))
-	dst = appendHeader(dst, tableID, len(rows), 32, dim)
-	n := len(rows)
-	cols := dst[len(dst) : len(dst)+n*fixedRowLen(dim, 32)]
-	acc, codes := cols[:4*n], cols[4*n:]
-	for i, r := range rows {
-		binary.LittleEndian.PutUint32(acc[4*i:], math.Float32bits(accum[r]))
+	out, err := w.Close()
+	if err != nil {
+		return dst, err
 	}
-	// A run of consecutive rows — all of a full checkpoint's chunk — is
-	// one stretch of weights, converted in one call.
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && rows[j] == rows[j-1]+1 {
-			j++
-		}
-		vals := weights[rows[i]*dim : (rows[j-1]+1)*dim]
-		quant.PutRawF32(codes, vals)
-		codes = codes[4*len(vals):]
-		i = j
-	}
-	dst, next := dst[:len(dst)+len(cols)], 0
-	for _, r := range rows {
-		dst = appendGap(dst, uint32(r-next))
-		next = r + 1
-	}
-	return appendCRC(dst, base), nil
+	return out, nil
 }
 
 // appendHeader appends the 20-byte CKP3 header; the range flag is set
@@ -268,7 +254,7 @@ func (v *ChunkView) Accum(i int) float32 {
 // Only what a writer wrote is accepted: reserved bytes zero, no unknown
 // flag, the range flag set exactly when bits != 32, an empty chunk in its
 // one spelling (no rows, no payload, 32 bits, dim 0), ranges
-// quant.CheckRanges accepts, and an index column AppendTo would write:
+// quant.CheckRanges accepts, and an index column ChunkWriter would write:
 // each uvarint shortest, every index at most 2^32-1, and the column
 // consumed exactly by the rows. A stored chunk therefore has one byte
 // representation, as FuzzDecodeChunk's re-encode check holds. CKP2 and

@@ -298,11 +298,10 @@ func checkRefusals(t *testing.T, refusals []refusal) {
 // BenchmarkCompactEncode times the CKP3 writer. asym4 encodes quantized
 // rows into a fresh buffer. The fp32 cases are one chunk of a full fp32
 // checkpoint at cnrbench's shape — 512 consecutive rows of dim 32 out of
-// a table — into a warm buffer, through both entries: quantize+AppendTo
-// stages each row in a QVector under MethodNone and then copies it into
-// the chunk, as the engine did before AppendF32Chunk; AppendF32Chunk
-// converts each value once, straight from the table. MB/s counts the
-// chunk's bytes.
+// a table — into a warm buffer, two ways: quantize+AppendTo stages each
+// row in a QVector under MethodNone and then copies it into the chunk;
+// runs converts each value once, straight from the table into the
+// writer's codes, as the engine does. MB/s counts the chunk's bytes.
 func BenchmarkCompactEncode(b *testing.B) {
 	b.Run("asym4_256x16", func(b *testing.B) {
 		c := makeUniformChunk(b, 1, 256, 16, 4)
@@ -328,13 +327,13 @@ func BenchmarkCompactEncode(b *testing.B) {
 	for i := range rows {
 		rows[i] = 1024 + i
 	}
-	buf := make([]byte, 0, F32ChunkLen(rows, dim))
+	buf := make([]byte, 0, ChunkLen(rows, 32, dim))
 	b.Run("fp32_512x32/quantize+AppendTo", func(b *testing.B) {
 		p := quant.Params{Method: quant.MethodNone}
 		var s quant.Scratch
 		qs := make([]quant.QVector, chunkRows)
 		c := &Chunk{TableID: 1, Rows: make([]Row, chunkRows)}
-		b.SetBytes(int64(F32ChunkLen(rows, dim)))
+		b.SetBytes(int64(ChunkLen(rows, 32, dim)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j, r := range rows {
@@ -349,12 +348,12 @@ func BenchmarkCompactEncode(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fp32_512x32/AppendF32Chunk", func(b *testing.B) {
-		b.SetBytes(int64(F32ChunkLen(rows, dim)))
+	b.Run("fp32_512x32/runs", func(b *testing.B) {
+		b.SetBytes(int64(ChunkLen(rows, 32, dim)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if buf, err = AppendF32Chunk(buf[:0], 1, dim, rows, weights, accum); err != nil {
+			if buf, err = appendF32Runs(buf[:0], 1, dim, rows, weights, accum); err != nil {
 				b.Fatal(err)
 			}
 		}

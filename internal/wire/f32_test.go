@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -13,7 +14,7 @@ import (
 )
 
 // f32Table lays a decoded or hand-built fp32 chunk out as the table
-// AppendF32Chunk reads: each row's values at its index in row-major
+// appendF32Runs reads: each row's values at its index in row-major
 // weights, its accumulator at the same index in accum, and the chunk's
 // indices, in order, as rows. ok is false when the chunk is not fp32, its
 // indices repeat (one table cell cannot hold two rows), or the table
@@ -50,10 +51,40 @@ func f32Table(c *Chunk, maxValues int) (rows []int, weights, accum []float32, di
 	return rows, weights, accum, dim, true
 }
 
-// TestF32ChunkMatchesGolden holds the fp32 entry to the fixtures the
-// QVector entry is pinned by: the golden rows laid out as a table at
-// their indices encode to ckp3_none.bin and ckp3_empty.bin byte for byte.
-func TestF32ChunkMatchesGolden(t *testing.T) {
+// appendF32Runs writes the fp32 CKP3 chunk of table tableID holding
+// rows, in order, through a ChunkWriter as the engine does: row r's
+// values are weights[r*dim : (r+1)*dim] and its accumulator accum[r], and
+// each run of consecutive rows is one quant.PutRawF32 into Next(run).
+func appendF32Runs(dst []byte, tableID uint32, dim int, rows []int, weights, accum []float32) ([]byte, error) {
+	var w ChunkWriter
+	if err := w.Open(dst, tableID, len(rows), 32, dim); err != nil {
+		return dst, err
+	}
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j] == rows[j-1]+1 {
+			j++
+		}
+		quant.PutRawF32(w.Next(j-i), weights[rows[i]*dim:(rows[j-1]+1)*dim])
+		for _, r := range rows[i:j] {
+			if err := w.Add(uint32(r), accum[r], 0, 0); err != nil {
+				return dst, err
+			}
+		}
+		i = j
+	}
+	out, err := w.Close()
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// TestF32RunsMatchGolden holds the writer's fp32 runs to the fixtures
+// AppendTo is pinned by: the golden rows laid out as a table at their
+// indices encode to ckp3_none.bin and ckp3_empty.bin byte for byte, in
+// ChunkLen bytes.
+func TestF32RunsMatchGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
 		if gc.params.Method != quant.MethodNone {
 			continue
@@ -67,15 +98,15 @@ func TestF32ChunkMatchesGolden(t *testing.T) {
 			if !ok {
 				t.Fatal("golden fp32 rows do not lay out as a table")
 			}
-			got, err := AppendF32Chunk(nil, 7, dim, rows, weights, accum)
+			got, err := appendF32Runs(nil, 7, dim, rows, weights, accum)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("AppendF32Chunk diverged from %s (%d vs %d bytes)", gc.name, len(got), len(want))
+				t.Fatalf("fp32 runs diverged from %s (%d vs %d bytes)", gc.name, len(got), len(want))
 			}
-			if len(got) != F32ChunkLen(rows, dim) {
-				t.Fatalf("F32ChunkLen %d, wrote %d bytes", F32ChunkLen(rows, dim), len(got))
+			if len(got) != ChunkLen(rows, 32, dim) {
+				t.Fatalf("ChunkLen %d, wrote %d bytes", ChunkLen(rows, 32, dim), len(got))
 			}
 		})
 	}
@@ -102,14 +133,15 @@ func specialF32(rng *rand.Rand) float32 {
 	}
 }
 
-// TestF32ChunkMatchesAppendTo is the differential between the two
-// entries: random tables full of NaN payloads, −0 and subnormals, and
-// increasing row lists — every row, or scattered ones with gaps of 1 to
-// 2^17, so indices take 1 to 3 bytes — encode to the same bytes through
-// AppendF32Chunk as through MethodNone's QVectors and AppendTo, after a
-// prefix neither may touch. A list that repeats a row or goes back is
-// refused by both, each returning dst as it came.
-func TestF32ChunkMatchesAppendTo(t *testing.T) {
+// TestF32RunsMatchAppendTo is the differential between the writer's two
+// ways in: random tables full of NaN payloads, ±0, subnormals and ±Inf,
+// and increasing row lists — every row, or scattered ones with gaps of 1
+// to 2^17, so runs break and indices take 1 to 3 bytes — encode to the
+// same ChunkLen bytes in runs of rows (appendF32Runs) as row by row
+// through MethodNone's QVectors and AppendTo, after a prefix neither may
+// touch. A list that repeats a row or goes back is refused by both, each
+// returning dst's bytes as they came.
+func TestF32RunsMatchAppendTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	prefix := []byte("reused-buffer-prefix")
 	for _, dim := range []int{1, 7, 8, 16, 32, 33} {
@@ -150,15 +182,15 @@ func TestF32ChunkMatchesAppendTo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := AppendF32Chunk(bytes.Clone(prefix), c.TableID, dim, rows, weights, accum)
+			got, err := appendF32Runs(bytes.Clone(prefix), c.TableID, dim, rows, weights, accum)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("dim %d trial %d, %d rows: AppendF32Chunk and AppendTo differ", dim, trial, len(rows))
+				t.Fatalf("dim %d trial %d, %d rows: runs and AppendTo differ", dim, trial, len(rows))
 			}
-			if len(got)-len(prefix) != F32ChunkLen(rows, dim) || len(got)-len(prefix) != c.EncodedLen() {
-				t.Fatalf("dim %d: F32ChunkLen %d, EncodedLen %d, wrote %d bytes", dim, F32ChunkLen(rows, dim), c.EncodedLen(), len(got)-len(prefix))
+			if len(got)-len(prefix) != ChunkLen(rows, 32, dim) {
+				t.Fatalf("dim %d: ChunkLen %d, wrote %d bytes", dim, ChunkLen(rows, 32, dim), len(got)-len(prefix))
 			}
 			if len(rows) < 2 {
 				continue
@@ -170,39 +202,13 @@ func TestF32ChunkMatchesAppendTo(t *testing.T) {
 					q, _ := quant.Quantize(weights[r*dim:(r+1)*dim], quant.Params{Method: quant.MethodNone})
 					c.Rows = append(c.Rows, Row{Index: uint32(r), Accum: accum[r], Q: q})
 				}
-				if got, err := c.AppendTo(prefix); err == nil || len(got) != len(prefix) {
+				if got, err := c.AppendTo(prefix); !errors.Is(err, errIndexOrder) || !bytes.Equal(got, prefix) {
 					t.Fatalf("dim %d: AppendTo wrote rows %v: %v", dim, bad, err)
 				}
-				if got, err := AppendF32Chunk(prefix, c.TableID, dim, bad, weights, accum); err == nil || len(got) != len(prefix) {
-					t.Fatalf("dim %d: AppendF32Chunk wrote rows %v: %v", dim, bad, err)
+				if got, err := appendF32Runs(prefix, c.TableID, dim, bad, weights, accum); !errors.Is(err, errIndexOrder) || !bytes.Equal(got, prefix) {
+					t.Fatalf("dim %d: runs wrote rows %v: %v", dim, bad, err)
 				}
 			}
-		}
-	}
-}
-
-// TestF32ChunkRefusesRowsOutsideTable: a row the table does not hold is
-// an error, and dst comes back as it went in.
-func TestF32ChunkRefusesRowsOutsideTable(t *testing.T) {
-	weights, accum := make([]float32, 4*8), make([]float32, 4)
-	for name, tc := range map[string]struct {
-		dim  int
-		rows []int
-	}{
-		"negative row":         {8, []int{0, -1}},
-		"past the accumulator": {8, []int{4}},
-		"past the weights":     {16, []int{2}},
-		"negative dim":         {-8, []int{0}},
-		"repeated row":         {8, []int{1, 1}},
-		"decreasing rows":      {8, []int{2, 1}},
-	} {
-		dst := make([]byte, 3, 64)
-		got, err := AppendF32Chunk(dst, 1, tc.dim, tc.rows, weights, accum)
-		if err == nil {
-			t.Errorf("%s: encoded", name)
-		}
-		if len(got) != 3 || &got[:1][0] != &dst[:1][0] {
-			t.Errorf("%s: dst came back %d bytes long, same array %v", name, len(got), &got[:1][0] == &dst[:1][0])
 		}
 	}
 }

@@ -39,13 +39,14 @@ func stampCRC(data []byte) []byte {
 }
 
 // fuzzMaxChunk is the largest input FuzzDecodeChunk judges. The view
-// costs 4 bytes a row, in its index column, but the re-encode builds a
-// Row and a QVector a row, 64 bytes however small the row is on the wire — as little as 5 bytes in CKP3, an fp32 row of dim
-// 0 — so the input is kept small enough for the fuzzer to run fast.
+// costs 4 bytes a row, in its index column, but comparing two views
+// builds a Row and a QVector a row, 64 bytes however small the row is on
+// the wire — as little as 5 bytes in CKP3, an fp32 row of dim 0 — so the
+// input is kept small enough for the fuzzer to run fast.
 const fuzzMaxChunk = 64 << 10
 
 // rowsOf builds a Row and a QVector for each row v holds, codes aliasing
-// v's object: the form a test compares and re-encodes through AppendTo.
+// v's object: the form a test compares.
 func rowsOf(v *ChunkView) *Chunk {
 	c := &Chunk{TableID: v.TableID, Rows: make([]Row, len(v.Index))}
 	for i := range c.Rows {
@@ -61,6 +62,24 @@ func rowsOf(v *ChunkView) *Chunk {
 func rowCodes(v *ChunkView, i int) []byte {
 	n := quant.PackedLen(v.Dim, v.Bits)
 	return v.Codes[i*n : (i+1)*n : (i+1)*n]
+}
+
+// reemit writes the chunk v holds again, behind dst, straight from its
+// columns through a ChunkWriter: each row's codes copied into Next(1),
+// then Add with its index, accumulator and range.
+func reemit(dst []byte, v *ChunkView) ([]byte, error) {
+	var w ChunkWriter
+	if err := w.Open(dst, v.TableID, len(v.Index), v.Bits, v.Dim); err != nil {
+		return dst, err
+	}
+	for i, index := range v.Index {
+		copy(w.Next(1), rowCodes(v, i))
+		lo, scale := v.Range(i)
+		if err := w.Add(index, v.Accum(i), lo, scale); err != nil {
+			return dst, err
+		}
+	}
+	return w.Close()
 }
 
 // decodeInto returns a decoder that decodes through v and hands back
@@ -128,19 +147,17 @@ func dirtyViews(tb testing.TB) map[bool]func() *ChunkView {
 // FuzzDecodeChunk holds ChunkView.Decode, entered both ways, to the
 // property the socket decoders keep (rpctest.FuzzDecoder). The view must
 // not panic, must allocate within a bound of the input and not of what
-// its header claims, and an accepted CKP3 chunk must re-encode through
-// AppendTo, from rowsOf's rows, to exactly the input. No field is exempt
-// from the re-encode check: the view refuses the spellings the writer
-// never wrote (reserved bytes, unknown flags, a range flag that
-// disagrees with bits, a shaped empty chunk, a uvarint longer than its
-// value needs), and AppendTo refuses rows whose indices do not increase
-// and ranges quant.CheckRange refuses. Any other layout is refused,
-// within the allocation bound. The second way in is a view still
-// holding a chunk of the other kind, fp32 or quantized (dirtyViews): it
-// must accept what a fresh view accepts and equal it, nothing of the
-// previous chunk left. An accepted fp32 CKP3 chunk must also re-encode to
-// exactly the input through the writer's other entry, AppendF32Chunk,
-// reading a table built from its rows. The corpus starts at the golden
+// its header claims, and an accepted CKP3 chunk, quantized or fp32, must
+// re-encode straight from the view through the ChunkWriter (reemit) to
+// exactly the input. No field is exempt from the re-encode check: the
+// view refuses the spellings the writer never wrote (reserved bytes,
+// unknown flags, a range flag that disagrees with bits, a shaped empty
+// chunk, a uvarint longer than its value needs), and the writer refuses
+// indices that do not increase and ranges quant.CheckRange refuses. Any
+// other layout is refused, within the allocation bound. The second way in
+// is a view still holding a chunk of the other kind, fp32 or quantized
+// (dirtyViews): it must accept what a fresh view accepts and equal it,
+// nothing of the previous chunk left. The corpus starts at the golden
 // fixtures, each also under the magic of every retired layout, and at
 // every refusal of TestDecodeRefusesNonCanonicalCKP3. The trailing CRC
 // is re-stamped so mutations reach the parser behind the checksum.
@@ -196,16 +213,6 @@ func FuzzDecodeChunk(f *testing.F) {
 			}
 			return
 		}
-		if err == nil {
-			// The CKP3 writer's fp32 entry, given the rows as a table at
-			// their indices, writes the input again too.
-			if rows, weights, accum, dim, ok := f32Table(rowsOf(&fresh), fuzzMaxChunk); ok {
-				again, err := AppendF32Chunk(nil, fresh.TableID, dim, rows, weights, accum)
-				if err != nil || !bytes.Equal(again, data) {
-					t.Fatalf("AppendF32Chunk re-encodes an accepted fp32 chunk of %d rows to %d other bytes: %v", len(rows), len(again), err)
-				}
-			}
-		}
 		for _, v := range []*ChunkView{new(ChunkView), reused} {
 			rpctest.FuzzDecoder(t, data, func(r io.Reader) (func(io.Writer) error, error) {
 				// A chunk is the whole object: consume the reader, decode data.
@@ -216,7 +223,7 @@ func FuzzDecodeChunk(f *testing.F) {
 					return nil, err
 				}
 				return func(w io.Writer) error {
-					again, err := rowsOf(v).AppendTo(nil)
+					again, err := reemit(nil, v)
 					if err != nil {
 						return err
 					}

@@ -13,7 +13,7 @@ import (
 )
 
 // The golden-bytes differential tests pin the chunk layout, CKP3. The
-// fixtures, testdata/ckp3_*.bin, pin what AppendTo writes: every future
+// fixtures, testdata/ckp3_*.bin, pin what ChunkWriter writes: every future
 // encoder must reproduce them exactly, which proves both directions of
 // compatibility at once — checkpoints written before an encoder change
 // restore bit-identically after it, and checkpoints written after decode
@@ -88,9 +88,22 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", "ckp3_"+name+".bin")
 }
 
-// encodeCompact is AppendTo into a buffer of EncodedLen.
+// chunkLen is ChunkLen of c's rows in row 0's shape: the size AppendTo
+// writes.
+func (c *Chunk) chunkLen() int {
+	rows, bits, dim := make([]int, len(c.Rows)), 32, 0
+	for i, r := range c.Rows {
+		rows[i] = int(r.Index)
+	}
+	if len(c.Rows) > 0 {
+		bits, dim = c.Rows[0].Q.Bits, c.Rows[0].Q.N
+	}
+	return ChunkLen(rows, bits, dim)
+}
+
+// encodeCompact is AppendTo into a buffer of chunkLen.
 func (c *Chunk) encodeCompact() ([]byte, error) {
-	return c.AppendTo(make([]byte, 0, c.EncodedLen()))
+	return c.AppendTo(make([]byte, 0, c.chunkLen()))
 }
 
 func encodeCase(t *testing.T, c *Chunk) []byte {
@@ -132,7 +145,7 @@ func TestGoldenEncodeBytes(t *testing.T) {
 }
 
 // TestAppendToWritesOnlyCKP3 runs every row shape of the golden corpus
-// through AppendTo behind bytes already in dst: CKP3, of EncodedLen
+// through AppendTo behind bytes already in dst: CKP3, of ChunkLen
 // bytes and byte-identical to the fixture. (append_test.go holds the
 // rows AppendTo refuses.)
 func TestAppendToWritesOnlyCKP3(t *testing.T) {
@@ -145,8 +158,8 @@ func TestAppendToWritesOnlyCKP3(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = got[len(dst):]
-			if len(got) != c.EncodedLen() {
-				t.Fatalf("EncodedLen %d != encoded size %d", c.EncodedLen(), len(got))
+			if len(got) != c.chunkLen() {
+				t.Fatalf("ChunkLen %d != encoded size %d", c.chunkLen(), len(got))
 			}
 			if m := binary.LittleEndian.Uint32(got); m != ckp3Magic {
 				t.Fatalf("AppendTo wrote magic 0x%08x, want 0x%08x", m, ckp3Magic)

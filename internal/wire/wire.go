@@ -39,18 +39,18 @@ func (k Kind) String() string {
 	return "incremental"
 }
 
-// Row is one embedding row inside a chunk: its index within the table, the
-// row-wise optimizer accumulator, and the quantized vector payload. The
-// accumulator is always fp32, 4 of the 27 bytes a 4-bit dim-32 row takes:
-// a restore hands it back bit for bit.
+// Row is one embedding row staged for Chunk.AppendTo: its index within
+// the table, the row-wise optimizer accumulator, and the quantized vector
+// payload.
 type Row struct {
 	Index uint32
 	Accum float32
 	Q     *quant.QVector
 }
 
-// Chunk is the unit of quantize-then-upload pipelining: a contiguous run
-// of rows from a single table.
+// Chunk is a run of staged rows from a single table, the input of
+// AppendTo. The engine stages no rows: it writes each chunk, the unit of
+// quantize-then-upload pipelining, through a ChunkWriter.
 type Chunk struct {
 	TableID uint32
 	Rows    []Row
