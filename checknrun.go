@@ -187,7 +187,7 @@ func Open(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checknrun: dataset: %w", err)
 	}
-	reader, err := data.NewCluster(gen, data.ClusterConfig{BatchSize: cfg.BatchSize, Workers: 2})
+	reader, err := data.NewCluster(gen, data.ClusterConfig{BatchSize: cfg.BatchSize})
 	if err != nil {
 		return nil, fmt.Errorf("checknrun: reader: %w", err)
 	}

@@ -210,12 +210,10 @@ func main() {
 		}
 		fmt.Printf("%-22s %-6s %-7s %-6s %-5s %s\n", "agent", "shard", "shards", "epoch", "next", "prepared")
 		for _, addr := range strings.Split(*agents, ",") {
-			client, err := ctrl.DialAgent(addr, ctrl.ClientConfig{})
-			if err != nil {
-				fmt.Printf("%-22s unreachable: %v\n", addr, err)
-				continue
-			}
-			st, err := client.Status(ctx)
+			client := ctrl.NewClient(addr, 5*time.Second)
+			sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			st, err := client.Status(sctx)
+			cancel()
 			client.Close()
 			if err != nil {
 				fmt.Printf("%-22s unreachable: %v\n", addr, err)

@@ -78,7 +78,6 @@ var keptUnset = map[string]string{
 	"chaos.RunnerConfig.AllowInjection":   "a safety gate: only the checker's own tests may script a corruption",
 	"ckpt.Config.ChunkRows":               "test seam: small chunks put many chunks in a small table",
 	"ctrl.RegisterConfig.Clock":           "test seam: lease expiry on a simulated clock",
-	"data.ClusterConfig.QueueDepth":       "test seam: a depth-1 queue keeps workers waiting to enqueue, where batch order once broke",
 	"objstore.DiskConfig.SegmentBytes":    "test seam: small segments cross rotation in a small store",
 	"objstore.DiskConfig.CompactRatio":    "test seam: compaction on demand, or never",
 	"objstore.DiskConfig.CompactMinBytes": "test seam: compaction of a log smaller than 1 MiB",

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -50,12 +52,12 @@ func TestScenarioMatrix(t *testing.T) {
 }
 
 // TestFleetRunsPolicyFull: ckpt.PolicyFull is the zero PolicyKind, and a
-// fleet built with it writes a full checkpoint every time — the one-shot
-// default belongs to a campaign that names no policy, not to the fleet.
+// fleet whose spec names it writes a full checkpoint every time — the
+// one-shot default belongs to a spec that names no policy.
 func TestFleetRunsPolicyFull(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	f, err := NewFleet(FleetConfig{JobID: "policy-full", Policy: ckpt.PolicyFull, Logf: t.Logf})
+	f, err := NewFleet("policy-full", FleetSpec{Policy: ckpt.PolicyFull.String()}, RunnerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,6 +164,39 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	}
 	if sc.Steps[1].Fault == nil || !sc.Steps[1].Fault.Partition {
 		t.Fatalf("fault spec lost in parse: %+v", sc.Steps[1])
+	}
+}
+
+// TestScenariosRoundTripJSON: every builtin campaign, and a fault that
+// sets every link key, comes back unchanged through json.Marshal and
+// ParseScenario — the flat keys of FaultSpec's embedded Link included.
+// Campaign files written from these types are what chaosctl reads.
+func TestScenariosRoundTripJSON(t *testing.T) {
+	everyKey := &Scenario{
+		Name:  "every-link-key",
+		Fleet: FleetSpec{Shards: 2, Stores: 2},
+		Steps: []Step{{Op: "fault", Target: "store:0", Fault: &FaultSpec{
+			Link:      Link{LatencyMs: 30, JitterMs: 10, BandwidthBps: 64_000, DropProb: 0.25, Stall: true},
+			Direction: "up",
+		}}},
+	}
+	for _, sc := range append(BuiltinScenarios(), everyKey) {
+		blob, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseScenario(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(got, sc) {
+			t.Errorf("%s: round trip changed the campaign:\n got %+v\nwant %+v", sc.Name, got, sc)
+		}
+	}
+	blob, _ := json.Marshal(everyKey.Steps[0].Fault)
+	const want = `{"latency_ms":30,"jitter_ms":10,"bandwidth_bps":64000,"drop_prob":0.25,"stall":true,"direction":"up"}`
+	if string(blob) != want {
+		t.Errorf("fault JSON = %s, want the flat link keys %s", blob, want)
 	}
 }
 

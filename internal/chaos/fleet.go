@@ -73,102 +73,8 @@ const (
 	fleetBatch = 16
 )
 
-// FleetConfig describes a chaos fleet: N shard agents + M object
-// stores + a leased controller, every link behind a Proxy.
-type FleetConfig struct {
-	// JobID names the checkpoint job. Required.
-	JobID string
-	// Shards is the shard-agent count; Stores the store-process count.
-	// Both default to 1.
-	Shards, Stores int
-	// Replicas is the serving-replica count (default 0: no read plane).
-	// A fleet with replicas owns one ctrl.Announcer that every elected
-	// controller announces through — the "stable VIP" a deployment would
-	// front the announce plane with — so replicas' waits survive failover.
-	// Replicas are hosted in-process even under Procs: their fault
-	// surface is the same set of real TCP proxies either way, and the
-	// checker needs direct access to their served state.
-	Replicas int
-	// Policy is the checkpoint policy (the zero value is ckpt.PolicyFull;
-	// a campaign that names none runs one-shot); KeepLast is every shard's
-	// retention (0 keeps everything). Together they are the engine
-	// template of every shard, hosted in-process or forked. Checkpoints
-	// are fp32: invariant 2 compares a restore with an fp32 reference
-	// replica bit for bit.
-	Policy   ckpt.PolicyKind
-	KeepLast int
-	// OpTimeout bounds each agent control operation including its store
-	// I/O — the self-defense deadline that unsticks an agent from a
-	// stalled store. Default 5s.
-	OpTimeout time.Duration
-	// LeaseTTL is the controller lease TTL (default 1s); failover takes
-	// roughly one TTL.
-	LeaseTTL time.Duration
-	// Procs forks real OS processes (objstored/shardd from Bins) instead
-	// of hosting stores and shards in-process.
-	Procs bool
-	Bins  Bins
-	// StoreBackend selects the store-plane backend: "mem" (default) or
-	// "disk" (the crash-consistent segment log). Only disk-backed stores
-	// may be killed and restarted — a killed MemStore is just data loss.
-	StoreBackend string
-	// Fsync is the disk backend's flag-style fsync policy ("always",
-	// "interval[:dur]"); default "always".
-	Fsync string
-	// DiskPutDelay and DiskSyncDelay make every disk store a slow
-	// device: they set its DiskConfig.PutDelay (each Put and Delete) and
-	// SyncDelay (each fsync), or objstored's -put-delay and -sync-delay.
-	// Both need the disk backend: a mem fleet refuses either.
-	DiskPutDelay  time.Duration
-	DiskSyncDelay time.Duration
-	// Logf receives fleet diagnostics; nil discards them.
-	Logf func(format string, args ...any)
-}
-
-func (cfg *FleetConfig) withDefaults() (FleetConfig, error) {
-	c := *cfg
-	if c.JobID == "" {
-		return c, errors.New("chaos: fleet requires a job ID")
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Stores <= 0 {
-		c.Stores = 1
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 5 * time.Second
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	switch c.StoreBackend {
-	case "":
-		c.StoreBackend = "mem"
-	case "mem", "disk":
-	default:
-		return c, fmt.Errorf("chaos: unknown store backend %q (want mem or disk)", c.StoreBackend)
-	}
-	switch {
-	case c.StoreBackend == "mem" && c.DiskPutDelay != 0:
-		return c, errors.New("chaos: DiskPutDelay (disk_put_delay_ms) needs the disk store backend, not mem")
-	case c.StoreBackend == "mem" && c.DiskSyncDelay != 0:
-		return c, errors.New("chaos: DiskSyncDelay (disk_sync_delay_ms) needs the disk store backend, not mem")
-	}
-	if c.Fsync == "" {
-		c.Fsync = "always"
-	}
-	if _, _, err := objstore.ParseFsync(c.Fsync); err != nil {
-		return c, err
-	}
-	if c.Procs && (c.Bins.Objstored == "" || c.Bins.Shardd == "") {
-		return c, errors.New("chaos: process-mode fleet requires Bins.Objstored and Bins.Shardd")
-	}
-	return c, nil
-}
+// ms converts a campaign's millisecond field to a duration.
+func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 // storeNode is one object-store member: a real TCP server (in-process
 // or forked) plus its two shims. Disk-backed nodes keep their data
@@ -219,8 +125,9 @@ type replicaNode struct {
 // wires. The observer store and the invariant checker's agent probes
 // bypass every shim — faults never blind the checker.
 type Fleet struct {
-	cfg      FleetConfig
-	logf     func(format string, args ...any)
+	jobID    string
+	spec     FleetSpec // defaulted
+	run      RunnerConfig
 	dataRoot string // the disk backend's temp directory, removed on Close
 
 	stores     []*storeNode
@@ -242,14 +149,62 @@ type Fleet struct {
 	afterCommit  func()
 }
 
-// NewFleet stands the topology up: stores, shims, shard agents. No
-// controller yet — call Lead.
-func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	c, err := cfg.withDefaults()
-	if err != nil {
+// NewFleet stands the topology up for job jobID, shaped by spec and
+// hosted as rcfg says (in-process or forked): stores, shims, shard
+// agents. No controller yet — call Lead. It validates the spec and
+// fills in its defaults (see FleetSpec) before anything starts.
+func NewFleet(jobID string, spec FleetSpec, rcfg RunnerConfig) (*Fleet, error) {
+	if jobID == "" {
+		return nil, errors.New("chaos: fleet requires a job ID")
+	}
+	if spec.Shards <= 0 {
+		spec.Shards = 1
+	}
+	if spec.Stores <= 0 {
+		spec.Stores = 1
+	}
+	if spec.OpTimeoutMs <= 0 {
+		spec.OpTimeoutMs = 5000
+	}
+	if spec.LeaseTTLMs <= 0 {
+		spec.LeaseTTLMs = 1000
+	}
+	if spec.Policy == "" {
+		spec.Policy = ckpt.PolicyOneShot.String()
+	}
+	if _, err := ckpt.ParsePolicy(spec.Policy); err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: c, logf: c.Logf}
+	switch spec.StoreBackend {
+	case "":
+		spec.StoreBackend = "mem"
+		if rcfg.DiskStores {
+			spec.StoreBackend = "disk"
+		}
+	case "mem", "disk":
+	default:
+		return nil, fmt.Errorf("chaos: unknown store backend %q (want mem or disk)", spec.StoreBackend)
+	}
+	switch {
+	case spec.StoreBackend == "mem" && spec.DiskPutDelayMs != 0:
+		return nil, errors.New("chaos: disk_put_delay_ms needs the disk store backend, not mem")
+	case spec.StoreBackend == "mem" && spec.DiskSyncDelayMs != 0:
+		return nil, errors.New("chaos: disk_sync_delay_ms needs the disk store backend, not mem")
+	}
+	if spec.Fsync == "" {
+		spec.Fsync = "always"
+	}
+	if _, _, err := objstore.ParseFsync(spec.Fsync); err != nil {
+		return nil, err
+	}
+	if rcfg.Procs && (rcfg.Bins.Objstored == "" || rcfg.Bins.Shardd == "") {
+		return nil, errors.New("chaos: process-mode fleet requires Bins.Objstored and Bins.Shardd")
+	}
+	if rcfg.Logf == nil {
+		rcfg.Logf = func(string, ...any) {}
+	}
+	f := &Fleet{jobID: jobID, spec: spec, run: rcfg}
+	var err error
 	fail := func(err error) (*Fleet, error) {
 		f.Close()
 		return nil, err
@@ -257,26 +212,26 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 	// Store plane: M servers, each behind a shard-side and a
 	// controller-side shim.
-	if c.StoreBackend == "disk" {
+	if spec.StoreBackend == "disk" {
 		if f.dataRoot, err = os.MkdirTemp("", "chaos-fleet-"); err != nil {
 			return fail(fmt.Errorf("chaos: fleet data root: %w", err))
 		}
 	}
-	for i := 0; i < c.Stores; i++ {
+	for i := 0; i < spec.Stores; i++ {
 		sn := &storeNode{}
-		if c.StoreBackend == "disk" {
+		if spec.StoreBackend == "disk" {
 			sn.dir = filepath.Join(f.dataRoot, fmt.Sprintf("store-%d", i))
 		}
 		if err := f.startStore(sn, i, false); err != nil {
 			return fail(err)
 		}
 		f.stores = append(f.stores, sn)
-		shim, err := NewProxy(fmt.Sprintf("store:%d", i), "127.0.0.1:0", sn.addr, c.Logf)
+		shim, err := NewProxy(fmt.Sprintf("store:%d", i), "127.0.0.1:0", sn.addr, f.run.Logf)
 		if err != nil {
 			return fail(err)
 		}
 		f.storeShims = append(f.storeShims, shim)
-		cshim, err := NewProxy(fmt.Sprintf("ctrlstore:%d", i), "127.0.0.1:0", sn.addr, c.Logf)
+		cshim, err := NewProxy(fmt.Sprintf("ctrlstore:%d", i), "127.0.0.1:0", sn.addr, f.run.Logf)
 		if err != nil {
 			return fail(err)
 		}
@@ -294,13 +249,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 
 	// Shard agents, each fronted by a control-plane shim.
-	for s := 0; s < c.Shards; s++ {
+	for s := 0; s < spec.Shards; s++ {
 		sn := &shardNode{}
 		if err := f.startShard(sn, s); err != nil {
 			return fail(err)
 		}
 		f.shards = append(f.shards, sn)
-		shim, err := NewProxy(fmt.Sprintf("agent:%d", s), "127.0.0.1:0", sn.addr, c.Logf)
+		shim, err := NewProxy(fmt.Sprintf("agent:%d", s), "127.0.0.1:0", sn.addr, f.run.Logf)
 		if err != nil {
 			return fail(err)
 		}
@@ -309,11 +264,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 
 	// Read plane: one deployment-owned announcer, then per-replica shims
 	// over both its links and the replica itself.
-	if c.Replicas > 0 {
-		if f.announcer, err = ctrl.NewAnnouncer("127.0.0.1:0", c.JobID, c.Logf); err != nil {
+	if spec.Replicas > 0 {
+		if f.announcer, err = ctrl.NewAnnouncer("127.0.0.1:0", jobID, f.run.Logf); err != nil {
 			return fail(fmt.Errorf("chaos: announcer: %w", err))
 		}
-		for r := 0; r < c.Replicas; r++ {
+		for r := 0; r < spec.Replicas; r++ {
 			if err := f.startReplica(r); err != nil {
 				return fail(err)
 			}
@@ -329,13 +284,13 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // touches nobody else's links.
 func (f *Fleet) startReplica(r int) error {
 	rn := &replicaNode{}
-	annShim, err := NewProxy(fmt.Sprintf("replica:%d:announce", r), "127.0.0.1:0", f.announcer.Addr(), f.logf)
+	annShim, err := NewProxy(fmt.Sprintf("replica:%d:announce", r), "127.0.0.1:0", f.announcer.Addr(), f.run.Logf)
 	if err != nil {
 		return err
 	}
 	rn.annShim = annShim
 	for i, sn := range f.stores {
-		shim, err := NewProxy(fmt.Sprintf("replica:%d:store:%d", r, i), "127.0.0.1:0", sn.addr, f.logf)
+		shim, err := NewProxy(fmt.Sprintf("replica:%d:store:%d", r, i), "127.0.0.1:0", sn.addr, f.run.Logf)
 		if err != nil {
 			rn.close()
 			return err
@@ -347,11 +302,11 @@ func (f *Fleet) startReplica(r int) error {
 		return err
 	}
 	rn.rep, err = serve.Start(serve.Config{
-		JobID:        f.cfg.JobID,
+		JobID:        f.jobID,
 		Store:        rn.store,
 		AnnounceAddr: rn.annShim.Addr(),
 		ResyncEvery:  250 * time.Millisecond,
-		Logf:         f.logf,
+		Logf:         f.run.Logf,
 	})
 	if err != nil {
 		rn.close()
@@ -411,18 +366,18 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 	if restart {
 		bind = sn.addr
 	}
-	if f.cfg.Procs {
+	if f.run.Procs {
 		args := []string{"-addr", bind, "-stats", "0"}
 		if sn.dir != "" {
 			args = append(args,
 				"-data-dir", sn.dir,
-				"-fsync", f.cfg.Fsync,
+				"-fsync", f.spec.Fsync,
 			)
-			if f.cfg.DiskPutDelay > 0 {
-				args = append(args, "-put-delay", f.cfg.DiskPutDelay.String())
+			if f.spec.DiskPutDelayMs > 0 {
+				args = append(args, "-put-delay", ms(f.spec.DiskPutDelayMs).String())
 			}
-			if f.cfg.DiskSyncDelay > 0 {
-				args = append(args, "-sync-delay", f.cfg.DiskSyncDelay.String())
+			if f.spec.DiskSyncDelayMs > 0 {
+				args = append(args, "-sync-delay", ms(f.spec.DiskSyncDelayMs).String())
 			}
 		}
 		// On restart the fixed port may be momentarily unavailable; a
@@ -430,7 +385,7 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 		var ch *child
 		var err error
 		for attempt := 0; ; attempt++ {
-			ch, err = startChild(f.logf, fmt.Sprintf("objstored[%d]", i), f.cfg.Bins.Objstored, args...)
+			ch, err = startChild(f.run.Logf, fmt.Sprintf("objstored[%d]", i), f.run.Bins.Objstored, args...)
 			if err == nil || !restart || attempt >= 10 {
 				break
 			}
@@ -444,7 +399,7 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 	}
 	var backend objstore.Store
 	if sn.dir != "" {
-		policy, interval, err := objstore.ParseFsync(f.cfg.Fsync)
+		policy, interval, err := objstore.ParseFsync(f.spec.Fsync)
 		if err != nil {
 			return err
 		}
@@ -452,9 +407,9 @@ func (f *Fleet) startStore(sn *storeNode, i int, restart bool) error {
 			Dir:          sn.dir,
 			Fsync:        policy,
 			SyncInterval: interval,
-			PutDelay:     f.cfg.DiskPutDelay,
-			SyncDelay:    f.cfg.DiskSyncDelay,
-			Logf:         f.logf,
+			PutDelay:     ms(f.spec.DiskPutDelayMs),
+			SyncDelay:    ms(f.spec.DiskSyncDelayMs),
+			Logf:         f.run.Logf,
 		})
 		if err != nil {
 			return fmt.Errorf("chaos: store %d disk backend: %w", i, err)
@@ -504,7 +459,7 @@ func (f *Fleet) KillStore(i int) error {
 		sn.disk = nil
 	}
 	sn.alive = false
-	f.logf("chaos: killed store %d", i)
+	f.run.Logf("chaos: killed store %d", i)
 	return nil
 }
 
@@ -524,7 +479,7 @@ func (f *Fleet) RestartStore(i int) error {
 	for _, rn := range f.replicas {
 		rn.storeShims[i].DropConns()
 	}
-	f.logf("chaos: restarted store %d at %s from %s", i, sn.addr, sn.dir)
+	f.run.Logf("chaos: restarted store %d at %s from %s", i, sn.addr, sn.dir)
 	return nil
 }
 
@@ -543,39 +498,42 @@ func (f *Fleet) AllStoresAlive() bool {
 // startShard starts shard s, the first time and after a kill alike: an
 // agent always resumes from the store, and an empty store is a fresh job.
 func (f *Fleet) startShard(sn *shardNode, s int) error {
-	if f.cfg.Procs {
+	if f.run.Procs {
 		args := []string{
 			"-addr", "127.0.0.1:0",
 			"-store", f.storeSpec(),
-			"-job", f.cfg.JobID,
+			"-job", f.jobID,
 			"-shard", fmt.Sprint(s),
-			"-shards", fmt.Sprint(f.cfg.Shards),
+			"-shards", fmt.Sprint(f.spec.Shards),
 			"-seed", fmt.Sprint(fleetSeed),
 			"-batch", fmt.Sprint(fleetBatch),
-			"-policy", f.cfg.Policy.String(),
-			"-keep", fmt.Sprint(f.cfg.KeepLast),
-			"-op-timeout", f.cfg.OpTimeout.String(),
+			"-policy", f.spec.Policy,
+			"-keep", fmt.Sprint(f.spec.KeepLast),
+			"-op-timeout", ms(f.spec.OpTimeoutMs).String(),
 			"-connect-wait", "10s",
 		}
-		ch, err := startChild(f.logf, fmt.Sprintf("shardd[%d]", s), f.cfg.Bins.Shardd, args...)
+		ch, err := startChild(f.run.Logf, fmt.Sprintf("shardd[%d]", s), f.run.Bins.Shardd, args...)
 		if err != nil {
 			return err
 		}
 		sn.proc, sn.addr, sn.alive = ch, ch.addr, true
 		return nil
 	}
-	ecfg := ckpt.Config{Policy: f.cfg.Policy, KeepLast: f.cfg.KeepLast}
+	policy, err := ckpt.ParsePolicy(f.spec.Policy)
+	if err != nil {
+		return err
+	}
 	host, err := shardhost.Start(shardhost.Config{
-		JobID:       f.cfg.JobID,
+		JobID:       f.jobID,
 		Shard:       s,
-		Shards:      f.cfg.Shards,
+		Shards:      f.spec.Shards,
 		StoreAddr:   f.storeSpec(),
 		Seed:        fleetSeed,
 		BatchSize:   fleetBatch,
-		Engine:      ecfg,
-		OpTimeout:   f.cfg.OpTimeout,
+		Engine:      ckpt.Config{Policy: policy, KeepLast: f.spec.KeepLast},
+		OpTimeout:   ms(f.spec.OpTimeoutMs),
 		ConnectWait: 10 * time.Second,
-		Logf:        f.logf,
+		Logf:        f.run.Logf,
 	})
 	if err != nil {
 		return fmt.Errorf("chaos: shard %d: %w", s, err)
@@ -662,7 +620,7 @@ func (f *Fleet) KillShard(s int) {
 		sn.host = nil
 	}
 	sn.alive = false
-	f.logf("chaos: killed shard %d", s)
+	f.run.Logf("chaos: killed shard %d", s)
 }
 
 // RestartShard brings a killed shard back: the replayed engine state
@@ -679,7 +637,7 @@ func (f *Fleet) RestartShard(s int) error {
 	}
 	f.agentShims[s].SetTarget(sn.addr)
 	f.agentShims[s].DropConns()
-	f.logf("chaos: restarted shard %d at %s", s, sn.addr)
+	f.run.Logf("chaos: restarted shard %d at %s", s, sn.addr)
 	return nil
 }
 
@@ -687,10 +645,10 @@ func (f *Fleet) RestartShard(s int) error {
 
 func (f *Fleet) register(holder string) (*ctrl.Register, error) {
 	return ctrl.NewRegister(ctrl.RegisterConfig{
-		JobID:  f.cfg.JobID,
+		JobID:  f.jobID,
 		Store:  f.ctrlStore,
 		Holder: holder,
-		TTL:    f.cfg.LeaseTTL,
+		TTL:    ms(f.spec.LeaseTTLMs),
 		Settle: 2 * time.Millisecond,
 	})
 }
@@ -701,12 +659,12 @@ func (f *Fleet) newController(lease *ctrl.Lease, holder string) error {
 		agents[s] = shim.Addr()
 	}
 	c, err := ctrl.NewController(ctrl.ControllerConfig{
-		JobID:        f.cfg.JobID,
+		JobID:        f.jobID,
 		Store:        f.ctrlStore,
 		Agents:       agents,
 		Lease:        lease,
 		Announcer:    f.announcer,
-		Logf:         f.logf,
+		Logf:         f.run.Logf,
 		AfterPrepare: func() { f.fire(&f.afterPrepare) },
 		AfterCommit:  func() { f.fire(&f.afterCommit) },
 	})
@@ -795,10 +753,9 @@ func (f *Fleet) AgentStatus(ctx context.Context, s int) (*ctrl.StatusReply, erro
 	if !sn.alive {
 		return nil, fmt.Errorf("chaos: shard %d is dead", s)
 	}
-	cl, err := ctrl.DialAgent(sn.addr, ctrl.ClientConfig{DialTimeout: 5 * time.Second})
-	if err != nil {
-		return nil, err
-	}
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	cl := ctrl.NewClient(sn.addr, 5*time.Second)
 	defer cl.Close()
 	return cl.Status(ctx)
 }

@@ -8,11 +8,9 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/ctrl/shardhost"
-	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/objstore"
 	"repro/internal/serve"
-	"repro/internal/trainer"
 	"repro/internal/wire"
 )
 
@@ -55,17 +53,15 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 //     a torn read — rows mixing two checkpoints — or a response naming
 //     an uncommitted checkpoint is not.
 //
-// The checker maintains its own reference replica, trained with the
-// same deterministic seed as the fleet's shards and advanced to each
-// checkpoint's cut step on demand. For serve-consistency it snapshots
-// the reference tables at every committed cut step, since stale-but
-// -legal responses need the OLD state to compare against.
+// The checker maintains its own reference replica — the
+// shardhost.Replica every shard trains, from the same seed and batch —
+// advanced to each checkpoint's cut step on demand. For
+// serve-consistency it snapshots the reference tables at every
+// committed cut step, since stale-but-legal responses need the OLD
+// state to compare against.
 type Checker struct {
-	f *Fleet
-
-	cluster *trainer.Cluster
-	refMod  *model.DLRM
-	gen     *data.Generator
+	f   *Fleet
+	ref *shardhost.Replica
 
 	// serveSnaps holds the reference sparse-table weights at each
 	// committed checkpoint: ckptID -> tableID -> flat row-major weights.
@@ -74,40 +70,30 @@ type Checker struct {
 
 // NewChecker builds a checker (and its reference replica) for f.
 func NewChecker(f *Fleet) (*Checker, error) {
-	mcfg, spec := shardhost.ReplicaConfig(fleetSeed, nil, 0)
-	m, err := model.New(mcfg, f.cfg.Shards)
+	ref, err := shardhost.NewReplica(shardhost.Config{Seed: fleetSeed, Shards: f.spec.Shards, BatchSize: fleetBatch})
 	if err != nil {
-		return nil, fmt.Errorf("chaos: checker model: %w", err)
+		return nil, fmt.Errorf("chaos: checker: %w", err)
 	}
-	cluster, err := trainer.New(m, trainer.Config{Nodes: f.cfg.Shards})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: checker cluster: %w", err)
-	}
-	gen, err := data.NewGenerator(spec)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: checker generator: %w", err)
-	}
-	return &Checker{f: f, cluster: cluster, refMod: m, gen: gen,
-		serveSnaps: make(map[int]map[int][]float32)}, nil
+	return &Checker{f: f, ref: ref, serveSnaps: make(map[int]map[int][]float32)}, nil
 }
 
 // referenceAt advances the reference replica to exactly step. Scenario
 // cut steps are monotonic, so the replica only ever moves forward.
-func (c *Checker) referenceAt(step uint64) (*model.DLRM, error) {
-	for c.cluster.Stats().Batches < step {
-		c.cluster.Step(c.gen.NextBatch(fleetBatch))
+func (c *Checker) referenceAt(ctx context.Context, step uint64) (*model.DLRM, error) {
+	if err := c.ref.AdvanceTo(ctx, step); err != nil {
+		return nil, fmt.Errorf("chaos: reference: %w", err)
 	}
-	if got := c.cluster.Stats().Batches; got != step {
-		return nil, fmt.Errorf("chaos: reference replica at step %d, cannot rewind to %d", got, step)
-	}
-	return c.refMod, nil
+	return c.ref.Model(), nil
 }
 
 // freshModel builds an untrained fleet-shaped model to restore into; a
 // different seed, so a restore that leans on initialization is caught.
 func (c *Checker) freshModel() (*model.DLRM, error) {
-	mcfg, _ := shardhost.ReplicaConfig(fleetSeed+1000, nil, 0)
-	return model.New(mcfg, c.f.cfg.Shards)
+	r, err := shardhost.NewReplica(shardhost.Config{Seed: fleetSeed + 1000, Shards: c.f.spec.Shards})
+	if err != nil {
+		return nil, err
+	}
+	return r.Model(), nil
 }
 
 // Check runs all four invariants against the expected committed
@@ -118,7 +104,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 	// Serve-consistency runs unconditionally: replicas are in-process
 	// and probed over undegraded links, and their in-memory tables stay
 	// answerable even while a store is down or a link is partitioned.
-	if err := c.snapCommitted(committed); err != nil {
+	if err := c.snapCommitted(ctx, committed); err != nil {
 		return nil, err
 	}
 	sv, err := c.checkServing(ctx, committed)
@@ -145,7 +131,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 		return out, nil
 	}
 
-	rest, err := ckpt.NewRestorer(c.f.cfg.JobID, c.f.observer)
+	rest, err := ckpt.NewRestorer(c.f.jobID, c.f.observer)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +151,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 	for _, id := range ids {
 		plan, err := rest.Resolve(ctx, id, -1)
 		if err != nil {
-			_, serr := c.f.observer.Stat(ctx, wire.ManifestKey(c.f.cfg.JobID, id))
+			_, serr := c.f.observer.Stat(ctx, wire.ManifestKey(c.f.jobID, id))
 			if errors.Is(serr, objstore.ErrNotFound) {
 				continue
 			}
@@ -185,7 +171,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 	// KeepLast and what they restore through (a retired one stays listed
 	// until a sweep gets to it), and nothing but committed IDs.
 	newest := committed
-	if keep := c.f.cfg.KeepLast; keep > 0 && keep < len(committed) {
+	if keep := c.f.spec.KeepLast; keep > 0 && keep < len(committed) {
 		newest = committed[len(committed)-keep:]
 	}
 	must := make(map[int]bool)
@@ -216,7 +202,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 		out = append(out, Violation{
 			Invariant: "id-convergence",
 			Detail: fmt.Sprintf("of the %d checkpoints the scenario committed (KeepLast %d), the store no longer lists %v and lists uncommitted %v",
-				len(committed), c.f.cfg.KeepLast, missing, extra),
+				len(committed), c.f.spec.KeepLast, missing, extra),
 		})
 	}
 
@@ -248,7 +234,7 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 		})
 		return out, nil
 	}
-	ref, err := c.referenceAt(want.Step)
+	ref, err := c.referenceAt(ctx, want.Step)
 	if err != nil {
 		return nil, err
 	}
@@ -265,12 +251,12 @@ func (c *Checker) Check(ctx context.Context, committed []Committed) ([]Violation
 // cut step that isn't snapshotted yet. Committed entries arrive in
 // ascending step order, so the forward-only reference replica can visit
 // each cut exactly once.
-func (c *Checker) snapCommitted(committed []Committed) error {
+func (c *Checker) snapCommitted(ctx context.Context, committed []Committed) error {
 	for _, cm := range committed {
 		if _, ok := c.serveSnaps[cm.ID]; ok {
 			continue
 		}
-		ref, err := c.referenceAt(cm.Step)
+		ref, err := c.referenceAt(ctx, cm.Step)
 		if err != nil {
 			return err
 		}
@@ -309,7 +295,7 @@ func (c *Checker) checkServing(ctx context.Context, committed []Committed) ([]Vi
 
 func (c *Checker) probeReplica(ctx context.Context, cl *serve.Client, r int) ([]Violation, error) {
 	var out []Violation
-	for _, tab := range c.refMod.Sparse.Tables {
+	for _, tab := range c.ref.Model().Sparse.Tables {
 		// Strided sample across the table, plus the last row.
 		stride := tab.Rows / 48
 		if stride == 0 {

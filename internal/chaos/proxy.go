@@ -25,8 +25,8 @@ import (
 	"repro/internal/rpc"
 )
 
-// Direction selects which half of a proxied link a LinkConfig applies
-// to, from the connecting client's point of view.
+// Direction selects which half of a proxied link a Link applies to,
+// from the connecting client's point of view.
 type Direction int
 
 const (
@@ -43,33 +43,34 @@ func (d Direction) String() string {
 	return "down"
 }
 
-// LinkConfig is the programmable state of one direction of a link. The
-// zero value is a transparent wire.
-type LinkConfig struct {
-	// Latency delays every chunk of forwarded bytes.
-	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) on top of
-	// Latency per forwarded chunk.
-	Jitter time.Duration
-	// Bandwidth, if positive, caps the direction to this many bytes per
-	// second, shared across every connection on the link (a link has one
-	// pipe, however many TCP streams cross it).
-	Bandwidth float64
+// Link is the programmable state of one direction of a link, in the
+// units a campaign writes it in: FaultSpec embeds it, so its keys sit
+// flat in a fault's JSON. The zero value is a transparent wire.
+type Link struct {
+	// LatencyMs delays every chunk of forwarded bytes.
+	LatencyMs int `json:"latency_ms,omitempty"`
+	// JitterMs adds a uniform random delay in [0, JitterMs) on top of
+	// LatencyMs per forwarded chunk.
+	JitterMs int `json:"jitter_ms,omitempty"`
+	// BandwidthBps, if positive, caps the direction to this many bytes
+	// per second, shared across every connection on the link (a link has
+	// one pipe, however many TCP streams cross it).
+	BandwidthBps float64 `json:"bandwidth_bps,omitempty"`
 	// DropProb, if positive, is the per-chunk probability that the
 	// connection is torn down instead of forwarding — the TCP analogue
 	// of packet loss that outlasts retransmission.
-	DropProb float64
+	DropProb float64 `json:"drop_prob,omitempty"`
 	// Stall, if true, freezes the direction: bytes are accepted from the
 	// source but not forwarded until the stall is lifted or the
 	// connection dies. Unlike Partition the TCP connection stays up —
 	// the peer sees a healthy, silent wire and must save itself with
 	// deadlines.
-	Stall bool
+	Stall bool `json:"stall,omitempty"`
 }
 
 // Proxy is a TCP shim fronting one listener of the fleet. Connections
 // accepted on Addr are forwarded to the target, each direction shaped
-// by its LinkConfig; all knobs are runtime-reconfigurable and take
+// by its Link; all knobs are runtime-reconfigurable and take
 // effect on in-flight connections at the next forwarded chunk.
 type Proxy struct {
 	name string
@@ -78,7 +79,7 @@ type Proxy struct {
 
 	mu          sync.Mutex
 	target      string
-	up, down    LinkConfig
+	up, down    Link
 	partitioned bool
 	// nextFree are the per-direction token-bucket cursors for Bandwidth.
 	nextFree [2]time.Time
@@ -122,7 +123,7 @@ func (p *Proxy) SetTarget(target string) {
 }
 
 // SetLink installs cfg as dir's shaping state, effective immediately.
-func (p *Proxy) SetLink(dir Direction, cfg LinkConfig) {
+func (p *Proxy) SetLink(dir Direction, cfg Link) {
 	p.mu.Lock()
 	if dir == Up {
 		p.up = cfg
@@ -149,7 +150,7 @@ func (p *Proxy) Partition() {
 func (p *Proxy) Heal() {
 	p.mu.Lock()
 	p.partitioned = false
-	p.up, p.down = LinkConfig{}, LinkConfig{}
+	p.up, p.down = Link{}, Link{}
 	p.mu.Unlock()
 	p.logf("chaos: %s: healed", p.name)
 }
@@ -227,7 +228,7 @@ func (p *Proxy) serve(client net.Conn) {
 // framed message feels a mid-transfer config change.
 const chunkSize = 16 << 10
 
-// pump copies src -> dst, applying dir's live LinkConfig per chunk.
+// pump copies src -> dst, applying dir's live Link per chunk.
 func (p *Proxy) pump(dir Direction, src, dst net.Conn) {
 	buf := make([]byte, chunkSize)
 	for {
@@ -277,11 +278,11 @@ func (p *Proxy) shape(dir Direction, n int) bool {
 			p.mu.Unlock()
 			return false
 		}
-		delay := cfg.Latency
-		if cfg.Jitter > 0 {
-			delay += time.Duration(p.rng.Int63n(int64(cfg.Jitter)))
+		delay := time.Duration(cfg.LatencyMs) * time.Millisecond
+		if cfg.JitterMs > 0 {
+			delay += time.Duration(p.rng.Int63n(int64(cfg.JitterMs) * int64(time.Millisecond)))
 		}
-		if cfg.Bandwidth > 0 {
+		if cfg.BandwidthBps > 0 {
 			// Shared token bucket (cf. objstore.Throttle): reserve this
 			// chunk's transfer time on the link's cursor and wait out the
 			// queue ahead of us.
@@ -290,7 +291,7 @@ func (p *Proxy) shape(dir Direction, n int) bool {
 			if cursor.Before(now) {
 				cursor = now
 			}
-			p.nextFree[dir] = cursor.Add(time.Duration(float64(n) / cfg.Bandwidth * float64(time.Second)))
+			p.nextFree[dir] = cursor.Add(time.Duration(float64(n) / cfg.BandwidthBps * float64(time.Second)))
 			delay += cursor.Sub(now)
 		}
 		p.mu.Unlock()

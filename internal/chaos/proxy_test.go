@@ -53,7 +53,7 @@ func TestProxyLatency(t *testing.T) {
 	if err := cl.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	px.SetLink(Down, LinkConfig{Latency: 100 * time.Millisecond})
+	px.SetLink(Down, Link{LatencyMs: 100})
 	start := time.Now()
 	if _, err := cl.Get(ctx, "k"); err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestProxyBandwidth(t *testing.T) {
 	ctx := context.Background()
 	// 256 KiB at 1 MiB/s shared uplink: >= ~250ms however many conns
 	// the client pool spreads the Put over.
-	px.SetLink(Up, LinkConfig{Bandwidth: 1 << 20})
+	px.SetLink(Up, Link{BandwidthBps: 1 << 20})
 	start := time.Now()
 	if err := cl.Put(ctx, "big", make([]byte, 256<<10)); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestProxyPartitionAndHeal(t *testing.T) {
 
 func TestProxyStallHitsDeadline(t *testing.T) {
 	px, cl := proxiedStore(t)
-	px.SetLink(Up, LinkConfig{Stall: true})
+	px.SetLink(Up, Link{Stall: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	err := cl.Put(ctx, "k", []byte("v"))
@@ -117,6 +117,26 @@ func TestProxyStallHitsDeadline(t *testing.T) {
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := cl.Put(ctx2, "k", []byte("v")); err != nil {
+		t.Fatalf("Put after heal: %v", err)
+	}
+}
+
+// TestProxyDropProbTearsDown: with DropProb 1 on Up, the first chunk a
+// client sends tears its connection down instead of reaching the store,
+// and Heal restores a transparent wire.
+func TestProxyDropProbTearsDown(t *testing.T) {
+	px, cl := proxiedStore(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	px.SetLink(Up, Link{DropProb: 1})
+	if err := cl.Put(ctx, "k", []byte("v")); !errors.Is(err, objstore.ErrStoreUnavailable) {
+		t.Fatalf("Put through DropProb 1 = %v, want ErrStoreUnavailable", err)
+	}
+	px.Heal()
+	if _, err := cl.Get(ctx, "k"); !errors.Is(err, objstore.ErrNotFound) {
+		t.Fatalf("Get after heal = %v, want ErrNotFound: the dropped Put must not have landed", err)
+	}
+	if err := cl.Put(ctx, "k", []byte("v")); err != nil {
 		t.Fatalf("Put after heal: %v", err)
 	}
 }

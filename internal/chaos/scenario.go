@@ -21,25 +21,41 @@ type Scenario struct {
 	Steps       []Step    `json:"steps"`
 }
 
-// FleetSpec is the scenario's fleet shape (JSON view of FleetConfig;
-// process-vs-in-process and binaries are the runner's choice, not the
-// scenario's).
+// FleetSpec is the scenario's fleet shape, and what NewFleet builds
+// from (process-vs-in-process and binaries are the runner's choice, not
+// the scenario's). Zero values take defaults: one shard, one store, no
+// replicas, one-shot, keep everything, a 5s op timeout, a 1s lease,
+// the runner's store backend and fsync=always.
 type FleetSpec struct {
-	Shards      int    `json:"shards"`
-	Stores      int    `json:"stores"`
-	Replicas    int    `json:"replicas,omitempty"`
-	Policy      string `json:"policy,omitempty"`    // full|one-shot|consecutive|intermittent; empty is one-shot
-	KeepLast    int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
-	OpTimeoutMs int    `json:"op_timeout_ms,omitempty"`
-	LeaseTTLMs  int    `json:"lease_ttl_ms,omitempty"`
-	// StoreBackend pins the store plane to "mem" or "disk". Empty defers
-	// to the runner (RunnerConfig.DiskStores), so the same campaign runs
-	// against both backends in the nightly matrix; campaigns that kill
-	// stores must pin "disk".
+	Shards int `json:"shards"`
+	Stores int `json:"stores"`
+	// Replicas is the serving-replica count. Their fleet owns one
+	// ctrl.Announcer (the "stable VIP") that every elected controller
+	// announces through, so replicas' waits survive failover. Replicas
+	// are in-process even under Procs: their faults are the same TCP
+	// proxies either way, and the checker reads their served state.
+	Replicas int `json:"replicas,omitempty"`
+	// Policy and KeepLast are the engine template of every shard, hosted
+	// in-process or forked. Checkpoints are fp32: invariant 2 compares a
+	// restore with an fp32 reference replica bit for bit.
+	Policy   string `json:"policy,omitempty"`    // full|one-shot|consecutive|intermittent; empty is one-shot
+	KeepLast int    `json:"keep_last,omitempty"` // every shard's retention; 0 keeps everything
+	// OpTimeoutMs bounds each agent control operation including its
+	// store I/O — the self-defense deadline that unsticks an agent from
+	// a stalled store. LeaseTTLMs is the controller lease TTL; failover
+	// takes roughly one TTL.
+	OpTimeoutMs int `json:"op_timeout_ms,omitempty"`
+	LeaseTTLMs  int `json:"lease_ttl_ms,omitempty"`
+	// StoreBackend pins the store plane to "mem" or "disk" (the
+	// crash-consistent segment log). Empty defers to the runner
+	// (RunnerConfig.DiskStores), so the same campaign runs against both
+	// backends in the nightly matrix; campaigns that kill stores must pin
+	// "disk" — a killed MemStore is just data loss.
 	StoreBackend string `json:"store_backend,omitempty"`
 	// Disk-backend knobs: fsync policy flag value (ignored for mem) and
-	// injected device latencies (refused for mem: the delays are
-	// DiskStore settings, DiskConfig.PutDelay and SyncDelay).
+	// injected device latencies, each disk store's DiskConfig.PutDelay
+	// (each Put and Delete) and SyncDelay (each fsync), or objstored's
+	// -put-delay and -sync-delay. A mem fleet refuses either delay.
 	Fsync           string `json:"fsync,omitempty"`
 	DiskPutDelayMs  int    `json:"disk_put_delay_ms,omitempty"`
 	DiskSyncDelayMs int    `json:"disk_sync_delay_ms,omitempty"`
@@ -52,12 +68,8 @@ type FaultSpec struct {
 	Partition bool `json:"partition,omitempty"`
 	// DropConns tears down live connections once (transient blip).
 	DropConns bool `json:"drop_conns,omitempty"`
-	// Shaping knobs, applied together as the link state.
-	LatencyMs    int     `json:"latency_ms,omitempty"`
-	JitterMs     int     `json:"jitter_ms,omitempty"`
-	BandwidthBps float64 `json:"bandwidth_bps,omitempty"`
-	DropProb     float64 `json:"drop_prob,omitempty"`
-	Stall        bool    `json:"stall,omitempty"`
+	// Link holds the shaping knobs, applied together as the link state.
+	Link
 	// Direction is "up", "down", or "both" (default).
 	Direction string `json:"direction,omitempty"`
 }
@@ -184,35 +196,7 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		return res, err
 	}
 
-	fcfg := FleetConfig{
-		JobID:     "chaos-" + sc.Name,
-		Shards:    sc.Fleet.Shards,
-		Stores:    sc.Fleet.Stores,
-		Replicas:  sc.Fleet.Replicas,
-		KeepLast:  sc.Fleet.KeepLast,
-		OpTimeout: time.Duration(sc.Fleet.OpTimeoutMs) * time.Millisecond,
-		LeaseTTL:  time.Duration(sc.Fleet.LeaseTTLMs) * time.Millisecond,
-		Procs:     rcfg.Procs,
-		Bins:      rcfg.Bins,
-		Logf:      rcfg.Logf,
-
-		StoreBackend:  sc.Fleet.StoreBackend,
-		Fsync:         sc.Fleet.Fsync,
-		DiskPutDelay:  time.Duration(sc.Fleet.DiskPutDelayMs) * time.Millisecond,
-		DiskSyncDelay: time.Duration(sc.Fleet.DiskSyncDelayMs) * time.Millisecond,
-	}
-	if fcfg.StoreBackend == "" && rcfg.DiskStores {
-		fcfg.StoreBackend = "disk"
-	}
-	fcfg.Policy = ckpt.PolicyOneShot
-	if sc.Fleet.Policy != "" {
-		kind, err := ckpt.ParsePolicy(sc.Fleet.Policy)
-		if err != nil {
-			return fail(err)
-		}
-		fcfg.Policy = kind
-	}
-	f, err := NewFleet(fcfg)
+	f, err := NewFleet("chaos-"+sc.Name, sc.Fleet, rcfg)
 	if err != nil {
 		return fail(fmt.Errorf("chaos: fleet for %s: %w", sc.Name, err))
 	}
@@ -222,7 +206,7 @@ func Run(ctx context.Context, sc *Scenario, rcfg RunnerConfig) (*Result, error) 
 		return fail(err)
 	}
 
-	r := &runner{f: f, cfg: rcfg, res: res}
+	r := &runner{f: f}
 	for i, step := range sc.Steps {
 		sr := StepResult{Index: i, Op: step.Op}
 		start := time.Now()
@@ -252,8 +236,6 @@ const stepTimeout = 60 * time.Second
 // runner carries one scenario execution's mutable state.
 type runner struct {
 	f         *Fleet
-	cfg       RunnerConfig
-	res       *Result
 	committed []Committed
 }
 
@@ -316,7 +298,7 @@ func (r *runner) exec(ctx context.Context, s *Step, sr *StepResult) error {
 		return r.f.Failover(ctx, s.Holder)
 	case "sweep":
 		for dry := false; ; dry = true {
-			rep, err := ckpt.SweepOrphans(ctx, r.f.cfg.JobID, r.f.Observer(), dry)
+			rep, err := ckpt.SweepOrphans(ctx, r.f.jobID, r.f.Observer(), dry)
 			switch {
 			case err != nil: // the step timeout included
 				return fmt.Errorf("sweep: %w", err)
@@ -335,7 +317,7 @@ func (r *runner) exec(ctx context.Context, s *Step, sr *StepResult) error {
 		sr.Detail = fmt.Sprintf("%dms", s.Ms)
 		return nil
 	case "inject-partial-composite":
-		if !r.cfg.AllowInjection {
+		if !r.f.run.AllowInjection {
 			return fmt.Errorf("inject-partial-composite requires RunnerConfig.AllowInjection")
 		}
 		sr.Detail = fmt.Sprintf("composite %d", s.ID)
@@ -428,7 +410,7 @@ func (r *runner) buildHook(s *Step) (func(), error) {
 		}
 		for _, st := range storeKills {
 			if err := r.f.KillStore(st); err != nil {
-				r.f.logf("chaos: in-window kill-store %d: %v", st, err)
+				r.f.run.Logf("chaos: in-window kill-store %d: %v", st, err)
 			}
 		}
 	}, nil
@@ -551,21 +533,14 @@ func applyFault(shims []*Proxy, spec *FaultSpec) {
 		case spec.DropConns:
 			p.DropConns()
 		default:
-			cfg := LinkConfig{
-				Latency:   time.Duration(spec.LatencyMs) * time.Millisecond,
-				Jitter:    time.Duration(spec.JitterMs) * time.Millisecond,
-				Bandwidth: spec.BandwidthBps,
-				DropProb:  spec.DropProb,
-				Stall:     spec.Stall,
-			}
 			switch spec.Direction {
 			case "up":
-				p.SetLink(Up, cfg)
+				p.SetLink(Up, spec.Link)
 			case "down":
-				p.SetLink(Down, cfg)
+				p.SetLink(Down, spec.Link)
 			default:
-				p.SetLink(Up, cfg)
-				p.SetLink(Down, cfg)
+				p.SetLink(Up, spec.Link)
+				p.SetLink(Down, spec.Link)
 			}
 		}
 	}
@@ -592,7 +567,7 @@ func faultLabel(spec *FaultSpec) string {
 // manifests do not exist — the torn state a controller without the
 // commit fence could leave. The template is the newest real composite.
 func (r *runner) injectPartial(ctx context.Context, id int) error {
-	rest, err := ckpt.NewRestorer(r.f.cfg.JobID, r.f.Observer())
+	rest, err := ckpt.NewRestorer(r.f.jobID, r.f.Observer())
 	if err != nil {
 		return err
 	}
@@ -609,11 +584,11 @@ func (r *runner) injectPartial(ctx context.Context, id int) error {
 	for s := 0; s < man.ShardCount; s++ {
 		// Keys of an attempt that never prepared: syntactically valid,
 		// guaranteed absent.
-		man.ShardManifestKeys[s] = wire.ManifestKey(wire.ShardJobID(r.f.cfg.JobID, s), id)
+		man.ShardManifestKeys[s] = wire.ManifestKey(wire.ShardJobID(r.f.jobID, s), id)
 	}
 	blob, err := wire.EncodeManifest(&man)
 	if err != nil {
 		return err
 	}
-	return r.f.Observer().Put(ctx, wire.ManifestKey(r.f.cfg.JobID, id), blob)
+	return r.f.Observer().Put(ctx, wire.ManifestKey(r.f.jobID, id), blob)
 }

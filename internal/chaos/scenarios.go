@@ -99,7 +99,7 @@ func BuiltinScenarios() []*Scenario {
 			Steps: []Step{
 				{Op: "lead", Holder: "leader-0"},
 				{Op: "checkpoint", Step: 4},
-				{Op: "fault", Target: "store:0", Fault: &FaultSpec{BandwidthBps: 128_000}},
+				{Op: "fault", Target: "store:0", Fault: &FaultSpec{Link: Link{BandwidthBps: 128_000}}},
 				{Op: "checkpoint", Step: 8},
 				{Op: "heal"},
 				{Op: "checkpoint", Step: 12},
@@ -112,8 +112,8 @@ func BuiltinScenarios() []*Scenario {
 			Steps: []Step{
 				{Op: "lead", Holder: "leader-0"},
 				{Op: "checkpoint", Step: 4},
-				{Op: "fault", Target: "agent:0", Fault: &FaultSpec{LatencyMs: 80, JitterMs: 40, Direction: "down"}},
-				{Op: "fault", Target: "store:1", Fault: &FaultSpec{LatencyMs: 50, Direction: "up"}},
+				{Op: "fault", Target: "agent:0", Fault: &FaultSpec{Link: Link{LatencyMs: 80, JitterMs: 40}, Direction: "down"}},
+				{Op: "fault", Target: "store:1", Fault: &FaultSpec{Link: Link{LatencyMs: 50}, Direction: "up"}},
 				{Op: "checkpoint", Step: 8},
 				{Op: "heal"},
 				{Op: "checkpoint", Step: 12},
@@ -249,7 +249,7 @@ func BuiltinScenarios() []*Scenario {
 				{Op: "lead", Holder: "leader-0"},
 				{Op: "checkpoint", Step: 4},
 				{Op: "checkpoint", Step: 8, At: "after-prepare", Target: "store:0,store:1,store:2",
-					Fault: &FaultSpec{Stall: true, Direction: "up"}, Expect: "fail"},
+					Fault: &FaultSpec{Link: Link{Stall: true}, Direction: "up"}, Expect: "fail"},
 				{Op: "heal"},
 				{Op: "checkpoint", Step: 8},
 				{Op: "sweep"},

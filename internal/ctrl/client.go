@@ -28,20 +28,17 @@ func NewClient(addr string, dialTimeout time.Duration) *Client {
 	return &Client{rpc: rpc.NewClient(addr, 1, dialTimeout, false)}
 }
 
-// ClientConfig configures DialAgent.
-type ClientConfig struct {
-	// DialTimeout bounds connection establishment; zero means 5s.
-	DialTimeout time.Duration
-}
+// ClientConfig configures DialAgent; it has no settings left.
+type ClientConfig struct{}
+
+// agentProbeTimeout bounds DialAgent's dial and its Status probe.
+const agentProbeTimeout = 5 * time.Second
 
 // DialAgent connects to an agent at addr and verifies reachability with
 // a Status probe.
-func DialAgent(addr string, cfg ClientConfig) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	c := NewClient(addr, cfg.DialTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.DialTimeout)
+func DialAgent(addr string, _ ClientConfig) (*Client, error) {
+	c := NewClient(addr, agentProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), agentProbeTimeout)
 	defer cancel()
 	if _, err := c.Status(ctx); err != nil {
 		return nil, fmt.Errorf("ctrl: dial probe %s: %w", addr, err)

@@ -113,11 +113,10 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	defer cancel()
 	var maxEpoch uint64
 	for _, addr := range cfg.Agents {
-		client, err := DialAgent(addr, ClientConfig{}) // DialAgent's default dial timeout, 5s
-		if err != nil {
-			return fail(err)
-		}
-		st, err := client.Status(ctx)
+		client := NewClient(addr, 5*time.Second)
+		sctx, scancel := context.WithTimeout(ctx, 5*time.Second) // a silent agent fails fast
+		st, err := client.Status(sctx)
+		scancel()
 		if err != nil {
 			client.Close()
 			return fail(fmt.Errorf("ctrl: status %s: %w", addr, err))

@@ -9,10 +9,8 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/ctrl"
-	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/objstore"
-	"repro/internal/trainer"
 	"repro/internal/wire"
 )
 
@@ -71,34 +69,28 @@ func startFleet(t *testing.T, job string, n int) ([]*Host, []string, *objstore.C
 // model to the given step — what every host's full replica holds there.
 func reference(t *testing.T, shards int, steps int) *model.DLRM {
 	t.Helper()
-	mcfg, spec := ReplicaConfig(e2eSeed, e2eRows, e2eDim)
-	m, err := model.New(mcfg, shards)
+	return trainReplica(t, Config{Seed: e2eSeed, Shards: shards, BatchSize: e2eBatch, TableRows: e2eRows, Dim: e2eDim}, steps)
+}
+
+// trainReplica trains the replica a host configured with cfg holds at
+// the given step.
+func trainReplica(t *testing.T, cfg Config, steps int) *model.DLRM {
+	t.Helper()
+	r, err := NewReplica(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := trainer.New(m, trainer.Config{Nodes: shards})
-	if err != nil {
+	if err := r.AdvanceTo(context.Background(), uint64(steps)); err != nil {
 		t.Fatal(err)
 	}
-	gen, err := data.NewGenerator(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < steps; i++ {
-		cl.Step(gen.NextBatch(e2eBatch))
-	}
-	return m
+	return r.Model()
 }
 
 // freshModel builds an untrained fleet-shaped model to restore into.
 func freshModel(t *testing.T, shards int) *model.DLRM {
 	t.Helper()
-	mcfg, _ := ReplicaConfig(e2eSeed+1000, e2eRows, e2eDim) // different seed: restore must not lean on init
-	m, err := model.New(mcfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	// A different seed: restore must not lean on init.
+	return trainReplica(t, Config{Seed: e2eSeed + 1000, Shards: shards, TableRows: e2eRows, Dim: e2eDim}, 0)
 }
 
 // assertBitIdentical fails unless both models hold bit-identical sparse

@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"repro/internal/ctrl"
-	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/objstore"
-	"repro/internal/trainer"
 	"repro/internal/wire"
 )
 
@@ -23,33 +21,12 @@ import (
 // tables, dim 16) at seed 11 / batch 8 to the given step.
 func procReference(t *testing.T, shards, steps int) *model.DLRM {
 	t.Helper()
-	mcfg, spec := ReplicaConfig(11, nil, 0)
-	m, err := model.New(mcfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := trainer.New(m, trainer.Config{Nodes: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := data.NewGenerator(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < steps; i++ {
-		cl.Step(gen.NextBatch(8))
-	}
-	return m
+	return trainReplica(t, Config{Seed: 11, Shards: shards, BatchSize: 8}, steps)
 }
 
 func procFreshModel(t *testing.T, shards int) *model.DLRM {
 	t.Helper()
-	mcfg, _ := ReplicaConfig(2025, nil, 0) // different seed: restore must not lean on init
-	m, err := model.New(mcfg, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return trainReplica(t, Config{Seed: 2025, Shards: shards}, 0) // different seed: restore must not lean on init
 }
 
 // repoRoot walks up from the working directory to the module root.

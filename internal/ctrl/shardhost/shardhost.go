@@ -63,50 +63,38 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// ReplicaConfig returns the deterministic model config and data spec a
-// fleet with the given parameters trains — the restore side builds its
-// reference replica from the same values.
-func ReplicaConfig(seed int64, tableRows []int, dim int) (model.Config, data.Spec) {
-	mcfg := model.DefaultConfig()
-	mcfg.Seed = seed
-	spec := data.DefaultSpec()
-	spec.Seed = seed
-	if dim <= 0 {
-		dim = 16
-	}
-	mcfg.EmbedDim = dim
-	if len(tableRows) > 0 {
-		mcfg.Tables = mcfg.Tables[:0]
-		for _, rows := range tableRows {
-			mcfg.Tables = append(mcfg.Tables, embedding.TableSpec{Rows: rows, Dim: dim})
-		}
-		spec.TableRows = append([]int(nil), tableRows...)
-	}
-	return mcfg, spec
-}
-
-// Host runs one shard: a trainer replica, its shard agent, and the
-// agent's control server.
-type Host struct {
-	cfg     Config
+// Replica is one full replica of the fleet's deterministic model,
+// trained in lockstep with every other: what each shard host trains and
+// cuts its checkpoints from, and what a checker restores against.
+type Replica struct {
 	cluster *trainer.Cluster
 	gen     *data.Generator
-	assign  map[int]int
-	store   objstore.Store
-	agent   *ctrl.Agent
-	srv     *ctrl.AgentServer
+	batch   int
 }
 
-// Start dials the object store, builds the replica, and begins serving
-// the control protocol.
-func Start(cfg Config) (*Host, error) {
+// NewReplica builds the untrained replica a host configured with cfg
+// trains: cfg's Seed, Shards, BatchSize (zero means 64), TableRows and
+// Dim (zero means 16; no TableRows means the demo tables). The other
+// fields are unused.
+func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = "127.0.0.1:0"
+	if cfg.Dim <= 0 {
+		cfg.Dim = 16
 	}
-	mcfg, spec := ReplicaConfig(cfg.Seed, cfg.TableRows, cfg.Dim)
+	mcfg := model.DefaultConfig()
+	mcfg.Seed = cfg.Seed
+	mcfg.EmbedDim = cfg.Dim
+	spec := data.DefaultSpec()
+	spec.Seed = cfg.Seed
+	if len(cfg.TableRows) > 0 {
+		mcfg.Tables = mcfg.Tables[:0]
+		for _, rows := range cfg.TableRows {
+			mcfg.Tables = append(mcfg.Tables, embedding.TableSpec{Rows: rows, Dim: cfg.Dim})
+		}
+		spec.TableRows = append([]int(nil), cfg.TableRows...)
+	}
 	m, err := model.New(mcfg, cfg.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("shardhost: model: %w", err)
@@ -119,16 +107,57 @@ func Start(cfg Config) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shardhost: generator: %w", err)
 	}
+	return &Replica{cluster: cluster, gen: gen, batch: cfg.BatchSize}, nil
+}
+
+// AdvanceTo trains the replica to exactly global step. A replica only
+// moves forward: a step behind it is an error.
+func (r *Replica) AdvanceTo(ctx context.Context, step uint64) error {
+	for r.cluster.Stats().Batches < step {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.cluster.Step(r.gen.NextBatch(r.batch))
+	}
+	if got := r.cluster.Stats().Batches; got != step {
+		return fmt.Errorf("shardhost: replica at step %d, past requested cut %d", got, step)
+	}
+	return nil
+}
+
+// Model returns the replica's model, trained to the last AdvanceTo.
+func (r *Replica) Model() *model.DLRM { return r.cluster.Model() }
+
+// Host runs one shard: a trainer replica, its shard agent, and the
+// agent's control server.
+type Host struct {
+	cfg    Config
+	rep    *Replica
+	assign map[int]int
+	store  objstore.Store
+	agent  *ctrl.Agent
+	srv    *ctrl.AgentServer
+}
+
+// Start dials the object store, builds the replica, and begins serving
+// the control protocol.
+func Start(cfg Config) (*Host, error) {
+	if cfg.ListenAddr == "" {
+		cfg.ListenAddr = "127.0.0.1:0"
+	}
+	rep, err := NewReplica(cfg)
+	if err != nil {
+		return nil, err
+	}
 	store, err := connectStore(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("shardhost: store: %w", err)
 	}
 	h := &Host{
-		cfg:     cfg,
-		cluster: cluster,
-		gen:     gen,
-		assign:  cluster.TableAssignment(),
-		store:   store,
+		cfg:    cfg,
+		rep:    rep,
+		assign: rep.cluster.TableAssignment(),
+		store:  store,
 	}
 	ecfg := cfg.Engine
 	ecfg.Store = store
@@ -181,16 +210,11 @@ func connectStore(cfg Config) (objstore.Store, error) {
 // modified bitmaps, and on shard 0 the replicated dense state
 // (ckpt.SubSnapshot).
 func (h *Host) snapshotAt(ctx context.Context, step uint64) (*ckpt.Snapshot, error) {
-	for h.cluster.Stats().Batches < step {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		h.cluster.Step(h.gen.NextBatch(h.cfg.BatchSize))
+	r := h.rep
+	if err := r.AdvanceTo(ctx, step); err != nil {
+		return nil, err
 	}
-	if got := h.cluster.Stats().Batches; got != step {
-		return nil, fmt.Errorf("shardhost: replica at step %d, past requested cut %d", got, step)
-	}
-	snap, err := h.cluster.Snapshot(data.ReaderState{NextSample: h.gen.Pos(), BatchSize: h.cfg.BatchSize})
+	snap, err := r.cluster.Snapshot(data.ReaderState{NextSample: r.gen.Pos(), BatchSize: r.batch})
 	if err != nil {
 		return nil, err
 	}

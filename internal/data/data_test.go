@@ -247,10 +247,10 @@ func TestQuickBoundedIDs(t *testing.T) {
 
 // --- Reader cluster tests ---
 
-func newCluster(t *testing.T, batch, workers int) *Cluster {
+func newCluster(t *testing.T, batch int) *Cluster {
 	t.Helper()
 	g := mustGen(t, DefaultSpec())
-	c, err := NewCluster(g, ClusterConfig{BatchSize: batch, Workers: workers, QueueDepth: 4})
+	c, err := NewCluster(g, ClusterConfig{BatchSize: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestClusterExactGrant(t *testing.T) {
-	c := newCluster(t, 8, 3)
+	c := newCluster(t, 8)
 	const grant = 10
 	c.Grant(grant)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -284,7 +284,7 @@ func TestClusterExactGrant(t *testing.T) {
 		}
 	}
 	// The gap invariant: after consuming the full grant, nothing is in
-	// flight and workers have stopped producing.
+	// flight and the producer has stopped producing.
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) {
 		if produced(c) == grant {
@@ -307,7 +307,7 @@ func TestClusterExactGrant(t *testing.T) {
 }
 
 func TestClusterBatchOrderIsContiguous(t *testing.T) {
-	c := newCluster(t, 4, 4)
+	c := newCluster(t, 4)
 	c.Grant(20)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -334,14 +334,13 @@ func TestClusterBatchOrderIsContiguous(t *testing.T) {
 }
 
 // TestClusterRecvOrderIsGeneratorOrder pins the order Recv delivers in:
-// a worker used to draw its batch under the generator lock but queue it
-// after unlocking, so two workers could swap adjacent batches and a
-// resumed run would train on a different sequence than an uninterrupted
-// one. A depth-1 queue keeps every worker but one waiting to enqueue,
-// which is where the swap happened.
+// when several workers drew batches, two could swap adjacent batches
+// and a resumed run would train on a different sequence than an
+// uninterrupted one. Recv must deliver in generator order, and the
+// reader state must name the next undelivered sample after each grant.
 func TestClusterRecvOrderIsGeneratorOrder(t *testing.T) {
 	const batch, perGrant, grants = 2, 8, 400
-	c, err := NewCluster(mustGen(t, DefaultSpec()), ClusterConfig{BatchSize: batch, Workers: 6, QueueDepth: 1})
+	c, err := NewCluster(mustGen(t, DefaultSpec()), ClusterConfig{BatchSize: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +367,7 @@ func TestClusterRecvOrderIsGeneratorOrder(t *testing.T) {
 }
 
 func TestClusterStateAtQuiescence(t *testing.T) {
-	c := newCluster(t, 8, 2)
+	c := newCluster(t, 8)
 	c.Grant(5)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -392,7 +391,7 @@ func TestClusterStateAtQuiescence(t *testing.T) {
 }
 
 func TestClusterRestore(t *testing.T) {
-	c := newCluster(t, 8, 2)
+	c := newCluster(t, 8)
 	c.Grant(3)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -415,14 +414,14 @@ func TestClusterRestore(t *testing.T) {
 }
 
 func TestClusterRestoreBatchMismatch(t *testing.T) {
-	c := newCluster(t, 8, 1)
+	c := newCluster(t, 8)
 	if err := c.Restore(ReaderState{NextSample: 0, BatchSize: 16}); err == nil {
 		t.Fatal("mismatched batch size should error")
 	}
 }
 
 func TestClusterCloseUnblocksRecv(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := c.Recv(context.Background())
@@ -441,13 +440,13 @@ func TestClusterCloseUnblocksRecv(t *testing.T) {
 }
 
 func TestClusterCloseIdempotent(t *testing.T) {
-	c := newCluster(t, 4, 2)
+	c := newCluster(t, 4)
 	c.Close()
 	c.Close()
 }
 
 func TestClusterContextCancel(t *testing.T) {
-	c := newCluster(t, 4, 1)
+	c := newCluster(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.Recv(ctx); err != context.Canceled {
@@ -466,7 +465,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
-// produced returns the number of batches c's workers have produced.
+// produced returns the number of batches c's producer has produced.
 func produced(c *Cluster) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -19,13 +19,13 @@ type ReaderState struct {
 	BatchSize  int
 }
 
-// Cluster is the distributed reader tier: a master that grants batch
-// quotas and worker goroutines that materialize batches into a bounded
-// queue. It implements the paper's trainer–reader gap avoidance: the
-// Check-N-Run controller grants the master an exact number of batches per
-// checkpoint interval; workers stop after producing exactly that many, so
-// when the trainer finishes the interval's last batch there are no
-// in-flight batches anywhere.
+// Cluster is the reader tier: a master that grants batch quotas and a
+// producer goroutine that materializes batches into a bounded queue, in
+// generator order. It implements the paper's trainer–reader gap
+// avoidance: the Check-N-Run controller grants the master an exact
+// number of batches per checkpoint interval; the producer stops after
+// producing exactly that many, so when the trainer finishes the
+// interval's last batch there are no in-flight batches anywhere.
 type Cluster struct {
 	gen       *Generator
 	batchSize int
@@ -37,27 +37,22 @@ type Cluster struct {
 	consumed uint64
 	closed   bool
 
-	wake   chan struct{} // pulse to wake idle workers
-	done   chan struct{}
-	wg     sync.WaitGroup
-	nextMu sync.Mutex // serializes generator access across workers
-	// turn is closed once the most recently drawn batch is queued; each
-	// draw replaces it under nextMu, so batches are queued in the order
-	// they were drawn.
-	turn chan struct{}
+	wake    chan struct{} // pulse to wake the idle producer
+	done    chan struct{}
+	stopped chan struct{} // closed when the producer has exited
+	nextMu  sync.Mutex    // guards the generator: producer vs State and Restore
 }
+
+// queueDepth bounds in-flight batches between the producer and the
+// trainer.
+const queueDepth = 4
 
 // ClusterConfig configures a reader cluster.
 type ClusterConfig struct {
 	BatchSize int
-	// Workers is the number of reader worker goroutines (the paper uses
-	// hundreds of reader nodes; workers model them).
-	Workers int
-	// QueueDepth bounds in-flight batches between readers and trainer.
-	QueueDepth int
 }
 
-// NewCluster starts the reader workers. The cluster produces nothing until
+// NewCluster starts the producer. The cluster produces nothing until
 // Grant is called.
 func NewCluster(gen *Generator, cfg ClusterConfig) (*Cluster, error) {
 	if gen == nil {
@@ -66,29 +61,19 @@ func NewCluster(gen *Generator, cfg ClusterConfig) (*Cluster, error) {
 	if cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("data: BatchSize must be positive, got %d", cfg.BatchSize)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4
-	}
 	c := &Cluster{
 		gen:       gen,
 		batchSize: cfg.BatchSize,
-		queue:     make(chan *Batch, cfg.QueueDepth),
+		queue:     make(chan *Batch, queueDepth),
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
-		turn:      make(chan struct{}),
+		stopped:   make(chan struct{}),
 	}
-	close(c.turn)
-	c.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go c.worker()
-	}
+	go c.produce()
 	return c, nil
 }
 
-// Grant allows the workers to read n more batches. The Check-N-Run
+// Grant allows the producer to read n more batches. The Check-N-Run
 // controller calls this once per checkpoint interval with the interval's
 // exact batch count.
 func (c *Cluster) Grant(n int) {
@@ -115,8 +100,12 @@ func (c *Cluster) claim() bool {
 	return true
 }
 
-func (c *Cluster) worker() {
-	defer c.wg.Done()
+// produce draws one batch per claimed quota and queues it. One producer
+// queues batches in the order it draws them, so the global sample order
+// stays exact — required for the reader state to be a single scalar
+// position.
+func (c *Cluster) produce() {
+	defer close(c.stopped)
 	for {
 		if !c.claim() {
 			select {
@@ -126,36 +115,16 @@ func (c *Cluster) worker() {
 				continue
 			}
 		}
-		// Materialize one batch. Generator access is serialized so the
-		// global sample order stays exact — required for the reader
-		// state to be a single scalar position.
 		c.nextMu.Lock()
 		b := c.gen.NextBatch(c.batchSize)
-		prev, queued := c.turn, make(chan struct{})
-		c.turn = queued
 		c.nextMu.Unlock()
 
 		c.mu.Lock()
 		c.produced++
 		c.mu.Unlock()
 
-		// The trainer must receive batches in generator order, so wait for
-		// the batch drawn just before this one to be queued. The wait is
-		// outside nextMu: State and Restore must not queue up behind a
-		// worker parked on a full queue.
-		select {
-		case <-prev:
-		case <-c.done:
-			return
-		}
 		select {
 		case c.queue <- b:
-			close(queued)
-			// Re-pulse so sibling workers re-check quota.
-			select {
-			case c.wake <- struct{}{}:
-			default:
-			}
 		case <-c.done:
 			return
 		}
@@ -228,7 +197,7 @@ func (c *Cluster) Restore(st ReaderState) error {
 	return nil
 }
 
-// Close stops the workers. It is safe to call multiple times.
+// Close stops the producer. It is safe to call multiple times.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -238,5 +207,5 @@ func (c *Cluster) Close() {
 	c.closed = true
 	c.mu.Unlock()
 	close(c.done)
-	c.wg.Wait()
+	<-c.stopped
 }
